@@ -34,7 +34,9 @@ use crate::session::{SessionOutcome, SupervisorSession};
 use crate::SchemeError;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-use ugc_grid::{Backoff, Endpoint, GridError, GridLink, LinkStats, Message, FRAME_HEADER_BYTES};
+use ugc_grid::{
+    Backoff, Doorbell, Endpoint, GridError, GridLink, LinkStats, Message, FRAME_HEADER_BYTES,
+};
 
 /// What the engine's transport delivered on one receive.
 #[derive(Debug)]
@@ -99,15 +101,19 @@ impl<L: GridLink> EngineTransport for L {
     }
 }
 
-/// Direct in-memory transport: one [`Endpoint`] per participant, polled
-/// fairly (rotating cursor) so no chatty participant starves another.
+/// Direct in-memory transport: one [`Endpoint`] per participant, all
+/// subscribed to one [`Doorbell`]. Receiving pops the bell and answers
+/// the link that rang, so mail is served in arrival order (no chatty
+/// participant can starve another) at a cost that does not grow with the
+/// number of silent links.
 #[derive(Debug, Default)]
 pub struct DirectTransport {
     endpoints: Vec<Endpoint>,
     ids: Vec<Vec<u64>>,
     routes: HashMap<u64, usize>,
     open: Vec<bool>,
-    cursor: usize,
+    open_count: usize,
+    bell: Doorbell,
 }
 
 impl DirectTransport {
@@ -125,41 +131,29 @@ impl DirectTransport {
         for &id in &ids {
             self.routes.insert(id, idx);
         }
+        endpoint.subscribe(&self.bell, idx);
         self.ids.push(ids);
         self.endpoints.push(endpoint);
         self.open.push(true);
+        self.open_count += 1;
     }
-}
 
-impl DirectTransport {
-    /// One fair sweep over the open endpoints: `Ok(None)` if every open
-    /// endpoint was momentarily empty, [`GridError::Disconnected`] once
-    /// none remain open.
-    fn sweep(&mut self) -> Result<Option<EngineEvent>, GridError> {
-        let n = self.endpoints.len();
-        let mut saw_open = false;
-        for probe in 0..n {
-            let idx = (self.cursor + probe) % n;
-            if !self.open[idx] {
-                continue;
-            }
-            match self.endpoints[idx].try_recv_counted() {
-                Ok((msg, charged)) => {
-                    self.cursor = (idx + 1) % n;
-                    return Ok(Some(EngineEvent::Message(msg, charged)));
-                }
-                Err(GridError::Empty) => saw_open = true,
-                Err(GridError::Disconnected) => {
-                    self.open[idx] = false;
-                    return Ok(Some(EngineEvent::PeerClosed(self.ids[idx].clone())));
-                }
-                Err(e) => return Err(e),
-            }
+    /// Answers one ring from endpoint `idx` with one receive. `Ok(None)`
+    /// when the ring announced a frame an earlier ring already served, or
+    /// a link already reported closed.
+    fn answer(&mut self, idx: usize) -> Result<Option<EngineEvent>, GridError> {
+        if !self.open[idx] {
+            return Ok(None);
         }
-        if saw_open {
-            Ok(None)
-        } else {
-            Err(GridError::Disconnected)
+        match self.endpoints[idx].try_recv_counted() {
+            Ok((msg, charged)) => Ok(Some(EngineEvent::Message(msg, charged))),
+            Err(GridError::Empty) => Ok(None),
+            Err(GridError::Disconnected) => {
+                self.open[idx] = false;
+                self.open_count -= 1;
+                Ok(Some(EngineEvent::PeerClosed(self.ids[idx].clone())))
+            }
+            Err(e) => Err(e),
         }
     }
 }
@@ -182,20 +176,27 @@ impl EngineTransport for DirectTransport {
     }
 
     fn recv(&mut self) -> Result<EngineEvent, GridError> {
-        let mut backoff = Backoff::new();
-        loop {
-            match self.sweep()? {
-                Some(event) => return Ok(event),
-                // The participants are deep in compute (tree builds take
-                // seconds at scale): escalate from spinning to coarse
-                // sleeps instead of burning the core.
-                None => backoff.wait(),
+        // Every open link still owes at least its hang-up ring, so the
+        // wait ends; with none open nothing can ever arrive again.
+        while self.open_count > 0 {
+            let idx = self.bell.wait();
+            if let Some(event) = self.answer(idx)? {
+                return Ok(event);
             }
         }
+        Err(GridError::Disconnected)
     }
 
     fn try_recv(&mut self) -> Result<Option<EngineEvent>, GridError> {
-        self.sweep()
+        while self.open_count > 0 {
+            let Some(idx) = self.bell.try_next() else {
+                return Ok(None);
+            };
+            if let Some(event) = self.answer(idx)? {
+                return Ok(Some(event));
+            }
+        }
+        Err(GridError::Disconnected)
     }
 }
 
@@ -235,6 +236,8 @@ pub struct SessionResult {
 /// task ids share one transport.
 pub struct SessionEngine<'a> {
     slots: Vec<EngineSlot<'a>>,
+    /// How many slots are still [`SessionState::Active`].
+    active: usize,
     routes: HashMap<u64, (usize, usize)>,
     envelope: bool,
     next_session_id: u64,
@@ -255,6 +258,7 @@ impl<'a> SessionEngine<'a> {
     pub fn new() -> Self {
         SessionEngine {
             slots: Vec::new(),
+            active: 0,
             routes: HashMap::new(),
             envelope: false,
             next_session_id: 0,
@@ -341,6 +345,7 @@ impl<'a> SessionEngine<'a> {
             link: LinkStats::default(),
             state: SessionState::Active,
         });
+        self.active += 1;
         Ok(routing_ids)
     }
 
@@ -350,10 +355,20 @@ impl<'a> SessionEngine<'a> {
         self.slots.len()
     }
 
-    fn active(&self) -> bool {
-        self.slots
-            .iter()
-            .any(|s| matches!(s.state, SessionState::Active))
+    /// Books the result of one step of an active slot's session: a
+    /// session that has produced its outcome is done, one that raised an
+    /// error has failed, anything else stays active. The only place a
+    /// slot leaves [`SessionState::Active`], so the live count stays in
+    /// step.
+    fn settle(slot: &mut EngineSlot<'a>, active: &mut usize, step: Result<(), SchemeError>) {
+        slot.state = match step {
+            Ok(()) => match slot.session.take_outcome() {
+                Some(outcome) => SessionState::Done(outcome),
+                None => return,
+            },
+            Err(e) => SessionState::Failed(e),
+        };
+        *active -= 1;
     }
 
     /// Handles peer-closure notices for the given routing ids: each
@@ -369,14 +384,8 @@ impl<'a> SessionEngine<'a> {
             if let Some(&(index, peer)) = self.routes.get(id) {
                 let slot = &mut self.slots[index];
                 if matches!(slot.state, SessionState::Active) {
-                    match slot.session.on_peer_gone(peer) {
-                        Ok(()) => {
-                            if let Some(outcome) = slot.session.take_outcome() {
-                                slot.state = SessionState::Done(outcome);
-                            }
-                        }
-                        Err(e) => slot.state = SessionState::Failed(e),
-                    }
+                    let step = slot.session.on_peer_gone(peer);
+                    Self::settle(slot, &mut self.active, step);
                 }
             }
         }
@@ -404,10 +413,10 @@ impl<'a> SessionEngine<'a> {
                         if matches!(slot.state, SessionState::Active)
                             && now.duration_since(*last) >= deadline
                         {
-                            slot.state = SessionState::Failed(SchemeError::TimedOut);
+                            Self::settle(slot, &mut self.active, Err(SchemeError::TimedOut));
                         }
                     }
-                    if !self.active() {
+                    if self.active == 0 {
                         return Err(GridError::Empty);
                     }
                     backoff.wait();
@@ -457,24 +466,17 @@ impl<'a> SessionEngine<'a> {
         // Open every session: emit its starting messages.
         for index in 0..self.slots.len() {
             let slot = &mut self.slots[index];
-            let result = slot
+            let step = slot
                 .session
                 .start()
                 .and_then(|outs| Self::send_outbound(transport, self.envelope, slot, outs));
-            match result {
-                // A fire-and-forget session may already be complete.
-                Ok(()) => {
-                    if let Some(outcome) = slot.session.take_outcome() {
-                        slot.state = SessionState::Done(outcome);
-                    }
-                }
-                Err(e) => slot.state = SessionState::Failed(e),
-            }
+            // A fire-and-forget session may already be complete.
+            Self::settle(slot, &mut self.active, step);
         }
 
         // ugc-lint: allow(wall-clock): liveness escape hatch — seeds the per-slot deadline baselines, not any semantic state
         let mut last_activity: Vec<Instant> = vec![Instant::now(); self.slots.len()];
-        while self.active() {
+        while self.active > 0 {
             let polled = match self.deadline {
                 None => transport.recv(),
                 Some(deadline) => self.poll_with_deadline(transport, deadline, &last_activity),
@@ -490,7 +492,7 @@ impl<'a> SessionEngine<'a> {
                     // waiting is dead.
                     for slot in &mut self.slots {
                         if matches!(slot.state, SessionState::Active) {
-                            slot.state = SessionState::Failed(SchemeError::Grid(e.clone()));
+                            Self::settle(slot, &mut self.active, Err(SchemeError::Grid(e.clone())));
                         }
                     }
                     break;
@@ -530,18 +532,11 @@ impl<'a> SessionEngine<'a> {
             last_activity[index] = Instant::now();
             slot.link.bytes_received += charged;
             slot.link.messages_received += 1;
-            let result = slot
+            let step = slot
                 .session
                 .on_message(peer, payload)
                 .and_then(|outs| Self::send_outbound(transport, self.envelope, slot, outs));
-            match result {
-                Ok(()) => {
-                    if let Some(outcome) = slot.session.take_outcome() {
-                        slot.state = SessionState::Done(outcome);
-                    }
-                }
-                Err(e) => slot.state = SessionState::Failed(e),
-            }
+            Self::settle(slot, &mut self.active, step);
         }
 
         let recorder = self.recorder;
@@ -641,6 +636,77 @@ mod tests {
             assert_eq!(outcome.verdict, Verdict::Accepted);
             assert!(result.link.bytes_received > 0);
         }
+    }
+
+    #[test]
+    fn direct_transport_answers_links_in_arrival_order() {
+        fn verdict(task_id: u64) -> Message {
+            Message::Verdict {
+                task_id,
+                accepted: true,
+            }
+        }
+        fn task_of(event: EngineEvent) -> u64 {
+            match event {
+                EngineEvent::Message(msg, _) => msg.task_id(),
+                EngineEvent::PeerClosed(ids) => panic!("unexpected closure of {ids:?}"),
+            }
+        }
+        let mut transport = DirectTransport::new();
+        assert_eq!(transport.try_recv().unwrap_err(), GridError::Disconnected);
+        // A thousand links, one of which has mail queued before the
+        // transport has even seen it.
+        let mut peers: Vec<Option<Endpoint>> = Vec::new();
+        for id in 0..1000u64 {
+            let (sup_side, part_side) = duplex();
+            if id == 5 {
+                part_side.send(&verdict(id)).unwrap();
+            }
+            transport.add_endpoint(sup_side, [id]);
+            peers.push(Some(part_side));
+        }
+        assert_eq!(task_of(transport.recv().unwrap()), 5);
+        assert!(transport.try_recv().unwrap().is_none());
+        // Mail is served in the order it arrived, not in link order.
+        let arrivals = [900usize, 3, 512, 3, 0];
+        for &link in &arrivals {
+            peers[link]
+                .as_ref()
+                .unwrap()
+                .send(&verdict(link as u64))
+                .unwrap();
+        }
+        for &link in &arrivals {
+            assert_eq!(task_of(transport.recv().unwrap()), link as u64);
+        }
+        assert!(transport.try_recv().unwrap().is_none());
+        // A hang-up is reported after the mail queued ahead of it, once.
+        let dying = peers[42].take().unwrap();
+        dying.send(&verdict(42)).unwrap();
+        drop(dying);
+        assert_eq!(task_of(transport.recv().unwrap()), 42);
+        assert!(matches!(
+            transport.recv().unwrap(),
+            EngineEvent::PeerClosed(ids) if ids == [42]
+        ));
+        assert!(transport.try_recv().unwrap().is_none());
+        // Everyone else hangs up: one closure each, then nothing can ever
+        // arrive again.
+        peers.clear();
+        let mut closed = Vec::new();
+        loop {
+            match transport.recv() {
+                Ok(EngineEvent::PeerClosed(ids)) => closed.extend(ids),
+                Ok(EngineEvent::Message(msg, _)) => panic!("unexpected mail: {msg:?}"),
+                Err(e) => {
+                    assert_eq!(e, GridError::Disconnected);
+                    break;
+                }
+            }
+        }
+        closed.sort_unstable();
+        let expected: Vec<u64> = (0..1000).filter(|&id| id != 42).collect();
+        assert_eq!(closed, expected);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use ugc_grid::runtime::{
     FaultEvent, FaultLog, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll,
 };
-use ugc_grid::{CostLedger, CostReport, Throughput, WorkerBehaviour};
+use ugc_grid::{CostLedger, CostReport, Doorbell, Throughput, WorkerBehaviour};
 
 pub use crate::backend::FleetTransport;
 use ugc_hash::HashFunction;
@@ -837,6 +837,19 @@ impl GridTask for SlotTask<'_> {
                 self.link = None; // hang up so the peer sees the closure
                 TaskPoll::Complete
             }
+        }
+    }
+
+    /// The slot only ever waits for its link: inbound mail, or the hang-up
+    /// that fails the session. Both ring.
+    fn wake_on(&mut self, bell: &Doorbell, key: usize) -> bool {
+        match &self.link {
+            Some(link) => {
+                link.subscribe(bell, key);
+                true
+            }
+            // Already hung up: the next poll completes, nothing to wait for.
+            None => false,
         }
     }
 }

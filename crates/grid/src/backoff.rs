@@ -1,16 +1,23 @@
-//! Shared idle-backoff policy for polling loops.
+//! Shared idle-backoff policy for the loops that still have to poll.
 //!
-//! Every spin-poll loop in the stack (the broker pump, the engine's
-//! transport sweeps, multi-endpoint supervisors) faces the same trade-off:
-//! react to traffic in nanoseconds while it is flowing, but stop burning a
-//! core once the peers are deep in compute (tree builds take seconds at
-//! scale). [`Backoff`] encodes one policy for all of them — spin-yield
-//! first, then sleep on an exponential ladder — and resets to the hot
-//! state the moment traffic resumes. The ladder's shape (where the sleeps
-//! start and where they cap) is a [`BackoffPolicy`]: the default is
-//! 10 µs → 100 µs → 1 ms, and deployments whose latency/CPU trade-off
-//! differs (a battery-bound participant, a latency-critical broker) tune
-//! it through [`RuntimeOptions::with_backoff`](crate::runtime::RuntimeOptions::with_backoff).
+//! Wherever a link can announce its own mail the stack sleeps on a
+//! [`Doorbell`](crate::Doorbell) instead — the broker pump, the direct
+//! engine transport and the scheduler's mail-woken tasks never poll. What
+//! is left has nothing to block on: an engine enforcing per-session
+//! deadlines (it must look at the clock between looks at the transport),
+//! the TCP relay's accept/control loop, a supervisor driving several
+//! blocking endpoints, a reader thread waiting out backpressure, and
+//! scheduler tasks that have no wake source. Those loops face one
+//! trade-off: react to traffic in nanoseconds while it is flowing, but
+//! stop burning a core once the peers are deep in compute (tree builds
+//! take seconds at scale). [`Backoff`] encodes one policy for all of
+//! them — spin-yield first, then sleep on an exponential ladder — and
+//! resets to the hot state the moment traffic resumes. The ladder's shape
+//! (where the sleeps start and where they cap) is a [`BackoffPolicy`]:
+//! the default is 10 µs → 100 µs → 1 ms, and deployments whose
+//! latency/CPU trade-off differs (a battery-bound participant, a
+//! latency-critical broker) tune it through
+//! [`RuntimeOptions::with_backoff`](crate::runtime::RuntimeOptions::with_backoff).
 
 use std::time::Duration;
 

@@ -16,10 +16,21 @@
 //! dies, every task still routed to it is NACKed, and an ordered map makes
 //! that NACK order ascending by construction — one less place where
 //! unspecified iteration order could leak into the supervisor-visible
-//! message sequence. Inward relay is round-robin fair: a rotating cursor
-//! guarantees no chatty participant can starve another.
+//! message sequence.
+//!
+//! Two ways to drive it. Over in-memory [`Endpoint`]s,
+//! [`pump_until_closed`](Broker::pump_until_closed) subscribes every link
+//! to one [`Doorbell`] and relays one frame per ring: its cost per
+//! message does not depend on how many participants sit idle, and mail is
+//! served in arrival order, so no chatty participant can starve another.
+//! Over links with nothing to subscribe to (the TCP relay of
+//! `ugc broker serve`), the caller's own loop calls
+//! [`try_relay_outward`](Broker::try_relay_outward) and
+//! [`try_relay_inward`](Broker::try_relay_inward); the latter sweeps the
+//! participants from a rotating cursor, which gives the same fairness at
+//! a cost linear in the participant count.
 
-use crate::{Backoff, Endpoint, GridError, GridLink, Message};
+use crate::{Doorbell, Endpoint, GridError, GridLink, Message};
 use std::collections::BTreeMap;
 
 /// Relay statistics for a broker run.
@@ -47,7 +58,8 @@ pub struct Broker<L: GridLink = Endpoint> {
     routes: BTreeMap<u64, usize>,
     /// Next participant to receive a fresh assignment (round-robin).
     next: usize,
-    /// Next participant polled for inward traffic (fairness cursor).
+    /// Where the next [`try_relay_inward`](Self::try_relay_inward) sweep
+    /// starts (fairness cursor).
     inward_cursor: usize,
     /// Participants observed disconnected with their queues drained.
     closed: Vec<bool>,
@@ -229,6 +241,25 @@ impl<L: GridLink> Broker<L> {
         self.relay_inward_from(idx)
     }
 
+    /// Relays one queued message from participant `idx`, if it has one.
+    /// `Ok(None)` when its queue is momentarily empty — or when it has
+    /// hung up with its queue drained, which also NACKs its tasks.
+    fn try_relay_inward_from(&mut self, idx: usize) -> Result<Option<Message>, GridError> {
+        match self.participants[idx].try_recv() {
+            Ok(msg) => {
+                self.supervisor.send(&msg)?;
+                self.stats.inward += 1;
+                Ok(Some(msg))
+            }
+            Err(GridError::Empty) => Ok(None),
+            Err(GridError::Disconnected) => {
+                self.mark_gone(idx);
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
     /// Relays at most one queued participant message, polling participants
     /// round-robin from a rotating cursor so every participant gets equal
     /// service under load. Returns the relayed message, or `None` if no
@@ -242,91 +273,71 @@ impl<L: GridLink> Broker<L> {
         let n = self.participants.len();
         for probe in 0..n {
             let idx = (self.inward_cursor + probe) % n;
-            match self.participants[idx].try_recv() {
-                Ok(msg) => {
-                    // Advance past the served participant: strict rotation.
-                    self.inward_cursor = (idx + 1) % n;
-                    self.supervisor.send(&msg)?;
-                    self.stats.inward += 1;
-                    return Ok(Some(msg));
-                }
-                Err(GridError::Empty) => {}
-                Err(GridError::Disconnected) => self.mark_gone(idx),
-                Err(e) => return Err(e),
+            if let Some(msg) = self.try_relay_inward_from(idx)? {
+                // Advance past the served participant: strict rotation.
+                self.inward_cursor = (idx + 1) % n;
+                return Ok(Some(msg));
             }
         }
         Ok(None)
     }
+}
 
+impl Broker<Endpoint> {
     /// Drives the broker until the supervisor has hung up and all queued
-    /// traffic is drained: relays both directions, backing off the core
-    /// when momentarily idle. Messages addressed to an
-    /// already-disconnected peer are dropped (the task NACKed), as a real
-    /// store-and-forward broker would drop mail for a dead host; once the
-    /// supervisor is gone, undeliverable inward mail is likewise dropped —
-    /// and once the outward queue is drained too, the pump returns, which
-    /// closes the participant links and lets blocked participants observe
-    /// the disconnect.
+    /// traffic is drained, sleeping on a [`Doorbell`] between messages.
+    /// Messages addressed to an already-disconnected peer are dropped
+    /// (the task NACKed), as a real store-and-forward broker would drop
+    /// mail for a dead host; once the supervisor is gone, undeliverable
+    /// inward mail is likewise dropped — and once the outward queue is
+    /// drained too, the pump returns, which closes the participant links
+    /// and lets blocked participants observe the disconnect.
     ///
     /// This is the pump a session engine runs on its own thread while it
     /// multiplexes sessions over the supervisor link.
     #[must_use]
     pub fn pump_until_closed(mut self) -> RelayStats {
+        // Participant `i` rings key `i`; the supervisor rings the key past
+        // the last participant. Each ring is answered with one `try_recv`
+        // on that link, so mail is relayed in arrival order; a ring that
+        // finds its link empty announced a frame an earlier ring already
+        // served, and is ignored.
+        let bell = Doorbell::new();
+        let supervisor_key = self.participants.len();
+        self.supervisor.subscribe(&bell, supervisor_key);
+        for (key, link) in self.participants.iter().enumerate() {
+            link.subscribe(&bell, key);
+        }
         // The supervisor hanging up is observed separately per direction,
         // and the two sightings mean different things. Outward:
         // `try_relay_outward` reports `Disconnected` only once the
         // supervisor's queue is fully drained (a channel reports closure
-        // only when empty), so nothing can still need relaying down.
-        // Inward: a failed supervisor send says replies have nowhere to
-        // go — but verdicts the engine queued *before* hanging up may
-        // still be waiting on the outward side, and abandoning them would
-        // make each participant's final inbound message (and with it the
-        // fault log) a race between the engine's last sends and the
-        // round's teardown. So the inward sighting silences only the
-        // inward direction; the pump keeps draining outward until that
-        // side reports closure itself.
-        let mut outward_drained = false;
+        // only when empty), so nothing can still need relaying down, and
+        // nothing the broker could still relay up is deliverable:
+        // returning drops the participant links, which is what unblocks
+        // any participant still waiting on an orphaned session. Inward: a
+        // failed supervisor send says replies have nowhere to go — but
+        // verdicts the engine queued *before* hanging up may still be
+        // waiting on the outward side, and abandoning them would make each
+        // participant's final inbound message (and with it the fault log)
+        // a race between the engine's last sends and the round's
+        // teardown. So the inward sighting silences only the inward
+        // direction; the pump keeps draining outward until that side
+        // reports closure itself.
         let mut inward_dead = false;
-        let mut backoff = Backoff::new();
         loop {
-            let mut progress = false;
-            if !outward_drained {
-                match self.try_relay_outward() {
-                    Ok(true) => progress = true,
-                    Ok(false) => {}
-                    Err(GridError::Disconnected) => outward_drained = true,
-                    // Unroutable mail is dropped, not fatal.
-                    Err(_) => progress = true,
-                }
-            }
-            if !inward_dead {
-                match self.try_relay_inward() {
-                    Ok(Some(_)) => progress = true,
-                    Ok(None) => {}
-                    Err(GridError::Disconnected) => {
-                        // Supervisor gone: inward mail has nowhere to go.
-                        inward_dead = true;
-                    }
-                    Err(_) => progress = true,
-                }
-            }
-            if progress {
-                backoff.reset();
-            } else {
-                // With the supervisor gone and its outward queue drained,
-                // nothing the broker could still relay is deliverable:
-                // exiting drops the participant links, which is what
-                // unblocks any participant still waiting on an orphaned
-                // session. (Once the outward side reports closure, the
-                // next inward attempt fails its send and the loop falls
-                // through to here.)
-                if outward_drained {
+            let key = bell.wait();
+            if key == supervisor_key {
+                // Unroutable mail is dropped, not fatal.
+                if let Err(GridError::Disconnected) = self.try_relay_outward() {
                     return self.stats;
                 }
-                // Long idle (peers are computing): escalate from spinning
-                // to sleeping so a soak run doesn't burn a core, but snap
-                // back to hot polling the moment traffic resumes.
-                backoff.wait();
+            } else if !inward_dead {
+                // Supervisor gone: inward mail has nowhere to go.
+                inward_dead = matches!(
+                    self.try_relay_inward_from(key),
+                    Err(GridError::Disconnected)
+                );
             }
         }
     }

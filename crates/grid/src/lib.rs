@@ -65,4 +65,4 @@ pub use ledger::{CostLedger, CostReport, Throughput};
 pub use message::{Assignment, Message, SampleProof};
 pub use runtime::{FaultEvent, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll};
 pub use tcp::{ControlHandle, TcpLink};
-pub use transport::{duplex, Endpoint, GridLink, LinkStats, FRAME_HEADER_BYTES};
+pub use transport::{duplex, Doorbell, Endpoint, GridLink, LinkStats, FRAME_HEADER_BYTES};

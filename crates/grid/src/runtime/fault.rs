@@ -17,7 +17,7 @@
 //! final verdicts — is reproducible from the seed alone.
 
 use crate::transport::GridLink;
-use crate::{Endpoint, GridError, LinkStats, Message, FRAME_HEADER_BYTES};
+use crate::{Doorbell, Endpoint, GridError, LinkStats, Message, FRAME_HEADER_BYTES};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -346,6 +346,14 @@ impl FaultyEndpoint {
     #[must_use]
     pub fn faults(&self) -> LinkFaults {
         self.faults
+    }
+
+    /// Subscribes the decorated link's inbound direction to `bell` (see
+    /// [`Endpoint::subscribe`]). The decorator can turn one frame into
+    /// two deliveries (an inbound duplicate) or none (a drop), so answer
+    /// a ring by receiving until [`GridError::Empty`], not once.
+    pub fn subscribe(&self, bell: &Doorbell, key: usize) {
+        self.inner.subscribe(bell, key);
     }
 
     fn lock(&self) -> MutexGuard<'_, FaultState> {

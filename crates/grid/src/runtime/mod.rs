@@ -94,8 +94,9 @@ pub struct RuntimeOptions {
     /// value.
     pub workers: Option<usize>,
     /// Idle-backoff ladder shape for the scheduler's worker pool (first
-    /// sleep rung and cap); the default is the historical
-    /// 10 µs → 100 µs → 1 ms ladder.
+    /// sleep rung and cap), climbed only while tasks without a
+    /// [wake source](GridTask::wake_on) remain; the default is the
+    /// historical 10 µs → 100 µs → 1 ms ladder.
     pub backoff: BackoffPolicy,
     /// Seed for the scheduler's work-stealing victim order.
     /// Scheduling-only: any seed produces identical verdicts, fault logs

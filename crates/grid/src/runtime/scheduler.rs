@@ -14,7 +14,8 @@
 //! PR 5's scheduler funnelled every pop and push through one shared
 //! round-robin queue, so at scale the workers spent their time fighting
 //! over a single mutex. The current design shards that state per
-//! worker:
+//! worker, and lets a task that is waiting for mail leave the queues
+//! altogether until the mail arrives:
 //!
 //! ```text
 //!            ┌──────────────── GridScheduler ────────────────┐
@@ -24,10 +25,12 @@
 //!            │ └───▲────┘ steal └────────┘      └────────┘   │  run queues
 //!            │     │ local pop (front);                      │
 //!            │     │ steals take the back half               │
-//!   parked ─▶│ [t3][t89]…  (re-queued in one batch per       │  idle tasks
-//!            │  worker — on that worker's progress or its    │
-//!            │  next idle sweep, after a shared exponential  │
-//!            │  backoff)                                     │
+//!   seats ─▶ │ [t3]   [t89]  …   one per task with a wake    │  idle, will
+//!            │   ▲      ▲        source; off every queue     │  be rung
+//!            │   └──────┴── doorbell: key = task index ◀──── │◀─ mail, hang-up
+//!   parked ─▶│ [t5][t61]…  tasks with no wake source: re-    │  idle, must
+//!            │  queued in one batch per worker on progress   │  be re-polled
+//!            │  or after a rung of the backoff ladder        │
 //!            └───────────────────────────────────────────────┘
 //! ```
 //!
@@ -45,20 +48,32 @@
 //!   one lock acquisition. Scheduling-only: verdicts, fault logs and
 //!   byte counts are interleaving-independent by construction, so the
 //!   steal order can never reach a digest.
-//! * **Parked list** — a task that reported [`TaskPoll::Idle`] (nothing
-//!   to receive right now) is set aside on the polling worker's parked
-//!   list so it stops consuming a worker.
-//! * **Wake-up, batched per worker** — when a worker makes progress (or
-//!   completes a task), it re-queues *its own* parked list in a single
-//!   batch under one lock; an idle worker does the same after each
-//!   backoff sweep. Parked tasks re-enter that worker's ready queue and
-//!   can be stolen from there like any other work. When every task is
-//!   parked, workers wait on the shared exponential [`Backoff`] ladder
-//!   (yield → 10 µs → 100 µs → 1 ms), so a fully idle pool costs ~zero
-//!   CPU while a busy one reacts in nanoseconds.
+//! * **Wake by mail** — before the run starts every task is offered the
+//!   pool's [`Doorbell`] and its own index as key
+//!   ([`GridTask::wake_on`]). A task that accepts (it subscribed its
+//!   link) and later reports [`TaskPoll::Idle`] takes a *seat*: it is on
+//!   no queue and is never polled again until its key rings — a frame
+//!   was queued for it, or its peer hung up. Whichever worker hears the
+//!   ring lifts the task out of its seat and polls it. A ring that
+//!   arrives while the task is queued or mid-`poll` is remembered on the
+//!   seat, and a task that then reports `Idle` goes back on the ready
+//!   queue instead of sitting down, so no ring is ever lost to the race.
+//! * **Parked list** — a task that declined the bell and reports `Idle`
+//!   can only be found ready by polling it again. It is set aside on the
+//!   polling worker's parked list; that worker re-queues the whole list
+//!   in one batch whenever it makes progress, and after every rung of
+//!   the idle ladder below.
+//! * **Idle workers** — a worker with nothing runnable sleeps on the
+//!   doorbell. While any task without a wake source is unfinished the
+//!   sleep is bounded by the shared exponential [`Backoff`] ladder
+//!   (yield → 10 µs → 100 µs → 1 ms, reset whenever the pool makes
+//!   progress), because such a task becomes ready without telling
+//!   anyone; once only bell-woken tasks remain the worker blocks until
+//!   a ring, so an idle pool costs no CPU at all.
 //! * **Completion** — [`TaskPoll::Complete`] removes the task; the run
-//!   ends when none remain, and [`GridScheduler::run`] hands every task
-//!   back in its original order so callers can harvest results.
+//!   ends when none remain (the last completion rings the sleepers
+//!   out), and [`GridScheduler::run`] hands every task back in its
+//!   original order so callers can harvest results.
 //!
 //! Determinism: the scheduler's only pseudo-randomness is the seeded
 //! steal order, and the fault-injection layer keys every decision on
@@ -103,7 +118,7 @@
 //! assert!(done.iter().all(|t| t.left == 0));
 //! ```
 
-use crate::{Backoff, BackoffPolicy};
+use crate::{Backoff, BackoffPolicy, Doorbell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -115,7 +130,9 @@ pub enum TaskPoll {
     /// should be polled again soon — it goes back on the ready queue.
     Progress,
     /// Nothing to do right now (e.g. the peer has not answered yet); the
-    /// task is parked until the pool's next wake-up.
+    /// task waits for its key to ring if it has a
+    /// [wake source](GridTask::wake_on), for the pool's next re-poll if
+    /// not.
     Idle,
     /// The task is finished and leaves the scheduler.
     Complete,
@@ -133,6 +150,18 @@ pub enum TaskPoll {
 pub trait GridTask: Send {
     /// Advances the task one step.
     fn poll(&mut self) -> TaskPoll;
+
+    /// Offered once, before the first poll: arrange for `bell` to ring
+    /// `key` whenever this task may have something to do — typically by
+    /// subscribing the link it receives on
+    /// ([`Endpoint::subscribe`](crate::Endpoint::subscribe)) — and return
+    /// `true`. From then on an [`Idle`](TaskPoll::Idle) answer means "do
+    /// not poll me again until my key rings", so every event the task
+    /// waits for must ring. The default declines: the task is re-polled
+    /// on the pool's own schedule.
+    fn wake_on(&mut self, _bell: &Doorbell, _key: usize) -> bool {
+        false
+    }
 }
 
 /// One worker's shard of the run-queue state. The owner pops `ready`
@@ -141,24 +170,78 @@ pub trait GridTask: Send {
 struct LocalQueue<T> {
     /// Runnable tasks tagged with their original index.
     ready: VecDeque<(usize, T)>,
-    /// Tasks that had nothing to do on their last poll; re-queued in one
-    /// batch on this worker's next progress or idle sweep.
+    /// Idle tasks with no wake source; re-queued in one batch on this
+    /// worker's next progress or idle rung.
     parked: Vec<(usize, T)>,
+}
+
+/// Where a task with a wake source waits for its ring.
+struct Seat<T> {
+    /// The task, while it is idle and off every queue.
+    waiting: Option<T>,
+    /// A ring arrived while the task was queued or mid-poll. Cleared when
+    /// a poll starts (that poll sees whatever the ring announced); found
+    /// set after an `Idle` answer, it sends the task back to the ready
+    /// queue instead of the seat.
+    rung: bool,
 }
 
 /// State shared by the whole pool.
 struct Pool<T> {
     /// One run-queue shard per worker.
     locals: Vec<Mutex<LocalQueue<T>>>,
+    /// One seat per task, `Some` for the tasks that accepted the bell.
+    seats: Vec<Option<Mutex<Seat<T>>>>,
+    /// Rung with a task's index when it has mail, and with `seats.len()`
+    /// once the run is over.
+    bell: Doorbell,
     /// Completed tasks, parked at their original index.
     finished: Mutex<Vec<Option<T>>>,
     /// Tasks not yet complete (including any currently inside a worker's
     /// `poll` call).
     remaining: AtomicUsize,
+    /// Unfinished tasks without a wake source: while any exist, idle
+    /// workers must keep re-polling on the backoff ladder.
+    unsourced: AtomicUsize,
     /// Bumped on every poll that made progress (or completed a task):
     /// sleeping workers compare generations to reset their backoff the
     /// moment the pool is busy again.
     progress: AtomicU64,
+}
+
+impl<T: GridTask> Pool<T> {
+    /// Offers every task the pool's bell, then deals them round-robin
+    /// across `workers` ready queues.
+    fn deal(tasks: Vec<T>, workers: usize) -> Self {
+        let count = tasks.len();
+        let mut locals: Vec<LocalQueue<T>> = (0..workers)
+            .map(|_| LocalQueue {
+                ready: VecDeque::new(),
+                parked: Vec::new(),
+            })
+            .collect();
+        let bell = Doorbell::new();
+        let mut seats = Vec::with_capacity(count);
+        for (index, mut task) in tasks.into_iter().enumerate() {
+            seats.push(task.wake_on(&bell, index).then(|| {
+                Mutex::new(Seat {
+                    waiting: None,
+                    rung: false,
+                })
+            }));
+            locals[index % workers].ready.push_back((index, task));
+        }
+        let unsourced = seats.iter().filter(|seat| seat.is_none()).count();
+        Pool {
+            locals: locals.into_iter().map(Mutex::new).collect(),
+            seats,
+            bell,
+            finished: Mutex::new((0..count).map(|_| None).collect()),
+            remaining: AtomicUsize::new(count),
+            unsourced: AtomicUsize::new(unsourced),
+            progress: AtomicU64::new(0),
+        }
+    }
 }
 
 /// One SplitMix64 step — the steal-order generator. Seeded and
@@ -217,8 +300,9 @@ impl GridScheduler {
     }
 
     /// Reshapes the idle-backoff ladder the pool's workers climb while
-    /// their ready queues are dry. Timing-only: scheduling order and
-    /// results are unaffected.
+    /// their ready queues are dry and tasks without a
+    /// [wake source](GridTask::wake_on) remain. Timing-only: scheduling
+    /// order and results are unaffected.
     #[must_use]
     pub const fn with_backoff(mut self, policy: BackoffPolicy) -> Self {
         self.backoff = policy;
@@ -272,23 +356,8 @@ impl GridScheduler {
         if tasks.is_empty() {
             return tasks;
         }
-        let count = tasks.len();
-        let workers = self.workers.min(count);
-        let mut locals: Vec<LocalQueue<T>> = (0..workers)
-            .map(|_| LocalQueue {
-                ready: VecDeque::new(),
-                parked: Vec::new(),
-            })
-            .collect();
-        for (index, task) in tasks.into_iter().enumerate() {
-            locals[index % workers].ready.push_back((index, task));
-        }
-        let pool = Pool {
-            locals: locals.into_iter().map(Mutex::new).collect(),
-            finished: Mutex::new((0..count).map(|_| None).collect()),
-            remaining: AtomicUsize::new(count),
-            progress: AtomicU64::new(0),
-        };
+        let workers = self.workers.min(tasks.len());
+        let pool = Pool::deal(tasks, workers);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|me| {
@@ -312,11 +381,31 @@ fn lock<T>(queue: &Mutex<LocalQueue<T>>) -> MutexGuard<'_, LocalQueue<T>> {
     queue.lock().expect("run queue poisoned")
 }
 
+fn sit<T>(seat: &Mutex<Seat<T>>) -> MutexGuard<'_, Seat<T>> {
+    seat.lock().expect("seat poisoned")
+}
+
 /// Moves the worker's whole parked list back onto its ready queue in one
-/// batch (one lock acquisition) — the batched wake-up.
+/// batch (one lock acquisition) — the batched re-poll of tasks that have
+/// no wake source.
 fn requeue_parked<T>(q: &mut LocalQueue<T>) {
     let parked = std::mem::take(&mut q.parked);
     q.ready.extend(parked);
+}
+
+/// Answers one ring: lifts the task out of its seat if it is waiting
+/// there, otherwise leaves word on the seat for the worker that has it.
+/// `None` also for the end-of-run key, which is passed on so every
+/// sleeper hears it, and for a key no seat answers to.
+fn answer<T>(pool: &Pool<T>, key: usize) -> Option<(usize, T)> {
+    if key == pool.seats.len() {
+        pool.bell.ring(key);
+        return None;
+    }
+    let mut seat = sit(pool.seats.get(key)?.as_ref()?);
+    let task = seat.waiting.take();
+    seat.rung = task.is_none();
+    task.map(|task| (key, task))
 }
 
 /// Attempts to steal work for worker `me`: walks the other workers in a
@@ -348,10 +437,39 @@ fn steal<T>(pool: &Pool<T>, me: usize, rng: &mut u64) -> Option<(usize, T)> {
     None
 }
 
-/// One worker: pop the local ready queue (stealing when it runs dry),
-/// poll the task outside any lock, act on the verdict; when no work is
-/// reachable anywhere, climb the backoff ladder and re-queue the local
-/// parked list in one batch.
+/// What worker `me` does with nothing runnable anywhere visible: sleep
+/// until a ring and return its key. A task without a wake source turns
+/// ready silently, so while one is unfinished the sleep is one rung of the
+/// shared ladder (reset if the pool made progress since `seen`) and ends
+/// with a fresh sweep of the worker's parked batch.
+fn wait_for_work<T>(
+    pool: &Pool<T>,
+    me: usize,
+    backoff: &mut Backoff,
+    seen: &mut u64,
+) -> Option<usize> {
+    if pool.unsourced.load(Ordering::Acquire) == 0 {
+        return Some(pool.bell.wait());
+    }
+    let now = pool.progress.load(Ordering::Acquire);
+    if now != *seen {
+        *seen = now;
+        backoff.reset();
+    }
+    let key = match backoff.pause() {
+        None => {
+            std::thread::yield_now();
+            pool.bell.try_next()
+        }
+        Some(rung) => pool.bell.wait_timeout(rung),
+    };
+    requeue_parked(&mut lock(&pool.locals[me]));
+    key
+}
+
+/// One worker: pop the local ready queue (answering the bell, then
+/// stealing, when it runs dry), poll the task outside any lock, act on
+/// the verdict; when no work is reachable anywhere, sleep on the bell.
 fn worker_loop<T: GridTask>(pool: &Pool<T>, me: usize, steal_seed: u64, policy: BackoffPolicy) {
     let mut backoff = Backoff::with_policy(policy);
     let mut seen = pool.progress.load(Ordering::Acquire);
@@ -360,26 +478,21 @@ fn worker_loop<T: GridTask>(pool: &Pool<T>, me: usize, steal_seed: u64, policy: 
         if pool.remaining.load(Ordering::Acquire) == 0 {
             return;
         }
-        let job = {
-            let popped = lock(&pool.locals[me]).ready.pop_front();
-            match popped {
-                Some(job) => Some(job),
-                None => steal(pool, me, &mut rng),
-            }
-        };
+        let popped = lock(&pool.locals[me]).ready.pop_front();
+        let job = popped
+            .or_else(|| pool.bell.try_next().and_then(|key| answer(pool, key)))
+            .or_else(|| steal(pool, me, &mut rng));
         let Some((index, mut task)) = job else {
-            // Nothing runnable anywhere visible. Wait on the shared
-            // ladder (resetting if the pool made progress since we last
-            // looked), then wake our parked batch for a fresh sweep.
-            let now = pool.progress.load(Ordering::Acquire);
-            if now != seen {
-                seen = now;
-                backoff.reset();
+            let key = wait_for_work(pool, me, &mut backoff, &mut seen);
+            if let Some(woken) = key.and_then(|key| answer(pool, key)) {
+                lock(&pool.locals[me]).ready.push_back(woken);
             }
-            backoff.wait();
-            requeue_parked(&mut lock(&pool.locals[me]));
             continue;
         };
+        let seat = pool.seats[index].as_ref();
+        if let Some(seat) = seat {
+            sit(seat).rung = false;
+        }
         let verdict = task.poll();
         if matches!(verdict, TaskPoll::Progress | TaskPoll::Complete) {
             // The single productive-verdict site: publish the pool-wide
@@ -391,21 +504,41 @@ fn worker_loop<T: GridTask>(pool: &Pool<T>, me: usize, steal_seed: u64, policy: 
         }
         match verdict {
             TaskPoll::Progress => {
+                // Progress usually means traffic flowed: give one rung
+                // task and this worker's parked batch a look at their
+                // share of it. (Answering the bell only when the local
+                // queue runs dry would let a task that keeps making
+                // progress starve the task it is waiting on.)
+                let woken = pool.bell.try_next().and_then(|key| answer(pool, key));
                 let mut q = lock(&pool.locals[me]);
                 q.ready.push_back((index, task));
-                // Progress usually means traffic flowed: wake this
-                // worker's parked batch so they see their share of it.
+                q.ready.extend(woken);
                 requeue_parked(&mut q);
             }
-            TaskPoll::Idle => {
-                lock(&pool.locals[me]).parked.push((index, task));
-            }
+            TaskPoll::Idle => match seat {
+                Some(seat) => {
+                    let mut seat = sit(seat);
+                    if std::mem::take(&mut seat.rung) {
+                        drop(seat);
+                        lock(&pool.locals[me]).ready.push_back((index, task));
+                    } else {
+                        seat.waiting = Some(task);
+                    }
+                }
+                None => lock(&pool.locals[me]).parked.push((index, task)),
+            },
             TaskPoll::Complete => {
                 {
                     let mut done = pool.finished.lock().expect("finished list poisoned");
                     done[index] = Some(task);
                 }
-                pool.remaining.fetch_sub(1, Ordering::AcqRel);
+                if seat.is_none() {
+                    pool.unsourced.fetch_sub(1, Ordering::AcqRel);
+                }
+                if pool.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    // The run is over: ring the sleepers out.
+                    pool.bell.ring(pool.seats.len());
+                }
                 requeue_parked(&mut lock(&pool.locals[me]));
             }
         }
@@ -642,17 +775,7 @@ mod tests {
             TaskPoll::Idle,
             TaskPoll::Idle,
         ];
-        let mut ready = VecDeque::new();
-        ready.push_back((0usize, Scripted { verdicts: script }));
-        let pool = Pool {
-            locals: vec![Mutex::new(LocalQueue {
-                ready,
-                parked: Vec::new(),
-            })],
-            finished: Mutex::new(vec![None]),
-            remaining: AtomicUsize::new(1),
-            progress: AtomicU64::new(0),
-        };
+        let pool = Pool::deal(vec![Scripted { verdicts: script }], 1);
         worker_loop(&pool, 0, 0, BackoffPolicy::default());
         assert_eq!(pool.progress.load(Ordering::Acquire), 3);
         assert_eq!(pool.remaining.load(Ordering::Acquire), 0);

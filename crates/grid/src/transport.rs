@@ -4,11 +4,19 @@
 //! length (plus a fixed 4-byte frame header, as a TCP-style length prefix
 //! would add) is charged to both endpoints' counters. Experiments read
 //! those counters; nothing is estimated.
+//!
+//! A multiplexer that owns many links does not sweep them for mail: it
+//! subscribes each link's inbound direction to one [`Doorbell`] and
+//! sleeps on that. Every frame queued for a subscribed endpoint, and its
+//! peer's hang-up, rings the bell with the key the endpoint subscribed
+//! under, so the cost of learning about one message does not grow with
+//! the number of idle links.
 
 use crate::{GridError, Message};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Per-endpoint traffic counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -32,6 +40,131 @@ struct Counters {
     messages: AtomicU64,
 }
 
+/// A queue of link keys: the one place a multiplexer sleeps while it
+/// waits for mail on any of its links.
+///
+/// Subscribe endpoints with [`Endpoint::subscribe`]; each then rings its
+/// key once per frame queued for it and once more when its peer hangs
+/// up. A ring says "look at this link", not "a frame is there": the
+/// consumer answers it with a `try_recv` on that link, and finding
+/// nothing ([`GridError::Empty`]) is normal — a frame that was queued
+/// while the subscription was being made is announced twice.
+///
+/// # Examples
+///
+/// ```
+/// use ugc_grid::{duplex, Doorbell, Message};
+///
+/// let bell = Doorbell::new();
+/// let (a, b) = duplex();
+/// b.subscribe(&bell, 7);
+/// a.send(&Message::Verdict { task_id: 1, accepted: true })?;
+/// assert_eq!(bell.wait(), 7);
+/// assert!(b.try_recv().is_ok());
+/// drop(a);
+/// assert_eq!(bell.wait(), 7); // the hang-up rings too
+/// assert_eq!(b.try_recv().unwrap_err(), ugc_grid::GridError::Disconnected);
+/// # Ok::<(), ugc_grid::GridError>(())
+/// ```
+#[derive(Debug)]
+pub struct Doorbell {
+    tx: Sender<usize>,
+    rx: Receiver<usize>,
+}
+
+impl Default for Doorbell {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Doorbell {
+    /// A bell nobody has rung yet.
+    #[must_use]
+    pub fn new() -> Self {
+        let (tx, rx) = unbounded();
+        Doorbell { tx, rx }
+    }
+
+    /// Rings `key` by hand — how a consumer wakes its own sleepers (for
+    /// instance to tell a worker pool the run is over).
+    pub fn ring(&self, key: usize) {
+        // Cannot fail: this bell holds the receiving side itself.
+        let _ = self.tx.send(key);
+    }
+
+    /// Blocks until a key rings and returns it. Rings are delivered in
+    /// the order they were made.
+    ///
+    /// # Panics
+    ///
+    /// Never in practice: the bell owns a sender, so its queue cannot
+    /// report closure.
+    #[must_use]
+    pub fn wait(&self) -> usize {
+        self.rx.recv().expect("a doorbell holds its own sender")
+    }
+
+    /// [`wait`](Self::wait), giving up after `timeout`.
+    #[must_use]
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<usize> {
+        self.rx.recv_timeout(timeout).ok()
+    }
+
+    /// The next pending ring, if any, without blocking.
+    #[must_use]
+    pub fn try_next(&self) -> Option<usize> {
+        self.rx.try_recv().ok()
+    }
+}
+
+/// Where one direction of a link announces its mail: the receiving
+/// endpoint writes the subscription, the sending endpoint reads it on
+/// every send and marks its own hang-up.
+///
+/// A mutex rather than atomics on purpose. Subscribing and sending race
+/// in the store-then-load pattern (subscriber: publish the subscription,
+/// then look at the queue; sender: queue the frame, then look for a
+/// subscription), which acquire/release ordering alone does not close.
+/// Under the lock one of the two always sees the other: a sender that
+/// read "no subscription" had queued its frame before the subscriber
+/// counted the backlog.
+#[derive(Debug, Default)]
+struct Subscription {
+    /// The subscriber's bell and the key this link rings on it.
+    bell: Option<(Sender<usize>, usize)>,
+    /// The sending endpoint is gone (its channel already reports closure).
+    hung_up: bool,
+}
+
+impl Subscription {
+    fn ring(&self) {
+        if let Some((bell, key)) = &self.bell {
+            // The consumer may have dropped its bell; nobody to wake.
+            let _ = bell.send(*key);
+        }
+    }
+}
+
+/// Announces the hang-up when dropped. [`Endpoint`] declares it *after*
+/// its sender, and fields drop in declaration order, so the ring goes out
+/// only once the channel really reports [`GridError::Disconnected`].
+/// Ringing from `Drop for Endpoint` would run before the sender field
+/// drops: the consumer would answer the ring, read `Empty`, and never
+/// hear of the hang-up again.
+#[derive(Debug)]
+struct HangUp(Arc<Mutex<Subscription>>);
+
+impl Drop for HangUp {
+    fn drop(&mut self) {
+        // A poisoned lock is skipped: `drop` must not panic.
+        if let Ok(mut subscription) = self.0.lock() {
+            subscription.hung_up = true;
+            subscription.ring();
+        }
+    }
+}
+
 /// One side of a bidirectional, byte-counted link.
 ///
 /// Create pairs with [`duplex`]. Endpoints are `Send`, so the two sides can
@@ -43,6 +176,12 @@ pub struct Endpoint {
     rx: Receiver<Vec<u8>>,
     outbound: Arc<Counters>,
     inbound: Arc<Counters>,
+    /// The peer's subscription, rung after every send and — because this
+    /// field is declared after `tx` — after the hang-up.
+    announce: HangUp,
+    /// This endpoint's own subscription (what the peer's `announce`
+    /// points at).
+    subscription: Arc<Mutex<Subscription>>,
 }
 
 /// Creates a connected pair of endpoints.
@@ -61,17 +200,23 @@ pub struct Endpoint {
 pub fn duplex() -> (Endpoint, Endpoint) {
     let (tx_ab, rx_ab) = unbounded();
     let (tx_ba, rx_ba) = unbounded();
+    let heard_by_a = Arc::new(Mutex::new(Subscription::default()));
+    let heard_by_b = Arc::new(Mutex::new(Subscription::default()));
     let a = Endpoint {
         tx: tx_ab,
         rx: rx_ba,
         outbound: Arc::new(Counters::default()),
         inbound: Arc::new(Counters::default()),
+        announce: HangUp(Arc::clone(&heard_by_b)),
+        subscription: Arc::clone(&heard_by_a),
     };
     let b = Endpoint {
         tx: tx_ba,
         rx: rx_ab,
         outbound: Arc::new(Counters::default()),
         inbound: Arc::new(Counters::default()),
+        announce: HangUp(heard_by_a),
+        subscription: heard_by_b,
     };
     (a, b)
 }
@@ -97,6 +242,11 @@ impl Endpoint {
         let frame = msg.encode();
         let charged = frame.len() as u64 + FRAME_HEADER_BYTES;
         self.tx.send(frame).map_err(|_| GridError::Disconnected)?;
+        self.announce
+            .0
+            .lock()
+            .expect("subscription lock poisoned")
+            .ring();
         self.outbound.bytes.fetch_add(charged, Ordering::Relaxed);
         self.outbound.messages.fetch_add(1, Ordering::Relaxed);
         Ok(charged)
@@ -152,6 +302,27 @@ impl Endpoint {
         self.account_inbound(&frame);
         let charged = frame.len() as u64 + FRAME_HEADER_BYTES;
         Message::decode(&frame).map(|msg| (msg, charged))
+    }
+
+    /// Subscribes this endpoint's inbound direction to `bell`: from now on
+    /// every frame queued for it, and its peer's hang-up, rings `key`.
+    /// What is already there is announced on the spot — one ring per
+    /// queued frame, one more if the peer has already hung up — so a
+    /// consumer that answers each ring with one `try_recv` misses
+    /// nothing. Subscribing again replaces the earlier subscription.
+    pub fn subscribe(&self, bell: &Doorbell, key: usize) {
+        let mut subscription = self
+            .subscription
+            .lock()
+            .expect("subscription lock poisoned");
+        subscription.bell = Some((bell.tx.clone(), key));
+        // Counted under the lock: a sender that found no subscription
+        // queued its frame before we got here, so it is in this count; one
+        // that queues later finds the subscription and rings for itself.
+        let backlog = self.rx.len() + usize::from(subscription.hung_up);
+        for _ in 0..backlog {
+            subscription.ring();
+        }
     }
 
     fn account_inbound(&self, frame: &[u8]) {

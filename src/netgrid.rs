@@ -231,9 +231,11 @@ impl GridServer {
         let mut broker = Broker::new(sup_link, part_links);
         let mut joined = self.participants;
 
-        // Pump phase: the in-process `pump_until_closed` loop (same exit
-        // protocol — see that method's comment) with two additions only a
-        // cross-process relay needs: a control-plane sweep forwarding
+        // Pump phase: the polling counterpart of the in-process
+        // `pump_until_closed` (same exit protocol — see that method's
+        // comment). A socket cannot ring a doorbell and the listener must
+        // be polled anyway, so this loop sweeps, with two additions only
+        // a cross-process relay needs: a control-plane sweep forwarding
         // participant SlotReports up, and a non-blocking accept so late
         // joiners/reconnects become fresh round-robin targets.
         self.listener
