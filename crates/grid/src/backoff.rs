@@ -1,13 +1,14 @@
 //! Shared idle-backoff policy for the loops that still have to poll.
 //!
 //! Wherever a link can announce its own mail the stack sleeps on a
-//! [`Doorbell`](crate::Doorbell) instead — the broker pump, the direct
-//! engine transport and the scheduler's mail-woken tasks never poll. What
-//! is left has nothing to block on: an engine enforcing per-session
-//! deadlines (it must look at the clock between looks at the transport),
-//! the TCP relay's accept/control loop, a supervisor driving several
-//! blocking endpoints, a reader thread waiting out backpressure, and
-//! scheduler tasks that have no wake source. Those loops face one
+//! [`Doorbell`](crate::Doorbell) instead — the broker pump (in-process
+//! and over TCP alike), the direct engine transport and the scheduler's
+//! mail-woken tasks never poll. What is left has nothing to block on: an
+//! engine enforcing per-session deadlines (`poll_with_deadline` must
+//! look at the clock between looks at the transport), a supervisor
+//! driving several blocking endpoints (`recv_any`), a TCP reader thread
+//! waiting for its inbound queue to fall back under the high-water mark,
+//! and scheduler tasks that have no wake source. Those loops face one
 //! trade-off: react to traffic in nanoseconds while it is flowing, but
 //! stop burning a core once the peers are deep in compute (tree builds
 //! take seconds at scale). [`Backoff`] encodes one policy for all of

@@ -18,17 +18,20 @@
 //! unspecified iteration order could leak into the supervisor-visible
 //! message sequence.
 //!
-//! Two ways to drive it. Over in-memory [`Endpoint`]s,
-//! [`pump_until_closed`](Broker::pump_until_closed) subscribes every link
-//! to one [`Doorbell`] and relays one frame per ring: its cost per
+//! One pump drives it over every kind of link. [`pump`](Broker::pump)
+//! subscribes the supervisor and every participant to one [`Doorbell`]
+//! ([`GridLink::subscribe`]) and relays one frame per ring: its cost per
 //! message does not depend on how many participants sit idle, and mail is
 //! served in arrival order, so no chatty participant can starve another.
-//! Over links with nothing to subscribe to (the TCP relay of
-//! `ugc broker serve`), the caller's own loop calls
-//! [`try_relay_outward`](Broker::try_relay_outward) and
-//! [`try_relay_inward`](Broker::try_relay_inward); the latter sweeps the
-//! participants from a rotating cursor, which gives the same fairness at
-//! a cost linear in the participant count.
+//! The in-process brokered transport runs it over [`Endpoint`]s
+//! ([`pump_until_closed`](Broker::pump_until_closed)); `ugc broker serve`
+//! runs the same loop over [`TcpLink`](crate::TcpLink)s, handing it a
+//! hook for what only a cross-process relay has — control frames to
+//! forward and late joiners to admit. The step-at-a-time calls
+//! ([`try_relay_outward`](Broker::try_relay_outward),
+//! [`try_relay_inward`](Broker::try_relay_inward), which sweeps the
+//! participants from a rotating cursor) remain for callers that drive a
+//! broker by hand on one thread.
 
 use crate::{Doorbell, Endpoint, GridError, GridLink, Message};
 use std::collections::BTreeMap;
@@ -156,7 +159,7 @@ impl<L: GridLink> Broker<L> {
                 if !self.closed[idx] {
                     break;
                 }
-                // Everyone may be gone; then the send-failure path NACKs.
+                // Everyone may be gone; then the caller NACKs.
             }
             self.routes.insert(msg.session_id(), idx);
             Ok(idx)
@@ -200,19 +203,26 @@ impl<L: GridLink> Broker<L> {
             Err(e) => return Err(e),
         };
         let idx = self.dispatch(&msg)?;
-        match self.participants[idx].send(&msg) {
-            Ok(()) => self.stats.outward += 1,
-            Err(GridError::Disconnected) => {
-                // NACK this task explicitly first: mark_gone is a no-op on
-                // a participant already reported gone, but this message's
-                // route may be brand new (an Assign that raced the death).
-                self.routes.remove(&msg.session_id());
-                let _ = self.supervisor.send(&Message::Gone {
-                    task_id: msg.session_id(),
-                });
-                self.mark_gone(idx);
-            }
-            Err(e) => return Err(e),
+        // A link that queues its sends accepts mail for a peer already
+        // known to be gone, so the closed mark decides first; the send
+        // failing is how an unreported death is found.
+        let delivered = !self.closed[idx]
+            && match self.participants[idx].send(&msg) {
+                Ok(()) => true,
+                Err(GridError::Disconnected) => false,
+                Err(e) => return Err(e),
+            };
+        if delivered {
+            self.stats.outward += 1;
+        } else {
+            // NACK this task explicitly first: mark_gone is a no-op on a
+            // participant already reported gone, but this message's
+            // route may be brand new (an Assign that raced the death).
+            self.routes.remove(&msg.session_id());
+            let _ = self.supervisor.send(&Message::Gone {
+                task_id: msg.session_id(),
+            });
+            self.mark_gone(idx);
         }
         Ok(true)
     }
@@ -283,9 +293,22 @@ impl<L: GridLink> Broker<L> {
     }
 }
 
-impl Broker<Endpoint> {
+impl<L: GridLink> Broker<L> {
+    /// The key the supervisor's link rings while the broker is pumped;
+    /// participant `i` rings `i`. Any other key on the bell is the
+    /// caller's own.
+    pub const SUPERVISOR_KEY: usize = usize::MAX;
+
+    /// [`pump`](Self::pump) on a bell of its own, for a relay with
+    /// nothing else to wait for — the pump a session engine runs on its
+    /// own thread while it multiplexes sessions over the supervisor link.
+    #[must_use]
+    pub fn pump_until_closed(self) -> RelayStats {
+        self.pump(&Doorbell::new(), |_| None)
+    }
+
     /// Drives the broker until the supervisor has hung up and all queued
-    /// traffic is drained, sleeping on a [`Doorbell`] between messages.
+    /// traffic is drained, sleeping on `bell` between messages.
     /// Messages addressed to an already-disconnected peer are dropped
     /// (the task NACKed), as a real store-and-forward broker would drop
     /// mail for a dead host; once the supervisor is gone, undeliverable
@@ -293,20 +316,25 @@ impl Broker<Endpoint> {
     /// drained too, the pump returns, which closes the participant links
     /// and lets blocked participants observe the disconnect.
     ///
-    /// This is the pump a session engine runs on its own thread while it
-    /// multiplexes sessions over the supervisor link.
-    #[must_use]
-    pub fn pump_until_closed(mut self) -> RelayStats {
-        // Participant `i` rings key `i`; the supervisor rings the key past
-        // the last participant. Each ring is answered with one `try_recv`
-        // on that link, so mail is relayed in arrival order; a ring that
-        // finds its link empty announced a frame an earlier ring already
-        // served, and is ignored.
-        let bell = Doorbell::new();
-        let supervisor_key = self.participants.len();
-        self.supervisor.subscribe(&bell, supervisor_key);
+    /// Every ring is also shown to `on_ring`, after the broker has served
+    /// it: a relay whose links carry more than messages looks at the rest
+    /// there (participant `i`'s control plane on key `i`), and rings keys
+    /// of its own on `bell` for events the broker knows nothing of. A
+    /// link `on_ring` returns joins as a fresh round-robin target
+    /// ([`add_participant`](Self::add_participant)), subscribed like the
+    /// others.
+    pub fn pump(
+        mut self,
+        bell: &Doorbell,
+        mut on_ring: impl FnMut(usize) -> Option<L>,
+    ) -> RelayStats {
+        // Each ring is answered with one `try_recv` on that link, so mail
+        // is relayed in arrival order; a ring that finds its link empty
+        // announced a frame an earlier ring already served, and is
+        // ignored.
+        self.supervisor.subscribe(bell, Self::SUPERVISOR_KEY);
         for (key, link) in self.participants.iter().enumerate() {
-            link.subscribe(&bell, key);
+            link.subscribe(bell, key);
         }
         // The supervisor hanging up is observed separately per direction,
         // and the two sightings mean different things. Outward:
@@ -327,17 +355,27 @@ impl Broker<Endpoint> {
         let mut inward_dead = false;
         loop {
             let key = bell.wait();
-            if key == supervisor_key {
-                // Unroutable mail is dropped, not fatal.
-                if let Err(GridError::Disconnected) = self.try_relay_outward() {
-                    return self.stats;
-                }
-            } else if !inward_dead {
+            let served = if key == Self::SUPERVISOR_KEY {
+                self.try_relay_outward().map(|_| ())
+            } else if key < self.participants.len() && !inward_dead {
+                self.try_relay_inward_from(key).map(|_| ())
+            } else {
+                Ok(())
+            };
+            match served {
+                Ok(()) => {}
+                Err(GridError::Disconnected) if key == Self::SUPERVISOR_KEY => return self.stats,
                 // Supervisor gone: inward mail has nowhere to go.
-                inward_dead = matches!(
-                    self.try_relay_inward_from(key),
-                    Err(GridError::Disconnected)
-                );
+                Err(GridError::Disconnected) => inward_dead = true,
+                // Unroutable or malformed mail is dropped, not fatal. But
+                // the ring is spent and the error may have been the
+                // link's last word (a socket reports what killed it once,
+                // where a frame would have been), so look again.
+                Err(_) => bell.ring(key),
+            }
+            if let Some(link) = on_ring(key) {
+                link.subscribe(bell, self.participants.len());
+                self.add_participant(link);
             }
         }
     }
@@ -347,6 +385,9 @@ impl Broker<Endpoint> {
 mod tests {
     use super::*;
     use crate::{duplex, Assignment};
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Mutex};
     use ugc_task::Domain;
 
     /// Builds a supervisor endpoint, a broker, and participant endpoints.
@@ -658,6 +699,85 @@ mod tests {
         let mut expected = scrambled.to_vec();
         expected.sort_unstable();
         assert_eq!(nacked, expected, "NACK order must be ascending task id");
+    }
+
+    /// A link shaped like a queueing socket link: `send` always succeeds
+    /// (the frame is queued, whatever became of the peer), and the death
+    /// shows only on the receive side. Clones share one state, so the
+    /// test keeps a view of what the broker owns.
+    #[derive(Clone, Default)]
+    struct QueueingLink(Arc<QueueingState>);
+
+    #[derive(Default)]
+    struct QueueingState {
+        inbox: Mutex<VecDeque<Message>>,
+        sent: Mutex<Vec<Message>>,
+        peer_died: AtomicBool,
+    }
+
+    impl QueueingLink {
+        fn sent_task_ids(&self) -> Vec<u64> {
+            let sent = self.0.sent.lock().unwrap();
+            sent.iter().map(Message::task_id).collect()
+        }
+    }
+
+    impl GridLink for QueueingLink {
+        fn send_counted(&self, msg: &Message) -> Result<u64, GridError> {
+            self.0.sent.lock().unwrap().push(msg.clone());
+            Ok(msg.wire_len() + crate::FRAME_HEADER_BYTES)
+        }
+
+        fn recv_counted(&self) -> Result<(Message, u64), GridError> {
+            self.try_recv_counted()
+        }
+
+        fn try_recv_counted(&self) -> Result<(Message, u64), GridError> {
+            match self.0.inbox.lock().unwrap().pop_front() {
+                Some(msg) => Ok((msg, 0)),
+                None if self.0.peer_died.load(Ordering::SeqCst) => Err(GridError::Disconnected),
+                None => Err(GridError::Empty),
+            }
+        }
+
+        fn stats(&self) -> crate::LinkStats {
+            crate::LinkStats::default()
+        }
+
+        fn subscribe(&self, _bell: &Doorbell, _key: usize) {}
+    }
+
+    #[test]
+    fn assign_after_a_death_is_nacked_even_when_the_send_succeeds() {
+        // Over a link that queues its sends nothing ever fails on the
+        // way out, so an Assign routed to a participant already marked
+        // closed must be NACKed by the closed mark alone — or the
+        // supervisor waits for that session forever.
+        let supervisor = QueueingLink::default();
+        let participant = QueueingLink::default();
+        let mut broker = Broker::new(supervisor.clone(), vec![participant.clone()]);
+        for id in [3u64, 1, 2] {
+            supervisor.0.inbox.lock().unwrap().push_back(assign(id));
+            assert!(broker.try_relay_outward().unwrap());
+        }
+        assert_eq!(participant.sent_task_ids(), vec![3, 1, 2]);
+        // The participant dies holding all three; its link still takes mail.
+        participant.0.peer_died.store(true, Ordering::SeqCst);
+        assert!(broker.try_relay_inward().unwrap().is_none());
+        // A fresh assignment arrives after the death was reported.
+        supervisor.0.inbox.lock().unwrap().push_back(assign(9));
+        assert!(broker.try_relay_outward().unwrap());
+        assert_eq!(
+            *supervisor.0.sent.lock().unwrap(),
+            [1u64, 2, 3, 9].map(|task_id| Message::Gone { task_id }),
+            "one Gone per task, orphans ascending, the late one after them"
+        );
+        assert_eq!(
+            participant.sent_task_ids(),
+            vec![3, 1, 2],
+            "mail for the dead is dropped, not queued"
+        );
+        assert_eq!(broker.stats().outward, 3);
     }
 
     #[test]

@@ -550,6 +550,10 @@ impl GridLink for FaultyEndpoint {
     fn stats(&self) -> LinkStats {
         self.inner.stats()
     }
+
+    fn subscribe(&self, bell: &Doorbell, key: usize) {
+        FaultyEndpoint::subscribe(self, bell, key);
+    }
 }
 
 impl Drop for FaultyEndpoint {

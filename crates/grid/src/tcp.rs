@@ -7,33 +7,236 @@
 //! messages before reporting the peer gone, and a mid-frame stream death
 //! surfaces as the typed [`GridError::TornFrame`] once the queue is dry.
 //!
-//! Control frames (handshakes, cost reports) bypass the message queue
-//! entirely: the reader thread routes them to a separate channel exposed
-//! through [`ControlHandle`], so grid plumbing can flow while a broker
-//! pump owns the link itself.
+//! # Who touches the socket
 //!
-//! Per-peer backpressure: the reader thread stops pulling frames off the
-//! socket once more than [`INBOUND_HIGH_WATER`] messages are queued
-//! locally, letting the kernel's TCP window throttle the sender. This is
-//! timing-only — it changes when bytes move, never what is charged.
+//! Two threads per link, and nobody else. Neither polls.
+//!
+//! * **Outbound.** [`send_counted`](GridLink::send_counted) and
+//!   [`ControlHandle::send`] encode the frame — header and payload —
+//!   straight into the link's one outbound buffer and return; data and
+//!   control frames share that FIFO. The link's *writer* thread sleeps
+//!   until the buffer is non-empty, takes everything in it and issues a
+//!   single `write_all`, so a burst (512 assignments from an engine, a
+//!   relay catching up) leaves as a handful of segments and the thread
+//!   that produced it never waits on the kernel. There is no timer and
+//!   no flush call: a lone frame is written as soon as the writer wakes.
+//! * **Inbound.** The *reader* thread reads through a small buffer, so
+//!   one `read` drains every frame the kernel already holds, and routes
+//!   data frames to the message queue and control frames (handshakes,
+//!   cost reports) to a separate queue exposed through [`ControlHandle`],
+//!   so grid plumbing can flow while a broker pump owns the link itself.
+//!   Each frame it queues rings the link's [`Doorbell`] subscription
+//!   ([`GridLink::subscribe`]), and so does the stream's end.
+//!
+//! # Backpressure, both directions
+//!
+//! Outbound: once [`OUTBOUND_HIGH_WATER`] frames wait for the writer, a
+//! sender blocks until the writer has taken them — which it cannot do
+//! while the kernel refuses its previous batch, so a peer that stops
+//! reading stops its sender, with a bounded amount queued. Inbound: the
+//! reader stops pulling frames off the socket once more than
+//! [`INBOUND_HIGH_WATER`] messages are queued locally, letting the
+//! kernel's TCP window throttle the peer. Both are timing-only — they
+//! change when bytes move, never what is charged.
+//!
+//! # Endings
+//!
+//! Dropping the link refuses further sends, lets the writer flush what
+//! was already queued (for a few seconds at most), *then* shuts the
+//! socket and joins both threads: the peer drains what was in flight and
+//! sees a clean disconnect, and nothing of the link outlives it. Once
+//! the stream is known dead — the reader met its end, or a write failed
+//! — every send reports [`GridError::Disconnected`] instead of queueing
+//! mail nobody will deliver.
 
-use crate::wire::{read_frame, recv_welcome, send_hello, write_frame, Frame, Hello, Welcome};
+use crate::transport::{HangUp, Subscription};
+use crate::wire::{append_frame, read_frame, recv_welcome, send_hello, Frame, Hello, Welcome};
 use crate::wire::{ROLE_PARTICIPANT, ROLE_SUPERVISOR};
-use crate::{Backoff, GridError, GridLink, LinkStats, Message, FRAME_HEADER_BYTES};
+use crate::{Backoff, Doorbell, GridError, GridLink, LinkStats, Message, FRAME_HEADER_BYTES};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Queued-message ceiling above which the reader thread pauses, letting
 /// TCP flow control push back on the peer.
 pub const INBOUND_HIGH_WATER: usize = 4096;
 
+/// Frames that may wait for the writer thread before a sender blocks.
+/// Small on purpose: it is what keeps a link's memory flat when the peer
+/// reads slowly, and a batch of this many small frames already fills
+/// several segments.
+pub const OUTBOUND_HIGH_WATER: usize = 128;
+
+/// How long dropping a link waits for the writer to flush what was
+/// queued before shutting the socket regardless. A hang guard against a
+/// peer that has stopped reading — timing-only.
+const DRAIN_PATIENCE: Duration = Duration::from_secs(5);
+
+/// The reader's buffer: enough for a few hundred protocol frames per
+/// `read`, small enough not to show in a process with a thousand links.
+const READ_BUFFER_BYTES: usize = 8 * 1024;
+
+/// Batch buffers that grew past this (a burst of bulk uploads) are
+/// released after the write instead of kept for the link's lifetime.
+const BATCH_KEEP_BYTES: usize = 64 * 1024;
+
 #[derive(Debug, Default)]
 struct Counters {
     bytes: AtomicU64,
     messages: AtomicU64,
+}
+
+/// The outbound half of a link, under [`Wire::out`].
+#[derive(Debug, Default)]
+struct Outbound {
+    /// Framed bytes waiting for the writer, data and control in send
+    /// order.
+    buf: Vec<u8>,
+    /// Frames in `buf`.
+    frames: usize,
+    /// The link was dropped: no new frames, flush, then shut down.
+    closing: bool,
+    /// The stream is known dead: nothing queued can be delivered.
+    dead: bool,
+    /// The writer is asleep on [`Wire::work`] (so a sender must wake it;
+    /// while it is awake it will look at `buf` again by itself).
+    writer_idle: bool,
+    /// The writer has exited; what it could flush is flushed.
+    flushed: bool,
+}
+
+/// What a link's handles and its two threads share.
+#[derive(Debug)]
+struct Wire {
+    stream: TcpStream,
+    out: Mutex<Outbound>,
+    /// The writer sleeps here while there is nothing to write.
+    work: Condvar,
+    /// Senders sleep here at the high-water mark; `Drop` waits here for
+    /// `flushed`.
+    room: Condvar,
+    /// Data frames queued inbound and not yet received.
+    depth: AtomicUsize,
+    /// What killed the stream, if it died abnormally; reported once.
+    terminal: Mutex<Option<GridError>>,
+}
+
+impl Wire {
+    fn out(&self) -> MutexGuard<'_, Outbound> {
+        self.out.lock().expect("tcp outbound queue poisoned")
+    }
+
+    /// Queues one frame for the writer, blocking only at the high-water
+    /// mark; returns the payload's length.
+    fn queue(&self, control: bool, payload: impl FnOnce(&mut Vec<u8>)) -> Result<usize, GridError> {
+        let mut out = self.out();
+        loop {
+            if out.dead || out.closing {
+                return Err(GridError::Disconnected);
+            }
+            if out.frames < OUTBOUND_HIGH_WATER {
+                break;
+            }
+            out = self.room.wait(out).expect("tcp outbound queue poisoned");
+        }
+        let len = append_frame(&mut out.buf, control, payload)?;
+        out.frames += 1;
+        if std::mem::take(&mut out.writer_idle) {
+            self.work.notify_one();
+        }
+        Ok(len)
+    }
+
+    /// Records that the stream is dead and wakes everyone waiting on it.
+    fn mark_dead(&self) {
+        self.out().dead = true;
+        self.work.notify_all();
+        self.room.notify_all();
+    }
+}
+
+/// The writer thread: everything queued since the last write leaves in
+/// one `write_all`.
+fn writer_loop(wire: &Wire) {
+    let mut batch = Vec::new();
+    loop {
+        {
+            let mut out = wire.out();
+            while out.buf.is_empty() && !out.dead && !out.closing {
+                out.writer_idle = true;
+                out = wire.work.wait(out).expect("tcp outbound queue poisoned");
+            }
+            out.writer_idle = false;
+            // Dead: nothing is deliverable. Empty: the link is closing
+            // and everything queued has been written.
+            if out.dead || out.buf.is_empty() {
+                break;
+            }
+            std::mem::swap(&mut out.buf, &mut batch);
+            out.frames = 0;
+            wire.room.notify_all();
+        }
+        if (&wire.stream).write_all(&batch).is_err() {
+            wire.mark_dead();
+            break;
+        }
+        if batch.capacity() > BATCH_KEEP_BYTES {
+            batch = Vec::new();
+        } else {
+            batch.clear();
+        }
+    }
+    wire.out().flushed = true;
+    wire.room.notify_all();
+}
+
+/// The reader thread: frames off the socket into the two queues, one
+/// ring each, until the stream ends.
+fn reader_loop(
+    wire: &Wire,
+    data_tx: Sender<Vec<u8>>,
+    control_tx: Sender<Vec<u8>>,
+    announce: HangUp,
+) {
+    let mut stream = BufReader::with_capacity(READ_BUFFER_BYTES, &wire.stream);
+    let mut backoff = Backoff::new();
+    'stream: loop {
+        // Backpressure: stop reading while the local queue is deep; the
+        // socket buffer fills and TCP flow control throttles the peer.
+        while wire.depth.load(Ordering::Acquire) > INBOUND_HIGH_WATER {
+            if wire.out().closing {
+                break 'stream; // the link is gone: nobody will drain it
+            }
+            backoff.wait();
+        }
+        backoff.reset();
+        let queued = match read_frame(&mut stream) {
+            Ok(Some(Frame::Data(payload))) => {
+                wire.depth.fetch_add(1, Ordering::AcqRel);
+                data_tx.send(payload).is_ok()
+            }
+            Ok(Some(Frame::Control(payload))) => control_tx.send(payload).is_ok(),
+            Ok(None) => break,
+            Err(err) => {
+                *wire.terminal.lock().expect("tcp terminal poisoned") = Some(err);
+                break;
+            }
+        };
+        if !queued {
+            break;
+        }
+        announce.ring();
+    }
+    wire.mark_dead();
+    // Dropping the senders marks the queues closed; receivers drain what
+    // is already queued, then observe the disconnect (or terminal error).
+    // The hang-up ring goes last, so whoever answers it finds the closure.
+    drop((data_tx, control_tx));
+    drop(announce);
 }
 
 /// Cloneable handle for a link's control-frame plane.
@@ -43,19 +246,21 @@ struct Counters {
 #[derive(Debug, Clone)]
 pub struct ControlHandle {
     rx: Receiver<Vec<u8>>,
-    writer: Arc<Mutex<TcpStream>>,
+    wire: Arc<Wire>,
 }
 
 impl ControlHandle {
-    /// Sends one control frame.
+    /// Sends one control frame: queued behind whatever the link has
+    /// already queued, data or control, and written by the link's writer.
     ///
     /// # Errors
     ///
-    /// [`GridError::Disconnected`] if the stream is gone, or
-    /// [`GridError::LengthOverflow`] for oversized payloads.
+    /// [`GridError::Disconnected`] if the stream is gone or the link was
+    /// dropped, or [`GridError::LengthOverflow`] for oversized payloads.
     pub fn send(&self, payload: Vec<u8>) -> Result<(), GridError> {
-        let mut writer = self.writer.lock().expect("tcp writer poisoned");
-        write_frame(&mut *writer, &Frame::Control(payload))
+        self.wire
+            .queue(true, |buf| buf.extend_from_slice(&payload))
+            .map(|_| ())
     }
 
     /// Receives the next control frame, blocking until one arrives.
@@ -103,55 +308,66 @@ impl ControlHandle {
 
 /// A [`GridLink`] over a TCP stream.
 ///
-/// Dropping the link shuts the socket down in both directions; the peer
-/// observes a clean disconnect after draining whatever was in flight.
+/// Dropping the link flushes what was queued, shuts the socket down in
+/// both directions and joins the link's threads; the peer observes a
+/// clean disconnect after draining whatever was in flight.
 #[derive(Debug)]
 pub struct TcpLink {
-    writer: Arc<Mutex<TcpStream>>,
+    wire: Arc<Wire>,
     data_rx: Receiver<Vec<u8>>,
     control: ControlHandle,
     outbound: Counters,
     inbound: Counters,
-    depth: Arc<AtomicUsize>,
-    terminal: Arc<Mutex<Option<GridError>>>,
+    /// Where the reader announces inbound frames and the stream's end.
+    heard: Arc<Mutex<Subscription>>,
     peer: Option<SocketAddr>,
+    /// The reader and the writer.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl TcpLink {
-    /// Wraps a connected stream, spawning the reader thread.
+    /// Wraps a connected stream, spawning the reader and writer threads.
     ///
     /// The caller is expected to have completed any handshake first
     /// (see [`handshake_supervisor`] / [`handshake_participant`] for the
     /// dial-in side).
     #[must_use]
     pub fn from_stream(stream: TcpStream) -> Self {
+        // The writer batches by itself; Nagle would only add delay.
         let _ = stream.set_nodelay(true);
         let peer = stream.peer_addr().ok();
-        let reader = stream.try_clone().expect("tcp stream clone");
-        let writer = Arc::new(Mutex::new(stream));
+        let wire = Arc::new(Wire {
+            stream,
+            out: Mutex::default(),
+            work: Condvar::new(),
+            room: Condvar::new(),
+            depth: AtomicUsize::new(0),
+            terminal: Mutex::new(None),
+        });
         let (data_tx, data_rx) = unbounded();
         let (control_tx, control_rx) = unbounded();
-        let depth = Arc::new(AtomicUsize::new(0));
-        let terminal = Arc::new(Mutex::new(None));
-        {
-            let depth = Arc::clone(&depth);
-            let terminal = Arc::clone(&terminal);
-            std::thread::spawn(move || {
-                reader_loop(reader, &data_tx, &control_tx, &depth, &terminal)
-            });
-        }
+        let heard = Arc::new(Mutex::new(Subscription::default()));
+        let reader = {
+            let wire = Arc::clone(&wire);
+            let announce = HangUp(Arc::clone(&heard));
+            std::thread::spawn(move || reader_loop(&wire, data_tx, control_tx, announce))
+        };
+        let writer = {
+            let wire = Arc::clone(&wire);
+            std::thread::spawn(move || writer_loop(&wire))
+        };
         TcpLink {
             control: ControlHandle {
                 rx: control_rx,
-                writer: Arc::clone(&writer),
+                wire: Arc::clone(&wire),
             },
-            writer,
+            wire,
             data_rx,
             outbound: Counters::default(),
             inbound: Counters::default(),
-            depth,
-            terminal,
+            heard,
             peer,
+            threads: vec![reader, writer],
         }
     }
 
@@ -168,70 +384,31 @@ impl TcpLink {
         self.control.clone()
     }
 
-    /// The error that killed the stream, if it died abnormally;
-    /// otherwise [`GridError::Disconnected`].
+    /// The error that killed the stream if it died abnormally (reported
+    /// once, like a frame); from then on [`GridError::Disconnected`].
     fn terminal_error(&self) -> GridError {
-        self.terminal
+        self.wire
+            .terminal
             .lock()
             .expect("tcp terminal poisoned")
-            .clone()
+            .take()
             .unwrap_or(GridError::Disconnected)
     }
 
-    fn account_inbound(&self, frame_len: usize) -> u64 {
-        let charged = frame_len as u64 + FRAME_HEADER_BYTES;
+    /// Books one received data frame and decodes it.
+    fn deliver(&self, frame: &[u8]) -> Result<(Message, u64), GridError> {
+        self.wire.depth.fetch_sub(1, Ordering::AcqRel);
+        let charged = frame.len() as u64 + FRAME_HEADER_BYTES;
         self.inbound.bytes.fetch_add(charged, Ordering::Relaxed);
         self.inbound.messages.fetch_add(1, Ordering::Relaxed);
-        charged
+        Message::decode(frame).map(|msg| (msg, charged))
     }
-}
-
-fn reader_loop(
-    mut stream: TcpStream,
-    data_tx: &Sender<Vec<u8>>,
-    control_tx: &Sender<Vec<u8>>,
-    depth: &AtomicUsize,
-    terminal: &Mutex<Option<GridError>>,
-) {
-    let mut backoff = Backoff::new();
-    loop {
-        // Backpressure: stop reading while the local queue is deep; the
-        // socket buffer fills and TCP flow control throttles the peer.
-        while depth.load(Ordering::Acquire) > INBOUND_HIGH_WATER {
-            backoff.wait();
-        }
-        backoff.reset();
-        match read_frame(&mut stream) {
-            Ok(Some(Frame::Data(payload))) => {
-                depth.fetch_add(1, Ordering::AcqRel);
-                if data_tx.send(payload).is_err() {
-                    break;
-                }
-            }
-            Ok(Some(Frame::Control(payload))) => {
-                if control_tx.send(payload).is_err() {
-                    break;
-                }
-            }
-            Ok(None) => break,
-            Err(err) => {
-                *terminal.lock().expect("tcp terminal poisoned") = Some(err);
-                break;
-            }
-        }
-    }
-    // Dropping the senders marks the queues closed; receivers drain what
-    // is already queued, then observe the disconnect (or terminal error).
 }
 
 impl GridLink for TcpLink {
     fn send_counted(&self, msg: &Message) -> Result<u64, GridError> {
-        let frame = msg.encode();
-        let charged = frame.len() as u64 + FRAME_HEADER_BYTES;
-        {
-            let mut writer = self.writer.lock().expect("tcp writer poisoned");
-            write_frame(&mut *writer, &Frame::Data(frame))?;
-        }
+        let len = self.wire.queue(false, |buf| msg.encode_into(buf))?;
+        let charged = len as u64 + FRAME_HEADER_BYTES;
         self.outbound.bytes.fetch_add(charged, Ordering::Relaxed);
         self.outbound.messages.fetch_add(1, Ordering::Relaxed);
         Ok(charged)
@@ -239,22 +416,14 @@ impl GridLink for TcpLink {
 
     fn recv_counted(&self) -> Result<(Message, u64), GridError> {
         match self.data_rx.recv() {
-            Ok(frame) => {
-                self.depth.fetch_sub(1, Ordering::AcqRel);
-                let charged = self.account_inbound(frame.len());
-                Message::decode(&frame).map(|msg| (msg, charged))
-            }
+            Ok(frame) => self.deliver(&frame),
             Err(_) => Err(self.terminal_error()),
         }
     }
 
     fn try_recv_counted(&self) -> Result<(Message, u64), GridError> {
         match self.data_rx.try_recv() {
-            Ok(frame) => {
-                self.depth.fetch_sub(1, Ordering::AcqRel);
-                let charged = self.account_inbound(frame.len());
-                Message::decode(&frame).map(|msg| (msg, charged))
-            }
+            Ok(frame) => self.deliver(&frame),
             Err(TryRecvError::Empty) => Err(GridError::Empty),
             Err(TryRecvError::Disconnected) => Err(self.terminal_error()),
         }
@@ -268,12 +437,36 @@ impl GridLink for TcpLink {
             messages_received: self.inbound.messages.load(Ordering::Relaxed),
         }
     }
+
+    /// One ring per data *or* control frame the reader queues — a relay
+    /// answers a ring by looking at both planes — and one for the
+    /// stream's end, made after both queues report closure.
+    fn subscribe(&self, bell: &Doorbell, key: usize) {
+        Subscription::subscribe(&self.heard, bell, key, || {
+            self.data_rx.len() + self.control.rx.len()
+        });
+    }
 }
 
 impl Drop for TcpLink {
     fn drop(&mut self) {
-        if let Ok(writer) = self.writer.lock() {
-            let _ = writer.shutdown(Shutdown::Both);
+        // A poisoned queue means a link thread panicked: skip the flush,
+        // still shut down and join. `drop` must not panic.
+        if let Ok(mut out) = self.wire.out.lock() {
+            out.closing = true;
+            self.wire.work.notify_all();
+            self.wire.room.notify_all();
+            let _ = self
+                .wire
+                .room
+                .wait_timeout_while(out, DRAIN_PATIENCE, |out| !out.flushed);
+        }
+        // Ends the reader's blocking read, and a write the peer never
+        // took (the patience ran out); the writer, told to close, ends
+        // by itself.
+        let _ = self.wire.stream.shutdown(Shutdown::Both);
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
@@ -323,7 +516,7 @@ pub fn handshake_participant(mut stream: TcpStream) -> Result<(TcpLink, Welcome)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{recv_hello, send_welcome};
+    use crate::wire::{recv_hello, send_welcome, write_frame};
     use std::io::Write;
     use std::net::TcpListener;
 
@@ -426,6 +619,10 @@ mod tests {
                 got: 3
             }
         );
+        // The cause is reported once, where a frame would have been; from
+        // then on the link is simply gone, for receives and sends alike.
+        assert_eq!(link.recv().unwrap_err(), GridError::Disconnected);
+        assert_eq!(link.send(&msg).unwrap_err(), GridError::Disconnected);
     }
 
     #[test]

@@ -130,7 +130,7 @@ impl Doorbell {
 /// read "no subscription" had queued its frame before the subscriber
 /// counted the backlog.
 #[derive(Debug, Default)]
-struct Subscription {
+pub(crate) struct Subscription {
     /// The subscriber's bell and the key this link rings on it.
     bell: Option<(Sender<usize>, usize)>,
     /// The sending endpoint is gone (its channel already reports closure).
@@ -144,16 +144,44 @@ impl Subscription {
             let _ = bell.send(*key);
         }
     }
+
+    /// Points `subscription` at `bell` and announces what is already
+    /// there: one ring per frame `queued` counts, one more if the sending
+    /// side has already hung up. `queued` runs under the lock: a sender
+    /// that found no subscription queued its frame before the count was
+    /// taken, so it is in it; one that queues later finds the
+    /// subscription and rings for itself.
+    pub(crate) fn subscribe(
+        subscription: &Mutex<Subscription>,
+        bell: &Doorbell,
+        key: usize,
+        queued: impl FnOnce() -> usize,
+    ) {
+        let mut subscription = subscription.lock().expect("subscription lock poisoned");
+        subscription.bell = Some((bell.tx.clone(), key));
+        let backlog = queued() + usize::from(subscription.hung_up);
+        for _ in 0..backlog {
+            subscription.ring();
+        }
+    }
 }
 
-/// Announces the hang-up when dropped. [`Endpoint`] declares it *after*
-/// its sender, and fields drop in declaration order, so the ring goes out
-/// only once the channel really reports [`GridError::Disconnected`].
-/// Ringing from `Drop for Endpoint` would run before the sender field
-/// drops: the consumer would answer the ring, read `Empty`, and never
-/// hear of the hang-up again.
+/// The sending side's hold on its peer's [`Subscription`]: rings it per
+/// frame, and announces the hang-up when dropped. [`Endpoint`] declares
+/// it *after* its sender, and fields drop in declaration order, so the
+/// ring goes out only once the channel really reports
+/// [`GridError::Disconnected`]. Ringing from `Drop for Endpoint` would
+/// run before the sender field drops: the consumer would answer the
+/// ring, read `Empty`, and never hear of the hang-up again.
 #[derive(Debug)]
-struct HangUp(Arc<Mutex<Subscription>>);
+pub(crate) struct HangUp(pub(crate) Arc<Mutex<Subscription>>);
+
+impl HangUp {
+    /// Announces one frame just queued for the subscriber.
+    pub(crate) fn ring(&self) {
+        self.0.lock().expect("subscription lock poisoned").ring();
+    }
+}
 
 impl Drop for HangUp {
     fn drop(&mut self) {
@@ -242,11 +270,7 @@ impl Endpoint {
         let frame = msg.encode();
         let charged = frame.len() as u64 + FRAME_HEADER_BYTES;
         self.tx.send(frame).map_err(|_| GridError::Disconnected)?;
-        self.announce
-            .0
-            .lock()
-            .expect("subscription lock poisoned")
-            .ring();
+        self.announce.ring();
         self.outbound.bytes.fetch_add(charged, Ordering::Relaxed);
         self.outbound.messages.fetch_add(1, Ordering::Relaxed);
         Ok(charged)
@@ -311,18 +335,7 @@ impl Endpoint {
     /// consumer that answers each ring with one `try_recv` misses
     /// nothing. Subscribing again replaces the earlier subscription.
     pub fn subscribe(&self, bell: &Doorbell, key: usize) {
-        let mut subscription = self
-            .subscription
-            .lock()
-            .expect("subscription lock poisoned");
-        subscription.bell = Some((bell.tx.clone(), key));
-        // Counted under the lock: a sender that found no subscription
-        // queued its frame before we got here, so it is in this count; one
-        // that queues later finds the subscription and rings for itself.
-        let backlog = self.rx.len() + usize::from(subscription.hung_up);
-        for _ in 0..backlog {
-            subscription.ring();
-        }
+        Subscription::subscribe(&self.subscription, bell, key, || self.rx.len());
     }
 
     fn account_inbound(&self, frame: &[u8]) {
@@ -380,6 +393,14 @@ pub trait GridLink: Send {
     /// crossed, after any decoration).
     fn stats(&self) -> LinkStats;
 
+    /// Subscribes this link's inbound direction to `bell` under `key`,
+    /// with [`Endpoint::subscribe`]'s contract: one ring per frame queued
+    /// from now on, the backlog announced on the spot, and the hang-up
+    /// ring only once a `try_recv` really reports the closure — so a
+    /// multiplexer that answers each ring with one look at the link
+    /// misses nothing, whatever the link is made of.
+    fn subscribe(&self, bell: &Doorbell, key: usize);
+
     /// Sends a message, discarding the byte count.
     ///
     /// # Errors
@@ -423,6 +444,10 @@ impl GridLink for Endpoint {
 
     fn stats(&self) -> LinkStats {
         Endpoint::stats(self)
+    }
+
+    fn subscribe(&self, bell: &Doorbell, key: usize) {
+        Endpoint::subscribe(self, bell, key);
     }
 }
 

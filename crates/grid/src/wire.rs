@@ -20,7 +20,7 @@
 
 use crate::codec::{get_bytes, get_u32, put_bytes, put_u32};
 use crate::GridError;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 /// Protocol version spoken by this build; bumped on any frame or
 /// handshake layout change.
@@ -63,7 +63,54 @@ impl Frame {
     }
 }
 
-/// Writes one frame to `w`.
+/// The length word of a frame carrying `len` payload bytes.
+fn header_word(len: usize, control: bool) -> Result<[u8; 4], GridError> {
+    let len = len as u64;
+    if len > MAX_FRAME_LEN {
+        return Err(GridError::LengthOverflow { declared: len });
+    }
+    // ugc-lint: allow(lossy-cast): bounded above by MAX_FRAME_LEN (1<<30), fits u32
+    let mut word = len as u32;
+    if control {
+        word |= CONTROL_BIT;
+    }
+    Ok(word.to_le_bytes())
+}
+
+/// Appends one frame to `buf`: reserves the header, lets `payload` write
+/// the payload in place behind it, then fills the length in. How a
+/// [`TcpLink`](crate::TcpLink) frames — no intermediate payload buffer,
+/// and any number of frames back to back in one buffer, ready for one
+/// `write`. Returns the payload's length.
+///
+/// # Errors
+///
+/// [`GridError::LengthOverflow`] if the payload exceeds
+/// [`MAX_FRAME_LEN`]; `buf` is left as it was.
+pub(crate) fn append_frame(
+    buf: &mut Vec<u8>,
+    control: bool,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<usize, GridError> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    payload(buf);
+    let len = buf.len() - start - 4;
+    match header_word(len, control) {
+        Ok(word) => {
+            buf[start..start + 4].copy_from_slice(&word);
+            Ok(len)
+        }
+        Err(e) => {
+            buf.truncate(start);
+            Err(e)
+        }
+    }
+}
+
+/// Writes one frame to `w`: header and payload leave in a single
+/// vectored write (one `writev` on a socket, one append into memory), so
+/// a frame is never split across two segments by its own writer.
 ///
 /// # Errors
 ///
@@ -72,19 +119,23 @@ impl Frame {
 /// stream fails.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), GridError> {
     let payload = frame.payload();
-    let len = payload.len() as u64;
-    if len > MAX_FRAME_LEN {
-        return Err(GridError::LengthOverflow { declared: len });
+    let header = header_word(payload.len(), matches!(frame, Frame::Control(_)))?;
+    let total = header.len() + payload.len();
+    let mut written = 0;
+    // A short write (a full socket buffer) resumes where it stopped.
+    while written < total {
+        let parts = [
+            IoSlice::new(&header[written.min(header.len())..]),
+            IoSlice::new(&payload[written.saturating_sub(header.len())..]),
+        ];
+        match w.write_vectored(&parts) {
+            Ok(0) => return Err(GridError::Disconnected),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return Err(GridError::Disconnected),
+        }
     }
-    // ugc-lint: allow(lossy-cast): bounded above by MAX_FRAME_LEN (1<<30), fits u32
-    let mut word = len as u32;
-    if matches!(frame, Frame::Control(_)) {
-        word |= CONTROL_BIT;
-    }
-    w.write_all(&word.to_le_bytes())
-        .and_then(|()| w.write_all(payload))
-        .and_then(|()| w.flush())
-        .map_err(|_| GridError::Disconnected)
+    w.flush().map_err(|_| GridError::Disconnected)
 }
 
 /// Reads from `r` until `buf` is full or the stream ends; returns how

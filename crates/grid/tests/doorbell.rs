@@ -271,33 +271,15 @@ fn a_ring_that_lands_mid_poll_is_never_lost() {
     }
 }
 
-/// A link that can ring a doorbell (the inherent `subscribe` of the raw
-/// and the fault-decorated endpoint, under one name).
-trait Rings: GridLink {
-    fn rings(&self, bell: &Doorbell, key: usize);
-}
-
-impl Rings for Endpoint {
-    fn rings(&self, bell: &Doorbell, key: usize) {
-        self.subscribe(bell, key);
-    }
-}
-
-impl Rings for FaultyEndpoint {
-    fn rings(&self, bell: &Doorbell, key: usize) {
-        self.subscribe(bell, key);
-    }
-}
-
 /// Echoes every frame back and completes on the hang-up; free-running, so
 /// the next frame races the task's way to its seat at whatever point the
 /// host's scheduling picks.
-struct Echo<L: Rings> {
+struct Echo<L: GridLink> {
     link: L,
     delivered: u32,
 }
 
-impl<L: Rings> GridTask for Echo<L> {
+impl<L: GridLink> GridTask for Echo<L> {
     fn poll(&mut self) -> TaskPoll {
         match self.link.try_recv() {
             Ok(m) => {
@@ -311,7 +293,7 @@ impl<L: Rings> GridTask for Echo<L> {
     }
 
     fn wake_on(&mut self, bell: &Doorbell, key: usize) -> bool {
-        self.link.rings(bell, key);
+        self.link.subscribe(bell, key);
         true
     }
 }

@@ -7,9 +7,9 @@
 //!
 //! * [`GridServer`] (`ugc broker serve`) accepts one supervisor and N
 //!   participant connections, completes the versioned handshake, then
-//!   runs the *same* [`Broker`] relay the in-process brokered transport
-//!   uses — over [`TcpLink`]s instead of in-memory endpoints — plus a
-//!   control-plane sweep forwarding participant [`SlotReport`]s up.
+//!   runs the *same* [`Broker`] pump the in-process brokered transport
+//!   uses — over [`TcpLink`]s instead of in-memory endpoints — forwarding
+//!   participant [`SlotReport`]s up the control plane as they arrive.
 //! * [`join`] (`ugc participant join`) dials in, learns the campaign
 //!   from the handshake [`Welcome`], expands the identical
 //!   [`CampaignPlan`] the supervisor runs, and serves every slot the
@@ -28,7 +28,9 @@
 use crate::campaign::{CampaignPlan, FleetParams};
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use ugc_core::{
     run_mixed_fleet_on, FleetSummary, ParticipantSession, RemoteGridBackend, SlotReport,
@@ -37,7 +39,7 @@ use ugc_core::{
 use ugc_grid::tcp::{handshake_participant, handshake_supervisor};
 use ugc_grid::wire::{recv_hello, send_welcome, Hello, Welcome, ROLE_PARTICIPANT, ROLE_SUPERVISOR};
 use ugc_grid::{
-    Backoff, Broker, ControlHandle, CostLedger, GridError, GridLink, RelayStats, TcpLink,
+    Broker, ControlHandle, CostLedger, Doorbell, GridError, GridLink, RelayStats, TcpLink,
 };
 
 /// How many times [`connect`] retries a refused dial before giving up.
@@ -95,18 +97,136 @@ pub struct JoinOutcome {
     pub slots_served: u64,
 }
 
+/// The bell key the [`Acceptor`] rings for every dial-in that has said
+/// hello (participant links ring their index, the supervisor
+/// [`Broker::SUPERVISOR_KEY`]).
+const DIAL_KEY: usize = usize::MAX - 1;
+/// How long [`Acceptor::stop`] waits for its own wake-up dial to land.
+const WAKE_PATIENCE: Duration = Duration::from_secs(1);
+
+/// What the acceptor thread has in hand, for [`Acceptor::stop`].
+#[derive(Default)]
+struct Dialing {
+    /// The server is done; the thread exits at its next look.
+    stopping: bool,
+    /// The connection whose [`Hello`] is being awaited.
+    in_flight: Option<TcpStream>,
+}
+
+/// The listener's own thread: `accept`, then the connection's [`Hello`]
+/// under [`HELLO_PATIENCE`], one dial-in at a time. A dialer that says
+/// nothing holds up only the dialers behind it — never the relay, which
+/// hears of a completed hello by [`DIAL_KEY`] ringing.
+struct Acceptor {
+    dialing: Arc<Mutex<Dialing>>,
+    wake_addr: Option<SocketAddr>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+/// One dial-in that got as far as a valid [`Hello`], or the reason the
+/// listener stopped producing them.
+type Dial = Result<(TcpStream, Hello), io::Error>;
+
+impl Acceptor {
+    fn spawn(listener: TcpListener, bell: Arc<Doorbell>, dials: mpsc::Sender<Dial>) -> Self {
+        let dialing = Arc::new(Mutex::new(Dialing::default()));
+        // `stop` unblocks `accept` by dialing the listener itself.
+        let wake_addr = listener.local_addr().ok().map(|mut addr| {
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr.ip() {
+                    IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                    IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                });
+            }
+            addr
+        });
+        let thread = {
+            let dialing = Arc::clone(&dialing);
+            std::thread::spawn(move || accept_loop(&listener, &dialing, &bell, &dials))
+        };
+        Acceptor {
+            dialing,
+            wake_addr,
+            thread,
+        }
+    }
+
+    /// Ends the thread — whether it sits in `accept` or in a silent
+    /// dialer's hello — and with it the listener.
+    fn stop(self) {
+        {
+            let mut dialing = self.dialing.lock().expect("acceptor state poisoned");
+            dialing.stopping = true;
+            if let Some(stream) = dialing.in_flight.take() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
+        let woken = self
+            .wake_addr
+            .is_some_and(|addr| TcpStream::connect_timeout(&addr, WAKE_PATIENCE).is_ok());
+        // A listener that cannot even be dialed will not return from
+        // `accept`; joining it would hang the server instead of ending it.
+        if woken {
+            let _ = self.thread.join();
+        }
+    }
+}
+
+fn accept_loop(
+    listener: &TcpListener,
+    dialing: &Mutex<Dialing>,
+    bell: &Doorbell,
+    dials: &mpsc::Sender<Dial>,
+) {
+    loop {
+        let accepted = listener.accept();
+        let dial = {
+            let mut state = dialing.lock().expect("acceptor state poisoned");
+            if state.stopping {
+                return;
+            }
+            accepted.map(|(stream, _)| {
+                state.in_flight = stream.try_clone().ok();
+                stream
+            })
+        };
+        let dial = match dial {
+            Ok(mut stream) => {
+                let hello = accept_hello(&mut stream);
+                dialing.lock().expect("acceptor state poisoned").in_flight = None;
+                match hello {
+                    Ok(hello) => Ok((stream, hello)),
+                    // Not a grid peer, or too slow: dropped, next.
+                    Err(_) => continue,
+                }
+            }
+            Err(e) => Err(e),
+        };
+        let failed = dial.is_err();
+        if dials.send(dial).is_err() {
+            return;
+        }
+        bell.ring(DIAL_KEY);
+        if failed {
+            // Whatever broke `accept` (out of descriptors, say) may
+            // still be true: do not spin on it.
+            std::thread::sleep(CONNECT_PAUSE);
+        }
+    }
+}
+
 /// Receives a connection's [`Hello`] under [`HELLO_PATIENCE`], leaving
 /// the stream in blocking mode afterwards (the [`TcpLink`] reader thread
 /// needs plain blocking reads).
-fn accept_hello(mut stream: TcpStream) -> Result<(TcpStream, Hello), GridError> {
+fn accept_hello(stream: &mut TcpStream) -> Result<Hello, GridError> {
     stream
         .set_read_timeout(Some(HELLO_PATIENCE))
         .map_err(|_| GridError::Disconnected)?;
-    let hello = recv_hello(&mut stream)?;
+    let hello = recv_hello(stream)?;
     stream
         .set_read_timeout(None)
         .map_err(|_| GridError::Disconnected)?;
-    Ok((stream, hello))
+    Ok(hello)
 }
 
 /// The `ugc broker serve` process: a [`Broker`] relay over real
@@ -162,157 +282,129 @@ impl GridServer {
     /// campaign reaching every process — then pumps the broker until
     /// the supervisor hangs up and all queued traffic is drained.
     /// Late connections during the campaign are handshaken and added as
-    /// fresh round-robin targets (reconnect-with-NACK).
+    /// fresh round-robin targets (reconnect-with-NACK). The listener has
+    /// a thread of its own for as long as the server runs, so a dialer
+    /// that never finishes its hello delays other dialers, not the
+    /// campaign; that thread, the listener and every link the server
+    /// made are gone before this returns.
     ///
     /// # Errors
     ///
     /// Accept/handshake failures during roster assembly (the pump phase
     /// instead drops misbehaving connections, as a relay must).
     pub fn run(self) -> Result<ServeOutcome, String> {
-        // Roster phase: blocking accept until one supervisor and
-        // `participants` participant processes have said hello.
-        let mut part_streams: Vec<TcpStream> = Vec::new();
-        let mut supervisor: Option<(TcpStream, Vec<u8>)> = None;
-        while part_streams.len() < self.participants || supervisor.is_none() {
-            let (stream, _) = self
-                .listener
-                .accept()
-                .map_err(|e| format!("accept failed: {e}"))?;
-            match accept_hello(stream) {
-                Ok((stream, hello)) if hello.role == ROLE_PARTICIPANT => {
-                    if part_streams.len() < self.participants {
-                        part_streams.push(stream);
-                    }
-                    // A surplus participant waits in the accept queue of
-                    // the pump phase? No — it already said hello, so it
-                    // is simply dropped; it may redial and join late.
-                }
-                Ok((stream, hello)) if hello.role == ROLE_SUPERVISOR && supervisor.is_none() => {
-                    supervisor = Some((stream, hello.params));
-                }
-                // A second supervisor, an unknown role, or a handshake
-                // failure: drop the connection and keep assembling.
-                Ok(_) | Err(_) => {}
-            }
-        }
-        let (mut sup_stream, sup_params) =
-            supervisor.expect("roster loop exits only with a supervisor");
-        let peer_count = u32::try_from(self.participants)
-            .map_err(|_| "participant count exceeds the wire's u32".to_string())?;
-
-        // Welcome phase: participants first (each learns the campaign
-        // params), supervisor last — its welcome doubles as "the grid is
-        // assembled, start assigning".
-        let mut part_links: Vec<TcpLink> = Vec::new();
-        let mut part_controls: Vec<ControlHandle> = Vec::new();
-        for (i, mut stream) in part_streams.into_iter().enumerate() {
-            let welcome = Welcome {
-                peer_index: u32::try_from(i).unwrap_or(u32::MAX),
-                peer_count,
-                params: sup_params.clone(),
-            };
-            send_welcome(&mut stream, &welcome)
-                .map_err(|e| format!("participant {i} welcome failed: {e}"))?;
-            let link = TcpLink::from_stream(stream);
-            part_controls.push(link.control_handle());
-            part_links.push(link);
-        }
-        send_welcome(
-            &mut sup_stream,
-            &Welcome {
-                peer_index: 0,
-                peer_count,
-                params: Vec::new(),
-            },
-        )
-        .map_err(|e| format!("supervisor welcome failed: {e}"))?;
-        let sup_link = TcpLink::from_stream(sup_stream);
-        let sup_control = sup_link.control_handle();
-        let mut broker = Broker::new(sup_link, part_links);
-        let mut joined = self.participants;
-
-        // Pump phase: the polling counterpart of the in-process
-        // `pump_until_closed` (same exit protocol — see that method's
-        // comment). A socket cannot ring a doorbell and the listener must
-        // be polled anyway, so this loop sweeps, with two additions only
-        // a cross-process relay needs: a control-plane sweep forwarding
-        // participant SlotReports up, and a non-blocking accept so late
-        // joiners/reconnects become fresh round-robin targets.
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("listener mode change failed: {e}"))?;
-        let mut outward_drained = false;
-        let mut inward_dead = false;
-        let mut backoff = Backoff::new();
-        loop {
-            let mut progress = false;
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if let Ok((mut stream, hello)) = accept_hello(stream) {
-                        if hello.role == ROLE_PARTICIPANT {
-                            let welcome = Welcome {
-                                peer_index: u32::try_from(broker.participant_count())
-                                    .unwrap_or(u32::MAX),
-                                peer_count,
-                                params: sup_params.clone(),
-                            };
-                            if send_welcome(&mut stream, &welcome).is_ok() {
-                                let link = TcpLink::from_stream(stream);
-                                part_controls.push(link.control_handle());
-                                broker.add_participant(link);
-                                joined += 1;
-                                progress = true;
-                            }
-                        }
-                        // A mid-campaign supervisor dial is dropped: the
-                        // campaign already has one.
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                // Transient accept errors are not the relay's problem.
-                Err(_) => {}
-            }
-            if !outward_drained {
-                match broker.try_relay_outward() {
-                    Ok(true) => progress = true,
-                    Ok(false) => {}
-                    Err(GridError::Disconnected) => outward_drained = true,
-                    // Unroutable mail is dropped, not fatal.
-                    Err(_) => progress = true,
-                }
-            }
-            if !inward_dead {
-                match broker.try_relay_inward() {
-                    Ok(Some(_)) => progress = true,
-                    Ok(None) => {}
-                    Err(GridError::Disconnected) => inward_dead = true,
-                    Err(_) => progress = true,
-                }
-            }
-            // Control sweep: slot reports ride the uncharged control
-            // plane, exactly like the in-process ledger clones ride
-            // outside the message flow.
-            for control in &part_controls {
-                while let Ok(Some(payload)) = control.try_recv() {
-                    let _ = sup_control.send(payload);
-                    progress = true;
-                }
-            }
-            if progress {
-                backoff.reset();
-            } else if outward_drained {
-                // Supervisor gone and its queue drained: returning drops
-                // every participant link, which is what tells the join
-                // processes the campaign is over.
-                return Ok(ServeOutcome {
-                    relay: broker.stats(),
-                    joined,
-                });
-            } else {
-                backoff.wait();
-            }
-        }
+        let GridServer {
+            listener,
+            participants,
+        } = self;
+        // One bell for everything the relay thread waits on: dial-ins
+        // from the acceptor thread now, the links' mail once they exist.
+        let bell = Arc::new(Doorbell::new());
+        let (dial_tx, dials) = mpsc::channel();
+        let acceptor = Acceptor::spawn(listener, Arc::clone(&bell), dial_tx);
+        let outcome = serve(&bell, &dials, participants);
+        acceptor.stop();
+        outcome
     }
+}
+
+/// [`GridServer::run`] between starting the acceptor and stopping it.
+fn serve(
+    bell: &Doorbell,
+    dials: &mpsc::Receiver<Dial>,
+    participants: usize,
+) -> Result<ServeOutcome, String> {
+    // Roster phase: until one supervisor and `participants` participant
+    // processes have said hello, dial-ins are all that can ring.
+    let mut part_streams: Vec<TcpStream> = Vec::new();
+    let mut supervisor: Option<(TcpStream, Vec<u8>)> = None;
+    while part_streams.len() < participants || supervisor.is_none() {
+        let _ = bell.wait();
+        let Ok(dial) = dials.try_recv() else {
+            continue;
+        };
+        let (stream, hello) = dial.map_err(|e| format!("accept failed: {e}"))?;
+        if hello.role == ROLE_PARTICIPANT {
+            // A surplus participant is dropped; it may redial and join
+            // late, once the campaign runs.
+            if part_streams.len() < participants {
+                part_streams.push(stream);
+            }
+        } else if hello.role == ROLE_SUPERVISOR && supervisor.is_none() {
+            supervisor = Some((stream, hello.params));
+        }
+        // A second supervisor or an unknown role: dropped, keep
+        // assembling.
+    }
+    let (mut sup_stream, sup_params) =
+        supervisor.expect("roster loop exits only with a supervisor");
+    let peer_count = u32::try_from(participants)
+        .map_err(|_| "participant count exceeds the wire's u32".to_string())?;
+    let welcome_participant = |index: usize| Welcome {
+        peer_index: u32::try_from(index).unwrap_or(u32::MAX),
+        peer_count,
+        params: sup_params.clone(),
+    };
+
+    // Welcome phase: participants first (each learns the campaign
+    // params), supervisor last — its welcome doubles as "the grid is
+    // assembled, start assigning".
+    let mut part_links: Vec<TcpLink> = Vec::new();
+    let mut part_controls: Vec<ControlHandle> = Vec::new();
+    for (i, mut stream) in part_streams.into_iter().enumerate() {
+        send_welcome(&mut stream, &welcome_participant(i))
+            .map_err(|e| format!("participant {i} welcome failed: {e}"))?;
+        let link = TcpLink::from_stream(stream);
+        part_controls.push(link.control_handle());
+        part_links.push(link);
+    }
+    send_welcome(
+        &mut sup_stream,
+        &Welcome {
+            peer_index: 0,
+            peer_count,
+            params: Vec::new(),
+        },
+    )
+    .map_err(|e| format!("supervisor welcome failed: {e}"))?;
+    let sup_link = TcpLink::from_stream(sup_stream);
+    let sup_control = sup_link.control_handle();
+
+    // Pump phase: the broker's own pump (see `Broker::pump` for the exit
+    // protocol), which sleeps on the bell and serves the link that rang.
+    // This hook adds the two things only a cross-process relay has. A
+    // participant's ring may have announced a control frame: its slot
+    // reports ride the uncharged control plane up to the supervisor,
+    // exactly like the in-process ledger clones ride outside the message
+    // flow. And `DIAL_KEY` announces a late joiner or a reconnect, which
+    // becomes a fresh round-robin target. The pump returning drops every
+    // participant link, which is what tells the join processes the
+    // campaign is over.
+    let relay = Broker::new(sup_link, part_links).pump(bell, |key| {
+        if let Some(control) = part_controls.get(key) {
+            if let Ok(Some(report)) = control.try_recv() {
+                let _ = sup_control.send(report);
+            }
+            return None;
+        }
+        if key != DIAL_KEY {
+            return None;
+        }
+        // Accept errors mid-campaign are not the relay's problem, and a
+        // mid-campaign supervisor dial is dropped: the campaign has one.
+        let (mut stream, hello) = dials.try_recv().ok()?.ok()?;
+        if hello.role != ROLE_PARTICIPANT {
+            return None;
+        }
+        send_welcome(&mut stream, &welcome_participant(part_controls.len())).ok()?;
+        let link = TcpLink::from_stream(stream);
+        part_controls.push(link.control_handle());
+        Some(link)
+    });
+    Ok(ServeOutcome {
+        relay,
+        joined: part_controls.len(),
+    })
 }
 
 /// The `ugc participant join` process body: dials the broker, expands

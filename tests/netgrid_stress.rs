@@ -1,0 +1,156 @@
+//! The cross-process relay under the two things that used to hurt it:
+//! dialers that connect mid-campaign and never finish their hello (the
+//! relay thread once waited out their patience itself), and being run
+//! hundreds of times in one process (every campaign must take all of
+//! its threads, sockets and its listener with it).
+
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::{mpsc, Mutex};
+use std::time::Duration;
+use uncheatable_grid::campaign::{CampaignPlan, FleetParams};
+use uncheatable_grid::core::{
+    run_mixed_fleet, run_mixed_fleet_on, summary_digest, FleetTransport, RemoteGridBackend,
+};
+use uncheatable_grid::grid::tcp::handshake_supervisor;
+use uncheatable_grid::netgrid::{self, GridServer};
+
+/// The scenarios count this process's threads and descriptors, so they
+/// take turns.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// Well inside the server's 10 s hello patience: a relay that waits for
+/// a silent dialer cannot make it.
+const WATCHDOG: Duration = Duration::from_secs(5);
+
+fn params(participants: u64, n: u64, transport: FleetTransport) -> FleetParams {
+    FleetParams {
+        participants,
+        cheaters: 1,
+        n,
+        m: 8,
+        seed: 11,
+        scheme: "cbs".into(),
+        transport,
+        churn: false,
+        chaos_seed: None,
+    }
+}
+
+fn brokered_digest(p: &FleetParams) -> String {
+    let plan = CampaignPlan::new(p.clone()).expect("plan");
+    let members = plan.members();
+    let summary = run_mixed_fleet(
+        plan.task(),
+        plan.screener(),
+        plan.domain(),
+        &members,
+        &plan.mixed_config(None, 0, uncheatable_grid::hash::LaneWidth::default()),
+    )
+    .expect("in-process brokered campaign");
+    summary_digest(&summary)
+}
+
+#[test]
+fn dialers_that_never_finish_their_hello_do_not_stall_a_running_campaign() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let reference = brokered_digest(&params(24, 1920, FleetTransport::Brokered));
+
+    let server = GridServer::bind("127.0.0.1:0", 2).expect("bind");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let (served, serve_done) = mpsc::channel();
+    let serve = std::thread::spawn(move || served.send(server.run()).ok());
+    let joiners: Vec<_> = (0..2)
+        .map(|_| {
+            let addr = addr.clone();
+            std::thread::spawn(move || netgrid::join(&addr))
+        })
+        .collect();
+
+    let p = params(24, 1920, FleetTransport::Remote);
+    let plan = CampaignPlan::new(p.clone()).expect("plan");
+    let stream = netgrid::connect(&addr).expect("supervisor connect");
+    // The welcome says the roster is complete: every dial from here on
+    // lands in the relay's pump phase.
+    let (link, _welcome) = handshake_supervisor(stream, &p.encode()).expect("handshake");
+
+    // One dialer that says nothing, and one that stops mid-hello: a
+    // control-frame header promising 100 bytes, then three of them. Both
+    // stay connected for the rest of the test.
+    let silent = TcpStream::connect(&addr).expect("silent dial");
+    let mut torn = TcpStream::connect(&addr).expect("torn dial");
+    torn.write_all(&(100u32 | 1 << 31).to_le_bytes())
+        .and_then(|()| torn.write_all(&[1, 2, 3]))
+        .expect("torn hello");
+
+    let (tx, rx) = mpsc::channel();
+    let supervisor = std::thread::spawn(move || {
+        let mut backend = RemoteGridBackend::new(link);
+        let members = plan.members();
+        let result = run_mixed_fleet_on(
+            plan.task(),
+            plan.screener(),
+            plan.domain(),
+            &members,
+            &plan.mixed_config(None, 0, uncheatable_grid::hash::LaneWidth::default()),
+            &mut backend,
+        );
+        tx.send(result.map(|s| summary_digest(&s))).ok();
+    });
+    let digest = rx
+        .recv_timeout(WATCHDOG)
+        .expect("the campaign stalled behind a dialer that never said hello")
+        .expect("remote campaign");
+    assert_eq!(digest, reference);
+    supervisor.join().expect("supervisor thread");
+
+    // The server winds down on the supervisor's hang-up without waiting
+    // for the dialer whose hello it is still holding open.
+    let outcome = serve_done
+        .recv_timeout(WATCHDOG)
+        .expect("the server outlived its campaign waiting on a silent dialer")
+        .expect("serve outcome");
+    assert_eq!(outcome.joined, 2);
+    serve.join().expect("serve thread");
+    for joiner in joiners {
+        joiner.join().expect("join thread").expect("join outcome");
+    }
+    drop((silent, torn));
+}
+
+/// This process's thread count and open descriptors, from `/proc`.
+#[cfg(target_os = "linux")]
+fn threads_and_descriptors() -> (u64, usize) {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let threads = status
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .and_then(|count| count.trim().parse().ok())
+        .expect("a Threads: line");
+    let descriptors = std::fs::read_dir("/proc/self/fd")
+        .expect("/proc/self/fd")
+        .count();
+    (threads, descriptors)
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn hundreds_of_remote_campaigns_leave_no_thread_or_descriptor_behind() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let p = params(4, 64, FleetTransport::Remote);
+    let reference = brokered_digest(&params(4, 64, FleetTransport::Brokered));
+    let campaign = || {
+        let summary = netgrid::run_remote_campaign(&p, 2).expect("remote campaign");
+        assert_eq!(summary_digest(&summary), reference);
+    };
+    campaign(); // whatever the process sets up once is set up now
+    let before = threads_and_descriptors();
+    for _ in 0..200 {
+        campaign();
+    }
+    assert_eq!(
+        threads_and_descriptors(),
+        before,
+        "(threads, descriptors) after 200 campaigns: something outlived run_remote_campaign"
+    );
+}
