@@ -185,7 +185,7 @@ fn run_soak(n_per_member: u64) -> FleetSummary {
 /// The PR 5 scheduler-scale campaign: 1000 participant slots — the five
 /// schemes cycling, honest workers, seeded churn — multiplexed over a
 /// fixed [`GridScheduler`](ugc_grid::runtime::GridScheduler) pool behind
-/// the broker. The thread-per-participant runtime could never run this;
+/// the broker. No host could run this on one OS thread per participant;
 /// the work-stealing scheduler (PR 8) runs it on any pool size — and
 /// under any steal-seed victim order — with a bit-identical outcome.
 fn run_scheduler_scale(workers: usize, steal_seed: u64) -> FleetSummary {
@@ -730,10 +730,10 @@ fn main() {
     });
     let _ = std::fs::remove_file(&journal_file);
 
-    // --- PR 4 tentpole: the chaos soak over the thread-per-participant
-    // runtime. Ten participant OS threads, five schemes, seeded faults
-    // and churn; the campaign must replay bit-identically, and its
-    // wall-clock throughput is the soak baseline CI tracks.
+    // --- PR 4 tentpole: the chaos soak. Ten participant slots on the
+    // default scheduler pool, five schemes, seeded faults and churn; the
+    // campaign must replay bit-identically, and its wall-clock
+    // throughput is the soak baseline CI tracks.
     let soak_n: u64 = if quick { 64 } else { 256 };
     let soak = run_soak(soak_n);
     let soak_replay = run_soak(soak_n);

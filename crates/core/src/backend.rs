@@ -21,9 +21,10 @@
 //!
 //! Which backend a fleet uses is configuration
 //! ([`MixedFleetConfig::transport`](crate::MixedFleetConfig)), not code:
-//! `run_mixed_fleet` builds an [`InProcessBackend`] from the config,
-//! while [`run_mixed_fleet_on`](crate::run_mixed_fleet_on) accepts any
-//! backend the embedder connected.
+//! `run_mixed_fleet` and `run_durable_fleet` build an
+//! [`InProcessBackend`] from the config, while
+//! [`run_fleet_on`](crate::run_fleet_on) accepts any backend the embedder
+//! connected.
 
 use crate::engine::{DirectTransport, EngineEvent, EngineTransport};
 use crate::journal::{get_part_result, get_report, put_part_result, put_report};
@@ -251,8 +252,8 @@ pub trait TransportBackend {
     fn close_round(&mut self, slots: usize) -> Result<Vec<SlotReport>, SchemeError>;
 }
 
-/// The in-process backends: participants on threads in this process,
-/// links in memory. Serves [`TransportKind::Direct`] and
+/// The in-process backends: participants on a scheduler pool in this
+/// process, links in memory. Serves [`TransportKind::Direct`] and
 /// [`TransportKind::Brokered`]; any number of rounds.
 #[derive(Debug, Clone, Copy)]
 pub struct InProcessBackend {
@@ -327,7 +328,7 @@ impl TransportBackend for InProcessBackend {
             }
             TransportKind::Remote => Err(SchemeError::InvalidConfig {
                 reason: "the in-process backend cannot serve the remote transport; \
-                         connect a RemoteGridBackend and call run_mixed_fleet_on",
+                         connect a RemoteGridBackend and call run_fleet_on",
             }),
         }
     }

@@ -73,9 +73,9 @@ pub use backend::{
 pub use error::SchemeError;
 pub use journal::{summary_digest, CampaignHeader, DurableCampaign, ResumeReport};
 pub use orchestrator::{
-    chaos_link_id, run_campaign, run_durable_fleet, run_durable_fleet_on, run_fleet,
-    run_fleet_over, run_mixed_fleet, run_mixed_fleet_on, CampaignSummary, FleetConfig, FleetMember,
-    FleetScheme, FleetSummary, FleetTransport, MemberSpec, MixedFleetConfig,
+    chaos_link_id, run_campaign, run_durable_fleet, run_fleet, run_fleet_on, run_mixed_fleet,
+    CampaignSummary, FleetConfig, FleetMember, FleetScheme, FleetSummary, FleetTransport,
+    MemberSpec, MixedFleetConfig,
 };
 pub use outcome::{ParticipantStorage, RoundOutcome, Verdict};
 pub use session::{

@@ -6,14 +6,22 @@
 //! costs into a fleet-level summary. It is the entry point a downstream
 //! project (a SETI@home, a screening grid) would actually call.
 //!
-//! Every round runs on the [`SessionEngine`](crate::engine::SessionEngine):
-//! the supervisor multiplexes one
+//! Every round runs the same way. The supervisor side is one
+//! [`SessionEngine`](crate::engine::SessionEngine) on the calling thread,
+//! multiplexing one
 //! [`VerificationScheme`](crate::session::VerificationScheme) session per
-//! member over either per-participant links
-//! ([`FleetTransport::Direct`]) or one shared link into a relaying
-//! [`Broker`](ugc_grid::Broker) ([`FleetTransport::Brokered`]) — the same
-//! code path either way, and bit-identical verdicts, byte counts and cost
-//! ledgers to the historical one-thread-pair-per-round implementation.
+//! member over whatever the [`TransportBackend`] opened — per-participant
+//! links ([`FleetTransport::Direct`]), one shared link into a relaying
+//! [`Broker`](ugc_grid::Broker) ([`FleetTransport::Brokered`]), or a TCP
+//! link to a broker in another process ([`FleetTransport::Remote`]). The
+//! participant side is every slot the backend hosts locally, each a
+//! poll-driven state machine multiplexed by a
+//! [`GridScheduler`] over a fixed pool of worker threads, so a
+//! thousand-participant campaign runs on as many threads as the host has
+//! cores. Verdicts, byte counts, cost ledgers and the fault log are a
+//! function of the campaign's seeds alone: identical over every
+//! transport class, at any pool size and steal seed, and pinned by the
+//! golden digests in `tests/scheduler_equivalence.rs`.
 
 use crate::backend::{InProcessBackend, OpenRound, RoundSpec, TransportBackend};
 use crate::engine::{SessionEngine, SessionResult};
@@ -26,8 +34,8 @@ use crate::scheme::naive::NaiveScheme;
 use crate::scheme::ni_cbs::NiCbsScheme;
 use crate::scheme::ringer::RingerScheme;
 use crate::session::{
-    drive_participant, step_participant_batch, ParticipantContext, ParticipantSession, SessionPoll,
-    SupervisorContext, VerificationScheme,
+    step_participant_batch, ParticipantContext, ParticipantSession, SessionPoll, SupervisorContext,
+    VerificationScheme,
 };
 use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
 use std::time::{Duration, Instant};
@@ -234,19 +242,17 @@ pub struct MixedFleetConfig {
     /// reassigned to a fresh participant before its error propagates.
     /// Cheating verdicts are never retried.
     pub retries: u32,
-    /// How participant sessions are executed. `None` runs one OS thread
-    /// per participant slot (the PR 4 runtime). `Some(w)` runs every
-    /// slot as a poll-driven state machine multiplexed by a
-    /// [`GridScheduler`] over `w` OS threads — thousands of participants
-    /// on a fixed pool. Verdicts, ledgers and the fault log are
-    /// bit-identical at any setting (`tests/scheduler_equivalence.rs`);
-    /// only the thread count changes.
+    /// Size of the [`GridScheduler`] pool that runs the participant
+    /// slots hosted in this process: `Some(w)` is `w` OS threads, `None`
+    /// one per available core. Execution-only — verdicts, ledgers and the
+    /// fault log are bit-identical at any setting
+    /// (`tests/scheduler_equivalence.rs`).
     pub workers: Option<usize>,
-    /// Seed for the scheduler's work-stealing victim order (used only
-    /// when [`workers`](Self::workers) is set). Scheduling-only: any
-    /// seed produces identical verdicts, fault logs and byte counts —
-    /// the knob exists so tests and the bench divergence gate can
-    /// *prove* that invariant, not to tune throughput.
+    /// Seed for the scheduler's work-stealing victim order.
+    /// Scheduling-only: any seed produces identical verdicts, fault logs
+    /// and byte counts — the knob exists so tests and the bench
+    /// divergence gate can *prove* that invariant, not to tune
+    /// throughput.
     pub steal_seed: u64,
 }
 
@@ -286,12 +292,10 @@ pub struct MemberSpec<'a, H: HashFunction> {
 }
 
 /// Runs one verification round against every behaviour in `fleet`, each on
-/// its own share of `domain` (shares differ in size by at most one input).
-///
-/// All rounds run concurrently through one
-/// [`SessionEngine`](crate::engine::SessionEngine) event loop —
-/// participants on their own threads, sessions multiplexed on the calling
-/// thread — and deterministically per `config.seed`.
+/// its own share of `domain` (shares differ in size by at most one input)
+/// and under `config.scheme` with a seed derived from `config.seed` and
+/// its index — [`run_mixed_fleet`] over direct links for the common case
+/// of one scheme for everyone.
 ///
 /// # Errors
 ///
@@ -303,43 +307,6 @@ pub fn run_fleet<H, T, S, B>(
     domain: Domain,
     fleet: &[B],
     config: &FleetConfig,
-) -> Result<FleetSummary, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    run_fleet_over::<H, T, S, B>(
-        task,
-        screener,
-        domain,
-        fleet,
-        config,
-        FleetTransport::Direct,
-    )
-}
-
-/// [`run_fleet`] with an explicit transport: the same sessions, multiplexed
-/// either over per-participant links or through a relaying broker.
-/// Verdicts and ledgers are identical either way.
-///
-/// Deprecated in favour of setting
-/// [`MixedFleetConfig::transport`] and calling [`run_mixed_fleet`] (or
-/// [`run_mixed_fleet_on`] with a connected backend): transport is
-/// configuration, not a separate entry point. Kept as a thin wrapper for
-/// existing callers.
-///
-/// # Errors
-///
-/// As [`run_fleet`].
-pub fn run_fleet_over<H, T, S, B>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    fleet: &[B],
-    config: &FleetConfig,
-    transport: FleetTransport,
 ) -> Result<FleetSummary, SchemeError>
 where
     H: HashFunction,
@@ -372,7 +339,6 @@ where
         &MixedFleetConfig {
             storage: config.storage,
             parallelism: config.parallelism,
-            transport,
             ..MixedFleetConfig::default()
         },
     )
@@ -381,28 +347,14 @@ where
 /// Runs one verification round for an arbitrary mix of schemes and
 /// behaviours — the full generality of the session engine: every member
 /// gets its own share of `domain`, its own (already seeded) scheme and its
-/// own behaviour(s), and all sessions interleave over one transport, be it
-/// per-participant links or a relaying broker.
-///
-/// Participant execution follows [`MixedFleetConfig::workers`]: one OS
-/// thread per slot by default, or — with a worker count set — every slot
-/// as a poll-driven state machine multiplexed by a
-/// [`GridScheduler`] over that fixed pool (through the
-/// [`ugc_grid::runtime`] harness for the brokered transport), which is
-/// how a thousand-participant campaign runs on four threads. With
-/// [`MixedFleetConfig::chaos`] set, each link is decorated with the
-/// seeded fault plan; sessions that fail under chaos (crashes, timeouts,
-/// scrambled protocol) are *reassigned* — rerun on fresh participants
-/// with fresh fault schedules — up to [`MixedFleetConfig::retries`]
-/// times. The entire campaign, fault log included, replays bit-identically
-/// from the plan's seed — at any worker count.
+/// own behaviour(s), and all sessions interleave over the in-process
+/// transport `config.transport` names, be it per-participant links or a
+/// relaying broker. [`run_fleet_on`] with an [`InProcessBackend`] and no
+/// journal.
 ///
 /// # Errors
 ///
-/// The first protocol error still standing after all retries (cheating is
-/// a rejected member, not an error), or invalid configuration (empty
-/// fleet, unsplittable domain, behaviour count not matching a scheme's
-/// slots).
+/// As [`run_fleet_on`].
 pub fn run_mixed_fleet<H, T, S>(
     task: &T,
     screener: &S,
@@ -416,58 +368,15 @@ where
     S: Screener,
 {
     let mut backend = InProcessBackend::new(config.transport);
-    run_mixed_fleet_inner(task, screener, domain, members, config, None, &mut backend)
+    run_fleet_on(task, screener, domain, members, config, &mut backend, None)
 }
 
-/// [`run_mixed_fleet`] over an explicit [`TransportBackend`] — how a
-/// campaign runs across OS processes: connect a
-/// [`RemoteGridBackend`](crate::RemoteGridBackend) to a `ugc broker
-/// serve` relay and pass it here. The round loop, verdicts, ledgers and
-/// summary digest are the same code and the same bits as the in-process
-/// backends.
+/// [`run_mixed_fleet`] with a write-ahead journal: [`run_fleet_on`] with
+/// an [`InProcessBackend`] and `campaign` as its journal.
 ///
 /// # Errors
 ///
-/// Everything [`run_mixed_fleet`] can raise, plus
-/// [`SchemeError::InvalidConfig`] when `config.transport` disagrees with
-/// `backend.kind()` or the backend cannot serve the configuration (a
-/// remote backend given a chaos plan or a multi-round retry budget it
-/// ends up needing).
-pub fn run_mixed_fleet_on<H, T, S>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    members: &[MemberSpec<'_, H>],
-    config: &MixedFleetConfig,
-    backend: &mut dyn TransportBackend,
-) -> Result<FleetSummary, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-{
-    run_mixed_fleet_inner(task, screener, domain, members, config, None, backend)
-}
-
-/// [`run_mixed_fleet`] with a write-ahead journal: every state transition
-/// is journaled through `campaign` *before* the orchestrator acts on it,
-/// so a killed process resumes from the journal — replaying committed
-/// rounds instead of re-running them — and finishes with verdicts,
-/// attempts, cost ledgers, fault log and summary digest bit-identical to
-/// a never-killed run.
-///
-/// The `campaign` comes from [`DurableCampaign::create`] (fresh) or
-/// [`DurableCampaign::resume`] (picking up a kill). Its header must
-/// describe exactly this call: same fleet shape, domain and
-/// digest-relevant config. A campaign resumed from a *sealed* journal
-/// re-derives its summary without writing anything.
-///
-/// # Errors
-///
-/// Everything [`run_mixed_fleet`] can raise, plus
-/// [`SchemeError::Journal`] when the header does not match this call or
-/// the journal fails mid-campaign (I/O, or an armed
-/// [`CrashPlan`](ugc_journal::CrashPlan) kill point).
+/// As [`run_fleet_on`].
 pub fn run_durable_fleet<H, T, S>(
     task: &T,
     screener: &S,
@@ -482,77 +391,86 @@ where
     S: Screener,
 {
     let mut backend = InProcessBackend::new(config.transport);
-    run_durable_fleet_on(
+    run_fleet_on(
         task,
         screener,
         domain,
         members,
         config,
-        campaign,
         &mut backend,
+        Some(campaign),
     )
 }
 
-/// [`run_durable_fleet`] over an explicit [`TransportBackend`]. Because
-/// the journaled header stores the transport's *digest class* (see
-/// [`CampaignHeader`]), a campaign journaled against the in-process
-/// broker may resume over a remote grid — and vice versa — while a
-/// direct-transport journal refuses both.
+/// Runs a campaign over an explicit [`TransportBackend`] — the one entry
+/// point every fleet runs through, and how a campaign runs across OS
+/// processes: connect a [`RemoteGridBackend`](crate::RemoteGridBackend) to
+/// a `ugc broker serve` relay and pass it here. The round loop, verdicts,
+/// ledgers and summary digest are the same code and the same bits
+/// whatever the backend.
+///
+/// Participant slots the backend hosts in this process run on a
+/// [`GridScheduler`] pool sized by [`MixedFleetConfig::workers`]. With
+/// [`MixedFleetConfig::chaos`] set, each link is decorated with the
+/// seeded fault plan; sessions that fail under chaos (crashes, timeouts,
+/// scrambled protocol) are *reassigned* — rerun on fresh participants
+/// with fresh fault schedules — up to [`MixedFleetConfig::retries`]
+/// times. The entire campaign, fault log included, replays bit-identically
+/// from the plan's seed — at any worker count.
+///
+/// With `durable` set, every state transition is journaled through the
+/// campaign *before* the orchestrator acts on it, so a killed process
+/// resumes from the journal — replaying committed rounds instead of
+/// re-running them — and finishes with verdicts, attempts, cost ledgers,
+/// fault log and summary digest bit-identical to a never-killed run. The
+/// campaign comes from [`DurableCampaign::create`] (fresh) or
+/// [`DurableCampaign::resume`] (picking up a kill), and its header must
+/// describe exactly this call: same fleet shape, domain and
+/// digest-relevant config. Because the header stores the transport's
+/// *digest class* (see [`CampaignHeader`]), a campaign journaled against
+/// the in-process broker may resume over a remote grid — and vice versa —
+/// while a direct-transport journal refuses both. A campaign resumed from
+/// a *sealed* journal re-derives its summary without writing anything.
 ///
 /// # Errors
 ///
-/// As [`run_durable_fleet`] and [`run_mixed_fleet_on`].
-pub fn run_durable_fleet_on<H, T, S>(
+/// The first protocol error still standing after all retries (cheating is
+/// a rejected member, not an error); [`SchemeError::InvalidConfig`] for
+/// an empty fleet, an unsplittable domain, a behaviour count not matching
+/// a scheme's slots, a `config.transport` that disagrees with
+/// `backend.kind()`, or a backend that cannot serve the configuration (a
+/// remote backend given a chaos plan or a multi-round retry budget it
+/// ends up needing); and [`SchemeError::Journal`] when the header does
+/// not match this call or the journal fails mid-campaign (I/O, or an
+/// armed [`CrashPlan`](ugc_journal::CrashPlan) kill point).
+pub fn run_fleet_on<H, T, S>(
     task: &T,
     screener: &S,
     domain: Domain,
     members: &[MemberSpec<'_, H>],
     config: &MixedFleetConfig,
-    campaign: &mut DurableCampaign,
     backend: &mut dyn TransportBackend,
-) -> Result<FleetSummary, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-{
-    let expected =
-        CampaignHeader::for_campaign(members, domain, config, campaign.header().app.clone());
-    if &expected != campaign.header() {
-        return Err(SchemeError::Journal {
-            reason: format!(
-                "journal header does not describe this campaign \
-                 (journaled {:?}, called with {:?})",
-                campaign.header(),
-                expected
-            ),
-        });
-    }
-    run_mixed_fleet_inner(
-        task,
-        screener,
-        domain,
-        members,
-        config,
-        Some(campaign),
-        backend,
-    )
-}
-
-fn run_mixed_fleet_inner<H, T, S>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    members: &[MemberSpec<'_, H>],
-    config: &MixedFleetConfig,
     durable: Option<&mut DurableCampaign>,
-    backend: &mut dyn TransportBackend,
 ) -> Result<FleetSummary, SchemeError>
 where
     H: HashFunction,
     T: ComputeTask,
     S: Screener,
 {
+    if let Some(campaign) = &durable {
+        let expected =
+            CampaignHeader::for_campaign(members, domain, config, campaign.header().app.clone());
+        if &expected != campaign.header() {
+            return Err(SchemeError::Journal {
+                reason: format!(
+                    "journal header does not describe this campaign \
+                     (journaled {:?}, called with {:?})",
+                    campaign.header(),
+                    expected
+                ),
+            });
+        }
+    }
     if config.transport != backend.kind() {
         return Err(SchemeError::InvalidConfig {
             reason: "config.transport disagrees with the connected backend",
@@ -739,7 +657,7 @@ where
         ));
     }
     // Participant-side protocol errors surface only if every supervisor
-    // session succeeded — the legacy `run_*` precedence. Under chaos the
+    // session succeeded — `run_round`'s precedence. Under chaos the
     // injected crashes *are* participant errors, so there they are part of
     // the record (the fault log), not failures.
     if config.chaos.is_none() {
@@ -798,7 +716,7 @@ struct RoundOutput {
 /// queue before handing the worker back. Batching amortises the
 /// run-queue round trip over a burst of queued mail; the value is purely
 /// a latency/fairness trade-off — digests are identical at any budget
-/// (`step_participant_batch` is a loop over the single stepper).
+/// (`step_participant_batch` consumes messages one at a time, in order).
 const STEP_BATCH_BUDGET: usize = 8;
 
 /// One participant slot as a poll-driven task on the grid scheduler's
@@ -862,7 +780,7 @@ impl GridTask for SlotTask<'_> {
 /// supervisor sessions over the engine side the backend produced.
 /// Remote backends open with no local slots; their participants run in
 /// other processes and report back as [`SlotReport`](crate::SlotReport)s.
-#[allow(clippy::too_many_arguments)] // private plumbing under run_mixed_fleet_inner
+#[allow(clippy::too_many_arguments)] // private plumbing under run_fleet_on
 fn run_fleet_round<H, T, S>(
     task: &T,
     screener: &S,
@@ -919,43 +837,6 @@ where
         .flat_map(|(r, (_, member, _))| (0..member.behaviours.len()).map(move |s| (r, s)))
         .collect();
 
-    // One session factory for both transports and both execution models:
-    // build the slot's participant state machine, tagged with its roster
-    // index.
-    let build_slot = |global_slot: usize| {
-        let (r, s) = slot_table[global_slot];
-        let (orig, member, _) = &roster[r];
-        let session = member.scheme.participant_session(ParticipantContext {
-            task,
-            screener,
-            behaviour: member.behaviours[s],
-            storage: config.storage,
-            parallelism: config.parallelism,
-            lanes: config.lanes,
-            ledger: part_ledgers[*orig].clone(),
-        });
-        (r, session)
-    };
-    // Thread-per-participant body (config.workers == None): drive the
-    // session over the blocking loop. The thread owns its link: finishing
-    // (or crashing) drops it, which is what lets a broker pump — and a
-    // supervisor blocked mid-recv — observe the hang-up.
-    let drive_slot = |global_slot: usize, link: &FaultyEndpoint| {
-        let (r, mut session) = build_slot(global_slot);
-        (r, drive_participant(link, session.as_mut()))
-    };
-    // Scheduler body (config.workers == Some(w)): the same session as a
-    // poll-driven task, multiplexed with every other slot over the pool.
-    let make_task = |global_slot: usize, link: FaultyEndpoint| {
-        let (r, session) = build_slot(global_slot);
-        SlotTask {
-            roster_index: r,
-            link: Some(link),
-            session,
-            outcome: None,
-        }
-    };
-
     // One flat routing id per global slot — what a Direct backend
     // registers each supervisor-side endpoint under; relayed backends
     // route by message ids and only need the count.
@@ -994,47 +875,46 @@ where
         }
         (sessions, part_results)
     } else {
-        match config.workers {
-            Some(workers) => {
-                let scheduler = GridScheduler::new(workers).with_steal_seed(config.steal_seed);
-                let tasks: Vec<SlotTask<'_>> = local_links
-                    .into_iter()
-                    .enumerate()
-                    .map(|(global_slot, link)| make_task(global_slot, link))
-                    .collect();
-                let (sessions, tasks) = std::thread::scope(|scope| {
-                    let pool = scope.spawn(move || scheduler.run(tasks));
-                    let sessions = engine.run(&mut engine_side);
-                    // Close the supervisor side so chaos-stalled
-                    // participants observe the hang-up instead of parking
-                    // forever (and so a broker pump winds down).
-                    drop(engine_side);
-                    (sessions, pool.join().expect("scheduler pool panicked"))
-                });
-                (
-                    sessions,
-                    tasks.into_iter().map(SlotTask::into_result).collect(),
-                )
-            }
-            None => std::thread::scope(|scope| {
-                let drive_slot = &drive_slot;
-                let handles: Vec<_> = local_links
-                    .into_iter()
-                    .enumerate()
-                    .map(|(global_slot, link)| scope.spawn(move || drive_slot(global_slot, &link)))
-                    .collect();
-                let sessions = engine.run(&mut engine_side);
-                // Close the supervisor side so chaos-stalled participants
-                // observe the hang-up instead of blocking forever (and so
-                // a broker pump winds down).
-                drop(engine_side);
-                let part_results: Vec<(usize, Result<bool, SchemeError>)> = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fleet participant panicked"))
-                    .collect();
-                (sessions, part_results)
-            }),
-        }
+        let scheduler = config
+            .workers
+            .map_or_else(GridScheduler::available, GridScheduler::new)
+            .with_steal_seed(config.steal_seed);
+        // One scheduler task per local slot: the slot's session state
+        // machine, tagged with its roster index, over its link.
+        let tasks: Vec<SlotTask<'_>> = local_links
+            .into_iter()
+            .zip(&slot_table)
+            .map(|(link, &(r, s))| {
+                let (orig, member, _) = &roster[r];
+                SlotTask {
+                    roster_index: r,
+                    link: Some(link),
+                    session: member.scheme.participant_session(ParticipantContext {
+                        task,
+                        screener,
+                        behaviour: member.behaviours[s],
+                        storage: config.storage,
+                        parallelism: config.parallelism,
+                        lanes: config.lanes,
+                        ledger: part_ledgers[*orig].clone(),
+                    }),
+                    outcome: None,
+                }
+            })
+            .collect();
+        let (sessions, tasks) = std::thread::scope(|scope| {
+            let pool = scope.spawn(move || scheduler.run(tasks));
+            let sessions = engine.run(&mut engine_side);
+            // Close the supervisor side so chaos-stalled participants
+            // observe the hang-up instead of parking forever (and so a
+            // broker pump winds down).
+            drop(engine_side);
+            (sessions, pool.join().expect("scheduler pool panicked"))
+        });
+        (
+            sessions,
+            tasks.into_iter().map(SlotTask::into_result).collect(),
+        )
     };
     if let Some(pump) = pump {
         // Relay counters are diagnostics only; the round's books come
@@ -1446,23 +1326,29 @@ mod tests {
         // rather than deadlocking on the orphaned participant.
         let task = PasswordSearch::with_hidden_password(1, 1);
         let screener = task.match_screener();
-        let fleet = vec![HonestWorker; 2];
+        let honest = HonestWorker;
+        let scheme = FleetScheme::Cbs {
+            samples: 0,
+            report_audit: 0,
+        };
+        let schemes = [scheme.instantiate::<Sha256>(1), scheme.instantiate(2)];
+        let members: Vec<MemberSpec<'_, Sha256>> = schemes
+            .iter()
+            .map(|scheme| MemberSpec {
+                scheme: scheme.as_ref(),
+                behaviours: vec![&honest as &dyn WorkerBehaviour],
+            })
+            .collect();
         for transport in [FleetTransport::Direct, FleetTransport::Brokered] {
-            let err = run_fleet_over::<Sha256, _, _, _>(
+            let err = run_mixed_fleet(
                 &task,
                 &screener,
                 Domain::new(0, 32),
-                &fleet,
-                &FleetConfig {
-                    scheme: FleetScheme::Cbs {
-                        samples: 0,
-                        report_audit: 0,
-                    },
-                    storage: ParticipantStorage::Full,
-                    seed: 1,
-                    parallelism: Parallelism::default(),
+                &members,
+                &MixedFleetConfig {
+                    transport,
+                    ..MixedFleetConfig::default()
                 },
-                transport,
             )
             .unwrap_err();
             assert!(

@@ -20,13 +20,15 @@
 //! counts.
 
 use crate::sampling::draw_samples;
-use crate::scheme::{check_task, materialize, proof_to_wire, verify_sample, Materialized};
+use crate::scheme::{
+    check_task, materialize, proof_to_wire, run_round, verify_sample, Materialized,
+};
 use crate::session::{
-    drive_participant, drive_supervisor, unexpected, Outbound, ParticipantContext,
-    ParticipantSession, SessionOutcome, SupervisorContext, SupervisorSession, VerificationScheme,
+    unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
+    SupervisorContext, SupervisorSession, VerificationScheme,
 };
 use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
-use ugc_grid::{duplex, Assignment, CostLedger, Endpoint, Message, SampleProof, WorkerBehaviour};
+use ugc_grid::{Assignment, CostLedger, Message, SampleProof, WorkerBehaviour};
 use ugc_hash::HashFunction;
 use ugc_merkle::{LaneWidth, MerkleTree, Parallelism, PartialMerkleTree};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
@@ -48,15 +50,6 @@ pub struct CbsConfig {
     /// How many screened reports to audit by recomputation (0 disables;
     /// an extension over the paper — catches the malicious model).
     pub report_audit: usize,
-}
-
-/// What the participant learned from its side of the round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParticipantRun {
-    /// The verdict the supervisor announced.
-    pub accepted: bool,
-    /// Number of screened reports submitted.
-    pub reports_sent: usize,
 }
 
 /// The participant's tree, full or partial, behind one proving interface.
@@ -337,7 +330,6 @@ pub(crate) struct CbsParticipantSession<'a, H: HashFunction> {
     lanes: LaneWidth,
     ledger: CostLedger,
     state: PartState<H>,
-    reports_sent: usize,
 }
 
 impl<'a, H: HashFunction> CbsParticipantSession<'a, H> {
@@ -351,12 +343,7 @@ impl<'a, H: HashFunction> CbsParticipantSession<'a, H> {
             lanes: ctx.lanes,
             ledger: ctx.ledger,
             state: PartState::AwaitAssign,
-            reports_sent: 0,
         }
-    }
-
-    pub(crate) fn reports_sent(&self) -> usize {
-        self.reports_sent
     }
 }
 
@@ -425,7 +412,6 @@ impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
                         &self.ledger,
                     )?);
                 }
-                self.reports_sent = reports.len();
                 let out = vec![
                     Message::Proofs { task_id, proofs },
                     Message::Reports {
@@ -464,128 +450,6 @@ impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
     }
 }
 
-/// Runs the participant side of interactive CBS over `endpoint`, building
-/// the commitment tree with the default parallelism (one thread per
-/// available core); see [`participant_cbs_with`].
-///
-/// # Errors
-///
-/// Transport failures, malformed peer messages, or Merkle errors.
-pub fn participant_cbs<H, T, S, B>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    behaviour: &B,
-    storage: ParticipantStorage,
-    ledger: &CostLedger,
-) -> Result<ParticipantRun, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    participant_cbs_with::<H, T, S, B>(
-        endpoint,
-        task,
-        screener,
-        behaviour,
-        storage,
-        Parallelism::default(),
-        LaneWidth::default(),
-        ledger,
-    )
-}
-
-/// Runs the participant side of interactive CBS over `endpoint`.
-///
-/// A thin wrapper over the session engine's state machine: it builds the
-/// scheme's [`ParticipantSession`] and drives it to completion with
-/// blocking receives (Assign → Commit → Challenge → Proofs → Verdict).
-/// All computation costs are charged to `ledger`; the commitment tree
-/// builds with up to `parallelism` threads and the digest lane width
-/// `lanes` (bit-identical to the serial scalar build at any setting).
-///
-/// # Errors
-///
-/// Transport failures, malformed peer messages, or Merkle errors.
-#[allow(clippy::too_many_arguments)]
-pub fn participant_cbs_with<H, T, S, B>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    behaviour: &B,
-    storage: ParticipantStorage,
-    parallelism: Parallelism,
-    lanes: LaneWidth,
-    ledger: &CostLedger,
-) -> Result<ParticipantRun, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let mut session = CbsParticipantSession::<H>::new(ParticipantContext {
-        task,
-        screener,
-        behaviour,
-        storage,
-        parallelism,
-        lanes,
-        ledger: ledger.clone(),
-    });
-    let accepted = drive_participant(endpoint, &mut session)?;
-    Ok(ParticipantRun {
-        accepted,
-        reports_sent: session.reports_sent(),
-    })
-}
-
-/// Runs the supervisor side of interactive CBS over `endpoint` — a thin
-/// wrapper that drives the scheme's [`SupervisorSession`] to completion
-/// with blocking receives.
-///
-/// Returns the verdict and the screened reports received (reports are kept
-/// even on rejection, for inspection; a production supervisor would
-/// discard them).
-///
-/// # Errors
-///
-/// Transport failures, malformed peer messages, or invalid configuration
-/// (`samples == 0`).
-pub fn supervisor_cbs<H, T, S>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    config: &CbsConfig,
-    ledger: &CostLedger,
-) -> Result<(Verdict, Vec<ScreenReport>), SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-{
-    let scheme = CbsScheme {
-        samples: config.samples,
-        seed: config.seed,
-        report_audit: config.report_audit,
-    };
-    let mut session = VerificationScheme::<H>::supervisor_session(
-        &scheme,
-        SupervisorContext {
-            task,
-            screener,
-            domain,
-            task_ids: vec![config.task_id],
-            ledger: ledger.clone(),
-        },
-    );
-    let outcome = drive_supervisor(&[endpoint], session.as_mut())?;
-    Ok((outcome.verdict, outcome.reports))
-}
-
 /// The supervisor's Step 4 as a standalone building block: checks that
 /// `proofs` answer exactly `samples` against the commitment `root`, that
 /// every claimed `f(x)` is correct, that every reconstruction matches the
@@ -593,8 +457,8 @@ where
 ///
 /// Exposed so custom supervisors — e.g. one behind a
 /// [`Broker`](ugc_grid::Broker) driving many participants over shared
-/// endpoints — can reuse the verification logic outside
-/// [`supervisor_cbs`]/[`supervisor_ni_cbs`](crate::scheme::ni_cbs::supervisor_ni_cbs).
+/// endpoints — can reuse the verification logic outside the scheme's own
+/// supervisor sessions.
 ///
 /// # Errors
 ///
@@ -637,13 +501,14 @@ pub fn verify_round<H: HashFunction>(
     Ok(Verdict::Accepted)
 }
 
-/// Runs a complete interactive CBS round in-process with the default
-/// tree-build parallelism (one thread per available core); see
-/// [`run_cbs_with`].
+/// Runs a complete interactive CBS round in-process — [`run_round`] over
+/// a [`CbsScheme`] built from `config`, the participant's commitment tree
+/// building with the default parallelism (one thread per available core)
+/// and digest lane width. Returns full cost and traffic accounting.
 ///
 /// # Errors
 ///
-/// As [`run_cbs_with`].
+/// As [`run_round`].
 pub fn run_cbs<H, T, S, B>(
     task: &T,
     screener: &S,
@@ -658,84 +523,21 @@ where
     S: Screener,
     B: WorkerBehaviour,
 {
-    run_cbs_with::<H, T, S, B>(
+    run_round::<H>(
+        &CbsScheme {
+            samples: config.samples,
+            seed: config.seed,
+            report_audit: config.report_audit,
+        },
         task,
         screener,
         domain,
-        behaviour,
+        &[behaviour],
+        config.task_id,
         storage,
         Parallelism::default(),
         LaneWidth::default(),
-        config,
     )
-}
-
-/// Runs a complete interactive CBS round in-process: supervisor on the
-/// calling thread, participant on a scoped thread, duplex link between
-/// them. The participant's commitment tree builds with up to
-/// `parallelism` threads and the digest lane width `lanes`. Returns full
-/// cost and traffic accounting.
-///
-/// # Errors
-///
-/// Propagates the supervisor's error if both sides fail (the participant's
-/// failure is almost always a consequence).
-#[allow(clippy::too_many_arguments)]
-pub fn run_cbs_with<H, T, S, B>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    behaviour: &B,
-    storage: ParticipantStorage,
-    parallelism: Parallelism,
-    lanes: LaneWidth,
-    config: &CbsConfig,
-) -> Result<RoundOutcome, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let (sup_ep, part_ep) = duplex();
-    let sup_ledger = CostLedger::new();
-    let part_ledger = CostLedger::new();
-
-    let (sup_result, part_result, link) = std::thread::scope(|scope| {
-        // The participant owns its endpoint so that an early exit (error or
-        // completion) drops it and unblocks a supervisor mid-recv.
-        let thread_ledger = part_ledger.clone();
-        let part_handle = scope.spawn(move || {
-            participant_cbs_with::<H, T, S, B>(
-                &part_ep,
-                task,
-                screener,
-                behaviour,
-                storage,
-                parallelism,
-                lanes,
-                &thread_ledger,
-            )
-        });
-        let sup = supervisor_cbs::<H, T, S>(&sup_ep, task, screener, domain, config, &sup_ledger);
-        let link = sup_ep.stats();
-        // Drop the supervisor endpoint before joining: if the supervisor
-        // bailed early the participant is still blocked on recv and must
-        // observe the disconnect, or this join would deadlock.
-        drop(sup_ep);
-        let part = part_handle.join().expect("participant thread panicked");
-        (sup, part, link)
-    });
-
-    let (verdict, reports) = sup_result?;
-    let _ = part_result?; // participant errors surface only if supervisor succeeded
-    Ok(RoundOutcome::new(
-        verdict,
-        sup_ledger.report(),
-        part_ledger.report(),
-        link,
-        reports,
-    ))
 }
 
 #[cfg(test)]
@@ -753,6 +555,33 @@ mod tests {
             seed,
             report_audit: 0,
         }
+    }
+
+    /// One honest full-storage round of `config(8, 3)` through the
+    /// generic driver, with explicit execution knobs.
+    fn honest_round(
+        task: &PasswordSearch,
+        domain: Domain,
+        parallelism: Parallelism,
+        lanes: LaneWidth,
+    ) -> RoundOutcome {
+        let config = config(8, 3);
+        run_round::<Sha256>(
+            &CbsScheme {
+                samples: config.samples,
+                seed: config.seed,
+                report_audit: config.report_audit,
+            },
+            task,
+            &task.match_screener(),
+            domain,
+            &[&HonestWorker],
+            config.task_id,
+            ParticipantStorage::Full,
+            parallelism,
+            lanes,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -881,36 +710,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_tree_build_wired_through_run_cbs_with() {
+    fn parallel_tree_build_wired_through_run_round() {
         // Domain ≥ PARALLEL_BUILD_MIN_LEAVES with >1 thread takes the
         // parallel branch of ParticipantTree::build; the verdict and the
         // total hash count must match the serial round, while the wall
         // accounting must show the split.
         let task = PasswordSearch::with_hidden_password(4, 99);
-        let screener = task.match_screener();
         let domain = Domain::new(0, PARALLEL_BUILD_MIN_LEAVES as u64 * 2);
-        let serial = run_cbs_with::<Sha256, _, _, _>(
-            &task,
-            &screener,
-            domain,
-            &HonestWorker,
-            ParticipantStorage::Full,
-            Parallelism::serial(),
-            LaneWidth::default(),
-            &config(8, 3),
-        )
-        .unwrap();
-        let parallel = run_cbs_with::<Sha256, _, _, _>(
-            &task,
-            &screener,
-            domain,
-            &HonestWorker,
-            ParticipantStorage::Full,
-            Parallelism::threads(4),
-            LaneWidth::default(),
-            &config(8, 3),
-        )
-        .unwrap();
+        let serial = honest_round(&task, domain, Parallelism::serial(), LaneWidth::default());
+        let parallel = honest_round(&task, domain, Parallelism::threads(4), LaneWidth::default());
         assert!(serial.accepted && parallel.accepted);
         assert_eq!(
             serial.participant_costs.hash_ops, parallel.participant_costs.hash_ops,
@@ -933,30 +741,14 @@ mod tests {
         // LaneWidth is execution-only: accounting and verdict are
         // identical at every width, serial or parallel.
         let task = PasswordSearch::with_hidden_password(4, 17);
-        let screener = task.match_screener();
-        let reference = run_cbs_with::<Sha256, _, _, _>(
+        let reference = honest_round(
             &task,
-            &screener,
             Domain::new(0, 300),
-            &HonestWorker,
-            ParticipantStorage::Full,
             Parallelism::serial(),
             LaneWidth::Scalar,
-            &config(8, 3),
-        )
-        .unwrap();
+        );
         for lanes in [LaneWidth::X4, LaneWidth::X8] {
-            let outcome = run_cbs_with::<Sha256, _, _, _>(
-                &task,
-                &screener,
-                Domain::new(0, 300),
-                &HonestWorker,
-                ParticipantStorage::Full,
-                Parallelism::serial(),
-                lanes,
-                &config(8, 3),
-            )
-            .unwrap();
+            let outcome = honest_round(&task, Domain::new(0, 300), Parallelism::serial(), lanes);
             assert_eq!(outcome.verdict, reference.verdict, "lanes {lanes}");
             assert_eq!(
                 outcome.participant_costs, reference.participant_costs,

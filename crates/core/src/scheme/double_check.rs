@@ -5,16 +5,17 @@
 //! wasted on redundancy*, and the supervisor still absorbs two `O(n)`
 //! uploads. This is the baseline that motivates everything else.
 
-use crate::scheme::check_task;
 use crate::scheme::naive::FlatUploadParticipantSession;
+use crate::scheme::{check_task, run_round};
 use crate::session::{
-    drive_participant, drive_supervisor, unexpected, Outbound, ParticipantContext,
-    ParticipantSession, SessionOutcome, SupervisorContext, SupervisorSession, VerificationScheme,
+    unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
+    SupervisorContext, SupervisorSession, VerificationScheme,
 };
-use crate::{RoundOutcome, SchemeError, Verdict};
-use ugc_grid::{duplex, Assignment, CostLedger, Endpoint, Message, WorkerBehaviour};
+use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
+use ugc_grid::{Assignment, CostLedger, Message, WorkerBehaviour};
 use ugc_hash::HashFunction;
-use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
+use ugc_merkle::{LaneWidth, Parallelism};
+use ugc_task::{ComputeTask, Domain, Screener};
 
 /// Double-check parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,81 +204,16 @@ impl SupervisorSession for DoubleCheckSupervisorSession<'_> {
     }
 }
 
-/// Runs the replica (participant) side: evaluate and upload everything. A
-/// thin wrapper driving the shared flat-upload [`ParticipantSession`].
-///
-/// # Errors
-///
-/// Transport failures or malformed peer messages.
-pub fn participant_double_check<T, S, B>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    behaviour: &B,
-    ledger: &CostLedger,
-) -> Result<bool, SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let mut session = FlatUploadParticipantSession::new(ParticipantContext {
-        task,
-        screener,
-        behaviour,
-        storage: crate::ParticipantStorage::Full,
-        parallelism: ugc_merkle::Parallelism::serial(),
-        lanes: ugc_merkle::LaneWidth::default(),
-        ledger: ledger.clone(),
-    });
-    drive_participant(endpoint, &mut session)
-}
-
-/// Runs the supervisor against two replicas: assign the same domain to
-/// both, compare their uploads byte-for-byte, screen the agreed results.
-/// A thin wrapper driving the scheme's two-slot [`SupervisorSession`]
-/// over the pair of endpoints.
-///
-/// # Errors
-///
-/// Transport failures or malformed peer messages.
-pub fn supervisor_double_check<T, S>(
-    endpoint_a: &Endpoint,
-    endpoint_b: &Endpoint,
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    config: &DoubleCheckConfig,
-    ledger: &CostLedger,
-) -> Result<(Verdict, Vec<ScreenReport>), SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-{
-    let scheme = DoubleCheckScheme;
-    let mut session = VerificationScheme::<ugc_hash::Sha256>::supervisor_session(
-        &scheme,
-        SupervisorContext {
-            task,
-            screener,
-            domain,
-            task_ids: vec![config.task_id; 2],
-            ledger: ledger.clone(),
-        },
-    );
-    let outcome = drive_supervisor(&[endpoint_a, endpoint_b], session.as_mut())?;
-    Ok((outcome.verdict, outcome.reports))
-}
-
-/// Runs a complete double-check round: two replicas on scoped threads.
+/// Runs a complete double-check round in-process — [`run_round`] over
+/// the [`DoubleCheckScheme`], one replica per behaviour.
 ///
 /// The returned outcome's `participant_costs` is the **sum over both
 /// replicas** — the paper's point is precisely that this doubles the spent
-/// cycles.
+/// cycles — and its `supervisor_link` the sum over both uploads.
 ///
 /// # Errors
 ///
-/// Propagates the supervisor's error if multiple sides fail.
+/// As [`run_round`].
 pub fn run_double_check<T, S, BA, BB>(
     task: &T,
     screener: &S,
@@ -292,49 +228,19 @@ where
     BA: WorkerBehaviour,
     BB: WorkerBehaviour,
 {
-    let (sup_a, part_a) = duplex();
-    let (sup_b, part_b) = duplex();
-    let sup_ledger = CostLedger::new();
-    let part_ledger = CostLedger::new(); // shared: we want the total burn
-
-    let (sup_result, a_result, b_result, link) = std::thread::scope(|scope| {
-        // Each replica owns its endpoint so an early exit unblocks the
-        // supervisor mid-recv.
-        let ledger_a = part_ledger.clone();
-        let ledger_b = part_ledger.clone();
-        let handle_a = scope
-            .spawn(move || participant_double_check(&part_a, task, screener, replica_a, &ledger_a));
-        let handle_b = scope
-            .spawn(move || participant_double_check(&part_b, task, screener, replica_b, &ledger_b));
-        let sup =
-            supervisor_double_check(&sup_a, &sup_b, task, screener, domain, config, &sup_ledger);
-        let mut link = sup_a.stats();
-        let b_stats = sup_b.stats();
-        link.bytes_sent += b_stats.bytes_sent;
-        link.bytes_received += b_stats.bytes_received;
-        link.messages_sent += b_stats.messages_sent;
-        link.messages_received += b_stats.messages_received;
-        // Unblock waiting replicas if the supervisor bailed early.
-        drop(sup_a);
-        drop(sup_b);
-        (
-            sup,
-            handle_a.join().expect("replica A panicked"),
-            handle_b.join().expect("replica B panicked"),
-            link,
-        )
-    });
-
-    let (verdict, reports) = sup_result?;
-    let _ = a_result?;
-    let _ = b_result?;
-    Ok(RoundOutcome::new(
-        verdict,
-        sup_ledger.report(),
-        part_ledger.report(),
-        link,
-        reports,
-    ))
+    // The scheme is hash-free; instantiate its trait face with any digest.
+    // It builds no tree either, so the tree knobs are inert.
+    run_round::<ugc_hash::Sha256>(
+        &DoubleCheckScheme,
+        task,
+        screener,
+        domain,
+        &[replica_a, replica_b],
+        config.task_id,
+        ParticipantStorage::Full,
+        Parallelism::serial(),
+        LaneWidth::default(),
+    )
 }
 
 #[cfg(test)]

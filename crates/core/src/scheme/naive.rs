@@ -7,14 +7,15 @@
 //! the communication experiments measure.
 
 use crate::sampling::draw_samples;
-use crate::scheme::{check_task, materialize, Materialized};
+use crate::scheme::{check_task, materialize, run_round, Materialized};
 use crate::session::{
-    drive_participant, drive_supervisor, unexpected, Outbound, ParticipantContext,
-    ParticipantSession, SessionOutcome, SupervisorContext, SupervisorSession, VerificationScheme,
+    unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
+    SupervisorContext, SupervisorSession, VerificationScheme,
 };
-use crate::{RoundOutcome, SchemeError, Verdict};
-use ugc_grid::{duplex, Assignment, CostLedger, Endpoint, Message, WorkerBehaviour};
+use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
+use ugc_grid::{Assignment, CostLedger, Message, WorkerBehaviour};
 use ugc_hash::HashFunction;
+use ugc_merkle::{LaneWidth, Parallelism};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 
 /// Naive-sampling parameters.
@@ -268,79 +269,12 @@ impl ParticipantSession for FlatUploadParticipantSession<'_> {
     }
 }
 
-/// Runs the participant side: evaluate and upload every result. A thin
-/// wrapper driving the shared flat-upload [`ParticipantSession`].
+/// Runs a complete naive-sampling round in-process — [`run_round`] over
+/// a [`NaiveScheme`] built from `config`.
 ///
 /// # Errors
 ///
-/// Transport failures or malformed peer messages.
-pub fn participant_naive<T, S, B>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    behaviour: &B,
-    ledger: &CostLedger,
-) -> Result<bool, SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let mut session = FlatUploadParticipantSession::new(ParticipantContext {
-        task,
-        screener,
-        behaviour,
-        storage: crate::ParticipantStorage::Full,
-        parallelism: ugc_merkle::Parallelism::serial(),
-        lanes: ugc_merkle::LaneWidth::default(),
-        ledger: ledger.clone(),
-    });
-    drive_participant(endpoint, &mut session)
-}
-
-/// Runs the supervisor side: receive the flat upload, spot-check `m`
-/// samples by recomputation, screen the (verified) results itself. A thin
-/// wrapper driving the scheme's [`SupervisorSession`].
-///
-/// # Errors
-///
-/// Transport failures, malformed peer messages, or invalid configuration.
-pub fn supervisor_naive<T, S>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    config: &NaiveConfig,
-    ledger: &CostLedger,
-) -> Result<(Verdict, Vec<ScreenReport>), SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-{
-    let scheme = NaiveScheme {
-        samples: config.samples,
-        seed: config.seed,
-    };
-    // The scheme is hash-free; instantiate its trait face with any digest.
-    let mut session = VerificationScheme::<ugc_hash::Sha256>::supervisor_session(
-        &scheme,
-        SupervisorContext {
-            task,
-            screener,
-            domain,
-            task_ids: vec![config.task_id],
-            ledger: ledger.clone(),
-        },
-    );
-    let outcome = drive_supervisor(&[endpoint], session.as_mut())?;
-    Ok((outcome.verdict, outcome.reports))
-}
-
-/// Runs a complete naive-sampling round in-process.
-///
-/// # Errors
-///
-/// Propagates the supervisor's error if both sides fail.
+/// As [`run_round`].
 pub fn run_naive<T, S, B>(
     task: &T,
     screener: &S,
@@ -353,39 +287,29 @@ where
     S: Screener,
     B: WorkerBehaviour,
 {
-    let (sup_ep, part_ep) = duplex();
-    let sup_ledger = CostLedger::new();
-    let part_ledger = CostLedger::new();
-
-    let (sup_result, part_result, link) = std::thread::scope(|scope| {
-        // The participant owns its endpoint so that an early exit (error or
-        // completion) drops it and unblocks a supervisor mid-recv.
-        let thread_ledger = part_ledger.clone();
-        let part_handle = scope
-            .spawn(move || participant_naive(&part_ep, task, screener, behaviour, &thread_ledger));
-        let sup = supervisor_naive(&sup_ep, task, screener, domain, config, &sup_ledger);
-        let link = sup_ep.stats();
-        // Unblock a waiting participant if the supervisor bailed early.
-        drop(sup_ep);
-        let part = part_handle.join().expect("participant thread panicked");
-        (sup, part, link)
-    });
-
-    let (verdict, reports) = sup_result?;
-    let _ = part_result?;
-    Ok(RoundOutcome::new(
-        verdict,
-        sup_ledger.report(),
-        part_ledger.report(),
-        link,
-        reports,
-    ))
+    // The scheme is hash-free; instantiate its trait face with any digest.
+    // It builds no tree either, so the tree knobs are inert.
+    run_round::<ugc_hash::Sha256>(
+        &NaiveScheme {
+            samples: config.samples,
+            seed: config.seed,
+        },
+        task,
+        screener,
+        domain,
+        &[behaviour],
+        config.task_id,
+        ParticipantStorage::Full,
+        Parallelism::serial(),
+        LaneWidth::default(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugc_grid::{CheatSelection, HonestWorker, SemiHonestCheater};
+    use crate::session::drive_supervisor;
+    use ugc_grid::{duplex, CheatSelection, HonestWorker, SemiHonestCheater};
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::ZeroGuesser;
 
@@ -461,7 +385,6 @@ mod tests {
         let task = PasswordSearch::with_hidden_password(3, 1);
         let domain = Domain::new(0, 16);
         let (sup_ep, part_ep) = duplex();
-        let ledger = CostLedger::new();
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 let _ = part_ep.recv();
@@ -474,8 +397,21 @@ mod tests {
                     .unwrap();
             });
             let screener = task.match_screener();
-            let err = supervisor_naive(&sup_ep, &task, &screener, domain, &config(4, 1), &ledger)
-                .unwrap_err();
+            let scheme = NaiveScheme {
+                samples: 4,
+                seed: 1,
+            };
+            let mut session = VerificationScheme::<ugc_hash::Sha256>::supervisor_session(
+                &scheme,
+                SupervisorContext {
+                    task: &task,
+                    screener: &screener,
+                    domain,
+                    task_ids: vec![2],
+                    ledger: CostLedger::new(),
+                },
+            );
+            let err = drive_supervisor(&[&sup_ep], session.as_mut()).unwrap_err();
             assert_eq!(
                 err,
                 SchemeError::MalformedPayload {

@@ -15,16 +15,13 @@
 
 use crate::sampling::{derive_samples, derive_until_outside};
 use crate::scheme::cbs::{verify_round, ParticipantTree};
-use crate::scheme::{check_task, materialize, Materialized};
+use crate::scheme::{check_task, materialize, run_round, Materialized};
 use crate::session::{
-    drive_participant, drive_supervisor, unexpected, Outbound, ParticipantContext,
-    ParticipantSession, SessionOutcome, SupervisorContext, SupervisorSession, VerificationScheme,
+    unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
+    SupervisorContext, SupervisorSession, VerificationScheme,
 };
 use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
-use ugc_grid::{
-    duplex, Assignment, CostLedger, Endpoint, Message, SampleProof, SemiHonestCheater,
-    WorkerBehaviour,
-};
+use ugc_grid::{Assignment, CostLedger, Message, SampleProof, SemiHonestCheater, WorkerBehaviour};
 use ugc_hash::{HashFunction, IteratedHash};
 use ugc_merkle::{LaneWidth, MerkleTree, Parallelism};
 use ugc_task::{ComputeTask, Domain, Guesser, ScreenReport, Screener};
@@ -327,136 +324,14 @@ impl<H: HashFunction> ParticipantSession for NiCbsParticipantSession<'_, H> {
     }
 }
 
-/// Runs the participant side of NI-CBS with the default tree-build
-/// parallelism (one thread per available core); see
-/// [`participant_ni_cbs_with`].
+/// Runs a complete NI-CBS round in-process — [`run_round`] over an
+/// [`NiCbsScheme`] built from `config`, the participant's commitment tree
+/// building with the default parallelism (one thread per available core)
+/// and digest lane width.
 ///
 /// # Errors
 ///
-/// Transport failures, malformed peer messages, or Merkle errors.
-pub fn participant_ni_cbs<H, T, S, B>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    behaviour: &B,
-    storage: ParticipantStorage,
-    config: &NiCbsConfig,
-    ledger: &CostLedger,
-) -> Result<bool, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    participant_ni_cbs_with::<H, T, S, B>(
-        endpoint,
-        task,
-        screener,
-        behaviour,
-        storage,
-        Parallelism::default(),
-        LaneWidth::default(),
-        config,
-        ledger,
-    )
-}
-
-/// Runs the participant side of NI-CBS: evaluate, commit, self-derive
-/// samples, prove, ship everything in one shot. A thin wrapper that
-/// drives the scheme's [`ParticipantSession`] over blocking receives; the
-/// commitment tree builds with up to `parallelism` threads (bit-identical
-/// to serial).
-///
-/// # Errors
-///
-/// Transport failures, malformed peer messages, or Merkle errors.
-#[allow(clippy::too_many_arguments)]
-pub fn participant_ni_cbs_with<H, T, S, B>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    behaviour: &B,
-    storage: ParticipantStorage,
-    parallelism: Parallelism,
-    lanes: LaneWidth,
-    config: &NiCbsConfig,
-    ledger: &CostLedger,
-) -> Result<bool, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let scheme = NiCbsScheme {
-        samples: config.samples,
-        g_iterations: config.g_iterations,
-        report_audit: config.report_audit,
-        audit_seed: config.audit_seed,
-    };
-    let mut session = VerificationScheme::<H>::participant_session(
-        &scheme,
-        ParticipantContext {
-            task,
-            screener,
-            behaviour,
-            storage,
-            parallelism,
-            lanes,
-            ledger: ledger.clone(),
-        },
-    );
-    drive_participant(endpoint, session.as_mut())
-}
-
-/// Runs the supervisor side of NI-CBS: assign, receive the single-shot
-/// commitment, re-derive the samples from the root, verify. A thin
-/// wrapper that drives the scheme's [`SupervisorSession`] over blocking
-/// receives.
-///
-/// # Errors
-///
-/// Transport failures, malformed peer messages, or invalid configuration.
-pub fn supervisor_ni_cbs<H, T, S>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    config: &NiCbsConfig,
-    ledger: &CostLedger,
-) -> Result<(Verdict, Vec<ScreenReport>), SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-{
-    let scheme = NiCbsScheme {
-        samples: config.samples,
-        g_iterations: config.g_iterations,
-        report_audit: config.report_audit,
-        audit_seed: config.audit_seed,
-    };
-    let mut session = VerificationScheme::<H>::supervisor_session(
-        &scheme,
-        SupervisorContext {
-            task,
-            screener,
-            domain,
-            task_ids: vec![config.task_id],
-            ledger: ledger.clone(),
-        },
-    );
-    let outcome = drive_supervisor(&[endpoint], session.as_mut())?;
-    Ok((outcome.verdict, outcome.reports))
-}
-
-/// Runs a complete NI-CBS round in-process with the default tree-build
-/// parallelism (one thread per available core); see [`run_ni_cbs_with`].
-///
-/// # Errors
-///
-/// As [`run_ni_cbs_with`].
+/// As [`run_round`].
 pub fn run_ni_cbs<H, T, S, B>(
     task: &T,
     screener: &S,
@@ -471,82 +346,22 @@ where
     S: Screener,
     B: WorkerBehaviour,
 {
-    run_ni_cbs_with::<H, T, S, B>(
+    run_round::<H>(
+        &NiCbsScheme {
+            samples: config.samples,
+            g_iterations: config.g_iterations,
+            report_audit: config.report_audit,
+            audit_seed: config.audit_seed,
+        },
         task,
         screener,
         domain,
-        behaviour,
+        &[behaviour],
+        config.task_id,
         storage,
         Parallelism::default(),
         LaneWidth::default(),
-        config,
     )
-}
-
-/// Runs a complete NI-CBS round in-process (supervisor + scoped-thread
-/// participant over a duplex link); the participant's commitment tree
-/// builds with up to `parallelism` threads and the digest lane width
-/// `lanes`.
-///
-/// # Errors
-///
-/// Propagates the supervisor's error if both sides fail.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ni_cbs_with<H, T, S, B>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    behaviour: &B,
-    storage: ParticipantStorage,
-    parallelism: Parallelism,
-    lanes: LaneWidth,
-    config: &NiCbsConfig,
-) -> Result<RoundOutcome, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let (sup_ep, part_ep) = duplex();
-    let sup_ledger = CostLedger::new();
-    let part_ledger = CostLedger::new();
-
-    let (sup_result, part_result, link) = std::thread::scope(|scope| {
-        // The participant owns its endpoint so that an early exit (error or
-        // completion) drops it and unblocks a supervisor mid-recv.
-        let thread_ledger = part_ledger.clone();
-        let part_handle = scope.spawn(move || {
-            participant_ni_cbs_with::<H, T, S, B>(
-                &part_ep,
-                task,
-                screener,
-                behaviour,
-                storage,
-                parallelism,
-                lanes,
-                config,
-                &thread_ledger,
-            )
-        });
-        let sup =
-            supervisor_ni_cbs::<H, T, S>(&sup_ep, task, screener, domain, config, &sup_ledger);
-        let link = sup_ep.stats();
-        // Unblock a waiting participant if the supervisor bailed early.
-        drop(sup_ep);
-        let part = part_handle.join().expect("participant thread panicked");
-        (sup, part, link)
-    });
-
-    let (verdict, reports) = sup_result?;
-    let _ = part_result?;
-    Ok(RoundOutcome::new(
-        verdict,
-        sup_ledger.report(),
-        part_ledger.report(),
-        link,
-        reports,
-    ))
 }
 
 /// Configuration of the Section 4.2 retry attack.
@@ -682,7 +497,8 @@ where
 mod tests {
     use super::*;
     use crate::analysis;
-    use ugc_grid::{CheatSelection, HonestWorker};
+    use crate::session::drive_supervisor;
+    use ugc_grid::{duplex, CheatSelection, HonestWorker};
     use ugc_hash::{Md5, Sha256};
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::ZeroGuesser;
@@ -798,12 +614,26 @@ mod tests {
         let task = PasswordSearch::with_hidden_password(5, 9);
         let domain = Domain::new(0, 64);
         let (sup_ep, part_ep) = duplex();
-        let ledger = CostLedger::new();
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 let screener = task.match_screener();
-                let cfg = config(4);
-                supervisor_ni_cbs::<Sha256, _, _>(&sup_ep, &task, &screener, domain, &cfg, &ledger)
+                let scheme = NiCbsScheme {
+                    samples: 4,
+                    g_iterations: 1,
+                    report_audit: 0,
+                    audit_seed: 0,
+                };
+                let mut session = VerificationScheme::<Sha256>::supervisor_session(
+                    &scheme,
+                    SupervisorContext {
+                        task: &task,
+                        screener: &screener,
+                        domain,
+                        task_ids: vec![3],
+                        ledger: CostLedger::new(),
+                    },
+                );
+                drive_supervisor(&[&sup_ep], session.as_mut())
             });
             // Forging participant: commits honestly but proves samples 0..4.
             let Message::Assign(a) = part_ep.recv().unwrap() else {

@@ -12,17 +12,18 @@
 //! tests): it only works for one-way `f`, and the supervisor pays `d`
 //! full evaluations per participant up front.
 
-use crate::scheme::{check_task, materialize, Materialized};
+use crate::scheme::{check_task, materialize, run_round, Materialized};
 use crate::session::{
-    drive_participant, drive_supervisor, unexpected, Outbound, ParticipantContext,
-    ParticipantSession, SessionOutcome, SupervisorContext, SupervisorSession, VerificationScheme,
+    unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
+    SupervisorContext, SupervisorSession, VerificationScheme,
 };
-use crate::{RoundOutcome, SchemeError, Verdict};
+use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use ugc_grid::{duplex, Assignment, CostLedger, Endpoint, Message, WorkerBehaviour};
+use ugc_grid::{Assignment, CostLedger, Message, WorkerBehaviour};
 use ugc_hash::HashFunction;
+use ugc_merkle::{LaneWidth, Parallelism};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 
 /// Ringer-scheme parameters.
@@ -287,76 +288,13 @@ impl ParticipantSession for RingerParticipantSession<'_> {
     }
 }
 
-/// Runs the participant side: evaluate the domain, report any result that
-/// matches a ringer, plus the screened results. A thin wrapper driving
-/// the scheme's [`ParticipantSession`].
+/// Runs a complete ringer round in-process — [`run_round`] over a
+/// [`RingerScheme`] built from `config`.
 ///
 /// # Errors
 ///
-/// Transport failures or malformed peer messages.
-pub fn participant_ringer<T, S, B>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    behaviour: &B,
-    ledger: &CostLedger,
-) -> Result<bool, SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let mut session = RingerParticipantSession {
-        task,
-        screener,
-        behaviour,
-        ledger: ledger.clone(),
-        state: PartState::AwaitAssign,
-    };
-    drive_participant(endpoint, &mut session)
-}
-
-/// Runs the supervisor side: plant `d` secret ringers, check they all come
-/// back.
-///
-/// # Errors
-///
-/// Transport failures, malformed peer messages, or invalid configuration
-/// (more ringers than domain inputs, or zero ringers).
-pub fn supervisor_ringer<T, S>(
-    endpoint: &Endpoint,
-    task: &T,
-    _screener: &S,
-    domain: Domain,
-    config: &RingerConfig,
-    ledger: &CostLedger,
-) -> Result<(Verdict, Vec<ScreenReport>), SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-{
-    let scheme = RingerScheme {
-        ringers: config.ringers,
-        seed: config.seed,
-    };
-    let mut session = RingerSupervisorSession {
-        scheme,
-        task_id: config.task_id,
-        task,
-        domain,
-        ledger: ledger.clone(),
-        state: SupState::NotStarted,
-        outcome: None,
-    };
-    let outcome = drive_supervisor(&[endpoint], &mut session)?;
-    Ok((outcome.verdict, outcome.reports))
-}
-
-/// Runs a complete ringer round in-process.
-///
-/// # Errors
-///
-/// Propagates the supervisor's error if both sides fail.
+/// As [`run_round`]; the configuration is invalid with zero ringers or
+/// more ringers than domain inputs.
 pub fn run_ringer<T, S, B>(
     task: &T,
     screener: &S,
@@ -369,39 +307,29 @@ where
     S: Screener,
     B: WorkerBehaviour,
 {
-    let (sup_ep, part_ep) = duplex();
-    let sup_ledger = CostLedger::new();
-    let part_ledger = CostLedger::new();
-
-    let (sup_result, part_result, link) = std::thread::scope(|scope| {
-        // The participant owns its endpoint so that an early exit (error or
-        // completion) drops it and unblocks a supervisor mid-recv.
-        let thread_ledger = part_ledger.clone();
-        let part_handle = scope
-            .spawn(move || participant_ringer(&part_ep, task, screener, behaviour, &thread_ledger));
-        let sup = supervisor_ringer(&sup_ep, task, screener, domain, config, &sup_ledger);
-        let link = sup_ep.stats();
-        // Unblock a waiting participant if the supervisor bailed early.
-        drop(sup_ep);
-        let part = part_handle.join().expect("participant thread panicked");
-        (sup, part, link)
-    });
-
-    let (verdict, reports) = sup_result?;
-    let _ = part_result?;
-    Ok(RoundOutcome::new(
-        verdict,
-        sup_ledger.report(),
-        part_ledger.report(),
-        link,
-        reports,
-    ))
+    // The scheme is hash-free; instantiate its trait face with any digest.
+    // It builds no tree either, so the tree knobs are inert.
+    run_round::<ugc_hash::Sha256>(
+        &RingerScheme {
+            ringers: config.ringers,
+            seed: config.seed,
+        },
+        task,
+        screener,
+        domain,
+        &[behaviour],
+        config.task_id,
+        ParticipantStorage::Full,
+        Parallelism::serial(),
+        LaneWidth::default(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugc_grid::{CheatSelection, HonestWorker, SemiHonestCheater};
+    use crate::session::drive_supervisor;
+    use ugc_grid::{duplex, CheatSelection, HonestWorker, SemiHonestCheater};
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::ZeroGuesser;
 
@@ -514,7 +442,6 @@ mod tests {
         let task = PasswordSearch::with_hidden_password(1, 2);
         let domain = Domain::new(0, 32);
         let (sup_ep, part_ep) = duplex();
-        let ledger = CostLedger::new();
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 let _ = part_ep.recv(); // Assign
@@ -534,10 +461,22 @@ mod tests {
                 let _ = part_ep.recv();
             });
             let screener = task.match_screener();
-            let (verdict, _) =
-                supervisor_ringer(&sup_ep, &task, &screener, domain, &config(3, 2), &ledger)
-                    .unwrap();
-            assert_eq!(verdict, Verdict::RingerMissed);
+            let scheme = RingerScheme {
+                ringers: 3,
+                seed: 2,
+            };
+            let mut session = VerificationScheme::<ugc_hash::Sha256>::supervisor_session(
+                &scheme,
+                SupervisorContext {
+                    task: &task,
+                    screener: &screener,
+                    domain,
+                    task_ids: vec![5],
+                    ledger: CostLedger::new(),
+                },
+            );
+            let outcome = drive_supervisor(&[&sup_ep], session.as_mut()).unwrap();
+            assert_eq!(outcome.verdict, Verdict::RingerMissed);
         });
     }
 }

@@ -21,12 +21,13 @@
 //! schemes, different behaviours — interleave over one transport. The
 //! [`SessionEngine`](crate::engine::SessionEngine) multiplexes supervisor
 //! sessions over direct links or a [`Broker`](ugc_grid::Broker); the
-//! participant side is symmetric: [`step_participant`] advances one
-//! session by one message without blocking (what the grid scheduler's
-//! worker pool calls), while [`drive_participant`] and
+//! participant side is symmetric: [`step_participant_batch`] advances one
+//! session by a few queued messages without blocking (what a campaign's
+//! scheduler pool calls), while [`drive_participant`] and
 //! [`drive_supervisor`] are thin blocking loops that run a single
-//! session to completion over one endpoint, which is exactly what the
-//! legacy `run_*`/`participant_*`/`supervisor_*` free functions now do.
+//! session to completion over one endpoint — the blocking reference the
+//! engine is compared against, and what
+//! [`run_round`](crate::scheme::run_round) runs a stand-alone round on.
 //!
 //! # Example: one CBS round, session by session
 //!
@@ -209,9 +210,10 @@ pub struct ParticipantContext<'a> {
 /// All five schemes of the evaluation — naive sampling, double-check,
 /// ringers, CBS and NI-CBS — implement this trait, so one
 /// [`SessionEngine`](crate::engine::SessionEngine) event loop drives any
-/// mix of them over any transport, and the legacy blocking entry points
-/// (`run_cbs`, `run_naive`, …) are thin wrappers that drive a single
-/// session pair to completion.
+/// mix of them over any transport, and the blocking entry points
+/// (`run_cbs`, `run_naive`, …) are short calls into
+/// [`run_round`](crate::scheme::run_round), which drives a single session
+/// pair to completion.
 pub trait VerificationScheme<H: HashFunction>: Send + Sync {
     /// Scheme name for reports and tables.
     fn name(&self) -> &'static str;
@@ -244,7 +246,7 @@ pub(crate) fn unexpected<T>(expected: &'static str, got: &Message) -> Result<T, 
     })
 }
 
-/// What one non-blocking [`step_participant`] call accomplished.
+/// What one non-blocking [`step_participant_batch`] call accomplished.
 ///
 /// This is the participant-side mirror of the engine's event-loop
 /// verdicts: `Progress` means "poll me again soon", `Idle` means "park
@@ -289,10 +291,21 @@ fn pump_participant<L: GridLink + ?Sized>(
         // (logged before the wire is touched), so the replay log must
         // not depend on *when* the peer disappeared — that is a
         // wall-clock race against the round's teardown, and it would
-        // otherwise make the fault log vary with worker count. The
-        // first error still fails the session.
-        if let Err(e) = endpoint.send(&out) {
-            failure.get_or_insert(e.into());
+        // otherwise make the fault log vary with worker count.
+        match endpoint.send(&out) {
+            Ok(()) => {}
+            // The peer hung up. What it sent before leaving (a verdict
+            // reached on the first copy of a duplicated upload, say) is
+            // still queued, and the link reports the hang-up on receive
+            // only once that queue is empty — so the session goes on
+            // and ends there, having drawn an inbound fault decision for
+            // every message the peer sent, however early it left.
+            Err(GridError::Disconnected) => {}
+            // Any other send error is this side's own and fails the
+            // session (the first one wins).
+            Err(e) => {
+                failure.get_or_insert(e.into());
+            }
         }
     }
     match failure {
@@ -301,56 +314,27 @@ fn pump_participant<L: GridLink + ?Sized>(
     }
 }
 
-/// Advances a participant session by (at most) one inbound message,
+/// Advances a participant session by up to `budget` inbound messages
 /// without ever blocking — the poll-driven face of the participant side,
-/// scheduled by the grid runtime's worker pool exactly as the
+/// scheduled by a campaign's worker pool exactly as the
 /// [`SessionEngine`](crate::engine::SessionEngine) multiplexes the
-/// supervisor side.
+/// supervisor side. One scheduler dispatch (one trip through the link's
+/// lock and fault decorator per message, but only one run-queue round
+/// trip) drains a whole burst of queued mail instead of bouncing the
+/// task through the run queue once per message.
 ///
-/// Each call either consumes one queued message (sending any replies and
-/// returning [`SessionPoll::Progress`]), finds the queue empty
-/// ([`SessionPoll::Idle`] — park the session), or finishes
-/// ([`SessionPoll::Complete`] with the verdict or the error). The
-/// blocking [`drive_participant`] loop and this function drive the
-/// identical state machine over the identical link-operation sequence,
-/// so fault schedules, ledgers and verdicts are bit-identical between
-/// them.
-pub fn step_participant<L: GridLink + ?Sized>(
-    endpoint: &L,
-    session: &mut (dyn ParticipantSession + '_),
-) -> SessionPoll {
-    if let Some(accepted) = session.finished() {
-        return SessionPoll::Complete(Ok(accepted));
-    }
-    let raw = match endpoint.try_recv() {
-        Ok(raw) => raw,
-        Err(GridError::Empty) => return SessionPoll::Idle,
-        Err(e) => return SessionPoll::Complete(Err(e.into())),
-    };
-    match pump_participant(endpoint, session, raw) {
-        Ok(()) => match session.finished() {
-            Some(accepted) => SessionPoll::Complete(Ok(accepted)),
-            None => SessionPoll::Progress,
-        },
-        Err(e) => SessionPoll::Complete(Err(e)),
-    }
-}
-
-/// Advances a participant session by up to `budget` inbound messages in
-/// one call — the batched face of [`step_participant`], so one scheduler
-/// dispatch (and one trip through the link's lock and fault decorator
-/// per message, but only one run-queue round trip) drains a whole burst
-/// of queued mail instead of bouncing the task through the run queue
-/// once per message.
-///
-/// The batch is a plain loop over [`step_participant`]: each message is
-/// received, fed to the session and answered in exactly the order the
-/// single-step driver would use, so fault-schedule draws, ledgers and
-/// verdicts are bit-identical to `budget == 1` (property-tested in this
-/// module and in `tests/scheduler_equivalence.rs`). The call returns
-/// early on [`SessionPoll::Idle`] (queue drained; `Progress` instead if
-/// the batch consumed at least one message first, so the scheduler
-/// re-polls before parking) or [`SessionPoll::Complete`].
+/// Each message is received, fed to the session and answered in exactly
+/// the order the blocking [`drive_participant`] loop would use, so
+/// fault-schedule draws, ledgers and verdicts are bit-identical at any
+/// budget (property-tested in this module and pinned by the golden
+/// digests of `tests/scheduler_equivalence.rs`). The call returns early
+/// on [`SessionPoll::Idle`] (queue drained; `Progress` instead if the
+/// batch consumed at least one message first, so the scheduler re-polls
+/// before parking) or [`SessionPoll::Complete`] — `Ok(accepted)` once the
+/// verdict arrived, otherwise the error that ended the session: a
+/// protocol violation, this participant's own injected crash, or the
+/// peer's hang-up, which the link reports only after everything the peer
+/// sent first has been consumed.
 ///
 /// # Panics
 ///
@@ -363,20 +347,30 @@ pub fn step_participant_batch<L: GridLink + ?Sized>(
 ) -> SessionPoll {
     assert!(budget > 0, "batched step needs a non-zero message budget");
     for consumed in 0..budget {
-        match step_participant(endpoint, session) {
-            SessionPoll::Progress => {}
-            SessionPoll::Idle if consumed > 0 => return SessionPoll::Progress,
-            terminal => return terminal,
+        if let Some(accepted) = session.finished() {
+            return SessionPoll::Complete(Ok(accepted));
+        }
+        let raw = match endpoint.try_recv() {
+            Ok(raw) => raw,
+            Err(GridError::Empty) if consumed > 0 => return SessionPoll::Progress,
+            Err(GridError::Empty) => return SessionPoll::Idle,
+            Err(e) => return SessionPoll::Complete(Err(e.into())),
+        };
+        if let Err(e) = pump_participant(endpoint, session, raw) {
+            return SessionPoll::Complete(Err(e));
         }
     }
-    SessionPoll::Progress
+    match session.finished() {
+        Some(accepted) => SessionPoll::Complete(Ok(accepted)),
+        None => SessionPoll::Progress,
+    }
 }
 
 /// Runs a participant session to completion over a blocking link — a raw
 /// [`Endpoint`] or any [`GridLink`] decorator (e.g. the fault-injecting
 /// [`FaultyEndpoint`](ugc_grid::FaultyEndpoint) of the chaos runtime).
 /// A thin blocking wrapper over the same message pump that powers the
-/// non-blocking [`step_participant`].
+/// non-blocking [`step_participant_batch`].
 ///
 /// Session envelopes are handled transparently: an enveloped inbound
 /// message has its payload fed to the session and the replies are wrapped
@@ -476,12 +470,10 @@ mod tests {
     use ugc_hash::Sha256;
     use ugc_task::workloads::PasswordSearch;
 
-    /// Runs one honest CBS round with the participant advanced by
-    /// `step`, returning the supervisor's outcome and the participant
-    /// link's traffic counters.
-    fn cbs_round_with_stepper(
-        step: &dyn Fn(&Endpoint, &mut (dyn ParticipantSession + '_)) -> SessionPoll,
-    ) -> (SessionOutcome, LinkStats) {
+    /// Runs one honest CBS round with the participant stepped `budget`
+    /// messages at a time, returning the supervisor's outcome and the
+    /// participant link's traffic counters.
+    fn cbs_round_with_budget(budget: usize) -> (SessionOutcome, LinkStats) {
         let task = PasswordSearch::with_hidden_password(1, 42);
         let screener = task.match_screener();
         let scheme = CbsScheme {
@@ -517,7 +509,7 @@ mod tests {
                 },
             );
             loop {
-                match step(&part_ep, session.as_mut()) {
+                match step_participant_batch(&part_ep, session.as_mut(), budget) {
                     SessionPoll::Complete(result) => {
                         assert!(result.unwrap(), "honest participant must be accepted");
                         break;
@@ -533,17 +525,111 @@ mod tests {
 
     #[test]
     fn batched_step_matches_single_step_exactly() {
-        let (single_outcome, single_stats) =
-            cbs_round_with_stepper(&|ep, session| step_participant(ep, session));
+        let (single_outcome, single_stats) = cbs_round_with_budget(1);
         assert!(single_outcome.verdict.is_accepted());
         assert_eq!(single_outcome.reports.len(), 1);
-        for budget in [1usize, 2, 4, 64] {
-            let (outcome, stats) = cbs_round_with_stepper(&move |ep, session| {
-                step_participant_batch(ep, session, budget)
-            });
+        for budget in [2usize, 4, 64] {
+            let (outcome, stats) = cbs_round_with_budget(budget);
             assert_eq!(outcome, single_outcome, "budget {budget}");
             assert_eq!(stats, single_stats, "budget {budget}");
         }
+    }
+
+    /// A link whose peer sent everything it had to say and hung up: the
+    /// inbox still holds that mail, every send reports the hang-up, and a
+    /// receive reports it only once the inbox is empty.
+    struct HungUpLink(std::sync::Mutex<std::collections::VecDeque<Message>>);
+
+    impl HungUpLink {
+        fn holding(mail: &[&Message]) -> Self {
+            HungUpLink(std::sync::Mutex::new(
+                mail.iter().copied().cloned().collect(),
+            ))
+        }
+    }
+
+    impl GridLink for HungUpLink {
+        fn send_counted(&self, _msg: &Message) -> Result<u64, GridError> {
+            Err(GridError::Disconnected)
+        }
+
+        fn recv_counted(&self) -> Result<(Message, u64), GridError> {
+            self.try_recv_counted()
+        }
+
+        fn try_recv_counted(&self) -> Result<(Message, u64), GridError> {
+            let next = self.0.lock().unwrap().pop_front();
+            next.map(|msg| (msg, 0)).ok_or(GridError::Disconnected)
+        }
+
+        fn stats(&self) -> LinkStats {
+            LinkStats::default()
+        }
+
+        fn subscribe(&self, _bell: &ugc_grid::Doorbell, _key: usize) {}
+    }
+
+    #[test]
+    fn peer_hang_up_on_send_does_not_strand_queued_mail() {
+        // The supervisor verified the first copy of a duplicated upload,
+        // sent its verdict and left before the second copy's send: the
+        // verdict is in the inbox, and receiving it (which is where a
+        // fault-decorated link draws its inbound decision) must not
+        // depend on the send having failed first.
+        let task = PasswordSearch::with_hidden_password(1, 3);
+        let screener = task.match_screener();
+        let scheme = crate::scheme::naive::NaiveScheme {
+            samples: 4,
+            seed: 1,
+        };
+        let assign = Message::Assign(ugc_grid::Assignment {
+            task_id: 5,
+            domain: ugc_task::Domain::new(0, 16),
+        });
+        let session = || {
+            VerificationScheme::<Sha256>::participant_session(
+                &scheme,
+                ParticipantContext {
+                    task: &task,
+                    screener: &screener,
+                    behaviour: &HonestWorker,
+                    storage: crate::ParticipantStorage::Full,
+                    parallelism: Parallelism::serial(),
+                    lanes: LaneWidth::default(),
+                    ledger: CostLedger::new(),
+                },
+            )
+        };
+        for accepted in [true, false] {
+            let verdict = Message::Verdict {
+                task_id: 5,
+                accepted,
+            };
+            let hung_up = || HungUpLink::holding(&[&assign, &verdict]);
+
+            let link = hung_up();
+            let mut polled = session();
+            let result = loop {
+                match step_participant_batch(&link, polled.as_mut(), 1) {
+                    SessionPoll::Complete(result) => break result,
+                    SessionPoll::Progress => {}
+                    SessionPoll::Idle => panic!("a hung-up link is never merely idle"),
+                }
+            };
+            assert_eq!(result, Ok(accepted));
+            assert!(link.0.lock().unwrap().is_empty(), "verdict stranded");
+
+            assert_eq!(
+                drive_participant(&hung_up(), session().as_mut()),
+                Ok(accepted)
+            );
+        }
+        // With nothing queued behind the failed send the hang-up still
+        // ends the session, on the receive that finds the inbox empty.
+        assert_eq!(
+            drive_participant(&HungUpLink::holding(&[&assign]), session().as_mut()),
+            Err(SchemeError::Grid(GridError::Disconnected))
+        );
     }
 
     #[test]

@@ -12,13 +12,9 @@
 //! trade-off: react to traffic in nanoseconds while it is flowing, but
 //! stop burning a core once the peers are deep in compute (tree builds
 //! take seconds at scale). [`Backoff`] encodes one policy for all of
-//! them — spin-yield first, then sleep on an exponential ladder — and
-//! resets to the hot state the moment traffic resumes. The ladder's shape
-//! (where the sleeps start and where they cap) is a [`BackoffPolicy`]:
-//! the default is 10 µs → 100 µs → 1 ms, and deployments whose
-//! latency/CPU trade-off differs (a battery-bound participant, a
-//! latency-critical broker) tune it through
-//! [`RuntimeOptions::with_backoff`](crate::runtime::RuntimeOptions::with_backoff).
+//! them — spin-yield first, then sleep on an exponential ladder
+//! (10 µs → 100 µs → 1 ms) — and resets to the hot state the moment
+//! traffic resumes.
 
 use std::time::Duration;
 
@@ -27,64 +23,11 @@ const YIELD_SWEEPS: u32 = 32;
 /// Sweeps spent at each sleep rung before escalating to the next.
 const SWEEPS_PER_RUNG: u32 = 8;
 
-/// The shape of the sleep ladder: the first rung and the cap, in
-/// microseconds. Rungs climb ×10 from `initial_micros` and clamp at
-/// `cap_micros`; zero values are treated as 1 µs (a ladder must sleep
-/// *some* positive time once it stops spinning).
-///
-/// # Examples
-///
-/// ```
-/// use ugc_grid::BackoffPolicy;
-///
-/// // The default ladder: 10 µs → 100 µs → 1 ms cap.
-/// assert_eq!(BackoffPolicy::default(), BackoffPolicy::new(10, 1_000));
-/// // A snappier ladder for latency-critical pumps: 1 µs → 10 µs → 50 µs.
-/// let fast = BackoffPolicy::new(1, 50);
-/// assert_eq!(fast.initial_micros, 1);
-/// assert_eq!(fast.cap_micros, 50);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffPolicy {
-    /// Sleep length of the first rung, in microseconds.
-    pub initial_micros: u64,
-    /// Upper bound every rung clamps to, in microseconds.
-    pub cap_micros: u64,
-}
+/// The sleep rungs, in microseconds; the last one is held.
+const LADDER_MICROS: [u64; 3] = [10, 100, 1_000];
 
-impl BackoffPolicy {
-    /// A ladder starting at `initial_micros` and capping at `cap_micros`.
-    #[must_use]
-    pub const fn new(initial_micros: u64, cap_micros: u64) -> Self {
-        BackoffPolicy {
-            initial_micros,
-            cap_micros,
-        }
-    }
-
-    /// The sleep length of rung `rung` (0-based): `initial × 10^rung`,
-    /// saturating, clamped to the cap.
-    fn rung_micros(self, rung: u32) -> u64 {
-        let cap = self.cap_micros.max(1);
-        let mut micros = self.initial_micros.max(1);
-        let mut climbed = 0;
-        while climbed < rung && micros < cap {
-            micros = micros.saturating_mul(10);
-            climbed += 1;
-        }
-        micros.min(cap)
-    }
-}
-
-impl Default for BackoffPolicy {
-    /// The historical ladder: 10 µs first rung, 1 ms cap.
-    fn default() -> Self {
-        BackoffPolicy::new(10, 1_000)
-    }
-}
-
-/// Exponential idle backoff: yield, then sleep up the policy's ladder
-/// (10 µs → 100 µs → 1 ms by default).
+/// Exponential idle backoff: yield, then sleep up the ladder
+/// (10 µs → 100 µs → 1 ms, held at the cap).
 ///
 /// Call [`wait`](Self::wait) on every idle sweep and
 /// [`reset`](Self::reset) whenever the loop makes progress. The schedule
@@ -104,20 +47,13 @@ impl Default for BackoffPolicy {
 #[derive(Debug, Clone, Default)]
 pub struct Backoff {
     step: u32,
-    policy: BackoffPolicy,
 }
 
 impl Backoff {
-    /// A fresh (hot) backoff on the default ladder.
+    /// A fresh (hot) backoff.
     #[must_use]
     pub const fn new() -> Self {
-        Self::with_policy(BackoffPolicy::new(10, 1_000))
-    }
-
-    /// A fresh (hot) backoff climbing `policy`'s ladder.
-    #[must_use]
-    pub const fn with_policy(policy: BackoffPolicy) -> Self {
-        Backoff { step: 0, policy }
+        Backoff { step: 0 }
     }
 
     /// Returns to the hot state; call when the loop made progress.
@@ -135,16 +71,18 @@ impl Backoff {
 
     /// Advances the schedule one idle sweep and returns what the sweep
     /// should do: `None` means spin-yield, `Some(d)` means sleep `d`.
-    /// The returned durations climb the policy's ladder and then hold at
-    /// its cap until [`reset`](Self::reset).
+    /// The returned durations climb the ladder and then hold at its cap
+    /// until [`reset`](Self::reset).
     pub fn pause(&mut self) -> Option<Duration> {
         let step = self.step;
         self.step = self.step.saturating_add(1);
         if step < YIELD_SWEEPS {
             return None;
         }
-        let rung = (step - YIELD_SWEEPS) / SWEEPS_PER_RUNG;
-        Some(Duration::from_micros(self.policy.rung_micros(rung)))
+        let rung = ((step - YIELD_SWEEPS) / SWEEPS_PER_RUNG) as usize;
+        Some(Duration::from_micros(
+            LADDER_MICROS[rung.min(LADDER_MICROS.len() - 1)],
+        ))
     }
 
     /// Performs one idle sweep: spin-yields while hot, sleeps per the
@@ -215,51 +153,9 @@ mod tests {
 
     #[test]
     fn saturates_instead_of_overflowing() {
-        let mut backoff = Backoff {
-            step: u32::MAX - 1,
-            policy: BackoffPolicy::default(),
-        };
+        let mut backoff = Backoff { step: u32::MAX - 1 };
         assert_eq!(backoff.pause(), Some(Duration::from_millis(1)));
         assert_eq!(backoff.pause(), Some(Duration::from_millis(1)));
         assert_eq!(backoff.pause(), Some(Duration::from_millis(1)));
-    }
-
-    #[test]
-    fn custom_policy_reshapes_the_ladder() {
-        let mut backoff = Backoff::with_policy(BackoffPolicy::new(5, 70));
-        for _ in 0..YIELD_SWEEPS {
-            assert_eq!(backoff.pause(), None);
-        }
-        // 5 µs → 50 µs → clamped to the 70 µs cap, held forever.
-        for micros in [5, 50, 70, 70, 70] {
-            for _ in 0..SWEEPS_PER_RUNG {
-                assert_eq!(backoff.pause(), Some(Duration::from_micros(micros)));
-            }
-        }
-    }
-
-    #[test]
-    fn cap_below_initial_clamps_every_rung() {
-        let policy = BackoffPolicy::new(500, 20);
-        for rung in 0..10 {
-            assert_eq!(policy.rung_micros(rung), 20);
-        }
-    }
-
-    #[test]
-    fn zero_values_are_treated_as_one_microsecond() {
-        let policy = BackoffPolicy::new(0, 0);
-        assert_eq!(policy.rung_micros(0), 1);
-        assert_eq!(policy.rung_micros(5), 1);
-        let policy = BackoffPolicy::new(0, 1_000);
-        assert_eq!(policy.rung_micros(0), 1);
-        assert_eq!(policy.rung_micros(1), 10);
-    }
-
-    #[test]
-    fn huge_rungs_saturate_at_the_cap() {
-        let policy = BackoffPolicy::new(10, u64::MAX);
-        // 10 × 10^n saturates u64 without panicking, then holds.
-        assert_eq!(policy.rung_micros(200), policy.rung_micros(199));
     }
 }

@@ -19,9 +19,10 @@
 //! * [`Broker`] — a GRACE-style Grid Resource Broker that hides
 //!   participants from the supervisor (the Section 4 motivation for the
 //!   non-interactive scheme).
-//! * [`runtime`] — the thread-per-participant runtime: one OS thread per
-//!   participant behind the broker, each link optionally decorated with
-//!   seeded, bit-replayable fault injection ([`FaultPlan`]).
+//! * [`runtime`] — what a campaign's participant side runs on: seeded,
+//!   bit-replayable fault injection for its links ([`FaultPlan`]) and the
+//!   work-stealing pool that multiplexes its sessions
+//!   ([`GridScheduler`]).
 //! * [`wire`] / [`tcp`] — the cross-process backend: the same frames over
 //!   real sockets, charged identically to the in-memory links so a
 //!   campaign spanning OS processes produces bit-identical digests.
@@ -55,7 +56,7 @@ pub mod tcp;
 mod transport;
 pub mod wire;
 
-pub use backoff::{Backoff, BackoffPolicy};
+pub use backoff::Backoff;
 pub use behaviour::{
     CheatSelection, HonestWorker, MaliciousWorker, SemiHonestCheater, WorkerBehaviour,
 };

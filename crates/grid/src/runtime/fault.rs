@@ -7,8 +7,8 @@
 //! sequence number)`: two runs with the same seed make exactly the same
 //! per-link decisions, no matter how the OS schedules the threads. The
 //! plan decorates a link as a [`FaultyEndpoint`], which applies the
-//! decisions on the participant's own thread (an injected delay stalls
-//! only that link, never the broker pump).
+//! decisions on whichever thread is driving that participant (an injected
+//! delay stalls that caller, never the broker pump).
 //!
 //! Fault decisions are keyed per link rather than per run because a
 //! participant link carries exactly one session's protocol sequence:
@@ -309,7 +309,7 @@ struct FaultState {
 /// A [`GridLink`] decorator that applies a [`LinkFaults`] schedule.
 ///
 /// All fault decisions run on the caller's thread, so an injected delay
-/// stalls only this link. A seeded crash makes every subsequent operation
+/// stalls only that caller. A seeded crash makes every subsequent operation
 /// fail with [`GridError::Disconnected`] and loses any held messages —
 /// from the peer's perspective the participant simply died. An outbound
 /// reorder hold is released by the next send (the swap), the next receive
@@ -430,8 +430,8 @@ impl FaultyEndpoint {
                     seq,
                     micros,
                 });
-                // Stalls only this participant's thread: the broker pump
-                // and every other link keep flowing.
+                // Stalls only the thread polling this participant: the
+                // broker pump and the other workers' links keep flowing.
                 std::thread::sleep(std::time::Duration::from_micros(u64::from(micros)));
                 self.deliver_in(st, msg, charged).map(Some)
             }

@@ -2,20 +2,18 @@
 //! fixed pool of OS threads, with per-worker run queues and work
 //! stealing.
 //!
-//! The thread-per-participant runtime of PR 4 caps a campaign at however
-//! many OS threads the host tolerates — tens, not the "huge pool of
-//! untrusted participants" the paper supervises. This module removes
-//! that cap the same way the supervisor side did in the
-//! `SessionEngine`: participants become non-blocking state machines
-//! ([`GridTask`]s whose [`poll`](GridTask::poll) never blocks), and a
-//! [`GridScheduler`] multiplexes thousands of them over `workers` OS
-//! threads (default: one per available core).
+//! One OS thread per participant would cap a campaign at however many
+//! threads the host tolerates — tens, not the "huge pool of untrusted
+//! participants" the paper supervises. This module removes that cap the
+//! same way the supervisor side did in the `SessionEngine`: participants
+//! are non-blocking state machines ([`GridTask`]s whose
+//! [`poll`](GridTask::poll) never blocks), and a [`GridScheduler`]
+//! multiplexes thousands of them over `workers` OS threads (default: one
+//! per available core).
 //!
-//! PR 5's scheduler funnelled every pop and push through one shared
-//! round-robin queue, so at scale the workers spent their time fighting
-//! over a single mutex. The current design shards that state per
-//! worker, and lets a task that is waiting for mail leave the queues
-//! altogether until the mail arrives:
+//! Run-queue state is sharded per worker (one shared queue has the
+//! workers fighting over a single mutex at scale), and a task that is
+//! waiting for mail leaves the queues altogether until the mail arrives:
 //!
 //! ```text
 //!            ┌──────────────── GridScheduler ────────────────┐
@@ -78,8 +76,8 @@
 //! Determinism: the scheduler's only pseudo-randomness is the seeded
 //! steal order, and the fault-injection layer keys every decision on
 //! per-link sequence numbers, so a campaign's fault log and verdicts
-//! are identical at any worker count *and any steal seed* —
-//! property-tested in `tests/scheduler_equivalence.rs` and
+//! are identical at any worker count *and any steal seed* — pinned by
+//! the golden digests of `tests/scheduler_equivalence.rs` and swept in
 //! `tests/scale_soak.rs` at `workers ∈ {1, 4, 8, participants}`.
 //!
 //! # Example
@@ -118,7 +116,7 @@
 //! assert!(done.iter().all(|t| t.left == 0));
 //! ```
 
-use crate::{Backoff, BackoffPolicy, Doorbell};
+use crate::{Backoff, Doorbell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -142,11 +140,9 @@ pub enum TaskPoll {
 /// relay pump — anything that advances in short, poll-sized steps.
 ///
 /// `poll` must not block indefinitely: a task waiting on its peer
-/// returns [`TaskPoll::Idle`] and is parked instead of pinning a worker.
-/// (A `poll` that *does* block — e.g. a legacy blocking closure run as a
-/// single step — simply occupies its worker until it returns, which is
-/// exactly how [`run_brokered`](crate::runtime::run_brokered) recovers
-/// the old thread-per-participant semantics.)
+/// returns [`TaskPoll::Idle`] and is parked instead of pinning a worker
+/// (a `poll` that *does* block simply occupies its worker until it
+/// returns).
 pub trait GridTask: Send {
     /// Advances the task one step.
     fn poll(&mut self) -> TaskPoll;
@@ -276,7 +272,6 @@ fn steal_start(rng: &mut u64, others: usize) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridScheduler {
     workers: usize,
-    backoff: BackoffPolicy,
     steal_seed: u64,
 }
 
@@ -294,26 +289,15 @@ impl GridScheduler {
     pub const fn new(workers: usize) -> Self {
         GridScheduler {
             workers: if workers == 0 { 1 } else { workers },
-            backoff: BackoffPolicy::new(10, 1_000),
             steal_seed: 0,
         }
     }
 
-    /// Reshapes the idle-backoff ladder the pool's workers climb while
-    /// their ready queues are dry and tasks without a
-    /// [wake source](GridTask::wake_on) remain. Timing-only: scheduling
-    /// order and results are unaffected.
-    #[must_use]
-    pub const fn with_backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.backoff = policy;
-        self
-    }
-
     /// Seeds the pseudo-random (SplitMix64) victim order workers walk
     /// when they steal. Scheduling-only: any seed yields the same task
-    /// results, fault logs and byte counts — property-tested in
-    /// `tests/scheduler_equivalence.rs` — so this knob exists to *prove*
-    /// that, not to tune anything.
+    /// results, fault logs and byte counts — swept against the golden
+    /// digests in `tests/scheduler_equivalence.rs` — so this knob exists
+    /// to *prove* that, not to tune anything.
     #[must_use]
     pub const fn with_steal_seed(mut self, seed: u64) -> Self {
         self.steal_seed = seed;
@@ -362,7 +346,7 @@ impl GridScheduler {
             let handles: Vec<_> = (0..workers)
                 .map(|me| {
                     let pool = &pool;
-                    scope.spawn(move || worker_loop(pool, me, self.steal_seed, self.backoff))
+                    scope.spawn(move || worker_loop(pool, me, self.steal_seed))
                 })
                 .collect();
             for handle in handles {
@@ -470,8 +454,8 @@ fn wait_for_work<T>(
 /// One worker: pop the local ready queue (answering the bell, then
 /// stealing, when it runs dry), poll the task outside any lock, act on
 /// the verdict; when no work is reachable anywhere, sleep on the bell.
-fn worker_loop<T: GridTask>(pool: &Pool<T>, me: usize, steal_seed: u64, policy: BackoffPolicy) {
-    let mut backoff = Backoff::with_policy(policy);
+fn worker_loop<T: GridTask>(pool: &Pool<T>, me: usize, steal_seed: u64) {
+    let mut backoff = Backoff::new();
     let mut seen = pool.progress.load(Ordering::Acquire);
     let mut rng = steal_rng(steal_seed, me);
     loop {
@@ -776,7 +760,7 @@ mod tests {
             TaskPoll::Idle,
         ];
         let pool = Pool::deal(vec![Scripted { verdicts: script }], 1);
-        worker_loop(&pool, 0, 0, BackoffPolicy::default());
+        worker_loop(&pool, 0, 0);
         assert_eq!(pool.progress.load(Ordering::Acquire), 3);
         assert_eq!(pool.remaining.load(Ordering::Acquire), 0);
         assert!(pool.finished.lock().unwrap()[0].is_some());

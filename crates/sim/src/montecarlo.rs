@@ -4,7 +4,8 @@ use crate::stats::wilson_interval;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ugc_core::engine::SessionEngine;
-use ugc_core::scheme::cbs::{run_cbs_with, CbsConfig, CbsScheme};
+use ugc_core::scheme::cbs::CbsScheme;
+use ugc_core::scheme::run_round;
 use ugc_core::session::{
     drive_participant, ParticipantContext, SupervisorContext, VerificationScheme,
 };
@@ -324,7 +325,7 @@ pub fn estimate_cheat_success_protocol_brokered(
     let mut next = 0u32;
     while next < exp.trials {
         let hi = (next + concurrency as u32).min(exp.trials);
-        survived += run_brokered_batch(exp, next..hi);
+        survived += brokered_batch(exp, next..hi);
         next = hi;
     }
     RateEstimate::from_counts(survived, exp.trials)
@@ -332,7 +333,7 @@ pub fn estimate_cheat_success_protocol_brokered(
 
 /// Runs one batch of trials as concurrent sessions over a broker link;
 /// returns how many cheaters survived.
-fn run_brokered_batch(exp: &DetectionExperiment, trials: core::ops::Range<u32>) -> u32 {
+fn brokered_batch(exp: &DetectionExperiment, trials: core::ops::Range<u32>) -> u32 {
     let domain = Domain::new(0, exp.domain_size);
     let casts: Vec<_> = trials.map(|t| trial_cast(exp, t)).collect();
     let screeners: Vec<_> = casts
@@ -408,27 +409,22 @@ fn run_brokered_batch(exp: &DetectionExperiment, trials: core::ops::Range<u32>) 
 /// One full CBS round for trial `t`; `true` iff the cheater survived.
 fn run_protocol_trial(exp: &DetectionExperiment, t: u32) -> bool {
     let (task, cheater, scheme) = trial_cast(exp, t);
-    let screener = task.match_screener();
-    let config = CbsConfig {
-        task_id: u64::from(t),
-        samples: scheme.samples,
-        seed: scheme.seed,
-        report_audit: scheme.report_audit,
-    };
-    // Serial tree build: the trial may already be running on a saturated
-    // shard thread, so nesting a multi-threaded build would oversubscribe
-    // the cores (parallelism lives at the trial level here).
-    run_cbs_with::<Sha256, _, _, _>(
+    run_round::<Sha256>(
+        &scheme,
         &task,
-        &screener,
+        &task.match_screener(),
         Domain::new(0, exp.domain_size),
-        &cheater,
+        &[&cheater],
+        u64::from(t),
         ParticipantStorage::Full,
+        // Serial tree build: the trial may already be running on a
+        // saturated shard thread, so nesting a multi-threaded build would
+        // oversubscribe the cores (parallelism lives at the trial level
+        // here).
         Parallelism::serial(),
         // Lane-batched tree builds and sample hashing: bit-identical to
         // scalar, so estimates are unchanged at any width.
         LaneWidth::default(),
-        &config,
     )
     .expect("in-process CBS round must not fail")
     .accepted

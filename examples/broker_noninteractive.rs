@@ -13,10 +13,12 @@
 use uncheatable_grid::core::analysis::{min_g_cost_for_uncheatability, ni_expected_attempts};
 use uncheatable_grid::core::sampling::derive_samples;
 use uncheatable_grid::core::scheme::cbs::verify_round;
-use uncheatable_grid::core::scheme::ni_cbs::{
-    participant_ni_cbs, retry_attack, NiCbsConfig, RetryAttackConfig,
+use uncheatable_grid::core::scheme::ni_cbs::{retry_attack, NiCbsScheme, RetryAttackConfig};
+use uncheatable_grid::core::session::drive_participant;
+use uncheatable_grid::core::{
+    LaneWidth, Parallelism, ParticipantContext, ParticipantStorage, SchemeError, Verdict,
+    VerificationScheme,
 };
-use uncheatable_grid::core::{ParticipantStorage, SchemeError, Verdict};
 use uncheatable_grid::grid::{
     duplex, Assignment, Broker, CheatSelection, CostLedger, Endpoint, HonestWorker, Message,
     SemiHonestCheater, WorkerBehaviour,
@@ -102,23 +104,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (ep, behaviour) in part_eps.iter().zip(behaviours) {
             let task = &task;
             scope.spawn(move || {
-                let ledger = CostLedger::new();
-                let config = NiCbsConfig {
-                    task_id: 0, // participants learn the id from the Assign
+                // Participants learn the task id from the Assign.
+                let scheme = NiCbsScheme {
                     samples: M,
                     g_iterations: G_ITER,
                     report_audit: 0,
                     audit_seed: 0,
                 };
-                participant_ni_cbs::<Sha256, _, _, _>(
-                    ep,
-                    task,
-                    &PrimeScreener,
-                    &behaviour,
-                    ParticipantStorage::Full,
-                    &config,
-                    &ledger,
-                )
+                let mut session = VerificationScheme::<Sha256>::participant_session(
+                    &scheme,
+                    ParticipantContext {
+                        task,
+                        screener: &PrimeScreener,
+                        behaviour,
+                        storage: ParticipantStorage::Full,
+                        parallelism: Parallelism::default(),
+                        lanes: LaneWidth::default(),
+                        ledger: CostLedger::new(),
+                    },
+                );
+                drive_participant(ep, session.as_mut())
             });
         }
         // Supervisor: push three assignments into the broker.

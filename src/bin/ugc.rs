@@ -25,7 +25,7 @@ use uncheatable_grid::core::scheme::naive::{run_naive, NaiveConfig};
 use uncheatable_grid::core::scheme::ni_cbs::{run_ni_cbs, NiCbsConfig};
 use uncheatable_grid::core::scheme::ringer::{run_ringer, RingerConfig};
 use uncheatable_grid::core::{
-    run_durable_fleet, run_mixed_fleet, run_mixed_fleet_on, summary_digest, CampaignHeader,
+    run_durable_fleet, run_fleet_on, run_mixed_fleet, summary_digest, CampaignHeader,
     DurableCampaign, FleetSummary, FleetTransport, ParticipantStorage, RemoteGridBackend,
     RoundOutcome,
 };
@@ -53,7 +53,7 @@ commands:
               [--scheme <cbs|ni-cbs|naive|ringer|double-check>]
               [--transport <direct|brokered>] [--workers <w>]
               [--steal-seed <s>] [--lanes <scalar|x4|x8>]
-              [--threads <k>] [--chaos <seed>] [--churn]
+              [--chaos <seed>] [--churn]
               [--journal <path>] [--kill-at <r>] [--resume] [--verify-journal]
               [--connect <host:port>]
   broker serve --listen <host:port> [--participants <p>]
@@ -66,8 +66,7 @@ The fleet runs every member as a concurrent session of one multiplexing
 engine. --transport picks how its messages move: direct (the default;
 one in-memory link per participant) or brokered (all sessions relayed
 through a GRACE-style grid broker over a single supervisor link) —
-verdicts and digests are identical either way. --broker is the
-deprecated spelling of --transport brokered.
+verdicts and digests are identical either way.
 
 --connect <host:port> runs the same campaign over a real grid: a
 `ugc broker serve` process relays between this supervisor and
@@ -77,19 +76,18 @@ same flags. A --connect campaign cannot inject chaos (--chaos/--churn:
 fault schedules are keyed by in-process link identity) and cannot
 journal (--journal/--resume/--kill-at are in-process flags).
 
---workers <w> multiplexes all participants as poll-driven state machines
-over a fixed pool of w OS threads (w = 0 picks one per available core);
-without it each participant gets its own OS thread. --steal-seed <s>
-seeds the pool's work-stealing victim order — scheduling-only, any seed
-reproduces the identical campaign. --lanes picks the message-parallel
-digest kernel width for participant tree builds (x8 default; scalar
-disables lane batching) — digests are bit-identical at any width, so
-this is purely a speed knob. --threads sets the
-participant count (same as --participants), --chaos <seed> injects
-seeded message duplication/reordering/latency on every participant link,
-and --churn adds participant crash/restart churn — failed sessions are
-reassigned, and the whole campaign replays bit-identically from the
-seed at any worker count.
+All participants run as poll-driven state machines multiplexed over a
+fixed pool of scheduler threads: --workers <w> sets its size (absent or
+0: one per available core). --steal-seed <s> seeds the pool's
+work-stealing victim order — scheduling-only, any seed reproduces the
+identical campaign. --lanes picks the message-parallel digest kernel
+width for participant tree builds (x8 default; scalar disables lane
+batching) — digests are bit-identical at any width, so this is purely a
+speed knob. --chaos <seed> injects seeded message
+duplication/reordering/latency on every participant link, and --churn
+adds participant crash/restart churn — failed sessions are reassigned,
+and the whole campaign replays bit-identically from the seed at any
+worker count.
 
 --journal <path> makes the campaign crash-durable: every round is
 written ahead to a checksummed journal before the supervisor acts on
@@ -493,12 +491,8 @@ fn cmd_run(mut args: Args<'_>) -> Result<(), String> {
 /// and must reject the in-process transport flags instead of parsing
 /// them).
 fn base_fleet_params(args: &mut Args<'_>) -> Result<FleetParams, String> {
-    let participants: u64 = args.value("--participants", 4)?;
-    // --threads is the historical alias from the thread-per-participant
-    // runtime: the participant count, under its old name.
-    let participants: u64 = args.value("--threads", participants)?;
     Ok(FleetParams {
-        participants,
+        participants: args.value("--participants", 4)?,
         cheaters: args.value("--cheaters", 1)?,
         n: args.value("--n", 4096)?,
         m: args.value("--m", 25)?,
@@ -510,32 +504,16 @@ fn base_fleet_params(args: &mut Args<'_>) -> Result<FleetParams, String> {
     })
 }
 
-/// Parses the one transport-selection knob: `--transport
-/// direct|brokered`, with `--broker` kept as a deprecated alias for
-/// `--transport brokered` (a stderr hint nudges scripts over; combining
-/// the two spellings is an error rather than a guess).
+/// Parses the one transport-selection knob, `--transport
+/// direct|brokered` (direct when absent).
 fn transport_from_args(args: &mut Args<'_>) -> Result<FleetTransport, String> {
-    let transport: Option<String> = args.opt("--transport")?;
-    let broker = args.flag("--broker");
-    match (transport.as_deref(), broker) {
-        (Some(t), true) => Err(format!(
-            "--broker conflicts with --transport {t}; --broker is a deprecated alias for \
-             --transport brokered — drop it"
-        )),
-        (Some("direct"), false) => Ok(FleetTransport::Direct),
-        (Some("brokered"), false) => Ok(FleetTransport::Brokered),
-        (Some(other), false) => Err(format!(
+    match args.raw("--transport")? {
+        None | Some("direct") => Ok(FleetTransport::Direct),
+        Some("brokered") => Ok(FleetTransport::Brokered),
+        Some(other) => Err(format!(
             "unknown transport {other:?} (expected direct or brokered; cross-process \
              campaigns use `ugc fleet --connect <host:port>`)"
         )),
-        (None, true) => {
-            eprintln!(
-                "warning: --broker is deprecated; use --transport brokered \
-                 (same campaign, same digest)"
-            );
-            Ok(FleetTransport::Brokered)
-        }
-        (None, false) => Ok(FleetTransport::Direct),
     }
 }
 
@@ -561,17 +539,14 @@ fn cmd_fleet(mut args: Args<'_>) -> Result<(), String> {
     let verify = args.flag("--verify-journal");
     let resume = args.flag("--resume");
     let kill_at: Option<u64> = args.opt("--kill-at")?;
-    // --workers w multiplexes all participants over a w-thread scheduler
-    // pool (0 = one per available core); absent, every participant gets
-    // its own OS thread. Verdicts and fault logs are identical either
-    // way.
-    let workers: Option<usize> = args.opt::<usize>("--workers")?.map(|w| {
-        if w == 0 {
-            GridScheduler::available().workers()
-        } else {
-            w
-        }
-    });
+    // --workers w sizes the scheduler pool all participants are
+    // multiplexed over; absent or 0 means one worker per available core.
+    // Verdicts and fault logs are identical at any size.
+    let workers_flag: Option<usize> = args.opt("--workers")?;
+    let workers = match workers_flag {
+        None | Some(0) => GridScheduler::available().workers(),
+        Some(w) => w,
+    };
     // --steal-seed s seeds the pool's work-stealing victim order — a
     // scheduling-only knob: any seed reproduces the identical campaign
     // (verdicts, fault log, byte counts).
@@ -594,8 +569,8 @@ fn cmd_fleet(mut args: Args<'_>) -> Result<(), String> {
                     .into(),
             );
         }
-        if args.raw("--transport")?.is_some() || args.flag("--broker") {
-            return Err("--connect implies the remote transport; drop --transport/--broker".into());
+        if args.raw("--transport")?.is_some() {
+            return Err("--connect implies the remote transport; drop --transport".into());
         }
         let mut params = base_fleet_params(&mut args)?;
         args.finish()?;
@@ -616,7 +591,7 @@ fn cmd_fleet(mut args: Args<'_>) -> Result<(), String> {
                 "--verify-journal requires --journal <path> (the journal to verify)".into(),
             );
         };
-        if resume || kill_at.is_some() || workers.is_some() {
+        if resume || kill_at.is_some() || workers_flag.is_some() {
             return Err(
                 "--verify-journal only checks an existing journal; it cannot be combined \
                  with --resume, --kill-at or --workers"
@@ -663,7 +638,7 @@ fn cmd_fleet(mut args: Args<'_>) -> Result<(), String> {
 
     let plan = CampaignPlan::new(params.clone())?;
     let members = plan.members();
-    let config = plan.mixed_config(workers, steal_seed, lanes);
+    let config = plan.mixed_config(Some(workers), steal_seed, lanes);
     let domain = plan.domain();
     let (task, screener) = (plan.task(), plan.screener());
     let outcome = match (&journal_path, resumed) {
@@ -717,7 +692,7 @@ fn cmd_fleet(mut args: Args<'_>) -> Result<(), String> {
 fn cmd_fleet_connect(
     addr: &str,
     params: &FleetParams,
-    workers: Option<usize>,
+    workers: usize,
     steal_seed: u64,
     lanes: LaneWidth,
 ) -> Result<(), String> {
@@ -731,14 +706,15 @@ fn cmd_fleet_connect(
     );
     let mut backend = RemoteGridBackend::new(link);
     let members = plan.members();
-    let config = plan.mixed_config(workers, steal_seed, lanes);
-    let summary = run_mixed_fleet_on(
+    let config = plan.mixed_config(Some(workers), steal_seed, lanes);
+    let summary = run_fleet_on(
         plan.task(),
         plan.screener(),
         plan.domain(),
         &members,
         &config,
         &mut backend,
+        None,
     )
     .map_err(|e| e.to_string())?;
     print_fleet_summary(&summary, params, workers);
@@ -748,15 +724,12 @@ fn cmd_fleet_connect(
 /// The end-of-campaign report shared by every fleet path: execution
 /// shape, transport, per-member verdicts, reassignments, chaos stats,
 /// throughput, and the replay digest.
-fn print_fleet_summary(summary: &FleetSummary, params: &FleetParams, workers: Option<usize>) {
-    let participants = params.participants;
+fn print_fleet_summary(summary: &FleetSummary, params: &FleetParams, workers: usize) {
     let scheme_name = params.scheme.as_str();
-    let execution = match workers {
-        Some(w) => format!("{participants} participants on {w} scheduler workers"),
-        None => format!("{participants} threads"),
-    };
     println!(
-        "fleet of {execution} over {} inputs via {}: {} accepted, {} rejected",
+        "fleet of {} participants on {workers} scheduler workers over {} inputs via {}: \
+         {} accepted, {} rejected",
+        params.participants,
         params.n,
         match params.transport {
             FleetTransport::Direct => format!("direct links ({scheme_name})"),

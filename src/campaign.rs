@@ -242,7 +242,7 @@ impl CampaignPlan {
             seed,
         );
         // One scheme instance per member, each with the derived seed
-        // `run_fleet_over` would have used.
+        // `run_fleet` would have used.
         let schemes: Vec<Box<dyn VerificationScheme<Sha256>>> = (0..participants)
             .map(|i| {
                 scheme.instantiate::<Sha256>(
@@ -339,10 +339,11 @@ impl CampaignPlan {
             )
     }
 
-    /// The [`MixedFleetConfig`] for this campaign. `workers`,
-    /// `steal_seed` and `lanes` are execution-only knobs (scheduling and
-    /// digest-kernel width, never digests); everything digest-relevant
-    /// comes from the params.
+    /// The [`MixedFleetConfig`] for this campaign. `workers` (scheduler
+    /// pool size; `None` is one per available core), `steal_seed` and
+    /// `lanes` are execution-only knobs (scheduling and digest-kernel
+    /// width, never digests); everything digest-relevant comes from the
+    /// params.
     #[must_use]
     pub fn mixed_config(
         &self,

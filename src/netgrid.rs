@@ -33,8 +33,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use ugc_core::{
-    run_mixed_fleet_on, FleetSummary, ParticipantSession, RemoteGridBackend, SlotReport,
-    TransportKind,
+    run_fleet_on, FleetSummary, ParticipantSession, RemoteGridBackend, SlotReport, TransportKind,
 };
 use ugc_grid::tcp::{handshake_participant, handshake_supervisor};
 use ugc_grid::wire::{recv_hello, send_welcome, Hello, Welcome, ROLE_PARTICIPANT, ROLE_SUPERVISOR};
@@ -538,13 +537,14 @@ pub fn run_remote_campaign(params: &FleetParams, joiners: usize) -> Result<Fleet
         handshake_supervisor(stream, &params.encode()).map_err(|e| format!("handshake: {e}"))?;
     let mut backend = RemoteGridBackend::new(link);
     let members = plan.members();
-    let summary = run_mixed_fleet_on(
+    let summary = run_fleet_on(
         plan.task(),
         plan.screener(),
         plan.domain(),
         &members,
         &plan.mixed_config(None, 0, ugc_core::LaneWidth::default()),
         &mut backend,
+        None,
     )
     .map_err(|e| e.to_string())?;
 

@@ -3,10 +3,13 @@
 
 use uncheatable_grid::core::sampling::derive_samples;
 use uncheatable_grid::core::scheme::cbs::verify_round;
-use uncheatable_grid::core::scheme::ni_cbs::{participant_ni_cbs, NiCbsConfig};
-use uncheatable_grid::core::{ParticipantStorage, Verdict};
+use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
+use uncheatable_grid::core::session::drive_participant;
+use uncheatable_grid::core::{
+    LaneWidth, Parallelism, ParticipantContext, ParticipantStorage, Verdict, VerificationScheme,
+};
 use uncheatable_grid::grid::{
-    duplex, Assignment, Broker, CheatSelection, CostLedger, HonestWorker, Message,
+    duplex, Assignment, Broker, CheatSelection, CostLedger, Endpoint, HonestWorker, Message,
     SemiHonestCheater, WorkerBehaviour,
 };
 use uncheatable_grid::hash::{HashFunction, IteratedHash, Sha256};
@@ -29,48 +32,33 @@ fn brokered_ni_cbs_accepts_honest_rejects_cheater() {
     let honest = HonestWorker;
     let cheater = SemiHonestCheater::new(0.4, CheatSelection::Scattered, ZeroGuesser::new(1), 3);
 
+    let scheme = NiCbsScheme {
+        samples: M,
+        g_iterations: 1,
+        report_audit: 0,
+        audit_seed: 0,
+    };
+    // The participant half of one NI-CBS round, blocking on its link.
+    let participate = |endpoint: Endpoint, behaviour: &dyn WorkerBehaviour| {
+        let screener = task.match_screener();
+        let mut session = VerificationScheme::<Sha256>::participant_session(
+            &scheme,
+            ParticipantContext {
+                task: &task,
+                screener: &screener,
+                behaviour,
+                storage: ParticipantStorage::Full,
+                parallelism: Parallelism::default(),
+                lanes: LaneWidth::default(),
+                ledger: CostLedger::new(),
+            },
+        );
+        let _ = drive_participant(&endpoint, session.as_mut());
+    };
+
     let verdicts = std::thread::scope(|scope| {
-        let t = &task;
-        let h = &honest;
-        let c = &cheater;
-        scope.spawn(move || {
-            let ledger = CostLedger::new();
-            let screener = t.match_screener();
-            let _ = participant_ni_cbs::<Sha256, _, _, _>(
-                &part_a,
-                t,
-                &screener,
-                &(h as &dyn WorkerBehaviour),
-                ParticipantStorage::Full,
-                &NiCbsConfig {
-                    task_id: 0,
-                    samples: M,
-                    g_iterations: 1,
-                    report_audit: 0,
-                    audit_seed: 0,
-                },
-                &ledger,
-            );
-        });
-        scope.spawn(move || {
-            let ledger = CostLedger::new();
-            let screener = t.match_screener();
-            let _ = participant_ni_cbs::<Sha256, _, _, _>(
-                &part_b,
-                t,
-                &screener,
-                &(c as &dyn WorkerBehaviour),
-                ParticipantStorage::Full,
-                &NiCbsConfig {
-                    task_id: 0,
-                    samples: M,
-                    g_iterations: 1,
-                    report_audit: 0,
-                    audit_seed: 0,
-                },
-                &ledger,
-            );
-        });
+        scope.spawn(|| participate(part_a, &honest));
+        scope.spawn(|| participate(part_b, &cheater));
 
         // Supervisor side, by hand, through the broker.
         let ledger = CostLedger::new();

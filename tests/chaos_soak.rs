@@ -1,7 +1,7 @@
-//! The chaos soak: mixed five-scheme campaigns over real participant
-//! threads with seeded fault injection (duplication, reordering, latency,
-//! crash/restart churn, message loss). Verifies the three guarantees the
-//! thread-per-participant runtime makes:
+//! The chaos soak: mixed five-scheme campaigns on the scheduler pool
+//! with seeded fault injection (duplication, reordering, latency,
+//! crash/restart churn, message loss). Verifies the three guarantees a
+//! campaign makes under faults:
 //!
 //! 1. **Correctness under chaos** — honest participants end up accepted,
 //!    cheaters rejected, no matter what the fault plan does to the links
@@ -69,7 +69,7 @@ fn digest(summary: &FleetSummary) -> String {
     out
 }
 
-/// The acceptance campaign: all five schemes, ten participant threads,
+/// The acceptance campaign: all five schemes, ten participant slots,
 /// three behaviour kinds, a nonzero chaos seed with churn — completed
 /// with the verdicts each scheme's theory demands, twice, bit-identically.
 #[test]
@@ -123,7 +123,7 @@ fn mixed_five_scheme_chaos_campaign_is_correct_and_replays_bit_identically() {
         let specs: Vec<MemberSpec<'_, Sha256>> = members.into_iter().map(|(m, _)| m).collect();
         assert!(
             specs.iter().map(|m| m.behaviours.len()).sum::<usize>() >= 8,
-            "the soak must run at least 8 participant threads"
+            "the soak must run at least 8 participant slots"
         );
         let summary = run_mixed_fleet(
             &task,

@@ -174,7 +174,7 @@ fn fleet_over_broker_matches_direct_verdicts() {
     ];
     for scheme in ["cbs", "ni-cbs", "naive"] {
         let direct = ugc(&[&base[..], &["--scheme", scheme]].concat());
-        let brokered = ugc(&[&base[..], &["--scheme", scheme, "--broker"]].concat());
+        let brokered = ugc(&[&base[..], &["--scheme", scheme, "--transport", "brokered"]].concat());
         assert!(direct.status.success(), "{scheme} direct failed");
         assert!(brokered.status.success(), "{scheme} brokered failed");
         assert!(
@@ -195,14 +195,15 @@ fn fleet_over_broker_matches_direct_verdicts() {
 fn fleet_chaos_campaign_reports_faults_and_throughput() {
     let args = [
         "fleet",
-        "--threads",
+        "--participants",
         "8",
         "--cheaters",
         "1",
         "--chaos",
         "7",
         "--churn",
-        "--broker",
+        "--transport",
+        "brokered",
         "--n",
         "512",
         "--m",
@@ -215,7 +216,7 @@ fn fleet_chaos_campaign_reports_faults_and_throughput() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = stdout(&out);
-    assert!(text.contains("fleet of 8 threads"), "{text}");
+    assert!(text.contains("fleet of 8 participants on "), "{text}");
     assert!(text.contains("7 accepted, 1 rejected"), "{text}");
     assert!(text.contains("chaos seed 7:"), "{text}");
     assert!(text.contains("faults injected"), "{text}");
@@ -272,49 +273,102 @@ fn fleet_unrecognized_flag_prints_usage_and_fails() {
     assert!(err.contains("unrecognized argument"), "{err}");
     assert!(err.contains("--particpants"), "{err}");
     assert!(err.contains("usage: ugc"), "{err}");
+    // Retired spellings are unknown flags like any other, not aliases:
+    // `--transport brokered` and `--participants` are the only ones.
+    for retired in [&["--broker"][..], &["--threads", "8"][..]] {
+        let out = ugc(&[&["fleet"][..], retired].concat());
+        assert!(!out.status.success(), "{retired:?} must be rejected");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unrecognized argument"), "{err}");
+        assert!(err.contains(retired[0]), "{err}");
+    }
 }
+
+/// `ugc fleet`, flags split on whitespace.
+fn fleet(flags: &str) -> Output {
+    ugc(&[
+        &["fleet"][..],
+        &flags.split_whitespace().collect::<Vec<_>>(),
+    ]
+    .concat())
+}
+
+const GOLDEN_FLEET: &str = "--participants 6 --cheaters 1 --n 2048 --m 12";
+
+/// First 16 hex digits of the digest `ugc fleet` [`GOLDEN_FLEET`]
+/// (default seed) prints, per scheme, for a clean run and for `--chaos
+/// <7|9|11> --churn`. Recorded at the last commit that still ran a bare
+/// `ugc fleet` on one OS thread per participant, where that path and the
+/// `--workers` pool agreed on every cell; the same for `--transport
+/// direct` and `brokered`.
+#[rustfmt::skip]
+const GOLDEN_DIGESTS: [(&str, [&str; 4]); 5] = [
+    ("cbs",          ["8e0743a34194b3d8", "e4fb7ff1f7edd028", "af1c21dc35e5f1be", "54c3f83076aeda1c"]),
+    ("ni-cbs",       ["810e60938005cbcb", "da60521e7a0124c2", "a3a6b21e1ccf6cc7", "644f74b91c89a0dd"]),
+    ("naive",        ["5462eff53a9d3821", "bbbdc8c206a5a76f", "ef6e210037e4a019", "9b17cb1bbe338878"]),
+    ("ringer",       ["2230a27891c15f2c", "c908e55faea19f13", "8c4a4aabb0b512f7", "33a2acd57ce49973"]),
+    ("double-check", ["8fbaedc90cec4e46", "e111c2d8f816b0fe", "cfe0cb30cb0029ed", "b31a34865c3ff8fb"]),
+];
 
 #[test]
 fn fleet_workers_pool_matches_thread_per_participant_verdicts() {
-    // The same campaign on a 2-worker scheduler pool: identical verdicts
-    // and identical replayable lines (only the execution header and the
-    // wall-clock throughput line differ from the threaded run).
-    let base = [
-        "fleet",
-        "--participants",
-        "6",
-        "--cheaters",
-        "1",
-        "--n",
-        "384",
-        "--m",
-        "15",
-        "--chaos",
-        "5",
-        "--churn",
-        "--broker",
+    // The scheduler pool at any size, over either transport, prints the
+    // digest the thread-per-participant path printed for the same flags.
+    let chaos = [
+        "",
+        "--chaos 7 --churn",
+        "--chaos 9 --churn",
+        "--chaos 11 --churn",
     ];
-    let stable = |out: &Output| -> Vec<String> {
-        stdout(out)
-            .lines()
-            .filter(|l| !l.starts_with("throughput:") && !l.starts_with("fleet of"))
-            .map(str::to_owned)
-            .collect()
-    };
-    let threaded = ugc(&base);
-    assert!(threaded.status.success());
-    let pooled = ugc(&[&base[..], &["--workers", "2"]].concat());
-    assert!(pooled.status.success());
+    for (scheme, row) in GOLDEN_DIGESTS {
+        for (chaos, golden) in chaos.iter().zip(row) {
+            for transport in ["direct", "brokered"] {
+                for pool in ["", "--workers 1", "--workers 4", "--workers 8"] {
+                    let flags = format!(
+                        "{GOLDEN_FLEET} --scheme {scheme} --transport {transport} {chaos} {pool}"
+                    );
+                    let out = fleet(&flags);
+                    assert!(out.status.success(), "{flags}");
+                    assert!(
+                        digest_line(&out).starts_with(&format!("digest: {golden}")),
+                        "{flags} must print {golden}…:\n{}",
+                        stdout(&out)
+                    );
+                }
+            }
+        }
+    }
+    // The header names the pool, whether or not a size was given.
+    let sized = stdout(&fleet(&format!("{GOLDEN_FLEET} --workers 2")));
     assert!(
-        stdout(&pooled).contains("6 participants on 2 scheduler workers"),
-        "{}",
-        stdout(&pooled)
+        sized.contains("6 participants on 2 scheduler workers"),
+        "{sized}"
     );
-    assert_eq!(
-        stable(&threaded),
-        stable(&pooled),
-        "worker pool must not change verdicts, attempts or the fault log"
-    );
+    let bare = stdout(&fleet(GOLDEN_FLEET));
+    assert!(bare.contains(" scheduler workers over "), "{bare}");
+}
+
+#[test]
+fn fleet_single_worker_replay_never_strands_a_queued_verdict() {
+    // The one cell that used to flicker: on a one-worker pool the
+    // supervisor could verify the first copy of link 5's duplicated
+    // upload, send the verdict and hang up before the duplicate's send —
+    // which then failed the participant session with the verdict still
+    // queued, so its inbound fault decision (`Delayed { link: 5, Inbound,
+    // seq: 1 }`) was drawn in some runs (18 faults, this digest) and not
+    // in others (17 faults, another).
+    let flags =
+        format!("{GOLDEN_FLEET} --scheme naive --transport brokered --chaos 7 --churn --workers 1");
+    for run in 0..50 {
+        let out = fleet(&flags);
+        assert!(out.status.success());
+        assert!(
+            digest_line(&out).starts_with("digest: bbbdc8c206a5a76f"),
+            "run {run}:\n{}",
+            stdout(&out)
+        );
+        assert!(stdout(&out).contains(": 18 faults injected"), "run {run}");
+    }
 }
 
 #[test]
@@ -519,33 +573,6 @@ fn digest_line(out: &Output) -> String {
 }
 
 #[test]
-fn fleet_transport_brokered_equals_deprecated_broker_flag() {
-    let base = [
-        "fleet",
-        "--participants",
-        "3",
-        "--cheaters",
-        "1",
-        "--n",
-        "240",
-        "--m",
-        "8",
-    ];
-    let spelled = ugc(&[&base[..], &["--transport", "brokered"]].concat());
-    let deprecated = ugc(&[&base[..], &["--broker"]].concat());
-    assert!(spelled.status.success());
-    assert!(deprecated.status.success());
-    // Same campaign, same digest — the alias changes nothing but stderr.
-    assert_eq!(digest_line(&spelled), digest_line(&deprecated));
-    assert!(
-        String::from_utf8_lossy(&deprecated.stderr).contains("--broker is deprecated"),
-        "the alias must hint at the new spelling: {}",
-        String::from_utf8_lossy(&deprecated.stderr)
-    );
-    assert!(String::from_utf8_lossy(&spelled.stderr).is_empty());
-}
-
-#[test]
 fn fleet_transport_flag_matrix() {
     // Unknown transport value: error names the flag and the remote path.
     let out = ugc(&["fleet", "--transport", "carrier-pigeon"]);
@@ -553,15 +580,6 @@ fn fleet_transport_flag_matrix() {
     let err = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(err.contains("unknown transport"), "{err}");
     assert!(err.contains("--connect"), "{err}");
-
-    // Mixing the old and new spellings is a conflict, not a guess.
-    let out = ugc(&["fleet", "--transport", "brokered", "--broker"]);
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("conflicts"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 
     // A dangling --transport must not silently default.
     let out = ugc(&["fleet", "--transport"]);
@@ -592,15 +610,13 @@ fn fleet_connect_flag_matrix() {
     }
 
     // --connect implies the remote transport; picking another is an error.
-    for extra in [&["--transport", "direct"][..], &["--broker"][..]] {
-        let out = ugc(&[&["fleet", "--connect", "127.0.0.1:1"][..], extra].concat());
-        assert!(!out.status.success(), "--connect with {extra:?} must fail");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("implies the remote transport"),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
+    let out = ugc(&["fleet", "--connect", "127.0.0.1:1", "--transport", "direct"]);
+    assert!(!out.status.success());
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("implies the remote transport"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Chaos is keyed by in-process link identity; refuse it remotely.
     for extra in [&["--chaos", "7"][..], &["--churn"][..]] {
@@ -757,21 +773,13 @@ fn cross_process_campaign_digest_matches_in_process() {
 
 #[test]
 fn fleet_workers_zero_picks_available_cores() {
-    let out = ugc(&[
-        "fleet",
-        "--participants",
-        "3",
-        "--cheaters",
-        "0",
-        "--n",
-        "96",
-        "--m",
-        "6",
-        "--workers",
-        "0",
-    ]);
+    let base = "--participants 3 --cheaters 0 --n 96 --m 6";
+    let out = fleet(&format!("{base} --workers 0"));
     assert!(out.status.success());
     let text = stdout(&out);
     assert!(text.contains("scheduler workers"), "{text}");
     assert!(text.contains("3 accepted, 0 rejected"), "{text}");
+    // An absent --workers means the same thing, down to the header.
+    let header = |text: &str| text.lines().next().map(str::to_owned);
+    assert_eq!(header(&text), header(&stdout(&fleet(base))));
 }

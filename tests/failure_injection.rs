@@ -2,9 +2,15 @@
 //! hangs, no panics) when peers die, lie structurally, or reorder
 //! messages. Distributed-systems hygiene for the scheme layer.
 
-use uncheatable_grid::core::scheme::cbs::{participant_cbs, supervisor_cbs, CbsConfig};
-use uncheatable_grid::core::{ParticipantStorage, SchemeError};
-use uncheatable_grid::grid::{duplex, Assignment, CostLedger, GridError, HonestWorker, Message};
+use uncheatable_grid::core::scheme::cbs::CbsScheme;
+use uncheatable_grid::core::session::{drive_participant, drive_supervisor};
+use uncheatable_grid::core::{
+    LaneWidth, Parallelism, ParticipantContext, ParticipantStorage, SchemeError, SessionOutcome,
+    SupervisorContext, VerificationScheme,
+};
+use uncheatable_grid::grid::{
+    duplex, Assignment, CostLedger, Endpoint, GridError, HonestWorker, Message,
+};
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;
 use uncheatable_grid::task::Domain;
@@ -13,27 +19,42 @@ fn task() -> PasswordSearch {
     PasswordSearch::with_hidden_password(1, 2)
 }
 
+fn scheme(samples: usize) -> CbsScheme {
+    CbsScheme {
+        samples,
+        seed: 1,
+        report_audit: 0,
+    }
+}
+
+/// The supervisor half of one CBS round (task id 1, 16 inputs) over
+/// `endpoint`, whatever is on the other end.
+fn supervise(
+    endpoint: &Endpoint,
+    task: &PasswordSearch,
+    samples: usize,
+) -> Result<SessionOutcome, SchemeError> {
+    let scheme = scheme(samples);
+    let screener = task.match_screener();
+    let mut session = VerificationScheme::<Sha256>::supervisor_session(
+        &scheme,
+        SupervisorContext {
+            task,
+            screener: &screener,
+            domain: Domain::new(0, 16),
+            task_ids: vec![1],
+            ledger: CostLedger::new(),
+        },
+    );
+    drive_supervisor(&[endpoint], session.as_mut())
+}
+
 #[test]
 fn supervisor_reports_disconnect_if_participant_dies_before_commit() {
     let t = task();
-    let screener = t.match_screener();
     let (sup_ep, part_ep) = duplex();
     drop(part_ep); // participant never shows up
-    let ledger = CostLedger::new();
-    let err = supervisor_cbs::<Sha256, _, _>(
-        &sup_ep,
-        &t,
-        &screener,
-        Domain::new(0, 16),
-        &CbsConfig {
-            task_id: 1,
-            samples: 2,
-            seed: 1,
-            report_audit: 0,
-        },
-        &ledger,
-    )
-    .unwrap_err();
+    let err = supervise(&sup_ep, &t, 2).unwrap_err();
     assert_eq!(err, SchemeError::Grid(GridError::Disconnected));
 }
 
@@ -41,18 +62,23 @@ fn supervisor_reports_disconnect_if_participant_dies_before_commit() {
 fn participant_reports_disconnect_if_supervisor_dies_after_commit() {
     let t = task();
     let (sup_ep, part_ep) = duplex();
-    let ledger = CostLedger::new();
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| {
+            let scheme = scheme(2);
             let screener = t.match_screener();
-            participant_cbs::<Sha256, _, _, _>(
-                &part_ep,
-                &t,
-                &screener,
-                &HonestWorker,
-                ParticipantStorage::Full,
-                &ledger,
-            )
+            let mut session = VerificationScheme::<Sha256>::participant_session(
+                &scheme,
+                ParticipantContext {
+                    task: &t,
+                    screener: &screener,
+                    behaviour: &HonestWorker,
+                    storage: ParticipantStorage::Full,
+                    parallelism: Parallelism::default(),
+                    lanes: LaneWidth::default(),
+                    ledger: CostLedger::new(),
+                },
+            );
+            drive_participant(&part_ep, session.as_mut())
         });
         sup_ep
             .send(&Message::Assign(Assignment {
@@ -70,9 +96,7 @@ fn participant_reports_disconnect_if_supervisor_dies_after_commit() {
 #[test]
 fn supervisor_rejects_out_of_order_messages() {
     let t = task();
-    let screener = t.match_screener();
     let (sup_ep, part_ep) = duplex();
-    let ledger = CostLedger::new();
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let _assign = part_ep.recv().unwrap();
@@ -84,20 +108,7 @@ fn supervisor_rejects_out_of_order_messages() {
                 })
                 .unwrap();
         });
-        let err = supervisor_cbs::<Sha256, _, _>(
-            &sup_ep,
-            &t,
-            &screener,
-            Domain::new(0, 16),
-            &CbsConfig {
-                task_id: 1,
-                samples: 2,
-                seed: 1,
-                report_audit: 0,
-            },
-            &ledger,
-        )
-        .unwrap_err();
+        let err = supervise(&sup_ep, &t, 2).unwrap_err();
         assert_eq!(
             err,
             SchemeError::UnexpectedMessage {
@@ -111,9 +122,7 @@ fn supervisor_rejects_out_of_order_messages() {
 #[test]
 fn supervisor_rejects_wrong_task_id() {
     let t = task();
-    let screener = t.match_screener();
     let (sup_ep, part_ep) = duplex();
-    let ledger = CostLedger::new();
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let _assign = part_ep.recv().unwrap();
@@ -124,20 +133,7 @@ fn supervisor_rejects_wrong_task_id() {
                 })
                 .unwrap();
         });
-        let err = supervisor_cbs::<Sha256, _, _>(
-            &sup_ep,
-            &t,
-            &screener,
-            Domain::new(0, 16),
-            &CbsConfig {
-                task_id: 1,
-                samples: 2,
-                seed: 1,
-                report_audit: 0,
-            },
-            &ledger,
-        )
-        .unwrap_err();
+        let err = supervise(&sup_ep, &t, 2).unwrap_err();
         assert_eq!(
             err,
             SchemeError::TaskMismatch {
@@ -151,9 +147,7 @@ fn supervisor_rejects_wrong_task_id() {
 #[test]
 fn supervisor_rejects_malformed_commitment() {
     let t = task();
-    let screener = t.match_screener();
     let (sup_ep, part_ep) = duplex();
-    let ledger = CostLedger::new();
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let _assign = part_ep.recv().unwrap();
@@ -164,20 +158,7 @@ fn supervisor_rejects_malformed_commitment() {
                 })
                 .unwrap();
         });
-        let err = supervisor_cbs::<Sha256, _, _>(
-            &sup_ep,
-            &t,
-            &screener,
-            Domain::new(0, 16),
-            &CbsConfig {
-                task_id: 1,
-                samples: 2,
-                seed: 1,
-                report_audit: 0,
-            },
-            &ledger,
-        )
-        .unwrap_err();
+        let err = supervise(&sup_ep, &t, 2).unwrap_err();
         assert_eq!(
             err,
             SchemeError::MalformedPayload {
@@ -190,9 +171,7 @@ fn supervisor_rejects_malformed_commitment() {
 #[test]
 fn supervisor_rejects_short_proof_list() {
     let t = task();
-    let screener = t.match_screener();
     let (sup_ep, part_ep) = duplex();
-    let ledger = CostLedger::new();
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let _assign = part_ep.recv().unwrap();
@@ -216,20 +195,7 @@ fn supervisor_rejects_short_proof_list() {
                 })
                 .unwrap();
         });
-        let err = supervisor_cbs::<Sha256, _, _>(
-            &sup_ep,
-            &t,
-            &screener,
-            Domain::new(0, 16),
-            &CbsConfig {
-                task_id: 1,
-                samples: 3,
-                seed: 1,
-                report_audit: 0,
-            },
-            &ledger,
-        )
-        .unwrap_err();
+        let err = supervise(&sup_ep, &t, 3).unwrap_err();
         assert_eq!(
             err,
             SchemeError::ProofCountMismatch {

@@ -10,7 +10,7 @@ use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 use uncheatable_grid::campaign::{CampaignPlan, FleetParams};
 use uncheatable_grid::core::{
-    run_mixed_fleet, run_mixed_fleet_on, summary_digest, FleetTransport, RemoteGridBackend,
+    run_fleet_on, run_mixed_fleet, summary_digest, FleetTransport, RemoteGridBackend,
 };
 use uncheatable_grid::grid::tcp::handshake_supervisor;
 use uncheatable_grid::netgrid::{self, GridServer};
@@ -87,13 +87,14 @@ fn dialers_that_never_finish_their_hello_do_not_stall_a_running_campaign() {
     let supervisor = std::thread::spawn(move || {
         let mut backend = RemoteGridBackend::new(link);
         let members = plan.members();
-        let result = run_mixed_fleet_on(
+        let result = run_fleet_on(
             plan.task(),
             plan.screener(),
             plan.domain(),
             &members,
             &plan.mixed_config(None, 0, uncheatable_grid::hash::LaneWidth::default()),
             &mut backend,
+            None,
         );
         tx.send(result.map(|s| summary_digest(&s))).ok();
     });

@@ -1,7 +1,7 @@
 //! The scale soak: a 1000-participant mixed-scheme campaign on a
-//! 4-worker scheduler pool — the workload the thread-per-participant
-//! runtime could never run, and the acceptance test of the event-driven
-//! refactor:
+//! 4-worker scheduler pool — the workload no host could run on one OS
+//! thread per participant, and the acceptance test of the event-driven
+//! design:
 //!
 //! 1. **It completes, correctly** — a thousand poll-driven sessions
 //!    (all five schemes, honest members and planted cheaters, seeded
@@ -73,9 +73,7 @@ struct Schemes {
     double_check: DoubleCheckScheme,
 }
 
-/// Runs the 1000-slot campaign on the given pool. `None` would be the
-/// thread-per-participant model — deliberately not exercised here at
-/// this scale (that is the point of the scheduler).
+/// Runs the 1000-slot campaign on a pool of the given size.
 fn campaign(workers: usize) -> FleetSummary {
     let task = PasswordSearch::with_hidden_password(SOAK_SEED, 3);
     let screener = AcceptAllScreener;

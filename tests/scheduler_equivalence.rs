@@ -1,18 +1,23 @@
-//! Scheduler equivalence: the poll-driven `GridScheduler` execution
-//! model must be bit-identical to the PR 4 thread-per-participant
-//! runtime — same seed and chaos plan in, same `FaultLog`, verdicts and
-//! `CostLedger` axes out — for all five schemes, over both transports,
-//! at any worker-pool size *and any work-stealing seed*.
+//! Scheduler equivalence: a campaign's digest is a function of its seeds
+//! alone, not of how its participant slots are scheduled — same seed and
+//! chaos plan in, same `FaultLog`, verdicts and `CostLedger` axes out —
+//! for all five schemes, over both transports, at any worker-pool size
+//! *and any work-stealing seed*.
 //!
-//! This is the replay-digest property the event-driven refactor rests
-//! on: fault decisions are a pure function of `(seed, link, direction,
-//! seq)` and each link carries exactly one session's protocol sequence,
-//! so no interleaving — OS threads, a 4-worker run-queue, or a stolen
-//! batch landing on another worker's queue — can change what any
-//! participant observes. The work-stealing victim order (PR 8) and the
-//! batched message stepping it schedules are exercised here explicitly:
-//! sweeping `steal_seed` permutes which worker polls which session
-//! without moving a single digest bit.
+//! The reference is a checked-in table of golden digests ([`GOLDEN`],
+//! [`QUIET_GOLDEN`]), recorded at the last commit that still had a second
+//! execution model — one blocking OS thread per participant slot — on
+//! that path. The scheduler pool must keep reproducing them bit for bit.
+//!
+//! This is the replay-digest property the event-driven design rests on:
+//! fault decisions are a pure function of `(seed, link, direction, seq)`
+//! and each link carries exactly one session's protocol sequence, so no
+//! interleaving — a 1-worker or 8-worker run-queue, or a stolen batch
+//! landing on another worker's queue — can change what any participant
+//! observes. The work-stealing victim order and the batched message
+//! stepping it schedules are exercised here explicitly: sweeping
+//! `steal_seed` permutes which worker polls which session without moving
+//! a single digest bit.
 
 use std::time::Duration;
 use uncheatable_grid::core::scheme::cbs::CbsScheme;
@@ -21,7 +26,7 @@ use uncheatable_grid::core::scheme::naive::NaiveScheme;
 use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
 use uncheatable_grid::core::scheme::ringer::RingerScheme;
 use uncheatable_grid::core::{
-    run_mixed_fleet, FleetSummary, FleetTransport, MemberSpec, MixedFleetConfig,
+    run_mixed_fleet, summary_digest, FleetSummary, FleetTransport, MemberSpec, MixedFleetConfig,
 };
 use uncheatable_grid::grid::runtime::FaultPlan;
 use uncheatable_grid::grid::{
@@ -31,34 +36,23 @@ use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;
 use uncheatable_grid::task::{AcceptAllScreener, Domain, ZeroGuesser};
 
-/// Everything that must be identical between execution models: verdicts,
-/// attempts, per-session supervisor traffic, every `CostLedger` axis and
-/// the injected-fault log. (Wall-clock throughput is real time and
-/// deliberately excluded.)
-fn digest(summary: &FleetSummary) -> String {
-    let mut out = String::new();
-    for m in &summary.members {
-        out.push_str(&format!(
-            "member {} share {} accepted {} attempts {} verdict {:?} \
-             link(tx {} rx {}) sup {:?} part {:?}\n",
-            m.participant,
-            m.share,
-            m.outcome.accepted,
-            m.attempts,
-            m.outcome.verdict,
-            m.outcome.supervisor_link.bytes_sent,
-            m.outcome.supervisor_link.bytes_received,
-            m.outcome.supervisor_costs,
-            m.outcome.participant_costs,
-        ));
-    }
-    out.push_str(&format!(
-        "sessions {} bytes {}\n",
-        summary.throughput.sessions, summary.throughput.bytes
-    ));
-    out.push_str(&format!("faults {:?}\n", summary.fault_events));
-    out
-}
+/// `summary_digest` of [`campaign`] per chaos seed — everything that must
+/// not depend on scheduling: verdicts, attempts, per-session supervisor
+/// traffic, every `CostLedger` axis and the injected-fault log
+/// (wall-clock throughput is real time and deliberately excluded). The
+/// digest canonicalises the transport, so one value serves `Direct` and
+/// `Brokered` alike — itself part of what is pinned.
+#[rustfmt::skip]
+const GOLDEN: [(u64, &str); 4] = [
+    (0xC4A05,  "871f116a90ff6ea370dd930736b268616651debd1b3d670fa3a6ec01fc8161bf"),
+    (0x5EED5,  "6d9c55768b571593f138fc2a98230ac4bd5817ea5432eaa75afcf201d7fe84cb"),
+    (42,       "1b7357f1a70369de6aae01106f2c14d3ca2b9d98122bf393e4ebe528ff2edbe8"),
+    (0xD12EC7, "de06b96212ecc68019d75c3fcd6aab124fd360720902a301af4ef33c375c83a8"),
+];
+
+/// `summary_digest` of the chaos-free brokered fleet of
+/// [`quiet_fleet_identical_across_execution_models`].
+const QUIET_GOLDEN: &str = "0be36f60790f1e59840cbc4cb384dcc97b9b6f4e709809e02ab57d94dbe16803";
 
 struct Schemes {
     cbs: CbsScheme,
@@ -138,14 +132,10 @@ fn members<'a>(
     ]
 }
 
-fn campaign(chaos_seed: u64, transport: FleetTransport, workers: Option<usize>) -> FleetSummary {
-    campaign_stealing(chaos_seed, transport, workers, 0)
-}
-
-fn campaign_stealing(
+fn campaign(
     chaos_seed: u64,
     transport: FleetTransport,
-    workers: Option<usize>,
+    workers: usize,
     steal_seed: u64,
 ) -> FleetSummary {
     let task = PasswordSearch::with_hidden_password(7, 3);
@@ -167,7 +157,7 @@ fn campaign_stealing(
             chaos: Some(FaultPlan::chaos(chaos_seed).with_churn(150)),
             deadline: Some(Duration::from_secs(20)),
             retries: 8,
-            workers,
+            workers: Some(workers),
             steal_seed,
             ..MixedFleetConfig::default()
         },
@@ -175,78 +165,55 @@ fn campaign_stealing(
     .expect("the campaign must converge within the retry budget")
 }
 
-/// The tentpole property, brokered: the thread-per-participant reference
-/// and the scheduler at `workers ∈ {1, 4, participants}` all produce the
-/// same fault log, verdicts and ledgers — across several chaos seeds.
-#[test]
-fn brokered_scheduler_matches_thread_per_participant_at_any_pool_size() {
-    for chaos_seed in [0xC4A05, 0x5EED5, 42] {
-        let reference = digest(&campaign(chaos_seed, FleetTransport::Brokered, None));
+/// One transport's golden digests at `workers ∈ {1, 4, 8}` (8 = one
+/// worker per slot) and each of `steal_seeds`.
+fn assert_reproduces_golden(transport: FleetTransport, steal_seeds: &[u64]) {
+    for (chaos_seed, golden) in GOLDEN {
         for workers in [1, 4, 8] {
-            let scheduled = digest(&campaign(
-                chaos_seed,
-                FleetTransport::Brokered,
-                Some(workers),
-            ));
-            assert_eq!(
-                reference, scheduled,
-                "seed {chaos_seed:#x}: {workers}-worker scheduler diverged from the \
-                 thread-per-participant runtime"
-            );
-        }
-    }
-}
-
-/// The same property over direct per-participant links (no broker):
-/// the engine's transport must not matter to the equivalence.
-#[test]
-fn direct_scheduler_matches_thread_per_participant() {
-    let chaos_seed = 0xD12EC7;
-    let reference = digest(&campaign(chaos_seed, FleetTransport::Direct, None));
-    for workers in [1, 4, 8] {
-        let scheduled = digest(&campaign(chaos_seed, FleetTransport::Direct, Some(workers)));
-        assert_eq!(
-            reference, scheduled,
-            "{workers}-worker scheduler diverged over direct links"
-        );
-    }
-}
-
-/// The PR 8 property: the work-stealing victim order is scheduling-only.
-/// Sweeping the steal seed at several pool sizes — over both transports —
-/// permutes which worker polls which session (and which stolen batches
-/// land where) without moving a digest bit relative to the
-/// thread-per-participant reference.
-#[test]
-fn steal_seed_never_reaches_digests() {
-    for (chaos_seed, transport) in [
-        (0xC4A05u64, FleetTransport::Brokered),
-        (0xD12EC7, FleetTransport::Direct),
-    ] {
-        let reference = digest(&campaign(chaos_seed, transport, None));
-        for workers in [1, 4, 8] {
-            for steal_seed in [1u64, 0xDEAD_BEEF, u64::MAX] {
-                let stolen = digest(&campaign_stealing(
-                    chaos_seed,
-                    transport,
-                    Some(workers),
-                    steal_seed,
-                ));
+            for &steal_seed in steal_seeds {
                 assert_eq!(
-                    reference, stolen,
-                    "{transport:?} seed {chaos_seed:#x}: {workers} workers with steal \
-                     seed {steal_seed:#x} diverged from the thread-per-participant runtime"
+                    summary_digest(&campaign(chaos_seed, transport, workers, steal_seed)),
+                    golden,
+                    "{transport:?} seed {chaos_seed:#x}: {workers} workers with steal seed \
+                     {steal_seed:#x} diverged from the digest recorded on the \
+                     thread-per-participant path"
                 );
             }
         }
     }
 }
 
-/// Expected verdicts survive the scheduler: honest members accepted,
-/// cheaters rejected, exactly as the thread-per-participant path decides.
+/// The tentpole property, brokered: the scheduler at any pool size
+/// produces the fault log, verdicts and ledgers that one blocking thread
+/// per participant produced — across several chaos seeds.
+#[test]
+fn brokered_scheduler_matches_thread_per_participant_at_any_pool_size() {
+    assert_reproduces_golden(FleetTransport::Brokered, &[0]);
+}
+
+/// The same property over direct per-participant links (no broker):
+/// the engine's transport must not matter to the equivalence.
+#[test]
+fn direct_scheduler_matches_thread_per_participant() {
+    assert_reproduces_golden(FleetTransport::Direct, &[0]);
+}
+
+/// The work-stealing victim order is scheduling-only. Sweeping the steal
+/// seed at several pool sizes — over both transports — permutes which
+/// worker polls which session (and which stolen batches land where)
+/// without moving a digest bit.
+#[test]
+fn steal_seed_never_reaches_digests() {
+    for transport in [FleetTransport::Direct, FleetTransport::Brokered] {
+        assert_reproduces_golden(transport, &[1, 0xDEAD_BEEF, u64::MAX]);
+    }
+}
+
+/// The digests pin the right campaign: honest members accepted, cheaters
+/// rejected, faults actually injected.
 #[test]
 fn scheduler_verdicts_are_correct_under_chaos() {
-    let summary = campaign(0xC4A05, FleetTransport::Brokered, Some(4));
+    let summary = campaign(0xC4A05, FleetTransport::Brokered, 4, 0);
     let expected = [true, true, true, true, true, false, false];
     assert_eq!(summary.members.len(), expected.len());
     for (member, expected) in summary.members.iter().zip(expected) {
@@ -262,15 +229,16 @@ fn scheduler_verdicts_are_correct_under_chaos() {
     );
 }
 
-/// A clean (chaos-free) fleet is also identical between execution
-/// models — the scheduler is not only for storms.
+/// A clean (chaos-free) fleet is pinned too — the scheduler is not only
+/// for storms — including at the default pool size (`workers: None`, one
+/// per available core).
 #[test]
 fn quiet_fleet_identical_across_execution_models() {
     let task = PasswordSearch::with_hidden_password(3, 100);
     let screener = task.match_screener();
     let honest = HonestWorker;
     let schemes = Schemes::new(1);
-    let run = |workers: Option<usize>| {
+    for workers in [None, Some(1), Some(4)] {
         let specs = vec![
             MemberSpec::<'_, Sha256> {
                 scheme: &schemes.cbs,
@@ -285,22 +253,22 @@ fn quiet_fleet_identical_across_execution_models() {
                 behaviours: vec![&honest, &honest],
             },
         ];
-        digest(
-            &run_mixed_fleet(
-                &task,
-                &screener,
-                Domain::new(0, 192),
-                &specs,
-                &MixedFleetConfig {
-                    transport: FleetTransport::Brokered,
-                    workers,
-                    ..MixedFleetConfig::default()
-                },
-            )
-            .unwrap(),
+        let summary = run_mixed_fleet(
+            &task,
+            &screener,
+            Domain::new(0, 192),
+            &specs,
+            &MixedFleetConfig {
+                transport: FleetTransport::Brokered,
+                workers,
+                ..MixedFleetConfig::default()
+            },
         )
-    };
-    let reference = run(None);
-    assert_eq!(reference, run(Some(1)));
-    assert_eq!(reference, run(Some(4)));
+        .unwrap();
+        assert_eq!(
+            summary_digest(&summary),
+            QUIET_GOLDEN,
+            "workers {workers:?}"
+        );
+    }
 }

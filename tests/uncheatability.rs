@@ -3,15 +3,44 @@
 
 use proptest::prelude::*;
 use uncheatable_grid::core::analysis::cheat_success_probability;
-use uncheatable_grid::core::scheme::cbs::{participant_cbs, run_cbs, supervisor_cbs, CbsConfig};
-use uncheatable_grid::core::{ParticipantStorage, Verdict};
+use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig, CbsScheme};
+use uncheatable_grid::core::session::{drive_participant, drive_supervisor};
+use uncheatable_grid::core::{
+    LaneWidth, Parallelism, ParticipantContext, ParticipantStorage, SupervisorContext, Verdict,
+    VerificationScheme,
+};
 use uncheatable_grid::grid::{
-    duplex, CheatSelection, CostLedger, HonestWorker, Message, SemiHonestCheater,
+    duplex, CheatSelection, CostLedger, Endpoint, HonestWorker, Message, SemiHonestCheater,
 };
 use uncheatable_grid::hash::{HashFunction, Sha256};
 use uncheatable_grid::merkle::MerkleTree;
 use uncheatable_grid::task::workloads::PasswordSearch;
 use uncheatable_grid::task::{ComputeTask, Domain, LuckyGuesser, ZeroGuesser};
+
+/// The supervisor half of one CBS round over `endpoint`, whatever is on
+/// the other end; returns its verdict.
+fn supervise(
+    endpoint: &Endpoint,
+    task: &PasswordSearch,
+    domain: Domain,
+    task_id: u64,
+    scheme: CbsScheme,
+) -> Verdict {
+    let screener = task.match_screener();
+    let mut session = VerificationScheme::<Sha256>::supervisor_session(
+        &scheme,
+        SupervisorContext {
+            task,
+            screener: &screener,
+            domain,
+            task_ids: vec![task_id],
+            ledger: CostLedger::new(),
+        },
+    );
+    drive_supervisor(&[endpoint], session.as_mut())
+        .unwrap()
+        .verdict
+}
 
 /// A cheater with r = 0 and q = 0 must be caught by any sample.
 #[test]
@@ -47,7 +76,6 @@ fn post_challenge_recomputation_detected() {
     let task = PasswordSearch::with_hidden_password(7, 3);
     let domain = Domain::new(0, 32);
     let (sup_ep, part_ep) = duplex();
-    let ledger = CostLedger::new();
     std::thread::scope(|scope| {
         scope.spawn(|| {
             // The adaptive cheater: commit garbage, answer with true f(x).
@@ -93,21 +121,17 @@ fn post_challenge_recomputation_detected() {
                 .unwrap();
             let _ = part_ep.recv();
         });
-        let screener = task.match_screener();
-        let (verdict, _) = supervisor_cbs::<Sha256, _, _>(
+        let verdict = supervise(
             &sup_ep,
             &task,
-            &screener,
             domain,
-            &CbsConfig {
-                task_id: 1,
+            1,
+            CbsScheme {
                 samples: 5,
                 seed: 2,
                 report_audit: 0,
             },
-            &ledger,
-        )
-        .unwrap();
+        );
         // Correct f(x) but Φ(R′) ≠ Φ(R): caught by the commitment check.
         assert!(matches!(verdict, Verdict::CommitmentMismatch { .. }));
     });
@@ -121,19 +145,27 @@ fn commitment_is_binding_across_the_wire() {
     let domain = Domain::new(0, 16);
     let (sup_ep, mitm_sup) = duplex();
     let (mitm_part, part_ep) = duplex();
-    let sup_ledger = CostLedger::new();
-    let part_ledger = CostLedger::new();
+    let scheme = CbsScheme {
+        samples: 3,
+        seed: 4,
+        report_audit: 0,
+    };
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let screener = task.match_screener();
-            let _ = participant_cbs::<Sha256, _, _, _>(
-                &part_ep,
-                &task,
-                &screener,
-                &HonestWorker,
-                ParticipantStorage::Full,
-                &part_ledger,
+            let mut session = VerificationScheme::<Sha256>::participant_session(
+                &scheme,
+                ParticipantContext {
+                    task: &task,
+                    screener: &screener,
+                    behaviour: &HonestWorker,
+                    storage: ParticipantStorage::Full,
+                    parallelism: Parallelism::default(),
+                    lanes: LaneWidth::default(),
+                    ledger: CostLedger::new(),
+                },
             );
+            let _ = drive_participant(&part_ep, session.as_mut());
         });
         // The MITM relays everything except the commitment, which it
         // replaces with its own digest.
@@ -158,21 +190,7 @@ fn commitment_is_binding_across_the_wire() {
             let verdict = mitm_sup.recv().unwrap();
             mitm_part.send(&verdict).unwrap();
         });
-        let screener = task.match_screener();
-        let (verdict, _) = supervisor_cbs::<Sha256, _, _>(
-            &sup_ep,
-            &task,
-            &screener,
-            domain,
-            &CbsConfig {
-                task_id: 9,
-                samples: 3,
-                seed: 4,
-                report_audit: 0,
-            },
-            &sup_ledger,
-        )
-        .unwrap();
+        let verdict = supervise(&sup_ep, &task, domain, 9, scheme);
         assert!(matches!(verdict, Verdict::CommitmentMismatch { .. }));
     });
 }

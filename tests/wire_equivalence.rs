@@ -12,8 +12,8 @@ use std::time::Duration;
 use ugc_journal::CrashPlan;
 use uncheatable_grid::campaign::{CampaignPlan, FleetParams};
 use uncheatable_grid::core::{
-    run_durable_fleet, run_durable_fleet_on, run_mixed_fleet, run_mixed_fleet_on, summary_digest,
-    DurableCampaign, FleetTransport, RemoteGridBackend, SchemeError,
+    run_durable_fleet, run_fleet_on, run_mixed_fleet, summary_digest, DurableCampaign,
+    FleetTransport, RemoteGridBackend, SchemeError,
 };
 use uncheatable_grid::grid::tcp::{handshake_participant, handshake_supervisor};
 use uncheatable_grid::netgrid::{self, GridServer};
@@ -138,14 +138,14 @@ fn brokered_journal_resumes_over_a_real_grid_with_identical_digest() {
         handshake_supervisor(stream, &campaign.header().app.clone()).expect("handshake");
     let mut backend = RemoteGridBackend::new(link);
     let members = remote_plan.members();
-    let summary = run_durable_fleet_on(
+    let summary = run_fleet_on(
         remote_plan.task(),
         remote_plan.screener(),
         remote_plan.domain(),
         &members,
         &remote_plan.mixed_config(None, 0, uncheatable_grid::hash::LaneWidth::default()),
-        &mut campaign,
         &mut backend,
+        Some(&mut campaign),
     )
     .expect("resumed remote campaign");
     drop(backend);
@@ -240,13 +240,14 @@ fn dead_join_process_fails_typed_not_hanging() {
         let (link, _welcome) = handshake_supervisor(stream, &p.encode()).expect("handshake");
         let mut backend = RemoteGridBackend::new(link).with_patience(Duration::from_secs(2));
         let members = plan.members();
-        let result = run_mixed_fleet_on(
+        let result = run_fleet_on(
             plan.task(),
             plan.screener(),
             plan.domain(),
             &members,
             &plan.mixed_config(None, 0, uncheatable_grid::hash::LaneWidth::default()),
             &mut backend,
+            None,
         );
         tx.send(result.map(|s| summary_digest(&s))).ok();
     });
