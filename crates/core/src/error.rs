@@ -105,6 +105,18 @@ impl From<MerkleError> for SchemeError {
     }
 }
 
+/// A wrong-width leaf in a participant's row is the error a per-leaf
+/// tree build reported for it: same variant, same fields.
+impl From<ugc_task::WidthMismatch> for SchemeError {
+    fn from(e: ugc_task::WidthMismatch) -> Self {
+        SchemeError::Merkle(MerkleError::MixedLeafWidth {
+            expected: e.expected,
+            found: e.found,
+            index: e.index,
+        })
+    }
+}
+
 /// Names a message variant for diagnostics.
 pub(crate) fn message_kind(msg: &ugc_grid::Message) -> &'static str {
     use ugc_grid::Message;

@@ -30,7 +30,7 @@ use crate::session::{
 use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
 use ugc_grid::{Assignment, CostLedger, Message, SampleProof, WorkerBehaviour};
 use ugc_hash::HashFunction;
-use ugc_merkle::{LaneWidth, MerkleTree, Parallelism, PartialMerkleTree};
+use ugc_merkle::{LaneWidth, MerkleError, MerkleTree, Parallelism, PartialMerkleTree};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 
 /// Below this many leaves a parallel tree build is not worth the thread
@@ -59,18 +59,21 @@ pub(crate) enum ParticipantTree<H: HashFunction> {
 }
 
 impl<H: HashFunction> ParticipantTree<H> {
-    /// Builds the tree from materialised leaves, charging hash operations.
+    /// Builds the tree over the materialised leaf `row` (`width` bytes
+    /// per leaf), charging hash operations.
     ///
-    /// Full-storage trees over at least [`PARALLEL_BUILD_MIN_LEAVES`]
-    /// leaves build in parallel per `parallelism` (bit-identical roots);
-    /// the ledger records both the total hash work and the critical-path
-    /// cost actually paid.
+    /// Full-storage trees take the row as their leaf storage and, over at
+    /// least [`PARALLEL_BUILD_MIN_LEAVES`] leaves, build in parallel per
+    /// `parallelism` (bit-identical roots); the ledger records both the
+    /// total hash work and the critical-path cost actually paid.
     ///
-    /// In partial mode the leaves are *dropped* after commitment — that is
-    /// the point of Section 3.3 — so proofs later recompute them through
-    /// the behaviour (charging `f` again, exactly as the paper accounts).
+    /// In partial mode the row is *dropped* after commitment — that is
+    /// the point of Section 3.3 — so proofs later recompute its leaves
+    /// through the behaviour (charging `f` again, exactly as the paper
+    /// accounts).
     pub(crate) fn build(
-        leaves: &[Vec<u8>],
+        row: Vec<u8>,
+        width: usize,
         storage: ParticipantStorage,
         parallelism: Parallelism,
         lanes: LaneWidth,
@@ -78,22 +81,25 @@ impl<H: HashFunction> ParticipantTree<H> {
     ) -> Result<Self, SchemeError> {
         match storage {
             ParticipantStorage::Full => {
-                let threads = if parallelism.get() > 1 && leaves.len() >= PARALLEL_BUILD_MIN_LEAVES
+                let threads = if parallelism.get() > 1
+                    && row.len() >= PARALLEL_BUILD_MIN_LEAVES.saturating_mul(width)
                 {
                     parallelism
                 } else {
                     Parallelism::serial()
                 };
-                let tree = MerkleTree::build_with(leaves, threads, lanes)?;
+                let tree = MerkleTree::from_leaf_row(row, width, threads, lanes)?;
                 ledger.charge_hash_parallel(tree.hash_ops(), tree.hash_ops_wall());
                 Ok(ParticipantTree::Full(tree))
             }
             ParticipantStorage::Partial { subtree_height } => {
-                let width = leaves.first().map_or(0, Vec::len);
-                let tree =
-                    PartialMerkleTree::build(leaves.len() as u64, width, subtree_height, |i| {
-                        leaves[i as usize].clone()
-                    })?;
+                if width == 0 {
+                    return Err(MerkleError::ZeroLeafWidth.into());
+                }
+                let n = (row.len() / width) as u64;
+                let tree = PartialMerkleTree::build(n, width, subtree_height, |i| {
+                    row[i as usize * width..(i as usize + 1) * width].to_vec()
+                })?;
                 ledger.charge_hash(tree.build_stats().hash_ops);
                 Ok(ParticipantTree::Partial(tree))
             }
@@ -357,24 +363,25 @@ impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
                 };
                 let domain = assignment.domain;
                 let task_id = assignment.task_id;
-                let Materialized { leaves, reports } = materialize(
+                let Materialized {
+                    row,
+                    width,
+                    reports,
+                } = materialize(
                     self.task,
                     self.screener,
                     domain,
                     self.behaviour,
                     &self.ledger,
-                );
+                )?;
                 let tree = ParticipantTree::<H>::build(
-                    &leaves,
+                    row,
+                    width,
                     self.storage,
                     self.parallelism,
                     self.lanes,
                     &self.ledger,
                 )?;
-                if matches!(self.storage, ParticipantStorage::Partial { .. }) {
-                    // Section 3.3: the full leaf set is not retained.
-                    drop(leaves);
-                }
                 let commit = Message::Commit {
                     task_id,
                     root: tree.root().as_ref().to_vec(),

@@ -35,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ugc_grid::{duplex, CostLedger, Endpoint, LinkStats, SampleProof, WorkerBehaviour};
 use ugc_hash::HashFunction;
-use ugc_merkle::{LaneWidth, MerkleProof, Parallelism};
+use ugc_merkle::{LaneWidth, MerkleError, MerkleProof, Parallelism};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 
 /// Runs one complete stand-alone round of `scheme` in-process: the
@@ -143,32 +143,44 @@ pub fn run_round<H: HashFunction>(
     ))
 }
 
-/// Committed leaf values plus the screened reports they induce.
+/// Committed leaf values — one flat row, `width` bytes per leaf, as
+/// [`WorkerBehaviour::leaf_row`] produced it — plus the screened reports
+/// they induce.
 pub(crate) struct Materialized {
-    pub leaves: Vec<Vec<u8>>,
+    pub row: Vec<u8>,
+    pub width: usize,
     pub reports: Vec<ScreenReport>,
 }
 
 /// Evaluates the behaviour over the whole domain once, screening each
 /// committed value — the single pass a real participant performs.
+///
+/// # Errors
+///
+/// [`MerkleError::ZeroLeafWidth`] if the task's outputs are zero bytes
+/// wide, [`MerkleError::MixedLeafWidth`] if the behaviour produced a leaf
+/// that is not `task.output_width()` bytes.
 pub(crate) fn materialize(
     task: &dyn ComputeTask,
     screener: &dyn Screener,
     domain: Domain,
     behaviour: &dyn WorkerBehaviour,
     ledger: &CostLedger,
-) -> Materialized {
-    let n = domain.len();
-    let mut leaves = Vec::with_capacity(n as usize);
-    let mut reports = Vec::new();
-    for i in 0..n {
-        let value = behaviour.leaf_value(task, domain, i, ledger);
-        if let Some(report) = behaviour.report_for(screener, domain, i, &value) {
-            reports.push(report);
-        }
-        leaves.push(value);
+) -> Result<Materialized, SchemeError> {
+    let width = task.output_width();
+    if width == 0 {
+        return Err(MerkleError::ZeroLeafWidth.into());
     }
-    Materialized { leaves, reports }
+    let row = behaviour.leaf_row(task, domain, ledger)?;
+    let reports = (0..)
+        .zip(row.chunks_exact(width))
+        .filter_map(|(i, value)| behaviour.report_for(screener, domain, i, value))
+        .collect();
+    Ok(Materialized {
+        row,
+        width,
+        reports,
+    })
 }
 
 /// Converts a local Merkle proof plus its claimed leaf value to wire form.
@@ -304,8 +316,9 @@ mod tests {
     fn materialize_screens_and_counts() {
         let (task, domain, leaves, _) = setup();
         let ledger = CostLedger::new();
-        let m = materialize(&task, &AcceptAllScreener, domain, &HonestWorker, &ledger);
-        assert_eq!(m.leaves, leaves);
+        let m = materialize(&task, &AcceptAllScreener, domain, &HonestWorker, &ledger).unwrap();
+        assert_eq!(m.row, leaves.concat());
+        assert_eq!(m.width, 16);
         assert_eq!(m.reports.len(), 16);
         assert_eq!(ledger.report().f_evals, 16);
     }

@@ -223,23 +223,18 @@ impl ParticipantSession for FlatUploadParticipantSession<'_> {
                 let task_id = assignment.task_id;
                 // The participant still screens locally (the supervisor
                 // will anyway), but the defining trait is the flat upload.
-                let Materialized { leaves, .. } = materialize(
+                let Materialized { row, width, .. } = materialize(
                     self.task,
                     self.screener,
                     domain,
                     self.behaviour,
                     &self.ledger,
-                );
-                let width = self.task.output_width();
-                let mut data = Vec::with_capacity(leaves.len() * width);
-                for leaf in &leaves {
-                    data.extend_from_slice(leaf);
-                }
+                )?;
                 self.state = FlatState::AwaitVerdict { task_id };
                 Ok(vec![Message::AllResults {
                     task_id,
                     leaf_width: width as u32,
-                    data,
+                    data: row,
                 }])
             }
             FlatState::AwaitVerdict { task_id } => {

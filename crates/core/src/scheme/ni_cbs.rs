@@ -246,23 +246,25 @@ impl<H: HashFunction> ParticipantSession for NiCbsParticipantSession<'_, H> {
                 };
                 let domain = assignment.domain;
                 let task_id = assignment.task_id;
-                let Materialized { leaves, reports } = materialize(
+                let Materialized {
+                    row,
+                    width,
+                    reports,
+                } = materialize(
                     self.task,
                     self.screener,
                     domain,
                     self.behaviour,
                     &self.ledger,
-                );
+                )?;
                 let tree = ParticipantTree::<H>::build(
-                    &leaves,
+                    row,
+                    width,
                     self.storage,
                     self.parallelism,
                     self.lanes,
                     &self.ledger,
                 )?;
-                if matches!(self.storage, ParticipantStorage::Partial { .. }) {
-                    drop(leaves);
-                }
                 let root = tree.root();
                 // Eq. (4): the samples come from the commitment itself.
                 let g = IteratedHash::<H>::new(self.scheme.g_iterations);

@@ -236,17 +236,21 @@ impl ParticipantSession for RingerParticipantSession<'_> {
                 };
                 check_task(task_id, tid)?;
                 let ringer_set: BTreeSet<&[u8]> = ringers.iter().map(Vec::as_slice).collect();
-                let Materialized { leaves, reports } = materialize(
+                let Materialized {
+                    row,
+                    width,
+                    reports,
+                } = materialize(
                     self.task,
                     self.screener,
                     domain,
                     self.behaviour,
                     &self.ledger,
-                );
+                )?;
                 let mut found = Vec::new();
-                for (i, leaf) in leaves.iter().enumerate() {
-                    if ringer_set.contains(leaf.as_slice()) {
-                        found.push(domain.input(i as u64).expect("index within domain"));
+                for (i, leaf) in (0..).zip(row.chunks_exact(width)) {
+                    if ringer_set.contains(leaf) {
+                        found.push(domain.input(i).expect("index within domain"));
                     }
                 }
                 self.state = PartState::AwaitVerdict { task_id };

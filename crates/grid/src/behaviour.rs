@@ -13,7 +13,7 @@
 //!   cross-check, not just CBS path verification.
 
 use crate::CostLedger;
-use ugc_task::{ComputeTask, Domain, Guesser, ScreenReport, Screener, SplitMix64};
+use ugc_task::{ComputeTask, Domain, Guesser, ScreenReport, Screener, SplitMix64, WidthMismatch};
 
 /// How a participant produces commitments and reports for an assignment.
 ///
@@ -37,6 +37,61 @@ pub trait WorkerBehaviour: Send + Sync {
         index: u64,
         ledger: &CostLedger,
     ) -> Vec<u8>;
+
+    /// Every leaf value of `domain`, in index order, back to back in one
+    /// flat row of `domain.len() · task.output_width()` bytes — the form
+    /// the commitment consumes (`MerkleTree::from_leaf_row` hashes it in
+    /// place; the naive scheme uploads it as is).
+    ///
+    /// Must equal concatenating [`leaf_value`](Self::leaf_value) over the
+    /// domain and charge `ledger` the same total. The default does
+    /// exactly that, checking each value's width; behaviours whose leaves
+    /// are all plain `f(x_i)` override it to evaluate in batches
+    /// ([`HonestWorker`] does).
+    ///
+    /// # Errors
+    ///
+    /// [`WidthMismatch`] naming the first leaf index whose value is not
+    /// `task.output_width()` bytes — appended unchecked, it would shift
+    /// every later leaf.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ugc_grid::{CostLedger, HonestWorker, WorkerBehaviour};
+    /// use ugc_task::{ComputeTask, Domain};
+    /// use ugc_task::workloads::PasswordSearch;
+    ///
+    /// let task = PasswordSearch::with_hidden_password(1, 2);
+    /// let ledger = CostLedger::new();
+    /// let row = HonestWorker.leaf_row(&task, Domain::new(10, 4), &ledger)?;
+    /// let leaves: Vec<&[u8]> = row.chunks_exact(task.output_width()).collect();
+    /// assert_eq!(leaves.len(), 4);
+    /// assert_eq!(leaves[3], task.compute(13).as_slice());
+    /// assert_eq!(ledger.report().f_evals, 4);
+    /// # Ok::<(), ugc_task::WidthMismatch>(())
+    /// ```
+    fn leaf_row(
+        &self,
+        task: &dyn ComputeTask,
+        domain: Domain,
+        ledger: &CostLedger,
+    ) -> Result<Vec<u8>, WidthMismatch> {
+        let width = task.output_width();
+        let mut row = Vec::with_capacity(domain.len() as usize * width);
+        for index in 0..domain.len() {
+            let value = self.leaf_value(task, domain, index, ledger);
+            if value.len() != width {
+                return Err(WidthMismatch {
+                    expected: width,
+                    found: value.len(),
+                    index,
+                });
+            }
+            row.extend_from_slice(&value);
+        }
+        Ok(row)
+    }
 
     /// The report (if any) for leaf `index` whose committed value is
     /// `committed`. Default: truthful screening of the committed value.
@@ -68,6 +123,14 @@ impl<B: WorkerBehaviour + ?Sized> WorkerBehaviour for &B {
     ) -> Vec<u8> {
         (**self).leaf_value(task, domain, index, ledger)
     }
+    fn leaf_row(
+        &self,
+        task: &dyn ComputeTask,
+        domain: Domain,
+        ledger: &CostLedger,
+    ) -> Result<Vec<u8>, WidthMismatch> {
+        (**self).leaf_row(task, domain, ledger)
+    }
     fn report_for(
         &self,
         screener: &dyn Screener,
@@ -95,6 +158,14 @@ impl<B: WorkerBehaviour + ?Sized> WorkerBehaviour for std::sync::Arc<B> {
     ) -> Vec<u8> {
         (**self).leaf_value(task, domain, index, ledger)
     }
+    fn leaf_row(
+        &self,
+        task: &dyn ComputeTask,
+        domain: Domain,
+        ledger: &CostLedger,
+    ) -> Result<Vec<u8>, WidthMismatch> {
+        (**self).leaf_row(task, domain, ledger)
+    }
     fn report_for(
         &self,
         screener: &dyn Screener,
@@ -121,6 +192,14 @@ impl<B: WorkerBehaviour + ?Sized> WorkerBehaviour for Box<B> {
         ledger: &CostLedger,
     ) -> Vec<u8> {
         (**self).leaf_value(task, domain, index, ledger)
+    }
+    fn leaf_row(
+        &self,
+        task: &dyn ComputeTask,
+        domain: Domain,
+        ledger: &CostLedger,
+    ) -> Result<Vec<u8>, WidthMismatch> {
+        (**self).leaf_row(task, domain, ledger)
     }
     fn report_for(
         &self,
@@ -168,7 +247,42 @@ impl WorkerBehaviour for HonestWorker {
         ledger.charge_f(task.unit_cost());
         task.compute(x)
     }
+
+    /// `f` over the whole domain through [`ComputeTask::compute_into`],
+    /// 1024 inputs at a time, each chunk written where it belongs in the
+    /// row and charged in one ledger update.
+    fn leaf_row(
+        &self,
+        task: &dyn ComputeTask,
+        domain: Domain,
+        ledger: &CostLedger,
+    ) -> Result<Vec<u8>, WidthMismatch> {
+        let width = task.output_width();
+        let n = domain.len();
+        let mut row = vec![0u8; n as usize * width];
+        let mut inputs = Vec::with_capacity(HONEST_BATCH);
+        for start in (0..n).step_by(HONEST_BATCH) {
+            let end = (start + HONEST_BATCH as u64).min(n);
+            inputs.clear();
+            inputs.extend((start..end).map(|i| domain.input(i).expect("index within domain")));
+            ledger.charge_f(task.unit_cost() * (end - start));
+            task.compute_into(
+                &inputs,
+                &mut row[start as usize * width..end as usize * width],
+            )
+            .map_err(|e| WidthMismatch {
+                index: start + e.index,
+                ..e
+            })?;
+        }
+        Ok(row)
+    }
 }
+
+/// Inputs per [`ComputeTask::compute_into`] call in
+/// [`HonestWorker::leaf_row`]: large enough to amortise a batch kernel's
+/// set-up, small enough that a chunk's inputs and outputs stay in L1.
+const HONEST_BATCH: usize = 1024;
 
 /// Which subset `D′` the semi-honest cheater computes honestly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

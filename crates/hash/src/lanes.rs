@@ -7,8 +7,42 @@
 //! parallelism on the table: every 64-byte compression is one serial
 //! dependency chain. Running 4 or 8 independent messages through a
 //! *transposed* (struct-of-arrays) compression loop instead gives the
-//! optimizer independent `u32` lanes to autovectorize — portable safe
-//! Rust, no nightly intrinsics, `#![forbid(unsafe_code)]` preserved.
+//! optimizer independent `u32` lanes — portable safe Rust, no intrinsics,
+//! no build flag, `#![forbid(unsafe_code)]` preserved.
+//!
+//! # What the compiler does with each kernel
+//!
+//! Whether those lanes become vector instructions is the compiler's
+//! decision, and it differs per algorithm (x86_64, baseline SSE2):
+//!
+//! * **MD5** has one rotate a round, by a per-round amount read from a
+//!   table; LLVM widens the whole round (`paddd`/`pand`/`por`/`pslld`).
+//! * **SHA-256** has twelve rotates a round, all by constants. There is
+//!   no vector rotate below AVX-512, LLVM prices a constant vector
+//!   rotate above the scalar `ror` it replaces, and so a round written
+//!   with `rotate_right` stays scalar in every lane — which is what this
+//!   file shipped until PR 15 (0 vector shifts, 80 scalar rotates in
+//!   `digest_lanes_8`). [`sha256_compress_lanes`] therefore spells
+//!   Σ0/Σ1/σ0/σ1 as *plain shifts XORed*, ordered so that no two
+//!   neighbouring terms are the two halves of one rotation, e.g.
+//!   `Σ1(e) = ((e>>6)^(e<<21)) ^ ((e>>11)^(e<<7)) ^ ((e>>25)^(e<<26))`.
+//!   Those are the same six shifts an SSE2 or NEON rotate costs anyway,
+//!   so the vector code loses nothing, and LLVM widens all of them. The
+//!   scalar `sha256::compress` keeps its rotates: one lane has a real
+//!   `ror`, and the shift form measures about 15 % slower there.
+//! * **SHA-1** has three rotates a round. `rotl5(a)` feeds a sum, so its
+//!   two halves can enter that sum apart and do widen; `rotl1` of the
+//!   schedule and `rotl30(b)` stand alone, LLVM re-fuses every equivalent
+//!   spelling, and those stay scalar. The kernel is kept because it still
+//!   beats the scalar loop by more than 1.5× (README § Performance).
+//!
+//! The gain lives in emitted code, so CI reads it: the `test` job runs
+//! `cargo rustc -p ugc-hash --release --lib -- --emit asm` and then
+//! `.github/check_lane_codegen.sh`, which fails unless every
+//! `sha256_compress_lanes*` symbol contains vector shifts
+//! (`pslld`/`psrld`) and at most a handful of scalar `rol`/`ror`.
+//!
+//! # Shapes
 //!
 //! Every message is presented as two segments `(a, b)` and hashed as the
 //! concatenation `a ‖ b`: one shape serves both the Merkle inner-node
@@ -18,7 +52,13 @@
 //! completed by the scalar kernel), and ragged batch sizes fall back to
 //! scalar hashing for the tail — so every digest is bit-identical to the
 //! scalar path by construction, which the replay/journal/wire-equivalence
-//! contract depends on.
+//! contract depends on. SHA-256 adds one fixed-shape fast path, chosen
+//! from the input alone: when every lane totals exactly 64 bytes (every
+//! Merkle inner node) the second block is the constant padding block and
+//! runs from a precomputed table ([`sha256_digest_lanes`]).
+//!
+//! [`LaneWidth`] stays an execution-only knob: it selects how many
+//! messages share a pass and never changes a digest.
 
 use crate::{md5, sha1, sha256, HashFunction, Md5, Sha1, Sha256};
 
@@ -173,9 +213,9 @@ fn fill_padded_block(
 
 /// Loads the sixteen 32-bit message words of each lane's block into
 /// transposed `[word][lane]` layout.
-fn load_words<const L: usize, const W: usize>(blocks: &[[u8; 64]; L], le: bool) -> [[u32; L]; W] {
-    let mut m = [[0u32; L]; W];
-    for (w, row) in m.iter_mut().enumerate().take(16) {
+fn load_words<const L: usize>(blocks: &[[u8; 64]; L], le: bool) -> [[u32; L]; 16] {
+    let mut m = [[0u32; L]; 16];
+    for (w, row) in m.iter_mut().enumerate() {
         for (l, slot) in row.iter_mut().enumerate() {
             let bytes: [u8; 4] = blocks[l][4 * w..4 * w + 4]
                 .try_into()
@@ -193,8 +233,7 @@ fn load_words<const L: usize, const W: usize>(blocks: &[[u8; 64]; L], le: bool) 
 /// One transposed MD5 compression pass: `L` independent lanes, state in
 /// `[word][lane]` layout. Same round structure as the scalar
 /// `md5::compress`, with every scalar `u32` widened to a `[u32; L]` row.
-fn md5_compress_lanes<const L: usize>(h: &mut [[u32; L]; 4], blocks: &[[u8; 64]; L]) {
-    let m: [[u32; L]; 16] = load_words(blocks, true);
+fn md5_compress_lanes<const L: usize>(h: &mut [[u32; L]; 4], m: &[[u32; L]; 16]) {
     let mut a = h[0];
     let mut b = h[1];
     let mut c = h[2];
@@ -250,133 +289,188 @@ fn md5_compress_lanes<const L: usize>(h: &mut [[u32; L]; 4], blocks: &[[u8; 64];
     }
 }
 
-/// One transposed SHA-1 compression pass (see [`md5_compress_lanes`]).
-fn sha1_compress_lanes<const L: usize>(h: &mut [[u32; L]; 5], blocks: &[[u8; 64]; L]) {
-    let mut w: [[u32; L]; 80] = load_words(blocks, false);
-    for i in 16..80 {
-        let (prev, rest) = w.split_at_mut(i);
-        for (l, slot) in rest[0].iter_mut().enumerate() {
-            *slot = (prev[i - 3][l] ^ prev[i - 8][l] ^ prev[i - 14][l] ^ prev[i - 16][l])
-                .rotate_left(1);
+/// The feed-forward that ends a compression: `h += s`, row by row.
+#[inline(always)]
+fn add_rows<const L: usize, const N: usize>(h: &mut [[u32; L]; N], s: &[[u32; L]; N]) {
+    for (row, add) in h.iter_mut().zip(s) {
+        for l in 0..L {
+            row[l] = row[l].wrapping_add(add[l]);
         }
     }
-    let mut a = h[0];
-    let mut b = h[1];
-    let mut c = h[2];
-    let mut d = h[3];
-    let mut e = h[4];
-    for (i, wi) in w.iter().enumerate() {
-        let mut f = [0u32; L];
+}
+
+/// One transposed SHA-1 compression pass, laid out like
+/// [`sha256_compress_lanes`]: a 16-row rolling schedule and a rotating
+/// five-row frame (round `i` finds `a` at `s[(5 - i % 5) % 5]`), so a
+/// round rewrites `b` (rotated into the next `c`) and `e` (the next `a`)
+/// and moves nothing.
+///
+/// Only `rotl5(a)` can be kept from the rotate matcher — it feeds a sum,
+/// so its two shifted halves enter that sum apart. `rotl1` of the
+/// schedule and `rotl30(b)` each stand alone, and LLVM fuses every
+/// equivalent spelling back into a rotate it leaves scalar; the kernel
+/// still wins on instruction-level parallelism across lanes (README §
+/// Performance has the numbers).
+#[inline(never)]
+fn sha1_compress_lanes<const L: usize>(h: &mut [[u32; L]; 5], w: &mut [[u32; L]; 16]) {
+    let mut s = *h;
+    for i in 0..80 {
+        if i >= 16 {
+            let (w3, w8, w14) = (w[(i + 13) % 16], w[(i + 8) % 16], w[(i + 2) % 16]);
+            let row = &mut w[i % 16];
+            for l in 0..L {
+                row[l] = (w3[l] ^ w8[l] ^ w14[l] ^ row[l]).rotate_left(1);
+            }
+        }
+        let wi = w[i % 16];
+        let at = |r: usize| (r + 5 - i % 5) % 5;
+        let (a, c, d) = (s[at(0)], s[at(2)], s[at(3)]);
         let k: u32 = match i / 20 {
             0 => 0x5a82_7999,
             1 => 0x6ed9_eba1,
             2 => 0x8f1b_bcdc,
             _ => 0xca62_c1d6,
         };
-        match i / 20 {
-            0 => {
-                for l in 0..L {
-                    f[l] = (b[l] & c[l]) | (!b[l] & d[l]);
-                }
-            }
-            2 => {
-                for l in 0..L {
-                    f[l] = (b[l] & c[l]) | (b[l] & d[l]) | (c[l] & d[l]);
-                }
-            }
-            _ => {
-                for l in 0..L {
-                    f[l] = b[l] ^ c[l] ^ d[l];
-                }
-            }
-        }
-        let mut tmp = [0u32; L];
+        let b = &mut s[at(1)];
+        let mut f = [0u32; L];
         for l in 0..L {
-            tmp[l] = a[l]
-                .rotate_left(5)
-                .wrapping_add(f[l])
-                .wrapping_add(e[l])
-                .wrapping_add(k)
-                .wrapping_add(wi[l]);
+            f[l] = match i / 20 {
+                0 => d[l] ^ (b[l] & (c[l] ^ d[l])),
+                2 => (b[l] & c[l]) ^ (d[l] & (b[l] ^ c[l])),
+                _ => b[l] ^ c[l] ^ d[l],
+            };
+            b[l] = b[l].rotate_left(30);
         }
-        e = d;
-        d = c;
+        let e = &mut s[at(4)];
         for l in 0..L {
-            c[l] = b[l].rotate_left(30);
+            e[l] = ((a[l] << 5).wrapping_add(f[l]).wrapping_add(k))
+                .wrapping_add((a[l] >> 27).wrapping_add(e[l]).wrapping_add(wi[l]));
         }
-        b = a;
-        a = tmp;
     }
+    add_rows(h, &s);
+}
+
+/// `Σ1`, `Σ0`, `σ0`, `σ1` of FIPS 180-4 as plain shifts XORed in an
+/// order in which no two neighbouring terms form a rotate (see the module
+/// doc): each pair below mixes the right half of one rotation with the
+/// left half of another, so LLVM keeps twelve independent shifts per
+/// round — which it widens — instead of re-fusing them into `fshr` calls
+/// — which it will not.
+#[inline(always)]
+fn big_sigma1(e: u32) -> u32 {
+    ((e >> 6) ^ (e << 21)) ^ ((e >> 11) ^ (e << 7)) ^ ((e >> 25) ^ (e << 26))
+}
+
+#[inline(always)]
+fn big_sigma0(a: u32) -> u32 {
+    ((a >> 2) ^ (a << 19)) ^ ((a >> 13) ^ (a << 10)) ^ ((a >> 22) ^ (a << 30))
+}
+
+#[inline(always)]
+fn small_sigma0(x: u32) -> u32 {
+    ((x >> 7) ^ (x << 14)) ^ ((x >> 18) ^ (x << 25)) ^ (x >> 3)
+}
+
+#[inline(always)]
+fn small_sigma1(x: u32) -> u32 {
+    ((x >> 17) ^ (x << 13)) ^ ((x >> 19) ^ (x << 15)) ^ (x >> 10)
+}
+
+/// One SHA-256 round over `L` lanes. `s` holds the eight working rows in
+/// a rotating frame — round `i` finds `a` at `s[(8 - i % 8) % 8]` — so a
+/// round writes two rows (`d += t1` becomes the next `e`, `h = t1 + t2`
+/// the next `a`) and moves none. `kw[l]` is `K[i] + W[i]` of lane `l`.
+#[inline(always)]
+fn sha256_round<const L: usize>(s: &mut [[u32; L]; 8], i: usize, kw: &[u32; L]) {
+    let at = |r: usize| (r + 8 - i % 8) % 8;
+    let (a, b, c) = (s[at(0)], s[at(1)], s[at(2)]);
+    let (e, f, g) = (s[at(4)], s[at(5)], s[at(6)]);
+    let mut t1 = s[at(7)];
     for l in 0..L {
-        h[0][l] = h[0][l].wrapping_add(a[l]);
-        h[1][l] = h[1][l].wrapping_add(b[l]);
-        h[2][l] = h[2][l].wrapping_add(c[l]);
-        h[3][l] = h[3][l].wrapping_add(d[l]);
-        h[4][l] = h[4][l].wrapping_add(e[l]);
+        let ch = g[l] ^ (e[l] & (f[l] ^ g[l]));
+        t1[l] = t1[l]
+            .wrapping_add(big_sigma1(e[l]))
+            .wrapping_add(ch)
+            .wrapping_add(kw[l]);
+    }
+    let d = &mut s[at(3)];
+    for l in 0..L {
+        d[l] = d[l].wrapping_add(t1[l]);
+    }
+    let h = &mut s[at(7)];
+    for l in 0..L {
+        let maj = (a[l] & b[l]) ^ (c[l] & (a[l] ^ b[l]));
+        h[l] = t1[l].wrapping_add(big_sigma0(a[l])).wrapping_add(maj);
     }
 }
 
-/// One transposed SHA-256 compression pass (see [`md5_compress_lanes`]).
-fn sha256_compress_lanes<const L: usize>(h: &mut [[u32; L]; 8], blocks: &[[u8; 64]; L]) {
-    let mut w: [[u32; L]; 64] = load_words(blocks, false);
-    for i in 16..64 {
-        let (prev, rest) = w.split_at_mut(i);
-        for (l, slot) in rest[0].iter_mut().enumerate() {
-            let s0 = prev[i - 15][l].rotate_right(7)
-                ^ prev[i - 15][l].rotate_right(18)
-                ^ (prev[i - 15][l] >> 3);
-            let s1 = prev[i - 2][l].rotate_right(17)
-                ^ prev[i - 2][l].rotate_right(19)
-                ^ (prev[i - 2][l] >> 10);
-            *slot = prev[i - 16][l]
-                .wrapping_add(s0)
-                .wrapping_add(prev[i - 7][l])
-                .wrapping_add(s1);
+/// One transposed SHA-256 compression pass: `L` independent lanes, state
+/// and message words in `[word][lane]` rows. `w` arrives holding the
+/// sixteen message words of each lane's block and is consumed as the
+/// 16-row rolling schedule (`W[i]` overwrites `W[i − 16]`).
+///
+/// Kept out of line so the release assembly has one symbol per width for
+/// the CI codegen guard (`.github/check_lane_codegen.sh`) to inspect.
+#[inline(never)]
+fn sha256_compress_lanes<const L: usize>(h: &mut [[u32; L]; 8], w: &mut [[u32; L]; 16]) {
+    let mut s = *h;
+    for i in 0..64 {
+        if i >= 16 {
+            let (w15, w7, w2) = (w[(i + 1) % 16], w[(i + 9) % 16], w[(i + 14) % 16]);
+            let row = &mut w[i % 16];
+            for l in 0..L {
+                row[l] = row[l]
+                    .wrapping_add(small_sigma0(w15[l]))
+                    .wrapping_add(w7[l])
+                    .wrapping_add(small_sigma1(w2[l]));
+            }
         }
+        let mut kw = w[i % 16];
+        for x in &mut kw {
+            *x = x.wrapping_add(sha256::K[i]);
+        }
+        sha256_round(&mut s, i, &kw);
     }
-    let mut a = h[0];
-    let mut b = h[1];
-    let mut c = h[2];
-    let mut d = h[3];
-    let mut e = h[4];
-    let mut f = h[5];
-    let mut g = h[6];
-    let mut hh = h[7];
-    for (i, wi) in w.iter().enumerate() {
-        let mut t1 = [0u32; L];
-        let mut t2 = [0u32; L];
-        for l in 0..L {
-            let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);
-            let ch = (e[l] & f[l]) ^ (!e[l] & g[l]);
-            t1[l] = hh[l]
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(sha256::K[i])
-                .wrapping_add(wi[l]);
-            let s0 = a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22);
-            let maj = (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
-            t2[l] = s0.wrapping_add(maj);
-        }
-        hh = g;
-        g = f;
-        f = e;
-        for l in 0..L {
-            e[l] = d[l].wrapping_add(t1[l]);
-        }
-        d = c;
-        c = b;
-        b = a;
-        for l in 0..L {
-            a[l] = t1[l].wrapping_add(t2[l]);
-        }
-    }
-    let rows = [a, b, c, d, e, f, g, hh];
-    for (row, add) in h.iter_mut().zip(rows.iter()) {
-        for l in 0..L {
-            row[l] = row[l].wrapping_add(add[l]);
-        }
-    }
+    add_rows(h, &s);
 }
+
+/// The second compression of every 64-byte message: its block is the
+/// constant padding block (`0x80`, zeros, bit length 512), so the
+/// schedule is the precomputed [`SHA256_PAD64_KW`] table — the same for
+/// every lane — and no message word is loaded or expanded.
+#[inline(never)]
+fn sha256_compress_lanes_pad64<const L: usize>(h: &mut [[u32; L]; 8]) {
+    let mut s = *h;
+    for (i, &kw) in SHA256_PAD64_KW.iter().enumerate() {
+        sha256_round(&mut s, i, &[kw; L]);
+    }
+    add_rows(h, &s);
+}
+
+/// `K[i] + W[i]` for the padding block that follows exactly 64 message
+/// bytes: `W[0] = 0x8000_0000`, `W[15] = 512`, the rest expanded by the
+/// FIPS 180-4 schedule. Computed at compile time.
+const SHA256_PAD64_KW: [u32; 64] = {
+    let mut w = [0u32; 64];
+    w[0] = 0x8000_0000;
+    w[15] = 512;
+    let mut i = 16;
+    while i < 64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 64 {
+        w[i] = w[i].wrapping_add(sha256::K[i]);
+        i += 1;
+    }
+    w
+};
 
 /// Generates the per-algorithm lane digest driver: transposed compression
 /// over the blocks every lane still needs, then a scalar finish for lanes
@@ -408,7 +502,7 @@ macro_rules! lane_digest_driver {
                 for l in 0..L {
                     fill_padded_block(msgs[l].0, msgs[l].1, totals[l], nbs[l], b, $le, &mut blocks[l]);
                 }
-                $compress_lanes(&mut h, &blocks);
+                $compress_lanes(&mut h, &mut load_words(&blocks, $le));
             }
             let mut out = [[0u8; $digest_len]; L];
             for l in 0..L {
@@ -436,9 +530,38 @@ lane_digest_driver!(
     sha1_digest_lanes, sha1, 5, 20, sha1_compress_lanes, false
 );
 lane_digest_driver!(
-    /// `L`-lane SHA-256 of `L` two-segment messages.
-    sha256_digest_lanes, sha256, 8, 32, sha256_compress_lanes, false
+    /// `L`-lane SHA-256 of `L` two-segment messages of any shape — the
+    /// reference driver [`sha256_digest_lanes`] falls back to.
+    sha256_digest_lanes_general, sha256, 8, 32, sha256_compress_lanes, false
 );
+
+/// `L`-lane SHA-256 of `L` two-segment messages.
+///
+/// When every lane's message totals exactly 64 bytes — every Merkle
+/// inner node over SHA-256 digests — the padded message has a fixed
+/// shape: block 0 is `a ‖ b` copied straight in, block 1 is the constant
+/// padding block [`sha256_compress_lanes_pad64`] runs from its table.
+/// Any other shape takes the general driver.
+pub(crate) fn sha256_digest_lanes<const L: usize>(msgs: &[(&[u8], &[u8]); L]) -> [[u8; 32]; L] {
+    if !msgs.iter().all(|(a, b)| a.len() + b.len() == 64) {
+        return sha256_digest_lanes_general(msgs);
+    }
+    let mut blocks = [[0u8; 64]; L];
+    for (block, (a, b)) in blocks.iter_mut().zip(msgs) {
+        block[..a.len()].copy_from_slice(a);
+        block[a.len()..].copy_from_slice(b);
+    }
+    let mut h = [[0u32; L]; 8];
+    for (row, iv) in h.iter_mut().zip(sha256::IV.iter()) {
+        row.fill(*iv);
+    }
+    sha256_compress_lanes(&mut h, &mut load_words(&blocks, false));
+    sha256_compress_lanes_pad64(&mut h);
+    core::array::from_fn(|l| {
+        let state: [u32; 8] = core::array::from_fn(|word| h[word][l]);
+        sha256::digest_from_words(&state)
+    })
+}
 
 /// Digests a batch of two-segment messages (`a ‖ b` each) at the given
 /// lane width: full groups of 8 (then 4) go through the transposed
@@ -566,6 +689,86 @@ mod tests {
             Sha256::digest_lanes(&msgs),
             [Sha256::digest_pair(&a, &b); 4]
         );
+    }
+
+    /// The literal second block of every 64-byte message: `0x80`, zeros,
+    /// and the bit length 512 = `0x0200` big-endian.
+    fn pad64_block() -> [u8; 64] {
+        let mut block = [0u8; 64];
+        block[0] = 0x80;
+        block[62] = 0x02;
+        block
+    }
+
+    #[test]
+    fn pad64_table_is_the_schedule_of_the_literal_padding_block() {
+        // FIPS 180-4 §6.2.2 step 1 over the literal block, with rotates.
+        let block = pad64_block();
+        let mut w = [0u32; 64];
+        for (i, word) in w.iter_mut().take(16).enumerate() {
+            *word = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().unwrap());
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+        for i in 0..64 {
+            assert_eq!(
+                SHA256_PAD64_KW[i],
+                w[i].wrapping_add(sha256::K[i]),
+                "round {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn pad64_kernel_equals_scalar_compress_of_the_padding_block() {
+        // Distinct chaining values per lane, so a lane mix-up would show.
+        let states: [[u32; 8]; 4] =
+            [3u32, 5, 7, 9].map(|odd| sha256::IV.map(|word| word.wrapping_mul(odd)));
+        let mut lanes: [[u32; 4]; 8] =
+            core::array::from_fn(|word| core::array::from_fn(|l| states[l][word]));
+        sha256_compress_lanes_pad64(&mut lanes);
+        for (l, state) in states.iter().enumerate() {
+            let mut want = *state;
+            sha256::compress(&mut want, &pad64_block());
+            let got: [u32; 8] = core::array::from_fn(|word| lanes[word][l]);
+            assert_eq!(got, want, "lane {l}");
+        }
+    }
+
+    #[test]
+    fn sha256_lane_compression_equals_scalar_compress() {
+        let blocks: [[u8; 64]; 8] =
+            [0u8, 1, 2, 3, 4, 5, 6, 7].map(|tag| message(64, tag).try_into().unwrap());
+        let mut lanes = [[0u32; 8]; 8];
+        for (row, iv) in lanes.iter_mut().zip(sha256::IV) {
+            row.fill(iv);
+        }
+        sha256_compress_lanes(&mut lanes, &mut load_words(&blocks, false));
+        for (l, block) in blocks.iter().enumerate() {
+            let mut want = sha256::IV;
+            sha256::compress(&mut want, block);
+            let got: [u32; 8] = core::array::from_fn(|word| lanes[word][l]);
+            assert_eq!(got, want, "lane {l}");
+        }
+    }
+
+    #[test]
+    fn sha256_fast_path_and_general_driver_agree() {
+        // Every split of a 64-byte total, through both drivers.
+        let payload = message(64, 9);
+        for split in [0usize, 16, 31, 32, 33, 48, 64] {
+            let (a, b) = payload.split_at(split);
+            let msgs: [(&[u8], &[u8]); 4] = [(a, b); 4];
+            let want = [Sha256::digest(&payload); 4];
+            assert_eq!(sha256_digest_lanes(&msgs), want, "split={split}");
+            assert_eq!(sha256_digest_lanes_general(&msgs), want, "split={split}");
+        }
     }
 
     #[test]

@@ -146,3 +146,107 @@ fn fixed_width_dispatch_matches_scalar_digests() {
         assert_eq!(got4[l], Md5::digest(&payloads[l]), "md5 lane {l}");
     }
 }
+
+/// Eight two-segment messages, lane `l` split as `splits[l % splits.len()]`,
+/// checked against scalar `digest_pair` through `digest_pairs` at the
+/// width under test and through the fixed-width trait entry points.
+fn assert_sha256_pairs_match_scalar(splits: &[(usize, usize)], context: &str) {
+    let width = width_under_test();
+    let payloads: Vec<(Vec<u8>, Vec<u8>)> = (0..8)
+        .map(|l| {
+            let (la, lb) = splits[l % splits.len()];
+            (message(la, 4000 + l as u64), message(lb, 5000 + l as u64))
+        })
+        .collect();
+    let pairs: Vec<(&[u8], &[u8])> = payloads
+        .iter()
+        .map(|(a, b)| (a.as_slice(), b.as_slice()))
+        .collect();
+    let scalar: Vec<[u8; 32]> = pairs
+        .iter()
+        .map(|(a, b)| Sha256::digest_pair(a, b))
+        .collect();
+    assert_eq!(
+        digest_pairs::<Sha256>(&pairs, width),
+        scalar,
+        "{context} width={width}"
+    );
+    let msgs8: [(&[u8], &[u8]); 8] = core::array::from_fn(|l| pairs[l]);
+    let msgs4: [(&[u8], &[u8]); 4] = core::array::from_fn(|l| pairs[l]);
+    assert_eq!(
+        Sha256::digest_lanes_8(&msgs8)[..],
+        scalar[..],
+        "{context} x8"
+    );
+    assert_eq!(
+        Sha256::digest_lanes_4(&msgs4)[..],
+        scalar[..4],
+        "{context} x4"
+    );
+}
+
+#[test]
+fn sha256_all_64_byte_lanes_take_the_fixed_shape_path() {
+    // Every lane totals exactly 64 bytes — the Merkle inner node — however
+    // the two segments split it.
+    assert_sha256_pairs_match_scalar(&[(32, 32)], "32|32");
+    assert_sha256_pairs_match_scalar(&[(16, 48)], "16|48");
+    assert_sha256_pairs_match_scalar(&[(64, 0)], "64|0");
+    assert_sha256_pairs_match_scalar(&[(32, 32), (16, 48), (64, 0), (0, 64), (1, 63)], "mixed");
+}
+
+#[test]
+fn sha256_one_odd_lane_among_64s_falls_back_and_matches() {
+    // One lane a byte short or a byte long: the fixed shape no longer
+    // holds for the dispatch, which must take the general driver.
+    for odd in [(31, 32), (32, 33), (63, 0), (0, 65)] {
+        for position in [0usize, 3, 7] {
+            let mut splits = [(32usize, 32usize); 8];
+            splits[position] = odd;
+            assert_sha256_pairs_match_scalar(&splits, &format!("odd={odd:?} at {position}"));
+        }
+    }
+}
+
+#[test]
+fn sha256_uniform_one_block_shapes_match() {
+    // The leaf level of a tree over 16-byte results, and the largest
+    // message that still pads into one block.
+    assert_sha256_pairs_match_scalar(&[(16, 16)], "16|16");
+    assert_sha256_pairs_match_scalar(&[(0, 55)], "0|55");
+}
+
+#[test]
+fn fips_vectors_through_digest_batch() {
+    // FIPS 180-4 / RFC 1321 vectors, repeated to fill every lane of one
+    // 8-wide and one 4-wide dispatch plus a scalar tail.
+    let width = width_under_test();
+    let abc: &[u8] = b"abc";
+    let two_block: &[u8] = b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+    let msgs: Vec<&[u8]> = (0..13).map(|i| [abc, two_block, b""][i % 3]).collect();
+    let hex = |d: &[u8]| ugc_hash::hex::encode(d);
+    let sha256 = [
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ];
+    let sha1 = [
+        "a9993e364706816aba3e25717850c26c9cd0d89d",
+        "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
+        "da39a3ee5e6b4b0d3255bfef95601890afd80709",
+    ];
+    let md5 = [
+        "900150983cd24fb0d6963f7d28e17f72",
+        "8215ef0796a20bcaaae116d3876c664a",
+        "d41d8cd98f00b204e9800998ecf8427e",
+    ];
+    for (i, d) in digest_batch::<Sha256>(&msgs, width).iter().enumerate() {
+        assert_eq!(hex(d), sha256[i % 3], "sha256 message {i} width={width}");
+    }
+    for (i, d) in digest_batch::<Sha1>(&msgs, width).iter().enumerate() {
+        assert_eq!(hex(d), sha1[i % 3], "sha1 message {i} width={width}");
+    }
+    for (i, d) in digest_batch::<Md5>(&msgs, width).iter().enumerate() {
+        assert_eq!(hex(d), md5[i % 3], "md5 message {i} width={width}");
+    }
+}

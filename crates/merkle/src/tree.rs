@@ -86,10 +86,9 @@ pub struct MerkleTree<H: HashFunction = Sha256> {
 }
 
 impl<H: HashFunction> MerkleTree<H> {
-    /// Builds a tree over `leaves`, each leaf being one `f(x_i)` result.
-    ///
-    /// Leaf bytes are copied straight into the padded row — no per-leaf
-    /// allocation on this path.
+    /// Builds a tree over `leaves`, each leaf being one `f(x_i)` result:
+    /// [`build_with`](Self::build_with) on one thread at the default lane
+    /// width.
     ///
     /// # Errors
     ///
@@ -141,6 +140,11 @@ impl<H: HashFunction> MerkleTree<H> {
     /// thread). Neither knob changes any digest — `hash_ops` and every
     /// node are bit-identical to the serial scalar build.
     ///
+    /// The leaves are copied, width-checked, into one flat row, which
+    /// [`from_leaf_row`](Self::from_leaf_row) then hashes; a caller that
+    /// already holds its results as such a row skips the copy by calling
+    /// that directly.
+    ///
     /// # Errors
     ///
     /// As [`build`](Self::build).
@@ -164,49 +168,18 @@ impl<H: HashFunction> MerkleTree<H> {
         parallelism: Parallelism,
         lanes: LaneWidth,
     ) -> Result<Self, MerkleError> {
-        let mut tree = Self::copy_leaves(leaves)?;
-        if parallelism.get() > 1 {
-            tree.hash_all_parallel(parallelism.get(), lanes);
-        } else {
-            tree.hash_all(lanes);
-        }
-        Ok(tree)
-    }
-
-    /// Validates widths and copies `leaves` into the zero-padded row;
-    /// digests are not yet computed.
-    fn copy_leaves<L: AsRef<[u8]>>(leaves: &[L]) -> Result<Self, MerkleError> {
-        let first = leaves.first().ok_or(MerkleError::EmptyTree)?;
-        let width = first.as_ref().len();
-        if width == 0 {
-            return Err(MerkleError::ZeroLeafWidth);
-        }
+        let width = leaves.first().ok_or(MerkleError::EmptyTree)?.as_ref().len();
         let n = leaves.len() as u64;
-        let padded = padded_leaf_count(n);
-        let mut row = vec![0u8; (padded as usize) * width];
-        for (i, (leaf, slot)) in leaves.iter().zip(row.chunks_exact_mut(width)).enumerate() {
-            let bytes = leaf.as_ref();
-            if bytes.len() != width {
-                return Err(MerkleError::MixedLeafWidth {
-                    expected: width,
-                    found: bytes.len(),
-                    index: i as u64,
-                });
-            }
-            slot.copy_from_slice(bytes);
-        }
-        Ok(MerkleTree {
-            leaves: row,
-            nodes: Vec::new(),
-            leaf_count: n,
-            padded,
-            leaf_width: width,
-            hash_ops: 0,
-            hash_ops_wall: 0,
-        })
+        Self::from_leaf_fn_with(n, width, |i| &leaves[i as usize], parallelism, lanes)
     }
 
-    /// Builds a tree by evaluating `leaf_fn(i)` for `i ∈ [0, n)`.
+    /// Builds a tree by evaluating `leaf_fn(i)` for `i ∈ [0, n)`:
+    /// the results fill one flat row, which
+    /// [`from_leaf_row`](Self::from_leaf_row) hashes **on one thread at
+    /// [`LaneWidth::default`]** — unlike its sibling constructors this
+    /// one takes neither execution knob, because its callers (the
+    /// Section 4.2 retry attack, the partial-tree tests) build small trees
+    /// from closures and never needed them.
     ///
     /// `leaf_fn` must return exactly `leaf_width` bytes per call; this is the
     /// participant-side entry point where `leaf_fn` computes (or fakes —
@@ -218,40 +191,127 @@ impl<H: HashFunction> MerkleTree<H> {
     /// * [`MerkleError::ZeroLeafWidth`] if `leaf_width == 0`.
     /// * [`MerkleError::MixedLeafWidth`] if `leaf_fn` returns a wrong-width
     ///   result.
-    pub fn from_leaf_fn<F>(n: u64, leaf_width: usize, mut leaf_fn: F) -> Result<Self, MerkleError>
+    pub fn from_leaf_fn<F>(n: u64, leaf_width: usize, leaf_fn: F) -> Result<Self, MerkleError>
     where
         F: FnMut(u64) -> Vec<u8>,
     {
         if n == 0 {
             return Err(MerkleError::EmptyTree);
         }
-        if leaf_width == 0 {
+        Self::from_leaf_fn_with(
+            n,
+            leaf_width,
+            leaf_fn,
+            Parallelism::serial(),
+            LaneWidth::default(),
+        )
+    }
+
+    /// Fills a row with `leaf_fn(0..n)`, each value checked against
+    /// `width`, and hands it to [`from_leaf_row`](Self::from_leaf_row).
+    fn from_leaf_fn_with<V: AsRef<[u8]>>(
+        n: u64,
+        width: usize,
+        mut leaf_fn: impl FnMut(u64) -> V,
+        parallelism: Parallelism,
+        lanes: LaneWidth,
+    ) -> Result<Self, MerkleError> {
+        if width == 0 {
             return Err(MerkleError::ZeroLeafWidth);
         }
-        let padded = padded_leaf_count(n);
-        let mut leaves = vec![0u8; (padded as usize) * leaf_width];
-        for i in 0..n {
-            let value = leaf_fn(i);
-            if value.len() != leaf_width {
+        // Room for the padding, so `from_leaf_row` extends in place.
+        let mut row = Vec::with_capacity((padded_leaf_count(n) as usize) * width);
+        for index in 0..n {
+            let value = leaf_fn(index);
+            let bytes = value.as_ref();
+            if bytes.len() != width {
                 return Err(MerkleError::MixedLeafWidth {
-                    expected: leaf_width,
-                    found: value.len(),
-                    index: i,
+                    expected: width,
+                    found: bytes.len(),
+                    index,
                 });
             }
-            let off = (i as usize) * leaf_width;
-            leaves[off..off + leaf_width].copy_from_slice(&value);
+            row.extend_from_slice(bytes);
         }
+        Self::from_leaf_row(row, width, parallelism, lanes)
+    }
+
+    /// Builds the tree over a flat leaf row: `row` holds `n` results of
+    /// `width` bytes each, back to back — exactly what
+    /// `ComputeTask::compute_into` and `WorkerBehaviour::leaf_row`
+    /// produce. The tree takes ownership, zero-pads the row in place to
+    /// the power-of-two leaf count and hashes it: no copy, no per-leaf
+    /// allocation. Every other constructor fills such a row and ends
+    /// here.
+    ///
+    /// `parallelism` and `lanes` are execution knobs as in
+    /// [`build_with`](Self::build_with).
+    ///
+    /// # Errors
+    ///
+    /// * [`MerkleError::ZeroLeafWidth`] if `width == 0`.
+    /// * [`MerkleError::EmptyTree`] if `row` is empty.
+    /// * [`MerkleError::MixedLeafWidth`] if `row.len()` is not a multiple
+    ///   of `width`: the trailing `row.len() % width` bytes are reported
+    ///   as a short leaf at index `row.len() / width`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ugc_merkle::{LaneWidth, MerkleError, MerkleTree, Parallelism};
+    /// use ugc_hash::Sha256;
+    ///
+    /// let leaves: Vec<[u8; 8]> = (0u64..100).map(|x| x.to_le_bytes()).collect();
+    /// let row: Vec<u8> = leaves.concat();
+    /// let tree: MerkleTree<Sha256> =
+    ///     MerkleTree::from_leaf_row(row, 8, Parallelism::serial(), LaneWidth::default())?;
+    /// assert_eq!(tree.leaf_count(), 100);
+    /// assert_eq!(tree.root(), MerkleTree::<Sha256>::build(&leaves)?.root());
+    ///
+    /// let ragged = MerkleTree::<Sha256>::from_leaf_row(
+    ///     vec![0u8; 20], 8, Parallelism::serial(), LaneWidth::default());
+    /// assert_eq!(
+    ///     ragged.unwrap_err(),
+    ///     MerkleError::MixedLeafWidth { expected: 8, found: 4, index: 2 },
+    /// );
+    /// # Ok::<(), ugc_merkle::MerkleError>(())
+    /// ```
+    pub fn from_leaf_row(
+        mut row: Vec<u8>,
+        width: usize,
+        parallelism: Parallelism,
+        lanes: LaneWidth,
+    ) -> Result<Self, MerkleError> {
+        if width == 0 {
+            return Err(MerkleError::ZeroLeafWidth);
+        }
+        if row.is_empty() {
+            return Err(MerkleError::EmptyTree);
+        }
+        let n = (row.len() / width) as u64;
+        if row.len() % width != 0 {
+            return Err(MerkleError::MixedLeafWidth {
+                expected: width,
+                found: row.len() % width,
+                index: n,
+            });
+        }
+        let padded = padded_leaf_count(n);
+        row.resize((padded as usize) * width, 0);
         let mut tree = MerkleTree {
-            leaves,
+            leaves: row,
             nodes: Vec::new(),
             leaf_count: n,
             padded,
-            leaf_width,
+            leaf_width: width,
             hash_ops: 0,
             hash_ops_wall: 0,
         };
-        tree.hash_all(LaneWidth::default());
+        if parallelism.get() > 1 {
+            tree.hash_all_parallel(parallelism.get(), lanes);
+        } else {
+            tree.hash_all(lanes);
+        }
         Ok(tree)
     }
 

@@ -1,0 +1,115 @@
+//! `MerkleTree::from_leaf_row` is where every constructor ends: handed
+//! the flat row it must build exactly the tree `build_with` builds from
+//! separate leaves — root, every proof, both operation counters — at any
+//! thread count and lane width, and the root must be the Eq. (1) fold a
+//! scalar `digest_pair` computes by hand.
+
+use ugc_hash::{HashFunction, LaneWidth, Sha256};
+use ugc_merkle::{MerkleError, MerkleTree, Parallelism};
+
+fn leaves(n: usize, width: usize) -> Vec<Vec<u8>> {
+    (0..n)
+        .map(|i| {
+            (0..width)
+                .map(|j| ((i * 131 + j * 31 + 7) % 251) as u8)
+                .collect()
+        })
+        .collect()
+}
+
+/// Eq. (1) by hand: zero-pad to a power of two (at least two leaves),
+/// hash leaf pairs, then digest pairs up to the root — one scalar
+/// `digest_pair` at a time.
+fn reference_root(leaves: &[Vec<u8>]) -> [u8; 32] {
+    let width = leaves[0].len();
+    let mut padded = leaves.to_vec();
+    padded.resize(leaves.len().max(2).next_power_of_two(), vec![0u8; width]);
+    let mut level: Vec<[u8; 32]> = padded
+        .chunks_exact(2)
+        .map(|pair| Sha256::digest_pair(&pair[0], &pair[1]))
+        .collect();
+    while level.len() > 1 {
+        level = level
+            .chunks_exact(2)
+            .map(|pair| Sha256::digest_pair(&pair[0], &pair[1]))
+            .collect();
+    }
+    level[0]
+}
+
+#[test]
+fn from_leaf_row_equals_build_with() {
+    for width in [1usize, 16, 32, 33] {
+        for n in 1..=257usize {
+            let ls = leaves(n, width);
+            let want_root = reference_root(&ls);
+            for threads in [1usize, 2, 4] {
+                let parallelism = Parallelism::threads(threads);
+                let context = format!("n={n} width={width} threads={threads}");
+                let built: MerkleTree<Sha256> =
+                    MerkleTree::build_with(&ls, parallelism, LaneWidth::Scalar).unwrap();
+                let from_row: MerkleTree<Sha256> =
+                    MerkleTree::from_leaf_row(ls.concat(), width, parallelism, LaneWidth::X8)
+                        .unwrap();
+                assert_eq!(from_row.root(), want_root, "{context}");
+                assert_eq!(built.root(), want_root, "{context}");
+                assert_eq!(from_row.leaf_count(), n as u64, "{context}");
+                assert_eq!(from_row.leaf_width(), width, "{context}");
+                assert_eq!(from_row.hash_ops(), built.hash_ops(), "{context}");
+                assert_eq!(from_row.hash_ops_wall(), built.hash_ops_wall(), "{context}");
+                assert_eq!(
+                    from_row.hash_ops(),
+                    from_row.padded_leaf_count() - 1,
+                    "{context}"
+                );
+                for (i, leaf) in ls.iter().enumerate() {
+                    let proof = from_row.prove(i as u64).unwrap();
+                    assert_eq!(proof, built.prove(i as u64).unwrap(), "{context} leaf={i}");
+                    assert!(proof.verify(&want_root, leaf), "{context} leaf={i}");
+                    assert_eq!(from_row.leaf(i as u64).unwrap(), leaf.as_slice());
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn from_leaf_row_rejects_degenerate_rows_typed() {
+    let build = |row: Vec<u8>, width| {
+        MerkleTree::<Sha256>::from_leaf_row(row, width, Parallelism::serial(), LaneWidth::default())
+            .map(|tree| tree.leaf_count())
+    };
+    assert_eq!(build(vec![1, 2, 3], 0), Err(MerkleError::ZeroLeafWidth));
+    assert_eq!(build(Vec::new(), 0), Err(MerkleError::ZeroLeafWidth));
+    assert_eq!(build(Vec::new(), 4), Err(MerkleError::EmptyTree));
+    assert_eq!(
+        build(vec![0u8; 9], 4),
+        Err(MerkleError::MixedLeafWidth {
+            expected: 4,
+            found: 1,
+            index: 2
+        })
+    );
+    assert_eq!(
+        build(vec![0u8; 3], 4),
+        Err(MerkleError::MixedLeafWidth {
+            expected: 4,
+            found: 3,
+            index: 0
+        })
+    );
+    assert_eq!(build(vec![0u8; 8], 4), Ok(2));
+}
+
+#[test]
+fn from_leaf_row_pads_a_row_that_has_no_spare_capacity() {
+    // Three leaves pad to four: the row must grow, whatever capacity the
+    // caller's Vec happened to have.
+    let ls = leaves(3, 16);
+    let mut row = ls.concat();
+    row.shrink_to_fit();
+    let tree: MerkleTree<Sha256> =
+        MerkleTree::from_leaf_row(row, 16, Parallelism::serial(), LaneWidth::default()).unwrap();
+    assert_eq!(tree.padded_leaf_count(), 4);
+    assert_eq!(tree.root(), reference_root(&ls));
+}

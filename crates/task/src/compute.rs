@@ -1,6 +1,6 @@
 //! Task handles and evaluation counting.
 
-use crate::ComputeTask;
+use crate::{ComputeTask, WidthMismatch};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -123,11 +123,11 @@ impl<T: ComputeTask> ComputeTask for CountingTask<T> {
         self.inner.compute(x)
     }
 
-    fn compute_batch(&self, xs: &[u64]) -> Vec<Vec<u8>> {
+    fn compute_into(&self, xs: &[u64], out: &mut [u8]) -> Result<(), WidthMismatch> {
         // One tick per input, exactly as the scalar path counts, so
         // batched and unbatched runs report identical evaluation totals.
         self.counter.add(xs.len() as u64);
-        self.inner.compute_batch(xs)
+        self.inner.compute_into(xs, out)
     }
 
     fn verify(&self, x: u64, claimed: &[u8]) -> bool {

@@ -52,6 +52,35 @@ pub use guess::{Guesser, LuckyGuesser, ZeroGuesser};
 pub use rng::SplitMix64;
 pub use screener::{AcceptAllScreener, MatchScreener, ScreenReport, Screener, ThresholdScreener};
 
+/// A value that should have been [`ComputeTask::output_width`] bytes and
+/// was not: the typed form of "this leaf would have shifted every later
+/// one" when results are written into one flat row.
+///
+/// `ugc-core` surfaces it as `MerkleError::MixedLeafWidth` with the same
+/// three fields, which is what a per-leaf tree build reported before the
+/// row existed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WidthMismatch {
+    /// The width every value must have.
+    pub expected: usize,
+    /// The width of the offending value.
+    pub found: usize,
+    /// Which value: its position in the batch, or its leaf index.
+    pub index: u64,
+}
+
+impl core::fmt::Display for WidthMismatch {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(
+            f,
+            "value {} is {} bytes, expected {}",
+            self.index, self.found, self.expected
+        )
+    }
+}
+
+impl std::error::Error for WidthMismatch {}
+
 /// The function `f : X → T` evaluated by participants.
 ///
 /// Outputs are encoded to a fixed width so they can serve directly as
@@ -74,16 +103,85 @@ pub trait ComputeTask: Send + Sync {
     /// [`output_width`](Self::output_width) bytes.
     fn compute(&self, x: u64) -> Vec<u8>;
 
-    /// Evaluates `f` on a batch of independent inputs, returning one
-    /// encoded output per input, in order.
+    /// Evaluates `f` on a batch of independent inputs straight into a
+    /// flat row: output `i` lands in
+    /// `out[i * width..(i + 1) * width]`, `width` being
+    /// [`output_width`](Self::output_width). This is the form the
+    /// participant's commitment consumes — the row *is* the Merkle leaf
+    /// row, so no per-output `Vec` is ever allocated.
     ///
-    /// The default loops over [`compute`](Self::compute); hash-bound tasks
-    /// override it to run several inputs through a message-parallel digest
-    /// kernel (e.g. [`workloads::PasswordSearch`] over MD5 lanes). The
-    /// outputs must be byte-identical to per-input `compute` calls —
-    /// batching is an execution detail, never a semantic one.
+    /// The default loops over [`compute`](Self::compute) and checks every
+    /// output against `width`; hash-bound tasks override it to run
+    /// several inputs through a message-parallel digest kernel (e.g.
+    /// [`workloads::PasswordSearch`] over MD5 lanes). The bytes must be
+    /// identical to per-input `compute` calls — batching is an execution
+    /// detail, never a semantic one.
+    ///
+    /// # Errors
+    ///
+    /// [`WidthMismatch`] naming the first input (by position in `xs`)
+    /// whose output is not `width` bytes; `out` is then partly written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != xs.len() * width`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ugc_task::ComputeTask;
+    /// use ugc_task::workloads::PasswordSearch;
+    ///
+    /// let task = PasswordSearch::with_hidden_password(7, 2);
+    /// let xs = [0u64, 1, 2];
+    /// let mut row = vec![0u8; xs.len() * task.output_width()];
+    /// task.compute_into(&xs, &mut row)?;
+    /// assert_eq!(&row[32..], task.compute(2).as_slice());
+    /// assert_eq!(&row[32..], task.target());
+    /// # Ok::<(), ugc_task::WidthMismatch>(())
+    /// ```
+    fn compute_into(&self, xs: &[u64], out: &mut [u8]) -> Result<(), WidthMismatch> {
+        let width = self.output_width();
+        assert_eq!(out.len(), xs.len() * width, "one output slot per input");
+        for (i, &x) in xs.iter().enumerate() {
+            let value = self.compute(x);
+            if value.len() != width {
+                return Err(WidthMismatch {
+                    expected: width,
+                    found: value.len(),
+                    index: i as u64,
+                });
+            }
+            out[i * width..(i + 1) * width].copy_from_slice(&value);
+        }
+        Ok(())
+    }
+
+    /// Evaluates `f` on a batch of independent inputs, returning one
+    /// encoded output per input, in order: [`compute_into`] a scratch row
+    /// (1024 inputs at a time), split per input. A task that batches
+    /// overrides `compute_into` only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task breaks its own contract and produces an output
+    /// that is not [`output_width`](Self::output_width) bytes.
+    ///
+    /// [`compute_into`]: Self::compute_into
     fn compute_batch(&self, xs: &[u64]) -> Vec<Vec<u8>> {
-        xs.iter().map(|&x| self.compute(x)).collect()
+        // A scratch row of this many outputs stays cache-resident while
+        // it is filled and split, however long `xs` is.
+        const CHUNK: usize = 1024;
+        let width = self.output_width();
+        let mut row = vec![0u8; xs.len().min(CHUNK) * width];
+        let mut outputs = Vec::with_capacity(xs.len());
+        for chunk in xs.chunks(CHUNK) {
+            let row = &mut row[..chunk.len() * width];
+            self.compute_into(chunk, row)
+                .expect("task outputs are output_width bytes");
+            outputs.extend((0..chunk.len()).map(|i| row[i * width..(i + 1) * width].to_vec()));
+        }
+        outputs
     }
 
     /// Checks whether `claimed` equals `f(x)`.
@@ -119,6 +217,9 @@ impl<T: ComputeTask + ?Sized> ComputeTask for &T {
     fn compute(&self, x: u64) -> Vec<u8> {
         (**self).compute(x)
     }
+    fn compute_into(&self, xs: &[u64], out: &mut [u8]) -> Result<(), WidthMismatch> {
+        (**self).compute_into(xs, out)
+    }
     fn compute_batch(&self, xs: &[u64]) -> Vec<Vec<u8>> {
         (**self).compute_batch(xs)
     }
@@ -143,6 +244,9 @@ impl<T: ComputeTask + ?Sized> ComputeTask for Box<T> {
     fn compute(&self, x: u64) -> Vec<u8> {
         (**self).compute(x)
     }
+    fn compute_into(&self, xs: &[u64], out: &mut [u8]) -> Result<(), WidthMismatch> {
+        (**self).compute_into(xs, out)
+    }
     fn compute_batch(&self, xs: &[u64]) -> Vec<Vec<u8>> {
         (**self).compute_batch(xs)
     }
@@ -166,6 +270,9 @@ impl<T: ComputeTask + ?Sized> ComputeTask for std::sync::Arc<T> {
     }
     fn compute(&self, x: u64) -> Vec<u8> {
         (**self).compute(x)
+    }
+    fn compute_into(&self, xs: &[u64], out: &mut [u8]) -> Result<(), WidthMismatch> {
+        (**self).compute_into(xs, out)
     }
     fn compute_batch(&self, xs: &[u64]) -> Vec<Vec<u8>> {
         (**self).compute_batch(xs)

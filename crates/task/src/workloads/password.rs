@@ -6,7 +6,7 @@
 //! also compatible with the Golle–Mironov ringer scheme, making it the
 //! baseline-comparison workload.
 
-use crate::{ComputeTask, MatchScreener};
+use crate::{ComputeTask, MatchScreener, WidthMismatch};
 use ugc_hash::{digest_iterated_batch, HashFunction, LaneWidth, Md5};
 
 /// Keyed password-hash search over a `u64` key space.
@@ -104,7 +104,8 @@ impl ComputeTask for PasswordSearch {
     /// (`f(x) = H^w(salt ‖ x)` either way).
     ///
     /// [`compute`]: Self::compute
-    fn compute_batch(&self, xs: &[u64]) -> Vec<Vec<u8>> {
+    fn compute_into(&self, xs: &[u64], out: &mut [u8]) -> Result<(), WidthMismatch> {
+        assert_eq!(out.len(), xs.len() * 16, "one output slot per input");
         let materials: Vec<[u8; 16]> = xs
             .iter()
             .map(|&x| {
@@ -115,10 +116,12 @@ impl ComputeTask for PasswordSearch {
             })
             .collect();
         let seeds: Vec<&[u8]> = materials.iter().map(|m| m.as_slice()).collect();
-        digest_iterated_batch::<Md5>(&seeds, u64::from(self.work_factor), LaneWidth::default())
-            .into_iter()
-            .map(|d| d.to_vec())
-            .collect()
+        let digests =
+            digest_iterated_batch::<Md5>(&seeds, u64::from(self.work_factor), LaneWidth::default());
+        for (slot, digest) in out.chunks_exact_mut(16).zip(&digests) {
+            slot.copy_from_slice(digest);
+        }
+        Ok(())
     }
 
     fn unit_cost(&self) -> u64 {
