@@ -247,6 +247,28 @@ fn put_merkle_error(buf: &mut Vec<u8>, e: &MerkleError) {
             put_u8(buf, 5);
             put_u64(buf, subtree_index);
         }
+        MerkleError::PathLengthMismatch {
+            path,
+            expected,
+            found,
+        } => {
+            put_u8(buf, 6);
+            put_usize(buf, path);
+            put_usize(buf, expected);
+            put_usize(buf, found);
+        }
+        MerkleError::SiblingWidth {
+            path,
+            level,
+            expected,
+            found,
+        } => {
+            put_u8(buf, 7);
+            put_usize(buf, path);
+            put_usize(buf, level);
+            put_usize(buf, expected);
+            put_usize(buf, found);
+        }
     }
 }
 
@@ -269,6 +291,17 @@ fn get_merkle_error(buf: &mut &[u8]) -> Result<MerkleError, SchemeError> {
         },
         5 => MerkleError::ProviderMismatch {
             subtree_index: get_u64(buf, "merkle subtree index")?,
+        },
+        6 => MerkleError::PathLengthMismatch {
+            path: get_usize(buf, "merkle path position")?,
+            expected: get_usize(buf, "merkle expected path length")?,
+            found: get_usize(buf, "merkle found path length")?,
+        },
+        7 => MerkleError::SiblingWidth {
+            path: get_usize(buf, "merkle path position")?,
+            level: get_usize(buf, "merkle sibling level")?,
+            expected: get_usize(buf, "merkle expected sibling width")?,
+            found: get_usize(buf, "merkle found sibling width")?,
         },
         tag => return Err(bad(format!("unknown merkle error tag {tag}"))),
     })
@@ -1532,6 +1565,17 @@ mod tests {
                 index: 2,
             }),
             SchemeError::Merkle(MerkleError::ProviderMismatch { subtree_index: 3 }),
+            SchemeError::Merkle(MerkleError::PathLengthMismatch {
+                path: 5,
+                expected: 9,
+                found: 2,
+            }),
+            SchemeError::Merkle(MerkleError::SiblingWidth {
+                path: 1,
+                level: 6,
+                expected: 32,
+                found: 31,
+            }),
             SchemeError::UnexpectedMessage {
                 expected: "Commit",
                 got: "Verdict",

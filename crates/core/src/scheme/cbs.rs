@@ -18,11 +18,27 @@
 //! proving a sample recomputes the `2^ℓ` leaves of the covering subtree —
 //! costs this module charges to the participant's ledger from actual call
 //! counts.
+//!
+//! # Who pays what
+//!
+//! The participant pays `O(n)`: `f` over its share and the `2n − 1` hashes
+//! of the tree. The supervisor pays `O(m log n)` in Step 4
+//! ([`verify_round`], shared with NI-CBS): `m` checks of a claimed `f(x)`
+//! and `m` reconstructions `Λ(f(x), λ₁…λ_H)` of `H = ⌈log₂ n⌉` hashes
+//! each. Both ledgers count exactly that, in the paper's units. What the
+//! wall clock pays is a separate matter and both sides use the same
+//! means to shrink it: the `m` reconstructions are mutually independent,
+//! so `verify_round` runs them as one batch, level by level through the
+//! digest lane kernels ([`fold_paths`]), the way the participant's tree
+//! build hashes each level of nodes. `task.verify` stays one call per
+//! sample — it is the hook by which a task whose results are cheap to
+//! check says so — and a path that is not `H` long is rejected before
+//! anything is hashed, so a peer cannot buy supervisor time with a long
+//! proof. The verdict and the ledger are those of checking the samples
+//! one at a time, in order; `verify_round` documents the rule.
 
 use crate::sampling::draw_samples;
-use crate::scheme::{
-    check_task, materialize, proof_to_wire, run_round, verify_sample, Materialized,
-};
+use crate::scheme::{check_task, materialize, proof_to_wire, run_round, Materialized};
 use crate::session::{
     unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
     SupervisorContext, SupervisorSession, VerificationScheme,
@@ -30,7 +46,10 @@ use crate::session::{
 use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
 use ugc_grid::{Assignment, CostLedger, Message, SampleProof, WorkerBehaviour};
 use ugc_hash::HashFunction;
-use ugc_merkle::{LaneWidth, MerkleError, MerkleTree, Parallelism, PartialMerkleTree};
+use ugc_merkle::{
+    fold_paths, tree_height, AuthPath, LaneWidth, MerkleError, MerkleTree, Parallelism,
+    PartialMerkleTree,
+};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 
 /// Below this many leaves a parallel tree build is not worth the thread
@@ -467,6 +486,42 @@ impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
 /// endpoints — can reuse the verification logic outside the scheme's own
 /// supervisor sessions.
 ///
+/// # How the `m` samples are checked
+///
+/// Three passes over the round rather than one walk per sample; what is
+/// returned and what is charged are those of the walk:
+///
+/// 1. In sample order: the index echo, `domain.input`, and
+///    `task.verify(x, f(x))`. This stays one call per sample —
+///    [`ComputeTask::verify`] is where a task with cheap verification
+///    plugs in its own check — and stops at the first failure.
+/// 2. Among the samples before that failure, in order: every digest
+///    sibling is `H::DIGEST_LEN` bytes, and the path has exactly
+///    [`tree_height`]`(domain.len())` siblings. A path of any other length
+///    cannot reproduce the root, so it is a
+///    [`Verdict::CommitmentMismatch`] *without being hashed* — a peer
+///    cannot make the supervisor hash a path as long as a frame allows.
+///    Within one sample a sibling of the wrong width is reported before
+///    the length is looked at.
+/// 3. The paths before the first offender are reconstructed together by
+///    [`fold_paths`], each level of all of them one batch through the
+///    digest lane kernels, straight from the wire bytes, and each root is
+///    compared with the commitment.
+///
+/// **The first event in sample order wins.** Whatever pass found it, the
+/// verdict or error returned is the one belonging to the earliest sample
+/// with anything wrong, exactly as if the samples had been walked one by
+/// one.
+///
+/// **The ledger is charged afterwards, as the walk would have.** Every
+/// sample up to and including that event pays `charge_verify(1)` and
+/// (unless [`cheap_verification`](ComputeTask::cheap_verification))
+/// `charge_f(unit_cost)` if its `f(x)` was checked, and
+/// `charge_hash(H)` if its reconstruction was started. Work done
+/// speculatively on later samples — pass 1 and 3 run ahead of an event
+/// that a later pass finds — is not charged: the ledger is the paper's
+/// unit-cost model, not a wall clock.
+///
 /// # Errors
 ///
 /// [`SchemeError::ProofCountMismatch`] or malformed-proof errors; cheating
@@ -490,15 +545,73 @@ pub fn verify_round<H: HashFunction>(
             got: proofs.len(),
         });
     }
-    for (expected_index, wire) in samples.iter().zip(proofs) {
-        if wire.index != *expected_index {
-            return Ok(Verdict::WrongResult {
-                sample: *expected_index,
-            });
+    // The first `clean` samples have nothing wrong as far as the passes
+    // have looked; `event` is what is wrong with the next one, if
+    // anything. `f_checked` counts the samples the walk would have got as
+    // far as checking f(x) on, `hashed` those it would have started
+    // reconstructing.
+    let mut clean = samples.len();
+    let mut f_checked = samples.len();
+    let mut event = None;
+
+    // Step 4.1: is each claimed f(x) correct?
+    for (i, (&sample, wire)) in samples.iter().zip(proofs).enumerate() {
+        let x = (wire.index == sample)
+            .then(|| domain.input(sample).ok())
+            .flatten();
+        if !x.is_some_and(|x| task.verify(x, &wire.leaf_value)) {
+            clean = i;
+            f_checked = i + usize::from(x.is_some());
+            event = Some(Ok(Verdict::WrongResult { sample }));
+            break;
         }
-        if let Err(verdict) = verify_sample::<H>(task, domain, root, wire, ledger)? {
-            return Ok(verdict);
-        }
+    }
+
+    // Is each path one this tree could have produced?
+    let height = tree_height(domain.len());
+    for (i, (&sample, wire)) in samples.iter().zip(proofs).enumerate().take(clean) {
+        let siblings = &wire.digest_siblings;
+        let offence = if siblings.iter().any(|s| s.len() != H::DIGEST_LEN) {
+            Err(SchemeError::MalformedPayload {
+                what: "proof digest sibling",
+            })
+        } else if siblings.len() + 1 != height as usize {
+            Ok(Verdict::CommitmentMismatch { sample })
+        } else {
+            continue;
+        };
+        clean = i;
+        f_checked = i + 1;
+        event = Some(offence);
+        break;
+    }
+
+    // Step 4.2: does each Λ(f(x), λ₁…λ_H) reproduce the commitment?
+    let paths: Vec<AuthPath<'_, Vec<u8>>> = proofs[..clean]
+        .iter()
+        .map(|wire| AuthPath {
+            leaf_index: wire.index,
+            leaf_value: &wire.leaf_value,
+            leaf_sibling: &wire.leaf_sibling,
+            digest_siblings: &wire.digest_siblings,
+        })
+        .collect();
+    let roots = fold_paths::<H, _>(&paths, LaneWidth::default())?;
+    let mut hashed = clean;
+    if let Some(i) = roots.iter().position(|rebuilt| rebuilt != root) {
+        f_checked = i + 1;
+        hashed = i + 1;
+        event = Some(Ok(Verdict::CommitmentMismatch { sample: samples[i] }));
+    }
+
+    ledger.charge_verify(f_checked as u64);
+    if !task.cheap_verification() {
+        // Verification recomputes f at full cost.
+        ledger.charge_f(f_checked as u64 * task.unit_cost());
+    }
+    ledger.charge_hash(hashed as u64 * u64::from(height));
+    if let Some(event) = event {
+        return event;
     }
     if let Some(verdict) =
         crate::scheme::audit_reports(task, screener, domain, reports, report_audit, seed, ledger)
@@ -550,10 +663,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::sample::Index;
     use ugc_grid::{CheatSelection, HonestWorker, MaliciousWorker, SemiHonestCheater};
     use ugc_hash::{Md5, Sha256};
+    use ugc_merkle::MerkleProof;
     use ugc_task::workloads::PasswordSearch;
-    use ugc_task::ZeroGuesser;
+    use ugc_task::{AcceptAllScreener, ZeroGuesser};
 
     fn config(m: usize, seed: u64) -> CbsConfig {
         CbsConfig {
@@ -884,5 +1000,350 @@ mod tests {
         assert_eq!(large.supervisor_costs.f_evals, 50 * task.unit_cost());
         // The supervisor never evaluates f on the whole domain.
         assert!(large.supervisor_costs.f_evals < 256);
+    }
+
+    /// What the supervisor holds when Step 4 starts: the task, the
+    /// participant's share, the true leaves, and the tree an honest
+    /// participant committed to.
+    struct Committed<H: HashFunction> {
+        task: PasswordSearch,
+        domain: Domain,
+        leaves: Vec<Vec<u8>>,
+        tree: MerkleTree<H>,
+    }
+
+    impl<H: HashFunction> Committed<H> {
+        /// A share that does not start at input 0, so an index taken for
+        /// an input (or the reverse) shows; `unit_cost` 3, so does an `f`
+        /// charged once too often.
+        fn honest(n: u64) -> Self {
+            let task = PasswordSearch::with_work_factor(3, 5, 3);
+            let domain = Domain::new(1000, n);
+            let leaves: Vec<Vec<u8>> = domain.inputs().map(|x| task.compute(x)).collect();
+            let tree = MerkleTree::build(&leaves).unwrap();
+            Committed {
+                task,
+                domain,
+                leaves,
+                tree,
+            }
+        }
+
+        fn proofs(&self, samples: &[u64]) -> Vec<SampleProof> {
+            samples
+                .iter()
+                .map(|&i| {
+                    let proof = self.tree.prove(i).unwrap();
+                    proof_to_wire(&proof, self.leaves[i as usize].clone())
+                })
+                .collect()
+        }
+
+        /// `verify_round` against the honest commitment, no reports.
+        fn verify(
+            &self,
+            samples: &[u64],
+            proofs: &[SampleProof],
+        ) -> (Result<Verdict, SchemeError>, ugc_grid::CostReport) {
+            let ledger = CostLedger::new();
+            let result = verify_round::<H>(
+                &self.task,
+                &AcceptAllScreener,
+                self.domain,
+                &self.tree.root(),
+                samples,
+                proofs,
+                &[],
+                0,
+                0,
+                &ledger,
+            );
+            (result, ledger.report())
+        }
+    }
+
+    #[test]
+    fn verify_round_accepts_honest() {
+        let c = Committed::<Sha256>::honest(16);
+        let (result, costs) = c.verify(&[4], &c.proofs(&[4]));
+        assert_eq!(result, Ok(Verdict::Accepted));
+        // Verification recomputed f once and hashed the path.
+        assert_eq!(costs.verify_ops, 1);
+        assert_eq!(costs.f_evals, c.task.unit_cost());
+        assert_eq!(costs.hash_ops, 4);
+    }
+
+    #[test]
+    fn verify_round_rejects_wrong_result() {
+        let c = Committed::<Sha256>::honest(16);
+        let mut proofs = c.proofs(&[4]);
+        proofs[0].leaf_value = c.leaves[5].clone();
+        let (result, costs) = c.verify(&[4], &proofs);
+        assert_eq!(result, Ok(Verdict::WrongResult { sample: 4 }));
+        // f(x) was checked and paid for; the path was never looked at.
+        assert_eq!(costs.f_evals, c.task.unit_cost());
+        assert_eq!(costs.hash_ops, 0);
+    }
+
+    #[test]
+    fn verify_round_rejects_commitment_mismatch() {
+        // The participant recomputed the true f(x) after the challenge, but
+        // its tree committed to garbage: correct value, wrong path.
+        let c = Committed::<Sha256>::honest(16);
+        let garbage: Vec<Vec<u8>> = (0..16u64).map(|x| vec![x as u8; 16]).collect();
+        let garbage_tree: MerkleTree<Sha256> = MerkleTree::build(&garbage).unwrap();
+        let proof = garbage_tree.prove(4).unwrap();
+        let wire = proof_to_wire(&proof, c.leaves[4].clone()); // truthful f(x)…
+        let ledger = CostLedger::new();
+        let verdict = verify_round::<Sha256>(
+            &c.task,
+            &AcceptAllScreener,
+            c.domain,
+            &garbage_tree.root(), // …but the commitment disagrees
+            &[4],
+            &[wire],
+            &[],
+            0,
+            0,
+            &ledger,
+        );
+        assert_eq!(verdict, Ok(Verdict::CommitmentMismatch { sample: 4 }));
+        assert_eq!(ledger.report().hash_ops, 4);
+    }
+
+    #[test]
+    fn verify_round_rejects_out_of_domain_index() {
+        // The challenge itself names an index outside the share and the
+        // proof echoes it: nothing to evaluate, nothing charged.
+        let c = Committed::<Sha256>::honest(16);
+        let mut proofs = c.proofs(&[4]);
+        proofs[0].index = 99;
+        let (result, costs) = c.verify(&[99], &proofs);
+        assert_eq!(result, Ok(Verdict::WrongResult { sample: 99 }));
+        assert_eq!(costs, ugc_grid::CostReport::default());
+    }
+
+    #[test]
+    fn verify_round_rejects_bad_digest_len() {
+        let c = Committed::<Sha256>::honest(16);
+        let mut proofs = c.proofs(&[4, 9]);
+        proofs[1].digest_siblings[2].pop();
+        let (result, costs) = c.verify(&[4, 9], &proofs);
+        assert_eq!(
+            result,
+            Err(SchemeError::MalformedPayload {
+                what: "proof digest sibling"
+            })
+        );
+        // Both f(x) were checked; only the first path was reconstructed.
+        assert_eq!(costs.verify_ops, 2);
+        assert_eq!(costs.hash_ops, 4);
+    }
+
+    /// The walk `verify_round` replaced, kept as the reference it must
+    /// stay indistinguishable from: one sample at a time — index echo,
+    /// domain, `task.verify`, sibling widths, [`MerkleProof::verify`] —
+    /// charging as it goes and returning at the first thing wrong. It
+    /// has no path-length rule: there `verify_round` differs on purpose
+    /// (`tests/hostile_proof.rs`).
+    #[allow(clippy::too_many_arguments)]
+    fn sequential_reference<H: HashFunction>(
+        task: &dyn ComputeTask,
+        screener: &dyn Screener,
+        domain: Domain,
+        root: &H::Digest,
+        samples: &[u64],
+        proofs: &[SampleProof],
+        reports: &[(u64, Vec<u8>)],
+        report_audit: usize,
+        seed: u64,
+        ledger: &CostLedger,
+    ) -> Result<Verdict, SchemeError> {
+        if proofs.len() != samples.len() {
+            return Err(SchemeError::ProofCountMismatch {
+                expected: samples.len(),
+                got: proofs.len(),
+            });
+        }
+        for (&sample, wire) in samples.iter().zip(proofs) {
+            if wire.index != sample {
+                return Ok(Verdict::WrongResult { sample });
+            }
+            let Ok(x) = domain.input(sample) else {
+                return Ok(Verdict::WrongResult { sample });
+            };
+            ledger.charge_verify(1);
+            if !task.cheap_verification() {
+                ledger.charge_f(task.unit_cost());
+            }
+            if !task.verify(x, &wire.leaf_value) {
+                return Ok(Verdict::WrongResult { sample });
+            }
+            let digests = wire
+                .digest_siblings
+                .iter()
+                .map(|bytes| H::digest_from_bytes(bytes))
+                .collect::<Option<Vec<_>>>()
+                .ok_or(SchemeError::MalformedPayload {
+                    what: "proof digest sibling",
+                })?;
+            let proof: MerkleProof<H> =
+                MerkleProof::from_parts(wire.index, wire.leaf_sibling.clone(), digests);
+            ledger.charge_hash(proof.verification_hash_ops());
+            if !proof.verify(root, &wire.leaf_value) {
+                return Ok(Verdict::CommitmentMismatch { sample });
+            }
+        }
+        Ok(crate::scheme::audit_reports(
+            task,
+            screener,
+            domain,
+            reports,
+            report_audit,
+            seed,
+            ledger,
+        )
+        .unwrap_or(Verdict::Accepted))
+    }
+
+    /// One way a proof can be wrong, as drawn by the differential test.
+    #[derive(Debug, Clone, Copy)]
+    enum Tamper {
+        WrongIndexEchoed,
+        OutOfDomainIndex,
+        LeafValueByte,
+        DigestSibling,
+        LeafSibling,
+        SiblingWidth,
+    }
+
+    const TAMPERS: [Tamper; 6] = [
+        Tamper::WrongIndexEchoed,
+        Tamper::OutOfDomainIndex,
+        Tamper::LeafValueByte,
+        Tamper::DigestSibling,
+        Tamper::LeafSibling,
+        Tamper::SiblingWidth,
+    ];
+
+    /// Applies `tamper` to sample `at`; `level` picks among its digest
+    /// siblings (a height-1 tree has none, and those two tampers then
+    /// leave the proof as it was).
+    fn apply(
+        tamper: Tamper,
+        at: usize,
+        level: Index,
+        n: u64,
+        samples: &mut [u64],
+        proofs: &mut [SampleProof],
+    ) {
+        let wire = &mut proofs[at];
+        let siblings = wire.digest_siblings.len();
+        match tamper {
+            Tamper::WrongIndexEchoed => wire.index = wire.index.wrapping_add(1),
+            Tamper::OutOfDomainIndex => {
+                samples[at] += n;
+                wire.index = samples[at];
+            }
+            Tamper::LeafValueByte => wire.leaf_value[3] ^= 0x10,
+            Tamper::LeafSibling => wire.leaf_sibling[0] ^= 1,
+            Tamper::DigestSibling if siblings > 0 => {
+                wire.digest_siblings[level.index(siblings)][1] ^= 0x80;
+            }
+            Tamper::SiblingWidth if siblings > 0 => {
+                wire.digest_siblings[level.index(siblings)].push(0);
+            }
+            Tamper::DigestSibling | Tamper::SiblingWidth => {}
+        }
+    }
+
+    /// Runs the tampered round through both implementations and demands
+    /// the same verdict or error and the same ledger, axis for axis.
+    fn assert_indistinguishable<H: HashFunction>(
+        n: u64,
+        picks: &[Index],
+        tampers: &[(usize, Index, Index)],
+        corrupt_report: bool,
+        report_audit: usize,
+    ) {
+        let c = Committed::<H>::honest(n);
+        let mut samples: Vec<u64> = picks.iter().map(|p| p.index(n as usize) as u64).collect();
+        let mut proofs = c.proofs(&samples);
+        for &(kind, at, level) in tampers {
+            let at = at.index(samples.len());
+            apply(TAMPERS[kind], at, level, n, &mut samples, &mut proofs);
+        }
+        let mut reports: Vec<(u64, Vec<u8>)> = c.domain.inputs().zip(c.leaves.clone()).collect();
+        if corrupt_report {
+            reports[0].1[0] ^= 0xFF;
+        }
+        let root = c.tree.root();
+        let run = |batched: bool, proofs: &[SampleProof]| {
+            let step4 = if batched {
+                verify_round::<H>
+            } else {
+                sequential_reference::<H>
+            };
+            let ledger = CostLedger::new();
+            let result = step4(
+                &c.task,
+                &AcceptAllScreener,
+                c.domain,
+                &root,
+                &samples,
+                proofs,
+                &reports,
+                report_audit,
+                9,
+                &ledger,
+            );
+            (result, ledger.report())
+        };
+        let batched = run(true, &proofs);
+        assert_eq!(
+            batched,
+            run(false, &proofs),
+            "{} n={n} samples={samples:?} tampers={tampers:?}",
+            H::NAME
+        );
+        if tampers.is_empty() && !(corrupt_report && report_audit > 0) {
+            assert_eq!(batched.0, Ok(Verdict::Accepted));
+        }
+
+        // One proof short: the same error, and not a unit charged.
+        let short = SchemeError::ProofCountMismatch {
+            expected: samples.len(),
+            got: samples.len() - 1,
+        };
+        for batched in [true, false] {
+            assert_eq!(
+                run(batched, &proofs[1..]),
+                (Err(short.clone()), ugc_grid::CostReport::default())
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Zero, one or two things wrong at independent positions, with
+        /// duplicate samples: whichever comes first in sample order is
+        /// what is reported, and nothing after it is charged. SHA-256
+        /// inner nodes take the pad-64 lane path, MD5's 32-byte ones the
+        /// general driver.
+        #[test]
+        fn verify_round_is_the_sequential_walk(
+            n in 1u64..=257,
+            picks in proptest::collection::vec(any::<Index>(), 1..=20),
+            tampers in proptest::collection::vec(
+                (0usize..TAMPERS.len(), any::<Index>(), any::<Index>()),
+                0..=2,
+            ),
+            corrupt_report in any::<bool>(),
+            report_audit in 0usize..3,
+        ) {
+            assert_indistinguishable::<Sha256>(n, &picks, &tampers, corrupt_report, report_audit);
+            assert_indistinguishable::<Md5>(n, &picks, &tampers, corrupt_report, report_audit);
+        }
     }
 }

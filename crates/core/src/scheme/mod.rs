@@ -200,58 +200,6 @@ pub(crate) fn proof_to_wire<H: HashFunction>(
     }
 }
 
-/// Parses a wire proof back into a typed Merkle proof.
-pub(crate) fn wire_to_proof<H: HashFunction>(
-    wire: &SampleProof,
-) -> Result<MerkleProof<H>, SchemeError> {
-    let digests = wire
-        .digest_siblings
-        .iter()
-        .map(|bytes| H::digest_from_bytes(bytes))
-        .collect::<Option<Vec<_>>>()
-        .ok_or(SchemeError::MalformedPayload {
-            what: "proof digest sibling",
-        })?;
-    Ok(MerkleProof::from_parts(
-        wire.index,
-        wire.leaf_sibling.clone(),
-        digests,
-    ))
-}
-
-/// Step 4 of the CBS scheme for one sample: check the claimed `f(x)` and
-/// reconstruct the committed root. `Ok(())` means the sample passed;
-/// `Err(verdict)` carries the failure classification.
-pub(crate) fn verify_sample<H: HashFunction>(
-    task: &dyn ComputeTask,
-    domain: Domain,
-    committed_root: &H::Digest,
-    wire: &SampleProof,
-    ledger: &CostLedger,
-) -> Result<Result<(), Verdict>, SchemeError> {
-    let sample = wire.index;
-    let x = match domain.input(sample) {
-        Ok(x) => x,
-        Err(_) => return Ok(Err(Verdict::WrongResult { sample })),
-    };
-    // Step 4.1: is the claimed f(x) correct?
-    ledger.charge_verify(1);
-    if !task.cheap_verification() {
-        // Verification recomputes f at full cost.
-        ledger.charge_f(task.unit_cost());
-    }
-    if !task.verify(x, &wire.leaf_value) {
-        return Ok(Err(Verdict::WrongResult { sample }));
-    }
-    // Step 4.2: does Λ(f(x), λ₁…λ_H) reproduce the commitment?
-    let proof = wire_to_proof::<H>(wire)?;
-    ledger.charge_hash(proof.verification_hash_ops());
-    if !proof.verify(committed_root, &wire.leaf_value) {
-        return Ok(Err(Verdict::CommitmentMismatch { sample }));
-    }
-    Ok(Ok(()))
-}
-
 /// Audits up to `audit` screened reports by recomputing `f` on the
 /// reported inputs: payloads must match the true result and genuinely pass
 /// the screener. Catches the malicious model's corrupted reports.
@@ -328,85 +276,15 @@ mod tests {
         let (_, _, leaves, tree) = setup();
         let proof = tree.prove(7).unwrap();
         let wire = proof_to_wire(&proof, leaves[7].clone());
-        let back = wire_to_proof::<Sha256>(&wire).unwrap();
+        assert_eq!(wire.leaf_value, leaves[7]);
+        let digests = wire
+            .digest_siblings
+            .iter()
+            .map(|bytes| Sha256::digest_from_bytes(bytes).unwrap())
+            .collect();
+        let back: MerkleProof<Sha256> =
+            MerkleProof::from_parts(wire.index, wire.leaf_sibling, digests);
         assert_eq!(back, proof);
-        assert!(back.verify(&tree.root(), &wire.leaf_value));
-    }
-
-    #[test]
-    fn wire_to_proof_rejects_bad_digest_len() {
-        let wire = SampleProof {
-            index: 0,
-            leaf_value: vec![0; 16],
-            leaf_sibling: vec![0; 16],
-            digest_siblings: vec![vec![0; 31]],
-        };
-        assert_eq!(
-            wire_to_proof::<Sha256>(&wire).unwrap_err(),
-            SchemeError::MalformedPayload {
-                what: "proof digest sibling"
-            }
-        );
-    }
-
-    #[test]
-    fn verify_sample_accepts_honest() {
-        let (task, domain, leaves, tree) = setup();
-        let ledger = CostLedger::new();
-        let proof = tree.prove(4).unwrap();
-        let wire = proof_to_wire(&proof, leaves[4].clone());
-        let root = tree.root();
-        assert_eq!(
-            verify_sample::<Sha256>(&task, domain, &root, &wire, &ledger).unwrap(),
-            Ok(())
-        );
-        // Verification recomputed f once and hashed the path.
-        assert_eq!(ledger.report().f_evals, task.unit_cost());
-        assert_eq!(ledger.report().hash_ops, 4);
-    }
-
-    #[test]
-    fn verify_sample_rejects_wrong_result() {
-        let (task, domain, leaves, tree) = setup();
-        let ledger = CostLedger::new();
-        let proof = tree.prove(4).unwrap();
-        let wire = proof_to_wire(&proof, leaves[5].clone()); // wrong value
-        let root = tree.root();
-        assert_eq!(
-            verify_sample::<Sha256>(&task, domain, &root, &wire, &ledger).unwrap(),
-            Err(Verdict::WrongResult { sample: 4 })
-        );
-    }
-
-    #[test]
-    fn verify_sample_rejects_commitment_mismatch() {
-        // The participant recomputed the true f(x) after the challenge, but
-        // its tree committed to garbage: correct value, wrong path.
-        let (task, domain, _, _) = setup();
-        let garbage: Vec<Vec<u8>> = (0..16u64).map(|x| vec![x as u8; 16]).collect();
-        let garbage_tree: MerkleTree<Sha256> = MerkleTree::build(&garbage).unwrap();
-        let ledger = CostLedger::new();
-        let proof = garbage_tree.prove(4).unwrap();
-        let wire = proof_to_wire(&proof, task.compute(4)); // truthful f(x)…
-        let root = garbage_tree.root(); // …but the commitment disagrees
-        assert_eq!(
-            verify_sample::<Sha256>(&task, domain, &root, &wire, &ledger).unwrap(),
-            Err(Verdict::CommitmentMismatch { sample: 4 })
-        );
-    }
-
-    #[test]
-    fn verify_sample_rejects_out_of_domain_index() {
-        let (task, domain, leaves, tree) = setup();
-        let ledger = CostLedger::new();
-        let proof = tree.prove(4).unwrap();
-        let mut wire = proof_to_wire(&proof, leaves[4].clone());
-        wire.index = 99;
-        let root = tree.root();
-        assert_eq!(
-            verify_sample::<Sha256>(&task, domain, &root, &wire, &ledger).unwrap(),
-            Err(Verdict::WrongResult { sample: 99 })
-        );
     }
 
     #[test]

@@ -436,41 +436,16 @@ fn sha256_compress_lanes<const L: usize>(h: &mut [[u32; L]; 8], w: &mut [[u32; L
 
 /// The second compression of every 64-byte message: its block is the
 /// constant padding block (`0x80`, zeros, bit length 512), so the
-/// schedule is the precomputed [`SHA256_PAD64_KW`] table — the same for
+/// schedule is the precomputed [`sha256::PAD64_KW`] table — the same for
 /// every lane — and no message word is loaded or expanded.
 #[inline(never)]
 fn sha256_compress_lanes_pad64<const L: usize>(h: &mut [[u32; L]; 8]) {
     let mut s = *h;
-    for (i, &kw) in SHA256_PAD64_KW.iter().enumerate() {
+    for (i, &kw) in sha256::PAD64_KW.iter().enumerate() {
         sha256_round(&mut s, i, &[kw; L]);
     }
     add_rows(h, &s);
 }
-
-/// `K[i] + W[i]` for the padding block that follows exactly 64 message
-/// bytes: `W[0] = 0x8000_0000`, `W[15] = 512`, the rest expanded by the
-/// FIPS 180-4 schedule. Computed at compile time.
-const SHA256_PAD64_KW: [u32; 64] = {
-    let mut w = [0u32; 64];
-    w[0] = 0x8000_0000;
-    w[15] = 512;
-    let mut i = 16;
-    while i < 64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
-        i += 1;
-    }
-    let mut i = 0;
-    while i < 64 {
-        w[i] = w[i].wrapping_add(sha256::K[i]);
-        i += 1;
-    }
-    w
-};
 
 /// Generates the per-algorithm lane digest driver: transposed compression
 /// over the blocks every lane still needs, then a scalar finish for lanes
@@ -716,10 +691,10 @@ mod tests {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        for i in 0..64 {
+        for (i, word) in w.iter().enumerate() {
             assert_eq!(
-                SHA256_PAD64_KW[i],
-                w[i].wrapping_add(sha256::K[i]),
+                sha256::PAD64_KW[i],
+                word.wrapping_add(sha256::K[i]),
                 "round {i}"
             );
         }

@@ -40,34 +40,41 @@ pub(crate) const IV: [u32; 8] = [
     0x5be0_cd19,
 ];
 
-/// One SHA-256 compression round over a single 64-byte block.
-pub(crate) fn compress(h: &mut [u32; 8], block: &[u8; 64]) {
+/// `K[i] + W[i]` for the padding block that follows exactly 64 message
+/// bytes: `W[0] = 0x8000_0000`, `W[15] = 512`, the rest expanded by the
+/// FIPS 180-4 schedule. Computed at compile time; the scalar
+/// [`compress_pad64`] and the lane kernels' pad-64 pass both run from it.
+pub(crate) const PAD64_KW: [u32; 64] = {
     let mut w = [0u32; 64];
-    for (i, word) in w.iter_mut().take(16).enumerate() {
-        *word = u32::from_be_bytes([
-            block[4 * i],
-            block[4 * i + 1],
-            block[4 * i + 2],
-            block[4 * i + 3],
-        ]);
-    }
-    for i in 16..64 {
+    w[0] = 0x8000_0000;
+    w[15] = 512;
+    let mut i = 16;
+    while i < 64 {
         let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
         let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
         w[i] = w[i - 16]
             .wrapping_add(s0)
             .wrapping_add(w[i - 7])
             .wrapping_add(s1);
+        i += 1;
     }
+    let mut i = 0;
+    while i < 64 {
+        w[i] = w[i].wrapping_add(K[i]);
+        i += 1;
+    }
+    w
+};
+
+/// The 64 rounds and the feed-forward of one compression, `kw(i)` being
+/// round `i`'s `K[i] + W[i]`.
+#[inline(always)]
+fn rounds(h: &mut [u32; 8], kw: impl Fn(usize) -> u32) {
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
     for i in 0..64 {
         let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
         let ch = (e & f) ^ (!e & g);
-        let t1 = hh
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(K[i])
-            .wrapping_add(w[i]);
+        let t1 = hh.wrapping_add(s1).wrapping_add(ch).wrapping_add(kw(i));
         let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
         let maj = (a & b) ^ (a & c) ^ (b & c);
         let t2 = s0.wrapping_add(maj);
@@ -88,6 +95,35 @@ pub(crate) fn compress(h: &mut [u32; 8], block: &[u8; 64]) {
     h[5] = h[5].wrapping_add(f);
     h[6] = h[6].wrapping_add(g);
     h[7] = h[7].wrapping_add(hh);
+}
+
+/// One SHA-256 compression round over a single 64-byte block.
+pub(crate) fn compress(h: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, word) in w.iter_mut().take(16).enumerate() {
+        *word = u32::from_be_bytes([
+            block[4 * i],
+            block[4 * i + 1],
+            block[4 * i + 2],
+            block[4 * i + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    rounds(h, |i| K[i].wrapping_add(w[i]));
+}
+
+/// The second compression of every 64-byte message: its block is the
+/// constant padding block (`0x80`, zeros, bit length 512), so there is no
+/// schedule to expand — the rounds run from [`PAD64_KW`].
+fn compress_pad64(h: &mut [u32; 8]) {
+    rounds(h, |i| PAD64_KW[i]);
 }
 
 /// Multi-block compression kernel: feeds every full 64-byte block of
@@ -226,9 +262,20 @@ impl HashFunction for Sha256 {
 
     /// Merkle inner-node fast path: `a || b` plus its padding is assembled
     /// directly on the stack (at most two blocks for a total of ≤ 119
-    /// bytes), skipping the streaming state entirely.
+    /// bytes), skipping the streaming state entirely. A total of exactly
+    /// 64 bytes — two SHA-256 digests, every inner node — is one block of
+    /// message and the constant padding block.
     fn digest_pair(a: &[u8], b: &[u8]) -> [u8; 32] {
         let total = a.len() + b.len();
+        if total == 64 {
+            let mut block = [0u8; 64];
+            block[..a.len()].copy_from_slice(a);
+            block[a.len()..].copy_from_slice(b);
+            let mut h = IV;
+            compress(&mut h, &block);
+            compress_pad64(&mut h);
+            return digest_from_words(&h);
+        }
         if total > 119 {
             // total + 0x80 + 8-byte length no longer fits two blocks.
             return crate::streaming_digest_pair::<Self>(a, b);
@@ -368,16 +415,19 @@ mod tests {
         // (> 119) totals, including the exact cut-overs.
         for (la, lb) in [
             (0, 0),
-            (32, 32),
             (16, 16),
+            (32, 32), // 64: the constant-padding-block path, at every split
+            (16, 48),
+            (64, 0),
+            (0, 64),
             (27, 28), // 55: largest single block
             (28, 28), // 56: smallest two-block
             (60, 59), // 119: largest two-block
             (60, 60), // 120: fallback
             (100, 100),
         ] {
-            let a = vec![0x3Cu8; la];
-            let b = vec![0xC3u8; lb];
+            let a: Vec<u8> = (0..la).map(|i| 0x3C ^ i as u8).collect();
+            let b: Vec<u8> = (0..lb).map(|i| 0xC3 ^ i as u8).collect();
             let concat: Vec<u8> = [a.as_slice(), b.as_slice()].concat();
             assert_eq!(
                 Sha256::digest_pair(&a, &b),

@@ -38,6 +38,28 @@ pub enum MerkleError {
         /// Index of the subtree whose root mismatched.
         subtree_index: u64,
     },
+    /// A path handed to [`fold_paths`](crate::fold_paths) carries a
+    /// different number of siblings than the first path of its batch.
+    PathLengthMismatch {
+        /// Position of the offending path in the batch.
+        path: usize,
+        /// Length `H` of the batch's first path.
+        expected: usize,
+        /// Length of the offending path.
+        found: usize,
+    },
+    /// A digest sibling handed to [`fold_paths`](crate::fold_paths) is not
+    /// one digest wide.
+    SiblingWidth {
+        /// Position of the offending path in the batch.
+        path: usize,
+        /// Index of the offending entry in the path's digest siblings.
+        level: usize,
+        /// The hash function's digest length.
+        expected: usize,
+        /// Width of the offending sibling.
+        found: usize,
+    },
 }
 
 impl fmt::Display for MerkleError {
@@ -66,6 +88,23 @@ impl fmt::Display for MerkleError {
             MerkleError::ProviderMismatch { subtree_index } => write!(
                 f,
                 "rebuilt subtree {subtree_index} does not match the committed digest"
+            ),
+            MerkleError::PathLengthMismatch {
+                path,
+                expected,
+                found,
+            } => write!(
+                f,
+                "path {path} has {found} siblings but the batch's paths have {expected}"
+            ),
+            MerkleError::SiblingWidth {
+                path,
+                level,
+                expected,
+                found,
+            } => write!(
+                f,
+                "digest sibling {level} of path {path} is {found} bytes, not {expected}"
             ),
         }
     }

@@ -12,7 +12,9 @@
 //!   `Φ` values of the siblings along the leaf-to-root path
 //!   (`λ_1 … λ_H`). [`MerkleProof::verify`] is the supervisor's
 //!   reconstruction `Λ(f(x), λ_1, …, λ_H) = Φ(R′)` compared against the
-//!   commitment.
+//!   commitment; [`fold_paths`] is the same reconstruction for all `m`
+//!   samples of a round at once, each level of every path one batch
+//!   through the digest lane kernels, straight from borrowed wire bytes.
 //! * [`StreamingBuilder`] — computes the root with an `O(log n)` frontier,
 //!   so a participant never needs the whole tree in memory just to commit.
 //! * [`Parallelism`] — the thread-count knob behind
@@ -68,7 +70,7 @@ pub use error::MerkleError;
 pub use parallel::Parallelism;
 pub use partial::{PartialMerkleTree, RebuildStats};
 pub use persist::PersistError;
-pub use proof::MerkleProof;
+pub use proof::{fold_paths, AuthPath, MerkleProof};
 pub use streaming::StreamingBuilder;
 pub use tree::MerkleTree;
 pub use ugc_hash::LaneWidth;

@@ -5,11 +5,18 @@ use crate::{padded_leaf_count, MerkleError, MerkleProof, Parallelism};
 use ugc_hash::{HashFunction, LaneWidth, Sha256};
 
 /// Hashes `out.len()` two-segment pairs produced by `pair(j)` into
-/// `out[j]`: full groups of 8 (then 4) go through the transposed
-/// message-parallel lane kernels, the ragged tail through the scalar
-/// `digest_pair` fast path. Bit-identical to per-pair hashing at any
-/// width — the nodes of one tree level never depend on each other.
-fn hash_pairs_level<'a, H: HashFunction>(
+/// `out[j]` through the transposed message-parallel lane kernels, the
+/// remainder through the scalar `digest_pair` fast path. Bit-identical to
+/// per-pair hashing at any width — the pairs of one batch never depend
+/// on each other.
+///
+/// A group that fills more than half of a kernel's lanes is dispatched
+/// to it with the spare lanes repeating its last pair: six pairs are one
+/// 8-wide pass, three are one 4-wide pass, and either costs less than the
+/// narrower kernel plus scalar calls would. A tree level never has such a
+/// group (its sizes are powers of two); the `m` paths of
+/// [`fold_paths`](crate::fold_paths) usually do.
+pub(crate) fn hash_pairs_level<'a, H: HashFunction>(
     out: &mut [H::Digest],
     pair: impl Fn(usize) -> (&'a [u8], &'a [u8]),
     lanes: LaneWidth,
@@ -17,17 +24,19 @@ fn hash_pairs_level<'a, H: HashFunction>(
     let n = out.len();
     let mut j = 0;
     if lanes.lanes() >= 8 {
-        while j + 8 <= n {
-            let msgs: [(&[u8], &[u8]); 8] = core::array::from_fn(|l| pair(j + l));
-            out[j..j + 8].copy_from_slice(&H::digest_lanes_8(&msgs));
-            j += 8;
+        while n - j > 5 {
+            let msgs: [(&[u8], &[u8]); 8] = core::array::from_fn(|l| pair((j + l).min(n - 1)));
+            let real = (n - j).min(8);
+            out[j..j + real].copy_from_slice(&H::digest_lanes_8(&msgs)[..real]);
+            j += real;
         }
     }
     if lanes.lanes() >= 4 {
-        while j + 4 <= n {
-            let msgs: [(&[u8], &[u8]); 4] = core::array::from_fn(|l| pair(j + l));
-            out[j..j + 4].copy_from_slice(&H::digest_lanes_4(&msgs));
-            j += 4;
+        while n - j > 2 {
+            let msgs: [(&[u8], &[u8]); 4] = core::array::from_fn(|l| pair((j + l).min(n - 1)));
+            let real = (n - j).min(4);
+            out[j..j + real].copy_from_slice(&H::digest_lanes_4(&msgs)[..real]);
+            j += real;
         }
     }
     while j < n {

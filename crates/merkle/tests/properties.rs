@@ -1,8 +1,11 @@
 //! Property-based tests for the Merkle-tree invariants in DESIGN.md §5.
 
 use proptest::prelude::*;
-use ugc_hash::{Md5, Sha256};
-use ugc_merkle::{MerkleProof, MerkleTree, Parallelism, PartialMerkleTree, StreamingBuilder};
+use ugc_hash::{HashFunction, Md5, Sha256};
+use ugc_merkle::{
+    fold_paths, AuthPath, LaneWidth, MerkleError, MerkleProof, MerkleTree, Parallelism,
+    PartialMerkleTree, StreamingBuilder,
+};
 
 fn arb_leaves() -> impl Strategy<Value = Vec<Vec<u8>>> {
     (1usize..64, 1usize..24).prop_flat_map(|(n, width)| {
@@ -120,4 +123,211 @@ proptest! {
         let h = u64::from(tree.height());
         prop_assert_eq!(proof.payload_bytes(), width + (h - 1) * 32);
     }
+}
+
+/// `n` leaves of `width` bytes, every one distinct from its neighbours.
+fn counted_leaves(n: usize, width: usize) -> Vec<Vec<u8>> {
+    (0..n)
+        .map(|i| {
+            (0..width)
+                .map(|b| (i * 31 + b * 7 + i / 256) as u8)
+                .collect()
+        })
+        .collect()
+}
+
+/// Proves `indices` against `tree` and folds the proofs as one batch.
+fn fold_indices<H: HashFunction>(
+    tree: &MerkleTree<H>,
+    leaves: &[Vec<u8>],
+    indices: &[usize],
+    lanes: LaneWidth,
+) -> Vec<H::Digest> {
+    let proofs: Vec<MerkleProof<H>> = indices
+        .iter()
+        .map(|&i| tree.prove(i as u64).unwrap())
+        .collect();
+    let paths: Vec<AuthPath<'_, H::Digest>> = proofs
+        .iter()
+        .zip(indices)
+        .map(|(proof, &i)| proof.as_path(&leaves[i]))
+        .collect();
+    fold_paths::<H, _>(&paths, lanes).unwrap()
+}
+
+#[test]
+fn folding_every_leaf_of_a_tree_yields_its_root_every_time() {
+    for n in 1..=257usize {
+        for width in [1usize, 16, 32, 33] {
+            let leaves = counted_leaves(n, width);
+            let tree: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
+            let all: Vec<usize> = (0..n).collect();
+            for lanes in LaneWidth::ALL {
+                assert_eq!(
+                    fold_indices(&tree, &leaves, &all, lanes),
+                    vec![tree.root(); n],
+                    "n={n} width={width} lanes={lanes}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn fold_batch_sizes_straddle_the_lane_groups() {
+    // 1, 7: scalar tail only; 8: one full dispatch; 9: dispatch plus tail;
+    // 64: eight dispatches. With replacement, so duplicates occur. MD5's
+    // 32-byte inner nodes take the general lane driver, SHA-256's 64-byte
+    // ones the pad-64 fast path.
+    let leaves = counted_leaves(200, 16);
+    let sha: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
+    let md5: MerkleTree<Md5> = MerkleTree::build(&leaves).unwrap();
+    for size in [1usize, 7, 8, 9, 64] {
+        let indices: Vec<usize> = (0..size).map(|k| (k * 37 + size) % 200).collect();
+        for lanes in LaneWidth::ALL {
+            assert_eq!(
+                fold_indices(&sha, &leaves, &indices, lanes),
+                vec![sha.root(); size],
+                "sha256 size={size} lanes={lanes}"
+            );
+            assert_eq!(
+                fold_indices(&md5, &leaves, &indices, lanes),
+                vec![md5.root(); size],
+                "md5 size={size} lanes={lanes}"
+            );
+        }
+    }
+}
+
+#[test]
+fn fold_orders_each_level_by_its_own_index_bit() {
+    // One dispatch whose eight paths are left children at some levels and
+    // right children at others, no two alike: every level's batch mixes
+    // both concatenation orders.
+    let leaves = counted_leaves(256, 8);
+    let tree: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
+    let indices = [
+        0b0000_0000usize,
+        0b1111_1111,
+        0b0101_0101,
+        0b1010_1010,
+        0b0011_0011,
+        0b1100_1100,
+        0b0000_1111,
+        0b1111_0000,
+    ];
+    for level in 0..8 {
+        let bits: Vec<usize> = indices.iter().map(|i| (i >> level) & 1).collect();
+        assert!(bits.contains(&0) && bits.contains(&1), "level {level}");
+    }
+    for lanes in LaneWidth::ALL {
+        assert_eq!(
+            fold_indices(&tree, &leaves, &indices, lanes),
+            vec![tree.root(); 8],
+            "lanes={lanes}"
+        );
+    }
+    // A proof presented under another index flips an order somewhere and
+    // must not fold to the root — per path, whatever its neighbours do.
+    let proofs: Vec<MerkleProof<Sha256>> = indices
+        .iter()
+        .map(|&i| tree.prove(i as u64).unwrap())
+        .collect();
+    let mut paths: Vec<AuthPath<'_, [u8; 32]>> = proofs
+        .iter()
+        .zip(indices)
+        .map(|(proof, i)| proof.as_path(&leaves[i]))
+        .collect();
+    paths[3].leaf_index ^= 1 << 5;
+    let roots = fold_paths::<Sha256, _>(&paths, LaneWidth::default()).unwrap();
+    for (k, root) in roots.iter().enumerate() {
+        assert_eq!(*root == tree.root(), k != 3, "path {k}");
+    }
+}
+
+#[test]
+fn partial_tree_proofs_fold_to_the_same_root() {
+    for (n, ell) in [(1u64, 1u32), (5, 2), (64, 3), (100, 7), (257, 4)] {
+        let leaves = counted_leaves(n as usize, 16);
+        let provider = |i: u64| leaves[i as usize].clone();
+        let full: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
+        let partial: PartialMerkleTree<Sha256> =
+            PartialMerkleTree::build(n, 16, ell, provider).unwrap();
+        let proofs: Vec<MerkleProof<Sha256>> = (0..n)
+            .map(|i| partial.prove_with(i, provider).unwrap().0)
+            .collect();
+        let paths: Vec<AuthPath<'_, [u8; 32]>> = proofs
+            .iter()
+            .zip(&leaves)
+            .map(|(proof, leaf)| proof.as_path(leaf))
+            .collect();
+        assert_eq!(
+            fold_paths::<Sha256, _>(&paths, LaneWidth::default()).unwrap(),
+            vec![full.root(); n as usize],
+            "n={n} ell={ell}"
+        );
+    }
+}
+
+#[test]
+fn fold_rejects_malformed_batches_with_typed_errors() {
+    // Siblings as they come off the wire: byte vectors of any width.
+    let wire = |widths: &[usize]| -> Vec<Vec<u8>> { widths.iter().map(|&w| vec![9; w]).collect() };
+    fn path(digest_siblings: &[Vec<u8>]) -> AuthPath<'_, Vec<u8>> {
+        AuthPath {
+            leaf_index: 3,
+            leaf_value: &[1; 4],
+            leaf_sibling: &[2; 4],
+            digest_siblings,
+        }
+    }
+    let (good, short, empty) = (&wire(&[32, 32]), &wire(&[32]), &wire(&[]));
+    let (narrow, wide) = (&wire(&[32, 31]), &wire(&[33, 32]));
+    let fold = |paths: &[AuthPath<'_, Vec<u8>>]| fold_paths::<Sha256, _>(paths, LaneWidth::X8);
+
+    assert_eq!(fold(&[path(good), path(good)]).unwrap().len(), 2);
+    assert_eq!(
+        fold(&[path(good), path(short)]),
+        Err(MerkleError::PathLengthMismatch {
+            path: 1,
+            expected: 3,
+            found: 2
+        })
+    );
+    assert_eq!(
+        fold(&[path(empty), path(empty), path(good)]),
+        Err(MerkleError::PathLengthMismatch {
+            path: 2,
+            expected: 1,
+            found: 3
+        })
+    );
+    assert_eq!(
+        fold(&[path(good), path(narrow)]),
+        Err(MerkleError::SiblingWidth {
+            path: 1,
+            level: 1,
+            expected: 32,
+            found: 31
+        })
+    );
+    assert_eq!(
+        fold(&[path(wide)]),
+        Err(MerkleError::SiblingWidth {
+            path: 0,
+            level: 0,
+            expected: 32,
+            found: 33
+        })
+    );
+    // A SHA-256-shaped path is malformed for MD5, not hashed differently.
+    assert_eq!(
+        fold_paths::<Md5, _>(&[path(good)], LaneWidth::X8),
+        Err(MerkleError::SiblingWidth {
+            path: 0,
+            level: 0,
+            expected: 16,
+            found: 32
+        })
+    );
 }
