@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use ugc_hash::Sha256;
-use ugc_merkle::PartialMerkleTree;
+use ugc_merkle::MerkleTree;
 use ugc_task::workloads::PasswordSearch;
 use ugc_task::ComputeTask;
 
@@ -16,8 +16,8 @@ fn bench_partial_prove(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("partial_tree_prove");
     for ell in [1u32, 4, 8, 12] {
-        let tree: PartialMerkleTree<Sha256> =
-            PartialMerkleTree::build(N, task.output_width(), ell, provider).unwrap();
+        let tree: MerkleTree<Sha256> =
+            MerkleTree::build_truncated(N, task.output_width(), ell, provider).unwrap();
         group.bench_with_input(BenchmarkId::new("ell", ell), &tree, |b, t| {
             b.iter(|| black_box(t.prove_with(N / 2, provider).unwrap()))
         });
@@ -35,7 +35,7 @@ fn bench_partial_build(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("ell", ell), &ell, |b, &l| {
             b.iter(|| {
                 black_box(
-                    PartialMerkleTree::<Sha256>::build(N, task.output_width(), l, provider)
+                    MerkleTree::<Sha256>::build_truncated(N, task.output_width(), l, provider)
                         .unwrap()
                         .root(),
                 )

@@ -14,7 +14,7 @@
 
 use ugc_core::analysis::rco;
 use ugc_hash::Sha256;
-use ugc_merkle::{MerkleTree, PartialMerkleTree, RebuildStats};
+use ugc_merkle::{MerkleTree, RebuildStats};
 use ugc_sim::Table;
 use ugc_task::workloads::PasswordSearch;
 use ugc_task::{ComputeTask, CountingTask};
@@ -45,8 +45,8 @@ fn main() {
 
     for ell in [1u32, 2, 4, 6, 8, 10, 12] {
         let provider = |x: u64| task.compute(x);
-        let partial: PartialMerkleTree<Sha256> =
-            PartialMerkleTree::build(N, task.output_width(), ell, provider)
+        let partial: MerkleTree<Sha256> =
+            MerkleTree::build_truncated(N, task.output_width(), ell, provider)
                 .expect("partial tree builds");
         task.counter().reset();
         let mut total = RebuildStats::default();

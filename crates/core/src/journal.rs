@@ -269,6 +269,10 @@ fn put_merkle_error(buf: &mut Vec<u8>, e: &MerkleError) {
             put_usize(buf, expected);
             put_usize(buf, found);
         }
+        MerkleError::LeavesNotResident { subtree_height } => {
+            put_u8(buf, 8);
+            put_u32(buf, subtree_height);
+        }
     }
 }
 
@@ -302,6 +306,9 @@ fn get_merkle_error(buf: &mut &[u8]) -> Result<MerkleError, SchemeError> {
             level: get_usize(buf, "merkle sibling level")?,
             expected: get_usize(buf, "merkle expected sibling width")?,
             found: get_usize(buf, "merkle found sibling width")?,
+        },
+        8 => MerkleError::LeavesNotResident {
+            subtree_height: get_u32(buf, "merkle subtree height")?,
         },
         tag => return Err(bad(format!("unknown merkle error tag {tag}"))),
     })
@@ -1576,6 +1583,7 @@ mod tests {
                 expected: 32,
                 found: 31,
             }),
+            SchemeError::Merkle(MerkleError::LeavesNotResident { subtree_height: 6 }),
             SchemeError::UnexpectedMessage {
                 expected: "Commit",
                 got: "Verdict",

@@ -218,7 +218,9 @@ impl FleetSummary {
 pub struct MixedFleetConfig {
     /// Participant tree storage mode (CBS/NI-CBS members).
     pub storage: ParticipantStorage,
-    /// Per-participant tree-build parallelism.
+    /// Per-participant tree-build parallelism. Execution-only, like
+    /// `lanes`: its default follows the host's core count, and no ledger,
+    /// report or digest depends on it.
     pub parallelism: Parallelism,
     /// Per-participant message-parallel digest lane width. Execution-only:
     /// digests, verdicts and ledgers are bit-identical at any setting, so
@@ -250,9 +252,8 @@ pub struct MixedFleetConfig {
     pub workers: Option<usize>,
     /// Seed for the scheduler's work-stealing victim order.
     /// Scheduling-only: any seed produces identical verdicts, fault logs
-    /// and byte counts — the knob exists so tests and the bench
-    /// divergence gate can *prove* that invariant, not to tune
-    /// throughput.
+    /// and byte counts — the knob exists so tests can *prove* that
+    /// invariant, not to tune throughput.
     pub steal_seed: u64,
 }
 

@@ -48,7 +48,6 @@ use ugc_grid::{Assignment, CostLedger, Message, SampleProof, WorkerBehaviour};
 use ugc_hash::HashFunction;
 use ugc_merkle::{
     fold_paths, tree_height, AuthPath, LaneWidth, MerkleError, MerkleTree, Parallelism,
-    PartialMerkleTree,
 };
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 
@@ -71,101 +70,77 @@ pub struct CbsConfig {
     pub report_audit: usize,
 }
 
-/// The participant's tree, full or partial, behind one proving interface.
-pub(crate) enum ParticipantTree<H: HashFunction> {
-    Full(MerkleTree<H>),
-    Partial(PartialMerkleTree<H>),
+/// Builds the participant's commitment tree over the materialised leaf
+/// `row` (`width` bytes per leaf), charging the `padded − 1` hash
+/// operations of Section 3 — the same charge whatever `storage` keeps and
+/// however `parallelism` and `lanes` spread the work. Full storage takes
+/// the row as the tree's leaf storage and, over at least
+/// [`PARALLEL_BUILD_MIN_LEAVES`] leaves, builds on up to `parallelism`
+/// threads (bit-identical trees).
+///
+/// In partial mode the row is *dropped* after commitment — that is
+/// the point of Section 3.3 — so proofs later recompute its leaves
+/// through the behaviour (charging `f` again, exactly as the paper
+/// accounts).
+pub(crate) fn build_tree<H: HashFunction>(
+    row: Vec<u8>,
+    width: usize,
+    storage: ParticipantStorage,
+    parallelism: Parallelism,
+    lanes: LaneWidth,
+    ledger: &CostLedger,
+) -> Result<MerkleTree<H>, SchemeError> {
+    let tree = match storage {
+        ParticipantStorage::Full => {
+            let threads = if row.len() >= PARALLEL_BUILD_MIN_LEAVES.saturating_mul(width) {
+                parallelism
+            } else {
+                Parallelism::serial()
+            };
+            MerkleTree::from_leaf_row(row, width, threads, lanes)?
+        }
+        ParticipantStorage::Partial { subtree_height } => {
+            if width == 0 {
+                return Err(MerkleError::ZeroLeafWidth.into());
+            }
+            let n = (row.len() / width) as u64;
+            MerkleTree::build_truncated(n, width, subtree_height, |i| {
+                &row[i as usize * width..][..width]
+            })?
+        }
+    };
+    ledger.charge_hash(tree.hash_ops());
+    Ok(tree)
 }
 
-impl<H: HashFunction> ParticipantTree<H> {
-    /// Builds the tree over the materialised leaf `row` (`width` bytes
-    /// per leaf), charging hash operations.
-    ///
-    /// Full-storage trees take the row as their leaf storage and, over at
-    /// least [`PARALLEL_BUILD_MIN_LEAVES`] leaves, build in parallel per
-    /// `parallelism` (bit-identical roots); the ledger records both the
-    /// total hash work and the critical-path cost actually paid.
-    ///
-    /// In partial mode the row is *dropped* after commitment — that is
-    /// the point of Section 3.3 — so proofs later recompute its leaves
-    /// through the behaviour (charging `f` again, exactly as the paper
-    /// accounts).
-    pub(crate) fn build(
-        row: Vec<u8>,
-        width: usize,
-        storage: ParticipantStorage,
-        parallelism: Parallelism,
-        lanes: LaneWidth,
-        ledger: &CostLedger,
-    ) -> Result<Self, SchemeError> {
-        match storage {
-            ParticipantStorage::Full => {
-                let threads = if parallelism.get() > 1
-                    && row.len() >= PARALLEL_BUILD_MIN_LEAVES.saturating_mul(width)
-                {
-                    parallelism
-                } else {
-                    Parallelism::serial()
-                };
-                let tree = MerkleTree::from_leaf_row(row, width, threads, lanes)?;
-                ledger.charge_hash_parallel(tree.hash_ops(), tree.hash_ops_wall());
-                Ok(ParticipantTree::Full(tree))
-            }
-            ParticipantStorage::Partial { subtree_height } => {
-                if width == 0 {
-                    return Err(MerkleError::ZeroLeafWidth.into());
-                }
-                let n = (row.len() / width) as u64;
-                let tree = PartialMerkleTree::build(n, width, subtree_height, |i| {
-                    row[i as usize * width..(i as usize + 1) * width].to_vec()
-                })?;
-                ledger.charge_hash(tree.build_stats().hash_ops);
-                Ok(ParticipantTree::Partial(tree))
-            }
+/// Proves `index`, returning the wire proof with the claimed leaf value.
+///
+/// A tree kept in partial storage rebuilds the covering subtree by
+/// re-running the behaviour for its `2^ℓ` leaves, charging the
+/// participant's ledger for the recomputed `f` evaluations and hashes; a
+/// full one reads its leaf row and charges nothing.
+pub(crate) fn prove_sample<H: HashFunction>(
+    tree: &MerkleTree<H>,
+    index: u64,
+    task: &dyn ComputeTask,
+    domain: Domain,
+    behaviour: &dyn WorkerBehaviour,
+    ledger: &CostLedger,
+) -> Result<SampleProof, SchemeError> {
+    let mut recomputed: Option<Vec<u8>> = None;
+    let (proof, stats) = tree.prove_with(index, |i| {
+        let value = behaviour.leaf_value(task, domain, i, ledger);
+        if i == index {
+            recomputed = Some(value.clone());
         }
-    }
-
-    pub(crate) fn root(&self) -> H::Digest {
-        match self {
-            ParticipantTree::Full(t) => t.root(),
-            ParticipantTree::Partial(t) => t.root(),
-        }
-    }
-
-    /// Proves `index`, returning the wire proof with the claimed leaf value.
-    ///
-    /// Partial mode rebuilds the covering subtree by re-running the
-    /// behaviour for its `2^ℓ` leaves, charging the participant's ledger
-    /// for the recomputed `f` evaluations and hashes.
-    pub(crate) fn prove(
-        &self,
-        index: u64,
-        task: &dyn ComputeTask,
-        domain: Domain,
-        behaviour: &dyn WorkerBehaviour,
-        ledger: &CostLedger,
-    ) -> Result<SampleProof, SchemeError> {
-        match self {
-            ParticipantTree::Full(tree) => {
-                let proof = tree.prove(index)?;
-                let leaf_value = tree.leaf(index)?.to_vec();
-                Ok(proof_to_wire(&proof, leaf_value))
-            }
-            ParticipantTree::Partial(tree) => {
-                let mut sampled_value: Option<Vec<u8>> = None;
-                let (proof, stats) = tree.prove_with(index, |i| {
-                    let value = behaviour.leaf_value(task, domain, i, ledger);
-                    if i == index {
-                        sampled_value = Some(value.clone());
-                    }
-                    value
-                })?;
-                ledger.charge_hash(stats.hash_ops);
-                let leaf_value = sampled_value.expect("provider visited the sampled leaf");
-                Ok(proof_to_wire(&proof, leaf_value))
-            }
-        }
-    }
+        value
+    })?;
+    ledger.charge_hash(stats.hash_ops);
+    let leaf_value = match recomputed {
+        Some(value) => value,
+        None => tree.leaf(index)?.to_vec(),
+    };
+    Ok(proof_to_wire(&proof, leaf_value))
 }
 
 /// The interactive CBS scheme as a [`VerificationScheme`]: commit →
@@ -337,7 +312,7 @@ enum PartState<H: HashFunction> {
     AwaitChallenge {
         task_id: u64,
         domain: Domain,
-        tree: ParticipantTree<H>,
+        tree: MerkleTree<H>,
         reports: Vec<ScreenReport>,
     },
     AwaitVerdict {
@@ -393,7 +368,7 @@ impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
                     self.behaviour,
                     &self.ledger,
                 )?;
-                let tree = ParticipantTree::<H>::build(
+                let tree = build_tree::<H>(
                     row,
                     width,
                     self.storage,
@@ -430,7 +405,8 @@ impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
                 check_task(task_id, tid)?;
                 let mut proofs = Vec::with_capacity(samples.len());
                 for &index in &samples {
-                    proofs.push(tree.prove(
+                    proofs.push(prove_sample(
+                        &tree,
                         index,
                         self.task,
                         domain,
@@ -835,28 +811,26 @@ mod tests {
     #[test]
     fn parallel_tree_build_wired_through_run_round() {
         // Domain ≥ PARALLEL_BUILD_MIN_LEAVES with >1 thread takes the
-        // parallel branch of ParticipantTree::build; the verdict and the
-        // total hash count must match the serial round, while the wall
-        // accounting must show the split.
+        // threaded build; how many threads a host lends is execution
+        // layout, so verdict, bytes and both ledgers — `hash_wall_ops`
+        // included — are those of the serial round.
         let task = PasswordSearch::with_hidden_password(4, 99);
         let domain = Domain::new(0, PARALLEL_BUILD_MIN_LEAVES as u64 * 2);
-        let serial = honest_round(&task, domain, Parallelism::serial(), LaneWidth::default());
-        let parallel = honest_round(&task, domain, Parallelism::threads(4), LaneWidth::default());
-        assert!(serial.accepted && parallel.accepted);
-        assert_eq!(
-            serial.participant_costs.hash_ops, parallel.participant_costs.hash_ops,
-            "total hash work must not depend on the thread count"
-        );
-        assert_eq!(
-            serial.participant_costs.hash_wall_ops,
-            serial.participant_costs.hash_ops
-        );
-        assert!(
-            parallel.participant_costs.hash_wall_ops < parallel.participant_costs.hash_ops,
-            "parallel build must record a shorter critical path: wall {} vs total {}",
-            parallel.participant_costs.hash_wall_ops,
-            parallel.participant_costs.hash_ops
-        );
+        let measured = |threads| {
+            let lanes = LaneWidth::default();
+            let round = honest_round(&task, domain, Parallelism::threads(threads), lanes);
+            assert!(round.accepted);
+            (
+                round.participant_costs,
+                round.supervisor_costs,
+                round.supervisor_link,
+            )
+        };
+        let serial = measured(1);
+        assert_eq!(serial.0.hash_wall_ops, serial.0.hash_ops);
+        for threads in [2, 4, 8] {
+            assert_eq!(measured(threads), serial, "threads {threads}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! configuration (`g = H^k` with `k` chosen by Eq. (5)) prices it out.
 
 use crate::sampling::{derive_samples, derive_until_outside};
-use crate::scheme::cbs::{verify_round, ParticipantTree};
+use crate::scheme::cbs::{build_tree, prove_sample, verify_round};
 use crate::scheme::{check_task, materialize, run_round, Materialized};
 use crate::session::{
     unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
@@ -257,7 +257,7 @@ impl<H: HashFunction> ParticipantSession for NiCbsParticipantSession<'_, H> {
                     self.behaviour,
                     &self.ledger,
                 )?;
-                let tree = ParticipantTree::<H>::build(
+                let tree = build_tree::<H>(
                     row,
                     width,
                     self.storage,
@@ -277,7 +277,8 @@ impl<H: HashFunction> ParticipantSession for NiCbsParticipantSession<'_, H> {
                 );
                 let mut proofs = Vec::with_capacity(samples.len());
                 for &index in &samples {
-                    proofs.push(tree.prove(
+                    proofs.push(prove_sample(
+                        &tree,
                         index,
                         self.task,
                         domain,

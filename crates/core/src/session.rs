@@ -195,7 +195,10 @@ pub struct ParticipantContext<'a> {
     pub behaviour: &'a dyn WorkerBehaviour,
     /// Merkle-tree storage mode (Section 3.3).
     pub storage: ParticipantStorage,
-    /// Tree-build parallelism (bit-identical results at any setting).
+    /// Worker threads a full-storage tree build may use. Wall-clock time
+    /// only: the commitment, the proofs, every ledger count (including
+    /// `hash_wall_ops`) and therefore every campaign digest are the same
+    /// at any setting, so hosts with different core counts agree.
     pub parallelism: Parallelism,
     /// Message-parallel digest lane width for tree builds and sample
     /// hashing (bit-identical results at any setting).

@@ -50,18 +50,21 @@ impl CostLedger {
         self.inner.f_evals.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Charges `n` unit hash invocations (tree building, path checks)
-    /// performed serially: total work and critical path coincide.
+    /// Charges `n` unit hash invocations (tree building, path checks): a
+    /// count of work, the same however many threads or lanes it was spread
+    /// over, so `hash_ops` and `hash_wall_ops` advance alike.
     pub fn charge_hash(&self, n: u64) {
         self.inner.hash_ops.fetch_add(n, Ordering::Relaxed);
         self.inner.hash_wall_ops.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Charges a parallel batch of hash invocations: `total` unit hashes
-    /// of work, of which only `wall` were on the critical path (the
-    /// longest chain any single thread computed). Keeps the paper's
-    /// `2n − 1`-style work accounting exact under parallel tree builds
-    /// while also tracking what the wall clock actually paid.
+    /// Charges `total` unit hashes to `hash_ops` and `wall` to
+    /// `hash_wall_ops` separately. Nothing that hashes calls this: it
+    /// exists so that a journal replay can restore a recorded
+    /// [`CostReport`] field for field, including one written by a version
+    /// in which a threaded tree build charged its critical path (the
+    /// longest chain any single thread computed) as `wall` — a number
+    /// that depended on the core count of the host that ran it.
     ///
     /// # Panics
     ///
@@ -172,10 +175,12 @@ pub struct CostReport {
     pub f_evals: u64,
     /// Unit hash invocations (total work, regardless of parallelism).
     pub hash_ops: u64,
-    /// Critical-path hash invocations: what the wall clock paid. Equals
-    /// [`hash_ops`](Self::hash_ops) when every hash was charged serially;
-    /// smaller when parallel tree builds charged via
-    /// [`CostLedger::charge_hash_parallel`].
+    /// Equal to [`hash_ops`](Self::hash_ops) in every report charged by
+    /// this code: a ledger counts the job, not the host that ran it.
+    /// Smaller only in reports replayed from a journal of an earlier
+    /// version, which recorded a threaded build's critical path here
+    /// ([`CostLedger::charge_hash_parallel`]). Kept because the journal
+    /// format and the `{:?}` hashed into campaign digests both carry it.
     pub hash_wall_ops: u64,
     /// Unit hashes spent in the sample generator `g`.
     pub g_evals: u64,

@@ -25,7 +25,7 @@ pub enum MerkleError {
         /// Number of (real) leaves in the tree.
         leaf_count: u64,
     },
-    /// The requested stored-subtree height `ℓ` is outside `[1, H]`.
+    /// The requested unsaved-subtree height `ℓ` is outside `[1, H]`.
     SubtreeHeightOutOfRange {
         /// The requested subtree height.
         subtree_height: u32,
@@ -37,6 +37,17 @@ pub enum MerkleError {
     ProviderMismatch {
         /// Index of the subtree whose root mismatched.
         subtree_index: u64,
+    },
+    /// [`leaf`](crate::MerkleTree::leaf),
+    /// [`prove`](crate::MerkleTree::prove) or
+    /// [`update_leaf`](crate::MerkleTree::update_leaf) was called on a tree
+    /// that dropped its leaf row at commitment
+    /// ([`build_truncated`](crate::MerkleTree::build_truncated)); such a
+    /// tree proves through
+    /// [`prove_with`](crate::MerkleTree::prove_with) and a leaf provider.
+    LeavesNotResident {
+        /// The tree's unsaved-subtree height `ℓ ≥ 1`.
+        subtree_height: u32,
     },
     /// A path handed to [`fold_paths`](crate::fold_paths) carries a
     /// different number of siblings than the first path of its batch.
@@ -89,6 +100,11 @@ impl fmt::Display for MerkleError {
                 f,
                 "rebuilt subtree {subtree_index} does not match the committed digest"
             ),
+            MerkleError::LeavesNotResident { subtree_height } => write!(
+                f,
+                "the tree keeps no leaf row (subtree height {subtree_height}); \
+                 prove through a leaf provider"
+            ),
             MerkleError::PathLengthMismatch {
                 path,
                 expected,
@@ -138,6 +154,10 @@ mod tests {
             }
             .to_string(),
             "leaf index 9 out of range for 8 leaves"
+        );
+        assert_eq!(
+            MerkleError::LeavesNotResident { subtree_height: 3 }.to_string(),
+            "the tree keeps no leaf row (subtree height 3); prove through a leaf provider"
         );
     }
 

@@ -4,10 +4,21 @@
 //! Commitment-Based Sampling (CBS) scheme of Du, Jia, Mangal and Murugesan
 //! (*Uncheatable Grid Computing*, ICDCS 2004):
 //!
-//! * [`MerkleTree`] — the full tree of Section 3.1. Leaves hold the raw
+//! * [`MerkleTree`] — the tree of Section 3.1. Leaves hold the raw
 //!   computation results `Φ(L_i) = f(x_i)`; every internal node holds
 //!   `Φ(V) = hash(Φ(V_left) || Φ(V_right))` (Eq. 1). The root is the
-//!   participant's commitment.
+//!   participant's commitment. One type covers both ways of keeping it:
+//!   resident in full ([`MerkleTree::from_leaf_row`], where
+//!   [`build`](MerkleTree::build), [`build_with`](MerkleTree::build_with)
+//!   and [`from_leaf_fn`](MerkleTree::from_leaf_fn) end), or — the
+//!   storage-usage improvement of Section 3.3 — only down to depth
+//!   `H − ℓ` ([`MerkleTree::build_truncated`]), rebuilding the height-`ℓ`
+//!   subtree around a sample on demand ([`MerkleTree::prove_with`],
+//!   costed in [`RebuildStats`]): `O(2^ℓ)` recomputation per proof for a
+//!   `2^ℓ`-fold storage reduction, same root, same proof bytes. Every
+//!   build is one level walk over power-of-two chunks of the padded leaf
+//!   row; what differs is how many chunks there are and what is kept of
+//!   each.
 //! * [`MerkleProof`] — the per-sample *proof of honesty*: `f(x_i)` plus the
 //!   `Φ` values of the siblings along the leaf-to-root path
 //!   (`λ_1 … λ_H`). [`MerkleProof::verify`] is the supervisor's
@@ -15,18 +26,13 @@
 //!   commitment; [`fold_paths`] is the same reconstruction for all `m`
 //!   samples of a round at once, each level of every path one batch
 //!   through the digest lane kernels, straight from borrowed wire bytes.
-//! * [`StreamingBuilder`] — computes the root with an `O(log n)` frontier,
-//!   so a participant never needs the whole tree in memory just to commit.
-//! * [`Parallelism`] — the thread-count knob behind
-//!   [`MerkleTree::build_parallel`] and
-//!   [`StreamingBuilder::parallel_root`]: the padded leaf row splits into
-//!   per-thread subtrees hashed independently, the top `log(threads)`
-//!   levels fold serially, and the result is bit-identical to the serial
-//!   build at any thread count.
-//! * [`PartialMerkleTree`] — the storage-usage improvement of Section 3.3:
-//!   store only the top `H − ℓ` levels and rebuild the height-`ℓ` subtree
-//!   containing a sample on demand, trading `O(2^ℓ)` recomputation for a
-//!   `2^ℓ`-fold storage reduction.
+//! * [`Parallelism`] and [`LaneWidth`] — the two execution knobs of the
+//!   resident build: the padded leaf row splits into per-thread subtrees
+//!   hashed independently with the top `log(threads)` levels folded
+//!   serially, and each level goes through the message-parallel digest
+//!   kernels. Both trade wall-clock time only: digests, proofs and
+//!   [`MerkleTree::hash_ops`] are those of the serial scalar build at any
+//!   setting, so nothing a tree reports depends on the host that built it.
 //!
 //! # Tree shape
 //!
@@ -61,17 +67,13 @@
 mod error;
 mod parallel;
 mod partial;
-mod persist;
 mod proof;
-mod streaming;
 mod tree;
 
 pub use error::MerkleError;
 pub use parallel::Parallelism;
-pub use partial::{PartialMerkleTree, RebuildStats};
-pub use persist::PersistError;
+pub use partial::RebuildStats;
 pub use proof::{fold_paths, AuthPath, MerkleProof};
-pub use streaming::StreamingBuilder;
 pub use tree::MerkleTree;
 pub use ugc_hash::LaneWidth;
 

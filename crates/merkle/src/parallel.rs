@@ -5,17 +5,19 @@
 //! almost perfectly: the padded leaf row splits into per-thread subtrees
 //! hashed independently, with only the top `log(threads)` levels folded
 //! serially. [`Parallelism`] is the knob every parallel entry point in
-//! this workspace takes — [`MerkleTree::build_parallel`](crate::MerkleTree::build_parallel),
-//! [`StreamingBuilder::parallel_root`](crate::StreamingBuilder::parallel_root),
-//! and (re-exported through `ugc-core`) the scheme layer and the
-//! Monte-Carlo harness.
+//! this workspace takes — [`MerkleTree::build_with`](crate::MerkleTree::build_with)
+//! and [`MerkleTree::from_leaf_row`](crate::MerkleTree::from_leaf_row)
+//! here, and (re-exported through `ugc-core`) the scheme layer and the
+//! Monte-Carlo harness. How a build was split is known to the tree's
+//! level walk and to nothing else: no count, report or digest records it.
 
 /// How many worker threads a parallel operation may use.
 ///
 /// The default is one thread per available hardware core. All parallel
 /// code paths in this workspace are *deterministic regardless of the
-/// thread count*: results are bit-identical to the serial path, so this
-/// knob trades wall-clock time only.
+/// thread count*: results — digests, proofs, operation counts, ledgers —
+/// are bit-identical to the serial path, so this knob trades wall-clock
+/// time only.
 ///
 /// # Examples
 ///

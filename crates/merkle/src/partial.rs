@@ -1,15 +1,18 @@
 //! The storage-usage improvement of Section 3.3 of the paper.
 //!
 //! Instead of holding the whole `O(|D|)` tree, the participant stores only
-//! the top `H − ℓ` levels. Proving a sample then requires rebuilding the
-//! height-`ℓ` subtree containing the sampled leaf — recomputing `f` for its
-//! `2^ℓ` inputs — which is the time/storage trade-off the paper quantifies
-//! as `rco = 2m/S`.
+//! the top `H − ℓ` levels
+//! ([`MerkleTree::build_truncated`](crate::MerkleTree::build_truncated)).
+//! Proving a sample then requires rebuilding the height-`ℓ` subtree
+//! containing the sampled leaf
+//! ([`MerkleTree::prove_with`](crate::MerkleTree::prove_with)) —
+//! recomputing `f` for its `2^ℓ` inputs — which is the time/storage
+//! trade-off the paper quantifies as `rco = 2m/S`. Both calls are the
+//! tree's own; this module holds the cost record they report and the
+//! tests that pin the trade-off.
 
-use crate::{padded_leaf_count, MerkleError, MerkleProof, MerkleTree};
-use ugc_hash::{HashFunction, Sha256};
-
-/// Cost of one on-demand subtree rebuild during [`PartialMerkleTree::prove_with`].
+/// Cost of one on-demand subtree rebuild during
+/// [`MerkleTree::prove_with`](crate::MerkleTree::prove_with).
 ///
 /// In the paper's accounting, the dominant term is `leaves_recomputed`
 /// evaluations of `f` (up to `2^ℓ` per sample; fewer only at the padded
@@ -30,248 +33,10 @@ impl RebuildStats {
     }
 }
 
-/// A Merkle tree stored only down to level `H − ℓ` (root = level 0).
-///
-/// Equivalent to [`MerkleTree`] for commitment and proofs — same root, same
-/// proof bytes — but using `O(|D|/2^ℓ)` storage and paying `O(2^ℓ)`
-/// recomputation per proof (Fig. 3 of the paper).
-///
-/// # Examples
-///
-/// ```
-/// use ugc_merkle::{MerkleTree, PartialMerkleTree};
-/// use ugc_hash::Sha256;
-///
-/// let f = |x: u64| (x * x).to_le_bytes().to_vec();
-/// let full: MerkleTree<Sha256> = MerkleTree::from_leaf_fn(64, 8, f)?;
-/// let partial: PartialMerkleTree<Sha256> = PartialMerkleTree::build(64, 8, 3, f)?;
-/// assert_eq!(partial.root(), full.root());
-///
-/// let (proof, stats) = partial.prove_with(17, f)?;
-/// assert_eq!(stats.leaves_recomputed, 8); // 2^ℓ f-evaluations
-/// assert!(proof.verify(&full.root(), &f(17)));
-/// # Ok::<(), ugc_merkle::MerkleError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct PartialMerkleTree<H: HashFunction = Sha256> {
-    /// Heap-ordered digests for depths `0 ..= H−ℓ`; index 0 unused.
-    /// The deepest stored level holds the `2^(H−ℓ)` subtree roots.
-    stored: Vec<H::Digest>,
-    leaf_count: u64,
-    height: u32,
-    subtree_height: u32,
-    leaf_width: usize,
-    build_stats: RebuildStats,
-}
-
-impl<H: HashFunction> PartialMerkleTree<H> {
-    /// Builds the partial tree over `n` leaves of `leaf_width` bytes,
-    /// storing levels `0 ..= H − subtree_height`.
-    ///
-    /// The `provider` computes `f(x_i)` for `i ∈ [0, n)`; it is called once
-    /// per real leaf during the build (exactly as the participant would
-    /// evaluate its task), after which leaf results are *discarded* — that
-    /// is the point of the scheme.
-    ///
-    /// # Errors
-    ///
-    /// * [`MerkleError::EmptyTree`] / [`MerkleError::ZeroLeafWidth`] on a
-    ///   degenerate domain.
-    /// * [`MerkleError::SubtreeHeightOutOfRange`] unless
-    ///   `1 ≤ subtree_height ≤ H`.
-    /// * [`MerkleError::MixedLeafWidth`] if the provider returns a
-    ///   wrong-width leaf.
-    pub fn build<F>(
-        n: u64,
-        leaf_width: usize,
-        subtree_height: u32,
-        mut provider: F,
-    ) -> Result<Self, MerkleError>
-    where
-        F: FnMut(u64) -> Vec<u8>,
-    {
-        if n == 0 {
-            return Err(MerkleError::EmptyTree);
-        }
-        if leaf_width == 0 {
-            return Err(MerkleError::ZeroLeafWidth);
-        }
-        let padded = padded_leaf_count(n);
-        let height = padded.trailing_zeros();
-        if subtree_height == 0 || subtree_height > height {
-            return Err(MerkleError::SubtreeHeightOutOfRange {
-                subtree_height,
-                tree_height: height,
-            });
-        }
-        let stored_depth = height - subtree_height; // D = H − ℓ
-        let num_subtrees = 1u64 << stored_depth;
-        let subtree_leaves = 1u64 << subtree_height;
-
-        let mut stored: Vec<H::Digest> = vec![H::digest(&[]); (2 * num_subtrees) as usize];
-        let mut build_stats = RebuildStats::default();
-        let mut scratch: Vec<Vec<u8>> = Vec::with_capacity(subtree_leaves as usize);
-        for t in 0..num_subtrees {
-            scratch.clear();
-            let base = t * subtree_leaves;
-            for j in 0..subtree_leaves {
-                let global = base + j;
-                if global < n {
-                    let leaf = provider(global);
-                    if leaf.len() != leaf_width {
-                        return Err(MerkleError::MixedLeafWidth {
-                            expected: leaf_width,
-                            found: leaf.len(),
-                            index: global,
-                        });
-                    }
-                    build_stats.leaves_recomputed += 1;
-                    scratch.push(leaf);
-                } else {
-                    scratch.push(vec![0u8; leaf_width]);
-                }
-            }
-            let subtree: MerkleTree<H> = MerkleTree::build(&scratch)?;
-            build_stats.hash_ops += subtree.hash_ops();
-            stored[(num_subtrees + t) as usize] = subtree.root();
-        }
-        for i in (1..num_subtrees as usize).rev() {
-            stored[i] = H::digest_pair(stored[2 * i].as_ref(), stored[2 * i + 1].as_ref());
-            build_stats.hash_ops += 1;
-        }
-        Ok(PartialMerkleTree {
-            stored,
-            leaf_count: n,
-            height,
-            subtree_height,
-            leaf_width,
-            build_stats,
-        })
-    }
-
-    /// The committed root `Φ(R)` — identical to the full tree's.
-    #[must_use]
-    pub fn root(&self) -> H::Digest {
-        self.stored[1]
-    }
-
-    /// Number of real leaves `n = |D|`.
-    #[must_use]
-    pub fn leaf_count(&self) -> u64 {
-        self.leaf_count
-    }
-
-    /// Tree height `H`.
-    #[must_use]
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// The unsaved-subtree height `ℓ`.
-    #[must_use]
-    pub fn subtree_height(&self) -> u32 {
-        self.subtree_height
-    }
-
-    /// Number of digests held in memory (`2^(H−ℓ+1) − 1`, counting the
-    /// root; the paper rounds this to `S = 2^(H−ℓ+1)`).
-    #[must_use]
-    pub fn stored_node_count(&self) -> u64 {
-        self.stored.len() as u64 - 1
-    }
-
-    /// The paper's storage figure `S = 2^(H−ℓ+1)`, in tree nodes.
-    #[must_use]
-    pub fn paper_storage_units(&self) -> u64 {
-        1u64 << (self.height - self.subtree_height + 1)
-    }
-
-    /// Bytes of digest storage actually used.
-    #[must_use]
-    pub fn stored_bytes(&self) -> u64 {
-        self.stored_node_count() * H::DIGEST_LEN as u64
-    }
-
-    /// Costs incurred while building (each real leaf computed once).
-    #[must_use]
-    pub fn build_stats(&self) -> RebuildStats {
-        self.build_stats
-    }
-
-    /// Proves leaf `index`, rebuilding the height-`ℓ` subtree that contains
-    /// it (Fig. 3(b) of the paper: the shaded, unsaved area).
-    ///
-    /// `provider` must recompute the same `f(x_i)` values committed at build
-    /// time. Returns the proof — byte-identical to the full tree's — and
-    /// the rebuild cost.
-    ///
-    /// # Errors
-    ///
-    /// * [`MerkleError::IndexOutOfRange`] if `index ≥ leaf_count`.
-    /// * [`MerkleError::MixedLeafWidth`] if the provider returns a
-    ///   wrong-width leaf.
-    /// * [`MerkleError::ProviderMismatch`] if the rebuilt subtree root does
-    ///   not match the stored digest (the provider is inconsistent with the
-    ///   commitment).
-    pub fn prove_with<F>(
-        &self,
-        index: u64,
-        mut provider: F,
-    ) -> Result<(MerkleProof<H>, RebuildStats), MerkleError>
-    where
-        F: FnMut(u64) -> Vec<u8>,
-    {
-        if index >= self.leaf_count {
-            return Err(MerkleError::IndexOutOfRange {
-                index,
-                leaf_count: self.leaf_count,
-            });
-        }
-        let subtree_leaves = 1u64 << self.subtree_height;
-        let t = index >> self.subtree_height;
-        let base = t << self.subtree_height;
-        let mut stats = RebuildStats::default();
-        let mut scratch: Vec<Vec<u8>> = Vec::with_capacity(subtree_leaves as usize);
-        for j in 0..subtree_leaves {
-            let global = base + j;
-            if global < self.leaf_count {
-                let leaf = provider(global);
-                if leaf.len() != self.leaf_width {
-                    return Err(MerkleError::MixedLeafWidth {
-                        expected: self.leaf_width,
-                        found: leaf.len(),
-                        index: global,
-                    });
-                }
-                stats.leaves_recomputed += 1;
-                scratch.push(leaf);
-            } else {
-                scratch.push(vec![0u8; self.leaf_width]);
-            }
-        }
-        let subtree: MerkleTree<H> = MerkleTree::build(&scratch)?;
-        stats.hash_ops += subtree.hash_ops();
-        let num_subtrees = 1u64 << (self.height - self.subtree_height);
-        if subtree.root() != self.stored[(num_subtrees + t) as usize] {
-            return Err(MerkleError::ProviderMismatch { subtree_index: t });
-        }
-        // Siblings inside the rebuilt subtree…
-        let local = subtree.prove(index - base)?;
-        let mut digest_siblings = local.digest_siblings().to_vec();
-        // …then siblings from the stored upper levels.
-        let mut node = num_subtrees + t;
-        while node > 1 {
-            digest_siblings.push(self.stored[(node ^ 1) as usize]);
-            node >>= 1;
-        }
-        let proof = MerkleProof::from_parts(index, local.leaf_sibling().to_vec(), digest_siblings);
-        Ok((proof, stats))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MerkleError, MerkleTree};
     use ugc_hash::{Md5, Sha256};
 
     fn f(x: u64) -> Vec<u8> {
@@ -283,8 +48,7 @@ mod tests {
         let n = 64;
         let full: MerkleTree<Sha256> = MerkleTree::from_leaf_fn(n, 8, f).unwrap();
         for ell in 1..=6u32 {
-            let partial: PartialMerkleTree<Sha256> =
-                PartialMerkleTree::build(n, 8, ell, f).unwrap();
+            let partial: MerkleTree<Sha256> = MerkleTree::build_truncated(n, 8, ell, f).unwrap();
             assert_eq!(partial.root(), full.root(), "ℓ={ell}");
         }
     }
@@ -293,7 +57,7 @@ mod tests {
     fn root_matches_full_tree_unpadded_sizes() {
         for n in [3u64, 5, 17, 33, 100] {
             let full: MerkleTree<Sha256> = MerkleTree::from_leaf_fn(n, 8, f).unwrap();
-            let partial: PartialMerkleTree<Sha256> = PartialMerkleTree::build(n, 8, 2, f).unwrap();
+            let partial: MerkleTree<Sha256> = MerkleTree::build_truncated(n, 8, 2, f).unwrap();
             assert_eq!(partial.root(), full.root(), "n={n}");
         }
     }
@@ -302,7 +66,7 @@ mod tests {
     fn proofs_identical_to_full_tree() {
         let n = 32;
         let full: MerkleTree<Md5> = MerkleTree::from_leaf_fn(n, 8, f).unwrap();
-        let partial: PartialMerkleTree<Md5> = PartialMerkleTree::build(n, 8, 3, f).unwrap();
+        let partial: MerkleTree<Md5> = MerkleTree::build_truncated(n, 8, 3, f).unwrap();
         for i in 0..n {
             let full_proof = full.prove(i).unwrap();
             let (partial_proof, _) = partial.prove_with(i, f).unwrap();
@@ -315,8 +79,7 @@ mod tests {
     fn rebuild_cost_is_two_to_ell() {
         let n = 256;
         for ell in 1..=8u32 {
-            let partial: PartialMerkleTree<Sha256> =
-                PartialMerkleTree::build(n, 8, ell, f).unwrap();
+            let partial: MerkleTree<Sha256> = MerkleTree::build_truncated(n, 8, ell, f).unwrap();
             let (_, stats) = partial.prove_with(0, f).unwrap();
             assert_eq!(stats.leaves_recomputed, 1 << ell, "ℓ={ell}");
             assert_eq!(stats.hash_ops, (1 << ell) - 1, "ℓ={ell}");
@@ -327,8 +90,7 @@ mod tests {
     fn storage_shrinks_by_two_to_ell() {
         let n = 1 << 10;
         for ell in 1..=10u32 {
-            let partial: PartialMerkleTree<Sha256> =
-                PartialMerkleTree::build(n, 8, ell, f).unwrap();
+            let partial: MerkleTree<Sha256> = MerkleTree::build_truncated(n, 8, ell, f).unwrap();
             assert_eq!(partial.stored_node_count(), (1 << (10 - ell + 1)) - 1);
             assert_eq!(partial.paper_storage_units(), 1 << (10 - ell + 1));
         }
@@ -337,22 +99,28 @@ mod tests {
     #[test]
     fn build_computes_each_leaf_once() {
         let n = 100;
-        let partial: PartialMerkleTree<Sha256> = PartialMerkleTree::build(n, 8, 3, f).unwrap();
+        let calls = std::cell::Cell::new(0u64);
+        let counted = |x: u64| {
+            calls.set(calls.get() + 1);
+            f(x)
+        };
+        let partial: MerkleTree<Sha256> = MerkleTree::build_truncated(n, 8, 3, counted).unwrap();
+        assert_eq!(calls.get(), n);
         assert_eq!(partial.build_stats().leaves_recomputed, n);
     }
 
     #[test]
     fn subtree_height_bounds() {
         assert!(matches!(
-            PartialMerkleTree::<Sha256>::build(16, 8, 0, f).unwrap_err(),
+            MerkleTree::<Sha256>::build_truncated(16, 8, 0, f).unwrap_err(),
             MerkleError::SubtreeHeightOutOfRange { .. }
         ));
         assert!(matches!(
-            PartialMerkleTree::<Sha256>::build(16, 8, 5, f).unwrap_err(),
+            MerkleTree::<Sha256>::build_truncated(16, 8, 5, f).unwrap_err(),
             MerkleError::SubtreeHeightOutOfRange { .. }
         ));
         // ℓ = H stores the root only and rebuilds everything.
-        let partial: PartialMerkleTree<Sha256> = PartialMerkleTree::build(16, 8, 4, f).unwrap();
+        let partial: MerkleTree<Sha256> = MerkleTree::build_truncated(16, 8, 4, f).unwrap();
         let full: MerkleTree<Sha256> = MerkleTree::from_leaf_fn(16, 8, f).unwrap();
         assert_eq!(partial.root(), full.root());
         let (_, stats) = partial.prove_with(7, f).unwrap();
@@ -361,7 +129,7 @@ mod tests {
 
     #[test]
     fn inconsistent_provider_detected() {
-        let partial: PartialMerkleTree<Sha256> = PartialMerkleTree::build(32, 8, 3, f).unwrap();
+        let partial: MerkleTree<Sha256> = MerkleTree::build_truncated(32, 8, 3, f).unwrap();
         let bad = |x: u64| if x == 9 { vec![0xFFu8; 8] } else { f(x) };
         // Leaf 9 lives in subtree 1 (indices 8..16).
         assert_eq!(
@@ -374,7 +142,7 @@ mod tests {
 
     #[test]
     fn prove_out_of_range() {
-        let partial: PartialMerkleTree<Sha256> = PartialMerkleTree::build(10, 8, 2, f).unwrap();
+        let partial: MerkleTree<Sha256> = MerkleTree::build_truncated(10, 8, 2, f).unwrap();
         assert!(matches!(
             partial.prove_with(10, f).unwrap_err(),
             MerkleError::IndexOutOfRange { .. }
@@ -386,7 +154,7 @@ mod tests {
         // n = 10 pads to 16; with ℓ = 2 the subtree over leaves 8..12
         // holds 2 real + 2 padding leaves … wait: 10 real leaves, so
         // subtree 2 (leaves 8..12) has real leaves 8 and 9 only.
-        let partial: PartialMerkleTree<Sha256> = PartialMerkleTree::build(10, 8, 2, f).unwrap();
+        let partial: MerkleTree<Sha256> = MerkleTree::build_truncated(10, 8, 2, f).unwrap();
         let (_, stats) = partial.prove_with(9, f).unwrap();
         assert_eq!(stats.leaves_recomputed, 2);
     }
@@ -398,8 +166,7 @@ mod tests {
         let h = 12u32;
         let m = 16u64;
         for ell in [2u32, 4, 6] {
-            let partial: PartialMerkleTree<Sha256> =
-                PartialMerkleTree::build(n, 8, ell, f).unwrap();
+            let partial: MerkleTree<Sha256> = MerkleTree::build_truncated(n, 8, ell, f).unwrap();
             let mut total = RebuildStats::default();
             for s in 0..m {
                 let idx = (s * 997) % n; // arbitrary in-range samples

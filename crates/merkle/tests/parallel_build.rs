@@ -1,57 +1,40 @@
-//! Exhaustive serial/parallel equivalence: for every leaf count 1..=257
-//! and every thread count 1..=8, the parallel builders must be
-//! bit-identical to the serial ones — roots, proofs and hash-op counts.
+//! Exhaustive serial/threaded equivalence: for every leaf count 1..=257
+//! and every thread count 1..=8, `build_with` must build the serial
+//! tree — the Eq. (1) root, every proof, the hash-op count.
 
-use ugc_hash::{Md5, Sha256};
-use ugc_merkle::{MerkleTree, Parallelism, StreamingBuilder};
+mod common;
 
-fn leaves(n: u64) -> Vec<[u8; 12]> {
-    (0..n)
-        .map(|x| {
-            let mut leaf = [0u8; 12];
-            leaf[..8].copy_from_slice(&x.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes());
-            leaf
-        })
-        .collect()
-}
+use common::{leaves, reference_root};
+use ugc_hash::{LaneWidth, Md5, Sha256};
+use ugc_merkle::{MerkleTree, Parallelism};
 
 #[test]
-fn build_parallel_root_identical_for_all_sizes_and_thread_counts() {
+fn threaded_build_identical_for_all_sizes_and_thread_counts() {
     for n in 1..=257u64 {
-        let ls = leaves(n);
+        let ls = leaves(n as usize, 12);
         let serial: MerkleTree<Sha256> = MerkleTree::build(&ls).unwrap();
+        assert_eq!(serial.root(), reference_root::<Sha256>(&ls), "n={n}");
+        // Proofs read every internal node level, so equality here pins
+        // the whole node array, not just the root.
+        let proofs: Vec<_> = (0..n).map(|i| serial.prove(i).unwrap()).collect();
         for threads in 1..=8usize {
-            let parallel: MerkleTree<Sha256> =
-                MerkleTree::build_parallel(&ls, Parallelism::threads(threads)).unwrap();
+            let threaded: MerkleTree<Sha256> =
+                MerkleTree::build_with(&ls, Parallelism::threads(threads), LaneWidth::default())
+                    .unwrap();
             assert_eq!(
                 serial.root(),
-                parallel.root(),
+                threaded.root(),
                 "root diverged at n={n} threads={threads}"
             );
             assert_eq!(
-                parallel.hash_ops(),
-                parallel.padded_leaf_count() - 1,
+                threaded.hash_ops(),
+                threaded.padded_leaf_count() - 1,
                 "op count diverged at n={n} threads={threads}"
             );
-        }
-    }
-}
-
-#[test]
-fn build_parallel_proofs_identical() {
-    // Proofs read every internal node level, so equality here pins the
-    // whole node array, not just the root. Sampled sizes keep the suite
-    // fast; the root check above is exhaustive.
-    for n in [1u64, 2, 3, 31, 64, 100, 255, 256, 257] {
-        let ls = leaves(n);
-        let serial: MerkleTree<Md5> = MerkleTree::build(&ls).unwrap();
-        for threads in 1..=8usize {
-            let parallel: MerkleTree<Md5> =
-                MerkleTree::build_parallel(&ls, Parallelism::threads(threads)).unwrap();
-            for i in 0..n {
+            for (i, proof) in (0..n).zip(&proofs) {
                 assert_eq!(
-                    serial.prove(i).unwrap(),
-                    parallel.prove(i).unwrap(),
+                    *proof,
+                    threaded.prove(i).unwrap(),
                     "proof diverged at n={n} threads={threads} leaf={i}"
                 );
             }
@@ -60,20 +43,25 @@ fn build_parallel_proofs_identical() {
 }
 
 #[test]
-fn streaming_parallel_root_identical_for_all_sizes_and_thread_counts() {
-    for n in 1..=257u64 {
-        let ls = leaves(n);
-        let mut builder: StreamingBuilder<Sha256> = StreamingBuilder::new();
-        for leaf in &ls {
-            builder.push(leaf).unwrap();
-        }
-        let (serial_root, serial_ops) = builder.finalize_counted().unwrap();
+fn threaded_build_proofs_identical_md5() {
+    // MD5's 32-byte inner nodes take the general lane driver where
+    // SHA-256's 64-byte ones take the pad-64 fast path. Sampled sizes;
+    // the SHA-256 check above is exhaustive.
+    for n in [1u64, 2, 3, 31, 64, 100, 255, 256, 257] {
+        let ls = leaves(n as usize, 12);
+        let serial: MerkleTree<Md5> = MerkleTree::build(&ls).unwrap();
+        assert_eq!(serial.root(), reference_root::<Md5>(&ls), "n={n}");
         for threads in 1..=8usize {
-            let (root, ops) =
-                StreamingBuilder::<Sha256>::parallel_root(&ls, Parallelism::threads(threads))
+            let threaded: MerkleTree<Md5> =
+                MerkleTree::build_with(&ls, Parallelism::threads(threads), LaneWidth::default())
                     .unwrap();
-            assert_eq!(root, serial_root, "n={n} threads={threads}");
-            assert_eq!(ops, serial_ops, "n={n} threads={threads}");
+            for i in 0..n {
+                assert_eq!(
+                    serial.prove(i).unwrap(),
+                    threaded.prove(i).unwrap(),
+                    "proof diverged at n={n} threads={threads} leaf={i}"
+                );
+            }
         }
     }
 }

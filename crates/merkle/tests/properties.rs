@@ -1,10 +1,12 @@
 //! Property-based tests for the Merkle-tree invariants in DESIGN.md §5.
 
+mod common;
+
+use common::reference_root;
 use proptest::prelude::*;
 use ugc_hash::{HashFunction, Md5, Sha256};
 use ugc_merkle::{
     fold_paths, AuthPath, LaneWidth, MerkleError, MerkleProof, MerkleTree, Parallelism,
-    PartialMerkleTree, StreamingBuilder,
 };
 
 fn arb_leaves() -> impl Strategy<Value = Vec<Vec<u8>>> {
@@ -56,7 +58,8 @@ proptest! {
     fn parallel_build_equals_serial_build(leaves in arb_leaves(), threads in 1usize..=8) {
         let serial: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
         let parallel: MerkleTree<Sha256> =
-            MerkleTree::build_parallel(&leaves, Parallelism::threads(threads)).unwrap();
+            MerkleTree::build_with(&leaves, Parallelism::threads(threads), LaneWidth::default())
+                .unwrap();
         prop_assert_eq!(serial.root(), parallel.root());
         prop_assert_eq!(serial.hash_ops(), parallel.hash_ops());
         for i in 0..leaves.len() as u64 {
@@ -65,35 +68,21 @@ proptest! {
     }
 
     #[test]
-    fn streaming_parallel_root_equals_batch_root(leaves in arb_leaves(), threads in 1usize..=8) {
+    fn reference_root_equals_batch_root(leaves in arb_leaves()) {
         let tree: MerkleTree<Md5> = MerkleTree::build(&leaves).unwrap();
-        let (root, ops) =
-            StreamingBuilder::<Md5>::parallel_root(&leaves, Parallelism::threads(threads))
-                .unwrap();
-        prop_assert_eq!(root, tree.root());
-        prop_assert_eq!(ops, tree.hash_ops());
-    }
-
-    #[test]
-    fn streaming_root_equals_batch_root(leaves in arb_leaves()) {
-        let tree: MerkleTree<Md5> = MerkleTree::build(&leaves).unwrap();
-        let mut builder: StreamingBuilder<Md5> = StreamingBuilder::new();
-        for leaf in &leaves {
-            builder.push(leaf).unwrap();
-        }
-        prop_assert_eq!(builder.finalize().unwrap(), tree.root());
+        prop_assert_eq!(tree.root(), reference_root::<Md5>(&leaves));
     }
 
     #[test]
     fn partial_tree_equivalent_for_any_level(leaves in arb_leaves(), ell_seed in any::<u32>()) {
         let n = leaves.len() as u64;
         let width = leaves[0].len();
-        let provider = |i: u64| leaves[i as usize].clone();
+        let provider = |i: u64| &leaves[i as usize];
         let full: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
         let height = full.height();
         let ell = 1 + ell_seed % height;
-        let partial: PartialMerkleTree<Sha256> =
-            PartialMerkleTree::build(n, width, ell, provider).unwrap();
+        let partial: MerkleTree<Sha256> =
+            MerkleTree::build_truncated(n, width, ell, provider).unwrap();
         prop_assert_eq!(partial.root(), full.root());
         for i in 0..n {
             let (p_proof, _) = partial.prove_with(i, provider).unwrap();
@@ -125,15 +114,36 @@ proptest! {
     }
 }
 
-/// `n` leaves of `width` bytes, every one distinct from its neighbours.
-fn counted_leaves(n: usize, width: usize) -> Vec<Vec<u8>> {
-    (0..n)
-        .map(|i| {
-            (0..width)
-                .map(|b| (i * 31 + b * 7 + i / 256) as u8)
-                .collect()
-        })
-        .collect()
+type Leaf = [u8; 8];
+
+fn arb_tree_and_updates() -> impl Strategy<Value = (Vec<Leaf>, Vec<(usize, Leaf)>)> {
+    (1usize..48).prop_flat_map(|n| {
+        let leaves = proptest::collection::vec(any::<[u8; 8]>(), n..=n);
+        let updates = proptest::collection::vec((0..n, any::<[u8; 8]>()), 0..12);
+        (leaves, updates)
+    })
+}
+
+// Any sequence of leaf updates must leave the tree indistinguishable from
+// a batch rebuild.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn update_sequence_equals_batch_rebuild((leaves, updates) in arb_tree_and_updates()) {
+        let mut incremental: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
+        let mut current = leaves.clone();
+        for (index, value) in updates {
+            incremental.update_leaf(index as u64, &value).unwrap();
+            current[index] = value;
+        }
+        let batch: MerkleTree<Sha256> = MerkleTree::build(&current).unwrap();
+        prop_assert_eq!(incremental.root(), batch.root());
+        // Proofs from the incrementally-updated tree must also match.
+        for i in 0..current.len() as u64 {
+            prop_assert_eq!(incremental.prove(i).unwrap(), batch.prove(i).unwrap());
+        }
+    }
 }
 
 /// Proves `indices` against `tree` and folds the proofs as one batch.
@@ -159,7 +169,7 @@ fn fold_indices<H: HashFunction>(
 fn folding_every_leaf_of_a_tree_yields_its_root_every_time() {
     for n in 1..=257usize {
         for width in [1usize, 16, 32, 33] {
-            let leaves = counted_leaves(n, width);
+            let leaves = common::leaves(n, width);
             let tree: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
             let all: Vec<usize> = (0..n).collect();
             for lanes in LaneWidth::ALL {
@@ -179,7 +189,7 @@ fn fold_batch_sizes_straddle_the_lane_groups() {
     // 64: eight dispatches. With replacement, so duplicates occur. MD5's
     // 32-byte inner nodes take the general lane driver, SHA-256's 64-byte
     // ones the pad-64 fast path.
-    let leaves = counted_leaves(200, 16);
+    let leaves = common::leaves(200, 16);
     let sha: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
     let md5: MerkleTree<Md5> = MerkleTree::build(&leaves).unwrap();
     for size in [1usize, 7, 8, 9, 64] {
@@ -204,7 +214,7 @@ fn fold_orders_each_level_by_its_own_index_bit() {
     // One dispatch whose eight paths are left children at some levels and
     // right children at others, no two alike: every level's batch mixes
     // both concatenation orders.
-    let leaves = counted_leaves(256, 8);
+    let leaves = common::leaves(256, 8);
     let tree: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
     let indices = [
         0b0000_0000usize,
@@ -248,11 +258,11 @@ fn fold_orders_each_level_by_its_own_index_bit() {
 #[test]
 fn partial_tree_proofs_fold_to_the_same_root() {
     for (n, ell) in [(1u64, 1u32), (5, 2), (64, 3), (100, 7), (257, 4)] {
-        let leaves = counted_leaves(n as usize, 16);
-        let provider = |i: u64| leaves[i as usize].clone();
+        let leaves = common::leaves(n as usize, 16);
+        let provider = |i: u64| &leaves[i as usize];
         let full: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
-        let partial: PartialMerkleTree<Sha256> =
-            PartialMerkleTree::build(n, 16, ell, provider).unwrap();
+        let partial: MerkleTree<Sha256> =
+            MerkleTree::build_truncated(n, 16, ell, provider).unwrap();
         let proofs: Vec<MerkleProof<Sha256>> = (0..n)
             .map(|i| partial.prove_with(i, provider).unwrap().0)
             .collect();

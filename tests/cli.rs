@@ -348,6 +348,36 @@ fn fleet_workers_pool_matches_thread_per_participant_verdicts() {
     assert!(bare.contains(" scheduler workers over "), "{bare}");
 }
 
+/// The same table for shares of 4 096 leaves — past the threshold where
+/// a full-storage tree build goes threaded, which [`GOLDEN_FLEET`]'s
+/// 341-leaf shares never reach: `ugc fleet --participants 2 --cheaters 0
+/// --n 8192 --m 8`, per scheme. Recorded on a one-core host, where the
+/// build had always been serial; a host's core count is execution layout
+/// and must print the same (CI's chaos-soak job repeats the comparison
+/// under `taskset -c 0`).
+#[rustfmt::skip]
+const GOLDEN_LARGE_SHARE_DIGESTS: [(&str, &str); 2] = [
+    ("cbs",    "5ecbf2bacd63af87"),
+    ("ni-cbs", "52c9ac96a0728e39"),
+];
+
+#[test]
+fn fleet_digest_does_not_depend_on_the_hosts_core_count() {
+    for (scheme, golden) in GOLDEN_LARGE_SHARE_DIGESTS {
+        for pool in ["", "--workers 1"] {
+            let flags =
+                format!("--participants 2 --cheaters 0 --n 8192 --m 8 --scheme {scheme} {pool}");
+            let out = fleet(&flags);
+            assert!(out.status.success(), "{flags}");
+            assert!(
+                digest_line(&out).starts_with(&format!("digest: {golden}")),
+                "{flags} must print {golden}…:\n{}",
+                stdout(&out)
+            );
+        }
+    }
+}
+
 #[test]
 fn fleet_single_worker_replay_never_strands_a_queued_verdict() {
     // The one cell that used to flicker: on a one-worker pool the

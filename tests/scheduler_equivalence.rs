@@ -33,6 +33,7 @@ use uncheatable_grid::grid::{
     CheatSelection, HonestWorker, MaliciousWorker, SemiHonestCheater, WorkerBehaviour,
 };
 use uncheatable_grid::hash::Sha256;
+use uncheatable_grid::merkle::Parallelism;
 use uncheatable_grid::task::workloads::PasswordSearch;
 use uncheatable_grid::task::{AcceptAllScreener, Domain, ZeroGuesser};
 
@@ -270,5 +271,71 @@ fn quiet_fleet_identical_across_execution_models() {
             QUIET_GOLDEN,
             "workers {workers:?}"
         );
+    }
+}
+
+/// Host shape is execution layout too. Shares of 4 096 leaves are past
+/// the threshold where a full-storage tree build goes threaded, which the
+/// golden tables' 64-leaf shares never reach: however many threads the
+/// build is lent — on a real host, however many cores it has — the
+/// campaign digests identically and every ledger reads the same, the
+/// `hash_wall_ops` axis included.
+#[test]
+fn tree_build_thread_count_never_reaches_digests_or_ledgers() {
+    let task = PasswordSearch::with_hidden_password(7, 3);
+    let screener = task.match_screener();
+    let honest = HonestWorker;
+    let schemes = Schemes::new(19);
+    let run = |parallelism| {
+        let specs = vec![
+            MemberSpec::<'_, Sha256> {
+                scheme: &schemes.cbs,
+                behaviours: vec![&honest as &dyn WorkerBehaviour],
+            },
+            MemberSpec {
+                scheme: &schemes.ni,
+                behaviours: vec![&honest],
+            },
+        ];
+        run_mixed_fleet(
+            &task,
+            &screener,
+            Domain::new(0, 2 * 4096),
+            &specs,
+            &MixedFleetConfig {
+                parallelism,
+                workers: Some(2),
+                ..MixedFleetConfig::default()
+            },
+        )
+        .unwrap()
+    };
+    let serial = run(Parallelism::serial());
+    assert_eq!(serial.accepted(), 2);
+    for member in &serial.members {
+        let costs = member.outcome.participant_costs;
+        assert_eq!(member.share.len(), 4096);
+        assert_eq!(costs.hash_ops, 4095);
+        assert_eq!(costs.hash_wall_ops, costs.hash_ops);
+    }
+    for threads in [2, 8] {
+        let threaded = run(Parallelism::threads(threads));
+        assert_eq!(
+            summary_digest(&threaded),
+            summary_digest(&serial),
+            "{threads} build threads moved the campaign digest"
+        );
+        for (a, b) in threaded.members.iter().zip(&serial.members) {
+            assert_eq!(
+                a.outcome.participant_costs, b.outcome.participant_costs,
+                "{threads} build threads, member {}",
+                a.participant
+            );
+            assert_eq!(
+                a.outcome.supervisor_costs, b.outcome.supervisor_costs,
+                "{threads} build threads, member {}",
+                a.participant
+            );
+        }
     }
 }
