@@ -31,7 +31,13 @@ fn cheater(seed: u64) -> SemiHonestCheater<ZeroGuesser> {
 
 fn main() {
     println!(
-        "Scheme comparison — n = 2^{N_BITS}, m = {M} samples (d = {M} ringers), honest worker\n"
+        "Scheme comparison — n = 2^{N_BITS}, m = {M} samples (d = {M} ringers), honest worker"
+    );
+    println!(
+        "(CBS and NI-CBS answer the m samples with one Merkle opening: shared siblings are sent\n \
+         once, a repeated sample is checked once, and a partial tree rebuilds each subtree the\n \
+         samples fall in once — so their upload, supervisor f-evals and partial-storage\n \
+         recomputation read below the m-path figures m·(2w + (H−1)·D), m and m·2^ℓ.)\n"
     );
     let task = PasswordSearch::with_hidden_password(5, 77);
     let screener = task.match_screener();

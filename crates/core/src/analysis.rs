@@ -9,7 +9,8 @@
 //! * Section 3.3: [`rco`], [`rco_from_levels`] — the storage trade-off.
 //! * Section 4.2: [`ni_expected_attempts`], [`ni_attack_cost`],
 //!   [`min_g_cost_for_uncheatability`] — the Eq. (5) economics.
-//! * Communication closed forms: [`cbs_traffic_bytes`],
+//! * Communication closed forms: [`cbs_traffic_bytes`] (an upper bound:
+//!   one opening per round sends what `m` paths share once),
 //!   [`naive_traffic_bytes`] — the `O(m log n)` vs `O(n)` comparison,
 //!   extrapolatable to the paper's `n = 2⁶⁴` "16 million terabytes"
 //!   example.
@@ -231,8 +232,19 @@ pub fn naive_traffic_bytes(n: u64, leaf_width: u64) -> u64 {
     n.saturating_mul(leaf_width)
 }
 
-/// Closed-form participant→supervisor payload for CBS: the commitment plus
-/// `m` proofs of `f(x)`, the sibling leaf, and `H − 1` digests each.
+/// Closed-form participant→supervisor payload for CBS as the paper counts
+/// it: the commitment plus `m` proofs of `f(x)`, the sibling leaf, and
+/// `H − 1` digests each — `D + m·(2w + (H − 1)·D)`.
+///
+/// This is an **upper bound** on what a round sends. The `m` samples
+/// travel as one opening (`ugc_grid::Opening`) that carries a repeated
+/// sample once, every sibling two paths share once, and no sibling that
+/// is itself a sampled leaf or a node the supervisor rebuilds; the bound
+/// is met exactly by a single sample, and by `m` distinct ones only if
+/// no two paths meet below the root's children. The same holds for the
+/// paper's `m·H` verification hashes and `m` evaluations against what
+/// the supervisor's ledger counts
+/// (`scheme::cbs::tests::the_papers_closed_forms_bound_every_round`).
 ///
 /// `height` is `⌈log₂ n⌉` (via [`ugc_merkle::tree_height`]).
 #[must_use]

@@ -42,7 +42,7 @@ use ugc_grid::runtime::{FaultEvent, FaultPlan, LinkDirection};
 use ugc_grid::{CostLedger, CostReport, GridError, LinkStats};
 use ugc_hash::{HashFunction, Sha256};
 use ugc_journal::{read_journal, CrashPlan, JournalError, JournalWriter, TailStatus};
-use ugc_merkle::MerkleError;
+use ugc_merkle::{MerkleError, OpeningRow};
 use ugc_task::Domain;
 use ugc_task::ScreenReport;
 
@@ -247,26 +247,24 @@ fn put_merkle_error(buf: &mut Vec<u8>, e: &MerkleError) {
             put_u8(buf, 5);
             put_u64(buf, subtree_index);
         }
-        MerkleError::PathLengthMismatch {
-            path,
-            expected,
-            found,
-        } => {
-            put_u8(buf, 6);
-            put_usize(buf, path);
-            put_usize(buf, expected);
-            put_usize(buf, found);
-        }
-        MerkleError::SiblingWidth {
-            path,
-            level,
-            expected,
+        MerkleError::NoIndices => put_u8(buf, 6),
+        MerkleError::OpeningShape {
+            row,
+            entries,
+            width,
             found,
         } => {
             put_u8(buf, 7);
-            put_usize(buf, path);
-            put_usize(buf, level);
-            put_usize(buf, expected);
+            put_u8(
+                buf,
+                match row {
+                    OpeningRow::LeafValues => 0,
+                    OpeningRow::LeafSiblings => 1,
+                    OpeningRow::DigestSiblings => 2,
+                },
+            );
+            put_usize(buf, entries);
+            put_usize(buf, width);
             put_usize(buf, found);
         }
         MerkleError::LeavesNotResident { subtree_height } => {
@@ -296,16 +294,17 @@ fn get_merkle_error(buf: &mut &[u8]) -> Result<MerkleError, SchemeError> {
         5 => MerkleError::ProviderMismatch {
             subtree_index: get_u64(buf, "merkle subtree index")?,
         },
-        6 => MerkleError::PathLengthMismatch {
-            path: get_usize(buf, "merkle path position")?,
-            expected: get_usize(buf, "merkle expected path length")?,
-            found: get_usize(buf, "merkle found path length")?,
-        },
-        7 => MerkleError::SiblingWidth {
-            path: get_usize(buf, "merkle path position")?,
-            level: get_usize(buf, "merkle sibling level")?,
-            expected: get_usize(buf, "merkle expected sibling width")?,
-            found: get_usize(buf, "merkle found sibling width")?,
+        6 => MerkleError::NoIndices,
+        7 => MerkleError::OpeningShape {
+            row: match get_u8(buf, "merkle opening row")? {
+                0 => OpeningRow::LeafValues,
+                1 => OpeningRow::LeafSiblings,
+                2 => OpeningRow::DigestSiblings,
+                row => return Err(bad(format!("unknown merkle opening row {row}"))),
+            },
+            entries: get_usize(buf, "merkle expected row entries")?,
+            width: get_usize(buf, "merkle row entry width")?,
+            found: get_usize(buf, "merkle found row length")?,
         },
         8 => MerkleError::LeavesNotResident {
             subtree_height: get_u32(buf, "merkle subtree height")?,
@@ -1572,16 +1571,18 @@ mod tests {
                 index: 2,
             }),
             SchemeError::Merkle(MerkleError::ProviderMismatch { subtree_index: 3 }),
-            SchemeError::Merkle(MerkleError::PathLengthMismatch {
-                path: 5,
-                expected: 9,
-                found: 2,
-            }),
-            SchemeError::Merkle(MerkleError::SiblingWidth {
-                path: 1,
-                level: 6,
-                expected: 32,
+            SchemeError::Merkle(MerkleError::NoIndices),
+            SchemeError::Merkle(MerkleError::OpeningShape {
+                row: OpeningRow::DigestSiblings,
+                entries: 9,
+                width: 32,
                 found: 31,
+            }),
+            SchemeError::Merkle(MerkleError::OpeningShape {
+                row: OpeningRow::LeafValues,
+                entries: 1,
+                width: 16,
+                found: 0,
             }),
             SchemeError::Merkle(MerkleError::LeavesNotResident { subtree_height: 6 }),
             SchemeError::UnexpectedMessage {

@@ -68,7 +68,8 @@ pub enum ParticipantStorage {
     /// Keep the whole tree in memory: `O(|D|)` space, `O(log n)` proofs.
     Full,
     /// Keep only the top `H − ℓ` levels; rebuild height-`ℓ` subtrees on
-    /// demand, recomputing `f` for `2^ℓ` inputs per sample.
+    /// demand, recomputing `f` for the `2^ℓ` inputs of each subtree a
+    /// round's samples fall in (once per subtree, however many share it).
     Partial {
         /// The unsaved-subtree height `ℓ ∈ [1, H]`.
         subtree_height: u32,

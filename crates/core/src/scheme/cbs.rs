@@ -23,31 +23,48 @@
 //!
 //! The participant pays `O(n)`: `f` over its share and the `2n − 1` hashes
 //! of the tree. The supervisor pays `O(m log n)` in Step 4
-//! ([`verify_round`], shared with NI-CBS): `m` checks of a claimed `f(x)`
-//! and `m` reconstructions `Λ(f(x), λ₁…λ_H)` of `H = ⌈log₂ n⌉` hashes
-//! each. Both ledgers count exactly that, in the paper's units. What the
-//! wall clock pays is a separate matter and both sides use the same
-//! means to shrink it: the `m` reconstructions are mutually independent,
-//! so `verify_round` runs them as one batch, level by level through the
-//! digest lane kernels ([`fold_paths`]), the way the participant's tree
-//! build hashes each level of nodes. `task.verify` stays one call per
-//! sample — it is the hook by which a task whose results are cheap to
-//! check says so — and a path that is not `H` long is rejected before
-//! anything is hashed, so a peer cannot buy supervisor time with a long
-//! proof. The verdict and the ledger are those of checking the samples
-//! one at a time, in order; `verify_round` documents the rule.
+//! ([`verify_round`], shared with NI-CBS), and both ledgers count what
+//! was actually done, in the paper's units.
+//!
+//! Step 3 travels as **one opening** ([`Opening`], wire version 2), not
+//! `m` authentication paths: the `d ≤ m` distinct sampled `f(x_i)` in
+//! index order, the raw leaf siblings, the digest siblings — three flat
+//! rows holding each sibling once, and none that another sampled leaf or
+//! a node the supervisor rebuilds anyway supplies. Which entry belongs
+//! where follows from the challenged indices and `n` alone
+//! ([`LeafSet`]), so no index and no length per sibling is sent. The
+//! supervisor then
+//!
+//! 1. compares the three row lengths with what the index set dictates —
+//!    an opening of any other shape is decided on the spot, with nothing
+//!    evaluated, hashed or charged, so a peer cannot buy supervisor time
+//!    with a long proof;
+//! 2. checks each distinct `f(x_i)` through `task.verify`, in order of
+//!    first appearance in the challenge, charging `verify_ops` and (unless
+//!    the task verifies cheaply) `f_evals` per value checked, and stops at
+//!    the first wrong one;
+//! 3. rebuilds the root once, level by level, every level one batch
+//!    through the digest lane kernels the participant's tree build uses,
+//!    charging one `hash_ops` per node rebuilt.
+//!
+//! The paper's figures — `m` evaluations, `m·H` hashes for
+//! `H = ⌈log₂ n⌉`, `m·(2w + (H − 1)·D)` bytes
+//! ([`cbs_traffic_bytes`](crate::analysis::cbs_traffic_bytes)) — are what
+//! `m` paths that never meet would cost. They are upper bounds on all
+//! three ledgers, reached only when every sample is distinct and no two
+//! paths share a node below the root's children.
 
 use crate::sampling::draw_samples;
-use crate::scheme::{check_task, materialize, proof_to_wire, run_round, Materialized};
+use crate::scheme::{check_task, materialize, run_round, Materialized};
 use crate::session::{
     unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
     SupervisorContext, SupervisorSession, VerificationScheme,
 };
 use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
-use ugc_grid::{Assignment, CostLedger, Message, SampleProof, WorkerBehaviour};
+use ugc_grid::{Assignment, CostLedger, Message, Opening, WorkerBehaviour};
 use ugc_hash::HashFunction;
 use ugc_merkle::{
-    fold_paths, tree_height, AuthPath, LaneWidth, MerkleError, MerkleTree, Parallelism,
+    LaneWidth, LeafSet, MerkleError, MerkleOpening, MerkleTree, OpeningRow, Parallelism,
 };
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 
@@ -113,34 +130,35 @@ pub(crate) fn build_tree<H: HashFunction>(
     Ok(tree)
 }
 
-/// Proves `index`, returning the wire proof with the claimed leaf value.
+/// Opens the challenged `samples` (Step 3), returning the opening in wire
+/// form.
 ///
-/// A tree kept in partial storage rebuilds the covering subtree by
-/// re-running the behaviour for its `2^ℓ` leaves, charging the
-/// participant's ledger for the recomputed `f` evaluations and hashes; a
-/// full one reads its leaf row and charges nothing.
-pub(crate) fn prove_sample<H: HashFunction>(
+/// A tree kept in partial storage rebuilds each distinct subtree the
+/// samples fall in — once, however many of them share it — by re-running
+/// the behaviour for its `2^ℓ` leaves, charging the participant's ledger
+/// for the recomputed `f` evaluations and hashes; a full one reads its
+/// leaf row and charges nothing.
+pub(crate) fn open_samples<H: HashFunction>(
     tree: &MerkleTree<H>,
-    index: u64,
+    samples: &[u64],
     task: &dyn ComputeTask,
     domain: Domain,
     behaviour: &dyn WorkerBehaviour,
     ledger: &CostLedger,
-) -> Result<SampleProof, SchemeError> {
-    let mut recomputed: Option<Vec<u8>> = None;
-    let (proof, stats) = tree.prove_with(index, |i| {
-        let value = behaviour.leaf_value(task, domain, i, ledger);
-        if i == index {
-            recomputed = Some(value.clone());
-        }
-        value
-    })?;
+) -> Result<Opening, SchemeError> {
+    let (opening, stats) =
+        tree.open_with(samples, |i| behaviour.leaf_value(task, domain, i, ledger))?;
     ledger.charge_hash(stats.hash_ops);
-    let leaf_value = match recomputed {
-        Some(value) => value,
-        None => tree.leaf(index)?.to_vec(),
-    };
-    Ok(proof_to_wire(&proof, leaf_value))
+    Ok(Opening {
+        leaf_width: u32::try_from(opening.leaf_width).map_err(|_| {
+            SchemeError::MalformedPayload {
+                what: "opening leaf width",
+            }
+        })?,
+        leaf_values: opening.leaf_values,
+        leaf_siblings: opening.leaf_siblings,
+        digest_siblings: opening.digest_siblings,
+    })
 }
 
 /// The interactive CBS scheme as a [`VerificationScheme`]: commit →
@@ -198,7 +216,7 @@ enum SupState<H: HashFunction> {
     AwaitReports {
         root: H::Digest,
         samples: Vec<u64>,
-        proofs: Vec<SampleProof>,
+        proofs: Opening,
     },
     Done,
 }
@@ -388,7 +406,7 @@ impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
                 };
                 Ok(vec![commit])
             }
-            // Step 3: prove honesty on every sample; ship proofs + reports.
+            // Step 3: one opening over every sample; ship it + reports.
             PartState::AwaitChallenge {
                 task_id,
                 domain,
@@ -403,17 +421,14 @@ impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
                     return unexpected("Challenge", &msg);
                 };
                 check_task(task_id, tid)?;
-                let mut proofs = Vec::with_capacity(samples.len());
-                for &index in &samples {
-                    proofs.push(prove_sample(
-                        &tree,
-                        index,
-                        self.task,
-                        domain,
-                        self.behaviour,
-                        &self.ledger,
-                    )?);
-                }
+                let proofs = open_samples(
+                    &tree,
+                    &samples,
+                    self.task,
+                    domain,
+                    self.behaviour,
+                    &self.ledger,
+                )?;
                 let out = vec![
                     Message::Proofs { task_id, proofs },
                     Message::Reports {
@@ -453,8 +468,8 @@ impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
 }
 
 /// The supervisor's Step 4 as a standalone building block: checks that
-/// `proofs` answer exactly `samples` against the commitment `root`, that
-/// every claimed `f(x)` is correct, that every reconstruction matches the
+/// `opening` answers exactly `samples` against the commitment `root`, that
+/// every claimed `f(x)` is correct, that the reconstruction matches the
 /// root, and (optionally) audits the screened `reports`.
 ///
 /// Exposed so custom supervisors — e.g. one behind a
@@ -462,46 +477,49 @@ impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
 /// endpoints — can reuse the verification logic outside the scheme's own
 /// supervisor sessions.
 ///
-/// # How the `m` samples are checked
+/// # The check order
 ///
-/// Three passes over the round rather than one walk per sample; what is
-/// returned and what is charged are those of the walk:
+/// 1. **Shape.** `samples` fix the opening's shape before a byte of it is
+///    looked at ([`MerkleOpening::check_shape`]): `d` distinct leaf
+///    values, and so many leaf and digest siblings. Row by row, in wire
+///    order: a leaf width other than the task's and a value row that is
+///    not whole leaves are [`SchemeError::MalformedPayload`], another
+///    number of leaves is [`SchemeError::ProofCountMismatch`]; a
+///    leaf-sibling row of any other length cannot rebuild the root and is
+///    a [`Verdict::CommitmentMismatch`]; so is a digest-sibling row,
+///    unless it is not even whole digests (`MalformedPayload`).
+///    Whichever it is, nothing has been evaluated, hashed or charged —
+///    the cost of a hostile opening is reading three lengths.
+/// 2. **Step 4.1, the values.** Each distinct sampled index, in order of
+///    first appearance in `samples`: `task.verify(x, f(x))`, one call per
+///    value — [`ComputeTask::verify`] is where a task with cheap
+///    verification plugs in its own check. The first value that fails is
+///    [`Verdict::WrongResult`] naming that sample; the values checked up
+///    to and including it are charged (`charge_verify(1)` each, and
+///    `charge_f(unit_cost)` unless
+///    [`cheap_verification`](ComputeTask::cheap_verification)), no hash is.
+/// 3. **Step 4.2, the commitment.** One reconstruction of the root from
+///    all the values and siblings ([`CheckedOpening::reconstruct_root`],
+///    on what step 1 checked: the shape is walked once),
+///    charged `charge_hash` per node rebuilt ([`OpeningShape::hash_ops`],
+///    at most `d·H`). A root other than the commitment is
+///    [`Verdict::CommitmentMismatch`] **carrying the first challenged
+///    index**, `samples[0]`: one reconstruction binds all the samples
+///    together and cannot say which of them the commitment disagrees
+///    with.
 ///
-/// 1. In sample order: the index echo, `domain.input`, and
-///    `task.verify(x, f(x))`. This stays one call per sample —
-///    [`ComputeTask::verify`] is where a task with cheap verification
-///    plugs in its own check — and stops at the first failure.
-/// 2. Among the samples before that failure, in order: every digest
-///    sibling is `H::DIGEST_LEN` bytes, and the path has exactly
-///    [`tree_height`]`(domain.len())` siblings. A path of any other length
-///    cannot reproduce the root, so it is a
-///    [`Verdict::CommitmentMismatch`] *without being hashed* — a peer
-///    cannot make the supervisor hash a path as long as a frame allows.
-///    Within one sample a sibling of the wrong width is reported before
-///    the length is looked at.
-/// 3. The paths before the first offender are reconstructed together by
-///    [`fold_paths`], each level of all of them one batch through the
-///    digest lane kernels, straight from the wire bytes, and each root is
-///    compared with the commitment.
+/// An index of `samples` outside the share is nothing the participant
+/// could have committed to: [`Verdict::WrongResult`] for the first one,
+/// before step 1.
 ///
-/// **The first event in sample order wins.** Whatever pass found it, the
-/// verdict or error returned is the one belonging to the earliest sample
-/// with anything wrong, exactly as if the samples had been walked one by
-/// one.
-///
-/// **The ledger is charged afterwards, as the walk would have.** Every
-/// sample up to and including that event pays `charge_verify(1)` and
-/// (unless [`cheap_verification`](ComputeTask::cheap_verification))
-/// `charge_f(unit_cost)` if its `f(x)` was checked, and
-/// `charge_hash(H)` if its reconstruction was started. Work done
-/// speculatively on later samples — pass 1 and 3 run ahead of an event
-/// that a later pass finds — is not charged: the ledger is the paper's
-/// unit-cost model, not a wall clock.
+/// [`OpeningShape::hash_ops`]: ugc_merkle::OpeningShape::hash_ops
+/// [`CheckedOpening::reconstruct_root`]: ugc_merkle::CheckedOpening::reconstruct_root
 ///
 /// # Errors
 ///
-/// [`SchemeError::ProofCountMismatch`] or malformed-proof errors; cheating
-/// is reported through the `Ok` verdict, not as an error.
+/// [`MerkleError::NoIndices`] for an empty challenge, and the
+/// malformed-opening errors of step 1; cheating is reported through the
+/// `Ok` verdict, not as an error.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_round<H: HashFunction>(
     task: &dyn ComputeTask,
@@ -509,85 +527,88 @@ pub fn verify_round<H: HashFunction>(
     domain: Domain,
     root: &H::Digest,
     samples: &[u64],
-    proofs: &[SampleProof],
+    opening: &Opening,
     reports: &[(u64, Vec<u8>)],
     report_audit: usize,
     seed: u64,
     ledger: &CostLedger,
 ) -> Result<Verdict, SchemeError> {
-    if proofs.len() != samples.len() {
-        return Err(SchemeError::ProofCountMismatch {
-            expected: samples.len(),
-            got: proofs.len(),
-        });
+    let set = match LeafSet::new(domain.len(), samples) {
+        Ok(set) => set,
+        Err(MerkleError::IndexOutOfRange { index, .. }) => {
+            return Ok(Verdict::WrongResult { sample: index })
+        }
+        Err(other) => return Err(other.into()),
+    };
+
+    // Shape: is this an opening this challenge could have produced?
+    let malformed = |what| Err(SchemeError::MalformedPayload { what });
+    let width = task.output_width();
+    if usize::try_from(opening.leaf_width) != Ok(width) {
+        return malformed("opening leaf width");
     }
-    // The first `clean` samples have nothing wrong as far as the passes
-    // have looked; `event` is what is wrong with the next one, if
-    // anything. `f_checked` counts the samples the walk would have got as
-    // far as checking f(x) on, `hashed` those it would have started
-    // reconstructing.
-    let mut clean = samples.len();
-    let mut f_checked = samples.len();
-    let mut event = None;
+    let rows = MerkleOpening {
+        leaf_width: width,
+        leaf_values: opening.leaf_values.as_slice(),
+        leaf_siblings: opening.leaf_siblings.as_slice(),
+        digest_siblings: opening.digest_siblings.as_slice(),
+    };
+    let checked = match rows.check_shape::<H>(&set) {
+        Ok(checked) => checked,
+        Err(MerkleError::OpeningShape {
+            row,
+            entries,
+            width,
+            found,
+        }) => {
+            let ragged = found % width != 0;
+            return match row {
+                OpeningRow::LeafValues if ragged => malformed("opening leaf values"),
+                OpeningRow::LeafValues => Err(SchemeError::ProofCountMismatch {
+                    expected: entries,
+                    got: found / width,
+                }),
+                OpeningRow::DigestSiblings if ragged => malformed("proof digest sibling"),
+                _ => Ok(Verdict::CommitmentMismatch { sample: samples[0] }),
+            };
+        }
+        Err(other) => return Err(other.into()),
+    };
+
+    let shape = checked.shape();
 
     // Step 4.1: is each claimed f(x) correct?
-    for (i, (&sample, wire)) in samples.iter().zip(proofs).enumerate() {
-        let x = (wire.index == sample)
-            .then(|| domain.input(sample).ok())
-            .flatten();
-        if !x.is_some_and(|x| task.verify(x, &wire.leaf_value)) {
-            clean = i;
-            f_checked = i + usize::from(x.is_some());
-            event = Some(Ok(Verdict::WrongResult { sample }));
+    let mut seen = vec![false; shape.leaves];
+    let mut f_checked = 0u64;
+    let mut wrong = None;
+    for &sample in samples {
+        let at = set
+            .position(sample)
+            .expect("the set is made of the samples");
+        if std::mem::replace(&mut seen[at], true) {
+            continue;
+        }
+        let x = domain.input(sample).expect("the set is within the share");
+        f_checked += 1;
+        if !task.verify(x, &opening.leaf_values[at * width..][..width]) {
+            wrong = Some(sample);
             break;
         }
     }
-
-    // Is each path one this tree could have produced?
-    let height = tree_height(domain.len());
-    for (i, (&sample, wire)) in samples.iter().zip(proofs).enumerate().take(clean) {
-        let siblings = &wire.digest_siblings;
-        let offence = if siblings.iter().any(|s| s.len() != H::DIGEST_LEN) {
-            Err(SchemeError::MalformedPayload {
-                what: "proof digest sibling",
-            })
-        } else if siblings.len() + 1 != height as usize {
-            Ok(Verdict::CommitmentMismatch { sample })
-        } else {
-            continue;
-        };
-        clean = i;
-        f_checked = i + 1;
-        event = Some(offence);
-        break;
-    }
-
-    // Step 4.2: does each Λ(f(x), λ₁…λ_H) reproduce the commitment?
-    let paths: Vec<AuthPath<'_, Vec<u8>>> = proofs[..clean]
-        .iter()
-        .map(|wire| AuthPath {
-            leaf_index: wire.index,
-            leaf_value: &wire.leaf_value,
-            leaf_sibling: &wire.leaf_sibling,
-            digest_siblings: &wire.digest_siblings,
-        })
-        .collect();
-    let roots = fold_paths::<H, _>(&paths, LaneWidth::default())?;
-    let mut hashed = clean;
-    if let Some(i) = roots.iter().position(|rebuilt| rebuilt != root) {
-        f_checked = i + 1;
-        hashed = i + 1;
-        event = Some(Ok(Verdict::CommitmentMismatch { sample: samples[i] }));
-    }
-
-    ledger.charge_verify(f_checked as u64);
+    ledger.charge_verify(f_checked);
     if !task.cheap_verification() {
         // Verification recomputes f at full cost.
-        ledger.charge_f(f_checked as u64 * task.unit_cost());
+        ledger.charge_f(f_checked * task.unit_cost());
     }
-    ledger.charge_hash(hashed as u64 * u64::from(height));
-    if let Some(event) = event {
-        return event;
+    if let Some(sample) = wrong {
+        return Ok(Verdict::WrongResult { sample });
+    }
+
+    // Step 4.2: does the opening reproduce the commitment?
+    let rebuilt = checked.reconstruct_root(LaneWidth::default());
+    ledger.charge_hash(shape.hash_ops);
+    if rebuilt != *root {
+        return Ok(Verdict::CommitmentMismatch { sample: samples[0] });
     }
     if let Some(verdict) =
         crate::scheme::audit_reports(task, screener, domain, reports, report_audit, seed, ledger)
@@ -641,7 +662,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use proptest::sample::Index;
-    use ugc_grid::{CheatSelection, HonestWorker, MaliciousWorker, SemiHonestCheater};
+    use ugc_grid::{CheatSelection, CostReport, HonestWorker, MaliciousWorker, SemiHonestCheater};
     use ugc_hash::{Md5, Sha256};
     use ugc_merkle::MerkleProof;
     use ugc_task::workloads::PasswordSearch;
@@ -969,9 +990,22 @@ mod tests {
             &config(50, 3),
         )
         .unwrap();
-        assert_eq!(small.supervisor_costs.verify_ops, 5);
-        assert_eq!(large.supervisor_costs.verify_ops, 50);
-        assert_eq!(large.supervisor_costs.f_evals, 50 * task.unit_cost());
+        // One check per distinct sample: drawing with replacement, 50
+        // samples over 256 inputs repeat a few.
+        let distinct = |m| {
+            let drawn = draw_samples(3, m, 256);
+            drawn
+                .iter()
+                .collect::<std::collections::BTreeSet<_>>()
+                .len() as u64
+        };
+        assert!(distinct(50) < 50 && distinct(50) > 40);
+        assert_eq!(small.supervisor_costs.verify_ops, distinct(5));
+        assert_eq!(large.supervisor_costs.verify_ops, distinct(50));
+        assert_eq!(
+            large.supervisor_costs.f_evals,
+            distinct(50) * task.unit_cost()
+        );
         // The supervisor never evaluates f on the whole domain.
         assert!(large.supervisor_costs.f_evals < 256);
     }
@@ -1003,22 +1037,17 @@ mod tests {
             }
         }
 
-        fn proofs(&self, samples: &[u64]) -> Vec<SampleProof> {
-            samples
-                .iter()
-                .map(|&i| {
-                    let proof = self.tree.prove(i).unwrap();
-                    proof_to_wire(&proof, self.leaves[i as usize].clone())
-                })
-                .collect()
+        /// The honest participant's answer to `samples`, in wire form.
+        fn opening(&self, samples: &[u64]) -> Opening {
+            wire_opening(&self.tree, samples)
         }
 
         /// `verify_round` against the honest commitment, no reports.
         fn verify(
             &self,
             samples: &[u64],
-            proofs: &[SampleProof],
-        ) -> (Result<Verdict, SchemeError>, ugc_grid::CostReport) {
+            opening: &Opening,
+        ) -> (Result<Verdict, SchemeError>, CostReport) {
             let ledger = CostLedger::new();
             let result = verify_round::<H>(
                 &self.task,
@@ -1026,7 +1055,7 @@ mod tests {
                 self.domain,
                 &self.tree.root(),
                 samples,
-                proofs,
+                opening,
                 &[],
                 0,
                 0,
@@ -1036,10 +1065,21 @@ mod tests {
         }
     }
 
+    /// `tree`'s opening of `samples` as the participant session ships it.
+    fn wire_opening<H: HashFunction>(tree: &MerkleTree<H>, samples: &[u64]) -> Opening {
+        let opening = tree.open(samples).unwrap();
+        Opening {
+            leaf_width: opening.leaf_width as u32,
+            leaf_values: opening.leaf_values,
+            leaf_siblings: opening.leaf_siblings,
+            digest_siblings: opening.digest_siblings,
+        }
+    }
+
     #[test]
     fn verify_round_accepts_honest() {
         let c = Committed::<Sha256>::honest(16);
-        let (result, costs) = c.verify(&[4], &c.proofs(&[4]));
+        let (result, costs) = c.verify(&[4], &c.opening(&[4]));
         assert_eq!(result, Ok(Verdict::Accepted));
         // Verification recomputed f once and hashed the path.
         assert_eq!(costs.verify_ops, 1);
@@ -1048,11 +1088,28 @@ mod tests {
     }
 
     #[test]
+    fn verify_round_checks_and_hashes_what_the_samples_share_once() {
+        // Five samples, two distinct leaves, in neighbouring pairs of a
+        // 16-leaf tree: the paths of 4 and 7 meet two levels up.
+        let c = Committed::<Sha256>::honest(16);
+        let samples = [7, 4, 7, 7, 4];
+        let opening = c.opening(&samples);
+        assert_eq!(opening.len(), 2);
+        let (result, costs) = c.verify(&samples, &opening);
+        assert_eq!(result, Ok(Verdict::Accepted));
+        assert_eq!(costs.verify_ops, 2);
+        assert_eq!(costs.f_evals, 2 * c.task.unit_cost());
+        // Two nodes at level 1, then one each at levels 2, 3 and 4 —
+        // where five single paths would have cost 5 · 4.
+        assert_eq!(costs.hash_ops, 2 + 1 + 1 + 1);
+    }
+
+    #[test]
     fn verify_round_rejects_wrong_result() {
         let c = Committed::<Sha256>::honest(16);
-        let mut proofs = c.proofs(&[4]);
-        proofs[0].leaf_value = c.leaves[5].clone();
-        let (result, costs) = c.verify(&[4], &proofs);
+        let mut opening = c.opening(&[4]);
+        opening.leaf_values = c.leaves[5].clone();
+        let (result, costs) = c.verify(&[4], &opening);
         assert_eq!(result, Ok(Verdict::WrongResult { sample: 4 }));
         // f(x) was checked and paid for; the path was never looked at.
         assert_eq!(costs.f_evals, c.task.unit_cost());
@@ -1060,113 +1117,259 @@ mod tests {
     }
 
     #[test]
+    fn verify_round_names_the_first_wrong_value_in_challenge_order() {
+        // Leaves 2 and 9 are both wrong; the challenge asks for 9 first,
+        // after a correct 12 and a repeat of it.
+        let c = Committed::<Sha256>::honest(16);
+        let samples = [12, 12, 9, 2, 5];
+        let mut opening = c.opening(&samples);
+        for at in [0, 2] {
+            // Index order: 2, 5, 9, 12.
+            opening.leaf_values[at * 16] ^= 1;
+        }
+        let (result, costs) = c.verify(&samples, &opening);
+        assert_eq!(result, Ok(Verdict::WrongResult { sample: 9 }));
+        // 12 and 9 were checked, 2 and 5 never reached, nothing hashed.
+        assert_eq!(costs.verify_ops, 2);
+        assert_eq!(costs.f_evals, 2 * c.task.unit_cost());
+        assert_eq!(costs.hash_ops, 0);
+    }
+
+    #[test]
     fn verify_round_rejects_commitment_mismatch() {
         // The participant recomputed the true f(x) after the challenge, but
-        // its tree committed to garbage: correct value, wrong path.
+        // its tree committed to garbage: correct values, wrong siblings.
         let c = Committed::<Sha256>::honest(16);
         let garbage: Vec<Vec<u8>> = (0..16u64).map(|x| vec![x as u8; 16]).collect();
         let garbage_tree: MerkleTree<Sha256> = MerkleTree::build(&garbage).unwrap();
-        let proof = garbage_tree.prove(4).unwrap();
-        let wire = proof_to_wire(&proof, c.leaves[4].clone()); // truthful f(x)…
+        let samples = [9, 4];
+        let mut opening = wire_opening(&garbage_tree, &samples);
+        opening.leaf_values = [c.leaves[4].clone(), c.leaves[9].clone()].concat(); // truthful f(x)…
         let ledger = CostLedger::new();
         let verdict = verify_round::<Sha256>(
             &c.task,
             &AcceptAllScreener,
             c.domain,
             &garbage_tree.root(), // …but the commitment disagrees
-            &[4],
-            &[wire],
+            &samples,
+            &opening,
             &[],
             0,
             0,
             &ledger,
         );
-        assert_eq!(verdict, Ok(Verdict::CommitmentMismatch { sample: 4 }));
-        assert_eq!(ledger.report().hash_ops, 4);
+        // One reconstruction speaks for every sample: the verdict carries
+        // the first challenged index.
+        assert_eq!(verdict, Ok(Verdict::CommitmentMismatch { sample: 9 }));
+        assert_eq!(ledger.report().verify_ops, 2);
+        assert_eq!(ledger.report().hash_ops, 2 + 2 + 2 + 1);
     }
 
     #[test]
     fn verify_round_rejects_out_of_domain_index() {
-        // The challenge itself names an index outside the share and the
-        // proof echoes it: nothing to evaluate, nothing charged.
+        // The challenge itself names an index outside the share: nothing
+        // to evaluate, nothing charged — wherever in the challenge it is.
         let c = Committed::<Sha256>::honest(16);
-        let mut proofs = c.proofs(&[4]);
-        proofs[0].index = 99;
-        let (result, costs) = c.verify(&[99], &proofs);
+        let (result, costs) = c.verify(&[99], &c.opening(&[4]));
         assert_eq!(result, Ok(Verdict::WrongResult { sample: 99 }));
-        assert_eq!(costs, ugc_grid::CostReport::default());
+        assert_eq!(costs, CostReport::default());
+        let (result, costs) = c.verify(&[4, 16, 99], &c.opening(&[4]));
+        assert_eq!(result, Ok(Verdict::WrongResult { sample: 16 }));
+        assert_eq!(costs, CostReport::default());
+        let (result, costs) = c.verify(&[], &c.opening(&[4]));
+        assert_eq!(result, Err(MerkleError::NoIndices.into()));
+        assert_eq!(costs, CostReport::default());
     }
 
     #[test]
     fn verify_round_rejects_bad_digest_len() {
         let c = Committed::<Sha256>::honest(16);
-        let mut proofs = c.proofs(&[4, 9]);
-        proofs[1].digest_siblings[2].pop();
-        let (result, costs) = c.verify(&[4, 9], &proofs);
+        let mut opening = c.opening(&[4, 9]);
+        opening.digest_siblings.pop();
+        let (result, costs) = c.verify(&[4, 9], &opening);
         assert_eq!(
             result,
             Err(SchemeError::MalformedPayload {
                 what: "proof digest sibling"
             })
         );
-        // Both f(x) were checked; only the first path was reconstructed.
-        assert_eq!(costs.verify_ops, 2);
-        assert_eq!(costs.hash_ops, 4);
+        // Shape comes first: no f(x) was checked, no node rebuilt.
+        assert_eq!(costs, CostReport::default());
     }
 
-    /// The walk `verify_round` replaced, kept as the reference it must
-    /// stay indistinguishable from: one sample at a time — index echo,
-    /// domain, `task.verify`, sibling widths, [`MerkleProof::verify`] —
-    /// charging as it goes and returning at the first thing wrong. It
-    /// has no path-length rule: there `verify_round` differs on purpose
-    /// (`tests/hostile_proof.rs`).
+    #[test]
+    fn verify_round_decides_a_misshapen_opening_for_free() {
+        let c = Committed::<Sha256>::honest(100);
+        let samples = [40, 7, 99, 40];
+        let honest = c.opening(&samples);
+        assert_eq!(c.verify(&samples, &honest).0, Ok(Verdict::Accepted));
+        let malformed = |what| Err(SchemeError::MalformedPayload { what });
+        let mismatch = Ok(Verdict::CommitmentMismatch { sample: 40 });
+        let count = |got| Err(SchemeError::ProofCountMismatch { expected: 3, got });
+        type Tamper = fn(&mut Opening);
+        let cases: [(Tamper, Result<Verdict, SchemeError>); 12] = [
+            (|o| o.leaf_width = 8, malformed("opening leaf width")),
+            (|o| o.leaf_width = 0, malformed("opening leaf width")),
+            (|o| o.leaf_values.push(0), malformed("opening leaf values")),
+            (
+                |o| o.digest_siblings.push(0),
+                malformed("proof digest sibling"),
+            ),
+            (|o| o.leaf_values.truncate(32), count(2)),
+            (|o| o.leaf_values.extend([0; 16]), count(4)),
+            (|o| *o = Opening::default(), malformed("opening leaf width")),
+            (|o| o.leaf_siblings.truncate(16), mismatch.clone()),
+            (|o| o.leaf_siblings.extend([0; 16]), mismatch.clone()),
+            (|o| o.digest_siblings.clear(), mismatch.clone()),
+            (|o| o.digest_siblings.extend([0; 32]), mismatch.clone()),
+            (
+                |o| o.digest_siblings.resize(100_000 * 32, 0xAB),
+                mismatch.clone(),
+            ),
+        ];
+        for (i, (tamper, expected)) in cases.into_iter().enumerate() {
+            let mut opening = honest.clone();
+            tamper(&mut opening);
+            assert_eq!(
+                c.verify(&samples, &opening),
+                (expected, CostReport::default()),
+                "case {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_papers_closed_forms_bound_every_round() {
+        // m·(2w + (H − 1)·D) bytes, m evaluations, m·H hashes: what m
+        // paths that never meet would cost. One sample meets the bound
+        // exactly; more samples only ever fall below it.
+        use crate::analysis::cbs_traffic_bytes;
+        for n in [1u64, 2, 16, 100, 257] {
+            let c = Committed::<Sha256>::honest(n);
+            let height = ugc_merkle::tree_height(n);
+            let (w, d) = (16u64, 32u64);
+            for m in [1usize, 2, 9, 64] {
+                let samples = draw_samples(n ^ 0x5eed, m, n);
+                let opening = c.opening(&samples);
+                let payload = opening.leaf_values.len()
+                    + opening.leaf_siblings.len()
+                    + opening.digest_siblings.len();
+                // The closed form counts the commitment too.
+                let bound = cbs_traffic_bytes(m as u64, height, w, d) - d;
+                let (result, costs) = c.verify(&samples, &opening);
+                assert_eq!(result, Ok(Verdict::Accepted), "n={n} m={m}");
+                assert!(payload as u64 <= bound, "n={n} m={m}: {payload} > {bound}");
+                assert!(costs.verify_ops <= m as u64, "n={n} m={m}");
+                assert!(
+                    costs.f_evals <= m as u64 * c.task.unit_cost(),
+                    "n={n} m={m}"
+                );
+                assert!(
+                    costs.hash_ops <= m as u64 * u64::from(height),
+                    "n={n} m={m}"
+                );
+                if m == 1 {
+                    assert_eq!(payload as u64, bound, "n={n}");
+                    assert_eq!(costs.hash_ops, u64::from(height), "n={n}");
+                }
+            }
+        }
+    }
+
+    /// Step 4 one sample at a time, the way the paper states it and the
+    /// way `verify_round` must stay indistinguishable from: the opening
+    /// is taken apart into the single authentication path of each
+    /// distinct sample — by sets and maps over `(level, node)`, not the
+    /// sorted walk of `ugc-merkle` — then each distinct sample, in order
+    /// of first appearance, has its `f(x)` checked and charged, each
+    /// path is verified with [`MerkleProof::verify`], and the hashes
+    /// charged are the distinct nodes those paths rebuild. It takes only
+    /// openings of the shape the samples dictate; what `verify_round`
+    /// does with the others is pinned above.
     #[allow(clippy::too_many_arguments)]
-    fn sequential_reference<H: HashFunction>(
+    fn per_sample_reference<H: HashFunction>(
         task: &dyn ComputeTask,
         screener: &dyn Screener,
         domain: Domain,
         root: &H::Digest,
         samples: &[u64],
-        proofs: &[SampleProof],
+        opening: &Opening,
         reports: &[(u64, Vec<u8>)],
         report_audit: usize,
         seed: u64,
         ledger: &CostLedger,
     ) -> Result<Verdict, SchemeError> {
-        if proofs.len() != samples.len() {
-            return Err(SchemeError::ProofCountMismatch {
-                expected: samples.len(),
-                got: proofs.len(),
-            });
+        use std::collections::{BTreeMap, BTreeSet};
+        if let Some(&sample) = samples.iter().find(|&&s| s >= domain.len()) {
+            return Ok(Verdict::WrongResult { sample });
         }
-        for (&sample, wire) in samples.iter().zip(proofs) {
-            if wire.index != sample {
-                return Ok(Verdict::WrongResult { sample });
+        let width = task.output_width();
+        let height = ugc_merkle::tree_height(domain.len());
+        let known = |level: u32| -> BTreeSet<u64> { samples.iter().map(|i| i >> level).collect() };
+
+        // Every node value the paths touch: the sampled leaves, then the
+        // supplied siblings in the canonical order, then what they hash to.
+        let mut values: BTreeMap<(u32, u64), Vec<u8>> = known(0)
+            .into_iter()
+            .zip(opening.leaf_values.chunks_exact(width))
+            .map(|(i, value)| ((0, i), value.to_vec()))
+            .collect();
+        let mut leaf_siblings = opening.leaf_siblings.chunks_exact(width);
+        let mut digest_siblings = opening.digest_siblings.chunks_exact(H::DIGEST_LEN);
+        for level in 0..height {
+            let nodes = known(level);
+            for &node in &nodes {
+                if level > 0 {
+                    let child = |k| values[&(level - 1, k)].as_slice();
+                    let digest = H::digest_pair(child(2 * node), child(2 * node + 1));
+                    values.insert((level, node), digest.as_ref().to_vec());
+                }
+                if !nodes.contains(&(node ^ 1)) {
+                    let row = if level == 0 {
+                        &mut leaf_siblings
+                    } else {
+                        &mut digest_siblings
+                    };
+                    let sibling = row.next().expect("an opening of the dictated shape");
+                    values.insert((level, node ^ 1), sibling.to_vec());
+                }
             }
-            let Ok(x) = domain.input(sample) else {
-                return Ok(Verdict::WrongResult { sample });
-            };
+        }
+        assert!(leaf_siblings.next().is_none() && digest_siblings.next().is_none());
+
+        // Step 4.1, sample by sample.
+        let mut seen = BTreeSet::new();
+        for &sample in samples {
+            if !seen.insert(sample) {
+                continue;
+            }
             ledger.charge_verify(1);
             if !task.cheap_verification() {
                 ledger.charge_f(task.unit_cost());
             }
-            if !task.verify(x, &wire.leaf_value) {
+            let x = domain.input(sample).unwrap();
+            if !task.verify(x, &values[&(0, sample)]) {
                 return Ok(Verdict::WrongResult { sample });
             }
-            let digests = wire
-                .digest_siblings
-                .iter()
-                .map(|bytes| H::digest_from_bytes(bytes))
+        }
+
+        // Step 4.2, path by path.
+        let mut rebuilt = BTreeSet::new();
+        let mut all_accept = true;
+        for &sample in &seen {
+            let digests = (1..height)
+                .map(|level| H::digest_from_bytes(&values[&(level, (sample >> level) ^ 1)]))
                 .collect::<Option<Vec<_>>>()
-                .ok_or(SchemeError::MalformedPayload {
-                    what: "proof digest sibling",
-                })?;
+                .unwrap();
             let proof: MerkleProof<H> =
-                MerkleProof::from_parts(wire.index, wire.leaf_sibling.clone(), digests);
-            ledger.charge_hash(proof.verification_hash_ops());
-            if !proof.verify(root, &wire.leaf_value) {
-                return Ok(Verdict::CommitmentMismatch { sample });
-            }
+                MerkleProof::from_parts(sample, values[&(0, sample ^ 1)].clone(), digests);
+            assert_eq!(proof.path_len(), height);
+            all_accept &= proof.verify(root, &values[&(0, sample)]);
+            rebuilt.extend((1..=height).map(|level| (level, sample >> level)));
+        }
+        ledger.charge_hash(rebuilt.len() as u64);
+        if !all_accept {
+            return Ok(Verdict::CommitmentMismatch { sample: samples[0] });
         }
         Ok(crate::scheme::audit_reports(
             task,
@@ -1180,54 +1383,38 @@ mod tests {
         .unwrap_or(Verdict::Accepted))
     }
 
-    /// One way a proof can be wrong, as drawn by the differential test.
+    /// One way an opening of the right shape can be wrong, as drawn by
+    /// the differential test.
     #[derive(Debug, Clone, Copy)]
     enum Tamper {
-        WrongIndexEchoed,
         OutOfDomainIndex,
         LeafValueByte,
-        DigestSibling,
-        LeafSibling,
-        SiblingWidth,
+        LeafSiblingByte,
+        DigestSiblingByte,
     }
 
-    const TAMPERS: [Tamper; 6] = [
-        Tamper::WrongIndexEchoed,
+    const TAMPERS: [Tamper; 4] = [
         Tamper::OutOfDomainIndex,
         Tamper::LeafValueByte,
-        Tamper::DigestSibling,
-        Tamper::LeafSibling,
-        Tamper::SiblingWidth,
+        Tamper::LeafSiblingByte,
+        Tamper::DigestSiblingByte,
     ];
 
-    /// Applies `tamper` to sample `at`; `level` picks among its digest
-    /// siblings (a height-1 tree has none, and those two tampers then
-    /// leave the proof as it was).
-    fn apply(
-        tamper: Tamper,
-        at: usize,
-        level: Index,
-        n: u64,
-        samples: &mut [u64],
-        proofs: &mut [SampleProof],
-    ) {
-        let wire = &mut proofs[at];
-        let siblings = wire.digest_siblings.len();
+    /// Applies `tamper`; `at` picks the sample or the byte (a height-1
+    /// tree has no digest siblings and two sampled neighbours leave no
+    /// leaf sibling: those tampers then leave the opening as it was).
+    fn apply(tamper: Tamper, at: Index, n: u64, samples: &mut [u64], opening: &mut Opening) {
+        let flip = |row: &mut Vec<u8>| {
+            if !row.is_empty() {
+                let byte = at.index(row.len());
+                row[byte] ^= 0x10;
+            }
+        };
         match tamper {
-            Tamper::WrongIndexEchoed => wire.index = wire.index.wrapping_add(1),
-            Tamper::OutOfDomainIndex => {
-                samples[at] += n;
-                wire.index = samples[at];
-            }
-            Tamper::LeafValueByte => wire.leaf_value[3] ^= 0x10,
-            Tamper::LeafSibling => wire.leaf_sibling[0] ^= 1,
-            Tamper::DigestSibling if siblings > 0 => {
-                wire.digest_siblings[level.index(siblings)][1] ^= 0x80;
-            }
-            Tamper::SiblingWidth if siblings > 0 => {
-                wire.digest_siblings[level.index(siblings)].push(0);
-            }
-            Tamper::DigestSibling | Tamper::SiblingWidth => {}
+            Tamper::OutOfDomainIndex => samples[at.index(samples.len())] += n,
+            Tamper::LeafValueByte => flip(&mut opening.leaf_values),
+            Tamper::LeafSiblingByte => flip(&mut opening.leaf_siblings),
+            Tamper::DigestSiblingByte => flip(&mut opening.digest_siblings),
         }
     }
 
@@ -1236,27 +1423,26 @@ mod tests {
     fn assert_indistinguishable<H: HashFunction>(
         n: u64,
         picks: &[Index],
-        tampers: &[(usize, Index, Index)],
+        tampers: &[(usize, Index)],
         corrupt_report: bool,
         report_audit: usize,
     ) {
         let c = Committed::<H>::honest(n);
         let mut samples: Vec<u64> = picks.iter().map(|p| p.index(n as usize) as u64).collect();
-        let mut proofs = c.proofs(&samples);
-        for &(kind, at, level) in tampers {
-            let at = at.index(samples.len());
-            apply(TAMPERS[kind], at, level, n, &mut samples, &mut proofs);
+        let mut opening = c.opening(&samples);
+        for &(kind, at) in tampers {
+            apply(TAMPERS[kind], at, n, &mut samples, &mut opening);
         }
         let mut reports: Vec<(u64, Vec<u8>)> = c.domain.inputs().zip(c.leaves.clone()).collect();
         if corrupt_report {
             reports[0].1[0] ^= 0xFF;
         }
         let root = c.tree.root();
-        let run = |batched: bool, proofs: &[SampleProof]| {
+        let run = |batched: bool| {
             let step4 = if batched {
                 verify_round::<H>
             } else {
-                sequential_reference::<H>
+                per_sample_reference::<H>
             };
             let ledger = CostLedger::new();
             let result = step4(
@@ -1265,7 +1451,7 @@ mod tests {
                 c.domain,
                 &root,
                 &samples,
-                proofs,
+                &opening,
                 &reports,
                 report_audit,
                 9,
@@ -1273,44 +1459,39 @@ mod tests {
             );
             (result, ledger.report())
         };
-        let batched = run(true, &proofs);
+        let batched = run(true);
         assert_eq!(
             batched,
-            run(false, &proofs),
+            run(false),
             "{} n={n} samples={samples:?} tampers={tampers:?}",
             H::NAME
         );
         if tampers.is_empty() && !(corrupt_report && report_audit > 0) {
             assert_eq!(batched.0, Ok(Verdict::Accepted));
         }
-
-        // One proof short: the same error, and not a unit charged.
-        let short = SchemeError::ProofCountMismatch {
-            expected: samples.len(),
-            got: samples.len() - 1,
-        };
-        for batched in [true, false] {
-            assert_eq!(
-                run(batched, &proofs[1..]),
-                (Err(short.clone()), ugc_grid::CostReport::default())
-            );
-        }
+        // Whatever was wrong, the supervisor never hashed more than one
+        // path per distinct sample.
+        let distinct: std::collections::BTreeSet<&u64> = samples.iter().collect();
+        let height = u64::from(ugc_merkle::tree_height(n));
+        assert!(batched.1.hash_ops <= distinct.len() as u64 * height);
+        assert!(batched.1.verify_ops <= distinct.len() as u64);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
         /// Zero, one or two things wrong at independent positions, with
-        /// duplicate samples: whichever comes first in sample order is
-        /// what is reported, and nothing after it is charged. SHA-256
-        /// inner nodes take the pad-64 lane path, MD5's 32-byte ones the
+        /// duplicate samples: an index outside the share first, then the
+        /// first wrong value in challenge order, then the commitment —
+        /// and nothing past the deciding check is charged. SHA-256 inner
+        /// nodes take the pad-64 lane path, MD5's 32-byte ones the
         /// general driver.
         #[test]
         fn verify_round_is_the_sequential_walk(
             n in 1u64..=257,
             picks in proptest::collection::vec(any::<Index>(), 1..=20),
             tampers in proptest::collection::vec(
-                (0usize..TAMPERS.len(), any::<Index>(), any::<Index>()),
+                (0usize..TAMPERS.len(), any::<Index>()),
                 0..=2,
             ),
             corrupt_report in any::<bool>(),

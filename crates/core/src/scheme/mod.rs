@@ -33,9 +33,9 @@ use crate::session::{
 use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ugc_grid::{duplex, CostLedger, Endpoint, LinkStats, SampleProof, WorkerBehaviour};
+use ugc_grid::{duplex, CostLedger, Endpoint, LinkStats, WorkerBehaviour};
 use ugc_hash::HashFunction;
-use ugc_merkle::{LaneWidth, MerkleError, MerkleProof, Parallelism};
+use ugc_merkle::{LaneWidth, MerkleError, Parallelism};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 
 /// Runs one complete stand-alone round of `scheme` in-process: the
@@ -183,23 +183,6 @@ pub(crate) fn materialize(
     })
 }
 
-/// Converts a local Merkle proof plus its claimed leaf value to wire form.
-pub(crate) fn proof_to_wire<H: HashFunction>(
-    proof: &MerkleProof<H>,
-    leaf_value: Vec<u8>,
-) -> SampleProof {
-    SampleProof {
-        index: proof.leaf_index(),
-        leaf_value,
-        leaf_sibling: proof.leaf_sibling().to_vec(),
-        digest_siblings: proof
-            .digest_siblings()
-            .iter()
-            .map(|d| d.as_ref().to_vec())
-            .collect(),
-    }
-}
-
 /// Audits up to `audit` screened reports by recomputing `f` on the
 /// reported inputs: payloads must match the true result and genuinely pass
 /// the screener. Catches the malicious model's corrupted reports.
@@ -248,7 +231,7 @@ mod tests {
     use super::*;
     use ugc_grid::HonestWorker;
     use ugc_hash::Sha256;
-    use ugc_merkle::MerkleTree;
+    use ugc_merkle::{LeafSet, MerkleOpening, MerkleTree};
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::AcceptAllScreener;
 
@@ -273,18 +256,37 @@ mod tests {
 
     #[test]
     fn proof_wire_roundtrip() {
-        let (_, _, leaves, tree) = setup();
-        let proof = tree.prove(7).unwrap();
-        let wire = proof_to_wire(&proof, leaves[7].clone());
-        assert_eq!(wire.leaf_value, leaves[7]);
-        let digests = wire
-            .digest_siblings
-            .iter()
-            .map(|bytes| Sha256::digest_from_bytes(bytes).unwrap())
-            .collect();
-        let back: MerkleProof<Sha256> =
-            MerkleProof::from_parts(wire.index, wire.leaf_sibling, digests);
-        assert_eq!(back, proof);
+        // The wire opening is the tree's opening, field for field, and
+        // what comes off the wire rebuilds the commitment where it lies.
+        let (task, domain, leaves, tree) = setup();
+        let samples = [7, 2, 7, 13];
+        let ledger = CostLedger::new();
+        let wire =
+            cbs::open_samples(&tree, &samples, &task, domain, &HonestWorker, &ledger).unwrap();
+        assert_eq!(ledger.report(), ugc_grid::CostReport::default());
+        assert_eq!(wire.len(), 3);
+        assert_eq!(
+            wire.leaf_values,
+            [&leaves[2][..], &leaves[7], &leaves[13]].concat()
+        );
+        let local = tree.open(&samples).unwrap();
+        assert_eq!(wire.leaf_width as usize, local.leaf_width);
+        let back = MerkleOpening {
+            leaf_width: 16,
+            leaf_values: wire.leaf_values.as_slice(),
+            leaf_siblings: wire.leaf_siblings.as_slice(),
+            digest_siblings: wire.digest_siblings.as_slice(),
+        };
+        assert_eq!(
+            (back.leaf_values, back.leaf_siblings, back.digest_siblings),
+            (
+                local.leaf_values.as_slice(),
+                local.leaf_siblings.as_slice(),
+                local.digest_siblings.as_slice()
+            )
+        );
+        let set = LeafSet::new(16, &samples).unwrap();
+        assert!(back.verify::<Sha256>(&tree.root(), &set));
     }
 
     #[test]

@@ -14,14 +14,14 @@
 //! configuration (`g = H^k` with `k` chosen by Eq. (5)) prices it out.
 
 use crate::sampling::{derive_samples, derive_until_outside};
-use crate::scheme::cbs::{build_tree, prove_sample, verify_round};
+use crate::scheme::cbs::{build_tree, open_samples, verify_round};
 use crate::scheme::{check_task, materialize, run_round, Materialized};
 use crate::session::{
     unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
     SupervisorContext, SupervisorSession, VerificationScheme,
 };
 use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
-use ugc_grid::{Assignment, CostLedger, Message, SampleProof, SemiHonestCheater, WorkerBehaviour};
+use ugc_grid::{Assignment, CostLedger, Message, Opening, SemiHonestCheater, WorkerBehaviour};
 use ugc_hash::{HashFunction, IteratedHash};
 use ugc_merkle::{LaneWidth, MerkleTree, Parallelism};
 use ugc_task::{ComputeTask, Domain, Guesser, ScreenReport, Screener};
@@ -106,7 +106,7 @@ enum SupState {
     AwaitCommitAndProofs,
     AwaitReports {
         root_bytes: Vec<u8>,
-        proofs: Vec<SampleProof>,
+        proofs: Opening,
     },
     Done,
 }
@@ -162,38 +162,16 @@ impl<H: HashFunction> SupervisorSession for NiCbsSupervisorSession<'_, H> {
                     return unexpected("Reports", &msg);
                 };
                 check_task(self.task_id, task_id)?;
-                let root =
-                    H::digest_from_bytes(&root_bytes).ok_or(SchemeError::MalformedPayload {
-                        what: "commitment root",
-                    })?;
-                // Re-derive the samples the participant *must* have used
-                // (Eq. 4); the supervisor pays the same m·k unit hashes.
-                let g = IteratedHash::<H>::new(self.scheme.g_iterations);
-                let samples = derive_samples(
-                    &g,
-                    root.as_ref(),
-                    self.scheme.samples,
-                    self.domain.len(),
+                let verdict = verify_ni_round::<H>(
+                    &self.scheme,
+                    self.task,
+                    self.screener,
+                    self.domain,
+                    &root_bytes,
+                    &proofs,
+                    &reports,
                     &self.ledger,
-                );
-                let derivation_ok = proofs.len() == samples.len()
-                    && samples.iter().zip(&proofs).all(|(s, p)| *s == p.index);
-                let verdict = if derivation_ok {
-                    verify_round::<H>(
-                        self.task,
-                        self.screener,
-                        self.domain,
-                        &root,
-                        &samples,
-                        &proofs,
-                        &reports,
-                        self.scheme.report_audit,
-                        self.scheme.audit_seed,
-                        &self.ledger,
-                    )?
-                } else {
-                    Verdict::SampleDerivationMismatch
-                };
+                )?;
                 let verdict_msg = Message::Verdict {
                     task_id: self.task_id,
                     accepted: verdict.is_accepted(),
@@ -213,6 +191,56 @@ impl<H: HashFunction> SupervisorSession for NiCbsSupervisorSession<'_, H> {
 
     fn take_outcome(&mut self) -> Option<SessionOutcome> {
         self.outcome.take()
+    }
+}
+
+/// The supervisor's half of an NI-CBS round as a standalone building
+/// block, for supervisors that receive the single-shot bundle by some
+/// route of their own (a [`Broker`](ugc_grid::Broker), say): re-derives
+/// the samples the participant *must* have used from the commitment
+/// `root` as it came off the wire (Eq. 4; the supervisor pays the same
+/// `m·k` unit hashes), then runs Step 4 on them ([`verify_round`]).
+///
+/// No index travels: `opening` is read as the answer to these samples and
+/// no others. One over another number of leaves answers a derivation the
+/// commitment does not yield — [`Verdict::SampleDerivationMismatch`],
+/// decided here and nowhere else; one over other leaves fails Step 4.
+///
+/// # Errors
+///
+/// [`SchemeError::MalformedPayload`] for a `root` that is not one digest
+/// of `H`; otherwise as [`verify_round`], less
+/// [`SchemeError::ProofCountMismatch`].
+#[allow(clippy::too_many_arguments)]
+pub fn verify_ni_round<H: HashFunction>(
+    scheme: &NiCbsScheme,
+    task: &dyn ComputeTask,
+    screener: &dyn Screener,
+    domain: Domain,
+    root: &[u8],
+    opening: &Opening,
+    reports: &[(u64, Vec<u8>)],
+    ledger: &CostLedger,
+) -> Result<Verdict, SchemeError> {
+    let root = H::digest_from_bytes(root).ok_or(SchemeError::MalformedPayload {
+        what: "commitment root",
+    })?;
+    let g = IteratedHash::<H>::new(scheme.g_iterations);
+    let samples = derive_samples(&g, root.as_ref(), scheme.samples, domain.len(), ledger);
+    match verify_round::<H>(
+        task,
+        screener,
+        domain,
+        &root,
+        &samples,
+        opening,
+        reports,
+        scheme.report_audit,
+        scheme.audit_seed,
+        ledger,
+    ) {
+        Err(SchemeError::ProofCountMismatch { .. }) => Ok(Verdict::SampleDerivationMismatch),
+        other => other,
     }
 }
 
@@ -275,17 +303,14 @@ impl<H: HashFunction> ParticipantSession for NiCbsParticipantSession<'_, H> {
                     domain.len(),
                     &self.ledger,
                 );
-                let mut proofs = Vec::with_capacity(samples.len());
-                for &index in &samples {
-                    proofs.push(prove_sample(
-                        &tree,
-                        index,
-                        self.task,
-                        domain,
-                        self.behaviour,
-                        &self.ledger,
-                    )?);
-                }
+                let proofs = open_samples(
+                    &tree,
+                    &samples,
+                    self.task,
+                    domain,
+                    self.behaviour,
+                    &self.ledger,
+                )?;
                 let out = vec![
                     Message::CommitAndProofs {
                         task_id,
@@ -644,12 +669,13 @@ mod tests {
             };
             let leaves: Vec<Vec<u8>> = (0..64).map(|x| task.compute(x)).collect();
             let tree: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
-            let proofs: Vec<_> = (0..4u64)
-                .map(|i| {
-                    let p = tree.prove(i).unwrap();
-                    crate::scheme::proof_to_wire(&p, leaves[i as usize].clone())
-                })
-                .collect();
+            let forged = tree.open(&[0, 1, 2, 3]).unwrap();
+            let proofs = Opening {
+                leaf_width: 16,
+                leaf_values: forged.leaf_values,
+                leaf_siblings: forged.leaf_siblings,
+                digest_siblings: forged.digest_siblings,
+            };
             part_ep
                 .send(&Message::CommitAndProofs {
                     task_id: a.task_id,

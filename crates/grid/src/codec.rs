@@ -84,6 +84,17 @@ pub fn get_bytes(buf: &mut &[u8], context: &'static str) -> Result<Vec<u8>, Grid
     Ok(out)
 }
 
+/// How many elements to reserve room for when a frame declares
+/// `declared` of them, each at least `min_encoded` bytes on the wire:
+/// never more than the bytes left in `buf` could hold. A declared count
+/// is a claim by the peer; the bytes that arrived are the only evidence,
+/// and a header-only frame reserves nothing.
+#[must_use]
+pub(crate) fn bounded_capacity(buf: &[u8], declared: u64, min_encoded: usize) -> usize {
+    let fits = buf.len() / min_encoded;
+    usize::try_from(declared).map_or(fits, |declared| declared.min(fits))
+}
+
 /// Reads a length-prefixed list of `u64`s.
 ///
 /// # Errors
@@ -94,8 +105,7 @@ pub fn get_u64_list(buf: &mut &[u8], context: &'static str) -> Result<Vec<u64>, 
     if len > MAX_FIELD_LEN / 8 {
         return Err(GridError::LengthOverflow { declared: len });
     }
-    // ugc-lint: allow(lossy-cast): bounded above by MAX_FIELD_LEN/8, well inside usize on every supported platform
-    let mut out = Vec::with_capacity(len as usize);
+    let mut out = Vec::with_capacity(bounded_capacity(buf, len, 8));
     for _ in 0..len {
         out.push(get_u64(buf, context)?);
     }
@@ -145,6 +155,25 @@ mod tests {
         put_u64_list(&mut buf, &[1, 2, 3]);
         let mut cursor = buf.as_slice();
         assert_eq!(get_u64_list(&mut cursor, "t").unwrap(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn reservations_are_bounded_by_the_bytes_that_arrived() {
+        // 100 bytes hold at most 12 u64s, whatever the header claims.
+        let frame = [0u8; 100];
+        assert_eq!(bounded_capacity(&frame, 1 << 27, 8), 12);
+        assert_eq!(bounded_capacity(&frame, u64::MAX, 16), 6);
+        assert_eq!(bounded_capacity(&frame, 5, 8), 5);
+        assert_eq!(bounded_capacity(&[], 1 << 24, 16), 0);
+        // A list header with nothing behind it: the declared count is
+        // legal, the reservation is empty, the error is the usual one.
+        let mut buf = Vec::new();
+        put_u64(&mut buf, MAX_FIELD_LEN / 8);
+        let mut cursor = buf.as_slice();
+        assert_eq!(
+            get_u64_list(&mut cursor, "list"),
+            Err(GridError::UnexpectedEof { context: "list" })
+        );
     }
 
     #[test]

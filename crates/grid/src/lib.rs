@@ -63,7 +63,7 @@ pub use behaviour::{
 pub use broker::{Broker, RelayStats};
 pub use error::GridError;
 pub use ledger::{CostLedger, CostReport, Throughput};
-pub use message::{Assignment, Message, SampleProof};
+pub use message::{Assignment, Message, Opening};
 pub use runtime::{FaultEvent, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll};
 pub use tcp::{ControlHandle, TcpLink};
 pub use transport::{duplex, Doorbell, Endpoint, GridLink, LinkStats, FRAME_HEADER_BYTES};

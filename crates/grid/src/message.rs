@@ -9,9 +9,15 @@
 //! | CBS (§3.1) | [`Assign`](Message::Assign), [`Commit`](Message::Commit), [`Challenge`](Message::Challenge), [`Proofs`](Message::Proofs), [`Reports`](Message::Reports), [`Verdict`](Message::Verdict) |
 //! | NI-CBS (§4) | [`Assign`](Message::Assign), [`CommitAndProofs`](Message::CommitAndProofs), [`Reports`](Message::Reports), [`Verdict`](Message::Verdict) |
 //! | ringer (Golle–Mironov, §1.1) | [`RingerChallenge`](Message::RingerChallenge), [`RingerFound`](Message::RingerFound), … |
+//!
+//! [`Proofs`](Message::Proofs) and
+//! [`CommitAndProofs`](Message::CommitAndProofs) answer all `m` samples of
+//! a round with one [`Opening`] — its docs have the field table, the
+//! supervisor's check order and the charging rule.
 
 use crate::codec::{
-    get_bytes, get_u32, get_u64, get_u64_list, put_bytes, put_u32, put_u64, put_u64_list,
+    bounded_capacity, get_bytes, get_u32, get_u64, get_u64_list, put_bytes, put_u32, put_u64,
+    put_u64_list,
 };
 use crate::GridError;
 use ugc_task::Domain;
@@ -28,64 +34,85 @@ pub struct Assignment {
     pub domain: Domain,
 }
 
-/// One sample's proof of honesty: the claimed `f(x_i)` plus the Merkle
-/// authentication path (Step 3 of the CBS scheme).
+/// The proof of honesty for every sample of a round (Step 3 of the CBS
+/// scheme): the claimed `f(x_i)` and one deduplicated Merkle
+/// multi-opening over all of them, not `m` authentication paths (wire
+/// version 2; version 1 sent a length-prefixed path per sample).
 ///
-/// Digest siblings are raw bytes so the wire format is independent of the
-/// hash algorithm in use.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampleProof {
-    /// Leaf index of the sample within the assigned domain.
-    pub index: u64,
-    /// The claimed result `f(x_i)`.
-    pub leaf_value: Vec<u8>,
-    /// The sibling leaf's raw value (`λ_1`).
-    pub leaf_sibling: Vec<u8>,
-    /// The digest siblings `λ_2 … λ_H`, bottom-up.
-    pub digest_siblings: Vec<Vec<u8>>,
+/// | Field | Bytes | Holds |
+/// |-------|-------|-------|
+/// | `leaf_width` | 4 | width `w` of one `f(x)` |
+/// | `leaf_values` | 8 + `d·w` | the `d` distinct sampled `f(x_i)`, in index order |
+/// | `leaf_siblings` | 8 + `s·w` | the raw neighbour of every sampled leaf whose neighbour is not sampled too, in index order |
+/// | `digest_siblings` | 8 + `t·D` | for tree levels `1 … H − 1` bottom-up, in node order: the sibling of every node on a sampled path that the supervisor cannot rebuild from what it already holds |
+///
+/// No index and no per-sibling length travels: `d`, `s` and `t` — and
+/// which entry belongs to which node — follow from the challenged
+/// indices and the share size `n`, which both sides know
+/// (`ugc_merkle::LeafSet`). The supervisor checks, in this order: the
+/// three row lengths against what the index set dictates (a mismatch is
+/// decided on the spot — nothing evaluated, hashed or charged); each
+/// distinct `f(x_i)`, in order of first appearance in the challenge
+/// (`verify_ops` and `f_evals` charged per value checked); then one
+/// level-by-level reconstruction of the root (`hash_ops` charged per
+/// node rebuilt: at most `d·H`, against the `m·H` of single paths). The
+/// paper's `m·(2w + (H − 1)·D)` bytes and `m·H` hashes are upper bounds
+/// on both.
+///
+/// The rows are raw bytes so the wire format is independent of the hash
+/// algorithm in use, and the codec does not judge them: whether each has
+/// the length the challenge dictates is the supervisor's first check.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Opening {
+    /// Width in bytes of one leaf value.
+    pub leaf_width: u32,
+    /// The distinct sampled results `f(x_i)`, in index order.
+    pub leaf_values: Vec<u8>,
+    /// The raw sibling leaves (`λ_1`) no sampled leaf supplies, in index
+    /// order.
+    pub leaf_siblings: Vec<u8>,
+    /// The digest siblings (`λ_2 … λ_H`) no rebuilt node supplies, level
+    /// by level bottom-up, in node order.
+    pub digest_siblings: Vec<u8>,
 }
 
-impl SampleProof {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_u64(buf, self.index);
-        put_bytes(buf, &self.leaf_value);
-        put_bytes(buf, &self.leaf_sibling);
-        put_u64(buf, self.digest_siblings.len() as u64);
-        for d in &self.digest_siblings {
-            put_bytes(buf, d);
+impl Opening {
+    /// Number of leaves opened: whole `leaf_width`-byte values in
+    /// [`leaf_values`](Self::leaf_values).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match usize::try_from(self.leaf_width) {
+            Ok(width) if width > 0 => self.leaf_values.len() / width,
+            _ => 0,
         }
+    }
+
+    /// Whether no leaf is opened.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.leaf_width);
+        put_bytes(buf, &self.leaf_values);
+        put_bytes(buf, &self.leaf_siblings);
+        put_bytes(buf, &self.digest_siblings);
     }
 
     /// Exact encoded size in bytes, without encoding.
     fn encoded_len(&self) -> usize {
-        8 + (8 + self.leaf_value.len())
-            + (8 + self.leaf_sibling.len())
-            + 8
-            + self
-                .digest_siblings
-                .iter()
-                .map(|d| 8 + d.len())
-                .sum::<usize>()
+        4 + (8 + self.leaf_values.len())
+            + (8 + self.leaf_siblings.len())
+            + (8 + self.digest_siblings.len())
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, GridError> {
-        let index = get_u64(buf, "proof.index")?;
-        let leaf_value = get_bytes(buf, "proof.leaf_value")?;
-        let leaf_sibling = get_bytes(buf, "proof.leaf_sibling")?;
-        let count = get_u64(buf, "proof.sibling_count")?;
-        if count > 64 {
-            return Err(GridError::LengthOverflow { declared: count });
-        }
-        // ugc-lint: allow(lossy-cast): bounded above by 64 on the line before, cannot truncate
-        let mut digest_siblings = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            digest_siblings.push(get_bytes(buf, "proof.digest_sibling")?);
-        }
-        Ok(SampleProof {
-            index,
-            leaf_value,
-            leaf_sibling,
-            digest_siblings,
+        Ok(Opening {
+            leaf_width: get_u32(buf, "opening.leaf_width")?,
+            leaf_values: get_bytes(buf, "opening.leaf_values")?,
+            leaf_siblings: get_bytes(buf, "opening.leaf_siblings")?,
+            digest_siblings: get_bytes(buf, "opening.digest_siblings")?,
         })
     }
 }
@@ -110,13 +137,13 @@ pub enum Message {
         /// Sampled leaf indices `i_1 … i_m`.
         samples: Vec<u64>,
     },
-    /// Participant → supervisor: proofs of honesty for each sample
+    /// Participant → supervisor: the proof of honesty for every sample
     /// (Step 3 of CBS).
     Proofs {
         /// Task being proven.
         task_id: u64,
-        /// One proof per sampled index, in challenge order.
-        proofs: Vec<SampleProof>,
+        /// One opening over all the sampled indices.
+        proofs: Opening,
     },
     /// Participant → supervisor: NI-CBS single-shot commitment plus the
     /// self-derived sample proofs (Section 4.1).
@@ -125,8 +152,8 @@ pub enum Message {
         task_id: u64,
         /// The root digest `Φ(R)`.
         root: Vec<u8>,
-        /// Proofs for the samples derived from `Φ(R)` via Eq. (4).
-        proofs: Vec<SampleProof>,
+        /// One opening over the samples derived from `Φ(R)` via Eq. (4).
+        proofs: Opening,
     },
     /// Participant → supervisor: every result, flattened — the naive
     /// schemes' `O(n)` upload.
@@ -238,10 +265,7 @@ impl Message {
             Message::Proofs { task_id, proofs } => {
                 buf.push(TAG_PROOFS);
                 put_u64(buf, *task_id);
-                put_u64(buf, proofs.len() as u64);
-                for p in proofs {
-                    p.encode(buf);
-                }
+                proofs.encode(buf);
             }
             Message::CommitAndProofs {
                 task_id,
@@ -251,10 +275,7 @@ impl Message {
                 buf.push(TAG_COMMIT_AND_PROOFS);
                 put_u64(buf, *task_id);
                 put_bytes(buf, root);
-                put_u64(buf, proofs.len() as u64);
-                for p in proofs {
-                    p.encode(buf);
-                }
+                proofs.encode(buf);
             }
             Message::AllResults {
                 task_id,
@@ -323,13 +344,9 @@ impl Message {
             Message::Assign(_) => 24,
             Message::Commit { root, .. } => 8 + (8 + root.len()),
             Message::Challenge { samples, .. } => 8 + 8 + 8 * samples.len(),
-            Message::Proofs { proofs, .. } => {
-                8 + 8 + proofs.iter().map(SampleProof::encoded_len).sum::<usize>()
-            }
+            Message::Proofs { proofs, .. } => 8 + proofs.encoded_len(),
             Message::CommitAndProofs { root, proofs, .. } => {
-                8 + (8 + root.len())
-                    + 8
-                    + proofs.iter().map(SampleProof::encoded_len).sum::<usize>()
+                8 + (8 + root.len()) + proofs.encoded_len()
             }
             Message::AllResults { data, .. } => 8 + 4 + (8 + data.len()),
             Message::Reports { reports, .. } => {
@@ -390,37 +407,15 @@ impl Message {
                 task_id: get_u64(&mut buf, "challenge.task_id")?,
                 samples: get_u64_list(&mut buf, "challenge.samples")?,
             },
-            TAG_PROOFS => {
-                let task_id = get_u64(&mut buf, "proofs.task_id")?;
-                let count = get_u64(&mut buf, "proofs.count")?;
-                if count > 1 << 20 {
-                    return Err(GridError::LengthOverflow { declared: count });
-                }
-                // ugc-lint: allow(lossy-cast): bounded above by 1<<20 on the line before, cannot truncate
-                let mut proofs = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    proofs.push(SampleProof::decode(&mut buf)?);
-                }
-                Message::Proofs { task_id, proofs }
-            }
-            TAG_COMMIT_AND_PROOFS => {
-                let task_id = get_u64(&mut buf, "cap.task_id")?;
-                let root = get_bytes(&mut buf, "cap.root")?;
-                let count = get_u64(&mut buf, "cap.count")?;
-                if count > 1 << 20 {
-                    return Err(GridError::LengthOverflow { declared: count });
-                }
-                // ugc-lint: allow(lossy-cast): bounded above by 1<<20 on the line before, cannot truncate
-                let mut proofs = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    proofs.push(SampleProof::decode(&mut buf)?);
-                }
-                Message::CommitAndProofs {
-                    task_id,
-                    root,
-                    proofs,
-                }
-            }
+            TAG_PROOFS => Message::Proofs {
+                task_id: get_u64(&mut buf, "proofs.task_id")?,
+                proofs: Opening::decode(&mut buf)?,
+            },
+            TAG_COMMIT_AND_PROOFS => Message::CommitAndProofs {
+                task_id: get_u64(&mut buf, "cap.task_id")?,
+                root: get_bytes(&mut buf, "cap.root")?,
+                proofs: Opening::decode(&mut buf)?,
+            },
             TAG_ALL_RESULTS => Message::AllResults {
                 task_id: get_u64(&mut buf, "all.task_id")?,
                 leaf_width: get_u32(&mut buf, "all.leaf_width")?,
@@ -432,8 +427,8 @@ impl Message {
                 if count > 1 << 24 {
                     return Err(GridError::LengthOverflow { declared: count });
                 }
-                // ugc-lint: allow(lossy-cast): bounded above by 1<<24 on the line before, cannot truncate
-                let mut reports = Vec::with_capacity(count as usize);
+                // A report is at least an input and a length prefix.
+                let mut reports = Vec::with_capacity(bounded_capacity(buf, count, 16));
                 for _ in 0..count {
                     let input = get_u64(&mut buf, "reports.input")?;
                     let payload = get_bytes(&mut buf, "reports.payload")?;
@@ -447,8 +442,8 @@ impl Message {
                 if count > 1 << 20 {
                     return Err(GridError::LengthOverflow { declared: count });
                 }
-                // ugc-lint: allow(lossy-cast): bounded above by 1<<20 on the line before, cannot truncate
-                let mut ringers = Vec::with_capacity(count as usize);
+                // A ringer is at least its length prefix.
+                let mut ringers = Vec::with_capacity(bounded_capacity(buf, count, 8));
                 for _ in 0..count {
                     ringers.push(get_bytes(&mut buf, "ringer.value")?);
                 }
@@ -571,12 +566,13 @@ impl Message {
 mod tests {
     use super::*;
 
-    fn sample_proof() -> SampleProof {
-        SampleProof {
-            index: 5,
-            leaf_value: vec![1, 2, 3, 4],
-            leaf_sibling: vec![5, 6, 7, 8],
-            digest_siblings: vec![vec![9; 32], vec![10; 32]],
+    /// Two four-byte leaves opened, one leaf sibling, two digests.
+    fn opening() -> Opening {
+        Opening {
+            leaf_width: 4,
+            leaf_values: vec![1, 2, 3, 4, 5, 6, 7, 8],
+            leaf_siblings: vec![9, 10, 11, 12],
+            digest_siblings: [[13; 32], [14; 32]].concat(),
         }
     }
 
@@ -596,12 +592,12 @@ mod tests {
             },
             Message::Proofs {
                 task_id: 4,
-                proofs: vec![sample_proof(), sample_proof()],
+                proofs: opening(),
             },
             Message::CommitAndProofs {
                 task_id: 5,
                 root: vec![8; 16],
-                proofs: vec![sample_proof()],
+                proofs: opening(),
             },
             Message::AllResults {
                 task_id: 6,
@@ -818,13 +814,158 @@ mod tests {
     }
 
     #[test]
-    fn hostile_proof_count_rejected() {
-        let mut buf = vec![TAG_PROOFS];
-        put_u64(&mut buf, 1);
-        put_u64(&mut buf, u64::MAX);
+    fn opening_counts_whole_leaves() {
+        assert_eq!(opening().len(), 2);
+        assert!(!opening().is_empty());
+        // Trailing bytes are not a leaf, and no width is no leaf at all.
+        let mut ragged = opening();
+        ragged.leaf_values.push(0);
+        assert_eq!(ragged.len(), 2);
+        ragged.leaf_width = 0;
+        assert_eq!(ragged.len(), 0);
+        assert!(Opening::default().is_empty());
+        // The fixed cost of the format: a width and three length words.
+        let empty = Message::Proofs {
+            task_id: 1,
+            proofs: Opening::default(),
+        };
+        assert_eq!(empty.wire_len(), 1 + 8 + 4 + 3 * 8);
+        let full = Message::Proofs {
+            task_id: 1,
+            proofs: opening(),
+        };
+        assert_eq!(full.wire_len() - empty.wire_len(), 8 + 4 + 64);
+    }
+
+    #[test]
+    fn hostile_opening_row_length_rejected() {
+        // Each row's declared length in turn: beyond any frame, then
+        // merely beyond this one.
+        for row in 0..3 {
+            for (declared, overflow) in [(u64::MAX, true), (1 << 30, false)] {
+                let mut buf = vec![TAG_PROOFS];
+                put_u64(&mut buf, 1);
+                put_u32(&mut buf, 16);
+                for _ in 0..row {
+                    put_bytes(&mut buf, &[7; 16]);
+                }
+                put_u64(&mut buf, declared);
+                let result = Message::decode(&buf);
+                if overflow {
+                    assert_eq!(result, Err(GridError::LengthOverflow { declared }));
+                } else {
+                    assert!(matches!(result, Err(GridError::UnexpectedEof { .. })));
+                }
+            }
+        }
+    }
+
+    /// A frame that is a tag, a task id, whatever fixed fields precede
+    /// the variant's count, and the count — nothing behind it.
+    fn header_only(tag: u8, prefix: &[u8], declared: u64) -> Vec<u8> {
+        let mut frame = vec![tag];
+        put_u64(&mut frame, 1);
+        frame.extend_from_slice(prefix);
+        put_u64(&mut frame, declared);
+        frame
+    }
+
+    fn assert_eof(frame: &[u8], context: &'static str) {
+        assert_eq!(
+            Message::decode(frame),
+            Err(GridError::UnexpectedEof { context })
+        );
+    }
+
+    // A declared count is checked against a constant, then believed only
+    // as far as the frame reaches: each of these used to reserve room for
+    // every declared element before reading one (512 MiB for the
+    // 17-byte `Reports` frame). What can be asserted from outside is that
+    // the error is the one the first missing element always produced.
+
+    #[test]
+    fn header_only_reports_frame_is_eof_at_the_first_report() {
+        assert_eof(&header_only(TAG_REPORTS, &[], 1 << 24), "reports.input");
         assert!(matches!(
-            Message::decode(&buf),
+            Message::decode(&header_only(TAG_REPORTS, &[], (1 << 24) + 1)),
             Err(GridError::LengthOverflow { .. })
         ));
+    }
+
+    #[test]
+    fn header_only_ringer_challenge_frame_is_eof_at_the_first_ringer() {
+        let frame = header_only(TAG_RINGER_CHALLENGE, &[], 1 << 20);
+        assert_eof(&frame, "ringer.value");
+    }
+
+    #[test]
+    fn header_only_challenge_frame_is_eof_at_the_first_sample() {
+        let frame = header_only(TAG_CHALLENGE, &[], (1 << 30) / 8);
+        assert_eof(&frame, "challenge.samples");
+    }
+
+    #[test]
+    fn header_only_ringer_found_frame_is_eof_at_the_first_input() {
+        let frame = header_only(TAG_RINGER_FOUND, &[], (1 << 30) / 8);
+        assert_eof(&frame, "found.inputs");
+    }
+
+    #[test]
+    fn header_only_proofs_frame_is_eof_in_the_first_row() {
+        let frame = header_only(TAG_PROOFS, &16u32.to_le_bytes(), 1 << 30);
+        assert_eof(&frame, "opening.leaf_values");
+    }
+
+    #[test]
+    fn header_only_commit_and_proofs_frame_is_eof_in_the_first_row() {
+        let mut prefix = Vec::new();
+        put_bytes(&mut prefix, &[3; 32]);
+        put_u32(&mut prefix, 16);
+        let frame = header_only(TAG_COMMIT_AND_PROOFS, &prefix, 1 << 30);
+        assert_eof(&frame, "opening.leaf_values");
+    }
+
+    #[test]
+    fn header_only_byte_string_frames_are_eof_in_the_string() {
+        // The variants whose only variable part is one byte string.
+        assert_eof(&header_only(TAG_COMMIT, &[], 1 << 30), "commit.root");
+        let frame = header_only(TAG_ALL_RESULTS, &16u32.to_le_bytes(), 1 << 30);
+        assert_eof(&frame, "all.data");
+    }
+
+    #[test]
+    fn every_strict_prefix_of_an_opening_message_is_a_typed_eof() {
+        // A round's worth of rows, not the three-entry toy above.
+        let proofs = Opening {
+            leaf_width: 16,
+            leaf_values: vec![1; 6 * 16],
+            leaf_siblings: vec![2; 5 * 16],
+            digest_siblings: vec![3; 17 * 32],
+        };
+        let messages = [
+            Message::Proofs {
+                task_id: 4,
+                proofs: proofs.clone(),
+            },
+            Message::CommitAndProofs {
+                task_id: 5,
+                root: vec![8; 32],
+                proofs,
+            },
+        ];
+        for msg in messages {
+            let encoded = msg.encode();
+            assert_eq!(Message::decode(&encoded), Ok(msg.clone()));
+            for cut in 0..encoded.len() {
+                assert!(
+                    matches!(
+                        Message::decode(&encoded[..cut]),
+                        Err(GridError::UnexpectedEof { .. })
+                    ),
+                    "cut at {cut} of {}",
+                    encoded.len()
+                );
+            }
+        }
     }
 }

@@ -22,9 +22,12 @@ use crate::codec::{get_bytes, get_u32, put_bytes, put_u32};
 use crate::GridError;
 use std::io::{ErrorKind, IoSlice, Read, Write};
 
-/// Protocol version spoken by this build; bumped on any frame or
-/// handshake layout change.
-pub const WIRE_VERSION: u32 = 1;
+/// Protocol version spoken by this build; bumped on any frame, message
+/// or handshake layout change. Version 2 answers a round's samples with
+/// one [`Opening`](crate::Opening) where version 1 sent a
+/// length-prefixed authentication path per sample: the two disagree on
+/// every byte a supervisor is charged for, so they must never be mixed.
+pub const WIRE_VERSION: u32 = 2;
 
 /// Magic prefix opening every handshake payload, so a non-grid peer is
 /// rejected before any length field is trusted.
@@ -491,6 +494,23 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn a_version_1_hello_is_refused() {
+        // What a peer built before the opening sends: same magic, same
+        // layout, version word 1.
+        let hello = Hello {
+            role: ROLE_PARTICIPANT,
+            params: vec![1, 2, 3],
+        };
+        let mut payload = hello.encode();
+        assert_eq!(payload[8..12], WIRE_VERSION.to_le_bytes());
+        payload[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            Hello::decode(&payload),
+            Err(GridError::HandshakeMismatch { ours: 2, theirs: 1 })
+        );
     }
 
     #[test]

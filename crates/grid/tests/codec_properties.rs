@@ -2,28 +2,24 @@
 //! roundtrip for every message type, exact length framing).
 
 use proptest::prelude::*;
-use ugc_grid::{Assignment, GridError, Message, SampleProof};
+use ugc_grid::{Assignment, GridError, Message, Opening};
 use ugc_task::Domain;
 
 fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..max)
 }
 
-fn arb_proof() -> impl Strategy<Value = SampleProof> {
-    (
-        any::<u64>(),
-        arb_bytes(64),
-        arb_bytes(64),
-        proptest::collection::vec(arb_bytes(40), 0..6),
+/// Any four fields the codec can carry — rows that agree with the width
+/// or with each other are the supervisor's concern, not the codec's.
+fn arb_opening() -> impl Strategy<Value = Opening> {
+    (any::<u32>(), arb_bytes(96), arb_bytes(96), arb_bytes(200)).prop_map(
+        |(leaf_width, leaf_values, leaf_siblings, digest_siblings)| Opening {
+            leaf_width,
+            leaf_values,
+            leaf_siblings,
+            digest_siblings,
+        },
     )
-        .prop_map(
-            |(index, leaf_value, leaf_sibling, digest_siblings)| SampleProof {
-                index,
-                leaf_value,
-                leaf_sibling,
-                digest_siblings,
-            },
-        )
 }
 
 /// Every bare (non-envelope) message variant.
@@ -39,18 +35,15 @@ fn arb_bare_message() -> impl Strategy<Value = Message> {
         (any::<u64>(), arb_bytes(64)).prop_map(|(task_id, root)| Message::Commit { task_id, root }),
         (any::<u64>(), proptest::collection::vec(any::<u64>(), 0..64))
             .prop_map(|(task_id, samples)| Message::Challenge { task_id, samples }),
-        (any::<u64>(), proptest::collection::vec(arb_proof(), 0..5))
+        (any::<u64>(), arb_opening())
             .prop_map(|(task_id, proofs)| Message::Proofs { task_id, proofs }),
-        (
-            any::<u64>(),
-            arb_bytes(32),
-            proptest::collection::vec(arb_proof(), 0..4)
-        )
-            .prop_map(|(task_id, root, proofs)| Message::CommitAndProofs {
+        (any::<u64>(), arb_bytes(32), arb_opening()).prop_map(|(task_id, root, proofs)| {
+            Message::CommitAndProofs {
                 task_id,
                 root,
-                proofs
-            }),
+                proofs,
+            }
+        }),
         (any::<u64>(), any::<u32>(), arb_bytes(256)).prop_map(|(task_id, leaf_width, data)| {
             Message::AllResults {
                 task_id,
@@ -96,6 +89,7 @@ proptest! {
     #[test]
     fn wire_len_is_exact(msg in arb_message()) {
         prop_assert_eq!(msg.wire_len(), msg.encode().len() as u64);
+        prop_assert_eq!(msg.encoded_len(), msg.encode().len());
     }
 
     #[test]

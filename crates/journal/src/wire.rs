@@ -20,8 +20,13 @@ use crate::{CrashPlan, JournalError};
 /// The 8-byte file magic every journal starts with.
 pub const MAGIC: [u8; 8] = *b"UGCJRNL1";
 
-/// The on-disk format version this build reads and writes.
-pub const VERSION: u32 = 1;
+/// The on-disk format version this build reads and writes. The frame
+/// layout has not changed since version 1; what a journal *records* has:
+/// its settled sessions carry the bytes and hashes of the wire protocol
+/// they ran over, and version 2 journals count `ugc_grid` wire version 2
+/// (one Merkle opening per round), so a campaign begun under the old
+/// counts cannot resume into rounds that count the new ones.
+pub const VERSION: u32 = 2;
 
 /// Bytes of file header: magic plus little-endian version.
 pub const FILE_HEADER_BYTES: u64 = 12;
@@ -42,17 +47,35 @@ const SEAL_MAGIC: [u8; 8] = *b"UGCSEAL\0";
 /// Total payload length of a seal frame: magic, record count, digest.
 const SEAL_PAYLOAD_LEN: usize = 8 + 8 + 32;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xedb88320`), computed
-/// bitwise — no lookup table, no dependencies, byte-order independent.
+/// The CRC-32 remainder of every byte value: entry `b` is eight bitwise
+/// steps of the reflected polynomial `0xedb88320` from `b`.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    // `byte` is `slot` as a `u32`, counted alongside it: a codec path
+    // casts nothing.
+    let mut slot = 0;
+    let mut byte = 0u32;
+    while slot < table.len() {
+        let mut crc = byte;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[slot] = crc;
+        slot += 1;
+        byte += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xedb88320`), one table
+/// look-up per byte — no dependencies, byte-order independent.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC_TABLE[usize::from(crc.to_le_bytes()[0] ^ byte)];
     }
     !crc
 }
@@ -579,6 +602,69 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414f_a339
         );
+    }
+
+    /// The definition the table is derived from, one bit at a time.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &byte in bytes {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_table_matches_the_bitwise_definition() {
+        // Every single byte, then payloads of every length up to a few
+        // table rows' worth from a fixed generator (SplitMix64).
+        for byte in 0..=255u8 {
+            assert_eq!(crc32(&[byte]), crc32_bitwise(&[byte]), "byte {byte}");
+        }
+        let mut state = 0x5eed_c2c3_u64;
+        let mut payload = Vec::new();
+        for len in 0..600usize {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            payload.push((z ^ (z >> 31)).to_le_bytes()[0]);
+            assert_eq!(payload.len(), len + 1);
+            assert_eq!(crc32(&payload), crc32_bitwise(&payload), "len {}", len + 1);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_table_matches_the_bitwise_definition_on_any_bytes(
+            payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2048),
+        ) {
+            proptest::prop_assert_eq!(crc32(&payload), crc32_bitwise(&payload));
+        }
+    }
+
+    #[test]
+    fn a_version_1_journal_is_refused() {
+        // A journal written before the wire's version 2: same magic,
+        // same frames, version word 1 — its replayed rounds counted the
+        // old bytes.
+        let path = temp_journal("v1");
+        let mut writer = JournalWriter::create(&path).unwrap();
+        writer.append(b"\x01round").unwrap();
+        drop(writer);
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[8..12], VERSION.to_le_bytes());
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let refused = JournalError::NotAJournal {
+            reason: "unsupported version 1 (this build reads 2)".to_string(),
+        };
+        assert_eq!(read_journal(&path), Err(refused.clone()));
+        assert_eq!(JournalWriter::resume(&path, 1).map(|_| ()), Err(refused));
+        cleanup(&path);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Error type for Merkle-tree construction and proof generation.
 
+use crate::OpeningRow;
 use core::fmt;
 
 /// Errors produced by Merkle-tree operations.
@@ -49,26 +50,20 @@ pub enum MerkleError {
         /// The tree's unsaved-subtree height `ℓ ≥ 1`.
         subtree_height: u32,
     },
-    /// A path handed to [`fold_paths`](crate::fold_paths) carries a
-    /// different number of siblings than the first path of its batch.
-    PathLengthMismatch {
-        /// Position of the offending path in the batch.
-        path: usize,
-        /// Length `H` of the batch's first path.
-        expected: usize,
-        /// Length of the offending path.
-        found: usize,
-    },
-    /// A digest sibling handed to [`fold_paths`](crate::fold_paths) is not
-    /// one digest wide.
-    SiblingWidth {
-        /// Position of the offending path in the batch.
-        path: usize,
-        /// Index of the offending entry in the path's digest siblings.
-        level: usize,
-        /// The hash function's digest length.
-        expected: usize,
-        /// Width of the offending sibling.
+    /// A [`LeafSet`](crate::LeafSet) was requested over no index at all:
+    /// there is nothing to open and no path to the root.
+    NoIndices,
+    /// A row of a [`MerkleOpening`](crate::MerkleOpening) is not as long
+    /// as its [`LeafSet`](crate::LeafSet) dictates — decided from the
+    /// lengths alone, before anything is hashed.
+    OpeningShape {
+        /// The offending row.
+        row: OpeningRow,
+        /// Entries the index set dictates for this row.
+        entries: usize,
+        /// Bytes per entry: the leaf width, or the digest length.
+        width: usize,
+        /// Length of the row as presented, in bytes.
         found: usize,
     },
 }
@@ -105,22 +100,15 @@ impl fmt::Display for MerkleError {
                 "the tree keeps no leaf row (subtree height {subtree_height}); \
                  prove through a leaf provider"
             ),
-            MerkleError::PathLengthMismatch {
-                path,
-                expected,
+            MerkleError::NoIndices => write!(f, "cannot open an empty set of leaves"),
+            MerkleError::OpeningShape {
+                row,
+                entries,
+                width,
                 found,
             } => write!(
                 f,
-                "path {path} has {found} siblings but the batch's paths have {expected}"
-            ),
-            MerkleError::SiblingWidth {
-                path,
-                level,
-                expected,
-                found,
-            } => write!(
-                f,
-                "digest sibling {level} of path {path} is {found} bytes, not {expected}"
+                "the opening's {row} row is {found} bytes, not {entries} entries of {width}"
             ),
         }
     }
@@ -154,6 +142,16 @@ mod tests {
             }
             .to_string(),
             "leaf index 9 out of range for 8 leaves"
+        );
+        assert_eq!(
+            MerkleError::OpeningShape {
+                row: OpeningRow::DigestSiblings,
+                entries: 5,
+                width: 32,
+                found: 128
+            }
+            .to_string(),
+            "the opening's digest-sibling row is 128 bytes, not 5 entries of 32"
         );
         assert_eq!(
             MerkleError::LeavesNotResident { subtree_height: 3 }.to_string(),

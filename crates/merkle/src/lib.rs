@@ -23,9 +23,17 @@
 //!   `Φ` values of the siblings along the leaf-to-root path
 //!   (`λ_1 … λ_H`). [`MerkleProof::verify`] is the supervisor's
 //!   reconstruction `Λ(f(x), λ_1, …, λ_H) = Φ(R′)` compared against the
-//!   commitment; [`fold_paths`] is the same reconstruction for all `m`
-//!   samples of a round at once, each level of every path one batch
-//!   through the digest lane kernels, straight from borrowed wire bytes.
+//!   commitment: the paper's Step 3 and 4 for one sample, and the
+//!   reference the opening is tested against.
+//! * [`MerkleOpening`] — the proof of honesty for all `m` samples of a
+//!   round as one object ([`MerkleTree::open`], [`MerkleTree::open_with`]):
+//!   the `m` paths with every sibling left out that another sampled leaf
+//!   or an already rebuilt node supplies, in an order both sides derive
+//!   from the sampled indices alone ([`LeafSet`]). The verifier checks the
+//!   row lengths that set dictates ([`MerkleOpening::check_shape`]) and
+//!   only then ([`CheckedOpening`]) rebuilds the root level by level, every level one batch through the digest
+//!   lane kernels, straight from borrowed wire bytes, hashing each node
+//!   on the way up once ([`OpeningShape::hash_ops`]).
 //! * [`Parallelism`] and [`LaneWidth`] — the two execution knobs of the
 //!   resident build: the padded leaf row splits into per-thread subtrees
 //!   hashed independently with the top `log(threads)` levels folded
@@ -65,15 +73,17 @@
 #![warn(missing_docs)]
 
 mod error;
+mod opening;
 mod parallel;
 mod partial;
 mod proof;
 mod tree;
 
 pub use error::MerkleError;
+pub use opening::{CheckedOpening, LeafSet, MerkleOpening, OpeningRow, OpeningShape};
 pub use parallel::Parallelism;
 pub use partial::RebuildStats;
-pub use proof::{fold_paths, AuthPath, MerkleProof};
+pub use proof::MerkleProof;
 pub use tree::MerkleTree;
 pub use ugc_hash::LaneWidth;
 

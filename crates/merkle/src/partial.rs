@@ -7,21 +7,26 @@
 //! containing the sampled leaf
 //! ([`MerkleTree::prove_with`](crate::MerkleTree::prove_with)) —
 //! recomputing `f` for its `2^ℓ` inputs — which is the time/storage
-//! trade-off the paper quantifies as `rco = 2m/S`. Both calls are the
-//! tree's own; this module holds the cost record they report and the
-//! tests that pin the trade-off.
+//! trade-off the paper quantifies as `rco = 2m/S`: `m` samples, `m`
+//! rebuilds. Opening a round's samples together
+//! ([`MerkleTree::open_with`](crate::MerkleTree::open_with)) rebuilds
+//! each subtree they fall in once, so `2m/S` is what a round costs at
+//! most. All three calls are the tree's own; this module holds the cost
+//! record they report and the tests that pin the trade-off.
 
-/// Cost of one on-demand subtree rebuild during
-/// [`MerkleTree::prove_with`](crate::MerkleTree::prove_with).
+/// Cost of the on-demand subtree rebuilds of one
+/// [`MerkleTree::prove_with`](crate::MerkleTree::prove_with) (one
+/// subtree) or [`MerkleTree::open_with`](crate::MerkleTree::open_with)
+/// (every distinct subtree its leaves fall in, once each).
 ///
 /// In the paper's accounting, the dominant term is `leaves_recomputed`
-/// evaluations of `f` (up to `2^ℓ` per sample; fewer only at the padded
-/// tail of the domain).
+/// evaluations of `f` (up to `2^ℓ` per rebuilt subtree; fewer only at
+/// the padded tail of the domain).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RebuildStats {
     /// Calls made to the leaf provider (i.e., recomputations of `f`).
     pub leaves_recomputed: u64,
-    /// Hash invocations spent rebuilding the subtree.
+    /// Hash invocations spent rebuilding (`2^ℓ − 1` per subtree).
     pub hash_ops: u64,
 }
 

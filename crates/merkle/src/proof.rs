@@ -1,8 +1,10 @@
 //! Authentication paths: the participant's per-sample proof of honesty.
+//!
+//! The schemes ship one [`MerkleOpening`](crate::MerkleOpening) per round
+//! instead of `m` of these; this is the paper's Fig. 1 object, one sample
+//! and its `λ_1 … λ_H`, and the reference an opening is tested against.
 
-use crate::tree::hash_pairs_level;
-use crate::MerkleError;
-use ugc_hash::{HashFunction, LaneWidth, Sha256};
+use ugc_hash::{HashFunction, Sha256};
 
 /// A Merkle authentication path for one sampled leaf.
 ///
@@ -104,18 +106,6 @@ impl<H: HashFunction> MerkleProof<H> {
         self.reconstruct_root(leaf_value) == *committed_root
     }
 
-    /// This proof and the claimed `leaf_value` as one borrowed
-    /// [`AuthPath`], the shape [`fold_paths`] takes.
-    #[must_use]
-    pub fn as_path<'a>(&'a self, leaf_value: &'a [u8]) -> AuthPath<'a, H::Digest> {
-        AuthPath {
-            leaf_index: self.leaf_index,
-            leaf_value,
-            leaf_sibling: &self.leaf_sibling,
-            digest_siblings: &self.digest_siblings,
-        }
-    }
-
     /// Number of hash invocations [`verify`](Self::verify) performs
     /// (`H`, the tree height).
     #[must_use]
@@ -132,23 +122,6 @@ impl<H: HashFunction> MerkleProof<H> {
     }
 }
 
-/// One authentication path as it sits in a decoded message: the claimed
-/// `f(x)` and `λ_1 … λ_H`, all borrowed — the input of [`fold_paths`].
-///
-/// `D` is whatever holds a digest sibling's bytes: `Vec<u8>` off the
-/// wire, `H::Digest` out of a [`MerkleProof`].
-#[derive(Debug, Clone, Copy)]
-pub struct AuthPath<'a, D> {
-    /// Index of the proven leaf within the domain.
-    pub leaf_index: u64,
-    /// The claimed leaf value `f(x)`.
-    pub leaf_value: &'a [u8],
-    /// The raw sibling leaf value `λ_1`.
-    pub leaf_sibling: &'a [u8],
-    /// The digest siblings `λ_2 … λ_H`, bottom-up.
-    pub digest_siblings: &'a [D],
-}
-
 /// `(acc, sibling)` in the order the node at path position `bit` hashes
 /// them: `acc` is the left child iff the bit is 0.
 fn ordered<'a>(bit: u64, acc: &'a [u8], sibling: &'a [u8]) -> (&'a [u8], &'a [u8]) {
@@ -159,101 +132,11 @@ fn ordered<'a>(bit: u64, acc: &'a [u8], sibling: &'a [u8]) -> (&'a [u8], &'a [u8
     }
 }
 
-/// Reconstructs the roots of a batch of authentication paths, level by
-/// level: `roots[i] = Λ(f(x_i), λ_{1,i}, …, λ_{H,i})`, bit-identical to
-/// [`MerkleProof::reconstruct_root`] on each path at any `lanes`.
-///
-/// This is Step 4.2 of the CBS scheme for all `m` samples at once. The
-/// `m` reconstructions never depend on each other, so level `l` of every
-/// path goes through the message-parallel lane kernels as one batch —
-/// `H` batches of `m` hashes where the per-path walk is `m·H` scalar
-/// ones. No proof is built and no sibling copied; the only allocation is
-/// the two digest rows the levels alternate between.
-///
-/// # Errors
-///
-/// [`MerkleError::PathLengthMismatch`] unless every path has as many
-/// digest siblings as the first, [`MerkleError::SiblingWidth`] unless
-/// every digest sibling is exactly `H::DIGEST_LEN` bytes. Nothing is
-/// hashed in either case.
-///
-/// # Examples
-///
-/// ```
-/// use ugc_hash::Sha256;
-/// use ugc_merkle::{fold_paths, LaneWidth, MerkleTree};
-///
-/// let leaves: Vec<[u8; 2]> = (0u16..6).map(|x| x.to_be_bytes()).collect();
-/// let tree: MerkleTree<Sha256> = MerkleTree::build(&leaves)?;
-/// let proofs = [tree.prove(1)?, tree.prove(4)?];
-/// let paths = [proofs[0].as_path(&leaves[1]), proofs[1].as_path(&leaves[4])];
-/// let roots = fold_paths::<Sha256, _>(&paths, LaneWidth::default())?;
-/// assert_eq!(roots, [tree.root(); 2]);
-/// # Ok::<(), ugc_merkle::MerkleError>(())
-/// ```
-pub fn fold_paths<H: HashFunction, D: AsRef<[u8]>>(
-    paths: &[AuthPath<'_, D>],
-    lanes: LaneWidth,
-) -> Result<Vec<H::Digest>, MerkleError> {
-    let Some(first) = paths.first() else {
-        return Ok(Vec::new());
-    };
-    let levels = first.digest_siblings.len();
-    for (p, path) in paths.iter().enumerate() {
-        if path.digest_siblings.len() != levels {
-            return Err(MerkleError::PathLengthMismatch {
-                path: p,
-                expected: levels + 1,
-                found: path.digest_siblings.len() + 1,
-            });
-        }
-        for (level, sibling) in path.digest_siblings.iter().enumerate() {
-            if sibling.as_ref().len() != H::DIGEST_LEN {
-                return Err(MerkleError::SiblingWidth {
-                    path: p,
-                    level,
-                    expected: H::DIGEST_LEN,
-                    found: sibling.as_ref().len(),
-                });
-            }
-        }
-    }
-    // Two rows of `m` digests: each level reads one and writes the other.
-    let mut acc = vec![H::digest(&[]); paths.len()];
-    let mut next = acc.clone();
-    hash_pairs_level::<H>(
-        &mut acc,
-        |i| {
-            ordered(
-                paths[i].leaf_index,
-                paths[i].leaf_value,
-                paths[i].leaf_sibling,
-            )
-        },
-        lanes,
-    );
-    for (level, shift) in (0..levels).zip(1u32..) {
-        let below = &acc;
-        hash_pairs_level::<H>(
-            &mut next,
-            |i| {
-                let path = &paths[i];
-                // Past the index's 64 bits every position is a left child.
-                let bit = path.leaf_index.checked_shr(shift).unwrap_or(0);
-                ordered(bit, below[i].as_ref(), path.digest_siblings[level].as_ref())
-            },
-            lanes,
-        );
-        core::mem::swap(&mut acc, &mut next);
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MerkleTree;
-    use ugc_hash::{Md5, Sha256};
+    use crate::{LeafSet, MerkleTree};
+    use ugc_hash::{LaneWidth, Md5, Sha256};
 
     fn tree(n: u64) -> (Vec<[u8; 8]>, MerkleTree<Sha256>) {
         let leaves: Vec<[u8; 8]> = (0..n).map(|x| x.to_le_bytes()).collect();
@@ -350,36 +233,26 @@ mod tests {
 
     #[test]
     fn fold_of_one_path_is_reconstruct_root() {
+        // An opening of one leaf is that leaf's path: the same sibling
+        // bytes, and — honest value or not — the same rebuilt root.
         let (leaves, t) = tree(16);
         for i in 0..16u64 {
             let proof = t.prove(i).unwrap();
-            // Honest and wrong leaf values alike: the fold is the same
-            // function, not merely equal on accepted proofs.
+            let set = LeafSet::new(16, &[i]).unwrap();
+            let mut opening = t.open(&[i]).unwrap();
+            assert_eq!(opening.leaf_siblings, proof.leaf_sibling());
+            assert_eq!(opening.digest_siblings, proof.digest_siblings().concat());
             for value in [&leaves[i as usize], &leaves[(i as usize + 1) % 16]] {
+                opening.leaf_values = value.to_vec();
                 for lanes in LaneWidth::ALL {
                     assert_eq!(
-                        fold_paths::<Sha256, _>(&[proof.as_path(value)], lanes).unwrap(),
-                        [proof.reconstruct_root(value)],
+                        opening.reconstruct_root::<Sha256>(&set, lanes),
+                        Ok(proof.reconstruct_root(value)),
                         "i={i} lanes={lanes}"
                     );
                 }
             }
         }
-        assert!(fold_paths::<Sha256, [u8; 32]>(&[], LaneWidth::default())
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn fold_follows_reconstruct_root_past_64_levels() {
-        // No tree is this tall, but a path off the wire can be: the index
-        // has run out of bits and every further node is a left child.
-        let siblings: Vec<[u8; 32]> = (0..70u8).map(|b| [b; 32]).collect();
-        let proof: MerkleProof<Sha256> = MerkleProof::from_parts(u64::MAX, vec![7; 8], siblings);
-        assert_eq!(
-            fold_paths::<Sha256, _>(&[proof.as_path(&[1; 8])], LaneWidth::default()).unwrap(),
-            [proof.reconstruct_root(&[1; 8])]
-        );
     }
 
     #[test]

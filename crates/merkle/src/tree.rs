@@ -7,11 +7,14 @@
 //! [`hash_pairs_level`] call per level. The serial build hashes the row
 //! as one chunk, the threaded build one chunk per worker, the truncated
 //! build one `2^ℓ`-leaf chunk at a time keeping only each chunk's root,
-//! and a proof from a truncated tree hashes the one chunk its leaf lies
-//! in again.
+//! and a proof or opening from a truncated tree hashes again each chunk
+//! one of its leaves lies in, once.
 
+use crate::opening::ascend;
 use crate::parallel::subtree_chunks;
-use crate::{padded_leaf_count, MerkleError, MerkleProof, Parallelism, RebuildStats};
+use crate::{
+    padded_leaf_count, LeafSet, MerkleError, MerkleOpening, MerkleProof, Parallelism, RebuildStats,
+};
 use ugc_hash::{HashFunction, LaneWidth, Sha256};
 
 /// Hashes `out.len()` two-segment pairs produced by `pair(j)` into
@@ -24,8 +27,8 @@ use ugc_hash::{HashFunction, LaneWidth, Sha256};
 /// to it with the spare lanes repeating its last pair: six pairs are one
 /// 8-wide pass, three are one 4-wide pass, and either costs less than the
 /// narrower kernel plus scalar calls would. A tree level never has such a
-/// group (its sizes are powers of two); the `m` paths of
-/// [`fold_paths`](crate::fold_paths) usually do.
+/// group (its sizes are powers of two); the levels of a
+/// [`MerkleOpening`](crate::MerkleOpening) usually do.
 pub(crate) fn hash_pairs_level<'a, H: HashFunction>(
     out: &mut [H::Digest],
     pair: impl Fn(usize) -> (&'a [u8], &'a [u8]),
@@ -199,6 +202,43 @@ fn push_siblings<D: Copy>(heap: &[D], mut node: usize, out: &mut Vec<D>) {
         out.push(heap[node ^ 1]);
         node >>= 1;
     }
+}
+
+/// The leaf level of an opening: appends the leaves `nodes` of `row` to
+/// `values` and the neighbour of every lone one to `siblings`, and moves
+/// `nodes` up to their parents.
+fn open_leaves(
+    row: &[u8],
+    width: usize,
+    nodes: &mut Vec<u64>,
+    values: &mut Vec<u8>,
+    siblings: &mut Vec<u8>,
+) {
+    let leaf = |i: u64| &row[i as usize * width..][..width];
+    for &node in nodes.iter() {
+        values.extend_from_slice(leaf(node));
+    }
+    ascend(nodes, |_, node, lone| {
+        if lone {
+            siblings.extend_from_slice(leaf(node ^ 1));
+        }
+    });
+}
+
+/// A digest level of an opening: `nodes` index the level of `heap` that
+/// starts at `first`; appends the sibling of every lone one to `siblings`
+/// and moves `nodes` up to their parents.
+fn open_digests<D: AsRef<[u8]>>(
+    heap: &[D],
+    first: usize,
+    nodes: &mut Vec<u64>,
+    siblings: &mut Vec<u8>,
+) {
+    ascend(nodes, |_, node, lone| {
+        if lone {
+            siblings.extend_from_slice(heap[first + (node ^ 1) as usize].as_ref());
+        }
+    });
 }
 
 /// A complete binary Merkle tree whose leaves are raw computation results.
@@ -727,20 +767,10 @@ impl<H: HashFunction> MerkleTree<H> {
             self.leaf_slice((index ^ 1) as usize).to_vec()
         } else {
             let chunk = 1usize << ell;
-            let subtree = index >> ell;
-            let base = subtree << ell;
             let mut row = vec![0u8; chunk * width];
             let mut heap = blank_heap::<H>(chunk);
-            stats.leaves_recomputed =
-                fill_leaves(&mut row, base, self.leaf_count, width, &mut provider)?;
-            hash_chunk::<H>(&mut heap, &row, width, LaneWidth::default());
-            stats.hash_ops = chunk as u64 - 1;
-            if heap[1] != self.nodes[((self.padded >> ell) + subtree) as usize] {
-                return Err(MerkleError::ProviderMismatch {
-                    subtree_index: subtree,
-                });
-            }
-            let local = (index - base) as usize;
+            self.rebuild_subtree(index >> ell, &mut row, &mut heap, &mut provider, &mut stats)?;
+            let local = index as usize % chunk;
             push_siblings(&heap, (chunk + local) >> 1, &mut digest_siblings);
             row[(local ^ 1) * width..][..width].to_vec()
         };
@@ -750,6 +780,145 @@ impl<H: HashFunction> MerkleTree<H> {
         push_siblings(&self.nodes, resident as usize, &mut digest_siblings);
         Ok((
             MerkleProof::from_parts(index, leaf_sibling, digest_siblings),
+            stats,
+        ))
+    }
+
+    /// Recomputes unsaved subtree `subtree` (`ℓ ≥ 1`): fills `row` with
+    /// its `2^ℓ` leaves through `provider`, hashes them into `heap`, adds
+    /// the cost to `stats` and checks the rebuilt root against the stored
+    /// one.
+    fn rebuild_subtree<V: AsRef<[u8]>>(
+        &self,
+        subtree: u64,
+        row: &mut [u8],
+        heap: &mut [H::Digest],
+        provider: &mut impl FnMut(u64) -> V,
+        stats: &mut RebuildStats,
+    ) -> Result<(), MerkleError> {
+        let ell = self.subtree_height;
+        stats.leaves_recomputed += fill_leaves(
+            row,
+            subtree << ell,
+            self.leaf_count,
+            self.leaf_width,
+            provider,
+        )?;
+        hash_chunk::<H>(heap, row, self.leaf_width, LaneWidth::default());
+        stats.hash_ops += heap.len() as u64 - 1;
+        if heap[1] != self.nodes[((self.padded >> ell) + subtree) as usize] {
+            return Err(MerkleError::ProviderMismatch {
+                subtree_index: subtree,
+            });
+        }
+        Ok(())
+    }
+
+    /// Opens the leaves `indices` — the round's challenge as it came, any
+    /// order, duplicates and all — from a tree that kept its leaf row:
+    /// [`open_with`](Self::open_with) at `ℓ = 0`, which needs no provider.
+    ///
+    /// # Errors
+    ///
+    /// * [`MerkleError::LeavesNotResident`] on a truncated tree.
+    /// * [`MerkleError::NoIndices`] / [`MerkleError::IndexOutOfRange`] as
+    ///   [`LeafSet::new`].
+    pub fn open(&self, indices: &[u64]) -> Result<MerkleOpening, MerkleError> {
+        self.check_resident()?;
+        self.open_with(indices, |_| [0u8; 0])
+            .map(|(opening, _)| opening)
+    }
+
+    /// Opens the leaves `indices` at any subtree height, in one pass over
+    /// their sorted distinct set ([`LeafSet`]): the sampled values and,
+    /// level by level, the sibling of every node on their paths that
+    /// neither another sampled leaf nor the verifier's own hashing
+    /// supplies.
+    ///
+    /// Below depth `H − ℓ` the values and siblings come from rebuilding
+    /// the unsaved subtrees the leaves lie in — **each distinct subtree
+    /// once**, however many of the leaves share it — the rest from the
+    /// stored digests. `provider` must recompute the `f(x_i)` committed at
+    /// build time; it is called for the real leaves of those subtrees
+    /// and, at `ℓ = 0`, not at all. Returns the opening — the same bytes
+    /// at every `ℓ` — and the total rebuild cost (zero at `ℓ = 0`).
+    ///
+    /// # Errors
+    ///
+    /// * [`MerkleError::NoIndices`] / [`MerkleError::IndexOutOfRange`] as
+    ///   [`LeafSet::new`].
+    /// * [`MerkleError::MixedLeafWidth`] / [`MerkleError::ProviderMismatch`]
+    ///   as [`prove_with`](Self::prove_with).
+    pub fn open_with<V: AsRef<[u8]>>(
+        &self,
+        indices: &[u64],
+        mut provider: impl FnMut(u64) -> V,
+    ) -> Result<(MerkleOpening, RebuildStats), MerkleError> {
+        let set = LeafSet::new(self.leaf_count, indices)?;
+        let shape = set.shape();
+        let ell = self.subtree_height;
+        let width = self.leaf_width;
+        let mut stats = RebuildStats::default();
+        let mut leaf_values = Vec::with_capacity(shape.leaves * width);
+        let mut leaf_siblings = Vec::with_capacity(shape.leaf_siblings * width);
+        let mut digest_siblings = Vec::with_capacity(shape.digest_siblings * H::DIGEST_LEN);
+
+        // The known nodes of the level being opened, moved up as it is.
+        let mut nodes;
+        if ell == 0 {
+            nodes = set.indices().to_vec();
+            open_leaves(
+                &self.leaves,
+                width,
+                &mut nodes,
+                &mut leaf_values,
+                &mut leaf_siblings,
+            );
+        } else {
+            // The canonical order is level-major and a rebuild is
+            // subtree-major: each rebuilt subtree appends its share of
+            // every level below `ℓ` to that level's run, and ascending
+            // subtrees keep every run in node order.
+            let chunk = 1usize << ell;
+            let mut row = vec![0u8; chunk * width];
+            let mut heap = blank_heap::<H>(chunk);
+            let mut below: Vec<Vec<u8>> = vec![Vec::new(); ell as usize - 1];
+            for run in set.indices().chunk_by(|a, b| a >> ell == b >> ell) {
+                self.rebuild_subtree(
+                    run[0] >> ell,
+                    &mut row,
+                    &mut heap,
+                    &mut provider,
+                    &mut stats,
+                )?;
+                let mut local: Vec<u64> = run.iter().map(|i| i % chunk as u64).collect();
+                open_leaves(
+                    &row,
+                    width,
+                    &mut local,
+                    &mut leaf_values,
+                    &mut leaf_siblings,
+                );
+                for (level, out) in (1..).zip(&mut below) {
+                    open_digests(&heap, chunk >> level, &mut local, out);
+                }
+            }
+            digest_siblings.extend(below.into_iter().flatten());
+            nodes = set.indices().iter().map(|i| i >> ell).collect();
+            nodes.dedup();
+        }
+        // Levels `max(ℓ, 1) … H − 1` are resident.
+        for level in ell.max(1)..self.height() {
+            let first = (self.padded >> level) as usize;
+            open_digests(&self.nodes, first, &mut nodes, &mut digest_siblings);
+        }
+        Ok((
+            MerkleOpening {
+                leaf_width: width,
+                leaf_values,
+                leaf_siblings,
+                digest_siblings,
+            },
             stats,
         ))
     }

@@ -6,7 +6,8 @@ use common::reference_root;
 use proptest::prelude::*;
 use ugc_hash::{HashFunction, Md5, Sha256};
 use ugc_merkle::{
-    fold_paths, AuthPath, LaneWidth, MerkleError, MerkleProof, MerkleTree, Parallelism,
+    LaneWidth, LeafSet, MerkleError, MerkleOpening, MerkleProof, MerkleTree, OpeningRow,
+    Parallelism,
 };
 
 fn arb_leaves() -> impl Strategy<Value = Vec<Vec<u8>>> {
@@ -146,36 +147,35 @@ proptest! {
     }
 }
 
-/// Proves `indices` against `tree` and folds the proofs as one batch.
+/// Opens `indices` against `tree` and folds the opening back to a root.
 fn fold_indices<H: HashFunction>(
     tree: &MerkleTree<H>,
-    leaves: &[Vec<u8>],
-    indices: &[usize],
+    indices: &[u64],
     lanes: LaneWidth,
-) -> Vec<H::Digest> {
-    let proofs: Vec<MerkleProof<H>> = indices
-        .iter()
-        .map(|&i| tree.prove(i as u64).unwrap())
-        .collect();
-    let paths: Vec<AuthPath<'_, H::Digest>> = proofs
-        .iter()
-        .zip(indices)
-        .map(|(proof, &i)| proof.as_path(&leaves[i]))
-        .collect();
-    fold_paths::<H, _>(&paths, lanes).unwrap()
+) -> H::Digest {
+    let set = LeafSet::new(tree.leaf_count(), indices).unwrap();
+    tree.open(indices)
+        .unwrap()
+        .reconstruct_root::<H>(&set, lanes)
+        .unwrap()
 }
 
 #[test]
 fn folding_every_leaf_of_a_tree_yields_its_root_every_time() {
-    for n in 1..=257usize {
+    // Every leaf sampled: each supplies its neighbour, every node above
+    // is rebuilt, and the only siblings left to send are padding.
+    for n in 1..=257u64 {
         for width in [1usize, 16, 32, 33] {
-            let leaves = common::leaves(n, width);
+            let leaves = common::leaves(n as usize, width);
             let tree: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
-            let all: Vec<usize> = (0..n).collect();
+            let all: Vec<u64> = (0..n).collect();
+            let opening = tree.open(&all).unwrap();
+            assert_eq!(opening.leaf_values, leaves.concat(), "n={n} width={width}");
+            assert_eq!(opening.leaf_siblings.len(), (n % 2) as usize * width);
             for lanes in LaneWidth::ALL {
                 assert_eq!(
-                    fold_indices(&tree, &leaves, &all, lanes),
-                    vec![tree.root(); n],
+                    fold_indices(&tree, &all, lanes),
+                    tree.root(),
                     "n={n} width={width} lanes={lanes}"
                 );
             }
@@ -186,23 +186,24 @@ fn folding_every_leaf_of_a_tree_yields_its_root_every_time() {
 #[test]
 fn fold_batch_sizes_straddle_the_lane_groups() {
     // 1, 7: scalar tail only; 8: one full dispatch; 9: dispatch plus tail;
-    // 64: eight dispatches. With replacement, so duplicates occur. MD5's
-    // 32-byte inner nodes take the general lane driver, SHA-256's 64-byte
-    // ones the pad-64 fast path.
+    // 64: eight dispatches at the bottom, fewer with every level as the
+    // paths meet. With replacement, so duplicates occur. MD5's 32-byte
+    // inner nodes take the general lane driver, SHA-256's 64-byte ones
+    // the pad-64 fast path.
     let leaves = common::leaves(200, 16);
     let sha: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
     let md5: MerkleTree<Md5> = MerkleTree::build(&leaves).unwrap();
-    for size in [1usize, 7, 8, 9, 64] {
-        let indices: Vec<usize> = (0..size).map(|k| (k * 37 + size) % 200).collect();
+    for size in [1u64, 7, 8, 9, 64] {
+        let indices: Vec<u64> = (0..size).map(|k| (k * 37 + size) % 200).collect();
         for lanes in LaneWidth::ALL {
             assert_eq!(
-                fold_indices(&sha, &leaves, &indices, lanes),
-                vec![sha.root(); size],
+                fold_indices(&sha, &indices, lanes),
+                sha.root(),
                 "sha256 size={size} lanes={lanes}"
             );
             assert_eq!(
-                fold_indices(&md5, &leaves, &indices, lanes),
-                vec![md5.root(); size],
+                fold_indices(&md5, &indices, lanes),
+                md5.root(),
                 "md5 size={size} lanes={lanes}"
             );
         }
@@ -211,13 +212,13 @@ fn fold_batch_sizes_straddle_the_lane_groups() {
 
 #[test]
 fn fold_orders_each_level_by_its_own_index_bit() {
-    // One dispatch whose eight paths are left children at some levels and
-    // right children at others, no two alike: every level's batch mixes
-    // both concatenation orders.
+    // Eight paths that are left children at some levels and right
+    // children at others, no two alike, meeting only at the root: every
+    // level's batch mixes both concatenation orders.
     let leaves = common::leaves(256, 8);
     let tree: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
     let indices = [
-        0b0000_0000usize,
+        0b0000_0000u64,
         0b1111_1111,
         0b0101_0101,
         0b1010_1010,
@@ -227,32 +228,28 @@ fn fold_orders_each_level_by_its_own_index_bit() {
         0b1111_0000,
     ];
     for level in 0..8 {
-        let bits: Vec<usize> = indices.iter().map(|i| (i >> level) & 1).collect();
+        let bits: Vec<u64> = indices.iter().map(|i| (i >> level) & 1).collect();
         assert!(bits.contains(&0) && bits.contains(&1), "level {level}");
     }
     for lanes in LaneWidth::ALL {
         assert_eq!(
-            fold_indices(&tree, &leaves, &indices, lanes),
-            vec![tree.root(); 8],
+            fold_indices(&tree, &indices, lanes),
+            tree.root(),
             "lanes={lanes}"
         );
     }
-    // A proof presented under another index flips an order somewhere and
-    // must not fold to the root — per path, whatever its neighbours do.
-    let proofs: Vec<MerkleProof<Sha256>> = indices
-        .iter()
-        .map(|&i| tree.prove(i as u64).unwrap())
-        .collect();
-    let mut paths: Vec<AuthPath<'_, [u8; 32]>> = proofs
-        .iter()
-        .zip(indices)
-        .map(|(proof, i)| proof.as_path(&leaves[i]))
-        .collect();
-    paths[3].leaf_index ^= 1 << 5;
-    let roots = fold_paths::<Sha256, _>(&paths, LaneWidth::default()).unwrap();
-    for (k, root) in roots.iter().enumerate() {
-        assert_eq!(*root == tree.root(), k != 3, "path {k}");
-    }
+    // The order is the index set's: the same rows presented under a set
+    // with one bit of one index flipped have the right shape (that path
+    // still meets no other below the root's children) and flip an order
+    // somewhere on the way up, so they must not fold to the root.
+    let opening = tree.open(&indices).unwrap();
+    let honest = LeafSet::new(256, &indices).unwrap();
+    assert!(opening.verify::<Sha256>(&tree.root(), &honest));
+    let mut moved = indices;
+    moved[3] ^= 1 << 5;
+    let moved = LeafSet::new(256, &moved).unwrap();
+    assert_eq!(moved.shape(), honest.shape());
+    assert!(!opening.verify::<Sha256>(&tree.root(), &moved));
 }
 
 #[test]
@@ -263,81 +260,87 @@ fn partial_tree_proofs_fold_to_the_same_root() {
         let full: MerkleTree<Sha256> = MerkleTree::build(&leaves).unwrap();
         let partial: MerkleTree<Sha256> =
             MerkleTree::build_truncated(n, 16, ell, provider).unwrap();
-        let proofs: Vec<MerkleProof<Sha256>> = (0..n)
-            .map(|i| partial.prove_with(i, provider).unwrap().0)
-            .collect();
-        let paths: Vec<AuthPath<'_, [u8; 32]>> = proofs
-            .iter()
-            .zip(&leaves)
-            .map(|(proof, leaf)| proof.as_path(leaf))
-            .collect();
-        assert_eq!(
-            fold_paths::<Sha256, _>(&paths, LaneWidth::default()).unwrap(),
-            vec![full.root(); n as usize],
-            "n={n} ell={ell}"
-        );
+        let all: Vec<u64> = (0..n).collect();
+        let thirds: Vec<u64> = (0..n).step_by(3).collect();
+        for indices in [all, thirds] {
+            let (opening, _) = partial.open_with(&indices, provider).unwrap();
+            assert_eq!(opening, full.open(&indices).unwrap(), "n={n} ell={ell}");
+            let set = LeafSet::new(n, &indices).unwrap();
+            assert_eq!(
+                opening.reconstruct_root::<Sha256>(&set, LaneWidth::default()),
+                Ok(full.root()),
+                "n={n} ell={ell}"
+            );
+        }
     }
 }
 
 #[test]
 fn fold_rejects_malformed_batches_with_typed_errors() {
-    // Siblings as they come off the wire: byte vectors of any width.
-    let wire = |widths: &[usize]| -> Vec<Vec<u8>> { widths.iter().map(|&w| vec![9; w]).collect() };
-    fn path(digest_siblings: &[Vec<u8>]) -> AuthPath<'_, Vec<u8>> {
-        AuthPath {
-            leaf_index: 3,
-            leaf_value: &[1; 4],
-            leaf_sibling: &[2; 4],
-            digest_siblings,
-        }
-    }
-    let (good, short, empty) = (&wire(&[32, 32]), &wire(&[32]), &wire(&[]));
-    let (narrow, wide) = (&wire(&[32, 31]), &wire(&[33, 32]));
-    let fold = |paths: &[AuthPath<'_, Vec<u8>>]| fold_paths::<Sha256, _>(paths, LaneWidth::X8);
+    // Rows as they come off the wire: byte strings of any length. Leaves
+    // 3 and 9 of 16 four-byte leaves: two values, two leaf siblings, and
+    // digest siblings at levels 1 and 2 of each path (they meet at the
+    // root): four.
+    let set = LeafSet::new(16, &[9, 3]).unwrap();
+    let rows = |values: usize, leaf_siblings: usize, digests: usize| MerkleOpening {
+        leaf_width: 4,
+        leaf_values: vec![1u8; values],
+        leaf_siblings: vec![2u8; leaf_siblings],
+        digest_siblings: vec![9u8; digests],
+    };
+    let fold = |opening: &MerkleOpening| opening.reconstruct_root::<Sha256>(&set, LaneWidth::X8);
+    let wrong = |row, entries, width, found| {
+        Err(MerkleError::OpeningShape {
+            row,
+            entries,
+            width,
+            found,
+        })
+    };
 
-    assert_eq!(fold(&[path(good), path(good)]).unwrap().len(), 2);
+    assert!(fold(&rows(8, 8, 128)).is_ok());
+    // One digest short, one long, none at all, one byte short.
+    for digests in [96usize, 160, 0, 127] {
+        assert_eq!(
+            fold(&rows(8, 8, digests)),
+            wrong(OpeningRow::DigestSiblings, 4, 32, digests)
+        );
+    }
+    for leaf_siblings in [4usize, 12, 0, 7] {
+        assert_eq!(
+            fold(&rows(8, leaf_siblings, 128)),
+            wrong(OpeningRow::LeafSiblings, 2, 4, leaf_siblings)
+        );
+    }
+    // The first row out of shape is the one reported.
+    assert_eq!(fold(&rows(4, 0, 0)), wrong(OpeningRow::LeafValues, 2, 4, 4));
+    // Rows of the right byte lengths under another leaf width are not.
+    let mut wide = rows(8, 8, 128);
+    wide.leaf_width = 8;
+    assert_eq!(fold(&wide), wrong(OpeningRow::LeafValues, 2, 8, 8));
+    wide.leaf_width = 0;
+    assert_eq!(fold(&wide), Err(MerkleError::ZeroLeafWidth));
+    // A SHA-256-shaped opening is malformed for MD5, not hashed differently.
     assert_eq!(
-        fold(&[path(good), path(short)]),
-        Err(MerkleError::PathLengthMismatch {
-            path: 1,
-            expected: 3,
-            found: 2
+        rows(8, 8, 128).reconstruct_root::<Md5>(&set, LaneWidth::X8),
+        Err(MerkleError::OpeningShape {
+            row: OpeningRow::DigestSiblings,
+            entries: 4,
+            width: 16,
+            found: 128
         })
     );
+    // Borrowed rows — the verifier's view of a decoded message — are the
+    // same opening.
+    let owned = rows(8, 8, 128);
+    let borrowed = MerkleOpening {
+        leaf_width: 4,
+        leaf_values: owned.leaf_values.as_slice(),
+        leaf_siblings: owned.leaf_siblings.as_slice(),
+        digest_siblings: owned.digest_siblings.as_slice(),
+    };
     assert_eq!(
-        fold(&[path(empty), path(empty), path(good)]),
-        Err(MerkleError::PathLengthMismatch {
-            path: 2,
-            expected: 1,
-            found: 3
-        })
-    );
-    assert_eq!(
-        fold(&[path(good), path(narrow)]),
-        Err(MerkleError::SiblingWidth {
-            path: 1,
-            level: 1,
-            expected: 32,
-            found: 31
-        })
-    );
-    assert_eq!(
-        fold(&[path(wide)]),
-        Err(MerkleError::SiblingWidth {
-            path: 0,
-            level: 0,
-            expected: 32,
-            found: 33
-        })
-    );
-    // A SHA-256-shaped path is malformed for MD5, not hashed differently.
-    assert_eq!(
-        fold_paths::<Md5, _>(&[path(good)], LaneWidth::X8),
-        Err(MerkleError::SiblingWidth {
-            path: 0,
-            level: 0,
-            expected: 16,
-            found: 32
-        })
+        borrowed.reconstruct_root::<Sha256>(&set, LaneWidth::X8),
+        fold(&owned)
     );
 }

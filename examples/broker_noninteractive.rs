@@ -11,9 +11,9 @@
 //! Run: `cargo run --release --example broker_noninteractive`
 
 use uncheatable_grid::core::analysis::{min_g_cost_for_uncheatability, ni_expected_attempts};
-use uncheatable_grid::core::sampling::derive_samples;
-use uncheatable_grid::core::scheme::cbs::verify_round;
-use uncheatable_grid::core::scheme::ni_cbs::{retry_attack, NiCbsScheme, RetryAttackConfig};
+use uncheatable_grid::core::scheme::ni_cbs::{
+    retry_attack, verify_ni_round, NiCbsScheme, RetryAttackConfig,
+};
 use uncheatable_grid::core::session::drive_participant;
 use uncheatable_grid::core::{
     LaneWidth, Parallelism, ParticipantContext, ParticipantStorage, SchemeError, Verdict,
@@ -23,12 +23,19 @@ use uncheatable_grid::grid::{
     duplex, Assignment, Broker, CheatSelection, CostLedger, Endpoint, HonestWorker, Message,
     SemiHonestCheater, WorkerBehaviour,
 };
-use uncheatable_grid::hash::{HashFunction, IteratedHash, Sha256};
+use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PrimalitySearch;
 use uncheatable_grid::task::{Domain, Screener, ZeroGuesser};
 
 const M: usize = 25;
 const G_ITER: u64 = 1;
+/// What both sides of the broker run.
+const SCHEME: NiCbsScheme = NiCbsScheme {
+    samples: M,
+    g_iterations: G_ITER,
+    report_audit: 0,
+    audit_seed: 0,
+};
 
 /// Receives and verifies one routed-back commit bundle.
 fn collect_task(
@@ -55,20 +62,11 @@ fn collect_task(
             got: "other",
         });
     };
-    let root = Sha256::digest_from_bytes(&root).ok_or(SchemeError::MalformedPayload {
-        what: "commitment root",
-    })?;
-    let g = IteratedHash::<Sha256>::new(G_ITER);
-    let samples = derive_samples(&g, root.as_ref(), M, domain.len(), ledger);
-    let derivation_ok =
-        proofs.len() == samples.len() && samples.iter().zip(&proofs).all(|(s, p)| *s == p.index);
-    let verdict = if derivation_ok {
-        verify_round::<Sha256>(
-            task, screener, domain, &root, &samples, &proofs, &reports, 0, 0, ledger,
-        )?
-    } else {
-        Verdict::SampleDerivationMismatch
-    };
+    // The opening carries no indices: it is read as the answer to the
+    // samples the commitment derives (Eq. 4), and to no others.
+    let verdict = verify_ni_round::<Sha256>(
+        &SCHEME, task, screener, domain, &root, &proofs, &reports, ledger,
+    )?;
     endpoint.send(&Message::Verdict {
         task_id,
         accepted: verdict.is_accepted(),
@@ -105,14 +103,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let task = &task;
             scope.spawn(move || {
                 // Participants learn the task id from the Assign.
-                let scheme = NiCbsScheme {
-                    samples: M,
-                    g_iterations: G_ITER,
-                    report_audit: 0,
-                    audit_seed: 0,
-                };
                 let mut session = VerificationScheme::<Sha256>::participant_session(
-                    &scheme,
+                    &SCHEME,
                     ParticipantContext {
                         task,
                         screener: &PrimeScreener,

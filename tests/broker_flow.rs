@@ -1,18 +1,16 @@
 //! The Section 4 deployment: NI-CBS through a GRACE-style broker, with the
 //! supervisor blind to participant identity.
 
-use uncheatable_grid::core::sampling::derive_samples;
-use uncheatable_grid::core::scheme::cbs::verify_round;
-use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
+use uncheatable_grid::core::scheme::ni_cbs::{verify_ni_round, NiCbsScheme};
 use uncheatable_grid::core::session::drive_participant;
 use uncheatable_grid::core::{
-    LaneWidth, Parallelism, ParticipantContext, ParticipantStorage, Verdict, VerificationScheme,
+    LaneWidth, Parallelism, ParticipantContext, ParticipantStorage, VerificationScheme,
 };
 use uncheatable_grid::grid::{
     duplex, Assignment, Broker, CheatSelection, CostLedger, Endpoint, HonestWorker, Message,
     SemiHonestCheater, WorkerBehaviour,
 };
-use uncheatable_grid::hash::{HashFunction, IteratedHash, Sha256};
+use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;
 use uncheatable_grid::task::{Domain, ZeroGuesser};
 
@@ -87,19 +85,10 @@ fn brokered_ni_cbs_accepts_honest_rejects_cheater() {
             let Message::Reports { reports, .. } = sup_ep.recv().unwrap() else {
                 panic!("expected Reports");
             };
-            let root = Sha256::digest_from_bytes(&root).unwrap();
-            let g = IteratedHash::<Sha256>::new(1);
-            let samples = derive_samples(&g, root.as_ref(), M, domain.len(), &ledger);
-            let ok = proofs.len() == samples.len()
-                && samples.iter().zip(&proofs).all(|(s, p)| *s == p.index);
-            let verdict = if ok {
-                verify_round::<Sha256>(
-                    &task, &screener, domain, &root, &samples, &proofs, &reports, 0, 0, &ledger,
-                )
-                .unwrap()
-            } else {
-                Verdict::SampleDerivationMismatch
-            };
+            let verdict = verify_ni_round::<Sha256>(
+                &scheme, &task, &screener, domain, &root, &proofs, &reports, &ledger,
+            )
+            .unwrap();
             sup_ep
                 .send(&Message::Verdict {
                     task_id,

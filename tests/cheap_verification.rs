@@ -3,6 +3,7 @@
 //! computations themselves." With the factoring workload, the supervisor
 //! verifies samples without a single `f` evaluation.
 
+use uncheatable_grid::core::sampling::draw_samples;
 use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig};
 use uncheatable_grid::core::ParticipantStorage;
 use uncheatable_grid::grid::{CheatSelection, HonestWorker, SemiHonestCheater};
@@ -37,10 +38,16 @@ fn supervisor_never_evaluates_f_for_cheap_verification_tasks() {
     )
     .unwrap();
     assert!(outcome.accepted);
-    // 16 verifications, zero recomputations of the expensive f.
-    assert_eq!(outcome.supervisor_costs.verify_ops, 16);
+    // One verification per distinct sample — the 16 draws repeat one —
+    // and zero recomputations of the expensive f.
+    let mut distinct = draw_samples(4, 16, 128);
+    distinct.sort_unstable();
+    distinct.dedup();
+    let distinct = distinct.len() as u64;
+    assert_eq!(distinct, 15);
+    assert_eq!(outcome.supervisor_costs.verify_ops, distinct);
     assert_eq!(outcome.supervisor_costs.f_evals, 0);
-    // Contrast: the password task (no cheap verifier) pays m × C_f.
+    // Contrast: the password task (no cheap verifier) pays C_f for each.
     let pw = PasswordSearch::with_hidden_password(1, 2);
     let pw_screener = pw.match_screener();
     let pw_outcome = run_cbs::<Sha256, _, _, _>(
@@ -57,7 +64,10 @@ fn supervisor_never_evaluates_f_for_cheap_verification_tasks() {
         },
     )
     .unwrap();
-    assert_eq!(pw_outcome.supervisor_costs.f_evals, 16 * pw.unit_cost());
+    assert_eq!(
+        pw_outcome.supervisor_costs.f_evals,
+        distinct * pw.unit_cost()
+    );
 }
 
 #[test]

@@ -300,11 +300,15 @@ const GOLDEN_FLEET: &str = "--participants 6 --cheaters 1 --n 2048 --m 12";
 /// <7|9|11> --churn`. Recorded at the last commit that still ran a bare
 /// `ugc fleet` on one OS thread per participant, where that path and the
 /// `--workers` pool agreed on every cell; the same for `--transport
-/// direct` and `brokered`.
+/// direct` and `brokered`. The `cbs` and `ni-cbs` rows were recorded
+/// again when wire version 2 replaced the `m` per-sample proofs of a
+/// round by one opening — fewer bytes, fewer supervisor hashes, and both
+/// are in the digest; the three schemes that send no opening kept their
+/// rows to the bit, which is the evidence that nothing else moved.
 #[rustfmt::skip]
 const GOLDEN_DIGESTS: [(&str, [&str; 4]); 5] = [
-    ("cbs",          ["8e0743a34194b3d8", "e4fb7ff1f7edd028", "af1c21dc35e5f1be", "54c3f83076aeda1c"]),
-    ("ni-cbs",       ["810e60938005cbcb", "da60521e7a0124c2", "a3a6b21e1ccf6cc7", "644f74b91c89a0dd"]),
+    ("cbs",          ["56c8d55b43b6a18e", "a91a5c2c164484d4", "7423eed442a3d1ec", "696aa23f058e5861"]),
+    ("ni-cbs",       ["4547ad31b584cb30", "96154c0a8ee2ddf1", "337830c127a64a38", "b7579bf544a7ca70"]),
     ("naive",        ["5462eff53a9d3821", "bbbdc8c206a5a76f", "ef6e210037e4a019", "9b17cb1bbe338878"]),
     ("ringer",       ["2230a27891c15f2c", "c908e55faea19f13", "8c4a4aabb0b512f7", "33a2acd57ce49973"]),
     ("double-check", ["8fbaedc90cec4e46", "e111c2d8f816b0fe", "cfe0cb30cb0029ed", "b31a34865c3ff8fb"]),
@@ -351,14 +355,16 @@ fn fleet_workers_pool_matches_thread_per_participant_verdicts() {
 /// The same table for shares of 4 096 leaves — past the threshold where
 /// a full-storage tree build goes threaded, which [`GOLDEN_FLEET`]'s
 /// 341-leaf shares never reach: `ugc fleet --participants 2 --cheaters 0
-/// --n 8192 --m 8`, per scheme. Recorded on a one-core host, where the
-/// build had always been serial; a host's core count is execution layout
-/// and must print the same (CI's chaos-soak job repeats the comparison
-/// under `taskset -c 0`).
+/// --n 8192 --m 8`, per scheme. First recorded on a one-core host, where
+/// the build had always been serial, and again — plain and under
+/// `taskset -c 0 … --workers 1`, one digest — when wire version 2 changed
+/// what a CBS round sends; a host's core count is execution layout and
+/// must print the same (CI's chaos-soak job repeats the comparison under
+/// `taskset -c 0`).
 #[rustfmt::skip]
 const GOLDEN_LARGE_SHARE_DIGESTS: [(&str, &str); 2] = [
-    ("cbs",    "5ecbf2bacd63af87"),
-    ("ni-cbs", "52c9ac96a0728e39"),
+    ("cbs",    "03f158fa0188fdaa"),
+    ("ni-cbs", "9620517e116a0a97"),
 ];
 
 #[test]

@@ -9,7 +9,7 @@ use uncheatable_grid::core::{
     SupervisorContext, VerificationScheme,
 };
 use uncheatable_grid::grid::{
-    duplex, Assignment, CostLedger, Endpoint, GridError, HonestWorker, Message,
+    duplex, Assignment, CostLedger, Endpoint, GridError, HonestWorker, Message, Opening,
 };
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;
@@ -173,7 +173,7 @@ fn supervisor_rejects_short_proof_list() {
     let t = task();
     let (sup_ep, part_ep) = duplex();
     std::thread::scope(|scope| {
-        scope.spawn(|| {
+        let challenged = scope.spawn(|| {
             let _assign = part_ep.recv().unwrap();
             part_ep
                 .send(&Message::Commit {
@@ -181,11 +181,18 @@ fn supervisor_rejects_short_proof_list() {
                     root: vec![0u8; 32],
                 })
                 .unwrap();
-            let _challenge = part_ep.recv().unwrap();
+            let Message::Challenge { mut samples, .. } = part_ep.recv().unwrap() else {
+                panic!("expected Challenge");
+            };
             part_ep
                 .send(&Message::Proofs {
                     task_id: 1,
-                    proofs: vec![], // challenged 3, answered 0
+                    // Challenged three, opened none: leaves of the right
+                    // width, just no leaves.
+                    proofs: Opening {
+                        leaf_width: 16,
+                        ..Opening::default()
+                    },
                 })
                 .unwrap();
             part_ep
@@ -194,14 +201,14 @@ fn supervisor_rejects_short_proof_list() {
                     reports: vec![],
                 })
                 .unwrap();
+            samples.sort_unstable();
+            samples.dedup();
+            samples.len()
         });
         let err = supervise(&sup_ep, &t, 3).unwrap_err();
-        assert_eq!(
-            err,
-            SchemeError::ProofCountMismatch {
-                expected: 3,
-                got: 0
-            }
-        );
+        // The opening owes one leaf per *distinct* challenged index.
+        let expected = challenged.join().unwrap();
+        assert!((1..=3).contains(&expected));
+        assert_eq!(err, SchemeError::ProofCountMismatch { expected, got: 0 });
     });
 }

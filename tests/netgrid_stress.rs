@@ -119,19 +119,35 @@ fn dialers_that_never_finish_their_hello_do_not_stall_a_running_campaign() {
     drop((silent, torn));
 }
 
-/// This process's thread count and open descriptors, from `/proc`.
+/// This process's thread count and open descriptors, from `/proc`, once
+/// the reading holds still: `join` returns when a thread has cleared its
+/// id, a moment before the kernel takes it off the process's thread
+/// list, so a single read can count a thread that is already joined. A
+/// thread or descriptor that was leaked stays counted however long the
+/// reading is left to settle.
 #[cfg(target_os = "linux")]
 fn threads_and_descriptors() -> (u64, usize) {
-    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
-    let threads = status
-        .lines()
-        .find_map(|line| line.strip_prefix("Threads:"))
-        .and_then(|count| count.trim().parse().ok())
-        .expect("a Threads: line");
-    let descriptors = std::fs::read_dir("/proc/self/fd")
-        .expect("/proc/self/fd")
-        .count();
-    (threads, descriptors)
+    let read = || {
+        let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+        let threads: u64 = status
+            .lines()
+            .find_map(|line| line.strip_prefix("Threads:"))
+            .and_then(|count| count.trim().parse().ok())
+            .expect("a Threads: line");
+        let descriptors = std::fs::read_dir("/proc/self/fd")
+            .expect("/proc/self/fd")
+            .count();
+        (threads, descriptors)
+    };
+    let mut reading = read();
+    let mut agreed = 0;
+    while agreed < 5 {
+        std::thread::sleep(Duration::from_millis(1));
+        let again = read();
+        agreed = if again == reading { agreed + 1 } else { 0 };
+        reading = again;
+    }
+    reading
 }
 
 #[cfg(target_os = "linux")]

@@ -10,7 +10,7 @@ use uncheatable_grid::core::{
     VerificationScheme,
 };
 use uncheatable_grid::grid::{
-    duplex, CheatSelection, CostLedger, Endpoint, HonestWorker, Message, SemiHonestCheater,
+    duplex, CheatSelection, CostLedger, Endpoint, HonestWorker, Message, Opening, SemiHonestCheater,
 };
 use uncheatable_grid::hash::{HashFunction, Sha256};
 use uncheatable_grid::merkle::MerkleTree;
@@ -93,20 +93,16 @@ fn post_challenge_recomputation_detected() {
             let Message::Challenge { samples, .. } = part_ep.recv().unwrap() else {
                 panic!("expected Challenge");
             };
-            // Answer every sample with the *true* result (computed now,
-            // after the challenge) and the garbage tree's paths.
-            let proofs = samples
-                .iter()
-                .map(|&i| {
-                    let p = tree.prove(i).unwrap();
-                    uncheatable_grid::grid::SampleProof {
-                        index: i,
-                        leaf_value: task.compute(i), // correct f(x)!
-                        leaf_sibling: p.leaf_sibling().to_vec(),
-                        digest_siblings: p.digest_siblings().iter().map(|d| d.to_vec()).collect(),
-                    }
-                })
-                .collect();
+            // Answer with the *true* results (computed now, after the
+            // challenge) over the garbage tree's siblings.
+            let garbage_opening = tree.open(&samples).unwrap();
+            let distinct: std::collections::BTreeSet<u64> = samples.iter().copied().collect();
+            let proofs = Opening {
+                leaf_width: 16,
+                leaf_values: distinct.iter().flat_map(|&i| task.compute(i)).collect(), // correct f(x)!
+                leaf_siblings: garbage_opening.leaf_siblings,
+                digest_siblings: garbage_opening.digest_siblings,
+            };
             part_ep
                 .send(&Message::Proofs {
                     task_id: a.task_id,
