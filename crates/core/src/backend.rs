@@ -57,11 +57,6 @@ pub enum TransportKind {
     Remote,
 }
 
-/// The historical name for [`TransportKind`], kept so every existing
-/// `FleetTransport::Direct` / `FleetTransport::Brokered` call site (and
-/// the journal decoder) compiles unchanged.
-pub type FleetTransport = TransportKind;
-
 impl TransportKind {
     /// The digest class this transport belongs to, as journaled in the
     /// [`CampaignHeader`](crate::CampaignHeader): `0` for [`Direct`](Self::Direct),

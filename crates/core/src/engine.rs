@@ -349,12 +349,6 @@ impl<'a> SessionEngine<'a> {
         Ok(routing_ids)
     }
 
-    /// Number of registered sessions.
-    #[must_use]
-    pub fn session_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Books the result of one step of an active slot's session: a
     /// session that has produced its outcome is done, one that raised an
     /// error has failed, anything else stays active. The only place a

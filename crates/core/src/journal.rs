@@ -28,8 +28,9 @@
 //! rule audits journal/codec paths, so every narrowing here must be a
 //! checked `try_from`, never an `as`.
 
+use crate::backend::TransportKind;
 use crate::engine::SessionResult;
-use crate::orchestrator::{FleetSummary, FleetTransport, MemberSpec, MixedFleetConfig};
+use crate::orchestrator::{FleetSummary, MemberSpec, MixedFleetConfig};
 use crate::session::SessionOutcome;
 use crate::{ParticipantStorage, SchemeError, Verdict};
 use std::path::Path;
@@ -617,7 +618,7 @@ pub struct CampaignHeader {
     /// in-process broker legally resumes over a real `ugc broker serve`
     /// grid (and vice versa). Socket addresses and process layout are
     /// execution-only and never reach the header.
-    pub transport: FleetTransport,
+    pub transport: TransportKind,
     /// Whether messages ride in session envelopes.
     pub envelope: bool,
     /// The seeded chaos plan, if any.
@@ -711,8 +712,8 @@ fn decode_header(buf: &mut &[u8]) -> Result<CampaignHeader, SchemeError> {
         tag => return Err(bad(format!("unknown storage tag {tag}"))),
     };
     let transport = match get_u8(buf, "header transport tag")? {
-        0 => FleetTransport::Direct,
-        1 => FleetTransport::Brokered,
+        0 => TransportKind::Direct,
+        1 => TransportKind::Brokered,
         tag => return Err(bad(format!("unknown transport tag {tag}"))),
     };
     let envelope = get_u8(buf, "header envelope flag")? != 0;
@@ -1385,7 +1386,7 @@ mod tests {
             member_slots: vec![1, 1, 2],
             domain: Domain::new(10, 300),
             storage: ParticipantStorage::Partial { subtree_height: 3 },
-            transport: FleetTransport::Brokered,
+            transport: TransportKind::Brokered,
             envelope: true,
             chaos: Some(FaultPlan {
                 seed: 42,
@@ -1409,7 +1410,7 @@ mod tests {
                 member_slots: vec![1],
                 domain: Domain::new(0, 8),
                 storage: ParticipantStorage::Full,
-                transport: FleetTransport::Direct,
+                transport: TransportKind::Direct,
                 envelope: false,
                 chaos: None,
                 deadline: None,
@@ -1450,18 +1451,15 @@ mod tests {
         // semantics → identical digests), so their headers are equal and
         // --resume across that backend change is legal...
         assert_eq!(
-            header(FleetTransport::Brokered),
-            header(FleetTransport::Remote)
+            header(TransportKind::Brokered),
+            header(TransportKind::Remote)
         );
         assert_eq!(
-            header(FleetTransport::Remote).transport,
-            FleetTransport::Brokered
+            header(TransportKind::Remote).transport,
+            TransportKind::Brokered
         );
         // ...while Direct is a distinct class, so that resume is refused.
-        assert_ne!(
-            header(FleetTransport::Direct),
-            header(FleetTransport::Remote)
-        );
+        assert_ne!(header(TransportKind::Direct), header(TransportKind::Remote));
     }
 
     #[test]

@@ -74,8 +74,8 @@ pub use error::SchemeError;
 pub use journal::{summary_digest, CampaignHeader, DurableCampaign, ResumeReport};
 pub use orchestrator::{
     chaos_link_id, run_campaign, run_durable_fleet, run_fleet, run_fleet_on, run_mixed_fleet,
-    CampaignSummary, FleetConfig, FleetMember, FleetScheme, FleetSummary, FleetTransport,
-    MemberSpec, MixedFleetConfig,
+    CampaignSummary, FleetConfig, FleetMember, FleetScheme, FleetSummary, MemberSpec,
+    MixedFleetConfig,
 };
 pub use outcome::{ParticipantStorage, RoundOutcome, Verdict};
 pub use session::{

@@ -11,9 +11,9 @@
 //! multiplexing one
 //! [`VerificationScheme`](crate::session::VerificationScheme) session per
 //! member over whatever the [`TransportBackend`] opened — per-participant
-//! links ([`FleetTransport::Direct`]), one shared link into a relaying
-//! [`Broker`](ugc_grid::Broker) ([`FleetTransport::Brokered`]), or a TCP
-//! link to a broker in another process ([`FleetTransport::Remote`]). The
+//! links ([`TransportKind::Direct`]), one shared link into a relaying
+//! [`Broker`](ugc_grid::Broker) ([`TransportKind::Brokered`]), or a TCP
+//! link to a broker in another process ([`TransportKind::Remote`]). The
 //! participant side is every slot the backend hosts locally, each a
 //! poll-driven state machine multiplexed by a
 //! [`GridScheduler`] over a fixed pool of worker threads, so a
@@ -23,7 +23,7 @@
 //! transport class, at any pool size and steal seed, and pinned by the
 //! golden digests in `tests/scheduler_equivalence.rs`.
 
-use crate::backend::{InProcessBackend, OpenRound, RoundSpec, TransportBackend};
+use crate::backend::{InProcessBackend, OpenRound, RoundSpec, TransportBackend, TransportKind};
 use crate::engine::{SessionEngine, SessionResult};
 use crate::journal::{
     charge_report, report_delta, summary_digest, CampaignHeader, CampaignRecorder, DurableCampaign,
@@ -37,14 +37,12 @@ use crate::session::{
     step_participant_batch, ParticipantContext, ParticipantSession, SessionPoll, SupervisorContext,
     VerificationScheme,
 };
-use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
+use crate::{ParticipantStorage, RoundOutcome, SchemeError};
 use std::time::{Duration, Instant};
 use ugc_grid::runtime::{
     FaultEvent, FaultLog, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll,
 };
 use ugc_grid::{CostLedger, CostReport, Doorbell, Throughput, WorkerBehaviour};
-
-pub use crate::backend::FleetTransport;
 use ugc_hash::HashFunction;
 use ugc_merkle::{LaneWidth, Parallelism};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
@@ -196,21 +194,6 @@ impl FleetSummary {
             .map(|m| m.share)
             .collect()
     }
-
-    /// Total bytes received by the supervisor across the fleet.
-    #[must_use]
-    pub fn supervisor_bytes_received(&self) -> u64 {
-        self.members
-            .iter()
-            .map(|m| m.outcome.supervisor_link.bytes_received)
-            .sum()
-    }
-
-    /// The verdict for participant `i`.
-    #[must_use]
-    pub fn verdict_of(&self, i: usize) -> Option<&Verdict> {
-        self.members.get(i).map(|m| &m.outcome.verdict)
-    }
 }
 
 /// Configuration of a mixed-scheme fleet round (see [`run_mixed_fleet`]).
@@ -227,7 +210,7 @@ pub struct MixedFleetConfig {
     /// it is excluded from the durable campaign parameter blob.
     pub lanes: LaneWidth,
     /// Transport the engine multiplexes the sessions over.
-    pub transport: FleetTransport,
+    pub transport: TransportKind,
     /// Wrap every message in a [`Message::Session`](ugc_grid::Message)
     /// envelope with engine-assigned session ids — required only when
     /// members' task ids collide; costs 9 bytes per message.
@@ -263,7 +246,7 @@ impl Default for MixedFleetConfig {
             storage: ParticipantStorage::Full,
             parallelism: Parallelism::default(),
             lanes: LaneWidth::default(),
-            transport: FleetTransport::Direct,
+            transport: TransportKind::Direct,
             envelope: false,
             chaos: None,
             deadline: None,
@@ -1340,7 +1323,7 @@ mod tests {
                 behaviours: vec![&honest as &dyn WorkerBehaviour],
             })
             .collect();
-        for transport in [FleetTransport::Direct, FleetTransport::Brokered] {
+        for transport in [TransportKind::Direct, TransportKind::Brokered] {
             let err = run_mixed_fleet(
                 &task,
                 &screener,

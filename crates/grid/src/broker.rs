@@ -97,12 +97,6 @@ impl<L: GridLink> Broker<L> {
         }
     }
 
-    /// Number of connected participants.
-    #[must_use]
-    pub fn participant_count(&self) -> usize {
-        self.participants.len()
-    }
-
     /// Adds a freshly connected participant (a late joiner or a
     /// reconnect) as a round-robin target for future assignments, and
     /// returns its index. Tasks NACKed when a predecessor died are *not*

@@ -7,13 +7,15 @@
 //! sampling event of Theorem 3) for dense parameter grids, or the *full
 //! protocol path* (complete CBS rounds over the byte-counted transport)
 //! for validation — and reports Wilson confidence intervals so the
-//! figure-regeneration binaries can show agreement bands, not just point
-//! estimates.
+//! reproduction (`cargo run --release -p ugc-bench --bin repro`) can show
+//! agreement bands, not just point estimates. Both paths take the
+//! [`Parallelism`] to shard their trials over and return the same counts
+//! at any setting.
 //!
 //! # Examples
 //!
 //! ```
-//! use ugc_sim::{DetectionExperiment, estimate_cheat_success_fast};
+//! use ugc_sim::{estimate_cheat_success_fast, DetectionExperiment, Parallelism};
 //! use ugc_core::analysis::cheat_success_probability;
 //!
 //! let exp = DetectionExperiment {
@@ -24,7 +26,8 @@
 //!     trials: 2_000,
 //!     seed: 42,
 //! };
-//! let est = estimate_cheat_success_fast(&exp);
+//! let est = estimate_cheat_success_fast(&exp, Parallelism::serial());
+//! assert_eq!(est, estimate_cheat_success_fast(&exp, Parallelism::threads(2)));
 //! let theory = cheat_success_probability(0.5, 0.0, 10);
 //! assert!(est.ci_low <= theory && theory <= est.ci_high);
 //! ```
@@ -37,13 +40,11 @@ mod stats;
 mod table;
 
 pub use montecarlo::{
-    estimate_cheat_success_fast, estimate_cheat_success_fast_parallel,
-    estimate_cheat_success_protocol, estimate_cheat_success_protocol_brokered,
-    estimate_cheat_success_protocol_parallel, estimate_cheat_success_under_churn, ChurnModel,
-    DetectionExperiment, RateEstimate,
+    estimate_cheat_success_fast, estimate_cheat_success_protocol,
+    estimate_cheat_success_under_churn, ChurnModel, DetectionExperiment, RateEstimate,
 };
 pub use stats::{wilson_interval, Summary};
 pub use table::Table;
-// Convenience: experiment binaries shard trials with the same knob the
-// scheme layer uses for tree builds.
+// Trials are sharded with the same knob the scheme layer uses for tree
+// builds.
 pub use ugc_core::Parallelism;

@@ -26,8 +26,8 @@ use uncheatable_grid::core::scheme::ni_cbs::{run_ni_cbs, NiCbsConfig};
 use uncheatable_grid::core::scheme::ringer::{run_ringer, RingerConfig};
 use uncheatable_grid::core::{
     run_durable_fleet, run_fleet_on, run_mixed_fleet, summary_digest, CampaignHeader,
-    DurableCampaign, FleetSummary, FleetTransport, ParticipantStorage, RemoteGridBackend,
-    RoundOutcome,
+    DurableCampaign, FleetSummary, ParticipantStorage, RemoteGridBackend, RoundOutcome,
+    TransportKind,
 };
 use uncheatable_grid::grid::runtime::GridScheduler;
 use uncheatable_grid::grid::tcp::handshake_supervisor;
@@ -487,7 +487,7 @@ fn cmd_run(mut args: Args<'_>) -> Result<(), String> {
 }
 
 /// Parses the campaign-defining `fleet` flags *except* the transport
-/// selection (the `--connect` path forces [`FleetTransport::Remote`]
+/// selection (the `--connect` path forces [`TransportKind::Remote`]
 /// and must reject the in-process transport flags instead of parsing
 /// them).
 fn base_fleet_params(args: &mut Args<'_>) -> Result<FleetParams, String> {
@@ -498,7 +498,7 @@ fn base_fleet_params(args: &mut Args<'_>) -> Result<FleetParams, String> {
         m: args.value("--m", 25)?,
         seed: args.value("--seed", 7)?,
         scheme: args.value("--scheme", "cbs".into())?,
-        transport: FleetTransport::Direct,
+        transport: TransportKind::Direct,
         churn: args.flag("--churn"),
         chaos_seed: args.opt("--chaos")?,
     })
@@ -506,10 +506,10 @@ fn base_fleet_params(args: &mut Args<'_>) -> Result<FleetParams, String> {
 
 /// Parses the one transport-selection knob, `--transport
 /// direct|brokered` (direct when absent).
-fn transport_from_args(args: &mut Args<'_>) -> Result<FleetTransport, String> {
+fn transport_from_args(args: &mut Args<'_>) -> Result<TransportKind, String> {
     match args.raw("--transport")? {
-        None | Some("direct") => Ok(FleetTransport::Direct),
-        Some("brokered") => Ok(FleetTransport::Brokered),
+        None | Some("direct") => Ok(TransportKind::Direct),
+        Some("brokered") => Ok(TransportKind::Brokered),
         Some(other) => Err(format!(
             "unknown transport {other:?} (expected direct or brokered; cross-process \
              campaigns use `ugc fleet --connect <host:port>`)"
@@ -581,7 +581,7 @@ fn cmd_fleet(mut args: Args<'_>) -> Result<(), String> {
                     .into(),
             );
         }
-        params.transport = FleetTransport::Remote;
+        params.transport = TransportKind::Remote;
         return cmd_fleet_connect(&addr, &params, workers, steal_seed, lanes);
     }
 
@@ -732,9 +732,9 @@ fn print_fleet_summary(summary: &FleetSummary, params: &FleetParams, workers: us
         params.participants,
         params.n,
         match params.transport {
-            FleetTransport::Direct => format!("direct links ({scheme_name})"),
-            FleetTransport::Brokered => format!("the grid broker ({scheme_name})"),
-            FleetTransport::Remote => format!("the remote grid broker ({scheme_name})"),
+            TransportKind::Direct => format!("direct links ({scheme_name})"),
+            TransportKind::Brokered => format!("the grid broker ({scheme_name})"),
+            TransportKind::Remote => format!("the remote grid broker ({scheme_name})"),
         },
         summary.accepted(),
         summary.rejected()

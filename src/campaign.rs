@@ -35,6 +35,12 @@ use ugc_task::{Domain, MatchScreener, ZeroGuesser};
 /// version 2 records the full [`TransportKind`].
 pub const FLEET_PARAMS_VERSION: u64 = 2;
 
+/// The largest roster a [`FleetParams`] may declare. The count is a raw
+/// `u64` off a relay's `Welcome` or a journal header and sizes the plan's
+/// per-member allocations, so [`CampaignPlan::new`] refuses more before it
+/// allocates: 65 times the 1000-slot scale soak, a few megabytes at most.
+pub const MAX_FLEET_PARTICIPANTS: u64 = 1 << 16;
+
 /// The campaign-defining `fleet` parameters. Journaled campaigns encode
 /// these into the header's app blob, so `--resume` rebuilds the
 /// identical campaign — task, roster, chaos plan, deadline, retry
@@ -221,11 +227,20 @@ impl CampaignPlan {
     ///
     /// # Errors
     ///
-    /// Inconsistent params: more cheaters than participants, counts
+    /// Inconsistent params: more cheaters than participants, more
+    /// participants than domain inputs or than [`MAX_FLEET_PARTICIPANTS`]
+    /// (both refused before anything is sized by the count), counts
     /// exceeding `usize`, an unknown scheme name, an empty domain.
     pub fn new(params: FleetParams) -> Result<Self, String> {
         if params.cheaters > params.participants {
             return Err("more cheaters than participants".into());
+        }
+        if params.participants > params.n.min(MAX_FLEET_PARTICIPANTS) {
+            return Err(format!(
+                "{} participants: at most one per domain input ({}) and \
+                 {MAX_FLEET_PARTICIPANTS} per campaign",
+                params.participants, params.n
+            ));
         }
         let participants = usize::try_from(params.participants)
             .map_err(|_| "participant count exceeds this platform's usize".to_string())?;
@@ -476,6 +491,31 @@ mod tests {
         };
         let err = CampaignPlan::new(p).err().expect("bad scheme");
         assert!(err.contains("unknown scheme"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn plan_refuses_a_hostile_participant_count_before_allocating() {
+        // A well-formed blob, as a `Welcome` or a journal header carries
+        // it, declaring 2^40 members, over a domain too small for them and
+        // over one that is not: expanding either would allocate by that.
+        for n in [300, u64::MAX] {
+            let blob = FleetParams {
+                participants: 1 << 40,
+                n,
+                ..params()
+            }
+            .encode();
+            let hostile = FleetParams::decode(&blob).expect("the blob itself is well-formed");
+            let err = CampaignPlan::new(hostile).err().expect("refused");
+            assert!(err.contains("1099511627776 participants"), "{err}");
+        }
+        // The limit itself is a roster this build expands.
+        let at_limit = FleetParams {
+            participants: MAX_FLEET_PARTICIPANTS,
+            n: MAX_FLEET_PARTICIPANTS,
+            ..params()
+        };
+        assert!(CampaignPlan::new(at_limit).is_ok());
     }
 
     #[test]

@@ -50,8 +50,8 @@
 //! See `examples/` for complete scenarios (password cracking, SETI-style
 //! signal search, drug screening, a broker-mediated non-interactive grid,
 //! a multi-round campaign), the `ugc` binary for a command-line driver,
-//! and `crates/bench/src/bin/` for the binaries that regenerate every
-//! figure and table of the paper.
+//! and `cargo run --release -p ugc-bench --bin repro` for the asserted
+//! regeneration of every figure and table of the paper.
 
 #![forbid(unsafe_code)]
 

@@ -22,8 +22,8 @@ use uncheatable_grid::core::scheme::naive::NaiveScheme;
 use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
 use uncheatable_grid::core::scheme::ringer::RingerScheme;
 use uncheatable_grid::core::{
-    chaos_link_id, run_mixed_fleet, FleetSummary, FleetTransport, MemberSpec, MixedFleetConfig,
-    SchemeError, VerificationScheme,
+    chaos_link_id, run_mixed_fleet, FleetSummary, MemberSpec, MixedFleetConfig, SchemeError,
+    TransportKind, VerificationScheme,
 };
 use uncheatable_grid::grid::runtime::FaultPlan;
 use uncheatable_grid::grid::{
@@ -131,7 +131,7 @@ fn mixed_five_scheme_chaos_campaign_is_correct_and_replays_bit_identically() {
             Domain::new(0, specs.len() as u64 * 64),
             &specs,
             &MixedFleetConfig {
-                transport: FleetTransport::Brokered,
+                transport: TransportKind::Brokered,
                 chaos: Some(FaultPlan::chaos(0xC4A05).with_churn(200)),
                 deadline: Some(Duration::from_secs(20)),
                 retries: 8,
@@ -214,7 +214,7 @@ fn crash_mid_session_fails_cleanly_for_every_scheme() {
         ("double-check", &double_check, 2),
     ];
     for (name, scheme, slots) in schemes {
-        for transport in [FleetTransport::Direct, FleetTransport::Brokered] {
+        for transport in [TransportKind::Direct, TransportKind::Brokered] {
             // ugc-lint: allow(wall-clock): test-harness stopwatch — bounds how long the soak may take, asserts nothing semantic
             let started = Instant::now();
             let err = run_mixed_fleet(
@@ -275,7 +275,7 @@ fn crashed_session_is_reassigned_and_recovers() {
         Domain::new(0, 64),
         &[spec(&scheme, vec![&honest])],
         &MixedFleetConfig {
-            transport: FleetTransport::Brokered,
+            transport: TransportKind::Brokered,
             chaos: Some(plan),
             deadline: Some(Duration::from_secs(10)),
             retries: 2,
@@ -336,7 +336,7 @@ fn dropped_messages_time_out_and_reassignment_recovers() {
             Domain::new(0, 32),
             &[spec(&scheme, vec![&honest])],
             &MixedFleetConfig {
-                transport: FleetTransport::Brokered,
+                transport: TransportKind::Brokered,
                 chaos: Some(plan),
                 deadline: Some(Duration::from_millis(400)),
                 retries,

@@ -124,7 +124,7 @@ fn mixed_scheme_campaign_over_one_broker_link() {
     use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
     use uncheatable_grid::core::scheme::ringer::RingerScheme;
     use uncheatable_grid::core::{
-        run_mixed_fleet, FleetTransport, MemberSpec, MixedFleetConfig, Verdict,
+        run_mixed_fleet, MemberSpec, MixedFleetConfig, TransportKind, Verdict,
     };
     use uncheatable_grid::grid::{MaliciousWorker, WorkerBehaviour};
     use uncheatable_grid::task::AcceptAllScreener;
@@ -194,7 +194,7 @@ fn mixed_scheme_campaign_over_one_broker_link() {
         Domain::new(0, n_members * share),
         &specs,
         &MixedFleetConfig {
-            transport: FleetTransport::Brokered,
+            transport: TransportKind::Brokered,
             ..MixedFleetConfig::default()
         },
     )
@@ -253,7 +253,7 @@ fn mixed_campaign_identical_across_transports_and_envelopes() {
     // the same verdicts — the transport is invisible to the sessions.
     use uncheatable_grid::core::scheme::cbs::CbsScheme;
     use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
-    use uncheatable_grid::core::{run_mixed_fleet, FleetTransport, MemberSpec, MixedFleetConfig};
+    use uncheatable_grid::core::{run_mixed_fleet, MemberSpec, MixedFleetConfig, TransportKind};
     use uncheatable_grid::grid::WorkerBehaviour;
 
     let task = PasswordSearch::with_hidden_password(3, 50);
@@ -271,7 +271,7 @@ fn mixed_campaign_identical_across_transports_and_envelopes() {
         report_audit: 0,
         audit_seed: 5,
     };
-    let run = |transport: FleetTransport, envelope: bool| -> Vec<bool> {
+    let run = |transport: TransportKind, envelope: bool| -> Vec<bool> {
         let members: Vec<MemberSpec<'_, Sha256>> = vec![
             MemberSpec {
                 scheme: &cbs,
@@ -307,9 +307,9 @@ fn mixed_campaign_identical_across_transports_and_envelopes() {
         .map(|m| m.outcome.accepted)
         .collect()
     };
-    let baseline = run(FleetTransport::Direct, false);
+    let baseline = run(TransportKind::Direct, false);
     assert_eq!(baseline, vec![true, false, false, true]);
-    assert_eq!(baseline, run(FleetTransport::Brokered, false));
-    assert_eq!(baseline, run(FleetTransport::Direct, true));
-    assert_eq!(baseline, run(FleetTransport::Brokered, true));
+    assert_eq!(baseline, run(TransportKind::Brokered, false));
+    assert_eq!(baseline, run(TransportKind::Direct, true));
+    assert_eq!(baseline, run(TransportKind::Brokered, true));
 }

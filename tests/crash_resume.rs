@@ -20,7 +20,7 @@ use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
 use uncheatable_grid::core::scheme::ringer::RingerScheme;
 use uncheatable_grid::core::{
     run_durable_fleet, run_mixed_fleet, summary_digest, CampaignHeader, DurableCampaign,
-    FleetSummary, FleetTransport, MemberSpec, MixedFleetConfig, ResumeReport, SchemeError,
+    FleetSummary, MemberSpec, MixedFleetConfig, ResumeReport, SchemeError, TransportKind,
 };
 use uncheatable_grid::grid::runtime::FaultPlan;
 use uncheatable_grid::grid::{
@@ -57,7 +57,7 @@ enum Mode<'a> {
 /// reassignment rounds.
 fn campaign(
     chaos_seed: u64,
-    transport: FleetTransport,
+    transport: TransportKind,
     mode: Mode<'_>,
 ) -> Result<(FleetSummary, Option<ResumeReport>), SchemeError> {
     let task = PasswordSearch::with_hidden_password(7, 3);
@@ -146,7 +146,7 @@ fn campaign(
 /// fired, resumes, and returns the resumed digest plus the report.
 fn kill_then_resume(
     chaos_seed: u64,
-    transport: FleetTransport,
+    transport: TransportKind,
     kill: u64,
     path: &Path,
 ) -> (String, ResumeReport) {
@@ -178,7 +178,7 @@ fn kill_then_resume(
 /// the uninterrupted run's digest.
 #[test]
 fn kill_and_resume_converges_at_every_matrix_point() {
-    for transport in [FleetTransport::Direct, FleetTransport::Brokered] {
+    for transport in [TransportKind::Direct, TransportKind::Brokered] {
         for chaos_seed in [0xC4A05u64, 0x5EED5, 42] {
             let ref_path = journal_path("ref");
             let (reference, _) = campaign(
@@ -216,11 +216,11 @@ fn kill_and_resume_converges_at_every_matrix_point() {
 #[test]
 fn journaling_does_not_change_the_digest() {
     let (plain, _) =
-        campaign(42, FleetTransport::Brokered, Mode::Plain).expect("the plain campaign completes");
+        campaign(42, TransportKind::Brokered, Mode::Plain).expect("the plain campaign completes");
     let path = journal_path("overhead");
     let (journaled, _) = campaign(
         42,
-        FleetTransport::Brokered,
+        TransportKind::Brokered,
         Mode::Create(&path, CrashPlan::never()),
     )
     .expect("the journaled campaign completes");
@@ -238,7 +238,7 @@ fn torn_tail_is_truncated_with_a_warning_and_converges() {
     let ref_path = journal_path("torn-ref");
     let (reference, _) = campaign(
         chaos_seed,
-        FleetTransport::Brokered,
+        TransportKind::Brokered,
         Mode::Create(&ref_path, CrashPlan::never()),
     )
     .expect("the uninterrupted campaign completes");
@@ -255,7 +255,7 @@ fn torn_tail_is_truncated_with_a_warning_and_converges() {
     let kill = (records - 1) * 2 / 3;
     match campaign(
         chaos_seed,
-        FleetTransport::Brokered,
+        TransportKind::Brokered,
         Mode::Create(&path, CrashPlan::at(kill)),
     ) {
         Ok(_) => panic!("kill at record {kill} never fired"),
@@ -272,7 +272,7 @@ fn torn_tail_is_truncated_with_a_warning_and_converges() {
 
     let (resumed, report) = campaign(
         chaos_seed,
-        FleetTransport::Brokered,
+        TransportKind::Brokered,
         Mode::Resume(&path, CrashPlan::never()),
     )
     .expect("a torn tail is a warning, not an error");
@@ -302,14 +302,14 @@ fn sealed_journal_resumes_read_only_to_the_same_digest() {
     let path = journal_path("sealed");
     let (finished, _) = campaign(
         42,
-        FleetTransport::Direct,
+        TransportKind::Direct,
         Mode::Create(&path, CrashPlan::never()),
     )
     .expect("the campaign completes");
     let finished = summary_digest(&finished);
     let (resumed, report) = campaign(
         42,
-        FleetTransport::Direct,
+        TransportKind::Direct,
         Mode::Resume(&path, CrashPlan::never()),
     )
     .expect("a sealed journal resumes read-only");

@@ -10,7 +10,7 @@ use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 use uncheatable_grid::campaign::{CampaignPlan, FleetParams};
 use uncheatable_grid::core::{
-    run_fleet_on, run_mixed_fleet, summary_digest, FleetTransport, RemoteGridBackend,
+    run_fleet_on, run_mixed_fleet, summary_digest, RemoteGridBackend, TransportKind,
 };
 use uncheatable_grid::grid::tcp::handshake_supervisor;
 use uncheatable_grid::netgrid::{self, GridServer};
@@ -23,7 +23,7 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 /// a silent dialer cannot make it.
 const WATCHDOG: Duration = Duration::from_secs(5);
 
-fn params(participants: u64, n: u64, transport: FleetTransport) -> FleetParams {
+fn params(participants: u64, n: u64, transport: TransportKind) -> FleetParams {
     FleetParams {
         participants,
         cheaters: 1,
@@ -54,7 +54,7 @@ fn brokered_digest(p: &FleetParams) -> String {
 #[test]
 fn dialers_that_never_finish_their_hello_do_not_stall_a_running_campaign() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let reference = brokered_digest(&params(24, 1920, FleetTransport::Brokered));
+    let reference = brokered_digest(&params(24, 1920, TransportKind::Brokered));
 
     let server = GridServer::bind("127.0.0.1:0", 2).expect("bind");
     let addr = server.local_addr().expect("local addr").to_string();
@@ -67,7 +67,7 @@ fn dialers_that_never_finish_their_hello_do_not_stall_a_running_campaign() {
         })
         .collect();
 
-    let p = params(24, 1920, FleetTransport::Remote);
+    let p = params(24, 1920, TransportKind::Remote);
     let plan = CampaignPlan::new(p.clone()).expect("plan");
     let stream = netgrid::connect(&addr).expect("supervisor connect");
     // The welcome says the roster is complete: every dial from here on
@@ -154,8 +154,8 @@ fn threads_and_descriptors() -> (u64, usize) {
 #[test]
 fn hundreds_of_remote_campaigns_leave_no_thread_or_descriptor_behind() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let p = params(4, 64, FleetTransport::Remote);
-    let reference = brokered_digest(&params(4, 64, FleetTransport::Brokered));
+    let p = params(4, 64, TransportKind::Remote);
+    let reference = brokered_digest(&params(4, 64, TransportKind::Brokered));
     let campaign = || {
         let summary = netgrid::run_remote_campaign(&p, 2).expect("remote campaign");
         assert_eq!(summary_digest(&summary), reference);

@@ -21,7 +21,7 @@ use uncheatable_grid::core::scheme::naive::NaiveScheme;
 use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
 use uncheatable_grid::core::scheme::ringer::RingerScheme;
 use uncheatable_grid::core::{
-    run_mixed_fleet, FleetSummary, FleetTransport, MemberSpec, MixedFleetConfig, VerificationScheme,
+    run_mixed_fleet, FleetSummary, MemberSpec, MixedFleetConfig, TransportKind, VerificationScheme,
 };
 use uncheatable_grid::grid::runtime::FaultPlan;
 use uncheatable_grid::grid::{CheatSelection, HonestWorker, SemiHonestCheater, WorkerBehaviour};
@@ -160,7 +160,7 @@ fn campaign(workers: usize) -> FleetSummary {
         domain,
         &members,
         &MixedFleetConfig {
-            transport: FleetTransport::Brokered,
+            transport: TransportKind::Brokered,
             // Churn but no drops: crashed sessions fail fast through the
             // broker's Gone NACK and are reassigned, so no inactivity
             // deadline (a wall-clock quantity) is needed at any pool

@@ -34,7 +34,7 @@ use uncheatable_grid::core::scheme::naive::NaiveScheme;
 use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
 use uncheatable_grid::core::scheme::ringer::RingerScheme;
 use uncheatable_grid::core::{
-    run_mixed_fleet, summary_digest, FleetSummary, FleetTransport, MemberSpec, MixedFleetConfig,
+    run_mixed_fleet, summary_digest, FleetSummary, MemberSpec, MixedFleetConfig, TransportKind,
 };
 use uncheatable_grid::grid::runtime::FaultPlan;
 use uncheatable_grid::grid::{
@@ -143,7 +143,7 @@ fn members<'a>(
 
 fn campaign(
     chaos_seed: u64,
-    transport: FleetTransport,
+    transport: TransportKind,
     workers: usize,
     steal_seed: u64,
 ) -> FleetSummary {
@@ -176,7 +176,7 @@ fn campaign(
 
 /// One transport's golden digests at `workers ∈ {1, 4, 8}` (8 = one
 /// worker per slot) and each of `steal_seeds`.
-fn assert_reproduces_golden(transport: FleetTransport, steal_seeds: &[u64]) {
+fn assert_reproduces_golden(transport: TransportKind, steal_seeds: &[u64]) {
     for (chaos_seed, golden) in GOLDEN {
         for workers in [1, 4, 8] {
             for &steal_seed in steal_seeds {
@@ -197,14 +197,14 @@ fn assert_reproduces_golden(transport: FleetTransport, steal_seeds: &[u64]) {
 /// per participant produced — across several chaos seeds.
 #[test]
 fn brokered_scheduler_matches_thread_per_participant_at_any_pool_size() {
-    assert_reproduces_golden(FleetTransport::Brokered, &[0]);
+    assert_reproduces_golden(TransportKind::Brokered, &[0]);
 }
 
 /// The same property over direct per-participant links (no broker):
 /// the engine's transport must not matter to the equivalence.
 #[test]
 fn direct_scheduler_matches_thread_per_participant() {
-    assert_reproduces_golden(FleetTransport::Direct, &[0]);
+    assert_reproduces_golden(TransportKind::Direct, &[0]);
 }
 
 /// The work-stealing victim order is scheduling-only. Sweeping the steal
@@ -213,7 +213,7 @@ fn direct_scheduler_matches_thread_per_participant() {
 /// without moving a digest bit.
 #[test]
 fn steal_seed_never_reaches_digests() {
-    for transport in [FleetTransport::Direct, FleetTransport::Brokered] {
+    for transport in [TransportKind::Direct, TransportKind::Brokered] {
         assert_reproduces_golden(transport, &[1, 0xDEAD_BEEF, u64::MAX]);
     }
 }
@@ -222,7 +222,7 @@ fn steal_seed_never_reaches_digests() {
 /// rejected, faults actually injected.
 #[test]
 fn scheduler_verdicts_are_correct_under_chaos() {
-    let summary = campaign(0xC4A05, FleetTransport::Brokered, 4, 0);
+    let summary = campaign(0xC4A05, TransportKind::Brokered, 4, 0);
     let expected = [true, true, true, true, true, false, false];
     assert_eq!(summary.members.len(), expected.len());
     for (member, expected) in summary.members.iter().zip(expected) {
@@ -268,7 +268,7 @@ fn quiet_fleet_identical_across_execution_models() {
             Domain::new(0, 192),
             &specs,
             &MixedFleetConfig {
-                transport: FleetTransport::Brokered,
+                transport: TransportKind::Brokered,
                 workers,
                 ..MixedFleetConfig::default()
             },

@@ -12,8 +12,8 @@ use uncheatable_grid::core::scheme::naive::{run_naive, NaiveConfig, NaiveScheme}
 use uncheatable_grid::core::scheme::ni_cbs::{run_ni_cbs, NiCbsConfig, NiCbsScheme};
 use uncheatable_grid::core::scheme::ringer::{run_ringer, RingerConfig, RingerScheme};
 use uncheatable_grid::core::{
-    run_mixed_fleet, FleetTransport, MemberSpec, MixedFleetConfig, ParticipantStorage,
-    RoundOutcome, VerificationScheme,
+    run_mixed_fleet, MemberSpec, MixedFleetConfig, ParticipantStorage, RoundOutcome, TransportKind,
+    VerificationScheme,
 };
 use uncheatable_grid::grid::{
     CheatSelection, HonestWorker, MaliciousWorker, SemiHonestCheater, WorkerBehaviour,
@@ -200,7 +200,7 @@ fn engine_round<S: uncheatable_grid::task::Screener>(
         &members,
         &MixedFleetConfig {
             storage,
-            transport: FleetTransport::Brokered,
+            transport: TransportKind::Brokered,
             ..MixedFleetConfig::default()
         },
     )

@@ -13,7 +13,7 @@ use ugc_journal::CrashPlan;
 use uncheatable_grid::campaign::{CampaignPlan, FleetParams};
 use uncheatable_grid::core::{
     run_durable_fleet, run_fleet_on, run_mixed_fleet, summary_digest, DurableCampaign,
-    FleetTransport, RemoteGridBackend, SchemeError,
+    RemoteGridBackend, SchemeError, TransportKind,
 };
 use uncheatable_grid::grid::tcp::{handshake_participant, handshake_supervisor};
 use uncheatable_grid::netgrid::{self, GridServer};
@@ -26,7 +26,7 @@ fn journal_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ugc-wire-eq-{}-{tag}-{n}.wal", std::process::id()))
 }
 
-fn params(scheme: &str, transport: FleetTransport) -> FleetParams {
+fn params(scheme: &str, transport: TransportKind) -> FleetParams {
     FleetParams {
         participants: 3,
         cheaters: 1,
@@ -57,8 +57,8 @@ fn brokered_digest(p: &FleetParams) -> String {
 #[test]
 fn remote_digest_matches_in_process_brokered_for_every_scheme() {
     for scheme in ["cbs", "ni-cbs", "naive", "ringer", "double-check"] {
-        let local = brokered_digest(&params(scheme, FleetTransport::Brokered));
-        let remote = netgrid::run_remote_campaign(&params(scheme, FleetTransport::Remote), 2)
+        let local = brokered_digest(&params(scheme, TransportKind::Brokered));
+        let remote = netgrid::run_remote_campaign(&params(scheme, TransportKind::Remote), 2)
             .expect("remote campaign");
         assert_eq!(
             local,
@@ -72,7 +72,7 @@ fn remote_digest_matches_in_process_brokered_for_every_scheme() {
 fn remote_digest_is_independent_of_joiner_count() {
     // How many OS processes serve the slots is execution layout, not
     // campaign identity: 1 joiner and 3 joiners must digest identically.
-    let p = params("cbs", FleetTransport::Remote);
+    let p = params("cbs", TransportKind::Remote);
     let one = netgrid::run_remote_campaign(&p, 1).expect("1 joiner");
     let three = netgrid::run_remote_campaign(&p, 3).expect("3 joiners");
     assert_eq!(summary_digest(&one), summary_digest(&three));
@@ -84,7 +84,7 @@ fn brokered_journal_resumes_over_a_real_grid_with_identical_digest() {
     // a campaign journaled against the in-process broker (class 1) may
     // finish over a live TCP grid (also class 1) — and the digest must
     // come out as if nothing had ever crashed or changed backend.
-    let p = params("cbs", FleetTransport::Brokered);
+    let p = params("cbs", TransportKind::Brokered);
     let reference = brokered_digest(&p);
 
     let path = journal_path("brokered-to-remote");
@@ -120,7 +120,7 @@ fn brokered_journal_resumes_over_a_real_grid_with_identical_digest() {
     let journaled = FleetParams::decode(&campaign.header().app).expect("journaled params");
     assert_eq!(journaled, p, "journal must reproduce the original params");
     let mut remote_params = journaled;
-    remote_params.transport = FleetTransport::Remote;
+    remote_params.transport = TransportKind::Remote;
     let remote_plan = CampaignPlan::new(remote_params.clone()).expect("remote plan");
 
     let server = GridServer::bind("127.0.0.1:0", 2).expect("bind");
@@ -167,7 +167,7 @@ fn direct_journal_refuses_a_different_digest_class() {
     // Direct (class 0) and the broker family (class 1) can legitimately
     // digest differently (per-link vs shared-link accounting), so a
     // direct journal must refuse a brokered resume — typed, up front.
-    let p = params("cbs", FleetTransport::Direct);
+    let p = params("cbs", TransportKind::Direct);
     let path = journal_path("direct-refuses-brokered");
     let plan = CampaignPlan::new(p.clone()).expect("plan");
     {
@@ -193,7 +193,7 @@ fn direct_journal_refuses_a_different_digest_class() {
     let (mut campaign, _report) =
         DurableCampaign::resume(&path, CrashPlan::never()).expect("resume journal");
     let mut brokered = FleetParams::decode(&campaign.header().app).expect("params");
-    brokered.transport = FleetTransport::Brokered;
+    brokered.transport = TransportKind::Brokered;
     let wrong_plan = CampaignPlan::new(brokered).expect("plan");
     let members = wrong_plan.members();
     let err = run_durable_fleet(
@@ -234,7 +234,7 @@ fn dead_join_process_fails_typed_not_hanging() {
 
     let (tx, rx) = mpsc::channel();
     let supervisor = std::thread::spawn(move || {
-        let p = params("cbs", FleetTransport::Remote);
+        let p = params("cbs", TransportKind::Remote);
         let plan = CampaignPlan::new(p.clone()).expect("plan");
         let stream = netgrid::connect(&addr).expect("supervisor connect");
         let (link, _welcome) = handshake_supervisor(stream, &p.encode()).expect("handshake");
