@@ -1,17 +1,12 @@
-//! Dependency-free hexadecimal encoding and decoding.
+//! Dependency-free hexadecimal encoding.
 //!
 //! Used for test vectors, digest display and experiment reports.
 //!
 //! # Examples
 //!
 //! ```
-//! let bytes = ugc_hash::hex::decode("deadbeef")?;
-//! assert_eq!(bytes, vec![0xde, 0xad, 0xbe, 0xef]);
-//! assert_eq!(ugc_hash::hex::encode(&bytes), "deadbeef");
-//! # Ok::<(), ugc_hash::hex::DecodeHexError>(())
+//! assert_eq!(ugc_hash::hex::encode(&[0xde, 0xad, 0xbe, 0xef]), "deadbeef");
 //! ```
-
-use core::fmt;
 
 const ALPHABET: &[u8; 16] = b"0123456789abcdef";
 
@@ -26,70 +21,6 @@ pub fn encode(bytes: &[u8]) -> String {
     out
 }
 
-/// Error returned by [`decode`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodeHexError {
-    /// The input length is odd, so it cannot encode whole bytes.
-    OddLength {
-        /// Length of the offending input.
-        len: usize,
-    },
-    /// A character outside `[0-9a-fA-F]` was found.
-    InvalidChar {
-        /// The offending character.
-        ch: char,
-        /// Byte offset of the character.
-        index: usize,
-    },
-}
-
-impl fmt::Display for DecodeHexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            DecodeHexError::OddLength { len } => {
-                write!(f, "hex string has odd length {len}")
-            }
-            DecodeHexError::InvalidChar { ch, index } => {
-                write!(f, "invalid hex character {ch:?} at index {index}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DecodeHexError {}
-
-fn nibble(ch: u8, index: usize) -> Result<u8, DecodeHexError> {
-    match ch {
-        b'0'..=b'9' => Ok(ch - b'0'),
-        b'a'..=b'f' => Ok(ch - b'a' + 10),
-        b'A'..=b'F' => Ok(ch - b'A' + 10),
-        other => Err(DecodeHexError::InvalidChar {
-            ch: other as char,
-            index,
-        }),
-    }
-}
-
-/// Decodes a hex string (either case) into bytes.
-///
-/// # Errors
-///
-/// Returns [`DecodeHexError::OddLength`] if the input length is odd and
-/// [`DecodeHexError::InvalidChar`] on the first non-hex character.
-pub fn decode(hex: &str) -> Result<Vec<u8>, DecodeHexError> {
-    let raw = hex.as_bytes();
-    if raw.len() % 2 != 0 {
-        return Err(DecodeHexError::OddLength { len: raw.len() });
-    }
-    let mut out = Vec::with_capacity(raw.len() / 2);
-    for (i, pair) in raw.chunks_exact(2).enumerate() {
-        let hi = nibble(pair[0], 2 * i)?;
-        let lo = nibble(pair[1], 2 * i + 1)?;
-        out.push((hi << 4) | lo);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,47 +33,5 @@ mod tests {
     #[test]
     fn encode_known() {
         assert_eq!(encode(&[0x00, 0x01, 0xfe, 0xff]), "0001feff");
-    }
-
-    #[test]
-    fn decode_known() {
-        assert_eq!(decode("0001feff").unwrap(), vec![0x00, 0x01, 0xfe, 0xff]);
-    }
-
-    #[test]
-    fn decode_uppercase() {
-        assert_eq!(decode("DEADBEEF").unwrap(), vec![0xde, 0xad, 0xbe, 0xef]);
-    }
-
-    #[test]
-    fn decode_mixed_case() {
-        assert_eq!(decode("aBcD").unwrap(), vec![0xab, 0xcd]);
-    }
-
-    #[test]
-    fn decode_odd_length_fails() {
-        assert_eq!(decode("abc"), Err(DecodeHexError::OddLength { len: 3 }));
-    }
-
-    #[test]
-    fn decode_invalid_char_fails_with_position() {
-        assert_eq!(
-            decode("ab0g"),
-            Err(DecodeHexError::InvalidChar { ch: 'g', index: 3 })
-        );
-    }
-
-    #[test]
-    fn roundtrip_all_bytes() {
-        let bytes: Vec<u8> = (0u8..=255).collect();
-        assert_eq!(decode(&encode(&bytes)).unwrap(), bytes);
-    }
-
-    #[test]
-    fn error_display() {
-        let err = DecodeHexError::InvalidChar { ch: 'z', index: 7 };
-        assert_eq!(err.to_string(), "invalid hex character 'z' at index 7");
-        let err = DecodeHexError::OddLength { len: 5 };
-        assert_eq!(err.to_string(), "hex string has odd length 5");
     }
 }

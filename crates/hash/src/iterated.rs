@@ -67,10 +67,7 @@ impl<H: HashFunction> IteratedHash<H> {
     }
 
     /// Applies `g` to `input`: hashes once, then re-hashes the digest
-    /// `iterations - 1` more times.
-    ///
-    /// Routed through [`HashFunction::digest_iterated`], whose per-algorithm
-    /// overrides run the re-hash loop in place on a reused stack block —
+    /// `iterations - 1` more times ([`HashFunction::digest_iterated`]) —
     /// the hot path of NI-CBS sample derivation.
     #[must_use]
     pub fn apply(&self, input: &[u8]) -> H::Digest {

@@ -49,20 +49,30 @@
 //! operation `hash(Φ(V_left) ‖ Φ(V_right))` and plain single messages
 //! (`(msg, &[])`). Lanes are fully independent — per-lane lengths may
 //! differ (shorter lanes finish in the transposed pass, longer lanes are
-//! completed by the scalar kernel), and ragged batch sizes fall back to
-//! scalar hashing for the tail — so every digest is bit-identical to the
-//! scalar path by construction, which the replay/journal/wire-equivalence
-//! contract depends on. SHA-256 adds one fixed-shape fast path, chosen
-//! from the input alone: when every lane totals exactly 64 bytes (every
-//! Merkle inner node) the second block is the constant padding block and
-//! runs from a precomputed table ([`sha256_digest_lanes`]).
+//! completed by the scalar kernel) — so every digest is bit-identical to
+//! the scalar path by construction, which the replay/journal/wire-
+//! equivalence contract depends on. SHA-256 adds one fixed-shape fast
+//! path, chosen from the input alone: when every lane totals exactly 64
+//! bytes (every Merkle inner node) the second block is the constant
+//! padding block and runs from a precomputed table
+//! ([`sha256_digest_lanes`]).
 //!
-//! [`LaneWidth`] stays an execution-only knob: it selects how many
-//! messages share a pass and never changes a digest.
+//! One dispatcher, [`digest_pairs_into`], cuts a batch of any size into
+//! kernel passes: groups of eight, a last group of six or seven as one
+//! 8-wide pass and of three or four as one 4-wide pass (spare lanes
+//! repeat the group's last message and are discarded; five is four and
+//! one), one or two leftovers through the scalar one-shot. A Merkle level, the levels of
+//! an opening and a batch of leaves or chain links all go through it.
+//!
+//! [`LaneWidth`] has two settings: [`X8`](LaneWidth::X8), that policy,
+//! and [`Scalar`](LaneWidth::Scalar), one `digest_pair` per message — the
+//! reference the tests hold the kernels to. It is execution-only: it
+//! never changes a digest.
 
-use crate::{md5, sha1, sha256, HashFunction, Md5, Sha1, Sha256};
+use crate::{md5, sha1, sha256, HashFunction};
 
-/// How many independent messages the digest kernels run per dispatch.
+/// Whether batches of independent messages go through the transposed
+/// lane kernels or one at a time.
 ///
 /// This is an *execution* knob like `Parallelism`: it never changes a
 /// digest, only how fast digests are produced. It is therefore excluded
@@ -74,40 +84,28 @@ use crate::{md5, sha1, sha256, HashFunction, Md5, Sha1, Sha256};
 /// use ugc_hash::LaneWidth;
 ///
 /// assert_eq!(LaneWidth::default(), LaneWidth::X8);
-/// assert_eq!(LaneWidth::X4.lanes(), 4);
+/// assert_eq!(LaneWidth::X8.name(), "x8");
 /// assert_eq!(LaneWidth::parse("scalar"), Some(LaneWidth::Scalar));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum LaneWidth {
     /// One message at a time — the reference scalar kernels.
     Scalar,
-    /// Four messages per transposed compression pass.
-    X4,
-    /// Eight messages per transposed compression pass (the default).
+    /// Eight messages per transposed compression pass, a short last
+    /// group through the 4-wide kernel (the default).
     #[default]
     X8,
 }
 
 impl LaneWidth {
-    /// All widths, for sweeps and equivalence tests.
-    pub const ALL: [LaneWidth; 3] = [LaneWidth::Scalar, LaneWidth::X4, LaneWidth::X8];
+    /// Both widths, for sweeps and equivalence tests.
+    pub const ALL: [LaneWidth; 2] = [LaneWidth::Scalar, LaneWidth::X8];
 
-    /// Number of messages per kernel dispatch (1, 4 or 8).
-    #[must_use]
-    pub fn lanes(self) -> usize {
-        match self {
-            LaneWidth::Scalar => 1,
-            LaneWidth::X4 => 4,
-            LaneWidth::X8 => 8,
-        }
-    }
-
-    /// The width's stable lowercase name (`"scalar"`, `"x4"`, `"x8"`).
+    /// The width's stable lowercase name (`"scalar"`, `"x8"`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             LaneWidth::Scalar => "scalar",
-            LaneWidth::X4 => "x4",
             LaneWidth::X8 => "x8",
         }
     }
@@ -115,51 +113,13 @@ impl LaneWidth {
     /// Parses a width name as produced by [`name`](Self::name).
     #[must_use]
     pub fn parse(s: &str) -> Option<LaneWidth> {
-        match s {
-            "scalar" => Some(LaneWidth::Scalar),
-            "x4" => Some(LaneWidth::X4),
-            "x8" => Some(LaneWidth::X8),
-            _ => None,
-        }
+        LaneWidth::ALL.into_iter().find(|w| w.name() == s)
     }
 }
 
 impl core::fmt::Display for LaneWidth {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// A hash function with transposed message-parallel kernels.
-///
-/// The single generic-width method lets each algorithm provide one
-/// `const L` implementation that serves both the 4-wide and 8-wide
-/// [`HashFunction::digest_lanes_4`]/[`HashFunction::digest_lanes_8`]
-/// entry points. Implemented by [`Md5`], [`Sha1`] and [`Sha256`];
-/// protocol code generic over plain [`HashFunction`] still gets lane
-/// acceleration through the provided trait methods these overrides feed.
-pub trait LaneKernel: HashFunction {
-    /// Digests `L` independent two-segment messages (`a ‖ b` each) in one
-    /// transposed compression pass. Bit-identical to `L` calls of
-    /// [`HashFunction::digest_pair`].
-    fn digest_lanes<const L: usize>(msgs: &[(&[u8], &[u8]); L]) -> [Self::Digest; L];
-}
-
-impl LaneKernel for Md5 {
-    fn digest_lanes<const L: usize>(msgs: &[(&[u8], &[u8]); L]) -> [Self::Digest; L] {
-        md5_digest_lanes(msgs)
-    }
-}
-
-impl LaneKernel for Sha1 {
-    fn digest_lanes<const L: usize>(msgs: &[(&[u8], &[u8]); L]) -> [Self::Digest; L] {
-        sha1_digest_lanes(msgs)
-    }
-}
-
-impl LaneKernel for Sha256 {
-    fn digest_lanes<const L: usize>(msgs: &[(&[u8], &[u8]); L]) -> [Self::Digest; L] {
-        sha256_digest_lanes(msgs)
     }
 }
 
@@ -538,10 +498,61 @@ pub(crate) fn sha256_digest_lanes<const L: usize>(msgs: &[(&[u8], &[u8]); L]) ->
     })
 }
 
-/// Digests a batch of two-segment messages (`a ‖ b` each) at the given
-/// lane width: full groups of 8 (then 4) go through the transposed
-/// kernels, the ragged tail through the scalar `digest_pair` fast path.
-/// Bit-identical to scalar hashing at every width.
+/// Hashes `out.len()` independent two-segment messages, `pair(j)` into
+/// `out[j]` — the one dispatcher every batch goes through. At
+/// [`LaneWidth::X8`] groups of eight take the 8-wide kernel; a last group
+/// that fills more than half of a kernel's lanes is dispatched to it with
+/// the spare lanes repeating its last message — six messages are one
+/// 8-wide pass, three are one 4-wide pass, and either costs less than the
+/// narrower kernel plus scalar calls would; one or two go through the
+/// scalar [`digest_pair`](HashFunction::digest_pair). Bit-identical to
+/// per-message hashing at either width — the messages of one batch never
+/// depend on each other.
+///
+/// # Examples
+///
+/// ```
+/// use ugc_hash::{digest_pairs_into, HashFunction, LaneWidth, Md5};
+///
+/// // One level of a Merkle tree: six nodes over twelve children.
+/// let children: Vec<_> = (0u8..12).map(|i| Md5::digest(&[i])).collect();
+/// let mut level = [[0u8; 16]; 6];
+/// digest_pairs_into::<Md5>(
+///     &mut level,
+///     |j| (&children[2 * j], &children[2 * j + 1]),
+///     LaneWidth::X8,
+/// );
+/// assert_eq!(level[5], Md5::digest_pair(&children[10], &children[11]));
+/// ```
+pub fn digest_pairs_into<'a, H: HashFunction>(
+    out: &mut [H::Digest],
+    pair: impl Fn(usize) -> (&'a [u8], &'a [u8]),
+    width: LaneWidth,
+) {
+    let n = out.len();
+    let mut j = 0;
+    if width == LaneWidth::X8 {
+        while n - j > 5 {
+            let msgs: [(&[u8], &[u8]); 8] = core::array::from_fn(|l| pair((j + l).min(n - 1)));
+            let real = (n - j).min(8);
+            out[j..j + real].copy_from_slice(&H::digest_lanes_8(&msgs)[..real]);
+            j += real;
+        }
+        while n - j > 2 {
+            let msgs: [(&[u8], &[u8]); 4] = core::array::from_fn(|l| pair((j + l).min(n - 1)));
+            let real = (n - j).min(4);
+            out[j..j + real].copy_from_slice(&H::digest_lanes_4(&msgs)[..real]);
+            j += real;
+        }
+    }
+    while j < n {
+        let (a, b) = pair(j);
+        out[j] = H::digest_pair(a, b);
+        j += 1;
+    }
+}
+
+/// [`digest_pairs_into`] over a slice of pairs, into a fresh `Vec`.
 ///
 /// # Examples
 ///
@@ -554,39 +565,22 @@ pub(crate) fn sha256_digest_lanes<const L: usize>(msgs: &[(&[u8], &[u8]); L]) ->
 /// ```
 #[must_use]
 pub fn digest_pairs<H: HashFunction>(pairs: &[(&[u8], &[u8])], width: LaneWidth) -> Vec<H::Digest> {
-    let mut out = Vec::with_capacity(pairs.len());
-    let mut rest = pairs;
-    if width.lanes() >= 8 {
-        while rest.len() >= 8 {
-            let msgs: [(&[u8], &[u8]); 8] = rest[..8].try_into().expect("8 message pairs");
-            out.extend_from_slice(&H::digest_lanes_8(&msgs));
-            rest = &rest[8..];
-        }
-    }
-    if width.lanes() >= 4 {
-        while rest.len() >= 4 {
-            let msgs: [(&[u8], &[u8]); 4] = rest[..4].try_into().expect("4 message pairs");
-            out.extend_from_slice(&H::digest_lanes_4(&msgs));
-            rest = &rest[4..];
-        }
-    }
-    for &(a, b) in rest {
-        out.push(H::digest_pair(a, b));
-    }
+    let mut out = vec![H::Digest::default(); pairs.len()];
+    digest_pairs_into::<H>(&mut out, |j| pairs[j], width);
     out
 }
 
-/// Digests a batch of single-segment messages at the given lane width;
-/// see [`digest_pairs`].
+/// [`digest_pairs_into`] over single-segment messages, into a fresh `Vec`.
 #[must_use]
 pub fn digest_batch<H: HashFunction>(msgs: &[&[u8]], width: LaneWidth) -> Vec<H::Digest> {
-    let pairs: Vec<(&[u8], &[u8])> = msgs.iter().map(|m| (*m, &[][..])).collect();
-    digest_pairs::<H>(&pairs, width)
+    let mut out = vec![H::Digest::default(); msgs.len()];
+    digest_pairs_into::<H>(&mut out, |j| (msgs[j], &[]), width);
+    out
 }
 
 /// Applies `H` `iterations` times to each seed independently
-/// (`H(H(…H(seed)…))`), stepping all chains in lockstep through the lane
-/// kernels — the message-parallel form of
+/// (`H(H(…H(seed)…))`), stepping all chains in lockstep through
+/// [`digest_pairs_into`] — the message-parallel form of
 /// [`HashFunction::digest_iterated`] across independent seeds.
 ///
 /// # Panics
@@ -603,12 +597,12 @@ pub fn digest_iterated_batch<H: HashFunction>(
         "digest_iterated requires at least 1 iteration"
     );
     let mut digests = digest_batch::<H>(seeds, width);
-    for _ in 1..iterations {
-        let next = {
-            let refs: Vec<&[u8]> = digests.iter().map(|d| d.as_ref()).collect();
-            digest_batch::<H>(&refs, width)
-        };
-        digests = next;
+    if iterations > 1 {
+        let mut next = digests.clone();
+        for _ in 1..iterations {
+            digest_pairs_into::<H>(&mut next, |j| (digests[j].as_ref(), &[]), width);
+            core::mem::swap(&mut digests, &mut next);
+        }
     }
     digests
 }
@@ -616,6 +610,7 @@ pub fn digest_iterated_batch<H: HashFunction>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Md5, Sha1, Sha256};
 
     fn message(len: usize, tag: u8) -> Vec<u8> {
         (0..len)
@@ -626,13 +621,11 @@ mod tests {
     #[test]
     fn lane_width_knob() {
         assert_eq!(LaneWidth::default(), LaneWidth::X8);
-        assert_eq!(LaneWidth::Scalar.lanes(), 1);
-        assert_eq!(LaneWidth::X4.lanes(), 4);
-        assert_eq!(LaneWidth::X8.lanes(), 8);
         for w in LaneWidth::ALL {
             assert_eq!(LaneWidth::parse(w.name()), Some(w));
             assert_eq!(w.to_string(), w.name());
         }
+        assert_eq!(LaneWidth::parse("x4"), None);
         assert_eq!(LaneWidth::parse("x16"), None);
     }
 
@@ -658,12 +651,9 @@ mod tests {
         let a = message(40, 1);
         let b = message(40, 2);
         let msgs: [(&[u8], &[u8]); 4] = [(&a, &b); 4];
-        assert_eq!(Md5::digest_lanes(&msgs), [Md5::digest_pair(&a, &b); 4]);
-        assert_eq!(Sha1::digest_lanes(&msgs), [Sha1::digest_pair(&a, &b); 4]);
-        assert_eq!(
-            Sha256::digest_lanes(&msgs),
-            [Sha256::digest_pair(&a, &b); 4]
-        );
+        assert_eq!(md5_digest_lanes(&msgs), [Md5::digest_pair(&a, &b); 4]);
+        assert_eq!(sha1_digest_lanes(&msgs), [Sha1::digest_pair(&a, &b); 4]);
+        assert_eq!(sha256_digest_lanes(&msgs), [Sha256::digest_pair(&a, &b); 4]);
     }
 
     /// The literal second block of every 64-byte message: `0x80`, zeros,
@@ -752,7 +742,7 @@ mod tests {
         let lens = [0usize, 55, 56, 63, 64, 65, 119, 120];
         let payloads: Vec<Vec<u8>> = lens.iter().map(|&n| message(n, 7)).collect();
         let msgs: [(&[u8], &[u8]); 8] = core::array::from_fn(|l| (payloads[l].as_slice(), &[][..]));
-        let lanes = Sha256::digest_lanes(&msgs);
+        let lanes = sha256_digest_lanes(&msgs);
         for (l, payload) in payloads.iter().enumerate() {
             assert_eq!(lanes[l], Sha256::digest(payload), "lane {l}");
         }

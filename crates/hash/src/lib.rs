@@ -8,15 +8,23 @@
 //! implemented from the specifications (RFC 1321, FIPS 180-4) with no external
 //! dependencies:
 //!
-//! * [`Md5`], [`Sha1`], [`Sha256`] — streaming hashers validated against the
-//!   official test vectors.
+//! * [`Md5`], [`Sha1`], [`Sha256`] — validated against the official test
+//!   vectors. Each is its constants and its compression function; the
+//!   Merkle–Damgård construction around them is written once, and there
+//!   are two ways through it: the streaming state
+//!   ([`HashFunction::update`] / [`HashFunction::finalize`]) for input of
+//!   any length, and a stack-assembled one-shot
+//!   ([`HashFunction::digest_pair`]) for the ≤ 119-byte messages the
+//!   protocol hashes — leaves, Merkle nodes, chain links.
 //! * [`HashFunction`] — the compile-time interface the Merkle tree and the
 //!   CBS protocol are generic over.
-//! * [`Algorithm`] / [`DigestBytes`] — a runtime-selectable facade used by
-//!   experiment harnesses that sweep over hash functions.
+//! * [`digest_pairs_into`] and its `Vec`-returning forms [`digest_pairs`],
+//!   [`digest_batch`], [`digest_iterated_batch`] — many independent
+//!   messages at once through the transposed lane kernels, at a
+//!   [`LaneWidth`] that never changes a digest.
 //! * [`IteratedHash`] and [`HashChain`] — the hardened `g = H^k` construction
 //!   from Section 4.2 of the paper.
-//! * [`hex`] — dependency-free hex encoding/decoding for vectors and display.
+//! * [`hex`] — dependency-free hex encoding for vectors and display.
 //!
 //! # Examples
 //!
@@ -37,11 +45,12 @@ pub mod hex;
 mod iterated;
 mod lanes;
 mod md5;
+mod scaffold;
 mod sha1;
 mod sha256;
 
 pub use iterated::{HashChain, IteratedHash};
-pub use lanes::{digest_batch, digest_iterated_batch, digest_pairs, LaneKernel, LaneWidth};
+pub use lanes::{digest_batch, digest_iterated_batch, digest_pairs, digest_pairs_into, LaneWidth};
 pub use md5::Md5;
 pub use sha1::Sha1;
 pub use sha256::Sha256;
@@ -73,6 +82,7 @@ pub trait HashFunction: Clone + Send + Sync + 'static {
     /// Fixed-size digest produced by this algorithm.
     type Digest: Copy
         + Clone
+        + Default
         + Eq
         + PartialEq
         + Ord
@@ -89,9 +99,6 @@ pub trait HashFunction: Clone + Send + Sync + 'static {
 
     /// Digest length in bytes.
     const DIGEST_LEN: usize;
-
-    /// Internal block length in bytes (64 for MD5/SHA-1/SHA-256).
-    const BLOCK_LEN: usize;
 
     /// Human-readable algorithm name (e.g. `"SHA-256"`).
     const NAME: &'static str;
@@ -111,27 +118,21 @@ pub trait HashFunction: Clone + Send + Sync + 'static {
     /// Consumes the state and produces the digest.
     fn finalize(state: Self::State) -> Self::Digest;
 
-    /// Hashes a single byte string.
-    ///
-    /// [`Md5`], [`Sha1`] and [`Sha256`] override the default streaming
-    /// implementation with a multi-block kernel that compresses every
-    /// full block straight out of `data` (no staging copy) and pads the
-    /// tail on the stack.
+    /// Hashes a single byte string: [`digest_pair`](Self::digest_pair)
+    /// with an empty second half.
     fn digest(data: &[u8]) -> Self::Digest {
-        let mut st = Self::new_state();
-        Self::update(&mut st, data);
-        Self::finalize(st)
+        Self::digest_pair(data, &[])
     }
 
     /// Hashes the concatenation `a || b` without materialising it.
     ///
     /// This is the Merkle-tree inner-node operation
     /// `Φ(V) = hash(Φ(V_left) || Φ(V_right))` from Eq. (1) of the paper.
-    /// [`Md5`], [`Sha1`] and [`Sha256`] override the default streaming
-    /// implementation with a zero-copy fast path that assembles the padded
-    /// final block(s) on the stack — inner nodes hash exactly two digests,
-    /// so the padding layout is known up front and no streaming-state
-    /// buffer shuffling (or heap allocation) is needed.
+    /// [`Md5`], [`Sha1`] and [`Sha256`] assemble a message of at most 119
+    /// bytes and its padding — two blocks — on the stack and compress
+    /// from there; inner nodes hash exactly two digests, so no streaming
+    /// state is needed. Longer input takes the streaming state, which is
+    /// also this default.
     fn digest_pair(a: &[u8], b: &[u8]) -> Self::Digest {
         streaming_digest_pair::<Self>(a, b)
     }
@@ -139,25 +140,29 @@ pub trait HashFunction: Clone + Send + Sync + 'static {
     /// Applies the hash `iterations` times: `H(H(…H(input)…))`.
     ///
     /// This is the inner loop of the hardened sample generator
-    /// `g = H^k` (Section 4.2 of the paper). [`Md5`], [`Sha1`] and
-    /// [`Sha256`] override the default with an in-place loop that reuses
-    /// one stack block across iterations: a digest always re-hashes as a
-    /// single padded block whose padding bytes never change.
+    /// `g = H^k` (Section 4.2 of the paper).
     ///
     /// # Panics
     ///
     /// Panics if `iterations == 0` (`H^0` would be the identity).
     fn digest_iterated(input: &[u8], iterations: u64) -> Self::Digest {
-        streaming_digest_iterated::<Self>(input, iterations)
+        assert!(
+            iterations > 0,
+            "digest_iterated requires at least 1 iteration"
+        );
+        let mut digest = Self::digest(input);
+        for _ in 1..iterations {
+            digest = Self::digest(digest.as_ref());
+        }
+        digest
     }
 
     /// Digests four independent two-segment messages (`a ‖ b` each) in
     /// one dispatch.
     ///
     /// [`Md5`], [`Sha1`] and [`Sha256`] override the default scalar loop
-    /// with transposed message-parallel kernels (see [`LaneKernel`]);
-    /// results are bit-identical to four [`digest_pair`](Self::digest_pair)
-    /// calls at any width.
+    /// with transposed message-parallel kernels; results are
+    /// bit-identical to four [`digest_pair`](Self::digest_pair) calls.
     fn digest_lanes_4(msgs: &[(&[u8], &[u8]); 4]) -> [Self::Digest; 4] {
         core::array::from_fn(|l| Self::digest_pair(msgs[l].0, msgs[l].1))
     }
@@ -184,11 +189,11 @@ pub trait HashFunction: Clone + Send + Sync + 'static {
 }
 
 /// Reference implementation of [`HashFunction::digest_pair`] through the
-/// generic streaming state.
+/// streaming state.
 ///
-/// The concrete algorithms override `digest_pair` with stack-assembled
-/// fast paths; this function keeps the unspecialised path callable so
-/// tests and benchmarks can compare the two.
+/// The concrete algorithms override `digest_pair` with the stack-assembled
+/// one-shot, which hands messages over 119 bytes to this function; below
+/// that it is the reference the one-shot is tested against.
 ///
 /// # Examples
 ///
@@ -207,228 +212,9 @@ pub fn streaming_digest_pair<H: HashFunction>(a: &[u8], b: &[u8]) -> H::Digest {
     H::finalize(st)
 }
 
-/// Reference implementation of [`HashFunction::digest_iterated`] as a
-/// plain re-digest loop, kept callable for tests and benchmarks (see
-/// [`streaming_digest_pair`]).
-///
-/// # Panics
-///
-/// Panics if `iterations == 0`.
-pub fn streaming_digest_iterated<H: HashFunction>(input: &[u8], iterations: u64) -> H::Digest {
-    assert!(
-        iterations > 0,
-        "digest_iterated requires at least 1 iteration"
-    );
-    let mut digest = H::digest(input);
-    for _ in 1..iterations {
-        digest = H::digest(digest.as_ref());
-    }
-    digest
-}
-
-/// Runtime-selectable hash algorithm.
-///
-/// Protocol code is generic over [`HashFunction`]; experiment harnesses that
-/// sweep over algorithms use this enum instead.
-///
-/// # Examples
-///
-/// ```
-/// use ugc_hash::Algorithm;
-///
-/// let d = Algorithm::Md5.digest(b"abc");
-/// assert_eq!(d.len(), 16);
-/// assert_eq!(Algorithm::Sha256.digest_len(), 32);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum Algorithm {
-    /// MD5 (RFC 1321), 128-bit digest. The paper's running example.
-    Md5,
-    /// SHA-1 (FIPS 180-4), 160-bit digest.
-    Sha1,
-    /// SHA-256 (FIPS 180-4), 256-bit digest. The modern default.
-    Sha256,
-}
-
-impl Algorithm {
-    /// All supported algorithms, for sweeps.
-    pub const ALL: [Algorithm; 3] = [Algorithm::Md5, Algorithm::Sha1, Algorithm::Sha256];
-
-    /// Digest length in bytes.
-    #[must_use]
-    pub fn digest_len(self) -> usize {
-        match self {
-            Algorithm::Md5 => Md5::DIGEST_LEN,
-            Algorithm::Sha1 => Sha1::DIGEST_LEN,
-            Algorithm::Sha256 => Sha256::DIGEST_LEN,
-        }
-    }
-
-    /// Human-readable name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Algorithm::Md5 => Md5::NAME,
-            Algorithm::Sha1 => Sha1::NAME,
-            Algorithm::Sha256 => Sha256::NAME,
-        }
-    }
-
-    /// Hashes `data` with the selected algorithm.
-    #[must_use]
-    pub fn digest(self, data: &[u8]) -> DigestBytes {
-        match self {
-            Algorithm::Md5 => DigestBytes::from_slice(Md5::digest(data).as_ref()),
-            Algorithm::Sha1 => DigestBytes::from_slice(Sha1::digest(data).as_ref()),
-            Algorithm::Sha256 => DigestBytes::from_slice(Sha256::digest(data).as_ref()),
-        }
-    }
-
-    /// Hashes the concatenation `a || b` with the selected algorithm.
-    #[must_use]
-    pub fn digest_pair(self, a: &[u8], b: &[u8]) -> DigestBytes {
-        match self {
-            Algorithm::Md5 => DigestBytes::from_slice(Md5::digest_pair(a, b).as_ref()),
-            Algorithm::Sha1 => DigestBytes::from_slice(Sha1::digest_pair(a, b).as_ref()),
-            Algorithm::Sha256 => DigestBytes::from_slice(Sha256::digest_pair(a, b).as_ref()),
-        }
-    }
-}
-
-impl fmt::Display for Algorithm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Maximum digest length supported by [`DigestBytes`] (SHA-256).
-pub const MAX_DIGEST_LEN: usize = 32;
-
-/// An inline, variable-length digest value (up to [`MAX_DIGEST_LEN`] bytes).
-///
-/// Used by the runtime-selectable [`Algorithm`] facade; avoids heap
-/// allocation in hash-heavy experiment loops.
-///
-/// # Examples
-///
-/// ```
-/// use ugc_hash::{Algorithm, DigestBytes};
-///
-/// let d: DigestBytes = Algorithm::Sha1.digest(b"x");
-/// assert_eq!(d.len(), 20);
-/// assert_eq!(d, DigestBytes::from_slice(d.as_ref()));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DigestBytes {
-    len: u8,
-    buf: [u8; MAX_DIGEST_LEN],
-}
-
-impl DigestBytes {
-    /// Wraps a raw digest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is longer than [`MAX_DIGEST_LEN`].
-    #[must_use]
-    pub fn from_slice(bytes: &[u8]) -> Self {
-        assert!(
-            bytes.len() <= MAX_DIGEST_LEN,
-            "digest of {} bytes exceeds MAX_DIGEST_LEN",
-            bytes.len()
-        );
-        let mut buf = [0u8; MAX_DIGEST_LEN];
-        buf[..bytes.len()].copy_from_slice(bytes);
-        DigestBytes {
-            len: bytes.len() as u8,
-            buf,
-        }
-    }
-
-    /// Digest length in bytes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        usize::from(self.len)
-    }
-
-    /// Whether the digest is empty (zero-length).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Hex rendering of the digest.
-    #[must_use]
-    pub fn to_hex(&self) -> String {
-        hex::encode(self.as_ref())
-    }
-}
-
-impl AsRef<[u8]> for DigestBytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.buf[..self.len()]
-    }
-}
-
-impl fmt::Display for DigestBytes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_hex())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn algorithm_digest_lengths() {
-        assert_eq!(Algorithm::Md5.digest_len(), 16);
-        assert_eq!(Algorithm::Sha1.digest_len(), 20);
-        assert_eq!(Algorithm::Sha256.digest_len(), 32);
-    }
-
-    #[test]
-    fn algorithm_names_are_distinct() {
-        let names: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
-        assert_eq!(names, vec!["MD5", "SHA-1", "SHA-256"]);
-    }
-
-    #[test]
-    fn algorithm_display_matches_name() {
-        for alg in Algorithm::ALL {
-            assert_eq!(alg.to_string(), alg.name());
-        }
-    }
-
-    #[test]
-    fn digest_bytes_roundtrip() {
-        let d = Algorithm::Sha256.digest(b"roundtrip");
-        let d2 = DigestBytes::from_slice(d.as_ref());
-        assert_eq!(d, d2);
-        assert_eq!(d.len(), 32);
-        assert!(!d.is_empty());
-    }
-
-    #[test]
-    fn digest_bytes_display_is_hex() {
-        let d = Algorithm::Md5.digest(b"");
-        assert_eq!(d.to_string(), "d41d8cd98f00b204e9800998ecf8427e");
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds MAX_DIGEST_LEN")]
-    fn digest_bytes_rejects_oversize() {
-        let _ = DigestBytes::from_slice(&[0u8; 33]);
-    }
-
-    #[test]
-    fn digest_pair_matches_concatenation() {
-        for alg in Algorithm::ALL {
-            let concat: Vec<u8> = [b"left".as_ref(), b"right".as_ref()].concat();
-            assert_eq!(alg.digest_pair(b"left", b"right"), alg.digest(&concat));
-        }
-    }
 
     #[test]
     fn digest_to_u64_reads_first_bytes_le() {
@@ -437,13 +223,6 @@ mod tests {
         let mut buf = [0u8; 8];
         buf.copy_from_slice(&d.as_ref()[..8]);
         assert_eq!(v, u64::from_le_bytes(buf));
-    }
-
-    #[test]
-    fn empty_digest_bytes() {
-        let d = DigestBytes::from_slice(&[]);
-        assert!(d.is_empty());
-        assert_eq!(d.to_hex(), "");
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! generator `g = (MD5)^k`, and its low cost makes it the right choice for
 //! cost-model experiments. Do not use it for new security designs.
 
-use crate::HashFunction;
-
 /// RFC 1321 per-round left-rotation amounts (shared with the transposed
 /// lane kernels in `crate::lanes`).
 pub(crate) const S: [u32; 64] = [
@@ -76,18 +74,6 @@ pub(crate) fn compress(h: &mut [u32; 4], block: &[u8; 64]) {
     h[3] = h[3].wrapping_add(d);
 }
 
-/// Multi-block compression kernel: feeds every full 64-byte block of
-/// `data` to [`compress`] directly from the input slice — no per-block
-/// staging copy, one dispatch for the whole run — and returns the
-/// unconsumed tail (`< 64` bytes).
-fn compress_blocks<'a>(h: &mut [u32; 4], data: &'a [u8]) -> &'a [u8] {
-    let mut blocks = data.chunks_exact(64);
-    for block in &mut blocks {
-        compress(h, block.try_into().expect("64-byte block"));
-    }
-    blocks.remainder()
-}
-
 /// Serialises the working state into the little-endian digest.
 pub(crate) fn digest_from_words(h: &[u32; 4]) -> [u8; 16] {
     let mut out = [0u8; 16];
@@ -95,67 +81,6 @@ pub(crate) fn digest_from_words(h: &[u32; 4]) -> [u8; 16] {
         chunk.copy_from_slice(&word.to_le_bytes());
     }
     out
-}
-
-/// Streaming MD5 state.
-#[derive(Debug, Clone)]
-pub struct Md5State {
-    h: [u32; 4],
-    /// Total message length in bytes.
-    len: u64,
-    buf: [u8; 64],
-    buf_len: usize,
-}
-
-impl Default for Md5State {
-    fn default() -> Self {
-        Md5State {
-            h: IV,
-            len: 0,
-            buf: [0u8; 64],
-            buf_len: 0,
-        }
-    }
-}
-
-impl Md5State {
-    fn compress(&mut self, block: &[u8; 64]) {
-        compress(&mut self.h, block);
-    }
-
-    fn absorb(&mut self, mut data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        data = compress_blocks(&mut self.h, data);
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
-    }
-
-    fn complete(mut self) -> [u8; 16] {
-        let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80 then zeros until length ≡ 56 (mod 64), then
-        // the 64-bit little-endian bit length.
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        let pad_len = 1 + ((55u64.wrapping_sub(self.len)) % 64) as usize;
-        self.absorb(&pad[..pad_len]);
-        self.absorb(&bit_len.to_le_bytes());
-        debug_assert_eq!(self.buf_len, 0);
-        digest_from_words(&self.h)
-    }
 }
 
 /// The MD5 hash function (RFC 1321).
@@ -173,104 +98,12 @@ impl Md5State {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Md5;
 
-impl HashFunction for Md5 {
-    type Digest = [u8; 16];
-    type State = Md5State;
-
-    const DIGEST_LEN: usize = 16;
-    const BLOCK_LEN: usize = 64;
-    const NAME: &'static str = "MD5";
-
-    fn new_state() -> Md5State {
-        Md5State::default()
-    }
-
-    fn digest_from_bytes(bytes: &[u8]) -> Option<[u8; 16]> {
-        bytes.try_into().ok()
-    }
-
-    fn update(state: &mut Md5State, data: &[u8]) {
-        state.absorb(data);
-    }
-
-    fn finalize(state: Md5State) -> [u8; 16] {
-        state.complete()
-    }
-
-    /// One-shot multi-block fast path: every full block is compressed
-    /// straight out of `data` (no streaming-state staging copy) and the
-    /// padded tail — at most two blocks — is assembled on the stack.
-    fn digest(data: &[u8]) -> [u8; 16] {
-        let mut h = IV;
-        let tail = compress_blocks(&mut h, data);
-        let mut buf = [0u8; 128];
-        buf[..tail.len()].copy_from_slice(tail);
-        buf[tail.len()] = 0x80;
-        let end = if tail.len() < 56 { 64 } else { 128 };
-        let bit_len = (data.len() as u64).wrapping_mul(8);
-        buf[end - 8..end].copy_from_slice(&bit_len.to_le_bytes());
-        compress_blocks(&mut h, &buf[..end]);
-        digest_from_words(&h)
-    }
-
-    /// Merkle inner-node fast path; see [`Sha256::digest_pair`](crate::Sha256)
-    /// — identical layout with MD5's compression, IV and little-endian
-    /// length.
-    fn digest_pair(a: &[u8], b: &[u8]) -> [u8; 16] {
-        let total = a.len() + b.len();
-        if total > 119 {
-            return crate::streaming_digest_pair::<Self>(a, b);
-        }
-        let mut buf = [0u8; 128];
-        buf[..a.len()].copy_from_slice(a);
-        buf[a.len()..total].copy_from_slice(b);
-        buf[total] = 0x80;
-        let end = if total < 56 { 64 } else { 128 };
-        buf[end - 8..end].copy_from_slice(&((total as u64) * 8).to_le_bytes());
-        let mut h = IV;
-        compress_blocks(&mut h, &buf[..end]);
-        digest_from_words(&h)
-    }
-
-    /// `g = (MD5)^k` fast path — the paper's hardened sample generator —
-    /// reusing one stack block across iterations (a 16-byte digest always
-    /// re-hashes as a single padded block).
-    fn digest_iterated(input: &[u8], iterations: u64) -> [u8; 16] {
-        assert!(
-            iterations > 0,
-            "digest_iterated requires at least 1 iteration"
-        );
-        let mut digest = Self::digest(input);
-        if iterations == 1 {
-            return digest;
-        }
-        let mut block = [0u8; 64];
-        block[16] = 0x80;
-        block[56..].copy_from_slice(&128u64.to_le_bytes());
-        for _ in 1..iterations {
-            block[..16].copy_from_slice(&digest);
-            let mut h = IV;
-            compress(&mut h, &block);
-            digest = digest_from_words(&h);
-        }
-        digest
-    }
-
-    /// Four-message transposed lane kernel; see [`crate::LaneKernel`].
-    fn digest_lanes_4(msgs: &[(&[u8], &[u8]); 4]) -> [[u8; 16]; 4] {
-        crate::lanes::md5_digest_lanes(msgs)
-    }
-
-    /// Eight-message transposed lane kernel; see [`crate::LaneKernel`].
-    fn digest_lanes_8(msgs: &[(&[u8], &[u8]); 8]) -> [[u8; 16]; 8] {
-        crate::lanes::md5_digest_lanes(msgs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hex;
+    use crate::{hex, HashFunction};
+
+    crate::scaffold::tests::scaffold_tests!(Md5);
 
     fn md5_hex(input: &[u8]) -> String {
         hex::encode(Md5::digest(input).as_ref())
@@ -303,80 +136,14 @@ mod tests {
     }
 
     #[test]
-    fn streaming_equals_oneshot() {
-        let data: Vec<u8> = (0u8..=255).cycle().take(1000).collect();
-        for chunk in [1usize, 3, 63, 64, 65, 127, 1000] {
-            let mut st = Md5::new_state();
-            for piece in data.chunks(chunk) {
-                Md5::update(&mut st, piece);
-            }
-            assert_eq!(Md5::finalize(st), Md5::digest(&data), "chunk size {chunk}");
-        }
-    }
-
-    #[test]
-    fn boundary_lengths() {
-        // Lengths straddling the 56-byte padding boundary and block edges.
-        for len in [55usize, 56, 57, 63, 64, 65, 119, 120, 121, 128] {
-            let data = vec![0xABu8; len];
-            let mut st = Md5::new_state();
-            Md5::update(&mut st, &data[..len / 2]);
-            Md5::update(&mut st, &data[len / 2..]);
-            assert_eq!(Md5::finalize(st), Md5::digest(&data), "len {len}");
-        }
-    }
-
-    #[test]
     fn million_a() {
         let data = vec![b'a'; 1_000_000];
         assert_eq!(md5_hex(&data), "7707d6ae4e027c70eea2a935c2296f21");
     }
 
     #[test]
-    fn multi_block_oneshot_matches_streaming_state() {
-        for len in (0usize..=260).chain([1000, 4096, 65537]) {
-            let data: Vec<u8> = (0..len).map(|i| (i * 37 % 249) as u8).collect();
-            let mut st = Md5::new_state();
-            for piece in data.chunks(61) {
-                Md5::update(&mut st, piece);
-            }
-            assert_eq!(Md5::finalize(st), Md5::digest(&data), "len {len}");
-        }
-    }
-
-    #[test]
     fn distinct_inputs_distinct_digests() {
         assert_ne!(Md5::digest(b"x"), Md5::digest(b"y"));
         assert_ne!(Md5::digest(b"ab"), Md5::digest(b"ba"));
-    }
-
-    #[test]
-    fn digest_pair_is_concatenation() {
-        assert_eq!(Md5::digest_pair(b"foo", b"bar"), Md5::digest(b"foobar"));
-    }
-
-    #[test]
-    fn digest_pair_fast_path_boundaries() {
-        for (la, lb) in [(0, 0), (16, 16), (27, 28), (28, 28), (60, 59), (64, 64)] {
-            let a = vec![0x7Eu8; la];
-            let b = vec![0xE7u8; lb];
-            let concat: Vec<u8> = [a.as_slice(), b.as_slice()].concat();
-            assert_eq!(
-                Md5::digest_pair(&a, &b),
-                Md5::digest(&concat),
-                "la={la} lb={lb}"
-            );
-        }
-    }
-
-    #[test]
-    fn digest_iterated_matches_loop() {
-        for k in [1u64, 2, 100] {
-            assert_eq!(
-                Md5::digest_iterated(b"seed", k),
-                crate::streaming_digest_iterated::<Md5>(b"seed", k),
-                "k={k}"
-            );
-        }
     }
 }

@@ -5,8 +5,6 @@
 //! broken for collision resistance and kept here for fidelity and
 //! benchmarking, not for new designs.
 
-use crate::HashFunction;
-
 /// FIPS 180-4 initial hash value (shared with the transposed lane
 /// kernels in `crate::lanes`).
 pub(crate) const IV: [u32; 5] = [
@@ -58,18 +56,6 @@ pub(crate) fn compress(h: &mut [u32; 5], block: &[u8; 64]) {
     h[4] = h[4].wrapping_add(e);
 }
 
-/// Multi-block compression kernel: feeds every full 64-byte block of
-/// `data` to [`compress`] directly from the input slice — no per-block
-/// staging copy, one dispatch for the whole run — and returns the
-/// unconsumed tail (`< 64` bytes).
-fn compress_blocks<'a>(h: &mut [u32; 5], data: &'a [u8]) -> &'a [u8] {
-    let mut blocks = data.chunks_exact(64);
-    for block in &mut blocks {
-        compress(h, block.try_into().expect("64-byte block"));
-    }
-    blocks.remainder()
-}
-
 /// Serialises the working state into the big-endian digest.
 pub(crate) fn digest_from_words(h: &[u32; 5]) -> [u8; 20] {
     let mut out = [0u8; 20];
@@ -77,64 +63,6 @@ pub(crate) fn digest_from_words(h: &[u32; 5]) -> [u8; 20] {
         chunk.copy_from_slice(&word.to_be_bytes());
     }
     out
-}
-
-/// Streaming SHA-1 state.
-#[derive(Debug, Clone)]
-pub struct Sha1State {
-    h: [u32; 5],
-    len: u64,
-    buf: [u8; 64],
-    buf_len: usize,
-}
-
-impl Default for Sha1State {
-    fn default() -> Self {
-        Sha1State {
-            h: IV,
-            len: 0,
-            buf: [0u8; 64],
-            buf_len: 0,
-        }
-    }
-}
-
-impl Sha1State {
-    fn compress(&mut self, block: &[u8; 64]) {
-        compress(&mut self.h, block);
-    }
-
-    fn absorb(&mut self, mut data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        data = compress_blocks(&mut self.h, data);
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
-    }
-
-    fn complete(mut self) -> [u8; 20] {
-        let bit_len = self.len.wrapping_mul(8);
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        let pad_len = 1 + ((55u64.wrapping_sub(self.len)) % 64) as usize;
-        self.absorb(&pad[..pad_len]);
-        self.absorb(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
-        digest_from_words(&self.h)
-    }
 }
 
 /// The SHA-1 hash function (FIPS 180-4).
@@ -152,102 +80,12 @@ impl Sha1State {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Sha1;
 
-impl HashFunction for Sha1 {
-    type Digest = [u8; 20];
-    type State = Sha1State;
-
-    const DIGEST_LEN: usize = 20;
-    const BLOCK_LEN: usize = 64;
-    const NAME: &'static str = "SHA-1";
-
-    fn new_state() -> Sha1State {
-        Sha1State::default()
-    }
-
-    fn digest_from_bytes(bytes: &[u8]) -> Option<[u8; 20]> {
-        bytes.try_into().ok()
-    }
-
-    fn update(state: &mut Sha1State, data: &[u8]) {
-        state.absorb(data);
-    }
-
-    fn finalize(state: Sha1State) -> [u8; 20] {
-        state.complete()
-    }
-
-    /// One-shot multi-block fast path: every full block is compressed
-    /// straight out of `data` (no streaming-state staging copy) and the
-    /// padded tail — at most two blocks — is assembled on the stack.
-    fn digest(data: &[u8]) -> [u8; 20] {
-        let mut h = IV;
-        let tail = compress_blocks(&mut h, data);
-        let mut buf = [0u8; 128];
-        buf[..tail.len()].copy_from_slice(tail);
-        buf[tail.len()] = 0x80;
-        let end = if tail.len() < 56 { 64 } else { 128 };
-        let bit_len = (data.len() as u64).wrapping_mul(8);
-        buf[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
-        compress_blocks(&mut h, &buf[..end]);
-        digest_from_words(&h)
-    }
-
-    /// Merkle inner-node fast path; see [`Sha256::digest_pair`](crate::Sha256)
-    /// — identical layout with SHA-1's compression and IV.
-    fn digest_pair(a: &[u8], b: &[u8]) -> [u8; 20] {
-        let total = a.len() + b.len();
-        if total > 119 {
-            return crate::streaming_digest_pair::<Self>(a, b);
-        }
-        let mut buf = [0u8; 128];
-        buf[..a.len()].copy_from_slice(a);
-        buf[a.len()..total].copy_from_slice(b);
-        buf[total] = 0x80;
-        let end = if total < 56 { 64 } else { 128 };
-        buf[end - 8..end].copy_from_slice(&((total as u64) * 8).to_be_bytes());
-        let mut h = IV;
-        compress_blocks(&mut h, &buf[..end]);
-        digest_from_words(&h)
-    }
-
-    /// `g = H^k` fast path reusing one stack block across iterations (a
-    /// 20-byte digest always re-hashes as a single padded block).
-    fn digest_iterated(input: &[u8], iterations: u64) -> [u8; 20] {
-        assert!(
-            iterations > 0,
-            "digest_iterated requires at least 1 iteration"
-        );
-        let mut digest = Self::digest(input);
-        if iterations == 1 {
-            return digest;
-        }
-        let mut block = [0u8; 64];
-        block[20] = 0x80;
-        block[56..].copy_from_slice(&160u64.to_be_bytes());
-        for _ in 1..iterations {
-            block[..20].copy_from_slice(&digest);
-            let mut h = IV;
-            compress(&mut h, &block);
-            digest = digest_from_words(&h);
-        }
-        digest
-    }
-
-    /// Four-message transposed lane kernel; see [`crate::LaneKernel`].
-    fn digest_lanes_4(msgs: &[(&[u8], &[u8]); 4]) -> [[u8; 20]; 4] {
-        crate::lanes::sha1_digest_lanes(msgs)
-    }
-
-    /// Eight-message transposed lane kernel; see [`crate::LaneKernel`].
-    fn digest_lanes_8(msgs: &[(&[u8], &[u8]); 8]) -> [[u8; 20]; 8] {
-        crate::lanes::sha1_digest_lanes(msgs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hex;
+    use crate::{hex, HashFunction};
+
+    crate::scaffold::tests::scaffold_tests!(Sha1);
 
     fn sha1_hex(input: &[u8]) -> String {
         hex::encode(Sha1::digest(input).as_ref())
@@ -267,77 +105,5 @@ mod tests {
     fn million_a() {
         let data = vec![b'a'; 1_000_000];
         assert_eq!(sha1_hex(&data), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
-    }
-
-    #[test]
-    fn streaming_equals_oneshot() {
-        let data: Vec<u8> = (0u8..=255).cycle().take(777).collect();
-        for chunk in [1usize, 7, 64, 100] {
-            let mut st = Sha1::new_state();
-            for piece in data.chunks(chunk) {
-                Sha1::update(&mut st, piece);
-            }
-            assert_eq!(
-                Sha1::finalize(st),
-                Sha1::digest(&data),
-                "chunk size {chunk}"
-            );
-        }
-    }
-
-    #[test]
-    fn boundary_lengths() {
-        for len in [55usize, 56, 57, 63, 64, 65, 128] {
-            let data = vec![0x5Au8; len];
-            let mut st = Sha1::new_state();
-            Sha1::update(&mut st, &data[..len / 3]);
-            Sha1::update(&mut st, &data[len / 3..]);
-            assert_eq!(Sha1::finalize(st), Sha1::digest(&data), "len {len}");
-        }
-    }
-
-    #[test]
-    fn multi_block_oneshot_matches_streaming_state() {
-        for len in (0usize..=260).chain([1000, 4096, 65537]) {
-            let data: Vec<u8> = (0..len).map(|i| (i * 29 % 253) as u8).collect();
-            let mut st = Sha1::new_state();
-            for piece in data.chunks(61) {
-                Sha1::update(&mut st, piece);
-            }
-            assert_eq!(Sha1::finalize(st), Sha1::digest(&data), "len {len}");
-        }
-    }
-
-    #[test]
-    fn digest_pair_is_concatenation() {
-        assert_eq!(
-            Sha1::digest_pair(b"grid", b"work"),
-            Sha1::digest(b"gridwork")
-        );
-    }
-
-    #[test]
-    fn digest_pair_fast_path_boundaries() {
-        for (la, lb) in [(0, 0), (20, 20), (27, 28), (28, 28), (60, 59), (64, 64)] {
-            let a = vec![0x11u8; la];
-            let b = vec![0x22u8; lb];
-            let concat: Vec<u8> = [a.as_slice(), b.as_slice()].concat();
-            assert_eq!(
-                Sha1::digest_pair(&a, &b),
-                Sha1::digest(&concat),
-                "la={la} lb={lb}"
-            );
-        }
-    }
-
-    #[test]
-    fn digest_iterated_matches_loop() {
-        for k in [1u64, 2, 9] {
-            assert_eq!(
-                Sha1::digest_iterated(b"seed", k),
-                crate::streaming_digest_iterated::<Sha1>(b"seed", k),
-                "k={k}"
-            );
-        }
     }
 }

@@ -4,8 +4,6 @@
 //! so Theorem 2 of the paper (uncheatability of the commitment) holds with
 //! today's knowledge, unlike MD5.
 
-use crate::HashFunction;
-
 /// FIPS 180-4 round constants (shared with the transposed lane kernels
 /// in `crate::lanes`).
 #[rustfmt::skip]
@@ -122,20 +120,8 @@ pub(crate) fn compress(h: &mut [u32; 8], block: &[u8; 64]) {
 /// The second compression of every 64-byte message: its block is the
 /// constant padding block (`0x80`, zeros, bit length 512), so there is no
 /// schedule to expand — the rounds run from [`PAD64_KW`].
-fn compress_pad64(h: &mut [u32; 8]) {
+pub(crate) fn compress_pad64(h: &mut [u32; 8]) {
     rounds(h, |i| PAD64_KW[i]);
-}
-
-/// Multi-block compression kernel: feeds every full 64-byte block of
-/// `data` to [`compress`] directly from the input slice — no per-block
-/// staging copy, one dispatch for the whole run — and returns the
-/// unconsumed tail (`< 64` bytes).
-fn compress_blocks<'a>(h: &mut [u32; 8], data: &'a [u8]) -> &'a [u8] {
-    let mut blocks = data.chunks_exact(64);
-    for block in &mut blocks {
-        compress(h, block.try_into().expect("64-byte block"));
-    }
-    blocks.remainder()
 }
 
 /// Serialises the working state into the big-endian digest.
@@ -145,64 +131,6 @@ pub(crate) fn digest_from_words(h: &[u32; 8]) -> [u8; 32] {
         chunk.copy_from_slice(&word.to_be_bytes());
     }
     out
-}
-
-/// Streaming SHA-256 state.
-#[derive(Debug, Clone)]
-pub struct Sha256State {
-    h: [u32; 8],
-    len: u64,
-    buf: [u8; 64],
-    buf_len: usize,
-}
-
-impl Default for Sha256State {
-    fn default() -> Self {
-        Sha256State {
-            h: IV,
-            len: 0,
-            buf: [0u8; 64],
-            buf_len: 0,
-        }
-    }
-}
-
-impl Sha256State {
-    fn compress(&mut self, block: &[u8; 64]) {
-        compress(&mut self.h, block);
-    }
-
-    fn absorb(&mut self, mut data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        data = compress_blocks(&mut self.h, data);
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
-    }
-
-    fn complete(mut self) -> [u8; 32] {
-        let bit_len = self.len.wrapping_mul(8);
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        let pad_len = 1 + ((55u64.wrapping_sub(self.len)) % 64) as usize;
-        self.absorb(&pad[..pad_len]);
-        self.absorb(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
-        digest_from_words(&self.h)
-    }
 }
 
 /// The SHA-256 hash function (FIPS 180-4).
@@ -220,116 +148,12 @@ impl Sha256State {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Sha256;
 
-impl HashFunction for Sha256 {
-    type Digest = [u8; 32];
-    type State = Sha256State;
-
-    const DIGEST_LEN: usize = 32;
-    const BLOCK_LEN: usize = 64;
-    const NAME: &'static str = "SHA-256";
-
-    fn new_state() -> Sha256State {
-        Sha256State::default()
-    }
-
-    fn digest_from_bytes(bytes: &[u8]) -> Option<[u8; 32]> {
-        bytes.try_into().ok()
-    }
-
-    fn update(state: &mut Sha256State, data: &[u8]) {
-        state.absorb(data);
-    }
-
-    fn finalize(state: Sha256State) -> [u8; 32] {
-        state.complete()
-    }
-
-    /// One-shot multi-block fast path: every full block is compressed
-    /// straight out of `data` (no streaming-state staging copy) and the
-    /// padded tail — at most two blocks — is assembled on the stack.
-    fn digest(data: &[u8]) -> [u8; 32] {
-        let mut h = IV;
-        let tail = compress_blocks(&mut h, data);
-        let mut buf = [0u8; 128];
-        buf[..tail.len()].copy_from_slice(tail);
-        buf[tail.len()] = 0x80;
-        let end = if tail.len() < 56 { 64 } else { 128 };
-        let bit_len = (data.len() as u64).wrapping_mul(8);
-        buf[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
-        compress_blocks(&mut h, &buf[..end]);
-        digest_from_words(&h)
-    }
-
-    /// Merkle inner-node fast path: `a || b` plus its padding is assembled
-    /// directly on the stack (at most two blocks for a total of ≤ 119
-    /// bytes), skipping the streaming state entirely. A total of exactly
-    /// 64 bytes — two SHA-256 digests, every inner node — is one block of
-    /// message and the constant padding block.
-    fn digest_pair(a: &[u8], b: &[u8]) -> [u8; 32] {
-        let total = a.len() + b.len();
-        if total == 64 {
-            let mut block = [0u8; 64];
-            block[..a.len()].copy_from_slice(a);
-            block[a.len()..].copy_from_slice(b);
-            let mut h = IV;
-            compress(&mut h, &block);
-            compress_pad64(&mut h);
-            return digest_from_words(&h);
-        }
-        if total > 119 {
-            // total + 0x80 + 8-byte length no longer fits two blocks.
-            return crate::streaming_digest_pair::<Self>(a, b);
-        }
-        let mut buf = [0u8; 128];
-        buf[..a.len()].copy_from_slice(a);
-        buf[a.len()..total].copy_from_slice(b);
-        buf[total] = 0x80;
-        let end = if total < 56 { 64 } else { 128 };
-        buf[end - 8..end].copy_from_slice(&((total as u64) * 8).to_be_bytes());
-        let mut h = IV;
-        compress_blocks(&mut h, &buf[..end]);
-        digest_from_words(&h)
-    }
-
-    /// `g = H^k` fast path: a 32-byte digest always re-hashes as a single
-    /// padded block whose padding bytes never change, so one stack block
-    /// is reused across all iterations.
-    fn digest_iterated(input: &[u8], iterations: u64) -> [u8; 32] {
-        assert!(
-            iterations > 0,
-            "digest_iterated requires at least 1 iteration"
-        );
-        let mut digest = Self::digest(input);
-        if iterations == 1 {
-            return digest;
-        }
-        let mut block = [0u8; 64];
-        block[32] = 0x80;
-        block[56..].copy_from_slice(&256u64.to_be_bytes());
-        for _ in 1..iterations {
-            block[..32].copy_from_slice(&digest);
-            let mut h = IV;
-            compress(&mut h, &block);
-            digest = digest_from_words(&h);
-        }
-        digest
-    }
-
-    /// Four-message transposed lane kernel; see [`crate::LaneKernel`].
-    fn digest_lanes_4(msgs: &[(&[u8], &[u8]); 4]) -> [[u8; 32]; 4] {
-        crate::lanes::sha256_digest_lanes(msgs)
-    }
-
-    /// Eight-message transposed lane kernel; see [`crate::LaneKernel`].
-    fn digest_lanes_8(msgs: &[(&[u8], &[u8]); 8]) -> [[u8; 32]; 8] {
-        crate::lanes::sha256_digest_lanes(msgs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hex;
+    use crate::{hex, HashFunction};
+
+    crate::scaffold::tests::scaffold_tests!(Sha256);
 
     fn sha256_hex(input: &[u8]) -> String {
         hex::encode(Sha256::digest(input).as_ref())
@@ -358,105 +182,6 @@ mod tests {
             sha256_hex(&data),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
-    }
-
-    #[test]
-    fn streaming_equals_oneshot() {
-        let data: Vec<u8> = (0u8..=255).cycle().take(1234).collect();
-        for chunk in [1usize, 13, 64, 200] {
-            let mut st = Sha256::new_state();
-            for piece in data.chunks(chunk) {
-                Sha256::update(&mut st, piece);
-            }
-            assert_eq!(
-                Sha256::finalize(st),
-                Sha256::digest(&data),
-                "chunk size {chunk}"
-            );
-        }
-    }
-
-    #[test]
-    fn boundary_lengths() {
-        for len in [55usize, 56, 57, 63, 64, 65, 128, 129] {
-            let data = vec![0xC3u8; len];
-            let mut st = Sha256::new_state();
-            for b in &data {
-                Sha256::update(&mut st, core::slice::from_ref(b));
-            }
-            assert_eq!(Sha256::finalize(st), Sha256::digest(&data), "len {len}");
-        }
-    }
-
-    #[test]
-    fn digest_pair_is_concatenation() {
-        assert_eq!(Sha256::digest_pair(b"a", b"bc"), Sha256::digest(b"abc"));
-    }
-
-    #[test]
-    fn multi_block_oneshot_matches_streaming_state() {
-        // The one-shot digest compresses whole blocks straight from the
-        // input; the streaming state buffers unaligned pieces. Both must
-        // agree at every length around the block and padding boundaries
-        // and far beyond them.
-        for len in (0usize..=260).chain([1000, 4096, 65536, 65537]) {
-            let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
-            let mut st = Sha256::new_state();
-            for piece in data.chunks(61) {
-                Sha256::update(&mut st, piece);
-            }
-            assert_eq!(Sha256::finalize(st), Sha256::digest(&data), "len {len}");
-        }
-    }
-
-    #[test]
-    fn digest_pair_fast_path_boundaries() {
-        // One-block (< 56), two-block (56..=119) and streaming-fallback
-        // (> 119) totals, including the exact cut-overs.
-        for (la, lb) in [
-            (0, 0),
-            (16, 16),
-            (32, 32), // 64: the constant-padding-block path, at every split
-            (16, 48),
-            (64, 0),
-            (0, 64),
-            (27, 28), // 55: largest single block
-            (28, 28), // 56: smallest two-block
-            (60, 59), // 119: largest two-block
-            (60, 60), // 120: fallback
-            (100, 100),
-        ] {
-            let a: Vec<u8> = (0..la).map(|i| 0x3C ^ i as u8).collect();
-            let b: Vec<u8> = (0..lb).map(|i| 0xC3 ^ i as u8).collect();
-            let concat: Vec<u8> = [a.as_slice(), b.as_slice()].concat();
-            assert_eq!(
-                Sha256::digest_pair(&a, &b),
-                Sha256::digest(&concat),
-                "la={la} lb={lb}"
-            );
-            assert_eq!(
-                Sha256::digest_pair(&a, &b),
-                crate::streaming_digest_pair::<Sha256>(&a, &b),
-                "la={la} lb={lb}"
-            );
-        }
-    }
-
-    #[test]
-    fn digest_iterated_matches_loop() {
-        for k in [1u64, 2, 3, 17] {
-            assert_eq!(
-                Sha256::digest_iterated(b"seed", k),
-                crate::streaming_digest_iterated::<Sha256>(b"seed", k),
-                "k={k}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1 iteration")]
-    fn digest_iterated_rejects_zero() {
-        let _ = Sha256::digest_iterated(b"x", 0);
     }
 
     #[test]

@@ -2,11 +2,9 @@
 //! bit-identical to per-message scalar hashing for every algorithm, at
 //! every padding boundary, for ragged batches and mixed per-lane lengths.
 //!
-//! The suite runs at one [`LaneWidth`] picked by the `UGC_LANES`
-//! environment variable (`scalar`, `x4` or `x8`; default `x8`) — CI runs
-//! it once per setting, so the same assertions prove both that the wide
-//! kernels match the scalar path and that the `Scalar` setting really
-//! does bypass them.
+//! Every assertion runs at both [`LaneWidth`]s, so the same checks prove
+//! that the wide kernels match the scalar path and that the `Scalar`
+//! setting — the reference — agrees with per-message hashing too.
 
 use ugc_hash::{
     digest_batch, digest_iterated_batch, digest_pairs, HashFunction, LaneWidth, Md5, Sha1, Sha256,
@@ -17,15 +15,6 @@ use ugc_hash::{
 /// (63/64/65), and both sides of the two-block boundary (119/120), plus
 /// an exact two-block message (128).
 const BOUNDARY_LENS: [usize; 10] = [0, 1, 55, 56, 63, 64, 65, 119, 120, 128];
-
-/// The width under test: `UGC_LANES` (scalar | x4 | x8), default x8.
-fn width_under_test() -> LaneWidth {
-    match std::env::var("UGC_LANES") {
-        Ok(name) => LaneWidth::parse(&name)
-            .unwrap_or_else(|| panic!("UGC_LANES={name:?}: expected scalar, x4 or x8")),
-        Err(_) => LaneWidth::default(),
-    }
-}
 
 /// Deterministic pseudo-random message of length `len`.
 fn message(len: usize, tag: u64) -> Vec<u8> {
@@ -41,11 +30,12 @@ fn message(len: usize, tag: u64) -> Vec<u8> {
 }
 
 fn assert_batch_matches_scalar<H: HashFunction>(payloads: &[Vec<u8>], context: &str) {
-    let width = width_under_test();
     let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-    let lanes = digest_batch::<H>(&refs, width);
     let scalar: Vec<H::Digest> = payloads.iter().map(|p| H::digest(p)).collect();
-    assert_eq!(lanes, scalar, "{context} width={width}");
+    for width in LaneWidth::ALL {
+        let lanes = digest_batch::<H>(&refs, width);
+        assert_eq!(lanes, scalar, "{context} width={width}");
+    }
 }
 
 #[test]
@@ -61,9 +51,9 @@ fn padding_boundaries_match_scalar_for_every_algorithm() {
 
 #[test]
 fn ragged_batches_match_scalar_for_every_algorithm() {
-    // Batch sizes straddling both kernel widths: 1..=3 go fully scalar,
-    // 4..=7 take one 4-wide dispatch plus a tail, 8..=9 take an 8-wide
-    // dispatch plus a tail.
+    // Batch sizes straddling both kernel widths: 1..=2 go fully scalar,
+    // 3..=5 take one 4-wide dispatch (and a scalar fifth), 6..=8 one
+    // 8-wide dispatch, 9 an 8-wide dispatch plus a tail.
     for n in 1..=9usize {
         let payloads: Vec<Vec<u8>> = (0..n).map(|i| message(24 + i, i as u64)).collect();
         assert_batch_matches_scalar::<Md5>(&payloads, &format!("md5 n={n}"));
@@ -90,19 +80,19 @@ fn mixed_per_lane_lengths_match_scalar() {
 fn lane_order_independence() {
     // Lane i's digest depends only on message i: reversing the batch
     // reverses the outputs and changes nothing else.
-    let width = width_under_test();
     let payloads: Vec<Vec<u8>> = (0..8).map(|i| message(30 + 7 * i as usize, i)).collect();
     let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-    let forward = digest_batch::<Sha256>(&refs, width);
     let reversed_refs: Vec<&[u8]> = refs.iter().rev().copied().collect();
-    let mut reversed = digest_batch::<Sha256>(&reversed_refs, width);
-    reversed.reverse();
-    assert_eq!(forward, reversed, "width={width}");
+    for width in LaneWidth::ALL {
+        let forward = digest_batch::<Sha256>(&refs, width);
+        let mut reversed = digest_batch::<Sha256>(&reversed_refs, width);
+        reversed.reverse();
+        assert_eq!(forward, reversed, "width={width}");
+    }
 }
 
 #[test]
 fn two_segment_pairs_match_concatenation() {
-    let width = width_under_test();
     for &split in &[0usize, 1, 32, 55, 64, 100] {
         let payloads: Vec<Vec<u8>> = (0..9).map(|i| message(120, 1000 + i)).collect();
         let pairs: Vec<(&[u8], &[u8])> = payloads
@@ -112,21 +102,24 @@ fn two_segment_pairs_match_concatenation() {
                 (a, b)
             })
             .collect();
-        let lanes = digest_pairs::<Sha1>(&pairs, width);
         let scalar: Vec<_> = payloads.iter().map(|p| Sha1::digest(p)).collect();
-        assert_eq!(lanes, scalar, "split={split} width={width}");
+        for width in LaneWidth::ALL {
+            let lanes = digest_pairs::<Sha1>(&pairs, width);
+            assert_eq!(lanes, scalar, "split={split} width={width}");
+        }
     }
 }
 
 #[test]
 fn iterated_chains_match_scalar() {
-    let width = width_under_test();
     let seeds: Vec<Vec<u8>> = (0..9).map(|i| message(16, 2000 + i)).collect();
     let refs: Vec<&[u8]> = seeds.iter().map(|s| s.as_slice()).collect();
     for k in [1u64, 2, 7, 64] {
-        let lanes = digest_iterated_batch::<Md5>(&refs, k, width);
         let scalar: Vec<_> = seeds.iter().map(|s| Md5::digest_iterated(s, k)).collect();
-        assert_eq!(lanes, scalar, "k={k} width={width}");
+        for width in LaneWidth::ALL {
+            let lanes = digest_iterated_batch::<Md5>(&refs, k, width);
+            assert_eq!(lanes, scalar, "k={k} width={width}");
+        }
     }
 }
 
@@ -148,10 +141,9 @@ fn fixed_width_dispatch_matches_scalar_digests() {
 }
 
 /// Eight two-segment messages, lane `l` split as `splits[l % splits.len()]`,
-/// checked against scalar `digest_pair` through `digest_pairs` at the
-/// width under test and through the fixed-width trait entry points.
+/// checked against scalar `digest_pair` through `digest_pairs` at both
+/// widths and through the fixed-width trait entry points.
 fn assert_sha256_pairs_match_scalar(splits: &[(usize, usize)], context: &str) {
-    let width = width_under_test();
     let payloads: Vec<(Vec<u8>, Vec<u8>)> = (0..8)
         .map(|l| {
             let (la, lb) = splits[l % splits.len()];
@@ -166,11 +158,13 @@ fn assert_sha256_pairs_match_scalar(splits: &[(usize, usize)], context: &str) {
         .iter()
         .map(|(a, b)| Sha256::digest_pair(a, b))
         .collect();
-    assert_eq!(
-        digest_pairs::<Sha256>(&pairs, width),
-        scalar,
-        "{context} width={width}"
-    );
+    for width in LaneWidth::ALL {
+        assert_eq!(
+            digest_pairs::<Sha256>(&pairs, width),
+            scalar,
+            "{context} width={width}"
+        );
+    }
     let msgs8: [(&[u8], &[u8]); 8] = core::array::from_fn(|l| pairs[l]);
     let msgs4: [(&[u8], &[u8]); 4] = core::array::from_fn(|l| pairs[l]);
     assert_eq!(
@@ -220,7 +214,6 @@ fn sha256_uniform_one_block_shapes_match() {
 fn fips_vectors_through_digest_batch() {
     // FIPS 180-4 / RFC 1321 vectors, repeated to fill every lane of one
     // 8-wide and one 4-wide dispatch plus a scalar tail.
-    let width = width_under_test();
     let abc: &[u8] = b"abc";
     let two_block: &[u8] = b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
     let msgs: Vec<&[u8]> = (0..13).map(|i| [abc, two_block, b""][i % 3]).collect();
@@ -240,13 +233,64 @@ fn fips_vectors_through_digest_batch() {
         "8215ef0796a20bcaaae116d3876c664a",
         "d41d8cd98f00b204e9800998ecf8427e",
     ];
-    for (i, d) in digest_batch::<Sha256>(&msgs, width).iter().enumerate() {
-        assert_eq!(hex(d), sha256[i % 3], "sha256 message {i} width={width}");
+    for width in LaneWidth::ALL {
+        for (i, d) in digest_batch::<Sha256>(&msgs, width).iter().enumerate() {
+            assert_eq!(hex(d), sha256[i % 3], "sha256 message {i} width={width}");
+        }
+        for (i, d) in digest_batch::<Sha1>(&msgs, width).iter().enumerate() {
+            assert_eq!(hex(d), sha1[i % 3], "sha1 message {i} width={width}");
+        }
+        for (i, d) in digest_batch::<Md5>(&msgs, width).iter().enumerate() {
+            assert_eq!(hex(d), md5[i % 3], "md5 message {i} width={width}");
+        }
     }
-    for (i, d) in digest_batch::<Sha1>(&msgs, width).iter().enumerate() {
-        assert_eq!(hex(d), sha1[i % 3], "sha1 message {i} width={width}");
+}
+
+/// The one dispatcher against per-pair `digest_pair`: every batch size
+/// 0..=17 (each partial group — the 3-, 5-, 6- and 7-message groups pad a
+/// kernel's spare lanes — behind zero, one and two full groups), uniform
+/// node-shaped pairs and per-lane lengths across all three block counts.
+fn assert_dispatcher_matches_per_pair<H: HashFunction>() {
+    for n in 0..=17usize {
+        let uniform: Vec<(Vec<u8>, Vec<u8>)> = (0..n as u64)
+            .map(|i| {
+                (
+                    message(H::DIGEST_LEN, 6000 + i),
+                    message(H::DIGEST_LEN, 7000 + i),
+                )
+            })
+            .collect();
+        let mixed: Vec<(Vec<u8>, Vec<u8>)> = (0..n)
+            .map(|i| {
+                let total = BOUNDARY_LENS[(i + n) % BOUNDARY_LENS.len()];
+                let a = total * (i % 4) / 3;
+                (
+                    message(a, 8000 + i as u64),
+                    message(total - a, 9000 + i as u64),
+                )
+            })
+            .collect();
+        for (shape, payloads) in [("uniform", &uniform), ("mixed", &mixed)] {
+            let pairs: Vec<(&[u8], &[u8])> = payloads
+                .iter()
+                .map(|(a, b)| (a.as_slice(), b.as_slice()))
+                .collect();
+            let want: Vec<H::Digest> = pairs.iter().map(|(a, b)| H::digest_pair(a, b)).collect();
+            for width in LaneWidth::ALL {
+                assert_eq!(
+                    digest_pairs::<H>(&pairs, width),
+                    want,
+                    "{} {shape} n={n} width={width}",
+                    H::NAME
+                );
+            }
+        }
     }
-    for (i, d) in digest_batch::<Md5>(&msgs, width).iter().enumerate() {
-        assert_eq!(hex(d), md5[i % 3], "md5 message {i} width={width}");
-    }
+}
+
+#[test]
+fn dispatcher_matches_per_pair_digest_for_every_batch_size() {
+    assert_dispatcher_matches_per_pair::<Md5>();
+    assert_dispatcher_matches_per_pair::<Sha1>();
+    assert_dispatcher_matches_per_pair::<Sha256>();
 }

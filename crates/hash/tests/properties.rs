@@ -1,14 +1,13 @@
 //! Property-based tests for the hash primitives.
 //!
 //! Invariants (DESIGN.md §5): incremental update equals one-shot digest for
-//! any chunking, hex roundtrips, digests are length-stable, and the pair
-//! digest equals hashing the concatenation.
+//! any chunking, digests are length-stable, and the pair digest equals
+//! hashing the concatenation.
 
 use proptest::prelude::*;
 use ugc_hash::{
-    digest_batch, digest_iterated_batch, digest_pairs, hex, streaming_digest_iterated,
-    streaming_digest_pair, Algorithm, HashChain, HashFunction, IteratedHash, LaneWidth, Md5, Sha1,
-    Sha256,
+    digest_batch, digest_iterated_batch, digest_pairs, hex, streaming_digest_pair, HashChain,
+    HashFunction, IteratedHash, LaneWidth, Md5, Sha1, Sha256,
 };
 
 fn chunked_digest<H: HashFunction>(data: &[u8], cuts: &[usize]) -> H::Digest {
@@ -44,21 +43,15 @@ proptest! {
     }
 
     #[test]
-    fn hex_roundtrip(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let encoded = hex::encode(&bytes);
-        prop_assert_eq!(hex::decode(&encoded).unwrap(), bytes);
-    }
-
-    #[test]
     fn hex_encode_length(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         prop_assert_eq!(hex::encode(&bytes).len(), bytes.len() * 2);
     }
 
     #[test]
     fn digest_lengths_stable(data in proptest::collection::vec(any::<u8>(), 0..128)) {
-        for alg in Algorithm::ALL {
-            prop_assert_eq!(alg.digest(&data).len(), alg.digest_len());
-        }
+        prop_assert_eq!(Md5::digest(&data).len(), Md5::DIGEST_LEN);
+        prop_assert_eq!(Sha1::digest(&data).len(), Sha1::DIGEST_LEN);
+        prop_assert_eq!(Sha256::digest(&data).len(), Sha256::DIGEST_LEN);
     }
 
     #[test]
@@ -79,25 +72,6 @@ proptest! {
         prop_assert_eq!(Md5::digest_pair(&a, &b), streaming_digest_pair::<Md5>(&a, &b));
         prop_assert_eq!(Sha1::digest_pair(&a, &b), streaming_digest_pair::<Sha1>(&a, &b));
         prop_assert_eq!(Sha256::digest_pair(&a, &b), streaming_digest_pair::<Sha256>(&a, &b));
-    }
-
-    #[test]
-    fn digest_iterated_fast_path_equals_streaming(
-        data in proptest::collection::vec(any::<u8>(), 0..96),
-        k in 1u64..32,
-    ) {
-        prop_assert_eq!(
-            Md5::digest_iterated(&data, k),
-            streaming_digest_iterated::<Md5>(&data, k)
-        );
-        prop_assert_eq!(
-            Sha1::digest_iterated(&data, k),
-            streaming_digest_iterated::<Sha1>(&data, k)
-        );
-        prop_assert_eq!(
-            Sha256::digest_iterated(&data, k),
-            streaming_digest_iterated::<Sha256>(&data, k)
-        );
     }
 
     #[test]
@@ -131,7 +105,7 @@ proptest! {
     fn lane_batch_equals_scalar_every_width(
         // Lengths up to 140 cross the one-/two-block padding boundaries
         // (55/56, 119/120); batch sizes up to 9 cover the fully-scalar,
-        // 4-wide-plus-tail and 8-wide-plus-tail dispatch shapes.
+        // 4-wide, padded 8-wide and 8-wide-plus-tail dispatch shapes.
         msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..140), 0..10),
     ) {
         let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();

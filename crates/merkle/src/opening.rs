@@ -4,10 +4,9 @@
 //! (the three rows) and [`CheckedOpening`] (rows of the dictated lengths:
 //! the verifier).
 
-use crate::tree::hash_pairs_level;
 use crate::{tree_height, MerkleError};
 use core::marker::PhantomData;
-use ugc_hash::{HashFunction, LaneWidth};
+use ugc_hash::{digest_pairs_into, HashFunction, LaneWidth};
 
 /// One level of the canonical order: `nodes` are the sorted distinct
 /// known positions of a level. Calls `parent(i, node, lone)` once per
@@ -414,7 +413,7 @@ impl<H: HashFunction> CheckedOpening<'_, H> {
             Source::Known(at) => entry(rows.leaf_values, at, rows.leaf_width),
             Source::Supplied(at) => entry(rows.leaf_siblings, at, rows.leaf_width),
         };
-        hash_pairs_level::<H>(&mut known, |j| (leaf(pairs[j].0), leaf(pairs[j].1)), lanes);
+        digest_pairs_into::<H>(&mut known, |j| (leaf(pairs[j].0), leaf(pairs[j].1)), lanes);
 
         // The digest row is one run across the levels above.
         let mut supplied = 0;
@@ -426,7 +425,7 @@ impl<H: HashFunction> CheckedOpening<'_, H> {
                 Source::Known(at) => below[at].as_ref(),
                 Source::Supplied(at) => entry(rows.digest_siblings, at, H::DIGEST_LEN),
             };
-            hash_pairs_level::<H>(
+            digest_pairs_into::<H>(
                 &mut next[..pairs.len()],
                 |j| (digest(pairs[j].0), digest(pairs[j].1)),
                 lanes,

@@ -52,7 +52,7 @@ commands:
   fleet       [--participants <k>] [--cheaters <c>] [--n <inputs>] [--m <samples>] [--seed <s>]
               [--scheme <cbs|ni-cbs|naive|ringer|double-check>]
               [--transport <direct|brokered>] [--workers <w>]
-              [--steal-seed <s>] [--lanes <scalar|x4|x8>]
+              [--steal-seed <s>] [--lanes <scalar|x8>]
               [--chaos <seed>] [--churn]
               [--journal <path>] [--kill-at <r>] [--resume] [--verify-journal]
               [--connect <host:port>]
@@ -80,14 +80,14 @@ All participants run as poll-driven state machines multiplexed over a
 fixed pool of scheduler threads: --workers <w> sets its size (absent or
 0: one per available core). --steal-seed <s> seeds the pool's
 work-stealing victim order — scheduling-only, any seed reproduces the
-identical campaign. --lanes picks the message-parallel digest kernel
-width for participant tree builds (x8 default; scalar disables lane
-batching) — digests are bit-identical at any width, so this is purely a
-speed knob. --chaos <seed> injects seeded message
-duplication/reordering/latency on every participant link, and --churn
-adds participant crash/restart churn — failed sessions are reassigned,
-and the whole campaign replays bit-identically from the seed at any
-worker count.
+identical campaign. --lanes picks whether participant tree builds batch
+their hashes through the message-parallel digest kernels (x8, the
+default) or hash one message at a time (scalar) — digests are
+bit-identical either way, so this is purely a speed knob. --chaos <seed>
+injects seeded message duplication/reordering/latency on every
+participant link, and --churn adds participant crash/restart churn —
+failed sessions are reassigned, and the whole campaign replays
+bit-identically from the seed at any worker count.
 
 --journal <path> makes the campaign crash-durable: every round is
 written ahead to a checksummed journal before the supervisor acts on
@@ -164,6 +164,17 @@ impl<'a> Args<'a> {
     /// `--key value`, parsed, with a default when the key is absent.
     fn value<T: std::str::FromStr>(&mut self, key: &str, default: T) -> Result<T, String> {
         Ok(self.opt(key)?.unwrap_or(default))
+    }
+
+    /// `--key p` for a probability: anything outside `[0, 1]` (NaN
+    /// included) is a usage error here, before a library assert sees it.
+    fn probability(&mut self, key: &str, default: f64) -> Result<f64, String> {
+        let p: f64 = self.value(key, default)?;
+        if (0.0..=1.0).contains(&p) {
+            Ok(p)
+        } else {
+            Err(format!("{key} {p}: expected a probability in [0, 1]"))
+        }
     }
 
     /// The first unconsumed non-flag argument (e.g. the address in
@@ -272,8 +283,11 @@ fn cmd_lint(mut args: Args<'_>) -> Result<(), String> {
 
 fn cmd_sample_size(mut args: Args<'_>) -> Result<(), String> {
     let epsilon: f64 = args.value("--epsilon", 1e-4)?;
-    let r: f64 = args.value("--r", 0.5)?;
-    let q: f64 = args.value("--q", 0.0)?;
+    if !(epsilon > 0.0 && epsilon < 1.0) {
+        return Err(format!("--epsilon {epsilon}: expected a value in (0, 1)"));
+    }
+    let r = args.probability("--r", 0.5)?;
+    let q = args.probability("--q", 0.0)?;
     args.finish()?;
     match required_sample_size(epsilon, r, q) {
         Some(m) => {
@@ -290,8 +304,8 @@ fn cmd_sample_size(mut args: Args<'_>) -> Result<(), String> {
 }
 
 fn cmd_detection(mut args: Args<'_>) -> Result<(), String> {
-    let r: f64 = args.value("--r", 0.5)?;
-    let q: f64 = args.value("--q", 0.0)?;
+    let r = args.probability("--r", 0.5)?;
+    let q = args.probability("--q", 0.0)?;
     let m: u64 = args.value("--m", 14)?;
     args.finish()?;
     println!("Eq. (2): Pr[cheat succeeds] = (r + (1-r)q)^m");
@@ -393,7 +407,7 @@ fn cmd_run(mut args: Args<'_>) -> Result<(), String> {
     let workload_name: String = args.value("--workload", "password".into())?;
     let n: u64 = args.value("--n", 1024)?;
     let m: usize = args.value("--m", 25)?;
-    let cheat: f64 = args.value("--cheat", 0.0)?;
+    let cheat = args.probability("--cheat", 0.0)?;
     let seed: u64 = args.value("--seed", 42)?;
     let partial: u32 = args.value("--partial", 0)?;
     args.finish()?;
@@ -551,13 +565,14 @@ fn cmd_fleet(mut args: Args<'_>) -> Result<(), String> {
     // scheduling-only knob: any seed reproduces the identical campaign
     // (verdicts, fault log, byte counts).
     let steal_seed: u64 = args.opt("--steal-seed")?.unwrap_or(0);
-    // --lanes picks the message-parallel digest kernel width — a pure
+    // --lanes picks lane-batched or one-at-a-time hashing — a pure
     // speed knob: digests, verdicts and journals are bit-identical at
-    // any setting, so it never reaches the campaign params.
+    // either setting, so it never reaches the campaign params.
     let lanes: LaneWidth = match args.raw("--lanes")? {
         None => LaneWidth::default(),
-        Some(s) => LaneWidth::parse(s)
-            .ok_or_else(|| format!("--lanes {s:?}: expected scalar, x4 or x8"))?,
+        Some(s) => {
+            LaneWidth::parse(s).ok_or_else(|| format!("--lanes {s:?}: expected scalar or x8"))?
+        }
     };
 
     if let Some(addr) = connect {

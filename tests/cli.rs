@@ -243,6 +243,27 @@ fn invalid_number_reports_cleanly() {
 }
 
 #[test]
+fn out_of_range_probability_prints_usage_and_fails() {
+    // A probability flag outside its range is a usage error (exit 1),
+    // never the library's assert (exit 101 and a backtrace).
+    for (args, flag) in [
+        (&["run", "--cheat", "1.5"][..], "--cheat"),
+        (&["run", "--cheat", "-0.5"][..], "--cheat"),
+        (&["sample-size", "--epsilon", "0"][..], "--epsilon"),
+        (&["sample-size", "--epsilon", "1"][..], "--epsilon"),
+        (&["detection", "--r", "2"][..], "--r"),
+        (&["detection", "--q", "NaN"][..], "--q"),
+    ] {
+        let out = ugc(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("error: {flag} ")), "{args:?}: {err}");
+        assert!(err.contains("usage: ugc"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn fleet_bad_flag_value_prints_usage_and_fails() {
     // A bad --participants value must produce a usage hint and a nonzero
     // exit, never a panic.
@@ -358,9 +379,9 @@ fn fleet_workers_pool_matches_thread_per_participant_verdicts() {
 /// --n 8192 --m 8`, per scheme. First recorded on a one-core host, where
 /// the build had always been serial, and again — plain and under
 /// `taskset -c 0 … --workers 1`, one digest — when wire version 2 changed
-/// what a CBS round sends; a host's core count is execution layout and
-/// must print the same (CI's chaos-soak job repeats the comparison under
-/// `taskset -c 0`).
+/// what a CBS round sends; a host's core count and the lane setting are
+/// execution layout and must print the same (CI's chaos-soak job repeats
+/// the comparison under `taskset -c 0`).
 #[rustfmt::skip]
 const GOLDEN_LARGE_SHARE_DIGESTS: [(&str, &str); 2] = [
     ("cbs",    "03f158fa0188fdaa"),
@@ -370,9 +391,9 @@ const GOLDEN_LARGE_SHARE_DIGESTS: [(&str, &str); 2] = [
 #[test]
 fn fleet_digest_does_not_depend_on_the_hosts_core_count() {
     for (scheme, golden) in GOLDEN_LARGE_SHARE_DIGESTS {
-        for pool in ["", "--workers 1"] {
+        for shape in ["", "--workers 1", "--lanes scalar"] {
             let flags =
-                format!("--participants 2 --cheaters 0 --n 8192 --m 8 --scheme {scheme} {pool}");
+                format!("--participants 2 --cheaters 0 --n 8192 --m 8 --scheme {scheme} {shape}");
             let out = fleet(&flags);
             assert!(out.status.success(), "{flags}");
             assert!(
@@ -381,6 +402,17 @@ fn fleet_digest_does_not_depend_on_the_hosts_core_count() {
                 stdout(&out)
             );
         }
+    }
+}
+
+#[test]
+fn fleet_lanes_accepts_only_scalar_and_x8() {
+    for retired in ["x4", "x9"] {
+        let out = fleet(&format!("--lanes {retired}"));
+        assert!(!out.status.success(), "--lanes {retired} must be refused");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("expected scalar or x8"), "{err}");
+        assert!(err.contains("usage: ugc"), "{err}");
     }
 }
 
