@@ -28,7 +28,7 @@ mod schemes;
 mod small_domain;
 
 use ugc_core::session::VerificationScheme;
-use ugc_core::{LaneWidth, Parallelism, ParticipantStorage, RoundOutcome};
+use ugc_core::{MixedFleetConfig, ParticipantStorage, RoundOutcome};
 use ugc_grid::WorkerBehaviour;
 use ugc_hash::Sha256;
 use ugc_sim::Table;
@@ -142,9 +142,9 @@ fn mark(ok: bool) -> String {
 }
 
 /// One stand-alone round of `scheme` over SHA-256, as `comm`,
-/// `small_domain` and `schemes` measure it. The task id only labels the
-/// round's messages, and the tree-build knobs stay at their defaults:
-/// they are execution-only, no count depends on them.
+/// `small_domain` and `schemes` measure it. Everything but `storage`
+/// stays at its default: the rest is execution-only, no count depends
+/// on it.
 fn round(
     scheme: &dyn VerificationScheme<Sha256>,
     task: &PasswordSearch,
@@ -152,16 +152,11 @@ fn round(
     behaviours: &[&dyn WorkerBehaviour],
     storage: ParticipantStorage,
 ) -> RoundOutcome {
-    ugc_core::scheme::run_round(
-        scheme,
-        task,
-        &task.match_screener(),
-        domain,
-        behaviours,
-        1,
+    let config = MixedFleetConfig {
         storage,
-        Parallelism::default(),
-        LaneWidth::default(),
-    )
-    .expect("an in-process round over sound parameters runs to a verdict")
+        ..MixedFleetConfig::default()
+    };
+    let screener = task.match_screener();
+    ugc_core::scheme::run_round(scheme, task, &screener, domain, behaviours, &config)
+        .expect("an in-process round over sound parameters runs to a verdict")
 }

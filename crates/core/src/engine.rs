@@ -19,15 +19,15 @@
 //!
 //! The same loop therefore drives in-memory fleets (per-participant
 //! duplex links), the relayed [`Broker`](ugc_grid::Broker) deployment of
-//! Section 4, and mixed-scheme campaigns — the orchestrator's
-//! [`run_fleet`](crate::run_fleet)/[`run_mixed_fleet`](crate::run_mixed_fleet)
-//! are wrappers over this engine.
+//! Section 4, mixed-scheme campaigns and single stand-alone rounds —
+//! [`run_mixed_fleet`](crate::run_mixed_fleet) and
+//! [`run_round`](crate::scheme::run_round) are wrappers over this engine.
 //!
 //! Per-session traffic is accounted from encoded frame sizes (wire length
 //! plus the transport's frame header), which is byte-identical to what a
 //! dedicated [`Endpoint`] would have counted — so
-//! engine-multiplexed byte counts match the legacy one-link-per-round
-//! paths bit for bit.
+//! engine-multiplexed byte counts match a blocking one-link-per-round
+//! driver's bit for bit.
 
 use crate::journal::CampaignRecorder;
 use crate::session::{SessionOutcome, SupervisorSession};

@@ -30,8 +30,8 @@
 //! A full interactive CBS round against a half-honest cheater:
 //!
 //! ```
-//! use ugc_core::scheme::cbs::{run_cbs, CbsConfig};
-//! use ugc_core::ParticipantStorage;
+//! use ugc_core::scheme::{cbs::CbsScheme, run_round};
+//! use ugc_core::MixedFleetConfig;
 //! use ugc_grid::{CheatSelection, SemiHonestCheater};
 //! use ugc_hash::Sha256;
 //! use ugc_task::{workloads::PasswordSearch, Domain, ZeroGuesser};
@@ -39,14 +39,13 @@
 //! let task = PasswordSearch::with_hidden_password(1, 42);
 //! let screener = task.match_screener();
 //! let cheater = SemiHonestCheater::new(0.5, CheatSelection::Scattered, ZeroGuesser::new(7), 3);
-//! let config = CbsConfig { task_id: 1, samples: 20, seed: 99, report_audit: 0 };
-//! let outcome = run_cbs::<Sha256, _, _, _>(
+//! let outcome = run_round::<Sha256>(
+//!     &CbsScheme { samples: 20, seed: 99, report_audit: 0 },
 //!     &task,
 //!     &screener,
 //!     Domain::new(0, 256),
-//!     &cheater,
-//!     ParticipantStorage::Full,
-//!     &config,
+//!     &[&cheater],
+//!     &MixedFleetConfig::default(),
 //! )?;
 //! assert!(!outcome.accepted, "a 50% cheater must not survive 20 samples");
 //! # Ok::<(), ugc_core::SchemeError>(())
@@ -73,9 +72,8 @@ pub use backend::{
 pub use error::SchemeError;
 pub use journal::{summary_digest, CampaignHeader, DurableCampaign, ResumeReport};
 pub use orchestrator::{
-    chaos_link_id, run_campaign, run_durable_fleet, run_fleet, run_fleet_on, run_mixed_fleet,
-    CampaignSummary, FleetConfig, FleetMember, FleetScheme, FleetSummary, MemberSpec,
-    MixedFleetConfig,
+    chaos_link_id, run_campaign, run_durable_fleet, run_fleet_on, run_mixed_fleet, CampaignSummary,
+    FleetMember, FleetScheme, FleetSummary, MemberSpec, MixedFleetConfig,
 };
 pub use outcome::{ParticipantStorage, RoundOutcome, Verdict};
 pub use session::{

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use ugc_grid::runtime::{
     FaultEvent, FaultLog, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll,
 };
-use ugc_grid::{CostLedger, CostReport, Doorbell, Throughput, WorkerBehaviour};
+use ugc_grid::{CostLedger, CostReport, Doorbell, GridError, Throughput, WorkerBehaviour};
 use ugc_hash::HashFunction;
 use ugc_merkle::{LaneWidth, Parallelism};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
@@ -114,6 +114,23 @@ impl FleetScheme {
         }
     }
 
+    /// One scheme object per member of a `members`-strong fleet, member
+    /// `i` seeded `seed·0x9e37_79b9_7f4a_7c15 + i` — the one place a
+    /// campaign's base seed becomes member seeds, whoever expands it (the
+    /// supervisor, a join process, [`run_campaign`]).
+    #[must_use]
+    pub fn instantiate_fleet<H: HashFunction>(
+        self,
+        seed: u64,
+        members: usize,
+    ) -> Vec<Box<dyn VerificationScheme<H>>> {
+        let base = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (0u64..)
+            .take(members)
+            .map(|i| self.instantiate(base.wrapping_add(i)))
+            .collect()
+    }
+
     /// How many participant slots one member of this scheme fills.
     #[must_use]
     pub fn slots(self) -> usize {
@@ -122,22 +139,6 @@ impl FleetScheme {
             _ => 1,
         }
     }
-}
-
-/// Configuration of a fleet verification round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetConfig {
-    /// The scheme and its parameters.
-    pub scheme: FleetScheme,
-    /// Participant tree storage mode.
-    pub storage: ParticipantStorage,
-    /// Base seed; participant `i` gets a derived seed.
-    pub seed: u64,
-    /// Per-participant tree-build parallelism
-    /// ([`Parallelism::default()`] = one thread per available core).
-    /// Results are bit-identical at any setting; only wall-clock time
-    /// changes.
-    pub parallelism: Parallelism,
 }
 
 /// One participant's slice of the fleet round.
@@ -275,59 +276,6 @@ pub struct MemberSpec<'a, H: HashFunction> {
     pub behaviours: Vec<&'a dyn WorkerBehaviour>,
 }
 
-/// Runs one verification round against every behaviour in `fleet`, each on
-/// its own share of `domain` (shares differ in size by at most one input)
-/// and under `config.scheme` with a seed derived from `config.seed` and
-/// its index — [`run_mixed_fleet`] over direct links for the common case
-/// of one scheme for everyone.
-///
-/// # Errors
-///
-/// The first protocol error encountered (cheating is *not* an error; it
-/// shows up as a rejected member).
-pub fn run_fleet<H, T, S, B>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    fleet: &[B],
-    config: &FleetConfig,
-) -> Result<FleetSummary, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let schemes: Vec<Box<dyn VerificationScheme<H>>> = (0..fleet.len())
-        .map(|i| {
-            let seed = config
-                .seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(i as u64);
-            config.scheme.instantiate::<H>(seed)
-        })
-        .collect();
-    let members: Vec<MemberSpec<'_, H>> = schemes
-        .iter()
-        .zip(fleet)
-        .map(|(scheme, behaviour)| MemberSpec {
-            scheme: scheme.as_ref(),
-            behaviours: vec![behaviour as &dyn WorkerBehaviour],
-        })
-        .collect();
-    run_mixed_fleet(
-        task,
-        screener,
-        domain,
-        &members,
-        &MixedFleetConfig {
-            storage: config.storage,
-            parallelism: config.parallelism,
-            ..MixedFleetConfig::default()
-        },
-    )
-}
-
 /// Runs one verification round for an arbitrary mix of schemes and
 /// behaviours — the full generality of the session engine: every member
 /// gets its own share of `domain`, its own (already seeded) scheme and its
@@ -418,8 +366,12 @@ where
 ///
 /// # Errors
 ///
-/// The first protocol error still standing after all retries (cheating is
-/// a rejected member, not an error); [`SchemeError::InvalidConfig`] for
+/// The first member's supervisor error still standing after all retries
+/// (cheating is a rejected member, not an error) — or, when that is only
+/// the hang-up of a participant that failed first and no chaos plan is
+/// injecting hang-ups, the participant's error, which is the cause;
+/// participant errors otherwise surface only once every supervisor session
+/// succeeded; [`SchemeError::InvalidConfig`] for
 /// an empty fleet, an unsplittable domain, a behaviour count not matching
 /// a scheme's slots, a `config.transport` that disagrees with
 /// `backend.kind()`, or a backend that cannot serve the configuration (a
@@ -624,14 +576,28 @@ where
     // global pass to honour the "sorted" contract on the aggregate.
     fault_events.sort_unstable();
 
+    let hung_up = SchemeError::Grid(GridError::Disconnected);
     let mut outcomes = Vec::with_capacity(members.len());
-    for ((result, sup_ledger), part_ledger) in finals
+    for (((result, sup_ledger), part_ledger), part_results) in finals
         .into_iter()
         .map(|r| r.expect("every member ran at least one attempt"))
         .zip(&sup_ledgers)
         .zip(&part_ledgers)
+        .zip(&part_outcomes)
     {
-        let outcome = result.outcome?;
+        // The cause, not its echo: a participant that failed hung up, and
+        // all its supervisor then saw was the closed link. (Under chaos a
+        // hang-up is an injected fault, and the record stays as it fell.)
+        let outcome = result.outcome.map_err(|error| {
+            let cause = part_results
+                .iter()
+                .filter_map(|r| r.as_ref().err())
+                .find(|e| **e != hung_up);
+            match cause {
+                Some(cause) if config.chaos.is_none() && error == hung_up => cause.clone(),
+                _ => error,
+            }
+        })?;
         outcomes.push(RoundOutcome::new(
             outcome.verdict,
             sup_ledger.report(),
@@ -640,10 +606,10 @@ where
             outcome.reports,
         ));
     }
-    // Participant-side protocol errors surface only if every supervisor
-    // session succeeded — `run_round`'s precedence. Under chaos the
-    // injected crashes *are* participant errors, so there they are part of
-    // the record (the fault log), not failures.
+    // Participant-side protocol errors otherwise surface only if every
+    // supervisor session succeeded. Under chaos the injected crashes *are*
+    // participant errors, so there they are part of the record (the fault
+    // log), not failures.
     if config.chaos.is_none() {
         for result in part_outcomes.iter().flatten() {
             let _ = result.clone()?;
@@ -914,6 +880,35 @@ where
     })
 }
 
+/// One round of `scheme` for everyone: each of `workers` on its own share
+/// of `domain`, member seeds derived from `seed`
+/// ([`FleetScheme::instantiate_fleet`]).
+fn run_uniform_fleet<H, T, S>(
+    task: &T,
+    screener: &S,
+    domain: Domain,
+    workers: &[&dyn WorkerBehaviour],
+    scheme: FleetScheme,
+    seed: u64,
+    config: &MixedFleetConfig,
+) -> Result<FleetSummary, SchemeError>
+where
+    H: HashFunction,
+    T: ComputeTask,
+    S: Screener,
+{
+    let schemes = scheme.instantiate_fleet::<H>(seed, workers.len());
+    let members: Vec<MemberSpec<'_, H>> = schemes
+        .iter()
+        .zip(workers)
+        .map(|(member, &worker)| MemberSpec {
+            scheme: member.as_ref(),
+            behaviours: vec![worker; scheme.slots()],
+        })
+        .collect();
+    run_mixed_fleet(task, screener, domain, &members, config)
+}
+
 /// Outcome of a multi-round campaign (see [`run_campaign`]).
 #[derive(Debug, Clone)]
 pub struct CampaignSummary {
@@ -940,9 +935,13 @@ impl CampaignSummary {
     }
 }
 
-/// Runs a verification campaign to completion: every share rejected in a
+/// Runs a verification campaign to completion: round 1 verifies every
+/// behaviour in `fleet` on its own share of `domain` (shares differ in
+/// size by at most one input) under `scheme`, member seeds derived from
+/// `seed` ([`FleetScheme::instantiate_fleet`]); every share rejected in a
 /// round is reassigned — to the *trusted* pool (`fallback`) — in the next
 /// round, until everything is verified or `max_rounds` is exhausted.
+/// Each round is one [`run_mixed_fleet`] under `config`.
 ///
 /// This is the operational loop the paper implies: detection is only
 /// useful because the supervisor can discard and re-run tainted shares.
@@ -950,14 +949,17 @@ impl CampaignSummary {
 /// # Errors
 ///
 /// Propagates protocol errors; also rejects an empty fleet (via
-/// [`run_fleet`]) or `max_rounds == 0`.
+/// [`run_mixed_fleet`]) or `max_rounds == 0`.
+#[allow(clippy::too_many_arguments)] // the fleet call plus what a campaign adds to it
 pub fn run_campaign<H, T, S, B, F>(
     task: &T,
     screener: &S,
     domain: Domain,
     fleet: &[B],
     fallback: &F,
-    config: &FleetConfig,
+    scheme: FleetScheme,
+    seed: u64,
+    config: &MixedFleetConfig,
     max_rounds: usize,
 ) -> Result<CampaignSummary, SchemeError>
 where
@@ -976,7 +978,10 @@ where
     let mut reports: Vec<ScreenReport> = Vec::new();
 
     // Round 1: the whole fleet over the whole domain.
-    let first = run_fleet::<H, T, S, B>(task, screener, domain, fleet, config)?;
+    let workers: Vec<&dyn WorkerBehaviour> =
+        fleet.iter().map(|b| b as &dyn WorkerBehaviour).collect();
+    let first =
+        run_uniform_fleet::<H, T, S>(task, screener, domain, &workers, scheme, seed, config)?;
     let mut pending = first.shares_to_reassign();
     reports.extend(first.reports.iter().cloned());
     rounds.push(first);
@@ -987,21 +992,19 @@ where
     let mut round = 1;
     while !pending.is_empty() && round < max_rounds {
         round += 1;
+        let reseed = seed
+            .wrapping_add(round as u64)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let mut next_pending = Vec::new();
         for share in pending {
-            let cfg = FleetConfig {
-                seed: config
-                    .seed
-                    .wrapping_add(round as u64)
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                ..*config
-            };
-            let summary = run_fleet::<H, T, S, F>(
+            let summary = run_uniform_fleet::<H, T, S>(
                 task,
                 screener,
                 share,
-                core::slice::from_ref(fallback),
-                &cfg,
+                &[fallback],
+                scheme,
+                reseed,
+                config,
             )?;
             reports.extend(summary.reports.iter().cloned());
             next_pending.extend(summary.shares_to_reassign());
@@ -1027,31 +1030,28 @@ mod tests {
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::ZeroGuesser;
 
-    fn config(scheme: FleetScheme) -> FleetConfig {
-        FleetConfig {
-            scheme,
-            storage: ParticipantStorage::Full,
-            seed: 99,
-            parallelism: Parallelism::default(),
-        }
+    const HONEST: &dyn WorkerBehaviour = &HonestWorker;
+    const CBS: fn(usize) -> FleetScheme = |samples| FleetScheme::Cbs {
+        samples,
+        report_audit: 0,
+    };
+
+    /// [`run_uniform_fleet`] over the default config.
+    fn run_uniform(
+        task: &PasswordSearch,
+        domain: Domain,
+        fleet: &[&dyn WorkerBehaviour],
+        scheme: FleetScheme,
+        seed: u64,
+    ) -> Result<FleetSummary, SchemeError> {
+        let (screener, config) = (task.match_screener(), MixedFleetConfig::default());
+        run_uniform_fleet::<Sha256, _, _>(task, &screener, domain, fleet, scheme, seed, &config)
     }
 
     #[test]
     fn honest_fleet_accepted_and_reports_merged() {
         let task = PasswordSearch::with_hidden_password(3, 700);
-        let screener = task.match_screener();
-        let fleet = vec![HonestWorker; 4];
-        let summary = run_fleet::<Sha256, _, _, _>(
-            &task,
-            &screener,
-            Domain::new(0, 1024),
-            &fleet,
-            &config(FleetScheme::Cbs {
-                samples: 12,
-                report_audit: 0,
-            }),
-        )
-        .unwrap();
+        let summary = run_uniform(&task, Domain::new(0, 1024), &[HONEST; 4], CBS(12), 99).unwrap();
         assert_eq!(summary.accepted(), 4);
         assert_eq!(summary.rejected(), 0);
         assert_eq!(summary.reports.len(), 1);
@@ -1062,22 +1062,10 @@ mod tests {
     #[test]
     fn mixed_fleet_isolates_the_cheater() {
         let task = PasswordSearch::with_hidden_password(3, 1);
-        let screener = task.match_screener();
-        let honest = HonestWorker;
         let cheater =
             SemiHonestCheater::new(0.3, CheatSelection::Scattered, ZeroGuesser::new(1), 5);
-        let fleet: Vec<&dyn WorkerBehaviour> = vec![&honest, &cheater, &honest];
-        let summary = run_fleet::<Sha256, _, _, _>(
-            &task,
-            &screener,
-            Domain::new(0, 300),
-            &fleet,
-            &config(FleetScheme::Cbs {
-                samples: 20,
-                report_audit: 0,
-            }),
-        )
-        .unwrap();
+        let fleet = [HONEST, &cheater, HONEST];
+        let summary = run_uniform(&task, Domain::new(0, 300), &fleet, CBS(20), 99).unwrap();
         assert_eq!(summary.accepted(), 2);
         assert_eq!(summary.rejected(), 1);
         assert!(!summary.members[1].outcome.accepted);
@@ -1088,20 +1076,12 @@ mod tests {
     #[test]
     fn ni_fleet_works() {
         let task = PasswordSearch::with_hidden_password(5, 2);
-        let screener = task.match_screener();
-        let fleet = vec![HonestWorker; 3];
-        let summary = run_fleet::<Sha256, _, _, _>(
-            &task,
-            &screener,
-            Domain::new(0, 96),
-            &fleet,
-            &config(FleetScheme::NiCbs {
-                samples: 8,
-                g_iterations: 2,
-                report_audit: 0,
-            }),
-        )
-        .unwrap();
+        let scheme = FleetScheme::NiCbs {
+            samples: 8,
+            g_iterations: 2,
+            report_audit: 0,
+        };
+        let summary = run_uniform(&task, Domain::new(0, 96), &[HONEST; 3], scheme, 99).unwrap();
         assert_eq!(summary.accepted(), 3);
         // Every member paid its own g-derivation.
         for m in &summary.members {
@@ -1112,39 +1092,38 @@ mod tests {
     #[test]
     fn empty_fleet_rejected() {
         let task = PasswordSearch::with_hidden_password(1, 1);
-        let screener = task.match_screener();
-        let fleet: Vec<HonestWorker> = Vec::new();
-        let err = run_fleet::<Sha256, _, _, _>(
-            &task,
-            &screener,
-            Domain::new(0, 16),
-            &fleet,
-            &config(FleetScheme::Cbs {
-                samples: 4,
-                report_audit: 0,
-            }),
-        )
-        .unwrap_err();
+        let err = run_uniform(&task, Domain::new(0, 16), &[], CBS(4), 99).unwrap_err();
         assert!(matches!(err, SchemeError::InvalidConfig { .. }));
     }
 
     #[test]
     fn oversubscribed_fleet_rejected() {
         let task = PasswordSearch::with_hidden_password(1, 1);
-        let screener = task.match_screener();
-        let fleet = vec![HonestWorker; 10];
-        let err = run_fleet::<Sha256, _, _, _>(
-            &task,
-            &screener,
-            Domain::new(0, 4),
-            &fleet,
-            &config(FleetScheme::Cbs {
-                samples: 1,
-                report_audit: 0,
-            }),
-        )
-        .unwrap_err();
+        let err = run_uniform(&task, Domain::new(0, 4), &[HONEST; 10], CBS(1), 99).unwrap_err();
         assert!(matches!(err, SchemeError::InvalidConfig { .. }));
+    }
+
+    /// [`run_campaign`] over the default config.
+    fn campaign(
+        task: &PasswordSearch,
+        domain: Domain,
+        fleet: &[&dyn WorkerBehaviour],
+        fallback: &dyn WorkerBehaviour,
+        scheme: FleetScheme,
+        seed: u64,
+        max_rounds: usize,
+    ) -> Result<CampaignSummary, SchemeError> {
+        run_campaign::<Sha256, _, _, _, _>(
+            task,
+            &task.match_screener(),
+            domain,
+            fleet,
+            &fallback,
+            scheme,
+            seed,
+            &MixedFleetConfig::default(),
+            max_rounds,
+        )
     }
 
     #[test]
@@ -1152,30 +1131,11 @@ mod tests {
         // The password hides in the cheater's share; round 1 rejects it,
         // round 2 recovers it via the trusted fallback.
         let task = PasswordSearch::with_hidden_password(3, 150);
-        let screener = task.match_screener();
-        let honest = HonestWorker;
         let cheater =
             SemiHonestCheater::new(0.2, CheatSelection::Scattered, ZeroGuesser::new(1), 5);
         // 3 shares of 100: the password (input 150) is in share 1 — the cheater's.
-        let fleet: Vec<&dyn WorkerBehaviour> = vec![&honest, &cheater, &honest];
-        let summary = run_campaign::<Sha256, _, _, _, _>(
-            &task,
-            &screener,
-            Domain::new(0, 300),
-            &fleet,
-            &HonestWorker,
-            &FleetConfig {
-                scheme: FleetScheme::Cbs {
-                    samples: 25,
-                    report_audit: 0,
-                },
-                storage: ParticipantStorage::Full,
-                seed: 8,
-                parallelism: Parallelism::default(),
-            },
-            4,
-        )
-        .unwrap();
+        let fleet = [HONEST, &cheater, HONEST];
+        let summary = campaign(&task, Domain::new(0, 300), &fleet, HONEST, CBS(25), 8, 4).unwrap();
         assert!(summary.complete);
         assert_eq!(summary.rounds.len(), 2);
         assert!(!summary.rounds[0].members[1].outcome.accepted);
@@ -1188,24 +1148,18 @@ mod tests {
     #[test]
     fn campaign_all_honest_finishes_in_one_round() {
         let task = PasswordSearch::with_hidden_password(3, 10);
-        let screener = task.match_screener();
-        let fleet = vec![HonestWorker; 2];
-        let summary = run_campaign::<Sha256, _, _, _, _>(
+        let scheme = FleetScheme::NiCbs {
+            samples: 10,
+            g_iterations: 1,
+            report_audit: 0,
+        };
+        let summary = campaign(
             &task,
-            &screener,
             Domain::new(0, 64),
-            &fleet,
-            &HonestWorker,
-            &FleetConfig {
-                scheme: FleetScheme::NiCbs {
-                    samples: 10,
-                    g_iterations: 1,
-                    report_audit: 0,
-                },
-                storage: ParticipantStorage::Full,
-                seed: 2,
-                parallelism: Parallelism::default(),
-            },
+            &[HONEST; 2],
+            HONEST,
+            scheme,
+            2,
             3,
         )
         .unwrap();
@@ -1217,28 +1171,11 @@ mod tests {
     fn campaign_reports_incompleteness_when_budget_exhausted() {
         // Fallback is itself a cheater: the campaign can never finish.
         let task = PasswordSearch::with_hidden_password(3, 10);
-        let screener = task.match_screener();
         let cheater =
             SemiHonestCheater::new(0.1, CheatSelection::Scattered, ZeroGuesser::new(2), 7);
-        let fleet: Vec<&dyn WorkerBehaviour> = vec![&cheater];
-        let summary = run_campaign::<Sha256, _, _, _, _>(
-            &task,
-            &screener,
-            Domain::new(0, 100),
-            &fleet,
-            &cheater,
-            &FleetConfig {
-                scheme: FleetScheme::Cbs {
-                    samples: 20,
-                    report_audit: 0,
-                },
-                storage: ParticipantStorage::Full,
-                seed: 4,
-                parallelism: Parallelism::default(),
-            },
-            3,
-        )
-        .unwrap();
+        let fleet = [&cheater as &dyn WorkerBehaviour];
+        let summary =
+            campaign(&task, Domain::new(0, 100), &fleet, &cheater, CBS(20), 4, 3).unwrap();
         assert!(!summary.complete);
         assert_eq!(summary.rounds.len(), 3);
     }
@@ -1246,53 +1183,18 @@ mod tests {
     #[test]
     fn campaign_zero_rounds_rejected() {
         let task = PasswordSearch::with_hidden_password(1, 1);
-        let screener = task.match_screener();
-        let fleet = vec![HonestWorker];
-        let err = run_campaign::<Sha256, _, _, _, _>(
-            &task,
-            &screener,
-            Domain::new(0, 16),
-            &fleet,
-            &HonestWorker,
-            &FleetConfig {
-                scheme: FleetScheme::Cbs {
-                    samples: 2,
-                    report_audit: 0,
-                },
-                storage: ParticipantStorage::Full,
-                seed: 1,
-                parallelism: Parallelism::default(),
-            },
-            0,
-        )
-        .unwrap_err();
+        let err = campaign(&task, Domain::new(0, 16), &[HONEST], HONEST, CBS(2), 1, 0).unwrap_err();
         assert!(matches!(err, SchemeError::InvalidConfig { .. }));
     }
 
     #[test]
     fn deterministic_per_seed() {
         let task = PasswordSearch::with_hidden_password(3, 1);
-        let screener = task.match_screener();
         let cheater =
             SemiHonestCheater::new(0.9, CheatSelection::Scattered, ZeroGuesser::new(1), 5);
-        let fleet = vec![&cheater, &cheater];
+        let fleet = [&cheater as &dyn WorkerBehaviour; 2];
         let run = |seed| {
-            let summary = run_fleet::<Sha256, _, _, _>(
-                &task,
-                &screener,
-                Domain::new(0, 200),
-                &fleet,
-                &FleetConfig {
-                    scheme: FleetScheme::Cbs {
-                        samples: 6,
-                        report_audit: 0,
-                    },
-                    storage: ParticipantStorage::Full,
-                    seed,
-                    parallelism: Parallelism::default(),
-                },
-            )
-            .unwrap();
+            let summary = run_uniform(&task, Domain::new(0, 200), &fleet, CBS(6), seed).unwrap();
             summary
                 .members
                 .iter()

@@ -55,12 +55,12 @@
 //! paths share a node below the root's children.
 
 use crate::sampling::draw_samples;
-use crate::scheme::{check_task, materialize, run_round, Materialized};
+use crate::scheme::{check_task, materialize, Materialized};
 use crate::session::{
     unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
     SupervisorContext, SupervisorSession, VerificationScheme,
 };
-use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
+use crate::{ParticipantStorage, SchemeError, Verdict};
 use ugc_grid::{Assignment, CostLedger, Message, Opening, WorkerBehaviour};
 use ugc_hash::HashFunction;
 use ugc_merkle::{
@@ -71,21 +71,6 @@ use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 /// Below this many leaves a parallel tree build is not worth the thread
 /// spawns; the scheme layer falls back to the serial build.
 pub(crate) const PARALLEL_BUILD_MIN_LEAVES: usize = 1 << 10;
-
-/// Interactive CBS parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CbsConfig {
-    /// Task identifier carried on every message.
-    pub task_id: u64,
-    /// Number of samples `m`.
-    pub samples: usize,
-    /// Supervisor sampling seed (a fresh random value in production; a
-    /// fixed value in reproducible experiments).
-    pub seed: u64,
-    /// How many screened reports to audit by recomputation (0 disables;
-    /// an extension over the paper — catches the malicious model).
-    pub report_audit: usize,
-}
 
 /// Builds the participant's commitment tree over the materialised leaf
 /// `row` (`width` bytes per leaf), charging the `padded − 1` hash
@@ -165,16 +150,17 @@ pub(crate) fn open_samples<H: HashFunction>(
 /// challenge → sample proofs → verdict, with the samples drawn by the
 /// supervisor *after* the commitment arrives (Section 3.1).
 ///
-/// This is the session-engine face of the scheme; `samples`, `seed` and
-/// `report_audit` mean exactly what they do on [`CbsConfig`] (the wire
-/// task id comes from the session context instead).
+/// [`run_round`](crate::scheme::run_round) runs one complete round of it
+/// in-process; the wire task id comes from the session context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CbsScheme {
     /// Number of samples `m`.
     pub samples: usize,
-    /// Supervisor sampling seed.
+    /// Supervisor sampling seed (a fresh random value in production; a
+    /// fixed value in reproducible experiments).
     pub seed: u64,
-    /// Report-audit size (0 disables).
+    /// How many screened reports to audit by recomputation (0 disables;
+    /// an extension over the paper — catches the malicious model).
     pub report_audit: usize,
 }
 
@@ -618,48 +604,11 @@ pub fn verify_round<H: HashFunction>(
     Ok(Verdict::Accepted)
 }
 
-/// Runs a complete interactive CBS round in-process — [`run_round`] over
-/// a [`CbsScheme`] built from `config`, the participant's commitment tree
-/// building with the default parallelism (one thread per available core)
-/// and digest lane width. Returns full cost and traffic accounting.
-///
-/// # Errors
-///
-/// As [`run_round`].
-pub fn run_cbs<H, T, S, B>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    behaviour: &B,
-    storage: ParticipantStorage,
-    config: &CbsConfig,
-) -> Result<RoundOutcome, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    run_round::<H>(
-        &CbsScheme {
-            samples: config.samples,
-            seed: config.seed,
-            report_audit: config.report_audit,
-        },
-        task,
-        screener,
-        domain,
-        &[behaviour],
-        config.task_id,
-        storage,
-        Parallelism::default(),
-        LaneWidth::default(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::{run_round, storage_round};
+    use crate::{MixedFleetConfig, RoundOutcome};
     use proptest::prelude::*;
     use proptest::sample::Index;
     use ugc_grid::{CheatSelection, CostReport, HonestWorker, MaliciousWorker, SemiHonestCheater};
@@ -668,38 +617,35 @@ mod tests {
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::{AcceptAllScreener, ZeroGuesser};
 
-    fn config(m: usize, seed: u64) -> CbsConfig {
-        CbsConfig {
-            task_id: 7,
+    fn config(m: usize, seed: u64) -> CbsScheme {
+        CbsScheme {
             samples: m,
             seed,
             report_audit: 0,
         }
     }
 
-    /// One honest full-storage round of `config(8, 3)` through the
-    /// generic driver, with explicit execution knobs.
+    /// One honest full-storage round of `config(8, 3)`, with explicit
+    /// execution knobs.
     fn honest_round(
         task: &PasswordSearch,
         domain: Domain,
         parallelism: Parallelism,
         lanes: LaneWidth,
     ) -> RoundOutcome {
-        let config = config(8, 3);
-        run_round::<Sha256>(
-            &CbsScheme {
-                samples: config.samples,
-                seed: config.seed,
-                report_audit: config.report_audit,
-            },
-            task,
-            &task.match_screener(),
-            domain,
-            &[&HonestWorker],
-            config.task_id,
-            ParticipantStorage::Full,
+        let knobs = MixedFleetConfig {
             parallelism,
             lanes,
+            ..MixedFleetConfig::default()
+        };
+        let screener = task.match_screener();
+        run_round::<Sha256>(
+            &config(8, 3),
+            task,
+            &screener,
+            domain,
+            &[&HonestWorker],
+            &knobs,
         )
         .unwrap()
     }
@@ -710,13 +656,13 @@ mod tests {
         for (n, seed) in [(16u64, 1u64), (100, 2), (257, 3)] {
             let task = PasswordSearch::with_hidden_password(9, 3);
             let screener = task.match_screener();
-            let outcome = run_cbs::<Sha256, _, _, _>(
+            let outcome = storage_round::<Sha256>(
+                &config(10, seed),
                 &task,
                 &screener,
                 Domain::new(0, n),
-                &HonestWorker,
+                &[&HonestWorker],
                 ParticipantStorage::Full,
-                &config(10, seed),
             )
             .unwrap();
             assert!(outcome.accepted, "honest rejected at n={n} seed={seed}");
@@ -728,13 +674,13 @@ mod tests {
     fn honest_reports_reach_supervisor() {
         let task = PasswordSearch::with_hidden_password(9, 37);
         let screener = task.match_screener();
-        let outcome = run_cbs::<Sha256, _, _, _>(
+        let outcome = storage_round::<Sha256>(
+            &config(5, 1),
             &task,
             &screener,
             Domain::new(0, 64),
-            &HonestWorker,
+            &[&HonestWorker],
             ParticipantStorage::Full,
-            &config(5, 1),
         )
         .unwrap();
         assert_eq!(outcome.reports.len(), 1);
@@ -747,13 +693,13 @@ mod tests {
         let screener = task.match_screener();
         let cheater =
             SemiHonestCheater::new(0.1, CheatSelection::Scattered, ZeroGuesser::new(5), 11);
-        let outcome = run_cbs::<Sha256, _, _, _>(
+        let outcome = storage_round::<Sha256>(
+            &config(20, 42),
             &task,
             &screener,
             Domain::new(0, 256),
-            &cheater,
+            &[&cheater],
             ParticipantStorage::Full,
-            &config(20, 42),
         )
         .unwrap();
         assert!(!outcome.accepted);
@@ -769,13 +715,13 @@ mod tests {
             ParticipantStorage::Partial { subtree_height: 2 },
             ParticipantStorage::Partial { subtree_height: 5 },
         ] {
-            let outcome = run_cbs::<Sha256, _, _, _>(
+            let outcome = storage_round::<Sha256>(
+                &config(8, 9),
                 &task,
                 &screener,
                 Domain::new(0, 128),
-                &HonestWorker,
+                &[&HonestWorker],
                 storage,
-                &config(8, 9),
             )
             .unwrap();
             assert!(outcome.accepted, "storage {storage:?}");
@@ -786,22 +732,22 @@ mod tests {
     fn partial_storage_charges_rebuild_f_evals() {
         let task = PasswordSearch::with_hidden_password(1, 2);
         let screener = task.match_screener();
-        let full = run_cbs::<Sha256, _, _, _>(
+        let full = storage_round::<Sha256>(
+            &config(8, 9),
             &task,
             &screener,
             Domain::new(0, 128),
-            &HonestWorker,
+            &[&HonestWorker],
             ParticipantStorage::Full,
-            &config(8, 9),
         )
         .unwrap();
-        let partial = run_cbs::<Sha256, _, _, _>(
+        let partial = storage_round::<Sha256>(
+            &config(8, 9),
             &task,
             &screener,
             Domain::new(0, 128),
-            &HonestWorker,
+            &[&HonestWorker],
             ParticipantStorage::Partial { subtree_height: 4 },
-            &config(8, 9),
         )
         .unwrap();
         // Partial mode pays extra f evaluations: up to m × 2^ℓ beyond the
@@ -817,13 +763,13 @@ mod tests {
         let screener = task.match_screener();
         let cheater =
             SemiHonestCheater::new(0.2, CheatSelection::Scattered, ZeroGuesser::new(5), 3);
-        let outcome = run_cbs::<Sha256, _, _, _>(
+        let outcome = storage_round::<Sha256>(
+            &config(16, 4),
             &task,
             &screener,
             Domain::new(0, 128),
-            &cheater,
+            &[&cheater],
             ParticipantStorage::Partial { subtree_height: 3 },
-            &config(16, 4),
         )
         .unwrap();
         assert!(!outcome.accepted);
@@ -880,13 +826,13 @@ mod tests {
     fn md5_variant_works() {
         let task = PasswordSearch::with_hidden_password(2, 4);
         let screener = task.match_screener();
-        let outcome = run_cbs::<Md5, _, _, _>(
+        let outcome = storage_round::<Md5>(
+            &config(6, 5),
             &task,
             &screener,
             Domain::new(0, 64),
-            &HonestWorker,
+            &[&HonestWorker],
             ParticipantStorage::Full,
-            &config(6, 5),
         )
         .unwrap();
         assert!(outcome.accepted);
@@ -898,26 +844,28 @@ mod tests {
         let task = PasswordSearch::with_hidden_password(3, 10);
         let screener = ugc_task::AcceptAllScreener;
         let malicious = MaliciousWorker::new(1.0, 8);
-        let no_audit = run_cbs::<Sha256, _, _, _>(
+        let no_audit = storage_round::<Sha256>(
+            &config(10, 6),
             &task,
             &screener,
             Domain::new(0, 64),
-            &malicious,
+            &[&malicious],
             ParticipantStorage::Full,
-            &config(10, 6),
         )
         .unwrap();
         assert!(no_audit.accepted, "CBS alone cannot see report corruption");
         // …but the report audit extension catches the corrupted payloads.
-        let mut audited_config = config(10, 6);
-        audited_config.report_audit = 4;
-        let audited = run_cbs::<Sha256, _, _, _>(
+        let audited_config = CbsScheme {
+            report_audit: 4,
+            ..config(10, 6)
+        };
+        let audited = storage_round::<Sha256>(
+            &audited_config,
             &task,
             &screener,
             Domain::new(0, 64),
-            &malicious,
+            &[&malicious],
             ParticipantStorage::Full,
-            &audited_config,
         )
         .unwrap();
         assert!(!audited.accepted);
@@ -930,13 +878,13 @@ mod tests {
         let screener = task.match_screener();
         let mut received = Vec::new();
         for bits in [8u32, 10, 12] {
-            let outcome = run_cbs::<Sha256, _, _, _>(
+            let outcome = storage_round::<Sha256>(
+                &config(10, 2),
                 &task,
                 &screener,
                 Domain::new(0, 1 << bits),
-                &HonestWorker,
+                &[&HonestWorker],
                 ParticipantStorage::Full,
-                &config(10, 2),
             )
             .unwrap();
             received.push(outcome.supervisor_link.bytes_received);
@@ -953,13 +901,13 @@ mod tests {
     fn zero_samples_rejected() {
         let task = PasswordSearch::with_hidden_password(1, 1);
         let screener = task.match_screener();
-        let err = run_cbs::<Sha256, _, _, _>(
+        let err = storage_round::<Sha256>(
+            &config(0, 1),
             &task,
             &screener,
             Domain::new(0, 16),
-            &HonestWorker,
+            &[&HonestWorker],
             ParticipantStorage::Full,
-            &config(0, 1),
         )
         .unwrap_err();
         assert!(matches!(err, SchemeError::InvalidConfig { .. }));
@@ -969,22 +917,22 @@ mod tests {
     fn supervisor_verification_cost_scales_with_m() {
         let task = PasswordSearch::with_hidden_password(1, 1);
         let screener = task.match_screener();
-        let small = run_cbs::<Sha256, _, _, _>(
+        let small = storage_round::<Sha256>(
+            &config(5, 3),
             &task,
             &screener,
             Domain::new(0, 256),
-            &HonestWorker,
+            &[&HonestWorker],
             ParticipantStorage::Full,
-            &config(5, 3),
         )
         .unwrap();
-        let large = run_cbs::<Sha256, _, _, _>(
+        let large = storage_round::<Sha256>(
+            &config(50, 3),
             &task,
             &screener,
             Domain::new(0, 256),
-            &HonestWorker,
+            &[&HonestWorker],
             ParticipantStorage::Full,
-            &config(50, 3),
         )
         .unwrap();
         // One check per distinct sample: drawing with replacement, 50

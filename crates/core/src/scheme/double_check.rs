@@ -5,28 +5,25 @@
 //! wasted on redundancy*, and the supervisor still absorbs two `O(n)`
 //! uploads. This is the baseline that motivates everything else.
 
+use crate::scheme::check_task;
 use crate::scheme::naive::FlatUploadParticipantSession;
-use crate::scheme::{check_task, run_round};
 use crate::session::{
     unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
     SupervisorContext, SupervisorSession, VerificationScheme,
 };
-use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
-use ugc_grid::{Assignment, CostLedger, Message, WorkerBehaviour};
+use crate::{SchemeError, Verdict};
+use ugc_grid::{Assignment, CostLedger, Message};
 use ugc_hash::HashFunction;
-use ugc_merkle::{LaneWidth, Parallelism};
 use ugc_task::{ComputeTask, Domain, Screener};
-
-/// Double-check parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DoubleCheckConfig {
-    /// Task identifier carried on every message.
-    pub task_id: u64,
-}
 
 /// The double-check scheme as a [`VerificationScheme`]. The only
 /// two-slot scheme: one supervisor session spans *two* participant
 /// replicas, so its session demonstrates the engine's multi-peer routing.
+/// [`run_round`](crate::scheme::run_round) runs one complete round of it
+/// in-process, one replica per behaviour: the outcome's
+/// `participant_costs` is the **sum over both replicas** — the paper's
+/// point is precisely that this doubles the spent cycles — and its
+/// `supervisor_link` the sum over both uploads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DoubleCheckScheme;
 
@@ -204,65 +201,27 @@ impl SupervisorSession for DoubleCheckSupervisorSession<'_> {
     }
 }
 
-/// Runs a complete double-check round in-process — [`run_round`] over
-/// the [`DoubleCheckScheme`], one replica per behaviour.
-///
-/// The returned outcome's `participant_costs` is the **sum over both
-/// replicas** — the paper's point is precisely that this doubles the spent
-/// cycles — and its `supervisor_link` the sum over both uploads.
-///
-/// # Errors
-///
-/// As [`run_round`].
-pub fn run_double_check<T, S, BA, BB>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    replica_a: &BA,
-    replica_b: &BB,
-    config: &DoubleCheckConfig,
-) -> Result<RoundOutcome, SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-    BA: WorkerBehaviour,
-    BB: WorkerBehaviour,
-{
-    // The scheme is hash-free; instantiate its trait face with any digest.
-    // It builds no tree either, so the tree knobs are inert.
-    run_round::<ugc_hash::Sha256>(
-        &DoubleCheckScheme,
-        task,
-        screener,
-        domain,
-        &[replica_a, replica_b],
-        config.task_id,
-        ParticipantStorage::Full,
-        Parallelism::serial(),
-        LaneWidth::default(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::run_round;
+    use crate::MixedFleetConfig;
     use ugc_grid::{CheatSelection, HonestWorker, SemiHonestCheater};
+    use ugc_hash::Sha256;
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::ZeroGuesser;
-
-    const CONFIG: DoubleCheckConfig = DoubleCheckConfig { task_id: 4 };
 
     #[test]
     fn two_honest_replicas_agree() {
         let task = PasswordSearch::with_hidden_password(1, 20);
         let screener = task.match_screener();
-        let outcome = run_double_check(
+        let outcome = run_round::<Sha256>(
+            &DoubleCheckScheme,
             &task,
             &screener,
             Domain::new(0, 64),
-            &HonestWorker,
-            &HonestWorker,
-            &CONFIG,
+            &[&HonestWorker, &HonestWorker],
+            &MixedFleetConfig::default(),
         )
         .unwrap();
         assert!(outcome.accepted);
@@ -277,13 +236,13 @@ mod tests {
         let screener = task.match_screener();
         let cheater =
             SemiHonestCheater::new(0.9, CheatSelection::Scattered, ZeroGuesser::new(2), 3);
-        let outcome = run_double_check(
+        let outcome = run_round::<Sha256>(
+            &DoubleCheckScheme,
             &task,
             &screener,
             Domain::new(0, 64),
-            &HonestWorker,
-            &cheater,
-            &CONFIG,
+            &[&HonestWorker, &cheater],
+            &MixedFleetConfig::default(),
         )
         .unwrap();
         assert!(!outcome.accepted);
@@ -300,13 +259,13 @@ mod tests {
         let screener = task.match_screener();
         let cheater_a = SemiHonestCheater::new(0.5, CheatSelection::Prefix, ZeroGuesser::new(7), 1);
         let cheater_b = SemiHonestCheater::new(0.5, CheatSelection::Prefix, ZeroGuesser::new(7), 1);
-        let outcome = run_double_check(
+        let outcome = run_round::<Sha256>(
+            &DoubleCheckScheme,
             &task,
             &screener,
             Domain::new(0, 64),
-            &cheater_a,
-            &cheater_b,
-            &CONFIG,
+            &[&cheater_a, &cheater_b],
+            &MixedFleetConfig::default(),
         )
         .unwrap();
         assert!(
@@ -319,13 +278,13 @@ mod tests {
     fn traffic_is_double_the_naive_upload() {
         let task = PasswordSearch::with_hidden_password(1, 2);
         let screener = task.match_screener();
-        let outcome = run_double_check(
+        let outcome = run_round::<Sha256>(
+            &DoubleCheckScheme,
             &task,
             &screener,
             Domain::new(0, 256),
-            &HonestWorker,
-            &HonestWorker,
-            &CONFIG,
+            &[&HonestWorker, &HonestWorker],
+            &MixedFleetConfig::default(),
         )
         .unwrap();
         // Two uploads of n × 16 bytes dominate the inbound traffic.
@@ -338,13 +297,13 @@ mod tests {
         let screener = task.match_screener();
         // Cheater honest on prefix 32 of 64: first divergence at 32.
         let cheater = SemiHonestCheater::new(0.5, CheatSelection::Prefix, ZeroGuesser::new(5), 9);
-        let outcome = run_double_check(
+        let outcome = run_round::<Sha256>(
+            &DoubleCheckScheme,
             &task,
             &screener,
             Domain::new(0, 64),
-            &HonestWorker,
-            &cheater,
-            &CONFIG,
+            &[&HonestWorker, &cheater],
+            &MixedFleetConfig::default(),
         )
         .unwrap();
         assert_eq!(outcome.verdict, Verdict::ReplicaDisagreement { index: 32 });

@@ -1,6 +1,6 @@
 //! The verification schemes: the paper's CBS/NI-CBS and all baselines.
 //!
-//! Each scheme exposes three layers:
+//! Each scheme exposes two layers:
 //!
 //! 1. a *scheme object* ([`cbs::CbsScheme`], [`ni_cbs::NiCbsScheme`],
 //!    [`naive::NaiveScheme`], [`double_check::DoubleCheckScheme`],
@@ -8,17 +8,15 @@
 //!    [`VerificationScheme`] — the message-driven supervisor/participant
 //!    state machines a [`SessionEngine`](crate::engine::SessionEngine)
 //!    multiplexes over any transport, including a
-//!    [`Broker`](ugc_grid::Broker);
-//! 2. `run_*` — one stand-alone round from a `*Config`, a short call into
-//!    [`run_round`], the one blocking driver: it wires a duplex link per
-//!    participant slot, runs each participant session on a scoped thread
-//!    ([`drive_participant`]) and the supervisor session on the calling
-//!    thread ([`drive_supervisor`]), and returns a
-//!    [`RoundOutcome`] with full cost and traffic accounting. Code that
-//!    wants only one side of a round (an adversarial peer, a custom
-//!    transport) builds the scheme's session and calls those two drivers
-//!    itself;
-//! 3. attack entry points (e.g. [`ni_cbs::retry_attack`]) where the paper
+//!    [`Broker`](ugc_grid::Broker). [`run_round`] runs one stand-alone
+//!    round of any of them — a one-member campaign on that engine — and
+//!    returns a [`RoundOutcome`] with full cost and traffic accounting.
+//!    Code that wants only one side of a round (an adversarial peer, a
+//!    hand-built topology) builds the scheme's session and drives it with
+//!    the blocking reference loops
+//!    [`drive_supervisor`](crate::session::drive_supervisor) /
+//!    [`drive_participant`](crate::session::drive_participant);
+//! 2. attack entry points (e.g. [`ni_cbs::retry_attack`]) where the paper
 //!    analyses one.
 
 pub mod cbs;
@@ -27,26 +25,23 @@ pub mod naive;
 pub mod ni_cbs;
 pub mod ringer;
 
-use crate::session::{
-    drive_participant, drive_supervisor, ParticipantContext, SupervisorContext, VerificationScheme,
-};
-use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
+use crate::orchestrator::{run_mixed_fleet, MemberSpec, MixedFleetConfig};
+use crate::session::VerificationScheme;
+use crate::{RoundOutcome, SchemeError, Verdict};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ugc_grid::{duplex, CostLedger, Endpoint, LinkStats, WorkerBehaviour};
+use ugc_grid::{CostLedger, WorkerBehaviour};
 use ugc_hash::HashFunction;
-use ugc_merkle::{LaneWidth, MerkleError, Parallelism};
+use ugc_merkle::MerkleError;
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 
-/// Runs one complete stand-alone round of `scheme` in-process: the
-/// supervisor session on the calling thread, one participant session per
-/// entry of `behaviours` (one per
-/// [slot](VerificationScheme::participant_slots)) on a scoped thread
-/// each, a duplex link per slot between them. Every slot's messages carry
-/// `task_id`. `storage`, `parallelism` and `lanes` reach the participant
-/// sessions unchanged (schemes that build no tree ignore them; the last
-/// two are execution-only — verdicts, ledgers and traffic are
-/// bit-identical at any setting).
+/// Runs one complete stand-alone round of `scheme` in-process:
+/// [`run_mixed_fleet`] with a single member whose share is all of
+/// `domain`, one entry of `behaviours` per
+/// [slot](VerificationScheme::participant_slots). Storage mode, the
+/// execution-only knobs (`parallelism`, `lanes`, `workers`) and, should a
+/// caller want them, transport, chaos and deadline all arrive through
+/// `config`, exactly as they do for a fleet.
 ///
 /// The returned outcome's `supervisor_link` is the sum over every slot's
 /// link and its `participant_costs` the sum over every slot's work — for
@@ -55,92 +50,26 @@ use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 ///
 /// # Errors
 ///
+/// As [`run_fleet_on`](crate::run_fleet_on):
 /// [`SchemeError::InvalidConfig`] if `behaviours` does not fill the
-/// scheme's slots. Otherwise the supervisor's error if it failed — a
-/// participant's failure is then almost always a consequence (its peer
-/// hung up) — and the first participant error only if the supervisor
-/// succeeded.
-#[allow(clippy::too_many_arguments)]
+/// scheme's slots, otherwise the supervisor's error if it failed (unless
+/// that is merely the echo of a participant that failed and hung up) and
+/// the first participant error only if the supervisor succeeded.
 pub fn run_round<H: HashFunction>(
     scheme: &dyn VerificationScheme<H>,
     task: &dyn ComputeTask,
     screener: &dyn Screener,
     domain: Domain,
     behaviours: &[&dyn WorkerBehaviour],
-    task_id: u64,
-    storage: ParticipantStorage,
-    parallelism: Parallelism,
-    lanes: LaneWidth,
+    config: &MixedFleetConfig,
 ) -> Result<RoundOutcome, SchemeError> {
-    if behaviours.len() != scheme.participant_slots() {
-        return Err(SchemeError::InvalidConfig {
-            reason: "behaviour count must match the scheme's participant slots",
-        });
-    }
-    let sup_ledger = CostLedger::new();
-    let part_ledger = CostLedger::new();
-    let (sup_eps, part_eps): (Vec<Endpoint>, Vec<Endpoint>) =
-        behaviours.iter().map(|_| duplex()).unzip();
-
-    let (sup_result, part_results, link) = std::thread::scope(|scope| {
-        let handles: Vec<_> = part_eps
-            .into_iter()
-            .zip(behaviours)
-            .map(|(endpoint, &behaviour)| {
-                let mut session = scheme.participant_session(ParticipantContext {
-                    task,
-                    screener,
-                    behaviour,
-                    storage,
-                    parallelism,
-                    lanes,
-                    ledger: part_ledger.clone(),
-                });
-                // The participant owns its endpoint, so an early exit
-                // (error or completion) drops it and unblocks a
-                // supervisor mid-recv.
-                scope.spawn(move || drive_participant(&endpoint, session.as_mut()))
-            })
-            .collect();
-        let mut session = scheme.supervisor_session(SupervisorContext {
-            task,
-            screener,
-            domain,
-            task_ids: vec![task_id; behaviours.len()],
-            ledger: sup_ledger.clone(),
-        });
-        let sup = drive_supervisor(&sup_eps.iter().collect::<Vec<_>>(), session.as_mut());
-        let link = sup_eps
-            .iter()
-            .map(Endpoint::stats)
-            .fold(LinkStats::default(), |sum, slot| LinkStats {
-                bytes_sent: sum.bytes_sent + slot.bytes_sent,
-                bytes_received: sum.bytes_received + slot.bytes_received,
-                messages_sent: sum.messages_sent + slot.messages_sent,
-                messages_received: sum.messages_received + slot.messages_received,
-            });
-        // Hang up before joining: if the supervisor bailed early the
-        // participants are still blocked on recv and must observe the
-        // disconnect, or the join would deadlock.
-        drop(sup_eps);
-        let parts: Vec<Result<bool, SchemeError>> = handles
-            .into_iter()
-            .map(|handle| handle.join().expect("participant thread panicked"))
-            .collect();
-        (sup, parts, link)
-    });
-
-    let outcome = sup_result?;
-    for part in part_results {
-        part?;
-    }
-    Ok(RoundOutcome::new(
-        outcome.verdict,
-        sup_ledger.report(),
-        part_ledger.report(),
-        link,
-        outcome.reports,
-    ))
+    let member = MemberSpec {
+        scheme,
+        behaviours: behaviours.to_vec(),
+    };
+    let summary = run_mixed_fleet(&task, &screener, domain, &[member], config)?;
+    let only = summary.members.into_iter().next();
+    Ok(only.expect("a fleet of one yields one member").outcome)
 }
 
 /// Committed leaf values — one flat row, `width` bytes per leaf, as
@@ -224,6 +153,24 @@ pub(crate) fn check_task(expected: u64, got: u64) -> Result<(), SchemeError> {
     } else {
         Err(SchemeError::TaskMismatch { expected, got })
     }
+}
+
+/// [`run_round`] under `storage`, everything else at its default — the
+/// CBS and NI-CBS unit tests' round.
+#[cfg(test)]
+pub(crate) fn storage_round<H: HashFunction>(
+    scheme: &dyn VerificationScheme<H>,
+    task: &dyn ComputeTask,
+    screener: &dyn Screener,
+    domain: Domain,
+    behaviours: &[&dyn WorkerBehaviour],
+    storage: crate::ParticipantStorage,
+) -> Result<RoundOutcome, SchemeError> {
+    let config = MixedFleetConfig {
+        storage,
+        ..MixedFleetConfig::default()
+    };
+    run_round(scheme, task, screener, domain, behaviours, &config)
 }
 
 #[cfg(test)]

@@ -7,32 +7,21 @@
 //! the communication experiments measure.
 
 use crate::sampling::draw_samples;
-use crate::scheme::{check_task, materialize, run_round, Materialized};
+use crate::scheme::{check_task, materialize, Materialized};
 use crate::session::{
     unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
     SupervisorContext, SupervisorSession, VerificationScheme,
 };
-use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
+use crate::{SchemeError, Verdict};
 use ugc_grid::{Assignment, CostLedger, Message, WorkerBehaviour};
 use ugc_hash::HashFunction;
-use ugc_merkle::{LaneWidth, Parallelism};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
-
-/// Naive-sampling parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NaiveConfig {
-    /// Task identifier carried on every message.
-    pub task_id: u64,
-    /// Number of spot-checked samples `m`.
-    pub samples: usize,
-    /// Supervisor sampling seed.
-    pub seed: u64,
-}
 
 /// The naive sampling scheme as a [`VerificationScheme`]: flat `O(n)`
 /// upload, spot-check `m` samples by recomputation.
 ///
-/// Parameters mirror [`NaiveConfig`] minus the task id.
+/// [`run_round`](crate::scheme::run_round) runs one complete round of it
+/// in-process; it is hash-free, so any digest fills its trait parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NaiveScheme {
     /// Number of spot-checked samples `m`.
@@ -264,68 +253,32 @@ impl ParticipantSession for FlatUploadParticipantSession<'_> {
     }
 }
 
-/// Runs a complete naive-sampling round in-process — [`run_round`] over
-/// a [`NaiveScheme`] built from `config`.
-///
-/// # Errors
-///
-/// As [`run_round`].
-pub fn run_naive<T, S, B>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    behaviour: &B,
-    config: &NaiveConfig,
-) -> Result<RoundOutcome, SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    // The scheme is hash-free; instantiate its trait face with any digest.
-    // It builds no tree either, so the tree knobs are inert.
-    run_round::<ugc_hash::Sha256>(
-        &NaiveScheme {
-            samples: config.samples,
-            seed: config.seed,
-        },
-        task,
-        screener,
-        domain,
-        &[behaviour],
-        config.task_id,
-        ParticipantStorage::Full,
-        Parallelism::serial(),
-        LaneWidth::default(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::run_round;
     use crate::session::drive_supervisor;
+    use crate::MixedFleetConfig;
     use ugc_grid::{duplex, CheatSelection, HonestWorker, SemiHonestCheater};
+    use ugc_hash::Sha256;
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::ZeroGuesser;
 
-    fn config(m: usize, seed: u64) -> NaiveConfig {
-        NaiveConfig {
-            task_id: 2,
-            samples: m,
-            seed,
-        }
+    fn config(m: usize, seed: u64) -> NaiveScheme {
+        NaiveScheme { samples: m, seed }
     }
 
     #[test]
     fn honest_accepted_with_reports() {
         let task = PasswordSearch::with_hidden_password(3, 40);
         let screener = task.match_screener();
-        let outcome = run_naive(
+        let outcome = run_round::<Sha256>(
+            &config(8, 1),
             &task,
             &screener,
             Domain::new(0, 64),
-            &HonestWorker,
-            &config(8, 1),
+            &[&HonestWorker],
+            &MixedFleetConfig::default(),
         )
         .unwrap();
         assert!(outcome.accepted);
@@ -339,12 +292,13 @@ mod tests {
         let screener = task.match_screener();
         let cheater =
             SemiHonestCheater::new(0.2, CheatSelection::Scattered, ZeroGuesser::new(7), 5);
-        let outcome = run_naive(
+        let outcome = run_round::<Sha256>(
+            &config(16, 3),
             &task,
             &screener,
             Domain::new(0, 128),
-            &cheater,
-            &config(16, 3),
+            &[&cheater],
+            &MixedFleetConfig::default(),
         )
         .unwrap();
         assert!(!outcome.accepted);
@@ -357,12 +311,13 @@ mod tests {
         let screener = task.match_screener();
         let mut bytes = Vec::new();
         for bits in [6u32, 8] {
-            let outcome = run_naive(
+            let outcome = run_round::<Sha256>(
+                &config(4, 1),
                 &task,
                 &screener,
                 Domain::new(0, 1 << bits),
-                &HonestWorker,
-                &config(4, 1),
+                &[&HonestWorker],
+                &MixedFleetConfig::default(),
             )
             .unwrap();
             bytes.push(outcome.supervisor_link.bytes_received);
@@ -420,12 +375,13 @@ mod tests {
     fn supervisor_work_is_m_not_n() {
         let task = PasswordSearch::with_hidden_password(3, 1);
         let screener = task.match_screener();
-        let outcome = run_naive(
+        let outcome = run_round::<Sha256>(
+            &config(8, 2),
             &task,
             &screener,
             Domain::new(0, 1 << 10),
-            &HonestWorker,
-            &config(8, 2),
+            &[&HonestWorker],
+            &MixedFleetConfig::default(),
         )
         .unwrap();
         assert_eq!(outcome.supervisor_costs.f_evals, 8 * task.unit_cost());

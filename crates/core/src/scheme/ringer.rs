@@ -12,34 +12,25 @@
 //! tests): it only works for one-way `f`, and the supervisor pays `d`
 //! full evaluations per participant up front.
 
-use crate::scheme::{check_task, materialize, run_round, Materialized};
+use crate::scheme::{check_task, materialize, Materialized};
 use crate::session::{
     unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
     SupervisorContext, SupervisorSession, VerificationScheme,
 };
-use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
+use crate::{SchemeError, Verdict};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use ugc_grid::{Assignment, CostLedger, Message, WorkerBehaviour};
 use ugc_hash::HashFunction;
-use ugc_merkle::{LaneWidth, Parallelism};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
-
-/// Ringer-scheme parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingerConfig {
-    /// Task identifier carried on every message.
-    pub task_id: u64,
-    /// Number of ringers `d` planted in the domain.
-    pub ringers: usize,
-    /// Seed for secret ringer placement.
-    pub seed: u64,
-}
 
 /// The ringer scheme as a [`VerificationScheme`].
 ///
-/// Parameters mirror [`RingerConfig`] minus the task id.
+/// [`run_round`](crate::scheme::run_round) runs one complete round of it
+/// in-process (hash-free: any digest fills its trait parameter); the
+/// supervisor session refuses to start with zero ringers or more ringers
+/// than domain inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingerScheme {
     /// Number of ringers `d` planted in the domain.
@@ -292,57 +283,19 @@ impl ParticipantSession for RingerParticipantSession<'_> {
     }
 }
 
-/// Runs a complete ringer round in-process — [`run_round`] over a
-/// [`RingerScheme`] built from `config`.
-///
-/// # Errors
-///
-/// As [`run_round`]; the configuration is invalid with zero ringers or
-/// more ringers than domain inputs.
-pub fn run_ringer<T, S, B>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    behaviour: &B,
-    config: &RingerConfig,
-) -> Result<RoundOutcome, SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    // The scheme is hash-free; instantiate its trait face with any digest.
-    // It builds no tree either, so the tree knobs are inert.
-    run_round::<ugc_hash::Sha256>(
-        &RingerScheme {
-            ringers: config.ringers,
-            seed: config.seed,
-        },
-        task,
-        screener,
-        domain,
-        &[behaviour],
-        config.task_id,
-        ParticipantStorage::Full,
-        Parallelism::serial(),
-        LaneWidth::default(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::run_round;
     use crate::session::drive_supervisor;
+    use crate::MixedFleetConfig;
     use ugc_grid::{duplex, CheatSelection, HonestWorker, SemiHonestCheater};
+    use ugc_hash::Sha256;
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::ZeroGuesser;
 
-    fn config(d: usize, seed: u64) -> RingerConfig {
-        RingerConfig {
-            task_id: 5,
-            ringers: d,
-            seed,
-        }
+    fn config(d: usize, seed: u64) -> RingerScheme {
+        RingerScheme { ringers: d, seed }
     }
 
     #[test]
@@ -350,12 +303,13 @@ mod tests {
         let task = PasswordSearch::with_hidden_password(1, 10);
         let screener = task.match_screener();
         for seed in 0..5 {
-            let outcome = run_ringer(
+            let outcome = run_round::<Sha256>(
+                &config(6, seed),
                 &task,
                 &screener,
                 Domain::new(0, 128),
-                &HonestWorker,
-                &config(6, seed),
+                &[&HonestWorker],
+                &MixedFleetConfig::default(),
             )
             .unwrap();
             assert!(outcome.accepted, "seed {seed}");
@@ -369,12 +323,13 @@ mod tests {
         let cheater =
             SemiHonestCheater::new(0.3, CheatSelection::Scattered, ZeroGuesser::new(4), 6);
         // With r = 0.3 and d = 8 the evasion probability is 0.3^8 ≈ 6.6e-5.
-        let outcome = run_ringer(
+        let outcome = run_round::<Sha256>(
+            &config(8, 3),
             &task,
             &screener,
             Domain::new(0, 256),
-            &cheater,
-            &config(8, 3),
+            &[&cheater],
+            &MixedFleetConfig::default(),
         )
         .unwrap();
         assert!(!outcome.accepted);
@@ -385,12 +340,13 @@ mod tests {
     fn supervisor_pays_d_evaluations_upfront() {
         let task = PasswordSearch::with_hidden_password(1, 10);
         let screener = task.match_screener();
-        let outcome = run_ringer(
+        let outcome = run_round::<Sha256>(
+            &config(7, 1),
             &task,
             &screener,
             Domain::new(0, 128),
-            &HonestWorker,
-            &config(7, 1),
+            &[&HonestWorker],
+            &MixedFleetConfig::default(),
         )
         .unwrap();
         assert_eq!(outcome.supervisor_costs.f_evals, 7 * task.unit_cost());
@@ -400,20 +356,22 @@ mod tests {
     fn traffic_is_constant_in_n() {
         let task = PasswordSearch::with_hidden_password(1, 10);
         let screener = task.match_screener();
-        let small = run_ringer(
+        let small = run_round::<Sha256>(
+            &config(4, 1),
             &task,
             &screener,
             Domain::new(0, 64),
-            &HonestWorker,
-            &config(4, 1),
+            &[&HonestWorker],
+            &MixedFleetConfig::default(),
         )
         .unwrap();
-        let large = run_ringer(
+        let large = run_round::<Sha256>(
+            &config(4, 1),
             &task,
             &screener,
             Domain::new(0, 4096),
-            &HonestWorker,
-            &config(4, 1),
+            &[&HonestWorker],
+            &MixedFleetConfig::default(),
         )
         .unwrap();
         // Only screened reports vary; the protocol itself is O(d).
@@ -429,12 +387,13 @@ mod tests {
     fn too_many_ringers_rejected() {
         let task = PasswordSearch::with_hidden_password(1, 2);
         let screener = task.match_screener();
-        let err = run_ringer(
+        let err = run_round::<Sha256>(
+            &config(5, 1),
             &task,
             &screener,
             Domain::new(0, 4),
-            &HonestWorker,
-            &config(5, 1),
+            &[&HonestWorker],
+            &MixedFleetConfig::default(),
         )
         .unwrap_err();
         assert!(matches!(err, SchemeError::InvalidConfig { .. }));

@@ -26,8 +26,10 @@
 //! scheduler pool calls), while [`drive_participant`] and
 //! [`drive_supervisor`] are thin blocking loops that run a single
 //! session to completion over one endpoint — the blocking reference the
-//! engine is compared against, and what
-//! [`run_round`](crate::scheme::run_round) runs a stand-alone round on.
+//! engine is compared against (`tests/scheme_equivalence.rs`) and what a
+//! test plays a hostile peer against; nothing the library itself runs goes
+//! through them ([`run_round`](crate::scheme::run_round), too, is the
+//! engine).
 //!
 //! # Example: one CBS round, session by session
 //!
@@ -213,10 +215,9 @@ pub struct ParticipantContext<'a> {
 /// All five schemes of the evaluation — naive sampling, double-check,
 /// ringers, CBS and NI-CBS — implement this trait, so one
 /// [`SessionEngine`](crate::engine::SessionEngine) event loop drives any
-/// mix of them over any transport, and the blocking entry points
-/// (`run_cbs`, `run_naive`, …) are short calls into
-/// [`run_round`](crate::scheme::run_round), which drives a single session
-/// pair to completion.
+/// mix of them over any transport;
+/// [`run_round`](crate::scheme::run_round) runs a single one as a
+/// one-member campaign on it.
 pub trait VerificationScheme<H: HashFunction>: Send + Sync {
     /// Scheme name for reports and tables.
     fn name(&self) -> &'static str;

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ugc_core::scheme::cbs::CbsScheme;
 use ugc_core::scheme::run_round;
-use ugc_core::{LaneWidth, Parallelism, ParticipantStorage};
+use ugc_core::{MixedFleetConfig, Parallelism};
 use ugc_grid::{CheatSelection, SemiHonestCheater};
 use ugc_hash::Sha256;
 use ugc_task::workloads::PasswordSearch;
@@ -248,13 +248,14 @@ fn run_protocol_trial(exp: &DetectionExperiment, t: u32) -> bool {
         &task.match_screener(),
         Domain::new(0, exp.domain_size),
         &[&cheater],
-        u64::from(t),
-        ParticipantStorage::Full,
-        // Serial tree build: parallelism lives at the trial level here,
-        // and a threaded build inside a shard would oversubscribe.
-        Parallelism::serial(),
-        // Lane width never changes a digest, so neither an estimate.
-        LaneWidth::default(),
+        // One scheduler worker and a serial tree build: parallelism lives
+        // at the trial level here, and threads inside a shard would
+        // oversubscribe. Neither changes a digest, so neither an estimate.
+        &MixedFleetConfig {
+            workers: Some(1),
+            parallelism: Parallelism::serial(),
+            ..MixedFleetConfig::default()
+        },
     )
     .expect("in-process CBS round must not fail")
     .accepted

@@ -9,8 +9,8 @@
 //! Run: `cargo run --release --example drug_screening`
 
 use uncheatable_grid::core::analysis::rco;
-use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig};
-use uncheatable_grid::core::ParticipantStorage;
+use uncheatable_grid::core::scheme::{cbs::CbsScheme, run_round};
+use uncheatable_grid::core::{MixedFleetConfig, ParticipantStorage};
 use uncheatable_grid::grid::HonestWorker;
 use uncheatable_grid::hash::{HashFunction, Sha256};
 use uncheatable_grid::merkle::tree_height;
@@ -52,17 +52,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ParticipantStorage::Partial { subtree_height: 10 },
         ),
     ] {
-        let outcome = run_cbs::<Sha256, _, _, _>(
-            &lab,
-            &screener,
-            library,
-            &HonestWorker,
-            storage,
-            &CbsConfig {
-                task_id: 1,
+        let outcome = run_round::<Sha256>(
+            &CbsScheme {
                 samples: m,
                 seed: 3,
                 report_audit: 0,
+            },
+            &lab,
+            &screener,
+            library,
+            &[&HonestWorker],
+            &MixedFleetConfig {
+                storage,
+                ..MixedFleetConfig::default()
             },
         )?;
         let base = library.len() * lab_unit_cost(&lab);

@@ -10,9 +10,7 @@
 //!
 //! Run: `cargo run --release --example fleet_campaign`
 
-use uncheatable_grid::core::{
-    run_campaign, FleetConfig, FleetScheme, Parallelism, ParticipantStorage,
-};
+use uncheatable_grid::core::{run_campaign, FleetScheme, MixedFleetConfig};
 use uncheatable_grid::grid::{CheatSelection, HonestWorker, SemiHonestCheater, WorkerBehaviour};
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::DrugScreening;
@@ -44,16 +42,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         library,
         &fleet,
         &HonestWorker, // the trusted re-run pool
-        &FleetConfig {
-            scheme: FleetScheme::NiCbs {
-                samples: 30,
-                g_iterations: 1,
-                report_audit: 2,
-            },
-            storage: ParticipantStorage::Full,
-            seed: 14,
-            parallelism: Parallelism::default(),
+        FleetScheme::NiCbs {
+            samples: 30,
+            g_iterations: 1,
+            report_audit: 2,
         },
+        14, // base seed; each member's is derived from it
+        &MixedFleetConfig::default(),
         4,
     )?;
 

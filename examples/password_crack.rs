@@ -8,9 +8,8 @@
 //!
 //! Run: `cargo run --release --example password_crack`
 
-use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig};
-use uncheatable_grid::core::scheme::ringer::{run_ringer, RingerConfig};
-use uncheatable_grid::core::ParticipantStorage;
+use uncheatable_grid::core::scheme::{cbs::CbsScheme, ringer::RingerScheme, run_round};
+use uncheatable_grid::core::MixedFleetConfig;
 use uncheatable_grid::grid::{CheatSelection, HonestWorker, SemiHonestCheater, WorkerBehaviour};
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;
@@ -30,18 +29,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("CBS over 4 participants, 2^16 keys, m = 25 samples each:\n");
     let mut password = None;
     for (i, (share, behaviour)) in shares.iter().zip(&behaviours).enumerate() {
-        let outcome = run_cbs::<Sha256, _, _, _>(
-            &task,
-            &screener,
-            *share,
-            behaviour,
-            ParticipantStorage::Full,
-            &CbsConfig {
-                task_id: i as u64,
+        let outcome = run_round::<Sha256>(
+            &CbsScheme {
                 samples: 25,
                 seed: 1000 + i as u64,
                 report_audit: 0,
             },
+            &task,
+            &screener,
+            *share,
+            &[*behaviour],
+            &MixedFleetConfig::default(),
         )?;
         println!(
             "participant {i}: share {share}, behaviour {:<11} → {}",
@@ -59,16 +57,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nSame scenario under the ringer scheme (d = 25 ringers each):\n");
     for (i, (share, behaviour)) in shares.iter().zip(&behaviours).enumerate() {
-        let outcome = run_ringer(
-            &task,
-            &screener,
-            *share,
-            behaviour,
-            &RingerConfig {
-                task_id: 100 + i as u64,
+        let outcome = run_round::<Sha256>(
+            &RingerScheme {
                 ringers: 25,
                 seed: 2000 + i as u64,
             },
+            &task,
+            &screener,
+            *share,
+            &[*behaviour],
+            &MixedFleetConfig::default(),
         )?;
         println!(
             "participant {i}: behaviour {:<11} → {} (supervisor pre-paid {} f-evals)",

@@ -8,8 +8,8 @@
 //!
 //! Run: `cargo run --example quickstart`
 
-use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig};
-use uncheatable_grid::core::ParticipantStorage;
+use uncheatable_grid::core::scheme::{cbs::CbsScheme, run_round};
+use uncheatable_grid::core::MixedFleetConfig;
 use uncheatable_grid::grid::{CheatSelection, HonestWorker, SemiHonestCheater};
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;
@@ -21,21 +21,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let task = PasswordSearch::with_hidden_password(2024, 1337);
     let screener = task.match_screener();
     let domain = Domain::new(0, 4096);
-    let config = CbsConfig {
-        task_id: 1,
+    let scheme = CbsScheme {
         samples: 30,
         seed: 7,
         report_audit: 0,
     };
 
     println!("== Honest participant ==");
-    let outcome = run_cbs::<Sha256, _, _, _>(
+    let outcome = run_round::<Sha256>(
+        &scheme,
         &task,
         &screener,
         domain,
-        &HonestWorker,
-        ParticipantStorage::Full,
-        &config,
+        &[&HonestWorker],
+        &MixedFleetConfig::default(),
     )?;
     println!("verdict:          {}", outcome.verdict);
     println!(
@@ -55,13 +54,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== Semi-honest cheater (r = 0.5) ==");
     let cheater = SemiHonestCheater::new(0.5, CheatSelection::Scattered, ZeroGuesser::new(3), 99);
-    let outcome = run_cbs::<Sha256, _, _, _>(
+    let outcome = run_round::<Sha256>(
+        &scheme,
         &task,
         &screener,
         domain,
-        &cheater,
-        ParticipantStorage::Full,
-        &config,
+        &[&cheater],
+        &MixedFleetConfig::default(),
     )?;
     println!("verdict:          {}", outcome.verdict);
     println!(

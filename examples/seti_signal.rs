@@ -9,8 +9,8 @@
 //!
 //! Run: `cargo run --release --example seti_signal`
 
-use uncheatable_grid::core::scheme::ni_cbs::{run_ni_cbs, NiCbsConfig};
-use uncheatable_grid::core::ParticipantStorage;
+use uncheatable_grid::core::scheme::{ni_cbs::NiCbsScheme, run_round};
+use uncheatable_grid::core::MixedFleetConfig;
 use uncheatable_grid::grid::{CheatSelection, HonestWorker, SemiHonestCheater};
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::SetiSignal;
@@ -20,8 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let telescope = SetiSignal::new(1977); // the year of the Wow! signal
     let screener = telescope.screener();
     let work_unit = Domain::new(0, 2_000);
-    let config = NiCbsConfig {
-        task_id: 1,
+    let scheme = NiCbsScheme {
         samples: 40,
         g_iterations: 1,
         report_audit: 0,
@@ -40,13 +39,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("== Honest analysis (NI-CBS verified) ==");
-    let outcome = run_ni_cbs::<Sha256, _, _, _>(
+    let outcome = run_round::<Sha256>(
+        &scheme,
         &telescope,
         &screener,
         work_unit,
-        &HonestWorker,
-        ParticipantStorage::Full,
-        &config,
+        &[&HonestWorker],
+        &MixedFleetConfig::default(),
     )?;
     println!("verdict: {}", outcome.verdict);
     let mut found: Vec<u64> = outcome.reports.iter().map(|r| r.input).collect();
@@ -66,13 +65,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("== Leaderboard chaser (fakes 40% of chunks) ==");
     let cheater = SemiHonestCheater::new(0.6, CheatSelection::Scattered, ZeroGuesser::new(8), 42);
-    let outcome = run_ni_cbs::<Sha256, _, _, _>(
+    let outcome = run_round::<Sha256>(
+        &scheme,
         &telescope,
         &screener,
         work_unit,
-        &cheater,
-        ParticipantStorage::Full,
-        &config,
+        &[&cheater],
+        &MixedFleetConfig::default(),
     )?;
     println!("verdict: {}", outcome.verdict);
     // What would have been lost had the cheating gone undetected: planted

@@ -20,14 +20,11 @@ use uncheatable_grid::campaign::{CampaignPlan, FleetParams};
 use uncheatable_grid::core::analysis::{
     cheat_success_probability, detection_probability, required_sample_size,
 };
-use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig};
-use uncheatable_grid::core::scheme::naive::{run_naive, NaiveConfig};
-use uncheatable_grid::core::scheme::ni_cbs::{run_ni_cbs, NiCbsConfig};
-use uncheatable_grid::core::scheme::ringer::{run_ringer, RingerConfig};
+use uncheatable_grid::core::scheme::run_round;
 use uncheatable_grid::core::{
     run_durable_fleet, run_fleet_on, run_mixed_fleet, summary_digest, CampaignHeader,
-    DurableCampaign, FleetSummary, ParticipantStorage, RemoteGridBackend, RoundOutcome,
-    TransportKind,
+    DurableCampaign, FleetScheme, FleetSummary, MixedFleetConfig, ParticipantStorage,
+    RemoteGridBackend, RoundOutcome, TransportKind,
 };
 use uncheatable_grid::grid::runtime::GridScheduler;
 use uncheatable_grid::grid::tcp::handshake_supervisor;
@@ -47,7 +44,8 @@ usage: ugc <command> [options]
 commands:
   sample-size --epsilon <e> --r <r> --q <q>      Eq. (3): required sample count
   detection   --r <r> --q <q> --m <m>            Eq. (2): cheat-survival probability
-  run         --scheme <cbs|ni-cbs|naive|ringer> --workload <password|seti|docking|primes>
+  run         --scheme <cbs|ni-cbs|naive|ringer|double-check>
+              --workload <password|seti|docking|primes>
               [--n <inputs>] [--m <samples>] [--cheat <ratio>] [--partial <level>] [--seed <s>]
   fleet       [--participants <k>] [--cheaters <c>] [--n <inputs>] [--m <samples>] [--seed <s>]
               [--scheme <cbs|ni-cbs|naive|ringer|double-check>]
@@ -406,12 +404,19 @@ fn cmd_run(mut args: Args<'_>) -> Result<(), String> {
     let scheme: String = args.value("--scheme", "cbs".into())?;
     let workload_name: String = args.value("--workload", "password".into())?;
     let n: u64 = args.value("--n", 1024)?;
-    let m: usize = args.value("--m", 25)?;
+    let m: u64 = args.value("--m", 25)?;
     let cheat = args.probability("--cheat", 0.0)?;
     let seed: u64 = args.value("--seed", 42)?;
     let partial: u32 = args.value("--partial", 0)?;
     args.finish()?;
+    let fleet_scheme = FleetParams::fleet_scheme(&scheme, m)?;
     let w = workload(&workload_name, seed, n)?;
+    if matches!(fleet_scheme, FleetScheme::Ringer { .. }) && !w.one_way {
+        return Err(format!(
+            "the ringer scheme requires a one-way f; workload {workload_name:?} is not \
+             (this is the paper's Section 1.1 limitation — use cbs instead)"
+        ));
+    }
     let domain = Domain::try_new(0, n).map_err(|e| e.to_string())?;
     let storage = if partial == 0 {
         ParticipantStorage::Full
@@ -432,70 +437,15 @@ fn cmd_run(mut args: Args<'_>) -> Result<(), String> {
         println!("participant fakes {:.0}% of its work\n", cheat * 100.0);
     }
 
-    let outcome = match scheme.as_str() {
-        "cbs" => run_cbs::<Sha256, _, _, _>(
-            &w.task,
-            &w.screener,
-            domain,
-            &behaviour,
-            storage,
-            &CbsConfig {
-                task_id: 1,
-                samples: m,
-                seed,
-                report_audit: 0,
-            },
-        )
-        .map_err(|e| e.to_string())?,
-        "ni-cbs" => run_ni_cbs::<Sha256, _, _, _>(
-            &w.task,
-            &w.screener,
-            domain,
-            &behaviour,
-            storage,
-            &NiCbsConfig {
-                task_id: 1,
-                samples: m,
-                g_iterations: 1,
-                report_audit: 0,
-                audit_seed: seed,
-            },
-        )
-        .map_err(|e| e.to_string())?,
-        "naive" => run_naive(
-            &w.task,
-            &w.screener,
-            domain,
-            &behaviour,
-            &NaiveConfig {
-                task_id: 1,
-                samples: m,
-                seed,
-            },
-        )
-        .map_err(|e| e.to_string())?,
-        "ringer" => {
-            if !w.one_way {
-                return Err(format!(
-                    "the ringer scheme requires a one-way f; workload {workload_name:?} is not \
-                     (this is the paper's Section 1.1 limitation — use cbs instead)"
-                ));
-            }
-            run_ringer(
-                &w.task,
-                &w.screener,
-                domain,
-                &behaviour,
-                &RingerConfig {
-                    task_id: 1,
-                    ringers: m,
-                    seed,
-                },
-            )
-            .map_err(|e| e.to_string())?
-        }
-        other => return Err(format!("unknown scheme {other:?}")),
+    let config = MixedFleetConfig {
+        storage,
+        ..MixedFleetConfig::default()
     };
+    let behaviours = vec![behaviour; fleet_scheme.slots()];
+    let round = fleet_scheme.instantiate::<Sha256>(seed);
+    let (task, screener) = (w.task.as_ref(), w.screener.as_ref());
+    let outcome = run_round(round.as_ref(), task, screener, domain, &behaviours, &config)
+        .map_err(|e| e.to_string())?;
     print_outcome(&scheme, &outcome);
     Ok(())
 }

@@ -41,6 +41,14 @@ pub const FLEET_PARAMS_VERSION: u64 = 2;
 /// allocates: 65 times the 1000-slot scale soak, a few megabytes at most.
 pub const MAX_FLEET_PARTICIPANTS: u64 = 1 << 16;
 
+/// The largest `m` (samples or ringers per member) a scheme may be given.
+/// Like the roster size, `m` arrives as a raw `u64` — a CLI flag, a relay's
+/// `Welcome`, a journal header — and sizes the challenge and its opening,
+/// so [`FleetParams::fleet_scheme`] refuses more before anything is
+/// allocated or derived by it: four orders of magnitude above any `m` the
+/// paper's Eq. (3) asks for (`ε = 10⁻⁴` at `r = 0.99` needs 917).
+pub const MAX_SAMPLES: u64 = 1 << 20;
+
 /// The campaign-defining `fleet` parameters. Journaled campaigns encode
 /// these into the header's app blob, so `--resume` rebuilds the
 /// identical campaign — task, roster, chaos plan, deadline, retry
@@ -163,15 +171,18 @@ impl FleetParams {
         })
     }
 
-    /// The [`FleetScheme`] this campaign runs.
+    /// The one name → [`FleetScheme`] table: the scheme `ugc run` and
+    /// `ugc fleet` call `name`, with `m` samples (or ringers) per member.
     ///
     /// # Errors
     ///
-    /// An unknown scheme name.
-    pub fn fleet_scheme(&self) -> Result<FleetScheme, String> {
-        let m = usize::try_from(self.m)
-            .map_err(|_| "sample count exceeds this platform's usize".to_string())?;
-        Ok(match self.scheme.as_str() {
+    /// An unknown scheme name, or `m` above [`MAX_SAMPLES`].
+    pub fn fleet_scheme(name: &str, m: u64) -> Result<FleetScheme, String> {
+        let m = usize::try_from(m)
+            .ok()
+            .filter(|_| m <= MAX_SAMPLES)
+            .ok_or_else(|| format!("{m} samples per member: at most {MAX_SAMPLES}"))?;
+        Ok(match name {
             "cbs" => FleetScheme::Cbs {
                 samples: m,
                 report_audit: 0,
@@ -229,8 +240,9 @@ impl CampaignPlan {
     ///
     /// Inconsistent params: more cheaters than participants, more
     /// participants than domain inputs or than [`MAX_FLEET_PARTICIPANTS`]
-    /// (both refused before anything is sized by the count), counts
-    /// exceeding `usize`, an unknown scheme name, an empty domain.
+    /// or more samples than [`MAX_SAMPLES`] (all refused before anything
+    /// is sized by the count), counts exceeding `usize`, an unknown scheme
+    /// name, an empty domain.
     pub fn new(params: FleetParams) -> Result<Self, String> {
         if params.cheaters > params.participants {
             return Err("more cheaters than participants".into());
@@ -246,7 +258,7 @@ impl CampaignPlan {
             .map_err(|_| "participant count exceeds this platform's usize".to_string())?;
         let cheaters = usize::try_from(params.cheaters)
             .map_err(|_| "cheater count exceeds this platform's usize".to_string())?;
-        let scheme = params.fleet_scheme()?;
+        let scheme = FleetParams::fleet_scheme(&params.scheme, params.m)?;
         let seed = params.seed;
         let task = PasswordSearch::with_hidden_password(seed, params.n / 3);
         let screener = task.match_screener();
@@ -256,16 +268,7 @@ impl CampaignPlan {
             ZeroGuesser::new(seed ^ 0xf1ee),
             seed,
         );
-        // One scheme instance per member, each with the derived seed
-        // `run_fleet` would have used.
-        let schemes: Vec<Box<dyn VerificationScheme<Sha256>>> = (0..participants)
-            .map(|i| {
-                scheme.instantiate::<Sha256>(
-                    seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        .wrapping_add(i as u64),
-                )
-            })
-            .collect();
+        let schemes = scheme.instantiate_fleet::<Sha256>(seed, participants);
         let domain = Domain::try_new(0, params.n).map_err(|e| e.to_string())?;
         Ok(CampaignPlan {
             params,
@@ -516,6 +519,23 @@ mod tests {
             ..params()
         };
         assert!(CampaignPlan::new(at_limit).is_ok());
+    }
+
+    #[test]
+    fn plan_refuses_a_hostile_sample_count_before_allocating() {
+        // `m` sizes the challenge: 2^40 samples would be an 8 TiB draw.
+        for scheme in ["cbs", "ni-cbs", "naive", "ringer", "double-check"] {
+            let blob = FleetParams {
+                m: 1 << 40,
+                scheme: scheme.into(),
+                ..params()
+            }
+            .encode();
+            let hostile = FleetParams::decode(&blob).expect("the blob itself is well-formed");
+            let err = CampaignPlan::new(hostile).err().expect("refused");
+            assert!(err.contains("1099511627776 samples"), "{scheme}: {err}");
+        }
+        assert!(FleetParams::fleet_scheme("cbs", MAX_SAMPLES).is_ok());
     }
 
     #[test]

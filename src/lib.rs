@@ -22,29 +22,29 @@
 //! Verify an untrusted worker with interactive CBS:
 //!
 //! ```
-//! use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig};
-//! use uncheatable_grid::core::ParticipantStorage;
+//! use uncheatable_grid::core::scheme::{cbs::CbsScheme, run_round};
+//! use uncheatable_grid::core::MixedFleetConfig;
 //! use uncheatable_grid::grid::HonestWorker;
 //! use uncheatable_grid::hash::Sha256;
 //! use uncheatable_grid::task::{workloads::PasswordSearch, Domain};
 //!
 //! let task = PasswordSearch::with_hidden_password(42, 1000);
 //! let screener = task.match_screener();
-//! let outcome = run_cbs::<Sha256, _, _, _>(
+//! let outcome = run_round::<Sha256>(
+//!     &CbsScheme { samples: 30, seed: 7, report_audit: 0 },
 //!     &task,
 //!     &screener,
 //!     Domain::new(0, 4096),
-//!     &HonestWorker,
-//!     ParticipantStorage::Full,
-//!     &CbsConfig { task_id: 1, samples: 30, seed: 7, report_audit: 0 },
+//!     &[&HonestWorker],
+//!     &MixedFleetConfig::default(),
 //! )?;
 //! assert!(outcome.accepted);
 //! assert_eq!(outcome.reports[0].input, 1000); // the password was found
 //! # Ok::<(), uncheatable_grid::core::SchemeError>(())
 //! ```
 //!
-//! For whole-fleet verification use [`core::run_fleet`], and for the full
-//! operational loop (verify, reject, reassign until the domain is
+//! For whole-fleet verification use [`core::run_mixed_fleet`] (a round is
+//! a fleet of one, on the same engine), and for the full operational loop (verify, reject, reassign until the domain is
 //! trustworthy) use [`core::run_campaign`].
 //!
 //! See `examples/` for complete scenarios (password cracking, SETI-style

@@ -4,8 +4,8 @@
 //! verifies samples without a single `f` evaluation.
 
 use uncheatable_grid::core::sampling::draw_samples;
-use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig};
-use uncheatable_grid::core::ParticipantStorage;
+use uncheatable_grid::core::scheme::{cbs::CbsScheme, run_round};
+use uncheatable_grid::core::MixedFleetConfig;
 use uncheatable_grid::grid::{CheatSelection, HonestWorker, SemiHonestCheater};
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::{FactoringSearch, PasswordSearch};
@@ -23,18 +23,17 @@ fn supervisor_never_evaluates_f_for_cheap_verification_tasks() {
     let mut target = 3u64.to_le_bytes().to_vec();
     target.extend_from_slice(&(999_999_001u64.div_ceil(3)).to_le_bytes());
     let screener = MatchScreener::new(target);
-    let outcome = run_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        Domain::new(0, 128),
-        &HonestWorker,
-        ParticipantStorage::Full,
-        &CbsConfig {
-            task_id: 1,
+    let outcome = run_round::<Sha256>(
+        &CbsScheme {
             samples: 16,
             seed: 4,
             report_audit: 0,
         },
+        &task,
+        &screener,
+        Domain::new(0, 128),
+        &[&HonestWorker],
+        &MixedFleetConfig::default(),
     )
     .unwrap();
     assert!(outcome.accepted);
@@ -50,18 +49,17 @@ fn supervisor_never_evaluates_f_for_cheap_verification_tasks() {
     // Contrast: the password task (no cheap verifier) pays C_f for each.
     let pw = PasswordSearch::with_hidden_password(1, 2);
     let pw_screener = pw.match_screener();
-    let pw_outcome = run_cbs::<Sha256, _, _, _>(
-        &pw,
-        &pw_screener,
-        Domain::new(0, 128),
-        &HonestWorker,
-        ParticipantStorage::Full,
-        &CbsConfig {
-            task_id: 1,
+    let pw_outcome = run_round::<Sha256>(
+        &CbsScheme {
             samples: 16,
             seed: 4,
             report_audit: 0,
         },
+        &pw,
+        &pw_screener,
+        Domain::new(0, 128),
+        &[&HonestWorker],
+        &MixedFleetConfig::default(),
     )
     .unwrap();
     assert_eq!(
@@ -75,18 +73,17 @@ fn factoring_cheater_is_still_caught() {
     let task = factoring();
     let screener = MatchScreener::new(vec![0u8; 16]); // matches nothing
     let cheater = SemiHonestCheater::new(0.3, CheatSelection::Scattered, ZeroGuesser::new(9), 2);
-    let outcome = run_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        Domain::new(0, 128),
-        &cheater,
-        ParticipantStorage::Full,
-        &CbsConfig {
-            task_id: 1,
+    let outcome = run_round::<Sha256>(
+        &CbsScheme {
             samples: 20,
             seed: 8,
             report_audit: 0,
         },
+        &task,
+        &screener,
+        Domain::new(0, 128),
+        &[&cheater],
+        &MixedFleetConfig::default(),
     )
     .unwrap();
     assert!(!outcome.accepted);

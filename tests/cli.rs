@@ -101,6 +101,17 @@ fn run_all_schemes_on_password() {
 }
 
 #[test]
+fn run_double_check_runs_two_replicas() {
+    // `ugc run` reads the scheme table `ugc fleet` does, so the fifth
+    // scheme is a round like any other: both replicas evaluate the share.
+    let out = ugc(&["run", "--scheme", "double-check", "--n", "128"]);
+    assert!(out.status.success());
+    let text = stdout(&out);
+    assert!(text.contains("verdict:      accepted"), "{text}");
+    assert!(text.contains("participant:  256 f-evals"), "{text}");
+}
+
+#[test]
 fn run_all_workloads_through_cbs() {
     for workload in ["password", "seti", "docking", "primes"] {
         let out = ugc(&["run", "--workload", workload, "--n", "64", "--m", "5"]);
@@ -260,6 +271,39 @@ fn out_of_range_probability_prints_usage_and_fails() {
         assert!(err.contains(&format!("error: {flag} ")), "{args:?}: {err}");
         assert!(err.contains("usage: ugc"), "{args:?}: {err}");
         assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn oversized_sample_count_prints_usage_and_fails() {
+    // `m` sizes the challenge and its opening: past the limit it is a
+    // usage error on every path, never an allocation (these three once
+    // aborted, panicked and hung).
+    for args in [
+        "run --m 1099511627776 --n 64",
+        "fleet --m 18446744073709551615 --n 64 --participants 2",
+        "fleet --scheme ni-cbs --m 1099511627776 --n 64 --participants 2",
+    ] {
+        let out = ugc(&args.split_whitespace().collect::<Vec<_>>());
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("samples per member: at most"), "{err}");
+        assert!(err.contains("usage: ugc"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn impossible_partial_level_names_the_cause() {
+    // The participant's Merkle error, not the hang-up it caused.
+    for args in [
+        &["run", "--partial", "40", "--n", "64"][..],
+        &["run", "--partial", "3", "--n", "1"][..],
+    ] {
+        let out = ugc(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("error: merkle error: subtree height"), "{err}");
+        assert!(err.contains("usage: ugc"), "{args:?}: {err}");
     }
 }
 

@@ -3,8 +3,8 @@
 //! concurrently), and the public types must be `Send`/`Sync` so users can
 //! drive them from their own executors.
 
-use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig};
-use uncheatable_grid::core::ParticipantStorage;
+use uncheatable_grid::core::scheme::{cbs::CbsScheme, run_round};
+use uncheatable_grid::core::MixedFleetConfig;
 use uncheatable_grid::grid::{
     CheatSelection, CostLedger, Endpoint, HonestWorker, SemiHonestCheater,
 };
@@ -36,20 +36,19 @@ fn many_concurrent_rounds_stay_isolated() {
                 let task = &task;
                 scope.spawn(move || {
                     let screener = task.match_screener();
-                    let config = CbsConfig {
-                        task_id: i as u64,
+                    let scheme = CbsScheme {
                         samples: 24,
                         seed: 100 + i as u64,
                         report_audit: 0,
                     };
                     let accepted = if i % 2 == 0 {
-                        run_cbs::<Sha256, _, _, _>(
+                        run_round::<Sha256>(
+                            &scheme,
                             task,
                             &screener,
                             Domain::new(0, 200),
-                            &HonestWorker,
-                            ParticipantStorage::Full,
-                            &config,
+                            &[&HonestWorker],
+                            &MixedFleetConfig::default(),
                         )
                         .unwrap()
                         .accepted
@@ -60,13 +59,13 @@ fn many_concurrent_rounds_stay_isolated() {
                             ZeroGuesser::new(i as u64),
                             i as u64,
                         );
-                        run_cbs::<Sha256, _, _, _>(
+                        run_round::<Sha256>(
+                            &scheme,
                             task,
                             &screener,
                             Domain::new(0, 200),
-                            &cheater,
-                            ParticipantStorage::Full,
-                            &config,
+                            &[&cheater],
+                            &MixedFleetConfig::default(),
                         )
                         .unwrap()
                         .accepted

@@ -1,14 +1,15 @@
-//! The one blocking round driver, `scheme::run_round`: what each scheme's
-//! own copy of the duplex + scoped-thread + join loop used to promise,
-//! asserted once for all five schemes.
+//! The one round driver, `scheme::run_round` — a one-member campaign on
+//! the session engine: what each scheme's own copy of a duplex +
+//! scoped-thread + join loop once promised, asserted once for all five
+//! schemes.
 
 use std::sync::Mutex;
 use uncheatable_grid::core::scheme::run_round;
 use uncheatable_grid::core::session::Outbound;
 use uncheatable_grid::core::{
-    FleetScheme, LaneWidth, Parallelism, ParticipantContext, ParticipantSession,
-    ParticipantStorage, RoundOutcome, SchemeError, SessionOutcome, SupervisorContext,
-    SupervisorSession, VerificationScheme,
+    FleetScheme, MixedFleetConfig, Parallelism, ParticipantContext, ParticipantSession,
+    RoundOutcome, SchemeError, SessionOutcome, SupervisorContext, SupervisorSession,
+    VerificationScheme,
 };
 use uncheatable_grid::grid::{HonestWorker, Message, WorkerBehaviour};
 use uncheatable_grid::hash::Sha256;
@@ -25,6 +26,9 @@ enum Sabotage {
     /// Every participant session fails on the verdict it is sent — after
     /// the supervisor has finished successfully.
     ParticipantVerdict,
+    /// Every participant session fails on the first message it is sent,
+    /// before replying: all its supervisor ever sees is the hang-up.
+    ParticipantFirstMessage,
 }
 
 /// Wraps a scheme to watch (the task id on each `Assign`) or break (see
@@ -70,7 +74,7 @@ const REFUSED: SchemeError = SchemeError::InvalidConfig {
     reason: "probe: supervisor refused to start",
 };
 const CHOKED: SchemeError = SchemeError::MalformedPayload {
-    what: "probe: participant choked on the verdict",
+    what: "probe: participant choked on a message",
 };
 
 struct RefusingSupervisor;
@@ -96,12 +100,11 @@ struct ProbeParticipant<'a> {
 
 impl ParticipantSession for ProbeParticipant<'_> {
     fn on_message(&mut self, msg: Message) -> Result<Vec<Message>, SchemeError> {
-        match &msg {
-            Message::Assign(assignment) => {
+        match (&msg, self.probe.sabotage) {
+            (_, Sabotage::ParticipantFirstMessage)
+            | (Message::Verdict { .. }, Sabotage::ParticipantVerdict) => return Err(CHOKED),
+            (Message::Assign(assignment), _) => {
                 self.probe.assigned.lock().unwrap().push(assignment.task_id);
-            }
-            Message::Verdict { .. } if self.probe.sabotage == Sabotage::ParticipantVerdict => {
-                return Err(CHOKED);
             }
             _ => {}
         }
@@ -147,73 +150,73 @@ fn round_driver_contract_holds_for_every_scheme() {
     let task = PasswordSearch::with_hidden_password(3, 5);
     let screener = task.match_screener();
     let domain = Domain::new(0, 64);
+    let config = MixedFleetConfig {
+        parallelism: Parallelism::serial(),
+        ..MixedFleetConfig::default()
+    };
     let run = |scheme: &dyn VerificationScheme<Sha256>,
-               behaviours: &[&dyn WorkerBehaviour],
-               task_id: u64|
+               behaviours: &[&dyn WorkerBehaviour]|
      -> Result<RoundOutcome, SchemeError> {
-        run_round::<Sha256>(
-            scheme,
-            &task,
-            &screener,
-            domain,
-            behaviours,
-            task_id,
-            ParticipantStorage::Full,
-            Parallelism::serial(),
-            LaneWidth::default(),
-        )
+        run_round::<Sha256>(scheme, &task, &screener, domain, behaviours, &config)
     };
     for (scheme, sent, received) in table {
         let scheme = scheme.instantiate::<Sha256>(3);
         let (name, slots) = (scheme.name(), scheme.participant_slots());
         let behaviours = vec![&HonestWorker as &dyn WorkerBehaviour; slots];
-        let probed = |sabotage, task_id| {
+        let probed = |sabotage| {
             let probe = Probe {
                 inner: scheme.as_ref(),
                 sabotage,
                 assigned: Mutex::new(Vec::new()),
             };
-            let result = run(&probe, &behaviours, task_id);
-            (result, probe.assigned.into_inner().unwrap())
+            let result = run(&probe, &behaviours);
+            let mut assigned = probe.assigned.into_inner().unwrap();
+            assigned.sort_unstable();
+            (result, assigned)
         };
 
-        // The configured task id reaches the wire unchanged, on every
-        // slot; link stats and participant costs are sums over slots
-        // (double-check: both replicas' uploads, both replicas' work).
-        for task_id in [1u64, 77] {
-            let (outcome, assigned) = probed(Sabotage::Nothing, task_id);
-            let outcome = outcome.unwrap();
-            assert!(outcome.accepted, "{name}");
-            assert_eq!(assigned, vec![task_id; slots], "{name}");
-            assert_eq!(outcome.supervisor_link.messages_sent, sent, "{name}");
-            assert_eq!(
-                outcome.supervisor_link.messages_received, received,
-                "{name}"
-            );
-            assert_eq!(
-                outcome.participant_costs.f_evals,
-                slots as u64 * domain.len() * task.unit_cost(),
-                "{name}"
-            );
-        }
+        // Each slot receives exactly one `Assign`, under the id the
+        // engine gave that slot; link stats and participant costs are
+        // sums over slots (double-check: both replicas' uploads, both
+        // replicas' work).
+        let (outcome, assigned) = probed(Sabotage::Nothing);
+        let outcome = outcome.unwrap();
+        assert!(outcome.accepted, "{name}");
+        assert_eq!(assigned, (0..slots as u64).collect::<Vec<_>>(), "{name}");
+        assert_eq!(outcome.supervisor_link.messages_sent, sent, "{name}");
+        assert_eq!(
+            outcome.supervisor_link.messages_received, received,
+            "{name}"
+        );
+        assert_eq!(
+            outcome.participant_costs.f_evals,
+            slots as u64 * domain.len() * task.unit_cost(),
+            "{name}"
+        );
 
         // A supervisor that bails before assigning anything: the call
-        // returns (its endpoints are dropped before the join, so the
-        // blocked participants see the hang-up) with the supervisor's
-        // error, not the participants' consequent Disconnected.
-        let (result, assigned) = probed(Sabotage::SupervisorStart, 1);
+        // returns (the engine side is dropped before the pool is joined,
+        // so the waiting participants see the hang-up) with the
+        // supervisor's error, not the participants' consequent
+        // Disconnected.
+        let (result, assigned) = probed(Sabotage::SupervisorStart);
         assert_eq!(result.unwrap_err(), REFUSED, "{name}");
         assert!(assigned.is_empty(), "{name}");
 
         // A participant error surfaces only because the supervisor
         // succeeded.
-        let (result, _) = probed(Sabotage::ParticipantVerdict, 1);
+        let (result, _) = probed(Sabotage::ParticipantVerdict);
+        assert_eq!(result.unwrap_err(), CHOKED, "{name}");
+
+        // …or because the supervisor's own failure is nothing but the
+        // echo of it: the cause is reported, not the hang-up it caused.
+        let (result, _) = probed(Sabotage::ParticipantFirstMessage);
         assert_eq!(result.unwrap_err(), CHOKED, "{name}");
     }
 
     // A behaviour list that does not fill the scheme's slots is refused
-    // before any thread is spawned.
+    // before anything runs.
     let replicas = FleetScheme::DoubleCheck.instantiate::<Sha256>(3);
-    let err = run(replicas.as_ref(), &[&HonestWorker], 1).unwrap_err();
+    let err = run(replicas.as_ref(), &[&HonestWorker]).unwrap_err();
     assert!(matches!(err, SchemeError::InvalidConfig { .. }));
 }

@@ -1,103 +1,71 @@
 //! Cross-scheme invariants: identical verdicts and reports where theory
-//! says so, the cost ordering the paper claims, and — since the session
-//! refactor — proof that the engine-over-broker path is **bit-identical**
-//! to the legacy in-process rounds for all five schemes (verdicts,
-//! supervisor byte counts, and every `CostLedger` axis).
+//! says so, the cost ordering the paper claims, and proof that the one
+//! driver — the session engine, over direct links and over the relaying
+//! broker — is **bit-identical** to a blocking round assembled by hand
+//! from `duplex`, `drive_supervisor` and a `drive_participant` thread per
+//! slot, for all five schemes (verdicts, supervisor byte counts, and
+//! every `CostLedger` axis).
 
-use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig, CbsScheme};
-use uncheatable_grid::core::scheme::double_check::{
-    run_double_check, DoubleCheckConfig, DoubleCheckScheme,
-};
-use uncheatable_grid::core::scheme::naive::{run_naive, NaiveConfig, NaiveScheme};
-use uncheatable_grid::core::scheme::ni_cbs::{run_ni_cbs, NiCbsConfig, NiCbsScheme};
-use uncheatable_grid::core::scheme::ringer::{run_ringer, RingerConfig, RingerScheme};
+use uncheatable_grid::core::scheme::cbs::CbsScheme;
+use uncheatable_grid::core::scheme::double_check::DoubleCheckScheme;
+use uncheatable_grid::core::scheme::naive::NaiveScheme;
+use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
+use uncheatable_grid::core::scheme::ringer::RingerScheme;
+use uncheatable_grid::core::scheme::run_round;
+use uncheatable_grid::core::session::{drive_participant, drive_supervisor};
 use uncheatable_grid::core::{
-    run_mixed_fleet, MemberSpec, MixedFleetConfig, ParticipantStorage, RoundOutcome, TransportKind,
-    VerificationScheme,
+    LaneWidth, MixedFleetConfig, Parallelism, ParticipantContext, ParticipantStorage, RoundOutcome,
+    SupervisorContext, TransportKind, VerificationScheme,
 };
 use uncheatable_grid::grid::{
-    CheatSelection, HonestWorker, MaliciousWorker, SemiHonestCheater, WorkerBehaviour,
+    duplex, CheatSelection, CostLedger, Endpoint, HonestWorker, LinkStats, MaliciousWorker,
+    SemiHonestCheater, WorkerBehaviour,
 };
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;
-use uncheatable_grid::task::{Domain, ZeroGuesser};
+use uncheatable_grid::task::{Domain, Screener, ZeroGuesser};
 
 const N: u64 = 1 << 14;
 const M: usize = 20;
 
-fn all_outcomes() -> Vec<(&'static str, uncheatable_grid::core::RoundOutcome)> {
+fn all_outcomes() -> Vec<(&'static str, RoundOutcome)> {
     let task = PasswordSearch::with_hidden_password(2, 77);
     let screener = task.match_screener();
     let domain = Domain::new(0, N);
-    vec![
-        (
-            "naive",
-            run_naive(
-                &task,
-                &screener,
-                domain,
-                &HonestWorker,
-                &NaiveConfig {
-                    task_id: 1,
-                    samples: M,
-                    seed: 3,
-                },
-            )
-            .unwrap(),
-        ),
-        (
-            "cbs",
-            run_cbs::<Sha256, _, _, _>(
-                &task,
-                &screener,
-                domain,
-                &HonestWorker,
-                ParticipantStorage::Full,
-                &CbsConfig {
-                    task_id: 1,
-                    samples: M,
-                    seed: 3,
-                    report_audit: 0,
-                },
-            )
-            .unwrap(),
-        ),
-        (
-            "cbs-partial",
-            run_cbs::<Sha256, _, _, _>(
-                &task,
-                &screener,
-                domain,
-                &HonestWorker,
-                ParticipantStorage::Partial { subtree_height: 4 },
-                &CbsConfig {
-                    task_id: 1,
-                    samples: M,
-                    seed: 3,
-                    report_audit: 0,
-                },
-            )
-            .unwrap(),
-        ),
-        (
-            "ni-cbs",
-            run_ni_cbs::<Sha256, _, _, _>(
-                &task,
-                &screener,
-                domain,
-                &HonestWorker,
-                ParticipantStorage::Full,
-                &NiCbsConfig {
-                    task_id: 1,
-                    samples: M,
-                    g_iterations: 1,
-                    report_audit: 0,
-                    audit_seed: 0,
-                },
-            )
-            .unwrap(),
-        ),
-    ]
+    let cbs = CbsScheme {
+        samples: M,
+        seed: 3,
+        report_audit: 0,
+    };
+    let ni_cbs = NiCbsScheme {
+        samples: M,
+        g_iterations: 1,
+        report_audit: 0,
+        audit_seed: 0,
+    };
+    let naive = NaiveScheme {
+        samples: M,
+        seed: 3,
+    };
+    let partial = ParticipantStorage::Partial { subtree_height: 4 };
+    let table: [(_, &dyn VerificationScheme<Sha256>, _); 4] = [
+        ("naive", &naive, ParticipantStorage::Full),
+        ("cbs", &cbs, ParticipantStorage::Full),
+        ("cbs-partial", &cbs, partial),
+        ("ni-cbs", &ni_cbs, ParticipantStorage::Full),
+    ];
+    table
+        .into_iter()
+        .map(|(name, scheme, storage)| {
+            let config = MixedFleetConfig {
+                storage,
+                ..MixedFleetConfig::default()
+            };
+            let outcome =
+                run_round(scheme, &task, &screener, domain, &[&HonestWorker], &config).unwrap();
+            (name, outcome)
+        })
+        .collect()
 }
 
 #[test]
@@ -178,199 +146,196 @@ fn participant_baseline_work_is_the_task_itself() {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-vs-legacy equivalence: every scheme, multiplexed over the broker
-// transport, must reproduce the pre-refactor in-process rounds bit for bit.
+// Engine-vs-legacy equivalence: every scheme, run by the one driver over
+// direct links and over the broker, must reproduce the blocking
+// one-link-per-slot round bit for bit.
 // ---------------------------------------------------------------------------
 
-/// Runs one session of `scheme` through the engine over the relaying
-/// broker and returns the member's outcome.
-fn engine_round<S: uncheatable_grid::task::Screener>(
+/// The "legacy" side: one round of `scheme` with no engine, scheduler or
+/// backend in it — a duplex link per slot, each participant session on
+/// its own thread under `drive_participant`, the supervisor session on
+/// this thread under `drive_supervisor`.
+fn blocking_round(
     task: &PasswordSearch,
-    screener: &S,
+    screener: &dyn Screener,
     domain: Domain,
     scheme: &dyn VerificationScheme<Sha256>,
-    behaviours: Vec<&dyn WorkerBehaviour>,
+    behaviours: &[&dyn WorkerBehaviour],
     storage: ParticipantStorage,
 ) -> RoundOutcome {
-    let members = vec![MemberSpec { scheme, behaviours }];
-    let summary = run_mixed_fleet(
-        task,
-        screener,
-        domain,
-        &members,
-        &MixedFleetConfig {
-            storage,
-            transport: TransportKind::Brokered,
-            ..MixedFleetConfig::default()
-        },
-    )
-    .unwrap();
-    summary.members.into_iter().next().unwrap().outcome
+    let (sup_ledger, part_ledger) = (CostLedger::new(), CostLedger::new());
+    let (sup_eps, part_eps): (Vec<Endpoint>, Vec<Endpoint>) =
+        behaviours.iter().map(|_| duplex()).unzip();
+    let outcome = std::thread::scope(|scope| {
+        for (endpoint, &behaviour) in part_eps.into_iter().zip(behaviours) {
+            let mut session = scheme.participant_session(ParticipantContext {
+                task,
+                screener,
+                behaviour,
+                storage,
+                parallelism: Parallelism::serial(),
+                lanes: LaneWidth::default(),
+                ledger: part_ledger.clone(),
+            });
+            scope.spawn(move || drive_participant(&endpoint, session.as_mut()).unwrap());
+        }
+        let mut session = scheme.supervisor_session(SupervisorContext {
+            task,
+            screener,
+            domain,
+            task_ids: (0..behaviours.len() as u64).collect(),
+            ledger: sup_ledger.clone(),
+        });
+        drive_supervisor(&sup_eps.iter().collect::<Vec<_>>(), session.as_mut()).unwrap()
+    });
+    let mut supervisor_link = LinkStats::default();
+    for slot in sup_eps.iter().map(Endpoint::stats) {
+        supervisor_link.bytes_sent += slot.bytes_sent;
+        supervisor_link.bytes_received += slot.bytes_received;
+        supervisor_link.messages_sent += slot.messages_sent;
+        supervisor_link.messages_received += slot.messages_received;
+    }
+    RoundOutcome {
+        accepted: outcome.verdict.is_accepted(),
+        verdict: outcome.verdict,
+        supervisor_costs: sup_ledger.report(),
+        participant_costs: part_ledger.report(),
+        supervisor_link,
+        reports: outcome.reports,
+    }
 }
 
-/// Bit-identity across everything a round measures.
-fn assert_outcomes_identical(name: &str, legacy: &RoundOutcome, engine: &RoundOutcome) {
-    assert_eq!(legacy.verdict, engine.verdict, "{name}: verdict diverged");
-    assert_eq!(
-        legacy.supervisor_link, engine.supervisor_link,
-        "{name}: supervisor byte counts diverged"
-    );
-    assert_eq!(
-        legacy.supervisor_costs, engine.supervisor_costs,
-        "{name}: supervisor ledger diverged"
-    );
-    assert_eq!(
-        legacy.participant_costs, engine.participant_costs,
-        "{name}: participant ledger diverged"
-    );
-    assert_eq!(legacy.reports, engine.reports, "{name}: reports diverged");
+/// Runs `scheme` against `behaviours` the blocking way and through
+/// [`run_round`] over direct links and over the broker, under full and
+/// under partial storage, and requires bit-identity across everything a
+/// round measures. Returns the full-storage blocking outcome.
+fn assert_engine_matches_legacy(
+    name: &str,
+    task: &PasswordSearch,
+    screener: &dyn Screener,
+    domain: Domain,
+    scheme: &dyn VerificationScheme<Sha256>,
+    behaviours: &[&dyn WorkerBehaviour],
+) -> RoundOutcome {
+    let storages = [
+        ParticipantStorage::Partial { subtree_height: 3 },
+        ParticipantStorage::Full,
+    ];
+    let [_, full] = storages.map(|storage| {
+        let legacy = blocking_round(task, screener, domain, scheme, behaviours, storage);
+        for transport in [TransportKind::Direct, TransportKind::Brokered] {
+            let config = MixedFleetConfig {
+                storage,
+                transport,
+                ..MixedFleetConfig::default()
+            };
+            let engine = run_round(scheme, task, screener, domain, behaviours, &config).unwrap();
+            let case = format!("{name} ({storage:?}, {transport:?})");
+            assert_eq!(legacy.verdict, engine.verdict, "{case}: verdict diverged");
+            assert_eq!(
+                legacy.supervisor_link, engine.supervisor_link,
+                "{case}: supervisor byte counts diverged"
+            );
+            assert_eq!(
+                legacy.supervisor_costs, engine.supervisor_costs,
+                "{case}: supervisor ledger diverged"
+            );
+            assert_eq!(
+                legacy.participant_costs, engine.participant_costs,
+                "{case}: participant ledger diverged"
+            );
+            assert_eq!(legacy.reports, engine.reports, "{case}: reports diverged");
+        }
+        legacy
+    });
+    full
+}
+
+fn cheater(r: f64) -> SemiHonestCheater<ZeroGuesser> {
+    SemiHonestCheater::new(r, CheatSelection::Scattered, ZeroGuesser::new(5), 11)
 }
 
 #[test]
 fn engine_matches_legacy_cbs() {
     let task = PasswordSearch::with_hidden_password(3, 40);
     let screener = task.match_screener();
-    let domain = Domain::new(0, 128);
-    for (storage, behaviour) in [
-        (
-            ParticipantStorage::Full,
-            &HonestWorker as &dyn WorkerBehaviour,
-        ),
-        (
-            ParticipantStorage::Partial { subtree_height: 3 },
-            &HonestWorker as &dyn WorkerBehaviour,
-        ),
-    ] {
-        let legacy = run_cbs::<Sha256, _, _, _>(
-            &task,
-            &screener,
-            domain,
-            &behaviour,
-            storage,
-            &CbsConfig {
-                task_id: 0,
-                samples: 16,
-                seed: 9,
-                report_audit: 2,
-            },
-        )
-        .unwrap();
-        let scheme = CbsScheme {
-            samples: 16,
-            seed: 9,
-            report_audit: 2,
-        };
-        let engine = engine_round(&task, &screener, domain, &scheme, vec![behaviour], storage);
-        assert_outcomes_identical("cbs", &legacy, &engine);
-    }
+    let scheme = CbsScheme {
+        samples: 16,
+        seed: 9,
+        report_audit: 2,
+    };
+    let legacy = assert_engine_matches_legacy(
+        "cbs",
+        &task,
+        &screener,
+        Domain::new(0, 128),
+        &scheme,
+        &[&HonestWorker],
+    );
+    assert!(legacy.accepted);
 }
 
 #[test]
 fn engine_matches_legacy_cbs_on_a_cheater() {
     let task = PasswordSearch::with_hidden_password(3, 40);
     let screener = task.match_screener();
-    let domain = Domain::new(0, 256);
-    let cheater = SemiHonestCheater::new(0.3, CheatSelection::Scattered, ZeroGuesser::new(5), 11);
-    let legacy = run_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        domain,
-        &cheater,
-        ParticipantStorage::Full,
-        &CbsConfig {
-            task_id: 0,
-            samples: 20,
-            seed: 4,
-            report_audit: 0,
-        },
-    )
-    .unwrap();
     let scheme = CbsScheme {
         samples: 20,
         seed: 4,
         report_audit: 0,
     };
-    let engine = engine_round(
+    let legacy = assert_engine_matches_legacy(
+        "cbs-cheater",
         &task,
         &screener,
-        domain,
+        Domain::new(0, 256),
         &scheme,
-        vec![&cheater],
-        ParticipantStorage::Full,
+        &[&cheater(0.3)],
     );
     assert!(!legacy.accepted);
-    assert_outcomes_identical("cbs-cheater", &legacy, &engine);
 }
 
 #[test]
 fn engine_matches_legacy_ni_cbs() {
     let task = PasswordSearch::with_hidden_password(5, 9);
     let screener = task.match_screener();
-    let domain = Domain::new(0, 128);
-    let legacy = run_ni_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        domain,
-        &HonestWorker,
-        ParticipantStorage::Full,
-        &NiCbsConfig {
-            task_id: 0,
-            samples: 10,
-            g_iterations: 3,
-            report_audit: 1,
-            audit_seed: 6,
-        },
-    )
-    .unwrap();
     let scheme = NiCbsScheme {
         samples: 10,
         g_iterations: 3,
         report_audit: 1,
         audit_seed: 6,
     };
-    let engine = engine_round(
-        &task,
-        &screener,
-        domain,
-        &scheme,
-        vec![&HonestWorker],
-        ParticipantStorage::Full,
-    );
-    assert_outcomes_identical("ni-cbs", &legacy, &engine);
+    let cheater = cheater(0.3);
+    for behaviour in [&HonestWorker as &dyn WorkerBehaviour, &cheater] {
+        assert_engine_matches_legacy(
+            "ni-cbs",
+            &task,
+            &screener,
+            Domain::new(0, 128),
+            &scheme,
+            &[behaviour],
+        );
+    }
 }
 
 #[test]
 fn engine_matches_legacy_naive() {
     let task = PasswordSearch::with_hidden_password(3, 40);
     let screener = task.match_screener();
-    let domain = Domain::new(0, 128);
-    let cheater = SemiHonestCheater::new(0.4, CheatSelection::Scattered, ZeroGuesser::new(7), 5);
+    let scheme = NaiveScheme {
+        samples: 12,
+        seed: 2,
+    };
+    let cheater = cheater(0.4);
     for behaviour in [&HonestWorker as &dyn WorkerBehaviour, &cheater] {
-        let legacy = run_naive(
+        assert_engine_matches_legacy(
+            "naive",
             &task,
             &screener,
-            domain,
-            &behaviour,
-            &NaiveConfig {
-                task_id: 0,
-                samples: 12,
-                seed: 2,
-            },
-        )
-        .unwrap();
-        let scheme = NaiveScheme {
-            samples: 12,
-            seed: 2,
-        };
-        let engine = engine_round(
-            &task,
-            &screener,
-            domain,
+            Domain::new(0, 128),
             &scheme,
-            vec![behaviour],
-            ParticipantStorage::Full,
+            &[behaviour],
         );
-        assert_outcomes_identical("naive", &legacy, &engine);
     }
 }
 
@@ -378,96 +343,57 @@ fn engine_matches_legacy_naive() {
 fn engine_matches_legacy_ringer() {
     let task = PasswordSearch::with_hidden_password(1, 10);
     let screener = task.match_screener();
-    let domain = Domain::new(0, 128);
-    let legacy = run_ringer(
-        &task,
-        &screener,
-        domain,
-        &HonestWorker,
-        &RingerConfig {
-            task_id: 0,
-            ringers: 6,
-            seed: 3,
-        },
-    )
-    .unwrap();
     let scheme = RingerScheme {
         ringers: 6,
         seed: 3,
     };
-    let engine = engine_round(
-        &task,
-        &screener,
-        domain,
-        &scheme,
-        vec![&HonestWorker],
-        ParticipantStorage::Full,
-    );
-    assert_outcomes_identical("ringer", &legacy, &engine);
+    let cheater = cheater(0.3);
+    for behaviour in [&HonestWorker as &dyn WorkerBehaviour, &cheater] {
+        assert_engine_matches_legacy(
+            "ringer",
+            &task,
+            &screener,
+            Domain::new(0, 128),
+            &scheme,
+            &[behaviour],
+        );
+    }
 }
 
 #[test]
 fn engine_matches_legacy_double_check() {
     let task = PasswordSearch::with_hidden_password(1, 20);
     let screener = task.match_screener();
-    let domain = Domain::new(0, 64);
-    let cheater = SemiHonestCheater::new(0.9, CheatSelection::Scattered, ZeroGuesser::new(2), 3);
+    let cheater = cheater(0.9);
     for replica_b in [&HonestWorker as &dyn WorkerBehaviour, &cheater] {
-        let legacy = run_double_check(
+        assert_engine_matches_legacy(
+            "double-check",
             &task,
             &screener,
-            domain,
-            &HonestWorker,
-            &replica_b,
-            &DoubleCheckConfig { task_id: 0 },
-        )
-        .unwrap();
-        let engine = engine_round(
-            &task,
-            &screener,
-            domain,
+            Domain::new(0, 64),
             &DoubleCheckScheme,
-            vec![&HonestWorker, replica_b],
-            ParticipantStorage::Full,
+            &[&HonestWorker, replica_b],
         );
-        assert_outcomes_identical("double-check", &legacy, &engine);
     }
 }
 
 #[test]
 fn engine_matches_legacy_with_a_corrupting_malicious_worker() {
     // The malicious model needs the report-audit extension; prove the
-    // engine path rejects it exactly like the legacy path.
+    // engine rejects it exactly like the blocking round.
     let task = PasswordSearch::with_hidden_password(3, 10);
-    let screener = uncheatable_grid::task::AcceptAllScreener;
-    let malicious = MaliciousWorker::new(1.0, 8);
-    let legacy = run_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        Domain::new(0, 64),
-        &malicious,
-        ParticipantStorage::Full,
-        &CbsConfig {
-            task_id: 0,
-            samples: 10,
-            seed: 6,
-            report_audit: 4,
-        },
-    )
-    .unwrap();
     let scheme = CbsScheme {
         samples: 10,
         seed: 6,
         report_audit: 4,
     };
-    let engine = engine_round(
+    let legacy = assert_engine_matches_legacy(
+        "cbs-malicious",
         &task,
-        &screener,
+        &uncheatable_grid::task::AcceptAllScreener,
         Domain::new(0, 64),
         &scheme,
-        vec![&malicious],
-        ParticipantStorage::Full,
+        &[&MaliciousWorker::new(1.0, 8)],
     );
     assert!(!legacy.accepted);
-    assert_outcomes_identical("cbs-malicious", &legacy, &engine);
 }

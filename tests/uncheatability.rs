@@ -3,11 +3,11 @@
 
 use proptest::prelude::*;
 use uncheatable_grid::core::analysis::cheat_success_probability;
-use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig, CbsScheme};
+use uncheatable_grid::core::scheme::{cbs::CbsScheme, run_round};
 use uncheatable_grid::core::session::{drive_participant, drive_supervisor};
 use uncheatable_grid::core::{
-    LaneWidth, Parallelism, ParticipantContext, ParticipantStorage, SupervisorContext, Verdict,
-    VerificationScheme,
+    LaneWidth, MixedFleetConfig, Parallelism, ParticipantContext, ParticipantStorage,
+    SupervisorContext, Verdict, VerificationScheme,
 };
 use uncheatable_grid::grid::{
     duplex, CheatSelection, CostLedger, Endpoint, HonestWorker, Message, Opening, SemiHonestCheater,
@@ -50,18 +50,17 @@ fn fully_lazy_cheater_always_caught() {
     for seed in 0..10u64 {
         let cheater =
             SemiHonestCheater::new(0.0, CheatSelection::Prefix, ZeroGuesser::new(seed), seed);
-        let outcome = run_cbs::<Sha256, _, _, _>(
-            &task,
-            &screener,
-            Domain::new(0, 64),
-            &cheater,
-            ParticipantStorage::Full,
-            &CbsConfig {
-                task_id: 1,
+        let outcome = run_round::<Sha256>(
+            &CbsScheme {
                 samples: 1,
                 seed,
                 report_audit: 0,
             },
+            &task,
+            &screener,
+            Domain::new(0, 64),
+            &[&cheater],
+            &MixedFleetConfig::default(),
         )
         .unwrap();
         assert!(!outcome.accepted, "seed {seed}");
@@ -210,13 +209,13 @@ proptest! {
             ZeroGuesser::new(seed),
             seed,
         );
-        let outcome = run_cbs::<Sha256, _, _, _>(
+        let outcome = run_round::<Sha256>(
+            &CbsScheme { samples: 48, seed, report_audit: 0 },
             &task,
             &screener,
             Domain::new(0, 128),
-            &cheater,
-            ParticipantStorage::Full,
-            &CbsConfig { task_id: 1, samples: 48, seed, report_audit: 0 },
+            &[&cheater],
+            &MixedFleetConfig::default(),
         ).unwrap();
         prop_assert!(!outcome.accepted);
     }
@@ -231,18 +230,17 @@ fn perfect_guessers_survive_as_theorem3_predicts() {
     let screener = task.match_screener();
     let guesser = LuckyGuesser::new(task.clone(), 1.0, 5);
     let cheater = SemiHonestCheater::new(0.0, CheatSelection::Prefix, guesser, 5);
-    let outcome = run_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        Domain::new(0, 64),
-        &cheater,
-        ParticipantStorage::Full,
-        &CbsConfig {
-            task_id: 1,
+    let outcome = run_round::<Sha256>(
+        &CbsScheme {
             samples: 20,
             seed: 6,
             report_audit: 0,
         },
+        &task,
+        &screener,
+        Domain::new(0, 64),
+        &[&cheater],
+        &MixedFleetConfig::default(),
     )
     .unwrap();
     assert!(outcome.accepted);

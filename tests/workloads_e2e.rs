@@ -2,9 +2,8 @@
 //! workload-generic (the paper's "generic computations" claim vs the
 //! ringer scheme's one-way-only restriction).
 
-use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig};
-use uncheatable_grid::core::scheme::ni_cbs::{run_ni_cbs, NiCbsConfig};
-use uncheatable_grid::core::ParticipantStorage;
+use uncheatable_grid::core::scheme::{cbs::CbsScheme, ni_cbs::NiCbsScheme, run_round};
+use uncheatable_grid::core::MixedFleetConfig;
 use uncheatable_grid::grid::{CheatSelection, HonestWorker, SemiHonestCheater};
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::{
@@ -12,9 +11,8 @@ use uncheatable_grid::task::workloads::{
 };
 use uncheatable_grid::task::{ComputeTask, Domain, Screener, ZeroGuesser};
 
-fn cbs_config(m: usize) -> CbsConfig {
-    CbsConfig {
-        task_id: 1,
+fn cbs_scheme(m: usize) -> CbsScheme {
+    CbsScheme {
         samples: m,
         seed: 11,
         report_audit: 3,
@@ -22,13 +20,13 @@ fn cbs_config(m: usize) -> CbsConfig {
 }
 
 fn assert_honest_accepted<T: ComputeTask, S: Screener>(task: &T, screener: &S, n: u64) {
-    let outcome = run_cbs::<Sha256, _, _, _>(
+    let outcome = run_round::<Sha256>(
+        &cbs_scheme(15),
         task,
         screener,
         Domain::new(0, n),
-        &HonestWorker,
-        ParticipantStorage::Full,
-        &cbs_config(15),
+        &[&HonestWorker],
+        &MixedFleetConfig::default(),
     )
     .unwrap();
     assert!(outcome.accepted, "honest {} rejected", task.name());
@@ -36,13 +34,13 @@ fn assert_honest_accepted<T: ComputeTask, S: Screener>(task: &T, screener: &S, n
 
 fn assert_cheater_caught<T: ComputeTask, S: Screener>(task: &T, screener: &S, n: u64) {
     let cheater = SemiHonestCheater::new(0.3, CheatSelection::Scattered, ZeroGuesser::new(2), 7);
-    let outcome = run_cbs::<Sha256, _, _, _>(
+    let outcome = run_round::<Sha256>(
+        &cbs_scheme(25),
         task,
         screener,
         Domain::new(0, n),
-        &cheater,
-        ParticipantStorage::Full,
-        &cbs_config(25),
+        &[&cheater],
+        &MixedFleetConfig::default(),
     )
     .unwrap();
     assert!(!outcome.accepted, "cheater on {} not caught", task.name());
@@ -96,19 +94,18 @@ fn seti_reports_match_local_screening() {
     let task = SetiSignal::new(31);
     let screener = task.screener();
     let n = 600;
-    let outcome = run_ni_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        Domain::new(0, n),
-        &HonestWorker,
-        ParticipantStorage::Full,
-        &NiCbsConfig {
-            task_id: 2,
+    let outcome = run_round::<Sha256>(
+        &NiCbsScheme {
             samples: 10,
             g_iterations: 1,
             report_audit: 5,
             audit_seed: 0,
         },
+        &task,
+        &screener,
+        Domain::new(0, n),
+        &[&HonestWorker],
+        &MixedFleetConfig::default(),
     )
     .unwrap();
     assert!(outcome.accepted);
