@@ -26,11 +26,12 @@
 //! [`run_fleet_on`](crate::run_fleet_on) accepts any backend the embedder
 //! connected.
 
-use crate::engine::{DirectTransport, EngineEvent, EngineTransport};
+use crate::engine::{DirectTransport, EngineEvent, EngineTransport, SharedLink};
 use crate::journal::{get_part_result, get_report, put_part_result, put_report};
 use crate::orchestrator::chaos_link_id;
 use crate::SchemeError;
 use std::thread::JoinHandle;
+use std::time::Instant;
 use ugc_grid::codec::{get_u64, put_u64};
 use ugc_grid::runtime::{FaultLog, FaultPlan, FaultyEndpoint};
 use ugc_grid::{
@@ -42,7 +43,8 @@ use ugc_grid::{
 /// down to the backend that implements it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TransportKind {
-    /// One in-memory link per participant, polled by the engine.
+    /// One in-memory link per participant, all rung on one bell the
+    /// engine sleeps on.
     #[default]
     Direct,
     /// One shared supervisor link into a relaying GRACE-style
@@ -144,11 +146,11 @@ impl SlotReport {
 }
 
 /// The supervisor-side transport a backend opened for one round: either
-/// the engine's own per-participant poller, or one shared link whose far
+/// the engine's own per-participant links, or one shared link whose far
 /// side routes (an in-process broker pump or a `ugc broker serve`
 /// process).
 pub enum EngineSide {
-    /// Per-participant endpoints polled directly by the engine.
+    /// Per-participant endpoints, answered directly by the engine.
     Direct(DirectTransport),
     /// One shared, relayed link (boxed: the concrete link type is the
     /// backend's business).
@@ -163,17 +165,10 @@ impl EngineTransport for EngineSide {
         }
     }
 
-    fn recv(&mut self) -> Result<EngineEvent, GridError> {
+    fn recv(&mut self, until: Option<Instant>) -> Result<Option<EngineEvent>, GridError> {
         match self {
-            EngineSide::Direct(t) => t.recv(),
-            EngineSide::Shared(t) => t.recv(),
-        }
-    }
-
-    fn try_recv(&mut self) -> Result<Option<EngineEvent>, GridError> {
-        match self {
-            EngineSide::Direct(t) => t.try_recv(),
-            EngineSide::Shared(t) => t.try_recv(),
+            EngineSide::Direct(t) => t.recv(until),
+            EngineSide::Shared(t) => t.recv(until),
         }
     }
 }
@@ -315,7 +310,7 @@ impl TransportBackend for InProcessBackend {
                 // side is dropped (which is what winds the pump down).
                 let pump = std::thread::spawn(move || broker.pump_until_closed());
                 Ok(OpenRound {
-                    engine_side: EngineSide::Shared(Box::new(sup_endpoint)),
+                    engine_side: EngineSide::Shared(Box::new(SharedLink::new(sup_endpoint))),
                     local_links: links,
                     fault_logs: logs,
                     pump: Some(pump),
@@ -387,7 +382,7 @@ impl TransportBackend for RemoteGridBackend {
             reason: "the remote backend serves a single round per connection",
         })?;
         Ok(OpenRound {
-            engine_side: EngineSide::Shared(Box::new(link)),
+            engine_side: EngineSide::Shared(Box::new(SharedLink::new(link))),
             local_links: Vec::new(),
             fault_logs: Vec::new(),
             pump: None,

@@ -34,9 +34,7 @@ use crate::session::{SessionOutcome, SupervisorSession};
 use crate::SchemeError;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-use ugc_grid::{
-    Backoff, Doorbell, Endpoint, GridError, GridLink, LinkStats, Message, FRAME_HEADER_BYTES,
-};
+use ugc_grid::{Doorbell, Endpoint, GridError, GridLink, LinkStats, Message, FRAME_HEADER_BYTES};
 
 /// What the engine's transport delivered on one receive.
 #[derive(Debug)]
@@ -59,45 +57,67 @@ pub trait EngineTransport {
     /// Transport failures (e.g. the peer disconnected).
     fn send(&mut self, routing_id: u64, msg: &Message) -> Result<u64, GridError>;
 
-    /// Blocks until the next inbound event.
+    /// Blocks until the next inbound event, or — given an `until` — no
+    /// longer than that instant: `Ok(None)` means it passed with nothing
+    /// to report. The wait sleeps on something that rings when mail
+    /// arrives; it never polls.
     ///
     /// # Errors
     ///
     /// [`GridError::Disconnected`] once *nothing* can ever arrive again.
-    fn recv(&mut self) -> Result<EngineEvent, GridError>;
-
-    /// Polls for an inbound event without blocking; `Ok(None)` when the
-    /// transport is momentarily idle. An engine enforcing per-session
-    /// deadlines polls through this instead of [`recv`](Self::recv).
-    ///
-    /// # Errors
-    ///
-    /// As [`recv`](Self::recv).
-    fn try_recv(&mut self) -> Result<Option<EngineEvent>, GridError>;
+    fn recv(&mut self, until: Option<Instant>) -> Result<Option<EngineEvent>, GridError>;
 }
 
-/// Any shared [`GridLink`] is a valid engine transport: a relay on the
-/// far side (the in-process [`Broker`](ugc_grid::Broker), or the
-/// `ugc broker serve` process over a [`TcpLink`](ugc_grid::TcpLink))
+/// The engine's one clock read, used only for inactivity deadlines.
+fn clock() -> Instant {
+    // ugc-lint: allow(wall-clock): liveness escape hatch — deadlines only fire when a peer is already silent, never on the replayed happy path
+    Instant::now()
+}
+
+/// Waits for the next ring on `bell`, giving up once `until` passes.
+fn next_ring(bell: &Doorbell, until: Option<Instant>) -> Option<usize> {
+    match until {
+        None => Some(bell.wait()),
+        Some(until) => bell.wait_timeout(until.saturating_duration_since(clock())),
+    }
+}
+
+/// One shared [`GridLink`] whose far side routes: the in-process
+/// [`Broker`](ugc_grid::Broker)'s endpoint, or a
+/// [`TcpLink`](ugc_grid::TcpLink) into `ugc broker serve`. The relay
 /// routes by session/task id and NACKs tasks whose participant hung up
-/// with [`Message::Gone`]. The routing id is ignored on send — routing
-/// is the relay's job.
-impl<L: GridLink> EngineTransport for L {
+/// with [`Message::Gone`], so the routing id is ignored on send. The link
+/// is subscribed to a bell of its own, and a receive answers each ring
+/// with one look at the link, as [`DirectTransport`] does.
+pub(crate) struct SharedLink<L> {
+    link: L,
+    bell: Doorbell,
+}
+
+impl<L: GridLink> SharedLink<L> {
+    pub(crate) fn new(link: L) -> Self {
+        let bell = Doorbell::new();
+        link.subscribe(&bell, 0);
+        SharedLink { link, bell }
+    }
+}
+
+impl<L: GridLink> EngineTransport for SharedLink<L> {
     fn send(&mut self, _routing_id: u64, msg: &Message) -> Result<u64, GridError> {
-        self.send_counted(msg)
+        self.link.send_counted(msg)
     }
 
-    fn recv(&mut self) -> Result<EngineEvent, GridError> {
-        self.recv_counted()
-            .map(|(msg, charged)| EngineEvent::Message(msg, charged))
-    }
-
-    fn try_recv(&mut self) -> Result<Option<EngineEvent>, GridError> {
-        match self.try_recv_counted() {
-            Ok((msg, charged)) => Ok(Some(EngineEvent::Message(msg, charged))),
-            Err(GridError::Empty) => Ok(None),
-            Err(e) => Err(e),
+    fn recv(&mut self, until: Option<Instant>) -> Result<Option<EngineEvent>, GridError> {
+        // The link rings once per frame (a `TcpLink` also per control
+        // frame) and once more at its end, so every wait ends.
+        while next_ring(&self.bell, until).is_some() {
+            match self.link.try_recv_counted() {
+                Ok((msg, charged)) => return Ok(Some(EngineEvent::Message(msg, charged))),
+                Err(GridError::Empty) => {}
+                Err(e) => return Err(e),
+            }
         }
+        Ok(None)
     }
 }
 
@@ -175,21 +195,11 @@ impl EngineTransport for DirectTransport {
         }
     }
 
-    fn recv(&mut self) -> Result<EngineEvent, GridError> {
+    fn recv(&mut self, until: Option<Instant>) -> Result<Option<EngineEvent>, GridError> {
         // Every open link still owes at least its hang-up ring, so the
         // wait ends; with none open nothing can ever arrive again.
         while self.open_count > 0 {
-            let idx = self.bell.wait();
-            if let Some(event) = self.answer(idx)? {
-                return Ok(event);
-            }
-        }
-        Err(GridError::Disconnected)
-    }
-
-    fn try_recv(&mut self) -> Result<Option<EngineEvent>, GridError> {
-        while self.open_count > 0 {
-            let Some(idx) = self.bell.try_next() else {
+            let Some(idx) = next_ring(&self.bell, until) else {
                 return Ok(None);
             };
             if let Some(event) = self.answer(idx)? {
@@ -274,9 +284,9 @@ impl<'a> SessionEngine<'a> {
     /// resets on every message that session receives — but a computing
     /// participant is silent, so size the deadline to bound the longest
     /// legitimate compute-then-reply gap (share evaluation plus tree
-    /// build), not just network latency. With a deadline set the engine
-    /// polls the transport (with exponential idle backoff) instead of
-    /// blocking.
+    /// build), not just network latency. The engine still sleeps on the
+    /// transport between messages, just never past the earliest pending
+    /// expiry; only a wait that reaches it looks at the clocks.
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
@@ -385,39 +395,25 @@ impl<'a> SessionEngine<'a> {
         }
     }
 
-    /// Polls the transport until an event arrives or every active session
-    /// has exceeded its inactivity deadline. Sessions that expire are
-    /// failed with [`SchemeError::TimedOut`] in place; once none remain
-    /// active the sentinel [`GridError::Empty`] is returned (the run loop
-    /// re-checks its condition and exits).
-    fn poll_with_deadline<T: EngineTransport>(
-        &mut self,
-        transport: &mut T,
-        deadline: Duration,
-        last_activity: &[Instant],
-    ) -> Result<EngineEvent, GridError> {
-        let mut backoff = Backoff::new();
-        loop {
-            match transport.try_recv() {
-                Ok(Some(event)) => return Ok(event),
-                Ok(None) => {
-                    // ugc-lint: allow(wall-clock): liveness escape hatch — deadlines only fire when a peer is already silent, never on the replayed happy path
-                    let now = Instant::now();
-                    for (slot, last) in self.slots.iter_mut().zip(last_activity) {
-                        if matches!(slot.state, SessionState::Active)
-                            && now.duration_since(*last) >= deadline
-                        {
-                            Self::settle(slot, &mut self.active, Err(SchemeError::TimedOut));
-                        }
-                    }
-                    if self.active == 0 {
-                        return Err(GridError::Empty);
-                    }
-                    backoff.wait();
-                }
-                Err(e) => return Err(e),
+    /// Fails every active session whose peer has been silent for the
+    /// whole deadline with [`SchemeError::TimedOut`], returning the
+    /// earliest expiry still pending — the next wait's `until`. Expiries
+    /// only move later between scans, so that instant never comes after
+    /// the true earliest one and a message costs no scan.
+    fn expire(&mut self, last_activity: &[Instant]) -> Option<Instant> {
+        let deadline = self.deadline?;
+        let now = clock();
+        for (slot, &last) in self.slots.iter_mut().zip(last_activity) {
+            if matches!(slot.state, SessionState::Active) && last + deadline <= now {
+                Self::settle(slot, &mut self.active, Err(SchemeError::TimedOut));
             }
         }
+        self.slots
+            .iter()
+            .zip(last_activity)
+            .filter(|(slot, _)| matches!(slot.state, SessionState::Active))
+            .map(|(_, &last)| last + deadline)
+            .min()
     }
 
     /// Sends one session's outbound batch, charging its link stats.
@@ -468,19 +464,19 @@ impl<'a> SessionEngine<'a> {
             Self::settle(slot, &mut self.active, step);
         }
 
-        // ugc-lint: allow(wall-clock): liveness escape hatch — seeds the per-slot deadline baselines, not any semantic state
-        let mut last_activity: Vec<Instant> = vec![Instant::now(); self.slots.len()];
+        let started = clock();
+        let mut last_activity = vec![started; self.slots.len()];
+        let mut until = self.deadline.map(|deadline| started + deadline);
         while self.active > 0 {
-            let polled = match self.deadline {
-                None => transport.recv(),
-                Some(deadline) => self.poll_with_deadline(transport, deadline, &last_activity),
-            };
-            let event = match polled {
-                Ok(event) => event,
-                // The sentinel from the deadline poll: every remaining
-                // session just timed out, so the `while` condition ends
-                // the loop.
-                Err(GridError::Empty) => continue,
+            let event = match transport.recv(until) {
+                Ok(Some(event)) => event,
+                // The wait reached the earliest pending expiry: fail the
+                // sessions that are really out of time (the `while`
+                // condition ends the loop if none remain).
+                Ok(None) => {
+                    until = self.expire(&last_activity);
+                    continue;
+                }
                 Err(e) => {
                     // Nothing can arrive any more: every session still
                     // waiting is dead.
@@ -522,8 +518,7 @@ impl<'a> SessionEngine<'a> {
                 // the copy raced the session's completion.
                 continue;
             }
-            // ugc-lint: allow(wall-clock): liveness escape hatch — refreshes the slot's deadline baseline, not any semantic state
-            last_activity[index] = Instant::now();
+            last_activity[index] = clock();
             slot.link.bytes_received += charged;
             slot.link.messages_received += 1;
             let step = slot
@@ -640,14 +635,16 @@ mod tests {
                 accepted: true,
             }
         }
-        fn task_of(event: EngineEvent) -> u64 {
-            match event {
+        fn task_of(event: Option<EngineEvent>) -> u64 {
+            match event.expect("no deadline: the wait ends with an event") {
                 EngineEvent::Message(msg, _) => msg.task_id(),
                 EngineEvent::PeerClosed(ids) => panic!("unexpected closure of {ids:?}"),
             }
         }
+        // A wait that is already out of time: what is there, or nothing.
+        let nothing_now = |t: &mut DirectTransport| t.recv(Some(clock())).unwrap().is_none();
         let mut transport = DirectTransport::new();
-        assert_eq!(transport.try_recv().unwrap_err(), GridError::Disconnected);
+        assert_eq!(transport.recv(None).unwrap_err(), GridError::Disconnected);
         // A thousand links, one of which has mail queued before the
         // transport has even seen it.
         let mut peers: Vec<Option<Endpoint>> = Vec::new();
@@ -659,8 +656,8 @@ mod tests {
             transport.add_endpoint(sup_side, [id]);
             peers.push(Some(part_side));
         }
-        assert_eq!(task_of(transport.recv().unwrap()), 5);
-        assert!(transport.try_recv().unwrap().is_none());
+        assert_eq!(task_of(transport.recv(None).unwrap()), 5);
+        assert!(nothing_now(&mut transport));
         // Mail is served in the order it arrived, not in link order.
         let arrivals = [900usize, 3, 512, 3, 0];
         for &link in &arrivals {
@@ -671,27 +668,28 @@ mod tests {
                 .unwrap();
         }
         for &link in &arrivals {
-            assert_eq!(task_of(transport.recv().unwrap()), link as u64);
+            assert_eq!(task_of(transport.recv(None).unwrap()), link as u64);
         }
-        assert!(transport.try_recv().unwrap().is_none());
+        assert!(nothing_now(&mut transport));
         // A hang-up is reported after the mail queued ahead of it, once.
         let dying = peers[42].take().unwrap();
         dying.send(&verdict(42)).unwrap();
         drop(dying);
-        assert_eq!(task_of(transport.recv().unwrap()), 42);
+        assert_eq!(task_of(transport.recv(None).unwrap()), 42);
         assert!(matches!(
-            transport.recv().unwrap(),
-            EngineEvent::PeerClosed(ids) if ids == [42]
+            transport.recv(None).unwrap(),
+            Some(EngineEvent::PeerClosed(ids)) if ids == [42]
         ));
-        assert!(transport.try_recv().unwrap().is_none());
+        assert!(nothing_now(&mut transport));
         // Everyone else hangs up: one closure each, then nothing can ever
         // arrive again.
         peers.clear();
         let mut closed = Vec::new();
         loop {
-            match transport.recv() {
-                Ok(EngineEvent::PeerClosed(ids)) => closed.extend(ids),
-                Ok(EngineEvent::Message(msg, _)) => panic!("unexpected mail: {msg:?}"),
+            match transport.recv(None) {
+                Ok(Some(EngineEvent::PeerClosed(ids))) => closed.extend(ids),
+                Ok(Some(EngineEvent::Message(msg, _))) => panic!("unexpected mail: {msg:?}"),
+                Ok(None) => panic!("a wait with no deadline ended without an event"),
                 Err(e) => {
                     assert_eq!(e, GridError::Disconnected);
                     break;
@@ -732,7 +730,8 @@ mod tests {
         }
         let (dying_broker_side, dying_part) = duplex();
         let (healthy_broker_side, healthy_part) = duplex();
-        let (mut sup_transport, broker_up) = duplex();
+        let (sup_endpoint, broker_up) = duplex();
+        let mut sup_transport = SharedLink::new(sup_endpoint);
         let broker = Broker::new(broker_up, vec![dying_broker_side, healthy_broker_side]);
 
         let results = std::thread::scope(|scope| {

@@ -709,16 +709,13 @@ impl GridTask for SlotTask<'_> {
     }
 
     /// The slot only ever waits for its link: inbound mail, or the hang-up
-    /// that fails the session. Both ring.
+    /// that fails the session. Both ring. (A slot already hung up never
+    /// answers `Idle`: its next poll completes.)
     fn wake_on(&mut self, bell: &Doorbell, key: usize) -> bool {
-        match &self.link {
-            Some(link) => {
-                link.subscribe(bell, key);
-                true
-            }
-            // Already hung up: the next poll completes, nothing to wait for.
-            None => false,
+        if let Some(link) = &self.link {
+            link.subscribe(bell, key);
         }
+        true
     }
 }
 

@@ -88,7 +88,8 @@ pub(crate) struct Materialized {
 ///
 /// [`MerkleError::ZeroLeafWidth`] if the task's outputs are zero bytes
 /// wide, [`MerkleError::MixedLeafWidth`] if the behaviour produced a leaf
-/// that is not `task.output_width()` bytes.
+/// that is not `task.output_width()` bytes, [`SchemeError::InvalidConfig`]
+/// if the share's leaf row cannot be allocated at all.
 pub(crate) fn materialize(
     task: &dyn ComputeTask,
     screener: &dyn Screener,
@@ -100,7 +101,11 @@ pub(crate) fn materialize(
     if width == 0 {
         return Err(MerkleError::ZeroLeafWidth.into());
     }
-    let row = behaviour.leaf_row(task, domain, ledger)?;
+    let row = behaviour
+        .leaf_row(task, domain, ledger)?
+        .ok_or(SchemeError::InvalidConfig {
+            reason: "share too large: its leaf row does not fit in memory",
+        })?;
     let reports = (0..)
         .zip(row.chunks_exact(width))
         .filter_map(|(i, value)| behaviour.report_for(screener, domain, i, value))

@@ -80,7 +80,7 @@
 
 use crate::error::message_kind;
 use crate::{SchemeError, Verdict};
-use ugc_grid::{Backoff, CostLedger, Endpoint, GridError, GridLink, Message, WorkerBehaviour};
+use ugc_grid::{CostLedger, Doorbell, Endpoint, GridError, GridLink, Message, WorkerBehaviour};
 use ugc_hash::HashFunction;
 use ugc_merkle::{LaneWidth, Parallelism};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
@@ -402,9 +402,8 @@ pub fn drive_participant<L: GridLink + ?Sized>(
 /// Runs a supervisor session to completion over blocking endpoints, one
 /// per participant slot.
 ///
-/// With a single endpoint the loop blocks on `recv`; with several (the
-/// double-check supervisor) it polls them fairly, yielding the core while
-/// all are idle.
+/// Every wait sleeps until one of the endpoints rings, however many there
+/// are (two for the double-check supervisor).
 ///
 /// # Errors
 ///
@@ -438,32 +437,25 @@ pub fn drive_supervisor(
 }
 
 /// Receives the next message from any of the given endpoints, with its
-/// slot index. Blocks on a lone endpoint; polls fairly otherwise.
+/// slot index: the endpoints ring one local [`Doorbell`] and the one that
+/// rang is answered, as the engine's direct transport does.
 fn recv_any(endpoints: &[&Endpoint]) -> Result<(usize, Message), SchemeError> {
-    if let [only] = endpoints {
-        return Ok((0, only.recv()?));
+    let bell = Doorbell::new();
+    for (slot, endpoint) in endpoints.iter().enumerate() {
+        endpoint.subscribe(&bell, slot);
     }
-    let mut cursor = 0usize;
-    let mut backoff = Backoff::new();
-    loop {
-        let mut all_dead = true;
-        for probe in 0..endpoints.len() {
-            let idx = (cursor + probe) % endpoints.len();
-            match endpoints[idx].try_recv() {
-                Ok(msg) => return Ok((idx, msg)),
-                Err(GridError::Empty) => all_dead = false,
-                Err(GridError::Disconnected) => {}
-                Err(e) => return Err(e.into()),
-            }
+    // Every open endpoint still owes at least its hang-up ring.
+    let mut open = vec![true; endpoints.len()];
+    while open.contains(&true) {
+        let slot = bell.wait();
+        match endpoints[slot].try_recv() {
+            Ok(msg) => return Ok((slot, msg)),
+            Err(GridError::Empty) => {}
+            Err(GridError::Disconnected) => open[slot] = false,
+            Err(e) => return Err(e.into()),
         }
-        if all_dead {
-            return Err(SchemeError::Grid(GridError::Disconnected));
-        }
-        cursor = (cursor + 1) % endpoints.len();
-        // Peers are computing; escalate from spinning to coarse sleeps
-        // instead of burning a core.
-        backoff.wait();
     }
+    Err(SchemeError::Grid(GridError::Disconnected))
 }
 
 #[cfg(test)]

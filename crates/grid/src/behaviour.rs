@@ -49,6 +49,9 @@ pub trait WorkerBehaviour: Send + Sync {
     /// are all plain `f(x_i)` override it to evaluate in batches
     /// ([`HonestWorker`] does).
     ///
+    /// `Ok(None)` when the row cannot exist — `len · width` overflows, or
+    /// the allocator refuses it — decided before `f` is evaluated once.
+    ///
     /// # Errors
     ///
     /// [`WidthMismatch`] naming the first leaf index whose value is not
@@ -64,10 +67,15 @@ pub trait WorkerBehaviour: Send + Sync {
     ///
     /// let task = PasswordSearch::with_hidden_password(1, 2);
     /// let ledger = CostLedger::new();
-    /// let row = HonestWorker.leaf_row(&task, Domain::new(10, 4), &ledger)?;
+    /// let row = HonestWorker.leaf_row(&task, Domain::new(10, 4), &ledger)?.unwrap();
     /// let leaves: Vec<&[u8]> = row.chunks_exact(task.output_width()).collect();
     /// assert_eq!(leaves.len(), 4);
     /// assert_eq!(leaves[3], task.compute(13).as_slice());
+    /// assert_eq!(ledger.report().f_evals, 4);
+    ///
+    /// // 2^60 leaves of 16 bytes: the row's size overflows, nothing runs.
+    /// let huge = Domain::new(0, 1 << 60);
+    /// assert_eq!(HonestWorker.leaf_row(&task, huge, &ledger)?, None);
     /// assert_eq!(ledger.report().f_evals, 4);
     /// # Ok::<(), ugc_task::WidthMismatch>(())
     /// ```
@@ -76,9 +84,11 @@ pub trait WorkerBehaviour: Send + Sync {
         task: &dyn ComputeTask,
         domain: Domain,
         ledger: &CostLedger,
-    ) -> Result<Vec<u8>, WidthMismatch> {
+    ) -> Result<Option<Vec<u8>>, WidthMismatch> {
         let width = task.output_width();
-        let mut row = Vec::with_capacity(domain.len() as usize * width);
+        let Some(mut row) = reserve_row(domain, width) else {
+            return Ok(None);
+        };
         for index in 0..domain.len() {
             let value = self.leaf_value(task, domain, index, ledger);
             if value.len() != width {
@@ -90,7 +100,7 @@ pub trait WorkerBehaviour: Send + Sync {
             }
             row.extend_from_slice(&value);
         }
-        Ok(row)
+        Ok(Some(row))
     }
 
     /// The report (if any) for leaf `index` whose committed value is
@@ -128,7 +138,7 @@ impl<B: WorkerBehaviour + ?Sized> WorkerBehaviour for &B {
         task: &dyn ComputeTask,
         domain: Domain,
         ledger: &CostLedger,
-    ) -> Result<Vec<u8>, WidthMismatch> {
+    ) -> Result<Option<Vec<u8>>, WidthMismatch> {
         (**self).leaf_row(task, domain, ledger)
     }
     fn report_for(
@@ -163,7 +173,7 @@ impl<B: WorkerBehaviour + ?Sized> WorkerBehaviour for std::sync::Arc<B> {
         task: &dyn ComputeTask,
         domain: Domain,
         ledger: &CostLedger,
-    ) -> Result<Vec<u8>, WidthMismatch> {
+    ) -> Result<Option<Vec<u8>>, WidthMismatch> {
         (**self).leaf_row(task, domain, ledger)
     }
     fn report_for(
@@ -198,7 +208,7 @@ impl<B: WorkerBehaviour + ?Sized> WorkerBehaviour for Box<B> {
         task: &dyn ComputeTask,
         domain: Domain,
         ledger: &CostLedger,
-    ) -> Result<Vec<u8>, WidthMismatch> {
+    ) -> Result<Option<Vec<u8>>, WidthMismatch> {
         (**self).leaf_row(task, domain, ledger)
     }
     fn report_for(
@@ -249,34 +259,45 @@ impl WorkerBehaviour for HonestWorker {
     }
 
     /// `f` over the whole domain through [`ComputeTask::compute_into`],
-    /// 1024 inputs at a time, each chunk written where it belongs in the
-    /// row and charged in one ledger update.
+    /// 1024 inputs at a time, each chunk written onto the end of the
+    /// reserved row and charged in one ledger update.
     fn leaf_row(
         &self,
         task: &dyn ComputeTask,
         domain: Domain,
         ledger: &CostLedger,
-    ) -> Result<Vec<u8>, WidthMismatch> {
+    ) -> Result<Option<Vec<u8>>, WidthMismatch> {
         let width = task.output_width();
         let n = domain.len();
-        let mut row = vec![0u8; n as usize * width];
+        let Some(mut row) = reserve_row(domain, width) else {
+            return Ok(None);
+        };
         let mut inputs = Vec::with_capacity(HONEST_BATCH);
         for start in (0..n).step_by(HONEST_BATCH) {
             let end = (start + HONEST_BATCH as u64).min(n);
             inputs.clear();
             inputs.extend((start..end).map(|i| domain.input(i).expect("index within domain")));
             ledger.charge_f(task.unit_cost() * (end - start));
-            task.compute_into(
-                &inputs,
-                &mut row[start as usize * width..end as usize * width],
-            )
-            .map_err(|e| WidthMismatch {
-                index: start + e.index,
-                ..e
-            })?;
+            // Within the reserved capacity: grows in place.
+            let filled = row.len();
+            row.resize(filled + inputs.len() * width, 0);
+            task.compute_into(&inputs, &mut row[filled..])
+                .map_err(|e| WidthMismatch {
+                    index: start + e.index,
+                    ..e
+                })?;
         }
-        Ok(row)
+        Ok(Some(row))
     }
+}
+
+/// An empty row with room for exactly `domain.len() · width` bytes, or
+/// `None` if that product overflows or the allocator refuses it.
+fn reserve_row(domain: Domain, width: usize) -> Option<Vec<u8>> {
+    let bytes = usize::try_from(domain.len()).ok()?.checked_mul(width)?;
+    let mut row = Vec::new();
+    row.try_reserve_exact(bytes).ok()?;
+    Some(row)
 }
 
 /// Inputs per [`ComputeTask::compute_into`] call in

@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backoff;
 mod behaviour;
 mod broker;
 pub mod codec;
@@ -56,7 +55,6 @@ pub mod tcp;
 mod transport;
 pub mod wire;
 
-pub use backoff::Backoff;
 pub use behaviour::{
     CheatSelection, HonestWorker, MaliciousWorker, SemiHonestCheater, WorkerBehaviour,
 };

@@ -26,9 +26,6 @@
 //!   seats ─▶ │ [t3]   [t89]  …   one per task with a wake    │  idle, will
 //!            │   ▲      ▲        source; off every queue     │  be rung
 //!            │   └──────┴── doorbell: key = task index ◀──── │◀─ mail, hang-up
-//!   parked ─▶│ [t5][t61]…  tasks with no wake source: re-    │  idle, must
-//!            │  queued in one batch per worker on progress   │  be re-polled
-//!            │  or after a rung of the backoff ladder        │
 //!            └───────────────────────────────────────────────┘
 //! ```
 //!
@@ -56,18 +53,12 @@
 //!   arrives while the task is queued or mid-`poll` is remembered on the
 //!   seat, and a task that then reports `Idle` goes back on the ready
 //!   queue instead of sitting down, so no ring is ever lost to the race.
-//! * **Parked list** — a task that declined the bell and reports `Idle`
-//!   can only be found ready by polling it again. It is set aside on the
-//!   polling worker's parked list; that worker re-queues the whole list
-//!   in one batch whenever it makes progress, and after every rung of
-//!   the idle ladder below.
-//! * **Idle workers** — a worker with nothing runnable sleeps on the
-//!   doorbell. While any task without a wake source is unfinished the
-//!   sleep is bounded by the shared exponential [`Backoff`] ladder
-//!   (yield → 10 µs → 100 µs → 1 ms, reset whenever the pool makes
-//!   progress), because such a task becomes ready without telling
-//!   anyone; once only bell-woken tasks remain the worker blocks until
-//!   a ring, so an idle pool costs no CPU at all.
+//! * **No wake source** — a task that declined the bell and reports
+//!   `Idle` can only be found ready by polling it again, so its worker
+//!   yields the core once and then treats the answer like `Progress`:
+//!   back on its ready queue, never out of sight.
+//! * **Idle workers** — a worker with nothing runnable blocks on the
+//!   doorbell until a ring, so an idle pool costs no CPU at all.
 //! * **Completion** — [`TaskPoll::Complete`] removes the task; the run
 //!   ends when none remain (the last completion rings the sleepers
 //!   out), and [`GridScheduler::run`] hands every task back in its
@@ -82,7 +73,7 @@
 //!
 //! # Example
 //!
-//! A thousand counters, four workers — each task parks between steps and
+//! A thousand counters, four workers — each task idles between steps and
 //! the scheduler keeps them all moving:
 //!
 //! ```
@@ -90,7 +81,7 @@
 //!
 //! struct Countdown {
 //!     left: u32,
-//!     parked_once: bool,
+//!     idled_once: bool,
 //! }
 //!
 //! impl GridTask for Countdown {
@@ -98,27 +89,27 @@
 //!         if self.left == 0 {
 //!             return TaskPoll::Complete;
 //!         }
-//!         if !self.parked_once {
-//!             self.parked_once = true; // simulate "no mail yet"
+//!         if !self.idled_once {
+//!             self.idled_once = true; // simulate "no mail yet"
 //!             return TaskPoll::Idle;
 //!         }
-//!         self.parked_once = false;
+//!         self.idled_once = false;
 //!         self.left -= 1;
 //!         TaskPoll::Progress
 //!     }
 //! }
 //!
 //! let tasks: Vec<Countdown> = (0..1000)
-//!     .map(|i| Countdown { left: 1 + (i % 5), parked_once: false })
+//!     .map(|i| Countdown { left: 1 + (i % 5), idled_once: false })
 //!     .collect();
 //! let done = GridScheduler::new(4).run(tasks);
 //! assert_eq!(done.len(), 1000);
 //! assert!(done.iter().all(|t| t.left == 0));
 //! ```
 
-use crate::{Backoff, Doorbell};
+use crate::Doorbell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// What one [`GridTask::poll`] call accomplished.
@@ -129,8 +120,8 @@ pub enum TaskPoll {
     Progress,
     /// Nothing to do right now (e.g. the peer has not answered yet); the
     /// task waits for its key to ring if it has a
-    /// [wake source](GridTask::wake_on), for the pool's next re-poll if
-    /// not.
+    /// [wake source](GridTask::wake_on). One without goes back on the
+    /// ready queue after its worker yields the core once.
     Idle,
     /// The task is finished and leaves the scheduler.
     Complete,
@@ -140,9 +131,9 @@ pub enum TaskPoll {
 /// relay pump — anything that advances in short, poll-sized steps.
 ///
 /// `poll` must not block indefinitely: a task waiting on its peer
-/// returns [`TaskPoll::Idle`] and is parked instead of pinning a worker
-/// (a `poll` that *does* block simply occupies its worker until it
-/// returns).
+/// returns [`TaskPoll::Idle`] and waits for its ring instead of pinning
+/// a worker (a `poll` that *does* block simply occupies its worker until
+/// it returns).
 pub trait GridTask: Send {
     /// Advances the task one step.
     fn poll(&mut self) -> TaskPoll;
@@ -153,23 +144,17 @@ pub trait GridTask: Send {
     /// ([`Endpoint::subscribe`](crate::Endpoint::subscribe)) — and return
     /// `true`. From then on an [`Idle`](TaskPoll::Idle) answer means "do
     /// not poll me again until my key rings", so every event the task
-    /// waits for must ring. The default declines: the task is re-polled
-    /// on the pool's own schedule.
+    /// waits for must ring. The default declines: the task stays on the
+    /// ready queues and an `Idle` answer only costs it one yield.
     fn wake_on(&mut self, _bell: &Doorbell, _key: usize) -> bool {
         false
     }
 }
 
-/// One worker's shard of the run-queue state. The owner pops `ready`
-/// from the front; thieves split off its back half. `parked` is only
-/// ever touched by the worker that owns the shard.
-struct LocalQueue<T> {
-    /// Runnable tasks tagged with their original index.
-    ready: VecDeque<(usize, T)>,
-    /// Idle tasks with no wake source; re-queued in one batch on this
-    /// worker's next progress or idle rung.
-    parked: Vec<(usize, T)>,
-}
+/// One worker's ready queue: runnable tasks tagged with their original
+/// index. The owner pops from the front; thieves split off the back
+/// half.
+type ReadyQueue<T> = VecDeque<(usize, T)>;
 
 /// Where a task with a wake source waits for its ring.
 struct Seat<T> {
@@ -184,25 +169,18 @@ struct Seat<T> {
 
 /// State shared by the whole pool.
 struct Pool<T> {
-    /// One run-queue shard per worker.
-    locals: Vec<Mutex<LocalQueue<T>>>,
+    /// One ready queue per worker.
+    locals: Vec<Mutex<ReadyQueue<T>>>,
     /// One seat per task, `Some` for the tasks that accepted the bell.
     seats: Vec<Option<Mutex<Seat<T>>>>,
     /// Rung with a task's index when it has mail, and with `seats.len()`
     /// once the run is over.
     bell: Doorbell,
-    /// Completed tasks, parked at their original index.
+    /// Completed tasks, kept at their original index.
     finished: Mutex<Vec<Option<T>>>,
     /// Tasks not yet complete (including any currently inside a worker's
     /// `poll` call).
     remaining: AtomicUsize,
-    /// Unfinished tasks without a wake source: while any exist, idle
-    /// workers must keep re-polling on the backoff ladder.
-    unsourced: AtomicUsize,
-    /// Bumped on every poll that made progress (or completed a task):
-    /// sleeping workers compare generations to reset their backoff the
-    /// moment the pool is busy again.
-    progress: AtomicU64,
 }
 
 impl<T: GridTask> Pool<T> {
@@ -210,12 +188,7 @@ impl<T: GridTask> Pool<T> {
     /// across `workers` ready queues.
     fn deal(tasks: Vec<T>, workers: usize) -> Self {
         let count = tasks.len();
-        let mut locals: Vec<LocalQueue<T>> = (0..workers)
-            .map(|_| LocalQueue {
-                ready: VecDeque::new(),
-                parked: Vec::new(),
-            })
-            .collect();
+        let mut locals: Vec<ReadyQueue<T>> = (0..workers).map(|_| VecDeque::new()).collect();
         let bell = Doorbell::new();
         let mut seats = Vec::with_capacity(count);
         for (index, mut task) in tasks.into_iter().enumerate() {
@@ -225,17 +198,14 @@ impl<T: GridTask> Pool<T> {
                     rung: false,
                 })
             }));
-            locals[index % workers].ready.push_back((index, task));
+            locals[index % workers].push_back((index, task));
         }
-        let unsourced = seats.iter().filter(|seat| seat.is_none()).count();
         Pool {
             locals: locals.into_iter().map(Mutex::new).collect(),
             seats,
             bell,
             finished: Mutex::new((0..count).map(|_| None).collect()),
             remaining: AtomicUsize::new(count),
-            unsourced: AtomicUsize::new(unsourced),
-            progress: AtomicU64::new(0),
         }
     }
 }
@@ -361,20 +331,12 @@ impl GridScheduler {
     }
 }
 
-fn lock<T>(queue: &Mutex<LocalQueue<T>>) -> MutexGuard<'_, LocalQueue<T>> {
+fn lock<T>(queue: &Mutex<ReadyQueue<T>>) -> MutexGuard<'_, ReadyQueue<T>> {
     queue.lock().expect("run queue poisoned")
 }
 
 fn sit<T>(seat: &Mutex<Seat<T>>) -> MutexGuard<'_, Seat<T>> {
     seat.lock().expect("seat poisoned")
-}
-
-/// Moves the worker's whole parked list back onto its ready queue in one
-/// batch (one lock acquisition) — the batched re-poll of tasks that have
-/// no wake source.
-fn requeue_parked<T>(q: &mut LocalQueue<T>) {
-    let parked = std::mem::take(&mut q.parked);
-    q.ready.extend(parked);
 }
 
 /// Answers one ring: lifts the task out of its seat if it is waiting
@@ -406,70 +368,39 @@ fn steal<T>(pool: &Pool<T>, me: usize, rng: &mut u64) -> Option<(usize, T)> {
         let victim = (me + 1 + (start + step) % (n - 1)) % n;
         let mut grabbed = {
             let mut q = lock(&pool.locals[victim]);
-            let len = q.ready.len();
+            let len = q.len();
             if len == 0 {
                 continue;
             }
-            q.ready.split_off(len - len.div_ceil(2))
+            q.split_off(len - len.div_ceil(2))
         };
         let first = grabbed.pop_front().expect("steal batch is non-empty");
         if !grabbed.is_empty() {
-            lock(&pool.locals[me]).ready.extend(grabbed);
+            lock(&pool.locals[me]).extend(grabbed);
         }
         return Some(first);
     }
     None
 }
 
-/// What worker `me` does with nothing runnable anywhere visible: sleep
-/// until a ring and return its key. A task without a wake source turns
-/// ready silently, so while one is unfinished the sleep is one rung of the
-/// shared ladder (reset if the pool made progress since `seen`) and ends
-/// with a fresh sweep of the worker's parked batch.
-fn wait_for_work<T>(
-    pool: &Pool<T>,
-    me: usize,
-    backoff: &mut Backoff,
-    seen: &mut u64,
-) -> Option<usize> {
-    if pool.unsourced.load(Ordering::Acquire) == 0 {
-        return Some(pool.bell.wait());
-    }
-    let now = pool.progress.load(Ordering::Acquire);
-    if now != *seen {
-        *seen = now;
-        backoff.reset();
-    }
-    let key = match backoff.pause() {
-        None => {
-            std::thread::yield_now();
-            pool.bell.try_next()
-        }
-        Some(rung) => pool.bell.wait_timeout(rung),
-    };
-    requeue_parked(&mut lock(&pool.locals[me]));
-    key
-}
-
 /// One worker: pop the local ready queue (answering the bell, then
 /// stealing, when it runs dry), poll the task outside any lock, act on
 /// the verdict; when no work is reachable anywhere, sleep on the bell.
+/// Nothing is runnable without a ring then: every task is seated, in a
+/// poll on another worker, or on a queue whose owner is awake.
 fn worker_loop<T: GridTask>(pool: &Pool<T>, me: usize, steal_seed: u64) {
-    let mut backoff = Backoff::new();
-    let mut seen = pool.progress.load(Ordering::Acquire);
     let mut rng = steal_rng(steal_seed, me);
     loop {
         if pool.remaining.load(Ordering::Acquire) == 0 {
             return;
         }
-        let popped = lock(&pool.locals[me]).ready.pop_front();
+        let popped = lock(&pool.locals[me]).pop_front();
         let job = popped
             .or_else(|| pool.bell.try_next().and_then(|key| answer(pool, key)))
             .or_else(|| steal(pool, me, &mut rng));
         let Some((index, mut task)) = job else {
-            let key = wait_for_work(pool, me, &mut backoff, &mut seen);
-            if let Some(woken) = key.and_then(|key| answer(pool, key)) {
-                lock(&pool.locals[me]).ready.push_back(woken);
+            if let Some(woken) = answer(pool, pool.bell.wait()) {
+                lock(&pool.locals[me]).push_back(woken);
             }
             continue;
         };
@@ -477,53 +408,42 @@ fn worker_loop<T: GridTask>(pool: &Pool<T>, me: usize, steal_seed: u64) {
         if let Some(seat) = seat {
             sit(seat).rung = false;
         }
-        let verdict = task.poll();
-        if matches!(verdict, TaskPoll::Progress | TaskPoll::Complete) {
-            // The single productive-verdict site: publish the pool-wide
-            // progress epoch and return this worker's ladder to the hot
-            // state exactly once per poll, whatever the verdict arm does
-            // with the task afterwards.
-            pool.progress.fetch_add(1, Ordering::Release);
-            backoff.reset();
-        }
-        match verdict {
-            TaskPoll::Progress => {
+        match (task.poll(), seat) {
+            (TaskPoll::Idle, Some(seat)) => {
+                let mut seat = sit(seat);
+                if std::mem::take(&mut seat.rung) {
+                    drop(seat);
+                    lock(&pool.locals[me]).push_back((index, task));
+                } else {
+                    seat.waiting = Some(task);
+                }
+            }
+            (verdict @ (TaskPoll::Progress | TaskPoll::Idle), _) => {
+                if verdict == TaskPoll::Idle {
+                    // No wake source: nothing will ring for this task, so
+                    // it stays queued, and the yield gives whatever it
+                    // waits on a turn first.
+                    std::thread::yield_now();
+                }
                 // Progress usually means traffic flowed: give one rung
-                // task and this worker's parked batch a look at their
-                // share of it. (Answering the bell only when the local
-                // queue runs dry would let a task that keeps making
-                // progress starve the task it is waiting on.)
+                // task a look at its share of it. (Answering the bell
+                // only when the local queue runs dry would let a task
+                // that keeps getting mail starve the task it is waiting
+                // on.)
                 let woken = pool.bell.try_next().and_then(|key| answer(pool, key));
                 let mut q = lock(&pool.locals[me]);
-                q.ready.push_back((index, task));
-                q.ready.extend(woken);
-                requeue_parked(&mut q);
+                q.push_back((index, task));
+                q.extend(woken);
             }
-            TaskPoll::Idle => match seat {
-                Some(seat) => {
-                    let mut seat = sit(seat);
-                    if std::mem::take(&mut seat.rung) {
-                        drop(seat);
-                        lock(&pool.locals[me]).ready.push_back((index, task));
-                    } else {
-                        seat.waiting = Some(task);
-                    }
-                }
-                None => lock(&pool.locals[me]).parked.push((index, task)),
-            },
-            TaskPoll::Complete => {
+            (TaskPoll::Complete, _) => {
                 {
                     let mut done = pool.finished.lock().expect("finished list poisoned");
                     done[index] = Some(task);
-                }
-                if seat.is_none() {
-                    pool.unsourced.fetch_sub(1, Ordering::AcqRel);
                 }
                 if pool.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                     // The run is over: ring the sleepers out.
                     pool.bell.ring(pool.seats.len());
                 }
-                requeue_parked(&mut lock(&pool.locals[me]));
             }
         }
     }
@@ -596,8 +516,8 @@ mod tests {
     #[test]
     fn single_worker_drains_parked_tasks() {
         // A task that reports Idle until some *other* task has completed
-        // exercises the park/requeue path: with one worker, nothing else
-        // can be concurrently in flight.
+        // exercises the requeue path of a task without a wake source: with
+        // one worker, nothing else can be concurrently in flight.
         struct Waiter<'a> {
             done: &'a AtomicUsize,
             needs: usize,
@@ -617,7 +537,7 @@ mod tests {
         }
         let done = AtomicUsize::new(0);
         // Task i waits for i completions: a dependency chain that forces
-        // repeated park/requeue cycles in reverse queue order.
+        // repeated idle/requeue cycles in reverse queue order.
         let tasks: Vec<Waiter<'_>> = (0..8)
             .map(|i| Waiter {
                 done: &done,
@@ -632,8 +552,8 @@ mod tests {
     #[test]
     fn dependency_chain_crosses_worker_queues() {
         // The same dependency chain, but spread over more workers than
-        // tasks-with-work at any instant: completing it requires parked
-        // tasks on one worker's shard to be woken while other workers
+        // tasks-with-work at any instant: completing it requires idle
+        // tasks on one worker's queue to be re-polled while other workers
         // sit idle — the cross-shard steal/requeue interplay.
         struct Waiter<'a> {
             done: &'a AtomicUsize,
@@ -733,37 +653,6 @@ mod tests {
         for seed in [1, 0xDEAD_BEEF, u64::MAX] {
             assert_eq!(reference, run(seed), "seed {seed:#x}");
         }
-    }
-
-    #[test]
-    fn progress_epoch_ticks_once_per_productive_poll() {
-        // Drive worker_loop directly over a scripted pool: the shared
-        // progress epoch must advance exactly once per Progress/Complete
-        // verdict (the single hoisted productive-verdict site) and never
-        // on Idle polls.
-        struct Scripted {
-            verdicts: Vec<TaskPoll>,
-        }
-        impl GridTask for Scripted {
-            fn poll(&mut self) -> TaskPoll {
-                self.verdicts.pop().unwrap_or(TaskPoll::Complete)
-            }
-        }
-        // Popped back-to-front: 3 Idle sweeps, then Progress, Progress,
-        // Complete — 3 productive polls out of 6.
-        let script = vec![
-            TaskPoll::Complete,
-            TaskPoll::Progress,
-            TaskPoll::Progress,
-            TaskPoll::Idle,
-            TaskPoll::Idle,
-            TaskPoll::Idle,
-        ];
-        let pool = Pool::deal(vec![Scripted { verdicts: script }], 1);
-        worker_loop(&pool, 0, 0);
-        assert_eq!(pool.progress.load(Ordering::Acquire), 3);
-        assert_eq!(pool.remaining.load(Ordering::Acquire), 0);
-        assert!(pool.finished.lock().unwrap()[0].is_some());
     }
 
     #[test]

@@ -33,10 +33,11 @@
 //! Outbound: once [`OUTBOUND_HIGH_WATER`] frames wait for the writer, a
 //! sender blocks until the writer has taken them — which it cannot do
 //! while the kernel refuses its previous batch, so a peer that stops
-//! reading stops its sender, with a bounded amount queued. Inbound: the
-//! reader stops pulling frames off the socket once more than
-//! [`INBOUND_HIGH_WATER`] messages are queued locally, letting the
-//! kernel's TCP window throttle the peer. Both are timing-only — they
+//! reading stops its sender, with a bounded amount queued. Inbound: once
+//! more than [`INBOUND_HIGH_WATER`] messages are queued locally the
+//! reader sleeps until the receiving side has taken the queue back down
+//! to the mark (the receive that does so wakes it), letting the kernel's
+//! TCP window throttle the peer meanwhile. Both are timing-only — they
 //! change when bytes move, never what is charged.
 //!
 //! # Endings
@@ -52,7 +53,7 @@
 use crate::transport::{HangUp, Subscription};
 use crate::wire::{append_frame, read_frame, recv_welcome, send_hello, Frame, Hello, Welcome};
 use crate::wire::{ROLE_PARTICIPANT, ROLE_SUPERVISOR};
-use crate::{Backoff, Doorbell, GridError, GridLink, LinkStats, Message, FRAME_HEADER_BYTES};
+use crate::{Doorbell, GridError, GridLink, LinkStats, Message, FRAME_HEADER_BYTES};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -119,6 +120,9 @@ struct Wire {
     /// Senders sleep here at the high-water mark; `Drop` waits here for
     /// `flushed`.
     room: Condvar,
+    /// The reader sleeps here, under `out`'s lock, while `depth` is above
+    /// [`INBOUND_HIGH_WATER`].
+    drained: Condvar,
     /// Data frames queued inbound and not yet received.
     depth: AtomicUsize,
     /// What killed the stream, if it died abnormally; reported once.
@@ -203,17 +207,19 @@ fn reader_loop(
     announce: HangUp,
 ) {
     let mut stream = BufReader::with_capacity(READ_BUFFER_BYTES, &wire.stream);
-    let mut backoff = Backoff::new();
     'stream: loop {
         // Backpressure: stop reading while the local queue is deep; the
         // socket buffer fills and TCP flow control throttles the peer.
-        while wire.depth.load(Ordering::Acquire) > INBOUND_HIGH_WATER {
-            if wire.out().closing {
-                break 'stream; // the link is gone: nobody will drain it
+        // (`depth` is re-read under the lock the waking receive takes.)
+        if wire.depth.load(Ordering::Acquire) > INBOUND_HIGH_WATER {
+            let mut out = wire.out();
+            while wire.depth.load(Ordering::Acquire) > INBOUND_HIGH_WATER {
+                if out.closing {
+                    break 'stream; // the link is gone: nobody will drain it
+                }
+                out = wire.drained.wait(out).expect("tcp outbound queue poisoned");
             }
-            backoff.wait();
         }
-        backoff.reset();
         let queued = match read_frame(&mut stream) {
             Ok(Some(Frame::Data(payload))) => {
                 wire.depth.fetch_add(1, Ordering::AcqRel);
@@ -341,6 +347,7 @@ impl TcpLink {
             out: Mutex::default(),
             work: Condvar::new(),
             room: Condvar::new(),
+            drained: Condvar::new(),
             depth: AtomicUsize::new(0),
             terminal: Mutex::new(None),
         });
@@ -395,9 +402,15 @@ impl TcpLink {
             .unwrap_or(GridError::Disconnected)
     }
 
-    /// Books one received data frame and decodes it.
+    /// Books one received data frame and decodes it, waking the reader
+    /// if this receive took the queue back down to the high-water mark.
     fn deliver(&self, frame: &[u8]) -> Result<(Message, u64), GridError> {
-        self.wire.depth.fetch_sub(1, Ordering::AcqRel);
+        if self.wire.depth.fetch_sub(1, Ordering::AcqRel) == INBOUND_HIGH_WATER + 1 {
+            // Under the lock the reader checks `depth` with, so the
+            // notification cannot fall between its check and its wait.
+            let _out = self.wire.out();
+            self.wire.drained.notify_one();
+        }
         let charged = frame.len() as u64 + FRAME_HEADER_BYTES;
         self.inbound.bytes.fetch_add(charged, Ordering::Relaxed);
         self.inbound.messages.fetch_add(1, Ordering::Relaxed);
@@ -456,6 +469,7 @@ impl Drop for TcpLink {
             out.closing = true;
             self.wire.work.notify_all();
             self.wire.room.notify_all();
+            self.wire.drained.notify_one();
             let _ = self
                 .wire
                 .room

@@ -22,7 +22,10 @@ fn assert_row_matches_leaf_values(behaviour: &dyn WorkerBehaviour, task: &dyn Co
             .flat_map(|i| behaviour.leaf_value(task, domain, i, &per_leaf))
             .collect();
         let batched = CostLedger::new();
-        let row = behaviour.leaf_row(task, domain, &batched).unwrap();
+        let row = behaviour
+            .leaf_row(task, domain, &batched)
+            .unwrap()
+            .expect("a small row fits");
         let context = format!("{} on {} n={n}", behaviour.name(), task.name());
         assert_eq!(
             row.len() as u64,
@@ -113,7 +116,8 @@ fn honest_override_batches_in_1024_input_chunks_through_every_pointer() {
         let ledger = CostLedger::new();
         let row = behaviour
             .leaf_row(&probe, Domain::new(0, 2500), &ledger)
-            .unwrap();
+            .unwrap()
+            .expect("a small row fits");
         assert_eq!(row.len(), 2500);
         assert_eq!(row[2499], 2499u64.to_le_bytes()[0]);
         assert_eq!(probe.batch_calls.load(Ordering::Relaxed), 3);

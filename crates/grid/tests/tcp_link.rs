@@ -9,7 +9,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
-use ugc_grid::tcp::OUTBOUND_HIGH_WATER;
+use ugc_grid::tcp::{INBOUND_HIGH_WATER, OUTBOUND_HIGH_WATER};
 use ugc_grid::wire::{write_frame, Frame};
 use ugc_grid::{
     Assignment, Broker, Doorbell, GridError, GridLink, LinkStats, Message, TcpLink,
@@ -249,6 +249,64 @@ fn dropping_the_link_releases_a_sender_blocked_on_its_control_plane() {
         // after its patience, and the blocked sender is refused at once.
         drop(link);
         assert_eq!(sender.join().unwrap(), GridError::Disconnected);
+    });
+}
+
+/// 64 MiB in 1 KiB frames: far more than the inbound high-water mark and
+/// both kernel socket buffers hold.
+const FLOOD_FRAMES: u64 = 64 * 1024;
+
+fn kib_frame(i: u64) -> Message {
+    Message::Commit {
+        task_id: i,
+        root: vec![i.to_le_bytes()[0]; 1000],
+    }
+}
+
+#[test]
+fn a_receiver_that_takes_nothing_stops_the_reader_then_the_sender() {
+    must_finish(|| {
+        let (a, b) = loopback_pair();
+        let accepted = Arc::new(AtomicU64::new(0));
+        let sender = {
+            let accepted = Arc::clone(&accepted);
+            std::thread::spawn(move || {
+                let charges: Vec<u64> = (0..FLOOD_FRAMES)
+                    .map(|i| {
+                        let charged = a.send_counted(&kib_frame(i)).unwrap();
+                        accepted.fetch_add(1, Ordering::SeqCst);
+                        charged
+                    })
+                    .collect();
+                (charges, a)
+            })
+        };
+        // `b` receives nothing: its reader queues frames up to the mark
+        // and stops, the kernel's buffers fill, and the sender is held.
+        let stalled_at = wait_until_blocked(&accepted);
+        assert!(
+            !sender.is_finished(),
+            "all {FLOOD_FRAMES} frames were taken: the reader never stopped"
+        );
+        assert!(
+            stalled_at > INBOUND_HIGH_WATER as u64,
+            "stalled after {stalled_at} frames, before the reader's queue was full"
+        );
+        assert!(
+            stalled_at * 1024 <= STALLED_BYTES_CEILING,
+            "{stalled_at} frames accepted for a receiver that takes nothing"
+        );
+        // Draining releases the reader, then the sender: every frame, in
+        // order, charged alike on both ends.
+        let received: Vec<u64> = (0..FLOOD_FRAMES)
+            .map(|i| {
+                let (got, charged) = b.recv_counted().unwrap();
+                assert_eq!(got, kib_frame(i), "frame {i} out of order or damaged");
+                charged
+            })
+            .collect();
+        let (sent, _a) = sender.join().unwrap();
+        assert_eq!(sent, received, "per-frame charges differ between the ends");
     });
 }
 

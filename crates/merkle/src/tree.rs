@@ -125,6 +125,15 @@ fn hash_row<H: HashFunction>(
     nodes
 }
 
+/// Bytes in a row of `leaves` leaves of `width` bytes each; panics
+/// rather than wrap to the size of some other tree's row.
+fn row_bytes(leaves: u64, width: usize) -> usize {
+    usize::try_from(leaves)
+        .ok()
+        .and_then(|leaves| leaves.checked_mul(width))
+        .expect("leaf row larger than the address space")
+}
+
 /// Fills `row` with the leaves from index `base` on: `provider(i)` for
 /// every real leaf `i < n`, width-checked, zeros for the padding past
 /// `n`. Returns the number of provider calls made.
@@ -331,6 +340,10 @@ impl<H: HashFunction> MerkleTree<H> {
     /// * [`MerkleError::ZeroLeafWidth`] if `leaf_width == 0`.
     /// * [`MerkleError::MixedLeafWidth`] if `leaf_fn` returns a wrong-width
     ///   result.
+    ///
+    /// # Panics
+    ///
+    /// If `n · leaf_width` bytes overflow `usize`: no machine holds that row.
     pub fn from_leaf_fn<F>(n: u64, leaf_width: usize, leaf_fn: F) -> Result<Self, MerkleError>
     where
         F: FnMut(u64) -> Vec<u8>,
@@ -360,8 +373,8 @@ impl<H: HashFunction> MerkleTree<H> {
             return Err(MerkleError::ZeroLeafWidth);
         }
         // Room for the padding, so `from_leaf_row` extends in place.
-        let mut row = Vec::with_capacity((padded_leaf_count(n) as usize) * width);
-        row.resize(n as usize * width, 0);
+        let mut row = Vec::with_capacity(row_bytes(padded_leaf_count(n), width));
+        row.resize(row_bytes(n, width), 0);
         fill_leaves(&mut row, 0, n, width, &mut leaf_fn)?;
         Self::from_leaf_row(row, width, parallelism, lanes)
     }
@@ -427,7 +440,7 @@ impl<H: HashFunction> MerkleTree<H> {
             });
         }
         let padded = padded_leaf_count(n);
-        row.resize((padded as usize) * width, 0);
+        row.resize(row_bytes(padded, width), 0);
         let nodes = hash_row::<H>(&row, width, parallelism.get(), lanes);
         Ok(MerkleTree {
             leaves: row,
