@@ -13,11 +13,16 @@
 //!   its own thread ([`TransportKind::Brokered`]).
 //! * [`RemoteGridBackend`] — a [`TcpLink`] into a `ugc broker serve`
 //!   process that relays to participants in *other* OS processes
-//!   ([`TransportKind::Remote`]). The participants report their cost
-//!   ledgers and outcomes back as [`SlotReport`] control frames, so a
-//!   cross-process campaign produces a summary digest bit-identical to
-//!   the in-process brokered run of the same parameters (proven in
-//!   `tests/wire_equivalence.rs` and in CI's `cross-process` job).
+//!   ([`TransportKind::Remote`]). The participants send their
+//!   [`SlotReport`]s back as control frames, so a cross-process campaign
+//!   produces a summary digest bit-identical to the in-process brokered
+//!   run of the same parameters (proven in `tests/wire_equivalence.rs`
+//!   and in CI's `cross-process` job).
+//!
+//! Every participant slot, local or remote, ends the same way: it runs
+//! its session against a ledger of its own and hands back a
+//! [`SlotReport`] — from the scheduler pool in this process, or over the
+//! wire from another.
 //!
 //! Which backend a fleet uses is configuration
 //! ([`MixedFleetConfig::transport`](crate::MixedFleetConfig)), not code:
@@ -60,28 +65,17 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
-    /// The digest class this transport belongs to, as journaled in the
-    /// [`CampaignHeader`](crate::CampaignHeader): `0` for [`Direct`](Self::Direct),
-    /// `1` for the relayed transports. [`Brokered`](Self::Brokered) and
-    /// [`Remote`](Self::Remote) deliberately share class `1`: the relay
-    /// semantics (round-robin dispatch, `Gone` NACKs, per-message
-    /// charging) are identical, so their digests cannot differ and a
-    /// campaign may resume across that backend change. `Direct` is a
-    /// distinct class — its engine never sees `Gone` NACKs, so resuming
-    /// a direct campaign over a relay (or vice versa) is refused.
-    #[must_use]
-    pub fn digest_class(self) -> u8 {
-        match self {
-            TransportKind::Direct => 0,
-            TransportKind::Brokered | TransportKind::Remote => 1,
-        }
-    }
-
     /// The canonical representative of this transport's digest class —
     /// what [`CampaignHeader::for_campaign`](crate::CampaignHeader::for_campaign)
     /// stores, so headers compare equal exactly when digests cannot
-    /// differ. Execution-only socket details (addresses, process
-    /// layout) never reach the header at all.
+    /// differ. [`Brokered`](Self::Brokered) and [`Remote`](Self::Remote)
+    /// share a class: the relay semantics (round-robin dispatch, `Gone`
+    /// NACKs, per-message charging) are identical, so their digests
+    /// cannot differ and a campaign may resume across that backend
+    /// change. [`Direct`](Self::Direct) is a class of its own — its
+    /// engine never sees `Gone` NACKs, so resuming a direct campaign over
+    /// a relay (or vice versa) is refused. Execution-only socket details
+    /// (addresses, process layout) never reach the header at all.
     #[must_use]
     pub fn digest_canonical(self) -> Self {
         match self {
@@ -91,19 +85,20 @@ impl TransportKind {
     }
 }
 
-/// One remote participant slot's end-of-session report: everything the
-/// supervisor needs from the far side to finish its books — the costs
-/// the slot's ledger accumulated and the participant-side outcome.
+/// One participant slot's end-of-session report: everything the
+/// supervisor needs from the slot to finish its books — the costs the
+/// slot's own ledger accumulated and the participant-side outcome.
 ///
-/// Sent by `ugc participant join` as a control frame (outside the
-/// charged data plane, exactly like the in-process ledger clones are
-/// outside the message flow) once the slot's session completes.
+/// A slot hosted in this process returns it from its scheduler task; a
+/// remote one, served by `ugc participant join`, sends it as a control
+/// frame, outside the charged data plane, once the slot's session
+/// completes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotReport {
     /// The global slot (== task id: the orchestrator numbers slots with
     /// one counter across the roster).
     pub slot: u64,
-    /// The cost ledger delta this slot's session accumulated.
+    /// What this slot's session charged (its ledger is fresh per slot).
     pub costs: CostReport,
     /// The participant-side result: whether the session found a report
     /// of interest, or the protocol error that killed it.
@@ -228,8 +223,8 @@ pub trait TransportBackend {
 
     /// Collects the round's [`SlotReport`]s — one per global slot,
     /// sorted by slot — from participants *not* hosted in this process.
-    /// In-process backends return an empty list: their participant
-    /// ledgers and outcomes were shared directly.
+    /// In-process backends return an empty list: their slots report from
+    /// the scheduler pool instead.
     ///
     /// Called after the engine finishes but while the round's links are
     /// still open (a remote peer delivers reports over the same
@@ -414,9 +409,10 @@ mod tests {
 
     #[test]
     fn digest_classes() {
-        assert_eq!(TransportKind::Direct.digest_class(), 0);
-        assert_eq!(TransportKind::Brokered.digest_class(), 1);
-        assert_eq!(TransportKind::Remote.digest_class(), 1);
+        assert_eq!(
+            TransportKind::Brokered.digest_canonical(),
+            TransportKind::Brokered
+        );
         assert_eq!(
             TransportKind::Remote.digest_canonical(),
             TransportKind::Brokered

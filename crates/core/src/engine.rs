@@ -28,8 +28,12 @@
 //! dedicated [`Endpoint`] would have counted — so
 //! engine-multiplexed byte counts match a blocking one-link-per-round
 //! driver's bit for bit.
+//!
+//! The engine keeps no books beyond its run: [`SessionEngine::run`]
+//! returns one [`SessionResult`] per session, in registration order, and
+//! whoever registered the sessions decides what they mean — for a
+//! durable campaign, the orchestrator journals them.
 
-use crate::journal::CampaignRecorder;
 use crate::session::{SessionOutcome, SupervisorSession};
 use crate::SchemeError;
 use std::collections::HashMap;
@@ -252,7 +256,6 @@ pub struct SessionEngine<'a> {
     envelope: bool,
     next_session_id: u64,
     deadline: Option<Duration>,
-    recorder: Option<&'a CampaignRecorder>,
 }
 
 impl Default for SessionEngine<'_> {
@@ -273,7 +276,6 @@ impl<'a> SessionEngine<'a> {
             envelope: false,
             next_session_id: 0,
             deadline: None,
-            recorder: None,
         }
     }
 
@@ -302,13 +304,6 @@ impl<'a> SessionEngine<'a> {
             envelope: true,
             ..Self::new()
         }
-    }
-
-    /// Journals every settled session through `recorder` when the engine
-    /// finishes: one `Settled` record per slot, in registration order, so
-    /// a resumed campaign can replay outcomes without re-running sessions.
-    pub(crate) fn with_recorder(&mut self, recorder: &'a CampaignRecorder) {
-        self.recorder = Some(recorder);
     }
 
     /// Registers a session whose slots answer to `task_ids`, returning the
@@ -528,9 +523,7 @@ impl<'a> SessionEngine<'a> {
             Self::settle(slot, &mut self.active, step);
         }
 
-        let recorder = self.recorder;
-        let results: Vec<SessionResult> = self
-            .slots
+        self.slots
             .into_iter()
             .map(|slot| SessionResult {
                 outcome: match slot.state {
@@ -540,15 +533,7 @@ impl<'a> SessionEngine<'a> {
                 },
                 link: slot.link,
             })
-            .collect();
-        // Journal-before-effect: every settled session is durable before
-        // the orchestrator acts on it. Registration order == roster order.
-        if let Some(recorder) = recorder {
-            for (index, result) in results.iter().enumerate() {
-                recorder.settled(index, result);
-            }
-        }
-        results
+            .collect()
     }
 }
 

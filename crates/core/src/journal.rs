@@ -4,25 +4,29 @@
 //! The journal crate knows only about opaque payloads; this module gives
 //! them meaning. A durable campaign writes one [`CampaignHeader`] record
 //! (so `--resume` can reconstruct the run from the file alone), then a
-//! strictly sequential stream of round records:
+//! strictly sequential stream of round records. The orchestrator's round
+//! loop writes all of them, through one [`DurableCampaign`]; the session
+//! engine never touches the journal:
 //!
 //! | tag | record | written by | contents |
 //! |----:|--------|------------|----------|
 //! | 1 | `Header` | [`DurableCampaign::create`] | fleet shape, domain, chaos plan, CLI blob |
-//! | 2 | `RoundStart` | orchestrator | round number, roster (member indices) |
-//! | 3 | `Settled` | session engine | per-session outcome + link stats, in registration order |
-//! | 4 | `MemberState` | orchestrator | per-member `CostLedger` deltas + participant results |
-//! | 5 | `RoundEnd` | orchestrator | round number, sorted fault events — the commit marker |
-//! | 6 | `Finished` | orchestrator | the campaign summary digest, then the seal |
+//! | 2 | `RoundStart` | `round_start`, before the round runs | round number, roster (member indices) |
+//! | 3 | `Settled` | `commit`, from the engine's results | per-session outcome + link stats, in roster order |
+//! | 4 | `MemberState` | `commit` | per-member round costs + participant results, in roster order |
+//! | 5 | `RoundEnd` | `commit` | round number, sorted fault events — the commit marker |
+//! | 6 | `Finished` | `finish` | the campaign summary digest, then the seal |
 //!
 //! Recovery is *round-atomic*: [`DurableCampaign::resume`] replays only
 //! rounds that reached their `RoundEnd` commit marker, truncates everything
-//! after the last one (including a torn tail), and hands the orchestrator a
-//! [`ReplayState`] that seeds its loop exactly where the dead process left
-//! off. Because every record the campaign loop writes is a pure function of
-//! the seed, the resumed run's verdicts, attempts, cost ledgers and fault
-//! log are bit-identical to a never-killed run — the invariant
-//! `tests/crash_resume.rs` proves at every kill point.
+//! after the last one (including a torn tail), and applies each committed
+//! round to the campaign state through the same `CampaignState::apply` the
+//! live loop calls — after checking that it is a round a live run could
+//! have committed next. Because every record the campaign loop writes is a
+//! pure function of the seed, the resumed run's verdicts, attempts, cost
+//! ledgers, fault log and journal bytes are identical to a never-killed
+//! run's — the invariant `tests/crash_resume.rs` proves at every kill
+//! point.
 //!
 //! This file is deliberately named `journal.rs`: `ugc-lint`'s `lossy-cast`
 //! rule audits journal/codec paths, so every narrowing here must be a
@@ -30,17 +34,18 @@
 
 use crate::backend::TransportKind;
 use crate::engine::SessionResult;
-use crate::orchestrator::{FleetSummary, MemberSpec, MixedFleetConfig};
+use crate::orchestrator::{
+    CampaignState, FleetSummary, MemberBooks, MemberSpec, MixedFleetConfig, RoundRecord,
+};
 use crate::session::SessionOutcome;
 use crate::{ParticipantStorage, SchemeError, Verdict};
 use std::path::Path;
-use std::sync::Mutex;
 use std::time::Duration;
 use ugc_grid::codec::{
     get_bytes, get_u32, get_u64, get_u64_list, put_bytes, put_u32, put_u64, put_u64_list,
 };
 use ugc_grid::runtime::{FaultEvent, FaultPlan, LinkDirection};
-use ugc_grid::{CostLedger, CostReport, GridError, LinkStats};
+use ugc_grid::{CostReport, GridError, LinkStats};
 use ugc_hash::{HashFunction, Sha256};
 use ugc_journal::{read_journal, CrashPlan, JournalError, JournalWriter, TailStatus};
 use ugc_merkle::{MerkleError, OpeningRow};
@@ -667,7 +672,13 @@ fn encode_header(header: &CampaignHeader) -> Vec<u8> {
             put_u32(&mut buf, subtree_height);
         }
     }
-    put_u8(&mut buf, header.transport.digest_class());
+    put_u8(
+        &mut buf,
+        match header.transport.digest_canonical() {
+            TransportKind::Direct => 0,
+            _ => 1,
+        },
+    );
     put_u8(&mut buf, u8::from(header.envelope));
     match header.chaos {
         None => put_u8(&mut buf, 0),
@@ -772,9 +783,7 @@ enum Record {
     },
     MemberState {
         member: u64,
-        sup_delta: CostReport,
-        part_delta: CostReport,
-        part_results: Vec<Result<bool, SchemeError>>,
+        books: MemberBooks,
     },
     RoundEnd {
         round: u32,
@@ -801,18 +810,13 @@ fn encode_settled(roster_index: usize, result: &SessionResult) -> Vec<u8> {
     buf
 }
 
-fn encode_member_state(
-    member: usize,
-    sup_delta: &CostReport,
-    part_delta: &CostReport,
-    part_results: &[Result<bool, SchemeError>],
-) -> Vec<u8> {
+fn encode_member_state(member: usize, books: &MemberBooks) -> Vec<u8> {
     let mut buf = vec![TAG_MEMBER_STATE];
     put_u64(&mut buf, member as u64);
-    put_report(&mut buf, sup_delta);
-    put_report(&mut buf, part_delta);
-    put_usize(&mut buf, part_results.len());
-    for result in part_results {
+    put_report(&mut buf, &books.sup_costs);
+    put_report(&mut buf, &books.part_costs);
+    put_usize(&mut buf, books.part_results.len());
+    for result in &books.part_results {
         put_part_result(&mut buf, result);
     }
     buf
@@ -850,8 +854,8 @@ fn decode_record(payload: &[u8]) -> Result<Record, SchemeError> {
         },
         TAG_MEMBER_STATE => {
             let member = get_u64(&mut buf, "member index")?;
-            let sup_delta = get_report(&mut buf)?;
-            let part_delta = get_report(&mut buf)?;
+            let sup_costs = get_report(&mut buf)?;
+            let part_costs = get_report(&mut buf)?;
             let count = get_usize(&mut buf, "participant result count")?;
             let mut part_results = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
@@ -859,9 +863,11 @@ fn decode_record(payload: &[u8]) -> Result<Record, SchemeError> {
             }
             Record::MemberState {
                 member,
-                sup_delta,
-                part_delta,
-                part_results,
+                books: MemberBooks {
+                    sup_costs,
+                    part_costs,
+                    part_results,
+                },
             }
         }
         TAG_ROUND_END => {
@@ -888,190 +894,8 @@ fn decode_record(payload: &[u8]) -> Result<Record, SchemeError> {
 }
 
 // ---------------------------------------------------------------------------
-// The recorder: journal-before-effect hooks for engine and orchestrator.
-// ---------------------------------------------------------------------------
-
-/// The write side of a durable campaign, shared between the orchestrator
-/// loop and the [`SessionEngine`](crate::engine::SessionEngine).
-///
-/// Append failures (I/O, or an injected [`CrashPlan`] kill point) never
-/// panic mid-round: the first failure is latched, subsequent appends are
-/// no-ops, and the orchestrator checks [`failure`](Self::failure) at the
-/// next round boundary — which is exactly the crash semantics the resume
-/// path is built for.
-pub struct CampaignRecorder {
-    inner: Mutex<RecorderInner>,
-}
-
-struct RecorderInner {
-    /// `None` when replaying a sealed journal: the campaign is read-only.
-    writer: Option<JournalWriter>,
-    failure: Option<String>,
-}
-
-impl CampaignRecorder {
-    fn with_writer(writer: Option<JournalWriter>) -> Self {
-        CampaignRecorder {
-            inner: Mutex::new(RecorderInner {
-                writer,
-                failure: None,
-            }),
-        }
-    }
-
-    fn append(&self, payload: &[u8]) {
-        let mut inner = self.inner.lock().expect("recorder lock poisoned");
-        if inner.failure.is_some() {
-            return;
-        }
-        let Some(writer) = inner.writer.as_mut() else {
-            return;
-        };
-        if let Err(e) = writer.append(payload) {
-            inner.failure = Some(e.to_string());
-        }
-    }
-
-    /// Journals the start of reassignment round `round` over `roster`.
-    pub(crate) fn round_start(&self, round: u32, roster: &[usize]) {
-        self.append(&encode_round_start(round, roster));
-    }
-
-    /// Journals one settled session (called by the engine, in
-    /// registration == roster order).
-    pub(crate) fn settled(&self, roster_index: usize, result: &SessionResult) {
-        self.append(&encode_settled(roster_index, result));
-    }
-
-    /// Journals one member's per-round ledger deltas and participant
-    /// results.
-    pub(crate) fn member_state(
-        &self,
-        member: usize,
-        sup_delta: &CostReport,
-        part_delta: &CostReport,
-        part_results: &[Result<bool, SchemeError>],
-    ) {
-        self.append(&encode_member_state(
-            member,
-            sup_delta,
-            part_delta,
-            part_results,
-        ));
-    }
-
-    /// Journals the round's commit marker with its sorted fault events.
-    pub(crate) fn round_end(&self, round: u32, events: &[FaultEvent]) {
-        self.append(&encode_round_end(round, events));
-    }
-
-    /// Journals the summary digest and seals the journal with the
-    /// attestation record.
-    ///
-    /// # Errors
-    ///
-    /// Any latched or fresh journal failure, as
-    /// [`SchemeError::Journal`].
-    pub(crate) fn finish(&self, digest: &str) -> Result<(), SchemeError> {
-        self.append(&encode_finished(digest));
-        let mut inner = self.inner.lock().expect("recorder lock poisoned");
-        if inner.failure.is_none() {
-            if let Some(writer) = inner.writer.as_mut() {
-                if let Err(e) = writer.seal() {
-                    inner.failure = Some(e.to_string());
-                }
-            }
-        }
-        match &inner.failure {
-            Some(reason) => Err(SchemeError::Journal {
-                reason: reason.clone(),
-            }),
-            None => Ok(()),
-        }
-    }
-
-    /// The latched failure, if any append has failed.
-    pub(crate) fn failure(&self) -> Option<String> {
-        self.inner
-            .lock()
-            .expect("recorder lock poisoned")
-            .failure
-            .clone()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Replay and resume.
 // ---------------------------------------------------------------------------
-
-/// One member's journaled per-round effects, staged while the round's
-/// records are scanned and applied only once its commit marker is seen:
-/// `(member, supervisor delta, participant delta, participant verdicts)`.
-type StagedMemberState = (
-    usize,
-    CostReport,
-    CostReport,
-    Vec<Result<bool, SchemeError>>,
-);
-
-/// Orchestrator state reconstructed from the journal's committed rounds:
-/// the campaign loop starts from here instead of from scratch.
-pub(crate) struct ReplayState {
-    pub(crate) attempts: Vec<u32>,
-    pub(crate) finals: Vec<Option<SessionResult>>,
-    pub(crate) part_outcomes: Vec<Vec<Result<bool, SchemeError>>>,
-    pub(crate) sup_deltas: Vec<CostReport>,
-    pub(crate) part_deltas: Vec<CostReport>,
-    pub(crate) fault_events: Vec<FaultEvent>,
-    pub(crate) total_sessions: u64,
-    pub(crate) total_bytes: u64,
-    pub(crate) next_round: u32,
-}
-
-impl ReplayState {
-    fn empty(members: usize) -> Self {
-        ReplayState {
-            attempts: vec![0; members],
-            finals: (0..members).map(|_| None).collect(),
-            part_outcomes: vec![Vec::new(); members],
-            sup_deltas: vec![CostReport::default(); members],
-            part_deltas: vec![CostReport::default(); members],
-            fault_events: Vec::new(),
-            total_sessions: 0,
-            total_bytes: 0,
-            next_round: 0,
-        }
-    }
-}
-
-/// Field-wise sum used when replaying per-round ledger deltas.
-fn add_report(total: &mut CostReport, delta: &CostReport) {
-    total.f_evals += delta.f_evals;
-    total.hash_ops += delta.hash_ops;
-    total.hash_wall_ops += delta.hash_wall_ops;
-    total.g_evals += delta.g_evals;
-    total.verify_ops += delta.verify_ops;
-}
-
-/// Field-wise difference between two ledger snapshots (counters are
-/// monotonic, so this never underflows).
-pub(crate) fn report_delta(now: &CostReport, before: &CostReport) -> CostReport {
-    CostReport {
-        f_evals: now.f_evals - before.f_evals,
-        hash_ops: now.hash_ops - before.hash_ops,
-        hash_wall_ops: now.hash_wall_ops - before.hash_wall_ops,
-        g_evals: now.g_evals - before.g_evals,
-        verify_ops: now.verify_ops - before.verify_ops,
-    }
-}
-
-/// Charges a replayed delta into a fresh ledger.
-pub(crate) fn charge_report(ledger: &CostLedger, report: &CostReport) {
-    ledger.charge_f(report.f_evals);
-    ledger.charge_hash_parallel(report.hash_ops, report.hash_wall_ops);
-    ledger.charge_g(report.g_evals);
-    ledger.charge_verify(report.verify_ops);
-}
 
 /// What [`DurableCampaign::resume`] found in the journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1097,16 +921,18 @@ pub struct ResumeReport {
 /// [`resume`](Self::resume) to pick up a killed one, then pass it to
 /// [`run_durable_fleet`](crate::run_durable_fleet).
 pub struct DurableCampaign {
-    recorder: CampaignRecorder,
+    /// `None` for a sealed journal: a finished campaign is read-only.
+    writer: Option<JournalWriter>,
     header: CampaignHeader,
-    replay: Option<ReplayState>,
+    /// The replayed state, until the round loop takes it.
+    state: Option<CampaignState>,
 }
 
 impl std::fmt::Debug for DurableCampaign {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableCampaign")
             .field("header", &self.header)
-            .field("replayed", &self.replay.is_some())
+            .field("replayed", &self.state.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -1130,23 +956,27 @@ impl DurableCampaign {
             .map_err(|e| jerr(&e))?;
         writer.arm(crash);
         Ok(DurableCampaign {
-            recorder: CampaignRecorder::with_writer(Some(writer)),
+            writer: Some(writer),
             header,
-            replay: None,
+            state: None,
         })
     }
 
     /// Resumes a killed campaign from its journal: scans the file,
     /// truncates the torn tail and any uncommitted round, replays every
-    /// committed round into the internal replay state, and re-opens the journal
-    /// for appending (arming `crash` for the continuation). A sealed
-    /// journal resumes read-only: the campaign re-derives its summary
-    /// without writing anything.
+    /// committed round through the same `CampaignState::apply` the live
+    /// loop calls, and re-opens the journal for appending (arming `crash`
+    /// for the continuation). A sealed journal resumes read-only:
+    /// the campaign re-derives its summary without writing anything.
     ///
     /// # Errors
     ///
     /// [`SchemeError::Journal`] when the file is not a journal, has no
-    /// header record, or contains records this build cannot decode.
+    /// header record, contains records this build cannot decode, or
+    /// commits a round no live run could have written: one that is not
+    /// the next round, lies beyond the header's retry budget, does not
+    /// run exactly the members still pending, or does not settle and book
+    /// each of them once, in roster order.
     pub fn resume(path: &Path, crash: CrashPlan) -> Result<(Self, ResumeReport), SchemeError> {
         let journal = read_journal(path).map_err(|e| jerr(&e))?;
         let torn = match &journal.tail {
@@ -1169,114 +999,76 @@ impl DurableCampaign {
                     .to_string(),
             ));
         };
-        let members = header.member_slots.len();
-        let mut state = ReplayState::empty(members);
+        let mut state = CampaignState::new(header.member_slots.len());
         let mut rounds_replayed = 0u32;
         // Records kept on resume: the header, plus everything up to (and
         // including) the last committed RoundEnd. A trailing uncommitted
         // round — or an unsealed Finished record — is truncated and re-run.
         let mut keep: u64 = 1;
-        let mut current: Option<(u32, Vec<usize>)> = None;
+        // The round being read, until its RoundEnd commits it.
+        let mut open: Option<RoundRecord> = None;
         let mut finished_digest: Option<String> = None;
-        // Staged, not-yet-committed effects of the round being scanned.
-        let mut staged_settled: Vec<(usize, Result<SessionOutcome, SchemeError>, LinkStats)> =
-            Vec::new();
-        let mut staged_states: Vec<StagedMemberState> = Vec::new();
         for (offset, record) in records.enumerate() {
             let index = offset + 1; // absolute record index (0 = header)
+            let at = |reason: String| bad(format!("record {index}: {reason}"));
             match record {
-                Record::Header(_) => {
-                    return Err(bad(format!("duplicate header at record {index}")));
-                }
+                Record::Header(_) => return Err(at("duplicate header".to_string())),
                 Record::RoundStart { round, roster } => {
-                    if current.is_some() {
-                        return Err(bad(format!(
-                            "record {index}: round {round} started before the previous round ended"
+                    if open.is_some() {
+                        return Err(at(format!(
+                            "round {round} started before the previous round ended"
                         )));
                     }
-                    let mut members_in_round = Vec::with_capacity(roster.len());
-                    for raw in roster {
-                        let member = usize::try_from(raw)
-                            .ok()
-                            .filter(|&m| m < members)
-                            .ok_or_else(|| {
-                                bad(format!("record {index}: roster member {raw} out of range"))
-                            })?;
-                        members_in_round.push(member);
-                    }
-                    current = Some((round, members_in_round));
-                    staged_settled.clear();
-                    staged_states.clear();
+                    let roster = roster
+                        .into_iter()
+                        .map(usize::try_from)
+                        .collect::<Result<_, _>>()
+                        .map_err(|_| at("roster member exceeds this platform's usize".into()))?;
+                    open = Some(RoundRecord {
+                        round,
+                        roster,
+                        sessions: Vec::new(),
+                        books: Vec::new(),
+                        events: Vec::new(),
+                    });
                 }
                 Record::Settled {
                     roster_index,
                     outcome,
                     link,
                 } => {
-                    let Some((_, roster)) = &current else {
-                        return Err(bad(format!("record {index}: settled outside a round")));
-                    };
-                    let slot = usize::try_from(roster_index)
-                        .ok()
-                        .filter(|&s| s < roster.len())
-                        .ok_or_else(|| {
-                            bad(format!(
-                                "record {index}: roster index {roster_index} out of range"
-                            ))
-                        })?;
-                    staged_settled.push((roster[slot], outcome, link));
-                }
-                Record::MemberState {
-                    member,
-                    sup_delta,
-                    part_delta,
-                    part_results,
-                } => {
-                    if current.is_none() {
-                        return Err(bad(format!("record {index}: member state outside a round")));
-                    }
-                    let member = usize::try_from(member)
-                        .ok()
-                        .filter(|&m| m < members)
-                        .ok_or_else(|| {
-                            bad(format!("record {index}: member {member} out of range"))
-                        })?;
-                    staged_states.push((member, sup_delta, part_delta, part_results));
-                }
-                Record::RoundEnd { round, events } => {
-                    let Some((started, roster)) = current.take() else {
-                        return Err(bad(format!("record {index}: round end outside a round")));
-                    };
-                    if started != round {
-                        return Err(bad(format!(
-                            "record {index}: round end {round} does not match round start {started}"
+                    let round = open
+                        .as_mut()
+                        .ok_or_else(|| at("settled outside a round".to_string()))?;
+                    let expected = round.sessions.len();
+                    if roster_index != expected as u64 {
+                        return Err(at(format!(
+                            "settled roster index {roster_index}, expected {expected}"
                         )));
                     }
-                    // Commit: apply the staged round exactly as the live
-                    // loop would have.
-                    for &member in &roster {
-                        state.attempts[member] += 1;
-                        state.part_outcomes[member].clear();
+                    round.sessions.push(SessionResult { outcome, link });
+                }
+                Record::MemberState { member, books } => {
+                    let round = open
+                        .as_mut()
+                        .ok_or_else(|| at("member state outside a round".to_string()))?;
+                    let expected = round.roster.get(round.books.len()).copied();
+                    if expected.map(|m| m as u64) != Some(member) {
+                        return Err(at(format!(
+                            "member state for member {member}, expected {expected:?}"
+                        )));
                     }
-                    state.total_sessions += roster.len() as u64;
-                    for (member, outcome, link) in staged_settled.drain(..) {
-                        // Mirrors the live loop: failed attempts are
-                        // excluded from the byte total (their truncated
-                        // traffic is a pump-timing race, not replayable
-                        // state), so a resumed campaign reproduces the
-                        // uninterrupted run's digest exactly.
-                        if outcome.is_ok() {
-                            state.total_bytes += link.bytes_sent + link.bytes_received;
-                        }
-                        state.finals[member] = Some(SessionResult { outcome, link });
+                    round.books.push(books);
+                }
+                Record::RoundEnd { round, events } => {
+                    let mut record = open
+                        .take()
+                        .ok_or_else(|| at("round end outside a round".to_string()))?;
+                    record.events = events;
+                    if let Some(reason) = refusal(&state, header.retries, round, &record) {
+                        return Err(at(reason));
                     }
-                    for (member, sup_delta, part_delta, part_results) in staged_states.drain(..) {
-                        add_report(&mut state.sup_deltas[member], &sup_delta);
-                        add_report(&mut state.part_deltas[member], &part_delta);
-                        state.part_outcomes[member] = part_results;
-                    }
-                    state.fault_events.extend(events);
-                    state.next_round = round + 1;
+                    state.apply(record);
                     rounds_replayed += 1;
                     keep = index as u64 + 1;
                 }
@@ -1305,9 +1097,9 @@ impl DurableCampaign {
         };
         Ok((
             DurableCampaign {
-                recorder: CampaignRecorder::with_writer(writer),
+                writer,
                 header,
-                replay: Some(state),
+                state: Some(state),
             },
             report,
         ))
@@ -1320,15 +1112,81 @@ impl DurableCampaign {
         &self.header
     }
 
-    /// The recorder the orchestrator and engine write through.
-    pub(crate) fn recorder(&self) -> &CampaignRecorder {
-        &self.recorder
-    }
-
     /// Takes the replayed state (present only after a resume, and only
     /// once).
-    pub(crate) fn take_replay(&mut self) -> Option<ReplayState> {
-        self.replay.take()
+    pub(crate) fn take_state(&mut self) -> Option<CampaignState> {
+        self.state.take()
+    }
+
+    /// Appends one record; a read-only campaign writes nothing. After a
+    /// failure — I/O, or the armed [`CrashPlan`]'s kill point — the
+    /// writer refuses every later append too.
+    fn append(&mut self, payload: &[u8]) -> Result<(), SchemeError> {
+        match &mut self.writer {
+            Some(writer) => writer.append(payload).map(drop).map_err(|e| jerr(&e)),
+            None => Ok(()),
+        }
+    }
+
+    /// Journals the start of round `round` over `roster`, before the
+    /// round has any effect.
+    pub(crate) fn round_start(&mut self, round: u32, roster: &[usize]) -> Result<(), SchemeError> {
+        self.append(&encode_round_start(round, roster))
+    }
+
+    /// Journals the rest of a settled round: one `Settled` per session
+    /// and one `MemberState` per member, in roster order, then the
+    /// `RoundEnd` commit marker — a round is replayed on resume only once
+    /// that marker is on disk.
+    pub(crate) fn commit(&mut self, record: &RoundRecord) -> Result<(), SchemeError> {
+        for (roster_index, session) in record.sessions.iter().enumerate() {
+            self.append(&encode_settled(roster_index, session))?;
+        }
+        for (&member, books) in record.roster.iter().zip(&record.books) {
+            self.append(&encode_member_state(member, books))?;
+        }
+        self.append(&encode_round_end(record.round, &record.events))
+    }
+
+    /// Journals the summary digest and seals the journal under it.
+    pub(crate) fn finish(&mut self, digest: &str) -> Result<(), SchemeError> {
+        self.append(&encode_finished(digest))?;
+        match &mut self.writer {
+            Some(writer) => writer.seal().map(drop).map_err(|e| jerr(&e)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Why `record`, closed by a `RoundEnd` for round `end`, is not a round a
+/// live run with retry budget `retries` could have committed next from
+/// `state` — or `None` when it is.
+fn refusal(state: &CampaignState, retries: u32, end: u32, record: &RoundRecord) -> Option<String> {
+    let round = record.round;
+    let roster = &record.roster;
+    if end != round {
+        Some(format!(
+            "round end {end} does not match round start {round}"
+        ))
+    } else if state.next_round != Some(round) || round > retries {
+        Some(format!(
+            "round {round} is not the next round ({:?}) within {retries} retries",
+            state.next_round
+        ))
+    } else if roster.is_empty() || *roster != state.pending() {
+        Some(format!(
+            "round {round} runs {roster:?}, not the pending members {:?}",
+            state.pending()
+        ))
+    } else if record.sessions.len() != roster.len() || record.books.len() != roster.len() {
+        Some(format!(
+            "round {round} settles {} and books {} of its {} members",
+            record.sessions.len(),
+            record.books.len(),
+            roster.len()
+        ))
+    } else {
+        None
     }
 }
 
@@ -1512,19 +1370,19 @@ mod tests {
             verify_ops: 4,
         };
         let results = vec![Ok(true), Err(SchemeError::TimedOut)];
-        let member_state = encode_member_state(2, &sup, &CostReport::default(), &results);
-        let Record::MemberState {
-            member,
-            sup_delta,
-            part_results,
-            ..
-        } = decode_record(&member_state).unwrap()
+        let books = MemberBooks {
+            sup_costs: sup,
+            part_costs: CostReport::default(),
+            part_results: results.clone(),
+        };
+        let Record::MemberState { member, books } =
+            decode_record(&encode_member_state(2, &books)).unwrap()
         else {
             panic!("expected a member state record");
         };
         assert_eq!(member, 2);
-        assert_eq!(sup_delta, sup);
-        assert_eq!(part_results, results);
+        assert_eq!(books.sup_costs, sup);
+        assert_eq!(books.part_results, results);
 
         let events = vec![
             FaultEvent::Dropped {
@@ -1624,6 +1482,49 @@ mod tests {
         assert!(matches!(err, SchemeError::Journal { .. }), "{err}");
     }
 
+    /// A settled session: accepted with `bytes` sent and received, or
+    /// timed out.
+    fn session(accepted: bool, bytes: u64) -> SessionResult {
+        SessionResult {
+            outcome: if accepted {
+                Ok(SessionOutcome {
+                    verdict: Verdict::Accepted,
+                    reports: Vec::new(),
+                })
+            } else {
+                Err(SchemeError::TimedOut)
+            },
+            link: LinkStats {
+                bytes_sent: bytes,
+                bytes_received: bytes,
+                messages_sent: 1,
+                messages_received: 1,
+            },
+        }
+    }
+
+    /// Round `round` over `roster`, in which the members at the roster
+    /// indices in `failed` time out; every member is charged `costs` on
+    /// both sides.
+    fn round(round: u32, roster: &[usize], failed: &[usize], costs: CostReport) -> RoundRecord {
+        RoundRecord {
+            round,
+            roster: roster.to_vec(),
+            sessions: (0..roster.len())
+                .map(|r| session(!failed.contains(&r), 6))
+                .collect(),
+            books: roster
+                .iter()
+                .map(|_| MemberBooks {
+                    sup_costs: costs,
+                    part_costs: costs,
+                    part_results: vec![Ok(false)],
+                })
+                .collect(),
+            events: Vec::new(),
+        }
+    }
+
     #[test]
     fn resume_replays_committed_rounds_and_drops_uncommitted_ones() {
         let path = temp_journal("replay");
@@ -1631,42 +1532,23 @@ mod tests {
             member_slots: vec![1, 1],
             ..sample_header()
         };
-        let campaign = DurableCampaign::create(&path, header.clone(), CrashPlan::never()).unwrap();
-        let rec = campaign.recorder();
-        let ok = SessionResult {
-            outcome: Ok(SessionOutcome {
-                verdict: Verdict::Accepted,
-                reports: Vec::new(),
-            }),
-            link: LinkStats {
-                bytes_sent: 5,
-                bytes_received: 7,
-                messages_sent: 1,
-                messages_received: 1,
-            },
-        };
-        let failed = SessionResult {
-            outcome: Err(SchemeError::TimedOut),
-            link: LinkStats::default(),
-        };
-        // Round 0 commits: member 0 accepted, member 1 timed out.
-        rec.round_start(0, &[0, 1]);
-        rec.settled(0, &ok);
-        rec.settled(1, &failed);
-        let delta = CostReport {
+        let mut campaign =
+            DurableCampaign::create(&path, header.clone(), CrashPlan::never()).unwrap();
+        let costs = CostReport {
             f_evals: 10,
             hash_ops: 4,
             hash_wall_ops: 2,
             g_evals: 0,
             verify_ops: 1,
         };
-        rec.member_state(0, &delta, &delta, &[Ok(false)]);
-        rec.member_state(1, &CostReport::default(), &CostReport::default(), &[]);
-        rec.round_end(0, &[]);
+        // Round 0 commits: member 0 accepted, member 1 timed out.
+        campaign.round_start(0, &[0, 1]).unwrap();
+        campaign.commit(&round(0, &[0, 1], &[1], costs)).unwrap();
         // Round 1 starts but never commits (the "crash").
-        rec.round_start(1, &[1]);
-        rec.settled(0, &ok);
-        assert!(rec.failure().is_none());
+        campaign.round_start(1, &[1]).unwrap();
+        campaign
+            .append(&encode_settled(0, &session(true, 6)))
+            .unwrap();
         drop(campaign);
 
         let (mut resumed, report) = DurableCampaign::resume(&path, CrashPlan::never()).unwrap();
@@ -1676,24 +1558,19 @@ mod tests {
         assert_eq!(report.records_dropped, 2); // round 1's uncommitted pair
         assert_eq!(report.torn, None);
         assert!(!report.sealed);
-        let state = resumed.take_replay().unwrap();
-        assert_eq!(state.attempts, vec![1, 1]);
-        assert_eq!(state.next_round, 1);
-        assert_eq!(state.total_sessions, 2);
-        assert_eq!(state.total_bytes, 12);
-        assert!(state.finals[0].as_ref().unwrap().outcome.is_ok());
-        assert_eq!(
-            state.finals[1]
-                .as_ref()
-                .unwrap()
-                .outcome
-                .as_ref()
-                .unwrap_err(),
-            &SchemeError::TimedOut
+        let state = resumed.take_state().unwrap();
+        assert_eq!(state.next_round, Some(1));
+        assert_eq!(state.pending(), vec![1]);
+        // The replayed state is the live one: applying the same round to
+        // a fresh state gives the same books, the byte total counting
+        // only the accepted session.
+        let mut live = CampaignState::new(2);
+        live.apply(round(0, &[0, 1], &[1], costs));
+        assert_eq!(format!("{state:?}"), format!("{live:?}"));
+        assert!(
+            format!("{state:?}").contains("total_bytes: 12"),
+            "{state:?}"
         );
-        assert_eq!(state.sup_deltas[0], delta);
-        assert_eq!(state.part_outcomes[0], vec![Ok(false)]);
-        assert!(state.part_outcomes[1].is_empty());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1701,27 +1578,16 @@ mod tests {
     fn kill_point_latches_and_resume_continues() {
         let path = temp_journal("kill");
         // Kill at the 2nd campaign record (the header is unarmed).
-        let campaign = DurableCampaign::create(&path, sample_header(), CrashPlan::at(2)).unwrap();
-        let rec = campaign.recorder();
-        rec.round_start(0, &[0, 1, 2]);
-        assert!(rec.failure().is_none());
-        let ok = SessionResult {
-            outcome: Ok(SessionOutcome {
-                verdict: Verdict::Accepted,
-                reports: Vec::new(),
-            }),
-            link: LinkStats::default(),
-        };
-        rec.settled(0, &ok);
-        let failure = rec.failure().expect("the kill point must latch");
-        assert!(failure.contains("kill point"), "{failure}");
-        // Later appends stay latched without clobbering the first failure.
-        rec.round_end(0, &[]);
-        assert_eq!(rec.failure().unwrap(), failure);
-        assert!(matches!(
-            rec.finish("digest"),
-            Err(SchemeError::Journal { .. })
-        ));
+        let mut campaign =
+            DurableCampaign::create(&path, sample_header(), CrashPlan::at(2)).unwrap();
+        campaign.round_start(0, &[0, 1, 2]).unwrap();
+        let round = round(0, &[0, 1, 2], &[], CostReport::default());
+        let failure = campaign.commit(&round).unwrap_err();
+        assert!(failure.to_string().contains("kill point"), "{failure}");
+        // The killed campaign stays killed: every later write fails the
+        // same way.
+        assert_eq!(campaign.commit(&round).unwrap_err(), failure);
+        assert_eq!(campaign.finish("digest").unwrap_err(), failure);
         drop(campaign);
 
         let (_, report) = DurableCampaign::resume(&path, CrashPlan::never()).unwrap();
@@ -1734,21 +1600,25 @@ mod tests {
     #[test]
     fn sealed_journal_resumes_read_only() {
         let path = temp_journal("sealed");
-        let campaign = DurableCampaign::create(&path, sample_header(), CrashPlan::never()).unwrap();
-        let rec = campaign.recorder();
-        rec.round_start(0, &[0, 1, 2]);
-        rec.round_end(0, &[]);
-        rec.finish("deadbeef").unwrap();
+        let mut campaign =
+            DurableCampaign::create(&path, sample_header(), CrashPlan::never()).unwrap();
+        campaign.round_start(0, &[0, 1, 2]).unwrap();
+        let round = round(0, &[0, 1, 2], &[], CostReport::default());
+        campaign.commit(&round).unwrap();
+        campaign.finish("deadbeef").unwrap();
         drop(campaign);
+        let sealed = std::fs::read(&path).unwrap();
 
-        let (resumed, report) = DurableCampaign::resume(&path, CrashPlan::never()).unwrap();
+        let (mut resumed, report) = DurableCampaign::resume(&path, CrashPlan::never()).unwrap();
         assert!(report.sealed);
+        assert_eq!(report.rounds_replayed, 1);
         assert_eq!(report.finished_digest.as_deref(), Some("deadbeef"));
         assert_eq!(report.records_dropped, 0);
-        // The read-only recorder swallows writes and never fails.
-        resumed.recorder().round_start(9, &[0]);
-        assert!(resumed.recorder().failure().is_none());
-        resumed.recorder().finish("deadbeef").unwrap();
+        // The read-only campaign swallows writes and never fails.
+        resumed.round_start(1, &[0]).unwrap();
+        resumed.commit(&round).unwrap();
+        resumed.finish("deadbeef").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), sealed);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1767,26 +1637,5 @@ mod tests {
         let err = DurableCampaign::resume(&path, CrashPlan::never()).unwrap_err();
         assert!(matches!(err, SchemeError::Journal { .. }), "{err}");
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn report_delta_and_charge_are_inverses() {
-        let ledger = CostLedger::new();
-        ledger.charge_f(5);
-        ledger.charge_hash_parallel(10, 4);
-        let before = ledger.report();
-        ledger.charge_f(3);
-        ledger.charge_g(2);
-        ledger.charge_verify(1);
-        let delta = report_delta(&ledger.report(), &before);
-        assert_eq!(delta.f_evals, 3);
-        assert_eq!(delta.g_evals, 2);
-        assert_eq!(delta.verify_ops, 1);
-        assert_eq!(delta.hash_ops, 0);
-
-        let replayed = CostLedger::new();
-        charge_report(&replayed, &before);
-        charge_report(&replayed, &delta);
-        assert_eq!(replayed.report(), ledger.report());
     }
 }

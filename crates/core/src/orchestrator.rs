@@ -22,12 +22,21 @@
 //! function of the campaign's seeds alone: identical over every
 //! transport class, at any pool size and steal seed, and pinned by the
 //! golden digests in `tests/scheduler_equivalence.rs`.
+//!
+//! A campaign is a loop of such rounds over one `CampaignState`: each
+//! round runs the members still pending, and returns a `RoundRecord` —
+//! its sessions' results, each member's costs and participant results,
+//! its fault events. `CampaignState::apply` is the one place a settled
+//! round changes the campaign, and a journal replay calls it too, so a
+//! resumed campaign continues from exactly the state the live loop had
+//! reached. A durable campaign journals the roster before the round
+//! runs and the record after it, before applying it.
 
-use crate::backend::{InProcessBackend, OpenRound, RoundSpec, TransportBackend, TransportKind};
-use crate::engine::{SessionEngine, SessionResult};
-use crate::journal::{
-    charge_report, report_delta, summary_digest, CampaignHeader, CampaignRecorder, DurableCampaign,
+use crate::backend::{
+    InProcessBackend, OpenRound, RoundSpec, SlotReport, TransportBackend, TransportKind,
 };
+use crate::engine::{SessionEngine, SessionResult};
+use crate::journal::{summary_digest, CampaignHeader, DurableCampaign};
 use crate::scheme::cbs::CbsScheme;
 use crate::scheme::double_check::DoubleCheckScheme;
 use crate::scheme::naive::NaiveScheme;
@@ -386,7 +395,7 @@ pub fn run_fleet_on<H, T, S>(
     members: &[MemberSpec<'_, H>],
     config: &MixedFleetConfig,
     backend: &mut dyn TransportBackend,
-    durable: Option<&mut DurableCampaign>,
+    mut durable: Option<&mut DurableCampaign>,
 ) -> Result<FleetSummary, SchemeError>
 where
     H: HashFunction,
@@ -437,159 +446,57 @@ where
         });
     }
 
-    // Ledgers are per member and shared across attempts: a reassigned
-    // session's ledger honestly accumulates the work its failed attempts
-    // burned.
-    let sup_ledgers: Vec<CostLedger> = members.iter().map(|_| CostLedger::new()).collect();
-    let part_ledgers: Vec<CostLedger> = members.iter().map(|_| CostLedger::new()).collect();
-
     // ugc-lint: allow(wall-clock): reporting-only — feeds the Throughput summary, never a verdict or schedule
     let started = Instant::now();
-    let (recorder, replay): (Option<&CampaignRecorder>, _) = match durable {
-        Some(campaign) => {
-            let replay = campaign.take_replay();
-            (Some(campaign.recorder()), replay)
+    // A resumed campaign starts where the journal's last committed round
+    // left the dead supervisor.
+    let mut state = durable
+        .as_deref_mut()
+        .and_then(DurableCampaign::take_state)
+        .unwrap_or_else(|| CampaignState::new(members.len()));
+    while let Some(round) = state.next_round.filter(|&r| r <= config.retries) {
+        let roster = state.pending();
+        if roster.is_empty() {
+            break;
         }
-        None => (None, None),
-    };
-    let mut attempts = vec![0u32; members.len()];
-    let mut finals: Vec<Option<SessionResult>> = members.iter().map(|_| None).collect();
-    let mut part_outcomes: Vec<Vec<Result<bool, SchemeError>>> =
-        members.iter().map(|_| Vec::new()).collect();
-    let mut fault_events: Vec<FaultEvent> = Vec::new();
-    let mut total_sessions = 0u64;
-    let mut total_bytes = 0u64;
-    let mut round = 0u32;
-    if let Some(state) = replay {
-        // A resumed campaign: fast-forward to where the journal's last
-        // committed round left the dead supervisor, charging the replayed
-        // per-round ledger deltas into the fresh ledgers.
-        attempts = state.attempts;
-        finals = state.finals;
-        part_outcomes = state.part_outcomes;
-        fault_events = state.fault_events;
-        total_sessions = state.total_sessions;
-        total_bytes = state.total_bytes;
-        round = state.next_round;
-        for (ledger, delta) in sup_ledgers.iter().zip(&state.sup_deltas) {
-            charge_report(ledger, delta);
-        }
-        for (ledger, delta) in part_ledgers.iter().zip(&state.part_deltas) {
-            charge_report(ledger, delta);
-        }
-    }
-    let mut pending: Vec<usize> = (0..members.len())
-        .filter(|&i| {
-            finals[i]
-                .as_ref()
-                .map_or(true, |session| session.outcome.is_err())
-        })
-        .collect();
-    while !pending.is_empty() && round <= config.retries {
         // Journal-before-effect: the round's roster is durable before any
         // of its state transitions happen, so a crash mid-round resumes
         // from the previous round boundary, never a half-applied one.
-        if let Some(rec) = recorder {
-            rec.round_start(round, &pending);
+        if let Some(campaign) = durable.as_deref_mut() {
+            campaign.round_start(round, &roster)?;
         }
-        for &i in &pending {
-            attempts[i] += 1;
-            part_outcomes[i].clear();
-        }
-        // Ledger snapshots bracket the round so its deltas can be
-        // journaled (ledgers are monotonic, so deltas replay exactly).
-        let snapshots: Vec<(CostReport, CostReport)> = if recorder.is_some() {
-            pending
-                .iter()
-                .map(|&i| (sup_ledgers[i].report(), part_ledgers[i].report()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let roster: Vec<(usize, &MemberSpec<'_, H>, Domain)> = pending
-            .iter()
-            .map(|&i| (i, &members[i], shares[i]))
-            .collect();
-        let output = run_fleet_round(
-            task,
-            screener,
-            &roster,
-            &sup_ledgers,
-            &part_ledgers,
-            config,
-            round,
-            recorder,
-            backend,
+        let record = run_fleet_round(
+            task, screener, members, &shares, config, round, roster, backend,
         )?;
-        total_sessions += roster.len() as u64;
-        for ((orig, _, _), session) in roster.iter().zip(output.sessions) {
-            // Only settled (successful) attempts count toward the byte
-            // total. A failed attempt's traffic is cut off mid-protocol
-            // by its death: how many in-flight messages the supervisor
-            // managed to charge before the broker's Gone NACK reached it
-            // is a pump-timing race, not a function of the seed — most
-            // visibly for double-check members, where the NACK for one
-            // participant races mail still in flight from its live
-            // sibling. Excluding failed attempts keeps `bytes` a replay
-            // digest; `sessions` still counts every attempt.
-            if session.outcome.is_ok() {
-                total_bytes += session.link.bytes_sent + session.link.bytes_received;
-            }
-            finals[*orig] = Some(session);
+        if let Some(campaign) = durable.as_deref_mut() {
+            campaign.commit(&record)?;
         }
-        for (roster_index, result) in output.part_results {
-            part_outcomes[roster[roster_index].0].push(result);
-        }
-        if let Some(rec) = recorder {
-            for (slot, &i) in pending.iter().enumerate() {
-                let (sup_before, part_before) = &snapshots[slot];
-                rec.member_state(
-                    i,
-                    &report_delta(&sup_ledgers[i].report(), sup_before),
-                    &report_delta(&part_ledgers[i].report(), part_before),
-                    &part_outcomes[i],
-                );
-            }
-            // The commit marker: a round is replayed on resume only once
-            // its RoundEnd record is on disk.
-            rec.round_end(round, &output.events);
-            if let Some(reason) = rec.failure() {
-                return Err(SchemeError::Journal { reason });
-            }
-        }
-        fault_events.extend(output.events);
-        pending = roster
-            .iter()
-            .filter(|(orig, _, _)| {
-                finals[*orig]
-                    .as_ref()
-                    .is_some_and(|session| session.outcome.is_err())
-            })
-            .map(|(orig, _, _)| *orig)
-            .collect();
-        if pending.is_empty() || round >= config.retries {
-            break;
-        }
-        round += 1;
+        state.apply(record);
     }
+    let CampaignState {
+        attempts,
+        finals,
+        part_results,
+        sup_costs,
+        part_costs,
+        mut fault_events,
+        total_sessions,
+        total_bytes,
+        ..
+    } = state;
     // Rounds arrive sorted individually; a retried campaign needs one
     // global pass to honour the "sorted" contract on the aggregate.
     fault_events.sort_unstable();
 
     let hung_up = SchemeError::Grid(GridError::Disconnected);
     let mut outcomes = Vec::with_capacity(members.len());
-    for (((result, sup_ledger), part_ledger), part_results) in finals
-        .into_iter()
-        .map(|r| r.expect("every member ran at least one attempt"))
-        .zip(&sup_ledgers)
-        .zip(&part_ledgers)
-        .zip(&part_outcomes)
-    {
+    for (i, result) in finals.into_iter().enumerate() {
+        let result = result.expect("every member ran at least one attempt");
         // The cause, not its echo: a participant that failed hung up, and
         // all its supervisor then saw was the closed link. (Under chaos a
         // hang-up is an injected fault, and the record stays as it fell.)
         let outcome = result.outcome.map_err(|error| {
-            let cause = part_results
+            let cause = part_results[i]
                 .iter()
                 .filter_map(|r| r.as_ref().err())
                 .find(|e| **e != hung_up);
@@ -600,8 +507,8 @@ where
         })?;
         outcomes.push(RoundOutcome::new(
             outcome.verdict,
-            sup_ledger.report(),
-            part_ledger.report(),
+            sup_costs[i],
+            part_costs[i],
             result.link,
             outcome.reports,
         ));
@@ -611,7 +518,7 @@ where
     // participant errors, so there they are part of the record (the fault
     // log), not failures.
     if config.chaos.is_none() {
-        for result in part_outcomes.iter().flatten() {
+        for result in part_results.iter().flatten() {
             let _ = result.clone()?;
         }
     }
@@ -644,22 +551,130 @@ where
         throughput,
         fault_events,
     };
-    if let Some(rec) = recorder {
+    if let Some(campaign) = durable {
         // The attestation: journal the digest the campaign is about to
         // report, then seal the record chain under it.
-        rec.finish(&summary_digest(&summary))?;
+        campaign.finish(&summary_digest(&summary))?;
     }
     Ok(summary)
 }
 
-/// What one engine round over one roster produced.
-struct RoundOutput {
-    /// Per-roster-entry session results, in roster order.
-    sessions: Vec<SessionResult>,
-    /// Per-slot participant results, tagged with their roster index.
-    part_results: Vec<(usize, Result<bool, SchemeError>)>,
+/// Where a campaign stands between rounds: everything the round loop
+/// carries from one round to the next, and everything a journal replay
+/// rebuilds. A settled round changes it in one place,
+/// [`apply`](Self::apply) — whether the round just ran or was read back
+/// from a journal — so a resumed campaign is the live one, not a copy of
+/// it.
+#[derive(Debug)]
+pub(crate) struct CampaignState {
+    /// Session attempts per member.
+    attempts: Vec<u32>,
+    /// Each member's latest session result (`None` before its first).
+    finals: Vec<Option<SessionResult>>,
+    /// Each member's participant-slot results from its latest round.
+    part_results: Vec<Vec<Result<bool, SchemeError>>>,
+    /// Supervisor costs per member, summed over its attempts: a
+    /// reassigned member honestly carries the work its failed attempts
+    /// burned.
+    sup_costs: Vec<CostReport>,
+    /// Participant costs per member, summed likewise.
+    part_costs: Vec<CostReport>,
+    /// Every round's fault events, each round's sorted.
+    fault_events: Vec<FaultEvent>,
+    /// Sessions run, counting every attempt.
+    total_sessions: u64,
+    /// Supervisor-side bytes of the attempts that settled successfully.
+    total_bytes: u64,
+    /// The number of the next round (`None` past `u32::MAX`).
+    pub(crate) next_round: Option<u32>,
+}
+
+impl CampaignState {
+    /// A campaign of `members` members before its first round.
+    pub(crate) fn new(members: usize) -> Self {
+        CampaignState {
+            attempts: vec![0; members],
+            finals: (0..members).map(|_| None).collect(),
+            part_results: vec![Vec::new(); members],
+            sup_costs: vec![CostReport::default(); members],
+            part_costs: vec![CostReport::default(); members],
+            fault_events: Vec::new(),
+            total_sessions: 0,
+            total_bytes: 0,
+            next_round: Some(0),
+        }
+    }
+
+    /// The members the next round runs: every one without a successful
+    /// session yet, in member order.
+    pub(crate) fn pending(&self) -> Vec<usize> {
+        (0..self.finals.len())
+            .filter(|&i| {
+                self.finals[i]
+                    .as_ref()
+                    .map_or(true, |session| session.outcome.is_err())
+            })
+            .collect()
+    }
+
+    /// Commits one settled round: its roster's attempts, latest results
+    /// and costs, and its fault events.
+    pub(crate) fn apply(&mut self, record: RoundRecord) {
+        self.total_sessions += record.roster.len() as u64;
+        let entries = record.roster.iter().zip(record.sessions).zip(record.books);
+        for ((&member, session), books) in entries {
+            self.attempts[member] += 1;
+            // Only settled (successful) attempts count toward the byte
+            // total. A failed attempt's traffic is cut off mid-protocol by
+            // its death: how many in-flight messages the supervisor
+            // managed to charge before the broker's Gone NACK reached it
+            // is a pump-timing race, not a function of the seed — most
+            // visibly for double-check members, where the NACK for one
+            // participant races mail still in flight from its live
+            // sibling. Excluding failed attempts keeps `bytes` a replay
+            // digest; `sessions` still counts every attempt.
+            if session.outcome.is_ok() {
+                let bytes = session
+                    .link
+                    .bytes_sent
+                    .saturating_add(session.link.bytes_received);
+                self.total_bytes = self.total_bytes.saturating_add(bytes);
+            }
+            self.finals[member] = Some(session);
+            self.sup_costs[member] = self.sup_costs[member].combined(books.sup_costs);
+            self.part_costs[member] = self.part_costs[member].combined(books.part_costs);
+            self.part_results[member] = books.part_results;
+        }
+        self.fault_events.extend(record.events);
+        self.next_round = record.round.checked_add(1);
+    }
+}
+
+/// One settled round: what running a round returns, what the journal
+/// holds between the round's `RoundStart` and `RoundEnd` records, and
+/// what [`CampaignState::apply`] takes.
+pub(crate) struct RoundRecord {
+    /// The round's number (0 = the initial attempt).
+    pub(crate) round: u32,
+    /// The members that ran, in session registration order.
+    pub(crate) roster: Vec<usize>,
+    /// One session result per roster entry.
+    pub(crate) sessions: Vec<SessionResult>,
+    /// One member's books per roster entry.
+    pub(crate) books: Vec<MemberBooks>,
     /// Faults injected during the round, sorted.
-    events: Vec<FaultEvent>,
+    pub(crate) events: Vec<FaultEvent>,
+}
+
+/// One member's books for one round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct MemberBooks {
+    /// What its supervisor session charged.
+    pub(crate) sup_costs: CostReport,
+    /// What its participant slots charged, summed.
+    pub(crate) part_costs: CostReport,
+    /// How each of its participant slots ended, in slot order.
+    pub(crate) part_results: Vec<Result<bool, SchemeError>>,
 }
 
 /// How many inbound messages one scheduler poll may drain from a slot's
@@ -670,25 +685,30 @@ struct RoundOutput {
 const STEP_BATCH_BUDGET: usize = 8;
 
 /// One participant slot as a poll-driven task on the grid scheduler's
-/// run-queue: the session state machine plus its fault-decorated link.
-/// Completion drops the link immediately, so the broker pump — and a
-/// supervisor session waiting on the verdict acknowledgement — observe
-/// the hang-up without waiting for the whole pool to drain.
+/// run-queue: the session state machine plus its fault-decorated link and
+/// a ledger of its own. Completion drops the link immediately, so the
+/// broker pump — and a supervisor session waiting on the verdict
+/// acknowledgement — observe the hang-up without waiting for the whole
+/// pool to drain.
 struct SlotTask<'a> {
-    roster_index: usize,
+    slot: u64,
     link: Option<FaultyEndpoint>,
     session: Box<dyn ParticipantSession + 'a>,
+    ledger: CostLedger,
     outcome: Option<Result<bool, SchemeError>>,
 }
 
 impl SlotTask<'_> {
-    /// The completed slot's result, tagged with its roster index.
-    fn into_result(self) -> (usize, Result<bool, SchemeError>) {
-        (
-            self.roster_index,
-            self.outcome
+    /// The completed slot's report — what a remote participant sends
+    /// back for its slot.
+    fn into_report(self) -> SlotReport {
+        SlotReport {
+            slot: self.slot,
+            costs: self.ledger.report(),
+            outcome: self
+                .outcome
                 .expect("scheduler ran every task to completion"),
-        )
+        }
     }
 }
 
@@ -719,26 +739,29 @@ impl GridTask for SlotTask<'_> {
     }
 }
 
-/// Runs one engine round for `roster` (a subset of the fleet, on
+/// Runs round `round` for `roster` (a subset of the fleet, on
 /// reassignment rounds): registers one supervisor session per entry,
 /// asks the backend to open the round's transport, drives any local
 /// participant slots — each behind a [`FaultyEndpoint`] drawing its
 /// schedule from [`chaos_link_id`]`(round, slot)` — and multiplexes the
 /// supervisor sessions over the engine side the backend produced.
-/// Remote backends open with no local slots; their participants run in
-/// other processes and report back as [`SlotReport`](crate::SlotReport)s.
+///
+/// Every ledger is fresh, so a round's costs are what its ledgers read
+/// at the end. Every participant slot reports the same way, as a
+/// [`SlotReport`]: a local slot from its scheduler task, a remote one —
+/// run in another process by a backend that opens with no local slots —
+/// over the backend's connection.
 #[allow(clippy::too_many_arguments)] // private plumbing under run_fleet_on
 fn run_fleet_round<H, T, S>(
     task: &T,
     screener: &S,
-    roster: &[(usize, &MemberSpec<'_, H>, Domain)],
-    sup_ledgers: &[CostLedger],
-    part_ledgers: &[CostLedger],
+    members: &[MemberSpec<'_, H>],
+    shares: &[Domain],
     config: &MixedFleetConfig,
     round: u32,
-    recorder: Option<&CampaignRecorder>,
+    roster: Vec<usize>,
     backend: &mut dyn TransportBackend,
-) -> Result<RoundOutput, SchemeError>
+) -> Result<RoundRecord, SchemeError>
 where
     H: HashFunction,
     T: ComputeTask,
@@ -752,36 +775,32 @@ where
     if let Some(deadline) = config.deadline {
         engine = engine.with_deadline(deadline);
     }
-    if let Some(rec) = recorder {
-        // The engine journals one Settled record per session as the round
-        // completes; registration order below == roster order, which is
-        // what lets resume map Settled records back to members.
-        engine.with_recorder(rec);
-    }
+    let sup_ledgers: Vec<CostLedger> = roster.iter().map(|_| CostLedger::new()).collect();
     // Task ids are one global counter across the roster's slots, so
     // single-slot member `i` of a full-fleet round keeps task id `i`.
     let mut next_task_id = 0u64;
     let mut routing_ids: Vec<Vec<u64>> = Vec::with_capacity(roster.len());
-    for (orig, member, share) in roster {
-        let slots = member.scheme.participant_slots();
+    for (&i, ledger) in roster.iter().zip(&sup_ledgers) {
+        let slots = members[i].scheme.participant_slots();
         let task_ids: Vec<u64> = (0..slots as u64).map(|s| next_task_id + s).collect();
         next_task_id += slots as u64;
-        let session = member.scheme.supervisor_session(SupervisorContext {
+        let session = members[i].scheme.supervisor_session(SupervisorContext {
             task,
             screener,
-            domain: *share,
+            domain: shares[i],
             task_ids: task_ids.clone(),
-            ledger: sup_ledgers[*orig].clone(),
+            ledger: ledger.clone(),
         });
         routing_ids.push(engine.add_session(session, task_ids)?);
     }
 
     // Global slot order (the broker hands assignment k to participant k,
-    // so order is load-bearing for the relayed transports).
+    // so order is load-bearing for the relayed transports): each global
+    // slot's roster index and its slot within the member.
     let slot_table: Vec<(usize, usize)> = roster
         .iter()
         .enumerate()
-        .flat_map(|(r, (_, member, _))| (0..member.behaviours.len()).map(move |s| (r, s)))
+        .flat_map(|(r, &i)| (0..members[i].behaviours.len()).map(move |s| (r, s)))
         .collect();
 
     // One flat routing id per global slot — what a Direct backend
@@ -799,42 +818,29 @@ where
         chaos: config.chaos,
     })?;
 
-    let (sessions, part_results) = if local_links.is_empty() {
+    let (sessions, reports) = if local_links.is_empty() {
         // Remote: the participants live in other OS processes. Run the
         // engine, then collect their slot reports over the still-open
-        // connection — the ledger charges and outcomes that in-process
-        // participants share directly.
+        // connection.
         let sessions = engine.run(&mut engine_side);
         let reports = backend.close_round(slot_table.len())?;
         drop(engine_side);
-        let mut part_results = Vec::with_capacity(reports.len());
-        for report in reports {
-            let slot = usize::try_from(report.slot)
-                .ok()
-                .filter(|s| *s < slot_table.len())
-                .ok_or(SchemeError::InvalidConfig {
-                    reason: "remote peer reported an unknown participant slot",
-                })?;
-            let (r, _) = slot_table[slot];
-            let (orig, _, _) = roster[r];
-            charge_report(&part_ledgers[orig], &report.costs);
-            part_results.push((r, report.outcome));
-        }
-        (sessions, part_results)
+        (sessions, reports)
     } else {
         let scheduler = config
             .workers
             .map_or_else(GridScheduler::available, GridScheduler::new)
             .with_steal_seed(config.steal_seed);
         // One scheduler task per local slot: the slot's session state
-        // machine, tagged with its roster index, over its link.
-        let tasks: Vec<SlotTask<'_>> = local_links
-            .into_iter()
+        // machine over its link.
+        let tasks: Vec<SlotTask<'_>> = (0u64..)
+            .zip(local_links)
             .zip(&slot_table)
-            .map(|(link, &(r, s))| {
-                let (orig, member, _) = &roster[r];
+            .map(|((slot, link), &(r, s))| {
+                let member = &members[roster[r]];
+                let ledger = CostLedger::new();
                 SlotTask {
-                    roster_index: r,
+                    slot,
                     link: Some(link),
                     session: member.scheme.participant_session(ParticipantContext {
                         task,
@@ -843,8 +849,9 @@ where
                         storage: config.storage,
                         parallelism: config.parallelism,
                         lanes: config.lanes,
-                        ledger: part_ledgers[*orig].clone(),
+                        ledger: ledger.clone(),
                     }),
+                    ledger,
                     outcome: None,
                 }
             })
@@ -860,19 +867,40 @@ where
         });
         (
             sessions,
-            tasks.into_iter().map(SlotTask::into_result).collect(),
+            tasks.into_iter().map(SlotTask::into_report).collect(),
         )
     };
     if let Some(pump) = pump {
         // Relay counters are diagnostics only; the round's books come
-        // from the engine-side link stats and the shared ledgers.
+        // from the engine-side link stats and the ledgers.
         let _ = pump.join().expect("broker pump panicked");
     }
     let mut events: Vec<FaultEvent> = fault_logs.iter().flat_map(FaultLog::snapshot).collect();
     events.sort_unstable();
-    Ok(RoundOutput {
+
+    let mut books: Vec<MemberBooks> = sup_ledgers
+        .iter()
+        .map(|ledger| MemberBooks {
+            sup_costs: ledger.report(),
+            part_costs: CostReport::default(),
+            part_results: Vec::new(),
+        })
+        .collect();
+    for report in reports {
+        let &(r, _) = usize::try_from(report.slot)
+            .ok()
+            .and_then(|slot| slot_table.get(slot))
+            .ok_or(SchemeError::InvalidConfig {
+                reason: "remote peer reported an unknown participant slot",
+            })?;
+        books[r].part_costs = books[r].part_costs.combined(report.costs);
+        books[r].part_results.push(report.outcome);
+    }
+    Ok(RoundRecord {
+        round,
+        roster,
         sessions,
-        part_results,
+        books,
         events,
     })
 }

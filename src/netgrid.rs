@@ -432,9 +432,9 @@ pub fn join(addr: &str) -> Result<JoinOutcome, String> {
 /// link, demultiplexing by task id (the orchestrator numbers slots with
 /// one global counter, so a message's task id *is* its global slot).
 /// Each completed slot's costs and outcome go back as a [`SlotReport`]
-/// control frame; its ledger is fresh per slot, so the report is a pure
-/// delta the supervisor sums into the member's ledger — the same
-/// additive counters an in-process member's slots share directly.
+/// control frame; its ledger is fresh per slot, so the report is exactly
+/// what the slot charged — the same report an in-process slot hands back
+/// from the scheduler pool.
 fn serve_slots(link: &TcpLink, plan: &CampaignPlan) -> Result<u64, String> {
     let control = link.control_handle();
     // BTreeMap, not HashMap: slot teardown order must never depend on

@@ -2,7 +2,8 @@
 //! record and resumed must converge to the same verdicts, attempts,
 //! cost ledgers, fault log and summary digest as a run that was never
 //! interrupted — for all five schemes, over both transports, across
-//! chaos seeds, at kill points from the first record to the last.
+//! chaos seeds, killed at every record from the first to the last — and
+//! must leave behind the same journal, byte for byte.
 //!
 //! This is the tentpole property of the write-ahead journal: rounds are
 //! journaled before the supervisor acts on them and applied on resume
@@ -173,40 +174,95 @@ fn kill_then_resume(
     )
 }
 
-/// The full matrix: both transports × three chaos seeds × kill points
-/// {first record, mid-campaign, last record}. Every cell must resume to
-/// the uninterrupted run's digest.
+/// The attestation sealed into the finished journal at `path`: the
+/// chain digest over every record it holds.
+fn attestation(path: &Path) -> String {
+    read_journal(path)
+        .expect("the sealed journal reads back")
+        .seal
+        .expect("the finished journal is sealed")
+        .digest_hex()
+}
+
+/// The uninterrupted campaign's attestation per transport and chaos
+/// seed. A journal's bytes are a function of the seed alone — the same
+/// at any worker count, steal order or core count — so these are pinned.
+const ATTESTATIONS: [(TransportKind, u64, &str); 6] = [
+    (
+        TransportKind::Direct,
+        0xC4A05,
+        "767f2c5b5505a6a352c20cbbc9087381d41701238b864684e32e0ace15baf788",
+    ),
+    (
+        TransportKind::Direct,
+        0x5EED5,
+        "1ab856e32bc362b4c008d99b01f0774b624b04246ee451be5b443b63406b2b76",
+    ),
+    (
+        TransportKind::Direct,
+        42,
+        "7da0d669ad2ec8a3702251e1d07bf70c910ef031f0ac8d549a33fc3386d72a8a",
+    ),
+    (
+        TransportKind::Brokered,
+        0xC4A05,
+        "9e479fe5e33fd4074542641c2d89e85fdf2a59c76c60b7430597f8b797b26f27",
+    ),
+    (
+        TransportKind::Brokered,
+        0x5EED5,
+        "55b258d154e63e0978fc954e7e55e67aaf736c6719523aa9586909766d769c07",
+    ),
+    (
+        TransportKind::Brokered,
+        42,
+        "8de43c0aa377e00c6537261373cfd898d59e634052b9fed363d4395ec4cebb9d",
+    ),
+];
+
+/// The full matrix: both transports × three chaos seeds × a kill at
+/// every campaign record. Every cell must resume to the uninterrupted
+/// run's digest and finish with its journal byte for byte — the same
+/// sealed attestation.
 #[test]
 fn kill_and_resume_converges_at_every_matrix_point() {
-    for transport in [TransportKind::Direct, TransportKind::Brokered] {
-        for chaos_seed in [0xC4A05u64, 0x5EED5, 42] {
-            let ref_path = journal_path("ref");
-            let (reference, _) = campaign(
-                chaos_seed,
-                transport,
-                Mode::Create(&ref_path, CrashPlan::never()),
-            )
-            .expect("the uninterrupted campaign completes");
-            let reference = summary_digest(&reference);
-            let records = read_journal(&ref_path)
-                .expect("the sealed journal reads back")
-                .records
-                .len() as u64;
-            let _ = std::fs::remove_file(&ref_path);
-            // The header is written before the crash plan arms, so kill
-            // points count campaign records: 1 is the first round-start,
-            // `records - 1` is the final Finished append.
-            let last = records - 1;
-            for kill in [1, last / 2, last] {
-                let path = journal_path("kill");
-                let (digest, _) = kill_then_resume(chaos_seed, transport, kill, &path);
-                assert_eq!(
-                    digest, reference,
-                    "{transport:?} seed {chaos_seed:#x}: resume after a kill at record \
-                     {kill}/{records} diverged from the uninterrupted run"
-                );
-                let _ = std::fs::remove_file(&path);
-            }
+    for (transport, chaos_seed, pinned) in ATTESTATIONS {
+        let ref_path = journal_path("ref");
+        let (reference, _) = campaign(
+            chaos_seed,
+            transport,
+            Mode::Create(&ref_path, CrashPlan::never()),
+        )
+        .expect("the uninterrupted campaign completes");
+        let reference = summary_digest(&reference);
+        let records = read_journal(&ref_path)
+            .expect("the sealed journal reads back")
+            .records
+            .len() as u64;
+        assert_eq!(
+            attestation(&ref_path),
+            pinned,
+            "{transport:?} seed {chaos_seed:#x}: the uninterrupted journal changed"
+        );
+        let _ = std::fs::remove_file(&ref_path);
+        // The header is written before the crash plan arms, so kill
+        // points count campaign records: 1 is the first round-start,
+        // `records - 1` is the final Finished append.
+        for kill in 1..records {
+            let path = journal_path("kill");
+            let (digest, _) = kill_then_resume(chaos_seed, transport, kill, &path);
+            assert_eq!(
+                digest, reference,
+                "{transport:?} seed {chaos_seed:#x}: resume after a kill at record \
+                 {kill}/{records} diverged from the uninterrupted run"
+            );
+            assert_eq!(
+                attestation(&path),
+                pinned,
+                "{transport:?} seed {chaos_seed:#x}: the journal resumed after a kill at \
+                 record {kill}/{records} differs from the uninterrupted one"
+            );
+            let _ = std::fs::remove_file(&path);
         }
     }
 }
