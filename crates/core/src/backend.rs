@@ -1,23 +1,31 @@
-//! Pluggable transport backends: one API for in-process and
-//! cross-process grids.
+//! How a round reaches its participant slots: one contract for
+//! in-process and cross-process grids, with three rules.
 //!
-//! The orchestrator's round loop is written once against
-//! [`TransportBackend`]: a backend opens a round by producing the
-//! supervisor-side transport the [`SessionEngine`](crate::engine) runs
-//! over, plus — when the participants live in this process — the
-//! decorated links their sessions are driven on. Two backends ship:
+//! * Global slot `k` of a round has task id `k` (the orchestrator numbers
+//!   a round's slots with one counter across its roster).
+//! * That task id is the slot's only address, on every transport.
+//! * The backend alone decides where slot `k` runs.
 //!
-//! * [`InProcessBackend`] — the historical in-memory grids: one
-//!   [`duplex`] pair per participant ([`TransportKind::Direct`]) or one
-//!   shared link into a relaying [`Broker`](ugc_grid::Broker) pumping on
-//!   its own thread ([`TransportKind::Brokered`]).
+//! The orchestrator registers the round's supervisor sessions with a
+//! [`SessionEngine`] and hands it, with a constructor for the participant
+//! half of any slot, to [`TransportBackend::run_round`]. It gets back a
+//! [`RoundResult`]: the sessions' results, one [`SlotReport`] per slot and
+//! the round's fault events — whether the slots ran in this process or in
+//! another is never its concern. Two backends ship:
+//!
+//! * [`InProcessBackend`] — every slot runs in this process as a
+//!   poll-driven [`SlotTask`] on a [`GridScheduler`] pool beside the
+//!   engine, over one [`duplex`] pair per slot ([`TransportKind::Direct`])
+//!   or one shared link into a relaying [`Broker`] pumping on its own
+//!   thread ([`TransportKind::Brokered`]). Each participant link carries
+//!   the round's seeded fault plan.
 //! * [`RemoteGridBackend`] — a [`TcpLink`] into a `ugc broker serve`
 //!   process that relays to participants in *other* OS processes
-//!   ([`TransportKind::Remote`]). The participants send their
-//!   [`SlotReport`]s back as control frames, so a cross-process campaign
-//!   produces a summary digest bit-identical to the in-process brokered
-//!   run of the same parameters (proven in `tests/wire_equivalence.rs`
-//!   and in CI's `cross-process` job).
+//!   ([`TransportKind::Remote`]). The engine runs over that link, and the
+//!   participants send their [`SlotReport`]s back as control frames, so a
+//!   cross-process campaign produces a summary digest bit-identical to
+//!   the in-process brokered run of the same parameters (proven in
+//!   `tests/wire_equivalence.rs` and in CI's `cross-process` job).
 //!
 //! Every participant slot, local or remote, ends the same way: it runs
 //! its session against a ledger of its own and hands back a
@@ -31,16 +39,17 @@
 //! [`run_fleet_on`](crate::run_fleet_on) accepts any backend the embedder
 //! connected.
 
-use crate::engine::{DirectTransport, EngineEvent, EngineTransport, SharedLink};
+use crate::engine::{DirectTransport, EngineTransport, SessionEngine, SessionResult, SharedLink};
 use crate::journal::{get_part_result, get_report, put_part_result, put_report};
-use crate::orchestrator::chaos_link_id;
+use crate::session::{step_participant_batch, ParticipantSession, SessionPoll};
 use crate::SchemeError;
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::Duration;
 use ugc_grid::codec::{get_u64, put_u64};
-use ugc_grid::runtime::{FaultLog, FaultPlan, FaultyEndpoint};
+use ugc_grid::runtime::{
+    FaultEvent, FaultLog, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll,
+};
 use ugc_grid::{
-    duplex, Broker, ControlHandle, CostReport, GridError, Message, RelayStats, TcpLink,
+    duplex, Broker, ControlHandle, CostLedger, CostReport, Doorbell, Endpoint, TcpLink,
 };
 
 /// How a fleet round moves its messages — the one transport-selection
@@ -95,8 +104,7 @@ impl TransportKind {
 /// completes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotReport {
-    /// The global slot (== task id: the orchestrator numbers slots with
-    /// one counter across the roster).
+    /// The global slot (== task id).
     pub slot: u64,
     /// What this slot's session charged (its ledger is fresh per slot).
     pub costs: CostReport,
@@ -140,101 +148,75 @@ impl SlotReport {
     }
 }
 
-/// The supervisor-side transport a backend opened for one round: either
-/// the engine's own per-participant links, or one shared link whose far
-/// side routes (an in-process broker pump or a `ugc broker serve`
-/// process).
-pub enum EngineSide {
-    /// Per-participant endpoints, answered directly by the engine.
-    Direct(DirectTransport),
-    /// One shared, relayed link (boxed: the concrete link type is the
-    /// backend's business).
-    Shared(Box<dyn EngineTransport + Send>),
+/// The link id participant slot `slot` draws its fault schedule from in
+/// reassignment round `round` (0 = the initial attempt). Exposed so tests
+/// can predict — and pick seeds around — which links a [`FaultPlan`] will
+/// crash.
+#[must_use]
+pub fn chaos_link_id(round: u32, slot: usize) -> u64 {
+    (u64::from(round) << 32) | slot as u64
 }
 
-impl EngineTransport for EngineSide {
-    fn send(&mut self, routing_id: u64, msg: &Message) -> Result<u64, GridError> {
-        match self {
-            EngineSide::Direct(t) => t.send(routing_id, msg),
-            EngineSide::Shared(t) => t.send(routing_id, msg),
-        }
-    }
-
-    fn recv(&mut self, until: Option<Instant>) -> Result<Option<EngineEvent>, GridError> {
-        match self {
-            EngineSide::Direct(t) => t.recv(until),
-            EngineSide::Shared(t) => t.recv(until),
-        }
-    }
-}
-
-/// What the orchestrator tells a backend about the round it is opening.
+/// What the orchestrator tells a backend about the round it runs.
 #[derive(Debug)]
-pub struct RoundSpec<'a> {
+pub struct RoundSpec {
     /// The reassignment round number (0 = the initial attempt); feeds
     /// [`chaos_link_id`] so retry rounds draw fresh fault schedules.
     pub round: u32,
-    /// One routing id per global slot, in global-slot order — what a
-    /// [`TransportKind::Direct`] backend registers each supervisor-side
-    /// endpoint under. Relayed backends only need the count.
-    pub routing_ids: &'a [u64],
-    /// Seeded fault injection for every local participant link (`None`
+    /// How many participant slots the round has; slot `k` is task `k`.
+    pub slots: usize,
+    /// Seeded fault injection for every participant link (`None`
     /// decorates with the quiet plan). Remote backends refuse chaos:
     /// fault schedules are keyed by link id, and which process hosts
     /// which link is execution layout — exactly what digests must not
     /// depend on.
     pub chaos: Option<FaultPlan>,
+    /// Size of the scheduler pool that runs slots hosted in this process
+    /// (`None`: one per available core). Execution-only.
+    pub workers: Option<usize>,
+    /// Seed for that pool's work-stealing victim order. Scheduling-only.
+    pub steal_seed: u64,
 }
 
-/// Everything a backend opened for one round.
-pub struct OpenRound {
-    /// The transport the engine multiplexes supervisor sessions over.
-    pub engine_side: EngineSide,
-    /// Fault-decorated links for participants hosted *in this process*,
-    /// in global-slot order — empty for a remote backend, whose
-    /// participants are driven by their own `ugc participant join`
-    /// processes.
-    pub local_links: Vec<FaultyEndpoint>,
-    /// Fault logs of the local links, snapshot by the orchestrator once
-    /// the round completes.
-    pub fault_logs: Vec<FaultLog>,
-    /// The broker pump thread, when the backend runs one; joined by the
-    /// orchestrator after the engine side is dropped.
-    pub pump: Option<JoinHandle<RelayStats>>,
+/// What one round produced, wherever its slots ran.
+#[derive(Debug)]
+pub struct RoundResult {
+    /// One result per registered supervisor session, in registration
+    /// order.
+    pub sessions: Vec<SessionResult>,
+    /// One report per participant slot, in slot order.
+    pub reports: Vec<SlotReport>,
+    /// Faults injected during the round, sorted.
+    pub events: Vec<FaultEvent>,
 }
 
-/// A transport backend: where a fleet round's participants live and how
-/// the supervisor's messages reach them. Implementations must charge
-/// every data-plane message exactly as [`Endpoint`](ugc_grid::Endpoint)
-/// does (encoded frame + header) — that equality is what makes digests
-/// transport-invariant.
+/// A transport backend: where a fleet round's participant slots run and
+/// how the supervisor's messages reach them. Implementations must charge
+/// every data-plane message exactly as [`Endpoint`] does (encoded frame +
+/// header) — that equality is what makes digests transport-invariant.
 pub trait TransportBackend {
     /// Which transport this backend implements.
     fn kind(&self) -> TransportKind;
 
-    /// Opens one round for `spec.routing_ids.len()` global slots.
+    /// Runs one round of `spec.slots` participant slots: `engine`, whose
+    /// sessions are registered under task ids `0..spec.slots`, against
+    /// one participant session per slot. A slot that runs in this process
+    /// is built by `slot(k, ledger)`, charging `ledger`; a slot hosted
+    /// elsewhere is built there.
     ///
     /// # Errors
     ///
     /// [`SchemeError::InvalidConfig`] when the backend cannot serve the
-    /// spec (an in-process backend asked for [`TransportKind::Remote`],
-    /// a remote backend asked for chaos or a second round).
-    fn open_round(&mut self, spec: &RoundSpec<'_>) -> Result<OpenRound, SchemeError>;
-
-    /// Collects the round's [`SlotReport`]s — one per global slot,
-    /// sorted by slot — from participants *not* hosted in this process.
-    /// In-process backends return an empty list: their slots report from
-    /// the scheduler pool instead.
-    ///
-    /// Called after the engine finishes but while the round's links are
-    /// still open (a remote peer delivers reports over the same
-    /// connection).
-    ///
-    /// # Errors
-    ///
-    /// Transport failure before all `slots` reports arrived, or a
-    /// malformed report.
-    fn close_round(&mut self, slots: usize) -> Result<Vec<SlotReport>, SchemeError>;
+    /// spec (an in-process backend asked for [`TransportKind::Remote`], a
+    /// remote backend asked for chaos or a second round) or a remote peer
+    /// reports a slot outside the round, or one slot twice; transport
+    /// failure or a malformed report before every slot has reported.
+    fn run_round<'a>(
+        &mut self,
+        spec: &RoundSpec,
+        engine: SessionEngine<'a>,
+        slot: &dyn Fn(u64, CostLedger) -> Box<dyn ParticipantSession + 'a>,
+    ) -> Result<RoundResult, SchemeError>;
 }
 
 /// The in-process backends: participants on a scheduler pool in this
@@ -248,7 +230,7 @@ pub struct InProcessBackend {
 impl InProcessBackend {
     /// A backend for `kind`. Constructing one for
     /// [`TransportKind::Remote`] is allowed (so configs thread through
-    /// uniformly) but its `open_round` reports the configuration error.
+    /// uniformly) but its `run_round` reports the configuration error.
     #[must_use]
     pub fn new(kind: TransportKind) -> Self {
         InProcessBackend { kind }
@@ -260,56 +242,36 @@ impl TransportBackend for InProcessBackend {
         self.kind
     }
 
-    fn open_round(&mut self, spec: &RoundSpec<'_>) -> Result<OpenRound, SchemeError> {
-        // Chaos-free rounds use the quiet plan rather than a separate
-        // undecorated code path: the decorator's transparency at zero
-        // rates is property-tested (grid/tests/fault_properties.rs), and
-        // one code path means the soak exercises what production runs.
-        let plan = spec.chaos.unwrap_or(FaultPlan::quiet(0));
-        let slots = spec.routing_ids.len();
+    fn run_round<'a>(
+        &mut self,
+        spec: &RoundSpec,
+        engine: SessionEngine<'a>,
+        slot: &dyn Fn(u64, CostLedger) -> Box<dyn ParticipantSession + 'a>,
+    ) -> Result<RoundResult, SchemeError> {
         match self.kind {
             TransportKind::Direct => {
                 let mut transport = DirectTransport::new();
-                let mut links = Vec::with_capacity(slots);
-                let mut logs = Vec::with_capacity(slots);
-                for (slot, &routing_id) in spec.routing_ids.iter().enumerate() {
-                    let (sup_side, part_side) = duplex();
-                    transport.add_endpoint(sup_side, [routing_id]);
-                    let link =
-                        FaultyEndpoint::new(part_side, plan.link(chaos_link_id(spec.round, slot)));
-                    logs.push(link.log());
-                    links.push(link);
-                }
-                Ok(OpenRound {
-                    engine_side: EngineSide::Direct(transport),
-                    local_links: links,
-                    fault_logs: logs,
-                    pump: None,
-                })
+                let links = (0u64..)
+                    .take(spec.slots)
+                    .map(|task_id| {
+                        let (sup_side, part_side) = duplex();
+                        transport.add_endpoint(sup_side, [task_id]);
+                        part_side
+                    })
+                    .collect();
+                Ok(run_local(spec, engine, transport, links, slot))
             }
             TransportKind::Brokered => {
-                let (sup_endpoint, broker_up) = duplex();
-                let mut broker_down = Vec::with_capacity(slots);
-                let mut links = Vec::with_capacity(slots);
-                let mut logs = Vec::with_capacity(slots);
-                for slot in 0..slots {
-                    let (b, p) = duplex();
-                    broker_down.push(b);
-                    let link = FaultyEndpoint::new(p, plan.link(chaos_link_id(spec.round, slot)));
-                    logs.push(link.log());
-                    links.push(link);
-                }
+                let (sup_side, broker_up) = duplex();
+                let (broker_down, links) = (0..spec.slots).map(|_| duplex()).unzip();
                 let broker = Broker::new(broker_up, broker_down);
-                // Endpoints are `'static`, so the pump outlives the round
-                // scope; the orchestrator joins the handle once the engine
-                // side is dropped (which is what winds the pump down).
                 let pump = std::thread::spawn(move || broker.pump_until_closed());
-                Ok(OpenRound {
-                    engine_side: EngineSide::Shared(Box::new(SharedLink::new(sup_endpoint))),
-                    local_links: links,
-                    fault_logs: logs,
-                    pump: Some(pump),
-                })
+                let result = run_local(spec, engine, SharedLink::new(sup_side), links, slot);
+                // The engine's link is gone, which winds the pump down.
+                // Relay counters are diagnostics only; the round's books
+                // come from the engine-side link stats and the ledgers.
+                let _ = pump.join().expect("broker pump panicked");
+                Ok(result)
             }
             TransportKind::Remote => Err(SchemeError::InvalidConfig {
                 reason: "the in-process backend cannot serve the remote transport; \
@@ -317,9 +279,121 @@ impl TransportBackend for InProcessBackend {
             }),
         }
     }
+}
 
-    fn close_round(&mut self, _slots: usize) -> Result<Vec<SlotReport>, SchemeError> {
-        Ok(Vec::new())
+/// Runs `engine` over `transport` on the calling thread while slot `k`
+/// runs on the participant end `links[k]`, behind the round's fault plan,
+/// as a [`SlotTask`] on a [`GridScheduler`] pool.
+fn run_local<'a, T: EngineTransport>(
+    spec: &RoundSpec,
+    engine: SessionEngine<'a>,
+    mut transport: T,
+    links: Vec<Endpoint>,
+    slot: &dyn Fn(u64, CostLedger) -> Box<dyn ParticipantSession + 'a>,
+) -> RoundResult {
+    // Chaos-free rounds use the quiet plan rather than a separate
+    // undecorated code path: the decorator's transparency at zero rates
+    // is property-tested (grid/tests/fault_properties.rs), and one code
+    // path means the soak exercises what production runs.
+    let plan = spec.chaos.unwrap_or(FaultPlan::quiet(0));
+    let mut logs = Vec::with_capacity(links.len());
+    let tasks: Vec<SlotTask<'a>> = (0u64..)
+        .zip(links)
+        .enumerate()
+        .map(|(k, (task_id, link))| {
+            let link = FaultyEndpoint::new(link, plan.link(chaos_link_id(spec.round, k)));
+            logs.push(link.log());
+            let ledger = CostLedger::new();
+            SlotTask {
+                slot: task_id,
+                link: Some(link),
+                session: slot(task_id, ledger.clone()),
+                ledger,
+                outcome: None,
+            }
+        })
+        .collect();
+    let scheduler = spec
+        .workers
+        .map_or_else(GridScheduler::available, GridScheduler::new)
+        .with_steal_seed(spec.steal_seed);
+    let (sessions, tasks) = std::thread::scope(|scope| {
+        let pool = scope.spawn(move || scheduler.run(tasks));
+        let sessions = engine.run(&mut transport);
+        // Close the supervisor side so chaos-stalled participants observe
+        // the hang-up instead of parking forever (and so a broker pump
+        // winds down).
+        drop(transport);
+        (sessions, pool.join().expect("scheduler pool panicked"))
+    });
+    let mut events: Vec<FaultEvent> = logs.iter().flat_map(FaultLog::snapshot).collect();
+    events.sort_unstable();
+    RoundResult {
+        sessions,
+        reports: tasks.into_iter().map(SlotTask::into_report).collect(),
+        events,
+    }
+}
+
+/// How many inbound messages one scheduler poll may drain from a slot's
+/// queue before handing the worker back. Batching amortises the
+/// run-queue round trip over a burst of queued mail; the value is purely
+/// a latency/fairness trade-off — digests are identical at any budget
+/// (`step_participant_batch` consumes messages one at a time, in order).
+const STEP_BATCH_BUDGET: usize = 8;
+
+/// One participant slot as a poll-driven task on the grid scheduler's
+/// run-queue: the session state machine plus its fault-decorated link and
+/// a ledger of its own. Completion drops the link immediately, so the
+/// broker pump — and a supervisor session waiting on the verdict
+/// acknowledgement — observe the hang-up without waiting for the whole
+/// pool to drain.
+struct SlotTask<'a> {
+    slot: u64,
+    link: Option<FaultyEndpoint>,
+    session: Box<dyn ParticipantSession + 'a>,
+    ledger: CostLedger,
+    outcome: Option<Result<bool, SchemeError>>,
+}
+
+impl SlotTask<'_> {
+    /// The completed slot's report — what a remote participant sends
+    /// back for its slot.
+    fn into_report(self) -> SlotReport {
+        SlotReport {
+            slot: self.slot,
+            costs: self.ledger.report(),
+            outcome: self
+                .outcome
+                .expect("scheduler ran every task to completion"),
+        }
+    }
+}
+
+impl GridTask for SlotTask<'_> {
+    fn poll(&mut self) -> TaskPoll {
+        let Some(link) = self.link.as_ref() else {
+            return TaskPoll::Complete;
+        };
+        match step_participant_batch(link, self.session.as_mut(), STEP_BATCH_BUDGET) {
+            SessionPoll::Progress => TaskPoll::Progress,
+            SessionPoll::Idle => TaskPoll::Idle,
+            SessionPoll::Complete(result) => {
+                self.outcome = Some(result);
+                self.link = None; // hang up so the peer sees the closure
+                TaskPoll::Complete
+            }
+        }
+    }
+
+    /// The slot only ever waits for its link: inbound mail, or the hang-up
+    /// that fails the session. Both ring. (A slot already hung up never
+    /// answers `Idle`: its next poll completes.)
+    fn wake_on(&mut self, bell: &Doorbell, key: usize) -> bool {
+        if let Some(link) = &self.link {
+            link.subscribe(bell, key);
+        }
+        true
     }
 }
 
@@ -333,7 +407,7 @@ impl TransportBackend for InProcessBackend {
 pub struct RemoteGridBackend {
     link: Option<TcpLink>,
     control: ControlHandle,
-    patience: std::time::Duration,
+    patience: Duration,
 }
 
 impl RemoteGridBackend {
@@ -345,18 +419,46 @@ impl RemoteGridBackend {
         RemoteGridBackend {
             link: Some(link),
             control,
-            patience: std::time::Duration::from_secs(30),
+            patience: Duration::from_secs(30),
         }
     }
 
-    /// Overrides how long [`close_round`](TransportBackend::close_round)
-    /// waits for each participant cost report before reporting the grid
-    /// dead. A hang guard only — tests shorten it to fail fast; it never
-    /// feeds verdicts or digests.
+    /// Overrides how long a round waits for each participant slot report
+    /// before reporting the grid dead. A hang guard only — tests shorten
+    /// it to fail fast; it never feeds verdicts or digests.
     #[must_use]
-    pub fn with_patience(mut self, patience: std::time::Duration) -> Self {
+    pub fn with_patience(mut self, patience: Duration) -> Self {
         self.patience = patience;
         self
+    }
+
+    /// Collects exactly one [`SlotReport`] for each of `slots` slots over
+    /// the control plane, returned in slot order.
+    fn collect_reports(&self, slots: usize) -> Result<Vec<SlotReport>, SchemeError> {
+        let mut reports: Vec<Option<SlotReport>> = vec![None; slots];
+        for _ in 0..slots {
+            // The patience window is a hang guard for a participant
+            // process that died without reporting (its sessions already
+            // failed with `Gone`); it is never an input to verdicts or
+            // digests — a report either arrives or the round errors.
+            let frame = self
+                .control
+                .recv_timeout(self.patience)?
+                .ok_or(SchemeError::TimedOut)?;
+            let report = SlotReport::decode(&frame)?;
+            let entry = usize::try_from(report.slot)
+                .ok()
+                .and_then(|slot| reports.get_mut(slot))
+                .ok_or(SchemeError::InvalidConfig {
+                    reason: "remote peer reported an unknown participant slot",
+                })?;
+            if entry.replace(report).is_some() {
+                return Err(SchemeError::InvalidConfig {
+                    reason: "remote peer reported a participant slot twice",
+                });
+            }
+        }
+        Ok(reports.into_iter().flatten().collect())
     }
 }
 
@@ -365,7 +467,12 @@ impl TransportBackend for RemoteGridBackend {
         TransportKind::Remote
     }
 
-    fn open_round(&mut self, spec: &RoundSpec<'_>) -> Result<OpenRound, SchemeError> {
+    fn run_round<'a>(
+        &mut self,
+        spec: &RoundSpec,
+        engine: SessionEngine<'a>,
+        _slot: &dyn Fn(u64, CostLedger) -> Box<dyn ParticipantSession + 'a>,
+    ) -> Result<RoundResult, SchemeError> {
         if spec.chaos.is_some() {
             return Err(SchemeError::InvalidConfig {
                 reason: "the remote backend cannot inject faults: fault schedules are \
@@ -376,30 +483,16 @@ impl TransportBackend for RemoteGridBackend {
         let link = self.link.take().ok_or(SchemeError::InvalidConfig {
             reason: "the remote backend serves a single round per connection",
         })?;
-        Ok(OpenRound {
-            engine_side: EngineSide::Shared(Box::new(SharedLink::new(link))),
-            local_links: Vec::new(),
-            fault_logs: Vec::new(),
-            pump: None,
+        let mut transport = SharedLink::new(link);
+        let sessions = engine.run(&mut transport);
+        // The slots' reports come over the same connection, so it stays
+        // open until they are in.
+        let reports = self.collect_reports(spec.slots)?;
+        Ok(RoundResult {
+            sessions,
+            reports,
+            events: Vec::new(),
         })
-    }
-
-    fn close_round(&mut self, slots: usize) -> Result<Vec<SlotReport>, SchemeError> {
-        let mut reports = Vec::with_capacity(slots);
-        while reports.len() < slots {
-            // The patience window is a hang guard for a participant
-            // process that died without reporting (its sessions already
-            // failed with `Gone`); it is never an input to verdicts or
-            // digests — a report either arrives or the round errors.
-            let frame = self
-                .control
-                .recv_timeout(self.patience)?
-                .ok_or(SchemeError::TimedOut)?;
-            reports.push(SlotReport::decode(&frame)?);
-        }
-        // Global-slot order is the in-process participant-result order.
-        reports.sort_by_key(|r| r.slot);
-        Ok(reports)
     }
 }
 
@@ -462,17 +555,27 @@ mod tests {
         ));
     }
 
+    /// The slot constructor of a round that builds no slot here.
+    fn no_slot(_: u64, _: CostLedger) -> Box<dyn ParticipantSession> {
+        unreachable!("this round runs no slot in this process")
+    }
+
+    fn spec(round: u32, slots: usize, chaos: Option<FaultPlan>) -> RoundSpec {
+        RoundSpec {
+            round,
+            slots,
+            chaos,
+            workers: None,
+            steal_seed: 0,
+        }
+    }
+
     #[test]
     fn in_process_backend_refuses_remote() {
         let mut backend = InProcessBackend::new(TransportKind::Remote);
         let err = backend
-            .open_round(&RoundSpec {
-                round: 0,
-                routing_ids: &[0],
-                chaos: None,
-            })
-            .err()
-            .expect("backend must refuse this round");
+            .run_round(&spec(0, 1, None), SessionEngine::new(), &no_slot)
+            .expect_err("backend must refuse this round");
         assert!(matches!(err, SchemeError::InvalidConfig { .. }));
     }
 
@@ -485,31 +588,14 @@ mod tests {
         let stream = TcpStream::connect(addr).unwrap();
         let _peer = accept.join().unwrap();
         let mut backend = RemoteGridBackend::new(TcpLink::from_stream(stream));
-        let err = backend
-            .open_round(&RoundSpec {
-                round: 0,
-                routing_ids: &[0],
-                chaos: Some(FaultPlan::chaos(1)),
-            })
-            .err()
-            .expect("backend must refuse this round");
+        let mut run = |spec| backend.run_round(&spec, SessionEngine::new(), &no_slot);
+        let err =
+            run(spec(0, 0, Some(FaultPlan::chaos(1)))).expect_err("backend must refuse this round");
         assert!(matches!(err, SchemeError::InvalidConfig { .. }));
-        let opened = backend
-            .open_round(&RoundSpec {
-                round: 0,
-                routing_ids: &[0],
-                chaos: None,
-            })
-            .unwrap();
-        assert!(opened.local_links.is_empty());
-        let err = backend
-            .open_round(&RoundSpec {
-                round: 1,
-                routing_ids: &[0],
-                chaos: None,
-            })
-            .err()
-            .expect("backend must refuse this round");
+        // An empty round runs: no session to drive, no report to wait for.
+        let round = run(spec(0, 0, None)).unwrap();
+        assert!(round.sessions.is_empty() && round.reports.is_empty());
+        let err = run(spec(1, 0, None)).expect_err("backend must refuse this round");
         assert!(matches!(err, SchemeError::InvalidConfig { .. }));
     }
 }

@@ -3,25 +3,33 @@
 //!
 //! The engine owns a set of supervisor-side
 //! [`SupervisorSession`] state machines
-//! and a routing table from wire ids to `(session, slot)`. Its event loop
+//! and a routing table from task ids to `(session, slot)`: a participant
+//! slot's task id is its only address, on every transport. Its event loop
 //! is transport-agnostic:
 //!
 //! ```text
 //!            ┌────────────── SessionEngine ──────────────┐
 //!            │ session 0 (cbs)    session 1 (ni-cbs)  …  │
 //!            │    ▲ │                ▲ │                 │
-//!            │    │ ▼  route by session id / task id     │
+//!            │    │ ▼      route by task id              │
 //!            └────┼─┼───────────────┼─┼─────────────────-┘
 //!                 │ ▼               │ ▼
 //!        DirectTransport (one endpoint per participant)
 //!        — or — a single Endpoint into a Broker that fans out
 //! ```
 //!
+//! What reaches the engine is trusted to be addressed honestly: a
+//! [`DirectTransport`] passes up only mail for the tasks its link serves,
+//! and a broker relays only what the participant holding the task sent.
+//! A [`Message::Gone`] therefore always comes from the relay itself.
+//!
 //! The same loop therefore drives in-memory fleets (per-participant
 //! duplex links), the relayed [`Broker`](ugc_grid::Broker) deployment of
 //! Section 4, mixed-scheme campaigns and single stand-alone rounds —
 //! [`run_mixed_fleet`](crate::run_mixed_fleet) and
-//! [`run_round`](crate::scheme::run_round) are wrappers over this engine.
+//! [`run_round`](crate::scheme::run_round) are wrappers over this engine,
+//! which a [`TransportBackend`](crate::TransportBackend) runs beside the
+//! round's participant slots.
 //!
 //! Per-session traffic is accounted from encoded frame sizes (wire length
 //! plus the transport's frame header), which is byte-identical to what a
@@ -47,19 +55,19 @@ pub enum EngineEvent {
     /// (wire bytes + header), so the engine can attribute per-session
     /// traffic without re-encoding.
     Message(Message, u64),
-    /// A peer hung up; the listed routing ids can never receive again.
+    /// A peer hung up; the listed task ids can never receive again.
     PeerClosed(Vec<u64>),
 }
 
 /// A transport the engine can multiplex sessions over.
 pub trait EngineTransport {
-    /// Sends `msg` towards the peer that owns `routing_id`, returning the
-    /// bytes charged (encoded frame plus header).
+    /// Sends `msg` towards the peer that holds task `task_id`, returning
+    /// the bytes charged (encoded frame plus header).
     ///
     /// # Errors
     ///
     /// Transport failures (e.g. the peer disconnected).
-    fn send(&mut self, routing_id: u64, msg: &Message) -> Result<u64, GridError>;
+    fn send(&mut self, task_id: u64, msg: &Message) -> Result<u64, GridError>;
 
     /// Blocks until the next inbound event, or — given an `until` — no
     /// longer than that instant: `Ok(None)` means it passed with nothing
@@ -89,10 +97,10 @@ fn next_ring(bell: &Doorbell, until: Option<Instant>) -> Option<usize> {
 /// One shared [`GridLink`] whose far side routes: the in-process
 /// [`Broker`](ugc_grid::Broker)'s endpoint, or a
 /// [`TcpLink`](ugc_grid::TcpLink) into `ugc broker serve`. The relay
-/// routes by session/task id and NACKs tasks whose participant hung up
-/// with [`Message::Gone`], so the routing id is ignored on send. The link
-/// is subscribed to a bell of its own, and a receive answers each ring
-/// with one look at the link, as [`DirectTransport`] does.
+/// routes by task id and NACKs tasks whose participant hung up with
+/// [`Message::Gone`], so the task id is ignored on send. The link is
+/// subscribed to a bell of its own, and a receive answers each ring with
+/// one look at the link, as [`DirectTransport`] does.
 pub(crate) struct SharedLink<L> {
     link: L,
     bell: Doorbell,
@@ -107,7 +115,7 @@ impl<L: GridLink> SharedLink<L> {
 }
 
 impl<L: GridLink> EngineTransport for SharedLink<L> {
-    fn send(&mut self, _routing_id: u64, msg: &Message) -> Result<u64, GridError> {
+    fn send(&mut self, _task_id: u64, msg: &Message) -> Result<u64, GridError> {
         self.link.send_counted(msg)
     }
 
@@ -130,6 +138,10 @@ impl<L: GridLink> EngineTransport for SharedLink<L> {
 /// the link that rang, so mail is served in arrival order (no chatty
 /// participant can starve another) at a cost that does not grow with the
 /// number of silent links.
+///
+/// A link speaks only for the tasks it was registered with: a message
+/// for any other task, and any [`Message::Gone`] (a relay's NACK, which
+/// no participant may send), is dropped unseen and uncharged.
 #[derive(Debug, Default)]
 pub struct DirectTransport {
     endpoints: Vec<Endpoint>,
@@ -148,7 +160,7 @@ impl DirectTransport {
         Self::default()
     }
 
-    /// Registers a participant endpoint serving the given routing ids.
+    /// Registers a participant endpoint serving the given task ids.
     pub fn add_endpoint(&mut self, endpoint: Endpoint, ids: impl IntoIterator<Item = u64>) {
         let idx = self.endpoints.len();
         let ids: Vec<u64> = ids.into_iter().collect();
@@ -163,15 +175,20 @@ impl DirectTransport {
     }
 
     /// Answers one ring from endpoint `idx` with one receive. `Ok(None)`
-    /// when the ring announced a frame an earlier ring already served, or
-    /// a link already reported closed.
+    /// when the ring announced a frame an earlier ring already served, a
+    /// link already reported closed, or a message the link may not send.
     fn answer(&mut self, idx: usize) -> Result<Option<EngineEvent>, GridError> {
         if !self.open[idx] {
             return Ok(None);
         }
         match self.endpoints[idx].try_recv_counted() {
-            Ok((msg, charged)) => Ok(Some(EngineEvent::Message(msg, charged))),
-            Err(GridError::Empty) => Ok(None),
+            Ok((msg, charged))
+                if !matches!(msg, Message::Gone { .. })
+                    && self.ids[idx].contains(&msg.task_id()) =>
+            {
+                Ok(Some(EngineEvent::Message(msg, charged)))
+            }
+            Ok(_) | Err(GridError::Empty) => Ok(None),
             Err(GridError::Disconnected) => {
                 self.open[idx] = false;
                 self.open_count -= 1;
@@ -183,8 +200,8 @@ impl DirectTransport {
 }
 
 impl EngineTransport for DirectTransport {
-    fn send(&mut self, routing_id: u64, msg: &Message) -> Result<u64, GridError> {
-        let idx = *self.routes.get(&routing_id).ok_or(GridError::Empty)?;
+    fn send(&mut self, task_id: u64, msg: &Message) -> Result<u64, GridError> {
+        let idx = *self.routes.get(&task_id).ok_or(GridError::Empty)?;
         match self.endpoints[idx].send_counted(msg) {
             Ok(charged) => Ok(charged),
             // A dead participant loses the message downstream — exactly
@@ -222,9 +239,8 @@ enum SessionState {
 
 struct EngineSlot<'a> {
     session: Box<dyn SupervisorSession + 'a>,
-    /// Routing id per participant slot (task id, or a fresh session id in
-    /// envelope mode).
-    routing_ids: Vec<u64>,
+    /// Task id per participant slot.
+    task_ids: Vec<u64>,
     link: LinkStats,
     state: SessionState,
 }
@@ -243,18 +259,13 @@ pub struct SessionResult {
 /// An event loop multiplexing many supervisor sessions over one transport.
 ///
 /// Sessions are registered with [`add_session`](Self::add_session) and run
-/// to completion by [`run`](Self::run). Routing uses each slot's task id
-/// directly (zero wire overhead); [`enveloped`](Self::enveloped) mode
-/// instead assigns fresh session ids and wraps every message in a
-/// [`Message::Session`] envelope, which lets sessions with *colliding*
-/// task ids share one transport.
+/// to completion by [`run`](Self::run). Routing uses each slot's task id,
+/// which must be unique across the engine's sessions.
 pub struct SessionEngine<'a> {
     slots: Vec<EngineSlot<'a>>,
     /// How many slots are still [`SessionState::Active`].
     active: usize,
     routes: HashMap<u64, (usize, usize)>,
-    envelope: bool,
-    next_session_id: u64,
     deadline: Option<Duration>,
 }
 
@@ -265,16 +276,13 @@ impl Default for SessionEngine<'_> {
 }
 
 impl<'a> SessionEngine<'a> {
-    /// An engine routing by task id (no envelope overhead; task ids must
-    /// be unique across sessions).
+    /// An engine with no sessions and no deadline.
     #[must_use]
     pub fn new() -> Self {
         SessionEngine {
             slots: Vec::new(),
             active: 0,
             routes: HashMap::new(),
-            envelope: false,
-            next_session_id: 0,
             deadline: None,
         }
     }
@@ -295,63 +303,38 @@ impl<'a> SessionEngine<'a> {
         self
     }
 
-    /// An engine that wraps every message in a [`Message::Session`]
-    /// envelope keyed by engine-assigned session ids, so sessions whose
-    /// task ids collide can still share the transport.
-    #[must_use]
-    pub fn enveloped() -> Self {
-        SessionEngine {
-            envelope: true,
-            ..Self::new()
-        }
-    }
-
-    /// Registers a session whose slots answer to `task_ids`, returning the
-    /// routing ids the transport must deliver (equal to `task_ids` unless
-    /// the engine is enveloped).
+    /// Registers a session whose participant slots answer to `task_ids`.
     ///
     /// # Errors
     ///
-    /// [`SchemeError::InvalidConfig`] if a routing id collides with an
-    /// already-registered session (use [`SessionEngine::enveloped`]).
+    /// [`SchemeError::InvalidConfig`] if a task id repeats, within the
+    /// list or against an already-registered session.
     pub fn add_session(
         &mut self,
         session: Box<dyn SupervisorSession + 'a>,
         task_ids: Vec<u64>,
-    ) -> Result<Vec<u64>, SchemeError> {
-        let routing_ids: Vec<u64> = if self.envelope {
-            task_ids
-                .iter()
-                .map(|_| {
-                    let id = self.next_session_id;
-                    self.next_session_id += 1;
-                    id
-                })
-                .collect()
-        } else {
-            task_ids
-        };
+    ) -> Result<(), SchemeError> {
         let index = self.slots.len();
         // Validate before mutating: a rejected registration must leave the
         // routing table exactly as it was.
-        for (slot, id) in routing_ids.iter().enumerate() {
-            if self.routes.contains_key(id) || routing_ids[..slot].contains(id) {
+        for (slot, id) in task_ids.iter().enumerate() {
+            if self.routes.contains_key(id) || task_ids[..slot].contains(id) {
                 return Err(SchemeError::InvalidConfig {
-                    reason: "routing id already registered with the engine",
+                    reason: "task id already registered with the engine",
                 });
             }
         }
-        for (slot, &id) in routing_ids.iter().enumerate() {
+        for (slot, &id) in task_ids.iter().enumerate() {
             self.routes.insert(id, (index, slot));
         }
         self.slots.push(EngineSlot {
             session,
-            routing_ids: routing_ids.clone(),
+            task_ids,
             link: LinkStats::default(),
             state: SessionState::Active,
         });
         self.active += 1;
-        Ok(routing_ids)
+        Ok(())
     }
 
     /// Books the result of one step of an active slot's session: a
@@ -370,7 +353,7 @@ impl<'a> SessionEngine<'a> {
         *active -= 1;
     }
 
-    /// Handles peer-closure notices for the given routing ids: each
+    /// Handles peer-closure notices for the given task ids: each
     /// still-active session is asked (via
     /// [`SupervisorSession::on_peer_gone`]) whether it can finish
     /// without that peer. A session that cannot is failed with
@@ -414,23 +397,14 @@ impl<'a> SessionEngine<'a> {
     /// Sends one session's outbound batch, charging its link stats.
     fn send_outbound<T: EngineTransport>(
         transport: &mut T,
-        envelope: bool,
         slot: &mut EngineSlot<'a>,
         outs: Vec<(usize, Message)>,
     ) -> Result<(), SchemeError> {
         for (peer, msg) in outs {
-            let routing_id = *slot
-                .routing_ids
-                .get(peer)
-                .ok_or(SchemeError::InvalidConfig {
-                    reason: "session addressed a slot it does not own",
-                })?;
-            let msg = if envelope {
-                Message::in_session(routing_id, msg)
-            } else {
-                msg
-            };
-            slot.link.bytes_sent += transport.send(routing_id, &msg)?;
+            let task_id = *slot.task_ids.get(peer).ok_or(SchemeError::InvalidConfig {
+                reason: "session addressed a slot it does not own",
+            })?;
+            slot.link.bytes_sent += transport.send(task_id, &msg)?;
             slot.link.messages_sent += 1;
         }
         Ok(())
@@ -454,7 +428,7 @@ impl<'a> SessionEngine<'a> {
             let step = slot
                 .session
                 .start()
-                .and_then(|outs| Self::send_outbound(transport, self.envelope, slot, outs));
+                .and_then(|outs| Self::send_outbound(transport, slot, outs));
             // A fire-and-forget session may already be complete.
             Self::settle(slot, &mut self.active, step);
         }
@@ -495,8 +469,7 @@ impl<'a> SessionEngine<'a> {
                     continue;
                 }
             };
-            let routing_id = msg.session_id();
-            let Some(&(index, peer)) = self.routes.get(&routing_id) else {
+            let Some(&(index, peer)) = self.routes.get(&msg.task_id()) else {
                 // Mail for a session this engine never registered: drop it,
                 // as a broker would drop mail for an unknown host.
                 continue;
@@ -505,8 +478,7 @@ impl<'a> SessionEngine<'a> {
             if !matches!(slot.state, SessionState::Active) {
                 continue; // late mail for a finished/failed session
             }
-            let (_, payload) = msg.into_payload();
-            if slot.session.is_stale(peer, &payload) {
+            if slot.session.is_stale(peer, &msg) {
                 // A redundant redelivery (e.g. a fault-injected duplicate
                 // of an upload already in hand): dropped uncharged, so
                 // the session's byte accounting cannot depend on whether
@@ -518,8 +490,8 @@ impl<'a> SessionEngine<'a> {
             slot.link.messages_received += 1;
             let step = slot
                 .session
-                .on_message(peer, payload)
-                .and_then(|outs| Self::send_outbound(transport, self.envelope, slot, outs));
+                .on_message(peer, msg)
+                .and_then(|outs| Self::send_outbound(transport, slot, outs));
             Self::settle(slot, &mut self.active, step);
         }
 
@@ -565,7 +537,7 @@ mod tests {
         let mut part_eps = Vec::new();
         for task_id in 0..2u64 {
             let (sup_ep, part_ep) = duplex();
-            let ids = engine
+            engine
                 .add_session(
                     VerificationScheme::<Sha256>::supervisor_session(
                         &scheme,
@@ -580,7 +552,7 @@ mod tests {
                     vec![task_id],
                 )
                 .unwrap();
-            transport.add_endpoint(sup_ep, ids);
+            transport.add_endpoint(sup_ep, [task_id]);
             part_eps.push(part_ep);
         }
         let results = std::thread::scope(|scope| {
@@ -757,6 +729,8 @@ mod tests {
 
     #[test]
     fn duplicate_task_ids_need_envelopes() {
+        // A task id is a participant slot's only address: registering one
+        // twice is refused, and the refusal leaves the engine usable.
         let task = PasswordSearch::with_hidden_password(2, 5);
         let screener = task.match_screener();
         let scheme = CbsScheme {
@@ -786,10 +760,6 @@ mod tests {
             plain.add_session(make_session(), vec![2, 2]),
             Err(SchemeError::InvalidConfig { .. })
         ));
-        let mut enveloped = SessionEngine::enveloped();
-        let first = enveloped.add_session(make_session(), vec![1]).unwrap();
-        let second = enveloped.add_session(make_session(), vec![1]).unwrap();
-        assert_ne!(first, second, "envelope mode must mint fresh ids");
 
         // A rejected registration must leave the engine fully usable: the
         // surviving session still routes (pre-fix this panicked — the

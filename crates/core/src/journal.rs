@@ -624,8 +624,6 @@ pub struct CampaignHeader {
     /// grid (and vice versa). Socket addresses and process layout are
     /// execution-only and never reach the header.
     pub transport: TransportKind,
-    /// Whether messages ride in session envelopes.
-    pub envelope: bool,
     /// The seeded chaos plan, if any.
     pub chaos: Option<FaultPlan>,
     /// Per-session inactivity deadline, if any.
@@ -651,7 +649,6 @@ impl CampaignHeader {
             domain,
             storage: config.storage,
             transport: config.transport.digest_canonical(),
-            envelope: config.envelope,
             chaos: config.chaos,
             deadline: config.deadline,
             retries: config.retries,
@@ -679,7 +676,9 @@ fn encode_header(header: &CampaignHeader) -> Vec<u8> {
             _ => 1,
         },
     );
-    put_u8(&mut buf, u8::from(header.envelope));
+    // The envelope flag: always 0, as slots are addressed by task id
+    // alone. A reader refuses any other value.
+    put_u8(&mut buf, 0);
     match header.chaos {
         None => put_u8(&mut buf, 0),
         Some(plan) => {
@@ -727,7 +726,14 @@ fn decode_header(buf: &mut &[u8]) -> Result<CampaignHeader, SchemeError> {
         1 => TransportKind::Brokered,
         tag => return Err(bad(format!("unknown transport tag {tag}"))),
     };
-    let envelope = get_u8(buf, "header envelope flag")? != 0;
+    match get_u8(buf, "header envelope flag")? {
+        0 => {}
+        flag => {
+            return Err(bad(format!(
+                "header envelope flag {flag}: slots are addressed by task id"
+            )))
+        }
+    }
     let chaos = match get_u8(buf, "header chaos flag")? {
         0 => None,
         _ => Some(FaultPlan {
@@ -750,7 +756,6 @@ fn decode_header(buf: &mut &[u8]) -> Result<CampaignHeader, SchemeError> {
         domain,
         storage,
         transport,
-        envelope,
         chaos,
         deadline,
         retries,
@@ -1245,7 +1250,6 @@ mod tests {
             domain: Domain::new(10, 300),
             storage: ParticipantStorage::Partial { subtree_height: 3 },
             transport: TransportKind::Brokered,
-            envelope: true,
             chaos: Some(FaultPlan {
                 seed: 42,
                 drop_per_1024: 8,
@@ -1269,7 +1273,6 @@ mod tests {
                 domain: Domain::new(0, 8),
                 storage: ParticipantStorage::Full,
                 transport: TransportKind::Direct,
-                envelope: false,
                 chaos: None,
                 deadline: None,
                 retries: 0,
@@ -1281,6 +1284,20 @@ mod tests {
             };
             assert_eq!(decoded, header);
         }
+    }
+
+    #[test]
+    fn header_refuses_an_envelope_flag() {
+        let mut encoded = encode_header(&sample_header());
+        // Tag, app blob, member slots, domain, storage (tag + height),
+        // transport: the envelope byte follows.
+        let at = 1 + (8 + 3) + (8 + 3 * 8) + 16 + (1 + 4) + 1;
+        assert_eq!(encoded[at], 0, "the flag is always written as 0");
+        encoded[at] = 1;
+        assert!(matches!(
+            decode_record(&encoded),
+            Err(SchemeError::Journal { reason }) if reason.contains("envelope")
+        ));
     }
 
     #[test]

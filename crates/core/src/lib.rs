@@ -66,14 +66,14 @@ pub mod scheme;
 pub mod session;
 
 pub use backend::{
-    EngineSide, InProcessBackend, OpenRound, RemoteGridBackend, RoundSpec, SlotReport,
+    chaos_link_id, InProcessBackend, RemoteGridBackend, RoundResult, RoundSpec, SlotReport,
     TransportBackend, TransportKind,
 };
 pub use error::SchemeError;
 pub use journal::{summary_digest, CampaignHeader, DurableCampaign, ResumeReport};
 pub use orchestrator::{
-    chaos_link_id, run_campaign, run_durable_fleet, run_fleet_on, run_mixed_fleet, CampaignSummary,
-    FleetMember, FleetScheme, FleetSummary, MemberSpec, MixedFleetConfig,
+    run_campaign, run_durable_fleet, run_fleet_on, run_mixed_fleet, CampaignSummary, FleetMember,
+    FleetScheme, FleetSummary, MemberSpec, MixedFleetConfig,
 };
 pub use outcome::{ParticipantStorage, RoundOutcome, Verdict};
 pub use session::{

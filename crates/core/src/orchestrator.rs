@@ -6,22 +6,21 @@
 //! costs into a fleet-level summary. It is the entry point a downstream
 //! project (a SETI@home, a screening grid) would actually call.
 //!
-//! Every round runs the same way. The supervisor side is one
-//! [`SessionEngine`](crate::engine::SessionEngine) on the calling thread,
-//! multiplexing one
-//! [`VerificationScheme`](crate::session::VerificationScheme) session per
-//! member over whatever the [`TransportBackend`] opened — per-participant
-//! links ([`TransportKind::Direct`]), one shared link into a relaying
-//! [`Broker`](ugc_grid::Broker) ([`TransportKind::Brokered`]), or a TCP
-//! link to a broker in another process ([`TransportKind::Remote`]). The
-//! participant side is every slot the backend hosts locally, each a
-//! poll-driven state machine multiplexed by a
-//! [`GridScheduler`] over a fixed pool of worker threads, so a
-//! thousand-participant campaign runs on as many threads as the host has
-//! cores. Verdicts, byte counts, cost ledgers and the fault log are a
-//! function of the campaign's seeds alone: identical over every
-//! transport class, at any pool size and steal seed, and pinned by the
-//! golden digests in `tests/scheduler_equivalence.rs`.
+//! Every round runs the same way. The orchestrator numbers the round's
+//! participant slots with one counter across its roster — slot `k` is
+//! task `k`, its only address — and registers one
+//! [`VerificationScheme`](crate::session::VerificationScheme) supervisor
+//! session per member with a [`SessionEngine`]. It hands the engine, and a
+//! constructor for the participant half of any slot, to the
+//! [`TransportBackend`], which alone decides where each slot runs: in
+//! this process beside the engine, over per-participant links
+//! ([`TransportKind::Direct`]) or one shared link into a relaying
+//! [`Broker`](ugc_grid::Broker) ([`TransportKind::Brokered`]), or in
+//! other processes behind a TCP relay ([`TransportKind::Remote`]).
+//! Verdicts, byte counts, cost ledgers and the fault log are a function
+//! of the campaign's seeds alone: identical over every transport class,
+//! at any pool size and steal seed, and pinned by the golden digests in
+//! `tests/scheduler_equivalence.rs`.
 //!
 //! A campaign is a loop of such rounds over one `CampaignState`: each
 //! round runs the members still pending, and returns a `RoundRecord` —
@@ -32,9 +31,7 @@
 //! reached. A durable campaign journals the roster before the round
 //! runs and the record after it, before applying it.
 
-use crate::backend::{
-    InProcessBackend, OpenRound, RoundSpec, SlotReport, TransportBackend, TransportKind,
-};
+use crate::backend::{InProcessBackend, RoundResult, RoundSpec, TransportBackend, TransportKind};
 use crate::engine::{SessionEngine, SessionResult};
 use crate::journal::{summary_digest, CampaignHeader, DurableCampaign};
 use crate::scheme::cbs::CbsScheme;
@@ -42,16 +39,11 @@ use crate::scheme::double_check::DoubleCheckScheme;
 use crate::scheme::naive::NaiveScheme;
 use crate::scheme::ni_cbs::NiCbsScheme;
 use crate::scheme::ringer::RingerScheme;
-use crate::session::{
-    step_participant_batch, ParticipantContext, ParticipantSession, SessionPoll, SupervisorContext,
-    VerificationScheme,
-};
+use crate::session::{ParticipantContext, SupervisorContext, VerificationScheme};
 use crate::{ParticipantStorage, RoundOutcome, SchemeError};
 use std::time::{Duration, Instant};
-use ugc_grid::runtime::{
-    FaultEvent, FaultLog, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll,
-};
-use ugc_grid::{CostLedger, CostReport, Doorbell, GridError, Throughput, WorkerBehaviour};
+use ugc_grid::runtime::{FaultEvent, FaultPlan};
+use ugc_grid::{CostLedger, CostReport, GridError, Throughput, WorkerBehaviour};
 use ugc_hash::HashFunction;
 use ugc_merkle::{LaneWidth, Parallelism};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
@@ -221,10 +213,6 @@ pub struct MixedFleetConfig {
     pub lanes: LaneWidth,
     /// Transport the engine multiplexes the sessions over.
     pub transport: TransportKind,
-    /// Wrap every message in a [`Message::Session`](ugc_grid::Message)
-    /// envelope with engine-assigned session ids — required only when
-    /// members' task ids collide; costs 9 bytes per message.
-    pub envelope: bool,
     /// Seeded fault injection on every participant link (`None` runs
     /// clean). The whole campaign — faults, failures, reassignments,
     /// verdicts — replays bit-identically from the plan's seed.
@@ -237,10 +225,10 @@ pub struct MixedFleetConfig {
     /// reassigned to a fresh participant before its error propagates.
     /// Cheating verdicts are never retried.
     pub retries: u32,
-    /// Size of the [`GridScheduler`] pool that runs the participant
-    /// slots hosted in this process: `Some(w)` is `w` OS threads, `None`
-    /// one per available core. Execution-only — verdicts, ledgers and the
-    /// fault log are bit-identical at any setting
+    /// Size of the scheduler pool that runs the participant slots hosted
+    /// in this process: `Some(w)` is `w` OS threads, `None` one per
+    /// available core. Execution-only — verdicts, ledgers and the fault
+    /// log are bit-identical at any setting
     /// (`tests/scheduler_equivalence.rs`).
     pub workers: Option<usize>,
     /// Seed for the scheduler's work-stealing victim order.
@@ -257,7 +245,6 @@ impl Default for MixedFleetConfig {
             parallelism: Parallelism::default(),
             lanes: LaneWidth::default(),
             transport: TransportKind::Direct,
-            envelope: false,
             chaos: None,
             deadline: None,
             retries: 0,
@@ -265,15 +252,6 @@ impl Default for MixedFleetConfig {
             steal_seed: 0,
         }
     }
-}
-
-/// The link id participant slot `slot` draws its fault schedule from in
-/// reassignment round `round` (0 = the initial attempt). Exposed so tests
-/// can predict — and pick seeds around — which links a [`FaultPlan`] will
-/// crash.
-#[must_use]
-pub fn chaos_link_id(round: u32, slot: usize) -> u64 {
-    (u64::from(round) << 32) | slot as u64
 }
 
 /// One member of a mixed-scheme fleet: a scheme and the behaviours filling
@@ -351,7 +329,7 @@ where
 /// whatever the backend.
 ///
 /// Participant slots the backend hosts in this process run on a
-/// [`GridScheduler`] pool sized by [`MixedFleetConfig::workers`]. With
+/// scheduler pool sized by [`MixedFleetConfig::workers`]. With
 /// [`MixedFleetConfig::chaos`] set, each link is decorated with the
 /// seeded fault plan; sessions that fail under chaos (crashes, timeouts,
 /// scrambled protocol) are *reassigned* — rerun on fresh participants
@@ -677,80 +655,15 @@ pub(crate) struct MemberBooks {
     pub(crate) part_results: Vec<Result<bool, SchemeError>>,
 }
 
-/// How many inbound messages one scheduler poll may drain from a slot's
-/// queue before handing the worker back. Batching amortises the
-/// run-queue round trip over a burst of queued mail; the value is purely
-/// a latency/fairness trade-off — digests are identical at any budget
-/// (`step_participant_batch` consumes messages one at a time, in order).
-const STEP_BATCH_BUDGET: usize = 8;
-
-/// One participant slot as a poll-driven task on the grid scheduler's
-/// run-queue: the session state machine plus its fault-decorated link and
-/// a ledger of its own. Completion drops the link immediately, so the
-/// broker pump — and a supervisor session waiting on the verdict
-/// acknowledgement — observe the hang-up without waiting for the whole
-/// pool to drain.
-struct SlotTask<'a> {
-    slot: u64,
-    link: Option<FaultyEndpoint>,
-    session: Box<dyn ParticipantSession + 'a>,
-    ledger: CostLedger,
-    outcome: Option<Result<bool, SchemeError>>,
-}
-
-impl SlotTask<'_> {
-    /// The completed slot's report — what a remote participant sends
-    /// back for its slot.
-    fn into_report(self) -> SlotReport {
-        SlotReport {
-            slot: self.slot,
-            costs: self.ledger.report(),
-            outcome: self
-                .outcome
-                .expect("scheduler ran every task to completion"),
-        }
-    }
-}
-
-impl GridTask for SlotTask<'_> {
-    fn poll(&mut self) -> TaskPoll {
-        let Some(link) = self.link.as_ref() else {
-            return TaskPoll::Complete;
-        };
-        match step_participant_batch(link, self.session.as_mut(), STEP_BATCH_BUDGET) {
-            SessionPoll::Progress => TaskPoll::Progress,
-            SessionPoll::Idle => TaskPoll::Idle,
-            SessionPoll::Complete(result) => {
-                self.outcome = Some(result);
-                self.link = None; // hang up so the peer sees the closure
-                TaskPoll::Complete
-            }
-        }
-    }
-
-    /// The slot only ever waits for its link: inbound mail, or the hang-up
-    /// that fails the session. Both ring. (A slot already hung up never
-    /// answers `Idle`: its next poll completes.)
-    fn wake_on(&mut self, bell: &Doorbell, key: usize) -> bool {
-        if let Some(link) = &self.link {
-            link.subscribe(bell, key);
-        }
-        true
-    }
-}
-
 /// Runs round `round` for `roster` (a subset of the fleet, on
-/// reassignment rounds): registers one supervisor session per entry,
-/// asks the backend to open the round's transport, drives any local
-/// participant slots — each behind a [`FaultyEndpoint`] drawing its
-/// schedule from [`chaos_link_id`]`(round, slot)` — and multiplexes the
-/// supervisor sessions over the engine side the backend produced.
+/// reassignment rounds): registers one supervisor session per entry —
+/// global slot `k` of the round is task `k` — and has the backend run
+/// the engine against the round's participant slots, wherever it puts
+/// them.
 ///
 /// Every ledger is fresh, so a round's costs are what its ledgers read
-/// at the end. Every participant slot reports the same way, as a
-/// [`SlotReport`]: a local slot from its scheduler task, a remote one —
-/// run in another process by a backend that opens with no local slots —
-/// over the backend's connection.
+/// at the end; every participant slot reports the same way, as one
+/// [`SlotReport`](crate::SlotReport) per slot.
 #[allow(clippy::too_many_arguments)] // private plumbing under run_fleet_on
 fn run_fleet_round<H, T, S>(
     task: &T,
@@ -767,116 +680,68 @@ where
     T: ComputeTask,
     S: Screener,
 {
-    let mut engine = if config.envelope {
-        SessionEngine::enveloped()
-    } else {
-        SessionEngine::new()
-    };
+    let mut engine = SessionEngine::new();
     if let Some(deadline) = config.deadline {
         engine = engine.with_deadline(deadline);
     }
-    let sup_ledgers: Vec<CostLedger> = roster.iter().map(|_| CostLedger::new()).collect();
-    // Task ids are one global counter across the roster's slots, so
-    // single-slot member `i` of a full-fleet round keeps task id `i`.
-    let mut next_task_id = 0u64;
-    let mut routing_ids: Vec<Vec<u64>> = Vec::with_capacity(roster.len());
-    for (&i, ledger) in roster.iter().zip(&sup_ledgers) {
-        let slots = members[i].scheme.participant_slots();
-        let task_ids: Vec<u64> = (0..slots as u64).map(|s| next_task_id + s).collect();
-        next_task_id += slots as u64;
-        let session = members[i].scheme.supervisor_session(SupervisorContext {
-            task,
-            screener,
-            domain: shares[i],
-            task_ids: task_ids.clone(),
-            ledger: ledger.clone(),
-        });
-        routing_ids.push(engine.add_session(session, task_ids)?);
-    }
-
     // Global slot order (the broker hands assignment k to participant k,
     // so order is load-bearing for the relayed transports): each global
-    // slot's roster index and its slot within the member.
+    // slot's roster index and its slot within the member. Task ids count
+    // the same slots, so single-slot member `i` of a full-fleet round
+    // keeps task id `i`.
     let slot_table: Vec<(usize, usize)> = roster
         .iter()
         .enumerate()
         .flat_map(|(r, &i)| (0..members[i].behaviours.len()).map(move |s| (r, s)))
         .collect();
-
-    // One flat routing id per global slot — what a Direct backend
-    // registers each supervisor-side endpoint under; relayed backends
-    // route by message ids and only need the count.
-    let flat_routing: Vec<u64> = slot_table.iter().map(|&(r, s)| routing_ids[r][s]).collect();
-    let OpenRound {
-        mut engine_side,
-        local_links,
-        fault_logs,
-        pump,
-    } = backend.open_round(&RoundSpec {
-        round,
-        routing_ids: &flat_routing,
-        chaos: config.chaos,
-    })?;
-
-    let (sessions, reports) = if local_links.is_empty() {
-        // Remote: the participants live in other OS processes. Run the
-        // engine, then collect their slot reports over the still-open
-        // connection.
-        let sessions = engine.run(&mut engine_side);
-        let reports = backend.close_round(slot_table.len())?;
-        drop(engine_side);
-        (sessions, reports)
-    } else {
-        let scheduler = config
-            .workers
-            .map_or_else(GridScheduler::available, GridScheduler::new)
-            .with_steal_seed(config.steal_seed);
-        // One scheduler task per local slot: the slot's session state
-        // machine over its link.
-        let tasks: Vec<SlotTask<'_>> = (0u64..)
-            .zip(local_links)
-            .zip(&slot_table)
-            .map(|((slot, link), &(r, s))| {
-                let member = &members[roster[r]];
-                let ledger = CostLedger::new();
-                SlotTask {
-                    slot,
-                    link: Some(link),
-                    session: member.scheme.participant_session(ParticipantContext {
-                        task,
-                        screener,
-                        behaviour: member.behaviours[s],
-                        storage: config.storage,
-                        parallelism: config.parallelism,
-                        lanes: config.lanes,
-                        ledger: ledger.clone(),
-                    }),
-                    ledger,
-                    outcome: None,
-                }
-            })
+    let sup_ledgers: Vec<CostLedger> = roster.iter().map(|_| CostLedger::new()).collect();
+    let mut task_ids = 0u64..;
+    for (&i, ledger) in roster.iter().zip(&sup_ledgers) {
+        let member_task_ids: Vec<u64> = task_ids
+            .by_ref()
+            .take(members[i].behaviours.len())
             .collect();
-        let (sessions, tasks) = std::thread::scope(|scope| {
-            let pool = scope.spawn(move || scheduler.run(tasks));
-            let sessions = engine.run(&mut engine_side);
-            // Close the supervisor side so chaos-stalled participants
-            // observe the hang-up instead of parking forever (and so a
-            // broker pump winds down).
-            drop(engine_side);
-            (sessions, pool.join().expect("scheduler pool panicked"))
+        let session = members[i].scheme.supervisor_session(SupervisorContext {
+            task,
+            screener,
+            domain: shares[i],
+            task_ids: member_task_ids.clone(),
+            ledger: ledger.clone(),
         });
-        (
-            sessions,
-            tasks.into_iter().map(SlotTask::into_report).collect(),
-        )
-    };
-    if let Some(pump) = pump {
-        // Relay counters are diagnostics only; the round's books come
-        // from the engine-side link stats and the ledgers.
-        let _ = pump.join().expect("broker pump panicked");
+        engine.add_session(session, member_task_ids)?;
     }
-    let mut events: Vec<FaultEvent> = fault_logs.iter().flat_map(FaultLog::snapshot).collect();
-    events.sort_unstable();
+
+    // The participant half of global slot `k`, for a backend that runs
+    // it in this process.
+    let slot = |k: u64, ledger: CostLedger| {
+        let (r, s) =
+            slot_table[usize::try_from(k).expect("the backend asks for a slot of this round")];
+        let member = &members[roster[r]];
+        member.scheme.participant_session(ParticipantContext {
+            task,
+            screener,
+            behaviour: member.behaviours[s],
+            storage: config.storage,
+            parallelism: config.parallelism,
+            lanes: config.lanes,
+            ledger,
+        })
+    };
+    let RoundResult {
+        sessions,
+        reports,
+        events,
+    } = backend.run_round(
+        &RoundSpec {
+            round,
+            slots: slot_table.len(),
+            chaos: config.chaos,
+            workers: config.workers,
+            steal_seed: config.steal_seed,
+        },
+        engine,
+        &slot,
+    )?;
 
     let mut books: Vec<MemberBooks> = sup_ledgers
         .iter()
@@ -886,13 +751,7 @@ where
             part_results: Vec::new(),
         })
         .collect();
-    for report in reports {
-        let &(r, _) = usize::try_from(report.slot)
-            .ok()
-            .and_then(|slot| slot_table.get(slot))
-            .ok_or(SchemeError::InvalidConfig {
-                reason: "remote peer reported an unknown participant slot",
-            })?;
+    for (report, &(r, _)) in reports.into_iter().zip(&slot_table) {
         books[r].part_costs = books[r].part_costs.combined(report.costs);
         books[r].part_results.push(report.outcome);
     }

@@ -18,12 +18,15 @@
 //!
 //! A session never blocks: it is handed one inbound message at a time and
 //! answers with the messages to send, so hundreds of sessions — different
-//! schemes, different behaviours — interleave over one transport. The
+//! schemes, different behaviours — interleave over one transport. Each
+//! participant slot is addressed by the task id its supervisor session
+//! was given ([`SupervisorContext::task_ids`]); messages travel exactly as
+//! the sessions produce them. The
 //! [`SessionEngine`](crate::engine::SessionEngine) multiplexes supervisor
 //! sessions over direct links or a [`Broker`](ugc_grid::Broker); the
 //! participant side is symmetric: [`step_participant_batch`] advances one
-//! session by a few queued messages without blocking (what a campaign's
-//! scheduler pool calls), while [`drive_participant`] and
+//! session by a few queued messages without blocking (what the in-process
+//! backend's scheduler pool calls), while [`drive_participant`] and
 //! [`drive_supervisor`] are thin blocking loops that run a single
 //! session to completion over one endpoint — the blocking reference the
 //! engine is compared against (`tests/scheme_equivalence.rs`) and what a
@@ -273,23 +276,15 @@ pub enum SessionPoll {
     Complete(Result<bool, SchemeError>),
 }
 
-/// Feeds one raw inbound message to a participant session and sends the
-/// replies, handling [`Message::Session`] envelopes transparently: an
-/// enveloped message has its payload fed to the session and the replies
-/// are wrapped under the same session id, so enveloped and bare
-/// transports drive the identical state machine.
+/// Feeds one inbound message to a participant session, as it arrived,
+/// and sends the replies unchanged.
 fn pump_participant<L: GridLink + ?Sized>(
     endpoint: &L,
     session: &mut (dyn ParticipantSession + '_),
-    raw: Message,
+    msg: Message,
 ) -> Result<(), SchemeError> {
-    let (envelope, msg) = raw.into_payload();
     let mut failure: Option<SchemeError> = None;
     for out in session.on_message(msg)? {
-        let out = match envelope {
-            Some(id) => Message::in_session(id, out),
-            None => out,
-        };
         // Attempt the whole burst even once a send has failed: each
         // outbound message consumes a fault-schedule sequence number
         // (logged before the wire is touched), so the replay log must
@@ -354,13 +349,13 @@ pub fn step_participant_batch<L: GridLink + ?Sized>(
         if let Some(accepted) = session.finished() {
             return SessionPoll::Complete(Ok(accepted));
         }
-        let raw = match endpoint.try_recv() {
-            Ok(raw) => raw,
+        let msg = match endpoint.try_recv() {
+            Ok(msg) => msg,
             Err(GridError::Empty) if consumed > 0 => return SessionPoll::Progress,
             Err(GridError::Empty) => return SessionPoll::Idle,
             Err(e) => return SessionPoll::Complete(Err(e.into())),
         };
-        if let Err(e) = pump_participant(endpoint, session, raw) {
+        if let Err(e) = pump_participant(endpoint, session, msg) {
             return SessionPoll::Complete(Err(e));
         }
     }
@@ -376,11 +371,6 @@ pub fn step_participant_batch<L: GridLink + ?Sized>(
 /// A thin blocking wrapper over the same message pump that powers the
 /// non-blocking [`step_participant_batch`].
 ///
-/// Session envelopes are handled transparently: an enveloped inbound
-/// message has its payload fed to the session and the replies are wrapped
-/// under the same session id, so enveloped and bare transports drive the
-/// identical state machine.
-///
 /// # Errors
 ///
 /// Transport failures (including the peer disconnecting mid-protocol, or
@@ -394,8 +384,7 @@ pub fn drive_participant<L: GridLink + ?Sized>(
         if let Some(accepted) = session.finished() {
             return Ok(accepted);
         }
-        let raw = endpoint.recv()?;
-        pump_participant(endpoint, session, raw)?;
+        pump_participant(endpoint, session, endpoint.recv()?)?;
     }
 }
 

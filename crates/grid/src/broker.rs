@@ -8,15 +8,20 @@
 //! demonstrate that NI-CBS needs exactly one participant → supervisor
 //! delivery per task.
 //!
-//! Routing is indexed: the broker keeps an ordered `task → participant`
-//! map, so relaying a reply is one `O(log n)` probe regardless of how many
-//! tasks are in flight — the property a session engine multiplexing
-//! hundreds of concurrent verification sessions depends on. The map is a
-//! `BTreeMap` rather than a `HashMap` deliberately: when a participant
-//! dies, every task still routed to it is NACKed, and an ordered map makes
-//! that NACK order ascending by construction — one less place where
-//! unspecified iteration order could leak into the supervisor-visible
-//! message sequence.
+//! Routing is by task id, the only address a participant slot has. The
+//! broker keeps an ordered `task → participant` map, pinned when it
+//! relays a task's assignment, so relaying a message is one `O(log n)`
+//! probe regardless of how many tasks are in flight. Outward, the map
+//! picks the participant; inward, it decides whether the participant may
+//! speak for that task at all: a message is relayed only when its task is
+//! routed to the participant that sent it, and a participant's
+//! [`Message::Gone`] never is — that NACK is the broker's own, so no
+//! participant can fail or impersonate a slot another one holds. The map
+//! is a `BTreeMap` rather than a `HashMap` deliberately: when a
+//! participant dies, every task still routed to it is NACKed, and an
+//! ordered map makes that NACK order ascending by construction — one less
+//! place where unspecified iteration order could leak into the
+//! supervisor-visible message sequence.
 //!
 //! One pump drives it over every kind of link. [`pump`](Broker::pump)
 //! subscribes the supervisor and every participant to one [`Doorbell`]
@@ -30,8 +35,8 @@
 //! forward and late joiners to admit. The step-at-a-time calls
 //! ([`try_relay_outward`](Broker::try_relay_outward),
 //! [`try_relay_inward`](Broker::try_relay_inward), which sweeps the
-//! participants from a rotating cursor) remain for callers that drive a
-//! broker by hand on one thread.
+//! participants from a rotating cursor) relay exactly as the pump does,
+//! for callers that drive a broker by hand on one thread.
 
 use crate::{Doorbell, Endpoint, GridError, GridLink, Message};
 use std::collections::BTreeMap;
@@ -48,15 +53,14 @@ pub struct RelayStats {
 /// A store-and-forward broker between one supervisor and many participants.
 ///
 /// The broker pins each task to the participant it dispatched it to and
-/// routes replies by routing id ([`Message::session_id`]: the envelope's
-/// session id when present, the task id otherwise); the supervisor never
-/// learns which participant served which task (the paper's "GRB hides the
+/// routes by [`Message::task_id`]; the supervisor never learns which
+/// participant served which task (the paper's "GRB hides the
 /// participants" property).
 #[derive(Debug)]
 pub struct Broker<L: GridLink = Endpoint> {
     supervisor: L,
     participants: Vec<L>,
-    /// routing id → participant index; ordered so route iteration (the
+    /// task id → participant index; ordered so route iteration (the
     /// death-NACK sweep) is deterministic by construction.
     routes: BTreeMap<u64, usize>,
     /// Next participant to receive a fresh assignment (round-robin).
@@ -114,8 +118,14 @@ impl<L: GridLink> Broker<L> {
         self.stats
     }
 
-    fn route_of(&self, routing_id: u64) -> Option<usize> {
-        self.routes.get(&routing_id).copied()
+    fn route_of(&self, task_id: u64) -> Option<usize> {
+        self.routes.get(&task_id).copied()
+    }
+
+    /// Whether participant `idx` may send `msg` up: only for a task routed
+    /// to it, and never a `Gone` (the broker's NACK, not a participant's).
+    fn speaks_for(&self, idx: usize, msg: &Message) -> bool {
+        !matches!(msg, Message::Gone { .. }) && self.route_of(msg.task_id()) == Some(idx)
     }
 
     /// Marks participant `idx` gone and NACKs every task still routed to
@@ -144,7 +154,7 @@ impl<L: GridLink> Broker<L> {
     /// fresh round-robin route (skipping participants known to be gone),
     /// everything else follows its recorded one.
     fn dispatch(&mut self, msg: &Message) -> Result<usize, GridError> {
-        if msg.as_assign().is_some() {
+        if matches!(msg, Message::Assign(_)) {
             let n = self.participants.len();
             let mut idx = self.next;
             for _ in 0..n {
@@ -155,40 +165,25 @@ impl<L: GridLink> Broker<L> {
                 }
                 // Everyone may be gone; then the caller NACKs.
             }
-            self.routes.insert(msg.session_id(), idx);
+            self.routes.insert(msg.task_id(), idx);
             Ok(idx)
         } else {
-            self.route_of(msg.session_id()).ok_or(GridError::Empty)
+            self.route_of(msg.task_id()).ok_or(GridError::Empty)
         }
-    }
-
-    /// Receives `count` messages from the supervisor and dispatches each to
-    /// a participant: assignments round-robin, other messages (verdicts,
-    /// challenges) by the recorded route.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors, or [`GridError::Empty`] if a non-assignment
-    /// message references an unknown task.
-    pub fn relay_outward(&mut self, count: usize) -> Result<(), GridError> {
-        for _ in 0..count {
-            let msg = self.supervisor.recv()?;
-            let idx = self.dispatch(&msg)?;
-            self.participants[idx].send(&msg)?;
-            self.stats.outward += 1;
-        }
-        Ok(())
     }
 
     /// Relays one queued supervisor message if any is waiting; `Ok(false)`
-    /// when the supervisor queue is momentarily empty. A message routed to
-    /// an already-disconnected participant is dropped (and the task
-    /// NACKed with [`Message::Gone`]) rather than treated as fatal, as a
-    /// store-and-forward broker drops mail for a dead host.
+    /// when the supervisor queue is momentarily empty. Assignments go
+    /// round-robin, everything else (challenges, verdicts) follows its
+    /// task's recorded route. A message routed to an already-disconnected
+    /// participant is dropped (and the task NACKed with [`Message::Gone`])
+    /// rather than treated as fatal, as a store-and-forward broker drops
+    /// mail for a dead host.
     ///
     /// # Errors
     ///
-    /// As [`Broker::relay_outward`] for unroutable messages, plus
+    /// [`GridError::Empty`] if a non-assignment message references an
+    /// unknown task, other transport errors towards a participant, and
     /// [`GridError::Disconnected`] once the *supervisor* endpoint is gone.
     pub fn try_relay_outward(&mut self) -> Result<bool, GridError> {
         let msg = match self.supervisor.try_recv() {
@@ -212,50 +207,28 @@ impl<L: GridLink> Broker<L> {
             // NACK this task explicitly first: mark_gone is a no-op on a
             // participant already reported gone, but this message's
             // route may be brand new (an Assign that raced the death).
-            self.routes.remove(&msg.session_id());
-            let _ = self.supervisor.send(&Message::Gone {
-                task_id: msg.session_id(),
-            });
+            let task_id = msg.task_id();
+            self.routes.remove(&task_id);
+            let _ = self.supervisor.send(&Message::Gone { task_id });
             self.mark_gone(idx);
         }
         Ok(true)
     }
 
-    /// Relays the next message from participant `idx` up to the supervisor.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors from either side.
-    pub fn relay_inward_from(&mut self, idx: usize) -> Result<Message, GridError> {
-        let msg = self.participants[idx].recv()?;
-        self.supervisor.send(&msg)?;
-        self.stats.inward += 1;
-        Ok(msg)
-    }
-
-    /// Relays one inbound message for routing id `task_id` (from whichever
-    /// participant owns it). The lookup is a single ordered-map probe.
-    ///
-    /// # Errors
-    ///
-    /// [`GridError::Empty`] if the task has no recorded route, otherwise
-    /// transport errors.
-    pub fn relay_inward_for(&mut self, task_id: u64) -> Result<Message, GridError> {
-        let idx = self.route_of(task_id).ok_or(GridError::Empty)?;
-        self.relay_inward_from(idx)
-    }
-
     /// Relays one queued message from participant `idx`, if it has one.
     /// `Ok(None)` when its queue is momentarily empty — or when it has
-    /// hung up with its queue drained, which also NACKs its tasks.
+    /// hung up with its queue drained, which also NACKs its tasks — and
+    /// when the message was not the participant's to send
+    /// ([`speaks_for`](Self::speaks_for)): such mail is dropped, neither
+    /// relayed nor counted.
     fn try_relay_inward_from(&mut self, idx: usize) -> Result<Option<Message>, GridError> {
         match self.participants[idx].try_recv() {
-            Ok(msg) => {
+            Ok(msg) if self.speaks_for(idx, &msg) => {
                 self.supervisor.send(&msg)?;
                 self.stats.inward += 1;
                 Ok(Some(msg))
             }
-            Err(GridError::Empty) => Ok(None),
+            Ok(_) | Err(GridError::Empty) => Ok(None),
             Err(GridError::Disconnected) => {
                 self.mark_gone(idx);
                 Ok(None)
@@ -267,7 +240,8 @@ impl<L: GridLink> Broker<L> {
     /// Relays at most one queued participant message, polling participants
     /// round-robin from a rotating cursor so every participant gets equal
     /// service under load. Returns the relayed message, or `None` if no
-    /// participant had anything queued.
+    /// participant had anything relayable queued (a message a participant
+    /// may not send is dropped on the way).
     ///
     /// # Errors
     ///
@@ -404,13 +378,20 @@ mod tests {
         })
     }
 
+    /// Relays `count` queued supervisor messages, each one delivered.
+    fn relay_out<L: GridLink>(broker: &mut Broker<L>, count: usize) {
+        for _ in 0..count {
+            assert!(broker.try_relay_outward().unwrap(), "nothing queued");
+        }
+    }
+
     #[test]
     fn assignments_round_robin() {
         let (sup, mut broker, parts) = rig(3);
         for id in 0..6u64 {
             sup.send(&assign(id)).unwrap();
         }
-        broker.relay_outward(6).unwrap();
+        relay_out(&mut broker, 6);
         for (i, p) in parts.iter().enumerate() {
             let first = p.recv().unwrap();
             let second = p.recv().unwrap();
@@ -425,8 +406,9 @@ mod tests {
         let (sup, mut broker, parts) = rig(2);
         sup.send(&assign(10)).unwrap();
         sup.send(&assign(11)).unwrap();
-        broker.relay_outward(2).unwrap();
-        for p in &parts {
+        relay_out(&mut broker, 2);
+        // Task 11 went to participant 1, which answers first.
+        for p in parts.iter().rev() {
             let Message::Assign(a) = p.recv().unwrap() else {
                 panic!("expected assignment")
             };
@@ -436,13 +418,14 @@ mod tests {
             })
             .unwrap();
         }
-        // Task 11 went to participant 1; relay its reply first.
-        let relayed = broker.relay_inward_for(11).unwrap();
-        assert_eq!(relayed.task_id(), 11);
-        let got = sup.recv().unwrap();
-        assert_eq!(got.task_id(), 11);
-        let relayed = broker.relay_inward_for(10).unwrap();
+        // Each reply comes from the participant its task is pinned to, so
+        // both go up, in sweep order.
+        let relayed = broker.try_relay_inward().unwrap().unwrap();
         assert_eq!(relayed.task_id(), 10);
+        let relayed = broker.try_relay_inward().unwrap().unwrap();
+        assert_eq!(relayed.task_id(), 11);
+        assert_eq!(sup.recv().unwrap().task_id(), 10);
+        assert_eq!(sup.recv().unwrap().task_id(), 11);
         assert_eq!(broker.stats().inward, 2);
     }
 
@@ -450,14 +433,14 @@ mod tests {
     fn verdicts_follow_recorded_route() {
         let (sup, mut broker, parts) = rig(2);
         sup.send(&assign(7)).unwrap();
-        broker.relay_outward(1).unwrap();
+        relay_out(&mut broker, 1);
         let _ = parts[0].recv().unwrap();
         sup.send(&Message::Verdict {
             task_id: 7,
             accepted: true,
         })
         .unwrap();
-        broker.relay_outward(1).unwrap();
+        relay_out(&mut broker, 1);
         assert!(matches!(
             parts[0].recv().unwrap(),
             Message::Verdict { task_id: 7, .. }
@@ -474,45 +457,41 @@ mod tests {
             accepted: false,
         })
         .unwrap();
-        assert_eq!(broker.relay_outward(1).unwrap_err(), GridError::Empty);
-        assert_eq!(broker.relay_inward_for(99).unwrap_err(), GridError::Empty);
+        assert_eq!(broker.try_relay_outward().unwrap_err(), GridError::Empty);
     }
 
     #[test]
-    fn enveloped_assignments_route_by_session_id() {
-        // Two sessions with the SAME task id, distinguished only by their
-        // envelopes: the broker must keep them on separate participants.
+    fn a_participant_speaks_only_for_the_tasks_it_holds() {
+        // Participant 0 holds task 0 and participant 1 task 1. Participant
+        // 0 reports task 1 dead, forges its commitment and reports its own
+        // task dead too: none of it is relayed or counted, and participant
+        // 1's own reply still goes up.
         let (sup, mut broker, parts) = rig(2);
-        sup.send(&Message::in_session(100, assign(1))).unwrap();
-        sup.send(&Message::in_session(200, assign(1))).unwrap();
-        broker.relay_outward(2).unwrap();
-        assert_eq!(parts[0].recv().unwrap().session_id(), 100);
-        assert_eq!(parts[1].recv().unwrap().session_id(), 200);
-        // Replies carry the envelope; each routes back independently.
-        for (p, sid) in parts.iter().zip([100u64, 200]) {
-            p.send(&Message::in_session(
-                sid,
-                Message::Commit {
-                    task_id: 1,
-                    root: vec![sid as u8; 16],
-                },
-            ))
-            .unwrap();
+        sup.send(&assign(0)).unwrap();
+        sup.send(&assign(1)).unwrap();
+        relay_out(&mut broker, 2);
+        let commit = |task_id| Message::Commit {
+            task_id,
+            root: vec![7; 16],
+        };
+        for p in &parts {
+            let _ = p.recv().unwrap();
         }
-        let first = broker.relay_inward_for(200).unwrap();
-        assert_eq!(first.session_id(), 200);
-        // And a verdict addressed to session 100 reaches participant 0.
-        sup.send(&Message::in_session(
-            100,
-            Message::Verdict {
-                task_id: 1,
-                accepted: true,
-            },
-        ))
-        .unwrap();
-        broker.relay_outward(1).unwrap();
-        assert_eq!(parts[0].recv().unwrap().session_id(), 100);
-        assert!(parts[1].try_recv().is_err());
+        for hostile in [
+            Message::Gone { task_id: 1 },
+            commit(1),
+            Message::Gone { task_id: 0 },
+        ] {
+            parts[0].send(&hostile).unwrap();
+        }
+        parts[1].send(&commit(1)).unwrap();
+        let relayed: Vec<Message> = (0..6)
+            .filter_map(|_| broker.try_relay_inward().unwrap())
+            .collect();
+        assert_eq!(relayed, [commit(1)]);
+        assert_eq!(broker.stats().inward, 1);
+        assert_eq!(sup.recv().unwrap(), commit(1));
+        assert_eq!(sup.try_recv(), Err(GridError::Empty));
     }
 
     #[test]
@@ -524,7 +503,7 @@ mod tests {
         for id in 0..4u64 {
             sup.send(&assign(id)).unwrap();
         }
-        broker.relay_outward(4).unwrap();
+        relay_out(&mut broker, 4);
         // Every participant queues two replies before any relay happens.
         for (i, p) in parts.iter().enumerate() {
             let _ = p.recv().unwrap();
@@ -548,14 +527,14 @@ mod tests {
         for expected in [0u64, 1, 2, 3, 0, 1, 2, 3] {
             assert_eq!(sup.recv().unwrap().task_id(), expected);
         }
-        // Indexed routing still answers point lookups afterwards.
+        // A lone later reply is found wherever the cursor stands.
         parts[2]
             .send(&Message::Reports {
                 task_id: 2,
                 reports: vec![],
             })
             .unwrap();
-        assert_eq!(broker.relay_inward_for(2).unwrap().task_id(), 2);
+        assert_eq!(broker.try_relay_inward().unwrap().unwrap().task_id(), 2);
     }
 
     #[test]
@@ -596,7 +575,7 @@ mod tests {
         let (sup, mut broker, parts) = rig(2);
         sup.send(&assign(0)).unwrap();
         sup.send(&assign(1)).unwrap();
-        broker.relay_outward(2).unwrap();
+        relay_out(&mut broker, 2);
         // Participant 0 answers then dies; participant 1 stays healthy.
         let mut parts = parts.into_iter();
         let dead = parts.next().unwrap();
@@ -647,7 +626,7 @@ mod tests {
         // NACKed rather than silently dropped.
         let (sup, mut broker, parts) = rig(1);
         sup.send(&assign(0)).unwrap();
-        broker.relay_outward(1).unwrap();
+        relay_out(&mut broker, 1);
         drop(parts); // the only participant dies
         sup.send(&Message::Verdict {
             task_id: 0,
@@ -676,12 +655,10 @@ mod tests {
         for id in scrambled {
             sup.send(&assign(id)).unwrap();
         }
-        broker
-            .relay_outward(scrambled.len())
-            .expect("assignments relay");
-        drop(parts); // the participant dies holding all ten tasks
-                     // The next inward poll observes the disconnect and NACKs every
-                     // orphaned task.
+        relay_out(&mut broker, scrambled.len());
+        // The participant dies holding all ten tasks: the next inward poll
+        // observes the disconnect and NACKs every orphaned task.
+        drop(parts);
         assert!(broker.try_relay_inward().unwrap().is_none());
         let mut nacked = Vec::new();
         for _ in 0..scrambled.len() {

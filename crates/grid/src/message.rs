@@ -194,15 +194,14 @@ pub enum Message {
         /// Whether the participant's work was accepted.
         accepted: bool,
     },
-    /// A session envelope: any protocol message wrapped with an explicit
-    /// session identifier, so one shared link can multiplex sessions whose
-    /// task ids collide (e.g. mixed-scheme campaigns that all use task 1).
-    ///
-    /// When session ids coincide with task ids — the common case — the
-    /// engine sends payloads bare and the envelope costs nothing; routing
-    /// falls back to [`Message::task_id`]. Envelopes do not nest.
+    /// A protocol message wrapped with a session id. Nothing in the
+    /// workspace builds one: every participant slot is addressed by its
+    /// task id alone. The variant and its codec stay only because the
+    /// benchmark's message walk names every variant; a hostile envelope
+    /// that reaches a session fails it as an unexpected message.
+    /// Envelopes do not nest.
     Session {
-        /// The multiplexing key assigned by the session engine.
+        /// The session id the envelope carries.
         session_id: u64,
         /// The wrapped protocol message (never itself a `Session`).
         payload: Box<Message>,
@@ -210,9 +209,10 @@ pub enum Message {
     /// Broker → supervisor: the participant that owned this task hung up
     /// before its session completed — a store-and-forward NACK, so a
     /// multiplexing supervisor can fail the session instead of waiting
-    /// forever for a reply that will never come.
+    /// forever for a reply that will never come. Only the broker speaks
+    /// it: a participant's `Gone` is never relayed.
     Gone {
-        /// The routing id (task or session id) whose owner disconnected.
+        /// The task whose owner disconnected.
         task_id: u64,
     },
 }
@@ -241,9 +241,8 @@ impl Message {
     }
 
     /// Appends the message's wire form to `buf` — the zero-alloc hot
-    /// path. Callers that reuse a buffer (or assemble an envelope around
-    /// a payload, like [`Message::Session`]) pay no allocation here
-    /// beyond whatever growth `buf` itself needs.
+    /// path. Callers that reuse a buffer pay no allocation here beyond
+    /// whatever growth `buf` itself needs.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Message::Assign(a) => {
@@ -491,7 +490,8 @@ impl Message {
     }
 
     /// The task this message concerns (an envelope answers for its
-    /// payload).
+    /// payload) — the only address a participant slot has, on every
+    /// transport.
     #[must_use]
     pub fn task_id(&self) -> u64 {
         match self {
@@ -507,57 +507,6 @@ impl Message {
             | Message::Verdict { task_id, .. }
             | Message::Gone { task_id } => *task_id,
             Message::Session { payload, .. } => payload.task_id(),
-        }
-    }
-
-    /// The key a multiplexer routes this message by: the explicit envelope
-    /// session id when present, the task id otherwise.
-    #[must_use]
-    pub fn session_id(&self) -> u64 {
-        match self {
-            Message::Session { session_id, .. } => *session_id,
-            other => other.task_id(),
-        }
-    }
-
-    /// The assignment this message carries, looking through an envelope —
-    /// what a broker inspects to pin a task to a participant.
-    #[must_use]
-    pub fn as_assign(&self) -> Option<&Assignment> {
-        match self {
-            Message::Assign(a) => Some(a),
-            Message::Session { payload, .. } => payload.as_assign(),
-            _ => None,
-        }
-    }
-
-    /// Strips a session envelope, returning `(explicit session id, payload)`;
-    /// bare messages pass through with `None`.
-    #[must_use]
-    pub fn into_payload(self) -> (Option<u64>, Message) {
-        match self {
-            Message::Session {
-                session_id,
-                payload,
-            } => (Some(session_id), *payload),
-            other => (None, other),
-        }
-    }
-
-    /// Wraps a message in a session envelope.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `payload` is already an envelope — envelopes do not nest.
-    #[must_use]
-    pub fn in_session(session_id: u64, payload: Message) -> Message {
-        assert!(
-            !matches!(payload, Message::Session { .. }),
-            "session envelopes must not nest"
-        );
-        Message::Session {
-            session_id,
-            payload: Box::new(payload),
         }
     }
 }
@@ -620,7 +569,7 @@ mod tests {
                 task_id: 10,
                 accepted: true,
             },
-            Message::in_session(
+            envelope(
                 0xfeed,
                 Message::Verdict {
                     task_id: 11,
@@ -629,6 +578,13 @@ mod tests {
             ),
             Message::Gone { task_id: 12 },
         ]
+    }
+
+    fn envelope(session_id: u64, payload: Message) -> Message {
+        Message::Session {
+            session_id,
+            payload: Box::new(payload),
+        }
     }
 
     #[test]
@@ -648,38 +604,8 @@ mod tests {
     }
 
     #[test]
-    fn session_envelope_routes_by_session_id() {
-        let bare = Message::Commit {
-            task_id: 7,
-            root: vec![1; 16],
-        };
-        assert_eq!(bare.session_id(), 7);
-        let wrapped = Message::in_session(99, bare.clone());
-        assert_eq!(wrapped.session_id(), 99);
-        assert_eq!(wrapped.task_id(), 7);
-        assert_eq!(wrapped.clone().into_payload(), (Some(99), bare.clone()));
-        assert_eq!(bare.clone().into_payload(), (None, bare));
-    }
-
-    #[test]
-    fn session_envelope_exposes_assignment() {
-        let assign = Message::Assign(Assignment {
-            task_id: 3,
-            domain: Domain::new(0, 8),
-        });
-        let wrapped = Message::in_session(12, assign);
-        assert_eq!(wrapped.as_assign().unwrap().task_id, 3);
-        assert!(Message::Verdict {
-            task_id: 3,
-            accepted: true
-        }
-        .as_assign()
-        .is_none());
-    }
-
-    #[test]
     fn nested_session_envelope_rejected_on_decode() {
-        let inner = Message::in_session(
+        let inner = envelope(
             1,
             Message::Verdict {
                 task_id: 2,
@@ -699,14 +625,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "must not nest")]
     fn nested_session_envelope_rejected_on_build() {
-        let inner = Message::in_session(
+        let inner = envelope(
             1,
             Message::Verdict {
                 task_id: 2,
                 accepted: true,
             },
         );
-        let _ = Message::in_session(2, inner);
+        let _ = envelope(2, inner).encode();
     }
 
     #[test]

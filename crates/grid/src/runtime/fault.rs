@@ -342,12 +342,6 @@ impl FaultyEndpoint {
         self.log.clone()
     }
 
-    /// The schedule this endpoint applies.
-    #[must_use]
-    pub fn faults(&self) -> LinkFaults {
-        self.faults
-    }
-
     /// Subscribes the decorated link's inbound direction to `bell` (see
     /// [`Endpoint::subscribe`]). The decorator can turn one frame into
     /// two deliveries (an inbound duplicate) or none (a drop), so answer

@@ -56,7 +56,7 @@ use crate::wire::{ROLE_PARTICIPANT, ROLE_SUPERVISOR};
 use crate::{Doorbell, GridError, GridLink, LinkStats, Message, FRAME_HEADER_BYTES};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::io::{BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -326,7 +326,6 @@ pub struct TcpLink {
     inbound: Counters,
     /// Where the reader announces inbound frames and the stream's end.
     heard: Arc<Mutex<Subscription>>,
-    peer: Option<SocketAddr>,
     /// The reader and the writer.
     threads: Vec<JoinHandle<()>>,
 }
@@ -341,7 +340,6 @@ impl TcpLink {
     pub fn from_stream(stream: TcpStream) -> Self {
         // The writer batches by itself; Nagle would only add delay.
         let _ = stream.set_nodelay(true);
-        let peer = stream.peer_addr().ok();
         let wire = Arc::new(Wire {
             stream,
             out: Mutex::default(),
@@ -373,16 +371,8 @@ impl TcpLink {
             outbound: Counters::default(),
             inbound: Counters::default(),
             heard,
-            peer,
             threads: vec![reader, writer],
         }
-    }
-
-    /// The peer's socket address, when known. Execution detail only —
-    /// never part of any digest or journal header.
-    #[must_use]
-    pub fn peer_addr(&self) -> Option<SocketAddr> {
-        self.peer
     }
 
     /// A cloneable handle for the control-frame plane.

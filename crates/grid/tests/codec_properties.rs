@@ -72,8 +72,15 @@ fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
         arb_bare_message(),
         (any::<u64>(), arb_bare_message())
-            .prop_map(|(session_id, payload)| Message::in_session(session_id, payload)),
+            .prop_map(|(session_id, payload)| envelope(session_id, payload)),
     ]
+}
+
+fn envelope(session_id: u64, payload: Message) -> Message {
+    Message::Session {
+        session_id,
+        payload: Box::new(payload),
+    }
 }
 
 proptest! {
@@ -116,18 +123,19 @@ proptest! {
 
     #[test]
     fn envelope_preserves_payload_and_routing(session_id in any::<u64>(), payload in arb_bare_message()) {
-        let wrapped = Message::in_session(session_id, payload.clone());
+        let wrapped = envelope(session_id, payload.clone());
         // Envelope framing costs exactly tag + id: 9 bytes.
         prop_assert_eq!(wrapped.wire_len(), payload.wire_len() + 9);
-        prop_assert_eq!(wrapped.session_id(), session_id);
+        // An envelope is addressed by its payload's task id, like any
+        // other message.
         prop_assert_eq!(wrapped.task_id(), payload.task_id());
         let decoded = Message::decode(&wrapped.encode()).unwrap();
-        prop_assert_eq!(decoded.into_payload(), (Some(session_id), payload));
+        prop_assert_eq!(decoded, wrapped);
     }
 
     #[test]
     fn truncated_envelope_rejected(session_id in any::<u64>(), payload in arb_bare_message(), cut_seed in any::<proptest::sample::Index>()) {
-        let encoded = Message::in_session(session_id, payload).encode();
+        let encoded = envelope(session_id, payload).encode();
         let cut = cut_seed.index(encoded.len());
         prop_assert!(Message::decode(&encoded[..cut]).is_err());
     }

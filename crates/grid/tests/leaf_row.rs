@@ -2,10 +2,10 @@
 //! every behaviour it must yield the same bytes and charge the ledger the
 //! same totals as asking for each leaf in turn — at sizes on both sides
 //! of the honest worker's 1024-input chunk — and an override must survive
-//! every pointer the schemes hold a behaviour through.
+//! every pointer the schemes hold a behaviour through (a reference, to a
+//! concrete or a `dyn` behaviour).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use ugc_grid::{
     CheatSelection, CostLedger, HonestWorker, MaliciousWorker, SemiHonestCheater, WorkerBehaviour,
 };
@@ -37,16 +37,14 @@ fn assert_row_matches_leaf_values(behaviour: &dyn WorkerBehaviour, task: &dyn Co
     }
 }
 
-fn assert_through_every_pointer<B: WorkerBehaviour + Clone + 'static>(behaviour: B) {
+fn assert_through_every_pointer<B: WorkerBehaviour>(behaviour: B) {
     // unit_cost 3 (so a per-chunk charge must multiply) and unit_cost 1.
     let password = PasswordSearch::with_work_factor(5, 3, 3);
     let primes = PrimalitySearch::new(1_000_003, 2);
     for task in [&password as &dyn ComputeTask, &primes] {
         assert_row_matches_leaf_values(&behaviour, task);
         assert_row_matches_leaf_values(&&behaviour, task);
-        assert_row_matches_leaf_values(&Box::new(behaviour.clone()), task);
-        assert_row_matches_leaf_values(&Arc::new(behaviour.clone()), task);
-        let dynamic: Arc<dyn WorkerBehaviour> = Arc::new(behaviour.clone());
+        let dynamic: &dyn WorkerBehaviour = &behaviour;
         assert_row_matches_leaf_values(&dynamic, task);
     }
 }
@@ -104,13 +102,11 @@ impl ComputeTask for Probe {
 fn honest_override_batches_in_1024_input_chunks_through_every_pointer() {
     // If a blanket impl dropped `leaf_row`, the default would call
     // `leaf_value` — and so `compute` — once per leaf.
-    let boxed: Box<dyn WorkerBehaviour> = Box::new(HonestWorker);
-    let shared: Arc<dyn WorkerBehaviour> = Arc::new(HonestWorker);
+    let dynamic: &dyn WorkerBehaviour = &HonestWorker;
     for behaviour in [
         &HonestWorker as &dyn WorkerBehaviour,
         &&HonestWorker,
-        &boxed,
-        &shared,
+        &dynamic,
     ] {
         let probe = Probe::default();
         let ledger = CostLedger::new();

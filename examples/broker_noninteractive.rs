@@ -37,41 +37,63 @@ const SCHEME: NiCbsScheme = NiCbsScheme {
     audit_seed: 0,
 };
 
-/// Receives and verifies one routed-back commit bundle.
-fn collect_task(
+/// Receives the routed-back bundles and verifies each task once its
+/// commit bundle and reports are both in, answering with the verdict.
+/// Tasks interleave however their participants finish; each task's own
+/// messages arrive in order.
+fn collect_tasks(
     endpoint: &Endpoint,
     task: &PrimalitySearch,
     screener: &dyn Screener,
-    domain: Domain,
+    shares: &[Domain],
     ledger: &CostLedger,
-) -> Result<(u64, Verdict), SchemeError> {
-    let Message::CommitAndProofs {
-        task_id,
-        root,
-        proofs,
-    } = endpoint.recv()?
-    else {
-        return Err(SchemeError::UnexpectedMessage {
-            expected: "CommitAndProofs",
-            got: "other",
-        });
-    };
-    let Message::Reports { reports, .. } = endpoint.recv()? else {
-        return Err(SchemeError::UnexpectedMessage {
-            expected: "Reports",
-            got: "other",
-        });
-    };
-    // The opening carries no indices: it is read as the answer to the
-    // samples the commitment derives (Eq. 4), and to no others.
-    let verdict = verify_ni_round::<Sha256>(
-        &SCHEME, task, screener, domain, &root, &proofs, &reports, ledger,
-    )?;
-    endpoint.send(&Message::Verdict {
-        task_id,
-        accepted: verdict.is_accepted(),
-    })?;
-    Ok((task_id, verdict))
+) -> Result<Vec<(u64, Verdict)>, SchemeError> {
+    let mut bundles = vec![None; shares.len()];
+    let mut verdicts = Vec::new();
+    while verdicts.len() < shares.len() {
+        let msg = endpoint.recv()?;
+        let Some(share) = usize::try_from(msg.task_id())
+            .ok()
+            .filter(|&k| k < shares.len())
+        else {
+            continue;
+        };
+        match msg {
+            Message::CommitAndProofs { root, proofs, .. } => bundles[share] = Some((root, proofs)),
+            Message::Reports { task_id, reports } => {
+                let (root, proofs) =
+                    bundles[share]
+                        .take()
+                        .ok_or(SchemeError::UnexpectedMessage {
+                            expected: "CommitAndProofs",
+                            got: "Reports",
+                        })?;
+                // The opening carries no indices: it is read as the answer
+                // to the samples the commitment derives (Eq. 4), and to no
+                // others.
+                let verdict = verify_ni_round::<Sha256>(
+                    &SCHEME,
+                    task,
+                    screener,
+                    shares[share],
+                    &root,
+                    &proofs,
+                    &reports,
+                    ledger,
+                )?;
+                endpoint.send(&Message::Verdict {
+                    task_id,
+                    accepted: verdict.is_accepted(),
+                })?;
+                verdicts.push((task_id, verdict));
+            }
+            // A participant that got its verdict hangs up, and the broker
+            // NACKs its finished task.
+            _ => {}
+        }
+    }
+    verdicts.sort_by_key(|&(task_id, _)| task_id);
+    Ok(verdicts)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -90,14 +112,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         broker_down.push(b);
         part_eps.push(p);
     }
-    let mut broker = Broker::new(broker_up, broker_down);
+    let broker = Broker::new(broker_up, broker_down);
 
     let honest = HonestWorker;
     let cheater = SemiHonestCheater::new(0.5, CheatSelection::Scattered, ZeroGuesser::new(5), 77);
     let behaviours: Vec<&dyn WorkerBehaviour> = vec![&honest, &cheater, &honest];
     let sup_ledger = CostLedger::new();
 
-    let verdicts = std::thread::scope(|scope| -> Result<Vec<(u64, Verdict)>, SchemeError> {
+    let (verdicts, relay, traffic) = std::thread::scope(|scope| -> Result<_, SchemeError> {
+        // The broker relays on its own thread until the supervisor hangs
+        // up.
+        let pump = scope.spawn(move || broker.pump_until_closed());
         // Participants: blind NI-CBS workers behind the broker.
         for (ep, behaviour) in part_eps.iter().zip(behaviours) {
             let task = &task;
@@ -118,30 +143,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 drive_participant(ep, session.as_mut())
             });
         }
-        // Supervisor: push three assignments into the broker.
-        for (i, share) in shares.iter().enumerate() {
-            sup_ep.send(&Message::Assign(Assignment {
-                task_id: i as u64,
-                domain: *share,
-            }))?;
+        // Supervisor: push three assignments into the broker, then verify
+        // each routed-back bundle and answer with its verdict.
+        for (task_id, &domain) in (0u64..).zip(&shares) {
+            sup_ep.send(&Message::Assign(Assignment { task_id, domain }))?;
         }
-        // Broker relays outward, then routes each bundle + verdict.
-        broker.relay_outward(3).map_err(SchemeError::Grid)?;
-        let mut verdicts = Vec::new();
-        for i in 0..3u64 {
-            broker.relay_inward_for(i).map_err(SchemeError::Grid)?; // CommitAndProofs
-            broker.relay_inward_for(i).map_err(SchemeError::Grid)?; // Reports
-            let (task_id, verdict) = collect_task(
-                &sup_ep,
-                &task,
-                &prime_screener,
-                shares[i as usize],
-                &sup_ledger,
-            )?;
-            verdicts.push((task_id, verdict));
-            broker.relay_outward(1).map_err(SchemeError::Grid)?; // Verdict back
-        }
-        Ok(verdicts)
+        let verdicts = collect_tasks(&sup_ep, &task, &prime_screener, &shares, &sup_ledger)?;
+        let traffic = sup_ep.stats();
+        drop(sup_ep); // hang up: the pump drains and returns
+        Ok((
+            verdicts,
+            pump.join().expect("broker pump panicked"),
+            traffic,
+        ))
     })?;
 
     println!("Brokered NI-CBS round (supervisor never saw a participant):\n");
@@ -150,10 +164,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "\nbroker relayed {} outward / {} inward messages; supervisor traffic: {} B out, {} B in",
-        broker.stats().outward,
-        broker.stats().inward,
-        sup_ep.stats().bytes_sent,
-        sup_ep.stats().bytes_received
+        relay.outward, relay.inward, traffic.bytes_sent, traffic.bytes_received
     );
 
     println!("\n== Why the non-interactive scheme needs a hardened g ==");

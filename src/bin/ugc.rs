@@ -5,7 +5,6 @@
 //! ugc detection   --r 0.5 --q 0 --m 14               Eq. (2): survival probability
 //! ugc run         --scheme cbs --workload seti --n 1024 --m 25 --cheat 0.5
 //! ugc fleet       --participants 4 --cheaters 1 --n 4096 --m 25
-//! ugc lint        [--json]                           determinism audit
 //! ```
 //!
 //! Argument parsing is hand-rolled (the library has no CLI dependencies);
@@ -57,7 +56,6 @@ commands:
   broker serve --listen <host:port> [--participants <p>]
                                                   relay a cross-process campaign
   participant join <host:port>                    serve slots for a remote campaign
-  lint        [--json] [--root <dir>]             audit the workspace for determinism hazards
   help                                            this message
 
 The fleet runs every member as a concurrent session of one multiplexing
@@ -96,12 +94,6 @@ and summary digest bit-identical to a run that was never interrupted.
 --kill-at <r> crashes the supervisor deterministically at the r-th
 campaign journal record (exit code 2), and --verify-journal checks a
 finished journal's seal and prints its attestation digest.
-
-lint statically audits every non-vendored .rs file for the hazards that
-would break bit-identical replay (wall-clock reads, HashMap iteration,
-ambient randomness, thread identity, truncating casts in codec paths,
-unsafe code); it exits nonzero on any finding not suppressed by a
-reasoned `ugc-lint: allow(<rule>): <reason>` annotation.
 ";
 
 fn main() -> ExitCode {
@@ -239,43 +231,11 @@ fn run(args: &[String]) -> Result<(), String> {
                 other.unwrap_or("")
             )),
         },
-        Some("lint") => cmd_lint(Args::new(&args[1..])),
         Some("help") | None => {
             println!("{USAGE}");
             Ok(())
         }
         Some(other) => Err(format!("unknown command {other:?}")),
-    }
-}
-
-fn cmd_lint(mut args: Args<'_>) -> Result<(), String> {
-    let json = args.flag("--json");
-    let root: Option<String> = args.opt("--root")?;
-    args.finish()?;
-    let root = match root {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => {
-            let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
-            ugc_lint::find_workspace_root(&cwd).ok_or_else(|| {
-                format!(
-                    "no workspace Cargo.toml found above {}; pass --root <dir>",
-                    cwd.display()
-                )
-            })?
-        }
-    };
-    let report = ugc_lint::lint_workspace(&root).map_err(|e| format!("audit failed: {e}"))?;
-    if json {
-        println!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
-    if report.is_clean() {
-        Ok(())
-    } else {
-        // Findings are already printed in full; a usage dump would bury
-        // them, so exit directly instead of returning Err.
-        std::process::exit(1);
     }
 }
 

@@ -378,7 +378,6 @@ impl CampaignPlan {
             storage: ParticipantStorage::Full,
             parallelism: Parallelism::default(),
             lanes,
-            envelope: false,
             workers,
             steal_seed,
         }

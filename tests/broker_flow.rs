@@ -25,7 +25,7 @@ fn brokered_ni_cbs_accepts_honest_rejects_cheater() {
     let (sup_ep, broker_up) = duplex();
     let (down_a, part_a) = duplex();
     let (down_b, part_b) = duplex();
-    let mut broker = Broker::new(broker_up, vec![down_a, down_b]);
+    let broker = Broker::new(broker_up, vec![down_a, down_b]);
 
     let honest = HonestWorker;
     let cheater = SemiHonestCheater::new(0.4, CheatSelection::Scattered, ZeroGuesser::new(1), 3);
@@ -54,55 +54,55 @@ fn brokered_ni_cbs_accepts_honest_rejects_cheater() {
         let _ = drive_participant(&endpoint, session.as_mut());
     };
 
-    let verdicts = std::thread::scope(|scope| {
+    let (verdicts, stats) = std::thread::scope(|scope| {
         scope.spawn(|| participate(part_a, &honest));
         scope.spawn(|| participate(part_b, &cheater));
+        let pump = scope.spawn(move || broker.pump_until_closed());
 
         // Supervisor side, by hand, through the broker.
         let ledger = CostLedger::new();
         let screener = task.match_screener();
-        sup_ep
-            .send(&Message::Assign(Assignment {
-                task_id: 0,
-                domain: domain_a,
-            }))
-            .unwrap();
-        sup_ep
-            .send(&Message::Assign(Assignment {
-                task_id: 1,
-                domain: domain_b,
-            }))
-            .unwrap();
-        broker.relay_outward(2).unwrap();
-
-        let mut verdicts = Vec::new();
-        for (task_id, domain) in [(0u64, domain_a), (1, domain_b)] {
-            broker.relay_inward_for(task_id).unwrap(); // CommitAndProofs
-            broker.relay_inward_for(task_id).unwrap(); // Reports
-            let Message::CommitAndProofs { root, proofs, .. } = sup_ep.recv().unwrap() else {
-                panic!("expected CommitAndProofs");
-            };
-            let Message::Reports { reports, .. } = sup_ep.recv().unwrap() else {
-                panic!("expected Reports");
-            };
-            let verdict = verify_ni_round::<Sha256>(
-                &scheme, &task, &screener, domain, &root, &proofs, &reports, &ledger,
-            )
-            .unwrap();
+        let domains = [domain_a, domain_b];
+        for (task_id, domain) in (0u64..).zip(domains) {
             sup_ep
-                .send(&Message::Verdict {
-                    task_id,
-                    accepted: verdict.is_accepted(),
-                })
+                .send(&Message::Assign(Assignment { task_id, domain }))
                 .unwrap();
-            broker.relay_outward(1).unwrap();
-            verdicts.push(verdict);
         }
-        verdicts
+        // Each task's bundle and reports arrive in order; the two tasks
+        // interleave however their participants finish.
+        let mut bundles = [None, None];
+        let mut verdicts = [None, None];
+        while verdicts.contains(&None) {
+            let msg = sup_ep.recv().unwrap();
+            let k = usize::try_from(msg.task_id()).unwrap();
+            match msg {
+                Message::CommitAndProofs { root, proofs, .. } => bundles[k] = Some((root, proofs)),
+                Message::Reports { task_id, reports } => {
+                    let (root, proofs) = bundles[k].take().expect("bundle before reports");
+                    let verdict = verify_ni_round::<Sha256>(
+                        &scheme, &task, &screener, domains[k], &root, &proofs, &reports, &ledger,
+                    )
+                    .unwrap();
+                    sup_ep
+                        .send(&Message::Verdict {
+                            task_id,
+                            accepted: verdict.is_accepted(),
+                        })
+                        .unwrap();
+                    verdicts[k] = Some(verdict);
+                }
+                // A participant that got its verdict hangs up, and the
+                // broker NACKs its finished task.
+                Message::Gone { .. } => {}
+                other => panic!("unexpected relay: {other:?}"),
+            }
+        }
+        drop(sup_ep);
+        (verdicts.map(Option::unwrap), pump.join().unwrap())
     });
 
     assert!(verdicts[0].is_accepted(), "honest participant rejected");
     assert!(!verdicts[1].is_accepted(), "cheater accepted");
-    assert_eq!(broker.stats().outward, 4);
-    assert_eq!(broker.stats().inward, 4);
+    assert_eq!(stats.outward, 4);
+    assert_eq!(stats.inward, 4);
 }

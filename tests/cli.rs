@@ -484,47 +484,6 @@ fn fleet_single_worker_replay_never_strands_a_queued_verdict() {
 }
 
 #[test]
-fn lint_audits_workspace_clean() {
-    // The repo must audit clean through the CLI wrapper; the summary line
-    // names the file count and the suppression inventory.
-    let out = ugc(&["lint"]);
-    assert!(
-        out.status.success(),
-        "ugc lint found violations:\n{}",
-        stdout(&out)
-    );
-    let text = stdout(&out);
-    assert!(text.contains("0 finding(s)"), "{text}");
-    assert!(text.contains("suppression"), "{text}");
-    assert!(text.contains("vendor unsafe count:"), "{text}");
-}
-
-#[test]
-fn lint_json_output_is_structured() {
-    let out = ugc(&["lint", "--json"]);
-    assert!(out.status.success());
-    let text = stdout(&out);
-    assert!(text.trim_start().starts_with('{'), "{text}");
-    assert!(text.contains("\"findings\": []"), "{text}");
-    assert!(text.contains("\"clean\": true"), "{text}");
-    assert!(text.contains("\"vendor_unsafe\""), "{text}");
-}
-
-#[test]
-fn lint_unknown_flag_prints_usage_and_fails() {
-    let out = ugc(&["lint", "--jsno"]);
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unrecognized argument"), "{err}");
-    assert!(err.contains("--jsno"), "{err}");
-    assert!(err.contains("usage: ugc"), "{err}");
-    // A dangling --root must error, not silently audit the cwd.
-    let out = ugc(&["lint", "--root"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--root requires a value"));
-}
-
-#[test]
 fn fleet_resume_without_journal_fails() {
     // --resume without --journal is a flag error: usage hint, nonzero
     // exit, no campaign run.

@@ -247,9 +247,9 @@ fn mixed_scheme_campaign_over_one_broker_link() {
 }
 
 #[test]
-fn mixed_campaign_identical_across_transports_and_envelopes() {
-    // Direct links, a relayed broker, and envelope framing must all yield
-    // the same verdicts — the transport is invisible to the sessions.
+fn mixed_campaign_identical_across_transports() {
+    // Direct links and a relayed broker must yield the same verdicts —
+    // the transport is invisible to the sessions.
     use uncheatable_grid::core::scheme::cbs::CbsScheme;
     use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
     use uncheatable_grid::core::{run_mixed_fleet, MemberSpec, MixedFleetConfig, TransportKind};
@@ -270,7 +270,7 @@ fn mixed_campaign_identical_across_transports_and_envelopes() {
         report_audit: 0,
         audit_seed: 5,
     };
-    let run = |transport: TransportKind, envelope: bool| -> Vec<bool> {
+    let run = |transport: TransportKind| -> Vec<bool> {
         let members: Vec<MemberSpec<'_, Sha256>> = vec![
             MemberSpec {
                 scheme: &cbs,
@@ -296,7 +296,6 @@ fn mixed_campaign_identical_across_transports_and_envelopes() {
             &members,
             &MixedFleetConfig {
                 transport,
-                envelope,
                 ..MixedFleetConfig::default()
             },
         )
@@ -306,9 +305,7 @@ fn mixed_campaign_identical_across_transports_and_envelopes() {
         .map(|m| m.outcome.accepted)
         .collect()
     };
-    let baseline = run(TransportKind::Direct, false);
+    let baseline = run(TransportKind::Direct);
     assert_eq!(baseline, vec![true, false, false, true]);
-    assert_eq!(baseline, run(TransportKind::Brokered, false));
-    assert_eq!(baseline, run(TransportKind::Direct, true));
-    assert_eq!(baseline, run(TransportKind::Brokered, true));
+    assert_eq!(baseline, run(TransportKind::Brokered));
 }

@@ -1,6 +1,6 @@
 //! The contract of `SessionEngine::with_deadline`, pinned on both kinds of
-//! engine transport: a per-participant `DirectTransport` and one shared
-//! link into an in-process broker.
+//! in-process round: per-participant links and one shared link into a
+//! broker.
 //!
 //! * A session whose peer never answers fails with `TimedOut` — not
 //!   before the deadline, and well within a second after it.
@@ -17,10 +17,10 @@ use std::time::{Duration, Instant};
 use uncheatable_grid::core::engine::SessionEngine;
 use uncheatable_grid::core::session::Outbound;
 use uncheatable_grid::core::{
-    InProcessBackend, OpenRound, RoundSpec, SchemeError, SessionOutcome, SupervisorSession,
-    TransportBackend, TransportKind, Verdict,
+    InProcessBackend, ParticipantSession, RoundSpec, SchemeError, SessionOutcome,
+    SupervisorSession, TransportBackend, TransportKind, Verdict,
 };
-use uncheatable_grid::grid::{Assignment, GridLink, Message};
+use uncheatable_grid::grid::{Assignment, CostLedger, Message};
 use uncheatable_grid::task::Domain;
 
 const DEADLINE: Duration = Duration::from_millis(500);
@@ -28,7 +28,8 @@ const DEADLINE: Duration = Duration::from_millis(500);
 /// Far longer than any scenario takes; only a lost wake-up reaches it.
 const PATIENCE: Duration = Duration::from_secs(60);
 
-/// Assigns its task, then waits for `wanted` replies of any kind.
+/// Assigns its task, then waits for `wanted` replies of any kind, echoing
+/// each back so the peer can pace the next.
 struct Counting {
     task_id: u64,
     wanted: usize,
@@ -44,9 +45,9 @@ impl SupervisorSession for Counting {
         Ok(vec![(0, assign)])
     }
 
-    fn on_message(&mut self, _slot: usize, _msg: Message) -> Result<Vec<Outbound>, SchemeError> {
+    fn on_message(&mut self, _slot: usize, msg: Message) -> Result<Vec<Outbound>, SchemeError> {
         self.heard += 1;
-        Ok(Vec::new())
+        Ok(vec![(0, msg)])
     }
 
     fn take_outcome(&mut self) -> Option<SessionOutcome> {
@@ -57,10 +58,10 @@ impl SupervisorSession for Counting {
     }
 }
 
-/// What one test-driven peer does once its assignment arrives: send
-/// `replies` messages, one every `gap`. Either way it then keeps its
-/// link open until the supervisor side hangs up, so a closure never ends
-/// a session.
+/// What one scripted peer does: once its assignment arrives, send
+/// `replies` messages, each `gap` after the last one's echo. It never
+/// finishes, so it keeps its link open until the supervisor side hangs
+/// up and a closure never ends a session.
 #[derive(Clone, Copy)]
 struct Peer {
     replies: usize,
@@ -78,8 +79,32 @@ const STEADY: Peer = Peer {
     gap: Duration::from_millis(200),
 };
 
+/// A [`Peer`] as a participant session.
+struct Scripted {
+    peer: Peer,
+    sent: usize,
+}
+
+impl ParticipantSession for Scripted {
+    fn on_message(&mut self, msg: Message) -> Result<Vec<Message>, SchemeError> {
+        if self.sent == self.peer.replies {
+            return Ok(Vec::new());
+        }
+        std::thread::sleep(self.peer.gap);
+        self.sent += 1;
+        Ok(vec![Message::Verdict {
+            task_id: msg.task_id(),
+            accepted: true,
+        }])
+    }
+
+    fn finished(&self) -> Option<bool> {
+        None
+    }
+}
+
 /// Runs one session per peer under `DEADLINE` over `kind`, returning the
-/// outcomes and how long the engine ran.
+/// outcomes and how long the round ran.
 fn run(
     kind: TransportKind,
     peers: &[Peer],
@@ -88,8 +113,7 @@ fn run(
     let (done, finished) = mpsc::channel();
     std::thread::spawn(move || {
         let mut engine = SessionEngine::new().with_deadline(DEADLINE);
-        let ids: Vec<u64> = (0..peers.len() as u64).collect();
-        for (&task_id, peer) in ids.iter().zip(&peers) {
+        for (task_id, peer) in (0u64..).zip(&peers) {
             let session = Counting {
                 task_id,
                 wanted: peer.replies.max(1),
@@ -99,47 +123,26 @@ fn run(
                 .add_session(Box::new(session), vec![task_id])
                 .unwrap();
         }
-        let OpenRound {
-            mut engine_side,
-            local_links,
-            pump,
-            ..
-        } = InProcessBackend::new(kind)
-            .open_round(&RoundSpec {
-                round: 0,
-                routing_ids: &ids,
-                chaos: None,
-            })
+        let slot = |k: u64, _: CostLedger| -> Box<dyn ParticipantSession> {
+            let peer = peers[usize::try_from(k).unwrap()];
+            Box::new(Scripted { peer, sent: 0 })
+        };
+        // One worker per peer, so a sleeping peer never holds up another.
+        let spec = RoundSpec {
+            round: 0,
+            slots: peers.len(),
+            chaos: None,
+            workers: Some(peers.len()),
+            steal_seed: 0,
+        };
+        // ugc-lint: allow(wall-clock): test-harness stopwatch — asserts when the timeout fires, not any semantic result
+        let started = Instant::now();
+        let round = InProcessBackend::new(kind)
+            .run_round(&spec, engine, &slot)
             .unwrap();
-        let outcome = std::thread::scope(|scope| {
-            for (link, peer) in local_links.into_iter().zip(peers) {
-                scope.spawn(move || {
-                    let Ok(Message::Assign(assigned)) = link.recv() else {
-                        panic!("the peer's first message is its assignment");
-                    };
-                    for _ in 0..peer.replies {
-                        std::thread::sleep(peer.gap);
-                        let reply = Message::Verdict {
-                            task_id: assigned.task_id,
-                            accepted: true,
-                        };
-                        link.send(&reply).unwrap();
-                    }
-                    while link.recv().is_ok() {}
-                });
-            }
-            // ugc-lint: allow(wall-clock): test-harness stopwatch — asserts when the timeout fires, not any semantic result
-            let started = Instant::now();
-            let results = engine.run(&mut engine_side);
-            let took = started.elapsed();
-            drop(engine_side); // hang up: the peers (and any pump) wind down
-            let outcomes = results.into_iter().map(|r| r.outcome).collect();
-            (outcomes, took)
-        });
-        if let Some(pump) = pump {
-            pump.join().unwrap();
-        }
-        let _ = done.send(outcome);
+        let took = started.elapsed();
+        let outcomes = round.sessions.into_iter().map(|r| r.outcome).collect();
+        let _ = done.send((outcomes, took));
     });
     finished
         .recv_timeout(PATIENCE)

@@ -111,7 +111,6 @@ fn journal(retries: u32, records: &[Vec<u8>]) -> PathBuf {
         domain: Domain::new(0, 64),
         storage: ParticipantStorage::Full,
         transport: TransportKind::Direct,
-        envelope: false,
         chaos: None,
         deadline: None,
         retries,

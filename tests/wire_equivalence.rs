@@ -216,9 +216,9 @@ fn direct_journal_refuses_a_different_digest_class() {
 fn dead_join_process_fails_typed_not_hanging() {
     // A participant process that handshakes and then dies mid-campaign:
     // its tasks come back as `Message::Gone` NACKs (sessions fail), its
-    // cost reports never arrive (close_round times out) — and the whole
-    // thing surfaces as a typed error within the patience window rather
-    // than wedging the supervisor.
+    // slot reports never arrive (the round's wait for them times out) —
+    // and the whole thing surfaces as a typed error within the patience
+    // window rather than wedging the supervisor.
     let server = GridServer::bind("127.0.0.1:0", 1).expect("bind");
     let addr = server.local_addr().expect("local addr").to_string();
     let serve = std::thread::spawn(move || server.run());
