@@ -54,7 +54,9 @@ use ugc_grid::{
 
 /// How a fleet round moves its messages — the one transport-selection
 /// knob, threaded from the CLI through [`MixedFleetConfig`](crate::MixedFleetConfig)
-/// down to the backend that implements it.
+/// down to the backend that implements it. Execution-only: every
+/// transport produces the same digest and the same journal for the same
+/// campaign, so a journal resumes over any of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TransportKind {
     /// One in-memory link per participant, all rung on one bell the
@@ -67,31 +69,9 @@ pub enum TransportKind {
     /// its own thread.
     Brokered,
     /// One [`TcpLink`] into a `ugc broker serve` process whose
-    /// participants joined from other OS processes. Message-flow
-    /// identical to [`Brokered`](Self::Brokered) — the relay is the same
-    /// code over sockets — so the two share a digest class.
+    /// participants joined from other OS processes: the relay of
+    /// [`Brokered`](Self::Brokered), over sockets.
     Remote,
-}
-
-impl TransportKind {
-    /// The canonical representative of this transport's digest class —
-    /// what [`CampaignHeader::for_campaign`](crate::CampaignHeader::for_campaign)
-    /// stores, so headers compare equal exactly when digests cannot
-    /// differ. [`Brokered`](Self::Brokered) and [`Remote`](Self::Remote)
-    /// share a class: the relay semantics (round-robin dispatch, `Gone`
-    /// NACKs, per-message charging) are identical, so their digests
-    /// cannot differ and a campaign may resume across that backend
-    /// change. [`Direct`](Self::Direct) is a class of its own — its
-    /// engine never sees `Gone` NACKs, so resuming a direct campaign over
-    /// a relay (or vice versa) is refused. Execution-only socket details
-    /// (addresses, process layout) never reach the header at all.
-    #[must_use]
-    pub fn digest_canonical(self) -> Self {
-        match self {
-            TransportKind::Direct => TransportKind::Direct,
-            TransportKind::Brokered | TransportKind::Remote => TransportKind::Brokered,
-        }
-    }
 }
 
 /// One participant slot's end-of-session report: everything the
@@ -275,7 +255,8 @@ impl TransportBackend for InProcessBackend {
             }
             TransportKind::Remote => Err(SchemeError::InvalidConfig {
                 reason: "the in-process backend cannot serve the remote transport; \
-                         connect a RemoteGridBackend and call run_fleet_on",
+                         connect a RemoteGridBackend and call run_fleet_on"
+                    .into(),
             }),
         }
     }
@@ -450,11 +431,11 @@ impl RemoteGridBackend {
                 .ok()
                 .and_then(|slot| reports.get_mut(slot))
                 .ok_or(SchemeError::InvalidConfig {
-                    reason: "remote peer reported an unknown participant slot",
+                    reason: "remote peer reported an unknown participant slot".into(),
                 })?;
             if entry.replace(report).is_some() {
                 return Err(SchemeError::InvalidConfig {
-                    reason: "remote peer reported a participant slot twice",
+                    reason: "remote peer reported a participant slot twice".into(),
                 });
             }
         }
@@ -477,11 +458,12 @@ impl TransportBackend for RemoteGridBackend {
             return Err(SchemeError::InvalidConfig {
                 reason: "the remote backend cannot inject faults: fault schedules are \
                          keyed by link id, and which process hosts which link is \
-                         execution layout that digests must not depend on",
+                         execution layout that digests must not depend on"
+                    .into(),
             });
         }
         let link = self.link.take().ok_or(SchemeError::InvalidConfig {
-            reason: "the remote backend serves a single round per connection",
+            reason: "the remote backend serves a single round per connection".into(),
         })?;
         let mut transport = SharedLink::new(link);
         let sessions = engine.run(&mut transport);
@@ -501,28 +483,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn digest_classes() {
-        assert_eq!(
-            TransportKind::Brokered.digest_canonical(),
-            TransportKind::Brokered
-        );
-        assert_eq!(
-            TransportKind::Remote.digest_canonical(),
-            TransportKind::Brokered
-        );
-        assert_eq!(
-            TransportKind::Direct.digest_canonical(),
-            TransportKind::Direct
-        );
-    }
-
-    #[test]
     fn slot_report_roundtrip() {
         for outcome in [
             Ok(true),
             Ok(false),
             Err(SchemeError::TimedOut),
-            Err(SchemeError::InvalidConfig { reason: "x" }),
+            Err(SchemeError::InvalidConfig { reason: "x".into() }),
         ] {
             let report = SlotReport {
                 slot: 42,

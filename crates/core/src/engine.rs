@@ -246,7 +246,7 @@ struct EngineSlot<'a> {
 }
 
 /// Per-session result of an engine run.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct SessionResult {
     /// The verdict and reports, or the protocol error that killed this
     /// session (other sessions keep running).
@@ -320,7 +320,7 @@ impl<'a> SessionEngine<'a> {
         for (slot, id) in task_ids.iter().enumerate() {
             if self.routes.contains_key(id) || task_ids[..slot].contains(id) {
                 return Err(SchemeError::InvalidConfig {
-                    reason: "task id already registered with the engine",
+                    reason: "task id already registered with the engine".into(),
                 });
             }
         }
@@ -402,7 +402,7 @@ impl<'a> SessionEngine<'a> {
     ) -> Result<(), SchemeError> {
         for (peer, msg) in outs {
             let task_id = *slot.task_ids.get(peer).ok_or(SchemeError::InvalidConfig {
-                reason: "session addressed a slot it does not own",
+                reason: "session addressed a slot it does not own".into(),
             })?;
             slot.link.bytes_sent += transport.send(task_id, &msg)?;
             slot.link.messages_sent += 1;

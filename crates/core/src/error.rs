@@ -1,10 +1,15 @@
 //! Error type for protocol execution.
 
 use core::fmt;
+use std::borrow::Cow;
 use ugc_grid::GridError;
 use ugc_merkle::MerkleError;
 
 /// Errors raised while executing a verification scheme.
+///
+/// The string fields are literals where this process raised the error
+/// and owned copies where it was decoded from a journal or a remote
+/// participant's report, so a decoded error frees what it holds.
 ///
 /// Note the distinction from *cheating detection*: a detected cheater is a
 /// successful run with a rejecting [`Verdict`](crate::Verdict), not an
@@ -19,9 +24,9 @@ pub enum SchemeError {
     /// The peer sent an unexpected message type.
     UnexpectedMessage {
         /// What the protocol step expected.
-        expected: &'static str,
+        expected: Cow<'static, str>,
         /// A short description of what arrived.
-        got: &'static str,
+        got: Cow<'static, str>,
     },
     /// A reply referenced the wrong task.
     TaskMismatch {
@@ -40,13 +45,13 @@ pub enum SchemeError {
     /// A configuration parameter is out of range.
     InvalidConfig {
         /// Human-readable description of the violation.
-        reason: &'static str,
+        reason: Cow<'static, str>,
     },
     /// A commitment or proof carried bytes that do not form a valid digest
     /// or result for the scheme's hash/task.
     MalformedPayload {
         /// What failed to parse.
-        what: &'static str,
+        what: Cow<'static, str>,
     },
     /// The session saw no peer activity within its deadline (a dropped
     /// message, a stalled participant) and was failed rather than left to
@@ -152,8 +157,8 @@ mod tests {
     fn display_messages() {
         assert_eq!(
             SchemeError::UnexpectedMessage {
-                expected: "Commit",
-                got: "Verdict"
+                expected: "Commit".into(),
+                got: "Verdict".into()
             }
             .to_string(),
             "expected Commit message, got Verdict"
@@ -173,7 +178,9 @@ mod tests {
         use std::error::Error;
         let e = SchemeError::Grid(GridError::Disconnected);
         assert!(e.source().is_some());
-        let e = SchemeError::InvalidConfig { reason: "m = 0" };
+        let e = SchemeError::InvalidConfig {
+            reason: "m = 0".into(),
+        };
         assert!(e.source().is_none());
     }
 

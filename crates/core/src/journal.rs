@@ -3,36 +3,33 @@
 //!
 //! The journal crate knows only about opaque payloads; this module gives
 //! them meaning. A durable campaign writes one [`CampaignHeader`] record
-//! (so `--resume` can reconstruct the run from the file alone), then a
-//! strictly sequential stream of round records. The orchestrator's round
+//! (so `--resume` can reconstruct the run from the file alone), then one
+//! record per settled round and one at the end. The orchestrator's round
 //! loop writes all of them, through one [`DurableCampaign`]; the session
 //! engine never touches the journal:
 //!
 //! | tag | record | written by | contents |
 //! |----:|--------|------------|----------|
 //! | 1 | `Header` | [`DurableCampaign::create`] | fleet shape, domain, chaos plan, CLI blob |
-//! | 2 | `RoundStart` | `round_start`, before the round runs | round number, roster (member indices) |
-//! | 3 | `Settled` | `commit`, from the engine's results | per-session outcome + link stats, in roster order |
-//! | 4 | `MemberState` | `commit` | per-member round costs + participant results, in roster order |
-//! | 5 | `RoundEnd` | `commit` | round number, sorted fault events — the commit marker |
-//! | 6 | `Finished` | `finish` | the campaign summary digest, then the seal |
+//! | 2 | `Round` | `commit`, after the round runs and before it is applied | round number, roster, one session result and one member's books per roster entry, sorted fault events |
+//! | 3 | `Finished` | `finish` | the campaign summary digest, then the seal |
 //!
-//! Recovery is *round-atomic*: [`DurableCampaign::resume`] replays only
-//! rounds that reached their `RoundEnd` commit marker, truncates everything
-//! after the last one (including a torn tail), and applies each committed
-//! round to the campaign state through the same `CampaignState::apply` the
-//! live loop calls — after checking that it is a round a live run could
-//! have committed next. Because every record the campaign loop writes is a
-//! pure function of the seed, the resumed run's verdicts, attempts, cost
-//! ledgers, fault log and journal bytes are identical to a never-killed
-//! run's — the invariant `tests/crash_resume.rs` proves at every kill
-//! point.
+//! A sealed journal therefore holds `1 + rounds + 1` records. The record
+//! the journal writes is the unit [`DurableCampaign::resume`] reads back:
+//! it replays every `Round` record, truncates a torn tail, and applies
+//! each round to the campaign state through the same
+//! `CampaignState::apply` the live loop calls — after checking that it is
+//! a round a live run could have committed next. A round killed before
+//! its record reached disk simply runs again. Because every record is a
+//! pure function of the campaign and its seeds, whatever the transport,
+//! the resumed run's verdicts, attempts, cost ledgers, fault log and
+//! journal bytes are identical to a never-killed run's — the invariant
+//! `tests/crash_resume.rs` proves at every kill point.
 //!
 //! This file is deliberately named `journal.rs`: `ugc-lint`'s `lossy-cast`
 //! rule audits journal/codec paths, so every narrowing here must be a
 //! checked `try_from`, never an `as`.
 
-use crate::backend::TransportKind;
 use crate::engine::SessionResult;
 use crate::orchestrator::{
     CampaignState, FleetSummary, MemberBooks, MemberSpec, MixedFleetConfig, RoundRecord,
@@ -99,17 +96,32 @@ fn get_string(buf: &mut &[u8], context: &'static str) -> Result<String, SchemeEr
     String::from_utf8(bytes).map_err(|_| bad(format!("{context}: invalid UTF-8")))
 }
 
-/// Decodes a `&'static str` field. The originals are compile-time string
-/// literals; round-tripping through the journal has to materialise them,
-/// and leaking is the only safe way back to `'static`. Bounded in
-/// practice: error strings are short and a resume decodes each record
-/// once.
-fn get_static_str(buf: &mut &[u8], context: &'static str) -> Result<&'static str, SchemeError> {
-    Ok(Box::leak(get_string(buf, context)?.into_boxed_str()))
-}
-
 fn put_micros(buf: &mut Vec<u8>, d: Duration) {
     put_u64(buf, u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
+}
+
+/// A count, then each item.
+fn put_list<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_usize(buf, items.len());
+    for item in items {
+        put(buf, item);
+    }
+}
+
+/// Reads what [`put_list`] wrote. Every item reads at least one byte, so
+/// a hostile count fails at the end of the record, having reserved at
+/// most 1 024 items.
+fn get_list<T>(
+    buf: &mut &[u8],
+    context: &'static str,
+    mut get: impl FnMut(&mut &[u8]) -> Result<T, SchemeError>,
+) -> Result<Vec<T>, SchemeError> {
+    let count = get_usize(buf, context)?;
+    let mut items = Vec::with_capacity(count.min(1024));
+    for _ in 0..count {
+        items.push(get(buf)?);
+    }
+    Ok(items)
 }
 
 // ---------------------------------------------------------------------------
@@ -163,7 +175,7 @@ fn get_verdict(buf: &mut &[u8]) -> Result<Verdict, SchemeError> {
 
 fn put_grid_error(buf: &mut Vec<u8>, e: &GridError) {
     match *e {
-        GridError::UnexpectedEof { context } => {
+        GridError::UnexpectedEof { ref context } => {
             put_u8(buf, 0);
             put_str(buf, context);
         }
@@ -197,7 +209,7 @@ fn put_grid_error(buf: &mut Vec<u8>, e: &GridError) {
 fn get_grid_error(buf: &mut &[u8]) -> Result<GridError, SchemeError> {
     Ok(match get_u8(buf, "grid error tag")? {
         0 => GridError::UnexpectedEof {
-            context: get_static_str(buf, "grid error context")?,
+            context: get_string(buf, "grid error context")?.into(),
         },
         1 => GridError::UnknownTag {
             tag: get_u8(buf, "grid error byte")?,
@@ -365,8 +377,8 @@ fn get_scheme_error(buf: &mut &[u8]) -> Result<SchemeError, SchemeError> {
         0 => SchemeError::Grid(get_grid_error(buf)?),
         1 => SchemeError::Merkle(get_merkle_error(buf)?),
         2 => SchemeError::UnexpectedMessage {
-            expected: get_static_str(buf, "scheme error expected")?,
-            got: get_static_str(buf, "scheme error got")?,
+            expected: get_string(buf, "scheme error expected")?.into(),
+            got: get_string(buf, "scheme error got")?.into(),
         },
         3 => SchemeError::TaskMismatch {
             expected: get_u64(buf, "scheme error expected id")?,
@@ -377,10 +389,10 @@ fn get_scheme_error(buf: &mut &[u8]) -> Result<SchemeError, SchemeError> {
             got: get_usize(buf, "scheme error got proofs")?,
         },
         5 => SchemeError::InvalidConfig {
-            reason: get_static_str(buf, "scheme error reason")?,
+            reason: get_string(buf, "scheme error reason")?.into(),
         },
         6 => SchemeError::MalformedPayload {
-            what: get_static_str(buf, "scheme error what")?,
+            what: get_string(buf, "scheme error what")?.into(),
         },
         7 => SchemeError::TimedOut,
         8 => SchemeError::Journal {
@@ -426,28 +438,26 @@ pub(crate) fn get_report(buf: &mut &[u8]) -> Result<CostReport, SchemeError> {
 
 fn put_outcome(buf: &mut Vec<u8>, outcome: &SessionOutcome) {
     put_verdict(buf, &outcome.verdict);
-    put_usize(buf, outcome.reports.len());
-    for report in &outcome.reports {
+    put_list(buf, &outcome.reports, |buf, report| {
         put_u64(buf, report.input);
         put_bytes(buf, &report.payload);
-    }
+    });
 }
 
 fn get_outcome(buf: &mut &[u8]) -> Result<SessionOutcome, SchemeError> {
-    let verdict = get_verdict(buf)?;
-    let count = get_usize(buf, "report count")?;
-    let mut reports = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        reports.push(ScreenReport {
-            input: get_u64(buf, "report input")?,
-            payload: get_bytes(buf, "report payload")?,
-        });
-    }
-    Ok(SessionOutcome { verdict, reports })
+    Ok(SessionOutcome {
+        verdict: get_verdict(buf)?,
+        reports: get_list(buf, "report count", |buf| {
+            Ok(ScreenReport {
+                input: get_u64(buf, "report input")?,
+                payload: get_bytes(buf, "report payload")?,
+            })
+        })?,
+    })
 }
 
-fn put_session_result(buf: &mut Vec<u8>, outcome: &Result<SessionOutcome, SchemeError>) {
-    match outcome {
+fn put_session(buf: &mut Vec<u8>, session: &SessionResult) {
+    match &session.outcome {
         Ok(ok) => {
             put_u8(buf, 1);
             put_outcome(buf, ok);
@@ -457,13 +467,18 @@ fn put_session_result(buf: &mut Vec<u8>, outcome: &Result<SessionOutcome, Scheme
             put_scheme_error(buf, e);
         }
     }
+    put_link(buf, &session.link);
 }
 
-fn get_session_result(buf: &mut &[u8]) -> Result<Result<SessionOutcome, SchemeError>, SchemeError> {
-    Ok(match get_u8(buf, "session result tag")? {
+fn get_session(buf: &mut &[u8]) -> Result<SessionResult, SchemeError> {
+    let outcome = match get_u8(buf, "session result tag")? {
         1 => Ok(get_outcome(buf)?),
         0 => Err(get_scheme_error(buf)?),
         tag => return Err(bad(format!("unknown session result tag {tag}"))),
+    };
+    Ok(SessionResult {
+        outcome,
+        link: get_link(buf)?,
     })
 }
 
@@ -485,6 +500,20 @@ pub(crate) fn get_part_result(buf: &mut &[u8]) -> Result<Result<bool, SchemeErro
         1 => Ok(get_u8(buf, "participant result flag")? != 0),
         0 => Err(get_scheme_error(buf)?),
         tag => return Err(bad(format!("unknown participant result tag {tag}"))),
+    })
+}
+
+fn put_books(buf: &mut Vec<u8>, books: &MemberBooks) {
+    put_report(buf, &books.sup_costs);
+    put_report(buf, &books.part_costs);
+    put_list(buf, &books.part_results, put_part_result);
+}
+
+fn get_books(buf: &mut &[u8]) -> Result<MemberBooks, SchemeError> {
+    Ok(MemberBooks {
+        sup_costs: get_report(buf)?,
+        part_costs: get_report(buf)?,
+        part_results: get_list(buf, "participant result count", get_part_result)?,
     })
 }
 
@@ -597,13 +626,14 @@ fn get_event(buf: &mut &[u8]) -> Result<FaultEvent, SchemeError> {
 /// picking up: the fleet shape, the domain, and every digest-relevant
 /// knob of [`MixedFleetConfig`].
 ///
-/// Execution-only knobs (`parallelism`, `workers`, `steal_seed`,
-/// `lanes`) are deliberately absent: digests are invariant under them,
-/// so a campaign journaled on a 4-worker box resumes correctly on a
-/// 64-worker one — under any work-stealing order and any digest lane
-/// width. The opaque
-/// [`app`](Self::app) blob carries whatever the CLI (or any embedder)
-/// needs to rebuild its own task/fleet objects from the journal alone.
+/// Execution-only knobs are deliberately absent: the transport,
+/// `parallelism`, `workers`, `steal_seed` and `lanes`. Digests are
+/// invariant under all of them, so a campaign journaled over direct links
+/// on a 4-worker box resumes over a broker — in process or a real
+/// `ugc broker serve` grid — on a 64-worker one, under any work-stealing
+/// order and any digest lane width. The opaque [`app`](Self::app) blob
+/// carries whatever the CLI (or any embedder) needs to rebuild its own
+/// task/fleet objects from the journal alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignHeader {
     /// Application-owned bytes (the CLI stores its campaign flags here).
@@ -614,16 +644,6 @@ pub struct CampaignHeader {
     pub domain: Domain,
     /// Participant tree storage mode.
     pub storage: ParticipantStorage,
-    /// The *digest class* of the transport the sessions multiplex over,
-    /// as its canonical representative
-    /// ([`TransportKind::digest_canonical`](crate::TransportKind::digest_canonical)):
-    /// `Direct`, or `Brokered` for both relayed transports. `Remote` and
-    /// `Brokered` share a class because the relay semantics — and hence
-    /// the digests — are identical, so a campaign journaled against an
-    /// in-process broker legally resumes over a real `ugc broker serve`
-    /// grid (and vice versa). Socket addresses and process layout are
-    /// execution-only and never reach the header.
-    pub transport: TransportKind,
     /// The seeded chaos plan, if any.
     pub chaos: Option<FaultPlan>,
     /// Per-session inactivity deadline, if any.
@@ -648,7 +668,6 @@ impl CampaignHeader {
             member_slots: members.iter().map(|m| m.behaviours.len() as u64).collect(),
             domain,
             storage: config.storage,
-            transport: config.transport.digest_canonical(),
             chaos: config.chaos,
             deadline: config.deadline,
             retries: config.retries,
@@ -669,16 +688,6 @@ fn encode_header(header: &CampaignHeader) -> Vec<u8> {
             put_u32(&mut buf, subtree_height);
         }
     }
-    put_u8(
-        &mut buf,
-        match header.transport.digest_canonical() {
-            TransportKind::Direct => 0,
-            _ => 1,
-        },
-    );
-    // The envelope flag: always 0, as slots are addressed by task id
-    // alone. A reader refuses any other value.
-    put_u8(&mut buf, 0);
     match header.chaos {
         None => put_u8(&mut buf, 0),
         Some(plan) => {
@@ -721,19 +730,6 @@ fn decode_header(buf: &mut &[u8]) -> Result<CampaignHeader, SchemeError> {
         },
         tag => return Err(bad(format!("unknown storage tag {tag}"))),
     };
-    let transport = match get_u8(buf, "header transport tag")? {
-        0 => TransportKind::Direct,
-        1 => TransportKind::Brokered,
-        tag => return Err(bad(format!("unknown transport tag {tag}"))),
-    };
-    match get_u8(buf, "header envelope flag")? {
-        0 => {}
-        flag => {
-            return Err(bad(format!(
-                "header envelope flag {flag}: slots are addressed by task id"
-            )))
-        }
-    }
     let chaos = match get_u8(buf, "header chaos flag")? {
         0 => None,
         _ => Some(FaultPlan {
@@ -755,7 +751,6 @@ fn decode_header(buf: &mut &[u8]) -> Result<CampaignHeader, SchemeError> {
         member_slots,
         domain,
         storage,
-        transport,
         chaos,
         deadline,
         retries,
@@ -767,73 +762,26 @@ fn decode_header(buf: &mut &[u8]) -> Result<CampaignHeader, SchemeError> {
 // ---------------------------------------------------------------------------
 
 const TAG_HEADER: u8 = 1;
-const TAG_ROUND_START: u8 = 2;
-const TAG_SETTLED: u8 = 3;
-const TAG_MEMBER_STATE: u8 = 4;
-const TAG_ROUND_END: u8 = 5;
-const TAG_FINISHED: u8 = 6;
+const TAG_ROUND: u8 = 2;
+const TAG_FINISHED: u8 = 3;
 
 /// One decoded campaign record (see the module-level table).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 enum Record {
     Header(CampaignHeader),
-    RoundStart {
-        round: u32,
-        roster: Vec<u64>,
-    },
-    Settled {
-        roster_index: u64,
-        outcome: Result<SessionOutcome, SchemeError>,
-        link: LinkStats,
-    },
-    MemberState {
-        member: u64,
-        books: MemberBooks,
-    },
-    RoundEnd {
-        round: u32,
-        events: Vec<FaultEvent>,
-    },
-    Finished {
-        digest: String,
-    },
+    Round(RoundRecord),
+    Finished { digest: String },
 }
 
-fn encode_round_start(round: u32, roster: &[usize]) -> Vec<u8> {
-    let mut buf = vec![TAG_ROUND_START];
-    put_u32(&mut buf, round);
-    let roster: Vec<u64> = roster.iter().map(|&i| i as u64).collect();
-    put_u64_list(&mut buf, &roster);
-    buf
-}
-
-fn encode_settled(roster_index: usize, result: &SessionResult) -> Vec<u8> {
-    let mut buf = vec![TAG_SETTLED];
-    put_u64(&mut buf, roster_index as u64);
-    put_session_result(&mut buf, &result.outcome);
-    put_link(&mut buf, &result.link);
-    buf
-}
-
-fn encode_member_state(member: usize, books: &MemberBooks) -> Vec<u8> {
-    let mut buf = vec![TAG_MEMBER_STATE];
-    put_u64(&mut buf, member as u64);
-    put_report(&mut buf, &books.sup_costs);
-    put_report(&mut buf, &books.part_costs);
-    put_usize(&mut buf, books.part_results.len());
-    for result in &books.part_results {
-        put_part_result(&mut buf, result);
-    }
-    buf
-}
-
-fn encode_round_end(round: u32, events: &[FaultEvent]) -> Vec<u8> {
-    let mut buf = vec![TAG_ROUND_END];
-    put_u32(&mut buf, round);
-    put_usize(&mut buf, events.len());
-    for event in events {
-        put_event(&mut buf, event);
-    }
+fn encode_round(record: &RoundRecord) -> Vec<u8> {
+    let mut buf = vec![TAG_ROUND];
+    put_u32(&mut buf, record.round);
+    put_list(&mut buf, &record.roster, |buf, &member| {
+        put_usize(buf, member)
+    });
+    put_list(&mut buf, &record.sessions, put_session);
+    put_list(&mut buf, &record.books, put_books);
+    put_list(&mut buf, &record.events, put_event);
     buf
 }
 
@@ -848,42 +796,15 @@ fn decode_record(payload: &[u8]) -> Result<Record, SchemeError> {
     let tag = get_u8(&mut buf, "record tag")?;
     let record = match tag {
         TAG_HEADER => Record::Header(decode_header(&mut buf)?),
-        TAG_ROUND_START => Record::RoundStart {
+        TAG_ROUND => Record::Round(RoundRecord {
             round: get_u32(&mut buf, "round number")?,
-            roster: get_u64_list(&mut buf, "round roster")?,
-        },
-        TAG_SETTLED => Record::Settled {
-            roster_index: get_u64(&mut buf, "settled roster index")?,
-            outcome: get_session_result(&mut buf)?,
-            link: get_link(&mut buf)?,
-        },
-        TAG_MEMBER_STATE => {
-            let member = get_u64(&mut buf, "member index")?;
-            let sup_costs = get_report(&mut buf)?;
-            let part_costs = get_report(&mut buf)?;
-            let count = get_usize(&mut buf, "participant result count")?;
-            let mut part_results = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                part_results.push(get_part_result(&mut buf)?);
-            }
-            Record::MemberState {
-                member,
-                books: MemberBooks {
-                    sup_costs,
-                    part_costs,
-                    part_results,
-                },
-            }
-        }
-        TAG_ROUND_END => {
-            let round = get_u32(&mut buf, "round number")?;
-            let count = get_usize(&mut buf, "fault event count")?;
-            let mut events = Vec::with_capacity(count.min(4096));
-            for _ in 0..count {
-                events.push(get_event(&mut buf)?);
-            }
-            Record::RoundEnd { round, events }
-        }
+            roster: get_list(&mut buf, "round roster", |buf| {
+                get_usize(buf, "roster member")
+            })?,
+            sessions: get_list(&mut buf, "session count", get_session)?,
+            books: get_list(&mut buf, "member books count", get_books)?,
+            events: get_list(&mut buf, "fault event count", get_event)?,
+        }),
         TAG_FINISHED => Record::Finished {
             digest: get_string(&mut buf, "finish digest")?,
         },
@@ -909,7 +830,8 @@ pub struct ResumeReport {
     pub rounds_replayed: u32,
     /// Journal records kept (header + committed rounds).
     pub records_kept: u64,
-    /// Intact records dropped because their round never committed.
+    /// Intact records dropped: a `Finished` record whose seal never
+    /// reached disk, written again when the campaign finishes.
     pub records_dropped: u64,
     /// The torn-tail warning, if the file ended mid-record.
     pub torn: Option<String>,
@@ -968,10 +890,10 @@ impl DurableCampaign {
     }
 
     /// Resumes a killed campaign from its journal: scans the file,
-    /// truncates the torn tail and any uncommitted round, replays every
-    /// committed round through the same `CampaignState::apply` the live
-    /// loop calls, and re-opens the journal for appending (arming `crash`
-    /// for the continuation). A sealed journal resumes read-only:
+    /// truncates the torn tail and an unsealed `Finished` record, replays
+    /// every round record through the same `CampaignState::apply` the
+    /// live loop calls, and re-opens the journal for appending (arming
+    /// `crash` for the continuation). A sealed journal resumes read-only:
     /// the campaign re-derives its summary without writing anything.
     ///
     /// # Errors
@@ -980,8 +902,8 @@ impl DurableCampaign {
     /// header record, contains records this build cannot decode, or
     /// commits a round no live run could have written: one that is not
     /// the next round, lies beyond the header's retry budget, does not
-    /// run exactly the members still pending, or does not settle and book
-    /// each of them once, in roster order.
+    /// run exactly the members still pending, or does not hold one
+    /// session and one set of books for each of them.
     pub fn resume(path: &Path, crash: CrashPlan) -> Result<(Self, ResumeReport), SchemeError> {
         let journal = read_journal(path).map_err(|e| jerr(&e))?;
         let torn = match &journal.tail {
@@ -990,15 +912,11 @@ impl DurableCampaign {
                 Some(format!("torn tail at byte {offset}: {reason}"))
             }
         };
-        let mut decoded = Vec::with_capacity(journal.records.len());
-        for (index, raw) in journal.records.iter().enumerate() {
-            decoded.push(
-                decode_record(&raw.payload)
-                    .map_err(|e| bad(format!("journal record {index} is undecodable: {e}")))?,
-            );
-        }
-        let mut records = decoded.into_iter();
-        let Some(Record::Header(header)) = records.next() else {
+        let mut records = journal.records.iter().enumerate().map(|(index, raw)| {
+            decode_record(&raw.payload)
+                .map_err(|e| bad(format!("journal record {index} is undecodable: {e}")))
+        });
+        let Some(Record::Header(header)) = records.next().transpose()? else {
             return Err(bad(
                 "journal has no campaign header record (crashed before the campaign began, or not a campaign journal)"
                     .to_string(),
@@ -1006,76 +924,21 @@ impl DurableCampaign {
         };
         let mut state = CampaignState::new(header.member_slots.len());
         let mut rounds_replayed = 0u32;
-        // Records kept on resume: the header, plus everything up to (and
-        // including) the last committed RoundEnd. A trailing uncommitted
-        // round — or an unsealed Finished record — is truncated and re-run.
+        // Records kept on resume: the header and every round. An unsealed
+        // Finished record is truncated and written again.
         let mut keep: u64 = 1;
-        // The round being read, until its RoundEnd commits it.
-        let mut open: Option<RoundRecord> = None;
         let mut finished_digest: Option<String> = None;
-        for (offset, record) in records.enumerate() {
-            let index = offset + 1; // absolute record index (0 = header)
+        for (index, record) in (1u64..).zip(records) {
             let at = |reason: String| bad(format!("record {index}: {reason}"));
-            match record {
+            match record? {
                 Record::Header(_) => return Err(at("duplicate header".to_string())),
-                Record::RoundStart { round, roster } => {
-                    if open.is_some() {
-                        return Err(at(format!(
-                            "round {round} started before the previous round ended"
-                        )));
-                    }
-                    let roster = roster
-                        .into_iter()
-                        .map(usize::try_from)
-                        .collect::<Result<_, _>>()
-                        .map_err(|_| at("roster member exceeds this platform's usize".into()))?;
-                    open = Some(RoundRecord {
-                        round,
-                        roster,
-                        sessions: Vec::new(),
-                        books: Vec::new(),
-                        events: Vec::new(),
-                    });
-                }
-                Record::Settled {
-                    roster_index,
-                    outcome,
-                    link,
-                } => {
-                    let round = open
-                        .as_mut()
-                        .ok_or_else(|| at("settled outside a round".to_string()))?;
-                    let expected = round.sessions.len();
-                    if roster_index != expected as u64 {
-                        return Err(at(format!(
-                            "settled roster index {roster_index}, expected {expected}"
-                        )));
-                    }
-                    round.sessions.push(SessionResult { outcome, link });
-                }
-                Record::MemberState { member, books } => {
-                    let round = open
-                        .as_mut()
-                        .ok_or_else(|| at("member state outside a round".to_string()))?;
-                    let expected = round.roster.get(round.books.len()).copied();
-                    if expected.map(|m| m as u64) != Some(member) {
-                        return Err(at(format!(
-                            "member state for member {member}, expected {expected:?}"
-                        )));
-                    }
-                    round.books.push(books);
-                }
-                Record::RoundEnd { round, events } => {
-                    let mut record = open
-                        .take()
-                        .ok_or_else(|| at("round end outside a round".to_string()))?;
-                    record.events = events;
-                    if let Some(reason) = refusal(&state, header.retries, round, &record) {
+                Record::Round(round) => {
+                    if let Some(reason) = refusal(&state, header.retries, &round) {
                         return Err(at(reason));
                     }
-                    state.apply(record);
+                    state.apply(round);
                     rounds_replayed += 1;
-                    keep = index as u64 + 1;
+                    keep = index + 1;
                 }
                 Record::Finished { digest } => {
                     finished_digest = Some(digest);
@@ -1133,24 +996,11 @@ impl DurableCampaign {
         }
     }
 
-    /// Journals the start of round `round` over `roster`, before the
-    /// round has any effect.
-    pub(crate) fn round_start(&mut self, round: u32, roster: &[usize]) -> Result<(), SchemeError> {
-        self.append(&encode_round_start(round, roster))
-    }
-
-    /// Journals the rest of a settled round: one `Settled` per session
-    /// and one `MemberState` per member, in roster order, then the
-    /// `RoundEnd` commit marker — a round is replayed on resume only once
-    /// that marker is on disk.
+    /// Journals a settled round as one `Round` record, before the round
+    /// is applied: resume replays the round once its record is on disk,
+    /// and runs it again otherwise.
     pub(crate) fn commit(&mut self, record: &RoundRecord) -> Result<(), SchemeError> {
-        for (roster_index, session) in record.sessions.iter().enumerate() {
-            self.append(&encode_settled(roster_index, session))?;
-        }
-        for (&member, books) in record.roster.iter().zip(&record.books) {
-            self.append(&encode_member_state(member, books))?;
-        }
-        self.append(&encode_round_end(record.round, &record.events))
+        self.append(&encode_round(record))
     }
 
     /// Journals the summary digest and seals the journal under it.
@@ -1163,17 +1013,12 @@ impl DurableCampaign {
     }
 }
 
-/// Why `record`, closed by a `RoundEnd` for round `end`, is not a round a
-/// live run with retry budget `retries` could have committed next from
-/// `state` — or `None` when it is.
-fn refusal(state: &CampaignState, retries: u32, end: u32, record: &RoundRecord) -> Option<String> {
+/// Why `record` is not a round a live run with retry budget `retries`
+/// could have committed next from `state` — or `None` when it is.
+fn refusal(state: &CampaignState, retries: u32, record: &RoundRecord) -> Option<String> {
     let round = record.round;
     let roster = &record.roster;
-    if end != round {
-        Some(format!(
-            "round end {end} does not match round start {round}"
-        ))
-    } else if state.next_round != Some(round) || round > retries {
+    if state.next_round != Some(round) || round > retries {
         Some(format!(
             "round {round} is not the next round ({:?}) within {retries} retries",
             state.next_round
@@ -1249,7 +1094,6 @@ mod tests {
             member_slots: vec![1, 1, 2],
             domain: Domain::new(10, 300),
             storage: ParticipantStorage::Partial { subtree_height: 3 },
-            transport: TransportKind::Brokered,
             chaos: Some(FaultPlan {
                 seed: 42,
                 drop_per_1024: 8,
@@ -1272,37 +1116,20 @@ mod tests {
                 member_slots: vec![1],
                 domain: Domain::new(0, 8),
                 storage: ParticipantStorage::Full,
-                transport: TransportKind::Direct,
                 chaos: None,
                 deadline: None,
                 retries: 0,
             },
         ] {
             let encoded = encode_header(&header);
-            let Record::Header(decoded) = decode_record(&encoded).unwrap() else {
-                panic!("expected a header record");
-            };
-            assert_eq!(decoded, header);
+            assert_eq!(decode_record(&encoded).unwrap(), Record::Header(header));
         }
     }
 
     #[test]
-    fn header_refuses_an_envelope_flag() {
-        let mut encoded = encode_header(&sample_header());
-        // Tag, app blob, member slots, domain, storage (tag + height),
-        // transport: the envelope byte follows.
-        let at = 1 + (8 + 3) + (8 + 3 * 8) + 16 + (1 + 4) + 1;
-        assert_eq!(encoded[at], 0, "the flag is always written as 0");
-        encoded[at] = 1;
-        assert!(matches!(
-            decode_record(&encoded),
-            Err(SchemeError::Journal { reason }) if reason.contains("envelope")
-        ));
-    }
-
-    #[test]
-    fn header_transport_is_digest_class_not_backend_identity() {
+    fn header_is_the_same_over_every_transport() {
         use crate::orchestrator::FleetScheme;
+        use crate::TransportKind;
         use ugc_grid::HonestWorker;
         let scheme = FleetScheme::Naive { samples: 4 }.instantiate::<Sha256>(1);
         let behaviour = HonestWorker;
@@ -1312,7 +1139,7 @@ mod tests {
         }];
         let domain = Domain::new(0, 64);
         let header = |transport| {
-            CampaignHeader::for_campaign(
+            encode_header(&CampaignHeader::for_campaign(
                 &members,
                 domain,
                 &MixedFleetConfig {
@@ -1320,183 +1147,13 @@ mod tests {
                     ..MixedFleetConfig::default()
                 },
                 vec![1],
-            )
+            ))
         };
-        // Brokered and Remote share a digest class (identical relay
-        // semantics → identical digests), so their headers are equal and
-        // --resume across that backend change is legal...
-        assert_eq!(
-            header(TransportKind::Brokered),
-            header(TransportKind::Remote)
-        );
-        assert_eq!(
-            header(TransportKind::Remote).transport,
-            TransportKind::Brokered
-        );
-        // ...while Direct is a distinct class, so that resume is refused.
-        assert_ne!(header(TransportKind::Direct), header(TransportKind::Remote));
-    }
-
-    #[test]
-    fn round_records_round_trip() {
-        let start = encode_round_start(3, &[0, 2, 5]);
-        assert_eq!(
-            decode_record(&start).unwrap(),
-            Record::RoundStart {
-                round: 3,
-                roster: vec![0, 2, 5]
-            }
-        );
-
-        let result = SessionResult {
-            outcome: Ok(SessionOutcome {
-                verdict: Verdict::CommitmentMismatch { sample: 17 },
-                reports: vec![ScreenReport {
-                    input: 99,
-                    payload: vec![1, 2, 3],
-                }],
-            }),
-            link: LinkStats {
-                bytes_sent: 10,
-                bytes_received: 20,
-                messages_sent: 3,
-                messages_received: 4,
-            },
-        };
-        let settled = encode_settled(1, &result);
-        let Record::Settled {
-            roster_index,
-            outcome,
-            link,
-        } = decode_record(&settled).unwrap()
-        else {
-            panic!("expected a settled record");
-        };
-        assert_eq!(roster_index, 1);
-        assert_eq!(
-            outcome.unwrap().verdict,
-            Verdict::CommitmentMismatch { sample: 17 }
-        );
-        assert_eq!(link, result.link);
-
-        let sup = CostReport {
-            f_evals: 1,
-            hash_ops: 2,
-            hash_wall_ops: 2,
-            g_evals: 3,
-            verify_ops: 4,
-        };
-        let results = vec![Ok(true), Err(SchemeError::TimedOut)];
-        let books = MemberBooks {
-            sup_costs: sup,
-            part_costs: CostReport::default(),
-            part_results: results.clone(),
-        };
-        let Record::MemberState { member, books } =
-            decode_record(&encode_member_state(2, &books)).unwrap()
-        else {
-            panic!("expected a member state record");
-        };
-        assert_eq!(member, 2);
-        assert_eq!(books.sup_costs, sup);
-        assert_eq!(books.part_results, results);
-
-        let events = vec![
-            FaultEvent::Dropped {
-                link: 7,
-                direction: LinkDirection::Inbound,
-                seq: 3,
-            },
-            FaultEvent::Delayed {
-                link: 8,
-                direction: LinkDirection::Outbound,
-                seq: 5,
-                micros: 99,
-            },
-            FaultEvent::Crashed { link: 9, after: 2 },
-        ];
-        let end = encode_round_end(4, &events);
-        assert_eq!(
-            decode_record(&end).unwrap(),
-            Record::RoundEnd { round: 4, events }
-        );
-
-        let finished = encode_finished("abc123");
-        assert_eq!(
-            decode_record(&finished).unwrap(),
-            Record::Finished {
-                digest: "abc123".into()
-            }
-        );
-    }
-
-    #[test]
-    fn error_variants_round_trip_through_settled_records() {
-        let errors = vec![
-            SchemeError::Grid(GridError::UnexpectedEof { context: "frame" }),
-            SchemeError::Grid(GridError::UnknownTag { tag: 200 }),
-            SchemeError::Grid(GridError::TrailingBytes { remaining: 5 }),
-            SchemeError::Grid(GridError::LengthOverflow { declared: 1 << 40 }),
-            SchemeError::Grid(GridError::Disconnected),
-            SchemeError::Merkle(MerkleError::MixedLeafWidth {
-                expected: 4,
-                found: 8,
-                index: 2,
-            }),
-            SchemeError::Merkle(MerkleError::ProviderMismatch { subtree_index: 3 }),
-            SchemeError::Merkle(MerkleError::NoIndices),
-            SchemeError::Merkle(MerkleError::OpeningShape {
-                row: OpeningRow::DigestSiblings,
-                entries: 9,
-                width: 32,
-                found: 31,
-            }),
-            SchemeError::Merkle(MerkleError::OpeningShape {
-                row: OpeningRow::LeafValues,
-                entries: 1,
-                width: 16,
-                found: 0,
-            }),
-            SchemeError::Merkle(MerkleError::LeavesNotResident { subtree_height: 6 }),
-            SchemeError::UnexpectedMessage {
-                expected: "Commit",
-                got: "Verdict",
-            },
-            SchemeError::TaskMismatch {
-                expected: 1,
-                got: 2,
-            },
-            SchemeError::ProofCountMismatch {
-                expected: 3,
-                got: 4,
-            },
-            SchemeError::InvalidConfig { reason: "m = 0" },
-            SchemeError::MalformedPayload { what: "root" },
-            SchemeError::TimedOut,
-            SchemeError::Journal {
-                reason: "killed".into(),
-            },
-        ];
-        for error in errors {
-            let result = SessionResult {
-                outcome: Err(error.clone()),
-                link: LinkStats::default(),
-            };
-            let Record::Settled { outcome, .. } =
-                decode_record(&encode_settled(0, &result)).unwrap()
-            else {
-                panic!("expected a settled record");
-            };
-            assert_eq!(outcome.unwrap_err(), error);
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut payload = encode_round_start(0, &[0]);
-        payload.push(0xFF);
-        let err = decode_record(&payload).unwrap_err();
-        assert!(matches!(err, SchemeError::Journal { .. }), "{err}");
+        // Every transport digests a campaign identically, so a journal is
+        // the same bytes over each, and resumes over any of them.
+        let direct = header(TransportKind::Direct);
+        assert_eq!(header(TransportKind::Brokered), direct);
+        assert_eq!(header(TransportKind::Remote), direct);
     }
 
     /// A settled session: accepted with `bytes` sent and received, or
@@ -1542,6 +1199,140 @@ mod tests {
         }
     }
 
+    /// `record`, encoded and decoded back.
+    fn round_trip(record: &RoundRecord) -> RoundRecord {
+        match decode_record(&encode_round(record)).unwrap() {
+            Record::Round(decoded) => decoded,
+            other => panic!("expected a round record, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn round_records_round_trip() {
+        let costs = CostReport {
+            f_evals: 1,
+            hash_ops: 2,
+            hash_wall_ops: 2,
+            g_evals: 3,
+            verify_ops: 4,
+        };
+        let mut record = round(3, &[0, 2, 5], &[1], costs);
+        record.sessions[0] = SessionResult {
+            outcome: Ok(SessionOutcome {
+                verdict: Verdict::CommitmentMismatch { sample: 17 },
+                reports: vec![ScreenReport {
+                    input: 99,
+                    payload: vec![1, 2, 3],
+                }],
+            }),
+            link: LinkStats {
+                bytes_sent: 10,
+                bytes_received: 20,
+                messages_sent: 3,
+                messages_received: 4,
+            },
+        };
+        record.books[2].part_results = vec![Ok(true), Err(SchemeError::TimedOut)];
+        record.events = vec![
+            FaultEvent::Dropped {
+                link: 7,
+                direction: LinkDirection::Inbound,
+                seq: 3,
+            },
+            FaultEvent::Delayed {
+                link: 8,
+                direction: LinkDirection::Outbound,
+                seq: 5,
+                micros: 99,
+            },
+            FaultEvent::Crashed { link: 9, after: 2 },
+        ];
+        assert_eq!(round_trip(&record), record);
+
+        let finished = encode_finished("abc123");
+        assert_eq!(
+            decode_record(&finished).unwrap(),
+            Record::Finished {
+                digest: "abc123".into()
+            }
+        );
+    }
+
+    #[test]
+    fn error_variants_round_trip_through_settled_records() {
+        let errors = vec![
+            SchemeError::Grid(GridError::UnexpectedEof {
+                context: "frame".into(),
+            }),
+            SchemeError::Grid(GridError::UnknownTag { tag: 200 }),
+            SchemeError::Grid(GridError::TrailingBytes { remaining: 5 }),
+            SchemeError::Grid(GridError::LengthOverflow { declared: 1 << 40 }),
+            SchemeError::Grid(GridError::Disconnected),
+            SchemeError::Merkle(MerkleError::MixedLeafWidth {
+                expected: 4,
+                found: 8,
+                index: 2,
+            }),
+            SchemeError::Merkle(MerkleError::ProviderMismatch { subtree_index: 3 }),
+            SchemeError::Merkle(MerkleError::NoIndices),
+            SchemeError::Merkle(MerkleError::OpeningShape {
+                row: OpeningRow::DigestSiblings,
+                entries: 9,
+                width: 32,
+                found: 31,
+            }),
+            SchemeError::Merkle(MerkleError::OpeningShape {
+                row: OpeningRow::LeafValues,
+                entries: 1,
+                width: 16,
+                found: 0,
+            }),
+            SchemeError::Merkle(MerkleError::LeavesNotResident { subtree_height: 6 }),
+            SchemeError::UnexpectedMessage {
+                expected: "Commit".into(),
+                got: "Verdict".into(),
+            },
+            SchemeError::TaskMismatch {
+                expected: 1,
+                got: 2,
+            },
+            SchemeError::ProofCountMismatch {
+                expected: 3,
+                got: 4,
+            },
+            SchemeError::InvalidConfig {
+                reason: "m = 0".into(),
+            },
+            SchemeError::MalformedPayload {
+                what: "root".into(),
+            },
+            SchemeError::TimedOut,
+            SchemeError::Journal {
+                reason: "killed".into(),
+            },
+        ];
+        for error in errors {
+            let mut record = round(0, &[0], &[], CostReport::default());
+            record.sessions[0].outcome = Err(error.clone());
+            let decoded = round_trip(&record).sessions.remove(0).outcome.unwrap_err();
+            // The same error with the same text: a decoded string is an
+            // owned copy of the literal, and prints the same.
+            assert_eq!(decoded, error);
+            assert_eq!(
+                format!("{decoded} {decoded:?}"),
+                format!("{error} {error:?}")
+            );
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let mut payload = encode_round(&round(0, &[0], &[], CostReport::default()));
+        payload.push(0xFF);
+        let err = decode_record(&payload).unwrap_err();
+        assert!(matches!(err, SchemeError::Journal { .. }), "{err}");
+    }
+
     #[test]
     fn resume_replays_committed_rounds_and_drops_uncommitted_ones() {
         let path = temp_journal("replay");
@@ -1558,23 +1349,20 @@ mod tests {
             g_evals: 0,
             verify_ops: 1,
         };
-        // Round 0 commits: member 0 accepted, member 1 timed out.
-        campaign.round_start(0, &[0, 1]).unwrap();
+        // Round 0 commits: member 0 accepted, member 1 timed out. Then a
+        // Finished record whose seal never reached disk (the "crash").
         campaign.commit(&round(0, &[0, 1], &[1], costs)).unwrap();
-        // Round 1 starts but never commits (the "crash").
-        campaign.round_start(1, &[1]).unwrap();
-        campaign
-            .append(&encode_settled(0, &session(true, 6)))
-            .unwrap();
+        campaign.append(&encode_finished("unsealed")).unwrap();
         drop(campaign);
 
         let (mut resumed, report) = DurableCampaign::resume(&path, CrashPlan::never()).unwrap();
         assert_eq!(resumed.header(), &header);
         assert_eq!(report.rounds_replayed, 1);
-        assert_eq!(report.records_kept, 7); // header + round 0's six records
-        assert_eq!(report.records_dropped, 2); // round 1's uncommitted pair
+        assert_eq!(report.records_kept, 2); // the header and round 0
+        assert_eq!(report.records_dropped, 1); // the unsealed Finished
         assert_eq!(report.torn, None);
         assert!(!report.sealed);
+        assert_eq!(report.finished_digest, None);
         let state = resumed.take_state().unwrap();
         assert_eq!(state.next_round, Some(1));
         assert_eq!(state.pending(), vec![1]);
@@ -1597,20 +1385,21 @@ mod tests {
         // Kill at the 2nd campaign record (the header is unarmed).
         let mut campaign =
             DurableCampaign::create(&path, sample_header(), CrashPlan::at(2)).unwrap();
-        campaign.round_start(0, &[0, 1, 2]).unwrap();
-        let round = round(0, &[0, 1, 2], &[], CostReport::default());
-        let failure = campaign.commit(&round).unwrap_err();
+        let first = round(0, &[0, 1, 2], &[2], CostReport::default());
+        campaign.commit(&first).unwrap();
+        let retry = round(1, &[2], &[], CostReport::default());
+        let failure = campaign.commit(&retry).unwrap_err();
         assert!(failure.to_string().contains("kill point"), "{failure}");
         // The killed campaign stays killed: every later write fails the
         // same way.
-        assert_eq!(campaign.commit(&round).unwrap_err(), failure);
+        assert_eq!(campaign.commit(&retry).unwrap_err(), failure);
         assert_eq!(campaign.finish("digest").unwrap_err(), failure);
         drop(campaign);
 
         let (_, report) = DurableCampaign::resume(&path, CrashPlan::never()).unwrap();
-        assert_eq!(report.rounds_replayed, 0);
-        assert_eq!(report.records_kept, 1); // just the header
-        assert_eq!(report.records_dropped, 1); // the uncommitted round start
+        assert_eq!(report.rounds_replayed, 1);
+        assert_eq!(report.records_kept, 2); // the header and round 0
+        assert_eq!(report.records_dropped, 0); // the killed round never reached disk
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1619,7 +1408,6 @@ mod tests {
         let path = temp_journal("sealed");
         let mut campaign =
             DurableCampaign::create(&path, sample_header(), CrashPlan::never()).unwrap();
-        campaign.round_start(0, &[0, 1, 2]).unwrap();
         let round = round(0, &[0, 1, 2], &[], CostReport::default());
         campaign.commit(&round).unwrap();
         campaign.finish("deadbeef").unwrap();
@@ -1629,10 +1417,10 @@ mod tests {
         let (mut resumed, report) = DurableCampaign::resume(&path, CrashPlan::never()).unwrap();
         assert!(report.sealed);
         assert_eq!(report.rounds_replayed, 1);
+        assert_eq!(report.records_kept, 3); // header, round, Finished
         assert_eq!(report.finished_digest.as_deref(), Some("deadbeef"));
         assert_eq!(report.records_dropped, 0);
         // The read-only campaign swallows writes and never fails.
-        resumed.round_start(1, &[0]).unwrap();
         resumed.commit(&round).unwrap();
         resumed.finish("deadbeef").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), sealed);
@@ -1643,7 +1431,9 @@ mod tests {
     fn resume_rejects_headerless_and_malformed_journals() {
         let path = temp_journal("broken");
         let mut writer = JournalWriter::create(&path).unwrap();
-        writer.append(&encode_round_start(0, &[0])).unwrap();
+        writer
+            .append(&encode_round(&round(0, &[0], &[], CostReport::default())))
+            .unwrap();
         drop(writer);
         let err = DurableCampaign::resume(&path, CrashPlan::never()).unwrap_err();
         assert!(matches!(err, SchemeError::Journal { .. }), "{err}");

@@ -18,7 +18,7 @@
 //! [`Broker`](ugc_grid::Broker) ([`TransportKind::Brokered`]), or in
 //! other processes behind a TCP relay ([`TransportKind::Remote`]).
 //! Verdicts, byte counts, cost ledgers and the fault log are a function
-//! of the campaign's seeds alone: identical over every transport class,
+//! of the campaign's seeds alone: identical over every transport,
 //! at any pool size and steal seed, and pinned by the golden digests in
 //! `tests/scheduler_equivalence.rs`.
 //!
@@ -28,8 +28,8 @@
 //! its fault events. `CampaignState::apply` is the one place a settled
 //! round changes the campaign, and a journal replay calls it too, so a
 //! resumed campaign continues from exactly the state the live loop had
-//! reached. A durable campaign journals the roster before the round
-//! runs and the record after it, before applying it.
+//! reached. A durable campaign journals each `RoundRecord` as one record
+//! after the round runs and before applying it.
 
 use crate::backend::{InProcessBackend, RoundResult, RoundSpec, TransportBackend, TransportKind};
 use crate::engine::{SessionEngine, SessionResult};
@@ -337,19 +337,19 @@ where
 /// times. The entire campaign, fault log included, replays bit-identically
 /// from the plan's seed — at any worker count.
 ///
-/// With `durable` set, every state transition is journaled through the
-/// campaign *before* the orchestrator acts on it, so a killed process
+/// With `durable` set, every settled round is journaled through the
+/// campaign *before* the orchestrator applies it, so a killed process
 /// resumes from the journal — replaying committed rounds instead of
 /// re-running them — and finishes with verdicts, attempts, cost ledgers,
 /// fault log and summary digest bit-identical to a never-killed run. The
 /// campaign comes from [`DurableCampaign::create`] (fresh) or
 /// [`DurableCampaign::resume`] (picking up a kill), and its header must
 /// describe exactly this call: same fleet shape, domain and
-/// digest-relevant config. Because the header stores the transport's
-/// *digest class* (see [`CampaignHeader`]), a campaign journaled against
-/// the in-process broker may resume over a remote grid — and vice versa —
-/// while a direct-transport journal refuses both. A campaign resumed from
-/// a *sealed* journal re-derives its summary without writing anything.
+/// digest-relevant config. The transport is not part of it (see
+/// [`CampaignHeader`]): a campaign journaled over one transport may
+/// resume over any other, the in-process ones and a remote grid alike. A
+/// campaign resumed from a *sealed* journal re-derives its summary
+/// without writing anything.
 ///
 /// # Errors
 ///
@@ -396,31 +396,31 @@ where
     }
     if config.transport != backend.kind() {
         return Err(SchemeError::InvalidConfig {
-            reason: "config.transport disagrees with the connected backend",
+            reason: "config.transport disagrees with the connected backend".into(),
         });
     }
     if members.is_empty() {
         return Err(SchemeError::InvalidConfig {
-            reason: "fleet must contain at least one participant",
+            reason: "fleet must contain at least one participant".into(),
         });
     }
     for member in members {
         if member.behaviours.len() != member.scheme.participant_slots() {
             return Err(SchemeError::InvalidConfig {
-                reason: "behaviour count must match the scheme's participant slots",
+                reason: "behaviour count must match the scheme's participant slots".into(),
             });
         }
     }
     let shares: Vec<Domain> = domain
         .split(members.len() as u64)
         .map_err(|_| SchemeError::InvalidConfig {
-            reason: "domain cannot be partitioned over the fleet",
+            reason: "domain cannot be partitioned over the fleet".into(),
         })?
         .into_iter()
         .collect();
     if shares.len() != members.len() {
         return Err(SchemeError::InvalidConfig {
-            reason: "more participants than domain inputs",
+            reason: "more participants than domain inputs".into(),
         });
     }
 
@@ -437,15 +437,12 @@ where
         if roster.is_empty() {
             break;
         }
-        // Journal-before-effect: the round's roster is durable before any
-        // of its state transitions happen, so a crash mid-round resumes
-        // from the previous round boundary, never a half-applied one.
-        if let Some(campaign) = durable.as_deref_mut() {
-            campaign.round_start(round, &roster)?;
-        }
         let record = run_fleet_round(
             task, screener, members, &shares, config, round, roster, backend,
         )?;
+        // Journal-before-effect: the settled round is durable before it
+        // changes the campaign, so a crash resumes from a round boundary,
+        // never a half-applied round.
         if let Some(campaign) = durable.as_deref_mut() {
             campaign.commit(&record)?;
         }
@@ -629,8 +626,8 @@ impl CampaignState {
 }
 
 /// One settled round: what running a round returns, what the journal
-/// holds between the round's `RoundStart` and `RoundEnd` records, and
-/// what [`CampaignState::apply`] takes.
+/// holds as one record, and what [`CampaignState::apply`] takes.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct RoundRecord {
     /// The round's number (0 = the initial attempt).
     pub(crate) round: u32,
@@ -855,7 +852,7 @@ where
 {
     if max_rounds == 0 {
         return Err(SchemeError::InvalidConfig {
-            reason: "campaign needs at least one round",
+            reason: "campaign needs at least one round".into(),
         });
     }
     let mut rounds = Vec::new();

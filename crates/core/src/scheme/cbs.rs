@@ -137,7 +137,7 @@ pub(crate) fn open_samples<H: HashFunction>(
     Ok(Opening {
         leaf_width: u32::try_from(opening.leaf_width).map_err(|_| {
             SchemeError::MalformedPayload {
-                what: "opening leaf width",
+                what: "opening leaf width".into(),
             }
         })?,
         leaf_values: opening.leaf_values,
@@ -222,7 +222,7 @@ impl<H: HashFunction> SupervisorSession for CbsSupervisorSession<'_, H> {
     fn start(&mut self) -> Result<Vec<Outbound>, SchemeError> {
         if self.scheme.samples == 0 {
             return Err(SchemeError::InvalidConfig {
-                reason: "samples must be positive",
+                reason: "samples must be positive".into(),
             });
         }
         Ok(vec![(
@@ -243,7 +243,7 @@ impl<H: HashFunction> SupervisorSession for CbsSupervisorSession<'_, H> {
                 };
                 check_task(self.task_id, task_id)?;
                 let root = H::digest_from_bytes(&root).ok_or(SchemeError::MalformedPayload {
-                    what: "commitment root",
+                    what: "commitment root".into(),
                 })?;
                 let samples =
                     draw_samples(self.scheme.seed, self.scheme.samples, self.domain.len());
@@ -528,7 +528,7 @@ pub fn verify_round<H: HashFunction>(
     };
 
     // Shape: is this an opening this challenge could have produced?
-    let malformed = |what| Err(SchemeError::MalformedPayload { what });
+    let malformed = |what: &'static str| Err(SchemeError::MalformedPayload { what: what.into() });
     let width = task.output_width();
     if usize::try_from(opening.leaf_width) != Ok(width) {
         return malformed("opening leaf width");
@@ -1135,7 +1135,7 @@ mod tests {
         assert_eq!(
             result,
             Err(SchemeError::MalformedPayload {
-                what: "proof digest sibling"
+                what: "proof digest sibling".into()
             })
         );
         // Shape comes first: no f(x) was checked, no node rebuilt.
@@ -1148,7 +1148,8 @@ mod tests {
         let samples = [40, 7, 99, 40];
         let honest = c.opening(&samples);
         assert_eq!(c.verify(&samples, &honest).0, Ok(Verdict::Accepted));
-        let malformed = |what| Err(SchemeError::MalformedPayload { what });
+        let malformed =
+            |what: &'static str| Err(SchemeError::MalformedPayload { what: what.into() });
         let mismatch = Ok(Verdict::CommitmentMismatch { sample: 40 });
         let count = |got| Err(SchemeError::ProofCountMismatch { expected: 3, got });
         type Tamper = fn(&mut Opening);

@@ -108,7 +108,7 @@ impl SupervisorSession for DoubleCheckSupervisorSession<'_> {
         let width = self.task.output_width();
         if leaf_width as usize != width || data.len() as u64 != self.domain.len() * width as u64 {
             return Err(SchemeError::MalformedPayload {
-                what: "flat results layout",
+                what: "flat results layout".into(),
             });
         }
         if let Some(existing) = &self.uploads[slot] {
@@ -122,7 +122,7 @@ impl SupervisorSession for DoubleCheckSupervisorSession<'_> {
                 Ok(Vec::new())
             } else {
                 Err(SchemeError::MalformedPayload {
-                    what: "replica re-upload diverged from its first upload",
+                    what: "replica re-upload diverged from its first upload".into(),
                 })
             };
         }

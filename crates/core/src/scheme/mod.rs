@@ -104,7 +104,7 @@ pub(crate) fn materialize(
     let row = behaviour
         .leaf_row(task, domain, ledger)?
         .ok_or(SchemeError::InvalidConfig {
-            reason: "share too large: its leaf row does not fit in memory",
+            reason: "share too large: its leaf row does not fit in memory".into(),
         })?;
     let reports = (0..)
         .zip(row.chunks_exact(width))

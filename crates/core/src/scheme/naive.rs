@@ -74,7 +74,7 @@ impl SupervisorSession for NaiveSupervisorSession<'_> {
     fn start(&mut self) -> Result<Vec<Outbound>, SchemeError> {
         if self.scheme.samples == 0 {
             return Err(SchemeError::InvalidConfig {
-                reason: "samples must be positive",
+                reason: "samples must be positive".into(),
             });
         }
         Ok(vec![(
@@ -140,7 +140,7 @@ fn check_flat_upload(
 ) -> Result<(Verdict, Vec<ScreenReport>), SchemeError> {
     if width != task.output_width() || data.len() as u64 != domain.len() * width as u64 {
         return Err(SchemeError::MalformedPayload {
-            what: "flat results layout",
+            what: "flat results layout".into(),
         });
     }
     let leaf = |i: u64| &data[(i as usize) * width..(i as usize + 1) * width];
@@ -365,7 +365,7 @@ mod tests {
             assert_eq!(
                 err,
                 SchemeError::MalformedPayload {
-                    what: "flat results layout"
+                    what: "flat results layout".into()
                 }
             );
         });

@@ -112,7 +112,7 @@ impl<H: HashFunction> SupervisorSession for NiCbsSupervisorSession<'_, H> {
     fn start(&mut self) -> Result<Vec<Outbound>, SchemeError> {
         if self.scheme.samples == 0 {
             return Err(SchemeError::InvalidConfig {
-                reason: "samples must be positive",
+                reason: "samples must be positive".into(),
             });
         }
         Ok(vec![(
@@ -208,7 +208,7 @@ pub fn verify_ni_round<H: HashFunction>(
     ledger: &CostLedger,
 ) -> Result<Verdict, SchemeError> {
     let root = H::digest_from_bytes(root).ok_or(SchemeError::MalformedPayload {
-        what: "commitment root",
+        what: "commitment root".into(),
     })?;
     let g = IteratedHash::<H>::new(scheme.g_iterations);
     let samples = derive_samples(&g, root.as_ref(), scheme.samples, domain.len(), ledger);
@@ -410,7 +410,7 @@ where
 {
     if config.samples == 0 {
         return Err(SchemeError::InvalidConfig {
-            reason: "samples must be positive",
+            reason: "samples must be positive".into(),
         });
     }
     let n = domain.len();

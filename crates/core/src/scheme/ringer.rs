@@ -94,12 +94,12 @@ impl SupervisorSession for RingerSupervisorSession<'_> {
     fn start(&mut self) -> Result<Vec<Outbound>, SchemeError> {
         if self.scheme.ringers == 0 {
             return Err(SchemeError::InvalidConfig {
-                reason: "need at least one ringer",
+                reason: "need at least one ringer".into(),
             });
         }
         if self.scheme.ringers as u64 > self.domain.len() {
             return Err(SchemeError::InvalidConfig {
-                reason: "more ringers than domain inputs",
+                reason: "more ringers than domain inputs".into(),
             });
         }
         // Plant d distinct secret inputs and pre-compute their results.

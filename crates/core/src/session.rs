@@ -248,8 +248,8 @@ pub trait VerificationScheme<H: HashFunction>: Send + Sync {
 /// out-of-order messages.
 pub(crate) fn unexpected<T>(expected: &'static str, got: &Message) -> Result<T, SchemeError> {
     Err(SchemeError::UnexpectedMessage {
-        expected,
-        got: message_kind(got),
+        expected: expected.into(),
+        got: message_kind(got).into(),
     })
 }
 
@@ -406,7 +406,7 @@ pub fn drive_supervisor(
     let send_all = |outs: Vec<Outbound>| -> Result<(), SchemeError> {
         for (slot, msg) in outs {
             let endpoint = endpoints.get(slot).ok_or(SchemeError::InvalidConfig {
-                reason: "session addressed a slot with no endpoint",
+                reason: "session addressed a slot with no endpoint".into(),
             })?;
             endpoint.send(&msg)?;
         }

@@ -46,7 +46,9 @@ pub fn put_u64_list(buf: &mut Vec<u8>, list: &[u64]) {
 /// [`GridError::UnexpectedEof`] if fewer than 8 bytes remain.
 pub fn get_u64(buf: &mut &[u8], context: &'static str) -> Result<u64, GridError> {
     if buf.remaining() < 8 {
-        return Err(GridError::UnexpectedEof { context });
+        return Err(GridError::UnexpectedEof {
+            context: context.into(),
+        });
     }
     Ok(buf.get_u64_le())
 }
@@ -58,7 +60,9 @@ pub fn get_u64(buf: &mut &[u8], context: &'static str) -> Result<u64, GridError>
 /// [`GridError::UnexpectedEof`] if fewer than 4 bytes remain.
 pub fn get_u32(buf: &mut &[u8], context: &'static str) -> Result<u32, GridError> {
     if buf.remaining() < 4 {
-        return Err(GridError::UnexpectedEof { context });
+        return Err(GridError::UnexpectedEof {
+            context: context.into(),
+        });
     }
     Ok(buf.get_u32_le())
 }
@@ -77,7 +81,9 @@ pub fn get_bytes(buf: &mut &[u8], context: &'static str) -> Result<Vec<u8>, Grid
     // ugc-lint: allow(lossy-cast): bounded above by MAX_FIELD_LEN (1<<30), well inside usize on every supported platform
     let len = len as usize;
     if buf.remaining() < len {
-        return Err(GridError::UnexpectedEof { context });
+        return Err(GridError::UnexpectedEof {
+            context: context.into(),
+        });
     }
     let mut out = vec![0u8; len];
     buf.copy_to_slice(&mut out);
@@ -172,7 +178,9 @@ mod tests {
         let mut cursor = buf.as_slice();
         assert_eq!(
             get_u64_list(&mut cursor, "list"),
-            Err(GridError::UnexpectedEof { context: "list" })
+            Err(GridError::UnexpectedEof {
+                context: "list".into()
+            })
         );
     }
 
@@ -181,7 +189,9 @@ mod tests {
         let mut cursor: &[u8] = &[1, 2, 3];
         assert_eq!(
             get_u64(&mut cursor, "short"),
-            Err(GridError::UnexpectedEof { context: "short" })
+            Err(GridError::UnexpectedEof {
+                context: "short".into()
+            })
         );
     }
 

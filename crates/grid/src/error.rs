@@ -1,14 +1,17 @@
 //! Error type shared by the transport and codec layers.
 
 use core::fmt;
+use std::borrow::Cow;
 
 /// Errors from the grid substrate (wire format and transport).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GridError {
     /// The decoder ran out of bytes mid-message.
     UnexpectedEof {
-        /// What was being decoded when the input ended.
-        context: &'static str,
+        /// What was being decoded when the input ended: a literal when
+        /// this process decoded, an owned copy when read back from a
+        /// journal or a peer's report.
+        context: Cow<'static, str>,
     },
     /// An unknown message tag was encountered.
     UnknownTag {
@@ -50,7 +53,7 @@ pub enum GridError {
 
 impl fmt::Display for GridError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
+        match self {
             GridError::UnexpectedEof { context } => {
                 write!(f, "unexpected end of frame while decoding {context}")
             }

@@ -373,15 +373,15 @@ impl Message {
     /// must be consumed.
     pub fn decode(frame: &[u8]) -> Result<Self, GridError> {
         let mut buf = frame;
-        let mut tag = *buf
-            .first()
-            .ok_or(GridError::UnexpectedEof { context: "tag" })?;
+        let mut tag = *buf.first().ok_or(GridError::UnexpectedEof {
+            context: "tag".into(),
+        })?;
         buf = &buf[1..];
         let mut session_id = None;
         if tag == TAG_SESSION {
             session_id = Some(get_u64(&mut buf, "session.id")?);
             tag = *buf.first().ok_or(GridError::UnexpectedEof {
-                context: "session.payload_tag",
+                context: "session.payload_tag".into(),
             })?;
             buf = &buf[1..];
             if tag == TAG_SESSION {
@@ -458,7 +458,7 @@ impl Message {
             TAG_VERDICT => {
                 let task_id = get_u64(&mut buf, "verdict.task_id")?;
                 let flag = *buf.first().ok_or(GridError::UnexpectedEof {
-                    context: "verdict.flag",
+                    context: "verdict.flag".into(),
                 })?;
                 buf = &buf[1..];
                 Message::Verdict {
@@ -799,7 +799,9 @@ mod tests {
     fn assert_eof(frame: &[u8], context: &'static str) {
         assert_eq!(
             Message::decode(frame),
-            Err(GridError::UnexpectedEof { context })
+            Err(GridError::UnexpectedEof {
+                context: context.into()
+            })
         );
     }
 

@@ -272,7 +272,7 @@ impl Hello {
         let mut buf = payload;
         get_preamble(&mut buf)?;
         let (&role, rest) = buf.split_first().ok_or(GridError::UnexpectedEof {
-            context: "hello role",
+            context: "hello role".into(),
         })?;
         buf = rest;
         let params = get_bytes(&mut buf, "hello params")?;

@@ -21,12 +21,14 @@ use crate::{CrashPlan, JournalError};
 pub const MAGIC: [u8; 8] = *b"UGCJRNL1";
 
 /// The on-disk format version this build reads and writes. The frame
-/// layout has not changed since version 1; what a journal *records* has:
-/// its settled sessions carry the bytes and hashes of the wire protocol
-/// they ran over, and version 2 journals count `ugc_grid` wire version 2
-/// (one Merkle opening per round), so a campaign begun under the old
-/// counts cannot resume into rounds that count the new ones.
-pub const VERSION: u32 = 2;
+/// layout has not changed since version 1; what a journal *records* has.
+/// Version 2 counts the bytes and hashes of `ugc_grid` wire version 2
+/// (one Merkle opening per round), so a campaign begun under version 1's
+/// counts cannot resume into rounds that count the new ones. Version 3
+/// writes each settled round as one record, where version 2 wrote a
+/// round as a start record, a record per session and per member, and an
+/// end record.
+pub const VERSION: u32 = 3;
 
 /// Bytes of file header: magic plus little-endian version.
 pub const FILE_HEADER_BYTES: u64 = 12;
@@ -648,22 +650,24 @@ mod tests {
 
     #[test]
     fn a_version_1_journal_is_refused() {
-        // A journal written before the wire's version 2: same magic,
-        // same frames, version word 1 — its replayed rounds counted the
-        // old bytes.
+        // Journals of earlier versions: same magic, same frames, another
+        // version word. Version 1 counted the wire's old bytes; version 2
+        // wrote a round as several records.
         let path = temp_journal("v1");
-        let mut writer = JournalWriter::create(&path).unwrap();
-        writer.append(b"\x01round").unwrap();
-        drop(writer);
-        let mut bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes[8..12], VERSION.to_le_bytes());
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let refused = JournalError::NotAJournal {
-            reason: "unsupported version 1 (this build reads 2)".to_string(),
-        };
-        assert_eq!(read_journal(&path), Err(refused.clone()));
-        assert_eq!(JournalWriter::resume(&path, 1).map(|_| ()), Err(refused));
+        for version in [1u32, 2] {
+            let mut writer = JournalWriter::create(&path).unwrap();
+            writer.append(b"\x01round").unwrap();
+            drop(writer);
+            let mut bytes = std::fs::read(&path).unwrap();
+            assert_eq!(bytes[8..12], VERSION.to_le_bytes());
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let refused = JournalError::NotAJournal {
+                reason: format!("unsupported version {version} (this build reads 3)"),
+            };
+            assert_eq!(read_journal(&path), Err(refused.clone()));
+            assert_eq!(JournalWriter::resume(&path, 1).map(|_| ()), Err(refused));
+        }
         cleanup(&path);
     }
 

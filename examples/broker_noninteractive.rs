@@ -65,8 +65,8 @@ fn collect_tasks(
                     bundles[share]
                         .take()
                         .ok_or(SchemeError::UnexpectedMessage {
-                            expected: "CommitAndProofs",
-                            got: "Reports",
+                            expected: "CommitAndProofs".into(),
+                            got: "Reports".into(),
                         })?;
                 // The opening carries no indices: it is read as the answer
                 // to the samples the commitment derives (Eq. 4), and to no

@@ -85,15 +85,17 @@ participant link, and --churn adds participant crash/restart churn —
 failed sessions are reassigned, and the whole campaign replays
 bit-identically from the seed at any worker count.
 
---journal <path> makes the campaign crash-durable: every round is
-written ahead to a checksummed journal before the supervisor acts on
-it, so a killed run picks up with `ugc fleet --journal <path> --resume`
+--journal <path> makes the campaign crash-durable: every settled round
+is written to a checksummed journal before the supervisor acts on it,
+so a killed run picks up with `ugc fleet --journal <path> --resume`
 (the campaign flags live in the journal header, so --resume accepts
 none) and finishes with verdicts, attempts, cost ledgers, fault log
 and summary digest bit-identical to a run that was never interrupted.
 --kill-at <r> crashes the supervisor deterministically at the r-th
-campaign journal record (exit code 2), and --verify-journal checks a
-finished journal's seal and prints its attestation digest.
+campaign journal record (exit code 2); a campaign writes one record per
+round, then its summary and the seal, and a kill point the campaign
+never reaches is an error. --verify-journal checks a finished journal's
+seal and prints its attestation digest.
 ";
 
 fn main() -> ExitCode {
@@ -537,6 +539,7 @@ fn cmd_fleet(mut args: Args<'_>) -> Result<(), String> {
         return Err("--kill-at requires --journal <path> (there is no journal to crash)".into());
     }
     let crash = match kill_at {
+        Some(0) => return Err("--kill-at 0: journal records count from 1".into()),
         Some(record) => CrashPlan::at(record),
         None => CrashPlan::never(),
     };
@@ -606,6 +609,13 @@ fn cmd_fleet(mut args: Args<'_>) -> Result<(), String> {
             seal.records,
             seal.digest_hex()
         );
+        if let Some(record) = kill_at {
+            return Err(format!(
+                "--kill-at {record} never fired: the campaign completed and sealed its \
+                 journal at {} records",
+                seal.records
+            ));
+        }
     }
     Ok(())
 }

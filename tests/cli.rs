@@ -504,6 +504,47 @@ fn fleet_kill_at_requires_journal() {
 }
 
 #[test]
+fn fleet_kill_at_must_fire() {
+    let journal = std::env::temp_dir().join(format!("ugc-cli-kill-{}.wal", std::process::id()));
+    let path = journal.to_str().expect("temp path is UTF-8");
+    // Records count from 1: a kill at 0 is a usage error, and nothing runs.
+    let out = ugc(&["fleet", "--journal", path, "--kill-at", "0"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--kill-at 0"), "{err}");
+    assert!(err.contains("usage: ugc"), "{err}");
+    assert!(
+        !journal.exists(),
+        "a usage error must not create the journal"
+    );
+    // A kill point past the campaign's last record never fires: the run
+    // completes and seals its journal, and still fails.
+    let small = [
+        "fleet",
+        "--participants",
+        "2",
+        "--cheaters",
+        "0",
+        "--n",
+        "64",
+        "--m",
+        "4",
+        "--journal",
+        path,
+    ];
+    let out = ugc(&[&small[..], &["--kill-at", "99"]].concat());
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("error: --kill-at 99 never fired"), "{err}");
+    assert!(
+        stdout(&out).contains("sealed (3 records"),
+        "{}",
+        stdout(&out)
+    );
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
 fn fleet_verify_journal_rejects_campaign_flags() {
     // --verify-journal only checks a journal; mixing it with campaign
     // flags (or --resume / --workers) must fail with a usage hint.
@@ -589,7 +630,9 @@ fn fleet_journal_kill_resume_reproduces_digest() {
         stdout(&reference)
     );
 
-    let killed = ugc(&[&base[..], &["--journal", path, "--kill-at", "4"]].concat());
+    // Record 2 is the summary after the one round: the kill leaves a
+    // committed round for the resume to replay.
+    let killed = ugc(&[&base[..], &["--journal", path, "--kill-at", "2"]].concat());
     assert_eq!(
         killed.status.code(),
         Some(2),

@@ -112,8 +112,8 @@ fn supervisor_rejects_out_of_order_messages() {
         assert_eq!(
             err,
             SchemeError::UnexpectedMessage {
-                expected: "Commit",
-                got: "Reports"
+                expected: "Commit".into(),
+                got: "Reports".into()
             }
         );
     });
@@ -162,7 +162,7 @@ fn supervisor_rejects_malformed_commitment() {
         assert_eq!(
             err,
             SchemeError::MalformedPayload {
-                what: "commitment root"
+                what: "commitment root".into()
             }
         );
     });

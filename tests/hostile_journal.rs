@@ -3,10 +3,10 @@
 //! Every journal below is CRC-valid: a real campaign header, then round
 //! records encoded by hand and appended through the journal writer, so
 //! each one reaches the campaign layer's checks rather than the frame
-//! layer's. A committed round is replayed only if its number is the next
+//! layer's. A round record is replayed only if its number is the next
 //! one and within the retry budget, its roster is exactly the members
-//! still pending, and it settles and books every roster member once, in
-//! roster order. Anything else is a typed `SchemeError::Journal` — never
+//! still pending, and it holds one session and one set of books per
+//! roster member. Anything else is a typed `SchemeError::Journal` — never
 //! a panic, an overflow, or a campaign that silently resumes from state
 //! no supervisor was ever in.
 
@@ -14,9 +14,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use ugc_journal::{CrashPlan, JournalWriter};
-use uncheatable_grid::core::{
-    CampaignHeader, DurableCampaign, ParticipantStorage, SchemeError, TransportKind,
-};
+use uncheatable_grid::core::{CampaignHeader, DurableCampaign, ParticipantStorage, SchemeError};
 use uncheatable_grid::grid::codec::{put_u32, put_u64, put_u64_list};
 use uncheatable_grid::task::Domain;
 
@@ -29,67 +27,56 @@ fn journal_path(tag: &str) -> PathBuf {
     ))
 }
 
-// Hand encodings of the campaign records (tags 2–5 of the record table
-// in `crates/core/src/journal.rs`).
-
-fn round_start(round: u32, roster: &[u64]) -> Vec<u8> {
+/// A hand-encoded `Round` record (tag 2 of the record table in
+/// `crates/core/src/journal.rs`): one session per entry of `accepted` —
+/// accepted with no reports, or timed out — then `books` sets of member
+/// books, each with one participant result, `Ok(false)`; every link and
+/// cost counter reads `count`.
+fn round_record(round: u32, roster: &[u64], accepted: &[bool], books: u64, count: u64) -> Vec<u8> {
     let mut buf = vec![2];
     put_u32(&mut buf, round);
     put_u64_list(&mut buf, roster);
-    buf
-}
-
-/// A `Settled` record: accepted with no reports, or timed out; every
-/// link counter reads `count`.
-fn settled(roster_index: u64, accepted: bool, count: u64) -> Vec<u8> {
-    let mut buf = vec![3];
-    put_u64(&mut buf, roster_index);
-    if accepted {
-        buf.extend([1, 0]); // Ok, Verdict::Accepted
-        put_u64(&mut buf, 0); // no reports
-    } else {
-        buf.extend([0, 7]); // Err, SchemeError::TimedOut
+    put_u64(&mut buf, accepted.len() as u64);
+    for &accepted in accepted {
+        if accepted {
+            buf.extend([1, 0]); // Ok, Verdict::Accepted
+            put_u64(&mut buf, 0); // no reports
+        } else {
+            buf.extend([0, 7]); // Err, SchemeError::TimedOut
+        }
+        for _ in 0..4 {
+            put_u64(&mut buf, count);
+        }
     }
-    for _ in 0..4 {
-        put_u64(&mut buf, count);
+    put_u64(&mut buf, books);
+    for _ in 0..books {
+        for _ in 0..10 {
+            put_u64(&mut buf, count);
+        }
+        put_u64(&mut buf, 1);
+        buf.extend([1, 0]);
     }
-    buf
-}
-
-/// A `MemberState` record: every cost counter on both sides reads
-/// `count`; one participant result, `Ok(false)`.
-fn member_state(member: u64, count: u64) -> Vec<u8> {
-    let mut buf = vec![4];
-    put_u64(&mut buf, member);
-    for _ in 0..10 {
-        put_u64(&mut buf, count);
-    }
-    put_u64(&mut buf, 1);
-    buf.extend([1, 0]);
-    buf
-}
-
-fn round_end(round: u32) -> Vec<u8> {
-    let mut buf = vec![5];
-    put_u32(&mut buf, round);
     put_u64(&mut buf, 0); // no fault events
     buf
 }
 
-/// One whole committed round: its start, one `Settled` per roster index
-/// (`failed` lists the roster indices that timed out), one `MemberState`
-/// per roster member — every counter in both reading `count` — and the
-/// commit marker.
-fn counted_round(round: u32, roster: &[u64], failed: &[u64], count: u64) -> Vec<Vec<u8>> {
-    let mut records = vec![round_start(round, roster)];
-    records.extend((0..roster.len() as u64).map(|i| settled(i, !failed.contains(&i), count)));
-    records.extend(roster.iter().map(|&m| member_state(m, count)));
-    records.push(round_end(round));
-    records
+/// A whole round as a live run writes it: one session per roster index
+/// (`failed` lists the roster indices that timed out) and one set of
+/// books per roster member, every counter reading `count`.
+fn counted_round(round: u32, roster: &[u64], failed: &[u64], count: u64) -> Vec<u8> {
+    let accepted: Vec<bool> = (0..roster.len() as u64)
+        .map(|i| !failed.contains(&i))
+        .collect();
+    round_record(round, roster, &accepted, roster.len() as u64, count)
 }
 
-fn round(round: u32, roster: &[u64], failed: &[u64]) -> Vec<Vec<u8>> {
+fn round(round: u32, roster: &[u64], failed: &[u64]) -> Vec<u8> {
     counted_round(round, roster, failed, 0)
+}
+
+/// A round over `roster` that settles and books no one.
+fn settles_nothing(roster: &[u64]) -> Vec<u8> {
+    round_record(0, roster, &[], 0, 0)
 }
 
 /// Keeps `path`'s header record, drops everything after it, and appends
@@ -110,7 +97,6 @@ fn journal(retries: u32, records: &[Vec<u8>]) -> PathBuf {
         member_slots: vec![1, 1],
         domain: Domain::new(0, 64),
         storage: ParticipantStorage::Full,
-        transport: TransportKind::Direct,
         chaos: None,
         deadline: None,
         retries,
@@ -130,16 +116,15 @@ fn resume(retries: u32, records: &[Vec<u8>]) -> Result<u32, SchemeError> {
 #[test]
 fn well_formed_rounds_resume() {
     // The controls: the hand encodings are what a live run writes.
-    assert_eq!(resume(4, &round(0, &[0, 1], &[])).unwrap(), 1);
-    let retried = [round(0, &[0, 1], &[1]), round(1, &[1], &[])].concat();
+    assert_eq!(resume(4, &[round(0, &[0, 1], &[])]).unwrap(), 1);
+    let retried = [round(0, &[0, 1], &[1]), round(1, &[1], &[])];
     assert_eq!(resume(1, &retried).unwrap(), 2);
     // Counters at the top of their range: the replayed byte and cost
     // totals saturate instead of overflowing.
     let huge = [
         counted_round(0, &[0, 1], &[1], u64::MAX),
         counted_round(1, &[1], &[], u64::MAX),
-    ]
-    .concat();
+    ];
     assert_eq!(resume(1, &huge).unwrap(), 2);
 }
 
@@ -149,16 +134,16 @@ fn resume_refuses_rounds_no_live_run_could_have_written() {
         (
             "a round that settles nothing",
             4,
-            vec![round_start(0, &[0, 1]), round_end(0)],
+            vec![settles_nothing(&[0, 1])],
         ),
-        ("round u32::MAX", 4, round(u32::MAX, &[0, 1], &[])),
-        ("round 3 first", 4, round(3, &[0, 1], &[])),
-        ("roster [0] of two members", 4, round(0, &[0], &[])),
-        ("roster [0, 0]", 4, round(0, &[0, 0], &[])),
+        ("round u32::MAX", 4, vec![round(u32::MAX, &[0, 1], &[])]),
+        ("round 3 first", 4, vec![round(3, &[0, 1], &[])]),
+        ("roster [0] of two members", 4, vec![round(0, &[0], &[])]),
+        ("roster [0, 0]", 4, vec![round(0, &[0, 0], &[])]),
         (
             "a round above retries",
             0,
-            [round(0, &[0, 1], &[1]), round(1, &[1], &[])].concat(),
+            vec![round(0, &[0, 1], &[1]), round(1, &[1], &[])],
         ),
     ];
     for (case, retries, records) in cases {
@@ -199,7 +184,7 @@ fn cli_resume_of_a_round_that_settles_nothing_fails_cleanly() {
         "1",
     ]);
     assert_eq!(killed.status.code(), Some(2), "{killed:?}");
-    rewrite_after_header(&journal, &[round_start(0, &[0, 1]), round_end(0)]);
+    rewrite_after_header(&journal, &[settles_nothing(&[0, 1])]);
 
     let resumed = ugc(&["fleet", "--journal", path, "--resume"]);
     let stderr = String::from_utf8_lossy(&resumed.stderr);

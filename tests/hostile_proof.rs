@@ -258,7 +258,7 @@ fn a_sibling_of_the_wrong_width_is_malformed_whatever_the_path_length() {
                 assert_eq!(
                     tampered.result,
                     Err(SchemeError::MalformedPayload {
-                        what: "proof digest sibling"
+                        what: "proof digest sibling".into()
                     }),
                     "{case}"
                 );
@@ -275,7 +275,7 @@ fn a_sibling_of_the_wrong_width_is_malformed_whatever_the_path_length() {
                 let tampered = round(scheme.as_ref(), 100, storage, &tamper);
                 assert_eq!(
                     tampered.result,
-                    Err(SchemeError::MalformedPayload { what }),
+                    Err(SchemeError::MalformedPayload { what: what.into() }),
                     "{name} {storage:?} {what}"
                 );
                 tampered.assert_free(what);

@@ -3,6 +3,7 @@
 //! scoped-thread + join loop once promised, asserted once for all five
 //! schemes.
 
+use std::borrow::Cow;
 use std::sync::Mutex;
 use uncheatable_grid::core::scheme::run_round;
 use uncheatable_grid::core::session::Outbound;
@@ -71,10 +72,10 @@ impl VerificationScheme<Sha256> for Probe<'_> {
 }
 
 const REFUSED: SchemeError = SchemeError::InvalidConfig {
-    reason: "probe: supervisor refused to start",
+    reason: Cow::Borrowed("probe: supervisor refused to start"),
 };
 const CHOKED: SchemeError = SchemeError::MalformedPayload {
-    what: "probe: participant choked on a message",
+    what: Cow::Borrowed("probe: participant choked on a message"),
 };
 
 struct RefusingSupervisor;

@@ -80,10 +80,9 @@ fn remote_digest_is_independent_of_joiner_count() {
 
 #[test]
 fn brokered_journal_resumes_over_a_real_grid_with_identical_digest() {
-    // The header records the transport's digest class, not the backend:
-    // a campaign journaled against the in-process broker (class 1) may
-    // finish over a live TCP grid (also class 1) — and the digest must
-    // come out as if nothing had ever crashed or changed backend.
+    // The header holds no transport: a campaign journaled against the
+    // in-process broker may finish over a live TCP grid — and the digest
+    // must come out as if nothing had ever crashed or changed backend.
     let p = params("cbs", TransportKind::Brokered);
     let reference = brokered_digest(&p);
 
@@ -157,18 +156,19 @@ fn brokered_journal_resumes_over_a_real_grid_with_identical_digest() {
     assert_eq!(
         summary_digest(&summary),
         reference,
-        "resume across a backend change within the digest class must not move the digest"
+        "resume across a backend change must not move the digest"
     );
     let _ = std::fs::remove_file(&path);
 }
 
 #[test]
-fn direct_journal_refuses_a_different_digest_class() {
-    // Direct (class 0) and the broker family (class 1) can legitimately
-    // digest differently (per-link vs shared-link accounting), so a
-    // direct journal must refuse a brokered resume — typed, up front.
+fn direct_journal_resumes_over_the_broker_with_identical_digest() {
+    // Every transport digests a campaign identically, so a journal
+    // written over direct links, killed at its first record, finishes
+    // over the in-process broker with the uninterrupted run's digest.
+    let reference = brokered_digest(&params("cbs", TransportKind::Brokered));
     let p = params("cbs", TransportKind::Direct);
-    let path = journal_path("direct-refuses-brokered");
+    let path = journal_path("direct-to-brokered");
     let plan = CampaignPlan::new(p.clone()).expect("plan");
     {
         let members = plan.members();
@@ -180,13 +180,18 @@ fn direct_journal_refuses_a_different_digest_class() {
         );
         let mut campaign =
             DurableCampaign::create(&path, header, CrashPlan::at(1)).expect("create journal");
-        let _ = run_durable_fleet(
+        let err = run_durable_fleet(
             plan.task(),
             plan.screener(),
             plan.domain(),
             &members,
             &plan.mixed_config(None, 0, uncheatable_grid::hash::LaneWidth::default()),
             &mut campaign,
+        )
+        .expect_err("the armed kill point must fire");
+        assert!(
+            err.to_string().contains("injected kill point"),
+            "unexpected crash cause: {err}"
         );
     }
 
@@ -194,20 +199,21 @@ fn direct_journal_refuses_a_different_digest_class() {
         DurableCampaign::resume(&path, CrashPlan::never()).expect("resume journal");
     let mut brokered = FleetParams::decode(&campaign.header().app).expect("params");
     brokered.transport = TransportKind::Brokered;
-    let wrong_plan = CampaignPlan::new(brokered).expect("plan");
-    let members = wrong_plan.members();
-    let err = run_durable_fleet(
-        wrong_plan.task(),
-        wrong_plan.screener(),
-        wrong_plan.domain(),
+    let brokered_plan = CampaignPlan::new(brokered).expect("plan");
+    let members = brokered_plan.members();
+    let summary = run_durable_fleet(
+        brokered_plan.task(),
+        brokered_plan.screener(),
+        brokered_plan.domain(),
         &members,
-        &wrong_plan.mixed_config(None, 0, uncheatable_grid::hash::LaneWidth::default()),
+        &brokered_plan.mixed_config(None, 0, uncheatable_grid::hash::LaneWidth::default()),
         &mut campaign,
     )
-    .expect_err("digest classes differ; the resume must be refused");
-    assert!(
-        matches!(&err, SchemeError::Journal { reason } if reason.contains("does not describe")),
-        "want a typed header mismatch, got: {err}"
+    .expect("the direct journal resumes over the broker");
+    assert_eq!(
+        summary_digest(&summary),
+        reference,
+        "resume across a transport change must not move the digest"
     );
     let _ = std::fs::remove_file(&path);
 }
