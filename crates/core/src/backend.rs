@@ -21,16 +21,17 @@
 //!   the round's seeded fault plan.
 //! * [`RemoteGridBackend`] — a [`TcpLink`] into a `ugc broker serve`
 //!   process that relays to participants in *other* OS processes
-//!   ([`TransportKind::Remote`]). The engine runs over that link, and the
-//!   participants send their [`SlotReport`]s back as control frames, so a
-//!   cross-process campaign produces a summary digest bit-identical to
-//!   the in-process brokered run of the same parameters (proven in
-//!   `tests/wire_equivalence.rs` and in CI's `cross-process` job).
+//!   ([`TransportKind::Remote`]), each running [`serve_remote_slots`]. The
+//!   engine runs over that link, and the slots' [`SlotReport`]s come back
+//!   as control frames, so a cross-process campaign produces a summary
+//!   digest bit-identical to the in-process brokered run of the same
+//!   parameters (proven in `tests/wire_equivalence.rs` and in CI's
+//!   `cross-process` job).
 //!
-//! Every participant slot, local or remote, ends the same way: it runs
-//! its session against a ledger of its own and hands back a
-//! [`SlotReport`] — from the scheduler pool in this process, or over the
-//! wire from another.
+//! Every participant slot, pooled or joined, is one [`Slot`]: fed one
+//! message at a time by the one participant [`step`], charging a ledger
+//! of its own, and ended by the one [`SlotReport`] it hands back — so both
+//! ends of the slot-report control frame live in this module.
 //!
 //! Which backend a fleet uses is configuration
 //! ([`MixedFleetConfig::transport`](crate::MixedFleetConfig)), not code:
@@ -41,15 +42,17 @@
 
 use crate::engine::{DirectTransport, EngineTransport, SessionEngine, SessionResult, SharedLink};
 use crate::journal::{get_part_result, get_report, put_part_result, put_report};
-use crate::session::{step_participant_batch, ParticipantSession, SessionPoll};
+use crate::session::ParticipantSession;
 use crate::SchemeError;
+use std::collections::BTreeMap;
 use std::time::Duration;
 use ugc_grid::codec::{get_u64, put_u64};
 use ugc_grid::runtime::{
     FaultEvent, FaultLog, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll,
 };
 use ugc_grid::{
-    duplex, Broker, ControlHandle, CostLedger, CostReport, Doorbell, Endpoint, TcpLink,
+    duplex, Broker, ControlHandle, CostLedger, CostReport, Doorbell, Endpoint, GridError, GridLink,
+    Message, TcpLink,
 };
 
 /// How a fleet round moves its messages — the one transport-selection
@@ -78,10 +81,9 @@ pub enum TransportKind {
 /// supervisor needs from the slot to finish its books — the costs the
 /// slot's own ledger accumulated and the participant-side outcome.
 ///
-/// A slot hosted in this process returns it from its scheduler task; a
-/// remote one, served by `ugc participant join`, sends it as a control
-/// frame, outside the charged data plane, once the slot's session
-/// completes.
+/// Every slot ends in exactly one, built in one place: returned from the
+/// scheduler pool in this process, or sent as a control frame by a
+/// joined one ([`serve_remote_slots`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotReport {
     /// The global slot (== task id).
@@ -120,7 +122,7 @@ impl SlotReport {
                 reason: format!("slot report has {} trailing bytes", buf.len()),
             });
         }
-        Ok(SlotReport {
+        Ok(Self {
             slot,
             costs,
             outcome,
@@ -286,11 +288,8 @@ fn run_local<'a, T: EngineTransport>(
             logs.push(link.log());
             let ledger = CostLedger::new();
             SlotTask {
-                slot: task_id,
+                slot: Slot::new(task_id, slot(task_id, ledger.clone()), ledger),
                 link: Some(link),
-                session: slot(task_id, ledger.clone()),
-                ledger,
-                outcome: None,
             }
         })
         .collect();
@@ -311,7 +310,7 @@ fn run_local<'a, T: EngineTransport>(
     events.sort_unstable();
     RoundResult {
         sessions,
-        reports: tasks.into_iter().map(SlotTask::into_report).collect(),
+        reports: tasks.into_iter().map(|task| task.slot.report()).collect(),
         events,
     }
 }
@@ -320,51 +319,141 @@ fn run_local<'a, T: EngineTransport>(
 /// queue before handing the worker back. Batching amortises the
 /// run-queue round trip over a burst of queued mail; the value is purely
 /// a latency/fairness trade-off — digests are identical at any budget
-/// (`step_participant_batch` consumes messages one at a time, in order).
+/// ([`Slot::drain`] feeds messages through [`step`] one at a time, in
+/// order).
 const STEP_BATCH_BUDGET: usize = 8;
 
-/// One participant slot as a poll-driven task on the grid scheduler's
-/// run-queue: the session state machine plus its fault-decorated link and
-/// a ledger of its own. Completion drops the link immediately, so the
-/// broker pump — and a supervisor session waiting on the verdict
-/// acknowledgement — observe the hang-up without waiting for the whole
-/// pool to drain.
-struct SlotTask<'a> {
-    slot: u64,
-    link: Option<FaultyEndpoint>,
+/// The one participant step — a pooled slot, a joined one and the blocking
+/// [`drive_participant`](crate::session::drive_participant) all take it:
+/// feeds `msg` to `session`, sends the replies, and returns how the
+/// session ended (a protocol error, a reply the link refuses, or its
+/// verdict), or `None` while it runs on.
+pub(crate) fn step<L: GridLink + ?Sized>(
+    link: &L,
+    session: &mut (dyn ParticipantSession + '_),
+    msg: Message,
+) -> Option<Result<bool, SchemeError>> {
+    let replies = match session.on_message(msg) {
+        Ok(replies) => replies,
+        Err(e) => return Some(Err(e)),
+    };
+    let mut failure: Option<SchemeError> = None;
+    for out in replies {
+        // Attempt the whole burst even once a send has failed: each
+        // outbound message consumes a fault-schedule sequence number
+        // (logged before the wire is touched), so the replay log must
+        // not depend on *when* the peer disappeared — that is a
+        // wall-clock race against the round's teardown, and it would
+        // otherwise make the fault log vary with worker count.
+        match link.send(&out) {
+            Ok(()) => {}
+            // The peer hung up. What it sent before leaving (a verdict
+            // reached on the first copy of a duplicated upload, say) is
+            // still queued, and the link reports the hang-up on receive
+            // only once that queue is empty — so the session goes on
+            // and ends there, having drawn an inbound fault decision for
+            // every message the peer sent, however early it left.
+            Err(GridError::Disconnected) => {}
+            // Any other send error is this side's own and fails the
+            // session (the first one wins).
+            Err(e) => {
+                failure.get_or_insert(e.into());
+            }
+        }
+    }
+    match failure {
+        Some(e) => Some(Err(e)),
+        None => session.finished().map(Ok),
+    }
+}
+
+/// One participant slot — its task id, its session and a ledger only it
+/// charges — wherever the backend runs it: on the scheduler pool as a
+/// [`SlotTask`], or in a joined process's [`serve_remote_slots`] loop.
+/// Both feed it through [`step`] and end it the same way, with
+/// [`report`](Self::report).
+pub(crate) struct Slot<'a> {
+    task_id: u64,
     session: Box<dyn ParticipantSession + 'a>,
     ledger: CostLedger,
+    /// How the slot ended, once it has.
     outcome: Option<Result<bool, SchemeError>>,
 }
 
-impl SlotTask<'_> {
-    /// The completed slot's report — what a remote participant sends
-    /// back for its slot.
-    fn into_report(self) -> SlotReport {
+impl<'a> Slot<'a> {
+    /// Slot `task_id`, running `session`, which charges `ledger`.
+    pub(crate) fn new(
+        task_id: u64,
+        session: Box<dyn ParticipantSession + 'a>,
+        ledger: CostLedger,
+    ) -> Self {
+        Slot {
+            task_id,
+            session,
+            ledger,
+            outcome: None,
+        }
+    }
+
+    /// Feeds up to `budget` queued messages from `link` through [`step`],
+    /// never blocking, in the order the blocking
+    /// [`drive_participant`](crate::session::drive_participant) takes them
+    /// — so fault draws, ledgers and verdicts are the same at any budget.
+    /// `Complete` once the slot has ended (a receive error ends it too:
+    /// its own injected crash, or the peer's hang-up, reported only once
+    /// the peer's mail is consumed), `Idle` when nothing was queued,
+    /// `Progress` otherwise.
+    ///
+    /// # Panics
+    ///
+    /// If `budget` is zero: such a step could neither progress nor idle.
+    pub(crate) fn drain<L: GridLink + ?Sized>(&mut self, link: &L, budget: usize) -> TaskPoll {
+        assert!(budget > 0, "batched step needs a non-zero message budget");
+        for consumed in 0..budget {
+            self.outcome = match link.try_recv() {
+                Ok(msg) => step(link, self.session.as_mut(), msg),
+                Err(GridError::Empty) if consumed > 0 => return TaskPoll::Progress,
+                Err(GridError::Empty) => return TaskPoll::Idle,
+                Err(e) => Some(Err(e.into())),
+            };
+            if self.outcome.is_some() {
+                return TaskPoll::Complete;
+            }
+        }
+        TaskPoll::Progress
+    }
+
+    /// The ended slot's report: what its ledger charged and how it ended —
+    /// returned from the pool in this process, sent as a control frame
+    /// from a joined one.
+    pub(crate) fn report(self) -> SlotReport {
         SlotReport {
-            slot: self.slot,
+            slot: self.task_id,
             costs: self.ledger.report(),
-            outcome: self
-                .outcome
-                .expect("scheduler ran every task to completion"),
+            outcome: self.outcome.expect("only an ended slot reports"),
         }
     }
 }
 
+/// A [`Slot`] on the grid scheduler's run-queue, with its fault-decorated
+/// link. Completion drops the link immediately, so the broker pump — and
+/// a supervisor session waiting on the verdict acknowledgement — observe
+/// the hang-up without waiting for the whole pool to drain.
+struct SlotTask<'a> {
+    slot: Slot<'a>,
+    link: Option<FaultyEndpoint>,
+}
+
 impl GridTask for SlotTask<'_> {
     fn poll(&mut self) -> TaskPoll {
-        let Some(link) = self.link.as_ref() else {
+        let Some(link) = &self.link else {
             return TaskPoll::Complete;
         };
-        match step_participant_batch(link, self.session.as_mut(), STEP_BATCH_BUDGET) {
-            SessionPoll::Progress => TaskPoll::Progress,
-            SessionPoll::Idle => TaskPoll::Idle,
-            SessionPoll::Complete(result) => {
-                self.outcome = Some(result);
-                self.link = None; // hang up so the peer sees the closure
-                TaskPoll::Complete
-            }
+        let poll = self.slot.drain(link, STEP_BATCH_BUDGET);
+        if poll == TaskPoll::Complete {
+            self.link = None; // hang up so the peer sees the closure
         }
+        poll
     }
 
     /// The slot only ever waits for its link: inbound mail, or the hang-up
@@ -475,6 +564,54 @@ impl TransportBackend for RemoteGridBackend {
             reports,
             events: Vec::new(),
         })
+    }
+}
+
+/// The other end of a [`RemoteGridBackend`] round, and the body of a
+/// `ugc participant join` process: serves the slots the relay routes to
+/// `link` until the relay hangs up, the normal end of a campaign. A task
+/// id is its slot's only address, so the first message for a task opens
+/// that slot with `slot(task_id, ledger)`; each is fed by the same step as
+/// a pooled one — a reply the link refuses fails that slot alone — and,
+/// once ended, sends its [`SlotReport`] up as a control frame, outside
+/// the charged data plane. Returns how many slots ended.
+///
+/// # Errors
+///
+/// A receive error other than the relay's hang-up, or whatever `slot`
+/// returns for a task id it cannot open.
+pub fn serve_remote_slots<'a>(
+    link: &TcpLink,
+    slot: &dyn Fn(u64, CostLedger) -> Result<Box<dyn ParticipantSession + 'a>, SchemeError>,
+) -> Result<u64, SchemeError> {
+    let control = link.control_handle();
+    // BTreeMap, not HashMap: slot teardown order must never depend on
+    // unspecified iteration order (the ugc-lint unordered-iter rule).
+    let mut live: BTreeMap<u64, Slot<'a>> = BTreeMap::new();
+    let mut served = 0u64;
+    loop {
+        let msg = match link.recv() {
+            Ok(msg) => msg,
+            Err(GridError::Disconnected) => return Ok(served),
+            Err(e) => return Err(e.into()),
+        };
+        let task_id = msg.task_id();
+        let mut open = match live.remove(&task_id) {
+            Some(open) => open,
+            None => {
+                let ledger = CostLedger::new();
+                Slot::new(task_id, slot(task_id, ledger.clone())?, ledger)
+            }
+        };
+        open.outcome = step(link, open.session.as_mut(), msg);
+        if open.outcome.is_none() {
+            live.insert(task_id, open);
+            continue;
+        }
+        // A refused report means the campaign tore down first; the relay's
+        // hang-up ends the loop.
+        let _ = control.send(open.report().encode());
+        served += 1;
     }
 }
 

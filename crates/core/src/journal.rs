@@ -78,6 +78,15 @@ fn get_u8(buf: &mut &[u8], context: &'static str) -> Result<u8, SchemeError> {
     Ok(byte)
 }
 
+/// A flag byte: 0 or 1, and nothing else, so two records that decode
+/// alike are one record.
+fn get_flag(buf: &mut &[u8], context: &'static str) -> Result<bool, SchemeError> {
+    match get_u8(buf, context)? {
+        flag @ (0 | 1) => Ok(flag == 1),
+        other => Err(bad(format!("{context} {other} is not 0 or 1"))),
+    }
+}
+
 fn put_usize(buf: &mut Vec<u8>, v: usize) {
     put_u64(buf, v as u64);
 }
@@ -497,7 +506,7 @@ pub(crate) fn put_part_result(buf: &mut Vec<u8>, result: &Result<bool, SchemeErr
 
 pub(crate) fn get_part_result(buf: &mut &[u8]) -> Result<Result<bool, SchemeError>, SchemeError> {
     Ok(match get_u8(buf, "participant result tag")? {
-        1 => Ok(get_u8(buf, "participant result flag")? != 0),
+        1 => Ok(get_flag(buf, "participant result flag")?),
         0 => Err(get_scheme_error(buf)?),
         tag => return Err(bad(format!("unknown participant result tag {tag}"))),
     })
@@ -730,9 +739,9 @@ fn decode_header(buf: &mut &[u8]) -> Result<CampaignHeader, SchemeError> {
         },
         tag => return Err(bad(format!("unknown storage tag {tag}"))),
     };
-    let chaos = match get_u8(buf, "header chaos flag")? {
-        0 => None,
-        _ => Some(FaultPlan {
+    let chaos = match get_flag(buf, "header chaos flag")? {
+        false => None,
+        true => Some(FaultPlan {
             seed: get_u64(buf, "header chaos seed")?,
             drop_per_1024: get_per_1024(buf, "header drop rate")?,
             dup_per_1024: get_per_1024(buf, "header dup rate")?,
@@ -741,9 +750,9 @@ fn decode_header(buf: &mut &[u8]) -> Result<CampaignHeader, SchemeError> {
             crash_per_1024: get_per_1024(buf, "header crash rate")?,
         }),
     };
-    let deadline = match get_u8(buf, "header deadline flag")? {
-        0 => None,
-        _ => Some(Duration::from_micros(get_u64(buf, "header deadline")?)),
+    let deadline = match get_flag(buf, "header deadline flag")? {
+        false => None,
+        true => Some(Duration::from_micros(get_u64(buf, "header deadline")?)),
     };
     let retries = get_u32(buf, "header retries")?;
     Ok(CampaignHeader {

@@ -23,7 +23,9 @@
 //! The [`analysis`] module provides every closed form in the paper
 //! (Eqs. 2–5, the `rco = 2m/S` storage trade-off), and [`sampling`]
 //! implements both interactive sample selection and the Eq. (4) hash-chain
-//! derivation.
+//! derivation. A fleet of any mix of them is one campaign loop
+//! ([`run_fleet_on`]) over any [`TransportBackend`], and every participant
+//! slot, pooled or in a joined process, ends in one [`SlotReport`].
 //!
 //! # Examples
 //!
@@ -66,19 +68,19 @@ pub mod scheme;
 pub mod session;
 
 pub use backend::{
-    chaos_link_id, InProcessBackend, RemoteGridBackend, RoundResult, RoundSpec, SlotReport,
-    TransportBackend, TransportKind,
+    chaos_link_id, serve_remote_slots, InProcessBackend, RemoteGridBackend, RoundResult, RoundSpec,
+    SlotReport, TransportBackend, TransportKind,
 };
 pub use error::SchemeError;
 pub use journal::{summary_digest, CampaignHeader, DurableCampaign, ResumeReport};
 pub use orchestrator::{
-    run_campaign, run_durable_fleet, run_fleet_on, run_mixed_fleet, CampaignSummary, FleetMember,
-    FleetScheme, FleetSummary, MemberSpec, MixedFleetConfig,
+    run_durable_fleet, run_fleet_on, run_mixed_fleet, FleetMember, FleetScheme, FleetSummary,
+    MemberSpec, MixedFleetConfig,
 };
 pub use outcome::{ParticipantStorage, RoundOutcome, Verdict};
 pub use session::{
-    ParticipantContext, ParticipantSession, SessionOutcome, SessionPoll, SupervisorContext,
-    SupervisorSession, VerificationScheme,
+    ParticipantContext, ParticipantSession, SessionOutcome, SupervisorContext, SupervisorSession,
+    VerificationScheme,
 };
 // The thread-count knob behind every parallel path (tree builds here, the
 // Monte-Carlo shards in `ugc-sim`); re-exported so scheme users need not

@@ -22,8 +22,8 @@
 //! at any pool size and steal seed, and pinned by the golden digests in
 //! `tests/scheduler_equivalence.rs`.
 //!
-//! A campaign is a loop of such rounds over one `CampaignState`: each
-//! round runs the members still pending, and returns a `RoundRecord` —
+//! A campaign is the one loop of such rounds, over one `CampaignState`:
+//! each round runs the members still pending and returns a `RoundRecord` —
 //! its sessions' results, each member's costs and participant results,
 //! its fault events. `CampaignState::apply` is the one place a settled
 //! round changes the campaign, and a journal replay calls it too, so a
@@ -118,7 +118,7 @@ impl FleetScheme {
     /// One scheme object per member of a `members`-strong fleet, member
     /// `i` seeded `seed·0x9e37_79b9_7f4a_7c15 + i` — the one place a
     /// campaign's base seed becomes member seeds, whoever expands it (the
-    /// supervisor, a join process, [`run_campaign`]).
+    /// supervisor or a join process).
     #[must_use]
     pub fn instantiate_fleet<H: HashFunction>(
         self,
@@ -761,148 +761,6 @@ where
     })
 }
 
-/// One round of `scheme` for everyone: each of `workers` on its own share
-/// of `domain`, member seeds derived from `seed`
-/// ([`FleetScheme::instantiate_fleet`]).
-fn run_uniform_fleet<H, T, S>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    workers: &[&dyn WorkerBehaviour],
-    scheme: FleetScheme,
-    seed: u64,
-    config: &MixedFleetConfig,
-) -> Result<FleetSummary, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-{
-    let schemes = scheme.instantiate_fleet::<H>(seed, workers.len());
-    let members: Vec<MemberSpec<'_, H>> = schemes
-        .iter()
-        .zip(workers)
-        .map(|(member, &worker)| MemberSpec {
-            scheme: member.as_ref(),
-            behaviours: vec![worker; scheme.slots()],
-        })
-        .collect();
-    run_mixed_fleet(task, screener, domain, &members, config)
-}
-
-/// Outcome of a multi-round campaign (see [`run_campaign`]).
-#[derive(Debug, Clone)]
-pub struct CampaignSummary {
-    /// One fleet summary per verification round, in order.
-    pub rounds: Vec<FleetSummary>,
-    /// All screened reports from accepted work across rounds, deduplicated
-    /// and sorted by input.
-    pub reports: Vec<ScreenReport>,
-    /// Whether every sub-domain ended up verified within the round budget.
-    pub complete: bool,
-}
-
-impl CampaignSummary {
-    /// Total `f` evaluations burned across all participants and rounds —
-    /// the "wasted cycles" metric that makes cheating expensive for the
-    /// *grid*, not just risky for the cheater.
-    #[must_use]
-    pub fn total_participant_f_evals(&self) -> u64 {
-        self.rounds
-            .iter()
-            .flat_map(|r| &r.members)
-            .map(|m| m.outcome.participant_costs.f_evals)
-            .sum()
-    }
-}
-
-/// Runs a verification campaign to completion: round 1 verifies every
-/// behaviour in `fleet` on its own share of `domain` (shares differ in
-/// size by at most one input) under `scheme`, member seeds derived from
-/// `seed` ([`FleetScheme::instantiate_fleet`]); every share rejected in a
-/// round is reassigned — to the *trusted* pool (`fallback`) — in the next
-/// round, until everything is verified or `max_rounds` is exhausted.
-/// Each round is one [`run_mixed_fleet`] under `config`.
-///
-/// This is the operational loop the paper implies: detection is only
-/// useful because the supervisor can discard and re-run tainted shares.
-///
-/// # Errors
-///
-/// Propagates protocol errors; also rejects an empty fleet (via
-/// [`run_mixed_fleet`]) or `max_rounds == 0`.
-#[allow(clippy::too_many_arguments)] // the fleet call plus what a campaign adds to it
-pub fn run_campaign<H, T, S, B, F>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    fleet: &[B],
-    fallback: &F,
-    scheme: FleetScheme,
-    seed: u64,
-    config: &MixedFleetConfig,
-    max_rounds: usize,
-) -> Result<CampaignSummary, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-    F: WorkerBehaviour,
-{
-    if max_rounds == 0 {
-        return Err(SchemeError::InvalidConfig {
-            reason: "campaign needs at least one round".into(),
-        });
-    }
-    let mut rounds = Vec::new();
-    let mut reports: Vec<ScreenReport> = Vec::new();
-
-    // Round 1: the whole fleet over the whole domain.
-    let workers: Vec<&dyn WorkerBehaviour> =
-        fleet.iter().map(|b| b as &dyn WorkerBehaviour).collect();
-    let first =
-        run_uniform_fleet::<H, T, S>(task, screener, domain, &workers, scheme, seed, config)?;
-    let mut pending = first.shares_to_reassign();
-    reports.extend(first.reports.iter().cloned());
-    rounds.push(first);
-
-    // Later rounds: tainted shares go to the fallback worker, one share
-    // per fleet slot (re-splitting is unnecessary — shares are already
-    // participant-sized).
-    let mut round = 1;
-    while !pending.is_empty() && round < max_rounds {
-        round += 1;
-        let reseed = seed
-            .wrapping_add(round as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let mut next_pending = Vec::new();
-        for share in pending {
-            let summary = run_uniform_fleet::<H, T, S>(
-                task,
-                screener,
-                share,
-                &[fallback],
-                scheme,
-                reseed,
-                config,
-            )?;
-            reports.extend(summary.reports.iter().cloned());
-            next_pending.extend(summary.shares_to_reassign());
-            rounds.push(summary);
-        }
-        pending = next_pending;
-    }
-
-    reports.sort_by_key(|r| r.input);
-    reports.dedup();
-    Ok(CampaignSummary {
-        complete: pending.is_empty(),
-        rounds,
-        reports,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -917,7 +775,9 @@ mod tests {
         report_audit: 0,
     };
 
-    /// [`run_uniform_fleet`] over the default config.
+    /// One round of `scheme` for everyone: each of `fleet` on its own
+    /// share of `domain`, member seeds derived from `seed`, over the
+    /// default config.
     fn run_uniform(
         task: &PasswordSearch,
         domain: Domain,
@@ -925,8 +785,17 @@ mod tests {
         scheme: FleetScheme,
         seed: u64,
     ) -> Result<FleetSummary, SchemeError> {
+        let schemes = scheme.instantiate_fleet::<Sha256>(seed, fleet.len());
+        let members: Vec<MemberSpec<'_, Sha256>> = schemes
+            .iter()
+            .zip(fleet)
+            .map(|(member, &worker)| MemberSpec {
+                scheme: member.as_ref(),
+                behaviours: vec![worker; scheme.slots()],
+            })
+            .collect();
         let (screener, config) = (task.match_screener(), MixedFleetConfig::default());
-        run_uniform_fleet::<Sha256, _, _>(task, &screener, domain, fleet, scheme, seed, &config)
+        run_mixed_fleet(task, &screener, domain, &members, &config)
     }
 
     #[test]
@@ -981,90 +850,6 @@ mod tests {
     fn oversubscribed_fleet_rejected() {
         let task = PasswordSearch::with_hidden_password(1, 1);
         let err = run_uniform(&task, Domain::new(0, 4), &[HONEST; 10], CBS(1), 99).unwrap_err();
-        assert!(matches!(err, SchemeError::InvalidConfig { .. }));
-    }
-
-    /// [`run_campaign`] over the default config.
-    fn campaign(
-        task: &PasswordSearch,
-        domain: Domain,
-        fleet: &[&dyn WorkerBehaviour],
-        fallback: &dyn WorkerBehaviour,
-        scheme: FleetScheme,
-        seed: u64,
-        max_rounds: usize,
-    ) -> Result<CampaignSummary, SchemeError> {
-        run_campaign::<Sha256, _, _, _, _>(
-            task,
-            &task.match_screener(),
-            domain,
-            fleet,
-            &fallback,
-            scheme,
-            seed,
-            &MixedFleetConfig::default(),
-            max_rounds,
-        )
-    }
-
-    #[test]
-    fn campaign_recovers_cheated_shares() {
-        // The password hides in the cheater's share; round 1 rejects it,
-        // round 2 recovers it via the trusted fallback.
-        let task = PasswordSearch::with_hidden_password(3, 150);
-        let cheater =
-            SemiHonestCheater::new(0.2, CheatSelection::Scattered, ZeroGuesser::new(1), 5);
-        // 3 shares of 100: the password (input 150) is in share 1 — the cheater's.
-        let fleet = [HONEST, &cheater, HONEST];
-        let summary = campaign(&task, Domain::new(0, 300), &fleet, HONEST, CBS(25), 8, 4).unwrap();
-        assert!(summary.complete);
-        assert_eq!(summary.rounds.len(), 2);
-        assert!(!summary.rounds[0].members[1].outcome.accepted);
-        assert_eq!(summary.reports.len(), 1);
-        assert_eq!(summary.reports[0].input, 150);
-        // The grid burned extra cycles re-running the tainted share.
-        assert!(summary.total_participant_f_evals() > 300);
-    }
-
-    #[test]
-    fn campaign_all_honest_finishes_in_one_round() {
-        let task = PasswordSearch::with_hidden_password(3, 10);
-        let scheme = FleetScheme::NiCbs {
-            samples: 10,
-            g_iterations: 1,
-            report_audit: 0,
-        };
-        let summary = campaign(
-            &task,
-            Domain::new(0, 64),
-            &[HONEST; 2],
-            HONEST,
-            scheme,
-            2,
-            3,
-        )
-        .unwrap();
-        assert!(summary.complete);
-        assert_eq!(summary.rounds.len(), 1);
-    }
-
-    #[test]
-    fn campaign_reports_incompleteness_when_budget_exhausted() {
-        // Fallback is itself a cheater: the campaign can never finish.
-        let task = PasswordSearch::with_hidden_password(3, 10);
-        let cheater =
-            SemiHonestCheater::new(0.1, CheatSelection::Scattered, ZeroGuesser::new(2), 7);
-        let fleet = [&cheater as &dyn WorkerBehaviour];
-        let summary =
-            campaign(&task, Domain::new(0, 100), &fleet, &cheater, CBS(20), 4, 3).unwrap();
-        assert!(!summary.complete);
-        assert_eq!(summary.rounds.len(), 3);
-    }
-
-    #[test]
-    fn campaign_zero_rounds_rejected() {
-        let task = PasswordSearch::with_hidden_password(1, 1);
-        let err = campaign(&task, Domain::new(0, 16), &[HONEST], HONEST, CBS(2), 1, 0).unwrap_err();
         assert!(matches!(err, SchemeError::InvalidConfig { .. }));
     }
 

@@ -23,11 +23,12 @@
 //! was given ([`SupervisorContext::task_ids`]); messages travel exactly as
 //! the sessions produce them. The
 //! [`SessionEngine`](crate::engine::SessionEngine) multiplexes supervisor
-//! sessions over direct links or a [`Broker`](ugc_grid::Broker); the
-//! participant side is symmetric: [`step_participant_batch`] advances one
-//! session by a few queued messages without blocking (what the in-process
-//! backend's scheduler pool calls), while [`drive_participant`] and
-//! [`drive_supervisor`] are thin blocking loops that run a single
+//! sessions over direct links or a [`Broker`](ugc_grid::Broker); every
+//! participant session runs as one participant slot of a
+//! [`TransportBackend`](crate::TransportBackend) round, fed one message at
+//! a time by the backend's one participant step — on the scheduler pool in
+//! this process or in a `ugc participant join` process. [`drive_participant`]
+//! and [`drive_supervisor`] are thin blocking loops that run a single
 //! session to completion over one endpoint — the blocking reference the
 //! engine is compared against (`tests/scheme_equivalence.rs`) and what a
 //! test plays a hostile peer against; nothing the library itself runs goes
@@ -81,6 +82,7 @@
 //! # Ok::<(), ugc_core::SchemeError>(())
 //! ```
 
+use crate::backend::step;
 use crate::error::message_kind;
 use crate::{SchemeError, Verdict};
 use ugc_grid::{CostLedger, Doorbell, Endpoint, GridError, GridLink, Message, WorkerBehaviour};
@@ -253,123 +255,11 @@ pub(crate) fn unexpected<T>(expected: &'static str, got: &Message) -> Result<T, 
     })
 }
 
-/// What one non-blocking [`step_participant_batch`] call accomplished.
-///
-/// This is the participant-side mirror of the engine's event-loop
-/// verdicts: `Progress` means "poll me again soon", `Idle` means "park
-/// me until traffic may have arrived", `Complete` carries the session's
-/// final result. The grid scheduler
-/// ([`GridScheduler`](ugc_grid::runtime::GridScheduler)) maps these
-/// one-to-one onto its
-/// [`TaskPoll`](ugc_grid::runtime::TaskPoll) run-queue verdicts.
-#[derive(Debug)]
-pub enum SessionPoll {
-    /// An inbound message was consumed (and any replies sent); the
-    /// session may have more mail queued, so poll again soon.
-    Progress,
-    /// No inbound message is waiting; nothing to do until the peer
-    /// speaks.
-    Idle,
-    /// The session ended: `Ok(accepted)` once the verdict arrived, or
-    /// the transport/protocol error that killed it (including this
-    /// participant's own injected crash).
-    Complete(Result<bool, SchemeError>),
-}
-
-/// Feeds one inbound message to a participant session, as it arrived,
-/// and sends the replies unchanged.
-fn pump_participant<L: GridLink + ?Sized>(
-    endpoint: &L,
-    session: &mut (dyn ParticipantSession + '_),
-    msg: Message,
-) -> Result<(), SchemeError> {
-    let mut failure: Option<SchemeError> = None;
-    for out in session.on_message(msg)? {
-        // Attempt the whole burst even once a send has failed: each
-        // outbound message consumes a fault-schedule sequence number
-        // (logged before the wire is touched), so the replay log must
-        // not depend on *when* the peer disappeared — that is a
-        // wall-clock race against the round's teardown, and it would
-        // otherwise make the fault log vary with worker count.
-        match endpoint.send(&out) {
-            Ok(()) => {}
-            // The peer hung up. What it sent before leaving (a verdict
-            // reached on the first copy of a duplicated upload, say) is
-            // still queued, and the link reports the hang-up on receive
-            // only once that queue is empty — so the session goes on
-            // and ends there, having drawn an inbound fault decision for
-            // every message the peer sent, however early it left.
-            Err(GridError::Disconnected) => {}
-            // Any other send error is this side's own and fails the
-            // session (the first one wins).
-            Err(e) => {
-                failure.get_or_insert(e.into());
-            }
-        }
-    }
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
-/// Advances a participant session by up to `budget` inbound messages
-/// without ever blocking — the poll-driven face of the participant side,
-/// scheduled by a campaign's worker pool exactly as the
-/// [`SessionEngine`](crate::engine::SessionEngine) multiplexes the
-/// supervisor side. One scheduler dispatch (one trip through the link's
-/// lock and fault decorator per message, but only one run-queue round
-/// trip) drains a whole burst of queued mail instead of bouncing the
-/// task through the run queue once per message.
-///
-/// Each message is received, fed to the session and answered in exactly
-/// the order the blocking [`drive_participant`] loop would use, so
-/// fault-schedule draws, ledgers and verdicts are bit-identical at any
-/// budget (property-tested in this module and pinned by the golden
-/// digests of `tests/scheduler_equivalence.rs`). The call returns early
-/// on [`SessionPoll::Idle`] (queue drained; `Progress` instead if the
-/// batch consumed at least one message first, so the scheduler re-polls
-/// before parking) or [`SessionPoll::Complete`] — `Ok(accepted)` once the
-/// verdict arrived, otherwise the error that ended the session: a
-/// protocol violation, this participant's own injected crash, or the
-/// peer's hang-up, which the link reports only after everything the peer
-/// sent first has been consumed.
-///
-/// # Panics
-///
-/// Panics if `budget` is zero — a zero-message step could neither make
-/// progress nor legitimately report `Idle`.
-pub fn step_participant_batch<L: GridLink + ?Sized>(
-    endpoint: &L,
-    session: &mut (dyn ParticipantSession + '_),
-    budget: usize,
-) -> SessionPoll {
-    assert!(budget > 0, "batched step needs a non-zero message budget");
-    for consumed in 0..budget {
-        if let Some(accepted) = session.finished() {
-            return SessionPoll::Complete(Ok(accepted));
-        }
-        let msg = match endpoint.try_recv() {
-            Ok(msg) => msg,
-            Err(GridError::Empty) if consumed > 0 => return SessionPoll::Progress,
-            Err(GridError::Empty) => return SessionPoll::Idle,
-            Err(e) => return SessionPoll::Complete(Err(e.into())),
-        };
-        if let Err(e) = pump_participant(endpoint, session, msg) {
-            return SessionPoll::Complete(Err(e));
-        }
-    }
-    match session.finished() {
-        Some(accepted) => SessionPoll::Complete(Ok(accepted)),
-        None => SessionPoll::Progress,
-    }
-}
-
 /// Runs a participant session to completion over a blocking link — a raw
 /// [`Endpoint`] or any [`GridLink`] decorator (e.g. the fault-injecting
 /// [`FaultyEndpoint`](ugc_grid::FaultyEndpoint) of the chaos runtime).
-/// A thin blocking wrapper over the same message pump that powers the
-/// non-blocking [`step_participant_batch`].
+/// A thin blocking loop over the one participant step every slot takes,
+/// pooled or joined.
 ///
 /// # Errors
 ///
@@ -381,10 +271,9 @@ pub fn drive_participant<L: GridLink + ?Sized>(
     session: &mut (dyn ParticipantSession + '_),
 ) -> Result<bool, SchemeError> {
     loop {
-        if let Some(accepted) = session.finished() {
-            return Ok(accepted);
+        if let Some(outcome) = step(endpoint, session, endpoint.recv()?) {
+            return outcome;
         }
-        pump_participant(endpoint, session, endpoint.recv()?)?;
     }
 }
 
@@ -450,14 +339,52 @@ fn recv_any(endpoints: &[&Endpoint]) -> Result<(usize, Message), SchemeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Slot;
     use crate::scheme::cbs::CbsScheme;
+    use ugc_grid::runtime::TaskPoll;
     use ugc_grid::{duplex, HonestWorker, LinkStats};
     use ugc_hash::Sha256;
     use ugc_task::workloads::PasswordSearch;
+    use ugc_task::MatchScreener;
 
-    /// Runs one honest CBS round with the participant stepped `budget`
-    /// messages at a time, returning the supervisor's outcome and the
-    /// participant link's traffic counters.
+    /// A four-sample CBS scheme.
+    const CBS_4: CbsScheme = CbsScheme {
+        samples: 4,
+        seed: 1,
+        report_audit: 0,
+    };
+
+    /// An honest participant session of `scheme`.
+    fn honest<'a>(
+        scheme: &'a dyn VerificationScheme<Sha256>,
+        task: &'a PasswordSearch,
+        screener: &'a MatchScreener,
+        ledger: CostLedger,
+    ) -> Box<dyn ParticipantSession + 'a> {
+        scheme.participant_session(ParticipantContext {
+            task,
+            screener,
+            behaviour: &HonestWorker,
+            storage: crate::ParticipantStorage::Full,
+            parallelism: Parallelism::serial(),
+            lanes: LaneWidth::default(),
+            ledger,
+        })
+    }
+
+    /// [`honest`] as participant slot 5.
+    fn honest_slot<'a>(
+        scheme: &'a dyn VerificationScheme<Sha256>,
+        task: &'a PasswordSearch,
+        screener: &'a MatchScreener,
+    ) -> Slot<'a> {
+        let ledger = CostLedger::new();
+        Slot::new(5, honest(scheme, task, screener, ledger.clone()), ledger)
+    }
+
+    /// Runs one honest CBS round with the participant slot drained
+    /// `budget` messages at a time, returning the supervisor's outcome and
+    /// the participant link's traffic counters.
     fn cbs_round_with_budget(budget: usize) -> (SessionOutcome, LinkStats) {
         let task = PasswordSearch::with_hidden_password(1, 42);
         let screener = task.match_screener();
@@ -481,26 +408,16 @@ mod tests {
                 );
                 drive_supervisor(&[&sup_ep], session.as_mut()).unwrap()
             });
-            let mut session = VerificationScheme::<Sha256>::participant_session(
-                &scheme,
-                ParticipantContext {
-                    task: &task,
-                    screener: &screener,
-                    behaviour: &HonestWorker,
-                    storage: crate::ParticipantStorage::Full,
-                    parallelism: Parallelism::serial(),
-                    lanes: LaneWidth::default(),
-                    ledger: CostLedger::new(),
-                },
-            );
+            let mut slot = honest_slot(&scheme, &task, &screener);
             loop {
-                match step_participant_batch(&part_ep, session.as_mut(), budget) {
-                    SessionPoll::Complete(result) => {
-                        assert!(result.unwrap(), "honest participant must be accepted");
+                match slot.drain(&part_ep, budget) {
+                    TaskPoll::Complete => {
+                        let accepted = slot.report().outcome.unwrap();
+                        assert!(accepted, "honest participant must be accepted");
                         break;
                     }
-                    SessionPoll::Progress => {}
-                    SessionPoll::Idle => std::thread::yield_now(),
+                    TaskPoll::Progress => {}
+                    TaskPoll::Idle => std::thread::yield_now(),
                 }
             }
             let stats = part_ep.stats();
@@ -571,20 +488,7 @@ mod tests {
             task_id: 5,
             domain: ugc_task::Domain::new(0, 16),
         });
-        let session = || {
-            VerificationScheme::<Sha256>::participant_session(
-                &scheme,
-                ParticipantContext {
-                    task: &task,
-                    screener: &screener,
-                    behaviour: &HonestWorker,
-                    storage: crate::ParticipantStorage::Full,
-                    parallelism: Parallelism::serial(),
-                    lanes: LaneWidth::default(),
-                    ledger: CostLedger::new(),
-                },
-            )
-        };
+        let session = || honest(&scheme, &task, &screener, CostLedger::new());
         for accepted in [true, false] {
             let verdict = Message::Verdict {
                 task_id: 5,
@@ -593,12 +497,12 @@ mod tests {
             let hung_up = || HungUpLink::holding(&[&assign, &verdict]);
 
             let link = hung_up();
-            let mut polled = session();
+            let mut polled = honest_slot(&scheme, &task, &screener);
             let result = loop {
-                match step_participant_batch(&link, polled.as_mut(), 1) {
-                    SessionPoll::Complete(result) => break result,
-                    SessionPoll::Progress => {}
-                    SessionPoll::Idle => panic!("a hung-up link is never merely idle"),
+                match polled.drain(&link, 1) {
+                    TaskPoll::Complete => break polled.report().outcome,
+                    TaskPoll::Progress => {}
+                    TaskPoll::Idle => panic!("a hung-up link is never merely idle"),
                 }
             };
             assert_eq!(result, Ok(accepted));
@@ -624,31 +528,9 @@ mod tests {
         let (_sup, part_ep) = duplex();
         let task = PasswordSearch::with_hidden_password(1, 3);
         let screener = task.match_screener();
-        let scheme = CbsScheme {
-            samples: 4,
-            seed: 1,
-            report_audit: 0,
-        };
-        let mut session = VerificationScheme::<Sha256>::participant_session(
-            &scheme,
-            ParticipantContext {
-                task: &task,
-                screener: &screener,
-                behaviour: &HonestWorker,
-                storage: crate::ParticipantStorage::Full,
-                parallelism: Parallelism::serial(),
-                lanes: LaneWidth::default(),
-                ledger: CostLedger::new(),
-            },
-        );
-        assert!(matches!(
-            step_participant_batch(&part_ep, session.as_mut(), 1),
-            SessionPoll::Idle
-        ));
-        assert!(matches!(
-            step_participant_batch(&part_ep, session.as_mut(), 8),
-            SessionPoll::Idle
-        ));
+        let mut slot = honest_slot(&CBS_4, &task, &screener);
+        assert!(matches!(slot.drain(&part_ep, 1), TaskPoll::Idle));
+        assert!(matches!(slot.drain(&part_ep, 8), TaskPoll::Idle));
     }
 
     #[test]
@@ -657,23 +539,6 @@ mod tests {
         let (_sup, part_ep) = duplex();
         let task = PasswordSearch::with_hidden_password(1, 3);
         let screener = task.match_screener();
-        let scheme = CbsScheme {
-            samples: 4,
-            seed: 1,
-            report_audit: 0,
-        };
-        let mut session = VerificationScheme::<Sha256>::participant_session(
-            &scheme,
-            ParticipantContext {
-                task: &task,
-                screener: &screener,
-                behaviour: &HonestWorker,
-                storage: crate::ParticipantStorage::Full,
-                parallelism: Parallelism::serial(),
-                lanes: LaneWidth::default(),
-                ledger: CostLedger::new(),
-            },
-        );
-        let _ = step_participant_batch(&part_ep, session.as_mut(), 0);
+        let _ = honest_slot(&CBS_4, &task, &screener).drain(&part_ep, 0);
     }
 }

@@ -10,11 +10,15 @@
 //!
 //! Run: `cargo run --release --example fleet_campaign`
 
-use uncheatable_grid::core::{run_campaign, FleetScheme, MixedFleetConfig};
+use uncheatable_grid::core::scheme::run_round;
+use uncheatable_grid::core::{run_mixed_fleet, FleetScheme, MemberSpec, MixedFleetConfig};
 use uncheatable_grid::grid::{CheatSelection, HonestWorker, SemiHonestCheater, WorkerBehaviour};
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::DrugScreening;
 use uncheatable_grid::task::{ComputeTask, Domain, ZeroGuesser};
+
+/// Rounds the campaign may take before it gives up on a share.
+const MAX_ROUNDS: u64 = 4;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lab = DrugScreening::new(2026);
@@ -35,46 +39,84 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &honest,
         &honest,
     ];
+    let scheme = FleetScheme::NiCbs {
+        samples: 30,
+        g_iterations: 1,
+        report_audit: 2,
+    };
+    let seed = 14; // base seed; each member's is derived from it
+    let config = MixedFleetConfig::default();
 
-    let summary = run_campaign::<Sha256, _, _, _, _>(
-        &lab,
-        &screener,
-        library,
-        &fleet,
-        &HonestWorker, // the trusted re-run pool
-        FleetScheme::NiCbs {
-            samples: 30,
-            g_iterations: 1,
-            report_audit: 2,
-        },
-        14, // base seed; each member's is derived from it
-        &MixedFleetConfig::default(),
-        4,
-    )?;
+    // Round 1: the whole fleet over the whole library.
+    let schemes = scheme.instantiate_fleet::<Sha256>(seed, fleet.len());
+    let members: Vec<MemberSpec<'_, Sha256>> = schemes
+        .iter()
+        .zip(&fleet)
+        .map(|(member, &worker)| MemberSpec {
+            scheme: member.as_ref(),
+            behaviours: vec![worker],
+        })
+        .collect();
+    let first = run_mixed_fleet(&lab, &screener, library, &members, &config)?;
+    let verdict_line = |share: Domain, verdict: &dyn std::fmt::Display| {
+        format!("  share {:>14}: {verdict}", share.to_string())
+    };
+    let mut rounds: Vec<Vec<String>> = vec![first
+        .members
+        .iter()
+        .map(|m| verdict_line(m.share, &m.outcome.verdict))
+        .collect()];
+    let mut reports = first.reports.clone();
+    let mut burned: u64 = first
+        .members
+        .iter()
+        .map(|m| m.outcome.participant_costs.f_evals)
+        .sum();
+    let mut pending = first.shares_to_reassign();
+
+    // Later rounds: each tainted share goes, whole, to the trusted pool
+    // (re-splitting is unnecessary — shares are already participant-sized),
+    // under a scheme seed derived afresh for the round.
+    for round in 2..=MAX_ROUNDS {
+        if pending.is_empty() {
+            break;
+        }
+        let reseed = seed.wrapping_add(round).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut tainted = Vec::new();
+        for share in pending {
+            let member = scheme.instantiate_fleet::<Sha256>(reseed, 1).remove(0);
+            let outcome = run_round(member.as_ref(), &lab, &screener, share, &[&honest], &config)?;
+            rounds.push(vec![verdict_line(share, &outcome.verdict)]);
+            burned += outcome.participant_costs.f_evals;
+            if outcome.accepted {
+                reports.extend(outcome.reports);
+            } else {
+                tainted.push(share);
+            }
+        }
+        pending = tainted;
+    }
+    reports.sort_by_key(|r| r.input);
+    reports.dedup();
 
     println!(
         "campaign over {} molecules, fleet of {} ({} rounds needed, complete: {})\n",
         library.len(),
         fleet.len(),
-        summary.rounds.len(),
-        summary.complete
+        rounds.len(),
+        pending.is_empty()
     );
-    for (i, round) in summary.rounds.iter().enumerate() {
+    for (i, round) in rounds.iter().enumerate() {
         println!("round {}:", i + 1);
-        for member in &round.members {
-            println!(
-                "  share {:>14}: {}",
-                member.share.to_string(),
-                member.outcome.verdict
-            );
+        for line in round {
+            println!("{line}");
         }
     }
     println!(
         "\ncandidate molecules reported (verified): {}",
-        summary.reports.len()
+        reports.len()
     );
     let ideal = library.len() * lab.unit_cost();
-    let burned = summary.total_participant_f_evals();
     println!(
         "cycle bill: {} work units vs {} ideal (+{:.1}% — the price of cheating,\n\
          paid in re-runs rather than in corrupted science)",

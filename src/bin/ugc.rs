@@ -21,12 +21,10 @@ use uncheatable_grid::core::analysis::{
 };
 use uncheatable_grid::core::scheme::run_round;
 use uncheatable_grid::core::{
-    run_durable_fleet, run_fleet_on, run_mixed_fleet, summary_digest, CampaignHeader,
-    DurableCampaign, FleetScheme, FleetSummary, MixedFleetConfig, ParticipantStorage,
-    RemoteGridBackend, RoundOutcome, TransportKind,
+    run_durable_fleet, run_mixed_fleet, summary_digest, CampaignHeader, DurableCampaign,
+    FleetScheme, FleetSummary, MixedFleetConfig, ParticipantStorage, RoundOutcome, TransportKind,
 };
 use uncheatable_grid::grid::runtime::GridScheduler;
-use uncheatable_grid::grid::tcp::handshake_supervisor;
 use uncheatable_grid::grid::{
     CheatSelection, FaultEvent, HonestWorker, SemiHonestCheater, WorkerBehaviour,
 };
@@ -69,8 +67,10 @@ verdicts and digests are identical either way.
 `ugc participant join` processes over length-framed TCP, and the
 printed digest is bit-identical to the in-process brokered run of the
 same flags. A --connect campaign cannot inject chaos (--chaos/--churn:
-fault schedules are keyed by in-process link identity) and cannot
-journal (--journal/--resume/--kill-at are in-process flags).
+fault schedules are keyed by in-process link identity), cannot journal
+(--journal/--resume/--kill-at are in-process flags), and runs no
+participant slot in this process, so it refuses the pool flags
+(--workers/--steal-seed/--lanes).
 
 All participants run as poll-driven state machines multiplexed over a
 fixed pool of scheduler threads: --workers <w> sets its size (absent or
@@ -89,8 +89,11 @@ bit-identically from the seed at any worker count.
 is written to a checksummed journal before the supervisor acts on it,
 so a killed run picks up with `ugc fleet --journal <path> --resume`
 (the campaign flags live in the journal header, so --resume accepts
-none) and finishes with verdicts, attempts, cost ledgers, fault log
-and summary digest bit-identical to a run that was never interrupted.
+none; --transport, --workers, --steal-seed and --lanes are execution
+layout, never journaled, and may differ from the killed run's) and
+finishes with verdicts, attempts, cost ledgers, fault log, summary
+digest and journal attestation bit-identical to a run that was never
+interrupted, over either transport.
 --kill-at <r> crashes the supervisor deterministically at the r-th
 campaign journal record (exit code 2); a campaign writes one record per
 round, then its summary and the seal, and a kill point the campaign
@@ -412,11 +415,12 @@ fn cmd_run(mut args: Args<'_>) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses the campaign-defining `fleet` flags *except* the transport
-/// selection (the `--connect` path forces [`TransportKind::Remote`]
-/// and must reject the in-process transport flags instead of parsing
-/// them).
-fn base_fleet_params(args: &mut Args<'_>) -> Result<FleetParams, String> {
+/// Parses the campaign-defining `fleet` flags into params that run over
+/// `transport`.
+fn fleet_params_from_args(
+    args: &mut Args<'_>,
+    transport: TransportKind,
+) -> Result<FleetParams, String> {
     Ok(FleetParams {
         participants: args.value("--participants", 4)?,
         cheaters: args.value("--cheaters", 1)?,
@@ -424,16 +428,16 @@ fn base_fleet_params(args: &mut Args<'_>) -> Result<FleetParams, String> {
         m: args.value("--m", 25)?,
         seed: args.value("--seed", 7)?,
         scheme: args.value("--scheme", "cbs".into())?,
-        transport: TransportKind::Direct,
+        transport,
         churn: args.flag("--churn"),
         chaos_seed: args.opt("--chaos")?,
     })
 }
 
-/// Parses the one transport-selection knob, `--transport
-/// direct|brokered` (direct when absent).
-fn transport_from_args(args: &mut Args<'_>) -> Result<TransportKind, String> {
-    match args.raw("--transport")? {
+/// The one transport-selection knob, `--transport direct|brokered`
+/// (direct when absent).
+fn parse_transport(raw: Option<&str>) -> Result<TransportKind, String> {
+    match raw {
         None | Some("direct") => Ok(TransportKind::Direct),
         Some("brokered") => Ok(TransportKind::Brokered),
         Some(other) => Err(format!(
@@ -441,14 +445,6 @@ fn transport_from_args(args: &mut Args<'_>) -> Result<TransportKind, String> {
              campaigns use `ugc fleet --connect <host:port>`)"
         )),
     }
-}
-
-/// The full in-process `fleet` flag set: base params plus transport.
-fn fleet_params_from_args(args: &mut Args<'_>) -> Result<FleetParams, String> {
-    let transport = transport_from_args(args)?;
-    let mut params = base_fleet_params(args)?;
-    params.transport = transport;
-    Ok(params)
 }
 
 fn cmd_verify_journal(path: &Path) -> Result<(), String> {
@@ -465,27 +461,6 @@ fn cmd_fleet(mut args: Args<'_>) -> Result<(), String> {
     let verify = args.flag("--verify-journal");
     let resume = args.flag("--resume");
     let kill_at: Option<u64> = args.opt("--kill-at")?;
-    // --workers w sizes the scheduler pool all participants are
-    // multiplexed over; absent or 0 means one worker per available core.
-    // Verdicts and fault logs are identical at any size.
-    let workers_flag: Option<usize> = args.opt("--workers")?;
-    let workers = match workers_flag {
-        None | Some(0) => GridScheduler::available().workers(),
-        Some(w) => w,
-    };
-    // --steal-seed s seeds the pool's work-stealing victim order — a
-    // scheduling-only knob: any seed reproduces the identical campaign
-    // (verdicts, fault log, byte counts).
-    let steal_seed: u64 = args.opt("--steal-seed")?.unwrap_or(0);
-    // --lanes picks lane-batched or one-at-a-time hashing — a pure
-    // speed knob: digests, verdicts and journals are bit-identical at
-    // either setting, so it never reaches the campaign params.
-    let lanes: LaneWidth = match args.raw("--lanes")? {
-        None => LaneWidth::default(),
-        Some(s) => {
-            LaneWidth::parse(s).ok_or_else(|| format!("--lanes {s:?}: expected scalar or x8"))?
-        }
-    };
 
     if let Some(addr) = connect {
         if journal_path.is_some() || verify || resume || kill_at.is_some() {
@@ -496,21 +471,41 @@ fn cmd_fleet(mut args: Args<'_>) -> Result<(), String> {
                     .into(),
             );
         }
-        if args.raw("--transport")?.is_some() {
-            return Err("--connect implies the remote transport; drop --transport".into());
+        // The layout flags below shape slots in this process, and a
+        // --connect supervisor runs none.
+        for flag in ["--transport", "--workers", "--steal-seed", "--lanes"] {
+            if args.raw(flag)?.is_some() {
+                return Err(format!(
+                    "--connect implies the remote transport, which runs every participant \
+                     slot in a joined process; drop {flag}"
+                ));
+            }
         }
-        let mut params = base_fleet_params(&mut args)?;
+        let params = fleet_params_from_args(&mut args, TransportKind::Remote)?;
         args.finish()?;
-        if params.chaos_seed.is_some() || params.churn {
-            return Err(
-                "--connect cannot inject chaos: --chaos/--churn fault schedules are keyed by \
-                 in-process link identity (run them with --transport brokered instead)"
-                    .into(),
-            );
-        }
-        params.transport = TransportKind::Remote;
-        return cmd_fleet_connect(&addr, &params, workers, steal_seed, lanes);
+        return cmd_fleet_connect(&addr, params);
     }
+    // Execution layout, never campaign identity — how this process runs
+    // the slots: the transport, the size of the scheduler pool they are
+    // multiplexed over (absent or 0: one worker per core), its
+    // work-stealing victim order and the digest lane width. Verdicts,
+    // digests and journals are bit-identical at any setting, so none of
+    // it is journaled and all of it may differ between a run and its
+    // resume.
+    let transport_flag = args.raw("--transport")?;
+    let transport = parse_transport(transport_flag)?;
+    let workers_flag: Option<usize> = args.opt("--workers")?;
+    let workers = match workers_flag {
+        None | Some(0) => GridScheduler::available().workers(),
+        Some(w) => w,
+    };
+    let steal_seed: u64 = args.opt("--steal-seed")?.unwrap_or(0);
+    let lanes: LaneWidth = match args.raw("--lanes")? {
+        None => LaneWidth::default(),
+        Some(s) => {
+            LaneWidth::parse(s).ok_or_else(|| format!("--lanes {s:?}: expected scalar or x8"))?
+        }
+    };
 
     if verify {
         let Some(path) = journal_path else {
@@ -518,10 +513,10 @@ fn cmd_fleet(mut args: Args<'_>) -> Result<(), String> {
                 "--verify-journal requires --journal <path> (the journal to verify)".into(),
             );
         };
-        if resume || kill_at.is_some() || workers_flag.is_some() {
+        if resume || kill_at.is_some() || workers_flag.is_some() || transport_flag.is_some() {
             return Err(
                 "--verify-journal only checks an existing journal; it cannot be combined \
-                 with --resume, --kill-at or --workers"
+                 with --resume, --kill-at, --workers or --transport"
                     .into(),
             );
         }
@@ -556,10 +551,13 @@ fn cmd_fleet(mut args: Args<'_>) -> Result<(), String> {
         let path = journal_path.as_deref().expect("validated above");
         let (campaign, report) =
             DurableCampaign::resume(Path::new(path), crash).map_err(|e| e.to_string())?;
-        let params = FleetParams::decode(&campaign.header().app)?;
+        let params = FleetParams {
+            transport,
+            ..FleetParams::decode(&campaign.header().app)?
+        };
         (params, Some((campaign, report)))
     } else {
-        let params = fleet_params_from_args(&mut args)?;
+        let params = fleet_params_from_args(&mut args, transport)?;
         args.finish()?;
         (params, None)
     };
@@ -600,7 +598,7 @@ fn cmd_fleet(mut args: Args<'_>) -> Result<(), String> {
         }
         Err(e) => return Err(e.to_string()),
     };
-    print_fleet_summary(&summary, &params, workers);
+    print_fleet_summary(&summary, &params, Some(workers));
     if let Some(path) = &journal_path {
         let seal = verify_journal(Path::new(path))
             .map_err(|e| format!("journal failed post-run verification: {e}"))?;
@@ -624,46 +622,27 @@ fn cmd_fleet(mut args: Args<'_>) -> Result<(), String> {
 /// campaign, run against a live `ugc broker serve` grid over TCP. Same
 /// campaign expansion, same engine, different backend — which is why the
 /// printed digest matches the in-process run bit-for-bit.
-fn cmd_fleet_connect(
-    addr: &str,
-    params: &FleetParams,
-    workers: usize,
-    steal_seed: u64,
-    lanes: LaneWidth,
-) -> Result<(), String> {
-    let plan = CampaignPlan::new(params.clone())?;
-    let stream = netgrid::connect(addr)?;
-    let (link, welcome) = handshake_supervisor(stream, &params.encode())
-        .map_err(|e| format!("handshake with {addr}: {e}"))?;
-    println!(
-        "connected to grid at {addr}: {} remote participant process(es)",
-        welcome.peer_count
-    );
-    let mut backend = RemoteGridBackend::new(link);
-    let members = plan.members();
-    let config = plan.mixed_config(Some(workers), steal_seed, lanes);
-    let summary = run_fleet_on(
-        plan.task(),
-        plan.screener(),
-        plan.domain(),
-        &members,
-        &config,
-        &mut backend,
-        None,
-    )
-    .map_err(|e| e.to_string())?;
-    print_fleet_summary(&summary, params, workers);
+fn cmd_fleet_connect(addr: &str, params: FleetParams) -> Result<(), String> {
+    let plan = CampaignPlan::new(params)?;
+    let summary = netgrid::supervise(addr, &plan, |welcome| {
+        println!(
+            "connected to grid at {addr}: {} remote participant process(es)",
+            welcome.peer_count
+        );
+    })?;
+    print_fleet_summary(&summary, plan.params(), None);
     Ok(())
 }
 
 /// The end-of-campaign report shared by every fleet path: execution
-/// shape, transport, per-member verdicts, reassignments, chaos stats,
+/// shape (the scheduler pool's size, when the slots ran in this process),
+/// transport, per-member verdicts, reassignments, chaos stats,
 /// throughput, and the replay digest.
-fn print_fleet_summary(summary: &FleetSummary, params: &FleetParams, workers: usize) {
+fn print_fleet_summary(summary: &FleetSummary, params: &FleetParams, workers: Option<usize>) {
     let scheme_name = params.scheme.as_str();
+    let pool = workers.map_or_else(String::new, |w| format!(" on {w} scheduler workers"));
     println!(
-        "fleet of {} participants on {workers} scheduler workers over {} inputs via {}: \
-         {} accepted, {} rejected",
+        "fleet of {} participants{pool} over {} inputs via {}: {} accepted, {} rejected",
         params.participants,
         params.n,
         match params.transport {

@@ -3,7 +3,8 @@
 //!
 //! [`FleetParams`] is the versioned, codec-stable record of everything
 //! that defines a fleet campaign — roster shape, workload size, scheme,
-//! seed, transport, chaos. It travels in two places: the write-ahead
+//! seed, chaos — plus the transport it runs over, which is execution
+//! layout and never encoded. It travels in two places: the write-ahead
 //! journal's header app blob (so `ugc fleet --resume` rebuilds the
 //! identical campaign from the journal alone) and the wire handshake's
 //! `Welcome` payload (so a `ugc participant join` process in another OS
@@ -19,7 +20,7 @@
 use std::time::Duration;
 use ugc_core::{
     FleetScheme, LaneWidth, MemberSpec, MixedFleetConfig, Parallelism, ParticipantContext,
-    ParticipantSession, ParticipantStorage, TransportKind, VerificationScheme,
+    ParticipantSession, ParticipantStorage, SchemeError, TransportKind, VerificationScheme,
 };
 use ugc_grid::codec::{get_bytes, get_u64, put_bytes, put_u64};
 use ugc_grid::runtime::FaultPlan;
@@ -31,9 +32,10 @@ use ugc_task::workloads::PasswordSearch;
 use ugc_task::{Domain, MatchScreener, ZeroGuesser};
 
 /// Version tag of the [`FleetParams`] codec layout (bump on any change).
-/// Version 1 was the pre-transport layout with a bare `--broker` bool;
-/// version 2 records the full [`TransportKind`].
-pub const FLEET_PARAMS_VERSION: u64 = 2;
+/// Version 1 carried a bare `--broker` bool and version 2 the full
+/// [`TransportKind`]; version 3 carries no transport, so a campaign's blob
+/// — and the journal holding it — is the same bytes over every transport.
+pub const FLEET_PARAMS_VERSION: u64 = 3;
 
 /// The largest roster a [`FleetParams`] may declare. The count is a raw
 /// `u64` off a relay's `Welcome` or a journal header and sizes the plan's
@@ -49,12 +51,13 @@ pub const MAX_FLEET_PARTICIPANTS: u64 = 1 << 16;
 /// paper's Eq. (3) asks for (`ε = 10⁻⁴` at `r = 0.99` needs 917).
 pub const MAX_SAMPLES: u64 = 1 << 20;
 
-/// The campaign-defining `fleet` parameters. Journaled campaigns encode
-/// these into the header's app blob, so `--resume` rebuilds the
-/// identical campaign — task, roster, chaos plan, deadline, retry
-/// budget — from the journal alone; `ugc broker serve` forwards them in
-/// the handshake `Welcome`, so join processes expand the identical
-/// plan.
+/// The campaign-defining `fleet` parameters, and the transport the
+/// campaign runs over. Journaled campaigns encode the former into the
+/// header's app blob, so `--resume` rebuilds the identical campaign —
+/// task, roster, chaos plan, deadline, retry budget — from the journal
+/// alone, over whichever transport it is given; `ugc broker serve`
+/// forwards them in the handshake `Welcome`, so join processes expand the
+/// identical plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetParams {
     /// Fleet size (members, not slots — double-check runs two slots per
@@ -73,6 +76,8 @@ pub struct FleetParams {
     /// `ringer`, `double-check`).
     pub scheme: String,
     /// How the fleet's messages move — the one transport-selection knob.
+    /// Execution layout: never encoded, so [`decode`](Self::decode)
+    /// yields [`TransportKind::Direct`] and the caller picks the transport.
     pub transport: TransportKind,
     /// Whether the chaos plan adds participant crash/restart churn.
     pub churn: bool,
@@ -94,14 +99,6 @@ impl FleetParams {
         put_u64(&mut buf, self.m);
         put_u64(&mut buf, self.seed);
         put_bytes(&mut buf, self.scheme.as_bytes());
-        put_u64(
-            &mut buf,
-            match self.transport {
-                TransportKind::Direct => 0,
-                TransportKind::Brokered => 1,
-                TransportKind::Remote => 2,
-            },
-        );
         put_u64(&mut buf, u64::from(self.churn));
         match self.chaos_seed {
             None => put_u64(&mut buf, 0),
@@ -118,8 +115,8 @@ impl FleetParams {
     /// # Errors
     ///
     /// A human-readable message on a truncated, trailing-bytes or
-    /// foreign-version blob (version 1 journals predate the transport
-    /// field and are refused rather than guessed at).
+    /// foreign-version blob (older versions are refused rather than
+    /// guessed at), or a flag word other than 0 or 1.
     pub fn decode(blob: &[u8]) -> Result<Self, String> {
         let err = |e: GridError| format!("campaign params blob: {e}");
         let mut buf = blob;
@@ -137,20 +134,17 @@ impl FleetParams {
         let seed = get_u64(&mut buf, "params seed").map_err(err)?;
         let scheme = String::from_utf8(get_bytes(&mut buf, "params scheme").map_err(err)?)
             .map_err(|_| "campaign params blob: scheme name is not UTF-8".to_string())?;
-        let transport = match get_u64(&mut buf, "params transport").map_err(err)? {
-            0 => TransportKind::Direct,
-            1 => TransportKind::Brokered,
-            2 => TransportKind::Remote,
-            other => {
-                return Err(format!(
-                    "campaign params blob: unknown transport tag {other}"
-                ))
-            }
+        // A flag is 0 or 1: two blobs that decode alike are one blob.
+        let mut flag = |context: &'static str| match get_u64(&mut buf, context).map_err(err)? {
+            flag @ (0 | 1) => Ok(flag == 1),
+            other => Err(format!(
+                "campaign params blob: {context} {other} is not 0 or 1"
+            )),
         };
-        let churn = get_u64(&mut buf, "params churn flag").map_err(err)? != 0;
-        let chaos_seed = match get_u64(&mut buf, "params chaos presence").map_err(err)? {
-            0 => None,
-            _ => Some(get_u64(&mut buf, "params chaos seed").map_err(err)?),
+        let churn = flag("params churn flag")?;
+        let chaos_seed = match flag("params chaos presence")? {
+            false => None,
+            true => Some(get_u64(&mut buf, "params chaos seed").map_err(err)?),
         };
         if !buf.is_empty() {
             return Err(format!(
@@ -165,7 +159,7 @@ impl FleetParams {
             m,
             seed,
             scheme,
-            transport,
+            transport: TransportKind::Direct,
             churn,
             chaos_seed,
         })
@@ -397,16 +391,16 @@ impl CampaignPlan {
         &self,
         global_slot: u64,
         ledger: CostLedger,
-    ) -> Result<Box<dyn ParticipantSession + '_>, String> {
-        let spm = u64::try_from(self.slots_per_member()).map_err(|_| "slot width".to_string())?;
-        let member = usize::try_from(global_slot / spm)
+    ) -> Result<Box<dyn ParticipantSession + '_>, SchemeError> {
+        let member = usize::try_from(global_slot / self.slots_per_member() as u64)
             .ok()
             .filter(|m| *m < self.participants)
-            .ok_or_else(|| {
-                format!(
+            .ok_or_else(|| SchemeError::InvalidConfig {
+                reason: format!(
                     "slot {global_slot} is outside this campaign's {} slot(s)",
                     self.total_slots()
                 )
+                .into(),
             })?;
         let behaviour: &dyn WorkerBehaviour = if member < self.cheaters {
             &self.cheater
@@ -449,34 +443,69 @@ mod tests {
 
     #[test]
     fn params_roundtrip_all_transports() {
-        for transport in [
-            TransportKind::Direct,
-            TransportKind::Brokered,
-            TransportKind::Remote,
-        ] {
-            for chaos_seed in [None, Some(9)] {
-                let p = FleetParams {
-                    transport,
-                    chaos_seed,
-                    churn: chaos_seed.is_some(),
-                    ..params()
-                };
-                assert_eq!(FleetParams::decode(&p.encode()).unwrap(), p);
+        // The transport is never encoded: every transport writes one blob,
+        // which decodes to the params over the default transport.
+        for chaos_seed in [None, Some(9)] {
+            let p = |transport| FleetParams {
+                transport,
+                chaos_seed,
+                churn: chaos_seed.is_some(),
+                ..params()
+            };
+            let blob = p(TransportKind::Direct).encode();
+            assert_eq!(
+                FleetParams::decode(&blob).unwrap(),
+                p(TransportKind::Direct)
+            );
+            for transport in [TransportKind::Brokered, TransportKind::Remote] {
+                assert_eq!(p(transport).encode(), blob, "{transport:?}");
             }
         }
     }
 
     #[test]
     fn params_reject_foreign_version_and_trailing_bytes() {
-        let mut v1 = Vec::new();
-        put_u64(&mut v1, 1);
-        let err = FleetParams::decode(&v1).unwrap_err();
-        assert!(err.contains("version 1"), "unhelpful error: {err}");
+        for version in [1, 2] {
+            let mut old = Vec::new();
+            put_u64(&mut old, version);
+            let err = FleetParams::decode(&old).unwrap_err();
+            assert!(
+                err.contains(&format!("version {version}")),
+                "unhelpful error: {err}"
+            );
+        }
 
         let mut blob = params().encode();
         blob.push(0);
         let err = FleetParams::decode(&blob).unwrap_err();
         assert!(err.contains("trailing"), "unhelpful error: {err}");
+    }
+
+    /// `params()` with chaos, encoded with the flag word at `from_end`
+    /// words before the blob's end set to 2.
+    fn blob_with_flag_word_two(from_end: usize) -> Vec<u8> {
+        let mut blob = FleetParams {
+            chaos_seed: Some(9),
+            churn: true,
+            ..params()
+        }
+        .encode();
+        let at = blob.len() - 8 * from_end;
+        blob[at..at + 8].copy_from_slice(&2u64.to_le_bytes());
+        blob
+    }
+
+    #[test]
+    fn params_refuse_a_churn_flag_other_than_0_or_1() {
+        // The words end churn flag, chaos presence, chaos seed.
+        let err = FleetParams::decode(&blob_with_flag_word_two(3)).unwrap_err();
+        assert!(err.contains("churn flag 2 is not 0 or 1"), "{err}");
+    }
+
+    #[test]
+    fn params_refuse_a_chaos_presence_word_other_than_0_or_1() {
+        let err = FleetParams::decode(&blob_with_flag_word_two(2)).unwrap_err();
+        assert!(err.contains("chaos presence 2 is not 0 or 1"), "{err}");
     }
 
     #[test]

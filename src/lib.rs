@@ -44,8 +44,8 @@
 //! ```
 //!
 //! For whole-fleet verification use [`core::run_mixed_fleet`] (a round is
-//! a fleet of one, on the same engine), and for the full operational loop (verify, reject, reassign until the domain is
-//! trustworthy) use [`core::run_campaign`].
+//! a fleet of one, on the same engine); `examples/fleet_campaign.rs` re-runs
+//! the shares it rejects (`shares_to_reassign`) on a trusted pool.
 //!
 //! See `examples/` for complete scenarios (password cracking, SETI-style
 //! signal search, drug screening, a broker-mediated non-interactive grid,

@@ -9,15 +9,21 @@
 //!   participant connections, completes the versioned handshake, then
 //!   runs the *same* [`Broker`] pump the in-process brokered transport
 //!   uses — over [`TcpLink`]s instead of in-memory endpoints — forwarding
-//!   participant [`SlotReport`]s up the control plane as they arrive.
+//!   participant [`SlotReport`](ugc_core::SlotReport)s up the control
+//!   plane as they arrive.
 //! * [`join`] (`ugc participant join`) dials in, learns the campaign
 //!   from the handshake [`Welcome`], expands the identical
 //!   [`CampaignPlan`] the supervisor runs, and serves every slot the
-//!   broker round-robins to it, demultiplexing purely by task id.
+//!   broker round-robins to it through `ugc-core`'s
+//!   [`serve_remote_slots`] — the same participant slot, fed by the same
+//!   step, as the in-process scheduler pool runs.
+//! * [`supervise`] (`ugc fleet --connect`) dials in as the supervisor and
+//!   runs the campaign over a [`RemoteGridBackend`].
 //! * [`run_remote_campaign`] wires all three together over loopback in
 //!   one process — the harness `tests/wire_equivalence.rs` and the
-//!   `wire_overhead` benchmark use to prove a cross-process campaign's
-//!   digest is bit-identical to the in-process run.
+//!   repository benchmark's `wire_loopback` workload use to prove a
+//!   cross-process campaign's digest is bit-identical to the in-process
+//!   run.
 //!
 //! Reconnect semantics: the server keeps accepting after the roster is
 //! complete; a late joiner becomes a fresh round-robin target. Tasks
@@ -26,20 +32,18 @@
 //! to the newcomer, the supervisor's retry round reassigns them.
 
 use crate::campaign::{CampaignPlan, FleetParams};
-use std::collections::BTreeMap;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use ugc_core::{
-    run_fleet_on, FleetSummary, ParticipantSession, RemoteGridBackend, SlotReport, TransportKind,
+    run_fleet_on, serve_remote_slots, FleetSummary, LaneWidth, MixedFleetConfig, RemoteGridBackend,
+    TransportKind,
 };
 use ugc_grid::tcp::{handshake_participant, handshake_supervisor};
 use ugc_grid::wire::{recv_hello, send_welcome, Hello, Welcome, ROLE_PARTICIPANT, ROLE_SUPERVISOR};
-use ugc_grid::{
-    Broker, ControlHandle, CostLedger, Doorbell, GridError, GridLink, RelayStats, TcpLink,
-};
+use ugc_grid::{Broker, ControlHandle, Doorbell, GridError, RelayStats, TcpLink};
 
 /// How many times [`connect`] retries a refused dial before giving up.
 /// With [`CONNECT_PAUSE`] between attempts this tolerates ~10 s of the
@@ -92,7 +96,7 @@ pub struct JoinOutcome {
     /// This process's index among the broker's participants.
     pub peer_index: u32,
     /// Participant slots this process ran to completion (reported via
-    /// [`SlotReport`] control frames).
+    /// [`SlotReport`](ugc_core::SlotReport) control frames).
     pub slots_served: u64,
 }
 
@@ -409,118 +413,92 @@ fn serve(
 /// The `ugc participant join` process body: dials the broker, expands
 /// the campaign from the handshake, and serves every slot the broker
 /// hands this process until the campaign ends (the broker dropping the
-/// link).
+/// link) — [`serve_remote_slots`], building each slot from the plan.
 ///
 /// # Errors
 ///
 /// Connection/handshake failure, a params blob this build cannot read,
-/// or a transport error other than the end-of-campaign disconnect.
+/// a task id outside the campaign, or a transport error other than the
+/// end-of-campaign disconnect.
 pub fn join(addr: &str) -> Result<JoinOutcome, String> {
     let stream = connect(addr)?;
     let (link, welcome) =
         handshake_participant(stream).map_err(|e| format!("handshake with {addr} failed: {e}"))?;
-    let params = FleetParams::decode(&welcome.params)?;
-    let plan = CampaignPlan::new(params)?;
-    let slots_served = serve_slots(&link, &plan)?;
+    let plan = CampaignPlan::new(FleetParams::decode(&welcome.params)?)?;
+    let slots_served = serve_remote_slots(&link, &|slot, ledger| {
+        plan.participant_session(slot, ledger)
+    })
+    .map_err(|e| e.to_string())?;
     Ok(JoinOutcome {
         peer_index: welcome.peer_index,
         slots_served,
     })
 }
 
-/// Runs participant sessions for every slot the broker routes to this
-/// link, demultiplexing by task id (the orchestrator numbers slots with
-/// one global counter, so a message's task id *is* its global slot).
-/// Each completed slot's costs and outcome go back as a [`SlotReport`]
-/// control frame; its ledger is fresh per slot, so the report is exactly
-/// what the slot charged — the same report an in-process slot hands back
-/// from the scheduler pool.
-fn serve_slots(link: &TcpLink, plan: &CampaignPlan) -> Result<u64, String> {
-    let control = link.control_handle();
-    // BTreeMap, not HashMap: slot teardown order must never depend on
-    // unspecified iteration order (the ugc-lint unordered-iter rule).
-    let mut live: BTreeMap<u64, (Box<dyn ParticipantSession + '_>, CostLedger)> = BTreeMap::new();
-    let mut served = 0u64;
-    loop {
-        let msg = match link.recv() {
-            Ok(msg) => msg,
-            // The broker dropping the link is the normal end of campaign.
-            Err(GridError::Disconnected) => break,
-            Err(e) => return Err(format!("grid link failed: {e}")),
-        };
-        let slot = msg.task_id();
-        if let std::collections::btree_map::Entry::Vacant(entry) = live.entry(slot) {
-            let ledger = CostLedger::new();
-            let session = plan.participant_session(slot, ledger.clone())?;
-            entry.insert((session, ledger));
-        }
-        let (session, ledger) = live.get_mut(&slot).expect("inserted above");
-        match session.on_message(msg) {
-            Ok(replies) => {
-                let mut peer_gone = false;
-                for reply in replies {
-                    match link.send(&reply) {
-                        Ok(_) => {}
-                        Err(GridError::Disconnected) => {
-                            peer_gone = true;
-                            break;
-                        }
-                        Err(e) => return Err(format!("grid link failed: {e}")),
-                    }
-                }
-                if peer_gone {
-                    break;
-                }
-                if let Some(accepted) = session.finished() {
-                    let report = SlotReport {
-                        slot,
-                        costs: ledger.report(),
-                        outcome: Ok(accepted),
-                    };
-                    // A send failure means the campaign tore down first;
-                    // the exit path is the recv disconnect above.
-                    let _ = control.send(report.encode());
-                    live.remove(&slot);
-                    served += 1;
-                }
-            }
-            Err(e) => {
-                let report = SlotReport {
-                    slot,
-                    costs: ledger.report(),
-                    outcome: Err(e),
-                };
-                let _ = control.send(report.encode());
-                live.remove(&slot);
-                served += 1;
-            }
-        }
+/// The supervisor's end of a cross-process campaign, and the one way to
+/// dial one in: connects to the relay at `addr`, hands it the campaign
+/// (`plan.params().encode()`) in the handshake, tells `connected` how
+/// the grid answered, and runs the plan over a [`RemoteGridBackend`].
+/// `ugc fleet --connect` and [`run_remote_campaign`] both call it.
+///
+/// # Errors
+///
+/// Chaos params, refused before dialing; connection or handshake
+/// failure; or the campaign's own error.
+pub fn supervise(
+    addr: &str,
+    plan: &CampaignPlan,
+    connected: impl FnOnce(&Welcome),
+) -> Result<FleetSummary, String> {
+    refuse_chaos(plan.params())?;
+    let stream = connect(addr)?;
+    let (link, welcome) = handshake_supervisor(stream, &plan.params().encode())
+        .map_err(|e| format!("handshake with {addr}: {e}"))?;
+    connected(&welcome);
+    let members = plan.members();
+    let config = MixedFleetConfig {
+        transport: TransportKind::Remote,
+        ..plan.mixed_config(None, 0, LaneWidth::default())
+    };
+    run_fleet_on(
+        plan.task(),
+        plan.screener(),
+        plan.domain(),
+        &members,
+        &config,
+        &mut RemoteGridBackend::new(link),
+        None,
+    )
+    .map_err(|e| e.to_string())
+}
+
+/// A cross-process campaign cannot inject chaos: fault schedules are
+/// keyed by link id, and which process hosts which link is execution
+/// layout that digests must not depend on.
+fn refuse_chaos(params: &FleetParams) -> Result<(), String> {
+    match params.chaos() {
+        None => Ok(()),
+        Some(_) => Err(
+            "a cross-process campaign cannot inject chaos: --chaos/--churn fault \
+                        schedules are keyed by in-process link identity (run them with \
+                        --transport brokered instead)"
+                .into(),
+        ),
     }
-    Ok(served)
 }
 
 /// Runs a full cross-process-shaped campaign over loopback TCP in one
 /// process: a [`GridServer`] on port 0, `joiners` participant threads
 /// running [`join`], and the supervisor inline on the calling thread
-/// over a [`RemoteGridBackend`] — returning its [`FleetSummary`], whose
-/// digest must be bit-identical to the in-process brokered run of the
-/// same params.
+/// ([`supervise`]) — returning its [`FleetSummary`], whose digest must be
+/// bit-identical to the in-process brokered run of the same params.
 ///
 /// # Errors
 ///
-/// Any phase failing; chaos params are refused up front (the remote
-/// backend cannot inject faults).
+/// Any phase failing; chaos params are refused before anything is
+/// spawned.
 pub fn run_remote_campaign(params: &FleetParams, joiners: usize) -> Result<FleetSummary, String> {
-    if params.chaos().is_some() {
-        return Err(
-            "a cross-process campaign cannot inject chaos: fault schedules are \
-                    keyed by link id, and which process hosts which link is execution \
-                    layout that digests must not depend on"
-                .into(),
-        );
-    }
-    let mut params = params.clone();
-    params.transport = TransportKind::Remote;
+    refuse_chaos(params)?;
     let server = GridServer::bind("127.0.0.1:0", joiners)?;
     let addr = server.local_addr()?.to_string();
     let serve = std::thread::spawn(move || server.run());
@@ -531,22 +509,7 @@ pub fn run_remote_campaign(params: &FleetParams, joiners: usize) -> Result<Fleet
         })
         .collect();
 
-    let plan = CampaignPlan::new(params.clone())?;
-    let stream = connect(&addr)?;
-    let (link, _welcome) =
-        handshake_supervisor(stream, &params.encode()).map_err(|e| format!("handshake: {e}"))?;
-    let mut backend = RemoteGridBackend::new(link);
-    let members = plan.members();
-    let summary = run_fleet_on(
-        plan.task(),
-        plan.screener(),
-        plan.domain(),
-        &members,
-        &plan.mixed_config(None, 0, ugc_core::LaneWidth::default()),
-        &mut backend,
-        None,
-    )
-    .map_err(|e| e.to_string())?;
+    let summary = supervise(&addr, &CampaignPlan::new(params.clone())?, |_| {})?;
 
     // The supervisor link died with the backend's round; the serve pump
     // observes the hang-up, drains, and drops the participant links,

@@ -678,6 +678,86 @@ fn fleet_journal_kill_resume_reproduces_digest() {
     let _ = std::fs::remove_file(&journal);
 }
 
+#[test]
+fn fleet_journal_is_the_same_over_either_transport_and_resumes_over_the_other() {
+    // The journal holds no transport: both transports seal one
+    // attestation, and a direct journal killed mid-campaign finishes over
+    // the broker with the uninterrupted run's digest and attestation.
+    let path = |tag: &str| {
+        let name = format!("ugc-cli-transport-{}-{tag}.wal", std::process::id());
+        std::env::temp_dir().join(name)
+    };
+    let (direct, brokered, killed) = (path("direct"), path("brokered"), path("killed"));
+    let base = "--participants 4 --cheaters 1 --n 512 --m 15 --chaos 9 --churn";
+    // What the seal line says after the journal's path.
+    let seal = |out: &Output| {
+        let text = stdout(out);
+        let line = text.lines().find(|l| l.starts_with("journal: "));
+        let seal = line
+            .and_then(|l| l.split_once(" sealed "))
+            .map(|(_, seal)| seal);
+        seal.unwrap_or_else(|| panic!("no seal line in:\n{text}"))
+            .to_owned()
+    };
+    let run = |flags: String| {
+        let out = fleet(&flags);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out
+    };
+    let over_direct = run(format!("{base} --journal {}", direct.display()));
+    let over_broker = run(format!(
+        "{base} --transport brokered --journal {}",
+        brokered.display()
+    ));
+    assert_eq!(digest_line(&over_direct), digest_line(&over_broker));
+    assert_eq!(seal(&over_direct), seal(&over_broker));
+
+    let out = fleet(&format!(
+        "{base} --journal {} --kill-at 2",
+        killed.display()
+    ));
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    let resumed = run(format!(
+        "--journal {} --resume --transport brokered",
+        killed.display()
+    ));
+    assert!(
+        stdout(&resumed).contains("the grid broker"),
+        "{}",
+        stdout(&resumed)
+    );
+    assert_eq!(digest_line(&resumed), digest_line(&over_direct));
+    assert_eq!(seal(&resumed), seal(&over_direct));
+    for journal in [direct, brokered, killed] {
+        let _ = std::fs::remove_file(journal);
+    }
+}
+
+#[test]
+fn fleet_connect_refuses_the_pool_flags_without_dialing() {
+    // Nothing listens on port 1: a dial would retry for seconds and fail
+    // with "could not connect", so a fast refusal naming the flag is one
+    // that never dialed.
+    for flag in ["--workers 2", "--steal-seed 3", "--lanes scalar"] {
+        // ugc-lint: allow(wall-clock): the elapsed time is the assertion that nothing dialed
+        let started = std::time::Instant::now();
+        let out = fleet(&format!("--connect 127.0.0.1:1 {flag}"));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag}: {err}");
+        let name = flag.split_whitespace().next().expect("a flag");
+        assert!(err.contains(&format!("drop {name}")), "{flag}: {err}");
+        assert!(!err.contains("could not connect"), "{flag}: {err}");
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "{flag} dialed"
+        );
+    }
+}
+
 fn digest_line(out: &Output) -> String {
     stdout(out)
         .lines()

@@ -101,3 +101,22 @@ fn decoded_error_strings_are_freed() {
         "{kept} bytes of decoded error strings outlived their reports"
     );
 }
+
+#[test]
+fn a_found_flag_other_than_0_or_1_is_refused() {
+    // A report's last byte is its `found` flag; 2 must not decode as 1.
+    let mut frame = SlotReport {
+        slot: 0,
+        costs: CostReport::default(),
+        outcome: Ok(true),
+    }
+    .encode();
+    assert_eq!(frame.last(), Some(&1));
+    *frame.last_mut().expect("a report is not empty") = 2;
+    match SlotReport::decode(&frame) {
+        Err(SchemeError::Journal { reason }) => {
+            assert!(reason.contains("flag 2 is not 0 or 1"), "{reason}");
+        }
+        other => panic!("a found flag of 2 must be refused, got {other:?}"),
+    }
+}

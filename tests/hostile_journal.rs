@@ -156,6 +156,71 @@ fn resume_refuses_rounds_no_live_run_could_have_written() {
     }
 }
 
+/// A hand-encoded `Header` record (tag 1) of a two-member campaign over
+/// `[0, 64)`: no app blob, full storage, the chaos flag byte `chaos` and
+/// the deadline flag byte `deadline` — each followed by the fields a set
+/// flag carries — and a retry budget of 4.
+fn header_record(chaos: u8, deadline: u8) -> Vec<u8> {
+    let mut buf = vec![1];
+    put_u64(&mut buf, 0); // an empty app blob
+    put_u64_list(&mut buf, &[1, 1]);
+    put_u64(&mut buf, 0);
+    put_u64(&mut buf, 64);
+    buf.push(0); // full storage
+    buf.push(chaos);
+    if chaos != 0 {
+        put_u64(&mut buf, 9);
+        for _ in 0..5 {
+            put_u32(&mut buf, 0);
+        }
+    }
+    buf.push(deadline);
+    if deadline != 0 {
+        put_u64(&mut buf, 1_000);
+    }
+    put_u32(&mut buf, 4);
+    buf
+}
+
+/// Resumes a journal holding `header` and nothing else.
+fn resume_header(header: &[u8]) -> Result<u32, SchemeError> {
+    let path = journal_path("header");
+    JournalWriter::create(&path)
+        .and_then(|mut writer| writer.append(header))
+        .expect("a well-framed header writes");
+    let resumed = DurableCampaign::resume(&path, CrashPlan::never());
+    let _ = std::fs::remove_file(&path);
+    resumed.map(|(_, report)| report.rounds_replayed)
+}
+
+/// Refuses the header whose flag byte is 2 in place of 1, and resumes
+/// the one with 0 or 1 there (the control: the hand encoding is a
+/// header).
+fn assert_header_flag_is_0_or_1(header: fn(u8) -> Vec<u8>, field: &str) {
+    for valid in [0, 1] {
+        assert_eq!(resume_header(&header(valid)), Ok(0), "{field} {valid}");
+    }
+    match resume_header(&header(2)) {
+        Err(SchemeError::Journal { reason }) => {
+            assert!(
+                reason.contains(&format!("{field} 2 is not 0 or 1")),
+                "{reason}"
+            );
+        }
+        other => panic!("resume must refuse {field} 2, got {other:?}"),
+    }
+}
+
+#[test]
+fn resume_refuses_a_header_chaos_flag_other_than_0_or_1() {
+    assert_header_flag_is_0_or_1(|flag| header_record(flag, 1), "header chaos flag");
+}
+
+#[test]
+fn resume_refuses_a_header_deadline_flag_other_than_0_or_1() {
+    assert_header_flag_is_0_or_1(|flag| header_record(1, flag), "header deadline flag");
+}
+
 #[test]
 fn cli_resume_of_a_round_that_settles_nothing_fails_cleanly() {
     let ugc = |args: &[&str]| {

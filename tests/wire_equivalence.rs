@@ -117,9 +117,18 @@ fn brokered_journal_resumes_over_a_real_grid_with_identical_digest() {
     let (mut campaign, _report) =
         DurableCampaign::resume(&path, CrashPlan::never()).expect("resume journal");
     let journaled = FleetParams::decode(&campaign.header().app).expect("journaled params");
-    assert_eq!(journaled, p, "journal must reproduce the original params");
-    let mut remote_params = journaled;
-    remote_params.transport = TransportKind::Remote;
+    let remote_params = FleetParams {
+        transport: TransportKind::Remote,
+        ..journaled
+    };
+    assert_eq!(
+        remote_params,
+        FleetParams {
+            transport: TransportKind::Remote,
+            ..p
+        },
+        "journal must reproduce the original params"
+    );
     let remote_plan = CampaignPlan::new(remote_params.clone()).expect("remote plan");
 
     let server = GridServer::bind("127.0.0.1:0", 2).expect("bind");
