@@ -15,10 +15,12 @@
 //!
 //! * [`InProcessBackend`] — every slot runs in this process as a
 //!   poll-driven [`SlotTask`] on a [`GridScheduler`] pool beside the
-//!   engine, over one [`duplex`] pair per slot ([`TransportKind::Direct`])
-//!   or one shared link into a relaying [`Broker`] pumping on its own
-//!   thread ([`TransportKind::Brokered`]). Each participant link carries
-//!   the round's seeded fault plan.
+//!   engine, over one [`duplex`] pair per slot. Under
+//!   [`TransportKind::Direct`] the engine addresses each pair by its slot;
+//!   under [`TransportKind::Brokered`] it routes every send by the GRACE
+//!   broker's [`Routes`](ugc_grid::Routes) on its own thread — no relay
+//!   thread, no second queue. Each participant link carries the round's
+//!   seeded fault plan.
 //! * [`RemoteGridBackend`] — a [`TcpLink`] into a `ugc broker serve`
 //!   process that relays to participants in *other* OS processes
 //!   ([`TransportKind::Remote`]), each running [`serve_remote_slots`]. The
@@ -40,7 +42,9 @@
 //! [`run_fleet_on`](crate::run_fleet_on) accepts any backend the embedder
 //! connected.
 
-use crate::engine::{DirectTransport, EngineTransport, SessionEngine, SessionResult, SharedLink};
+use crate::engine::{
+    BrokeredTransport, DirectTransport, EngineTransport, SessionEngine, SessionResult, SharedLink,
+};
 use crate::journal::{get_part_result, get_report, put_part_result, put_report};
 use crate::session::ParticipantSession;
 use crate::SchemeError;
@@ -51,7 +55,7 @@ use ugc_grid::runtime::{
     FaultEvent, FaultLog, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll,
 };
 use ugc_grid::{
-    duplex, Broker, ControlHandle, CostLedger, CostReport, Doorbell, Endpoint, GridError, GridLink,
+    duplex, ControlHandle, CostLedger, CostReport, Doorbell, Endpoint, GridError, GridLink,
     Message, TcpLink,
 };
 
@@ -66,10 +70,11 @@ pub enum TransportKind {
     /// engine sleeps on.
     #[default]
     Direct,
-    /// One shared supervisor link into a relaying GRACE-style
-    /// [`Broker`](ugc_grid::Broker) that fans out to in-process
-    /// participants (Section 4's deployment); the broker pump runs on
-    /// its own thread.
+    /// A GRACE-style broker in front of in-process participants
+    /// (Section 4's deployment): the engine never addresses a participant,
+    /// the broker's [`Routes`](ugc_grid::Routes) deal each task and hear
+    /// only the participant holding it. It routes at send time on the
+    /// engine's own thread.
     Brokered,
     /// One [`TcpLink`] into a `ugc broker serve` process whose
     /// participants joined from other OS processes: the relay of
@@ -244,16 +249,9 @@ impl TransportBackend for InProcessBackend {
                 Ok(run_local(spec, engine, transport, links, slot))
             }
             TransportKind::Brokered => {
-                let (sup_side, broker_up) = duplex();
-                let (broker_down, links) = (0..spec.slots).map(|_| duplex()).unzip();
-                let broker = Broker::new(broker_up, broker_down);
-                let pump = std::thread::spawn(move || broker.pump_until_closed());
-                let result = run_local(spec, engine, SharedLink::new(sup_side), links, slot);
-                // The engine's link is gone, which winds the pump down.
-                // Relay counters are diagnostics only; the round's books
-                // come from the engine-side link stats and the ledgers.
-                let _ = pump.join().expect("broker pump panicked");
-                Ok(result)
+                let (broker_side, links) = (0..spec.slots).map(|_| duplex()).unzip();
+                let transport = BrokeredTransport::new(broker_side);
+                Ok(run_local(spec, engine, transport, links, slot))
             }
             TransportKind::Remote => Err(SchemeError::InvalidConfig {
                 reason: "the in-process backend cannot serve the remote transport; \
@@ -301,8 +299,7 @@ fn run_local<'a, T: EngineTransport>(
         let pool = scope.spawn(move || scheduler.run(tasks));
         let sessions = engine.run(&mut transport);
         // Close the supervisor side so chaos-stalled participants observe
-        // the hang-up instead of parking forever (and so a broker pump
-        // winds down).
+        // the hang-up instead of parking forever.
         drop(transport);
         (sessions, pool.join().expect("scheduler pool panicked"))
     });
@@ -436,9 +433,10 @@ impl<'a> Slot<'a> {
 }
 
 /// A [`Slot`] on the grid scheduler's run-queue, with its fault-decorated
-/// link. Completion drops the link immediately, so the broker pump — and
-/// a supervisor session waiting on the verdict acknowledgement — observe
-/// the hang-up without waiting for the whole pool to drain.
+/// link. Completion drops the link immediately, so the engine's
+/// transport — and a supervisor session waiting on the verdict
+/// acknowledgement — observe the hang-up without waiting for the whole
+/// pool to drain.
 struct SlotTask<'a> {
     slot: Slot<'a>,
     link: Option<FaultyEndpoint>,

@@ -15,7 +15,8 @@
 //!            └────┼─┼───────────────┼─┼─────────────────-┘
 //!                 │ ▼               │ ▼
 //!        DirectTransport (one endpoint per participant)
-//!        — or — a single Endpoint into a Broker that fans out
+//!        — or — the same links dealt by the broker's Routes
+//!        — or — one TcpLink into `ugc broker serve`
 //! ```
 //!
 //! What reaches the engine is trusted to be addressed honestly: a
@@ -24,10 +25,10 @@
 //! A [`Message::Gone`] therefore always comes from the relay itself.
 //!
 //! The same loop therefore drives in-memory fleets (per-participant
-//! duplex links), the relayed [`Broker`](ugc_grid::Broker) deployment of
-//! Section 4, mixed-scheme campaigns and single stand-alone rounds —
-//! [`run_mixed_fleet`](crate::run_mixed_fleet) and
-//! [`run_round`](crate::scheme::run_round) are wrappers over this engine,
+//! duplex links), the brokered deployment of Section 4 (in process, or
+//! through a [`Broker`](ugc_grid::Broker) relay), mixed-scheme campaigns
+//! and single stand-alone rounds — [`run_mixed_fleet`](crate::run_mixed_fleet)
+//! and [`run_round`](crate::scheme::run_round) are wrappers over this engine,
 //! which a [`TransportBackend`](crate::TransportBackend) runs beside the
 //! round's participant slots.
 //!
@@ -46,7 +47,9 @@ use crate::session::{SessionOutcome, SupervisorSession};
 use crate::SchemeError;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-use ugc_grid::{Doorbell, Endpoint, GridError, GridLink, LinkStats, Message, FRAME_HEADER_BYTES};
+use ugc_grid::{
+    Doorbell, Endpoint, GridError, GridLink, LinkStats, Message, Routes, FRAME_HEADER_BYTES,
+};
 
 /// What the engine's transport delivered on one receive.
 #[derive(Debug)]
@@ -94,8 +97,7 @@ fn next_ring(bell: &Doorbell, until: Option<Instant>) -> Option<usize> {
     }
 }
 
-/// One shared [`GridLink`] whose far side routes: the in-process
-/// [`Broker`](ugc_grid::Broker)'s endpoint, or a
+/// One shared [`GridLink`] whose far side routes: a
 /// [`TcpLink`](ugc_grid::TcpLink) into `ugc broker serve`. The relay
 /// routes by task id and NACKs tasks whose participant hung up with
 /// [`Message::Gone`], so the task id is ignored on send. The link is
@@ -205,12 +207,11 @@ impl EngineTransport for DirectTransport {
         match self.endpoints[idx].send_counted(msg) {
             Ok(charged) => Ok(charged),
             // A dead participant loses the message downstream — exactly
-            // what the brokered transport does (the supervisor's send to
-            // the broker succeeds; the relay fails silently). Charging
-            // the nominal frame keeps byte accounting identical whether
-            // the peer died a microsecond before or after this send —
-            // the session's fate is decided by the PeerClosed event, not
-            // by this race.
+            // what the brokered transport does (it charges the frame and
+            // drops it). Charging the nominal frame keeps byte accounting
+            // identical whether the peer died a microsecond before or
+            // after this send — the session's fate is decided by the
+            // PeerClosed event, not by this race.
             Err(GridError::Disconnected) => Ok(msg.wire_len() + FRAME_HEADER_BYTES),
             Err(e) => Err(e),
         }
@@ -228,6 +229,82 @@ impl EngineTransport for DirectTransport {
             }
         }
         Err(GridError::Disconnected)
+    }
+}
+
+/// The in-process GRACE broker, routing on the engine's own thread: the
+/// broker-side ends of the participants' links on one bell, as in
+/// [`DirectTransport`], dealt tasks and heard by the broker's [`Routes`].
+/// A send is delivered at once, so each message crosses one queue.
+pub(crate) struct BrokeredTransport {
+    links: Vec<Endpoint>,
+    routes: Routes,
+    /// Tasks NACKed and not yet reported.
+    nacked: Vec<u64>,
+    open: Vec<bool>,
+    open_count: usize,
+    bell: Doorbell,
+}
+
+impl BrokeredTransport {
+    pub(crate) fn new(links: Vec<Endpoint>) -> Self {
+        let (bell, mut routes) = (Doorbell::new(), Routes::default());
+        for link in &links {
+            link.subscribe(&bell, routes.add_participant());
+        }
+        BrokeredTransport {
+            routes,
+            nacked: Vec::new(),
+            open: vec![true; links.len()],
+            open_count: links.len(),
+            links,
+            bell,
+        }
+    }
+}
+
+impl EngineTransport for BrokeredTransport {
+    fn send(&mut self, _task_id: u64, msg: &Message) -> Result<u64, GridError> {
+        let links = &self.links;
+        match self.routes.route(msg, |idx| links[idx].send(msg)) {
+            Ok(nacked) => self.nacked.extend(nacked),
+            Err(GridError::Empty) => {} // no route: dropped
+            Err(e) => return Err(e),
+        }
+        // Charged as the frame handed to a relay would be, whatever
+        // became of it.
+        Ok(msg.wire_len() + FRAME_HEADER_BYTES)
+    }
+
+    /// Answers each ring with one receive from the link that rang, passing
+    /// up only what its participant [speaks for](Routes::speaks_for); a
+    /// hang-up NACKs the participant's tasks.
+    fn recv(&mut self, until: Option<Instant>) -> Result<Option<EngineEvent>, GridError> {
+        while self.nacked.is_empty() {
+            if self.open_count == 0 {
+                return Err(GridError::Disconnected);
+            }
+            let Some(idx) = next_ring(&self.bell, until) else {
+                return Ok(None);
+            };
+            if !self.open[idx] {
+                continue;
+            }
+            match self.links[idx].try_recv_counted() {
+                Ok((msg, charged)) if self.routes.speaks_for(idx, &msg) => {
+                    return Ok(Some(EngineEvent::Message(msg, charged)));
+                }
+                Ok(_) | Err(GridError::Empty) => {}
+                Err(GridError::Disconnected) => {
+                    self.open[idx] = false;
+                    self.open_count -= 1;
+                    self.nacked = self.routes.mark_gone(idx);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        let nacked = std::mem::take(&mut self.nacked);
+        Ok(Some(EngineEvent::PeerClosed(nacked)))
     }
 }
 
@@ -661,9 +738,9 @@ mod tests {
     #[test]
     fn brokered_dead_participant_fails_only_its_session() {
         // Participant 0 reads its assignment and silently dies; the broker
-        // NACKs its task with Message::Gone, the engine fails that session
-        // with Disconnected, and session 1 still completes normally.
-        use ugc_grid::{Broker, GridError, Message};
+        // NACKs its task, the engine fails that session with
+        // Disconnected, and session 1 still completes normally.
+        use ugc_grid::{GridError, Message};
         let task = PasswordSearch::with_hidden_password(2, 5);
         let screener = task.match_screener();
         let scheme = CbsScheme {
@@ -687,12 +764,10 @@ mod tests {
         }
         let (dying_broker_side, dying_part) = duplex();
         let (healthy_broker_side, healthy_part) = duplex();
-        let (sup_endpoint, broker_up) = duplex();
-        let mut sup_transport = SharedLink::new(sup_endpoint);
-        let broker = Broker::new(broker_up, vec![dying_broker_side, healthy_broker_side]);
+        let mut sup_transport =
+            BrokeredTransport::new(vec![dying_broker_side, healthy_broker_side]);
 
         let results = std::thread::scope(|scope| {
-            scope.spawn(move || broker.pump_until_closed());
             scope.spawn(move || {
                 let Message::Assign(_) = dying_part.recv().unwrap() else {
                     panic!("expected assignment");

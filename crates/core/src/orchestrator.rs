@@ -14,8 +14,8 @@
 //! constructor for the participant half of any slot, to the
 //! [`TransportBackend`], which alone decides where each slot runs: in
 //! this process beside the engine, over per-participant links
-//! ([`TransportKind::Direct`]) or one shared link into a relaying
-//! [`Broker`](ugc_grid::Broker) ([`TransportKind::Brokered`]), or in
+//! ([`TransportKind::Direct`]) or dealt by the GRACE broker's routing
+//! rules ([`TransportKind::Brokered`]), or in
 //! other processes behind a TCP relay ([`TransportKind::Remote`]).
 //! Verdicts, byte counts, cost ledgers and the fault log are a function
 //! of the campaign's seeds alone: identical over every transport,
@@ -602,9 +602,10 @@ impl CampaignState {
             // Only settled (successful) attempts count toward the byte
             // total. A failed attempt's traffic is cut off mid-protocol by
             // its death: how many in-flight messages the supervisor
-            // managed to charge before the broker's Gone NACK reached it
-            // is a pump-timing race, not a function of the seed — most
-            // visibly for double-check members, where the NACK for one
+            // managed to charge before the death reached it (a hang-up,
+            // or the broker's Gone NACK) is a race against the dying
+            // participant's thread, not a function of the seed — most
+            // visibly for double-check members, where the notice for one
             // participant races mail still in flight from its live
             // sibling. Excluding failed attempts keeps `bytes` a replay
             // digest; `sessions` still counts every attempt.
@@ -873,8 +874,8 @@ mod tests {
     #[test]
     fn brokered_session_failure_returns_instead_of_hanging() {
         // A session that dies in start() (samples == 0) leaves its
-        // participant with no assignment; the broker pump must still wind
-        // down and the call must return the configuration error promptly
+        // participant with no assignment; the round must still tear down
+        // and the call must return the configuration error promptly
         // rather than deadlocking on the orphaned participant.
         let task = PasswordSearch::with_hidden_password(1, 1);
         let screener = task.match_screener();

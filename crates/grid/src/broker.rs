@@ -8,30 +8,32 @@
 //! demonstrate that NI-CBS needs exactly one participant → supervisor
 //! delivery per task.
 //!
-//! Routing is by task id, the only address a participant slot has. The
-//! broker keeps an ordered `task → participant` map, pinned when it
-//! relays a task's assignment, so relaying a message is one `O(log n)`
-//! probe regardless of how many tasks are in flight. Outward, the map
-//! picks the participant; inward, it decides whether the participant may
-//! speak for that task at all: a message is relayed only when its task is
-//! routed to the participant that sent it, and a participant's
-//! [`Message::Gone`] never is — that NACK is the broker's own, so no
-//! participant can fail or impersonate a slot another one holds. The map
-//! is a `BTreeMap` rather than a `HashMap` deliberately: when a
-//! participant dies, every task still routed to it is NACKed, and an
-//! ordered map makes that NACK order ascending by construction — one less
-//! place where unspecified iteration order could leak into the
-//! supervisor-visible message sequence.
+//! Routing is by task id, the only address a participant slot has, and
+//! its rules live in [`Routes`], which holds no link. It keeps an ordered
+//! `task → participant` map, pinned when a task's assignment is routed,
+//! so routing a message is one `O(log n)` probe regardless of how many
+//! tasks are in flight. Outward, the map picks the participant; inward,
+//! it decides whether the participant may speak for that task at all: a
+//! message is relayed only when its task is routed to the participant
+//! that sent it, and a participant's [`Message::Gone`] never is — that
+//! NACK is the broker's own, so no participant can fail or impersonate a
+//! slot another one holds. The map is a `BTreeMap` rather than a
+//! `HashMap` deliberately: when a participant dies, every task still
+//! routed to it is NACKed, and an ordered map makes that NACK order
+//! ascending by construction — one less place where unspecified
+//! iteration order could leak into the supervisor-visible message
+//! sequence.
 //!
-//! One pump drives it over every kind of link. [`pump`](Broker::pump)
-//! subscribes the supervisor and every participant to one [`Doorbell`]
-//! ([`GridLink::subscribe`]) and relays one frame per ring: its cost per
-//! message does not depend on how many participants sit idle, and mail is
-//! served in arrival order, so no chatty participant can starve another.
-//! The in-process brokered transport runs it over [`Endpoint`]s
-//! ([`pump_until_closed`](Broker::pump_until_closed)); `ugc broker serve`
-//! runs the same loop over [`TcpLink`](crate::TcpLink)s, handing it a
-//! hook for what only a cross-process relay has — control frames to
+//! The in-process brokered transport routes by [`Routes`] at send time,
+//! on the engine's thread, so a message crosses one queue. A [`Broker`]
+//! is those rules with links attached, for a relay between processes.
+//! [`pump`](Broker::pump) subscribes the supervisor and every participant
+//! to one [`Doorbell`] ([`GridLink::subscribe`]) and relays one frame per
+//! ring: its cost per message does not depend on how many participants
+//! sit idle, and mail is served in arrival order, so no chatty
+//! participant can starve another.
+//! `ugc broker serve` runs it over [`TcpLink`](crate::TcpLink)s, handing
+//! it a hook for what only a cross-process relay has — control frames to
 //! forward and late joiners to admit. The step-at-a-time calls
 //! ([`try_relay_outward`](Broker::try_relay_outward),
 //! [`try_relay_inward`](Broker::try_relay_inward), which sweeps the
@@ -50,35 +52,129 @@ pub struct RelayStats {
     pub inward: u64,
 }
 
+/// The broker's routing rules, with no link attached: which participant
+/// (an index, in the order added) holds which task, who is dealt the next
+/// assignment, and who is gone. [`Broker`] relays by them over links of
+/// any kind; an in-process transport routes by the same rules at send
+/// time, with no relay in between.
+#[derive(Debug, Default)]
+pub struct Routes {
+    /// task id → participant index; ordered so the orphan sweep is
+    /// ascending by construction.
+    routes: BTreeMap<u64, usize>,
+    /// Next participant to be dealt a fresh assignment (round-robin).
+    next: usize,
+    /// Participants known to be gone.
+    closed: Vec<bool>,
+}
+
+impl Routes {
+    /// Adds a participant as a round-robin target for future assignments
+    /// and returns its index.
+    pub fn add_participant(&mut self) -> usize {
+        self.closed.push(false);
+        self.closed.len() - 1
+    }
+
+    /// Routes one supervisor message to the participant whose index `send`
+    /// is handed: an assignment pins its task to the next one round-robin,
+    /// skipping those known to be gone; any other message follows its
+    /// task's route. Mail for a gone participant is dropped, as a
+    /// store-and-forward broker drops mail for a dead host (a `send` failing
+    /// with [`GridError::Disconnected`] is how an unreported death is
+    /// found), and the tasks to NACK with [`Message::Gone`] are returned:
+    /// the message's own, then the participant's other orphans.
+    ///
+    /// # Errors
+    ///
+    /// [`GridError::Empty`] for a message whose task no participant holds
+    /// (it is dropped), or whatever else `send` fails with.
+    pub fn route(
+        &mut self,
+        msg: &Message,
+        send: impl FnOnce(usize) -> Result<(), GridError>,
+    ) -> Result<Vec<u64>, GridError> {
+        let task_id = msg.task_id();
+        let idx = if matches!(msg, Message::Assign(_)) {
+            let n = self.closed.len();
+            // Everyone may be gone; then the send below is skipped.
+            let idx = (0..n)
+                .map(|k| (self.next + k) % n)
+                .find(|&i| !self.closed[i])
+                .unwrap_or(self.next);
+            self.next = (idx + 1) % n;
+            self.routes.insert(task_id, idx);
+            idx
+        } else {
+            *self.routes.get(&task_id).ok_or(GridError::Empty)?
+        };
+        // A link that queues its sends accepts mail for a peer already
+        // known to be gone, so the closed mark decides first.
+        if !self.closed[idx] {
+            match send(idx) {
+                Ok(()) => return Ok(Vec::new()),
+                Err(GridError::Disconnected) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        // NACK this task first: the sweep finds nothing on a participant
+        // already reported gone, but this route may be brand new (an
+        // Assign that raced the death).
+        self.routes.remove(&task_id);
+        let mut nacked = vec![task_id];
+        nacked.extend(self.mark_gone(idx));
+        Ok(nacked)
+    }
+
+    /// Whether participant `idx` may send `msg` up: only for a task routed
+    /// to it, and never a `Gone` (the broker's NACK, not a participant's).
+    #[must_use]
+    pub fn speaks_for(&self, idx: usize, msg: &Message) -> bool {
+        !matches!(msg, Message::Gone { .. }) && self.routes.get(&msg.task_id()) == Some(&idx)
+    }
+
+    /// Marks participant `idx` gone and unroutes the tasks still routed to
+    /// it, returning them in ascending order, each to NACK with a
+    /// [`Message::Gone`] so the supervisor fails those sessions instead of
+    /// waiting forever; none once `idx` has been reported.
+    pub fn mark_gone(&mut self, idx: usize) -> Vec<u64> {
+        let mut orphaned = Vec::new();
+        if !std::mem::replace(&mut self.closed[idx], true) {
+            // `retain` visits keys in ascending order.
+            self.routes.retain(|&task_id, &mut i| {
+                if i == idx {
+                    orphaned.push(task_id);
+                }
+                i != idx
+            });
+        }
+        orphaned
+    }
+}
+
 /// A store-and-forward broker between one supervisor and many participants.
 ///
 /// The broker pins each task to the participant it dispatched it to and
-/// routes by [`Message::task_id`]; the supervisor never learns which
-/// participant served which task (the paper's "GRB hides the
+/// routes by [`Message::task_id`] ([`Routes`]); the supervisor never
+/// learns which participant served which task (the paper's "GRB hides the
 /// participants" property).
 #[derive(Debug)]
 pub struct Broker<L: GridLink = Endpoint> {
     supervisor: L,
     participants: Vec<L>,
-    /// task id → participant index; ordered so route iteration (the
-    /// death-NACK sweep) is deterministic by construction.
-    routes: BTreeMap<u64, usize>,
-    /// Next participant to receive a fresh assignment (round-robin).
-    next: usize,
+    routes: Routes,
     /// Where the next [`try_relay_inward`](Self::try_relay_inward) sweep
     /// starts (fairness cursor).
     inward_cursor: usize,
-    /// Participants observed disconnected with their queues drained.
-    closed: Vec<bool>,
     stats: RelayStats,
 }
 
 impl<L: GridLink> Broker<L> {
     /// Creates a broker with its supervisor-side link and participant links.
     ///
-    /// The broker is generic over the link type: the in-process runtime
-    /// relays between [`Endpoint`]s, while `ugc broker serve` runs the
-    /// identical relay over [`TcpLink`](crate::TcpLink)s.
+    /// The broker is generic over the link type: `ugc broker serve` relays
+    /// between [`TcpLink`](crate::TcpLink)s, tests and examples between
+    /// [`Endpoint`]s.
     ///
     /// # Panics
     ///
@@ -89,14 +185,14 @@ impl<L: GridLink> Broker<L> {
             !participants.is_empty(),
             "broker needs at least one participant"
         );
-        let closed = vec![false; participants.len()];
         Broker {
             supervisor,
+            routes: Routes {
+                closed: vec![false; participants.len()],
+                ..Routes::default()
+            },
             participants,
-            routes: BTreeMap::new(),
-            next: 0,
             inward_cursor: 0,
-            closed,
             stats: RelayStats::default(),
         }
     }
@@ -108,8 +204,7 @@ impl<L: GridLink> Broker<L> {
     /// how reconnect-with-NACK composes with [`Message::Gone`].
     pub fn add_participant(&mut self, link: L) -> usize {
         self.participants.push(link);
-        self.closed.push(false);
-        self.participants.len() - 1
+        self.routes.add_participant()
     }
 
     /// Relay statistics so far.
@@ -118,67 +213,20 @@ impl<L: GridLink> Broker<L> {
         self.stats
     }
 
-    fn route_of(&self, task_id: u64) -> Option<usize> {
-        self.routes.get(&task_id).copied()
-    }
-
-    /// Whether participant `idx` may send `msg` up: only for a task routed
-    /// to it, and never a `Gone` (the broker's NACK, not a participant's).
-    fn speaks_for(&self, idx: usize, msg: &Message) -> bool {
-        !matches!(msg, Message::Gone { .. }) && self.route_of(msg.task_id()) == Some(idx)
-    }
-
-    /// Marks participant `idx` gone and NACKs every task still routed to
-    /// it with a [`Message::Gone`], so a multiplexing supervisor can fail
-    /// those sessions instead of waiting forever. Errors sending the NACK
-    /// (supervisor also gone) are ignored — there is nobody left to tell.
-    fn mark_gone(&mut self, idx: usize) {
-        if std::mem::replace(&mut self.closed[idx], true) {
-            return; // already reported
-        }
-        // Ascending task-id order falls out of the BTreeMap — no
-        // compensating sort needed for the NACKs to be deterministic.
-        let orphaned: Vec<u64> = self
-            .routes
-            .iter()
-            .filter(|(_, &i)| i == idx)
-            .map(|(&id, _)| id)
-            .collect();
-        for task_id in orphaned {
-            self.routes.remove(&task_id);
+    /// Tells the supervisor that `tasks` can never be answered. Errors
+    /// sending the NACK (supervisor also gone) are ignored — there is
+    /// nobody left to tell.
+    fn nack(&self, tasks: Vec<u64>) {
+        for task_id in tasks {
             let _ = self.supervisor.send(&Message::Gone { task_id });
         }
     }
 
-    /// Picks the destination for one supervisor message: assignments pin a
-    /// fresh round-robin route (skipping participants known to be gone),
-    /// everything else follows its recorded one.
-    fn dispatch(&mut self, msg: &Message) -> Result<usize, GridError> {
-        if matches!(msg, Message::Assign(_)) {
-            let n = self.participants.len();
-            let mut idx = self.next;
-            for _ in 0..n {
-                idx = self.next;
-                self.next = (self.next + 1) % n;
-                if !self.closed[idx] {
-                    break;
-                }
-                // Everyone may be gone; then the caller NACKs.
-            }
-            self.routes.insert(msg.task_id(), idx);
-            Ok(idx)
-        } else {
-            self.route_of(msg.task_id()).ok_or(GridError::Empty)
-        }
-    }
-
     /// Relays one queued supervisor message if any is waiting; `Ok(false)`
-    /// when the supervisor queue is momentarily empty. Assignments go
-    /// round-robin, everything else (challenges, verdicts) follows its
-    /// task's recorded route. A message routed to an already-disconnected
-    /// participant is dropped (and the task NACKed with [`Message::Gone`])
-    /// rather than treated as fatal, as a store-and-forward broker drops
-    /// mail for a dead host.
+    /// when the supervisor queue is momentarily empty. The message goes
+    /// where [`Routes::route`] sends it; one for a gone participant is
+    /// dropped and its task NACKed with [`Message::Gone`] rather than
+    /// treated as fatal.
     ///
     /// # Errors
     ///
@@ -191,27 +239,14 @@ impl<L: GridLink> Broker<L> {
             Err(GridError::Empty) => return Ok(false),
             Err(e) => return Err(e),
         };
-        let idx = self.dispatch(&msg)?;
-        // A link that queues its sends accepts mail for a peer already
-        // known to be gone, so the closed mark decides first; the send
-        // failing is how an unreported death is found.
-        let delivered = !self.closed[idx]
-            && match self.participants[idx].send(&msg) {
-                Ok(()) => true,
-                Err(GridError::Disconnected) => false,
-                Err(e) => return Err(e),
-            };
-        if delivered {
+        let participants = &self.participants;
+        let nacked = self
+            .routes
+            .route(&msg, |idx| participants[idx].send(&msg))?;
+        if nacked.is_empty() {
             self.stats.outward += 1;
-        } else {
-            // NACK this task explicitly first: mark_gone is a no-op on a
-            // participant already reported gone, but this message's
-            // route may be brand new (an Assign that raced the death).
-            let task_id = msg.task_id();
-            self.routes.remove(&task_id);
-            let _ = self.supervisor.send(&Message::Gone { task_id });
-            self.mark_gone(idx);
         }
+        self.nack(nacked);
         Ok(true)
     }
 
@@ -219,18 +254,19 @@ impl<L: GridLink> Broker<L> {
     /// `Ok(None)` when its queue is momentarily empty — or when it has
     /// hung up with its queue drained, which also NACKs its tasks — and
     /// when the message was not the participant's to send
-    /// ([`speaks_for`](Self::speaks_for)): such mail is dropped, neither
-    /// relayed nor counted.
+    /// ([`Routes::speaks_for`]): such mail is dropped, neither relayed nor
+    /// counted.
     fn try_relay_inward_from(&mut self, idx: usize) -> Result<Option<Message>, GridError> {
         match self.participants[idx].try_recv() {
-            Ok(msg) if self.speaks_for(idx, &msg) => {
+            Ok(msg) if self.routes.speaks_for(idx, &msg) => {
                 self.supervisor.send(&msg)?;
                 self.stats.inward += 1;
                 Ok(Some(msg))
             }
             Ok(_) | Err(GridError::Empty) => Ok(None),
             Err(GridError::Disconnected) => {
-                self.mark_gone(idx);
+                let orphaned = self.routes.mark_gone(idx);
+                self.nack(orphaned);
                 Ok(None)
             }
             Err(e) => Err(e),
@@ -259,21 +295,11 @@ impl<L: GridLink> Broker<L> {
         }
         Ok(None)
     }
-}
 
-impl<L: GridLink> Broker<L> {
     /// The key the supervisor's link rings while the broker is pumped;
     /// participant `i` rings `i`. Any other key on the bell is the
     /// caller's own.
     pub const SUPERVISOR_KEY: usize = usize::MAX;
-
-    /// [`pump`](Self::pump) on a bell of its own, for a relay with
-    /// nothing else to wait for — the pump a session engine runs on its
-    /// own thread while it multiplexes sessions over the supervisor link.
-    #[must_use]
-    pub fn pump_until_closed(self) -> RelayStats {
-        self.pump(&Doorbell::new(), |_| None)
-    }
 
     /// Drives the broker until the supervisor has hung up and all queued
     /// traffic is drained, sleeping on `bell` between messages.
@@ -542,7 +568,7 @@ mod tests {
         let (sup, broker, parts) = rig(2);
         sup.send(&assign(0)).unwrap();
         sup.send(&assign(1)).unwrap();
-        let pump = std::thread::spawn(move || broker.pump_until_closed());
+        let pump = std::thread::spawn(move || broker.pump(&Doorbell::new(), |_| None));
         // Participants answer and hang up.
         for p in parts {
             let Message::Assign(a) = p.recv().unwrap() else {

@@ -58,7 +58,7 @@ pub mod wire;
 pub use behaviour::{
     CheatSelection, HonestWorker, MaliciousWorker, SemiHonestCheater, WorkerBehaviour,
 };
-pub use broker::{Broker, RelayStats};
+pub use broker::{Broker, RelayStats, Routes};
 pub use error::GridError;
 pub use ledger::{CostLedger, CostReport, Throughput};
 pub use message::{Assignment, Message, Opening};

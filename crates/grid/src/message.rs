@@ -461,10 +461,13 @@ impl Message {
                     context: "verdict.flag".into(),
                 })?;
                 buf = &buf[1..];
-                Message::Verdict {
-                    task_id,
-                    accepted: flag != 0,
-                }
+                let accepted = match flag {
+                    0 => false,
+                    1 => true,
+                    // A flag is one of two bytes; anything else is a forged frame.
+                    _ => return Err(GridError::UnknownTag { tag: flag }),
+                };
+                Message::Verdict { task_id, accepted }
             }
             other => return Err(GridError::UnknownTag { tag: other }),
         };
@@ -677,19 +680,16 @@ mod tests {
     }
 
     #[test]
-    fn verdict_flag_nonzero_is_true() {
+    fn verdict_flag_other_than_zero_or_one_is_refused() {
         let mut encoded = Message::Verdict {
             task_id: 1,
             accepted: true,
         }
         .encode();
-        *encoded.last_mut().unwrap() = 7;
+        *encoded.last_mut().unwrap() = 2;
         assert_eq!(
-            Message::decode(&encoded).unwrap(),
-            Message::Verdict {
-                task_id: 1,
-                accepted: true
-            }
+            Message::decode(&encoded),
+            Err(GridError::UnknownTag { tag: 2 })
         );
     }
 

@@ -8,7 +8,7 @@
 //! per-link decisions, no matter how the OS schedules the threads. The
 //! plan decorates a link as a [`FaultyEndpoint`], which applies the
 //! decisions on whichever thread is driving that participant (an injected
-//! delay stalls that caller, never the broker pump).
+//! delay stalls that caller, never the engine or a relay).
 //!
 //! Fault decisions are keyed per link rather than per run because a
 //! participant link carries exactly one session's protocol sequence:
@@ -425,7 +425,7 @@ impl FaultyEndpoint {
                     micros,
                 });
                 // Stalls only the thread polling this participant: the
-                // broker pump and the other workers' links keep flowing.
+                // engine and the other workers' links keep flowing.
                 std::thread::sleep(std::time::Duration::from_micros(u64::from(micros)));
                 self.deliver_in(st, msg, charged).map(Some)
             }

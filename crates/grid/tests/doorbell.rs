@@ -157,7 +157,7 @@ fn pump_serves_a_late_talker_and_a_death_among_a_thousand_idle_links() {
             sup.send(&assign(task_id)).unwrap();
         }
         let broker = Broker::new(broker_up, broker_down);
-        let pump = std::thread::spawn(move || broker.pump_until_closed());
+        let pump = std::thread::spawn(move || broker.pump(&Doorbell::new(), |_| None));
 
         // Everyone sits on their assignments; one link answers late.
         let late = parts[LATE as usize].take().unwrap();

@@ -404,7 +404,7 @@ fn a_pumped_relay_treats_a_torn_stream_as_the_death_it_is() {
         let (supervisor, broker_up) = loopback_pair();
         let (dying, broker_down) = loopback_streams();
         let broker = Broker::new(broker_up, vec![TcpLink::from_stream(broker_down)]);
-        let pump = std::thread::spawn(move || broker.pump_until_closed());
+        let pump = std::thread::spawn(move || broker.pump(&Doorbell::new(), |_| None));
         supervisor.send(&assign(7)).unwrap();
         tear(dying);
         // (Whether the assignment was relayed before the death was seen
@@ -418,7 +418,7 @@ fn a_pumped_relay_treats_a_torn_stream_as_the_death_it_is() {
         let (mut dying, broker_up) = loopback_streams();
         let (participant, broker_down) = loopback_pair();
         let broker = Broker::new(TcpLink::from_stream(broker_up), vec![broker_down]);
-        let pump = std::thread::spawn(move || broker.pump_until_closed());
+        let pump = std::thread::spawn(move || broker.pump(&Doorbell::new(), |_| None));
         write_frame(&mut dying, &Frame::Data(assign(8).encode())).unwrap();
         tear(dying);
         assert_eq!(participant.recv().unwrap(), assign(8));

@@ -20,8 +20,8 @@ use uncheatable_grid::core::{
     VerificationScheme,
 };
 use uncheatable_grid::grid::{
-    duplex, Assignment, Broker, CheatSelection, CostLedger, Endpoint, HonestWorker, Message,
-    SemiHonestCheater, WorkerBehaviour,
+    duplex, Assignment, Broker, CheatSelection, CostLedger, Doorbell, Endpoint, HonestWorker,
+    Message, SemiHonestCheater, WorkerBehaviour,
 };
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PrimalitySearch;
@@ -122,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (verdicts, relay, traffic) = std::thread::scope(|scope| -> Result<_, SchemeError> {
         // The broker relays on its own thread until the supervisor hangs
         // up.
-        let pump = scope.spawn(move || broker.pump_until_closed());
+        let pump = scope.spawn(move || broker.pump(&Doorbell::new(), |_| None));
         // Participants: blind NI-CBS workers behind the broker.
         for (ep, behaviour) in part_eps.iter().zip(behaviours) {
             let task = &task;

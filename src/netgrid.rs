@@ -7,8 +7,8 @@
 //!
 //! * [`GridServer`] (`ugc broker serve`) accepts one supervisor and N
 //!   participant connections, completes the versioned handshake, then
-//!   runs the *same* [`Broker`] pump the in-process brokered transport
-//!   uses — over [`TcpLink`]s instead of in-memory endpoints — forwarding
+//!   pumps a [`Broker`] over [`TcpLink`]s — the same routing rules the
+//!   in-process brokered transport applies at send time — forwarding
 //!   participant [`SlotReport`](ugc_core::SlotReport)s up the control
 //!   plane as they arrive.
 //! * [`join`] (`ugc participant join`) dials in, learns the campaign

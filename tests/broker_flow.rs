@@ -7,8 +7,8 @@ use uncheatable_grid::core::{
     LaneWidth, Parallelism, ParticipantContext, ParticipantStorage, VerificationScheme,
 };
 use uncheatable_grid::grid::{
-    duplex, Assignment, Broker, CheatSelection, CostLedger, Endpoint, HonestWorker, Message,
-    SemiHonestCheater, WorkerBehaviour,
+    duplex, Assignment, Broker, CheatSelection, CostLedger, Doorbell, Endpoint, HonestWorker,
+    Message, SemiHonestCheater, WorkerBehaviour,
 };
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;
@@ -57,7 +57,7 @@ fn brokered_ni_cbs_accepts_honest_rejects_cheater() {
     let (verdicts, stats) = std::thread::scope(|scope| {
         scope.spawn(|| participate(part_a, &honest));
         scope.spawn(|| participate(part_b, &cheater));
-        let pump = scope.spawn(move || broker.pump_until_closed());
+        let pump = scope.spawn(move || broker.pump(&Doorbell::new(), |_| None));
 
         // Supervisor side, by hand, through the broker.
         let ledger = CostLedger::new();

@@ -17,9 +17,9 @@ use uncheatable_grid::core::engine::{DirectTransport, SessionEngine};
 use uncheatable_grid::core::scheme::cbs::CbsScheme;
 use uncheatable_grid::core::session::drive_participant;
 use uncheatable_grid::core::{
-    run_fleet_on, FleetSummary, LaneWidth, Parallelism, ParticipantContext, ParticipantSession,
-    ParticipantStorage, RemoteGridBackend, SchemeError, SlotReport, SupervisorContext,
-    TransportKind, VerificationScheme,
+    run_fleet_on, FleetSummary, InProcessBackend, LaneWidth, Parallelism, ParticipantContext,
+    ParticipantSession, ParticipantStorage, RemoteGridBackend, RoundSpec, SchemeError, SlotReport,
+    SupervisorContext, TransportBackend, TransportKind, VerificationScheme,
 };
 use uncheatable_grid::grid::tcp::{handshake_participant, handshake_supervisor};
 use uncheatable_grid::grid::{
@@ -101,6 +101,102 @@ fn a_direct_link_cannot_speak_for_another_slot() {
         results
     });
     for (slot, result) in results.iter().enumerate() {
+        assert!(
+            result
+                .outcome
+                .as_ref()
+                .is_ok_and(|o| o.verdict.is_accepted()),
+            "slot {slot}: {:?}",
+            result.outcome
+        );
+    }
+}
+
+/// An honest session that speaks for slot 1 once: its first reply is
+/// preceded by slot 1's death notice and a forged commitment for slot 1.
+struct Impostor<'a> {
+    honest: Box<dyn ParticipantSession + 'a>,
+    injected: bool,
+}
+
+impl ParticipantSession for Impostor<'_> {
+    fn on_message(&mut self, msg: Message) -> Result<Vec<Message>, SchemeError> {
+        let mut replies = Vec::new();
+        if !std::mem::replace(&mut self.injected, true) {
+            replies.push(Message::Gone { task_id: 1 });
+            replies.push(Message::Commit {
+                task_id: 1,
+                root: vec![0; 32],
+            });
+        }
+        replies.extend(self.honest.on_message(msg)?);
+        Ok(replies)
+    }
+
+    fn finished(&self) -> Option<bool> {
+        self.honest.finished()
+    }
+}
+
+#[test]
+fn a_brokered_slot_cannot_speak_for_another_slot() {
+    // Slot 0 serves its own task honestly, but its first reply is preceded
+    // by slot 1's death notice and a forged commitment for slot 1. The
+    // broker routed task 1 to slot 1, so neither is heard: both sessions
+    // are accepted.
+    let task = PasswordSearch::with_hidden_password(2, 5);
+    let screener = task.match_screener();
+    let scheme = CbsScheme {
+        samples: 8,
+        seed: 3,
+        report_audit: 0,
+    };
+    let mut engine = SessionEngine::new();
+    for task_id in 0..2u64 {
+        let session = VerificationScheme::<Sha256>::supervisor_session(
+            &scheme,
+            SupervisorContext {
+                task: &task,
+                screener: &screener,
+                domain: Domain::new(task_id * 32, 32),
+                task_ids: vec![task_id],
+                ledger: CostLedger::new(),
+            },
+        );
+        engine.add_session(session, vec![task_id]).unwrap();
+    }
+    let slot = |k: u64, ledger: CostLedger| -> Box<dyn ParticipantSession + '_> {
+        let honest = VerificationScheme::<Sha256>::participant_session(
+            &scheme,
+            ParticipantContext {
+                task: &task,
+                screener: &screener,
+                behaviour: &HonestWorker,
+                storage: ParticipantStorage::Full,
+                parallelism: Parallelism::serial(),
+                lanes: LaneWidth::default(),
+                ledger,
+            },
+        );
+        match k {
+            0 => Box::new(Impostor {
+                honest,
+                injected: false,
+            }),
+            _ => honest,
+        }
+    };
+    let spec = RoundSpec {
+        round: 0,
+        slots: 2,
+        chaos: None,
+        workers: Some(2),
+        steal_seed: 0,
+    };
+    let round = InProcessBackend::new(TransportKind::Brokered)
+        .run_round(&spec, engine, &slot)
+        .unwrap();
+    for (slot, result) in round.sessions.iter().enumerate() {
         assert!(
             result
                 .outcome
