@@ -16,11 +16,11 @@
 //! * [`InProcessBackend`] — every slot runs in this process as a
 //!   poll-driven [`SlotTask`] on a [`GridScheduler`] pool beside the
 //!   engine, over one [`duplex`] pair per slot. Under
-//!   [`TransportKind::Direct`] the engine addresses each pair by its slot;
-//!   under [`TransportKind::Brokered`] it routes every send by the GRACE
-//!   broker's [`Routes`](ugc_grid::Routes) on its own thread — no relay
-//!   thread, no second queue. Each participant link carries the round's
-//!   seeded fault plan.
+//!   [`TransportKind::Direct`] and [`TransportKind::Brokered`] alike the
+//!   engine routes every send by the GRACE broker's
+//!   [`Routes`](ugc_grid::Routes) on its own thread — no relay thread, no
+//!   second queue. Each participant link carries the round's seeded fault
+//!   plan.
 //! * [`RemoteGridBackend`] — a [`TcpLink`] into a `ugc broker serve`
 //!   process that relays to participants in *other* OS processes
 //!   ([`TransportKind::Remote`]), each running [`serve_remote_slots`]. The
@@ -42,9 +42,7 @@
 //! [`run_fleet_on`](crate::run_fleet_on) accepts any backend the embedder
 //! connected.
 
-use crate::engine::{
-    BrokeredTransport, DirectTransport, EngineTransport, SessionEngine, SessionResult, SharedLink,
-};
+use crate::engine::{InProcessTransport, SessionEngine, SessionResult, SharedLink};
 use crate::journal::{get_part_result, get_report, put_part_result, put_report};
 use crate::session::ParticipantSession;
 use crate::SchemeError;
@@ -55,8 +53,7 @@ use ugc_grid::runtime::{
     FaultEvent, FaultLog, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll,
 };
 use ugc_grid::{
-    duplex, ControlHandle, CostLedger, CostReport, Doorbell, Endpoint, GridError, GridLink,
-    Message, TcpLink,
+    duplex, ControlHandle, CostLedger, CostReport, Doorbell, GridError, GridLink, Message, TcpLink,
 };
 
 /// How a fleet round moves its messages — the one transport-selection
@@ -67,7 +64,9 @@ use ugc_grid::{
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TransportKind {
     /// One in-memory link per participant, all rung on one bell the
-    /// engine sleeps on.
+    /// engine sleeps on. In process this is one transport with
+    /// [`Brokered`](Self::Brokered): the broker's routing on the engine's
+    /// thread; both names stay because campaigns and the CLI name them.
     #[default]
     Direct,
     /// A GRACE-style broker in front of in-process participants
@@ -179,7 +178,7 @@ pub struct RoundResult {
 
 /// A transport backend: where a fleet round's participant slots run and
 /// how the supervisor's messages reach them. Implementations must charge
-/// every data-plane message exactly as [`Endpoint`] does (encoded frame +
+/// every data-plane message exactly as [`Endpoint`](ugc_grid::Endpoint) does (encoded frame +
 /// header) — that equality is what makes digests transport-invariant.
 pub trait TransportBackend {
     /// Which transport this backend implements.
@@ -206,9 +205,10 @@ pub trait TransportBackend {
     ) -> Result<RoundResult, SchemeError>;
 }
 
-/// The in-process backends: participants on a scheduler pool in this
+/// The in-process backend: participants on a scheduler pool in this
 /// process, links in memory. Serves [`TransportKind::Direct`] and
-/// [`TransportKind::Brokered`]; any number of rounds.
+/// [`TransportKind::Brokered`], one transport under two names; any number
+/// of rounds.
 #[derive(Debug, Clone, Copy)]
 pub struct InProcessBackend {
     kind: TransportKind,
@@ -236,23 +236,7 @@ impl TransportBackend for InProcessBackend {
         slot: &dyn Fn(u64, CostLedger) -> Box<dyn ParticipantSession + 'a>,
     ) -> Result<RoundResult, SchemeError> {
         match self.kind {
-            TransportKind::Direct => {
-                let mut transport = DirectTransport::new();
-                let links = (0u64..)
-                    .take(spec.slots)
-                    .map(|task_id| {
-                        let (sup_side, part_side) = duplex();
-                        transport.add_endpoint(sup_side, [task_id]);
-                        part_side
-                    })
-                    .collect();
-                Ok(run_local(spec, engine, transport, links, slot))
-            }
-            TransportKind::Brokered => {
-                let (broker_side, links) = (0..spec.slots).map(|_| duplex()).unzip();
-                let transport = BrokeredTransport::new(broker_side);
-                Ok(run_local(spec, engine, transport, links, slot))
-            }
+            TransportKind::Direct | TransportKind::Brokered => Ok(run_local(spec, engine, slot)),
             TransportKind::Remote => Err(SchemeError::InvalidConfig {
                 reason: "the in-process backend cannot serve the remote transport; \
                          connect a RemoteGridBackend and call run_fleet_on"
@@ -262,16 +246,19 @@ impl TransportBackend for InProcessBackend {
     }
 }
 
-/// Runs `engine` over `transport` on the calling thread while slot `k`
-/// runs on the participant end `links[k]`, behind the round's fault plan,
-/// as a [`SlotTask`] on a [`GridScheduler`] pool.
-fn run_local<'a, T: EngineTransport>(
+/// Runs `engine` on the calling thread over an [`InProcessTransport`]
+/// whose participant ends are `spec.slots` in-memory links, while slot `k`
+/// runs on link `k`, behind the round's fault plan, as a [`SlotTask`] on a
+/// [`GridScheduler`] pool. Every session sends its assignments from its
+/// start, in task order, before the engine's first receive, so the
+/// broker's round-robin deals task `k` to link `k`.
+fn run_local<'a>(
     spec: &RoundSpec,
     engine: SessionEngine<'a>,
-    mut transport: T,
-    links: Vec<Endpoint>,
     slot: &dyn Fn(u64, CostLedger) -> Box<dyn ParticipantSession + 'a>,
 ) -> RoundResult {
+    let (broker_side, links): (Vec<_>, Vec<_>) = (0..spec.slots).map(|_| duplex()).unzip();
+    let mut transport = InProcessTransport::new(broker_side);
     // Chaos-free rounds use the quiet plan rather than a separate
     // undecorated code path: the decorator's transparency at zero rates
     // is property-tested (grid/tests/fault_properties.rs), and one code

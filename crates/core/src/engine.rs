@@ -14,19 +14,19 @@
 //!            │    │ ▼      route by task id              │
 //!            └────┼─┼───────────────┼─┼─────────────────-┘
 //!                 │ ▼               │ ▼
-//!        DirectTransport (one endpoint per participant)
-//!        — or — the same links dealt by the broker's Routes
+//!        one in-memory link per participant, dealt by the broker's Routes
 //!        — or — one TcpLink into `ugc broker serve`
 //! ```
 //!
-//! What reaches the engine is trusted to be addressed honestly: a
-//! [`DirectTransport`] passes up only mail for the tasks its link serves,
-//! and a broker relays only what the participant holding the task sent.
-//! A [`Message::Gone`] therefore always comes from the relay itself.
+//! What reaches the engine is trusted to be addressed honestly: a broker,
+//! in process or between processes, relays only what the participant
+//! holding the task sent. A [`Message::Gone`] therefore always comes from
+//! the relay itself, and it is the only way a dead participant reaches the
+//! engine: each of its tasks is NACKed once.
 //!
-//! The same loop therefore drives in-memory fleets (per-participant
-//! duplex links), the brokered deployment of Section 4 (in process, or
-//! through a [`Broker`](ugc_grid::Broker) relay), mixed-scheme campaigns
+//! The same loop therefore drives in-memory fleets, the brokered
+//! deployment of Section 4 (in process, or through a
+//! [`Broker`](ugc_grid::Broker) relay), mixed-scheme campaigns
 //! and single stand-alone rounds — [`run_mixed_fleet`](crate::run_mixed_fleet)
 //! and [`run_round`](crate::scheme::run_round) are wrappers over this engine,
 //! which a [`TransportBackend`](crate::TransportBackend) runs beside the
@@ -45,42 +45,33 @@
 
 use crate::session::{SessionOutcome, SupervisorSession};
 use crate::SchemeError;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 use ugc_grid::{
     Doorbell, Endpoint, GridError, GridLink, LinkStats, Message, Routes, FRAME_HEADER_BYTES,
 };
 
-/// What the engine's transport delivered on one receive.
-#[derive(Debug)]
-pub enum EngineEvent {
-    /// A protocol message arrived; the `u64` is its charged frame size
-    /// (wire bytes + header), so the engine can attribute per-session
-    /// traffic without re-encoding.
-    Message(Message, u64),
-    /// A peer hung up; the listed task ids can never receive again.
-    PeerClosed(Vec<u64>),
-}
-
 /// A transport the engine can multiplex sessions over.
 pub trait EngineTransport {
-    /// Sends `msg` towards the peer that holds task `task_id`, returning
-    /// the bytes charged (encoded frame plus header).
+    /// Sends `msg` towards the peer that holds its task, returning the
+    /// bytes charged (encoded frame plus header).
     ///
     /// # Errors
     ///
     /// Transport failures (e.g. the peer disconnected).
-    fn send(&mut self, task_id: u64, msg: &Message) -> Result<u64, GridError>;
+    fn send(&mut self, msg: &Message) -> Result<u64, GridError>;
 
-    /// Blocks until the next inbound event, or — given an `until` — no
-    /// longer than that instant: `Ok(None)` means it passed with nothing
-    /// to report. The wait sleeps on something that rings when mail
-    /// arrives; it never polls.
+    /// Blocks until the next inbound message and its charged frame size
+    /// (wire bytes + header), or — given an `until` — no longer than that
+    /// instant: `Ok(None)` means it passed with nothing to report. A task
+    /// whose peer is gone arrives as the relay's [`Message::Gone`]. The
+    /// wait sleeps on something that rings when mail arrives; it never
+    /// polls.
     ///
     /// # Errors
     ///
     /// [`GridError::Disconnected`] once *nothing* can ever arrive again.
-    fn recv(&mut self, until: Option<Instant>) -> Result<Option<EngineEvent>, GridError>;
+    fn recv(&mut self, until: Option<Instant>) -> Result<Option<(Message, u64)>, GridError>;
 }
 
 /// The engine's one clock read, used only for inactivity deadlines.
@@ -100,9 +91,9 @@ fn next_ring(bell: &Doorbell, until: Option<Instant>) -> Option<usize> {
 /// One shared [`GridLink`] whose far side routes: a
 /// [`TcpLink`](ugc_grid::TcpLink) into `ugc broker serve`. The relay
 /// routes by task id and NACKs tasks whose participant hung up with
-/// [`Message::Gone`], so the task id is ignored on send. The link is
-/// subscribed to a bell of its own, and a receive answers each ring with
-/// one look at the link, as [`DirectTransport`] does.
+/// [`Message::Gone`], so a send is one frame on the link and the relay's
+/// NACK is passed up as mail. The link is subscribed to a bell of its own,
+/// and a receive answers each ring with one look at the link.
 pub(crate) struct SharedLink<L> {
     link: L,
     bell: Doorbell,
@@ -117,16 +108,16 @@ impl<L: GridLink> SharedLink<L> {
 }
 
 impl<L: GridLink> EngineTransport for SharedLink<L> {
-    fn send(&mut self, _task_id: u64, msg: &Message) -> Result<u64, GridError> {
+    fn send(&mut self, msg: &Message) -> Result<u64, GridError> {
         self.link.send_counted(msg)
     }
 
-    fn recv(&mut self, until: Option<Instant>) -> Result<Option<EngineEvent>, GridError> {
+    fn recv(&mut self, until: Option<Instant>) -> Result<Option<(Message, u64)>, GridError> {
         // The link rings once per frame (a `TcpLink` also per control
         // frame) and once more at its end, so every wait ends.
         while next_ring(&self.bell, until).is_some() {
             match self.link.try_recv_counted() {
-                Ok((msg, charged)) => return Ok(Some(EngineEvent::Message(msg, charged))),
+                Ok(mail) => return Ok(Some(mail)),
                 Err(GridError::Empty) => {}
                 Err(e) => return Err(e),
             }
@@ -135,126 +126,32 @@ impl<L: GridLink> EngineTransport for SharedLink<L> {
     }
 }
 
-/// Direct in-memory transport: one [`Endpoint`] per participant, all
-/// subscribed to one [`Doorbell`]. Receiving pops the bell and answers
-/// the link that rang, so mail is served in arrival order (no chatty
-/// participant can starve another) at a cost that does not grow with the
-/// number of silent links.
-///
-/// A link speaks only for the tasks it was registered with: a message
-/// for any other task, and any [`Message::Gone`] (a relay's NACK, which
-/// no participant may send), is dropped unseen and uncharged.
-#[derive(Debug, Default)]
-pub struct DirectTransport {
-    endpoints: Vec<Endpoint>,
-    ids: Vec<Vec<u64>>,
-    routes: HashMap<u64, usize>,
-    open: Vec<bool>,
-    open_count: usize,
-    bell: Doorbell,
-}
-
-impl DirectTransport {
-    /// An empty transport; add endpoints with
-    /// [`add_endpoint`](Self::add_endpoint).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a participant endpoint serving the given task ids.
-    pub fn add_endpoint(&mut self, endpoint: Endpoint, ids: impl IntoIterator<Item = u64>) {
-        let idx = self.endpoints.len();
-        let ids: Vec<u64> = ids.into_iter().collect();
-        for &id in &ids {
-            self.routes.insert(id, idx);
-        }
-        endpoint.subscribe(&self.bell, idx);
-        self.ids.push(ids);
-        self.endpoints.push(endpoint);
-        self.open.push(true);
-        self.open_count += 1;
-    }
-
-    /// Answers one ring from endpoint `idx` with one receive. `Ok(None)`
-    /// when the ring announced a frame an earlier ring already served, a
-    /// link already reported closed, or a message the link may not send.
-    fn answer(&mut self, idx: usize) -> Result<Option<EngineEvent>, GridError> {
-        if !self.open[idx] {
-            return Ok(None);
-        }
-        match self.endpoints[idx].try_recv_counted() {
-            Ok((msg, charged))
-                if !matches!(msg, Message::Gone { .. })
-                    && self.ids[idx].contains(&msg.task_id()) =>
-            {
-                Ok(Some(EngineEvent::Message(msg, charged)))
-            }
-            Ok(_) | Err(GridError::Empty) => Ok(None),
-            Err(GridError::Disconnected) => {
-                self.open[idx] = false;
-                self.open_count -= 1;
-                Ok(Some(EngineEvent::PeerClosed(self.ids[idx].clone())))
-            }
-            Err(e) => Err(e),
-        }
-    }
-}
-
-impl EngineTransport for DirectTransport {
-    fn send(&mut self, task_id: u64, msg: &Message) -> Result<u64, GridError> {
-        let idx = *self.routes.get(&task_id).ok_or(GridError::Empty)?;
-        match self.endpoints[idx].send_counted(msg) {
-            Ok(charged) => Ok(charged),
-            // A dead participant loses the message downstream — exactly
-            // what the brokered transport does (it charges the frame and
-            // drops it). Charging the nominal frame keeps byte accounting
-            // identical whether the peer died a microsecond before or
-            // after this send — the session's fate is decided by the
-            // PeerClosed event, not by this race.
-            Err(GridError::Disconnected) => Ok(msg.wire_len() + FRAME_HEADER_BYTES),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn recv(&mut self, until: Option<Instant>) -> Result<Option<EngineEvent>, GridError> {
-        // Every open link still owes at least its hang-up ring, so the
-        // wait ends; with none open nothing can ever arrive again.
-        while self.open_count > 0 {
-            let Some(idx) = next_ring(&self.bell, until) else {
-                return Ok(None);
-            };
-            if let Some(event) = self.answer(idx)? {
-                return Ok(Some(event));
-            }
-        }
-        Err(GridError::Disconnected)
-    }
-}
-
 /// The in-process GRACE broker, routing on the engine's own thread: the
-/// broker-side ends of the participants' links on one bell, as in
-/// [`DirectTransport`], dealt tasks and heard by the broker's [`Routes`].
-/// A send is delivered at once, so each message crosses one queue.
-pub(crate) struct BrokeredTransport {
+/// broker-side ends of the participants' links, all subscribed to one
+/// [`Doorbell`], dealt tasks and heard by the broker's [`Routes`]. A send
+/// is delivered at once, so each message crosses one queue; a receive
+/// answers the link that rang, so mail is served in arrival order (no
+/// chatty participant can starve another) at a cost that does not grow
+/// with the number of silent links.
+pub(crate) struct InProcessTransport {
     links: Vec<Endpoint>,
     routes: Routes,
-    /// Tasks NACKed and not yet reported.
-    nacked: Vec<u64>,
+    /// Tasks NACKed and not yet reported, in the order to report them.
+    nacked: VecDeque<u64>,
     open: Vec<bool>,
     open_count: usize,
     bell: Doorbell,
 }
 
-impl BrokeredTransport {
+impl InProcessTransport {
     pub(crate) fn new(links: Vec<Endpoint>) -> Self {
         let (bell, mut routes) = (Doorbell::new(), Routes::default());
         for link in &links {
             link.subscribe(&bell, routes.add_participant());
         }
-        BrokeredTransport {
+        InProcessTransport {
             routes,
-            nacked: Vec::new(),
+            nacked: VecDeque::new(),
             open: vec![true; links.len()],
             open_count: links.len(),
             links,
@@ -263,8 +160,8 @@ impl BrokeredTransport {
     }
 }
 
-impl EngineTransport for BrokeredTransport {
-    fn send(&mut self, _task_id: u64, msg: &Message) -> Result<u64, GridError> {
+impl EngineTransport for InProcessTransport {
+    fn send(&mut self, msg: &Message) -> Result<u64, GridError> {
         let links = &self.links;
         match self.routes.route(msg, |idx| links[idx].send(msg)) {
             Ok(nacked) => self.nacked.extend(nacked),
@@ -278,8 +175,9 @@ impl EngineTransport for BrokeredTransport {
 
     /// Answers each ring with one receive from the link that rang, passing
     /// up only what its participant [speaks for](Routes::speaks_for); a
-    /// hang-up NACKs the participant's tasks.
-    fn recv(&mut self, until: Option<Instant>) -> Result<Option<EngineEvent>, GridError> {
+    /// hang-up NACKs the participant's tasks, each passed up in turn as
+    /// the [`Message::Gone`] a relay would send.
+    fn recv(&mut self, until: Option<Instant>) -> Result<Option<(Message, u64)>, GridError> {
         while self.nacked.is_empty() {
             if self.open_count == 0 {
                 return Err(GridError::Disconnected);
@@ -292,19 +190,22 @@ impl EngineTransport for BrokeredTransport {
             }
             match self.links[idx].try_recv_counted() {
                 Ok((msg, charged)) if self.routes.speaks_for(idx, &msg) => {
-                    return Ok(Some(EngineEvent::Message(msg, charged)));
+                    return Ok(Some((msg, charged)));
                 }
                 Ok(_) | Err(GridError::Empty) => {}
                 Err(GridError::Disconnected) => {
                     self.open[idx] = false;
                     self.open_count -= 1;
-                    self.nacked = self.routes.mark_gone(idx);
+                    self.nacked.extend(self.routes.mark_gone(idx));
                 }
                 Err(e) => return Err(e),
             }
         }
-        let nacked = std::mem::take(&mut self.nacked);
-        Ok(Some(EngineEvent::PeerClosed(nacked)))
+        let gone = Message::Gone {
+            task_id: self.nacked.pop_front().expect("checked non-empty"),
+        };
+        let charged = gone.wire_len() + FRAME_HEADER_BYTES;
+        Ok(Some((gone, charged)))
     }
 }
 
@@ -316,8 +217,8 @@ enum SessionState {
 
 struct EngineSlot<'a> {
     session: Box<dyn SupervisorSession + 'a>,
-    /// Task id per participant slot.
-    task_ids: Vec<u64>,
+    /// How many participant slots the session has.
+    peers: usize,
     link: LinkStats,
     state: SessionState,
 }
@@ -406,7 +307,7 @@ impl<'a> SessionEngine<'a> {
         }
         self.slots.push(EngineSlot {
             session,
-            task_ids,
+            peers: task_ids.len(),
             link: LinkStats::default(),
             state: SessionState::Active,
         });
@@ -430,22 +331,19 @@ impl<'a> SessionEngine<'a> {
         *active -= 1;
     }
 
-    /// Handles peer-closure notices for the given task ids: each
-    /// still-active session is asked (via
-    /// [`SupervisorSession::on_peer_gone`]) whether it can finish
-    /// without that peer. A session that cannot is failed with
+    /// Handles the death notice for task `id`: its still-active session is
+    /// asked (via [`SupervisorSession::on_peer_gone`]) whether it can
+    /// finish without that peer. A session that cannot is failed with
     /// [`GridError::Disconnected`]; one that can (a multi-peer session
     /// whose dead slot already delivered) keeps running — the decision
     /// is the session's, never the race between the death notice and
     /// another slot's mail.
-    fn fail_routes(&mut self, ids: &[u64]) {
-        for id in ids {
-            if let Some(&(index, peer)) = self.routes.get(id) {
-                let slot = &mut self.slots[index];
-                if matches!(slot.state, SessionState::Active) {
-                    let step = slot.session.on_peer_gone(peer);
-                    Self::settle(slot, &mut self.active, step);
-                }
+    fn fail_route(&mut self, id: u64) {
+        if let Some(&(index, peer)) = self.routes.get(&id) {
+            let slot = &mut self.slots[index];
+            if matches!(slot.state, SessionState::Active) {
+                let step = slot.session.on_peer_gone(peer);
+                Self::settle(slot, &mut self.active, step);
             }
         }
     }
@@ -478,10 +376,12 @@ impl<'a> SessionEngine<'a> {
         outs: Vec<(usize, Message)>,
     ) -> Result<(), SchemeError> {
         for (peer, msg) in outs {
-            let task_id = *slot.task_ids.get(peer).ok_or(SchemeError::InvalidConfig {
-                reason: "session addressed a slot it does not own".into(),
-            })?;
-            slot.link.bytes_sent += transport.send(task_id, &msg)?;
+            if peer >= slot.peers {
+                return Err(SchemeError::InvalidConfig {
+                    reason: "session addressed a slot it does not own".into(),
+                });
+            }
+            slot.link.bytes_sent += transport.send(&msg)?;
             slot.link.messages_sent += 1;
         }
         Ok(())
@@ -514,8 +414,8 @@ impl<'a> SessionEngine<'a> {
         let mut last_activity = vec![started; self.slots.len()];
         let mut until = self.deadline.map(|deadline| started + deadline);
         while self.active > 0 {
-            let event = match transport.recv(until) {
-                Ok(Some(event)) => event,
+            let (msg, charged) = match transport.recv(until) {
+                Ok(Some(mail)) => mail,
                 // The wait reached the earliest pending expiry: fail the
                 // sessions that are really out of time (the `while`
                 // condition ends the loop if none remain).
@@ -534,18 +434,11 @@ impl<'a> SessionEngine<'a> {
                     break;
                 }
             };
-            let (msg, charged) = match event {
-                // A broker NACK is a peer-closure notice, not session mail.
-                EngineEvent::Message(Message::Gone { task_id }, _) => {
-                    self.fail_routes(&[task_id]);
-                    continue;
-                }
-                EngineEvent::Message(msg, charged) => (msg, charged),
-                EngineEvent::PeerClosed(ids) => {
-                    self.fail_routes(&ids);
-                    continue;
-                }
-            };
+            // A broker NACK is a peer-closure notice, not session mail.
+            if let Message::Gone { task_id } = msg {
+                self.fail_route(task_id);
+                continue;
+            }
             let Some(&(index, peer)) = self.routes.get(&msg.task_id()) else {
                 // Mail for a session this engine never registered: drop it,
                 // as a broker would drop mail for an unknown host.
@@ -610,8 +503,7 @@ mod tests {
             report_audit: 0,
         };
         let mut engine = SessionEngine::new();
-        let mut transport = DirectTransport::new();
-        let mut part_eps = Vec::new();
+        let (mut sup_eps, mut part_eps) = (Vec::new(), Vec::new());
         for task_id in 0..2u64 {
             let (sup_ep, part_ep) = duplex();
             engine
@@ -629,9 +521,10 @@ mod tests {
                     vec![task_id],
                 )
                 .unwrap();
-            transport.add_endpoint(sup_ep, [task_id]);
+            sup_eps.push(sup_ep);
             part_eps.push(part_ep);
         }
+        let mut transport = InProcessTransport::new(sup_eps);
         let results = std::thread::scope(|scope| {
             let (task, screener, scheme) = (&task, &screener, &scheme);
             for part_ep in &part_eps {
@@ -662,77 +555,74 @@ mod tests {
     }
 
     #[test]
-    fn direct_transport_answers_links_in_arrival_order() {
+    fn in_process_transport_answers_links_in_arrival_order() {
         fn verdict(task_id: u64) -> Message {
             Message::Verdict {
                 task_id,
                 accepted: true,
             }
         }
-        fn task_of(event: Option<EngineEvent>) -> u64 {
-            match event.expect("no deadline: the wait ends with an event") {
-                EngineEvent::Message(msg, _) => msg.task_id(),
-                EngineEvent::PeerClosed(ids) => panic!("unexpected closure of {ids:?}"),
+        fn task_of(mail: Option<(Message, u64)>) -> u64 {
+            match mail.expect("no deadline: the wait ends with mail") {
+                (Message::Gone { task_id }, _) => panic!("unexpected NACK of {task_id}"),
+                (msg, _) => msg.task_id(),
             }
         }
         // A wait that is already out of time: what is there, or nothing.
-        let nothing_now = |t: &mut DirectTransport| t.recv(Some(clock())).unwrap().is_none();
-        let mut transport = DirectTransport::new();
+        let nothing_now = |t: &mut InProcessTransport| t.recv(Some(clock())).unwrap().is_none();
+        let mut transport = InProcessTransport::new(Vec::new());
         assert_eq!(transport.recv(None).unwrap_err(), GridError::Disconnected);
-        // A thousand links, one of which has mail queued before the
-        // transport has even seen it.
-        let mut peers: Vec<Option<Endpoint>> = Vec::new();
+        // A thousand links, each dealt its task's assignment; one link has
+        // mail queued before the transport has even looked.
+        let (sup_sides, mut peers): (Vec<_>, Vec<_>) = (0..1000).map(|_| duplex()).unzip();
+        let mut transport = InProcessTransport::new(sup_sides);
         for id in 0..1000u64 {
-            let (sup_side, part_side) = duplex();
-            if id == 5 {
-                part_side.send(&verdict(id)).unwrap();
-            }
-            transport.add_endpoint(sup_side, [id]);
-            peers.push(Some(part_side));
+            let assign = Message::Assign(ugc_grid::Assignment {
+                task_id: id,
+                domain: Domain::new(id, 1),
+            });
+            transport.send(&assign).unwrap();
         }
+        peers[5].send(&verdict(5)).unwrap();
         assert_eq!(task_of(transport.recv(None).unwrap()), 5);
         assert!(nothing_now(&mut transport));
         // Mail is served in the order it arrived, not in link order.
         let arrivals = [900usize, 3, 512, 3, 0];
         for &link in &arrivals {
-            peers[link]
-                .as_ref()
-                .unwrap()
-                .send(&verdict(link as u64))
-                .unwrap();
+            peers[link].send(&verdict(link as u64)).unwrap();
         }
         for &link in &arrivals {
             assert_eq!(task_of(transport.recv(None).unwrap()), link as u64);
         }
         assert!(nothing_now(&mut transport));
         // A hang-up is reported after the mail queued ahead of it, once.
-        let dying = peers[42].take().unwrap();
+        let dying = peers.remove(42);
         dying.send(&verdict(42)).unwrap();
         drop(dying);
         assert_eq!(task_of(transport.recv(None).unwrap()), 42);
         assert!(matches!(
             transport.recv(None).unwrap(),
-            Some(EngineEvent::PeerClosed(ids)) if ids == [42]
+            Some((Message::Gone { task_id: 42 }, _))
         ));
         assert!(nothing_now(&mut transport));
-        // Everyone else hangs up: one closure each, then nothing can ever
-        // arrive again.
+        // Everyone else hangs up: one NACK per routed task, then nothing
+        // can ever arrive again.
         peers.clear();
-        let mut closed = Vec::new();
+        let mut gone = Vec::new();
         loop {
             match transport.recv(None) {
-                Ok(Some(EngineEvent::PeerClosed(ids))) => closed.extend(ids),
-                Ok(Some(EngineEvent::Message(msg, _))) => panic!("unexpected mail: {msg:?}"),
-                Ok(None) => panic!("a wait with no deadline ended without an event"),
+                Ok(Some((Message::Gone { task_id }, _))) => gone.push(task_id),
+                Ok(Some((msg, _))) => panic!("unexpected mail: {msg:?}"),
+                Ok(None) => panic!("a wait with no deadline ended without mail"),
                 Err(e) => {
                     assert_eq!(e, GridError::Disconnected);
                     break;
                 }
             }
         }
-        closed.sort_unstable();
+        gone.sort_unstable();
         let expected: Vec<u64> = (0..1000).filter(|&id| id != 42).collect();
-        assert_eq!(closed, expected);
+        assert_eq!(gone, expected);
     }
 
     #[test]
@@ -765,7 +655,7 @@ mod tests {
         let (dying_broker_side, dying_part) = duplex();
         let (healthy_broker_side, healthy_part) = duplex();
         let mut sup_transport =
-            BrokeredTransport::new(vec![dying_broker_side, healthy_broker_side]);
+            InProcessTransport::new(vec![dying_broker_side, healthy_broker_side]);
 
         let results = std::thread::scope(|scope| {
             scope.spawn(move || {
@@ -803,7 +693,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_task_ids_need_envelopes() {
+    fn a_task_id_registers_once_and_a_refusal_leaves_the_engine_usable() {
         // A task id is a participant slot's only address: registering one
         // twice is refused, and the refusal leaves the engine usable.
         let task = PasswordSearch::with_hidden_password(2, 5);
@@ -840,9 +730,8 @@ mod tests {
         // surviving session still routes (pre-fix this panicked — the
         // collision had overwritten session 0's route with a dangling
         // slot index before erroring).
-        let mut transport = DirectTransport::new();
         let (sup_ep, part_ep) = duplex();
-        transport.add_endpoint(sup_ep, [1]);
+        let mut transport = InProcessTransport::new(vec![sup_ep]);
         let results = std::thread::scope(|scope| {
             let (task, screener, scheme) = (&task, &screener, &scheme);
             scope.spawn(move || {
@@ -900,9 +789,8 @@ mod tests {
                 vec![9],
             )
             .unwrap();
-        let mut transport = DirectTransport::new();
         let (sup_ep, _part_ep) = duplex(); // stays open: recv would block
-        transport.add_endpoint(sup_ep, [9]);
+        let mut transport = InProcessTransport::new(vec![sup_ep]);
         let results = engine.run(&mut transport);
         assert!(results[0].outcome.as_ref().unwrap().verdict.is_accepted());
     }

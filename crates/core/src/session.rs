@@ -23,7 +23,7 @@
 //! was given ([`SupervisorContext::task_ids`]); messages travel exactly as
 //! the sessions produce them. The
 //! [`SessionEngine`](crate::engine::SessionEngine) multiplexes supervisor
-//! sessions over direct links or a [`Broker`](ugc_grid::Broker); every
+//! sessions over in-memory links or a [`Broker`](ugc_grid::Broker); every
 //! participant session runs as one participant slot of a
 //! [`TransportBackend`](crate::TransportBackend) round, fed one message at
 //! a time by the backend's one participant step — on the scheduler pool in
@@ -203,9 +203,9 @@ pub struct ParticipantContext<'a> {
     /// Merkle-tree storage mode (Section 3.3).
     pub storage: ParticipantStorage,
     /// Worker threads a full-storage tree build may use. Wall-clock time
-    /// only: the commitment, the proofs, every ledger count (including
-    /// `hash_wall_ops`) and therefore every campaign digest are the same
-    /// at any setting, so hosts with different core counts agree.
+    /// only: the commitment, the proofs, every ledger count and therefore
+    /// every campaign digest are the same at any setting, so hosts with
+    /// different core counts agree.
     pub parallelism: Parallelism,
     /// Message-parallel digest lane width for tree builds and sample
     /// hashing (bit-identical results at any setting).
@@ -316,7 +316,7 @@ pub fn drive_supervisor(
 
 /// Receives the next message from any of the given endpoints, with its
 /// slot index: the endpoints ring one local [`Doorbell`] and the one that
-/// rang is answered, as the engine's direct transport does.
+/// rang is answered, as the engine's in-process transport does.
 fn recv_any(endpoints: &[&Endpoint]) -> Result<(usize, Message), SchemeError> {
     let bell = Doorbell::new();
     for (slot, endpoint) in endpoints.iter().enumerate() {

@@ -24,9 +24,10 @@
 //! iteration order could leak into the supervisor-visible message
 //! sequence.
 //!
-//! The in-process brokered transport routes by [`Routes`] at send time,
-//! on the engine's thread, so a message crosses one queue. A [`Broker`]
-//! is those rules with links attached, for a relay between processes.
+//! The engine's in-process transport (Direct and Brokered alike) routes
+//! by [`Routes`] at send time, on the engine's thread, so a message
+//! crosses one queue. A [`Broker`] is those rules with links attached,
+//! for a relay between processes.
 //! [`pump`](Broker::pump) subscribes the supervisor and every participant
 //! to one [`Doorbell`] ([`GridLink::subscribe`]) and relays one frame per
 //! ring: its cost per message does not depend on how many participants

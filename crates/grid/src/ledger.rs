@@ -159,11 +159,11 @@ pub struct CostReport {
     pub hash_ops: u64,
     /// Equal to [`hash_ops`](Self::hash_ops) in every report charged by
     /// this code: a ledger counts the job, not the host that ran it.
-    /// Smaller only in reports replayed from a journal of an earlier
-    /// version, which recorded a threaded build's critical path here — a
-    /// number that depended on the core count of the host that ran it.
-    /// Kept because the journal format and the `{:?}` hashed into
-    /// campaign digests both carry it.
+    /// Journals of the versions that recorded a threaded build's critical
+    /// path here are refused, so only hand-made bytes can carry a smaller
+    /// value: a journal record or a remote slot report. Kept because the
+    /// journal format and the `{:?}` hashed into campaign digests both
+    /// carry it.
     pub hash_wall_ops: u64,
     /// Unit hashes spent in the sample generator `g`.
     pub g_evals: u64,
@@ -226,9 +226,8 @@ mod tests {
 
     #[test]
     fn display_shows_a_replayed_hash_wall() {
-        // A report replayed from an earlier version's journal, whose
-        // threaded build recorded its critical path as `hash_wall_ops`:
-        // the divergence shows up in the display.
+        // A report decoded from hand-made bytes whose `hash_wall_ops`
+        // differs from `hash_ops`: the divergence shows up in the display.
         let report = CostReport {
             hash_ops: 1028,
             hash_wall_ops: 135,

@@ -57,10 +57,10 @@ commands:
   help                                            this message
 
 The fleet runs every member as a concurrent session of one multiplexing
-engine. --transport picks how its messages move: direct (the default;
-one in-memory link per participant) or brokered (all sessions relayed
-through a GRACE-style grid broker over a single supervisor link) —
-verdicts and digests are identical either way.
+engine. --transport names how its messages move: direct (the default)
+or brokered. In this process both are one transport — one in-memory
+link per participant, routed by a GRACE-style grid broker on the
+supervisor's thread — so verdicts and digests are identical either way.
 
 --connect <host:port> runs the same campaign over a real grid: a
 `ugc broker serve` process relays between this supervisor and

@@ -8,7 +8,7 @@
 //! * [`GridServer`] (`ugc broker serve`) accepts one supervisor and N
 //!   participant connections, completes the versioned handshake, then
 //!   pumps a [`Broker`] over [`TcpLink`]s — the same routing rules the
-//!   in-process brokered transport applies at send time — forwarding
+//!   in-process transport applies at send time — forwarding
 //!   participant [`SlotReport`](ugc_core::SlotReport)s up the control
 //!   plane as they arrive.
 //! * [`join`] (`ugc participant join`) dials in, learns the campaign

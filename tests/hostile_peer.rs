@@ -2,10 +2,10 @@
 //! them once.
 //!
 //! A slot's task id is its only address, so a peer that names another
-//! slot's task id must not be heard as that slot: not over a direct link
-//! (the link serves only its own tasks), and not through a broker (which
-//! relays a participant's message only for a task routed to it, and never
-//! relays a participant's `Gone`, the broker's own NACK). And a remote
+//! slot's task id must not be heard as that slot: a broker, in process or
+//! between processes, relays a participant's message only for a task
+//! routed to it, and never relays a participant's `Gone`, the broker's own
+//! NACK. And a remote
 //! peer's slot reports are booked one per slot: a duplicate is a typed
 //! error, not a member's costs counted twice and another's not at all.
 
@@ -13,18 +13,15 @@ use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::time::Duration;
 use uncheatable_grid::campaign::{CampaignPlan, FleetParams};
-use uncheatable_grid::core::engine::{DirectTransport, SessionEngine};
+use uncheatable_grid::core::engine::SessionEngine;
 use uncheatable_grid::core::scheme::cbs::CbsScheme;
-use uncheatable_grid::core::session::drive_participant;
 use uncheatable_grid::core::{
     run_fleet_on, FleetSummary, InProcessBackend, LaneWidth, Parallelism, ParticipantContext,
     ParticipantSession, ParticipantStorage, RemoteGridBackend, RoundSpec, SchemeError, SlotReport,
     SupervisorContext, TransportBackend, TransportKind, VerificationScheme,
 };
 use uncheatable_grid::grid::tcp::{handshake_participant, handshake_supervisor};
-use uncheatable_grid::grid::{
-    duplex, ControlHandle, CostLedger, GridLink, HonestWorker, Message, TcpLink,
-};
+use uncheatable_grid::grid::{ControlHandle, CostLedger, GridLink, HonestWorker, Message, TcpLink};
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::netgrid::{self, GridServer};
 use uncheatable_grid::task::workloads::PasswordSearch;
@@ -32,85 +29,6 @@ use uncheatable_grid::task::Domain;
 
 /// Far longer than any scenario takes; only a wedged campaign reaches it.
 const WATCHDOG: Duration = Duration::from_secs(60);
-
-#[test]
-fn a_direct_link_cannot_speak_for_another_slot() {
-    // Participant 0 reports slot 1 dead and forges slot 1's commitment
-    // before slot 1's own participant has said a word; then both serve
-    // their own slots honestly, and both must be accepted.
-    let task = PasswordSearch::with_hidden_password(2, 5);
-    let screener = task.match_screener();
-    let scheme = CbsScheme {
-        samples: 8,
-        seed: 3,
-        report_audit: 0,
-    };
-    let mut engine = SessionEngine::new();
-    let mut transport = DirectTransport::new();
-    let mut links = Vec::new();
-    for task_id in 0..2u64 {
-        let session = VerificationScheme::<Sha256>::supervisor_session(
-            &scheme,
-            SupervisorContext {
-                task: &task,
-                screener: &screener,
-                domain: Domain::new(task_id * 32, 32),
-                task_ids: vec![task_id],
-                ledger: CostLedger::new(),
-            },
-        );
-        engine.add_session(session, vec![task_id]).unwrap();
-        let (sup_side, part_side) = duplex();
-        transport.add_endpoint(sup_side, [task_id]);
-        links.push(part_side);
-    }
-    let participate = |link: &dyn GridLink| {
-        let mut session = VerificationScheme::<Sha256>::participant_session(
-            &scheme,
-            ParticipantContext {
-                task: &task,
-                screener: &screener,
-                behaviour: &HonestWorker,
-                storage: ParticipantStorage::Full,
-                parallelism: Parallelism::serial(),
-                lanes: LaneWidth::default(),
-                ledger: CostLedger::new(),
-            },
-        );
-        let _ = drive_participant(link, session.as_mut());
-    };
-    let (injected, go) = mpsc::channel();
-    let results = std::thread::scope(|scope| {
-        let [own, victim] = <[_; 2]>::try_from(links).unwrap();
-        scope.spawn(move || {
-            own.send(&Message::Gone { task_id: 1 }).unwrap();
-            own.send(&Message::Commit {
-                task_id: 1,
-                root: vec![0; 32],
-            })
-            .unwrap();
-            injected.send(()).unwrap();
-            participate(&own);
-        });
-        scope.spawn(move || {
-            go.recv().unwrap();
-            participate(&victim);
-        });
-        let results = engine.run(&mut transport);
-        drop(transport); // hang up: a participant left waiting ends
-        results
-    });
-    for (slot, result) in results.iter().enumerate() {
-        assert!(
-            result
-                .outcome
-                .as_ref()
-                .is_ok_and(|o| o.verdict.is_accepted()),
-            "slot {slot}: {:?}",
-            result.outcome
-        );
-    }
-}
 
 /// An honest session that speaks for slot 1 once: its first reply is
 /// preceded by slot 1's death notice and a forged commitment for slot 1.
@@ -139,11 +57,19 @@ impl ParticipantSession for Impostor<'_> {
 }
 
 #[test]
+fn a_direct_link_cannot_speak_for_another_slot() {
+    impostor_round(TransportKind::Direct);
+}
+
+#[test]
 fn a_brokered_slot_cannot_speak_for_another_slot() {
-    // Slot 0 serves its own task honestly, but its first reply is preceded
-    // by slot 1's death notice and a forged commitment for slot 1. The
-    // broker routed task 1 to slot 1, so neither is heard: both sessions
-    // are accepted.
+    impostor_round(TransportKind::Brokered);
+}
+
+/// Slot 0 serves its own task honestly, but its first reply is preceded by
+/// slot 1's death notice and a forged commitment for slot 1. Task 1 is
+/// routed to slot 1, so neither is heard: both sessions are accepted.
+fn impostor_round(kind: TransportKind) {
     let task = PasswordSearch::with_hidden_password(2, 5);
     let screener = task.match_screener();
     let scheme = CbsScheme {
@@ -151,20 +77,6 @@ fn a_brokered_slot_cannot_speak_for_another_slot() {
         seed: 3,
         report_audit: 0,
     };
-    let mut engine = SessionEngine::new();
-    for task_id in 0..2u64 {
-        let session = VerificationScheme::<Sha256>::supervisor_session(
-            &scheme,
-            SupervisorContext {
-                task: &task,
-                screener: &screener,
-                domain: Domain::new(task_id * 32, 32),
-                task_ids: vec![task_id],
-                ledger: CostLedger::new(),
-            },
-        );
-        engine.add_session(session, vec![task_id]).unwrap();
-    }
     let slot = |k: u64, ledger: CostLedger| -> Box<dyn ParticipantSession + '_> {
         let honest = VerificationScheme::<Sha256>::participant_session(
             &scheme,
@@ -193,7 +105,21 @@ fn a_brokered_slot_cannot_speak_for_another_slot() {
         workers: Some(2),
         steal_seed: 0,
     };
-    let round = InProcessBackend::new(TransportKind::Brokered)
+    let mut engine = SessionEngine::new();
+    for task_id in 0..2u64 {
+        let session = VerificationScheme::<Sha256>::supervisor_session(
+            &scheme,
+            SupervisorContext {
+                task: &task,
+                screener: &screener,
+                domain: Domain::new(task_id * 32, 32),
+                task_ids: vec![task_id],
+                ledger: CostLedger::new(),
+            },
+        );
+        engine.add_session(session, vec![task_id]).unwrap();
+    }
+    let round = InProcessBackend::new(kind)
         .run_round(&spec, engine, &slot)
         .unwrap();
     for (slot, result) in round.sessions.iter().enumerate() {
@@ -202,7 +128,7 @@ fn a_brokered_slot_cannot_speak_for_another_slot() {
                 .outcome
                 .as_ref()
                 .is_ok_and(|o| o.verdict.is_accepted()),
-            "slot {slot}: {:?}",
+            "{kind:?} slot {slot}: {:?}",
             result.outcome
         );
     }
