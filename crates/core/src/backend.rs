@@ -43,12 +43,11 @@
 //! connected.
 
 use crate::engine::{InProcessTransport, SessionEngine, SessionResult, SharedLink};
-use crate::journal::{get_part_result, get_report, put_part_result, put_report};
+use crate::journal::{get_part_result, get_report, get_var, put_part_result, put_report, put_var};
 use crate::session::ParticipantSession;
 use crate::SchemeError;
 use std::collections::BTreeMap;
 use std::time::Duration;
-use ugc_grid::codec::{get_u64, put_u64};
 use ugc_grid::runtime::{
     FaultEvent, FaultLog, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll,
 };
@@ -104,21 +103,23 @@ impl SlotReport {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        put_u64(&mut buf, self.slot);
+        put_var(&mut buf, self.slot);
         put_report(&mut buf, &self.costs);
         put_part_result(&mut buf, &self.outcome);
         buf
     }
 
-    /// Decodes a control-frame payload.
+    /// Decodes a control-frame payload: the slot, the costs and the
+    /// outcome in the journal's record codec, every integer canonical
+    /// LEB128 (the layout of wire version 3).
     ///
     /// # Errors
     ///
-    /// [`SchemeError::Journal`] on a malformed or trailing-bytes payload
-    /// (the slot-report codec is the journal's).
+    /// [`SchemeError::Journal`] on a malformed, non-canonical or
+    /// trailing-bytes payload.
     pub fn decode(mut bytes: &[u8]) -> Result<Self, SchemeError> {
         let buf = &mut bytes;
-        let slot = get_u64(buf, "slot report slot")?;
+        let slot = get_var(buf, "slot report slot")?;
         let costs = get_report(buf)?;
         let outcome = get_part_result(buf)?;
         if !buf.is_empty() {

@@ -26,6 +26,13 @@
 //! journal bytes are identical to a never-killed run's — the invariant
 //! `tests/crash_resume.rs` proves at every kill point.
 //!
+//! Tags and 0/1 flags are single bytes; every integer is canonical
+//! unsigned LEB128 (`put_var` / `get_var`, shared with the
+//! [`SlotReport`](crate::SlotReport)), so a record of small counts is
+//! about a fifth of fixed-width words. Truncated, overlong and
+//! over-64-bit integers and `u32` fields above `u32::MAX` are refused:
+//! two records that decode alike are one record.
+//!
 //! This file is deliberately named `journal.rs`: `ugc-lint`'s `lossy-cast`
 //! rule audits journal/codec paths, so every narrowing here must be a
 //! checked `try_from`, never an `as`.
@@ -38,9 +45,6 @@ use crate::session::SessionOutcome;
 use crate::{ParticipantStorage, SchemeError, Verdict};
 use std::path::Path;
 use std::time::Duration;
-use ugc_grid::codec::{
-    get_bytes, get_u32, get_u64, get_u64_list, put_bytes, put_u32, put_u64, put_u64_list,
-};
 use ugc_grid::runtime::{FaultEvent, FaultPlan, LinkDirection};
 use ugc_grid::{CostReport, GridError, LinkStats};
 use ugc_hash::{HashFunction, Sha256};
@@ -63,7 +67,8 @@ fn bad(reason: String) -> SchemeError {
 }
 
 // ---------------------------------------------------------------------------
-// Codec primitives the grid codec does not provide.
+// Codec primitives: a byte for each tag and flag, canonical LEB128 for
+// every integer.
 // ---------------------------------------------------------------------------
 
 fn put_u8(buf: &mut Vec<u8>, v: u8) {
@@ -87,13 +92,66 @@ fn get_flag(buf: &mut &[u8], context: &'static str) -> Result<bool, SchemeError>
     }
 }
 
+/// Appends `v` as unsigned LEB128: seven bits a byte, low group first,
+/// the high bit set on every byte but the last. A record's integers are
+/// mostly small counts, so most take one byte.
+pub(crate) fn put_var(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v.to_le_bytes()[0] | 0x80);
+        v >>= 7;
+    }
+    buf.push(v.to_le_bytes()[0]);
+}
+
+/// Reads what [`put_var`] writes and nothing else: a truncated run, an
+/// overlong one (a zero last byte after the first) and one above 64 bits
+/// are refused, so every value has exactly one encoding.
+pub(crate) fn get_var(buf: &mut &[u8], context: &'static str) -> Result<u64, SchemeError> {
+    let mut value = 0u64;
+    for (i, &byte) in buf.iter().enumerate().take(10) {
+        // The tenth byte carries bit 63 alone, and ends the run.
+        if i == 9 && byte > 1 {
+            return Err(bad(format!("{context}: integer exceeds 64 bits")));
+        }
+        value |= u64::from(byte & 0x7F) << (7 * i);
+        if byte & 0x80 == 0 {
+            if byte == 0 && i > 0 {
+                return Err(bad(format!("{context}: overlong integer encoding")));
+            }
+            *buf = &buf[i + 1..];
+            return Ok(value);
+        }
+    }
+    Err(bad(format!("unexpected end of record in {context}")))
+}
+
+fn get_u32(buf: &mut &[u8], context: &'static str) -> Result<u32, SchemeError> {
+    let v = get_var(buf, context)?;
+    u32::try_from(v).map_err(|_| bad(format!("{context}: {v} exceeds u32")))
+}
+
 fn put_usize(buf: &mut Vec<u8>, v: usize) {
-    put_u64(buf, v as u64);
+    put_var(buf, v as u64);
 }
 
 fn get_usize(buf: &mut &[u8], context: &'static str) -> Result<usize, SchemeError> {
-    let v = get_u64(buf, context)?;
+    let v = get_var(buf, context)?;
     usize::try_from(v).map_err(|_| bad(format!("{context}: {v} exceeds this platform's usize")))
+}
+
+/// A length, then the bytes.
+fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_usize(buf, bytes.len());
+    buf.extend_from_slice(bytes);
+}
+
+fn get_bytes(buf: &mut &[u8], context: &'static str) -> Result<Vec<u8>, SchemeError> {
+    let len = get_usize(buf, context)?;
+    let Some((bytes, rest)) = buf.split_at_checked(len) else {
+        return Err(bad(format!("unexpected end of record in {context}")));
+    };
+    *buf = rest;
+    Ok(bytes.to_vec())
 }
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
@@ -103,10 +161,6 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
 fn get_string(buf: &mut &[u8], context: &'static str) -> Result<String, SchemeError> {
     let bytes = get_bytes(buf, context)?;
     String::from_utf8(bytes).map_err(|_| bad(format!("{context}: invalid UTF-8")))
-}
-
-fn put_micros(buf: &mut Vec<u8>, d: Duration) {
-    put_u64(buf, u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
 }
 
 /// A count, then each item.
@@ -142,21 +196,21 @@ fn put_verdict(buf: &mut Vec<u8>, v: &Verdict) {
         Verdict::Accepted => put_u8(buf, 0),
         Verdict::WrongResult { sample } => {
             put_u8(buf, 1);
-            put_u64(buf, sample);
+            put_var(buf, sample);
         }
         Verdict::CommitmentMismatch { sample } => {
             put_u8(buf, 2);
-            put_u64(buf, sample);
+            put_var(buf, sample);
         }
         Verdict::SampleDerivationMismatch => put_u8(buf, 3),
         Verdict::ReportMismatch { input } => {
             put_u8(buf, 4);
-            put_u64(buf, input);
+            put_var(buf, input);
         }
         Verdict::RingerMissed => put_u8(buf, 5),
         Verdict::ReplicaDisagreement { index } => {
             put_u8(buf, 6);
-            put_u64(buf, index);
+            put_var(buf, index);
         }
     }
 }
@@ -165,18 +219,18 @@ fn get_verdict(buf: &mut &[u8]) -> Result<Verdict, SchemeError> {
     Ok(match get_u8(buf, "verdict tag")? {
         0 => Verdict::Accepted,
         1 => Verdict::WrongResult {
-            sample: get_u64(buf, "verdict sample")?,
+            sample: get_var(buf, "verdict sample")?,
         },
         2 => Verdict::CommitmentMismatch {
-            sample: get_u64(buf, "verdict sample")?,
+            sample: get_var(buf, "verdict sample")?,
         },
         3 => Verdict::SampleDerivationMismatch,
         4 => Verdict::ReportMismatch {
-            input: get_u64(buf, "verdict input")?,
+            input: get_var(buf, "verdict input")?,
         },
         5 => Verdict::RingerMissed,
         6 => Verdict::ReplicaDisagreement {
-            index: get_u64(buf, "verdict index")?,
+            index: get_var(buf, "verdict index")?,
         },
         tag => return Err(bad(format!("unknown verdict tag {tag}"))),
     })
@@ -198,19 +252,19 @@ fn put_grid_error(buf: &mut Vec<u8>, e: &GridError) {
         }
         GridError::LengthOverflow { declared } => {
             put_u8(buf, 3);
-            put_u64(buf, declared);
+            put_var(buf, declared);
         }
         GridError::Disconnected => put_u8(buf, 4),
         GridError::Empty => put_u8(buf, 5),
         GridError::TornFrame { expected, got } => {
             put_u8(buf, 6);
-            put_u64(buf, expected);
-            put_u64(buf, got);
+            put_var(buf, expected);
+            put_var(buf, got);
         }
         GridError::HandshakeMismatch { ours, theirs } => {
             put_u8(buf, 7);
-            put_u32(buf, ours);
-            put_u32(buf, theirs);
+            put_var(buf, u64::from(ours));
+            put_var(buf, u64::from(theirs));
         }
     }
 }
@@ -227,13 +281,13 @@ fn get_grid_error(buf: &mut &[u8]) -> Result<GridError, SchemeError> {
             remaining: get_usize(buf, "grid error remaining")?,
         },
         3 => GridError::LengthOverflow {
-            declared: get_u64(buf, "grid error declared")?,
+            declared: get_var(buf, "grid error declared")?,
         },
         4 => GridError::Disconnected,
         5 => GridError::Empty,
         6 => GridError::TornFrame {
-            expected: get_u64(buf, "grid error expected")?,
-            got: get_u64(buf, "grid error got")?,
+            expected: get_var(buf, "grid error expected")?,
+            got: get_var(buf, "grid error got")?,
         },
         7 => GridError::HandshakeMismatch {
             ours: get_u32(buf, "grid error ours")?,
@@ -254,25 +308,25 @@ fn put_merkle_error(buf: &mut Vec<u8>, e: &MerkleError) {
             put_u8(buf, 1);
             put_usize(buf, expected);
             put_usize(buf, found);
-            put_u64(buf, index);
+            put_var(buf, index);
         }
         MerkleError::ZeroLeafWidth => put_u8(buf, 2),
         MerkleError::IndexOutOfRange { index, leaf_count } => {
             put_u8(buf, 3);
-            put_u64(buf, index);
-            put_u64(buf, leaf_count);
+            put_var(buf, index);
+            put_var(buf, leaf_count);
         }
         MerkleError::SubtreeHeightOutOfRange {
             subtree_height,
             tree_height,
         } => {
             put_u8(buf, 4);
-            put_u32(buf, subtree_height);
-            put_u32(buf, tree_height);
+            put_var(buf, u64::from(subtree_height));
+            put_var(buf, u64::from(tree_height));
         }
         MerkleError::ProviderMismatch { subtree_index } => {
             put_u8(buf, 5);
-            put_u64(buf, subtree_index);
+            put_var(buf, subtree_index);
         }
         MerkleError::NoIndices => put_u8(buf, 6),
         MerkleError::OpeningShape {
@@ -296,7 +350,7 @@ fn put_merkle_error(buf: &mut Vec<u8>, e: &MerkleError) {
         }
         MerkleError::LeavesNotResident { subtree_height } => {
             put_u8(buf, 8);
-            put_u32(buf, subtree_height);
+            put_var(buf, u64::from(subtree_height));
         }
     }
 }
@@ -307,19 +361,19 @@ fn get_merkle_error(buf: &mut &[u8]) -> Result<MerkleError, SchemeError> {
         1 => MerkleError::MixedLeafWidth {
             expected: get_usize(buf, "merkle expected width")?,
             found: get_usize(buf, "merkle found width")?,
-            index: get_u64(buf, "merkle leaf index")?,
+            index: get_var(buf, "merkle leaf index")?,
         },
         2 => MerkleError::ZeroLeafWidth,
         3 => MerkleError::IndexOutOfRange {
-            index: get_u64(buf, "merkle index")?,
-            leaf_count: get_u64(buf, "merkle leaf count")?,
+            index: get_var(buf, "merkle index")?,
+            leaf_count: get_var(buf, "merkle leaf count")?,
         },
         4 => MerkleError::SubtreeHeightOutOfRange {
             subtree_height: get_u32(buf, "merkle subtree height")?,
             tree_height: get_u32(buf, "merkle tree height")?,
         },
         5 => MerkleError::ProviderMismatch {
-            subtree_index: get_u64(buf, "merkle subtree index")?,
+            subtree_index: get_var(buf, "merkle subtree index")?,
         },
         6 => MerkleError::NoIndices,
         7 => MerkleError::OpeningShape {
@@ -357,8 +411,8 @@ fn put_scheme_error(buf: &mut Vec<u8>, e: &SchemeError) {
         }
         SchemeError::TaskMismatch { expected, got } => {
             put_u8(buf, 3);
-            put_u64(buf, *expected);
-            put_u64(buf, *got);
+            put_var(buf, *expected);
+            put_var(buf, *got);
         }
         SchemeError::ProofCountMismatch { expected, got } => {
             put_u8(buf, 4);
@@ -390,8 +444,8 @@ fn get_scheme_error(buf: &mut &[u8]) -> Result<SchemeError, SchemeError> {
             got: get_string(buf, "scheme error got")?.into(),
         },
         3 => SchemeError::TaskMismatch {
-            expected: get_u64(buf, "scheme error expected id")?,
-            got: get_u64(buf, "scheme error got id")?,
+            expected: get_var(buf, "scheme error expected id")?,
+            got: get_var(buf, "scheme error got id")?,
         },
         4 => SchemeError::ProofCountMismatch {
             expected: get_usize(buf, "scheme error expected proofs")?,
@@ -412,43 +466,43 @@ fn get_scheme_error(buf: &mut &[u8]) -> Result<SchemeError, SchemeError> {
 }
 
 fn put_link(buf: &mut Vec<u8>, link: &LinkStats) {
-    put_u64(buf, link.bytes_sent);
-    put_u64(buf, link.bytes_received);
-    put_u64(buf, link.messages_sent);
-    put_u64(buf, link.messages_received);
+    put_var(buf, link.bytes_sent);
+    put_var(buf, link.bytes_received);
+    put_var(buf, link.messages_sent);
+    put_var(buf, link.messages_received);
 }
 
 fn get_link(buf: &mut &[u8]) -> Result<LinkStats, SchemeError> {
     Ok(LinkStats {
-        bytes_sent: get_u64(buf, "link bytes sent")?,
-        bytes_received: get_u64(buf, "link bytes received")?,
-        messages_sent: get_u64(buf, "link messages sent")?,
-        messages_received: get_u64(buf, "link messages received")?,
+        bytes_sent: get_var(buf, "link bytes sent")?,
+        bytes_received: get_var(buf, "link bytes received")?,
+        messages_sent: get_var(buf, "link messages sent")?,
+        messages_received: get_var(buf, "link messages received")?,
     })
 }
 
 pub(crate) fn put_report(buf: &mut Vec<u8>, report: &CostReport) {
-    put_u64(buf, report.f_evals);
-    put_u64(buf, report.hash_ops);
-    put_u64(buf, report.hash_wall_ops);
-    put_u64(buf, report.g_evals);
-    put_u64(buf, report.verify_ops);
+    put_var(buf, report.f_evals);
+    put_var(buf, report.hash_ops);
+    put_var(buf, report.hash_wall_ops);
+    put_var(buf, report.g_evals);
+    put_var(buf, report.verify_ops);
 }
 
 pub(crate) fn get_report(buf: &mut &[u8]) -> Result<CostReport, SchemeError> {
     Ok(CostReport {
-        f_evals: get_u64(buf, "cost f_evals")?,
-        hash_ops: get_u64(buf, "cost hash_ops")?,
-        hash_wall_ops: get_u64(buf, "cost hash_wall_ops")?,
-        g_evals: get_u64(buf, "cost g_evals")?,
-        verify_ops: get_u64(buf, "cost verify_ops")?,
+        f_evals: get_var(buf, "cost f_evals")?,
+        hash_ops: get_var(buf, "cost hash_ops")?,
+        hash_wall_ops: get_var(buf, "cost hash_wall_ops")?,
+        g_evals: get_var(buf, "cost g_evals")?,
+        verify_ops: get_var(buf, "cost verify_ops")?,
     })
 }
 
 fn put_outcome(buf: &mut Vec<u8>, outcome: &SessionOutcome) {
     put_verdict(buf, &outcome.verdict);
     put_list(buf, &outcome.reports, |buf, report| {
-        put_u64(buf, report.input);
+        put_var(buf, report.input);
         put_bytes(buf, &report.payload);
     });
 }
@@ -458,7 +512,7 @@ fn get_outcome(buf: &mut &[u8]) -> Result<SessionOutcome, SchemeError> {
         verdict: get_verdict(buf)?,
         reports: get_list(buf, "report count", |buf| {
             Ok(ScreenReport {
-                input: get_u64(buf, "report input")?,
+                input: get_var(buf, "report input")?,
                 payload: get_bytes(buf, "report payload")?,
             })
         })?,
@@ -552,9 +606,9 @@ fn put_event(buf: &mut Vec<u8>, event: &FaultEvent) {
             seq,
         } => {
             put_u8(buf, 0);
-            put_u64(buf, link);
+            put_var(buf, link);
             put_direction(buf, direction);
-            put_u64(buf, seq);
+            put_var(buf, seq);
         }
         FaultEvent::Duplicated {
             link,
@@ -562,9 +616,9 @@ fn put_event(buf: &mut Vec<u8>, event: &FaultEvent) {
             seq,
         } => {
             put_u8(buf, 1);
-            put_u64(buf, link);
+            put_var(buf, link);
             put_direction(buf, direction);
-            put_u64(buf, seq);
+            put_var(buf, seq);
         }
         FaultEvent::Reordered {
             link,
@@ -572,9 +626,9 @@ fn put_event(buf: &mut Vec<u8>, event: &FaultEvent) {
             seq,
         } => {
             put_u8(buf, 2);
-            put_u64(buf, link);
+            put_var(buf, link);
             put_direction(buf, direction);
-            put_u64(buf, seq);
+            put_var(buf, seq);
         }
         FaultEvent::Delayed {
             link,
@@ -583,15 +637,15 @@ fn put_event(buf: &mut Vec<u8>, event: &FaultEvent) {
             micros,
         } => {
             put_u8(buf, 3);
-            put_u64(buf, link);
+            put_var(buf, link);
             put_direction(buf, direction);
-            put_u64(buf, seq);
-            put_u32(buf, micros);
+            put_var(buf, seq);
+            put_var(buf, u64::from(micros));
         }
         FaultEvent::Crashed { link, after } => {
             put_u8(buf, 4);
-            put_u64(buf, link);
-            put_u64(buf, after);
+            put_var(buf, link);
+            put_var(buf, after);
         }
     }
 }
@@ -599,29 +653,29 @@ fn put_event(buf: &mut Vec<u8>, event: &FaultEvent) {
 fn get_event(buf: &mut &[u8]) -> Result<FaultEvent, SchemeError> {
     Ok(match get_u8(buf, "fault event tag")? {
         0 => FaultEvent::Dropped {
-            link: get_u64(buf, "fault link")?,
+            link: get_var(buf, "fault link")?,
             direction: get_direction(buf)?,
-            seq: get_u64(buf, "fault seq")?,
+            seq: get_var(buf, "fault seq")?,
         },
         1 => FaultEvent::Duplicated {
-            link: get_u64(buf, "fault link")?,
+            link: get_var(buf, "fault link")?,
             direction: get_direction(buf)?,
-            seq: get_u64(buf, "fault seq")?,
+            seq: get_var(buf, "fault seq")?,
         },
         2 => FaultEvent::Reordered {
-            link: get_u64(buf, "fault link")?,
+            link: get_var(buf, "fault link")?,
             direction: get_direction(buf)?,
-            seq: get_u64(buf, "fault seq")?,
+            seq: get_var(buf, "fault seq")?,
         },
         3 => FaultEvent::Delayed {
-            link: get_u64(buf, "fault link")?,
+            link: get_var(buf, "fault link")?,
             direction: get_direction(buf)?,
-            seq: get_u64(buf, "fault seq")?,
+            seq: get_var(buf, "fault seq")?,
             micros: get_u32(buf, "fault micros")?,
         },
         4 => FaultEvent::Crashed {
-            link: get_u64(buf, "fault link")?,
-            after: get_u64(buf, "fault after")?,
+            link: get_var(buf, "fault link")?,
+            after: get_var(buf, "fault after")?,
         },
         tag => return Err(bad(format!("unknown fault event tag {tag}"))),
     })
@@ -687,36 +741,37 @@ impl CampaignHeader {
 fn encode_header(header: &CampaignHeader) -> Vec<u8> {
     let mut buf = vec![TAG_HEADER];
     put_bytes(&mut buf, &header.app);
-    put_u64_list(&mut buf, &header.member_slots);
-    put_u64(&mut buf, header.domain.start());
-    put_u64(&mut buf, header.domain.len());
+    put_list(&mut buf, &header.member_slots, |buf, &n| put_var(buf, n));
+    put_var(&mut buf, header.domain.start());
+    put_var(&mut buf, header.domain.len());
     match header.storage {
         ParticipantStorage::Full => put_u8(&mut buf, 0),
         ParticipantStorage::Partial { subtree_height } => {
             put_u8(&mut buf, 1);
-            put_u32(&mut buf, subtree_height);
+            put_var(&mut buf, u64::from(subtree_height));
         }
     }
     match header.chaos {
         None => put_u8(&mut buf, 0),
         Some(plan) => {
             put_u8(&mut buf, 1);
-            put_u64(&mut buf, plan.seed);
-            put_u32(&mut buf, u32::from(plan.drop_per_1024));
-            put_u32(&mut buf, u32::from(plan.dup_per_1024));
-            put_u32(&mut buf, u32::from(plan.reorder_per_1024));
-            put_u32(&mut buf, plan.max_delay_micros);
-            put_u32(&mut buf, u32::from(plan.crash_per_1024));
+            put_var(&mut buf, plan.seed);
+            put_var(&mut buf, u64::from(plan.drop_per_1024));
+            put_var(&mut buf, u64::from(plan.dup_per_1024));
+            put_var(&mut buf, u64::from(plan.reorder_per_1024));
+            put_var(&mut buf, u64::from(plan.max_delay_micros));
+            put_var(&mut buf, u64::from(plan.crash_per_1024));
         }
     }
     match header.deadline {
         None => put_u8(&mut buf, 0),
         Some(deadline) => {
             put_u8(&mut buf, 1);
-            put_micros(&mut buf, deadline);
+            let micros = u64::try_from(deadline.as_micros()).unwrap_or(u64::MAX);
+            put_var(&mut buf, micros);
         }
     }
-    put_u32(&mut buf, header.retries);
+    put_var(&mut buf, u64::from(header.retries));
     buf
 }
 
@@ -727,9 +782,11 @@ fn get_per_1024(buf: &mut &[u8], context: &'static str) -> Result<u16, SchemeErr
 
 fn decode_header(buf: &mut &[u8]) -> Result<CampaignHeader, SchemeError> {
     let app = get_bytes(buf, "header app blob")?;
-    let member_slots = get_u64_list(buf, "header member slots")?;
-    let start = get_u64(buf, "header domain start")?;
-    let len = get_u64(buf, "header domain len")?;
+    let member_slots = get_list(buf, "header member count", |buf| {
+        get_var(buf, "header member slots")
+    })?;
+    let start = get_var(buf, "header domain start")?;
+    let len = get_var(buf, "header domain len")?;
     let domain = Domain::try_new(start, len)
         .map_err(|_| bad(format!("header domain {start}+{len} is invalid")))?;
     let storage = match get_u8(buf, "header storage tag")? {
@@ -742,7 +799,7 @@ fn decode_header(buf: &mut &[u8]) -> Result<CampaignHeader, SchemeError> {
     let chaos = match get_flag(buf, "header chaos flag")? {
         false => None,
         true => Some(FaultPlan {
-            seed: get_u64(buf, "header chaos seed")?,
+            seed: get_var(buf, "header chaos seed")?,
             drop_per_1024: get_per_1024(buf, "header drop rate")?,
             dup_per_1024: get_per_1024(buf, "header dup rate")?,
             reorder_per_1024: get_per_1024(buf, "header reorder rate")?,
@@ -752,7 +809,7 @@ fn decode_header(buf: &mut &[u8]) -> Result<CampaignHeader, SchemeError> {
     };
     let deadline = match get_flag(buf, "header deadline flag")? {
         false => None,
-        true => Some(Duration::from_micros(get_u64(buf, "header deadline")?)),
+        true => Some(Duration::from_micros(get_var(buf, "header deadline")?)),
     };
     let retries = get_u32(buf, "header retries")?;
     Ok(CampaignHeader {
@@ -784,7 +841,7 @@ enum Record {
 
 fn encode_round(record: &RoundRecord) -> Vec<u8> {
     let mut buf = vec![TAG_ROUND];
-    put_u32(&mut buf, record.round);
+    put_var(&mut buf, u64::from(record.round));
     put_list(&mut buf, &record.roster, |buf, &member| {
         put_usize(buf, member)
     });
@@ -1332,6 +1389,24 @@ mod tests {
                 format!("{error} {error:?}")
             );
         }
+    }
+
+    #[test]
+    fn an_accepted_member_costs_at_most_32_bytes_a_round() {
+        // One single-slot member's roster entry, session result and
+        // books, at the scale of a swarm session.
+        let costs = CostReport {
+            f_evals: 8,
+            hash_ops: 15,
+            hash_wall_ops: 15,
+            g_evals: 0,
+            verify_ops: 4,
+        };
+        let mut one = round(0, &[7], &[], costs);
+        one.sessions[0].link.bytes_sent = 150;
+        one.sessions[0].link.bytes_received = 152;
+        let row = encode_round(&one).len() - encode_round(&round(0, &[], &[], costs)).len();
+        assert!(row <= 32, "a member's row is {row} B");
     }
 
     #[test]

@@ -27,7 +27,11 @@ use std::io::{ErrorKind, IoSlice, Read, Write};
 /// one [`Opening`](crate::Opening) where version 1 sent a
 /// length-prefixed authentication path per sample: the two disagree on
 /// every byte a supervisor is charged for, so they must never be mixed.
-pub const WIRE_VERSION: u32 = 2;
+/// Version 3 is the slot-report layout: a participant's end-of-slot
+/// control frame writes its integers in canonical LEB128, as the journal
+/// does, where version 2 wrote fixed-width words. Data frames and every
+/// charged byte are version 2's.
+pub const WIRE_VERSION: u32 = 3;
 
 /// Magic prefix opening every handshake payload, so a non-grid peer is
 /// rejected before any length field is trusted.
@@ -498,19 +502,25 @@ mod tests {
 
     #[test]
     fn a_version_1_hello_is_refused() {
-        // What a peer built before the opening sends: same magic, same
-        // layout, version word 1.
+        // What a peer of an earlier version sends: same magic, same
+        // layout, another version word. Version 1 sent a path per sample;
+        // version 2 wrote slot reports in fixed-width integers.
         let hello = Hello {
             role: ROLE_PARTICIPANT,
             params: vec![1, 2, 3],
         };
-        let mut payload = hello.encode();
-        assert_eq!(payload[8..12], WIRE_VERSION.to_le_bytes());
-        payload[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            Hello::decode(&payload),
-            Err(GridError::HandshakeMismatch { ours: 2, theirs: 1 })
-        );
+        for version in [1u32, 2] {
+            let mut payload = hello.encode();
+            assert_eq!(payload[8..12], WIRE_VERSION.to_le_bytes());
+            payload[8..12].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                Hello::decode(&payload),
+                Err(GridError::HandshakeMismatch {
+                    ours: 3,
+                    theirs: version
+                })
+            );
+        }
     }
 
     #[test]

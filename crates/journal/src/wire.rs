@@ -10,7 +10,7 @@
 //! the half-written frame that death leaves behind.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Seek as _, SeekFrom, Write as _};
+use std::io::{ErrorKind, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
 use ugc_hash::{hex, HashFunction, Sha256};
@@ -27,8 +27,10 @@ pub const MAGIC: [u8; 8] = *b"UGCJRNL1";
 /// counts cannot resume into rounds that count the new ones. Version 3
 /// writes each settled round as one record, where version 2 wrote a
 /// round as a start record, a record per session and per member, and an
-/// end record.
-pub const VERSION: u32 = 3;
+/// end record. Version 4 writes every integer in a record as canonical
+/// LEB128 where version 3 wrote fixed-width words: about a fifth of the
+/// bytes to checksum and chain.
+pub const VERSION: u32 = 4;
 
 /// Bytes of file header: magic plus little-endian version.
 pub const FILE_HEADER_BYTES: u64 = 12;
@@ -345,24 +347,26 @@ pub struct JournalWriter {
 }
 
 impl JournalWriter {
-    /// Creates (or truncates) a journal at `path` and writes the file
-    /// header. No crash plan is armed yet — [`JournalWriter::arm`] it
-    /// after the records that must always survive (the campaign
-    /// header) are down.
+    /// Creates a journal at `path`, replacing any file there, and writes
+    /// the file header. No crash plan is armed yet —
+    /// [`JournalWriter::arm`] it after the records that must always
+    /// survive (the campaign header) are down. An old file is removed,
+    /// never truncated: truncating a file written a moment before makes
+    /// ext4 (`auto_da_alloc`) push its delayed blocks to disk first.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] if the file cannot be created or written.
+    /// [`JournalError::Io`] if the old file cannot be removed (a
+    /// directory is left untouched) or the new one created or written.
     pub fn create(path: &Path) -> Result<Self, JournalError> {
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .map_err(|e| JournalError::Io {
-                context: "create journal",
-                reason: e.to_string(),
-            })?;
+        let mut file = match std::fs::remove_file(path) {
+            Err(e) if e.kind() != ErrorKind::NotFound => Err(e),
+            _ => OpenOptions::new().write(true).create_new(true).open(path),
+        }
+        .map_err(|e| JournalError::Io {
+            context: "create journal",
+            reason: e.to_string(),
+        })?;
         file.write_all(&MAGIC)
             .and_then(|()| file.write_all(&VERSION.to_le_bytes()))
             .and_then(|()| file.flush())
@@ -650,22 +654,25 @@ mod tests {
 
     #[test]
     fn a_version_1_journal_is_refused() {
-        // Journals of earlier versions: same magic, same frames, another
-        // version word. Version 1 counted the wire's old bytes; version 2
-        // wrote a round as several records.
+        // Journals of every earlier version: same magic, same frames,
+        // another version word. Version 1 counted the wire's old bytes,
+        // version 2 wrote a round as several records, version 3 wrote
+        // fixed-width integers.
         let path = temp_journal("v1");
-        for version in [1u32, 2] {
+        for version in 1..VERSION {
             let mut writer = JournalWriter::create(&path).unwrap();
             writer.append(b"\x01round").unwrap();
+            writer.seal().unwrap();
             drop(writer);
             let mut bytes = std::fs::read(&path).unwrap();
             assert_eq!(bytes[8..12], VERSION.to_le_bytes());
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &bytes).unwrap();
             let refused = JournalError::NotAJournal {
-                reason: format!("unsupported version {version} (this build reads 3)"),
+                reason: format!("unsupported version {version} (this build reads 4)"),
             };
             assert_eq!(read_journal(&path), Err(refused.clone()));
+            assert_eq!(verify_journal(&path), Err(refused.clone()));
             assert_eq!(JournalWriter::resume(&path, 1).map(|_| ()), Err(refused));
         }
         cleanup(&path);

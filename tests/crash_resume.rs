@@ -191,15 +191,15 @@ fn attestation(path: &Path) -> String {
 const ATTESTATIONS: [(u64, &str); 3] = [
     (
         0xC4A05,
-        "5ce33e2fb65b8b86e5ebe1847027b051fe33da08ba6a92fc2d56c122a7540e45",
+        "b4c2dbc3d967fe68b9a92ec1201110f284f1084549918e8c07545ab6d531a5ca",
     ),
     (
         0x5EED5,
-        "f4314b88169038fef167de18ec4468394b05c455c2774fb26958ed704b8f880f",
+        "8058896b7aaae2efc124969057ce20069906643f50ff49250bdcc73a784ca833",
     ),
     (
         42,
-        "b461ca125ad6f991a7d89620f2464a5fad2641fc57849a4f02172cd793e5f581",
+        "4d0202b960435cf1b4bc3e19a83ecffd40d9507af1268bc5ef0aa3472bb28e78",
     ),
 ];
 

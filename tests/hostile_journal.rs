@@ -1,21 +1,27 @@
 //! Resume refuses any journal a live run could not have written.
 //!
 //! Every journal below is CRC-valid: a real campaign header, then round
-//! records encoded by hand and appended through the journal writer, so
+//! records encoded by hand — with this file's own LEB128 writer, not the
+//! encoder under test — and appended through the journal writer, so
 //! each one reaches the campaign layer's checks rather than the frame
 //! layer's. A round record is replayed only if its number is the next
 //! one and within the retry budget, its roster is exactly the members
 //! still pending, and it holds one session and one set of books per
 //! roster member. Anything else is a typed `SchemeError::Journal` — never
 //! a panic, an overflow, or a campaign that silently resumes from state
-//! no supervisor was ever in.
+//! no supervisor was ever in. The integer codec under those records is
+//! canonical LEB128: a truncated, overlong or over-64-bit integer, or a
+//! `u32` field above `u32::MAX`, is refused the same way.
 
+use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
-use ugc_journal::{CrashPlan, JournalWriter};
-use uncheatable_grid::core::{CampaignHeader, DurableCampaign, ParticipantStorage, SchemeError};
-use uncheatable_grid::grid::codec::{put_u32, put_u64, put_u64_list};
+use ugc_journal::{CrashPlan, JournalWriter, VERSION};
+use uncheatable_grid::core::{
+    CampaignHeader, DurableCampaign, ParticipantStorage, SchemeError, SlotReport,
+};
+use uncheatable_grid::grid::CostReport;
 use uncheatable_grid::task::Domain;
 
 fn journal_path(tag: &str) -> PathBuf {
@@ -27,6 +33,24 @@ fn journal_path(tag: &str) -> PathBuf {
     ))
 }
 
+/// Appends `v` as unsigned LEB128, the journal's integer encoding: seven
+/// bits a byte, low group first, the high bit on every byte but the last.
+fn var(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(0x80 | u8::try_from(v & 0x7F).expect("seven bits"));
+        v >>= 7;
+    }
+    buf.push(u8::try_from(v).expect("below 0x80"));
+}
+
+/// Appends a count, then each of `list`.
+fn var_list(buf: &mut Vec<u8>, list: &[u64]) {
+    var(buf, list.len() as u64);
+    for &v in list {
+        var(buf, v);
+    }
+}
+
 /// A hand-encoded `Round` record (tag 2 of the record table in
 /// `crates/core/src/journal.rs`): one session per entry of `accepted` —
 /// accepted with no reports, or timed out — then `books` sets of member
@@ -34,29 +58,29 @@ fn journal_path(tag: &str) -> PathBuf {
 /// cost counter reads `count`.
 fn round_record(round: u32, roster: &[u64], accepted: &[bool], books: u64, count: u64) -> Vec<u8> {
     let mut buf = vec![2];
-    put_u32(&mut buf, round);
-    put_u64_list(&mut buf, roster);
-    put_u64(&mut buf, accepted.len() as u64);
+    var(&mut buf, u64::from(round));
+    var_list(&mut buf, roster);
+    var(&mut buf, accepted.len() as u64);
     for &accepted in accepted {
         if accepted {
             buf.extend([1, 0]); // Ok, Verdict::Accepted
-            put_u64(&mut buf, 0); // no reports
+            var(&mut buf, 0); // no reports
         } else {
             buf.extend([0, 7]); // Err, SchemeError::TimedOut
         }
         for _ in 0..4 {
-            put_u64(&mut buf, count);
+            var(&mut buf, count);
         }
     }
-    put_u64(&mut buf, books);
+    var(&mut buf, books);
     for _ in 0..books {
         for _ in 0..10 {
-            put_u64(&mut buf, count);
+            var(&mut buf, count);
         }
-        put_u64(&mut buf, 1);
+        var(&mut buf, 1);
         buf.extend([1, 0]);
     }
-    put_u64(&mut buf, 0); // no fault events
+    var(&mut buf, 0); // no fault events
     buf
 }
 
@@ -162,23 +186,23 @@ fn resume_refuses_rounds_no_live_run_could_have_written() {
 /// flag carries — and a retry budget of 4.
 fn header_record(chaos: u8, deadline: u8) -> Vec<u8> {
     let mut buf = vec![1];
-    put_u64(&mut buf, 0); // an empty app blob
-    put_u64_list(&mut buf, &[1, 1]);
-    put_u64(&mut buf, 0);
-    put_u64(&mut buf, 64);
+    var(&mut buf, 0); // an empty app blob
+    var_list(&mut buf, &[1, 1]);
+    var(&mut buf, 0);
+    var(&mut buf, 64);
     buf.push(0); // full storage
     buf.push(chaos);
     if chaos != 0 {
-        put_u64(&mut buf, 9);
+        var(&mut buf, 9);
         for _ in 0..5 {
-            put_u32(&mut buf, 0);
+            var(&mut buf, 0);
         }
     }
     buf.push(deadline);
     if deadline != 0 {
-        put_u64(&mut buf, 1_000);
+        var(&mut buf, 1_000);
     }
-    put_u32(&mut buf, 4);
+    var(&mut buf, 4);
     buf
 }
 
@@ -256,4 +280,94 @@ fn cli_resume_of_a_round_that_settles_nothing_fails_cleanly() {
     assert_eq!(resumed.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("error:"), "{stderr}");
     let _ = std::fs::remove_file(&journal);
+}
+
+/// A `Round` record whose round number is `integer`, raw, followed by
+/// the four list counts of an empty round.
+fn round_numbered(integer: &[u8]) -> Vec<u8> {
+    [&[2][..], integer, &[0; 4]].concat()
+}
+
+#[test]
+fn resume_refuses_every_malformed_integer() {
+    let mut max = Vec::new();
+    var(&mut max, u64::MAX);
+    assert_eq!(max, [&[0xFF; 9][..], &[0x01]].concat());
+    // Every strict prefix of u64::MAX ends the record mid-integer.
+    let mut cases: Vec<(Vec<u8>, &str)> = (0..max.len())
+        .map(|n| ([&[2][..], &max[..n]].concat(), "unexpected end of record"))
+        .collect();
+    cases.extend([
+        (round_numbered(&[0x80, 0x00]), "overlong"),
+        (round_numbered(&[0xFF, 0x80, 0x00]), "overlong"),
+        (
+            round_numbered(&[&[0xFF; 9][..], &[0x02]].concat()),
+            "exceeds 64 bits",
+        ),
+        (
+            round_numbered(&[&[0xFF; 10][..], &[0x01]].concat()),
+            "exceeds 64 bits",
+        ),
+    ]);
+    let mut two_to_the_32 = Vec::new();
+    var(&mut two_to_the_32, 1 << 32);
+    cases.push((round_numbered(&two_to_the_32), "exceeds u32"));
+    for (record, expected) in cases {
+        match resume(4, std::slice::from_ref(&record)) {
+            Err(SchemeError::Journal { reason }) => {
+                assert!(reason.contains("round number"), "{record:?}: {reason}");
+                assert!(reason.contains(expected), "{record:?}: {reason}");
+            }
+            other => panic!("{record:?}: resume must refuse the journal, got {other:?}"),
+        }
+    }
+    // The control: the largest round number that is one, canonically.
+    let mut largest = Vec::new();
+    var(&mut largest, u64::from(u32::MAX));
+    match resume(4, &[round_numbered(&largest)]) {
+        Err(SchemeError::Journal { reason }) => {
+            assert!(reason.contains("not the next round"), "{reason}");
+        }
+        other => panic!("round u32::MAX is not the next round, got {other:?}"),
+    }
+}
+
+#[test]
+fn resume_refuses_every_earlier_journal_version() {
+    for version in 1..VERSION {
+        let path = journal(4, &[round(0, &[0, 1], &[])]);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let resumed = DurableCampaign::resume(&path, CrashPlan::never());
+        let _ = std::fs::remove_file(&path);
+        match resumed {
+            Err(SchemeError::Journal { reason }) => {
+                assert!(
+                    reason.contains(&format!("unsupported version {version}")),
+                    "{reason}"
+                );
+            }
+            other => panic!("a version {version} journal must be refused, got {other:?}"),
+        }
+    }
+}
+
+proptest! {
+    /// Any `u64` round-trips through the codec a slot report shares with
+    /// the journal, and is written as this file's writer writes it.
+    #[test]
+    fn any_integer_round_trips(v in any::<u64>(), shift in 0u32..64) {
+        let slot = v >> shift;
+        let report = SlotReport {
+            slot,
+            costs: CostReport { f_evals: v, ..CostReport::default() },
+            outcome: Ok(true),
+        };
+        let encoded = report.encode();
+        let mut expected = Vec::new();
+        var(&mut expected, slot);
+        prop_assert!(encoded.starts_with(&expected));
+        prop_assert_eq!(SlotReport::decode(&encoded), Ok(report));
+    }
 }
