@@ -111,7 +111,8 @@ impl SlotReport {
 
     /// Decodes a control-frame payload: the slot, the costs and the
     /// outcome in the journal's record codec, every integer canonical
-    /// LEB128 (the layout of wire version 3).
+    /// LEB128 and the costs the paper's four axes (the layout of wire
+    /// version 4).
     ///
     /// # Errors
     ///
@@ -618,9 +619,8 @@ mod tests {
                 costs: CostReport {
                     f_evals: 1,
                     hash_ops: 2,
-                    hash_wall_ops: 3,
-                    g_evals: 4,
-                    verify_ops: 5,
+                    g_evals: 3,
+                    verify_ops: 4,
                 },
                 outcome,
             };

@@ -31,7 +31,9 @@
 //! [`SlotReport`](crate::SlotReport)), so a record of small counts is
 //! about a fifth of fixed-width words. Truncated, overlong and
 //! over-64-bit integers and `u32` fields above `u32::MAX` are refused:
-//! two records that decode alike are one record.
+//! two records that decode alike are one record. [`summary_digest`]
+//! hashes a campaign's results in the same codec, so they have one byte
+//! form.
 //!
 //! This file is deliberately named `journal.rs`: `ugc-lint`'s `lossy-cast`
 //! rule audits journal/codec paths, so every narrowing here must be a
@@ -484,7 +486,6 @@ fn get_link(buf: &mut &[u8]) -> Result<LinkStats, SchemeError> {
 pub(crate) fn put_report(buf: &mut Vec<u8>, report: &CostReport) {
     put_var(buf, report.f_evals);
     put_var(buf, report.hash_ops);
-    put_var(buf, report.hash_wall_ops);
     put_var(buf, report.g_evals);
     put_var(buf, report.verify_ops);
 }
@@ -493,7 +494,6 @@ pub(crate) fn get_report(buf: &mut &[u8]) -> Result<CostReport, SchemeError> {
     Ok(CostReport {
         f_evals: get_var(buf, "cost f_evals")?,
         hash_ops: get_var(buf, "cost hash_ops")?,
-        hash_wall_ops: get_var(buf, "cost hash_wall_ops")?,
         g_evals: get_var(buf, "cost g_evals")?,
         verify_ops: get_var(buf, "cost verify_ops")?,
     })
@@ -1106,38 +1106,34 @@ fn refusal(state: &CampaignState, retries: u32, record: &RoundRecord) -> Option<
     }
 }
 
-/// The canonical digest of a [`FleetSummary`]: SHA-256 (hex) over every
-/// schedule-invariant field — verdicts, attempts, shares, byte counts,
-/// both cost ledgers, session/byte totals and the sorted fault log.
-/// Wall-clock time is excluded. Two runs of the same seed — including a
-/// killed-and-resumed run — produce the same digest at any worker count.
+/// The canonical digest of a [`FleetSummary`]: SHA-256 (hex) over the
+/// record codec's bytes for every schedule-invariant field, in this
+/// order — the members as a counted list (participant, share start and
+/// length, accepted flag, attempts, verdict, supervisor tx and rx bytes,
+/// supervisor then participant costs), the session and byte totals, and
+/// the sorted fault log as a counted list. Message counts, screened
+/// reports and wall-clock time are not covered. Two runs of the same
+/// seed — including a killed-and-resumed run — produce the same digest
+/// at any worker count.
 #[must_use]
 pub fn summary_digest(summary: &FleetSummary) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for m in &summary.members {
-        let _ = writeln!(
-            out,
-            "member {} share {} accepted {} attempts {} verdict {:?} \
-             link(tx {} rx {}) sup {:?} part {:?}",
-            m.participant,
-            m.share,
-            m.outcome.accepted,
-            m.attempts,
-            m.outcome.verdict,
-            m.outcome.supervisor_link.bytes_sent,
-            m.outcome.supervisor_link.bytes_received,
-            m.outcome.supervisor_costs,
-            m.outcome.participant_costs,
-        );
-    }
-    let _ = writeln!(
-        out,
-        "sessions {} bytes {}",
-        summary.throughput.sessions, summary.throughput.bytes
-    );
-    let _ = writeln!(out, "faults {:?}", summary.fault_events);
-    ugc_hash::hex::encode(&Sha256::digest(out.as_bytes()))
+    let mut buf = Vec::new();
+    put_list(&mut buf, &summary.members, |buf, m| {
+        put_usize(buf, m.participant);
+        put_var(buf, m.share.start());
+        put_var(buf, m.share.len());
+        put_u8(buf, u8::from(m.outcome.accepted));
+        put_var(buf, u64::from(m.attempts));
+        put_verdict(buf, &m.outcome.verdict);
+        put_var(buf, m.outcome.supervisor_link.bytes_sent);
+        put_var(buf, m.outcome.supervisor_link.bytes_received);
+        put_report(buf, &m.outcome.supervisor_costs);
+        put_report(buf, &m.outcome.participant_costs);
+    });
+    put_var(&mut buf, summary.throughput.sessions);
+    put_var(&mut buf, summary.throughput.bytes);
+    put_list(&mut buf, &summary.fault_events, put_event);
+    ugc_hash::hex::encode(&Sha256::digest(&buf))
 }
 
 #[cfg(test)]
@@ -1278,7 +1274,6 @@ mod tests {
         let costs = CostReport {
             f_evals: 1,
             hash_ops: 2,
-            hash_wall_ops: 2,
             g_evals: 3,
             verify_ops: 4,
         };
@@ -1398,7 +1393,6 @@ mod tests {
         let costs = CostReport {
             f_evals: 8,
             hash_ops: 15,
-            hash_wall_ops: 15,
             g_evals: 0,
             verify_ops: 4,
         };
@@ -1429,7 +1423,6 @@ mod tests {
         let costs = CostReport {
             f_evals: 10,
             hash_ops: 4,
-            hash_wall_ops: 2,
             g_evals: 0,
             verify_ops: 1,
         };
@@ -1528,5 +1521,78 @@ mod tests {
         let err = DurableCampaign::resume(&path, CrashPlan::never()).unwrap_err();
         assert!(matches!(err, SchemeError::Journal { .. }), "{err}");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn summary_digest_covers_exactly_the_schedule_invariant_fields() {
+        // Two members and one fault event; each edit changes one field.
+        let fixture = || {
+            let member = |participant, start| crate::orchestrator::FleetMember {
+                participant,
+                share: Domain::new(start, 32),
+                outcome: crate::RoundOutcome::new(
+                    Verdict::Accepted,
+                    CostReport::default(),
+                    CostReport::default(),
+                    session(true, 150).link,
+                    vec![ScreenReport {
+                        input: start,
+                        payload: Vec::new(),
+                    }],
+                ),
+                attempts: 1,
+            };
+            FleetSummary {
+                members: vec![member(0, 0), member(1, 32)],
+                reports: Vec::new(),
+                throughput: ugc_grid::Throughput::default(),
+                fault_events: vec![FaultEvent::Crashed { link: 1, after: 4 }],
+            }
+        };
+        let base = summary_digest(&fixture());
+        let digest_after = |edit: &dyn Fn(&mut FleetSummary)| {
+            let mut summary = fixture();
+            edit(&mut summary);
+            summary_digest(&summary)
+        };
+        let covered: [fn(&mut FleetSummary); 11] = [
+            |s| s.members[1].participant = 2,
+            |s| s.members[1].share = Domain::new(33, 32),
+            |s| s.members[1].share = Domain::new(32, 31),
+            |s| s.members[0].outcome.accepted = false,
+            |s| s.members[0].attempts = 2,
+            |s| s.members[0].outcome.verdict = Verdict::RingerMissed,
+            |s| s.members[0].outcome.supervisor_link.bytes_sent += 1,
+            |s| s.members[0].outcome.supervisor_link.bytes_received += 1,
+            |s| s.throughput.sessions += 1,
+            |s| s.throughput.bytes += 1,
+            |s| s.fault_events[0] = FaultEvent::Crashed { link: 1, after: 5 },
+        ];
+        for (i, edit) in covered.iter().enumerate() {
+            assert_ne!(digest_after(edit), base, "covered edit {i}");
+        }
+        for axis in 0..4 {
+            let mut unit = [0; 4];
+            unit[axis] = 1;
+            let [f_evals, hash_ops, g_evals, verify_ops] = unit;
+            let bump = CostReport {
+                f_evals,
+                hash_ops,
+                g_evals,
+                verify_ops,
+            };
+            let sup = digest_after(&|s| s.members[0].outcome.supervisor_costs = bump);
+            let part = digest_after(&|s| s.members[1].outcome.participant_costs = bump);
+            assert!(sup != base && part != base, "cost axis {axis}");
+        }
+        let uncovered: [fn(&mut FleetSummary); 4] = [
+            |s| s.throughput.wall = Duration::from_secs(9),
+            |s| s.members[0].outcome.reports.clear(),
+            |s| s.members[0].outcome.supervisor_link.messages_sent += 1,
+            |s| s.members[1].outcome.supervisor_link.messages_received += 1,
+        ];
+        for (i, edit) in uncovered.iter().enumerate() {
+            assert_eq!(digest_after(edit), base, "uncovered edit {i}");
+        }
     }
 }

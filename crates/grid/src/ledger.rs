@@ -14,7 +14,6 @@ use std::time::Duration;
 struct Inner {
     f_evals: AtomicU64,
     hash_ops: AtomicU64,
-    hash_wall_ops: AtomicU64,
     g_evals: AtomicU64,
     verify_ops: AtomicU64,
 }
@@ -52,10 +51,9 @@ impl CostLedger {
 
     /// Charges `n` unit hash invocations (tree building, path checks): a
     /// count of work, the same however many threads or lanes it was spread
-    /// over, so `hash_ops` and `hash_wall_ops` advance alike.
+    /// over.
     pub fn charge_hash(&self, n: u64) {
         self.inner.hash_ops.fetch_add(n, Ordering::Relaxed);
-        self.inner.hash_wall_ops.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Charges `n` unit-hash invocations spent inside the sample generator
@@ -75,19 +73,9 @@ impl CostLedger {
         CostReport {
             f_evals: self.inner.f_evals.load(Ordering::Relaxed),
             hash_ops: self.inner.hash_ops.load(Ordering::Relaxed),
-            hash_wall_ops: self.inner.hash_wall_ops.load(Ordering::Relaxed),
             g_evals: self.inner.g_evals.load(Ordering::Relaxed),
             verify_ops: self.inner.verify_ops.load(Ordering::Relaxed),
         }
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.inner.f_evals.store(0, Ordering::Relaxed);
-        self.inner.hash_ops.store(0, Ordering::Relaxed);
-        self.inner.hash_wall_ops.store(0, Ordering::Relaxed);
-        self.inner.g_evals.store(0, Ordering::Relaxed);
-        self.inner.verify_ops.store(0, Ordering::Relaxed);
     }
 }
 
@@ -150,21 +138,14 @@ impl core::fmt::Display for Throughput {
     }
 }
 
-/// An immutable snapshot of a [`CostLedger`].
+/// An immutable snapshot of a [`CostLedger`]: the paper's four axes, each
+/// a count of work, never of the host that did it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CostReport {
     /// Task-function evaluations.
     pub f_evals: u64,
     /// Unit hash invocations (total work, regardless of parallelism).
     pub hash_ops: u64,
-    /// Equal to [`hash_ops`](Self::hash_ops) in every report charged by
-    /// this code: a ledger counts the job, not the host that ran it.
-    /// Journals of the versions that recorded a threaded build's critical
-    /// path here are refused, so only hand-made bytes can carry a smaller
-    /// value: a journal record or a remote slot report. Kept because the
-    /// journal format and the `{:?}` hashed into campaign digests both
-    /// carry it.
-    pub hash_wall_ops: u64,
     /// Unit hashes spent in the sample generator `g`.
     pub g_evals: u64,
     /// Supervisor-side result verifications.
@@ -179,7 +160,6 @@ impl CostReport {
         CostReport {
             f_evals: self.f_evals.saturating_add(other.f_evals),
             hash_ops: self.hash_ops.saturating_add(other.hash_ops),
-            hash_wall_ops: self.hash_wall_ops.saturating_add(other.hash_wall_ops),
             g_evals: self.g_evals.saturating_add(other.g_evals),
             verify_ops: self.verify_ops.saturating_add(other.verify_ops),
         }
@@ -192,11 +172,7 @@ impl core::fmt::Display for CostReport {
             f,
             "f={} hash={} g={} verify={}",
             self.f_evals, self.hash_ops, self.g_evals, self.verify_ops
-        )?;
-        if self.hash_wall_ops != self.hash_ops {
-            write!(f, " hash_wall={}", self.hash_wall_ops)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -217,25 +193,9 @@ mod tests {
             CostReport {
                 f_evals: 7,
                 hash_ops: 10,
-                hash_wall_ops: 10,
                 g_evals: 5,
                 verify_ops: 2
             }
-        );
-    }
-
-    #[test]
-    fn display_shows_a_replayed_hash_wall() {
-        // A report decoded from hand-made bytes whose `hash_wall_ops`
-        // differs from `hash_ops`: the divergence shows up in the display.
-        let report = CostReport {
-            hash_ops: 1028,
-            hash_wall_ops: 135,
-            ..CostReport::default()
-        };
-        assert_eq!(
-            report.to_string(),
-            "f=0 hash=1028 g=0 verify=0 hash_wall=135"
         );
     }
 
@@ -248,26 +208,16 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears() {
-        let l = CostLedger::new();
-        l.charge_f(5);
-        l.reset();
-        assert_eq!(l.report(), CostReport::default());
-    }
-
-    #[test]
     fn combined_adds() {
         let a = CostReport {
             f_evals: 1,
             hash_ops: 2,
-            hash_wall_ops: 2,
             g_evals: 3,
             verify_ops: 4,
         };
         let b = CostReport {
             f_evals: 10,
             hash_ops: 20,
-            hash_wall_ops: 15,
             g_evals: 30,
             verify_ops: 40,
         };
@@ -276,7 +226,6 @@ mod tests {
             CostReport {
                 f_evals: 11,
                 hash_ops: 22,
-                hash_wall_ops: 17,
                 g_evals: 33,
                 verify_ops: 44
             }

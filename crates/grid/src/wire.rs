@@ -29,9 +29,11 @@ use std::io::{ErrorKind, IoSlice, Read, Write};
 /// every byte a supervisor is charged for, so they must never be mixed.
 /// Version 3 is the slot-report layout: a participant's end-of-slot
 /// control frame writes its integers in canonical LEB128, as the journal
-/// does, where version 2 wrote fixed-width words. Data frames and every
-/// charged byte are version 2's.
-pub const WIRE_VERSION: u32 = 3;
+/// does, where version 2 wrote fixed-width words. Version 4's slot
+/// report carries the paper's four cost axes, where version 3 also sent a
+/// fifth counter that always repeated the hash count. Data frames and
+/// every charged byte are version 2's.
+pub const WIRE_VERSION: u32 = 4;
 
 /// Magic prefix opening every handshake payload, so a non-grid peer is
 /// rejected before any length field is trusted.
@@ -504,19 +506,20 @@ mod tests {
     fn a_version_1_hello_is_refused() {
         // What a peer of an earlier version sends: same magic, same
         // layout, another version word. Version 1 sent a path per sample;
-        // version 2 wrote slot reports in fixed-width integers.
+        // version 2 wrote slot reports in fixed-width integers, version 3
+        // five cost counters.
         let hello = Hello {
             role: ROLE_PARTICIPANT,
             params: vec![1, 2, 3],
         };
-        for version in [1u32, 2] {
+        for version in 1..WIRE_VERSION {
             let mut payload = hello.encode();
             assert_eq!(payload[8..12], WIRE_VERSION.to_le_bytes());
             payload[8..12].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
                 Hello::decode(&payload),
                 Err(GridError::HandshakeMismatch {
-                    ours: 3,
+                    ours: WIRE_VERSION,
                     theirs: version
                 })
             );

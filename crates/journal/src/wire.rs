@@ -29,8 +29,10 @@ pub const MAGIC: [u8; 8] = *b"UGCJRNL1";
 /// round as a start record, a record per session and per member, and an
 /// end record. Version 4 writes every integer in a record as canonical
 /// LEB128 where version 3 wrote fixed-width words: about a fifth of the
-/// bytes to checksum and chain.
-pub const VERSION: u32 = 4;
+/// bytes to checksum and chain. Version 5 writes a cost report as the
+/// paper's four axes, where version 4 also wrote a fifth counter that
+/// always repeated the hash count.
+pub const VERSION: u32 = 5;
 
 /// Bytes of file header: magic plus little-endian version.
 pub const FILE_HEADER_BYTES: u64 = 12;
@@ -657,7 +659,7 @@ mod tests {
         // Journals of every earlier version: same magic, same frames,
         // another version word. Version 1 counted the wire's old bytes,
         // version 2 wrote a round as several records, version 3 wrote
-        // fixed-width integers.
+        // fixed-width integers, version 4 wrote five cost counters.
         let path = temp_journal("v1");
         for version in 1..VERSION {
             let mut writer = JournalWriter::create(&path).unwrap();
@@ -669,7 +671,7 @@ mod tests {
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &bytes).unwrap();
             let refused = JournalError::NotAJournal {
-                reason: format!("unsupported version {version} (this build reads 4)"),
+                reason: format!("unsupported version {version} (this build reads {VERSION})"),
             };
             assert_eq!(read_journal(&path), Err(refused.clone()));
             assert_eq!(verify_journal(&path), Err(refused.clone()));

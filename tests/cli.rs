@@ -370,13 +370,20 @@ const GOLDEN_FLEET: &str = "--participants 6 --cheaters 1 --n 2048 --m 12";
 /// round by one opening — fewer bytes, fewer supervisor hashes, and both
 /// are in the digest; the three schemes that send no opening kept their
 /// rows to the bit, which is the evidence that nothing else moved.
+/// Every row was recorded once more when `summary_digest` went from
+/// hashing `{:?}` text to hashing the journal's record codec (and the
+/// cost report lost a fifth counter that always repeated the hash
+/// count): no campaign changed, only the bytes its summary is hashed
+/// from. The old text digest, with that counter written as the hash
+/// count, computed over that change's summaries reproduces every
+/// previous cell.
 #[rustfmt::skip]
 const GOLDEN_DIGESTS: [(&str, [&str; 4]); 5] = [
-    ("cbs",          ["56c8d55b43b6a18e", "a91a5c2c164484d4", "7423eed442a3d1ec", "696aa23f058e5861"]),
-    ("ni-cbs",       ["4547ad31b584cb30", "96154c0a8ee2ddf1", "337830c127a64a38", "b7579bf544a7ca70"]),
-    ("naive",        ["5462eff53a9d3821", "bbbdc8c206a5a76f", "ef6e210037e4a019", "9b17cb1bbe338878"]),
-    ("ringer",       ["2230a27891c15f2c", "c908e55faea19f13", "8c4a4aabb0b512f7", "33a2acd57ce49973"]),
-    ("double-check", ["8fbaedc90cec4e46", "e111c2d8f816b0fe", "cfe0cb30cb0029ed", "b31a34865c3ff8fb"]),
+    ("cbs",          ["6fecffbee91932ac", "3e0b73bc0a232a6f", "101d9bf0d2752f7f", "5e59979c5c64948b"]),
+    ("ni-cbs",       ["08a90e2817f5943d", "09baaf43ad97777c", "f8a2a6b79d736429", "0885f2f711084608"]),
+    ("naive",        ["aa4432e88342b379", "44997d00a2e97366", "6a9d8554829a6369", "3d60c1476c22f26e"]),
+    ("ringer",       ["dfcb8f8311f36bf0", "532dacc717afd886", "ff863a27803cbe62", "48e32b41ffdb0c7f"]),
+    ("double-check", ["08483a5d3f5cfa98", "7799fc543bfa7cf8", "d5ed7ccea93e67c1", "bbdb7ffb66aef2c6"]),
 ];
 
 #[test]
@@ -423,13 +430,14 @@ fn fleet_workers_pool_matches_thread_per_participant_verdicts() {
 /// --n 8192 --m 8`, per scheme. First recorded on a one-core host, where
 /// the build had always been serial, and again — plain and under
 /// `taskset -c 0 … --workers 1`, one digest — when wire version 2 changed
-/// what a CBS round sends; a host's core count and the lane setting are
-/// execution layout and must print the same (CI's chaos-soak job repeats
-/// the comparison under `taskset -c 0`).
+/// what a CBS round sends, and with [`GOLDEN_DIGESTS`] when the digest
+/// began hashing the record codec; a host's core count and the lane
+/// setting are execution layout and must print the same (CI's chaos-soak
+/// job repeats the comparison under `taskset -c 0`).
 #[rustfmt::skip]
 const GOLDEN_LARGE_SHARE_DIGESTS: [(&str, &str); 2] = [
-    ("cbs",    "03f158fa0188fdaa"),
-    ("ni-cbs", "9620517e116a0a97"),
+    ("cbs",    "5d80395af6e86f94"),
+    ("ni-cbs", "85cc580ab9235415"),
 ];
 
 #[test]
@@ -475,7 +483,7 @@ fn fleet_single_worker_replay_never_strands_a_queued_verdict() {
         let out = fleet(&flags);
         assert!(out.status.success());
         assert!(
-            digest_line(&out).starts_with("digest: bbbdc8c206a5a76f"),
+            digest_line(&out).starts_with("digest: 44997d00a2e97366"),
             "run {run}:\n{}",
             stdout(&out)
         );

@@ -74,7 +74,7 @@ fn round_record(round: u32, roster: &[u64], accepted: &[bool], books: u64, count
     }
     var(&mut buf, books);
     for _ in 0..books {
-        for _ in 0..10 {
+        for _ in 0..8 {
             var(&mut buf, count);
         }
         var(&mut buf, 1);

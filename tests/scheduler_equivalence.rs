@@ -12,10 +12,18 @@
 //! were recorded again when wire version 2 replaced a round's `m`
 //! per-sample proofs by one opening (fewer bytes and fewer supervisor
 //! hashes, both of which a digest covers): what they pin since is that
-//! every pool size, steal seed and transport still lands on one value.
-//! That nothing *else* moved is pinned where schemes run apart — the
-//! `naive`, `ringer` and `double-check` rows of `tests/cli.rs` were not
-//! touched.
+//! every pool size, steal seed, lane width and transport still lands on
+//! one value. That nothing *else* moved is pinned where schemes run
+//! apart — the `naive`, `ringer` and `double-check` rows of
+//! `tests/cli.rs` were not touched.
+//!
+//! All five were recorded once more when `summary_digest` went from
+//! hashing `{:?}` text to hashing the journal's record codec, and the
+//! cost report lost a fifth counter that always repeated the hash count.
+//! No campaign changed, only the bytes its summary is hashed from: the
+//! old text digest, with that counter written as the hash count,
+//! computed over that change's summaries reproduces every previous
+//! constant, over both transports.
 //!
 //! This is the replay-digest property the event-driven design rests on:
 //! fault decisions are a pure function of `(seed, link, direction, seq)`
@@ -34,7 +42,8 @@ use uncheatable_grid::core::scheme::naive::NaiveScheme;
 use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
 use uncheatable_grid::core::scheme::ringer::RingerScheme;
 use uncheatable_grid::core::{
-    run_mixed_fleet, summary_digest, FleetSummary, MemberSpec, MixedFleetConfig, TransportKind,
+    run_mixed_fleet, summary_digest, FleetSummary, LaneWidth, MemberSpec, MixedFleetConfig,
+    TransportKind,
 };
 use uncheatable_grid::grid::runtime::FaultPlan;
 use uncheatable_grid::grid::{
@@ -53,15 +62,15 @@ use uncheatable_grid::task::{AcceptAllScreener, Domain, ZeroGuesser};
 /// `Brokered` alike — itself part of what is pinned.
 #[rustfmt::skip]
 const GOLDEN: [(u64, &str); 4] = [
-    (0xC4A05,  "e1bde4f5fdd001de7a3d28b3bc22e2f6bf0b3091c48d61f68090d0f68460b6fd"),
-    (0x5EED5,  "2d6a7b9f3bcd1212e8414f3fa9d3908019d8c6902aa3b818cafb6fdec0550700"),
-    (42,       "ddc26eaa206cf96f08396c2020812c2ed5f80b1a5f115c48d060e2ed1280bf3e"),
-    (0xD12EC7, "844cc17fccb44ea3ccaafd928248eb3ad13665cd981354f704c11b91578e562a"),
+    (0xC4A05,  "949684bde2e6e1eac30613ca2b8f5e63b40943af3976d2215009110bbf1c2605"),
+    (0x5EED5,  "0ef06916b8c8df67c6891d0afeeb54b513aee7342a4899c65e5807912f88d79e"),
+    (42,       "4230a5e093a8d487308219746f6ac5d2166826344a121101dcf7cb1194aa2a47"),
+    (0xD12EC7, "405deff39eb65076385883935e46b450c861ee7bbc4db4822adfdd7cde7b3dd0"),
 ];
 
 /// `summary_digest` of the chaos-free brokered fleet of
 /// [`quiet_fleet_identical_across_execution_models`].
-const QUIET_GOLDEN: &str = "6b12bc7970e6a0ff8afc29962d87beb2f1c8d025c5f53785258e87fe2389474f";
+const QUIET_GOLDEN: &str = "3ed6c826043d0b810d27d600d176bf39b06efce05999aa8f95f178965f23031c";
 
 struct Schemes {
     cbs: CbsScheme,
@@ -146,6 +155,7 @@ fn campaign(
     transport: TransportKind,
     workers: usize,
     steal_seed: u64,
+    lanes: LaneWidth,
 ) -> FleetSummary {
     let task = PasswordSearch::with_hidden_password(7, 3);
     let screener = AcceptAllScreener;
@@ -168,6 +178,7 @@ fn campaign(
             retries: 8,
             workers: Some(workers),
             steal_seed,
+            lanes,
             ..MixedFleetConfig::default()
         },
     )
@@ -175,13 +186,20 @@ fn campaign(
 }
 
 /// One transport's golden digests at `workers ∈ {1, 4, 8}` (8 = one
-/// worker per slot) and each of `steal_seeds`.
+/// worker per slot) and each of `steal_seeds`, and once more per seed
+/// hashing one message at a time: the lane width is execution-only too.
 fn assert_reproduces_golden(transport: TransportKind, steal_seeds: &[u64]) {
     for (chaos_seed, golden) in GOLDEN {
         for workers in [1, 4, 8] {
             for &steal_seed in steal_seeds {
                 assert_eq!(
-                    summary_digest(&campaign(chaos_seed, transport, workers, steal_seed)),
+                    summary_digest(&campaign(
+                        chaos_seed,
+                        transport,
+                        workers,
+                        steal_seed,
+                        LaneWidth::default()
+                    )),
                     golden,
                     "{transport:?} seed {chaos_seed:#x}: {workers} workers with steal seed \
                      {steal_seed:#x} diverged from the digest recorded on the \
@@ -189,6 +207,12 @@ fn assert_reproduces_golden(transport: TransportKind, steal_seeds: &[u64]) {
                 );
             }
         }
+        let scalar = campaign(chaos_seed, transport, 4, steal_seeds[0], LaneWidth::Scalar);
+        assert_eq!(
+            summary_digest(&scalar),
+            golden,
+            "{transport:?} seed {chaos_seed:#x}: scalar lanes diverged from the golden digest"
+        );
     }
 }
 
@@ -222,7 +246,7 @@ fn steal_seed_never_reaches_digests() {
 /// rejected, faults actually injected.
 #[test]
 fn scheduler_verdicts_are_correct_under_chaos() {
-    let summary = campaign(0xC4A05, TransportKind::Brokered, 4, 0);
+    let summary = campaign(0xC4A05, TransportKind::Brokered, 4, 0, LaneWidth::default());
     let expected = [true, true, true, true, true, false, false];
     assert_eq!(summary.members.len(), expected.len());
     for (member, expected) in summary.members.iter().zip(expected) {
@@ -286,8 +310,7 @@ fn quiet_fleet_identical_across_execution_models() {
 /// the threshold where a full-storage tree build goes threaded, which the
 /// golden tables' 64-leaf shares never reach: however many threads the
 /// build is lent — on a real host, however many cores it has — the
-/// campaign digests identically and every ledger reads the same, the
-/// `hash_wall_ops` axis included.
+/// campaign digests identically and every ledger reads the same.
 #[test]
 fn tree_build_thread_count_never_reaches_digests_or_ledgers() {
     let task = PasswordSearch::with_hidden_password(7, 3);
@@ -324,7 +347,6 @@ fn tree_build_thread_count_never_reaches_digests_or_ledgers() {
         let costs = member.outcome.participant_costs;
         assert_eq!(member.share.len(), 4096);
         assert_eq!(costs.hash_ops, 4095);
-        assert_eq!(costs.hash_wall_ops, costs.hash_ops);
     }
     for threads in [2, 8] {
         let threaded = run(Parallelism::threads(threads));
