@@ -11,13 +11,17 @@
 #   .github/check_lane_codegen.sh            # newest target/release/deps/ugc_hash-*.s
 #   .github/check_lane_codegen.sh file.s     # or a named listing
 #
-# For every `sha256_compress_lanes*` symbol (one per lane width, plus the
-# padding-block variant; they are `#[inline(never)]` so that they exist)
-# it prints the count of vector shifts (pslld/psrld) and of scalar
-# rotates (rol/ror), and fails unless each has at least MIN_VECTOR_SHIFTS
-# of the former and at most MAX_SCALAR_ROTATES of the latter. x86_64 only.
+# For every `sha256_compress_lanes*` symbol (the general and the
+# padding-block kernel at lane widths 4 and 8; they are `#[inline(never)]`
+# so that they exist) it prints the count of vector shifts (pslld/psrld)
+# and of scalar rotates (rol/ror), and fails unless there are exactly
+# EXPECTED_SYMBOLS of them, each with at least MIN_VECTOR_SHIFTS of the
+# former and at most MAX_SCALAR_ROTATES of the latter. A kernel that is
+# inlined away, or a width that stops being instantiated, fails the count.
+# x86_64 only.
 set -euo pipefail
 
+EXPECTED_SYMBOLS=4
 MIN_VECTOR_SHIFTS=8
 MAX_SCALAR_ROTATES=4
 
@@ -28,7 +32,8 @@ if [ -z "$asm" ] || [ ! -f "$asm" ]; then
     exit 2
 fi
 
-awk -v min_shifts="$MIN_VECTOR_SHIFTS" -v max_rotates="$MAX_SCALAR_ROTATES" '
+awk -v expected="$EXPECTED_SYMBOLS" -v min_shifts="$MIN_VECTOR_SHIFTS" \
+    -v max_rotates="$MAX_SCALAR_ROTATES" '
     /^[A-Za-z_.$][^ \t]*:/ {
         # A label. Function symbols start a new region; local .L labels do not end one.
         if ($0 !~ /^\.L/) {
@@ -49,18 +54,22 @@ awk -v min_shifts="$MIN_VECTOR_SHIFTS" -v max_rotates="$MAX_SCALAR_ROTATES" '
                   " (the kernel must stay #[inline(never)])"
             exit 1
         }
-        failed = 0
+        scalar = 0
         for (i = 1; i <= symbols; i++) {
             name = order[i]
             ok = (shifts[name] >= min_shifts && rotates[name] <= max_rotates)
             printf "%s  vector shifts: %d  scalar rotates: %d  %s\n", \
                    (ok ? "ok  " : "FAIL"), shifts[name], rotates[name], name
-            if (!ok) failed = 1
+            if (!ok) scalar = 1
         }
-        if (failed) {
+        if (scalar) {
             printf "FAIL: want >= %d vector shifts and <= %d scalar rotates per symbol\n", \
                    min_shifts, max_rotates
-            exit 1
         }
+        if (symbols != expected) {
+            printf "FAIL: found %d sha256_compress_lanes symbols, want exactly %d\n", \
+                   symbols, expected
+        }
+        if (scalar || symbols != expected) exit 1
     }
 ' "$asm"

@@ -472,7 +472,7 @@ mod tests {
     use crate::analysis;
     use crate::scheme::storage_round;
     use crate::session::drive_supervisor;
-    use ugc_grid::{duplex, CheatSelection, HonestWorker};
+    use ugc_grid::{duplex, CheatSelection, GridLink, HonestWorker};
     use ugc_hash::{Md5, Sha256};
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::ZeroGuesser;

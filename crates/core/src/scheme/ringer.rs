@@ -289,7 +289,7 @@ mod tests {
     use crate::scheme::run_round;
     use crate::session::drive_supervisor;
     use crate::MixedFleetConfig;
-    use ugc_grid::{duplex, CheatSelection, HonestWorker, SemiHonestCheater};
+    use ugc_grid::{duplex, CheatSelection, GridLink, HonestWorker, SemiHonestCheater};
     use ugc_hash::Sha256;
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::ZeroGuesser;

@@ -30,7 +30,7 @@
 //! # Examples
 //!
 //! ```
-//! use ugc_grid::{duplex, Message};
+//! use ugc_grid::{duplex, GridLink, Message};
 //!
 //! let (sup, part) = duplex();
 //! sup.send(&Message::Challenge { task_id: 1, samples: vec![3, 5, 8] })?;

@@ -343,7 +343,7 @@ impl FaultyEndpoint {
     }
 
     /// Subscribes the decorated link's inbound direction to `bell` (see
-    /// [`Endpoint::subscribe`]). The decorator can turn one frame into
+    /// [`GridLink::subscribe`]). The decorator can turn one frame into
     /// two deliveries (an inbound duplicate) or none (a drop), so answer
     /// a ring by receiving until [`GridError::Empty`], not once.
     pub fn subscribe(&self, bell: &Doorbell, key: usize) {

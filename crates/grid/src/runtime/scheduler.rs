@@ -141,7 +141,7 @@ pub trait GridTask: Send {
     /// Offered once, before the first poll: arrange for `bell` to ring
     /// `key` whenever this task may have something to do — typically by
     /// subscribing the link it receives on
-    /// ([`Endpoint::subscribe`](crate::Endpoint::subscribe)) — and return
+    /// ([`GridLink::subscribe`](crate::GridLink::subscribe)) — and return
     /// `true`. From then on an [`Idle`](TaskPoll::Idle) answer means "do
     /// not poll me again until my key rings", so every event the task
     /// waits for must ring. The default declines: the task stays on the

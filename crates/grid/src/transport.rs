@@ -43,7 +43,7 @@ struct Counters {
 /// A queue of link keys: the one place a multiplexer sleeps while it
 /// waits for mail on any of its links.
 ///
-/// Subscribe endpoints with [`Endpoint::subscribe`]; each then rings its
+/// Subscribe links with [`GridLink::subscribe`]; each then rings its
 /// key once per frame queued for it and once more when its peer hangs
 /// up. A ring says "look at this link", not "a frame is there": the
 /// consumer answers it with a `try_recv` on that link, and finding
@@ -53,7 +53,7 @@ struct Counters {
 /// # Examples
 ///
 /// ```
-/// use ugc_grid::{duplex, Doorbell, Message};
+/// use ugc_grid::{duplex, Doorbell, GridLink, Message};
 ///
 /// let bell = Doorbell::new();
 /// let (a, b) = duplex();
@@ -217,7 +217,7 @@ pub struct Endpoint {
 /// # Examples
 ///
 /// ```
-/// use ugc_grid::{duplex, Message};
+/// use ugc_grid::{duplex, GridLink, Message};
 ///
 /// let (a, b) = duplex();
 /// a.send(&Message::Verdict { task_id: 1, accepted: true })?;
@@ -250,110 +250,12 @@ pub fn duplex() -> (Endpoint, Endpoint) {
 }
 
 impl Endpoint {
-    /// Sends a message, charging its wire size to this endpoint.
-    ///
-    /// # Errors
-    ///
-    /// [`GridError::Disconnected`] if the peer has been dropped.
-    pub fn send(&self, msg: &Message) -> Result<(), GridError> {
-        self.send_counted(msg).map(|_| ())
-    }
-
-    /// [`send`](Self::send), returning the bytes charged (encoded frame
-    /// plus header) so a multiplexer can attribute traffic per session
-    /// without re-encoding the message.
-    ///
-    /// # Errors
-    ///
-    /// As [`send`](Self::send).
-    pub fn send_counted(&self, msg: &Message) -> Result<u64, GridError> {
-        let frame = msg.encode();
+    /// Charges a frame that arrived to this endpoint and decodes it.
+    fn charge_inbound(&self, frame: &[u8]) -> Result<(Message, u64), GridError> {
         let charged = frame.len() as u64 + FRAME_HEADER_BYTES;
-        self.tx.send(frame).map_err(|_| GridError::Disconnected)?;
-        self.announce.ring();
-        self.outbound.bytes.fetch_add(charged, Ordering::Relaxed);
-        self.outbound.messages.fetch_add(1, Ordering::Relaxed);
-        Ok(charged)
-    }
-
-    /// Receives the next message, blocking until one arrives.
-    ///
-    /// # Errors
-    ///
-    /// * [`GridError::Disconnected`] if the peer has been dropped with no
-    ///   queued messages.
-    /// * Codec errors if the frame is malformed.
-    pub fn recv(&self) -> Result<Message, GridError> {
-        self.recv_counted().map(|(msg, _)| msg)
-    }
-
-    /// [`recv`](Self::recv), returning the bytes charged alongside the
-    /// message.
-    ///
-    /// # Errors
-    ///
-    /// As [`recv`](Self::recv).
-    pub fn recv_counted(&self) -> Result<(Message, u64), GridError> {
-        let frame = self.rx.recv().map_err(|_| GridError::Disconnected)?;
-        self.account_inbound(&frame);
-        let charged = frame.len() as u64 + FRAME_HEADER_BYTES;
-        Message::decode(&frame).map(|msg| (msg, charged))
-    }
-
-    /// Receives without blocking.
-    ///
-    /// # Errors
-    ///
-    /// * [`GridError::Empty`] if no message is queued.
-    /// * [`GridError::Disconnected`] if the peer is gone.
-    /// * Codec errors if the frame is malformed.
-    pub fn try_recv(&self) -> Result<Message, GridError> {
-        self.try_recv_counted().map(|(msg, _)| msg)
-    }
-
-    /// [`try_recv`](Self::try_recv), returning the bytes charged alongside
-    /// the message.
-    ///
-    /// # Errors
-    ///
-    /// As [`try_recv`](Self::try_recv).
-    pub fn try_recv_counted(&self) -> Result<(Message, u64), GridError> {
-        let frame = match self.rx.try_recv() {
-            Ok(frame) => frame,
-            Err(TryRecvError::Empty) => return Err(GridError::Empty),
-            Err(TryRecvError::Disconnected) => return Err(GridError::Disconnected),
-        };
-        self.account_inbound(&frame);
-        let charged = frame.len() as u64 + FRAME_HEADER_BYTES;
-        Message::decode(&frame).map(|msg| (msg, charged))
-    }
-
-    /// Subscribes this endpoint's inbound direction to `bell`: from now on
-    /// every frame queued for it, and its peer's hang-up, rings `key`.
-    /// What is already there is announced on the spot — one ring per
-    /// queued frame, one more if the peer has already hung up — so a
-    /// consumer that answers each ring with one `try_recv` misses
-    /// nothing. Subscribing again replaces the earlier subscription.
-    pub fn subscribe(&self, bell: &Doorbell, key: usize) {
-        Subscription::subscribe(&self.subscription, bell, key, || self.rx.len());
-    }
-
-    fn account_inbound(&self, frame: &[u8]) {
-        self.inbound
-            .bytes
-            .fetch_add(frame.len() as u64 + FRAME_HEADER_BYTES, Ordering::Relaxed);
+        self.inbound.bytes.fetch_add(charged, Ordering::Relaxed);
         self.inbound.messages.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Traffic counters for this endpoint.
-    #[must_use]
-    pub fn stats(&self) -> LinkStats {
-        LinkStats {
-            bytes_sent: self.outbound.bytes.load(Ordering::Relaxed),
-            bytes_received: self.inbound.bytes.load(Ordering::Relaxed),
-            messages_sent: self.outbound.messages.load(Ordering::Relaxed),
-            messages_received: self.inbound.messages.load(Ordering::Relaxed),
-        }
+        Message::decode(frame).map(|msg| (msg, charged))
     }
 }
 
@@ -393,12 +295,14 @@ pub trait GridLink: Send {
     /// crossed, after any decoration).
     fn stats(&self) -> LinkStats;
 
-    /// Subscribes this link's inbound direction to `bell` under `key`,
-    /// with [`Endpoint::subscribe`]'s contract: one ring per frame queued
-    /// from now on, the backlog announced on the spot, and the hang-up
-    /// ring only once a `try_recv` really reports the closure — so a
-    /// multiplexer that answers each ring with one look at the link
-    /// misses nothing, whatever the link is made of.
+    /// Subscribes this link's inbound direction to `bell` under `key`:
+    /// from now on every frame queued for it, and its peer's hang-up,
+    /// rings `key`. What is already there is announced on the spot — one
+    /// ring per queued frame, one more if the peer has already hung up —
+    /// and the hang-up ring comes only once a `try_recv` really reports
+    /// the closure, so a multiplexer that answers each ring with one look
+    /// at the link misses nothing, whatever the link is made of.
+    /// Subscribing again replaces the earlier subscription.
     fn subscribe(&self, bell: &Doorbell, key: usize);
 
     /// Sends a message, discarding the byte count.
@@ -431,23 +335,39 @@ pub trait GridLink: Send {
 
 impl GridLink for Endpoint {
     fn send_counted(&self, msg: &Message) -> Result<u64, GridError> {
-        Endpoint::send_counted(self, msg)
+        let frame = msg.encode();
+        let charged = frame.len() as u64 + FRAME_HEADER_BYTES;
+        self.tx.send(frame).map_err(|_| GridError::Disconnected)?;
+        self.announce.ring();
+        self.outbound.bytes.fetch_add(charged, Ordering::Relaxed);
+        self.outbound.messages.fetch_add(1, Ordering::Relaxed);
+        Ok(charged)
     }
 
     fn recv_counted(&self) -> Result<(Message, u64), GridError> {
-        Endpoint::recv_counted(self)
+        let frame = self.rx.recv().map_err(|_| GridError::Disconnected)?;
+        self.charge_inbound(&frame)
     }
 
     fn try_recv_counted(&self) -> Result<(Message, u64), GridError> {
-        Endpoint::try_recv_counted(self)
+        match self.rx.try_recv() {
+            Ok(frame) => self.charge_inbound(&frame),
+            Err(TryRecvError::Empty) => Err(GridError::Empty),
+            Err(TryRecvError::Disconnected) => Err(GridError::Disconnected),
+        }
     }
 
     fn stats(&self) -> LinkStats {
-        Endpoint::stats(self)
+        LinkStats {
+            bytes_sent: self.outbound.bytes.load(Ordering::Relaxed),
+            bytes_received: self.inbound.bytes.load(Ordering::Relaxed),
+            messages_sent: self.outbound.messages.load(Ordering::Relaxed),
+            messages_received: self.inbound.messages.load(Ordering::Relaxed),
+        }
     }
 
     fn subscribe(&self, bell: &Doorbell, key: usize) {
-        Endpoint::subscribe(self, bell, key);
+        Subscription::subscribe(&self.subscription, bell, key, || self.rx.len());
     }
 }
 

@@ -2,7 +2,7 @@
 //! roundtrip for every message type, exact length framing).
 
 use proptest::prelude::*;
-use ugc_grid::{Assignment, GridError, Message, Opening};
+use ugc_grid::{Assignment, GridError, GridLink, Message, Opening};
 use ugc_task::Domain;
 
 fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {

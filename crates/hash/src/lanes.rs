@@ -30,46 +30,44 @@
 //!   so the vector code loses nothing, and LLVM widens all of them. The
 //!   scalar `sha256::compress` keeps its rotates: one lane has a real
 //!   `ror`, and the shift form measures about 15 % slower there.
-//! * **SHA-1** has three rotates a round. `rotl5(a)` feeds a sum, so its
-//!   two halves can enter that sum apart and do widen; `rotl1` of the
-//!   schedule and `rotl30(b)` stand alone, LLVM re-fuses every equivalent
-//!   spelling, and those stay scalar. The kernel is kept because it still
-//!   beats the scalar loop by more than 1.5× (README § Performance).
+//!
+//! SHA-1 has no lane kernel, because nothing in the product hashes with
+//! it: `Sha1`'s lane entry points hash one message per lane.
 //!
 //! The gain lives in emitted code, so CI reads it: the `test` job runs
 //! `cargo rustc -p ugc-hash --release --lib -- --emit asm` and then
-//! `.github/check_lane_codegen.sh`, which fails unless every
-//! `sha256_compress_lanes*` symbol contains vector shifts
-//! (`pslld`/`psrld`) and at most a handful of scalar `rol`/`ror`.
+//! `.github/check_lane_codegen.sh`, which fails unless it finds exactly
+//! the four `sha256_compress_lanes*` symbols (the general and the pad-64
+//! kernel at widths 4 and 8), each with vector shifts (`pslld`/`psrld`)
+//! and at most a handful of scalar `rol`/`ror`.
 //!
 //! # Shapes
 //!
 //! Every message is presented as two segments `(a, b)` and hashed as the
 //! concatenation `a ‖ b`: one shape serves both the Merkle inner-node
 //! operation `hash(Φ(V_left) ‖ Φ(V_right))` and plain single messages
-//! (`(msg, &[])`). Lanes are fully independent — per-lane lengths may
-//! differ (shorter lanes finish in the transposed pass, longer lanes are
-//! completed by the scalar kernel) — so every digest is bit-identical to
-//! the scalar path by construction, which the replay/journal/wire-
-//! equivalence contract depends on. SHA-256 adds one fixed-shape fast
-//! path, chosen from the input alone: when every lane totals exactly 64
-//! bytes (every Merkle inner node) the second block is the constant
-//! padding block and runs from a precomputed table
-//! ([`sha256_digest_lanes`]).
+//! (`(msg, &[])`). One generic driver, [`digest_lanes`], pads each lane
+//! with the one-shot's own [`pad`]: a lane of at most 119 bytes is one or
+//! two blocks, and a longer one takes the scalar `digest_pair`. Lanes are
+//! independent — per-lane lengths may differ — so every digest is
+//! bit-identical to the scalar path, which the replay/journal/wire-
+//! equivalence contract depends on.
 //!
 //! One dispatcher, [`digest_pairs_into`], cuts a batch of any size into
 //! kernel passes: groups of eight, a last group of six or seven as one
 //! 8-wide pass and of three or four as one 4-wide pass (spare lanes
 //! repeat the group's last message and are discarded; five is four and
-//! one), one or two leftovers through the scalar one-shot. A Merkle level, the levels of
-//! an opening and a batch of leaves or chain links all go through it.
+//! one), one or two leftovers through the scalar one-shot. A Merkle level,
+//! the levels of an opening and a batch of leaves or chain links all go
+//! through it.
 //!
 //! [`LaneWidth`] has two settings: [`X8`](LaneWidth::X8), that policy,
 //! and [`Scalar`](LaneWidth::Scalar), one `digest_pair` per message — the
 //! reference the tests hold the kernels to. It is execution-only: it
 //! never changes a digest.
 
-use crate::{md5, sha1, sha256, HashFunction};
+use crate::scaffold::{pad, LaneCompression};
+use crate::{md5, sha256, HashFunction, Md5, Sha256};
 
 /// Whether batches of independent messages go through the transposed
 /// lane kernels or one at a time.
@@ -123,63 +121,18 @@ impl core::fmt::Display for LaneWidth {
     }
 }
 
-/// Number of 64-byte blocks in the padded message of `total` bytes:
-/// content, the `0x80` marker, and the 8-byte bit length.
-fn padded_blocks(total: usize) -> usize {
-    (total + 72) / 64
-}
-
-/// Materialises block `block` (of `nb`) of the padded message `a ‖ b`
-/// into `out`: content bytes, the `0x80` terminator, zero fill, and —
-/// in the final block — the 8-byte bit length (little-endian for MD5,
-/// big-endian for the SHA family).
-fn fill_padded_block(
-    a: &[u8],
-    b: &[u8],
-    total: usize,
-    nb: usize,
+/// Loads the sixteen 32-bit message words of block `block` of each lane's
+/// padded message into transposed `[word][lane]` layout.
+pub(crate) fn load_words<const L: usize>(
+    bufs: &[[u8; 128]; L],
     block: usize,
-    le_length: bool,
-    out: &mut [u8; 64],
-) {
-    let start = block * 64;
-    let end = start + 64;
-    out.fill(0);
-    if start < a.len() {
-        let take = (a.len() - start).min(64);
-        out[..take].copy_from_slice(&a[start..start + take]);
-    }
-    if end > a.len() && start < total {
-        let copy_start = start.max(a.len());
-        let copy_end = end.min(total);
-        if copy_end > copy_start {
-            out[copy_start - start..copy_end - start]
-                .copy_from_slice(&b[copy_start - a.len()..copy_end - a.len()]);
-        }
-    }
-    if (start..end).contains(&total) {
-        out[total - start] = 0x80;
-    }
-    if block + 1 == nb {
-        let bits = 8 * total as u64;
-        let len_bytes = if le_length {
-            bits.to_le_bytes()
-        } else {
-            bits.to_be_bytes()
-        };
-        out[56..].copy_from_slice(&len_bytes);
-    }
-}
-
-/// Loads the sixteen 32-bit message words of each lane's block into
-/// transposed `[word][lane]` layout.
-fn load_words<const L: usize>(blocks: &[[u8; 64]; L], le: bool) -> [[u32; L]; 16] {
+    le: bool,
+) -> [[u32; L]; 16] {
     let mut m = [[0u32; L]; 16];
     for (w, row) in m.iter_mut().enumerate() {
+        let at = 64 * block + 4 * w;
         for (l, slot) in row.iter_mut().enumerate() {
-            let bytes: [u8; 4] = blocks[l][4 * w..4 * w + 4]
-                .try_into()
-                .expect("4-byte message word");
+            let bytes: [u8; 4] = bufs[l][at..at + 4].try_into().expect("4-byte message word");
             *slot = if le {
                 u32::from_le_bytes(bytes)
             } else {
@@ -190,65 +143,6 @@ fn load_words<const L: usize>(blocks: &[[u8; 64]; L], le: bool) -> [[u32; L]; 16
     m
 }
 
-/// One transposed MD5 compression pass: `L` independent lanes, state in
-/// `[word][lane]` layout. Same round structure as the scalar
-/// `md5::compress`, with every scalar `u32` widened to a `[u32; L]` row.
-fn md5_compress_lanes<const L: usize>(h: &mut [[u32; L]; 4], m: &[[u32; L]; 16]) {
-    let mut a = h[0];
-    let mut b = h[1];
-    let mut c = h[2];
-    let mut d = h[3];
-    for i in 0..64 {
-        let mut f = [0u32; L];
-        let g = match i / 16 {
-            0 => i,
-            1 => (5 * i + 1) % 16,
-            2 => (3 * i + 5) % 16,
-            _ => (7 * i) % 16,
-        };
-        match i / 16 {
-            0 => {
-                for l in 0..L {
-                    f[l] = (b[l] & c[l]) | (!b[l] & d[l]);
-                }
-            }
-            1 => {
-                for l in 0..L {
-                    f[l] = (d[l] & b[l]) | (!d[l] & c[l]);
-                }
-            }
-            2 => {
-                for l in 0..L {
-                    f[l] = b[l] ^ c[l] ^ d[l];
-                }
-            }
-            _ => {
-                for l in 0..L {
-                    f[l] = c[l] ^ (b[l] | !d[l]);
-                }
-            }
-        }
-        let tmp = d;
-        d = c;
-        c = b;
-        for l in 0..L {
-            b[l] = b[l].wrapping_add(
-                a[l].wrapping_add(f[l])
-                    .wrapping_add(md5::K[i])
-                    .wrapping_add(m[g][l])
-                    .rotate_left(md5::S[i]),
-            );
-        }
-        a = tmp;
-    }
-    for l in 0..L {
-        h[0][l] = h[0][l].wrapping_add(a[l]);
-        h[1][l] = h[1][l].wrapping_add(b[l]);
-        h[2][l] = h[2][l].wrapping_add(c[l]);
-        h[3][l] = h[3][l].wrapping_add(d[l]);
-    }
-}
-
 /// The feed-forward that ends a compression: `h += s`, row by row.
 #[inline(always)]
 fn add_rows<const L: usize, const N: usize>(h: &mut [[u32; L]; N], s: &[[u32; L]; N]) {
@@ -257,57 +151,6 @@ fn add_rows<const L: usize, const N: usize>(h: &mut [[u32; L]; N], s: &[[u32; L]
             row[l] = row[l].wrapping_add(add[l]);
         }
     }
-}
-
-/// One transposed SHA-1 compression pass, laid out like
-/// [`sha256_compress_lanes`]: a 16-row rolling schedule and a rotating
-/// five-row frame (round `i` finds `a` at `s[(5 - i % 5) % 5]`), so a
-/// round rewrites `b` (rotated into the next `c`) and `e` (the next `a`)
-/// and moves nothing.
-///
-/// Only `rotl5(a)` can be kept from the rotate matcher — it feeds a sum,
-/// so its two shifted halves enter that sum apart. `rotl1` of the
-/// schedule and `rotl30(b)` each stand alone, and LLVM fuses every
-/// equivalent spelling back into a rotate it leaves scalar; the kernel
-/// still wins on instruction-level parallelism across lanes (README §
-/// Performance has the numbers).
-#[inline(never)]
-fn sha1_compress_lanes<const L: usize>(h: &mut [[u32; L]; 5], w: &mut [[u32; L]; 16]) {
-    let mut s = *h;
-    for i in 0..80 {
-        if i >= 16 {
-            let (w3, w8, w14) = (w[(i + 13) % 16], w[(i + 8) % 16], w[(i + 2) % 16]);
-            let row = &mut w[i % 16];
-            for l in 0..L {
-                row[l] = (w3[l] ^ w8[l] ^ w14[l] ^ row[l]).rotate_left(1);
-            }
-        }
-        let wi = w[i % 16];
-        let at = |r: usize| (r + 5 - i % 5) % 5;
-        let (a, c, d) = (s[at(0)], s[at(2)], s[at(3)]);
-        let k: u32 = match i / 20 {
-            0 => 0x5a82_7999,
-            1 => 0x6ed9_eba1,
-            2 => 0x8f1b_bcdc,
-            _ => 0xca62_c1d6,
-        };
-        let b = &mut s[at(1)];
-        let mut f = [0u32; L];
-        for l in 0..L {
-            f[l] = match i / 20 {
-                0 => d[l] ^ (b[l] & (c[l] ^ d[l])),
-                2 => (b[l] & c[l]) ^ (d[l] & (b[l] ^ c[l])),
-                _ => b[l] ^ c[l] ^ d[l],
-            };
-            b[l] = b[l].rotate_left(30);
-        }
-        let e = &mut s[at(4)];
-        for l in 0..L {
-            e[l] = ((a[l] << 5).wrapping_add(f[l]).wrapping_add(k))
-                .wrapping_add((a[l] >> 27).wrapping_add(e[l]).wrapping_add(wi[l]));
-        }
-    }
-    add_rows(h, &s);
 }
 
 /// `Σ1`, `Σ0`, `σ0`, `σ1` of FIPS 180-4 as plain shifts XORed in an
@@ -407,95 +250,101 @@ fn sha256_compress_lanes_pad64<const L: usize>(h: &mut [[u32; L]; 8]) {
     add_rows(h, &s);
 }
 
-/// Generates the per-algorithm lane digest driver: transposed compression
-/// over the blocks every lane still needs, then a scalar finish for lanes
-/// whose (longer) messages have blocks remaining — so mixed per-lane
-/// lengths stay bit-identical to the scalar kernels.
-macro_rules! lane_digest_driver {
-    (
-        $(#[$doc:meta])*
-        $fn_name:ident, $alg:ident, $state_words:expr, $digest_len:expr,
-        $compress_lanes:ident, $le:expr
-    ) => {
-        $(#[$doc])*
-        pub(crate) fn $fn_name<const L: usize>(
-            msgs: &[(&[u8], &[u8]); L],
-        ) -> [[u8; $digest_len]; L] {
-            let mut totals = [0usize; L];
-            let mut nbs = [0usize; L];
+/// One transposed MD5 compression pass: `L` independent lanes, state in
+/// `[word][lane]` layout. Same round structure as the scalar
+/// `md5::compress`, with every scalar `u32` widened to a `[u32; L]` row.
+impl LaneCompression<4> for Md5 {
+    fn compress_lanes<const L: usize>(h: &mut [[u32; L]; 4], m: &mut [[u32; L]; 16]) {
+        let [mut a, mut b, mut c, mut d] = *h;
+        for i in 0..64 {
+            let mut f = [0u32; L];
+            let g = match i / 16 {
+                0 => i,
+                1 => (5 * i + 1) % 16,
+                2 => (3 * i + 5) % 16,
+                _ => (7 * i) % 16,
+            };
+            match i / 16 {
+                0 => {
+                    for l in 0..L {
+                        f[l] = (b[l] & c[l]) | (!b[l] & d[l]);
+                    }
+                }
+                1 => {
+                    for l in 0..L {
+                        f[l] = (d[l] & b[l]) | (!d[l] & c[l]);
+                    }
+                }
+                2 => {
+                    for l in 0..L {
+                        f[l] = b[l] ^ c[l] ^ d[l];
+                    }
+                }
+                _ => {
+                    for l in 0..L {
+                        f[l] = c[l] ^ (b[l] | !d[l]);
+                    }
+                }
+            }
+            let tmp = d;
+            d = c;
+            c = b;
             for l in 0..L {
-                totals[l] = msgs[l].0.len() + msgs[l].1.len();
-                nbs[l] = padded_blocks(totals[l]);
+                b[l] = b[l].wrapping_add(
+                    a[l].wrapping_add(f[l])
+                        .wrapping_add(md5::K[i])
+                        .wrapping_add(m[g][l])
+                        .rotate_left(md5::S[i]),
+                );
             }
-            let common = nbs.iter().copied().min().unwrap_or(0);
-            let mut h = [[0u32; L]; $state_words];
-            for (row, iv) in h.iter_mut().zip($alg::IV.iter()) {
-                row.fill(*iv);
-            }
-            let mut blocks = [[0u8; 64]; L];
-            for b in 0..common {
-                for l in 0..L {
-                    fill_padded_block(msgs[l].0, msgs[l].1, totals[l], nbs[l], b, $le, &mut blocks[l]);
-                }
-                $compress_lanes(&mut h, &mut load_words(&blocks, $le));
-            }
-            let mut out = [[0u8; $digest_len]; L];
-            for l in 0..L {
-                let mut state = [0u32; $state_words];
-                for (word, row) in state.iter_mut().zip(h.iter()) {
-                    *word = row[l];
-                }
-                for b in common..nbs[l] {
-                    fill_padded_block(msgs[l].0, msgs[l].1, totals[l], nbs[l], b, $le, &mut blocks[l]);
-                    $alg::compress(&mut state, &blocks[l]);
-                }
-                out[l] = $alg::digest_from_words(&state);
-            }
-            out
+            a = tmp;
         }
-    };
+        add_rows(h, &[a, b, c, d]);
+    }
 }
 
-lane_digest_driver!(
-    /// `L`-lane MD5 of `L` two-segment messages.
-    md5_digest_lanes, md5, 4, 16, md5_compress_lanes, true
-);
-lane_digest_driver!(
-    /// `L`-lane SHA-1 of `L` two-segment messages.
-    sha1_digest_lanes, sha1, 5, 20, sha1_compress_lanes, false
-);
-lane_digest_driver!(
-    /// `L`-lane SHA-256 of `L` two-segment messages of any shape — the
-    /// reference driver [`sha256_digest_lanes`] falls back to.
-    sha256_digest_lanes_general, sha256, 8, 32, sha256_compress_lanes, false
-);
+impl LaneCompression<8> for Sha256 {
+    fn compress_lanes<const L: usize>(h: &mut [[u32; L]; 8], w: &mut [[u32; L]; 16]) {
+        sha256_compress_lanes(h, w);
+    }
 
-/// `L`-lane SHA-256 of `L` two-segment messages.
-///
-/// When every lane's message totals exactly 64 bytes — every Merkle
-/// inner node over SHA-256 digests — the padded message has a fixed
-/// shape: block 0 is `a ‖ b` copied straight in, block 1 is the constant
-/// padding block [`sha256_compress_lanes_pad64`] runs from its table.
-/// Any other shape takes the general driver.
-pub(crate) fn sha256_digest_lanes<const L: usize>(msgs: &[(&[u8], &[u8]); L]) -> [[u8; 32]; L] {
-    if !msgs.iter().all(|(a, b)| a.len() + b.len() == 64) {
-        return sha256_digest_lanes_general(msgs);
+    fn compress_lanes_pad64<const L: usize>(h: &mut [[u32; L]; 8], _: &[[u8; 128]; L]) {
+        sha256_compress_lanes_pad64(h);
     }
-    let mut blocks = [[0u8; 64]; L];
-    for (block, (a, b)) in blocks.iter_mut().zip(msgs) {
-        block[..a.len()].copy_from_slice(a);
-        block[a.len()..].copy_from_slice(b);
+}
+
+/// `L`-lane digests of `L` two-segment messages `a ‖ b`: every lane padded
+/// by [`pad`], block 0 of all lanes in one transposed pass, block 1 in a
+/// second when any lane has two blocks — from the tabled
+/// [`compress_lanes_pad64`](LaneCompression::compress_lanes_pad64) when
+/// every lane totals exactly 64 bytes. A lane over 119 bytes rides along
+/// on zeros and takes the scalar [`digest_pair`](HashFunction::digest_pair).
+pub(crate) fn digest_lanes<C: LaneCompression<N>, const N: usize, const L: usize>(
+    msgs: &[(&[u8], &[u8]); L],
+) -> [C::Digest; L] {
+    let mut bufs = [[0u8; 128]; L];
+    let blocks: [_; L] = core::array::from_fn(|l| pad::<C, N>(msgs[l].0, msgs[l].1, &mut bufs[l]));
+    let mut h: [[u32; L]; N] = core::array::from_fn(|word| [C::IV[word]; L]);
+    let mut out = [C::Digest::default(); L];
+    let mut finish = |h: &[[u32; L]; N], done: Option<usize>| {
+        for l in (0..L).filter(|&l| blocks[l] == done) {
+            out[l] = C::digest_from_words(&core::array::from_fn(|word| h[word][l]));
+        }
+    };
+    C::compress_lanes(&mut h, &mut load_words(&bufs, 0, C::LITTLE_ENDIAN));
+    finish(&h, Some(1));
+    if blocks.contains(&Some(2)) {
+        if msgs.iter().all(|(a, b)| a.len() + b.len() == 64) {
+            C::compress_lanes_pad64(&mut h, &bufs);
+        } else {
+            C::compress_lanes(&mut h, &mut load_words(&bufs, 1, C::LITTLE_ENDIAN));
+        }
+        finish(&h, Some(2));
     }
-    let mut h = [[0u32; L]; 8];
-    for (row, iv) in h.iter_mut().zip(sha256::IV.iter()) {
-        row.fill(*iv);
+    for l in (0..L).filter(|&l| blocks[l].is_none()) {
+        out[l] = C::digest_pair(msgs[l].0, msgs[l].1);
     }
-    sha256_compress_lanes(&mut h, &mut load_words(&blocks, false));
-    sha256_compress_lanes_pad64(&mut h);
-    core::array::from_fn(|l| {
-        let state: [u32; 8] = core::array::from_fn(|word| h[word][l]);
-        sha256::digest_from_words(&state)
-    })
+    out
 }
 
 /// Hashes `out.len()` independent two-segment messages, `pair(j)` into
@@ -550,24 +399,6 @@ pub fn digest_pairs_into<'a, H: HashFunction>(
         out[j] = H::digest_pair(a, b);
         j += 1;
     }
-}
-
-/// [`digest_pairs_into`] over a slice of pairs, into a fresh `Vec`.
-///
-/// # Examples
-///
-/// ```
-/// use ugc_hash::{digest_pairs, HashFunction, LaneWidth, Sha256};
-///
-/// let pairs: Vec<(&[u8], &[u8])> = (0..11).map(|_| (b"a".as_ref(), b"b".as_ref())).collect();
-/// let lanes = digest_pairs::<Sha256>(&pairs, LaneWidth::X8);
-/// assert!(lanes.iter().all(|d| *d == Sha256::digest_pair(b"a", b"b")));
-/// ```
-#[must_use]
-pub fn digest_pairs<H: HashFunction>(pairs: &[(&[u8], &[u8])], width: LaneWidth) -> Vec<H::Digest> {
-    let mut out = vec![H::Digest::default(); pairs.len()];
-    digest_pairs_into::<H>(&mut out, |j| pairs[j], width);
-    out
 }
 
 /// [`digest_pairs_into`] over single-segment messages, into a fresh `Vec`.
@@ -630,30 +461,16 @@ mod tests {
     }
 
     #[test]
-    fn padded_block_counts() {
-        for (total, nb) in [
-            (0usize, 1usize),
-            (1, 1),
-            (55, 1),
-            (56, 2),
-            (63, 2),
-            (64, 2),
-            (119, 2),
-            (120, 3),
-            (128, 3),
-        ] {
-            assert_eq!(padded_blocks(total), nb, "total={total}");
-        }
-    }
-
-    #[test]
     fn uniform_lanes_match_scalar() {
         let a = message(40, 1);
         let b = message(40, 2);
         let msgs: [(&[u8], &[u8]); 4] = [(&a, &b); 4];
-        assert_eq!(md5_digest_lanes(&msgs), [Md5::digest_pair(&a, &b); 4]);
-        assert_eq!(sha1_digest_lanes(&msgs), [Sha1::digest_pair(&a, &b); 4]);
-        assert_eq!(sha256_digest_lanes(&msgs), [Sha256::digest_pair(&a, &b); 4]);
+        assert_eq!(Md5::digest_lanes_4(&msgs), [Md5::digest_pair(&a, &b); 4]);
+        assert_eq!(Sha1::digest_lanes_4(&msgs), [Sha1::digest_pair(&a, &b); 4]);
+        assert_eq!(
+            Sha256::digest_lanes_4(&msgs),
+            [Sha256::digest_pair(&a, &b); 4]
+        );
     }
 
     /// The literal second block of every 64-byte message: `0x80`, zeros,
@@ -708,16 +525,16 @@ mod tests {
 
     #[test]
     fn sha256_lane_compression_equals_scalar_compress() {
-        let blocks: [[u8; 64]; 8] =
-            [0u8, 1, 2, 3, 4, 5, 6, 7].map(|tag| message(64, tag).try_into().unwrap());
+        let bufs: [[u8; 128]; 8] =
+            [0u8, 1, 2, 3, 4, 5, 6, 7].map(|tag| message(128, tag).try_into().unwrap());
         let mut lanes = [[0u32; 8]; 8];
         for (row, iv) in lanes.iter_mut().zip(sha256::IV) {
             row.fill(iv);
         }
-        sha256_compress_lanes(&mut lanes, &mut load_words(&blocks, false));
-        for (l, block) in blocks.iter().enumerate() {
+        sha256_compress_lanes(&mut lanes, &mut load_words(&bufs, 1, false));
+        for (l, buf) in bufs.iter().enumerate() {
             let mut want = sha256::IV;
-            sha256::compress(&mut want, block);
+            sha256::compress(&mut want, buf[64..].try_into().unwrap());
             let got: [u32; 8] = core::array::from_fn(|word| lanes[word][l]);
             assert_eq!(got, want, "lane {l}");
         }
@@ -725,24 +542,29 @@ mod tests {
 
     #[test]
     fn sha256_fast_path_and_general_driver_agree() {
-        // Every split of a 64-byte total, through both drivers.
+        // Every split of a 64-byte total, through the tabled pad-64 pass
+        // (all four lanes 64 bytes) and through the general second pass
+        // (a fourth lane one byte longer).
         let payload = message(64, 9);
+        let longer = message(65, 9);
         for split in [0usize, 16, 31, 32, 33, 48, 64] {
             let (a, b) = payload.split_at(split);
-            let msgs: [(&[u8], &[u8]); 4] = [(a, b); 4];
-            let want = [Sha256::digest(&payload); 4];
-            assert_eq!(sha256_digest_lanes(&msgs), want, "split={split}");
-            assert_eq!(sha256_digest_lanes_general(&msgs), want, "split={split}");
+            let want = Sha256::digest(&payload);
+            let tabled = Sha256::digest_lanes_4(&[(a, b); 4]);
+            assert_eq!(tabled, [want; 4], "split={split}");
+            let general = Sha256::digest_lanes_4(&[(a, b), (a, b), (a, b), (&longer, &[])]);
+            assert_eq!(general[..3], [want; 3], "split={split}");
         }
     }
 
     #[test]
     fn mixed_lengths_match_scalar() {
-        // Lanes that span 1, 2 and 3 padded blocks in the same dispatch.
+        // One- and two-block lanes and one past the two-block limit (the
+        // scalar one) in the same dispatch.
         let lens = [0usize, 55, 56, 63, 64, 65, 119, 120];
         let payloads: Vec<Vec<u8>> = lens.iter().map(|&n| message(n, 7)).collect();
         let msgs: [(&[u8], &[u8]); 8] = core::array::from_fn(|l| (payloads[l].as_slice(), &[][..]));
-        let lanes = sha256_digest_lanes(&msgs);
+        let lanes = Sha256::digest_lanes_8(&msgs);
         for (l, payload) in payloads.iter().enumerate() {
             assert_eq!(lanes[l], Sha256::digest(payload), "lane {l}");
         }
@@ -752,10 +574,9 @@ mod tests {
     fn ragged_batches_match_scalar() {
         for n in 1..=9usize {
             let payloads: Vec<Vec<u8>> = (0..n).map(|i| message(8 + i, 3)).collect();
-            let pairs: Vec<(&[u8], &[u8])> =
-                payloads.iter().map(|p| (p.as_slice(), &[][..])).collect();
+            let msgs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
             for width in LaneWidth::ALL {
-                let got = digest_pairs::<Md5>(&pairs, width);
+                let got = digest_batch::<Md5>(&msgs, width);
                 let want: Vec<_> = payloads.iter().map(|p| Md5::digest(p)).collect();
                 assert_eq!(got, want, "n={n} width={width}");
             }

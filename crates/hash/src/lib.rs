@@ -18,10 +18,10 @@
 //!   protocol hashes — leaves, Merkle nodes, chain links.
 //! * [`HashFunction`] — the compile-time interface the Merkle tree and the
 //!   CBS protocol are generic over.
-//! * [`digest_pairs_into`] and its `Vec`-returning forms [`digest_pairs`],
-//!   [`digest_batch`], [`digest_iterated_batch`] — many independent
-//!   messages at once through the transposed lane kernels, at a
-//!   [`LaneWidth`] that never changes a digest.
+//! * [`digest_pairs_into`] and its `Vec`-returning forms [`digest_batch`]
+//!   and [`digest_iterated_batch`] — many independent messages at once
+//!   through the transposed lane kernels, at a [`LaneWidth`] that never
+//!   changes a digest.
 //! * [`IteratedHash`] and [`HashChain`] — the hardened `g = H^k` construction
 //!   from Section 4.2 of the paper.
 //! * [`hex`] — dependency-free hex encoding for vectors and display.
@@ -50,7 +50,7 @@ mod sha1;
 mod sha256;
 
 pub use iterated::{HashChain, IteratedHash};
-pub use lanes::{digest_batch, digest_iterated_batch, digest_pairs, digest_pairs_into, LaneWidth};
+pub use lanes::{digest_batch, digest_iterated_batch, digest_pairs_into, LaneWidth};
 pub use md5::Md5;
 pub use sha1::Sha1;
 pub use sha256::Sha256;
@@ -160,9 +160,9 @@ pub trait HashFunction: Clone + Send + Sync + 'static {
     /// Digests four independent two-segment messages (`a ‖ b` each) in
     /// one dispatch.
     ///
-    /// [`Md5`], [`Sha1`] and [`Sha256`] override the default scalar loop
-    /// with transposed message-parallel kernels; results are
-    /// bit-identical to four [`digest_pair`](Self::digest_pair) calls.
+    /// [`Md5`] and [`Sha256`] override the default scalar loop with
+    /// transposed message-parallel kernels; results are bit-identical to
+    /// four [`digest_pair`](Self::digest_pair) calls.
     fn digest_lanes_4(msgs: &[(&[u8], &[u8]); 4]) -> [Self::Digest; 4] {
         core::array::from_fn(|l| Self::digest_pair(msgs[l].0, msgs[l].1))
     }

@@ -13,11 +13,13 @@
 //!   [`HashFunction::update`] / [`HashFunction::finalize`], for input of
 //!   any length in any chunking;
 //! * [`digest_pair`] — the one-shot for `a ‖ b` of at most 119 bytes (two
-//!   blocks once padded), assembled on the stack. Every Merkle node, every
-//!   leaf and every link of a `g = H^k` chain is that short, so this is
-//!   the path the protocol runs; `digest(x)` is `digest_pair(x, &[])`, and
-//!   anything longer takes the streaming state.
+//!   blocks once padded), laid out on the stack by [`pad`]. Every Merkle
+//!   node, every leaf and every link of a `g = H^k` chain is that short, so
+//!   this is the path the protocol runs; `digest(x)` is
+//!   `digest_pair(x, &[])`, and anything longer takes the streaming state.
+//!   The lane driver pads with it too, through [`LaneCompression`].
 
+use crate::lanes::load_words;
 use crate::HashFunction;
 
 /// What one algorithm brings to the construction: a chaining value of `N`
@@ -33,17 +35,31 @@ pub(crate) trait Compression<const N: usize>: HashFunction {
     /// Folds one 64-byte block into the chaining value.
     fn compress(h: &mut [u32; N], block: &[u8; 64]);
 
-    /// Folds in the block that ends every 64-byte message: `0x80`, zeros,
-    /// bit length 512. Constant, so an algorithm may run it from a table.
-    fn compress_pad64(h: &mut [u32; N]) {
-        let mut block = [0u8; 64];
-        block[0] = 0x80;
-        block[56..].copy_from_slice(&length_bytes::<Self, N>(64));
-        Self::compress(h, &block);
+    /// Folds in `block`, the one that ends every 64-byte message: `0x80`,
+    /// zeros, bit length 512. Constant, so an algorithm may ignore it and
+    /// run from a table.
+    fn compress_pad64(h: &mut [u32; N], block: &[u8; 64]) {
+        Self::compress(h, block);
     }
 
     /// Serialises the chaining value into the digest.
     fn digest_from_words(h: &[u32; N]) -> Self::Digest;
+}
+
+/// [`Compression`] over `L` independent lanes, every chaining value and
+/// message word held transposed in `[word][lane]` rows so that one pass
+/// compresses one block of each lane.
+pub(crate) trait LaneCompression<const N: usize>: Compression<N> {
+    /// Folds one block per lane into `h`. `w` arrives holding the sixteen
+    /// message words of each lane's block and may be consumed as the
+    /// rolling schedule.
+    fn compress_lanes<const L: usize>(h: &mut [[u32; L]; N], w: &mut [[u32; L]; 16]);
+
+    /// [`compress_pad64`](Compression::compress_pad64) in every lane:
+    /// block 1 of every padded message in `bufs` is the constant one.
+    fn compress_lanes_pad64<const L: usize>(h: &mut [[u32; L]; N], bufs: &[[u8; 128]; L]) {
+        Self::compress_lanes(h, &mut load_words(bufs, 1, Self::LITTLE_ENDIAN));
+    }
 }
 
 /// The bit length of a `total`-byte message as the final 8 bytes of its
@@ -124,28 +140,44 @@ impl<const N: usize> State<N> {
     }
 }
 
+/// Lays the padded message `a ‖ b` out in `buf`, which must arrive
+/// zeroed: the content, the `0x80` marker, and the bit length at the end
+/// of the last block. Returns the number of 64-byte blocks — one below 56
+/// bytes, two up to 119 — or `None`, leaving `buf` untouched, for a
+/// message that no longer fits two blocks.
+pub(crate) fn pad<C: Compression<N>, const N: usize>(
+    a: &[u8],
+    b: &[u8],
+    buf: &mut [u8; 128],
+) -> Option<usize> {
+    let total = a.len() + b.len();
+    if total > 119 {
+        return None;
+    }
+    buf[..a.len()].copy_from_slice(a);
+    buf[a.len()..total].copy_from_slice(b);
+    buf[total] = 0x80;
+    let end = if total < 56 { 64 } else { 128 };
+    buf[end - 8..end].copy_from_slice(&length_bytes::<C, N>(total as u64));
+    Some(end / 64)
+}
+
 /// `hash(a ‖ b)` with message and padding assembled on the stack — at
 /// most two blocks — and no streaming state. A total of exactly 64 bytes
 /// (two SHA-256 digests: every inner node) is one block of message and the
 /// constant padding block; more than 119 bytes no longer fit two blocks
 /// and take the streaming state.
 pub(crate) fn digest_pair<C: Compression<N>, const N: usize>(a: &[u8], b: &[u8]) -> C::Digest {
-    let total = a.len() + b.len();
-    if total > 119 {
-        return crate::streaming_digest_pair::<C>(a, b);
-    }
     let mut buf = [0u8; 128];
-    buf[..a.len()].copy_from_slice(a);
-    buf[a.len()..total].copy_from_slice(b);
+    let Some(blocks) = pad::<C, N>(a, b, &mut buf) else {
+        return crate::streaming_digest_pair::<C>(a, b);
+    };
     let mut h = C::IV;
-    if total == 64 {
+    if a.len() + b.len() == 64 {
         compress_blocks::<C, N>(&mut h, &buf[..64]);
-        C::compress_pad64(&mut h);
+        C::compress_pad64(&mut h, buf[64..].try_into().expect("64-byte block"));
     } else {
-        buf[total] = 0x80;
-        let end = if total < 56 { 64 } else { 128 };
-        buf[end - 8..end].copy_from_slice(&length_bytes::<C, N>(total as u64));
-        compress_blocks::<C, N>(&mut h, &buf[..end]);
+        compress_blocks::<C, N>(&mut h, &buf[..64 * blocks]);
     }
     C::digest_from_words(&h)
 }
@@ -153,11 +185,13 @@ pub(crate) fn digest_pair<C: Compression<N>, const N: usize>(a: &[u8], b: &[u8])
 /// Puts `$alg` on the scaffold: its [`Compression`] from the items of
 /// `$module` (`IV`, `compress`, `digest_from_words`, optionally a tabled
 /// `pad64`), and its [`HashFunction`] — streaming through [`State`],
-/// one-shot through [`digest_pair`], lane groups through `$lanes`.
+/// one-shot through [`digest_pair`], and lane groups through the lane
+/// driver `crate::lanes::$lanes` where the algorithm has a
+/// [`LaneCompression`] (otherwise one `digest_pair` per lane).
 macro_rules! merkle_damgard {
     (
         $alg:ident, $module:ident, $words:expr, $digest_len:expr, $name:expr,
-        little_endian = $le:expr, lanes = $lanes:path $(, pad64 = $pad64:path)?
+        little_endian = $le:expr $(, pad64 = $pad64:path)? $(, lanes = $lanes:ident)?
     ) => {
         impl Compression<$words> for crate::$alg {
             const IV: [u32; $words] = crate::$module::IV;
@@ -167,7 +201,7 @@ macro_rules! merkle_damgard {
                 crate::$module::compress(h, block);
             }
 
-            $(fn compress_pad64(h: &mut [u32; $words]) {
+            $(fn compress_pad64(h: &mut [u32; $words], _: &[u8; 64]) {
                 $pad64(h);
             })?
 
@@ -203,29 +237,28 @@ macro_rules! merkle_damgard {
                 digest_pair::<Self, $words>(a, b)
             }
 
-            fn digest_lanes_4(msgs: &[(&[u8], &[u8]); 4]) -> [Self::Digest; 4] {
-                $lanes(msgs)
+            $(fn digest_lanes_4(msgs: &[(&[u8], &[u8]); 4]) -> [Self::Digest; 4] {
+                crate::lanes::$lanes::<Self, $words, 4>(msgs)
             }
 
             fn digest_lanes_8(msgs: &[(&[u8], &[u8]); 8]) -> [Self::Digest; 8] {
-                $lanes(msgs)
-            }
+                crate::lanes::$lanes::<Self, $words, 8>(msgs)
+            })?
         }
     };
 }
 
 merkle_damgard! {
     Md5, md5, 4, 16, "MD5",
-    little_endian = true, lanes = crate::lanes::md5_digest_lanes
+    little_endian = true, lanes = digest_lanes
 }
 merkle_damgard! {
     Sha1, sha1, 5, 20, "SHA-1",
-    little_endian = false, lanes = crate::lanes::sha1_digest_lanes
+    little_endian = false
 }
 merkle_damgard! {
     Sha256, sha256, 8, 32, "SHA-256",
-    little_endian = false, lanes = crate::lanes::sha256_digest_lanes,
-    pad64 = crate::sha256::compress_pad64
+    little_endian = false, pad64 = crate::sha256::compress_pad64, lanes = digest_lanes
 }
 
 /// The construction's boundary tests, generic over the algorithm;
@@ -299,6 +332,43 @@ pub(crate) mod tests {
             }
             assert_eq!(H::digest_iterated(b"seed", k), want, "k={k}");
         }
+    }
+
+    /// [`pad`](super::pad), the layout the one-shot and the lanes share,
+    /// at every total from empty to one past the two-block limit.
+    fn pad_layout<C: super::Compression<N>, const N: usize>() {
+        for total in 0..=120usize {
+            let data = message(total);
+            let (a, b) = data.split_at(total / 3);
+            let mut buf = [0u8; 128];
+            let blocks = super::pad::<C, N>(a, b, &mut buf);
+            if total == 120 {
+                assert_eq!(blocks, None);
+                assert_eq!(buf, [0; 128], "an unpadded message leaves buf alone");
+                continue;
+            }
+            let want_blocks = if total < 56 { 1 } else { 2 };
+            assert_eq!(blocks, Some(want_blocks), "total {total}");
+            let end = 64 * want_blocks;
+            assert_eq!(buf[..total], data[..], "total {total}");
+            assert_eq!(buf[total], 0x80, "total {total}");
+            // The bit length, below 2^16 for every total here.
+            let [hi, lo] = u16::try_from(8 * total).unwrap().to_be_bytes();
+            let length = if C::LITTLE_ENDIAN {
+                [lo, hi, 0, 0, 0, 0, 0, 0]
+            } else {
+                [0, 0, 0, 0, 0, 0, hi, lo]
+            };
+            assert_eq!(buf[end - 8..end], length, "total {total}");
+            let mut zeros = buf[total + 1..end - 8].iter().chain(&buf[end..]);
+            assert!(zeros.all(|&x| x == 0), "total {total}");
+        }
+    }
+
+    #[test]
+    fn pad_lays_out_every_total_in_both_byte_orders() {
+        pad_layout::<crate::Md5, 4>();
+        pad_layout::<crate::Sha256, 8>();
     }
 
     macro_rules! scaffold_tests {

@@ -5,8 +5,7 @@
 //! broken for collision resistance and kept here for fidelity and
 //! benchmarking, not for new designs.
 
-/// FIPS 180-4 initial hash value (shared with the transposed lane
-/// kernels in `crate::lanes`).
+/// FIPS 180-4 initial hash value.
 pub(crate) const IV: [u32; 5] = [
     0x6745_2301,
     0xefcd_ab89,

@@ -7,7 +7,8 @@
 //! setting — the reference — agrees with per-message hashing too.
 
 use ugc_hash::{
-    digest_batch, digest_iterated_batch, digest_pairs, HashFunction, LaneWidth, Md5, Sha1, Sha256,
+    digest_batch, digest_iterated_batch, digest_pairs_into, HashFunction, LaneWidth, Md5, Sha1,
+    Sha256,
 };
 
 /// Message lengths that exercise every padding case: empty, one byte,
@@ -27,6 +28,13 @@ fn message(len: usize, tag: u64) -> Vec<u8> {
             (state >> 56).to_le_bytes()[0]
         })
         .collect()
+}
+
+/// Every pair through the one dispatcher, into a fresh `Vec`.
+fn digest_pairs<H: HashFunction>(pairs: &[(&[u8], &[u8])], width: LaneWidth) -> Vec<H::Digest> {
+    let mut out = vec![H::Digest::default(); pairs.len()];
+    digest_pairs_into::<H>(&mut out, |j| pairs[j], width);
+    out
 }
 
 fn assert_batch_matches_scalar<H: HashFunction>(payloads: &[Vec<u8>], context: &str) {
@@ -64,8 +72,9 @@ fn ragged_batches_match_scalar_for_every_algorithm() {
 
 #[test]
 fn mixed_per_lane_lengths_match_scalar() {
-    // Every boundary length in the same dispatch: the transposed pass
-    // covers the common block count, the scalar finish the longer lanes.
+    // Every boundary length in the same dispatch: one- and two-block
+    // lanes in the transposed passes, the longer ones through the scalar
+    // one-shot.
     let payloads: Vec<Vec<u8>> = BOUNDARY_LENS
         .iter()
         .enumerate()
@@ -192,7 +201,7 @@ fn sha256_all_64_byte_lanes_take_the_fixed_shape_path() {
 #[test]
 fn sha256_one_odd_lane_among_64s_falls_back_and_matches() {
     // One lane a byte short or a byte long: the fixed shape no longer
-    // holds for the dispatch, which must take the general driver.
+    // holds for the dispatch, whose second block takes the general pass.
     for odd in [(31, 32), (32, 33), (63, 0), (0, 65)] {
         for position in [0usize, 3, 7] {
             let mut splits = [(32usize, 32usize); 8];

@@ -20,8 +20,8 @@ use uncheatable_grid::core::{
     VerificationScheme,
 };
 use uncheatable_grid::grid::{
-    duplex, Assignment, Broker, CheatSelection, CostLedger, Doorbell, Endpoint, HonestWorker,
-    Message, SemiHonestCheater, WorkerBehaviour,
+    duplex, Assignment, Broker, CheatSelection, CostLedger, Doorbell, Endpoint, GridLink,
+    HonestWorker, Message, SemiHonestCheater, WorkerBehaviour,
 };
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PrimalitySearch;

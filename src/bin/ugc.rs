@@ -132,13 +132,15 @@ impl<'a> Args<'a> {
 
     /// The raw value following `key`: `Ok(None)` when the key is absent,
     /// an error when the key is present with nothing after it (a
-    /// dangling `--key` must not silently fall back to the default).
+    /// dangling `--key` must not silently fall back to the default) or
+    /// with another flag after it (`--journal --churn` must not name a
+    /// journal `--churn` and turn churn on as well).
     fn raw(&mut self, key: &str) -> Result<Option<&'a str>, String> {
         let Some(i) = self.argv.iter().position(|a| a == key) else {
             return Ok(None);
         };
         self.used[i] = true;
-        let Some(value) = self.argv.get(i + 1) else {
+        let Some(value) = self.argv.get(i + 1).filter(|v| !v.starts_with("--")) else {
             return Err(format!("{key} requires a value"));
         };
         self.used[i + 1] = true;

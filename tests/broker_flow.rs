@@ -7,8 +7,8 @@ use uncheatable_grid::core::{
     LaneWidth, Parallelism, ParticipantContext, ParticipantStorage, VerificationScheme,
 };
 use uncheatable_grid::grid::{
-    duplex, Assignment, Broker, CheatSelection, CostLedger, Doorbell, Endpoint, HonestWorker,
-    Message, SemiHonestCheater, WorkerBehaviour,
+    duplex, Assignment, Broker, CheatSelection, CostLedger, Doorbell, Endpoint, GridLink,
+    HonestWorker, Message, SemiHonestCheater, WorkerBehaviour,
 };
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;

@@ -329,6 +329,28 @@ fn fleet_bad_flag_value_prints_usage_and_fails() {
 }
 
 #[test]
+fn fleet_flag_is_never_read_as_another_flags_value() {
+    // `--journal --churn` once wrote a journal file named `--churn` and
+    // turned churn on too: one token read twice. The flag after a
+    // value-taking key is a missing value, and nothing is written.
+    let dir = std::env::temp_dir().join(format!("ugc-cli-flag-value-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_ugc"))
+        .args(["fleet", "--participants", "2", "--n", "64", "--m", "4"])
+        .args(["--journal", "--churn"])
+        .current_dir(&dir)
+        .output()
+        .expect("ugc binary runs");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--journal requires a value"), "{err}");
+    assert!(err.contains("usage: ugc"), "{err}");
+    let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(written.is_empty(), "{written:?}");
+}
+
+#[test]
 fn fleet_unrecognized_flag_prints_usage_and_fails() {
     // Typos must not be silently ignored (they used to be): the command
     // errors, names the offender and shows the usage.

@@ -9,7 +9,7 @@ use uncheatable_grid::core::{
     SupervisorContext, VerificationScheme,
 };
 use uncheatable_grid::grid::{
-    duplex, Assignment, CostLedger, Endpoint, GridError, HonestWorker, Message, Opening,
+    duplex, Assignment, CostLedger, Endpoint, GridError, GridLink, HonestWorker, Message, Opening,
 };
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;

@@ -18,8 +18,8 @@ use uncheatable_grid::core::{
     SupervisorContext, TransportKind, VerificationScheme,
 };
 use uncheatable_grid::grid::{
-    duplex, CheatSelection, CostLedger, Endpoint, HonestWorker, LinkStats, MaliciousWorker,
-    SemiHonestCheater, WorkerBehaviour,
+    duplex, CheatSelection, CostLedger, Endpoint, GridLink, HonestWorker, LinkStats,
+    MaliciousWorker, SemiHonestCheater, WorkerBehaviour,
 };
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;

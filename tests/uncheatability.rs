@@ -10,7 +10,8 @@ use uncheatable_grid::core::{
     SupervisorContext, Verdict, VerificationScheme,
 };
 use uncheatable_grid::grid::{
-    duplex, CheatSelection, CostLedger, Endpoint, HonestWorker, Message, Opening, SemiHonestCheater,
+    duplex, CheatSelection, CostLedger, Endpoint, GridLink, HonestWorker, Message, Opening,
+    SemiHonestCheater,
 };
 use uncheatable_grid::hash::{HashFunction, Sha256};
 use uncheatable_grid::merkle::MerkleTree;
