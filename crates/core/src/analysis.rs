@@ -15,6 +15,16 @@
 //!   extrapolatable to the paper's `n = 2⁶⁴` "16 million terabytes"
 //!   example.
 
+/// `base^e` for any sample count: `powi` (what every printed figure was
+/// computed with) while the exponent fits an `i32`, `powf` beyond, where
+/// a cast would wrap the exponent.
+fn pow(base: f64, e: u64) -> f64 {
+    match i32::try_from(e) {
+        Ok(e) => base.powi(e),
+        Err(_) => base.powf(e as f64),
+    }
+}
+
 /// Eq. (2): the probability that a participant with honesty ratio `r` and
 /// guess quality `q` survives `m` uniform samples:
 /// `Pr = (r + (1 − r)·q)^m`.
@@ -38,7 +48,7 @@
 pub fn cheat_success_probability(r: f64, q: f64, m: u64) -> f64 {
     assert!((0.0..=1.0).contains(&r), "r must be a probability");
     assert!((0.0..=1.0).contains(&q), "q must be a probability");
-    (r + (1.0 - r) * q).powi(m as i32)
+    pow(r + (1.0 - r) * q, m)
 }
 
 /// Probability that the supervisor catches the cheater: `1 −` Eq. (2).
@@ -88,7 +98,7 @@ pub fn cheat_success_probability_under_churn(
     retries: u32,
 ) -> f64 {
     assert!((0.0..=1.0).contains(&crash), "crash must be a probability");
-    let never_verified = crash.powi(retries as i32 + 1);
+    let never_verified = pow(crash, u64::from(retries) + 1);
     never_verified + (1.0 - never_verified) * cheat_success_probability(r, q, m)
 }
 
@@ -132,10 +142,10 @@ pub fn required_sample_size(epsilon: f64, r: f64, q: f64) -> Option<u64> {
     }
     // m = ⌈log ε / log base⌉, with a guard for floating-point edge cases.
     let mut m = (epsilon.ln() / base.ln()).ceil() as u64;
-    while m > 0 && base.powi((m - 1) as i32) <= epsilon {
+    while m > 0 && pow(base, m - 1) <= epsilon {
         m -= 1;
     }
-    while base.powi(m as i32) > epsilon {
+    while pow(base, m) > epsilon {
         m += 1;
     }
     Some(m)
@@ -185,7 +195,7 @@ pub fn rco_from_levels(m: u64, height: u32, ell: u32) -> f64 {
 #[must_use]
 pub fn ni_expected_attempts(r: f64, m: u64) -> f64 {
     assert!(r > 0.0 && r <= 1.0, "r must be in (0,1]");
-    r.powi(m as i32).recip()
+    pow(r, m).recip()
 }
 
 /// Section 4.2: expected attack cost `(1/r^m)·m·C_g`, in unit hashes, as
@@ -216,7 +226,7 @@ pub fn ni_attack_cost(r: f64, m: u64, c_g: u64) -> f64 {
 pub fn min_g_cost_for_uncheatability(r: f64, m: u64, n: u64, c_f: u64) -> f64 {
     assert!(r > 0.0 && r <= 1.0, "r must be in (0,1]");
     assert!(m > 0, "m must be positive");
-    n as f64 * c_f as f64 * r.powi(m as i32) / m as f64
+    n as f64 * c_f as f64 * pow(r, m) / m as f64
 }
 
 /// Whether Eq. (5) holds: `(1/r^m)·m·C_g ≥ n·C_f`.

@@ -32,11 +32,11 @@
 //! which a [`TransportBackend`](crate::TransportBackend) runs beside the
 //! round's participant slots.
 //!
-//! Per-session traffic is accounted from encoded frame sizes (wire length
-//! plus the transport's frame header), which is byte-identical to what a
-//! dedicated [`Endpoint`] would have counted — so
-//! engine-multiplexed byte counts match a blocking one-link-per-round
-//! driver's bit for bit.
+//! Per-session traffic is counted by the engine itself: every message a
+//! session sends or receives is charged [`Message::charged`], the one
+//! rule every transport's frames obey — so engine-multiplexed byte counts
+//! match a blocking one-link-per-round driver's bit for bit, and no
+//! transport keeps books of its own.
 //!
 //! The engine keeps no books beyond its run: [`SessionEngine::run`]
 //! returns one [`SessionResult`] per session, in registration order, and
@@ -47,31 +47,27 @@ use crate::session::{SessionOutcome, SupervisorSession};
 use crate::SchemeError;
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
-use ugc_grid::{
-    Doorbell, Endpoint, GridError, GridLink, LinkStats, Message, Routes, FRAME_HEADER_BYTES,
-};
+use ugc_grid::{Doorbell, Endpoint, GridError, GridLink, LinkStats, Message, Routes};
 
 /// A transport the engine can multiplex sessions over.
 pub trait EngineTransport {
-    /// Sends `msg` towards the peer that holds its task, returning the
-    /// bytes charged (encoded frame plus header).
+    /// Sends `msg` towards the peer that holds its task.
     ///
     /// # Errors
     ///
     /// Transport failures (e.g. the peer disconnected).
-    fn send(&mut self, msg: &Message) -> Result<u64, GridError>;
+    fn send(&mut self, msg: &Message) -> Result<(), GridError>;
 
-    /// Blocks until the next inbound message and its charged frame size
-    /// (wire bytes + header), or — given an `until` — no longer than that
-    /// instant: `Ok(None)` means it passed with nothing to report. A task
-    /// whose peer is gone arrives as the relay's [`Message::Gone`]. The
-    /// wait sleeps on something that rings when mail arrives; it never
-    /// polls.
+    /// Blocks until the next inbound message, or — given an `until` — no
+    /// longer than that instant: `Ok(None)` means it passed with nothing
+    /// to report. A task whose peer is gone arrives as the relay's
+    /// [`Message::Gone`]. The wait sleeps on something that rings when
+    /// mail arrives; it never polls.
     ///
     /// # Errors
     ///
     /// [`GridError::Disconnected`] once *nothing* can ever arrive again.
-    fn recv(&mut self, until: Option<Instant>) -> Result<Option<(Message, u64)>, GridError>;
+    fn recv(&mut self, until: Option<Instant>) -> Result<Option<Message>, GridError>;
 }
 
 /// The engine's one clock read, used only for inactivity deadlines.
@@ -108,15 +104,15 @@ impl<L: GridLink> SharedLink<L> {
 }
 
 impl<L: GridLink> EngineTransport for SharedLink<L> {
-    fn send(&mut self, msg: &Message) -> Result<u64, GridError> {
-        self.link.send_counted(msg)
+    fn send(&mut self, msg: &Message) -> Result<(), GridError> {
+        self.link.send(msg)
     }
 
-    fn recv(&mut self, until: Option<Instant>) -> Result<Option<(Message, u64)>, GridError> {
+    fn recv(&mut self, until: Option<Instant>) -> Result<Option<Message>, GridError> {
         // The link rings once per frame (a `TcpLink` also per control
         // frame) and once more at its end, so every wait ends.
         while next_ring(&self.bell, until).is_some() {
-            match self.link.try_recv_counted() {
+            match self.link.try_recv() {
                 Ok(mail) => return Ok(Some(mail)),
                 Err(GridError::Empty) => {}
                 Err(e) => return Err(e),
@@ -161,23 +157,21 @@ impl InProcessTransport {
 }
 
 impl EngineTransport for InProcessTransport {
-    fn send(&mut self, msg: &Message) -> Result<u64, GridError> {
+    fn send(&mut self, msg: &Message) -> Result<(), GridError> {
         let links = &self.links;
         match self.routes.route(msg, |idx| links[idx].send(msg)) {
             Ok(nacked) => self.nacked.extend(nacked),
             Err(GridError::Empty) => {} // no route: dropped
             Err(e) => return Err(e),
         }
-        // Charged as the frame handed to a relay would be, whatever
-        // became of it.
-        Ok(msg.wire_len() + FRAME_HEADER_BYTES)
+        Ok(())
     }
 
     /// Answers each ring with one receive from the link that rang, passing
     /// up only what its participant [speaks for](Routes::speaks_for); a
     /// hang-up NACKs the participant's tasks, each passed up in turn as
     /// the [`Message::Gone`] a relay would send.
-    fn recv(&mut self, until: Option<Instant>) -> Result<Option<(Message, u64)>, GridError> {
+    fn recv(&mut self, until: Option<Instant>) -> Result<Option<Message>, GridError> {
         while self.nacked.is_empty() {
             if self.open_count == 0 {
                 return Err(GridError::Disconnected);
@@ -188,10 +182,8 @@ impl EngineTransport for InProcessTransport {
             if !self.open[idx] {
                 continue;
             }
-            match self.links[idx].try_recv_counted() {
-                Ok((msg, charged)) if self.routes.speaks_for(idx, &msg) => {
-                    return Ok(Some((msg, charged)));
-                }
+            match self.links[idx].try_recv() {
+                Ok(msg) if self.routes.speaks_for(idx, &msg) => return Ok(Some(msg)),
                 Ok(_) | Err(GridError::Empty) => {}
                 Err(GridError::Disconnected) => {
                     self.open[idx] = false;
@@ -201,11 +193,9 @@ impl EngineTransport for InProcessTransport {
                 Err(e) => return Err(e),
             }
         }
-        let gone = Message::Gone {
+        Ok(Some(Message::Gone {
             task_id: self.nacked.pop_front().expect("checked non-empty"),
-        };
-        let charged = gone.wire_len() + FRAME_HEADER_BYTES;
-        Ok(Some((gone, charged)))
+        }))
     }
 }
 
@@ -229,8 +219,8 @@ pub struct SessionResult {
     /// The verdict and reports, or the protocol error that killed this
     /// session (other sessions keep running).
     pub outcome: Result<SessionOutcome, SchemeError>,
-    /// Supervisor-side traffic attributed to this session, byte-identical
-    /// to what a dedicated endpoint would have counted.
+    /// Supervisor-side traffic attributed to this session, each message
+    /// charged [`Message::charged`].
     pub link: LinkStats,
 }
 
@@ -369,7 +359,9 @@ impl<'a> SessionEngine<'a> {
             .min()
     }
 
-    /// Sends one session's outbound batch, charging its link stats.
+    /// Sends one session's outbound batch, charging its link stats: a
+    /// message handed to the transport is charged whatever became of it,
+    /// as the frame handed to a relay would be.
     fn send_outbound<T: EngineTransport>(
         transport: &mut T,
         slot: &mut EngineSlot<'a>,
@@ -381,7 +373,8 @@ impl<'a> SessionEngine<'a> {
                     reason: "session addressed a slot it does not own".into(),
                 });
             }
-            slot.link.bytes_sent += transport.send(&msg)?;
+            transport.send(&msg)?;
+            slot.link.bytes_sent += msg.charged();
             slot.link.messages_sent += 1;
         }
         Ok(())
@@ -414,7 +407,7 @@ impl<'a> SessionEngine<'a> {
         let mut last_activity = vec![started; self.slots.len()];
         let mut until = self.deadline.map(|deadline| started + deadline);
         while self.active > 0 {
-            let (msg, charged) = match transport.recv(until) {
+            let msg = match transport.recv(until) {
                 Ok(Some(mail)) => mail,
                 // The wait reached the earliest pending expiry: fail the
                 // sessions that are really out of time (the `while`
@@ -456,7 +449,7 @@ impl<'a> SessionEngine<'a> {
                 continue;
             }
             last_activity[index] = clock();
-            slot.link.bytes_received += charged;
+            slot.link.bytes_received += msg.charged();
             slot.link.messages_received += 1;
             let step = slot
                 .session
@@ -562,10 +555,10 @@ mod tests {
                 accepted: true,
             }
         }
-        fn task_of(mail: Option<(Message, u64)>) -> u64 {
+        fn task_of(mail: Option<Message>) -> u64 {
             match mail.expect("no deadline: the wait ends with mail") {
-                (Message::Gone { task_id }, _) => panic!("unexpected NACK of {task_id}"),
-                (msg, _) => msg.task_id(),
+                Message::Gone { task_id } => panic!("unexpected NACK of {task_id}"),
+                msg => msg.task_id(),
             }
         }
         // A wait that is already out of time: what is there, or nothing.
@@ -602,7 +595,7 @@ mod tests {
         assert_eq!(task_of(transport.recv(None).unwrap()), 42);
         assert!(matches!(
             transport.recv(None).unwrap(),
-            Some((Message::Gone { task_id: 42 }, _))
+            Some(Message::Gone { task_id: 42 })
         ));
         assert!(nothing_now(&mut transport));
         // Everyone else hangs up: one NACK per routed task, then nothing
@@ -611,8 +604,8 @@ mod tests {
         let mut gone = Vec::new();
         loop {
             match transport.recv(None) {
-                Ok(Some((Message::Gone { task_id }, _))) => gone.push(task_id),
-                Ok(Some((msg, _))) => panic!("unexpected mail: {msg:?}"),
+                Ok(Some(Message::Gone { task_id })) => gone.push(task_id),
+                Ok(Some(msg)) => panic!("unexpected mail: {msg:?}"),
                 Ok(None) => panic!("a wait with no deadline ended without mail"),
                 Err(e) => {
                     assert_eq!(e, GridError::Disconnected);

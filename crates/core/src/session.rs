@@ -339,10 +339,10 @@ fn recv_any(endpoints: &[&Endpoint]) -> Result<(usize, Message), SchemeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Slot;
+    use crate::backend::{Slot, SlotReport};
     use crate::scheme::cbs::CbsScheme;
     use ugc_grid::runtime::TaskPoll;
-    use ugc_grid::{duplex, HonestWorker, LinkStats};
+    use ugc_grid::{duplex, Doorbell, Endpoint, HonestWorker, LinkStats};
     use ugc_hash::Sha256;
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::MatchScreener;
@@ -382,10 +382,39 @@ mod tests {
         Slot::new(5, honest(scheme, task, screener, ledger.clone()), ledger)
     }
 
+    /// A participant's link that counts the charge of what crosses it.
+    struct CountingLink(Endpoint, std::sync::Mutex<LinkStats>);
+
+    impl GridLink for CountingLink {
+        fn send(&self, msg: &Message) -> Result<(), GridError> {
+            self.0.send(msg)?;
+            let mut stats = self.1.lock().unwrap();
+            stats.bytes_sent += msg.charged();
+            stats.messages_sent += 1;
+            Ok(())
+        }
+
+        fn recv(&self) -> Result<Message, GridError> {
+            unreachable!("a slot only drains")
+        }
+
+        fn try_recv(&self) -> Result<Message, GridError> {
+            let msg = self.0.try_recv()?;
+            let mut stats = self.1.lock().unwrap();
+            stats.bytes_received += msg.charged();
+            stats.messages_received += 1;
+            Ok(msg)
+        }
+
+        fn subscribe(&self, bell: &Doorbell, key: usize) {
+            self.0.subscribe(bell, key);
+        }
+    }
+
     /// Runs one honest CBS round with the participant slot drained
-    /// `budget` messages at a time, returning the supervisor's outcome and
-    /// the participant link's traffic counters.
-    fn cbs_round_with_budget(budget: usize) -> (SessionOutcome, LinkStats) {
+    /// `budget` messages at a time, returning the supervisor's outcome,
+    /// the participant link's traffic and the slot's report.
+    fn cbs_round_with_budget(budget: usize) -> (SessionOutcome, LinkStats, SlotReport) {
         let task = PasswordSearch::with_hidden_password(1, 42);
         let screener = task.match_screener();
         let scheme = CbsScheme {
@@ -394,6 +423,7 @@ mod tests {
             report_audit: 0,
         };
         let (sup_ep, part_ep) = duplex();
+        let part_ep = CountingLink(part_ep, std::sync::Mutex::default());
         std::thread::scope(|scope| {
             let supervisor = scope.spawn(|| {
                 let mut session = VerificationScheme::<Sha256>::supervisor_session(
@@ -409,31 +439,33 @@ mod tests {
                 drive_supervisor(&[&sup_ep], session.as_mut()).unwrap()
             });
             let mut slot = honest_slot(&scheme, &task, &screener);
-            loop {
+            let report = loop {
                 match slot.drain(&part_ep, budget) {
-                    TaskPoll::Complete => {
-                        let accepted = slot.report().outcome.unwrap();
-                        assert!(accepted, "honest participant must be accepted");
-                        break;
-                    }
+                    TaskPoll::Complete => break slot.report(),
                     TaskPoll::Progress => {}
                     TaskPoll::Idle => std::thread::yield_now(),
                 }
-            }
-            let stats = part_ep.stats();
-            (supervisor.join().unwrap(), stats)
+            };
+            assert_eq!(
+                report.outcome,
+                Ok(true),
+                "honest participant must be accepted"
+            );
+            let stats = *part_ep.1.lock().unwrap();
+            (supervisor.join().unwrap(), stats, report)
         })
     }
 
     #[test]
     fn batched_step_matches_single_step_exactly() {
-        let (single_outcome, single_stats) = cbs_round_with_budget(1);
+        let (single_outcome, single_stats, single_report) = cbs_round_with_budget(1);
         assert!(single_outcome.verdict.is_accepted());
         assert_eq!(single_outcome.reports.len(), 1);
         for budget in [2usize, 4, 64] {
-            let (outcome, stats) = cbs_round_with_budget(budget);
+            let (outcome, stats, report) = cbs_round_with_budget(budget);
             assert_eq!(outcome, single_outcome, "budget {budget}");
             assert_eq!(stats, single_stats, "budget {budget}");
+            assert_eq!(report, single_report, "budget {budget}");
         }
     }
 
@@ -451,21 +483,17 @@ mod tests {
     }
 
     impl GridLink for HungUpLink {
-        fn send_counted(&self, _msg: &Message) -> Result<u64, GridError> {
+        fn send(&self, _msg: &Message) -> Result<(), GridError> {
             Err(GridError::Disconnected)
         }
 
-        fn recv_counted(&self) -> Result<(Message, u64), GridError> {
-            self.try_recv_counted()
+        fn recv(&self) -> Result<Message, GridError> {
+            self.try_recv()
         }
 
-        fn try_recv_counted(&self) -> Result<(Message, u64), GridError> {
+        fn try_recv(&self) -> Result<Message, GridError> {
             let next = self.0.lock().unwrap().pop_front();
-            next.map(|msg| (msg, 0)).ok_or(GridError::Disconnected)
-        }
-
-        fn stats(&self) -> LinkStats {
-            LinkStats::default()
+            next.ok_or(GridError::Disconnected)
         }
 
         fn subscribe(&self, _bell: &ugc_grid::Doorbell, _key: usize) {}

@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 use ugc_core::analysis::{
-    cbs_traffic_bytes, cheat_success_probability, detection_probability, eq5_holds,
-    min_g_cost_for_uncheatability, ni_attack_cost, ni_expected_attempts, rco, rco_from_levels,
-    required_sample_size,
+    cbs_traffic_bytes, cheat_success_probability, cheat_success_probability_under_churn,
+    detection_probability, eq5_holds, min_g_cost_for_uncheatability, ni_attack_cost,
+    ni_expected_attempts, rco, rco_from_levels, required_sample_size,
 };
 
 proptest! {
@@ -93,4 +93,43 @@ proptest! {
         prop_assert!(cbs_traffic_bytes(m, h, w + 1, d) >= base);
         prop_assert!(cbs_traffic_bytes(m, h, w, d + 1) >= base);
     }
+}
+
+#[test]
+fn exponents_past_i32_do_not_wrap() {
+    // An i32 cast wraps 2^31 to a negative exponent, 2^32 to 0 and
+    // u64::MAX to -1.
+    let mut last = 1.0;
+    for m in [(1u64 << 31) - 1, 1 << 31, 1 << 32, u64::MAX] {
+        let p = cheat_success_probability(0.5, 0.5, m);
+        assert!((0.0..=last).contains(&p), "m = {m}: {p}");
+        assert!((0.0..=1.0).contains(&detection_probability(0.5, 0.5, m)));
+        last = p;
+    }
+    // retries + 1 at u32::MAX is not an exponent of 0: a crash rate below
+    // 1 leaves nothing unverified, a crash rate of 1 everything.
+    let base = cheat_success_probability(0.5, 0.2, 12);
+    assert_eq!(
+        cheat_success_probability_under_churn(0.5, 0.2, 12, 0.3, u32::MAX),
+        base
+    );
+    assert_eq!(
+        cheat_success_probability_under_churn(0.5, 0.2, 12, 1.0, u32::MAX),
+        1.0
+    );
+    assert!(ni_expected_attempts(0.5, 1 << 32).is_infinite());
+    assert_eq!(
+        min_g_cost_for_uncheatability(0.5, u64::MAX, 1 << 20, 1),
+        0.0
+    );
+}
+
+#[test]
+fn eq3_beyond_i32_samples_is_minimal() {
+    // m ≈ 2.3e9: the guard loops must not evaluate a wrapped exponent.
+    let (epsilon, r) = (1e-10, 0.99999999);
+    let m = required_sample_size(epsilon, r, 0.0).unwrap();
+    assert!(m > i32::MAX as u64, "{m}");
+    assert!(cheat_success_probability(r, 0.0, m) <= epsilon);
+    assert!(cheat_success_probability(r, 0.0, m - 1) > epsilon);
 }

@@ -721,25 +721,21 @@ mod tests {
     }
 
     impl GridLink for QueueingLink {
-        fn send_counted(&self, msg: &Message) -> Result<u64, GridError> {
+        fn send(&self, msg: &Message) -> Result<(), GridError> {
             self.0.sent.lock().unwrap().push(msg.clone());
-            Ok(msg.wire_len() + crate::FRAME_HEADER_BYTES)
+            Ok(())
         }
 
-        fn recv_counted(&self) -> Result<(Message, u64), GridError> {
-            self.try_recv_counted()
+        fn recv(&self) -> Result<Message, GridError> {
+            self.try_recv()
         }
 
-        fn try_recv_counted(&self) -> Result<(Message, u64), GridError> {
+        fn try_recv(&self) -> Result<Message, GridError> {
             match self.0.inbox.lock().unwrap().pop_front() {
-                Some(msg) => Ok((msg, 0)),
+                Some(msg) => Ok(msg),
                 None if self.0.peer_died.load(Ordering::SeqCst) => Err(GridError::Disconnected),
                 None => Err(GridError::Empty),
             }
-        }
-
-        fn stats(&self) -> crate::LinkStats {
-            crate::LinkStats::default()
         }
 
         fn subscribe(&self, _bell: &Doorbell, _key: usize) {}

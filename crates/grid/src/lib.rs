@@ -24,8 +24,8 @@
 //!   work-stealing pool that multiplexes its sessions
 //!   ([`GridScheduler`]).
 //! * [`wire`] / [`tcp`] — the cross-process backend: the same frames over
-//!   real sockets, charged identically to the in-memory links so a
-//!   campaign spanning OS processes produces bit-identical digests.
+//!   real sockets, each exactly [`Message::charged`] bytes, so a campaign
+//!   spanning OS processes produces bit-identical digests.
 //!
 //! # Examples
 //!
@@ -36,8 +36,8 @@
 //! sup.send(&Message::Challenge { task_id: 1, samples: vec![3, 5, 8] })?;
 //! let msg = part.recv()?;
 //! assert!(matches!(msg, Message::Challenge { task_id: 1, .. }));
-//! assert_eq!(sup.stats().messages_sent, 1);
-//! assert!(sup.stats().bytes_sent > 0);
+//! // What the message costs on any link: its encoding plus a 4-byte header.
+//! assert_eq!(msg.charged(), msg.encode().len() as u64 + 4);
 //! # Ok::<(), ugc_grid::GridError>(())
 //! ```
 

@@ -336,7 +336,7 @@ impl Message {
 
     /// Exact encoded size in bytes, computed without encoding — what
     /// [`encode`](Self::encode) pre-allocates and what
-    /// [`wire_len`](Self::wire_len) charges.
+    /// [`charged`](Self::charged) counts.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
         1 + match self {
@@ -485,11 +485,13 @@ impl Message {
         })
     }
 
-    /// Encoded size in bytes (what the transport will charge), computed
-    /// without allocating.
+    /// The bytes this message costs on any link: its encoded length plus
+    /// the [`FRAME_HEADER_BYTES`](crate::FRAME_HEADER_BYTES) length
+    /// prefix — exactly what a TCP peer writes for it, because the codec
+    /// is canonical. The one place the charging rule lives.
     #[must_use]
-    pub fn wire_len(&self) -> u64 {
-        self.encoded_len() as u64
+    pub fn charged(&self) -> u64 {
+        self.encoded_len() as u64 + crate::FRAME_HEADER_BYTES
     }
 
     /// The task this message concerns (an envelope answers for its
@@ -694,21 +696,23 @@ mod tests {
     }
 
     #[test]
-    fn wire_len_matches_encoding() {
-        for msg in all_messages() {
-            assert_eq!(msg.wire_len(), msg.encode().len() as u64);
-        }
-    }
-
-    #[test]
     fn encoded_len_is_exact_for_every_variant() {
         // encode() pre-allocates encoded_len() bytes; if the computed
         // size ever drifted from the actual encoding, either byte
-        // accounting (wire_len) or the exact-capacity claim would lie.
+        // accounting (charged) or the exact-capacity claim would lie.
         for msg in all_messages() {
             let encoded = msg.encode();
             assert_eq!(msg.encoded_len(), encoded.len(), "{msg:?}");
             assert_eq!(encoded.capacity(), encoded.len(), "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn wire_len_matches_encoding() {
+        // What a message is charged is what a TCP peer writes for it:
+        // the encoding behind its four-byte length prefix.
+        for msg in all_messages() {
+            assert_eq!(msg.charged(), msg.encode().len() as u64 + 4, "{msg:?}");
         }
     }
 
@@ -736,7 +740,7 @@ mod tests {
             task_id: 1,
             samples: vec![0; 100],
         };
-        assert_eq!(big.wire_len() - small.wire_len(), 90 * 8);
+        assert_eq!(big.charged() - small.charged(), 90 * 8);
     }
 
     #[test]
@@ -755,12 +759,12 @@ mod tests {
             task_id: 1,
             proofs: Opening::default(),
         };
-        assert_eq!(empty.wire_len(), 1 + 8 + 4 + 3 * 8);
+        assert_eq!(empty.charged(), 4 + 1 + 8 + 4 + 3 * 8);
         let full = Message::Proofs {
             task_id: 1,
             proofs: opening(),
         };
-        assert_eq!(full.wire_len() - empty.wire_len(), 8 + 4 + 64);
+        assert_eq!(full.charged() - empty.charged(), 8 + 4 + 64);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! final verdicts — is reproducible from the seed alone.
 
 use crate::transport::GridLink;
-use crate::{Doorbell, Endpoint, GridError, LinkStats, Message, FRAME_HEADER_BYTES};
+use crate::{Doorbell, Endpoint, GridError, Message};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -303,7 +303,7 @@ struct FaultState {
     /// send, the next receive, or a (clean) drop.
     hold_out: Option<Message>,
     /// Inbound messages ready for delivery (duplicate copies).
-    pending_in: VecDeque<(Message, u64)>,
+    pending_in: VecDeque<Message>,
 }
 
 /// A [`GridLink`] decorator that applies a [`LinkFaults`] schedule.
@@ -342,25 +342,12 @@ impl FaultyEndpoint {
         self.log.clone()
     }
 
-    /// Subscribes the decorated link's inbound direction to `bell` (see
-    /// [`GridLink::subscribe`]). The decorator can turn one frame into
-    /// two deliveries (an inbound duplicate) or none (a drop), so answer
-    /// a ring by receiving until [`GridError::Empty`], not once.
-    pub fn subscribe(&self, bell: &Doorbell, key: usize) {
-        self.inner.subscribe(bell, key);
-    }
-
     fn lock(&self) -> MutexGuard<'_, FaultState> {
         self.state.lock().expect("fault state poisoned")
     }
 
     /// Books one inbound delivery, enforcing the seeded crash point.
-    fn deliver_in(
-        &self,
-        st: &mut FaultState,
-        msg: Message,
-        charged: u64,
-    ) -> Result<(Message, u64), GridError> {
+    fn deliver_in(&self, st: &mut FaultState, msg: Message) -> Result<Message, GridError> {
         if let Some(after) = self.faults.crash_after() {
             if st.delivered + 1 >= after {
                 st.crashed = true;
@@ -372,7 +359,7 @@ impl FaultyEndpoint {
             }
         }
         st.delivered += 1;
-        Ok((msg, charged))
+        Ok(msg)
     }
 
     /// Releases an outbound reorder hold. Called when the link turns
@@ -389,12 +376,7 @@ impl FaultyEndpoint {
     /// Applies the schedule to one freshly received message. `Ok(None)`
     /// means the message was consumed (dropped or held) and the caller
     /// should pull the next one.
-    fn admit_in(
-        &self,
-        st: &mut FaultState,
-        msg: Message,
-        charged: u64,
-    ) -> Result<Option<(Message, u64)>, GridError> {
+    fn admit_in(&self, st: &mut FaultState, msg: Message) -> Result<Option<Message>, GridError> {
         let seq = st.in_seq;
         st.in_seq += 1;
         let link = self.faults.link_id;
@@ -406,7 +388,7 @@ impl FaultyEndpoint {
                     direction,
                     seq,
                 });
-                Ok(None)
+                return Ok(None);
             }
             FaultDecision::Duplicate => {
                 self.log.push(FaultEvent::Duplicated {
@@ -414,8 +396,7 @@ impl FaultyEndpoint {
                     direction,
                     seq,
                 });
-                st.pending_in.push_back((msg.clone(), charged));
-                self.deliver_in(st, msg, charged).map(Some)
+                st.pending_in.push_back(msg.clone());
             }
             FaultDecision::Delay(micros) => {
                 self.log.push(FaultEvent::Delayed {
@@ -427,17 +408,37 @@ impl FaultyEndpoint {
                 // Stalls only the thread polling this participant: the
                 // engine and the other workers' links keep flowing.
                 std::thread::sleep(std::time::Duration::from_micros(u64::from(micros)));
-                self.deliver_in(st, msg, charged).map(Some)
             }
-            FaultDecision::Deliver | FaultDecision::Reorder => {
-                self.deliver_in(st, msg, charged).map(Some)
+            FaultDecision::Deliver | FaultDecision::Reorder => {}
+        }
+        self.deliver_in(st, msg).map(Some)
+    }
+
+    /// One receive through the schedule, pulling from the inner link with
+    /// `pull` until a message survives it.
+    fn receive(&self, pull: impl Fn() -> Result<Message, GridError>) -> Result<Message, GridError> {
+        loop {
+            let mut st = self.lock();
+            if st.crashed {
+                return Err(GridError::Disconnected);
+            }
+            // Turning around to receive ends the send burst: release any
+            // reorder hold before (possibly) blocking on the peer.
+            self.flush_held_out(&mut st);
+            if let Some(msg) = st.pending_in.pop_front() {
+                return self.deliver_in(&mut st, msg);
+            }
+            drop(st);
+            let msg = pull()?;
+            if let Some(delivery) = self.admit_in(&mut self.lock(), msg)? {
+                return Ok(delivery);
             }
         }
     }
 }
 
 impl GridLink for FaultyEndpoint {
-    fn send_counted(&self, msg: &Message) -> Result<u64, GridError> {
+    fn send(&self, msg: &Message) -> Result<(), GridError> {
         let mut st = self.lock();
         if st.crashed {
             return Err(GridError::Disconnected);
@@ -446,7 +447,6 @@ impl GridLink for FaultyEndpoint {
         st.out_seq += 1;
         let link = self.faults.link_id;
         let direction = LinkDirection::Outbound;
-        let nominal = msg.wire_len() + FRAME_HEADER_BYTES;
         match self.faults.decision(direction, seq) {
             FaultDecision::Drop => {
                 self.log.push(FaultEvent::Dropped {
@@ -454,8 +454,8 @@ impl GridLink for FaultyEndpoint {
                     direction,
                     seq,
                 });
-                // The caller is told the nominal charge; nothing crossed.
-                return Ok(nominal);
+                // The caller is told it went; nothing crossed.
+                return Ok(());
             }
             FaultDecision::Duplicate => {
                 self.log.push(FaultEvent::Duplicated {
@@ -463,7 +463,7 @@ impl GridLink for FaultyEndpoint {
                     direction,
                     seq,
                 });
-                self.inner.send_counted(msg)?;
+                self.inner.send(msg)?;
             }
             FaultDecision::Reorder if st.hold_out.is_none() => {
                 self.log.push(FaultEvent::Reordered {
@@ -472,7 +472,7 @@ impl GridLink for FaultyEndpoint {
                     seq,
                 });
                 st.hold_out = Some(msg.clone());
-                return Ok(nominal);
+                return Ok(());
             }
             FaultDecision::Delay(micros) => {
                 self.log.push(FaultEvent::Delayed {
@@ -485,80 +485,37 @@ impl GridLink for FaultyEndpoint {
             }
             FaultDecision::Deliver | FaultDecision::Reorder => {}
         }
-        let charged = self.inner.send_counted(msg)?;
+        self.inner.send(msg)?;
         // The adjacent swap completes: the held predecessor follows.
         if let Some(held) = st.hold_out.take() {
-            self.inner.send_counted(&held)?;
+            self.inner.send(&held)?;
         }
-        Ok(charged)
+        Ok(())
     }
 
-    fn recv_counted(&self) -> Result<(Message, u64), GridError> {
-        loop {
-            let mut st = self.lock();
-            if st.crashed {
-                return Err(GridError::Disconnected);
-            }
-            // Turning around to receive ends the send burst: release any
-            // reorder hold before (possibly) blocking on the peer.
-            self.flush_held_out(&mut st);
-            if let Some((msg, charged)) = st.pending_in.pop_front() {
-                return self.deliver_in(&mut st, msg, charged);
-            }
-            drop(st);
-            match self.inner.recv_counted() {
-                Ok((msg, charged)) => {
-                    let mut st = self.lock();
-                    if let Some(delivery) = self.admit_in(&mut st, msg, charged)? {
-                        return Ok(delivery);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    fn recv(&self) -> Result<Message, GridError> {
+        self.receive(|| self.inner.recv())
     }
 
-    fn try_recv_counted(&self) -> Result<(Message, u64), GridError> {
-        loop {
-            let mut st = self.lock();
-            if st.crashed {
-                return Err(GridError::Disconnected);
-            }
-            self.flush_held_out(&mut st);
-            if let Some((msg, charged)) = st.pending_in.pop_front() {
-                return self.deliver_in(&mut st, msg, charged);
-            }
-            drop(st);
-            match self.inner.try_recv_counted() {
-                Ok((msg, charged)) => {
-                    let mut st = self.lock();
-                    if let Some(delivery) = self.admit_in(&mut st, msg, charged)? {
-                        return Ok(delivery);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    fn try_recv(&self) -> Result<Message, GridError> {
+        self.receive(|| self.inner.try_recv())
     }
 
-    fn stats(&self) -> LinkStats {
-        self.inner.stats()
-    }
-
+    /// The decorator can turn one frame into two deliveries (an inbound
+    /// duplicate) or none (a drop), so answer a ring by receiving until
+    /// [`GridError::Empty`], not once.
     fn subscribe(&self, bell: &Doorbell, key: usize) {
-        FaultyEndpoint::subscribe(self, bell, key);
+        self.inner.subscribe(bell, key);
     }
 }
 
 impl Drop for FaultyEndpoint {
     fn drop(&mut self) {
-        let st = self.state.get_mut().expect("fault state poisoned");
+        let mut st = self.lock();
         // A crashed participant loses its held mail; a clean shutdown
         // flushes it (the peer may still be waiting on that verdict).
         if !st.crashed {
-            if let Some(held) = st.hold_out.take() {
-                let _ = self.inner.send(&held);
-            }
+            self.flush_held_out(&mut st);
         }
     }
 }

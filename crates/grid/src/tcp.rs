@@ -1,17 +1,18 @@
 //! TCP transport: a [`GridLink`] over a real socket.
 //!
 //! [`TcpLink`] speaks the length-framed protocol from [`wire`](crate::wire)
-//! and mirrors [`Endpoint`](crate::Endpoint)'s semantics exactly: sends
-//! charge `Message::wire_len() + FRAME_HEADER_BYTES` (which *is* the
-//! physical frame size — see the wire module), receives drain queued
-//! messages before reporting the peer gone, and a mid-frame stream death
-//! surfaces as the typed [`GridError::TornFrame`] once the queue is dry.
+//! and mirrors [`Endpoint`](crate::Endpoint)'s semantics exactly:
+//! receives drain queued messages before reporting the peer gone, and a
+//! mid-frame stream death surfaces as the typed [`GridError::TornFrame`]
+//! once the queue is dry. It keeps no byte counters: a data frame on the
+//! socket is exactly [`Message::charged`] bytes (see the wire module),
+//! and whoever sends or receives the message counts it.
 //!
 //! # Who touches the socket
 //!
 //! Two threads per link, and nobody else. Neither polls.
 //!
-//! * **Outbound.** [`send_counted`](GridLink::send_counted) and
+//! * **Outbound.** [`send`](GridLink::send) and
 //!   [`ControlHandle::send`] encode the frame — header and payload —
 //!   straight into the link's one outbound buffer and return; data and
 //!   control frames share that FIFO. The link's *writer* thread sleeps
@@ -53,11 +54,11 @@
 use crate::transport::{HangUp, Subscription};
 use crate::wire::{append_frame, read_frame, recv_welcome, send_hello, Frame, Hello, Welcome};
 use crate::wire::{ROLE_PARTICIPANT, ROLE_SUPERVISOR};
-use crate::{Doorbell, GridError, GridLink, LinkStats, Message, FRAME_HEADER_BYTES};
+use crate::{Doorbell, GridError, GridLink, Message};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -84,12 +85,6 @@ const READ_BUFFER_BYTES: usize = 8 * 1024;
 /// Batch buffers that grew past this (a burst of bulk uploads) are
 /// released after the write instead of kept for the link's lifetime.
 const BATCH_KEEP_BYTES: usize = 64 * 1024;
-
-#[derive(Debug, Default)]
-struct Counters {
-    bytes: AtomicU64,
-    messages: AtomicU64,
-}
 
 /// The outbound half of a link, under [`Wire::out`].
 #[derive(Debug, Default)]
@@ -135,8 +130,8 @@ impl Wire {
     }
 
     /// Queues one frame for the writer, blocking only at the high-water
-    /// mark; returns the payload's length.
-    fn queue(&self, control: bool, payload: impl FnOnce(&mut Vec<u8>)) -> Result<usize, GridError> {
+    /// mark.
+    fn queue(&self, control: bool, payload: impl FnOnce(&mut Vec<u8>)) -> Result<(), GridError> {
         let mut out = self.out();
         loop {
             if out.dead || out.closing {
@@ -147,12 +142,12 @@ impl Wire {
             }
             out = self.room.wait(out).expect("tcp outbound queue poisoned");
         }
-        let len = append_frame(&mut out.buf, control, payload)?;
+        append_frame(&mut out.buf, control, payload)?;
         out.frames += 1;
         if std::mem::take(&mut out.writer_idle) {
             self.work.notify_one();
         }
-        Ok(len)
+        Ok(())
     }
 
     /// Records that the stream is dead and wakes everyone waiting on it.
@@ -264,9 +259,7 @@ impl ControlHandle {
     /// [`GridError::Disconnected`] if the stream is gone or the link was
     /// dropped, or [`GridError::LengthOverflow`] for oversized payloads.
     pub fn send(&self, payload: Vec<u8>) -> Result<(), GridError> {
-        self.wire
-            .queue(true, |buf| buf.extend_from_slice(&payload))
-            .map(|_| ())
+        self.wire.queue(true, |buf| buf.extend_from_slice(&payload))
     }
 
     /// Receives the next control frame, blocking until one arrives.
@@ -322,8 +315,6 @@ pub struct TcpLink {
     wire: Arc<Wire>,
     data_rx: Receiver<Vec<u8>>,
     control: ControlHandle,
-    outbound: Counters,
-    inbound: Counters,
     /// Where the reader announces inbound frames and the stream's end.
     heard: Arc<Mutex<Subscription>>,
     /// The reader and the writer.
@@ -368,8 +359,6 @@ impl TcpLink {
             },
             wire,
             data_rx,
-            outbound: Counters::default(),
-            inbound: Counters::default(),
             heard,
             threads: vec![reader, writer],
         }
@@ -392,52 +381,36 @@ impl TcpLink {
             .unwrap_or(GridError::Disconnected)
     }
 
-    /// Books one received data frame and decodes it, waking the reader
-    /// if this receive took the queue back down to the high-water mark.
-    fn deliver(&self, frame: &[u8]) -> Result<(Message, u64), GridError> {
+    /// Decodes one received data frame, waking the reader if this
+    /// receive took the queue back down to the high-water mark.
+    fn deliver(&self, frame: &[u8]) -> Result<Message, GridError> {
         if self.wire.depth.fetch_sub(1, Ordering::AcqRel) == INBOUND_HIGH_WATER + 1 {
             // Under the lock the reader checks `depth` with, so the
             // notification cannot fall between its check and its wait.
             let _out = self.wire.out();
             self.wire.drained.notify_one();
         }
-        let charged = frame.len() as u64 + FRAME_HEADER_BYTES;
-        self.inbound.bytes.fetch_add(charged, Ordering::Relaxed);
-        self.inbound.messages.fetch_add(1, Ordering::Relaxed);
-        Message::decode(frame).map(|msg| (msg, charged))
+        Message::decode(frame)
     }
 }
 
 impl GridLink for TcpLink {
-    fn send_counted(&self, msg: &Message) -> Result<u64, GridError> {
-        let len = self.wire.queue(false, |buf| msg.encode_into(buf))?;
-        let charged = len as u64 + FRAME_HEADER_BYTES;
-        self.outbound.bytes.fetch_add(charged, Ordering::Relaxed);
-        self.outbound.messages.fetch_add(1, Ordering::Relaxed);
-        Ok(charged)
+    fn send(&self, msg: &Message) -> Result<(), GridError> {
+        self.wire.queue(false, |buf| msg.encode_into(buf))
     }
 
-    fn recv_counted(&self) -> Result<(Message, u64), GridError> {
+    fn recv(&self) -> Result<Message, GridError> {
         match self.data_rx.recv() {
             Ok(frame) => self.deliver(&frame),
             Err(_) => Err(self.terminal_error()),
         }
     }
 
-    fn try_recv_counted(&self) -> Result<(Message, u64), GridError> {
+    fn try_recv(&self) -> Result<Message, GridError> {
         match self.data_rx.try_recv() {
             Ok(frame) => self.deliver(&frame),
             Err(TryRecvError::Empty) => Err(GridError::Empty),
             Err(TryRecvError::Disconnected) => Err(self.terminal_error()),
-        }
-    }
-
-    fn stats(&self) -> LinkStats {
-        LinkStats {
-            bytes_sent: self.outbound.bytes.load(Ordering::Relaxed),
-            bytes_received: self.inbound.bytes.load(Ordering::Relaxed),
-            messages_sent: self.outbound.messages.load(Ordering::Relaxed),
-            messages_received: self.inbound.messages.load(Ordering::Relaxed),
         }
     }
 
@@ -524,30 +497,35 @@ mod tests {
     use std::io::Write;
     use std::net::TcpListener;
 
-    fn loopback_pair() -> (TcpLink, TcpLink) {
+    /// A link on the accepting end of a loopback connection, and the raw
+    /// dialed stream.
+    fn link_and_raw_peer() -> (TcpLink, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let join = std::thread::spawn(move || TcpStream::connect(addr).unwrap());
+        let dialed = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (accepted, _) = listener.accept().unwrap();
-        let dialed = join.join().unwrap();
-        (TcpLink::from_stream(accepted), TcpLink::from_stream(dialed))
+        (TcpLink::from_stream(accepted), dialed)
+    }
+
+    fn loopback_pair() -> (TcpLink, TcpLink) {
+        let (link, dialed) = link_and_raw_peer();
+        (link, TcpLink::from_stream(dialed))
     }
 
     #[test]
     fn roundtrip_and_charges_match_in_process_accounting() {
-        let (a, b) = loopback_pair();
+        // A raw peer reads what the link put on the socket: one data
+        // frame, exactly the message's charge in size.
+        let (link, mut raw) = link_and_raw_peer();
         let msg = Message::Commit {
             task_id: 7,
             root: vec![0xAB; 32],
         };
-        let sent = a.send_counted(&msg).unwrap();
-        let (got, received) = b.recv_counted().unwrap();
-        assert_eq!(got, msg);
-        // The charge is byte-identical to the in-memory Endpoint's.
-        assert_eq!(sent, msg.wire_len() + FRAME_HEADER_BYTES);
-        assert_eq!(received, sent);
-        assert_eq!(a.stats().bytes_sent, sent);
-        assert_eq!(b.stats().bytes_received, sent);
+        link.send(&msg).unwrap();
+        let Some(Frame::Data(payload)) = read_frame(&mut raw).unwrap() else {
+            panic!("expected one data frame");
+        };
+        assert_eq!(payload.len() as u64 + 4, msg.charged());
+        assert_eq!(Message::decode(&payload).unwrap(), msg);
     }
 
     #[test]
@@ -597,12 +575,7 @@ mod tests {
 
     #[test]
     fn torn_stream_surfaces_as_typed_error_after_drain() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let join = std::thread::spawn(move || TcpStream::connect(addr).unwrap());
-        let (accepted, _) = listener.accept().unwrap();
-        let mut dialed = join.join().unwrap();
-        let link = TcpLink::from_stream(accepted);
+        let (link, mut dialed) = link_and_raw_peer();
         // A complete message, then a frame header promising more payload
         // than ever arrives.
         let msg = Message::Verdict {

@@ -1,9 +1,8 @@
-//! In-memory, byte-accounted message transport.
+//! In-memory message transport.
 //!
-//! Every frame that crosses a link is encoded to its wire form and its
-//! length (plus a fixed 4-byte frame header, as a TCP-style length prefix
-//! would add) is charged to both endpoints' counters. Experiments read
-//! those counters; nothing is estimated.
+//! A link carries encoded frames between two endpoints and keeps no
+//! books: what a message costs is [`Message::charged`], and whoever
+//! sends or receives it does the counting.
 //!
 //! A multiplexer that owns many links does not sweep them for mail: it
 //! subscribes each link's inbound direction to one [`Doorbell`] and
@@ -14,31 +13,25 @@
 
 use crate::{GridError, Message};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Per-endpoint traffic counters.
+/// One session's traffic as its supervisor sent and received it, each
+/// message counted at [`Message::charged`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LinkStats {
-    /// Bytes sent from this endpoint (encoded frames + frame headers).
+    /// Bytes sent (encoded messages plus frame headers).
     pub bytes_sent: u64,
-    /// Bytes received by this endpoint.
+    /// Bytes received.
     pub bytes_received: u64,
-    /// Messages sent from this endpoint.
+    /// Messages sent.
     pub messages_sent: u64,
-    /// Messages received by this endpoint.
+    /// Messages received.
     pub messages_received: u64,
 }
 
 /// Frame-header overhead charged per message (a 4-byte length prefix).
 pub const FRAME_HEADER_BYTES: u64 = 4;
-
-#[derive(Debug, Default)]
-struct Counters {
-    bytes: AtomicU64,
-    messages: AtomicU64,
-}
 
 /// A queue of link keys: the one place a multiplexer sleeps while it
 /// waits for mail on any of its links.
@@ -193,7 +186,7 @@ impl Drop for HangUp {
     }
 }
 
-/// One side of a bidirectional, byte-counted link.
+/// One side of a bidirectional link.
 ///
 /// Create pairs with [`duplex`]. Endpoints are `Send`, so the two sides can
 /// live on different threads; channels are unbounded, so single-threaded
@@ -202,8 +195,6 @@ impl Drop for HangUp {
 pub struct Endpoint {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
-    outbound: Arc<Counters>,
-    inbound: Arc<Counters>,
     /// The peer's subscription, rung after every send and — because this
     /// field is declared after `tx` — after the hang-up.
     announce: HangUp,
@@ -233,67 +224,45 @@ pub fn duplex() -> (Endpoint, Endpoint) {
     let a = Endpoint {
         tx: tx_ab,
         rx: rx_ba,
-        outbound: Arc::new(Counters::default()),
-        inbound: Arc::new(Counters::default()),
         announce: HangUp(Arc::clone(&heard_by_b)),
         subscription: Arc::clone(&heard_by_a),
     };
     let b = Endpoint {
         tx: tx_ba,
         rx: rx_ab,
-        outbound: Arc::new(Counters::default()),
-        inbound: Arc::new(Counters::default()),
         announce: HangUp(heard_by_a),
         subscription: heard_by_b,
     };
     (a, b)
 }
 
-impl Endpoint {
-    /// Charges a frame that arrived to this endpoint and decodes it.
-    fn charge_inbound(&self, frame: &[u8]) -> Result<(Message, u64), GridError> {
-        let charged = frame.len() as u64 + FRAME_HEADER_BYTES;
-        self.inbound.bytes.fetch_add(charged, Ordering::Relaxed);
-        self.inbound.messages.fetch_add(1, Ordering::Relaxed);
-        Message::decode(frame).map(|msg| (msg, charged))
-    }
-}
-
 /// One side of a bidirectional message link, abstracted so protocol
 /// drivers run identically over a raw [`Endpoint`] or a decorated one
 /// (e.g. the fault-injecting
 /// [`FaultyEndpoint`](crate::runtime::FaultyEndpoint)).
-///
-/// The `*_counted` methods return the bytes charged for the frame (wire
-/// length plus header) so multiplexers can attribute traffic without
-/// re-encoding; `send`/`recv`/`try_recv` are provided conveniences.
 pub trait GridLink: Send {
-    /// Sends a message, returning the bytes charged.
+    /// Sends a message.
     ///
     /// # Errors
     ///
     /// [`GridError::Disconnected`] if the peer has been dropped.
-    fn send_counted(&self, msg: &Message) -> Result<u64, GridError>;
+    fn send(&self, msg: &Message) -> Result<(), GridError>;
 
-    /// Receives the next message (blocking), with the bytes charged.
+    /// Receives the next message (blocking).
     ///
     /// # Errors
     ///
     /// [`GridError::Disconnected`] once nothing can arrive any more, or
     /// codec errors for malformed frames.
-    fn recv_counted(&self) -> Result<(Message, u64), GridError>;
+    fn recv(&self) -> Result<Message, GridError>;
 
-    /// Receives without blocking, with the bytes charged.
+    /// Receives without blocking.
     ///
     /// # Errors
     ///
     /// [`GridError::Empty`] if no message is queued; otherwise as
-    /// [`recv_counted`](Self::recv_counted).
-    fn try_recv_counted(&self) -> Result<(Message, u64), GridError>;
-
-    /// Traffic counters for this link (wire-level truth: what actually
-    /// crossed, after any decoration).
-    fn stats(&self) -> LinkStats;
+    /// [`recv`](Self::recv).
+    fn try_recv(&self) -> Result<Message, GridError>;
 
     /// Subscribes this link's inbound direction to `bell` under `key`:
     /// from now on every frame queued for it, and its peer's hang-up,
@@ -304,65 +273,27 @@ pub trait GridLink: Send {
     /// at the link misses nothing, whatever the link is made of.
     /// Subscribing again replaces the earlier subscription.
     fn subscribe(&self, bell: &Doorbell, key: usize);
-
-    /// Sends a message, discarding the byte count.
-    ///
-    /// # Errors
-    ///
-    /// As [`send_counted`](Self::send_counted).
-    fn send(&self, msg: &Message) -> Result<(), GridError> {
-        self.send_counted(msg).map(|_| ())
-    }
-
-    /// Receives the next message (blocking).
-    ///
-    /// # Errors
-    ///
-    /// As [`recv_counted`](Self::recv_counted).
-    fn recv(&self) -> Result<Message, GridError> {
-        self.recv_counted().map(|(msg, _)| msg)
-    }
-
-    /// Receives without blocking.
-    ///
-    /// # Errors
-    ///
-    /// As [`try_recv_counted`](Self::try_recv_counted).
-    fn try_recv(&self) -> Result<Message, GridError> {
-        self.try_recv_counted().map(|(msg, _)| msg)
-    }
 }
 
 impl GridLink for Endpoint {
-    fn send_counted(&self, msg: &Message) -> Result<u64, GridError> {
-        let frame = msg.encode();
-        let charged = frame.len() as u64 + FRAME_HEADER_BYTES;
-        self.tx.send(frame).map_err(|_| GridError::Disconnected)?;
+    fn send(&self, msg: &Message) -> Result<(), GridError> {
+        self.tx
+            .send(msg.encode())
+            .map_err(|_| GridError::Disconnected)?;
         self.announce.ring();
-        self.outbound.bytes.fetch_add(charged, Ordering::Relaxed);
-        self.outbound.messages.fetch_add(1, Ordering::Relaxed);
-        Ok(charged)
+        Ok(())
     }
 
-    fn recv_counted(&self) -> Result<(Message, u64), GridError> {
+    fn recv(&self) -> Result<Message, GridError> {
         let frame = self.rx.recv().map_err(|_| GridError::Disconnected)?;
-        self.charge_inbound(&frame)
+        Message::decode(&frame)
     }
 
-    fn try_recv_counted(&self) -> Result<(Message, u64), GridError> {
+    fn try_recv(&self) -> Result<Message, GridError> {
         match self.rx.try_recv() {
-            Ok(frame) => self.charge_inbound(&frame),
+            Ok(frame) => Message::decode(&frame),
             Err(TryRecvError::Empty) => Err(GridError::Empty),
             Err(TryRecvError::Disconnected) => Err(GridError::Disconnected),
-        }
-    }
-
-    fn stats(&self) -> LinkStats {
-        LinkStats {
-            bytes_sent: self.outbound.bytes.load(Ordering::Relaxed),
-            bytes_received: self.inbound.bytes.load(Ordering::Relaxed),
-            messages_sent: self.outbound.messages.load(Ordering::Relaxed),
-            messages_received: self.inbound.messages.load(Ordering::Relaxed),
         }
     }
 
@@ -378,24 +309,6 @@ mod tests {
     use ugc_task::Domain;
 
     #[test]
-    fn roundtrip_and_counters() {
-        let (a, b) = duplex();
-        let msg = Message::Commit {
-            task_id: 9,
-            root: vec![1; 32],
-        };
-        a.send(&msg).unwrap();
-        let got = b.recv().unwrap();
-        assert_eq!(got, msg);
-        let expected = msg.wire_len() + FRAME_HEADER_BYTES;
-        assert_eq!(a.stats().bytes_sent, expected);
-        assert_eq!(a.stats().messages_sent, 1);
-        assert_eq!(b.stats().bytes_received, expected);
-        assert_eq!(b.stats().messages_received, 1);
-        assert_eq!(b.stats().bytes_sent, 0);
-    }
-
-    #[test]
     fn bidirectional_counts_are_separate() {
         let (a, b) = duplex();
         let m1 = Message::Verdict {
@@ -407,11 +320,14 @@ mod tests {
             samples: vec![1, 2, 3, 4],
         };
         a.send(&m1).unwrap();
+        a.send(&m1).unwrap();
         b.send(&m2).unwrap();
-        let _ = a.recv().unwrap();
-        let _ = b.recv().unwrap();
-        assert_eq!(a.stats().bytes_sent, m1.wire_len() + FRAME_HEADER_BYTES);
-        assert_eq!(a.stats().bytes_received, m2.wire_len() + FRAME_HEADER_BYTES);
+        // Each end hears exactly what the other sent: two and one.
+        assert_eq!(a.recv().unwrap(), m2);
+        assert_eq!(a.try_recv().unwrap_err(), GridError::Empty);
+        assert_eq!(b.recv().unwrap(), m1);
+        assert_eq!(b.recv().unwrap(), m1);
+        assert_eq!(b.try_recv().unwrap_err(), GridError::Empty);
     }
 
     #[test]
@@ -453,6 +369,7 @@ mod tests {
         let (sup, part) = duplex();
         let handle = std::thread::spawn(move || {
             // Participant: echo assignments back as commits.
+            let mut echoed = 0;
             while let Ok(msg) = part.recv() {
                 if let Message::Assign(a) = msg {
                     part.send(&Message::Commit {
@@ -460,9 +377,10 @@ mod tests {
                         root: vec![0xAB; 32],
                     })
                     .unwrap();
+                    echoed += 1;
                 }
             }
-            part.stats()
+            echoed
         });
         for id in 0..5u64 {
             sup.send(&Message::Assign(Assignment {
@@ -474,9 +392,7 @@ mod tests {
             assert_eq!(reply.task_id(), id);
         }
         drop(sup);
-        let part_stats = handle.join().unwrap();
-        assert_eq!(part_stats.messages_sent, 5);
-        assert_eq!(part_stats.messages_received, 5);
+        assert_eq!(handle.join().unwrap(), 5);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! reports) — grid plumbing that is never charged to a session's byte
 //! account. Data frames carry exactly one encoded [`Message`] as their
 //! payload, so a data frame's physical wire cost is
-//! `Message::wire_len() + FRAME_HEADER_BYTES` — the same figure the
-//! in-process transport already charges. That identity is what makes
-//! cross-process summary digests bit-identical to in-process ones.
+//! [`Message::charged`](crate::Message::charged) — the figure a session
+//! is charged on every transport, and because the codec is canonical,
+//! also what a receiver's decoded message says. That identity is what
+//! makes cross-process summary digests bit-identical to in-process ones.
 //!
 //! Stream ends are classified like the journal's tail: an EOF on a frame
 //! boundary is a clean disconnect ([`read_frame`] returns `Ok(None)`),
@@ -90,7 +91,7 @@ fn header_word(len: usize, control: bool) -> Result<[u8; 4], GridError> {
 /// the payload in place behind it, then fills the length in. How a
 /// [`TcpLink`](crate::TcpLink) frames — no intermediate payload buffer,
 /// and any number of frames back to back in one buffer, ready for one
-/// `write`. Returns the payload's length.
+/// `write`.
 ///
 /// # Errors
 ///
@@ -100,15 +101,14 @@ pub(crate) fn append_frame(
     buf: &mut Vec<u8>,
     control: bool,
     payload: impl FnOnce(&mut Vec<u8>),
-) -> Result<usize, GridError> {
+) -> Result<(), GridError> {
     let start = buf.len();
     buf.extend_from_slice(&[0; 4]);
     payload(buf);
-    let len = buf.len() - start - 4;
-    match header_word(len, control) {
+    match header_word(buf.len() - start - 4, control) {
         Ok(word) => {
             buf[start..start + 4].copy_from_slice(&word);
-            Ok(len)
+            Ok(())
         }
         Err(e) => {
             buf.truncate(start);
@@ -412,14 +412,14 @@ mod tests {
     #[test]
     fn data_frame_wire_cost_is_the_charged_cost() {
         // The digest identity hinges on this: a data frame's physical
-        // bytes equal payload + FRAME_HEADER_BYTES, nothing more.
-        let payload = vec![7u8; 33];
+        // bytes are the message's charge, nothing more.
+        let msg = crate::Message::Commit {
+            task_id: 7,
+            root: vec![7u8; 33],
+        };
         let mut buf = Vec::new();
-        write_frame(&mut buf, &Frame::Data(payload.clone())).unwrap();
-        assert_eq!(
-            buf.len() as u64,
-            payload.len() as u64 + crate::FRAME_HEADER_BYTES
-        );
+        write_frame(&mut buf, &Frame::Data(msg.encode())).unwrap();
+        assert_eq!(buf.len() as u64, msg.charged());
     }
 
     #[test]

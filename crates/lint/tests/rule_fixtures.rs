@@ -349,7 +349,7 @@ fn message_encoded_len_casts_stay_guarded() {
     // and still narrows guarded lengths; pin the annotated idiom the
     // message module relies on.
     let suppressed = r#"
-fn wire_len(payload: &[u8]) -> usize {
+fn frame_len(payload: &[u8]) -> usize {
     // ugc-lint: allow(lossy-cast): bounded above by 1<<20 on the line before, cannot truncate
     let n = declared as usize;
     8 + payload.len() + n

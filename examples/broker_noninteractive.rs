@@ -21,7 +21,7 @@ use uncheatable_grid::core::{
 };
 use uncheatable_grid::grid::{
     duplex, Assignment, Broker, CheatSelection, CostLedger, Doorbell, Endpoint, GridLink,
-    HonestWorker, Message, SemiHonestCheater, WorkerBehaviour,
+    HonestWorker, LinkStats, Message, SemiHonestCheater, WorkerBehaviour,
 };
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PrimalitySearch;
@@ -40,18 +40,20 @@ const SCHEME: NiCbsScheme = NiCbsScheme {
 /// Receives the routed-back bundles and verifies each task once its
 /// commit bundle and reports are both in, answering with the verdict.
 /// Tasks interleave however their participants finish; each task's own
-/// messages arrive in order.
+/// messages arrive in order. Every message is charged to `traffic`.
 fn collect_tasks(
     endpoint: &Endpoint,
     task: &PrimalitySearch,
     screener: &dyn Screener,
     shares: &[Domain],
     ledger: &CostLedger,
+    traffic: &mut LinkStats,
 ) -> Result<Vec<(u64, Verdict)>, SchemeError> {
     let mut bundles = vec![None; shares.len()];
     let mut verdicts = Vec::new();
     while verdicts.len() < shares.len() {
         let msg = endpoint.recv()?;
+        traffic.bytes_received += msg.charged();
         let Some(share) = usize::try_from(msg.task_id())
             .ok()
             .filter(|&k| k < shares.len())
@@ -81,10 +83,12 @@ fn collect_tasks(
                     &reports,
                     ledger,
                 )?;
-                endpoint.send(&Message::Verdict {
+                let answer = Message::Verdict {
                     task_id,
                     accepted: verdict.is_accepted(),
-                })?;
+                };
+                endpoint.send(&answer)?;
+                traffic.bytes_sent += answer.charged();
                 verdicts.push((task_id, verdict));
             }
             // A participant that got its verdict hangs up, and the broker
@@ -145,11 +149,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         // Supervisor: push three assignments into the broker, then verify
         // each routed-back bundle and answer with its verdict.
+        let mut traffic = LinkStats::default();
         for (task_id, &domain) in (0u64..).zip(&shares) {
-            sup_ep.send(&Message::Assign(Assignment { task_id, domain }))?;
+            let assign = Message::Assign(Assignment { task_id, domain });
+            sup_ep.send(&assign)?;
+            traffic.bytes_sent += assign.charged();
         }
-        let verdicts = collect_tasks(&sup_ep, &task, &prime_screener, &shares, &sup_ledger)?;
-        let traffic = sup_ep.stats();
+        let verdicts = collect_tasks(
+            &sup_ep,
+            &task,
+            &prime_screener,
+            &shares,
+            &sup_ledger,
+            &mut traffic,
+        )?;
         drop(sup_ep); // hang up: the pump drains and returns
         Ok((
             verdicts,

@@ -13,7 +13,7 @@
 //! | [`hash`] | `ugc-hash` | MD5 / SHA-1 / SHA-256 from scratch, hardened `g = H^k` |
 //! | [`merkle`] | `ugc-merkle` | commitment trees, authentication paths, partial storage |
 //! | [`task`] | `ugc-task` | compute functions, screeners, domains, synthetic workloads |
-//! | [`grid`] | `ugc-grid` | byte-counted transport, cost ledgers, cheating behaviours, broker |
+//! | [`grid`] | `ugc-grid` | transport with one charging rule (`Message::charged`), cost ledgers, cheating behaviours, broker |
 //! | [`core`] | `ugc-core` | CBS, NI-CBS, naive sampling, double-check, ringers, closed-form analysis |
 //! | [`sim`] | `ugc-sim` | Monte-Carlo harness, statistics, table printing |
 //!

@@ -52,6 +52,45 @@ fn sample_size_reproduces_paper_anchors() {
 }
 
 #[test]
+fn sample_size_past_i32_samples_returns_promptly() {
+    // m ≈ 2.30e9 does not fit an i32 exponent: the answer must come back,
+    // not loop on a wrapped power.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ugc"))
+        .args(["sample-size", "--epsilon", "1e-10", "--r", "0.99999999"])
+        .args(["--q", "0"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("ugc binary runs");
+    // ugc-lint: allow(wall-clock): a hang guard; the elapsed time is the assertion
+    let started = std::time::Instant::now();
+    while child.try_wait().unwrap().is_none() {
+        if started.elapsed() > std::time::Duration::from_secs(20) {
+            let _ = child.kill();
+            panic!("sample-size did not return within 20 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    assert!(stdout(&out).contains("m = 23025850"), "{}", stdout(&out));
+}
+
+#[test]
+fn detection_stays_a_probability_past_i32_samples() {
+    for m in ["2147483648", "4294967296", "18446744073709551615"] {
+        let out = ugc(&["detection", "--r", "0.5", "--q", "0.5", "--m", m]);
+        assert!(out.status.success());
+        let text = stdout(&out);
+        let figures = text.rsplit("survive ").next().unwrap();
+        let (survive, detect) = figures.trim().split_once(", detect ").unwrap();
+        for p in [survive, detect] {
+            let p: f64 = p.parse().unwrap();
+            assert!((0.0..=1.0).contains(&p), "m = {m}: {text}");
+        }
+    }
+}
+
+#[test]
 fn sample_size_handles_unreachable_case() {
     let out = ugc(&["sample-size", "--r", "1.0"]);
     assert!(out.status.success());

@@ -6,6 +6,7 @@
 //! slot, for all five schemes (verdicts, supervisor byte counts, and
 //! every `CostLedger` axis).
 
+use std::sync::Mutex;
 use uncheatable_grid::core::scheme::cbs::CbsScheme;
 use uncheatable_grid::core::scheme::double_check::DoubleCheckScheme;
 use uncheatable_grid::core::scheme::naive::NaiveScheme;
@@ -18,8 +19,8 @@ use uncheatable_grid::core::{
     SupervisorContext, TransportKind, VerificationScheme,
 };
 use uncheatable_grid::grid::{
-    duplex, CheatSelection, CostLedger, Endpoint, GridLink, HonestWorker, LinkStats,
-    MaliciousWorker, SemiHonestCheater, WorkerBehaviour,
+    duplex, CheatSelection, CostLedger, Doorbell, Endpoint, GridError, GridLink, HonestWorker,
+    LinkStats, MaliciousWorker, Message, SemiHonestCheater, WorkerBehaviour,
 };
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;
@@ -151,6 +152,53 @@ fn participant_baseline_work_is_the_task_itself() {
 // one-link-per-slot round bit for bit.
 // ---------------------------------------------------------------------------
 
+/// A participant's link that counts what crosses it by its own rule —
+/// the encoded length plus a 4-byte frame header — so the blocking
+/// reference does not take its byte counts from the code under test.
+struct CountingLink {
+    link: Endpoint,
+    stats: Mutex<LinkStats>,
+}
+
+impl CountingLink {
+    fn new(link: Endpoint) -> Self {
+        CountingLink {
+            link,
+            stats: Mutex::new(LinkStats::default()),
+        }
+    }
+
+    fn received(&self, msg: Result<Message, GridError>) -> Result<Message, GridError> {
+        let msg = msg?;
+        let mut stats = self.stats.lock().unwrap();
+        stats.bytes_received += msg.encode().len() as u64 + 4;
+        stats.messages_received += 1;
+        Ok(msg)
+    }
+}
+
+impl GridLink for CountingLink {
+    fn send(&self, msg: &Message) -> Result<(), GridError> {
+        self.link.send(msg)?;
+        let mut stats = self.stats.lock().unwrap();
+        stats.bytes_sent += msg.encode().len() as u64 + 4;
+        stats.messages_sent += 1;
+        Ok(())
+    }
+
+    fn recv(&self) -> Result<Message, GridError> {
+        self.received(self.link.recv())
+    }
+
+    fn try_recv(&self) -> Result<Message, GridError> {
+        self.received(self.link.try_recv())
+    }
+
+    fn subscribe(&self, bell: &Doorbell, key: usize) {
+        self.link.subscribe(bell, key);
+    }
+}
+
 /// The "legacy" side: one round of `scheme` with no engine, scheduler or
 /// backend in it — a duplex link per slot, each participant session on
 /// its own thread under `drive_participant`, the supervisor session on
@@ -164,10 +212,15 @@ fn blocking_round(
     storage: ParticipantStorage,
 ) -> RoundOutcome {
     let (sup_ledger, part_ledger) = (CostLedger::new(), CostLedger::new());
-    let (sup_eps, part_eps): (Vec<Endpoint>, Vec<Endpoint>) =
-        behaviours.iter().map(|_| duplex()).unzip();
+    let (sup_eps, part_eps): (Vec<Endpoint>, Vec<CountingLink>) = behaviours
+        .iter()
+        .map(|_| {
+            let (sup, part) = duplex();
+            (sup, CountingLink::new(part))
+        })
+        .unzip();
     let outcome = std::thread::scope(|scope| {
-        for (endpoint, &behaviour) in part_eps.into_iter().zip(behaviours) {
+        for (endpoint, &behaviour) in part_eps.iter().zip(behaviours) {
             let mut session = scheme.participant_session(ParticipantContext {
                 task,
                 screener,
@@ -177,7 +230,7 @@ fn blocking_round(
                 lanes: LaneWidth::default(),
                 ledger: part_ledger.clone(),
             });
-            scope.spawn(move || drive_participant(&endpoint, session.as_mut()).unwrap());
+            scope.spawn(move || drive_participant(endpoint, session.as_mut()).unwrap());
         }
         let mut session = scheme.supervisor_session(SupervisorContext {
             task,
@@ -188,12 +241,17 @@ fn blocking_round(
         });
         drive_supervisor(&sup_eps.iter().collect::<Vec<_>>(), session.as_mut()).unwrap()
     });
+    // What the supervisor sent is what its participants received — once
+    // anything a participant left unread is taken too — and the other way
+    // round.
     let mut supervisor_link = LinkStats::default();
-    for slot in sup_eps.iter().map(Endpoint::stats) {
-        supervisor_link.bytes_sent += slot.bytes_sent;
-        supervisor_link.bytes_received += slot.bytes_received;
-        supervisor_link.messages_sent += slot.messages_sent;
-        supervisor_link.messages_received += slot.messages_received;
+    for part in &part_eps {
+        while part.try_recv().is_ok() {}
+        let slot = *part.stats.lock().unwrap();
+        supervisor_link.bytes_sent += slot.bytes_received;
+        supervisor_link.bytes_received += slot.bytes_sent;
+        supervisor_link.messages_sent += slot.messages_received;
+        supervisor_link.messages_received += slot.messages_sent;
     }
     RoundOutcome {
         accepted: outcome.verdict.is_accepted(),
