@@ -1,8 +1,9 @@
 //! The paper's **communication-cost comparison** (Sections 1 and 3.4):
 //! naive sampling ships `O(n)` result bytes, CBS ships `O(m log n)`.
 //!
-//! Measured numbers come from the byte-counted transport — every frame a
-//! real deployment would send, encoded and counted — then the closed forms
+//! Measured numbers are what the session engine charges for every message
+//! a real deployment would send — `Message::charged`, its encoded length
+//! plus the four-byte frame header — then the closed forms
 //! extrapolate to the paper's motivating example: a 64-bit key-search
 //! domain, where the naive upload is "about 16 million terabytes" while
 //! CBS stays in kilobytes.
@@ -35,7 +36,7 @@ pub(crate) fn run(report: &mut Report) {
     report.say(format!(
         "Communication cost — naive O(n) vs CBS/NI-CBS O(m log n), m = {M}\n"
     ));
-    report.say("Measured: participant→supervisor bytes over the byte-counted transport.");
+    report.say("Measured: participant→supervisor bytes, each message charged by Message::charged.");
 
     let task = PasswordSearch::with_hidden_password(1, 3);
     let leaf_w = task.output_width() as u64;

@@ -43,11 +43,12 @@
 //! connected.
 
 use crate::engine::{InProcessTransport, SessionEngine, SessionResult, SharedLink};
-use crate::journal::{get_part_result, get_report, get_var, put_part_result, put_report, put_var};
+use crate::journal::{get_part_result, get_report, get_var, put_part_result, put_report};
 use crate::session::ParticipantSession;
 use crate::SchemeError;
 use std::collections::BTreeMap;
 use std::time::Duration;
+use ugc_grid::codec::put_var;
 use ugc_grid::runtime::{
     FaultEvent, FaultLog, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll,
 };
@@ -111,7 +112,7 @@ impl SlotReport {
 
     /// Decodes a control-frame payload: the slot, the costs and the
     /// outcome in the journal's record codec, every integer canonical
-    /// LEB128 and the costs the paper's four axes (the layout of wire
+    /// LEB128 and the costs the paper's four axes (the layout since wire
     /// version 4).
     ///
     /// # Errors

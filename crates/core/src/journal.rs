@@ -27,11 +27,12 @@
 //! `tests/crash_resume.rs` proves at every kill point.
 //!
 //! Tags and 0/1 flags are single bytes; every integer is canonical
-//! unsigned LEB128 (`put_var` / `get_var`, shared with the
-//! [`SlotReport`](crate::SlotReport)), so a record of small counts is
-//! about a fifth of fixed-width words. Truncated, overlong and
-//! over-64-bit integers and `u32` fields above `u32::MAX` are refused:
-//! two records that decode alike are one record. [`summary_digest`]
+//! unsigned LEB128 in `ugc_grid::codec`'s one writer and reader (shared
+//! with the [`SlotReport`](crate::SlotReport) and every wire message), so
+//! a record of small counts is about a fifth of fixed-width words.
+//! Truncated, overlong and over-64-bit integers and `u32` fields above
+//! `u32::MAX` are refused, each codec refusal reported in the record's
+//! words: two records that decode alike are one record. [`summary_digest`]
 //! hashes a campaign's results in the same codec, so they have one byte
 //! form.
 //!
@@ -47,6 +48,7 @@ use crate::session::SessionOutcome;
 use crate::{ParticipantStorage, SchemeError, Verdict};
 use std::path::Path;
 use std::time::Duration;
+use ugc_grid::codec::{self, put_bytes, put_list, put_var};
 use ugc_grid::runtime::{FaultEvent, FaultPlan, LinkDirection};
 use ugc_grid::{CostReport, GridError, LinkStats};
 use ugc_hash::{HashFunction, Sha256};
@@ -94,42 +96,27 @@ fn get_flag(buf: &mut &[u8], context: &'static str) -> Result<bool, SchemeError>
     }
 }
 
-/// Appends `v` as unsigned LEB128: seven bits a byte, low group first,
-/// the high bit set on every byte but the last. A record's integers are
-/// mostly small counts, so most take one byte.
-pub(crate) fn put_var(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push(v.to_le_bytes()[0] | 0x80);
-        v >>= 7;
+/// A codec refusal as a journal decode failure, in the record's words.
+fn malformed(e: GridError) -> SchemeError {
+    match e {
+        GridError::UnexpectedEof { context } => {
+            bad(format!("unexpected end of record in {context}"))
+        }
+        other => bad(other.to_string()),
     }
-    buf.push(v.to_le_bytes()[0]);
 }
 
-/// Reads what [`put_var`] writes and nothing else: a truncated run, an
-/// overlong one (a zero last byte after the first) and one above 64 bits
-/// are refused, so every value has exactly one encoding.
+/// [`codec::get_var`], refusals as journal errors.
 pub(crate) fn get_var(buf: &mut &[u8], context: &'static str) -> Result<u64, SchemeError> {
-    let mut value = 0u64;
-    for (i, &byte) in buf.iter().enumerate().take(10) {
-        // The tenth byte carries bit 63 alone, and ends the run.
-        if i == 9 && byte > 1 {
-            return Err(bad(format!("{context}: integer exceeds 64 bits")));
-        }
-        value |= u64::from(byte & 0x7F) << (7 * i);
-        if byte & 0x80 == 0 {
-            if byte == 0 && i > 0 {
-                return Err(bad(format!("{context}: overlong integer encoding")));
-            }
-            *buf = &buf[i + 1..];
-            return Ok(value);
-        }
-    }
-    Err(bad(format!("unexpected end of record in {context}")))
+    codec::get_var(buf, context).map_err(malformed)
 }
 
 fn get_u32(buf: &mut &[u8], context: &'static str) -> Result<u32, SchemeError> {
-    let v = get_var(buf, context)?;
-    u32::try_from(v).map_err(|_| bad(format!("{context}: {v} exceeds u32")))
+    codec::get_u32(buf, context).map_err(malformed)
+}
+
+fn get_bytes(buf: &mut &[u8], context: &'static str) -> Result<Vec<u8>, SchemeError> {
+    codec::get_bytes(buf, context).map_err(malformed)
 }
 
 fn put_usize(buf: &mut Vec<u8>, v: usize) {
@@ -141,21 +128,6 @@ fn get_usize(buf: &mut &[u8], context: &'static str) -> Result<usize, SchemeErro
     usize::try_from(v).map_err(|_| bad(format!("{context}: {v} exceeds this platform's usize")))
 }
 
-/// A length, then the bytes.
-fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_usize(buf, bytes.len());
-    buf.extend_from_slice(bytes);
-}
-
-fn get_bytes(buf: &mut &[u8], context: &'static str) -> Result<Vec<u8>, SchemeError> {
-    let len = get_usize(buf, context)?;
-    let Some((bytes, rest)) = buf.split_at_checked(len) else {
-        return Err(bad(format!("unexpected end of record in {context}")));
-    };
-    *buf = rest;
-    Ok(bytes.to_vec())
-}
-
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_bytes(buf, s.as_bytes());
 }
@@ -165,15 +137,7 @@ fn get_string(buf: &mut &[u8], context: &'static str) -> Result<String, SchemeEr
     String::from_utf8(bytes).map_err(|_| bad(format!("{context}: invalid UTF-8")))
 }
 
-/// A count, then each item.
-fn put_list<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
-    put_usize(buf, items.len());
-    for item in items {
-        put(buf, item);
-    }
-}
-
-/// Reads what [`put_list`] wrote. Every item reads at least one byte, so
+/// Reads what [`put_list`](codec::put_list) wrote. Every item reads at least one byte, so
 /// a hostile count fails at the end of the record, having reserved at
 /// most 1 024 items.
 fn get_list<T>(
@@ -268,6 +232,19 @@ fn put_grid_error(buf: &mut Vec<u8>, e: &GridError) {
             put_var(buf, u64::from(ours));
             put_var(buf, u64::from(theirs));
         }
+        GridError::OverlongInteger { ref context } => {
+            put_u8(buf, 8);
+            put_str(buf, context);
+        }
+        GridError::IntegerPast64Bits { ref context } => {
+            put_u8(buf, 9);
+            put_str(buf, context);
+        }
+        GridError::U32Overflow { ref context, value } => {
+            put_u8(buf, 10);
+            put_str(buf, context);
+            put_var(buf, value);
+        }
     }
 }
 
@@ -294,6 +271,16 @@ fn get_grid_error(buf: &mut &[u8]) -> Result<GridError, SchemeError> {
         7 => GridError::HandshakeMismatch {
             ours: get_u32(buf, "grid error ours")?,
             theirs: get_u32(buf, "grid error theirs")?,
+        },
+        8 => GridError::OverlongInteger {
+            context: get_string(buf, "grid error context")?.into(),
+        },
+        9 => GridError::IntegerPast64Bits {
+            context: get_string(buf, "grid error context")?.into(),
+        },
+        10 => GridError::U32Overflow {
+            context: get_string(buf, "grid error context")?.into(),
+            value: get_var(buf, "grid error value")?,
         },
         tag => return Err(bad(format!("unknown grid error tag {tag}"))),
     })

@@ -1,93 +1,127 @@
-//! Minimal binary wire format.
-//!
-//! The paper's headline efficiency claim is a *byte count* — naive sampling
-//! ships `O(n)` result bytes while CBS ships `O(m log n)` — so this crate
-//! measures real encoded frames rather than trusting formulas. The format
-//! is deliberately lean: little-endian fixed-width integers and
-//! length-prefixed byte strings, no field names, no padding. A production
-//! deployment would add versioning; for cost experiments the lean frame is
-//! the honest measure.
+//! The one integer codec of the tree, and the byte strings and lists
+//! built on it. The paper's headline efficiency claim is a *byte count*,
+//! so this crate measures real encoded frames rather than trusting
+//! formulas, and the format is lean: every integer is canonical unsigned
+//! LEB128 (seven bits a byte, low group first, the high bit set on every
+//! byte but the last), strings and lists carry a LEB128 length, and there
+//! are no field names and no padding. Messages, handshake bodies, the
+//! campaign blob, slot reports and journal records all use it; only
+//! framing read before any payload exists stays fixed-width. The reader
+//! accepts exactly what [`put_var`] writes, so a decoded message
+//! re-encodes to the frame it came from and its charge is that frame.
 
 use crate::GridError;
-use bytes::{Buf, BufMut};
 
 /// Upper bound accepted for any length field (1 GiB), a guard against
 /// corrupt frames allocating unbounded memory.
 pub const MAX_FIELD_LEN: u64 = 1 << 30;
 
-/// Appends a `u64` little-endian.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.put_u64_le(v);
+/// Bytes [`put_var`] writes for `v`: one per started seven-bit group,
+/// and one for zero.
+#[must_use]
+pub fn var_len(v: u64) -> usize {
+    let bits = u64::BITS - (v | 1).leading_zeros();
+    // ugc-lint: allow(lossy-cast): at most 10, a count of seven-bit groups
+    bits.div_ceil(7) as usize
 }
 
-/// Appends a `u32` little-endian.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.put_u32_le(v);
+/// Appends `v` as canonical unsigned LEB128. Almost every integer a
+/// session sends is below 128, so that case is one push.
+#[inline]
+pub fn put_var(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v.to_le_bytes()[0] | 0x80);
+        v >>= 7;
+    }
+    buf.push(v.to_le_bytes()[0]);
+}
+
+/// Reads what [`put_var`] writes and nothing else.
+///
+/// # Errors
+///
+/// [`GridError::UnexpectedEof`] on a truncated run,
+/// [`GridError::OverlongInteger`] on a zero last byte after the first,
+/// [`GridError::IntegerPast64Bits`] on a run carrying more than 64 bits.
+#[inline]
+pub fn get_var(buf: &mut &[u8], context: &'static str) -> Result<u64, GridError> {
+    match buf.split_first() {
+        Some((&byte, rest)) if byte < 0x80 => {
+            *buf = rest;
+            Ok(u64::from(byte))
+        }
+        _ => get_var_run(buf, context),
+    }
+}
+
+/// [`get_var`] past its one-byte case.
+fn get_var_run(buf: &mut &[u8], context: &'static str) -> Result<u64, GridError> {
+    let context = context.into();
+    let mut value = 0u64;
+    for (i, &byte) in buf.iter().enumerate().take(10) {
+        // The tenth byte carries bit 63 alone, and ends the run.
+        if i == 9 && byte > 1 {
+            return Err(GridError::IntegerPast64Bits { context });
+        }
+        value |= u64::from(byte & 0x7F) << (7 * i);
+        if byte & 0x80 == 0 {
+            if byte == 0 && i > 0 {
+                return Err(GridError::OverlongInteger { context });
+            }
+            *buf = &buf[i + 1..];
+            return Ok(value);
+        }
+    }
+    Err(GridError::UnexpectedEof { context })
+}
+
+/// Reads a `u32` field: a [`get_var`] integer no larger than `u32::MAX`.
+///
+/// # Errors
+///
+/// As [`get_var`], and [`GridError::U32Overflow`] above `u32::MAX`.
+pub fn get_u32(buf: &mut &[u8], context: &'static str) -> Result<u32, GridError> {
+    let value = get_var(buf, context)?;
+    u32::try_from(value).map_err(|_| GridError::U32Overflow {
+        context: context.into(),
+        value,
+    })
 }
 
 /// Appends a length-prefixed byte string.
 pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(buf, bytes.len() as u64);
-    buf.put_slice(bytes);
+    put_var(buf, bytes.len() as u64);
+    buf.extend_from_slice(bytes);
 }
 
-/// Appends a length-prefixed list of `u64`s.
-pub fn put_u64_list(buf: &mut Vec<u8>, list: &[u64]) {
-    put_u64(buf, list.len() as u64);
-    for &v in list {
-        put_u64(buf, v);
+/// Appends a count, then each item.
+pub fn put_list<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_var(buf, items.len() as u64);
+    for item in items {
+        put(buf, item);
     }
-}
-
-/// Reads a `u64`, little-endian.
-///
-/// # Errors
-///
-/// [`GridError::UnexpectedEof`] if fewer than 8 bytes remain.
-pub fn get_u64(buf: &mut &[u8], context: &'static str) -> Result<u64, GridError> {
-    if buf.remaining() < 8 {
-        return Err(GridError::UnexpectedEof {
-            context: context.into(),
-        });
-    }
-    Ok(buf.get_u64_le())
-}
-
-/// Reads a `u32`, little-endian.
-///
-/// # Errors
-///
-/// [`GridError::UnexpectedEof`] if fewer than 4 bytes remain.
-pub fn get_u32(buf: &mut &[u8], context: &'static str) -> Result<u32, GridError> {
-    if buf.remaining() < 4 {
-        return Err(GridError::UnexpectedEof {
-            context: context.into(),
-        });
-    }
-    Ok(buf.get_u32_le())
 }
 
 /// Reads a length-prefixed byte string.
 ///
 /// # Errors
 ///
-/// [`GridError::UnexpectedEof`] on truncation, [`GridError::LengthOverflow`]
-/// if the declared length exceeds [`MAX_FIELD_LEN`] or the frame.
+/// As [`get_var`], and [`GridError::LengthOverflow`] if the declared
+/// length exceeds [`MAX_FIELD_LEN`]; [`GridError::UnexpectedEof`] if it
+/// exceeds the frame.
 pub fn get_bytes(buf: &mut &[u8], context: &'static str) -> Result<Vec<u8>, GridError> {
-    let len = get_u64(buf, context)?;
+    let len = get_var(buf, context)?;
     if len > MAX_FIELD_LEN {
         return Err(GridError::LengthOverflow { declared: len });
     }
     // ugc-lint: allow(lossy-cast): bounded above by MAX_FIELD_LEN (1<<30), well inside usize on every supported platform
-    let len = len as usize;
-    if buf.remaining() < len {
+    let Some((bytes, rest)) = buf.split_at_checked(len as usize) else {
         return Err(GridError::UnexpectedEof {
             context: context.into(),
         });
-    }
-    let mut out = vec![0u8; len];
-    buf.copy_to_slice(&mut out);
-    Ok(out)
+    };
+    *buf = rest;
+    Ok(bytes.to_vec())
 }
 
 /// How many elements to reserve room for when a frame declares
@@ -101,21 +135,29 @@ pub(crate) fn bounded_capacity(buf: &[u8], declared: u64, min_encoded: usize) ->
     usize::try_from(declared).map_or(fits, |declared| declared.min(fits))
 }
 
-/// Reads a length-prefixed list of `u64`s.
+/// Reads what [`put_list`] writes: a count no larger than `max`, then the
+/// items, each at least `min_encoded` bytes — so the reservation is
+/// bounded by the bytes that arrived, never by the count a peer declared.
 ///
 /// # Errors
 ///
-/// As [`get_bytes`].
-pub fn get_u64_list(buf: &mut &[u8], context: &'static str) -> Result<Vec<u64>, GridError> {
-    let len = get_u64(buf, context)?;
-    if len > MAX_FIELD_LEN / 8 {
-        return Err(GridError::LengthOverflow { declared: len });
+/// As [`get_var`], [`GridError::LengthOverflow`] above `max`, and what
+/// `get` refuses.
+pub fn get_list<T>(
+    buf: &mut &[u8],
+    context: &'static str,
+    (max, min_encoded): (u64, usize),
+    mut get: impl FnMut(&mut &[u8]) -> Result<T, GridError>,
+) -> Result<Vec<T>, GridError> {
+    let count = get_var(buf, context)?;
+    if count > max {
+        return Err(GridError::LengthOverflow { declared: count });
     }
-    let mut out = Vec::with_capacity(bounded_capacity(buf, len, 8));
-    for _ in 0..len {
-        out.push(get_u64(buf, context)?);
+    let mut items = Vec::with_capacity(bounded_capacity(buf, count, min_encoded));
+    for _ in 0..count {
+        items.push(get(buf)?);
     }
-    Ok(out)
+    Ok(items)
 }
 
 #[cfg(test)]
@@ -124,19 +166,22 @@ mod tests {
 
     #[test]
     fn u64_roundtrip() {
-        let mut buf = Vec::new();
-        put_u64(&mut buf, 0xdead_beef_cafe_f00d);
-        let mut cursor = buf.as_slice();
-        assert_eq!(get_u64(&mut cursor, "t").unwrap(), 0xdead_beef_cafe_f00d);
-        assert!(cursor.is_empty());
+        for v in [0, 0x7F, 0x80, 0x3FFF, 0x4000, 1 << 63, u64::MAX] {
+            let mut buf = Vec::new();
+            put_var(&mut buf, v);
+            assert_eq!(buf.len(), var_len(v), "{v:#x}");
+            let mut cursor = buf.as_slice();
+            assert_eq!(get_var(&mut cursor, "t").unwrap(), v);
+            assert!(cursor.is_empty());
+        }
     }
 
     #[test]
     fn u32_roundtrip() {
         let mut buf = Vec::new();
-        put_u32(&mut buf, 77);
+        put_var(&mut buf, u64::from(u32::MAX));
         let mut cursor = buf.as_slice();
-        assert_eq!(get_u32(&mut cursor, "t").unwrap(), 77);
+        assert_eq!(get_u32(&mut cursor, "t").unwrap(), u32::MAX);
     }
 
     #[test]
@@ -158,14 +203,16 @@ mod tests {
     #[test]
     fn list_roundtrip() {
         let mut buf = Vec::new();
-        put_u64_list(&mut buf, &[1, 2, 3]);
+        put_list(&mut buf, &[1, 300, 3], |buf, &v| put_var(buf, v));
         let mut cursor = buf.as_slice();
-        assert_eq!(get_u64_list(&mut cursor, "t").unwrap(), vec![1, 2, 3]);
+        let list = get_list(&mut cursor, "t", (3, 1), |buf| get_var(buf, "t"));
+        assert_eq!(list.unwrap(), vec![1, 300, 3]);
     }
 
     #[test]
     fn reservations_are_bounded_by_the_bytes_that_arrived() {
-        // 100 bytes hold at most 12 u64s, whatever the header claims.
+        // 100 bytes hold at most 12 eight-byte items, whatever the header
+        // claims.
         let frame = [0u8; 100];
         assert_eq!(bounded_capacity(&frame, 1 << 27, 8), 12);
         assert_eq!(bounded_capacity(&frame, u64::MAX, 16), 6);
@@ -174,21 +221,23 @@ mod tests {
         // A list header with nothing behind it: the declared count is
         // legal, the reservation is empty, the error is the usual one.
         let mut buf = Vec::new();
-        put_u64(&mut buf, MAX_FIELD_LEN / 8);
+        put_var(&mut buf, MAX_FIELD_LEN / 8);
         let mut cursor = buf.as_slice();
         assert_eq!(
-            get_u64_list(&mut cursor, "list"),
+            get_list(&mut cursor, "list", (MAX_FIELD_LEN / 8, 1), |b| get_var(
+                b, "item"
+            )),
             Err(GridError::UnexpectedEof {
-                context: "list".into()
+                context: "item".into()
             })
         );
     }
 
     #[test]
     fn truncated_u64_fails() {
-        let mut cursor: &[u8] = &[1, 2, 3];
+        let mut cursor: &[u8] = &[0x81, 0x82];
         assert_eq!(
-            get_u64(&mut cursor, "short"),
+            get_var(&mut cursor, "short"),
             Err(GridError::UnexpectedEof {
                 context: "short".into()
             })
@@ -210,7 +259,7 @@ mod tests {
     #[test]
     fn hostile_length_rejected() {
         let mut buf = Vec::new();
-        put_u64(&mut buf, u64::MAX);
+        put_var(&mut buf, u64::MAX);
         let mut cursor = buf.as_slice();
         assert_eq!(
             get_bytes(&mut cursor, "t"),
@@ -218,7 +267,7 @@ mod tests {
         );
         let mut cursor = buf.as_slice();
         assert!(matches!(
-            get_u64_list(&mut cursor, "t"),
+            get_list(&mut cursor, "t", (MAX_FIELD_LEN, 1), |b| get_var(b, "t")),
             Err(GridError::LengthOverflow { .. })
         ));
     }

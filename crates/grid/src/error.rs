@@ -13,6 +13,23 @@ pub enum GridError {
         /// journal or a peer's report.
         context: Cow<'static, str>,
     },
+    /// An integer's LEB128 run is longer than its value needs.
+    OverlongInteger {
+        /// The field being decoded.
+        context: Cow<'static, str>,
+    },
+    /// An integer's LEB128 run carries more than 64 bits.
+    IntegerPast64Bits {
+        /// The field being decoded.
+        context: Cow<'static, str>,
+    },
+    /// A `u32` field holds a value above `u32::MAX`.
+    U32Overflow {
+        /// The field being decoded.
+        context: Cow<'static, str>,
+        /// The value it held.
+        value: u64,
+    },
     /// An unknown message tag was encountered.
     UnknownTag {
         /// The offending tag byte.
@@ -56,6 +73,15 @@ impl fmt::Display for GridError {
         match self {
             GridError::UnexpectedEof { context } => {
                 write!(f, "unexpected end of frame while decoding {context}")
+            }
+            GridError::OverlongInteger { context } => {
+                write!(f, "{context}: overlong integer encoding")
+            }
+            GridError::IntegerPast64Bits { context } => {
+                write!(f, "{context}: integer exceeds 64 bits")
+            }
+            GridError::U32Overflow { context, value } => {
+                write!(f, "{context}: {value} exceeds u32")
             }
             GridError::UnknownTag { tag } => write!(f, "unknown message tag {tag:#04x}"),
             GridError::TrailingBytes { remaining } => {

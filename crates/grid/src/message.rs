@@ -16,8 +16,7 @@
 //! supervisor's check order and the charging rule.
 
 use crate::codec::{
-    bounded_capacity, get_bytes, get_u32, get_u64, get_u64_list, put_bytes, put_u32, put_u64,
-    put_u64_list,
+    get_bytes, get_list, get_u32, get_var, put_bytes, put_list, put_var, var_len, MAX_FIELD_LEN,
 };
 use crate::GridError;
 use ugc_task::Domain;
@@ -41,10 +40,13 @@ pub struct Assignment {
 ///
 /// | Field | Bytes | Holds |
 /// |-------|-------|-------|
-/// | `leaf_width` | 4 | width `w` of one `f(x)` |
-/// | `leaf_values` | 8 + `d·w` | the `d` distinct sampled `f(x_i)`, in index order |
-/// | `leaf_siblings` | 8 + `s·w` | the raw neighbour of every sampled leaf whose neighbour is not sampled too, in index order |
-/// | `digest_siblings` | 8 + `t·D` | for tree levels `1 … H − 1` bottom-up, in node order: the sibling of every node on a sampled path that the supervisor cannot rebuild from what it already holds |
+/// | `leaf_width` | `v(w)` | width `w` of one `f(x)` |
+/// | `leaf_values` | `v(d·w)` + `d·w` | the `d` distinct sampled `f(x_i)`, in index order |
+/// | `leaf_siblings` | `v(s·w)` + `s·w` | the raw neighbour of every sampled leaf whose neighbour is not sampled too, in index order |
+/// | `digest_siblings` | `v(t·D)` + `t·D` | for tree levels `1 … H − 1` bottom-up, in node order: the sibling of every node on a sampled path that the supervisor cannot rebuild from what it already holds |
+///
+/// `v(x)` is the 1–10 bytes of `x` in LEB128
+/// ([`var_len`](crate::codec::var_len)): two for a row below 16 KiB.
 ///
 /// No index and no per-sibling length travels: `d`, `s` and `t` — and
 /// which entry belongs to which node — follow from the challenged
@@ -94,7 +96,7 @@ impl Opening {
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.leaf_width);
+        put_var(buf, u64::from(self.leaf_width));
         put_bytes(buf, &self.leaf_values);
         put_bytes(buf, &self.leaf_siblings);
         put_bytes(buf, &self.digest_siblings);
@@ -102,9 +104,10 @@ impl Opening {
 
     /// Exact encoded size in bytes, without encoding.
     fn encoded_len(&self) -> usize {
-        4 + (8 + self.leaf_values.len())
-            + (8 + self.leaf_siblings.len())
-            + (8 + self.digest_siblings.len())
+        var_len(u64::from(self.leaf_width))
+            + bytes_len(&self.leaf_values)
+            + bytes_len(&self.leaf_siblings)
+            + bytes_len(&self.digest_siblings)
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, GridError> {
@@ -217,6 +220,23 @@ pub enum Message {
     },
 }
 
+/// Encoded size of a length-prefixed byte string.
+fn bytes_len(bytes: &[u8]) -> usize {
+    var_len(bytes.len() as u64) + bytes.len()
+}
+
+/// Reads a list of integers, at least a byte each.
+fn get_u64_list(buf: &mut &[u8], context: &'static str) -> Result<Vec<u64>, GridError> {
+    get_list(buf, context, (MAX_FIELD_LEN / 8, 1), |buf| {
+        get_var(buf, context)
+    })
+}
+
+/// Encoded size of a length-prefixed list of integers.
+fn list_len(list: &[u64]) -> usize {
+    var_len(list.len() as u64) + list.iter().map(|&v| var_len(v)).sum::<usize>()
+}
+
 const TAG_ASSIGN: u8 = 1;
 const TAG_COMMIT: u8 = 2;
 const TAG_CHALLENGE: u8 = 3;
@@ -244,75 +264,17 @@ impl Message {
     /// path. Callers that reuse a buffer pay no allocation here beyond
     /// whatever growth `buf` itself needs.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        match self {
-            Message::Assign(a) => {
-                buf.push(TAG_ASSIGN);
-                put_u64(buf, a.task_id);
-                put_u64(buf, a.domain.start());
-                put_u64(buf, a.domain.len());
-            }
-            Message::Commit { task_id, root } => {
-                buf.push(TAG_COMMIT);
-                put_u64(buf, *task_id);
-                put_bytes(buf, root);
-            }
-            Message::Challenge { task_id, samples } => {
-                buf.push(TAG_CHALLENGE);
-                put_u64(buf, *task_id);
-                put_u64_list(buf, samples);
-            }
-            Message::Proofs { task_id, proofs } => {
-                buf.push(TAG_PROOFS);
-                put_u64(buf, *task_id);
-                proofs.encode(buf);
-            }
-            Message::CommitAndProofs {
-                task_id,
-                root,
-                proofs,
-            } => {
-                buf.push(TAG_COMMIT_AND_PROOFS);
-                put_u64(buf, *task_id);
-                put_bytes(buf, root);
-                proofs.encode(buf);
-            }
-            Message::AllResults {
-                task_id,
-                leaf_width,
-                data,
-            } => {
-                buf.push(TAG_ALL_RESULTS);
-                put_u64(buf, *task_id);
-                put_u32(buf, *leaf_width);
-                put_bytes(buf, data);
-            }
-            Message::Reports { task_id, reports } => {
-                buf.push(TAG_REPORTS);
-                put_u64(buf, *task_id);
-                put_u64(buf, reports.len() as u64);
-                for (input, payload) in reports {
-                    put_u64(buf, *input);
-                    put_bytes(buf, payload);
-                }
-            }
-            Message::RingerChallenge { task_id, ringers } => {
-                buf.push(TAG_RINGER_CHALLENGE);
-                put_u64(buf, *task_id);
-                put_u64(buf, ringers.len() as u64);
-                for r in ringers {
-                    put_bytes(buf, r);
-                }
-            }
-            Message::RingerFound { task_id, inputs } => {
-                buf.push(TAG_RINGER_FOUND);
-                put_u64(buf, *task_id);
-                put_u64_list(buf, inputs);
-            }
-            Message::Verdict { task_id, accepted } => {
-                buf.push(TAG_VERDICT);
-                put_u64(buf, *task_id);
-                buf.push(u8::from(*accepted));
-            }
+        let tag = match self {
+            Message::Assign(_) => TAG_ASSIGN,
+            Message::Commit { .. } => TAG_COMMIT,
+            Message::Challenge { .. } => TAG_CHALLENGE,
+            Message::Proofs { .. } => TAG_PROOFS,
+            Message::CommitAndProofs { .. } => TAG_COMMIT_AND_PROOFS,
+            Message::AllResults { .. } => TAG_ALL_RESULTS,
+            Message::Reports { .. } => TAG_REPORTS,
+            Message::RingerChallenge { .. } => TAG_RINGER_CHALLENGE,
+            Message::RingerFound { .. } => TAG_RINGER_FOUND,
+            Message::Verdict { .. } => TAG_VERDICT,
             Message::Session {
                 session_id,
                 payload,
@@ -322,15 +284,44 @@ impl Message {
                     "session envelopes must not nest"
                 );
                 buf.push(TAG_SESSION);
-                put_u64(buf, *session_id);
+                put_var(buf, *session_id);
                 // Zero-alloc envelope: the payload encodes straight into
                 // the same buffer instead of via a nested Vec.
-                payload.encode_into(buf);
+                return payload.encode_into(buf);
             }
-            Message::Gone { task_id } => {
-                buf.push(TAG_GONE);
-                put_u64(buf, *task_id);
+            Message::Gone { .. } => TAG_GONE,
+        };
+        // Every bare message is its tag, its task id, then its body.
+        buf.push(tag);
+        put_var(buf, self.task_id());
+        match self {
+            Message::Assign(a) => {
+                put_var(buf, a.domain.start());
+                put_var(buf, a.domain.len());
             }
+            Message::Commit { root, .. } => put_bytes(buf, root),
+            Message::Challenge { samples, .. } => put_list(buf, samples, |b, &v| put_var(b, v)),
+            Message::Proofs { proofs, .. } => proofs.encode(buf),
+            Message::CommitAndProofs { root, proofs, .. } => {
+                put_bytes(buf, root);
+                proofs.encode(buf);
+            }
+            Message::AllResults {
+                leaf_width, data, ..
+            } => {
+                put_var(buf, u64::from(*leaf_width));
+                put_bytes(buf, data);
+            }
+            Message::Reports { reports, .. } => put_list(buf, reports, |buf, (input, payload)| {
+                put_var(buf, *input);
+                put_bytes(buf, payload);
+            }),
+            Message::RingerChallenge { ringers, .. } => {
+                put_list(buf, ringers, |b, r| put_bytes(b, r))
+            }
+            Message::RingerFound { inputs, .. } => put_list(buf, inputs, |b, &v| put_var(b, v)),
+            Message::Verdict { accepted, .. } => buf.push(u8::from(*accepted)),
+            Message::Session { .. } | Message::Gone { .. } => {}
         }
     }
 
@@ -339,30 +330,33 @@ impl Message {
     /// [`charged`](Self::charged) counts.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        1 + match self {
-            Message::Assign(_) => 24,
-            Message::Commit { root, .. } => 8 + (8 + root.len()),
-            Message::Challenge { samples, .. } => 8 + 8 + 8 * samples.len(),
-            Message::Proofs { proofs, .. } => 8 + proofs.encoded_len(),
-            Message::CommitAndProofs { root, proofs, .. } => {
-                8 + (8 + root.len()) + proofs.encoded_len()
-            }
-            Message::AllResults { data, .. } => 8 + 4 + (8 + data.len()),
+        let body = match self {
+            Message::Assign(a) => var_len(a.domain.start()) + var_len(a.domain.len()),
+            Message::Commit { root, .. } => bytes_len(root),
+            Message::Challenge { samples, .. } => list_len(samples),
+            Message::Proofs { proofs, .. } => proofs.encoded_len(),
+            Message::CommitAndProofs { root, proofs, .. } => bytes_len(root) + proofs.encoded_len(),
+            Message::AllResults {
+                leaf_width, data, ..
+            } => var_len(u64::from(*leaf_width)) + bytes_len(data),
             Message::Reports { reports, .. } => {
-                8 + 8
-                    + reports
-                        .iter()
-                        .map(|(_, payload)| 8 + (8 + payload.len()))
-                        .sum::<usize>()
+                let each = reports
+                    .iter()
+                    .map(|(input, p)| var_len(*input) + bytes_len(p));
+                var_len(reports.len() as u64) + each.sum::<usize>()
             }
             Message::RingerChallenge { ringers, .. } => {
-                8 + 8 + ringers.iter().map(|r| 8 + r.len()).sum::<usize>()
+                var_len(ringers.len() as u64) + ringers.iter().map(|r| bytes_len(r)).sum::<usize>()
             }
-            Message::RingerFound { inputs, .. } => 8 + 8 + 8 * inputs.len(),
-            Message::Verdict { .. } => 8 + 1,
-            Message::Session { payload, .. } => 8 + payload.encoded_len(),
-            Message::Gone { .. } => 8,
-        }
+            Message::RingerFound { inputs, .. } => list_len(inputs),
+            Message::Verdict { .. } => 1,
+            Message::Session {
+                session_id,
+                payload,
+            } => return 1 + var_len(*session_id) + payload.encoded_len(),
+            Message::Gone { .. } => 0,
+        };
+        1 + var_len(self.task_id()) + body
     }
 
     /// Decodes a message from its wire form.
@@ -379,7 +373,7 @@ impl Message {
         buf = &buf[1..];
         let mut session_id = None;
         if tag == TAG_SESSION {
-            session_id = Some(get_u64(&mut buf, "session.id")?);
+            session_id = Some(get_var(&mut buf, "session.id")?);
             tag = *buf.first().ok_or(GridError::UnexpectedEof {
                 context: "session.payload_tag".into(),
             })?;
@@ -391,72 +385,61 @@ impl Message {
         }
         let msg = match tag {
             TAG_ASSIGN => {
-                let task_id = get_u64(&mut buf, "assign.task_id")?;
-                let start = get_u64(&mut buf, "assign.start")?;
-                let len = get_u64(&mut buf, "assign.len")?;
+                let task_id = get_var(&mut buf, "assign.task_id")?;
+                let start = get_var(&mut buf, "assign.start")?;
+                let len = get_var(&mut buf, "assign.len")?;
                 let domain = Domain::try_new(start, len)
                     .map_err(|_| GridError::LengthOverflow { declared: len })?;
                 Message::Assign(Assignment { task_id, domain })
             }
             TAG_COMMIT => Message::Commit {
-                task_id: get_u64(&mut buf, "commit.task_id")?,
+                task_id: get_var(&mut buf, "commit.task_id")?,
                 root: get_bytes(&mut buf, "commit.root")?,
             },
             TAG_CHALLENGE => Message::Challenge {
-                task_id: get_u64(&mut buf, "challenge.task_id")?,
+                task_id: get_var(&mut buf, "challenge.task_id")?,
                 samples: get_u64_list(&mut buf, "challenge.samples")?,
             },
             TAG_PROOFS => Message::Proofs {
-                task_id: get_u64(&mut buf, "proofs.task_id")?,
+                task_id: get_var(&mut buf, "proofs.task_id")?,
                 proofs: Opening::decode(&mut buf)?,
             },
             TAG_COMMIT_AND_PROOFS => Message::CommitAndProofs {
-                task_id: get_u64(&mut buf, "cap.task_id")?,
+                task_id: get_var(&mut buf, "cap.task_id")?,
                 root: get_bytes(&mut buf, "cap.root")?,
                 proofs: Opening::decode(&mut buf)?,
             },
             TAG_ALL_RESULTS => Message::AllResults {
-                task_id: get_u64(&mut buf, "all.task_id")?,
+                task_id: get_var(&mut buf, "all.task_id")?,
                 leaf_width: get_u32(&mut buf, "all.leaf_width")?,
                 data: get_bytes(&mut buf, "all.data")?,
             },
-            TAG_REPORTS => {
-                let task_id = get_u64(&mut buf, "reports.task_id")?;
-                let count = get_u64(&mut buf, "reports.count")?;
-                if count > 1 << 24 {
-                    return Err(GridError::LengthOverflow { declared: count });
-                }
-                // A report is at least an input and a length prefix.
-                let mut reports = Vec::with_capacity(bounded_capacity(buf, count, 16));
-                for _ in 0..count {
-                    let input = get_u64(&mut buf, "reports.input")?;
-                    let payload = get_bytes(&mut buf, "reports.payload")?;
-                    reports.push((input, payload));
-                }
-                Message::Reports { task_id, reports }
-            }
-            TAG_RINGER_CHALLENGE => {
-                let task_id = get_u64(&mut buf, "ringer.task_id")?;
-                let count = get_u64(&mut buf, "ringer.count")?;
-                if count > 1 << 20 {
-                    return Err(GridError::LengthOverflow { declared: count });
-                }
-                // A ringer is at least its length prefix.
-                let mut ringers = Vec::with_capacity(bounded_capacity(buf, count, 8));
-                for _ in 0..count {
-                    ringers.push(get_bytes(&mut buf, "ringer.value")?);
-                }
-                Message::RingerChallenge { task_id, ringers }
-            }
+            TAG_REPORTS => Message::Reports {
+                task_id: get_var(&mut buf, "reports.task_id")?,
+                // A report is at least an input and a length prefix, a byte each.
+                reports: get_list(&mut buf, "reports.count", (1 << 24, 2), |buf| {
+                    Ok((
+                        get_var(buf, "reports.input")?,
+                        get_bytes(buf, "reports.payload")?,
+                    ))
+                })?,
+            },
+            // A ringer is at least its one-byte length prefix.
+            TAG_RINGER_CHALLENGE => Message::RingerChallenge {
+                task_id: get_var(&mut buf, "ringer.task_id")?,
+                ringers: get_list(&mut buf, "ringer.count", (1 << 20, 1), |buf| {
+                    get_bytes(buf, "ringer.value")
+                })?,
+            },
             TAG_RINGER_FOUND => Message::RingerFound {
-                task_id: get_u64(&mut buf, "found.task_id")?,
+                task_id: get_var(&mut buf, "found.task_id")?,
                 inputs: get_u64_list(&mut buf, "found.inputs")?,
             },
             TAG_GONE => Message::Gone {
-                task_id: get_u64(&mut buf, "gone.task_id")?,
+                task_id: get_var(&mut buf, "gone.task_id")?,
             },
             TAG_VERDICT => {
-                let task_id = get_u64(&mut buf, "verdict.task_id")?;
+                let task_id = get_var(&mut buf, "verdict.task_id")?;
                 let flag = *buf.first().ok_or(GridError::UnexpectedEof {
                     context: "verdict.flag".into(),
                 })?;
@@ -619,7 +602,7 @@ mod tests {
         );
         // Hand-build the hostile frame: TAG_SESSION + id + encoded envelope.
         let mut frame = vec![TAG_SESSION];
-        put_u64(&mut frame, 5);
+        put_var(&mut frame, 5);
         frame.extend_from_slice(&inner.encode());
         assert_eq!(
             Message::decode(&frame),
@@ -732,15 +715,18 @@ mod tests {
 
     #[test]
     fn challenge_size_scales_with_samples() {
+        // Each sample costs its own LEB128 length; both counts are one
+        // byte.
         let small = Message::Challenge {
             task_id: 1,
-            samples: vec![0; 10],
+            samples: vec![1 << 20; 10],
         };
         let big = Message::Challenge {
             task_id: 1,
-            samples: vec![0; 100],
+            samples: vec![1 << 20; 100],
         };
-        assert_eq!(big.charged() - small.charged(), 90 * 8);
+        assert_eq!(var_len(1 << 20), 3);
+        assert_eq!(big.charged() - small.charged(), 90 * 3);
     }
 
     #[test]
@@ -754,12 +740,13 @@ mod tests {
         ragged.leaf_width = 0;
         assert_eq!(ragged.len(), 0);
         assert!(Opening::default().is_empty());
-        // The fixed cost of the format: a width and three length words.
+        // The fixed cost of the format: a frame header, a tag, a task id,
+        // a width and three lengths, each integer one byte when small.
         let empty = Message::Proofs {
             task_id: 1,
             proofs: Opening::default(),
         };
-        assert_eq!(empty.charged(), 4 + 1 + 8 + 4 + 3 * 8);
+        assert_eq!(empty.charged(), 4 + 1 + 1 + 1 + 3);
         let full = Message::Proofs {
             task_id: 1,
             proofs: opening(),
@@ -774,12 +761,12 @@ mod tests {
         for row in 0..3 {
             for (declared, overflow) in [(u64::MAX, true), (1 << 30, false)] {
                 let mut buf = vec![TAG_PROOFS];
-                put_u64(&mut buf, 1);
-                put_u32(&mut buf, 16);
+                put_var(&mut buf, 1);
+                put_var(&mut buf, 16);
                 for _ in 0..row {
                     put_bytes(&mut buf, &[7; 16]);
                 }
-                put_u64(&mut buf, declared);
+                put_var(&mut buf, declared);
                 let result = Message::decode(&buf);
                 if overflow {
                     assert_eq!(result, Err(GridError::LengthOverflow { declared }));
@@ -794,9 +781,9 @@ mod tests {
     /// the variant's count, and the count — nothing behind it.
     fn header_only(tag: u8, prefix: &[u8], declared: u64) -> Vec<u8> {
         let mut frame = vec![tag];
-        put_u64(&mut frame, 1);
+        put_var(&mut frame, 1);
         frame.extend_from_slice(prefix);
-        put_u64(&mut frame, declared);
+        put_var(&mut frame, declared);
         frame
     }
 
@@ -811,7 +798,7 @@ mod tests {
 
     // A declared count is checked against a constant, then believed only
     // as far as the frame reaches: each of these used to reserve room for
-    // every declared element before reading one (512 MiB for the
+    // every declared element before reading one (512 MiB for a
     // 17-byte `Reports` frame). What can be asserted from outside is that
     // the error is the one the first missing element always produced.
 
@@ -844,7 +831,7 @@ mod tests {
 
     #[test]
     fn header_only_proofs_frame_is_eof_in_the_first_row() {
-        let frame = header_only(TAG_PROOFS, &16u32.to_le_bytes(), 1 << 30);
+        let frame = header_only(TAG_PROOFS, &[16], 1 << 30);
         assert_eof(&frame, "opening.leaf_values");
     }
 
@@ -852,7 +839,7 @@ mod tests {
     fn header_only_commit_and_proofs_frame_is_eof_in_the_first_row() {
         let mut prefix = Vec::new();
         put_bytes(&mut prefix, &[3; 32]);
-        put_u32(&mut prefix, 16);
+        put_var(&mut prefix, 16);
         let frame = header_only(TAG_COMMIT_AND_PROOFS, &prefix, 1 << 30);
         assert_eof(&frame, "opening.leaf_values");
     }
@@ -861,7 +848,7 @@ mod tests {
     fn header_only_byte_string_frames_are_eof_in_the_string() {
         // The variants whose only variable part is one byte string.
         assert_eof(&header_only(TAG_COMMIT, &[], 1 << 30), "commit.root");
-        let frame = header_only(TAG_ALL_RESULTS, &16u32.to_le_bytes(), 1 << 30);
+        let frame = header_only(TAG_ALL_RESULTS, &[16], 1 << 30);
         assert_eof(&frame, "all.data");
     }
 

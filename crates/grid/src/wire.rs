@@ -19,22 +19,22 @@
 //!
 //! [`Message`]: crate::Message
 
-use crate::codec::{get_bytes, get_u32, put_bytes, put_u32};
+use crate::codec::{get_bytes, get_u32, put_bytes, put_var};
 use crate::GridError;
 use std::io::{ErrorKind, IoSlice, Read, Write};
 
 /// Protocol version spoken by this build; bumped on any frame, message
-/// or handshake layout change. Version 2 answers a round's samples with
-/// one [`Opening`](crate::Opening) where version 1 sent a
-/// length-prefixed authentication path per sample: the two disagree on
-/// every byte a supervisor is charged for, so they must never be mixed.
-/// Version 3 is the slot-report layout: a participant's end-of-slot
-/// control frame writes its integers in canonical LEB128, as the journal
-/// does, where version 2 wrote fixed-width words. Version 4's slot
-/// report carries the paper's four cost axes, where version 3 also sent a
-/// fifth counter that always repeated the hash count. Data frames and
-/// every charged byte are version 2's.
-pub const WIRE_VERSION: u32 = 4;
+/// or handshake layout change, and never mixed. Version 2 answers a
+/// round's samples with one [`Opening`](crate::Opening) where version 1
+/// sent a path per sample; version 3 writes the slot-report control
+/// frame in canonical LEB128; version 4's slot report carries the paper's
+/// four cost axes, not five counters; version 5 writes every payload
+/// integer — of a message, a handshake body, the campaign blob — in that
+/// LEB128 where versions 1–4 wrote fixed 8- and 4-byte words, so a swarm
+/// session is charged about a third fewer bytes. The magic and this
+/// version word stay fixed-width, so a peer of any version is refused by
+/// name.
+pub const WIRE_VERSION: u32 = 5;
 
 /// Magic prefix opening every handshake payload, so a non-grid peer is
 /// rejected before any length field is trusted.
@@ -233,9 +233,11 @@ pub struct Welcome {
     pub params: Vec<u8>,
 }
 
+/// The magic and the version word: fixed-width, read before any payload
+/// layout is known.
 fn put_preamble(buf: &mut Vec<u8>) {
     buf.extend_from_slice(&WIRE_MAGIC);
-    put_u32(buf, WIRE_VERSION);
+    buf.extend_from_slice(&WIRE_VERSION.to_le_bytes());
 }
 
 /// Checks magic + version; on success leaves `buf` past the preamble.
@@ -246,8 +248,13 @@ fn get_preamble(buf: &mut &[u8]) -> Result<(), GridError> {
             theirs: 0,
         });
     }
-    *buf = &buf[WIRE_MAGIC.len()..];
-    let version = get_u32(buf, "handshake version")?;
+    let Some((word, rest)) = buf[WIRE_MAGIC.len()..].split_first_chunk::<4>() else {
+        return Err(GridError::UnexpectedEof {
+            context: "handshake version".into(),
+        });
+    };
+    *buf = rest;
+    let version = u32::from_le_bytes(*word);
     if version != WIRE_VERSION {
         return Err(GridError::HandshakeMismatch {
             ours: WIRE_VERSION,
@@ -297,8 +304,8 @@ impl Welcome {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         put_preamble(&mut buf);
-        put_u32(&mut buf, self.peer_index);
-        put_u32(&mut buf, self.peer_count);
+        put_var(&mut buf, u64::from(self.peer_index));
+        put_var(&mut buf, u64::from(self.peer_count));
         put_bytes(&mut buf, &self.params);
         buf
     }

@@ -160,3 +160,21 @@ proptest! {
         prop_assert!(Welcome::decode(&payload[..cut]).is_err());
     }
 }
+
+#[test]
+fn a_verbatim_version_4_hello_is_refused_by_name() {
+    // A version-4 participant's hello as it went out: magic, version
+    // word, role, then a fixed 8-byte params length.
+    let payload = [
+        &b"UGCGRID\0"[..],
+        &[4, 0, 0, 0],
+        &[0],
+        &[3, 0, 0, 0, 0, 0, 0, 0],
+        &[1, 2, 3],
+    ]
+    .concat();
+    assert_eq!(
+        Hello::decode(&payload),
+        Err(GridError::HandshakeMismatch { ours: 5, theirs: 4 })
+    );
+}

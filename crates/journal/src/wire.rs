@@ -31,8 +31,10 @@ pub const MAGIC: [u8; 8] = *b"UGCJRNL1";
 /// LEB128 where version 3 wrote fixed-width words: about a fifth of the
 /// bytes to checksum and chain. Version 5 writes a cost report as the
 /// paper's four axes, where version 4 also wrote a fifth counter that
-/// always repeated the hash count.
-pub const VERSION: u32 = 5;
+/// always repeated the hash count. Version 6 counts the bytes of wire
+/// version 5 (LEB128 message integers): resuming a version-5 journal
+/// would mix two charging rules in one digest.
+pub const VERSION: u32 = 6;
 
 /// Bytes of file header: magic plus little-endian version.
 pub const FILE_HEADER_BYTES: u64 = 12;

@@ -114,8 +114,8 @@ impl<H: HashFunction> MerkleProof<H> {
     }
 
     /// Size of the proof's payload in bytes as it travels on the wire:
-    /// the sibling leaf plus `H − 1` digests. (The leaf index adds a fixed
-    /// 8 bytes of framing, accounted by the codec.)
+    /// the sibling leaf plus `H − 1` digests. (The leaf index adds its
+    /// LEB128 length of framing, accounted by the codec.)
     #[must_use]
     pub fn payload_bytes(&self) -> u64 {
         self.leaf_sibling.len() as u64 + (self.digest_siblings.len() * H::DIGEST_LEN) as u64

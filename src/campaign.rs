@@ -22,7 +22,7 @@ use ugc_core::{
     FleetScheme, LaneWidth, MemberSpec, MixedFleetConfig, Parallelism, ParticipantContext,
     ParticipantSession, ParticipantStorage, SchemeError, TransportKind, VerificationScheme,
 };
-use ugc_grid::codec::{get_bytes, get_u64, put_bytes, put_u64};
+use ugc_grid::codec::{get_bytes, get_var, put_bytes, put_var};
 use ugc_grid::runtime::FaultPlan;
 use ugc_grid::{
     CheatSelection, CostLedger, GridError, HonestWorker, SemiHonestCheater, WorkerBehaviour,
@@ -35,7 +35,9 @@ use ugc_task::{Domain, MatchScreener, ZeroGuesser};
 /// Version 1 carried a bare `--broker` bool and version 2 the full
 /// [`TransportKind`]; version 3 carries no transport, so a campaign's blob
 /// — and the journal holding it — is the same bytes over every transport.
-pub const FLEET_PARAMS_VERSION: u64 = 3;
+/// Version 4 writes every word, the version included, in LEB128 where
+/// versions 1–3 wrote 8 bytes: an older blob still leads with its version.
+pub const FLEET_PARAMS_VERSION: u64 = 4;
 
 /// The largest roster a [`FleetParams`] may declare. The count is a raw
 /// `u64` off a relay's `Welcome` or a journal header and sizes the plan's
@@ -92,19 +94,19 @@ impl FleetParams {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        put_u64(&mut buf, FLEET_PARAMS_VERSION);
-        put_u64(&mut buf, self.participants);
-        put_u64(&mut buf, self.cheaters);
-        put_u64(&mut buf, self.n);
-        put_u64(&mut buf, self.m);
-        put_u64(&mut buf, self.seed);
+        put_var(&mut buf, FLEET_PARAMS_VERSION);
+        put_var(&mut buf, self.participants);
+        put_var(&mut buf, self.cheaters);
+        put_var(&mut buf, self.n);
+        put_var(&mut buf, self.m);
+        put_var(&mut buf, self.seed);
         put_bytes(&mut buf, self.scheme.as_bytes());
-        put_u64(&mut buf, u64::from(self.churn));
+        put_var(&mut buf, u64::from(self.churn));
         match self.chaos_seed {
-            None => put_u64(&mut buf, 0),
+            None => put_var(&mut buf, 0),
             Some(seed) => {
-                put_u64(&mut buf, 1);
-                put_u64(&mut buf, seed);
+                put_var(&mut buf, 1);
+                put_var(&mut buf, seed);
             }
         }
         buf
@@ -116,26 +118,26 @@ impl FleetParams {
     ///
     /// A human-readable message on a truncated, trailing-bytes or
     /// foreign-version blob (older versions are refused rather than
-    /// guessed at), or a flag word other than 0 or 1.
+    /// guessed at), or a flag other than 0 or 1.
     pub fn decode(blob: &[u8]) -> Result<Self, String> {
         let err = |e: GridError| format!("campaign params blob: {e}");
         let mut buf = blob;
-        let version = get_u64(&mut buf, "params blob version").map_err(err)?;
+        let version = get_var(&mut buf, "params blob version").map_err(err)?;
         if version != FLEET_PARAMS_VERSION {
             return Err(format!(
                 "campaign params blob version {version} (this build reads \
                  {FLEET_PARAMS_VERSION}); re-run the campaign with this `ugc` build"
             ));
         }
-        let participants = get_u64(&mut buf, "params participants").map_err(err)?;
-        let cheaters = get_u64(&mut buf, "params cheaters").map_err(err)?;
-        let n = get_u64(&mut buf, "params n").map_err(err)?;
-        let m = get_u64(&mut buf, "params m").map_err(err)?;
-        let seed = get_u64(&mut buf, "params seed").map_err(err)?;
+        let participants = get_var(&mut buf, "params participants").map_err(err)?;
+        let cheaters = get_var(&mut buf, "params cheaters").map_err(err)?;
+        let n = get_var(&mut buf, "params n").map_err(err)?;
+        let m = get_var(&mut buf, "params m").map_err(err)?;
+        let seed = get_var(&mut buf, "params seed").map_err(err)?;
         let scheme = String::from_utf8(get_bytes(&mut buf, "params scheme").map_err(err)?)
             .map_err(|_| "campaign params blob: scheme name is not UTF-8".to_string())?;
         // A flag is 0 or 1: two blobs that decode alike are one blob.
-        let mut flag = |context: &'static str| match get_u64(&mut buf, context).map_err(err)? {
+        let mut flag = |context: &'static str| match get_var(&mut buf, context).map_err(err)? {
             flag @ (0 | 1) => Ok(flag == 1),
             other => Err(format!(
                 "campaign params blob: {context} {other} is not 0 or 1"
@@ -144,7 +146,7 @@ impl FleetParams {
         let churn = flag("params churn flag")?;
         let chaos_seed = match flag("params chaos presence")? {
             false => None,
-            true => Some(get_u64(&mut buf, "params chaos seed").map_err(err)?),
+            true => Some(get_var(&mut buf, "params chaos seed").map_err(err)?),
         };
         if !buf.is_empty() {
             return Err(format!(
@@ -465,9 +467,9 @@ mod tests {
 
     #[test]
     fn params_reject_foreign_version_and_trailing_bytes() {
-        for version in [1, 2] {
-            let mut old = Vec::new();
-            put_u64(&mut old, version);
+        // Versions 1–3 opened with a fixed 8-byte version word.
+        for version in [1u64, 2, 3] {
+            let old = version.to_le_bytes();
             let err = FleetParams::decode(&old).unwrap_err();
             assert!(
                 err.contains(&format!("version {version}")),
@@ -481,8 +483,8 @@ mod tests {
         assert!(err.contains("trailing"), "unhelpful error: {err}");
     }
 
-    /// `params()` with chaos, encoded with the flag word at `from_end`
-    /// words before the blob's end set to 2.
+    /// `params()` with chaos, encoded with the flag at `from_end` one-byte
+    /// integers before the blob's end set to 2.
     fn blob_with_flag_word_two(from_end: usize) -> Vec<u8> {
         let mut blob = FleetParams {
             chaos_seed: Some(9),
@@ -490,14 +492,14 @@ mod tests {
             ..params()
         }
         .encode();
-        let at = blob.len() - 8 * from_end;
-        blob[at..at + 8].copy_from_slice(&2u64.to_le_bytes());
+        let at = blob.len() - from_end;
+        blob[at] = 2;
         blob
     }
 
     #[test]
     fn params_refuse_a_churn_flag_other_than_0_or_1() {
-        // The words end churn flag, chaos presence, chaos seed.
+        // The blob ends churn flag, chaos presence, chaos seed (9).
         let err = FleetParams::decode(&blob_with_flag_word_two(3)).unwrap_err();
         assert!(err.contains("churn flag 2 is not 0 or 1"), "{err}");
     }

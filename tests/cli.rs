@@ -437,14 +437,18 @@ const GOLDEN_FLEET: &str = "--participants 6 --cheaters 1 --n 2048 --m 12";
 /// count): no campaign changed, only the bytes its summary is hashed
 /// from. The old text digest, with that counter written as the hash
 /// count, computed over that change's summaries reproduces every
-/// previous cell.
+/// previous cell. Every row was recorded again at wire version 5, whose
+/// LEB128 integers change what every message of every scheme is charged:
+/// a copy that charged the version-4 fixed-width length (and kept the
+/// version-3 params blob and journal version 5) reproduced every previous
+/// cell.
 #[rustfmt::skip]
 const GOLDEN_DIGESTS: [(&str, [&str; 4]); 5] = [
-    ("cbs",          ["6fecffbee91932ac", "3e0b73bc0a232a6f", "101d9bf0d2752f7f", "5e59979c5c64948b"]),
-    ("ni-cbs",       ["08a90e2817f5943d", "09baaf43ad97777c", "f8a2a6b79d736429", "0885f2f711084608"]),
-    ("naive",        ["aa4432e88342b379", "44997d00a2e97366", "6a9d8554829a6369", "3d60c1476c22f26e"]),
-    ("ringer",       ["dfcb8f8311f36bf0", "532dacc717afd886", "ff863a27803cbe62", "48e32b41ffdb0c7f"]),
-    ("double-check", ["08483a5d3f5cfa98", "7799fc543bfa7cf8", "d5ed7ccea93e67c1", "bbdb7ffb66aef2c6"]),
+    ("cbs",          ["5b39571fcfdc038e", "a728dca373074053", "75a8012f8262f83d", "6945be74aec5dbc3"]),
+    ("ni-cbs",       ["28c2ee5577ab3c2a", "8bd31c6f5fdcedb3", "507cda4b5effc44c", "d7e8e0d73c7892c6"]),
+    ("naive",        ["53c4a099ac84f052", "a770082ed922443d", "0e27566c618efdce", "7ff21197ae353dd3"]),
+    ("ringer",       ["06311def3ef6cb51", "220dfdaa333d775d", "12fc527b6fcb62b4", "630195d7f9b71d33"]),
+    ("double-check", ["717d954e054fd0bd", "a2795b4fb04a5993", "ac1ede4eaab1c8a4", "314db1eada7617f9"]),
 ];
 
 #[test]
@@ -492,13 +496,13 @@ fn fleet_workers_pool_matches_thread_per_participant_verdicts() {
 /// the build had always been serial, and again — plain and under
 /// `taskset -c 0 … --workers 1`, one digest — when wire version 2 changed
 /// what a CBS round sends, and with [`GOLDEN_DIGESTS`] when the digest
-/// began hashing the record codec; a host's core count and the lane
-/// setting are execution layout and must print the same (CI's chaos-soak
+/// began hashing the record codec, and with it at wire version 5; a
+/// host's core count and the lane setting are execution layout and must print the same (CI's chaos-soak
 /// job repeats the comparison under `taskset -c 0`).
 #[rustfmt::skip]
 const GOLDEN_LARGE_SHARE_DIGESTS: [(&str, &str); 2] = [
-    ("cbs",    "5d80395af6e86f94"),
-    ("ni-cbs", "85cc580ab9235415"),
+    ("cbs",    "da10760ac9f49c0b"),
+    ("ni-cbs", "4ead57c065524c59"),
 ];
 
 #[test]
@@ -544,7 +548,7 @@ fn fleet_single_worker_replay_never_strands_a_queued_verdict() {
         let out = fleet(&flags);
         assert!(out.status.success());
         assert!(
-            digest_line(&out).starts_with("digest: 44997d00a2e97366"),
+            digest_line(&out).starts_with("digest: a770082ed922443d"),
             "run {run}:\n{}",
             stdout(&out)
         );

@@ -25,6 +25,12 @@
 //! computed over that change's summaries reproduces every previous
 //! constant, over both transports.
 //!
+//! All five were recorded once more at wire version 5, which writes every
+//! message integer in LEB128 and so changes what each session is charged.
+//! A copy of that change whose `Message::charged` returned the version-4
+//! fixed-width length (with the version-3 params blob and journal version
+//! 5) reproduced every previous constant.
+//!
 //! This is the replay-digest property the event-driven design rests on:
 //! fault decisions are a pure function of `(seed, link, direction, seq)`
 //! and each link carries exactly one session's protocol sequence, so no
@@ -62,15 +68,15 @@ use uncheatable_grid::task::{AcceptAllScreener, Domain, ZeroGuesser};
 /// `Brokered` alike — itself part of what is pinned.
 #[rustfmt::skip]
 const GOLDEN: [(u64, &str); 4] = [
-    (0xC4A05,  "949684bde2e6e1eac30613ca2b8f5e63b40943af3976d2215009110bbf1c2605"),
-    (0x5EED5,  "0ef06916b8c8df67c6891d0afeeb54b513aee7342a4899c65e5807912f88d79e"),
-    (42,       "4230a5e093a8d487308219746f6ac5d2166826344a121101dcf7cb1194aa2a47"),
-    (0xD12EC7, "405deff39eb65076385883935e46b450c861ee7bbc4db4822adfdd7cde7b3dd0"),
+    (0xC4A05,  "754818431c150b003f2a1249f496b223ee4307a9adfe82aec99fabb0057a4ea4"),
+    (0x5EED5,  "cbaf641c85aa6bdbb9ac695e689bd6185ccbf4a805d65ef56e27c7aabccfe155"),
+    (42,       "2c806807490d8b825e4320f96b74cf27c7b30478288b8339da706d2cf99a50c9"),
+    (0xD12EC7, "25fce2129ba41c692d89110f2b5548dad2ac65372bc540058a640d260a498559"),
 ];
 
 /// `summary_digest` of the chaos-free brokered fleet of
 /// [`quiet_fleet_identical_across_execution_models`].
-const QUIET_GOLDEN: &str = "3ed6c826043d0b810d27d600d176bf39b06efce05999aa8f95f178965f23031c";
+const QUIET_GOLDEN: &str = "c2d2c605ce61a679ed5d19f3124feaa76cb0f8fa36494f722664e5947ab5389e";
 
 struct Schemes {
     cbs: CbsScheme,
