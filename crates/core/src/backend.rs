@@ -574,7 +574,7 @@ pub fn serve_remote_slots<'a>(
 ) -> Result<u64, SchemeError> {
     let control = link.control_handle();
     // BTreeMap, not HashMap: slot teardown order must never depend on
-    // unspecified iteration order (the ugc-lint unordered-iter rule).
+    // unspecified iteration order.
     let mut live: BTreeMap<u64, Slot<'a>> = BTreeMap::new();
     let mut served = 0u64;
     loop {

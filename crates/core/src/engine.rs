@@ -45,7 +45,7 @@
 
 use crate::session::{SessionOutcome, SupervisorSession};
 use crate::SchemeError;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 use ugc_grid::{Doorbell, Endpoint, GridError, GridLink, LinkStats, Message, Routes};
 
@@ -71,8 +71,11 @@ pub trait EngineTransport {
 }
 
 /// The engine's one clock read, used only for inactivity deadlines.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "liveness escape hatch — deadlines only fire when a peer is already silent, never on the replayed happy path"
+)]
 fn clock() -> Instant {
-    // ugc-lint: allow(wall-clock): liveness escape hatch — deadlines only fire when a peer is already silent, never on the replayed happy path
     Instant::now()
 }
 
@@ -233,7 +236,7 @@ pub struct SessionEngine<'a> {
     slots: Vec<EngineSlot<'a>>,
     /// How many slots are still [`SessionState::Active`].
     active: usize,
-    routes: HashMap<u64, (usize, usize)>,
+    routes: BTreeMap<u64, (usize, usize)>,
     deadline: Option<Duration>,
 }
 
@@ -250,7 +253,7 @@ impl<'a> SessionEngine<'a> {
         SessionEngine {
             slots: Vec::new(),
             active: 0,
-            routes: HashMap::new(),
+            routes: BTreeMap::new(),
             deadline: None,
         }
     }

@@ -35,10 +35,11 @@
 //! words: two records that decode alike are one record. [`summary_digest`]
 //! hashes a campaign's results in the same codec, so they have one byte
 //! form.
-//!
-//! This file is deliberately named `journal.rs`: `ugc-lint`'s `lossy-cast`
-//! rule audits journal/codec paths, so every narrowing here must be a
-//! checked `try_from`, never an `as`.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 use crate::engine::SessionResult;
 use crate::orchestrator::{
@@ -696,7 +697,8 @@ pub struct CampaignHeader {
     pub storage: ParticipantStorage,
     /// The seeded chaos plan, if any.
     pub chaos: Option<FaultPlan>,
-    /// Per-session inactivity deadline, if any.
+    /// Per-session inactivity deadline, if any. The journal keeps whole
+    /// microseconds, saturating at `u64::MAX`.
     pub deadline: Option<Duration>,
     /// Reassignment-round budget.
     pub retries: u32,
@@ -719,10 +721,18 @@ impl CampaignHeader {
             domain,
             storage: config.storage,
             chaos: config.chaos,
-            deadline: config.deadline,
+            // At the journal's resolution, so that a decoded header
+            // compares equal to the one its campaign would derive.
+            deadline: config
+                .deadline
+                .map(|deadline| Duration::from_micros(deadline_micros(deadline))),
             retries: config.retries,
         }
     }
+}
+
+fn deadline_micros(deadline: Duration) -> u64 {
+    u64::try_from(deadline.as_micros()).unwrap_or(u64::MAX)
 }
 
 fn encode_header(header: &CampaignHeader) -> Vec<u8> {
@@ -754,8 +764,7 @@ fn encode_header(header: &CampaignHeader) -> Vec<u8> {
         None => put_u8(&mut buf, 0),
         Some(deadline) => {
             put_u8(&mut buf, 1);
-            let micros = u64::try_from(deadline.as_micros()).unwrap_or(u64::MAX);
-            put_var(&mut buf, micros);
+            put_var(&mut buf, deadline_micros(deadline));
         }
     }
     put_var(&mut buf, u64::from(header.retries));

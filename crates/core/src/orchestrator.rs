@@ -424,7 +424,10 @@ where
         });
     }
 
-    // ugc-lint: allow(wall-clock): reporting-only — feeds the Throughput summary, never a verdict or schedule
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reporting-only — feeds the Throughput summary, never a verdict or schedule"
+    )]
     let started = Instant::now();
     // A resumed campaign starts where the journal's last committed round
     // left the dead supervisor.
@@ -662,7 +665,10 @@ pub(crate) struct MemberBooks {
 /// Every ledger is fresh, so a round's costs are what its ledgers read
 /// at the end; every participant slot reports the same way, as one
 /// [`SlotReport`](crate::SlotReport) per slot.
-#[allow(clippy::too_many_arguments)] // private plumbing under run_fleet_on
+#[expect(
+    clippy::too_many_arguments,
+    reason = "private plumbing under run_fleet_on"
+)]
 fn run_fleet_round<H, T, S>(
     task: &T,
     screener: &S,

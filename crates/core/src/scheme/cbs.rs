@@ -506,7 +506,10 @@ impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
 /// [`MerkleError::NoIndices`] for an empty challenge, and the
 /// malformed-opening errors of step 1; cheating is reported through the
 /// `Ok` verdict, not as an error.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one input of the paper's Step 4 check"
+)]
 pub fn verify_round<H: HashFunction>(
     task: &dyn ComputeTask,
     screener: &dyn Screener,
@@ -1231,7 +1234,10 @@ mod tests {
     /// charged are the distinct nodes those paths rebuild. It takes only
     /// openings of the shape the samples dictate; what `verify_round`
     /// does with the others is pinned above.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors verify_round's signature"
+    )]
     fn per_sample_reference<H: HashFunction>(
         task: &dyn ComputeTask,
         screener: &dyn Screener,

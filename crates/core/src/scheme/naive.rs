@@ -127,7 +127,10 @@ impl SupervisorSession for NaiveSupervisorSession<'_> {
 /// The supervisor's naive-sampling check as a building block: validate the
 /// flat layout, spot-check `m` samples by recomputation, screen the
 /// verified results locally.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "private building block of the naive check"
+)]
 fn check_flat_upload(
     task: &dyn ComputeTask,
     screener: &dyn Screener,

@@ -196,7 +196,10 @@ impl<H: HashFunction> SupervisorSession for NiCbsSupervisorSession<'_, H> {
 /// [`SchemeError::MalformedPayload`] for a `root` that is not one digest
 /// of `H`; otherwise as [`verify_round`], less
 /// [`SchemeError::ProofCountMismatch`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors verify_round's signature"
+)]
 pub fn verify_ni_round<H: HashFunction>(
     scheme: &NiCbsScheme,
     task: &dyn ComputeTask,

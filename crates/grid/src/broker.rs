@@ -671,9 +671,9 @@ mod tests {
 
     #[test]
     fn death_nacks_arrive_in_ascending_task_order() {
-        // Regression test for the route-map ordering hazard ugc-lint
-        // surfaced: the supervisor-visible NACK sequence after a
-        // participant death must not depend on map iteration order.
+        // Regression test for the route-map ordering hazard: the
+        // supervisor-visible NACK sequence after a participant death must
+        // not depend on map iteration order.
         // Assignments arrive with deliberately scrambled task ids; all
         // land on the lone participant, which then dies with every task
         // still in flight.

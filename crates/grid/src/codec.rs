@@ -9,6 +9,11 @@
 //! framing read before any payload exists stays fixed-width. The reader
 //! accepts exactly what [`put_var`] writes, so a decoded message
 //! re-encodes to the frame it came from and its charge is that frame.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 use crate::GridError;
 
@@ -21,7 +26,6 @@ pub const MAX_FIELD_LEN: u64 = 1 << 30;
 #[must_use]
 pub fn var_len(v: u64) -> usize {
     let bits = u64::BITS - (v | 1).leading_zeros();
-    // ugc-lint: allow(lossy-cast): at most 10, a count of seven-bit groups
     bits.div_ceil(7) as usize
 }
 
@@ -114,7 +118,10 @@ pub fn get_bytes(buf: &mut &[u8], context: &'static str) -> Result<Vec<u8>, Grid
     if len > MAX_FIELD_LEN {
         return Err(GridError::LengthOverflow { declared: len });
     }
-    // ugc-lint: allow(lossy-cast): bounded above by MAX_FIELD_LEN (1<<30), well inside usize on every supported platform
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bounded above by MAX_FIELD_LEN (1<<30), well inside usize on every supported platform"
+    )]
     let Some((bytes, rest)) = buf.split_at_checked(len as usize) else {
         return Err(GridError::UnexpectedEof {
             context: context.into(),

@@ -5,6 +5,11 @@
 //! evaluations of the sample generator `g` (`C_g` units, central to the
 //! Eq. (5) economics) and communication. A [`CostLedger`] collects all of
 //! them for one actor; experiment tables are printed from ledger snapshots.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

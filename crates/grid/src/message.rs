@@ -14,6 +14,11 @@
 //! [`CommitAndProofs`](Message::CommitAndProofs) answer all `m` samples of
 //! a round with one [`Opening`] — its docs have the field table, the
 //! supervisor's check order and the charging rule.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 use crate::codec::{
     get_bytes, get_list, get_u32, get_var, put_bytes, put_list, put_var, var_len, MAX_FIELD_LEN,

@@ -50,6 +50,11 @@
 //! the stream is known dead — the reader met its end, or a write failed
 //! — every send reports [`GridError::Disconnected`] instead of queueing
 //! mail nobody will deliver.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 use crate::transport::{HangUp, Subscription};
 use crate::wire::{append_frame, read_frame, recv_welcome, send_hello, Frame, Hello, Welcome};

@@ -18,6 +18,11 @@
 //! silently swallowed.
 //!
 //! [`Message`]: crate::Message
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 use crate::codec::{get_bytes, get_u32, put_bytes, put_var};
 use crate::GridError;
@@ -79,7 +84,10 @@ fn header_word(len: usize, control: bool) -> Result<[u8; 4], GridError> {
     if len > MAX_FRAME_LEN {
         return Err(GridError::LengthOverflow { declared: len });
     }
-    // ugc-lint: allow(lossy-cast): bounded above by MAX_FRAME_LEN (1<<30), fits u32
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bounded above by MAX_FRAME_LEN (1<<30), fits u32"
+    )]
     let mut word = len as u32;
     if control {
         word |= CONTROL_BIT;
@@ -191,7 +199,10 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, GridError> {
     if len > MAX_FRAME_LEN {
         return Err(GridError::LengthOverflow { declared: len });
     }
-    // ugc-lint: allow(lossy-cast): bounded above by MAX_FRAME_LEN (1<<30), well inside usize on every supported platform
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bounded above by MAX_FRAME_LEN (1<<30), well inside usize on every supported platform"
+    )]
     let mut payload = vec![0u8; len as usize];
     let got = read_into(r, &mut payload)?;
     if (got as u64) < len {
@@ -458,7 +469,10 @@ mod tests {
 
     #[test]
     fn oversized_length_rejected_without_allocating() {
-        // ugc-lint: allow(lossy-cast): (1<<30)+1 fits u32; this deliberately forges a hostile header
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "(1<<30)+1 fits u32; this deliberately forges a hostile header"
+        )]
         let word = (MAX_FRAME_LEN + 1) as u32;
         let mut cursor = Cursor::new(word.to_le_bytes().to_vec());
         assert_eq!(

@@ -36,7 +36,6 @@ impl Read for Trickle {
             .seed
             .wrapping_mul(6_364_136_223_846_793_005)
             .wrapping_add(1);
-        // ugc-lint: allow(lossy-cast): bounded to 1..=3 by the modulo, cannot truncate
         let chunk = ((self.seed >> 33) % 3 + 1) as usize;
         let take = chunk.min(buf.len());
         self.data.read(&mut buf[..take])
@@ -101,7 +100,6 @@ proptest! {
         // A hostile header declaring up to ~2 GiB must be refused from
         // the four header bytes alone (the test would OOM otherwise).
         let declared = MAX_FRAME_LEN + excess;
-        // ugc-lint: allow(lossy-cast): declared stays below 1<<31 by construction; this forges a hostile header
         let mut word = declared as u32;
         if control {
             word |= 1 << 31;

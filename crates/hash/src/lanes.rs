@@ -65,6 +65,11 @@
 //! and [`Scalar`](LaneWidth::Scalar), one `digest_pair` per message — the
 //! reference the tests hold the kernels to. It is execution-only: it
 //! never changes a digest.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 use crate::scaffold::{pad, LaneCompression};
 use crate::{md5, sha256, HashFunction, Md5, Sha256};

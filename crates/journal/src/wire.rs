@@ -1,13 +1,18 @@
 //! Framing, checksums and file I/O for the write-ahead journal.
 //!
-//! This is a codec path in the `ugc-lint` sense: every byte written
-//! here must be identical across platforms and runs, so all integers
-//! are explicit little-endian and every narrowing conversion is a
-//! checked `try_from`. The frame discipline mirrors
-//! `ugc_grid::codec` (length-prefixed, bounded, validated before
-//! trusted) with one addition: a CRC-32 per frame, because a journal —
-//! unlike an in-memory link — survives process death and must detect
-//! the half-written frame that death leaves behind.
+//! Every byte written here must be identical across platforms and runs,
+//! so all integers are explicit little-endian and every narrowing
+//! conversion is a checked `try_from` (the module denies lossy casts).
+//! The frame discipline mirrors `ugc_grid::codec` (length-prefixed,
+//! bounded, validated before trusted) with one addition: a CRC-32 per
+//! frame, because a journal — unlike an in-memory link — survives
+//! process death and must detect the half-written frame that death
+//! leaves behind.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Seek as _, SeekFrom, Write as _};

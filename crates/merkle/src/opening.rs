@@ -135,7 +135,7 @@ impl LeafSet {
 
     /// Number of distinct leaves (at least one).
     #[must_use]
-    #[allow(clippy::len_without_is_empty)] // never empty: `new` refuses
+    #[expect(clippy::len_without_is_empty, reason = "never empty: `new` refuses")]
     pub fn len(&self) -> usize {
         self.indices.len()
     }

@@ -215,7 +215,10 @@ fn crash_mid_session_fails_cleanly_for_every_scheme() {
     ];
     for (name, scheme, slots) in schemes {
         for transport in [TransportKind::Direct, TransportKind::Brokered] {
-            // ugc-lint: allow(wall-clock): test-harness stopwatch — bounds how long the soak may take, asserts nothing semantic
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "test-harness stopwatch — bounds how long the soak may take, asserts nothing semantic"
+            )]
             let started = Instant::now();
             let err = run_mixed_fleet(
                 &task,
@@ -345,7 +348,10 @@ fn dropped_messages_time_out_and_reassignment_recovers() {
         )
     };
     // Without retries the timeout surfaces as the campaign's error.
-    // ugc-lint: allow(wall-clock): test-harness stopwatch — asserts the timeout fires promptly, not any semantic result
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-harness stopwatch — asserts the timeout fires promptly, not any semantic result"
+    )]
     let started = Instant::now();
     let err = run(0).expect_err("a dropped assignment must time the session out");
     assert_eq!(err, SchemeError::TimedOut);

@@ -61,7 +61,10 @@ fn sample_size_past_i32_samples_returns_promptly() {
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("ugc binary runs");
-    // ugc-lint: allow(wall-clock): a hang guard; the elapsed time is the assertion
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a hang guard; the elapsed time is the assertion"
+    )]
     let started = std::time::Instant::now();
     while child.try_wait().unwrap().is_none() {
         if started.elapsed() > std::time::Duration::from_secs(20) {
@@ -453,8 +456,9 @@ const GOLDEN_DIGESTS: [(&str, [&str; 4]); 5] = [
 
 #[test]
 fn fleet_workers_pool_matches_thread_per_participant_verdicts() {
-    // The scheduler pool at any size, over either transport, prints the
-    // digest the thread-per-participant path printed for the same flags.
+    // The scheduler pool at any size and steal order, over either
+    // transport, prints the digest the thread-per-participant path
+    // printed for the same flags.
     let chaos = [
         "",
         "--chaos 7 --churn",
@@ -464,7 +468,13 @@ fn fleet_workers_pool_matches_thread_per_participant_verdicts() {
     for (scheme, row) in GOLDEN_DIGESTS {
         for (chaos, golden) in chaos.iter().zip(row) {
             for transport in ["direct", "brokered"] {
-                for pool in ["", "--workers 1", "--workers 4", "--workers 8"] {
+                for pool in [
+                    "",
+                    "--workers 1",
+                    "--workers 4",
+                    "--workers 8",
+                    "--workers 4 --steal-seed 18446744073709551615",
+                ] {
                     let flags = format!(
                         "{GOLDEN_FLEET} --scheme {scheme} --transport {transport} {chaos} {pool}"
                     );
@@ -816,7 +826,10 @@ fn fleet_connect_refuses_the_pool_flags_without_dialing() {
     // with "could not connect", so a fast refusal naming the flag is one
     // that never dialed.
     for flag in ["--workers 2", "--steal-seed 3", "--lanes scalar"] {
-        // ugc-lint: allow(wall-clock): the elapsed time is the assertion that nothing dialed
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the elapsed time is the assertion that nothing dialed"
+        )]
         let started = std::time::Instant::now();
         let out = fleet(&format!("--connect 127.0.0.1:1 {flag}"));
         let err = String::from_utf8_lossy(&out.stderr);

@@ -372,3 +372,58 @@ fn sealed_journal_resumes_read_only_to_the_same_digest() {
     assert_eq!(summary_digest(&resumed), finished);
     let _ = std::fs::remove_file(&path);
 }
+
+/// The header journals the deadline in whole microseconds. A deadline
+/// finer than that must still describe its campaign on resume, so the
+/// resumed run converges to the uninterrupted digest instead of refusing
+/// its own journal.
+#[test]
+fn sub_microsecond_deadline_resumes_to_the_same_digest() {
+    let task = PasswordSearch::with_hidden_password(7, 3);
+    let cbs = CbsScheme {
+        samples: 16,
+        seed: 11,
+        report_audit: 2,
+    };
+    let honest = HonestWorker;
+    let specs: Vec<MemberSpec<'_, Sha256>> = (0..2)
+        .map(|_| MemberSpec {
+            scheme: &cbs as _,
+            behaviours: vec![&honest as &dyn WorkerBehaviour],
+        })
+        .collect();
+    let domain = Domain::new(0, 128);
+    let config = MixedFleetConfig {
+        deadline: Some(Duration::from_nanos(20_000_000_500)),
+        ..MixedFleetConfig::default()
+    };
+    let run = |mut campaign: DurableCampaign| {
+        run_durable_fleet(
+            &task,
+            &AcceptAllScreener,
+            domain,
+            &specs,
+            &config,
+            &mut campaign,
+        )
+    };
+    let create = |path: &Path, crash| {
+        let header = CampaignHeader::for_campaign(&specs, domain, &config, b"deadline".to_vec());
+        run(DurableCampaign::create(path, header, crash)?)
+    };
+
+    let ref_path = journal_path("deadline-ref");
+    let reference = create(&ref_path, CrashPlan::never()).expect("the campaign completes");
+    let _ = std::fs::remove_file(&ref_path);
+
+    let path = journal_path("deadline-kill");
+    let err = create(&path, CrashPlan::at(2)).expect_err("the kill at record 2 fires");
+    assert!(
+        matches!(&err, SchemeError::Journal { reason } if reason.contains("injected kill point")),
+        "{err}"
+    );
+    let (campaign, _) = DurableCampaign::resume(&path, CrashPlan::never()).expect("resume opens");
+    let resumed = run(campaign).expect("the resumed campaign completes");
+    assert_eq!(summary_digest(&resumed), summary_digest(&reference));
+    let _ = std::fs::remove_file(&path);
+}

@@ -27,9 +27,15 @@ fn size(layout: Layout) -> isize {
 // SAFETY: both methods pass their arguments to `System` unchanged, so
 // the caller's `GlobalAlloc` contract is the one `System` relies on;
 // the counter is a statistic and touches no allocated memory.
-// ugc-lint: allow(unsafe-code): a global allocator is an unsafe trait; this one counts and forwards to System
+#[expect(
+    unsafe_code,
+    reason = "a global allocator is an unsafe trait; this one counts and forwards to System"
+)]
 unsafe impl GlobalAlloc for Counting {
-    // ugc-lint: allow(unsafe-code): forwards the caller's layout to System.alloc unchanged
+    #[expect(
+        unsafe_code,
+        reason = "forwards the caller's layout to System.alloc unchanged"
+    )]
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
@@ -38,7 +44,10 @@ unsafe impl GlobalAlloc for Counting {
         ptr
     }
 
-    // ugc-lint: allow(unsafe-code): forwards the caller's pointer and layout to System.dealloc unchanged
+    #[expect(
+        unsafe_code,
+        reason = "forwards the caller's pointer and layout to System.dealloc unchanged"
+    )]
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
         LIVE.fetch_sub(size(layout), Ordering::SeqCst);

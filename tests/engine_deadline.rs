@@ -135,7 +135,10 @@ fn run(
             workers: Some(peers.len()),
             steal_seed: 0,
         };
-        // ugc-lint: allow(wall-clock): test-harness stopwatch — asserts when the timeout fires, not any semantic result
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test-harness stopwatch — asserts when the timeout fires, not any semantic result"
+        )]
         let started = Instant::now();
         let round = InProcessBackend::new(kind)
             .run_round(&spec, engine, &slot)

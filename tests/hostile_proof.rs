@@ -203,7 +203,10 @@ fn a_path_of_the_wrong_length_is_a_mismatch_decided_without_a_hash() {
 fn a_hundred_thousand_siblings_are_rejected_in_no_time() {
     // What hashing the row before rejecting it would cost at the least,
     // on this host, in this build: 100 000 inner-node digests.
-    // ugc-lint: allow(wall-clock): test-harness stopwatch — calibrates the bound below; asserts nothing semantic
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-harness stopwatch — calibrates the bound below; asserts nothing semantic"
+    )]
     let started = Instant::now();
     let mut acc = [0u8; 32];
     for _ in 0..100_000 {
@@ -219,7 +222,10 @@ fn a_hundred_thousand_siblings_are_rejected_in_no_time() {
             // supervisor that hashes first slows them all.
             let mut fastest = Duration::MAX;
             for _ in 0..3 {
-                // ugc-lint: allow(wall-clock): test-harness stopwatch — fails a regression to hash-first-reject-later instead of letting it merely slow CI; asserts nothing semantic
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "test-harness stopwatch — fails a regression to hash-first-reject-later instead of letting it merely slow CI; asserts nothing semantic"
+                )]
                 let started = Instant::now();
                 let tampered = round(scheme.as_ref(), 64, storage, &tamper);
                 fastest = fastest.min(started.elapsed());
