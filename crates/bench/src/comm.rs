@@ -14,6 +14,7 @@
 //! shared sibling once and none that another sample supplies, so what is
 //! measured, framing and all, stays below it (checked on every row).
 
+use crate::Table;
 use crate::{round, Report};
 use ugc_core::analysis::{cbs_traffic_bytes, naive_traffic_bytes};
 use ugc_core::scheme::cbs::CbsScheme;
@@ -24,7 +25,6 @@ use ugc_core::ParticipantStorage::Full;
 use ugc_grid::HonestWorker;
 use ugc_hash::{HashFunction, Sha256};
 use ugc_merkle::tree_height;
-use ugc_sim::Table;
 use ugc_task::workloads::PasswordSearch;
 use ugc_task::{ComputeTask, Domain};
 

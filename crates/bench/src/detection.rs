@@ -9,12 +9,11 @@
 //!    rounds per cell, to show the protocol realises the formula, not
 //!    just the abstract event.
 
-use crate::{mark, Report};
-use ugc_core::analysis::cheat_success_probability;
-use ugc_sim::{
-    estimate_cheat_success_fast, estimate_cheat_success_protocol, DetectionExperiment, Parallelism,
-    RateEstimate, Table,
+use crate::{
+    estimate_cheat_success_fast, estimate_cheat_success_protocol, mark, DetectionExperiment,
+    RateEstimate, Report, Table,
 };
+use ugc_core::analysis::cheat_success_probability;
 
 /// The cells every row of both tables ends with — theory, measured rate,
 /// interval, and whether the interval admits the theory (a check) — as
@@ -49,7 +48,7 @@ pub(crate) fn run(report: &mut Report) {
                     trials: 100_000,
                     seed: (r * 100.0) as u64 ^ ((q * 10.0) as u64) << 8 ^ (m as u64) << 16,
                 };
-                let est = estimate_cheat_success_fast(&exp, Parallelism::default());
+                let est = estimate_cheat_success_fast(&exp);
                 let verdict = verdict_cells(report, &exp, est);
                 grid.push(format!("{r:.1}|{q:.1}|{m}|{verdict}").split('|'));
             }
@@ -68,7 +67,7 @@ pub(crate) fn run(report: &mut Report) {
             trials: 400,
             seed: 0xdeec + m as u64,
         };
-        let est = estimate_cheat_success_protocol(&exp, Parallelism::default());
+        let est = estimate_cheat_success_protocol(&exp);
         let verdict = verdict_cells(report, &exp, est);
         spot.push(format!("{r:.1}|{q:.1}|{m}|{}|{verdict}", exp.domain_size).split('|'));
     }

@@ -6,11 +6,10 @@
 //! computed `m`, a Monte-Carlo sweep confirms the cheat-success rate is
 //! consistent with `ε` (its Wilson interval must admit the Eq. 2 value).
 
-use crate::{mark, Report};
-use ugc_core::analysis::{cheat_success_probability, required_sample_size};
-use ugc_sim::{
-    estimate_cheat_success_fast, wilson_interval, DetectionExperiment, Parallelism, Table,
+use crate::{
+    estimate_cheat_success_fast, mark, wilson_interval, DetectionExperiment, Report, Table,
 };
+use ugc_core::analysis::{cheat_success_probability, required_sample_size};
 
 const EPSILON: f64 = 1e-4;
 const TRIALS: u32 = 200_000;
@@ -30,19 +29,14 @@ pub(crate) fn run(report: &mut Report) {
         let [(m0, eq0, mc0), (m5, eq5, mc5)] = [0.0, 0.5].map(|q| {
             let m = required_sample_size(EPSILON, r, q).expect("r < 1 always has a finite m");
             let theory = cheat_success_probability(r, q, m);
-            // 200k trials per cell, sharded over every available core
-            // (bit-identical to the serial sweep).
-            let est = estimate_cheat_success_fast(
-                &DetectionExperiment {
-                    domain_size: 0,
-                    samples: m as usize,
-                    honesty_ratio: r,
-                    guess_quality: q,
-                    trials: TRIALS,
-                    seed: 0x0f16_2000 ^ (u64::from(r10) * 131) ^ ((q * 10.0) as u64 * 7919),
-                },
-                Parallelism::default(),
-            );
+            let est = estimate_cheat_success_fast(&DetectionExperiment {
+                domain_size: 0,
+                samples: m as usize,
+                honesty_ratio: r,
+                guess_quality: q,
+                trials: TRIALS,
+                seed: 0x0f16_2000 ^ (u64::from(r10) * 131) ^ ((q * 10.0) as u64 * 7919),
+            });
             // 99.99% Wilson band: 18 independent cells must all pass, so
             // per-cell acceptance needs a low false-alarm rate.
             let (lo, hi) = wilson_interval(u64::from(est.successes), u64::from(TRIALS), 3.89);

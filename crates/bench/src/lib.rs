@@ -15,6 +15,9 @@
 //! ```sh
 //! cargo run --release -p ugc-bench --bin repro > crates/bench/expected/repro.txt
 //! ```
+//!
+//! The Monte-Carlo estimators behind `fig2` and `detection`, the Wilson
+//! interval, [`Summary`] and the [`Table`] printer are public here too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,16 +25,25 @@
 mod comm;
 mod detection;
 mod fig2;
+mod montecarlo;
 mod ni_retry;
 mod rco;
 mod schemes;
 mod small_domain;
+mod stats;
+mod table;
+
+pub use montecarlo::{
+    estimate_cheat_success_fast, estimate_cheat_success_protocol,
+    estimate_cheat_success_under_churn, ChurnModel, DetectionExperiment, RateEstimate,
+};
+pub use stats::{wilson_interval, Summary};
+pub use table::Table;
 
 use ugc_core::session::VerificationScheme;
 use ugc_core::{MixedFleetConfig, ParticipantStorage, RoundOutcome};
 use ugc_grid::WorkerBehaviour;
 use ugc_hash::Sha256;
-use ugc_sim::Table;
 use ugc_task::workloads::PasswordSearch;
 use ugc_task::Domain;
 

@@ -1,4 +1,12 @@
 //! Monte-Carlo estimation of cheat-success probabilities.
+//!
+//! The paper's evaluation is analytical; these estimators are the
+//! empirical side of the reproduction. The *fast path* simulates only the
+//! sampling event of Theorem 3, for dense parameter grids; the *full
+//! protocol path* runs complete CBS rounds over the byte-counted
+//! transport, for validation; the churn path adds crashed and reassigned
+//! attempts. Each reports a 99% Wilson interval, so `repro` shows
+//! agreement bands, not just point estimates.
 
 use crate::stats::wilson_interval;
 use rand::rngs::StdRng;
@@ -13,10 +21,8 @@ use ugc_task::{Domain, LuckyGuesser};
 
 /// Seed for trial `t`, derived from the experiment's base seed.
 ///
-/// Every trial — fast or full-protocol, serial or sharded — keys its own
-/// generator off this value, so an estimate is a pure function of
-/// `(experiment, trials)` regardless of how the trials are scheduled
-/// across threads.
+/// Every trial — fast or full-protocol — keys its own generator off this
+/// value, so an estimate is a pure function of `(experiment, trials)`.
 fn trial_seed(base: u64, t: u32) -> u64 {
     base.wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(u64::from(t))
@@ -134,7 +140,7 @@ pub fn estimate_cheat_success_under_churn(
         (0.0..=1.0).contains(&churn.crash_probability),
         "crash probability out of range"
     );
-    estimate(exp.trials, Parallelism::serial(), |t| {
+    estimate(exp.trials, |t| {
         // An independent stream from the sampling event's: the same
         // trial seed must not correlate crashes with sample luck.
         let mut crash_rng = StdRng::seed_from_u64(trial_seed(exp.seed, t) ^ 0x0c4a_5b1e);
@@ -149,36 +155,11 @@ fn validate_fast(exp: &DetectionExperiment) {
     assert!((0.0..=1.0).contains(&exp.guess_quality), "q out of range");
 }
 
-/// The rate at which the trials `t` in `0..trials` survive, counted over
-/// `parallelism` threads (contiguous shards; a single one runs on the
-/// caller's thread). A trial is keyed by `t` alone, so the count is the
-/// same at any thread count — only wall-clock time changes.
-fn estimate(
-    trials: u32,
-    parallelism: Parallelism,
-    survives: impl Fn(u32) -> bool + Sync,
-) -> RateEstimate {
+/// The rate at which the trials `t` in `0..trials` survive, counted on
+/// the caller's thread.
+fn estimate(trials: u32, survives: impl Fn(u32) -> bool) -> RateEstimate {
     assert!(trials > 0, "need at least one trial");
-    let threads = (parallelism.get() as u32).clamp(1, trials);
-    let per = trials.div_ceil(threads);
-    let shard = |w: u32| -> u32 {
-        let lo = w * per;
-        (lo..(lo + per).min(trials))
-            .map(|t| u32::from(survives(t)))
-            .sum()
-    };
-    let survived = if threads == 1 {
-        shard(0)
-    } else {
-        crossbeam::thread::scope(|scope| {
-            let shard = &shard;
-            let handles: Vec<_> = (0..threads)
-                .map(|w| scope.spawn(move |_| shard(w)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker")).sum()
-        })
-        .expect("monte-carlo scope")
-    };
+    let survived = (0..trials).map(|t| u32::from(survives(t))).sum();
     RateEstimate::from_counts(survived, trials)
 }
 
@@ -188,21 +169,13 @@ fn estimate(
 /// the engine behind the Fig. 2 reproduction's 200k-trials-per-cell
 /// sweeps.
 ///
-/// The trials are sharded over `parallelism` threads
-/// ([`Parallelism::serial`] runs them on the caller's); each derives its
-/// own generator from the base seed, so the counts are bit-identical at
-/// any thread count.
-///
 /// # Panics
 ///
 /// Panics if `trials == 0` or the probabilities are out of range.
 #[must_use]
-pub fn estimate_cheat_success_fast(
-    exp: &DetectionExperiment,
-    parallelism: Parallelism,
-) -> RateEstimate {
+pub fn estimate_cheat_success_fast(exp: &DetectionExperiment) -> RateEstimate {
     validate_fast(exp);
-    estimate(exp.trials, parallelism, |t| fast_trial(exp, t))
+    estimate(exp.trials, |t| fast_trial(exp, t))
 }
 
 /// Full-protocol path: every trial runs a complete interactive CBS round
@@ -211,7 +184,7 @@ pub fn estimate_cheat_success_fast(
 ///
 /// Orders of magnitude slower than the fast path; use it to validate that
 /// the protocol's detection matches Theorem 3, then sweep with the fast
-/// path. Sharded and deterministic exactly as
+/// path. Deterministic per `(exp.seed, t)` exactly as
 /// [`estimate_cheat_success_fast`] is.
 ///
 /// # Panics
@@ -219,11 +192,8 @@ pub fn estimate_cheat_success_fast(
 /// Panics if `trials == 0`, or if a protocol round fails outright
 /// (transport bugs — never expected in-process).
 #[must_use]
-pub fn estimate_cheat_success_protocol(
-    exp: &DetectionExperiment,
-    parallelism: Parallelism,
-) -> RateEstimate {
-    estimate(exp.trials, parallelism, |t| run_protocol_trial(exp, t))
+pub fn estimate_cheat_success_protocol(exp: &DetectionExperiment) -> RateEstimate {
+    estimate(exp.trials, |t| run_protocol_trial(exp, t))
 }
 
 /// One full CBS round for trial `t`; `true` iff the cheater survived.
@@ -248,9 +218,9 @@ fn run_protocol_trial(exp: &DetectionExperiment, t: u32) -> bool {
         &task.match_screener(),
         Domain::new(0, exp.domain_size),
         &[&cheater],
-        // One scheduler worker and a serial tree build: parallelism lives
-        // at the trial level here, and threads inside a shard would
-        // oversubscribe. Neither changes a digest, so neither an estimate.
+        // One scheduler worker and a serial tree build: a round of a few
+        // dozen leaves costs less than waking a thread pool. Neither
+        // changes a digest, so neither an estimate.
         &MixedFleetConfig {
             workers: Some(1),
             parallelism: Parallelism::serial(),
@@ -297,8 +267,7 @@ mod tests {
             (0.9, 0.5, 20),
             (0.2, 0.0, 3),
         ] {
-            let est =
-                estimate_cheat_success_fast(&exp(0, m, r, q, 20_000, 7), Parallelism::serial());
+            let est = estimate_cheat_success_fast(&exp(0, m, r, q, 20_000, 7));
             let theory = cheat_success_probability(r, q, m as u64);
             assert_admits(est, theory, &format!("r={r} q={q} m={m}"));
         }
@@ -307,15 +276,9 @@ mod tests {
     #[test]
     fn fast_path_extremes() {
         let always_honest = exp(0, 10, 1.0, 0.0, 500, 1);
-        assert_eq!(
-            estimate_cheat_success_fast(&always_honest, Parallelism::serial()).rate,
-            1.0
-        );
+        assert_eq!(estimate_cheat_success_fast(&always_honest).rate, 1.0);
         let never_honest = exp(0, 10, 0.0, 0.0, 500, 1);
-        assert_eq!(
-            estimate_cheat_success_fast(&never_honest, Parallelism::serial()).rate,
-            0.0
-        );
+        assert_eq!(estimate_cheat_success_fast(&never_honest).rate, 0.0);
     }
 
     #[test]
@@ -349,7 +312,7 @@ mod tests {
         };
         assert_eq!(
             estimate_cheat_success_under_churn(&exp, &no_churn).successes,
-            estimate_cheat_success_fast(&exp, Parallelism::serial()).successes
+            estimate_cheat_success_fast(&exp).successes
         );
     }
 
@@ -370,8 +333,8 @@ mod tests {
     fn fast_path_deterministic_per_seed() {
         let exp = exp(0, 6, 0.6, 0.1, 5_000, 33);
         assert_eq!(
-            estimate_cheat_success_fast(&exp, Parallelism::serial()).successes,
-            estimate_cheat_success_fast(&exp, Parallelism::serial()).successes
+            estimate_cheat_success_fast(&exp).successes,
+            estimate_cheat_success_fast(&exp).successes
         );
     }
 
@@ -379,16 +342,14 @@ mod tests {
     fn protocol_path_agrees_with_theory() {
         // Small but real: 300 full CBS rounds at r=0.5, q=0, m=3 → expect
         // survival ≈ 0.125.
-        let est =
-            estimate_cheat_success_protocol(&exp(64, 3, 0.5, 0.0, 300, 11), Parallelism::serial());
+        let est = estimate_cheat_success_protocol(&exp(64, 3, 0.5, 0.0, 300, 11));
         assert_admits(est, cheat_success_probability(0.5, 0.0, 3), "protocol");
     }
 
     #[test]
     fn protocol_path_with_lucky_guessers() {
         // q = 1: every guess is right, so the cheater always survives.
-        let est =
-            estimate_cheat_success_protocol(&exp(32, 5, 0.3, 1.0, 30, 5), Parallelism::serial());
+        let est = estimate_cheat_success_protocol(&exp(32, 5, 0.3, 1.0, 30, 5));
         assert_eq!(est.rate, 1.0);
     }
 
@@ -408,45 +369,5 @@ mod tests {
         assert!(est.contains(1e-21));
         let est = RateEstimate::from_counts(100_000, 100_000);
         assert!(est.contains(1.0 - 1e-12));
-    }
-
-    #[test]
-    fn parallel_protocol_estimate_equals_serial() {
-        let exp = exp(32, 3, 0.5, 0.0, 64, 21);
-        let serial = estimate_cheat_success_protocol(&exp, Parallelism::serial());
-        for threads in [2usize, 3, 8] {
-            let parallel = estimate_cheat_success_protocol(&exp, Parallelism::threads(threads));
-            assert_eq!(
-                parallel.successes, serial.successes,
-                "threads={threads} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_fast_estimate_identical_to_serial() {
-        // For the same base seed the sharded estimate must be *identical*
-        // (not just statistically compatible) to the serial one, at every
-        // thread count.
-        for seed in [0u64, 7, 0xdead_beef] {
-            // An odd trial count exercises ragged shard boundaries.
-            let exp = exp(0, 9, 0.6, 0.2, 10_001, seed);
-            let serial = estimate_cheat_success_fast(&exp, Parallelism::serial());
-            for threads in [2usize, 3, 8] {
-                let sharded = estimate_cheat_success_fast(&exp, Parallelism::threads(threads));
-                assert_eq!(
-                    sharded.successes, serial.successes,
-                    "seed={seed} threads={threads} diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fast_parallel_handles_more_threads_than_trials() {
-        let exp = exp(0, 2, 0.5, 0.0, 3, 1);
-        let serial = estimate_cheat_success_fast(&exp, Parallelism::serial());
-        let sharded = estimate_cheat_success_fast(&exp, Parallelism::threads(64));
-        assert_eq!(serial.successes, sharded.successes);
     }
 }

@@ -17,11 +17,11 @@
 //! attempt count — the real defence — is unchanged.
 
 use crate::Report;
+use crate::{Summary, Table};
 use ugc_core::analysis::{min_g_cost_for_uncheatability, ni_attack_cost, ni_expected_attempts};
 use ugc_core::scheme::ni_cbs::{retry_attack, RetryAttackConfig, RetryAttackOutcome};
 use ugc_grid::{CheatSelection, SemiHonestCheater};
 use ugc_hash::Md5;
-use ugc_sim::{Summary, Table};
 use ugc_task::workloads::PasswordSearch;
 use ugc_task::{Domain, ZeroGuesser};
 

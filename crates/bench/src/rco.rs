@@ -9,10 +9,10 @@
 //! 4G of storage, `m = 64` → `rco = 2⁻²⁵`).
 
 use crate::Report;
+use crate::Table;
 use ugc_core::analysis::rco;
 use ugc_hash::Sha256;
 use ugc_merkle::MerkleTree;
-use ugc_sim::Table;
 use ugc_task::workloads::PasswordSearch;
 use ugc_task::{ComputeTask, CountingTask};
 

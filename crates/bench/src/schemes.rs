@@ -5,6 +5,7 @@
 //! This is the table a practitioner would use to pick a scheme — the
 //! "who wins, by what factor" summary of the whole paper.
 
+use crate::Table;
 use crate::{round, Report};
 use ugc_core::scheme::cbs::CbsScheme;
 use ugc_core::scheme::double_check::DoubleCheckScheme;
@@ -15,7 +16,6 @@ use ugc_core::session::VerificationScheme;
 use ugc_core::ParticipantStorage::{Full, Partial};
 use ugc_grid::{CheatSelection, HonestWorker, SemiHonestCheater, WorkerBehaviour};
 use ugc_hash::Sha256;
-use ugc_sim::Table;
 use ugc_task::workloads::PasswordSearch;
 use ugc_task::{Domain, ZeroGuesser};
 

@@ -8,11 +8,11 @@
 //! task — the quantity that explodes to ≥ 1 at tiny domains — plus the
 //! commitment overhead per useful result.
 
+use crate::Table;
 use crate::{round, Report};
 use ugc_core::scheme::cbs::CbsScheme;
 use ugc_core::ParticipantStorage::Full;
 use ugc_grid::HonestWorker;
-use ugc_sim::Table;
 use ugc_task::workloads::PasswordSearch;
 use ugc_task::{ComputeTask, Domain};
 

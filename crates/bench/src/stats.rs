@@ -12,7 +12,7 @@
 /// # Examples
 ///
 /// ```
-/// let (lo, hi) = ugc_sim::wilson_interval(5, 100, 1.96);
+/// let (lo, hi) = ugc_bench::wilson_interval(5, 100, 1.96);
 /// assert!(lo > 0.0 && lo < 0.05);
 /// assert!(hi > 0.05 && hi < 0.15);
 /// ```

@@ -8,7 +8,7 @@ use core::fmt;
 /// # Examples
 ///
 /// ```
-/// let mut t = ugc_sim::Table::new(["r", "m (q=0)", "m (q=0.5)"]);
+/// let mut t = ugc_bench::Table::new(["r", "m (q=0)", "m (q=0.5)"]);
 /// t.push(["0.5", "14", "33"]);
 /// let rendered = t.to_string();
 /// assert!(rendered.contains("0.5"));

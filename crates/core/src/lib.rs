@@ -82,7 +82,7 @@ pub use session::{
     ParticipantContext, ParticipantSession, SessionOutcome, SupervisorContext, SupervisorSession,
     VerificationScheme,
 };
-// The thread-count knob behind every parallel path (tree builds here, the
-// Monte-Carlo shards in `ugc-sim`); re-exported so scheme users need not
-// depend on `ugc-merkle` directly.
+// The execution knobs of a participant's tree build (thread count and
+// digest-kernel width); re-exported so scheme users need not depend on
+// `ugc-merkle` directly.
 pub use ugc_merkle::{LaneWidth, Parallelism};

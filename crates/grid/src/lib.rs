@@ -8,9 +8,10 @@
 //!
 //! * [`Message`] and the [`codec`] — a compact, hand-rolled wire format, so
 //!   measured byte counts are the protocol's own, not a serializer's.
-//! * [`Endpoint`] / [`duplex`] — in-memory links that count every byte and
-//!   message in both directions (the evaluation's network substitute; see
-//!   DESIGN.md for why this preserves the paper's measured quantities).
+//! * [`Endpoint`] / [`duplex`] — in-memory links, the evaluation's network
+//!   substitute. A link counts nothing: what a message costs is
+//!   [`Message::charged`], the same on every transport, and the session
+//!   engine charges it to the session's ledger.
 //! * [`CostLedger`] — per-actor accounting of `f` evaluations, hash
 //!   operations, sample-generator (`g`) evaluations and traffic.
 //! * [`WorkerBehaviour`] and friends — the honest participant, the

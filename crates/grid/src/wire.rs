@@ -49,6 +49,10 @@ pub const WIRE_MAGIC: [u8; 8] = *b"UGCGRID\0";
 /// [`MAX_FIELD_LEN`](crate::codec::MAX_FIELD_LEN) guard).
 pub const MAX_FRAME_LEN: u64 = crate::codec::MAX_FIELD_LEN;
 
+/// The most [`read_frame`] allocates ahead of the payload bytes it has
+/// received; a frame of at most this size is read into one allocation.
+const READ_STEP: usize = 64 << 10;
+
 /// Bit 31 of the length word: set for control frames. Payload lengths
 /// are capped at [`MAX_FRAME_LEN`] (`1 << 30`), so the bit is always
 /// free.
@@ -203,13 +207,23 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, GridError> {
         clippy::cast_possible_truncation,
         reason = "bounded above by MAX_FRAME_LEN (1<<30), well inside usize on every supported platform"
     )]
-    let mut payload = vec![0u8; len as usize];
-    let got = read_into(r, &mut payload)?;
-    if (got as u64) < len {
-        return Err(GridError::TornFrame {
-            expected: len,
-            got: got as u64,
-        });
+    let declared = len as usize;
+    // The buffer grows as bytes arrive, so a header alone never buys its
+    // sender more than one step of the reader's memory.
+    let mut payload = vec![0u8; declared.min(READ_STEP)];
+    let mut filled = 0;
+    loop {
+        filled += read_into(r, &mut payload[filled..])?;
+        if filled < payload.len() {
+            return Err(GridError::TornFrame {
+                expected: len,
+                got: filled as u64,
+            });
+        }
+        if filled == declared {
+            break;
+        }
+        payload.resize(declared.min(filled + READ_STEP), 0);
     }
     Ok(Some(if control {
         Frame::Control(payload)

@@ -7,8 +7,8 @@
 //! serially. [`Parallelism`] is the knob every parallel entry point in
 //! this workspace takes — [`MerkleTree::build_with`](crate::MerkleTree::build_with)
 //! and [`MerkleTree::from_leaf_row`](crate::MerkleTree::from_leaf_row)
-//! here, and (re-exported through `ugc-core`) the scheme layer and the
-//! Monte-Carlo harness. How a build was split is known to the tree's
+//! here, and (re-exported through `ugc-core`) the scheme layer's
+//! participant builds. How a build was split is known to the tree's
 //! level walk and to nothing else: no count, report or digest records it.
 
 /// How many worker threads a parallel operation may use.
@@ -59,12 +59,6 @@ impl Parallelism {
     pub fn get(self) -> usize {
         self.threads
     }
-
-    /// Whether this configuration runs on the calling thread only.
-    #[must_use]
-    pub fn is_serial(self) -> bool {
-        self.threads == 1
-    }
 }
 
 impl Default for Parallelism {
@@ -89,8 +83,6 @@ mod tests {
     #[test]
     fn default_is_at_least_one() {
         assert!(Parallelism::default().get() >= 1);
-        assert!(!Parallelism::threads(2).is_serial());
-        assert!(Parallelism::serial().is_serial());
     }
 
     #[test]

@@ -4,9 +4,6 @@ use crate::{ComputeTask, WidthMismatch};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Shared handle to a compute task, as passed between grid actors.
-pub type TaskRef = Arc<dyn ComputeTask>;
-
 /// A thread-safe evaluation counter shared between a [`CountingTask`] and
 /// whoever audits it.
 ///

@@ -46,7 +46,7 @@ mod rng;
 mod screener;
 pub mod workloads;
 
-pub use compute::{CountingTask, SharedCounter, TaskRef};
+pub use compute::{CountingTask, SharedCounter};
 pub use domain::{Domain, DomainError, Partition};
 pub use guess::{Guesser, LuckyGuesser, ZeroGuesser};
 pub use rng::SplitMix64;

@@ -14,7 +14,6 @@ use uncheatable_grid::core::{MixedFleetConfig, ParticipantStorage};
 use uncheatable_grid::grid::HonestWorker;
 use uncheatable_grid::hash::{HashFunction, Sha256};
 use uncheatable_grid::merkle::tree_height;
-use uncheatable_grid::sim::Table;
 use uncheatable_grid::task::workloads::DrugScreening;
 use uncheatable_grid::task::Domain;
 
@@ -30,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         library.len()
     );
 
-    let mut table = Table::new([
+    let headers = [
         "storage",
         "tree nodes kept",
         "digest bytes kept",
@@ -38,7 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "extra vs full",
         "measured rco",
         "verdict",
-    ]);
+    ];
+    let mut rows = Vec::new();
 
     let full_nodes = 2 * library.len() - 1;
     for (label, storage) in [
@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         };
         let measured_rco = extra as f64 / base as f64;
-        table.push([
+        rows.push([
             label.to_string(),
             nodes.to_string(),
             bytes.to_string(),
@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!();
-    print!("{table}");
+    print_table(&headers, &rows);
     println!(
         "\nhits below the binding-energy threshold were reported and verified.\n\
          The rco column follows 2m/S exactly: generous storage (ℓ=6) makes the\n\
@@ -103,6 +103,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          costs 2× the task — §3.3's trade-off, both sides of it."
     );
     Ok(())
+}
+
+/// Prints `rows` under `headers`, every column right-aligned to its
+/// widest cell.
+fn print_table<const N: usize>(headers: &[&str; N], rows: &[[String; N]]) {
+    let widths: Vec<usize> = (0..N)
+        .map(|c| {
+            rows.iter()
+                .map(|row| row[c].chars().count())
+                .fold(headers[c].chars().count(), usize::max)
+        })
+        .collect();
+    let line = |cells: [&str; N]| {
+        let padded: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(cell, width)| format!("{cell:>width$}"))
+            .collect();
+        println!("{}", padded.join("  "));
+    };
+    line(*headers);
+    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (N - 1)));
+    for row in rows {
+        line(row.each_ref().map(String::as_str));
+    }
 }
 
 fn lab_unit_cost(lab: &DrugScreening) -> u64 {

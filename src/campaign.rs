@@ -346,10 +346,10 @@ impl CampaignPlan {
     pub fn deadline(&self) -> Duration {
         Duration::from_secs(10)
             + Duration::from_micros(
-                2 * self
-                    .params
+                self.params
                     .n
-                    .div_ceil(u64::try_from(self.participants.max(1)).unwrap_or(1)),
+                    .div_ceil(u64::try_from(self.participants.max(1)).unwrap_or(1))
+                    .saturating_mul(2),
             )
     }
 

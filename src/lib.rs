@@ -15,7 +15,6 @@
 //! | [`task`] | `ugc-task` | compute functions, screeners, domains, synthetic workloads |
 //! | [`grid`] | `ugc-grid` | transport with one charging rule (`Message::charged`), cost ledgers, cheating behaviours, broker |
 //! | [`core`] | `ugc-core` | CBS, NI-CBS, naive sampling, double-check, ringers, closed-form analysis |
-//! | [`sim`] | `ugc-sim` | Monte-Carlo harness, statistics, table printing |
 //!
 //! # Quick start
 //!
@@ -62,5 +61,4 @@ pub use ugc_core as core;
 pub use ugc_grid as grid;
 pub use ugc_hash as hash;
 pub use ugc_merkle as merkle;
-pub use ugc_sim as sim;
 pub use ugc_task as task;

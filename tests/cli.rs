@@ -335,6 +335,27 @@ fn oversized_sample_count_prints_usage_and_fails() {
 }
 
 #[test]
+fn chaotic_fleet_of_the_largest_domain_fails_without_panicking() {
+    // A chaotic run arms a session deadline that grows with the share
+    // size; at `n = u64::MAX` it saturates instead of overflowing.
+    let out = ugc(&[
+        "fleet",
+        "--participants",
+        "1",
+        "--cheaters",
+        "0",
+        "--n",
+        "18446744073709551615",
+        "--chaos",
+        "1",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("error:"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
 fn impossible_partial_level_names_the_cause() {
     // The participant's Merkle error, not the hang-up it caused.
     for args in [
