@@ -274,18 +274,13 @@ pub struct MemberSpec<'a, H: HashFunction> {
 /// # Errors
 ///
 /// As [`run_fleet_on`].
-pub fn run_mixed_fleet<H, T, S>(
-    task: &T,
-    screener: &S,
+pub fn run_mixed_fleet<H: HashFunction>(
+    task: &dyn ComputeTask,
+    screener: &dyn Screener,
     domain: Domain,
     members: &[MemberSpec<'_, H>],
     config: &MixedFleetConfig,
-) -> Result<FleetSummary, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-{
+) -> Result<FleetSummary, SchemeError> {
     let mut backend = InProcessBackend::new(config.transport);
     run_fleet_on(task, screener, domain, members, config, &mut backend, None)
 }
@@ -296,19 +291,14 @@ where
 /// # Errors
 ///
 /// As [`run_fleet_on`].
-pub fn run_durable_fleet<H, T, S>(
-    task: &T,
-    screener: &S,
+pub fn run_durable_fleet<H: HashFunction>(
+    task: &dyn ComputeTask,
+    screener: &dyn Screener,
     domain: Domain,
     members: &[MemberSpec<'_, H>],
     config: &MixedFleetConfig,
     campaign: &mut DurableCampaign,
-) -> Result<FleetSummary, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-{
+) -> Result<FleetSummary, SchemeError> {
     let mut backend = InProcessBackend::new(config.transport);
     run_fleet_on(
         task,
@@ -355,8 +345,8 @@ where
 ///
 /// The first member's supervisor error still standing after all retries
 /// (cheating is a rejected member, not an error) — or, when that is only
-/// the hang-up of a participant that failed first and no chaos plan is
-/// injecting hang-ups, the participant's error, which is the cause;
+/// the hang-up of a participant that failed first with anything but a
+/// hang-up of its own, the participant's error, which is the cause;
 /// participant errors otherwise surface only once every supervisor session
 /// succeeded; [`SchemeError::InvalidConfig`] for
 /// an empty fleet, an unsplittable domain, a behaviour count not matching
@@ -366,20 +356,15 @@ where
 /// ends up needing); and [`SchemeError::Journal`] when the header does
 /// not match this call or the journal fails mid-campaign (I/O, or an
 /// armed [`CrashPlan`](ugc_journal::CrashPlan) kill point).
-pub fn run_fleet_on<H, T, S>(
-    task: &T,
-    screener: &S,
+pub fn run_fleet_on<H: HashFunction>(
+    task: &dyn ComputeTask,
+    screener: &dyn Screener,
     domain: Domain,
     members: &[MemberSpec<'_, H>],
     config: &MixedFleetConfig,
     backend: &mut dyn TransportBackend,
     mut durable: Option<&mut DurableCampaign>,
-) -> Result<FleetSummary, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-{
+) -> Result<FleetSummary, SchemeError> {
     if let Some(campaign) = &durable {
         let expected =
             CampaignHeader::for_campaign(members, domain, config, campaign.header().app.clone());
@@ -411,13 +396,11 @@ where
             });
         }
     }
-    let shares: Vec<Domain> = domain
+    let shares = domain
         .split(members.len() as u64)
         .map_err(|_| SchemeError::InvalidConfig {
             reason: "domain cannot be partitioned over the fleet".into(),
-        })?
-        .into_iter()
-        .collect();
+        })?;
     if shares.len() != members.len() {
         return Err(SchemeError::InvalidConfig {
             reason: "more participants than domain inputs".into(),
@@ -471,15 +454,16 @@ where
     for (i, result) in finals.into_iter().enumerate() {
         let result = result.expect("every member ran at least one attempt");
         // The cause, not its echo: a participant that failed hung up, and
-        // all its supervisor then saw was the closed link. (Under chaos a
-        // hang-up is an injected fault, and the record stays as it fell.)
+        // all its supervisor then saw was the closed link. An injected
+        // crash is that same hang-up on the participant's side, so the
+        // filter skips it and a chaotic campaign names the cause too.
         let outcome = result.outcome.map_err(|error| {
             let cause = part_results[i]
                 .iter()
                 .filter_map(|r| r.as_ref().err())
                 .find(|e| **e != hung_up);
             match cause {
-                Some(cause) if config.chaos.is_none() && error == hung_up => cause.clone(),
+                Some(cause) if error == hung_up => cause.clone(),
                 _ => error,
             }
         })?;
@@ -669,21 +653,16 @@ pub(crate) struct MemberBooks {
     clippy::too_many_arguments,
     reason = "private plumbing under run_fleet_on"
 )]
-fn run_fleet_round<H, T, S>(
-    task: &T,
-    screener: &S,
+fn run_fleet_round<H: HashFunction>(
+    task: &dyn ComputeTask,
+    screener: &dyn Screener,
     members: &[MemberSpec<'_, H>],
     shares: &[Domain],
     config: &MixedFleetConfig,
     round: u32,
     roster: Vec<usize>,
     backend: &mut dyn TransportBackend,
-) -> Result<RoundRecord, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-{
+) -> Result<RoundRecord, SchemeError> {
     let mut engine = SessionEngine::new();
     if let Some(deadline) = config.deadline {
         engine = engine.with_deadline(deadline);

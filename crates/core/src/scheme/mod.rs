@@ -53,7 +53,8 @@ use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 /// As [`run_fleet_on`](crate::run_fleet_on):
 /// [`SchemeError::InvalidConfig`] if `behaviours` does not fill the
 /// scheme's slots, otherwise the supervisor's error if it failed (unless
-/// that is merely the echo of a participant that failed and hung up) and
+/// that is merely the echo of a participant that failed and hung up, in
+/// which case the participant's error, with or without a chaos plan) and
 /// the first participant error only if the supervisor succeeded.
 pub fn run_round<H: HashFunction>(
     scheme: &dyn VerificationScheme<H>,
@@ -67,7 +68,7 @@ pub fn run_round<H: HashFunction>(
         scheme,
         behaviours: behaviours.to_vec(),
     };
-    let summary = run_mixed_fleet(&task, &screener, domain, &[member], config)?;
+    let summary = run_mixed_fleet(task, screener, domain, &[member], config)?;
     let only = summary.members.into_iter().next();
     Ok(only.expect("a fleet of one yields one member").outcome)
 }

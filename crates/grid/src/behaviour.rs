@@ -117,41 +117,6 @@ pub trait WorkerBehaviour: Send + Sync {
     }
 }
 
-impl<B: WorkerBehaviour + ?Sized> WorkerBehaviour for &B {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-    fn honesty_ratio(&self) -> f64 {
-        (**self).honesty_ratio()
-    }
-    fn leaf_value(
-        &self,
-        task: &dyn ComputeTask,
-        domain: Domain,
-        index: u64,
-        ledger: &CostLedger,
-    ) -> Vec<u8> {
-        (**self).leaf_value(task, domain, index, ledger)
-    }
-    fn leaf_row(
-        &self,
-        task: &dyn ComputeTask,
-        domain: Domain,
-        ledger: &CostLedger,
-    ) -> Result<Option<Vec<u8>>, WidthMismatch> {
-        (**self).leaf_row(task, domain, ledger)
-    }
-    fn report_for(
-        &self,
-        screener: &dyn Screener,
-        domain: Domain,
-        index: u64,
-        committed: &[u8],
-    ) -> Option<ScreenReport> {
-        (**self).report_for(screener, domain, index, committed)
-    }
-}
-
 /// The fully honest participant: `Φ(L_i) = f(x_i)` for every `i`.
 ///
 /// # Examples

@@ -2,8 +2,7 @@
 //! every behaviour it must yield the same bytes and charge the ledger the
 //! same totals as asking for each leaf in turn — at sizes on both sides
 //! of the honest worker's 1024-input chunk — and an override must survive
-//! every pointer the schemes hold a behaviour through (a reference, to a
-//! concrete or a `dyn` behaviour).
+//! the `&dyn WorkerBehaviour` the schemes hold a behaviour through.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use ugc_grid::{
@@ -37,27 +36,24 @@ fn assert_row_matches_leaf_values(behaviour: &dyn WorkerBehaviour, task: &dyn Co
     }
 }
 
-fn assert_through_every_pointer<B: WorkerBehaviour>(behaviour: B) {
+fn assert_through_dyn<B: WorkerBehaviour>(behaviour: B) {
     // unit_cost 3 (so a per-chunk charge must multiply) and unit_cost 1.
     let password = PasswordSearch::with_work_factor(5, 3, 3);
     let primes = PrimalitySearch::new(1_000_003, 2);
     for task in [&password as &dyn ComputeTask, &primes] {
         assert_row_matches_leaf_values(&behaviour, task);
-        assert_row_matches_leaf_values(&&behaviour, task);
-        let dynamic: &dyn WorkerBehaviour = &behaviour;
-        assert_row_matches_leaf_values(&dynamic, task);
     }
 }
 
 #[test]
 fn honest_row_matches_leaf_values() {
-    assert_through_every_pointer(HonestWorker);
+    assert_through_dyn(HonestWorker);
 }
 
 #[test]
 fn semi_honest_rows_match_leaf_values() {
     for selection in [CheatSelection::Prefix, CheatSelection::Scattered] {
-        assert_through_every_pointer(SemiHonestCheater::new(
+        assert_through_dyn(SemiHonestCheater::new(
             0.6,
             selection,
             ZeroGuesser::new(9),
@@ -68,7 +64,7 @@ fn semi_honest_rows_match_leaf_values() {
 
 #[test]
 fn malicious_row_matches_leaf_values() {
-    assert_through_every_pointer(MaliciousWorker::new(0.5, 3));
+    assert_through_dyn(MaliciousWorker::new(0.5, 3));
 }
 
 /// One-byte outputs; counts calls of `compute` and of `compute_into`.
@@ -100,26 +96,20 @@ impl ComputeTask for Probe {
 
 #[test]
 fn honest_override_batches_in_1024_input_chunks_through_every_pointer() {
-    // If a blanket impl dropped `leaf_row`, the default would call
-    // `leaf_value` — and so `compute` — once per leaf.
-    let dynamic: &dyn WorkerBehaviour = &HonestWorker;
-    for behaviour in [
-        &HonestWorker as &dyn WorkerBehaviour,
-        &&HonestWorker,
-        &dynamic,
-    ] {
-        let probe = Probe::default();
-        let ledger = CostLedger::new();
-        let row = behaviour
-            .leaf_row(&probe, Domain::new(0, 2500), &ledger)
-            .unwrap()
-            .expect("a small row fits");
-        assert_eq!(row.len(), 2500);
-        assert_eq!(row[2499], 2499u64.to_le_bytes()[0]);
-        assert_eq!(probe.batch_calls.load(Ordering::Relaxed), 3);
-        assert_eq!(probe.scalar_calls.load(Ordering::Relaxed), 0);
-        assert_eq!(ledger.report().f_evals, 2500);
-    }
+    // If a trait object missed the `leaf_row` override, the default
+    // would call `leaf_value` — and so `compute` — once per leaf.
+    let behaviour: &dyn WorkerBehaviour = &HonestWorker;
+    let probe = Probe::default();
+    let ledger = CostLedger::new();
+    let row = behaviour
+        .leaf_row(&probe, Domain::new(0, 2500), &ledger)
+        .unwrap()
+        .expect("a small row fits");
+    assert_eq!(row.len(), 2500);
+    assert_eq!(row[2499], 2499u64.to_le_bytes()[0]);
+    assert_eq!(probe.batch_calls.load(Ordering::Relaxed), 3);
+    assert_eq!(probe.scalar_calls.load(Ordering::Relaxed), 0);
+    assert_eq!(ledger.report().f_evals, 2500);
 }
 
 /// Declares 8-byte outputs and returns 7 bytes for the one input named.

@@ -31,9 +31,6 @@
 //!   scalar `sha256::compress` keeps its rotates: one lane has a real
 //!   `ror`, and the shift form measures about 15 % slower there.
 //!
-//! SHA-1 has no lane kernel, because nothing in the product hashes with
-//! it: `Sha1`'s lane entry points hash one message per lane.
-//!
 //! The gain lives in emitted code, so CI reads it: the `test` job runs
 //! `cargo rustc -p ugc-hash --release --lib -- --emit asm` and then
 //! `.github/check_lane_codegen.sh`, which fails unless it finds exactly
@@ -446,7 +443,7 @@ pub fn digest_iterated_batch<H: HashFunction>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Md5, Sha1, Sha256};
+    use crate::{Md5, Sha256};
 
     fn message(len: usize, tag: u8) -> Vec<u8> {
         (0..len)
@@ -471,7 +468,6 @@ mod tests {
         let b = message(40, 2);
         let msgs: [(&[u8], &[u8]); 4] = [(&a, &b); 4];
         assert_eq!(Md5::digest_lanes_4(&msgs), [Md5::digest_pair(&a, &b); 4]);
-        assert_eq!(Sha1::digest_lanes_4(&msgs), [Sha1::digest_pair(&a, &b); 4]);
         assert_eq!(
             Sha256::digest_lanes_4(&msgs),
             [Sha256::digest_pair(&a, &b); 4]
@@ -593,8 +589,11 @@ mod tests {
         let seeds: Vec<Vec<u8>> = (0..6).map(|i| message(16, i)).collect();
         let refs: Vec<&[u8]> = seeds.iter().map(|s| s.as_slice()).collect();
         for width in LaneWidth::ALL {
-            let got = digest_iterated_batch::<Sha1>(&refs, 5, width);
-            let want: Vec<_> = seeds.iter().map(|s| Sha1::digest_iterated(s, 5)).collect();
+            let got = digest_iterated_batch::<Sha256>(&refs, 5, width);
+            let want: Vec<_> = seeds
+                .iter()
+                .map(|s| Sha256::digest_iterated(s, 5))
+                .collect();
             assert_eq!(got, want, "width={width}");
         }
     }

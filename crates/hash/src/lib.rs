@@ -8,7 +8,7 @@
 //! implemented from the specifications (RFC 1321, FIPS 180-4) with no external
 //! dependencies:
 //!
-//! * [`Md5`], [`Sha1`], [`Sha256`] — validated against the official test
+//! * [`Md5`], [`Sha256`] — validated against the official test
 //!   vectors. Each is its constants and its compression function; the
 //!   Merkle–Damgård construction around them is written once, and there
 //!   are two ways through it: the streaming state
@@ -46,13 +46,11 @@ mod iterated;
 mod lanes;
 mod md5;
 mod scaffold;
-mod sha1;
 mod sha256;
 
 pub use iterated::{HashChain, IteratedHash};
 pub use lanes::{digest_batch, digest_iterated_batch, digest_pairs_into, LaneWidth};
 pub use md5::Md5;
-pub use sha1::Sha1;
 pub use sha256::Sha256;
 
 use core::fmt;
@@ -128,11 +126,11 @@ pub trait HashFunction: Clone + Send + Sync + 'static {
     ///
     /// This is the Merkle-tree inner-node operation
     /// `Φ(V) = hash(Φ(V_left) || Φ(V_right))` from Eq. (1) of the paper.
-    /// [`Md5`], [`Sha1`] and [`Sha256`] assemble a message of at most 119
-    /// bytes and its padding — two blocks — on the stack and compress
-    /// from there; inner nodes hash exactly two digests, so no streaming
-    /// state is needed. Longer input takes the streaming state, which is
-    /// also this default.
+    /// [`Md5`] and [`Sha256`] assemble a message of at most 119 bytes and
+    /// its padding — two blocks — on the stack and compress from there;
+    /// inner nodes hash exactly two digests, so no streaming state is
+    /// needed. Longer input takes the streaming state, which is also this
+    /// default.
     fn digest_pair(a: &[u8], b: &[u8]) -> Self::Digest {
         streaming_digest_pair::<Self>(a, b)
     }
@@ -158,20 +156,13 @@ pub trait HashFunction: Clone + Send + Sync + 'static {
     }
 
     /// Digests four independent two-segment messages (`a ‖ b` each) in
-    /// one dispatch.
-    ///
-    /// [`Md5`] and [`Sha256`] override the default scalar loop with
-    /// transposed message-parallel kernels; results are bit-identical to
-    /// four [`digest_pair`](Self::digest_pair) calls.
-    fn digest_lanes_4(msgs: &[(&[u8], &[u8]); 4]) -> [Self::Digest; 4] {
-        core::array::from_fn(|l| Self::digest_pair(msgs[l].0, msgs[l].1))
-    }
+    /// one dispatch through a transposed message-parallel kernel; results
+    /// are bit-identical to four [`digest_pair`](Self::digest_pair) calls.
+    fn digest_lanes_4(msgs: &[(&[u8], &[u8]); 4]) -> [Self::Digest; 4];
 
     /// Digests eight independent two-segment messages in one dispatch;
     /// see [`digest_lanes_4`](Self::digest_lanes_4).
-    fn digest_lanes_8(msgs: &[(&[u8], &[u8]); 8]) -> [Self::Digest; 8] {
-        core::array::from_fn(|l| Self::digest_pair(msgs[l].0, msgs[l].1))
-    }
+    fn digest_lanes_8(msgs: &[(&[u8], &[u8]); 8]) -> [Self::Digest; 8];
 
     /// Converts a digest into a `u64` by reading its first 8 bytes
     /// little-endian.
@@ -232,8 +223,6 @@ mod tests {
         assert_eq!(Sha256::digest_from_bytes(&d.as_ref()[..31]), None);
         let d = Md5::digest(b"wire");
         assert_eq!(Md5::digest_from_bytes(d.as_ref()), Some(d));
-        let d = Sha1::digest(b"wire");
-        assert_eq!(Sha1::digest_from_bytes(d.as_ref()), Some(d));
-        assert_eq!(Sha1::digest_from_bytes(&[]), None);
+        assert_eq!(Md5::digest_from_bytes(&[]), None);
     }
 }

@@ -1,7 +1,6 @@
-//! The Merkle–Damgård construction under MD5, SHA-1 and SHA-256, written
-//! once.
+//! The Merkle–Damgård construction under MD5 and SHA-256, written once.
 //!
-//! The three algorithms differ in four things — initial value,
+//! The two algorithms differ in four things — initial value,
 //! compression function, number of 32-bit state words, and whether words
 //! and the appended bit length are little- or big-endian — which is what
 //! [`Compression`] asks of them. Everything else is this file: 64-byte
@@ -29,7 +28,7 @@ pub(crate) trait Compression<const N: usize>: HashFunction {
     const IV: [u32; N];
 
     /// Byte order of the message words, the digest and the appended bit
-    /// length: little-endian for MD5, big-endian for the SHA family.
+    /// length: little-endian for MD5, big-endian for SHA-256.
     const LITTLE_ENDIAN: bool;
 
     /// Folds one 64-byte block into the chaining value.
@@ -186,12 +185,11 @@ pub(crate) fn digest_pair<C: Compression<N>, const N: usize>(a: &[u8], b: &[u8])
 /// `$module` (`IV`, `compress`, `digest_from_words`, optionally a tabled
 /// `pad64`), and its [`HashFunction`] — streaming through [`State`],
 /// one-shot through [`digest_pair`], and lane groups through the lane
-/// driver `crate::lanes::$lanes` where the algorithm has a
-/// [`LaneCompression`] (otherwise one `digest_pair` per lane).
+/// driver `crate::lanes::$lanes` over its [`LaneCompression`].
 macro_rules! merkle_damgard {
     (
         $alg:ident, $module:ident, $words:expr, $digest_len:expr, $name:expr,
-        little_endian = $le:expr $(, pad64 = $pad64:path)? $(, lanes = $lanes:ident)?
+        little_endian = $le:expr $(, pad64 = $pad64:path)?, lanes = $lanes:ident
     ) => {
         impl Compression<$words> for crate::$alg {
             const IV: [u32; $words] = crate::$module::IV;
@@ -237,13 +235,13 @@ macro_rules! merkle_damgard {
                 digest_pair::<Self, $words>(a, b)
             }
 
-            $(fn digest_lanes_4(msgs: &[(&[u8], &[u8]); 4]) -> [Self::Digest; 4] {
+            fn digest_lanes_4(msgs: &[(&[u8], &[u8]); 4]) -> [Self::Digest; 4] {
                 crate::lanes::$lanes::<Self, $words, 4>(msgs)
             }
 
             fn digest_lanes_8(msgs: &[(&[u8], &[u8]); 8]) -> [Self::Digest; 8] {
                 crate::lanes::$lanes::<Self, $words, 8>(msgs)
-            })?
+            }
         }
     };
 }
@@ -251,10 +249,6 @@ macro_rules! merkle_damgard {
 merkle_damgard! {
     Md5, md5, 4, 16, "MD5",
     little_endian = true, lanes = digest_lanes
-}
-merkle_damgard! {
-    Sha1, sha1, 5, 20, "SHA-1",
-    little_endian = false
 }
 merkle_damgard! {
     Sha256, sha256, 8, 32, "SHA-256",

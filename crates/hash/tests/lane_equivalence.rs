@@ -7,8 +7,7 @@
 //! setting — the reference — agrees with per-message hashing too.
 
 use ugc_hash::{
-    digest_batch, digest_iterated_batch, digest_pairs_into, HashFunction, LaneWidth, Md5, Sha1,
-    Sha256,
+    digest_batch, digest_iterated_batch, digest_pairs_into, HashFunction, LaneWidth, Md5, Sha256,
 };
 
 /// Message lengths that exercise every padding case: empty, one byte,
@@ -52,7 +51,6 @@ fn padding_boundaries_match_scalar_for_every_algorithm() {
         // A full batch of same-length messages at each boundary length.
         let payloads: Vec<Vec<u8>> = (0..8).map(|i| message(len, i)).collect();
         assert_batch_matches_scalar::<Md5>(&payloads, &format!("md5 len={len}"));
-        assert_batch_matches_scalar::<Sha1>(&payloads, &format!("sha1 len={len}"));
         assert_batch_matches_scalar::<Sha256>(&payloads, &format!("sha256 len={len}"));
     }
 }
@@ -65,7 +63,6 @@ fn ragged_batches_match_scalar_for_every_algorithm() {
     for n in 1..=9usize {
         let payloads: Vec<Vec<u8>> = (0..n).map(|i| message(24 + i, i as u64)).collect();
         assert_batch_matches_scalar::<Md5>(&payloads, &format!("md5 n={n}"));
-        assert_batch_matches_scalar::<Sha1>(&payloads, &format!("sha1 n={n}"));
         assert_batch_matches_scalar::<Sha256>(&payloads, &format!("sha256 n={n}"));
     }
 }
@@ -81,7 +78,6 @@ fn mixed_per_lane_lengths_match_scalar() {
         .map(|(i, &len)| message(len, i as u64))
         .collect();
     assert_batch_matches_scalar::<Md5>(&payloads, "md5 mixed");
-    assert_batch_matches_scalar::<Sha1>(&payloads, "sha1 mixed");
     assert_batch_matches_scalar::<Sha256>(&payloads, "sha256 mixed");
 }
 
@@ -111,9 +107,9 @@ fn two_segment_pairs_match_concatenation() {
                 (a, b)
             })
             .collect();
-        let scalar: Vec<_> = payloads.iter().map(|p| Sha1::digest(p)).collect();
+        let scalar: Vec<_> = payloads.iter().map(|p| Sha256::digest(p)).collect();
         for width in LaneWidth::ALL {
-            let lanes = digest_pairs::<Sha1>(&pairs, width);
+            let lanes = digest_pairs::<Sha256>(&pairs, width);
             assert_eq!(lanes, scalar, "split={split} width={width}");
         }
     }
@@ -232,11 +228,6 @@ fn fips_vectors_through_digest_batch() {
         "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ];
-    let sha1 = [
-        "a9993e364706816aba3e25717850c26c9cd0d89d",
-        "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
-        "da39a3ee5e6b4b0d3255bfef95601890afd80709",
-    ];
     let md5 = [
         "900150983cd24fb0d6963f7d28e17f72",
         "8215ef0796a20bcaaae116d3876c664a",
@@ -245,9 +236,6 @@ fn fips_vectors_through_digest_batch() {
     for width in LaneWidth::ALL {
         for (i, d) in digest_batch::<Sha256>(&msgs, width).iter().enumerate() {
             assert_eq!(hex(d), sha256[i % 3], "sha256 message {i} width={width}");
-        }
-        for (i, d) in digest_batch::<Sha1>(&msgs, width).iter().enumerate() {
-            assert_eq!(hex(d), sha1[i % 3], "sha1 message {i} width={width}");
         }
         for (i, d) in digest_batch::<Md5>(&msgs, width).iter().enumerate() {
             assert_eq!(hex(d), md5[i % 3], "md5 message {i} width={width}");
@@ -300,6 +288,5 @@ fn assert_dispatcher_matches_per_pair<H: HashFunction>() {
 #[test]
 fn dispatcher_matches_per_pair_digest_for_every_batch_size() {
     assert_dispatcher_matches_per_pair::<Md5>();
-    assert_dispatcher_matches_per_pair::<Sha1>();
     assert_dispatcher_matches_per_pair::<Sha256>();
 }

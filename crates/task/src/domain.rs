@@ -141,12 +141,13 @@ impl Domain {
     }
 
     /// Splits into `parts` contiguous sub-domains whose sizes differ by at
-    /// most one — the supervisor's task partition of Section 2.1.
+    /// most one, in input order — the supervisor's task partition of
+    /// Section 2.1. Fewer parts come back when there are fewer inputs.
     ///
     /// # Errors
     ///
     /// * [`DomainError::ZeroParts`] if `parts == 0`.
-    pub fn split(&self, parts: u64) -> Result<Partition, DomainError> {
+    pub fn split(&self, parts: u64) -> Result<Vec<Domain>, DomainError> {
         if parts == 0 {
             return Err(DomainError::ZeroParts);
         }
@@ -163,53 +164,13 @@ impl Domain {
             });
             cursor += size;
         }
-        Ok(Partition { parts: out })
+        Ok(out)
     }
 }
 
 impl fmt::Display for Domain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}, {})", self.start, self.start + self.len)
-    }
-}
-
-/// The result of [`Domain::split`]: disjoint sub-domains covering the whole.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Partition {
-    parts: Vec<Domain>,
-}
-
-impl Partition {
-    /// Number of sub-domains.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Whether the partition has no parts (never true for valid splits).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
-    }
-
-    /// The sub-domains in input order.
-    pub fn iter(&self) -> impl Iterator<Item = &Domain> {
-        self.parts.iter()
-    }
-
-    /// Sub-domain by position.
-    #[must_use]
-    pub fn get(&self, i: usize) -> Option<&Domain> {
-        self.parts.get(i)
-    }
-}
-
-impl IntoIterator for Partition {
-    type Item = Domain;
-    type IntoIter = std::vec::IntoIter<Domain>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.parts.into_iter()
     }
 }
 
@@ -310,7 +271,9 @@ mod tests {
     #[test]
     fn partition_into_iter() {
         let d = Domain::new(0, 6);
-        let collected: Vec<Domain> = d.split(2).unwrap().into_iter().collect();
-        assert_eq!(collected, vec![Domain::new(0, 3), Domain::new(3, 3)]);
+        assert_eq!(
+            d.split(2).unwrap(),
+            vec![Domain::new(0, 3), Domain::new(3, 3)]
+        );
     }
 }

@@ -27,24 +27,6 @@ pub trait Guesser: Send + Sync {
     }
 }
 
-impl<G: Guesser + ?Sized> Guesser for &G {
-    fn guess_salted(&self, x: u64, width: usize, salt: u64) -> Vec<u8> {
-        (**self).guess_salted(x, width, salt)
-    }
-}
-
-impl<G: Guesser + ?Sized> Guesser for Box<G> {
-    fn guess_salted(&self, x: u64, width: usize, salt: u64) -> Vec<u8> {
-        (**self).guess_salted(x, width, salt)
-    }
-}
-
-impl<G: Guesser + ?Sized> Guesser for std::sync::Arc<G> {
-    fn guess_salted(&self, x: u64, width: usize, salt: u64) -> Vec<u8> {
-        (**self).guess_salted(x, width, salt)
-    }
-}
-
 /// Guesses uniformly random bytes; `q ≈ 0` for any non-trivial task.
 ///
 /// This is the paper's default assumption ("the probability that the
@@ -102,9 +84,9 @@ impl Guesser for ZeroGuesser {
 /// use ugc_task::workloads::PasswordSearch;
 ///
 /// let task = PasswordSearch::with_hidden_password(3, 4);
-/// let always = LuckyGuesser::new(&task, 1.0, 99);
+/// let always = LuckyGuesser::new(task.clone(), 1.0, 99);
 /// assert_eq!(always.guess(5, 16), task.compute(5)); // q = 1: always right
-/// let never = LuckyGuesser::new(&task, 0.0, 99);
+/// let never = LuckyGuesser::new(task.clone(), 0.0, 99);
 /// assert_ne!(never.guess(5, 16), task.compute(5)); // q = 0: always wrong
 /// ```
 pub struct LuckyGuesser<T> {

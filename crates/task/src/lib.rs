@@ -47,7 +47,7 @@ mod screener;
 pub mod workloads;
 
 pub use compute::{CountingTask, SharedCounter};
-pub use domain::{Domain, DomainError, Partition};
+pub use domain::{Domain, DomainError};
 pub use guess::{Guesser, LuckyGuesser, ZeroGuesser};
 pub use rng::SplitMix64;
 pub use screener::{AcceptAllScreener, MatchScreener, ScreenReport, Screener, ThresholdScreener};
@@ -207,87 +207,6 @@ pub trait ComputeTask: Send + Sync {
     }
 }
 
-impl<T: ComputeTask + ?Sized> ComputeTask for &T {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-    fn output_width(&self) -> usize {
-        (**self).output_width()
-    }
-    fn compute(&self, x: u64) -> Vec<u8> {
-        (**self).compute(x)
-    }
-    fn compute_into(&self, xs: &[u64], out: &mut [u8]) -> Result<(), WidthMismatch> {
-        (**self).compute_into(xs, out)
-    }
-    fn compute_batch(&self, xs: &[u64]) -> Vec<Vec<u8>> {
-        (**self).compute_batch(xs)
-    }
-    fn verify(&self, x: u64, claimed: &[u8]) -> bool {
-        (**self).verify(x, claimed)
-    }
-    fn cheap_verification(&self) -> bool {
-        (**self).cheap_verification()
-    }
-    fn unit_cost(&self) -> u64 {
-        (**self).unit_cost()
-    }
-}
-
-impl<T: ComputeTask + ?Sized> ComputeTask for Box<T> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-    fn output_width(&self) -> usize {
-        (**self).output_width()
-    }
-    fn compute(&self, x: u64) -> Vec<u8> {
-        (**self).compute(x)
-    }
-    fn compute_into(&self, xs: &[u64], out: &mut [u8]) -> Result<(), WidthMismatch> {
-        (**self).compute_into(xs, out)
-    }
-    fn compute_batch(&self, xs: &[u64]) -> Vec<Vec<u8>> {
-        (**self).compute_batch(xs)
-    }
-    fn verify(&self, x: u64, claimed: &[u8]) -> bool {
-        (**self).verify(x, claimed)
-    }
-    fn cheap_verification(&self) -> bool {
-        (**self).cheap_verification()
-    }
-    fn unit_cost(&self) -> u64 {
-        (**self).unit_cost()
-    }
-}
-
-impl<T: ComputeTask + ?Sized> ComputeTask for std::sync::Arc<T> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-    fn output_width(&self) -> usize {
-        (**self).output_width()
-    }
-    fn compute(&self, x: u64) -> Vec<u8> {
-        (**self).compute(x)
-    }
-    fn compute_into(&self, xs: &[u64], out: &mut [u8]) -> Result<(), WidthMismatch> {
-        (**self).compute_into(xs, out)
-    }
-    fn compute_batch(&self, xs: &[u64]) -> Vec<Vec<u8>> {
-        (**self).compute_batch(xs)
-    }
-    fn verify(&self, x: u64, claimed: &[u8]) -> bool {
-        (**self).verify(x, claimed)
-    }
-    fn cheap_verification(&self) -> bool {
-        (**self).cheap_verification()
-    }
-    fn unit_cost(&self) -> u64 {
-        (**self).unit_cost()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,15 +236,5 @@ mod tests {
         let t = Doubler;
         assert_eq!(t.unit_cost(), 1);
         assert!(!t.cheap_verification());
-    }
-
-    #[test]
-    fn blanket_impls_delegate() {
-        let t = Doubler;
-        let by_ref: &dyn ComputeTask = &t;
-        assert_eq!(by_ref.name(), "doubler");
-        let arc: std::sync::Arc<dyn ComputeTask> = std::sync::Arc::new(Doubler);
-        assert_eq!(arc.compute(5), 10u64.to_le_bytes().to_vec());
-        assert_eq!(arc.output_width(), 8);
     }
 }

@@ -35,24 +35,6 @@ pub trait Screener: Send + Sync {
     fn screen(&self, x: u64, fx: &[u8]) -> Option<ScreenReport>;
 }
 
-impl<S: Screener + ?Sized> Screener for &S {
-    fn screen(&self, x: u64, fx: &[u8]) -> Option<ScreenReport> {
-        (**self).screen(x, fx)
-    }
-}
-
-impl<S: Screener + ?Sized> Screener for Box<S> {
-    fn screen(&self, x: u64, fx: &[u8]) -> Option<ScreenReport> {
-        (**self).screen(x, fx)
-    }
-}
-
-impl<S: Screener + ?Sized> Screener for std::sync::Arc<S> {
-    fn screen(&self, x: u64, fx: &[u8]) -> Option<ScreenReport> {
-        (**self).screen(x, fx)
-    }
-}
-
 /// Reports a result iff it byte-equals a target value — the screener for
 /// search problems (password cracking, ringer detection).
 ///

@@ -4,7 +4,6 @@
 //! way it is driven.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use ugc_task::workloads::{
     DrugScreening, FactoringSearch, PasswordSearch, PrimalitySearch, SetiSignal,
 };
@@ -71,42 +70,37 @@ impl ComputeTask for Overriding {
 
 #[test]
 fn a_compute_into_override_survives_indirection() {
-    // The blanket impls must forward `compute_into` (and `compute_batch`
-    // must reach it), or a trait object silently falls back to the
+    // A trait object must reach the `compute_into` override (and
+    // `compute_batch` must too), or it silently falls back to the
     // default loop over `compute`.
-    let task = Arc::new(Overriding(AtomicUsize::new(0)));
-    let by_ref: &dyn ComputeTask = &*task;
-    let boxed: Box<dyn ComputeTask> = Box::new(task.clone());
-    let shared: Arc<dyn ComputeTask> = task.clone();
-    let mut calls = 0;
-    for handle in [&by_ref as &dyn ComputeTask, &boxed, &shared] {
-        let mut row = [0u8; 3];
-        handle.compute_into(&[7, 8, 9], &mut row).unwrap();
-        assert_eq!(row, [7, 8, 9]);
-        assert_eq!(handle.compute_batch(&[1, 2]), vec![vec![1], vec![2]]);
-        calls += 2;
-        assert_eq!(task.0.load(Ordering::Relaxed), calls);
+    let task = Overriding(AtomicUsize::new(0));
+    let handle: &dyn ComputeTask = &task;
+    let mut row = [0u8; 3];
+    handle.compute_into(&[7, 8, 9], &mut row).unwrap();
+    assert_eq!(row, [7, 8, 9]);
+    assert_eq!(handle.compute_batch(&[1, 2]), vec![vec![1], vec![2]]);
+    assert_eq!(task.0.load(Ordering::Relaxed), 2);
+}
+
+fn assert_counting_ticks_once_per_input<T: ComputeTask>(task: T) {
+    let xs = inputs(37);
+    let counted = CountingTask::new(task);
+    let name = counted.name();
+    for &x in &xs {
+        let _ = counted.compute(x);
     }
+    assert_eq!(counted.evaluations(), 37, "{name} compute");
+    let mut row = vec![0u8; xs.len() * counted.output_width()];
+    counted.compute_into(&xs, &mut row).unwrap();
+    assert_eq!(counted.evaluations(), 74, "{name} compute_into");
+    let _ = counted.compute_batch(&xs);
+    assert_eq!(counted.evaluations(), 111, "{name} compute_batch");
 }
 
 #[test]
 fn counting_task_ticks_once_per_input_in_every_form() {
-    let xs = inputs(37);
-    for task in [
-        &PasswordSearch::with_hidden_password(1, 5) as &dyn ComputeTask,
-        &PrimalitySearch::new(1_000_003, 2),
-    ] {
-        let counted = CountingTask::new(task);
-        for &x in &xs {
-            let _ = counted.compute(x);
-        }
-        assert_eq!(counted.evaluations(), 37, "{} compute", task.name());
-        let mut row = vec![0u8; xs.len() * task.output_width()];
-        counted.compute_into(&xs, &mut row).unwrap();
-        assert_eq!(counted.evaluations(), 74, "{} compute_into", task.name());
-        let _ = counted.compute_batch(&xs);
-        assert_eq!(counted.evaluations(), 111, "{} compute_batch", task.name());
-    }
+    assert_counting_ticks_once_per_input(PasswordSearch::with_hidden_password(1, 5));
+    assert_counting_ticks_once_per_input(PrimalitySearch::new(1_000_003, 2));
 }
 
 /// Declares 8-byte outputs and returns 7 bytes for input 5.

@@ -105,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let task = PrimalitySearch::new(1_000_000_000_001, 2);
     let prime_screener = PrimeScreener;
     let search_space = Domain::new(0, 3 * 4096);
-    let shares: Vec<Domain> = search_space.split(3)?.into_iter().collect();
+    let shares = search_space.split(3)?;
 
     // Wire up: supervisor ↔ broker ↔ 3 participants.
     let (sup_ep, broker_up) = duplex();

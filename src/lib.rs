@@ -10,7 +10,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
-//! | [`hash`] | `ugc-hash` | MD5 / SHA-1 / SHA-256 from scratch, hardened `g = H^k` |
+//! | [`hash`] | `ugc-hash` | MD5 / SHA-256 from scratch, hardened `g = H^k` |
 //! | [`merkle`] | `ugc-merkle` | commitment trees, authentication paths, partial storage |
 //! | [`task`] | `ugc-task` | compute functions, screeners, domains, synthetic workloads |
 //! | [`grid`] | `ugc-grid` | transport with one charging rule (`Message::charged`), cost ledgers, cheating behaviours, broker |

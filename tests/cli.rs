@@ -337,7 +337,8 @@ fn oversized_sample_count_prints_usage_and_fails() {
 #[test]
 fn chaotic_fleet_of_the_largest_domain_fails_without_panicking() {
     // A chaotic run arms a session deadline that grows with the share
-    // size; at `n = u64::MAX` it saturates instead of overflowing.
+    // size; at `n = u64::MAX` it saturates instead of overflowing. The
+    // error names the participant's cause, not the hang-up it caused.
     let out = ugc(&[
         "fleet",
         "--participants",
@@ -353,6 +354,7 @@ fn chaotic_fleet_of_the_largest_domain_fails_without_panicking() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("error:"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
+    assert!(err.contains("share too large"), "{err}");
 }
 
 #[test]

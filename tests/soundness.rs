@@ -9,7 +9,7 @@ use uncheatable_grid::core::scheme::{
 };
 use uncheatable_grid::core::{MixedFleetConfig, ParticipantStorage, VerificationScheme};
 use uncheatable_grid::grid::{HonestWorker, WorkerBehaviour};
-use uncheatable_grid::hash::{HashFunction, Md5, Sha1, Sha256};
+use uncheatable_grid::hash::{HashFunction, Md5, Sha256};
 use uncheatable_grid::merkle::tree_height;
 use uncheatable_grid::task::workloads::PasswordSearch;
 use uncheatable_grid::task::Domain;
@@ -98,7 +98,6 @@ fn soundness_holds_for_every_hash_function() {
         report_audit: 0,
     };
     assert!(honest_accepted::<Md5>(&scheme, &task, 100, FULL));
-    assert!(honest_accepted::<Sha1>(&scheme, &task, 100, FULL));
     assert!(honest_accepted::<Sha256>(&scheme, &task, 100, FULL));
 }
 
