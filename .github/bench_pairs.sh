@@ -1,0 +1,86 @@
+#!/usr/bin/env bash
+# Records interleaved parent/change pairs of the repository benchmark as
+# BENCH_<pr>.json at the repository root.
+#
+#   .github/bench_pairs.sh <parent-rev> <pr>
+#
+# Builds the benchmark (BENCHMARK.json, benchmark/) twice: <parent-rev>,
+# exported with `git archive` into a scratch directory, and the working
+# tree, in place. Then, per workload BENCHMARK.json names, it runs ten
+# pairs at BENCHMARK.json's run_seconds and seed 11, the two sides taking
+# turns at going first, and compares the sets with the benchmark's own
+# `compare`. BENCH_<pr>.json holds
+#
+#   {pr, parent, change, runs: {parent: [...], change: [...]},
+#    compare: ["<line>", ...], compare_status}
+#
+# where `runs` are the result files as `--out` writes them and `compare`
+# is the verdict table (its exit status: non-zero on any WORSE row, any
+# count that DIFFERS and any failed operation). `change` is the HEAD
+# commit, suffixed `+working-tree` when the tree has uncommitted changes.
+#
+# The export, rather than a worktree, leaves the repository's .git as it
+# was even if the run is killed. A build rewrites a stale
+# benchmark/Cargo.lock; the script puts it back, so benchmark/ and
+# BENCHMARK.json are left byte-identical. Needs cargo and jq.
+set -euo pipefail
+
+if [ $# -ne 2 ] || ! [[ $2 =~ ^[0-9]+$ ]]; then
+    echo "usage: $0 <parent-rev> <pr>" >&2
+    exit 2
+fi
+pairs=10
+seed=11
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+parent=$(git rev-parse --verify "$1^{commit}")
+change=$(git rev-parse HEAD)
+if ! git diff --quiet HEAD || [ -n "$(git ls-files --others --exclude-standard)" ]; then
+    change="$change+working-tree"
+fi
+seconds=$(jq -r .run_seconds BENCHMARK.json)
+workloads=$(jq -r '.workloads[].name' BENCHMARK.json)
+
+scratch=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
+cp benchmark/Cargo.lock "$scratch/Cargo.lock"
+trap 'cp "$scratch/Cargo.lock" benchmark/Cargo.lock; rm -rf "$scratch"' EXIT
+
+mkdir "$scratch/parent" "$scratch/out"
+git archive "$parent" | tar -x -C "$scratch/parent"
+for tree in "$scratch/parent" "$root"; do
+    echo "bench_pairs: building the benchmark in $tree" >&2
+    cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml"
+done
+cp "$scratch/Cargo.lock" benchmark/Cargo.lock
+declare -A bin=(
+    [parent]=$scratch/parent/benchmark/target/release/ugc-benchmark
+    [change]=$root/benchmark/target/release/ugc-benchmark
+)
+
+for workload in $workloads; do
+    for i in $(seq "$pairs"); do
+        order="parent change"
+        if [ $((i % 2)) -eq 0 ]; then order="change parent"; fi
+        for side in $order; do
+            echo "bench_pairs: $workload pair $i/$pairs, $side" >&2
+            "${bin[$side]}" --workload "$workload" --seed "$seed" --seconds "$seconds" \
+                --out "$scratch/out/$side-$workload-$i.json" \
+                --tag "side=$side" --tag "pair=$i" >/dev/null
+        done
+    done
+done
+
+status=0
+"${bin[change]}" compare "$scratch"/out/parent-*.json -- "$scratch"/out/change-*.json \
+    >"$scratch/compare.txt" || status=$?
+cat "$scratch/compare.txt"
+jq -n --argjson pr "$2" --arg parent "$parent" --arg change "$change" \
+    --slurpfile parent_runs <(cat "$scratch"/out/parent-*.json) \
+    --slurpfile change_runs <(cat "$scratch"/out/change-*.json) \
+    --rawfile compare "$scratch/compare.txt" --argjson status "$status" \
+    '{pr: $pr, parent: $parent, change: $change,
+      runs: {parent: $parent_runs, change: $change_runs},
+      compare: ($compare | rtrimstr("\n") | split("\n")), compare_status: $status}' \
+    >"BENCH_$2.json"
+echo "bench_pairs: wrote BENCH_$2.json" >&2
+exit "$status"

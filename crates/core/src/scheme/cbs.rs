@@ -55,13 +55,17 @@
 //! paths share a node below the root's children.
 
 use crate::sampling::draw_samples;
-use crate::scheme::{check_task, materialize, Materialized};
+use crate::scheme::frame::{
+    Opened, ParticipantFrame, ParticipantMiddle, Reply, Step, SupervisorFrame, SupervisorMiddle,
+};
+use crate::scheme::{check_samples, check_task, materialize, Materialized};
 use crate::session::{
-    unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
-    SupervisorContext, SupervisorSession, VerificationScheme,
+    unexpected, ParticipantContext, ParticipantSession, SessionOutcome, SupervisorContext,
+    SupervisorSession, VerificationScheme,
 };
 use crate::{ParticipantStorage, SchemeError, Verdict};
-use ugc_grid::{Assignment, CostLedger, Message, Opening, WorkerBehaviour};
+use core::marker::PhantomData;
+use ugc_grid::{Assignment, CostLedger, Message, Opening};
 use ugc_hash::HashFunction;
 use ugc_merkle::{
     LaneWidth, LeafSet, MerkleError, MerkleOpening, MerkleTree, OpeningRow, Parallelism,
@@ -74,32 +78,29 @@ pub(crate) const PARALLEL_BUILD_MIN_LEAVES: usize = 1 << 10;
 
 /// Builds the participant's commitment tree over the materialised leaf
 /// `row` (`width` bytes per leaf), charging the `padded − 1` hash
-/// operations of Section 3 — the same charge whatever `storage` keeps and
-/// however `parallelism` and `lanes` spread the work. Full storage takes
-/// the row as the tree's leaf storage and, over at least
-/// [`PARALLEL_BUILD_MIN_LEAVES`] leaves, builds on up to `parallelism`
-/// threads (bit-identical trees).
+/// operations of Section 3 to `ctx`'s ledger — the same charge whatever
+/// `ctx.storage` keeps and however `ctx.parallelism` and `ctx.lanes`
+/// spread the work. Full storage takes the row as the tree's leaf storage
+/// and, over at least [`PARALLEL_BUILD_MIN_LEAVES`] leaves, builds on up
+/// to `ctx.parallelism` threads (bit-identical trees).
 ///
 /// In partial mode the row is *dropped* after commitment — that is
 /// the point of Section 3.3 — so proofs later recompute its leaves
 /// through the behaviour (charging `f` again, exactly as the paper
 /// accounts).
 pub(crate) fn build_tree<H: HashFunction>(
+    ctx: &ParticipantContext<'_>,
     row: Vec<u8>,
     width: usize,
-    storage: ParticipantStorage,
-    parallelism: Parallelism,
-    lanes: LaneWidth,
-    ledger: &CostLedger,
 ) -> Result<MerkleTree<H>, SchemeError> {
-    let tree = match storage {
+    let tree = match ctx.storage {
         ParticipantStorage::Full => {
             let threads = if row.len() >= PARALLEL_BUILD_MIN_LEAVES.saturating_mul(width) {
-                parallelism
+                ctx.parallelism
             } else {
                 Parallelism::serial()
             };
-            MerkleTree::from_leaf_row(row, width, threads, lanes)?
+            MerkleTree::from_leaf_row(row, width, threads, ctx.lanes)?
         }
         ParticipantStorage::Partial { subtree_height } => {
             if width == 0 {
@@ -111,29 +112,27 @@ pub(crate) fn build_tree<H: HashFunction>(
             })?
         }
     };
-    ledger.charge_hash(tree.hash_ops());
+    ctx.ledger.charge_hash(tree.hash_ops());
     Ok(tree)
 }
 
-/// Opens the challenged `samples` (Step 3), returning the opening in wire
-/// form.
+/// Opens the challenged `samples` of the tree over `domain` (Step 3),
+/// returning the opening in wire form.
 ///
 /// A tree kept in partial storage rebuilds each distinct subtree the
 /// samples fall in — once, however many of them share it — by re-running
-/// the behaviour for its `2^ℓ` leaves, charging the participant's ledger
-/// for the recomputed `f` evaluations and hashes; a full one reads its
-/// leaf row and charges nothing.
+/// `ctx`'s behaviour for its `2^ℓ` leaves, charging the participant's
+/// ledger for the recomputed `f` evaluations and hashes; a full one reads
+/// its leaf row and charges nothing.
 pub(crate) fn open_samples<H: HashFunction>(
+    ctx: &ParticipantContext<'_>,
     tree: &MerkleTree<H>,
     samples: &[u64],
-    task: &dyn ComputeTask,
     domain: Domain,
-    behaviour: &dyn WorkerBehaviour,
-    ledger: &CostLedger,
 ) -> Result<Opening, SchemeError> {
-    let (opening, stats) =
-        tree.open_with(samples, |i| behaviour.leaf_value(task, domain, i, ledger))?;
-    ledger.charge_hash(stats.hash_ops);
+    let leaf = |i| ctx.behaviour.leaf_value(ctx.task, domain, i, &ctx.ledger);
+    let (opening, stats) = tree.open_with(samples, leaf)?;
+    ctx.ledger.charge_hash(stats.hash_ops);
     Ok(Opening {
         leaf_width: u32::try_from(opening.leaf_width).map_err(|_| {
             SchemeError::MalformedPayload {
@@ -173,102 +172,85 @@ impl<H: HashFunction> VerificationScheme<H> for CbsScheme {
         &'a self,
         ctx: SupervisorContext<'a>,
     ) -> Box<dyn SupervisorSession + 'a> {
-        Box::new(CbsSupervisorSession::<H> {
-            scheme: *self,
-            task_id: ctx.task_ids.first().copied().unwrap_or_default(),
-            task: ctx.task,
-            screener: ctx.screener,
-            domain: ctx.domain,
-            ledger: ctx.ledger,
-            state: SupState::AwaitCommit,
-            outcome: None,
-        })
+        SupervisorFrame::boxed(Cbs::<H>(*self, PhantomData), ctx)
     }
 
     fn participant_session<'a>(
         &'a self,
         ctx: ParticipantContext<'a>,
     ) -> Box<dyn ParticipantSession + 'a> {
-        Box::new(CbsParticipantSession::<H>::new(ctx))
+        ParticipantFrame::boxed(Cbs::<H>(*self, PhantomData), ctx)
     }
 }
 
-enum SupState<H: HashFunction> {
-    AwaitCommit,
-    AwaitProofs {
+/// The middle of a CBS session: commit, challenge, proofs.
+struct Cbs<H>(CbsScheme, PhantomData<H>);
+
+/// What the supervisor awaits next, and what it keeps meanwhile.
+enum Awaiting<H: HashFunction> {
+    Commit,
+    Proofs {
         root: H::Digest,
         samples: Vec<u64>,
     },
-    AwaitReports {
+    Reports {
         root: H::Digest,
         samples: Vec<u64>,
         proofs: Opening,
     },
-    Done,
 }
 
-struct CbsSupervisorSession<'a, H: HashFunction> {
-    scheme: CbsScheme,
-    task_id: u64,
-    task: &'a dyn ComputeTask,
-    screener: &'a dyn Screener,
-    domain: Domain,
-    ledger: CostLedger,
-    state: SupState<H>,
-    outcome: Option<SessionOutcome>,
-}
+impl<H: HashFunction> SupervisorMiddle for Cbs<H> {
+    type State = Awaiting<H>;
 
-impl<H: HashFunction> SupervisorSession for CbsSupervisorSession<'_, H> {
-    fn start(&mut self) -> Result<Vec<Outbound>, SchemeError> {
-        if self.scheme.samples == 0 {
-            return Err(SchemeError::InvalidConfig {
-                reason: "samples must be positive".into(),
-            });
-        }
-        Ok(vec![(
-            0,
-            Message::Assign(Assignment {
-                task_id: self.task_id,
-                domain: self.domain,
-            }),
-        )])
+    fn open(&self, _ctx: &SupervisorContext<'_>) -> Opened<Self::State> {
+        check_samples(self.0.samples)?;
+        Ok((Awaiting::Commit, None))
     }
 
-    fn on_message(&mut self, _slot: usize, msg: Message) -> Result<Vec<Outbound>, SchemeError> {
-        match std::mem::replace(&mut self.state, SupState::Done) {
+    fn on_message(
+        &self,
+        ctx: &SupervisorContext<'_>,
+        state: Self::State,
+        _slot: usize,
+        msg: Message,
+    ) -> Result<Step<Self::State>, SchemeError> {
+        let expected = ctx.task_ids[0];
+        match state {
             // Step 1→2: commitment first, then reveal the samples.
-            SupState::AwaitCommit => {
+            Awaiting::Commit => {
                 let Message::Commit { task_id, root } = msg else {
                     return unexpected("Commit", &msg);
                 };
-                check_task(self.task_id, task_id)?;
+                check_task(expected, task_id)?;
                 let root = H::digest_from_bytes(&root).ok_or(SchemeError::MalformedPayload {
                     what: "commitment root".into(),
                 })?;
-                let samples =
-                    draw_samples(self.scheme.seed, self.scheme.samples, self.domain.len());
+                let samples = draw_samples(self.0.seed, self.0.samples, ctx.domain.len());
                 let challenge = Message::Challenge {
-                    task_id: self.task_id,
+                    task_id,
                     samples: samples.clone(),
                 };
-                self.state = SupState::AwaitProofs { root, samples };
-                Ok(vec![(0, challenge)])
+                Ok(Step::Next(
+                    Awaiting::Proofs { root, samples },
+                    vec![(0, challenge)],
+                ))
             }
             // Step 3: the proofs land, the reports follow.
-            SupState::AwaitProofs { root, samples } => {
+            Awaiting::Proofs { root, samples } => {
                 let Message::Proofs { task_id, proofs } = msg else {
                     return unexpected("Proofs", &msg);
                 };
-                check_task(self.task_id, task_id)?;
-                self.state = SupState::AwaitReports {
+                check_task(expected, task_id)?;
+                let state = Awaiting::Reports {
                     root,
                     samples,
                     proofs,
                 };
-                Ok(Vec::new())
+                Ok(Step::Next(state, Vec::new()))
             }
-            // Step 4: verify everything, announce the verdict.
-            SupState::AwaitReports {
+            // Step 4: verify everything; the frame announces the verdict.
+            Awaiting::Reports {
                 root,
                 samples,
                 proofs,
@@ -276,180 +258,86 @@ impl<H: HashFunction> SupervisorSession for CbsSupervisorSession<'_, H> {
                 let Message::Reports { task_id, reports } = msg else {
                     return unexpected("Reports", &msg);
                 };
-                check_task(self.task_id, task_id)?;
+                check_task(expected, task_id)?;
                 let verdict = verify_round::<H>(
-                    self.task,
-                    self.screener,
-                    self.domain,
+                    ctx.task,
+                    ctx.screener,
+                    ctx.domain,
                     &root,
                     &samples,
                     &proofs,
                     &reports,
-                    self.scheme.report_audit,
-                    self.scheme.seed,
-                    &self.ledger,
+                    self.0.report_audit,
+                    self.0.seed,
+                    &ctx.ledger,
                 )?;
-                let verdict_msg = Message::Verdict {
-                    task_id: self.task_id,
-                    accepted: verdict.is_accepted(),
-                };
-                self.outcome = Some(SessionOutcome {
-                    verdict,
-                    reports: reports
-                        .into_iter()
-                        .map(|(input, payload)| ScreenReport { input, payload })
-                        .collect(),
-                });
-                Ok(vec![(0, verdict_msg)])
+                Ok(Step::Decided(SessionOutcome { verdict, reports }))
             }
-            SupState::Done => unexpected("nothing (session finished)", &msg),
-        }
-    }
-
-    fn take_outcome(&mut self) -> Option<SessionOutcome> {
-        self.outcome.take()
-    }
-}
-
-enum PartState<H: HashFunction> {
-    AwaitAssign,
-    AwaitChallenge {
-        task_id: u64,
-        domain: Domain,
-        tree: MerkleTree<H>,
-        reports: Vec<ScreenReport>,
-    },
-    AwaitVerdict {
-        task_id: u64,
-    },
-    Done(bool),
-}
-
-pub(crate) struct CbsParticipantSession<'a, H: HashFunction> {
-    task: &'a dyn ComputeTask,
-    screener: &'a dyn Screener,
-    behaviour: &'a dyn WorkerBehaviour,
-    storage: ParticipantStorage,
-    parallelism: Parallelism,
-    lanes: LaneWidth,
-    ledger: CostLedger,
-    state: PartState<H>,
-}
-
-impl<'a, H: HashFunction> CbsParticipantSession<'a, H> {
-    pub(crate) fn new(ctx: ParticipantContext<'a>) -> Self {
-        CbsParticipantSession {
-            task: ctx.task,
-            screener: ctx.screener,
-            behaviour: ctx.behaviour,
-            storage: ctx.storage,
-            parallelism: ctx.parallelism,
-            lanes: ctx.lanes,
-            ledger: ctx.ledger,
-            state: PartState::AwaitAssign,
         }
     }
 }
 
-impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
-    fn on_message(&mut self, msg: Message) -> Result<Vec<Message>, SchemeError> {
-        match std::mem::replace(&mut self.state, PartState::AwaitAssign) {
-            // Step 1: evaluate (honestly or not), build the tree, commit.
-            PartState::AwaitAssign => {
-                let Message::Assign(assignment) = msg else {
-                    return unexpected("Assign", &msg);
-                };
-                let domain = assignment.domain;
-                let task_id = assignment.task_id;
-                let Materialized {
-                    row,
-                    width,
-                    reports,
-                } = materialize(
-                    self.task,
-                    self.screener,
-                    domain,
-                    self.behaviour,
-                    &self.ledger,
-                )?;
-                let tree = build_tree::<H>(
-                    row,
-                    width,
-                    self.storage,
-                    self.parallelism,
-                    self.lanes,
-                    &self.ledger,
-                )?;
-                let commit = Message::Commit {
-                    task_id,
-                    root: tree.root().as_ref().to_vec(),
-                };
-                self.state = PartState::AwaitChallenge {
-                    task_id,
-                    domain,
-                    tree,
-                    reports,
-                };
-                Ok(vec![commit])
-            }
-            // Step 3: one opening over every sample; ship it + reports.
-            PartState::AwaitChallenge {
+/// What a CBS participant keeps between its commitment and the
+/// challenge.
+struct AwaitChallenge<H: HashFunction> {
+    domain: Domain,
+    tree: MerkleTree<H>,
+    reports: Vec<ScreenReport>,
+}
+
+impl<H: HashFunction> ParticipantMiddle for Cbs<H> {
+    type State = AwaitChallenge<H>;
+
+    // Step 1: evaluate (honestly or not), build the tree, commit.
+    fn on_assign(
+        &self,
+        ctx: &ParticipantContext<'_>,
+        assignment: Assignment,
+    ) -> Reply<Self::State> {
+        let Assignment { task_id, domain } = assignment;
+        let Materialized {
+            row,
+            width,
+            reports,
+        } = materialize(ctx, domain)?;
+        let tree = build_tree::<H>(ctx, row, width)?;
+        let commit = Message::Commit {
+            task_id,
+            root: tree.root().as_ref().to_vec(),
+        };
+        let state = AwaitChallenge {
+            domain,
+            tree,
+            reports,
+        };
+        Ok((vec![commit], Some(state)))
+    }
+
+    // Step 3: one opening over every sample; ship it + reports.
+    fn on_message(
+        &self,
+        ctx: &ParticipantContext<'_>,
+        task_id: u64,
+        state: Self::State,
+        msg: Message,
+    ) -> Reply<Self::State> {
+        let Message::Challenge {
+            task_id: tid,
+            samples,
+        } = msg
+        else {
+            return unexpected("Challenge", &msg);
+        };
+        check_task(task_id, tid)?;
+        let proofs = open_samples(ctx, &state.tree, &samples, state.domain)?;
+        let out = vec![
+            Message::Proofs { task_id, proofs },
+            Message::Reports {
                 task_id,
-                domain,
-                tree,
-                reports,
-            } => {
-                let Message::Challenge {
-                    task_id: tid,
-                    samples,
-                } = msg
-                else {
-                    return unexpected("Challenge", &msg);
-                };
-                check_task(task_id, tid)?;
-                let proofs = open_samples(
-                    &tree,
-                    &samples,
-                    self.task,
-                    domain,
-                    self.behaviour,
-                    &self.ledger,
-                )?;
-                let out = vec![
-                    Message::Proofs { task_id, proofs },
-                    Message::Reports {
-                        task_id,
-                        reports: reports.into_iter().map(|r| (r.input, r.payload)).collect(),
-                    },
-                ];
-                self.state = PartState::AwaitVerdict { task_id };
-                Ok(out)
-            }
-            // Step 4 happened at the supervisor; record the verdict.
-            PartState::AwaitVerdict { task_id } => {
-                let Message::Verdict {
-                    task_id: tid,
-                    accepted,
-                } = msg
-                else {
-                    return unexpected("Verdict", &msg);
-                };
-                check_task(task_id, tid)?;
-                self.state = PartState::Done(accepted);
-                Ok(Vec::new())
-            }
-            done @ PartState::Done(_) => {
-                self.state = done;
-                unexpected("nothing (session finished)", &msg)
-            }
-        }
-    }
-
-    fn finished(&self) -> Option<bool> {
-        match self.state {
-            PartState::Done(accepted) => Some(accepted),
-            _ => None,
-        }
+                reports: state.reports,
+            },
+        ];
+        Ok((out, None))
     }
 }
 
@@ -517,7 +405,7 @@ pub fn verify_round<H: HashFunction>(
     root: &H::Digest,
     samples: &[u64],
     opening: &Opening,
-    reports: &[(u64, Vec<u8>)],
+    reports: &[ScreenReport],
     report_audit: usize,
     seed: u64,
     ledger: &CostLedger,
@@ -1245,7 +1133,7 @@ mod tests {
         root: &H::Digest,
         samples: &[u64],
         opening: &Opening,
-        reports: &[(u64, Vec<u8>)],
+        reports: &[ScreenReport],
         report_audit: usize,
         seed: u64,
         ledger: &CostLedger,
@@ -1384,9 +1272,14 @@ mod tests {
         for &(kind, at) in tampers {
             apply(TAMPERS[kind], at, n, &mut samples, &mut opening);
         }
-        let mut reports: Vec<(u64, Vec<u8>)> = c.domain.inputs().zip(c.leaves.clone()).collect();
+        let mut reports: Vec<ScreenReport> = c
+            .domain
+            .inputs()
+            .zip(c.leaves.clone())
+            .map(|(input, payload)| ScreenReport { input, payload })
+            .collect();
         if corrupt_report {
-            reports[0].1[0] ^= 0xFF;
+            reports[0].payload[0] ^= 0xFF;
         }
         let root = c.tree.root();
         let run = |batched: bool| {

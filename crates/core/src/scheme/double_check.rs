@@ -6,15 +6,15 @@
 //! uploads. This is the baseline that motivates everything else.
 
 use crate::scheme::check_task;
-use crate::scheme::naive::FlatUploadParticipantSession;
+use crate::scheme::frame::{Opened, ParticipantFrame, Step, SupervisorFrame, SupervisorMiddle};
+use crate::scheme::naive::{flat_layout, screen_flat, FlatUpload};
 use crate::session::{
-    unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
-    SupervisorContext, SupervisorSession, VerificationScheme,
+    unexpected, ParticipantContext, ParticipantSession, SessionOutcome, SupervisorContext,
+    SupervisorSession, VerificationScheme,
 };
 use crate::{SchemeError, Verdict};
-use ugc_grid::{Assignment, CostLedger, Message};
+use ugc_grid::Message;
 use ugc_hash::HashFunction;
-use ugc_task::{ComputeTask, Domain, Screener};
 
 /// The double-check scheme as a [`VerificationScheme`]. The only
 /// two-slot scheme: one supervisor session spans *two* participant
@@ -33,27 +33,14 @@ impl<H: HashFunction> VerificationScheme<H> for DoubleCheckScheme {
     }
 
     fn participant_slots(&self) -> usize {
-        2
+        Self::SLOTS
     }
 
     fn supervisor_session<'a>(
         &'a self,
         ctx: SupervisorContext<'a>,
     ) -> Box<dyn SupervisorSession + 'a> {
-        let mut task_ids = [0u64; 2];
-        for (slot, id) in task_ids.iter_mut().zip(&ctx.task_ids) {
-            *slot = *id;
-        }
-        Box::new(DoubleCheckSupervisorSession {
-            task_ids,
-            task: ctx.task,
-            screener: ctx.screener,
-            domain: ctx.domain,
-            ledger: ctx.ledger,
-            uploads: [None, None],
-            done: false,
-            outcome: None,
-        })
+        SupervisorFrame::boxed(*self, ctx)
     }
 
     fn participant_session<'a>(
@@ -62,40 +49,32 @@ impl<H: HashFunction> VerificationScheme<H> for DoubleCheckScheme {
     ) -> Box<dyn ParticipantSession + 'a> {
         // A replica is wire-identical to a naive-sampling participant:
         // evaluate, flat-upload, await the verdict.
-        Box::new(FlatUploadParticipantSession::new(ctx))
+        ParticipantFrame::boxed(FlatUpload, ctx)
     }
 }
 
-struct DoubleCheckSupervisorSession<'a> {
-    task_ids: [u64; 2],
-    task: &'a dyn ComputeTask,
-    screener: &'a dyn Screener,
-    domain: Domain,
-    ledger: CostLedger,
-    uploads: [Option<Vec<u8>>; 2],
-    done: bool,
-    outcome: Option<SessionOutcome>,
-}
+/// The middle of a double-check supervisor: the two flat uploads and
+/// their comparison. Its state is each replica's upload, once in.
+impl SupervisorMiddle for DoubleCheckScheme {
+    type State = [Option<Vec<u8>>; 2];
 
-impl SupervisorSession for DoubleCheckSupervisorSession<'_> {
-    fn start(&mut self) -> Result<Vec<Outbound>, SchemeError> {
-        Ok((0..2)
-            .map(|slot| {
-                (
-                    slot,
-                    Message::Assign(Assignment {
-                        task_id: self.task_ids[slot],
-                        domain: self.domain,
-                    }),
-                )
-            })
-            .collect())
+    const SLOTS: usize = 2;
+    const FINISHED: &'static str = "nothing (replicas already answered)";
+
+    fn open(&self, _ctx: &SupervisorContext<'_>) -> Opened<Self::State> {
+        Ok(([None, None], None))
     }
 
-    fn on_message(&mut self, slot: usize, msg: Message) -> Result<Vec<Outbound>, SchemeError> {
-        if self.done || slot > 1 {
-            return unexpected("nothing (replicas already answered)", &msg);
-        }
+    fn on_message(
+        &self,
+        ctx: &SupervisorContext<'_>,
+        mut uploads: Self::State,
+        slot: usize,
+        msg: Message,
+    ) -> Result<Step<Self::State>, SchemeError> {
+        let Some(&expected) = ctx.task_ids.get(slot) else {
+            return unexpected(Self::FINISHED, &msg);
+        };
         let Message::AllResults {
             task_id,
             leaf_width,
@@ -104,14 +83,9 @@ impl SupervisorSession for DoubleCheckSupervisorSession<'_> {
         else {
             return unexpected("AllResults", &msg);
         };
-        check_task(self.task_ids[slot], task_id)?;
-        let width = self.task.output_width();
-        if leaf_width as usize != width || data.len() as u64 != self.domain.len() * width as u64 {
-            return Err(SchemeError::MalformedPayload {
-                what: "flat results layout".into(),
-            });
-        }
-        if let Some(existing) = &self.uploads[slot] {
+        check_task(expected, task_id)?;
+        let width = flat_layout(ctx, leaf_width, &data)?;
+        if let Some(existing) = &uploads[slot] {
             // At-least-once transports redeliver: an identical copy of a
             // replica's upload is idempotently ignored. This session
             // spans two links, so whether the duplicate lands before or
@@ -119,85 +93,70 @@ impl SupervisorSession for DoubleCheckSupervisorSession<'_> {
             // the redelivery is what keeps the verdict deterministic. A
             // *different* re-upload is still a protocol violation.
             return if *existing == data {
-                Ok(Vec::new())
+                Ok(Step::Next(uploads, Vec::new()))
             } else {
                 Err(SchemeError::MalformedPayload {
                     what: "replica re-upload diverged from its first upload".into(),
                 })
             };
         }
-        self.uploads[slot] = Some(data);
-        let [Some(data_a), Some(data_b)] = &self.uploads else {
-            return Ok(Vec::new()); // first replica in; wait for its twin
+        uploads[slot] = Some(data);
+        let [Some(data_a), Some(data_b)] = uploads else {
+            return Ok(Step::Next(uploads, Vec::new())); // wait for the twin
         };
 
         // Both uploads in hand: compare byte-for-byte, screen agreement.
-        let verdict = match (0..self.domain.len()).find(|&i| {
+        let verdict = match (0..ctx.domain.len()).find(|&i| {
             let lo = (i as usize) * width;
             data_a[lo..lo + width] != data_b[lo..lo + width]
         }) {
             Some(index) => Verdict::ReplicaDisagreement { index },
             None => Verdict::Accepted,
         };
-        let mut reports = Vec::new();
-        if verdict.is_accepted() {
-            for i in 0..self.domain.len() {
-                let x = self.domain.input(i).expect("index within domain");
-                let lo = (i as usize) * width;
-                if let Some(report) = self.screener.screen(x, &data_a[lo..lo + width]) {
-                    reports.push(report);
-                }
-            }
-        }
-        let out = (0..2)
-            .map(|s| {
-                (
-                    s,
-                    Message::Verdict {
-                        task_id: self.task_ids[s],
-                        accepted: verdict.is_accepted(),
-                    },
-                )
-            })
-            .collect();
+        let reports = if verdict.is_accepted() {
+            screen_flat(ctx, width, &data_a)
+        } else {
+            Vec::new()
+        };
         // The comparison itself is linear but cheap; we charge one verify
         // op per compared record for the cost tables.
-        self.ledger.charge_verify(self.domain.len());
-        self.done = true;
-        self.outcome = Some(SessionOutcome { verdict, reports });
-        Ok(out)
+        ctx.ledger.charge_verify(ctx.domain.len());
+        Ok(Step::Decided(SessionOutcome { verdict, reports }))
     }
 
-    fn is_stale(&self, slot: usize, msg: &Message) -> bool {
+    fn is_stale(
+        &self,
+        ctx: &SupervisorContext<'_>,
+        uploads: Option<&Self::State>,
+        slot: usize,
+        msg: &Message,
+    ) -> bool {
         // An identical redelivery of a replica's upload (fault-injected
         // duplication) carries no information: report it stale so the
         // drivers drop it uncharged wherever it lands relative to the
         // twin's upload — this session spans two links, so that order is
         // a race.
-        if self.done {
+        let Some(uploads) = uploads else {
             return true;
-        }
+        };
         let Message::AllResults { task_id, data, .. } = msg else {
             return false;
         };
-        slot <= 1 && *task_id == self.task_ids[slot] && self.uploads[slot].as_ref() == Some(data)
+        ctx.task_ids.get(slot) == Some(task_id) && uploads[slot].as_ref() == Some(data)
     }
 
-    fn on_peer_gone(&mut self, slot: usize) -> Result<(), SchemeError> {
+    fn on_peer_gone(&self, uploads: Option<&Self::State>, slot: usize) -> Result<(), SchemeError> {
         // A replica that already uploaded has done everything this
         // session needs from it; its death must not fail the comparison
         // (whether the death notice beats the twin's upload across links
         // is a race). A replica that dies *before* uploading makes the
         // comparison impossible.
-        if self.done || (slot <= 1 && self.uploads[slot].is_some()) {
-            Ok(())
-        } else {
-            Err(SchemeError::Grid(ugc_grid::GridError::Disconnected))
+        match uploads {
+            Some(uploads) if !uploads.get(slot).is_some_and(Option::is_some) => {
+                Err(SchemeError::Grid(ugc_grid::GridError::Disconnected))
+            }
+            _ => Ok(()),
         }
-    }
-
-    fn take_outcome(&mut self) -> Option<SessionOutcome> {
-        self.outcome.take()
     }
 }
 
@@ -209,7 +168,7 @@ mod tests {
     use ugc_grid::{CheatSelection, HonestWorker, SemiHonestCheater};
     use ugc_hash::Sha256;
     use ugc_task::workloads::PasswordSearch;
-    use ugc_task::ZeroGuesser;
+    use ugc_task::{Domain, ZeroGuesser};
 
     #[test]
     fn two_honest_replicas_agree() {

@@ -8,7 +8,12 @@
 //!    [`VerificationScheme`] — the message-driven supervisor/participant
 //!    state machines a [`SessionEngine`](crate::engine::SessionEngine)
 //!    multiplexes over any transport, including a
-//!    [`Broker`](ugc_grid::Broker). [`run_round`] runs one stand-alone
+//!    [`Broker`](ugc_grid::Broker). Every session is one frame, written
+//!    once in this module: it sends the `Assign`s and the `Verdict`s and
+//!    keeps the outcome, and a scheme supplies only its *middle* — CBS's
+//!    commit, challenge and proofs, NI-CBS's single-shot bundle, naive
+//!    sampling's flat upload and spot-check, double-check's two uploads
+//!    and their comparison, the ringer hunt. [`run_round`] runs one stand-alone
 //!    round of any of them — a one-member campaign on that engine — and
 //!    returns a [`RoundOutcome`] with full cost and traffic accounting.
 //!    Code that wants only one side of a round (an adversarial peer, a
@@ -21,12 +26,13 @@
 
 pub mod cbs;
 pub mod double_check;
+mod frame;
 pub mod naive;
 pub mod ni_cbs;
 pub mod ringer;
 
 use crate::orchestrator::{run_mixed_fleet, MemberSpec, MixedFleetConfig};
-use crate::session::VerificationScheme;
+use crate::session::{ParticipantContext, VerificationScheme};
 use crate::{RoundOutcome, SchemeError, Verdict};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -82,8 +88,8 @@ pub(crate) struct Materialized {
     pub reports: Vec<ScreenReport>,
 }
 
-/// Evaluates the behaviour over the whole domain once, screening each
-/// committed value — the single pass a real participant performs.
+/// Evaluates `ctx`'s behaviour over the whole `domain` once, screening
+/// each committed value — the single pass a real participant performs.
 ///
 /// # Errors
 ///
@@ -92,24 +98,22 @@ pub(crate) struct Materialized {
 /// that is not `task.output_width()` bytes, [`SchemeError::InvalidConfig`]
 /// if the share's leaf row cannot be allocated at all.
 pub(crate) fn materialize(
-    task: &dyn ComputeTask,
-    screener: &dyn Screener,
+    ctx: &ParticipantContext<'_>,
     domain: Domain,
-    behaviour: &dyn WorkerBehaviour,
-    ledger: &CostLedger,
 ) -> Result<Materialized, SchemeError> {
-    let width = task.output_width();
+    let width = ctx.task.output_width();
     if width == 0 {
         return Err(MerkleError::ZeroLeafWidth.into());
     }
-    let row = behaviour
-        .leaf_row(task, domain, ledger)?
+    let row = ctx
+        .behaviour
+        .leaf_row(ctx.task, domain, &ctx.ledger)?
         .ok_or(SchemeError::InvalidConfig {
             reason: "share too large: its leaf row does not fit in memory".into(),
         })?;
     let reports = (0..)
         .zip(row.chunks_exact(width))
-        .filter_map(|(i, value)| behaviour.report_for(screener, domain, i, value))
+        .filter_map(|(i, value)| ctx.behaviour.report_for(ctx.screener, domain, i, value))
         .collect();
     Ok(Materialized {
         row,
@@ -128,7 +132,7 @@ pub(crate) fn audit_reports(
     task: &dyn ComputeTask,
     screener: &dyn Screener,
     domain: Domain,
-    reports: &[(u64, Vec<u8>)],
+    reports: &[ScreenReport],
     audit: usize,
     seed: u64,
     ledger: &CostLedger,
@@ -138,7 +142,7 @@ pub(crate) fn audit_reports(
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0061_7564_6974);
     for _ in 0..audit.min(reports.len()) {
-        let (input, payload) = &reports[rng.random_range(0..reports.len())];
+        let ScreenReport { input, payload } = &reports[rng.random_range(0..reports.len())];
         if !domain.contains(*input) {
             return Some(Verdict::ReportMismatch { input: *input });
         }
@@ -150,6 +154,16 @@ pub(crate) fn audit_reports(
         }
     }
     None
+}
+
+/// Refuses a sampling scheme configured with no samples.
+pub(crate) fn check_samples(samples: usize) -> Result<(), SchemeError> {
+    if samples == 0 {
+        return Err(SchemeError::InvalidConfig {
+            reason: "samples must be positive".into(),
+        });
+    }
+    Ok(())
 }
 
 /// Checks a task-id echo.
@@ -196,11 +210,24 @@ mod tests {
         (task, domain, leaves, tree)
     }
 
+    /// An honest participant's context over `task`, screening everything.
+    fn honest<'a>(task: &'a PasswordSearch, ledger: &CostLedger) -> ParticipantContext<'a> {
+        ParticipantContext {
+            task,
+            screener: &AcceptAllScreener,
+            behaviour: &HonestWorker,
+            storage: crate::ParticipantStorage::Full,
+            parallelism: ugc_merkle::Parallelism::serial(),
+            lanes: ugc_merkle::LaneWidth::default(),
+            ledger: ledger.clone(),
+        }
+    }
+
     #[test]
     fn materialize_screens_and_counts() {
         let (task, domain, leaves, _) = setup();
         let ledger = CostLedger::new();
-        let m = materialize(&task, &AcceptAllScreener, domain, &HonestWorker, &ledger).unwrap();
+        let m = materialize(&honest(&task, &ledger), domain).unwrap();
         assert_eq!(m.row, leaves.concat());
         assert_eq!(m.width, 16);
         assert_eq!(m.reports.len(), 16);
@@ -214,8 +241,7 @@ mod tests {
         let (task, domain, leaves, tree) = setup();
         let samples = [7, 2, 7, 13];
         let ledger = CostLedger::new();
-        let wire =
-            cbs::open_samples(&tree, &samples, &task, domain, &HonestWorker, &ledger).unwrap();
+        let wire = cbs::open_samples(&honest(&task, &ledger), &tree, &samples, domain).unwrap();
         assert_eq!(ledger.report(), ugc_grid::CostReport::default());
         assert_eq!(wire.len(), 3);
         assert_eq!(
@@ -246,8 +272,9 @@ mod tests {
     fn audit_accepts_truthful_reports() {
         let (task, domain, leaves, _) = setup();
         let ledger = CostLedger::new();
-        let reports: Vec<(u64, Vec<u8>)> = (0..16u64)
-            .map(|x| (x, leaves[x as usize].clone()))
+        let reports: Vec<ScreenReport> = (0..)
+            .zip(leaves)
+            .map(|(input, payload)| ScreenReport { input, payload })
             .collect();
         assert_eq!(
             audit_reports(&task, &AcceptAllScreener, domain, &reports, 8, 1, &ledger),
@@ -260,11 +287,12 @@ mod tests {
     fn audit_catches_corrupted_payload() {
         let (task, domain, leaves, _) = setup();
         let ledger = CostLedger::new();
-        let mut reports: Vec<(u64, Vec<u8>)> = (0..16u64)
-            .map(|x| (x, leaves[x as usize].clone()))
+        let mut reports: Vec<ScreenReport> = (0..)
+            .zip(leaves)
+            .map(|(input, payload)| ScreenReport { input, payload })
             .collect();
-        for (_, payload) in reports.iter_mut() {
-            payload[0] ^= 0xFF;
+        for report in &mut reports {
+            report.payload[0] ^= 0xFF;
         }
         let verdict = audit_reports(&task, &AcceptAllScreener, domain, &reports, 4, 1, &ledger);
         assert!(matches!(verdict, Some(Verdict::ReportMismatch { .. })));
@@ -274,7 +302,10 @@ mod tests {
     fn audit_catches_out_of_domain_report() {
         let (task, domain, _, _) = setup();
         let ledger = CostLedger::new();
-        let reports = vec![(999u64, vec![0u8; 16])];
+        let reports = [ScreenReport {
+            input: 999,
+            payload: vec![0; 16],
+        }];
         assert_eq!(
             audit_reports(&task, &AcceptAllScreener, domain, &reports, 1, 1, &ledger),
             Some(Verdict::ReportMismatch { input: 999 })
@@ -285,7 +316,10 @@ mod tests {
     fn audit_zero_is_noop() {
         let (task, domain, _, _) = setup();
         let ledger = CostLedger::new();
-        let reports = vec![(999u64, vec![0u8; 16])];
+        let reports = [ScreenReport {
+            input: 999,
+            payload: vec![0; 16],
+        }];
         assert_eq!(
             audit_reports(&task, &AcceptAllScreener, domain, &reports, 0, 1, &ledger),
             None

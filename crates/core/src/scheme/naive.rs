@@ -7,15 +7,19 @@
 //! the communication experiments measure.
 
 use crate::sampling::draw_samples;
-use crate::scheme::{check_task, materialize, Materialized};
+use crate::scheme::frame::{
+    Opened, ParticipantFrame, ParticipantMiddle, Reply, Step, SupervisorFrame, SupervisorMiddle,
+};
+use crate::scheme::{check_samples, check_task, materialize, Materialized};
 use crate::session::{
-    unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
-    SupervisorContext, SupervisorSession, VerificationScheme,
+    unexpected, ParticipantContext, ParticipantSession, SessionOutcome, SupervisorContext,
+    SupervisorSession, VerificationScheme,
 };
 use crate::{SchemeError, Verdict};
-use ugc_grid::{Assignment, CostLedger, Message, WorkerBehaviour};
+use core::convert::Infallible;
+use ugc_grid::{Assignment, Message};
 use ugc_hash::HashFunction;
-use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
+use ugc_task::ScreenReport;
 
 /// The naive sampling scheme as a [`VerificationScheme`]: flat `O(n)`
 /// upload, spot-check `m` samples by recomputation.
@@ -39,57 +43,34 @@ impl<H: HashFunction> VerificationScheme<H> for NaiveScheme {
         &'a self,
         ctx: SupervisorContext<'a>,
     ) -> Box<dyn SupervisorSession + 'a> {
-        Box::new(NaiveSupervisorSession {
-            scheme: *self,
-            task_id: ctx.task_ids.first().copied().unwrap_or_default(),
-            task: ctx.task,
-            screener: ctx.screener,
-            domain: ctx.domain,
-            ledger: ctx.ledger,
-            done: false,
-            outcome: None,
-        })
+        SupervisorFrame::boxed(*self, ctx)
     }
 
     fn participant_session<'a>(
         &'a self,
         ctx: ParticipantContext<'a>,
     ) -> Box<dyn ParticipantSession + 'a> {
-        Box::new(FlatUploadParticipantSession::new(ctx))
+        ParticipantFrame::boxed(FlatUpload, ctx)
     }
 }
 
-struct NaiveSupervisorSession<'a> {
-    scheme: NaiveScheme,
-    task_id: u64,
-    task: &'a dyn ComputeTask,
-    screener: &'a dyn Screener,
-    domain: Domain,
-    ledger: CostLedger,
-    done: bool,
-    outcome: Option<SessionOutcome>,
-}
+/// The middle of a naive-sampling supervisor: the flat upload and its
+/// spot-check.
+impl SupervisorMiddle for NaiveScheme {
+    type State = ();
 
-impl SupervisorSession for NaiveSupervisorSession<'_> {
-    fn start(&mut self) -> Result<Vec<Outbound>, SchemeError> {
-        if self.scheme.samples == 0 {
-            return Err(SchemeError::InvalidConfig {
-                reason: "samples must be positive".into(),
-            });
-        }
-        Ok(vec![(
-            0,
-            Message::Assign(Assignment {
-                task_id: self.task_id,
-                domain: self.domain,
-            }),
-        )])
+    fn open(&self, _ctx: &SupervisorContext<'_>) -> Opened<()> {
+        check_samples(self.samples)?;
+        Ok(((), None))
     }
 
-    fn on_message(&mut self, _slot: usize, msg: Message) -> Result<Vec<Outbound>, SchemeError> {
-        if self.done {
-            return unexpected("nothing (session finished)", &msg);
-        }
+    fn on_message(
+        &self,
+        ctx: &SupervisorContext<'_>,
+        (): (),
+        _slot: usize,
+        msg: Message,
+    ) -> Result<Step<()>, SchemeError> {
         let Message::AllResults {
             task_id,
             leaf_width,
@@ -98,161 +79,95 @@ impl SupervisorSession for NaiveSupervisorSession<'_> {
         else {
             return unexpected("AllResults", &msg);
         };
-        check_task(self.task_id, task_id)?;
-        let width = leaf_width as usize;
-        let (verdict, reports) = check_flat_upload(
-            self.task,
-            self.screener,
-            self.domain,
-            width,
-            &data,
-            self.scheme.samples,
-            self.scheme.seed,
-            &self.ledger,
-        )?;
-        self.done = true;
-        let verdict_msg = Message::Verdict {
-            task_id: self.task_id,
-            accepted: verdict.is_accepted(),
+        check_task(ctx.task_ids[0], task_id)?;
+        let width = flat_layout(ctx, leaf_width, &data)?;
+        // Spot-check m samples by recomputation.
+        let wrong = draw_samples(self.seed, self.samples, ctx.domain.len())
+            .into_iter()
+            .find(|&i| {
+                let x = ctx.domain.input(i).expect("sample within domain");
+                ctx.ledger.charge_verify(1);
+                if !ctx.task.cheap_verification() {
+                    ctx.ledger.charge_f(ctx.task.unit_cost());
+                }
+                let lo = (i as usize) * width;
+                !ctx.task.verify(x, &data[lo..lo + width])
+            });
+        let outcome = match wrong {
+            Some(sample) => SessionOutcome {
+                verdict: Verdict::WrongResult { sample },
+                reports: Vec::new(),
+            },
+            // With every result in hand, the supervisor screens locally.
+            None => SessionOutcome {
+                verdict: Verdict::Accepted,
+                reports: screen_flat(ctx, width, &data),
+            },
         };
-        self.outcome = Some(SessionOutcome { verdict, reports });
-        Ok(vec![(0, verdict_msg)])
-    }
-
-    fn take_outcome(&mut self) -> Option<SessionOutcome> {
-        self.outcome.take()
+        Ok(Step::Decided(outcome))
     }
 }
 
-/// The supervisor's naive-sampling check as a building block: validate the
-/// flat layout, spot-check `m` samples by recomputation, screen the
-/// verified results locally.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "private building block of the naive check"
-)]
-fn check_flat_upload(
-    task: &dyn ComputeTask,
-    screener: &dyn Screener,
-    domain: Domain,
-    width: usize,
+/// Checks a flat upload's layout — the task's leaf width, one result per
+/// input — and returns the width.
+pub(crate) fn flat_layout(
+    ctx: &SupervisorContext<'_>,
+    leaf_width: u32,
     data: &[u8],
-    samples: usize,
-    seed: u64,
-    ledger: &CostLedger,
-) -> Result<(Verdict, Vec<ScreenReport>), SchemeError> {
-    if width != task.output_width() || data.len() as u64 != domain.len() * width as u64 {
+) -> Result<usize, SchemeError> {
+    let width = ctx.task.output_width();
+    if leaf_width as usize != width || data.len() as u64 != ctx.domain.len() * width as u64 {
         return Err(SchemeError::MalformedPayload {
             what: "flat results layout".into(),
         });
     }
-    let leaf = |i: u64| &data[(i as usize) * width..(i as usize + 1) * width];
-
-    // Spot-check m samples by recomputation.
-    let drawn = draw_samples(seed, samples, domain.len());
-    let mut verdict = Verdict::Accepted;
-    for &i in &drawn {
-        let x = domain.input(i).expect("sample within domain");
-        ledger.charge_verify(1);
-        if !task.cheap_verification() {
-            ledger.charge_f(task.unit_cost());
-        }
-        if !task.verify(x, leaf(i)) {
-            verdict = Verdict::WrongResult { sample: i };
-            break;
-        }
-    }
-    // With every result in hand, the supervisor screens locally.
-    let mut reports = Vec::new();
-    if verdict.is_accepted() {
-        for i in 0..domain.len() {
-            let x = domain.input(i).expect("index within domain");
-            if let Some(report) = screener.screen(x, leaf(i)) {
-                reports.push(report);
-            }
-        }
-    }
-    Ok((verdict, reports))
+    Ok(width)
 }
 
-enum FlatState {
-    AwaitAssign,
-    AwaitVerdict { task_id: u64 },
-    Done(bool),
+/// Screens every result of a flat upload, as a supervisor holding them
+/// all does.
+pub(crate) fn screen_flat(
+    ctx: &SupervisorContext<'_>,
+    width: usize,
+    data: &[u8],
+) -> Vec<ScreenReport> {
+    (0..ctx.domain.len())
+        .filter_map(|i| {
+            let x = ctx.domain.input(i).expect("index within domain");
+            let lo = (i as usize) * width;
+            ctx.screener.screen(x, &data[lo..lo + width])
+        })
+        .collect()
 }
 
-/// The participant session shared by every flat-upload scheme (naive
-/// sampling and the double-check replicas): evaluate the behaviour over
-/// the domain, upload all `n` results, await the verdict.
-pub(crate) struct FlatUploadParticipantSession<'a> {
-    task: &'a dyn ComputeTask,
-    screener: &'a dyn Screener,
-    behaviour: &'a dyn WorkerBehaviour,
-    ledger: CostLedger,
-    state: FlatState,
-}
+/// The participant middle of every flat-upload scheme (naive sampling
+/// and the double-check replicas): evaluate the behaviour over the
+/// domain and upload all `n` results.
+pub(crate) struct FlatUpload;
 
-impl<'a> FlatUploadParticipantSession<'a> {
-    pub(crate) fn new(ctx: ParticipantContext<'a>) -> Self {
-        FlatUploadParticipantSession {
-            task: ctx.task,
-            screener: ctx.screener,
-            behaviour: ctx.behaviour,
-            ledger: ctx.ledger,
-            state: FlatState::AwaitAssign,
-        }
-    }
-}
+impl ParticipantMiddle for FlatUpload {
+    type State = Infallible;
 
-impl ParticipantSession for FlatUploadParticipantSession<'_> {
-    fn on_message(&mut self, msg: Message) -> Result<Vec<Message>, SchemeError> {
-        match std::mem::replace(&mut self.state, FlatState::AwaitAssign) {
-            FlatState::AwaitAssign => {
-                let Message::Assign(assignment) = msg else {
-                    return unexpected("Assign", &msg);
-                };
-                let domain = assignment.domain;
-                let task_id = assignment.task_id;
-                // The participant still screens locally (the supervisor
-                // will anyway), but the defining trait is the flat upload.
-                let Materialized { row, width, .. } = materialize(
-                    self.task,
-                    self.screener,
-                    domain,
-                    self.behaviour,
-                    &self.ledger,
-                )?;
-                self.state = FlatState::AwaitVerdict { task_id };
-                Ok(vec![Message::AllResults {
-                    task_id,
-                    leaf_width: width as u32,
-                    data: row,
-                }])
-            }
-            FlatState::AwaitVerdict { task_id } => {
-                let Message::Verdict {
-                    task_id: tid,
-                    accepted,
-                } = msg
-                else {
-                    return unexpected("Verdict", &msg);
-                };
-                check_task(task_id, tid)?;
-                self.state = FlatState::Done(accepted);
-                Ok(Vec::new())
-            }
-            done @ FlatState::Done(_) => {
-                self.state = done;
-                unexpected("nothing (session finished)", &msg)
-            }
-        }
+    fn on_assign(&self, ctx: &ParticipantContext<'_>, assignment: Assignment) -> Reply<Infallible> {
+        // The participant still screens locally (the supervisor will
+        // anyway), but the defining trait is the flat upload.
+        let Materialized { row, width, .. } = materialize(ctx, assignment.domain)?;
+        let upload = Message::AllResults {
+            task_id: assignment.task_id,
+            leaf_width: width as u32,
+            data: row,
+        };
+        Ok((vec![upload], None))
     }
 
-    fn finished(&self) -> Option<bool> {
-        match self.state {
-            FlatState::Done(accepted) => Some(accepted),
-            _ => None,
-        }
+    fn on_message(
+        &self,
+        _ctx: &ParticipantContext<'_>,
+        _task_id: u64,
+        state: Infallible,
+        _msg: Message,
+    ) -> Reply<Infallible> {
+        match state {}
     }
 }
 
@@ -262,10 +177,10 @@ mod tests {
     use crate::scheme::run_round;
     use crate::session::drive_supervisor;
     use crate::MixedFleetConfig;
-    use ugc_grid::{duplex, CheatSelection, GridLink, HonestWorker, SemiHonestCheater};
+    use ugc_grid::{duplex, CheatSelection, CostLedger, GridLink, HonestWorker, SemiHonestCheater};
     use ugc_hash::Sha256;
     use ugc_task::workloads::PasswordSearch;
-    use ugc_task::ZeroGuesser;
+    use ugc_task::{ComputeTask, Domain, ZeroGuesser};
 
     fn config(m: usize, seed: u64) -> NaiveScheme {
         NaiveScheme { samples: m, seed }

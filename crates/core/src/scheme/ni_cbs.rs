@@ -15,15 +15,20 @@
 
 use crate::sampling::{derive_samples, derive_until_outside};
 use crate::scheme::cbs::{build_tree, open_samples, verify_round};
-use crate::scheme::{check_task, materialize, Materialized};
-use crate::session::{
-    unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
-    SupervisorContext, SupervisorSession, VerificationScheme,
+use crate::scheme::frame::{
+    Opened, ParticipantFrame, ParticipantMiddle, Reply, Step, SupervisorFrame, SupervisorMiddle,
 };
-use crate::{ParticipantStorage, SchemeError, Verdict};
-use ugc_grid::{Assignment, CostLedger, Message, Opening, SemiHonestCheater, WorkerBehaviour};
+use crate::scheme::{check_samples, check_task, materialize, Materialized};
+use crate::session::{
+    unexpected, ParticipantContext, ParticipantSession, SessionOutcome, SupervisorContext,
+    SupervisorSession, VerificationScheme,
+};
+use crate::{SchemeError, Verdict};
+use core::convert::Infallible;
+use core::marker::PhantomData;
+use ugc_grid::{Assignment, CostLedger, Message, Opening, SemiHonestCheater};
 use ugc_hash::{HashFunction, IteratedHash};
-use ugc_merkle::{LaneWidth, MerkleTree, Parallelism};
+use ugc_merkle::MerkleTree;
 use ugc_task::{ComputeTask, Domain, Guesser, ScreenReport, Screener};
 
 /// The non-interactive CBS scheme as a [`VerificationScheme`]: one
@@ -55,78 +60,44 @@ impl<H: HashFunction> VerificationScheme<H> for NiCbsScheme {
         &'a self,
         ctx: SupervisorContext<'a>,
     ) -> Box<dyn SupervisorSession + 'a> {
-        Box::new(NiCbsSupervisorSession::<H> {
-            scheme: *self,
-            task_id: ctx.task_ids.first().copied().unwrap_or_default(),
-            task: ctx.task,
-            screener: ctx.screener,
-            domain: ctx.domain,
-            ledger: ctx.ledger,
-            state: SupState::AwaitCommitAndProofs,
-            outcome: None,
-            _hash: core::marker::PhantomData,
-        })
+        SupervisorFrame::boxed(NiCbs::<H>(*self, PhantomData), ctx)
     }
 
     fn participant_session<'a>(
         &'a self,
         ctx: ParticipantContext<'a>,
     ) -> Box<dyn ParticipantSession + 'a> {
-        Box::new(NiCbsParticipantSession::<H> {
-            scheme: *self,
-            task: ctx.task,
-            screener: ctx.screener,
-            behaviour: ctx.behaviour,
-            storage: ctx.storage,
-            parallelism: ctx.parallelism,
-            lanes: ctx.lanes,
-            ledger: ctx.ledger,
-            state: PartState::AwaitAssign,
-            _hash: core::marker::PhantomData,
-        })
+        ParticipantFrame::boxed(NiCbs::<H>(*self, PhantomData), ctx)
     }
 }
 
-enum SupState {
-    AwaitCommitAndProofs,
-    AwaitReports {
-        root_bytes: Vec<u8>,
-        proofs: Opening,
-    },
-    Done,
+/// The middle of an NI-CBS session: the single-shot bundle.
+struct NiCbs<H>(NiCbsScheme, PhantomData<H>);
+
+/// What the supervisor awaits next, and what it keeps meanwhile.
+enum Awaiting {
+    CommitAndProofs,
+    Reports { root: Vec<u8>, proofs: Opening },
 }
 
-struct NiCbsSupervisorSession<'a, H: HashFunction> {
-    scheme: NiCbsScheme,
-    task_id: u64,
-    task: &'a dyn ComputeTask,
-    screener: &'a dyn Screener,
-    domain: Domain,
-    ledger: CostLedger,
-    state: SupState,
-    outcome: Option<SessionOutcome>,
-    _hash: core::marker::PhantomData<H>,
-}
+impl<H: HashFunction> SupervisorMiddle for NiCbs<H> {
+    type State = Awaiting;
 
-impl<H: HashFunction> SupervisorSession for NiCbsSupervisorSession<'_, H> {
-    fn start(&mut self) -> Result<Vec<Outbound>, SchemeError> {
-        if self.scheme.samples == 0 {
-            return Err(SchemeError::InvalidConfig {
-                reason: "samples must be positive".into(),
-            });
-        }
-        Ok(vec![(
-            0,
-            Message::Assign(Assignment {
-                task_id: self.task_id,
-                domain: self.domain,
-            }),
-        )])
+    fn open(&self, _ctx: &SupervisorContext<'_>) -> Opened<Self::State> {
+        check_samples(self.0.samples)?;
+        Ok((Awaiting::CommitAndProofs, None))
     }
 
-    fn on_message(&mut self, _slot: usize, msg: Message) -> Result<Vec<Outbound>, SchemeError> {
-        match std::mem::replace(&mut self.state, SupState::Done) {
-            SupState::AwaitCommitAndProofs => {
+    fn on_message(
+        &self,
+        ctx: &SupervisorContext<'_>,
+        state: Self::State,
+        _slot: usize,
+        msg: Message,
+    ) -> Result<Step<Self::State>, SchemeError> {
+        let expected = ctx.task_ids[0];
+        match state {
+            Awaiting::CommitAndProofs => {
                 let Message::CommitAndProofs {
                     task_id,
                     root,
@@ -135,47 +106,27 @@ impl<H: HashFunction> SupervisorSession for NiCbsSupervisorSession<'_, H> {
                 else {
                     return unexpected("CommitAndProofs", &msg);
                 };
-                check_task(self.task_id, task_id)?;
-                self.state = SupState::AwaitReports {
-                    root_bytes: root,
-                    proofs,
-                };
-                Ok(Vec::new())
+                check_task(expected, task_id)?;
+                Ok(Step::Next(Awaiting::Reports { root, proofs }, Vec::new()))
             }
-            SupState::AwaitReports { root_bytes, proofs } => {
+            Awaiting::Reports { root, proofs } => {
                 let Message::Reports { task_id, reports } = msg else {
                     return unexpected("Reports", &msg);
                 };
-                check_task(self.task_id, task_id)?;
+                check_task(expected, task_id)?;
                 let verdict = verify_ni_round::<H>(
-                    &self.scheme,
-                    self.task,
-                    self.screener,
-                    self.domain,
-                    &root_bytes,
+                    &self.0,
+                    ctx.task,
+                    ctx.screener,
+                    ctx.domain,
+                    &root,
                     &proofs,
                     &reports,
-                    &self.ledger,
+                    &ctx.ledger,
                 )?;
-                let verdict_msg = Message::Verdict {
-                    task_id: self.task_id,
-                    accepted: verdict.is_accepted(),
-                };
-                self.outcome = Some(SessionOutcome {
-                    verdict,
-                    reports: reports
-                        .into_iter()
-                        .map(|(input, payload)| ScreenReport { input, payload })
-                        .collect(),
-                });
-                Ok(vec![(0, verdict_msg)])
+                Ok(Step::Decided(SessionOutcome { verdict, reports }))
             }
-            SupState::Done => unexpected("nothing (session finished)", &msg),
         }
-    }
-
-    fn take_outcome(&mut self) -> Option<SessionOutcome> {
-        self.outcome.take()
     }
 }
 
@@ -207,7 +158,7 @@ pub fn verify_ni_round<H: HashFunction>(
     domain: Domain,
     root: &[u8],
     opening: &Opening,
-    reports: &[(u64, Vec<u8>)],
+    reports: &[ScreenReport],
     ledger: &CostLedger,
 ) -> Result<Verdict, SchemeError> {
     let root = H::digest_from_bytes(root).ok_or(SchemeError::MalformedPayload {
@@ -232,111 +183,47 @@ pub fn verify_ni_round<H: HashFunction>(
     }
 }
 
-enum PartState {
-    AwaitAssign,
-    AwaitVerdict { task_id: u64 },
-    Done(bool),
-}
+impl<H: HashFunction> ParticipantMiddle for NiCbs<H> {
+    type State = Infallible;
 
-struct NiCbsParticipantSession<'a, H: HashFunction> {
-    scheme: NiCbsScheme,
-    task: &'a dyn ComputeTask,
-    screener: &'a dyn Screener,
-    behaviour: &'a dyn WorkerBehaviour,
-    storage: ParticipantStorage,
-    parallelism: Parallelism,
-    lanes: LaneWidth,
-    ledger: CostLedger,
-    state: PartState,
-    _hash: core::marker::PhantomData<H>,
-}
-
-impl<H: HashFunction> ParticipantSession for NiCbsParticipantSession<'_, H> {
-    fn on_message(&mut self, msg: Message) -> Result<Vec<Message>, SchemeError> {
-        match std::mem::replace(&mut self.state, PartState::AwaitAssign) {
-            // Everything happens at assignment time: evaluate, commit,
-            // self-derive the samples, prove — one shot on the wire.
-            PartState::AwaitAssign => {
-                let Message::Assign(assignment) = msg else {
-                    return unexpected("Assign", &msg);
-                };
-                let domain = assignment.domain;
-                let task_id = assignment.task_id;
-                let Materialized {
-                    row,
-                    width,
-                    reports,
-                } = materialize(
-                    self.task,
-                    self.screener,
-                    domain,
-                    self.behaviour,
-                    &self.ledger,
-                )?;
-                let tree = build_tree::<H>(
-                    row,
-                    width,
-                    self.storage,
-                    self.parallelism,
-                    self.lanes,
-                    &self.ledger,
-                )?;
-                let root = tree.root();
-                // Eq. (4): the samples come from the commitment itself.
-                let g = IteratedHash::<H>::new(self.scheme.g_iterations);
-                let samples = derive_samples(
-                    &g,
-                    root.as_ref(),
-                    self.scheme.samples,
-                    domain.len(),
-                    &self.ledger,
-                );
-                let proofs = open_samples(
-                    &tree,
-                    &samples,
-                    self.task,
-                    domain,
-                    self.behaviour,
-                    &self.ledger,
-                )?;
-                let out = vec![
-                    Message::CommitAndProofs {
-                        task_id,
-                        root: root.as_ref().to_vec(),
-                        proofs,
-                    },
-                    Message::Reports {
-                        task_id,
-                        reports: reports.into_iter().map(|r| (r.input, r.payload)).collect(),
-                    },
-                ];
-                self.state = PartState::AwaitVerdict { task_id };
-                Ok(out)
-            }
-            PartState::AwaitVerdict { task_id } => {
-                let Message::Verdict {
-                    task_id: tid,
-                    accepted,
-                } = msg
-                else {
-                    return unexpected("Verdict", &msg);
-                };
-                check_task(task_id, tid)?;
-                self.state = PartState::Done(accepted);
-                Ok(Vec::new())
-            }
-            done @ PartState::Done(_) => {
-                self.state = done;
-                unexpected("nothing (session finished)", &msg)
-            }
-        }
+    // Everything happens at assignment time: evaluate, commit,
+    // self-derive the samples, prove — one shot on the wire.
+    fn on_assign(
+        &self,
+        ctx: &ParticipantContext<'_>,
+        assignment: Assignment,
+    ) -> Reply<Self::State> {
+        let Assignment { task_id, domain } = assignment;
+        let Materialized {
+            row,
+            width,
+            reports,
+        } = materialize(ctx, domain)?;
+        let tree = build_tree::<H>(ctx, row, width)?;
+        let root = tree.root();
+        // Eq. (4): the samples come from the commitment itself.
+        let g = IteratedHash::<H>::new(self.0.g_iterations);
+        let samples = derive_samples(&g, root.as_ref(), self.0.samples, domain.len(), &ctx.ledger);
+        let proofs = open_samples(ctx, &tree, &samples, domain)?;
+        let out = vec![
+            Message::CommitAndProofs {
+                task_id,
+                root: root.as_ref().to_vec(),
+                proofs,
+            },
+            Message::Reports { task_id, reports },
+        ];
+        Ok((out, None))
     }
 
-    fn finished(&self) -> Option<bool> {
-        match self.state {
-            PartState::Done(accepted) => Some(accepted),
-            _ => None,
-        }
+    fn on_message(
+        &self,
+        _ctx: &ParticipantContext<'_>,
+        _task_id: u64,
+        state: Self::State,
+        _msg: Message,
+    ) -> Reply<Self::State> {
+        match state {}
     }
 }
 
@@ -411,11 +298,7 @@ where
     T: ComputeTask,
     G: Guesser,
 {
-    if config.samples == 0 {
-        return Err(SchemeError::InvalidConfig {
-            reason: "samples must be positive".into(),
-        });
-    }
+    check_samples(config.samples)?;
     let n = domain.len();
     let honest: Vec<bool> = (0..n).map(|i| cheater.is_honest_index(n, i)).collect();
     let Some(pivot) = honest.iter().position(|&h| !h).map(|i| i as u64) else {
@@ -475,6 +358,7 @@ mod tests {
     use crate::analysis;
     use crate::scheme::storage_round;
     use crate::session::drive_supervisor;
+    use crate::ParticipantStorage;
     use ugc_grid::{duplex, CheatSelection, GridLink, HonestWorker};
     use ugc_hash::{Md5, Sha256};
     use ugc_task::workloads::PasswordSearch;

@@ -12,18 +12,21 @@
 //! tests): it only works for one-way `f`, and the supervisor pays `d`
 //! full evaluations per participant up front.
 
+use crate::scheme::frame::{
+    Opened, ParticipantFrame, ParticipantMiddle, Reply, Step, SupervisorFrame, SupervisorMiddle,
+};
 use crate::scheme::{check_task, materialize, Materialized};
 use crate::session::{
-    unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
-    SupervisorContext, SupervisorSession, VerificationScheme,
+    unexpected, ParticipantContext, ParticipantSession, SessionOutcome, SupervisorContext,
+    SupervisorSession, VerificationScheme,
 };
 use crate::{SchemeError, Verdict};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use ugc_grid::{Assignment, CostLedger, Message, WorkerBehaviour};
+use ugc_grid::{Assignment, Message};
 use ugc_hash::HashFunction;
-use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
+use ugc_task::Domain;
 
 /// The ringer scheme as a [`VerificationScheme`].
 ///
@@ -48,238 +51,139 @@ impl<H: HashFunction> VerificationScheme<H> for RingerScheme {
         &'a self,
         ctx: SupervisorContext<'a>,
     ) -> Box<dyn SupervisorSession + 'a> {
-        Box::new(RingerSupervisorSession {
-            scheme: *self,
-            task_id: ctx.task_ids.first().copied().unwrap_or_default(),
-            task: ctx.task,
-            domain: ctx.domain,
-            ledger: ctx.ledger,
-            state: SupState::NotStarted,
-            outcome: None,
-        })
+        SupervisorFrame::boxed(*self, ctx)
     }
 
     fn participant_session<'a>(
         &'a self,
         ctx: ParticipantContext<'a>,
     ) -> Box<dyn ParticipantSession + 'a> {
-        Box::new(RingerParticipantSession {
-            task: ctx.task,
-            screener: ctx.screener,
-            behaviour: ctx.behaviour,
-            ledger: ctx.ledger,
-            state: PartState::AwaitAssign,
-        })
+        ParticipantFrame::boxed(*self, ctx)
     }
 }
 
-enum SupState {
-    NotStarted,
-    AwaitFound { secret_inputs: BTreeSet<u64> },
-    AwaitReports { verdict: Verdict },
-    Done,
+/// What the supervisor awaits next, and what it keeps meanwhile.
+pub(crate) enum Awaiting {
+    Found { secret_inputs: BTreeSet<u64> },
+    Reports { verdict: Verdict },
 }
 
-struct RingerSupervisorSession<'a> {
-    scheme: RingerScheme,
-    task_id: u64,
-    task: &'a dyn ComputeTask,
-    domain: Domain,
-    ledger: CostLedger,
-    state: SupState,
-    outcome: Option<SessionOutcome>,
-}
+/// The middle of a ringer session: the ringer hunt.
+impl SupervisorMiddle for RingerScheme {
+    type State = Awaiting;
 
-impl SupervisorSession for RingerSupervisorSession<'_> {
-    fn start(&mut self) -> Result<Vec<Outbound>, SchemeError> {
-        if self.scheme.ringers == 0 {
+    fn open(&self, ctx: &SupervisorContext<'_>) -> Opened<Self::State> {
+        if self.ringers == 0 {
             return Err(SchemeError::InvalidConfig {
                 reason: "need at least one ringer".into(),
             });
         }
-        if self.scheme.ringers as u64 > self.domain.len() {
+        if self.ringers as u64 > ctx.domain.len() {
             return Err(SchemeError::InvalidConfig {
                 reason: "more ringers than domain inputs".into(),
             });
         }
         // Plant d distinct secret inputs and pre-compute their results.
-        let mut rng = StdRng::seed_from_u64(self.scheme.seed ^ 0x7269_6e67);
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x7269_6e67);
         let mut secret_inputs = BTreeSet::new();
-        while secret_inputs.len() < self.scheme.ringers {
-            let i = rng.random_range(0..self.domain.len());
-            secret_inputs.insert(self.domain.input(i).expect("sample within domain"));
+        while secret_inputs.len() < self.ringers {
+            let i = rng.random_range(0..ctx.domain.len());
+            secret_inputs.insert(ctx.domain.input(i).expect("sample within domain"));
         }
         // Batch the precomputation through the task's lane kernels (a
         // hash-bound task hashes all ringers together); the charge is one
         // unit cost per input, identical to scalar evaluation.
         let inputs: Vec<u64> = secret_inputs.iter().copied().collect();
-        self.ledger
-            .charge_f(self.task.unit_cost() * inputs.len() as u64);
-        let mut ringer_values: Vec<Vec<u8>> = self.task.compute_batch(&inputs);
+        ctx.ledger
+            .charge_f(ctx.task.unit_cost() * inputs.len() as u64);
+        let mut ringers: Vec<Vec<u8>> = ctx.task.compute_batch(&inputs);
         // Sort the values so their order leaks nothing about input order.
-        ringer_values.sort();
-        self.state = SupState::AwaitFound { secret_inputs };
-        Ok(vec![
-            (
-                0,
-                Message::Assign(Assignment {
-                    task_id: self.task_id,
-                    domain: self.domain,
-                }),
-            ),
-            (
-                0,
-                Message::RingerChallenge {
-                    task_id: self.task_id,
-                    ringers: ringer_values,
-                },
-            ),
-        ])
+        ringers.sort();
+        let challenge = Message::RingerChallenge {
+            task_id: ctx.task_ids[0],
+            ringers,
+        };
+        Ok((Awaiting::Found { secret_inputs }, Some(challenge)))
     }
 
-    fn on_message(&mut self, _slot: usize, msg: Message) -> Result<Vec<Outbound>, SchemeError> {
-        match std::mem::replace(&mut self.state, SupState::Done) {
-            SupState::AwaitFound { secret_inputs } => {
+    fn on_message(
+        &self,
+        ctx: &SupervisorContext<'_>,
+        state: Self::State,
+        _slot: usize,
+        msg: Message,
+    ) -> Result<Step<Self::State>, SchemeError> {
+        let expected = ctx.task_ids[0];
+        match state {
+            Awaiting::Found { secret_inputs } => {
                 let Message::RingerFound { task_id, inputs } = msg else {
                     return unexpected("RingerFound", &msg);
                 };
-                check_task(self.task_id, task_id)?;
+                check_task(expected, task_id)?;
                 let found_set: BTreeSet<u64> = inputs.into_iter().collect();
-                self.ledger.charge_verify(self.scheme.ringers as u64);
-                let verdict = if found_set.is_superset(&secret_inputs) {
-                    // Extra claims are tolerated only if they are true
-                    // preimages of a planted value, which by construction
-                    // they are not (values are unique per input for our
-                    // tasks); reject any overclaim.
-                    if found_set.len() == secret_inputs.len() {
-                        Verdict::Accepted
-                    } else {
-                        Verdict::RingerMissed
-                    }
+                ctx.ledger.charge_verify(self.ringers as u64);
+                // Extra claims are tolerated only if they are true
+                // preimages of a planted value, which by construction they
+                // are not (values are unique per input for our tasks);
+                // reject any overclaim.
+                let verdict = if found_set == secret_inputs {
+                    Verdict::Accepted
                 } else {
                     Verdict::RingerMissed
                 };
-                self.state = SupState::AwaitReports { verdict };
-                Ok(Vec::new())
+                Ok(Step::Next(Awaiting::Reports { verdict }, Vec::new()))
             }
-            SupState::AwaitReports { verdict } => {
+            Awaiting::Reports { verdict } => {
                 let Message::Reports { task_id, reports } = msg else {
                     return unexpected("Reports", &msg);
                 };
-                check_task(self.task_id, task_id)?;
-                let verdict_msg = Message::Verdict {
-                    task_id: self.task_id,
-                    accepted: verdict.is_accepted(),
-                };
-                self.outcome = Some(SessionOutcome {
-                    verdict,
-                    reports: reports
-                        .into_iter()
-                        .map(|(input, payload)| ScreenReport { input, payload })
-                        .collect(),
-                });
-                Ok(vec![(0, verdict_msg)])
-            }
-            SupState::NotStarted | SupState::Done => unexpected("nothing (session finished)", &msg),
-        }
-    }
-
-    fn take_outcome(&mut self) -> Option<SessionOutcome> {
-        self.outcome.take()
-    }
-}
-
-enum PartState {
-    AwaitAssign,
-    AwaitChallenge { task_id: u64, domain: Domain },
-    AwaitVerdict { task_id: u64 },
-    Done(bool),
-}
-
-struct RingerParticipantSession<'a> {
-    task: &'a dyn ComputeTask,
-    screener: &'a dyn Screener,
-    behaviour: &'a dyn WorkerBehaviour,
-    ledger: CostLedger,
-    state: PartState,
-}
-
-impl ParticipantSession for RingerParticipantSession<'_> {
-    fn on_message(&mut self, msg: Message) -> Result<Vec<Message>, SchemeError> {
-        match std::mem::replace(&mut self.state, PartState::AwaitAssign) {
-            PartState::AwaitAssign => {
-                let Message::Assign(assignment) = msg else {
-                    return unexpected("Assign", &msg);
-                };
-                self.state = PartState::AwaitChallenge {
-                    task_id: assignment.task_id,
-                    domain: assignment.domain,
-                };
-                Ok(Vec::new())
-            }
-            PartState::AwaitChallenge { task_id, domain } => {
-                let Message::RingerChallenge {
-                    task_id: tid,
-                    ringers,
-                } = msg
-                else {
-                    return unexpected("RingerChallenge", &msg);
-                };
-                check_task(task_id, tid)?;
-                let ringer_set: BTreeSet<&[u8]> = ringers.iter().map(Vec::as_slice).collect();
-                let Materialized {
-                    row,
-                    width,
-                    reports,
-                } = materialize(
-                    self.task,
-                    self.screener,
-                    domain,
-                    self.behaviour,
-                    &self.ledger,
-                )?;
-                let mut found = Vec::new();
-                for (i, leaf) in (0..).zip(row.chunks_exact(width)) {
-                    if ringer_set.contains(leaf) {
-                        found.push(domain.input(i).expect("index within domain"));
-                    }
-                }
-                self.state = PartState::AwaitVerdict { task_id };
-                Ok(vec![
-                    Message::RingerFound {
-                        task_id,
-                        inputs: found,
-                    },
-                    Message::Reports {
-                        task_id,
-                        reports: reports.into_iter().map(|r| (r.input, r.payload)).collect(),
-                    },
-                ])
-            }
-            PartState::AwaitVerdict { task_id } => {
-                let Message::Verdict {
-                    task_id: tid,
-                    accepted,
-                } = msg
-                else {
-                    return unexpected("Verdict", &msg);
-                };
-                check_task(task_id, tid)?;
-                self.state = PartState::Done(accepted);
-                Ok(Vec::new())
-            }
-            done @ PartState::Done(_) => {
-                self.state = done;
-                unexpected("nothing (session finished)", &msg)
+                check_task(expected, task_id)?;
+                Ok(Step::Decided(SessionOutcome { verdict, reports }))
             }
         }
     }
+}
 
-    fn finished(&self) -> Option<bool> {
-        match self.state {
-            PartState::Done(accepted) => Some(accepted),
-            _ => None,
-        }
+/// The ringer participant hunts, once the challenge follows the
+/// assignment, over the share it keeps meanwhile.
+impl ParticipantMiddle for RingerScheme {
+    type State = Domain;
+
+    fn on_assign(&self, _ctx: &ParticipantContext<'_>, assignment: Assignment) -> Reply<Domain> {
+        Ok((Vec::new(), Some(assignment.domain)))
+    }
+
+    fn on_message(
+        &self,
+        ctx: &ParticipantContext<'_>,
+        task_id: u64,
+        domain: Domain,
+        msg: Message,
+    ) -> Reply<Domain> {
+        let Message::RingerChallenge {
+            task_id: tid,
+            ringers,
+        } = msg
+        else {
+            return unexpected("RingerChallenge", &msg);
+        };
+        check_task(task_id, tid)?;
+        let ringer_set: BTreeSet<&[u8]> = ringers.iter().map(Vec::as_slice).collect();
+        let Materialized {
+            row,
+            width,
+            reports,
+        } = materialize(ctx, domain)?;
+        let inputs = (0..)
+            .zip(row.chunks_exact(width))
+            .filter(|(_, leaf)| ringer_set.contains(leaf))
+            .map(|(i, _)| domain.input(i).expect("index within domain"))
+            .collect();
+        let out = vec![
+            Message::RingerFound { task_id, inputs },
+            Message::Reports { task_id, reports },
+        ];
+        Ok((out, None))
     }
 }
 
@@ -289,10 +193,10 @@ mod tests {
     use crate::scheme::run_round;
     use crate::session::drive_supervisor;
     use crate::MixedFleetConfig;
-    use ugc_grid::{duplex, CheatSelection, GridLink, HonestWorker, SemiHonestCheater};
+    use ugc_grid::{duplex, CheatSelection, CostLedger, GridLink, HonestWorker, SemiHonestCheater};
     use ugc_hash::Sha256;
     use ugc_task::workloads::PasswordSearch;
-    use ugc_task::ZeroGuesser;
+    use ugc_task::{ComputeTask, ZeroGuesser};
 
     fn config(d: usize, seed: u64) -> RingerScheme {
         RingerScheme { ringers: d, seed }

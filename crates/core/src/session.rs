@@ -3,17 +3,21 @@
 //!
 //! Each scheme in this crate is defined by two explicit state machines —
 //! one per side of the wire — that consume and produce
-//! [`Message`]s:
+//! [`Message`]s. All five share one frame: the supervisor assigns every
+//! slot its share, the scheme's *middle* runs, and the supervisor sends
+//! every slot one verdict. The frame owns both ends — the `Assign`s, the
+//! `Verdict`s, the outcome and the participant's `AwaitVerdict → Done`
+//! tail — and a scheme is only its middle. CBS's:
 //!
 //! ```text
-//!               supervisor session            participant session
-//!  start() ──▶  Assign ────────────────────▶  evaluate f, build tree
-//!               AwaitCommit  ◀── Commit ────  AwaitChallenge
-//!               Challenge ─────────────────▶  prove samples
-//!               AwaitProofs ◀─── Proofs ────  AwaitVerdict
-//!               AwaitReports ◀── Reports ───
-//!               verify, Verdict ───────────▶  Done(accepted)
-//!               Done(verdict, reports)
+//!                  supervisor session            participant session
+//!  frame    start: Assign ────────────────────▶  AwaitAssign
+//!  middle          AwaitCommit  ◀── Commit ────  evaluate f, build tree
+//!                  Challenge ─────────────────▶  AwaitChallenge
+//!                  AwaitProofs ◀─── Proofs ────  prove samples
+//!                  AwaitReports ◀── Reports ───  AwaitVerdict
+//!                  verify → outcome
+//!  frame           Verdict ───────────────────▶  Done(accepted)
 //! ```
 //!
 //! A session never blocks: it is handed one inbound message at a time and
@@ -126,6 +130,9 @@ pub trait SupervisorSession: Send {
     /// # Errors
     ///
     /// Unexpected message kinds, task-id mismatches, malformed payloads.
+    /// An error, like mail before `start`, ends the session: it answers
+    /// all later calls as it would after its verdict, never yields an
+    /// outcome, and callers drop it.
     fn on_message(&mut self, slot: usize, msg: Message) -> Result<Vec<Outbound>, SchemeError>;
 
     /// Whether `msg` from slot `slot` is a redundant redelivery the

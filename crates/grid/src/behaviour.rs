@@ -167,7 +167,9 @@ impl WorkerBehaviour for HonestWorker {
         let Some(mut row) = reserve_row(domain, width) else {
             return Ok(None);
         };
-        let mut inputs = Vec::with_capacity(HONEST_BATCH);
+        // A share smaller than one batch reserves only its own inputs.
+        let batch = usize::try_from(n).map_or(HONEST_BATCH, |n| n.min(HONEST_BATCH));
+        let mut inputs = Vec::with_capacity(batch);
         for start in (0..n).step_by(HONEST_BATCH) {
             let end = (start + HONEST_BATCH as u64).min(n);
             inputs.clear();

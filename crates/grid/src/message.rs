@@ -24,7 +24,7 @@ use crate::codec::{
     get_bytes, get_list, get_u32, get_var, put_bytes, put_list, put_var, var_len, MAX_FIELD_LEN,
 };
 use crate::GridError;
-use ugc_task::Domain;
+use ugc_task::{Domain, ScreenReport};
 
 /// A task assignment: evaluate `f` on every input of `domain`.
 ///
@@ -177,8 +177,8 @@ pub enum Message {
     Reports {
         /// Task these reports belong to.
         task_id: u64,
-        /// `(input, payload)` pairs that passed the screener.
-        reports: Vec<(u64, Vec<u8>)>,
+        /// The results that passed the screener.
+        reports: Vec<ScreenReport>,
     },
     /// Supervisor → participant: precomputed ringer results whose inputs
     /// are secret (Golle–Mironov baseline).
@@ -317,9 +317,9 @@ impl Message {
                 put_var(buf, u64::from(*leaf_width));
                 put_bytes(buf, data);
             }
-            Message::Reports { reports, .. } => put_list(buf, reports, |buf, (input, payload)| {
-                put_var(buf, *input);
-                put_bytes(buf, payload);
+            Message::Reports { reports, .. } => put_list(buf, reports, |buf, report| {
+                put_var(buf, report.input);
+                put_bytes(buf, &report.payload);
             }),
             Message::RingerChallenge { ringers, .. } => {
                 put_list(buf, ringers, |b, r| put_bytes(b, r))
@@ -347,7 +347,7 @@ impl Message {
             Message::Reports { reports, .. } => {
                 let each = reports
                     .iter()
-                    .map(|(input, p)| var_len(*input) + bytes_len(p));
+                    .map(|r| var_len(r.input) + bytes_len(&r.payload));
                 var_len(reports.len() as u64) + each.sum::<usize>()
             }
             Message::RingerChallenge { ringers, .. } => {
@@ -423,10 +423,10 @@ impl Message {
                 task_id: get_var(&mut buf, "reports.task_id")?,
                 // A report is at least an input and a length prefix, a byte each.
                 reports: get_list(&mut buf, "reports.count", (1 << 24, 2), |buf| {
-                    Ok((
-                        get_var(buf, "reports.input")?,
-                        get_bytes(buf, "reports.payload")?,
-                    ))
+                    Ok(ScreenReport {
+                        input: get_var(buf, "reports.input")?,
+                        payload: get_bytes(buf, "reports.payload")?,
+                    })
                 })?,
             },
             // A ringer is at least its one-byte length prefix.
@@ -548,7 +548,9 @@ mod tests {
             },
             Message::Reports {
                 task_id: 7,
-                reports: vec![(3, vec![1, 2]), (9, vec![])],
+                reports: [(3, vec![1, 2]), (9, vec![])]
+                    .map(|(input, payload)| ScreenReport { input, payload })
+                    .into(),
             },
             Message::RingerChallenge {
                 task_id: 8,

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use ugc_grid::codec::{get_u32, get_var, put_var, var_len};
 use ugc_grid::wire::Welcome;
 use ugc_grid::{Assignment, GridError, GridLink, Message, Opening};
-use ugc_task::Domain;
+use ugc_task::{Domain, ScreenReport};
 
 fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..max)
@@ -57,7 +57,13 @@ fn arb_bare_message() -> impl Strategy<Value = Message> {
             any::<u64>(),
             proptest::collection::vec((any::<u64>(), arb_bytes(32)), 0..8)
         )
-            .prop_map(|(task_id, reports)| Message::Reports { task_id, reports }),
+            .prop_map(|(task_id, reports)| Message::Reports {
+                task_id,
+                reports: reports
+                    .into_iter()
+                    .map(|(input, payload)| ScreenReport { input, payload })
+                    .collect(),
+            }),
         (any::<u64>(), proptest::collection::vec(arb_bytes(32), 0..8))
             .prop_map(|(task_id, ringers)| Message::RingerChallenge { task_id, ringers }),
         (any::<u64>(), proptest::collection::vec(any::<u64>(), 0..32))

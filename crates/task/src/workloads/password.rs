@@ -201,17 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn compute_batch_override_survives_indirection() {
-        // A trait object must reach the compute_batch override, or it
-        // silently falls back to the scalar default.
-        let task = PasswordSearch::with_hidden_password(4, 9);
-        let xs: Vec<u64> = (0..9).collect();
-        let expected = task.compute_batch(&xs);
-        let by_ref: &dyn ComputeTask = &task;
-        assert_eq!(by_ref.compute_batch(&xs), expected);
-    }
-
-    #[test]
     fn default_verify_works() {
         let task = PasswordSearch::with_hidden_password(1, 1);
         let fx = task.compute(10);
