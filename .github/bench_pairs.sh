@@ -3,6 +3,7 @@
 # BENCH_<pr>.json at the repository root.
 #
 #   .github/bench_pairs.sh <parent-rev> <pr>
+#   .github/bench_pairs.sh <parent-rev> noise
 #
 # Builds the benchmark (BENCHMARK.json, benchmark/) twice: <parent-rev>,
 # exported with `git archive` into a scratch directory, and the working
@@ -19,14 +20,20 @@
 # count that DIFFERS and any failed operation). `change` is the HEAD
 # commit, suffixed `+working-tree` when the tree has uncommitted changes.
 #
+# With `noise` in place of a PR number it runs the same pairs with the
+# parent's build on both sides and writes BENCH_noise.json (`pr` "noise",
+# `change` the parent): an A/A record of how far two sides of a pair
+# drift apart on this host when nothing differs, the spread any claimed
+# gain must clear.
+#
 # The export, rather than a worktree, leaves the repository's .git as it
 # was even if the run is killed. A build rewrites a stale
 # benchmark/Cargo.lock; the script puts it back, so benchmark/ and
 # BENCHMARK.json are left byte-identical. Needs cargo and jq.
 set -euo pipefail
 
-if [ $# -ne 2 ] || ! [[ $2 =~ ^[0-9]+$ ]]; then
-    echo "usage: $0 <parent-rev> <pr>" >&2
+if [ $# -ne 2 ] || ! [[ $2 =~ ^([0-9]+|noise)$ ]]; then
+    echo "usage: $0 <parent-rev> <pr>|noise" >&2
     exit 2
 fi
 pairs=10
@@ -38,6 +45,13 @@ change=$(git rev-parse HEAD)
 if ! git diff --quiet HEAD || [ -n "$(git ls-files --others --exclude-standard)" ]; then
     change="$change+working-tree"
 fi
+pr=$2
+trees=(parent change)
+if [ "$pr" = noise ]; then
+    change=$parent
+    pr='"noise"'
+    trees=(parent)
+fi
 seconds=$(jq -r .run_seconds BENCHMARK.json)
 workloads=$(jq -r '.workloads[].name' BENCHMARK.json)
 
@@ -47,14 +61,15 @@ trap 'cp "$scratch/Cargo.lock" benchmark/Cargo.lock; rm -rf "$scratch"' EXIT
 
 mkdir "$scratch/parent" "$scratch/out"
 git archive "$parent" | tar -x -C "$scratch/parent"
-for tree in "$scratch/parent" "$root"; do
-    echo "bench_pairs: building the benchmark in $tree" >&2
-    cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml"
+declare -A tree=([parent]=$scratch/parent [change]=$root)
+for side in "${trees[@]}"; do
+    echo "bench_pairs: building the benchmark in ${tree[$side]}" >&2
+    cargo build --release --offline --quiet --manifest-path "${tree[$side]}/benchmark/Cargo.toml"
 done
 cp "$scratch/Cargo.lock" benchmark/Cargo.lock
 declare -A bin=(
-    [parent]=$scratch/parent/benchmark/target/release/ugc-benchmark
-    [change]=$root/benchmark/target/release/ugc-benchmark
+    [parent]=${tree[parent]}/benchmark/target/release/ugc-benchmark
+    [change]=${tree[${trees[-1]}]}/benchmark/target/release/ugc-benchmark
 )
 
 for workload in $workloads; do
@@ -74,7 +89,7 @@ status=0
 "${bin[change]}" compare "$scratch"/out/parent-*.json -- "$scratch"/out/change-*.json \
     >"$scratch/compare.txt" || status=$?
 cat "$scratch/compare.txt"
-jq -n --argjson pr "$2" --arg parent "$parent" --arg change "$change" \
+jq -n --argjson pr "$pr" --arg parent "$parent" --arg change "$change" \
     --slurpfile parent_runs <(cat "$scratch"/out/parent-*.json) \
     --slurpfile change_runs <(cat "$scratch"/out/change-*.json) \
     --rawfile compare "$scratch/compare.txt" --argjson status "$status" \

@@ -15,7 +15,10 @@
 //!
 //! * [`InProcessBackend`] — every slot runs in this process as a
 //!   poll-driven [`SlotTask`] on a [`GridScheduler`] pool beside the
-//!   engine, over one [`duplex`] pair per slot. Under
+//!   engine, on one endpoint of a [`fan_in`](ugc_grid::fan_in): each
+//!   slot's mail goes into the engine's one inbox, and the engine's goes
+//!   onto that slot's own queue, as [`Message`] values — the codec runs
+//!   only where bytes leave the process. Under
 //!   [`TransportKind::Direct`] and [`TransportKind::Brokered`] alike the
 //!   engine routes every send by the GRACE broker's
 //!   [`Routes`](ugc_grid::Routes) on its own thread — no relay thread, no
@@ -53,7 +56,7 @@ use ugc_grid::runtime::{
     FaultEvent, FaultLog, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll,
 };
 use ugc_grid::{
-    duplex, ControlHandle, CostLedger, CostReport, Doorbell, GridError, GridLink, Message, TcpLink,
+    ControlHandle, CostLedger, CostReport, Doorbell, GridError, GridLink, Message, TcpLink,
 };
 
 /// How a fleet round moves its messages — the one transport-selection
@@ -63,8 +66,8 @@ use ugc_grid::{
 /// campaign, so a journal resumes over any of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TransportKind {
-    /// One in-memory link per participant, all rung on one bell the
-    /// engine sleeps on. In process this is one transport with
+    /// One in-process link per participant, all sending into one inbox
+    /// the engine drains and sleeps on. In process this is one transport with
     /// [`Brokered`](Self::Brokered): the broker's routing on the engine's
     /// thread; both names stay because campaigns and the CLI name them.
     #[default]
@@ -181,8 +184,9 @@ pub struct RoundResult {
 
 /// A transport backend: where a fleet round's participant slots run and
 /// how the supervisor's messages reach them. Implementations must charge
-/// every data-plane message exactly as [`Endpoint`](ugc_grid::Endpoint) does (encoded frame +
-/// header) — that equality is what makes digests transport-invariant.
+/// every data-plane message [`Message::charged`] (its encoded length plus
+/// the frame header), whether or not it is ever encoded — that equality
+/// is what makes digests transport-invariant.
 pub trait TransportBackend {
     /// Which transport this backend implements.
     fn kind(&self) -> TransportKind;
@@ -250,18 +254,17 @@ impl TransportBackend for InProcessBackend {
 }
 
 /// Runs `engine` on the calling thread over an [`InProcessTransport`]
-/// whose participant ends are `spec.slots` in-memory links, while slot `k`
-/// runs on link `k`, behind the round's fault plan, as a [`SlotTask`] on a
-/// [`GridScheduler`] pool. Every session sends its assignments from its
+/// whose participant ends are the `spec.slots` endpoints of one fan-in,
+/// while slot `k` runs on endpoint `k`, behind the round's fault plan, as
+/// a [`SlotTask`] on a [`GridScheduler`] pool. Every session sends its assignments from its
 /// start, in task order, before the engine's first receive, so the
-/// broker's round-robin deals task `k` to link `k`.
+/// broker's round-robin deals task `k` to endpoint `k`.
 fn run_local<'a>(
     spec: &RoundSpec,
     engine: SessionEngine<'a>,
     slot: &dyn Fn(u64, CostLedger) -> Box<dyn ParticipantSession + 'a>,
 ) -> RoundResult {
-    let (broker_side, links): (Vec<_>, Vec<_>) = (0..spec.slots).map(|_| duplex()).unzip();
-    let mut transport = InProcessTransport::new(broker_side);
+    let (mut transport, links) = InProcessTransport::new(spec.slots);
     // Chaos-free rounds use the quiet plan rather than a separate
     // undecorated code path: the decorator's transparency at zero rates
     // is property-tested (grid/tests/fault_properties.rs), and one code

@@ -14,8 +14,8 @@
 //!            │    │ ▼      route by task id              │
 //!            └────┼─┼───────────────┼─┼─────────────────-┘
 //!                 │ ▼               │ ▼
-//!        one in-memory link per participant, dealt by the broker's Routes
-//!        — or — one TcpLink into `ugc broker serve`
+//!        one fan-in: every participant's mail in one inbox, dealt by the
+//!        broker's Routes — or — one TcpLink into `ugc broker serve`
 //! ```
 //!
 //! What reaches the engine is trusted to be addressed honestly: a broker,
@@ -47,21 +47,24 @@ use crate::session::{SessionOutcome, SupervisorSession};
 use crate::SchemeError;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
-use ugc_grid::{Doorbell, Endpoint, GridError, GridLink, LinkStats, Message, Routes};
+use ugc_grid::{
+    fan_in, Doorbell, Endpoint, FanIn, GridError, GridLink, LinkStats, Message, Routes,
+};
 
 /// A transport the engine can multiplex sessions over.
 pub trait EngineTransport {
-    /// Sends `msg` towards the peer that holds its task.
+    /// Sends `msg` towards the peer that holds its task, taking it by
+    /// value: an in-process transport hands it on without a copy.
     ///
     /// # Errors
     ///
     /// Transport failures (e.g. the peer disconnected).
-    fn send(&mut self, msg: &Message) -> Result<(), GridError>;
+    fn send(&mut self, msg: Message) -> Result<(), GridError>;
 
     /// Blocks until the next inbound message, or — given an `until` — no
     /// longer than that instant: `Ok(None)` means it passed with nothing
     /// to report. A task whose peer is gone arrives as the relay's
-    /// [`Message::Gone`]. The wait sleeps on something that rings when
+    /// [`Message::Gone`]. The wait sleeps on something that wakes it when
     /// mail arrives; it never polls.
     ///
     /// # Errors
@@ -79,11 +82,16 @@ fn clock() -> Instant {
     Instant::now()
 }
 
+/// How long a wait that must end by `until` may last (`None`: no limit).
+fn patience(until: Option<Instant>) -> Option<Duration> {
+    until.map(|until| until.saturating_duration_since(clock()))
+}
+
 /// Waits for the next ring on `bell`, giving up once `until` passes.
 fn next_ring(bell: &Doorbell, until: Option<Instant>) -> Option<usize> {
-    match until {
+    match patience(until) {
         None => Some(bell.wait()),
-        Some(until) => bell.wait_timeout(until.saturating_duration_since(clock())),
+        Some(patience) => bell.wait_timeout(patience),
     }
 }
 
@@ -107,8 +115,8 @@ impl<L: GridLink> SharedLink<L> {
 }
 
 impl<L: GridLink> EngineTransport for SharedLink<L> {
-    fn send(&mut self, msg: &Message) -> Result<(), GridError> {
-        self.link.send(msg)
+    fn send(&mut self, msg: Message) -> Result<(), GridError> {
+        self.link.send(&msg)
     }
 
     fn recv(&mut self, until: Option<Instant>) -> Result<Option<Message>, GridError> {
@@ -126,43 +134,50 @@ impl<L: GridLink> EngineTransport for SharedLink<L> {
 }
 
 /// The in-process GRACE broker, routing on the engine's own thread: the
-/// broker-side ends of the participants' links, all subscribed to one
-/// [`Doorbell`], dealt tasks and heard by the broker's [`Routes`]. A send
-/// is delivered at once, so each message crosses one queue; a receive
-/// answers the link that rang, so mail is served in arrival order (no
-/// chatty participant can starve another) at a cost that does not grow
-/// with the number of silent links.
+/// engine's end of a [`fan_in`](ugc_grid::fan_in), its participant slots
+/// dealt tasks and heard by the broker's [`Routes`]. A send moves the
+/// message onto its slot's queue, so it crosses one queue and is never
+/// copied or encoded. A receive serves the inbox, which holds every
+/// slot's mail in arrival order (no chatty participant can starve
+/// another): it drains a whole burst under one lock and sleeps on the
+/// inbox only when the burst is spent, at a cost that does not grow with
+/// the number of silent slots.
 pub(crate) struct InProcessTransport {
-    links: Vec<Endpoint>,
+    fan_in: FanIn,
     routes: Routes,
     /// Tasks NACKed and not yet reported, in the order to report them.
     nacked: VecDeque<u64>,
-    open: Vec<bool>,
-    open_count: usize,
-    bell: Doorbell,
+    /// Mail drained from the inbox and not yet served; one buffer for
+    /// every burst.
+    burst: VecDeque<(usize, Option<Message>)>,
+    /// Slots that have not hung up yet.
+    open: usize,
 }
 
 impl InProcessTransport {
-    pub(crate) fn new(links: Vec<Endpoint>) -> Self {
-        let (bell, mut routes) = (Doorbell::new(), Routes::default());
-        for link in &links {
-            link.subscribe(&bell, routes.add_participant());
+    /// A transport over `slots` participant slots, and their endpoints:
+    /// endpoint `k` is participant `k`.
+    pub(crate) fn new(slots: usize) -> (Self, Vec<Endpoint>) {
+        let (fan_in, endpoints) = fan_in(slots);
+        let mut routes = Routes::default();
+        for _ in 0..slots {
+            routes.add_participant();
         }
-        InProcessTransport {
+        let transport = InProcessTransport {
+            fan_in,
             routes,
             nacked: VecDeque::new(),
-            open: vec![true; links.len()],
-            open_count: links.len(),
-            links,
-            bell,
-        }
+            burst: VecDeque::new(),
+            open: slots,
+        };
+        (transport, endpoints)
     }
 }
 
 impl EngineTransport for InProcessTransport {
-    fn send(&mut self, msg: &Message) -> Result<(), GridError> {
-        let links = &self.links;
-        match self.routes.route(msg, |idx| links[idx].send(msg)) {
+    fn send(&mut self, msg: Message) -> Result<(), GridError> {
+        let fan_in = &self.fan_in;
+        match self.routes.route(msg, |idx, msg| fan_in.send(idx, msg)) {
             Ok(nacked) => self.nacked.extend(nacked),
             Err(GridError::Empty) => {} // no route: dropped
             Err(e) => return Err(e),
@@ -170,30 +185,29 @@ impl EngineTransport for InProcessTransport {
         Ok(())
     }
 
-    /// Answers each ring with one receive from the link that rang, passing
-    /// up only what its participant [speaks for](Routes::speaks_for); a
-    /// hang-up NACKs the participant's tasks, each passed up in turn as
-    /// the [`Message::Gone`] a relay would send.
+    /// Serves the burst in arrival order, passing up only what each
+    /// slot's participant [speaks for](Routes::speaks_for); a hang-up,
+    /// which a slot queues after its last message, NACKs the
+    /// participant's tasks, each passed up in turn as the
+    /// [`Message::Gone`] a relay would send.
     fn recv(&mut self, until: Option<Instant>) -> Result<Option<Message>, GridError> {
         while self.nacked.is_empty() {
-            if self.open_count == 0 {
-                return Err(GridError::Disconnected);
-            }
-            let Some(idx) = next_ring(&self.bell, until) else {
-                return Ok(None);
-            };
-            if !self.open[idx] {
+            let Some((idx, mail)) = self.burst.pop_front() else {
+                if self.open == 0 {
+                    return Err(GridError::Disconnected);
+                }
+                if !self.fan_in.drain(&mut self.burst, patience(until)) {
+                    return Ok(None);
+                }
                 continue;
-            }
-            match self.links[idx].try_recv() {
-                Ok(msg) if self.routes.speaks_for(idx, &msg) => return Ok(Some(msg)),
-                Ok(_) | Err(GridError::Empty) => {}
-                Err(GridError::Disconnected) => {
-                    self.open[idx] = false;
-                    self.open_count -= 1;
+            };
+            match mail {
+                Some(msg) if self.routes.speaks_for(idx, &msg) => return Ok(Some(msg)),
+                Some(_) => {}
+                None => {
+                    self.open -= 1;
                     self.nacked.extend(self.routes.mark_gone(idx));
                 }
-                Err(e) => return Err(e),
             }
         }
         Ok(Some(Message::Gone {
@@ -376,8 +390,9 @@ impl<'a> SessionEngine<'a> {
                     reason: "session addressed a slot it does not own".into(),
                 });
             }
-            transport.send(&msg)?;
-            slot.link.bytes_sent += msg.charged();
+            let charged = msg.charged();
+            transport.send(msg)?;
+            slot.link.bytes_sent += charged;
             slot.link.messages_sent += 1;
         }
         Ok(())
@@ -483,7 +498,7 @@ mod tests {
         drive_participant, ParticipantContext, SupervisorContext, VerificationScheme,
     };
     use crate::{ParticipantStorage, Verdict};
-    use ugc_grid::{duplex, CostLedger, HonestWorker};
+    use ugc_grid::{CostLedger, HonestWorker};
     use ugc_hash::Sha256;
     use ugc_merkle::{LaneWidth, Parallelism};
     use ugc_task::workloads::PasswordSearch;
@@ -499,9 +514,7 @@ mod tests {
             report_audit: 0,
         };
         let mut engine = SessionEngine::new();
-        let (mut sup_eps, mut part_eps) = (Vec::new(), Vec::new());
         for task_id in 0..2u64 {
-            let (sup_ep, part_ep) = duplex();
             engine
                 .add_session(
                     VerificationScheme::<Sha256>::supervisor_session(
@@ -517,10 +530,8 @@ mod tests {
                     vec![task_id],
                 )
                 .unwrap();
-            sup_eps.push(sup_ep);
-            part_eps.push(part_ep);
         }
-        let mut transport = InProcessTransport::new(sup_eps);
+        let (mut transport, part_eps) = InProcessTransport::new(2);
         let results = std::thread::scope(|scope| {
             let (task, screener, scheme) = (&task, &screener, &scheme);
             for part_ep in &part_eps {
@@ -566,18 +577,17 @@ mod tests {
         }
         // A wait that is already out of time: what is there, or nothing.
         let nothing_now = |t: &mut InProcessTransport| t.recv(Some(clock())).unwrap().is_none();
-        let mut transport = InProcessTransport::new(Vec::new());
+        let (mut transport, _) = InProcessTransport::new(0);
         assert_eq!(transport.recv(None).unwrap_err(), GridError::Disconnected);
         // A thousand links, each dealt its task's assignment; one link has
         // mail queued before the transport has even looked.
-        let (sup_sides, mut peers): (Vec<_>, Vec<_>) = (0..1000).map(|_| duplex()).unzip();
-        let mut transport = InProcessTransport::new(sup_sides);
+        let (mut transport, mut peers) = InProcessTransport::new(1000);
         for id in 0..1000u64 {
             let assign = Message::Assign(ugc_grid::Assignment {
                 task_id: id,
                 domain: Domain::new(id, 1),
             });
-            transport.send(&assign).unwrap();
+            transport.send(assign).unwrap();
         }
         peers[5].send(&verdict(5)).unwrap();
         assert_eq!(task_of(transport.recv(None).unwrap()), 5);
@@ -648,10 +658,9 @@ mod tests {
             );
             engine.add_session(session, vec![task_id]).unwrap();
         }
-        let (dying_broker_side, dying_part) = duplex();
-        let (healthy_broker_side, healthy_part) = duplex();
-        let mut sup_transport =
-            InProcessTransport::new(vec![dying_broker_side, healthy_broker_side]);
+        let (mut sup_transport, parts) = InProcessTransport::new(2);
+        let [dying_part, healthy_part]: [Endpoint; 2] =
+            parts.try_into().expect("two participant endpoints");
 
         let results = std::thread::scope(|scope| {
             scope.spawn(move || {
@@ -726,8 +735,8 @@ mod tests {
         // surviving session still routes (pre-fix this panicked — the
         // collision had overwritten session 0's route with a dangling
         // slot index before erroring).
-        let (sup_ep, part_ep) = duplex();
-        let mut transport = InProcessTransport::new(vec![sup_ep]);
+        let (mut transport, part_eps) = InProcessTransport::new(1);
+        let part_ep = &part_eps[0];
         let results = std::thread::scope(|scope| {
             let (task, screener, scheme) = (&task, &screener, &scheme);
             scope.spawn(move || {
@@ -743,7 +752,7 @@ mod tests {
                         ledger: CostLedger::new(),
                     },
                 );
-                drive_participant(&part_ep, session.as_mut()).unwrap();
+                drive_participant(part_ep, session.as_mut()).unwrap();
             });
             plain.run(&mut transport)
         });
@@ -785,8 +794,8 @@ mod tests {
                 vec![9],
             )
             .unwrap();
-        let (sup_ep, _part_ep) = duplex(); // stays open: recv would block
-        let mut transport = InProcessTransport::new(vec![sup_ep]);
+        // The participant's end stays open: a receive would block.
+        let (mut transport, _part_eps) = InProcessTransport::new(1);
         let results = engine.run(&mut transport);
         assert!(results[0].outcome.as_ref().unwrap().verdict.is_accepted());
     }

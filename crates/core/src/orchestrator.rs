@@ -44,7 +44,7 @@ use crate::{ParticipantStorage, RoundOutcome, SchemeError};
 use std::time::{Duration, Instant};
 use ugc_grid::runtime::{FaultEvent, FaultPlan};
 use ugc_grid::{CostLedger, CostReport, GridError, Throughput, WorkerBehaviour};
-use ugc_hash::HashFunction;
+use ugc_hash::{HashFunction, Sha256};
 use ugc_merkle::{LaneWidth, Parallelism};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 
@@ -132,13 +132,13 @@ impl FleetScheme {
             .collect()
     }
 
-    /// How many participant slots one member of this scheme fills.
+    /// How many participant slots one member of this scheme fills: what
+    /// the scheme object itself declares
+    /// ([`VerificationScheme::participant_slots`]), which no seed or
+    /// hash function changes.
     #[must_use]
     pub fn slots(self) -> usize {
-        match self {
-            FleetScheme::DoubleCheck => 2,
-            _ => 1,
-        }
+        self.instantiate::<Sha256>(0).participant_slots()
     }
 }
 
@@ -751,7 +751,6 @@ fn run_fleet_round<H: HashFunction>(
 mod tests {
     use super::*;
     use ugc_grid::{CheatSelection, HonestWorker, SemiHonestCheater};
-    use ugc_hash::Sha256;
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::ZeroGuesser;
 
@@ -782,6 +781,28 @@ mod tests {
             .collect();
         let (screener, config) = (task.match_screener(), MixedFleetConfig::default());
         run_mixed_fleet(task, &screener, domain, &members, &config)
+    }
+
+    #[test]
+    fn a_schemes_slot_count_is_its_scheme_objects() {
+        let every = [
+            CBS(4),
+            FleetScheme::NiCbs {
+                samples: 4,
+                g_iterations: 2,
+                report_audit: 0,
+            },
+            FleetScheme::Naive { samples: 4 },
+            FleetScheme::Ringer { ringers: 2 },
+            FleetScheme::DoubleCheck,
+        ];
+        for scheme in every {
+            for seed in [0, 7, u64::MAX] {
+                let object = scheme.instantiate::<Sha256>(seed);
+                assert_eq!(scheme.slots(), object.participant_slots(), "{scheme:?}");
+            }
+        }
+        assert_eq!(FleetScheme::DoubleCheck.slots(), 2);
     }
 
     #[test]

@@ -65,12 +65,12 @@ use crate::session::{
 };
 use crate::{ParticipantStorage, SchemeError, Verdict};
 use core::marker::PhantomData;
-use ugc_grid::{Assignment, CostLedger, Message, Opening};
+use ugc_grid::{Assignment, Message, Opening};
 use ugc_hash::HashFunction;
 use ugc_merkle::{
     LaneWidth, LeafSet, MerkleError, MerkleOpening, MerkleTree, OpeningRow, Parallelism,
 };
-use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
+use ugc_task::{Domain, ScreenReport};
 
 /// Below this many leaves a parallel tree build is not worth the thread
 /// spawns; the scheme layer falls back to the serial build.
@@ -260,16 +260,13 @@ impl<H: HashFunction> SupervisorMiddle for Cbs<H> {
                 };
                 check_task(expected, task_id)?;
                 let verdict = verify_round::<H>(
-                    ctx.task,
-                    ctx.screener,
-                    ctx.domain,
+                    ctx,
                     &root,
                     &samples,
                     &proofs,
                     &reports,
                     self.0.report_audit,
                     self.0.seed,
-                    &ctx.ledger,
                 )?;
                 Ok(Step::Decided(SessionOutcome { verdict, reports }))
             }
@@ -366,12 +363,12 @@ impl<H: HashFunction> ParticipantMiddle for Cbs<H> {
 ///    the cost of a hostile opening is reading three lengths.
 /// 2. **Step 4.1, the values.** Each distinct sampled index, in order of
 ///    first appearance in `samples`: `task.verify(x, f(x))`, one call per
-///    value — [`ComputeTask::verify`] is where a task with cheap
+///    value — [`ComputeTask::verify`](ugc_task::ComputeTask::verify) is where a task with cheap
 ///    verification plugs in its own check. The first value that fails is
 ///    [`Verdict::WrongResult`] naming that sample; the values checked up
 ///    to and including it are charged (`charge_verify(1)` each, and
 ///    `charge_f(unit_cost)` unless
-///    [`cheap_verification`](ComputeTask::cheap_verification)), no hash is.
+///    [`cheap_verification`](ugc_task::ComputeTask::cheap_verification)), no hash is.
 /// 3. **Step 4.2, the commitment.** One reconstruction of the root from
 ///    all the values and siblings ([`CheckedOpening::reconstruct_root`],
 ///    on what step 1 checked: the shape is walked once),
@@ -394,22 +391,22 @@ impl<H: HashFunction> ParticipantMiddle for Cbs<H> {
 /// [`MerkleError::NoIndices`] for an empty challenge, and the
 /// malformed-opening errors of step 1; cheating is reported through the
 /// `Ok` verdict, not as an error.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "each argument is one input of the paper's Step 4 check"
-)]
 pub fn verify_round<H: HashFunction>(
-    task: &dyn ComputeTask,
-    screener: &dyn Screener,
-    domain: Domain,
+    ctx: &SupervisorContext<'_>,
     root: &H::Digest,
     samples: &[u64],
     opening: &Opening,
     reports: &[ScreenReport],
     report_audit: usize,
     seed: u64,
-    ledger: &CostLedger,
 ) -> Result<Verdict, SchemeError> {
+    let SupervisorContext {
+        task,
+        screener,
+        domain,
+        ref ledger,
+        ..
+    } = *ctx;
     let set = match LeafSet::new(domain.len(), samples) {
         Ok(set) => set,
         Err(MerkleError::IndexOutOfRange { index, .. }) => {
@@ -502,11 +499,13 @@ mod tests {
     use crate::{MixedFleetConfig, RoundOutcome};
     use proptest::prelude::*;
     use proptest::sample::Index;
-    use ugc_grid::{CheatSelection, CostReport, HonestWorker, MaliciousWorker, SemiHonestCheater};
+    use ugc_grid::{
+        CheatSelection, CostLedger, CostReport, HonestWorker, MaliciousWorker, SemiHonestCheater,
+    };
     use ugc_hash::{Md5, Sha256};
     use ugc_merkle::MerkleProof;
     use ugc_task::workloads::PasswordSearch;
-    use ugc_task::{AcceptAllScreener, ZeroGuesser};
+    use ugc_task::{AcceptAllScreener, ComputeTask, ZeroGuesser};
 
     fn config(m: usize, seed: u64) -> CbsScheme {
         CbsScheme {
@@ -877,26 +876,27 @@ mod tests {
             wire_opening(&self.tree, samples)
         }
 
+        /// The supervisor's context for this share: every report is of
+        /// interest, and the ledger is fresh.
+        fn ctx(&self) -> SupervisorContext<'_> {
+            SupervisorContext {
+                task: &self.task,
+                screener: &AcceptAllScreener,
+                domain: self.domain,
+                task_ids: Vec::new(),
+                ledger: CostLedger::new(),
+            }
+        }
+
         /// `verify_round` against the honest commitment, no reports.
         fn verify(
             &self,
             samples: &[u64],
             opening: &Opening,
         ) -> (Result<Verdict, SchemeError>, CostReport) {
-            let ledger = CostLedger::new();
-            let result = verify_round::<H>(
-                &self.task,
-                &AcceptAllScreener,
-                self.domain,
-                &self.tree.root(),
-                samples,
-                opening,
-                &[],
-                0,
-                0,
-                &ledger,
-            );
-            (result, ledger.report())
+            let ctx = self.ctx();
+            let result = verify_round::<H>(&ctx, &self.tree.root(), samples, opening, &[], 0, 0);
+            (result, ctx.ledger.report())
         }
     }
 
@@ -980,19 +980,17 @@ mod tests {
         let samples = [9, 4];
         let mut opening = wire_opening(&garbage_tree, &samples);
         opening.leaf_values = [c.leaves[4].clone(), c.leaves[9].clone()].concat(); // truthful f(x)…
-        let ledger = CostLedger::new();
+        let ctx = c.ctx();
         let verdict = verify_round::<Sha256>(
-            &c.task,
-            &AcceptAllScreener,
-            c.domain,
+            &ctx,
             &garbage_tree.root(), // …but the commitment disagrees
             &samples,
             &opening,
             &[],
             0,
             0,
-            &ledger,
         );
+        let ledger = ctx.ledger;
         // One reconstruction speaks for every sample: the verdict carries
         // the first challenged index.
         assert_eq!(verdict, Ok(Verdict::CommitmentMismatch { sample: 9 }));
@@ -1122,22 +1120,22 @@ mod tests {
     /// charged are the distinct nodes those paths rebuild. It takes only
     /// openings of the shape the samples dictate; what `verify_round`
     /// does with the others is pinned above.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "mirrors verify_round's signature"
-    )]
     fn per_sample_reference<H: HashFunction>(
-        task: &dyn ComputeTask,
-        screener: &dyn Screener,
-        domain: Domain,
+        ctx: &SupervisorContext<'_>,
         root: &H::Digest,
         samples: &[u64],
         opening: &Opening,
         reports: &[ScreenReport],
         report_audit: usize,
         seed: u64,
-        ledger: &CostLedger,
     ) -> Result<Verdict, SchemeError> {
+        let SupervisorContext {
+            task,
+            screener,
+            domain,
+            ref ledger,
+            ..
+        } = *ctx;
         use std::collections::{BTreeMap, BTreeSet};
         if let Some(&sample) = samples.iter().find(|&&s| s >= domain.len()) {
             return Ok(Verdict::WrongResult { sample });
@@ -1288,20 +1286,9 @@ mod tests {
             } else {
                 per_sample_reference::<H>
             };
-            let ledger = CostLedger::new();
-            let result = step4(
-                &c.task,
-                &AcceptAllScreener,
-                c.domain,
-                &root,
-                &samples,
-                &opening,
-                &reports,
-                report_audit,
-                9,
-                &ledger,
-            );
-            (result, ledger.report())
+            let ctx = c.ctx();
+            let result = step4(&ctx, &root, &samples, &opening, &reports, report_audit, 9);
+            (result, ctx.ledger.report())
         };
         let batched = run(true);
         assert_eq!(

@@ -29,7 +29,7 @@ use core::marker::PhantomData;
 use ugc_grid::{Assignment, CostLedger, Message, Opening, SemiHonestCheater};
 use ugc_hash::{HashFunction, IteratedHash};
 use ugc_merkle::MerkleTree;
-use ugc_task::{ComputeTask, Domain, Guesser, ScreenReport, Screener};
+use ugc_task::{ComputeTask, Domain, Guesser, ScreenReport};
 
 /// The non-interactive CBS scheme as a [`VerificationScheme`]: one
 /// participant → supervisor delivery, samples self-derived from the
@@ -114,16 +114,7 @@ impl<H: HashFunction> SupervisorMiddle for NiCbs<H> {
                     return unexpected("Reports", &msg);
                 };
                 check_task(expected, task_id)?;
-                let verdict = verify_ni_round::<H>(
-                    &self.0,
-                    ctx.task,
-                    ctx.screener,
-                    ctx.domain,
-                    &root,
-                    &proofs,
-                    &reports,
-                    &ctx.ledger,
-                )?;
+                let verdict = verify_ni_round::<H>(&self.0, ctx, &root, &proofs, &reports)?;
                 Ok(Step::Decided(SessionOutcome { verdict, reports }))
             }
         }
@@ -147,36 +138,32 @@ impl<H: HashFunction> SupervisorMiddle for NiCbs<H> {
 /// [`SchemeError::MalformedPayload`] for a `root` that is not one digest
 /// of `H`; otherwise as [`verify_round`], less
 /// [`SchemeError::ProofCountMismatch`].
-#[expect(
-    clippy::too_many_arguments,
-    reason = "mirrors verify_round's signature"
-)]
 pub fn verify_ni_round<H: HashFunction>(
     scheme: &NiCbsScheme,
-    task: &dyn ComputeTask,
-    screener: &dyn Screener,
-    domain: Domain,
+    ctx: &SupervisorContext<'_>,
     root: &[u8],
     opening: &Opening,
     reports: &[ScreenReport],
-    ledger: &CostLedger,
 ) -> Result<Verdict, SchemeError> {
     let root = H::digest_from_bytes(root).ok_or(SchemeError::MalformedPayload {
         what: "commitment root".into(),
     })?;
     let g = IteratedHash::<H>::new(scheme.g_iterations);
-    let samples = derive_samples(&g, root.as_ref(), scheme.samples, domain.len(), ledger);
+    let samples = derive_samples(
+        &g,
+        root.as_ref(),
+        scheme.samples,
+        ctx.domain.len(),
+        &ctx.ledger,
+    );
     match verify_round::<H>(
-        task,
-        screener,
-        domain,
+        ctx,
         &root,
         &samples,
         opening,
         reports,
         scheme.report_audit,
         scheme.audit_seed,
-        ledger,
     ) {
         Err(SchemeError::ProofCountMismatch { .. }) => Ok(Verdict::SampleDerivationMismatch),
         other => other,

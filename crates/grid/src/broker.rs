@@ -42,6 +42,7 @@
 //! for callers that drive a broker by hand on one thread.
 
 use crate::{Doorbell, Endpoint, GridError, GridLink, Message};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Relay statistics for a broker run.
@@ -78,7 +79,9 @@ impl Routes {
     }
 
     /// Routes one supervisor message to the participant whose index `send`
-    /// is handed: an assignment pins its task to the next one round-robin,
+    /// is handed, with the message — a reference or the message itself,
+    /// whichever the caller routes: an assignment pins its task to the
+    /// next one round-robin,
     /// skipping those known to be gone; any other message follows its
     /// task's route. Mail for a gone participant is dropped, as a
     /// store-and-forward broker drops mail for a dead host (a `send` failing
@@ -90,13 +93,13 @@ impl Routes {
     ///
     /// [`GridError::Empty`] for a message whose task no participant holds
     /// (it is dropped), or whatever else `send` fails with.
-    pub fn route(
+    pub fn route<M: Borrow<Message>>(
         &mut self,
-        msg: &Message,
-        send: impl FnOnce(usize) -> Result<(), GridError>,
+        msg: M,
+        send: impl FnOnce(usize, M) -> Result<(), GridError>,
     ) -> Result<Vec<u64>, GridError> {
-        let task_id = msg.task_id();
-        let idx = if matches!(msg, Message::Assign(_)) {
+        let task_id = msg.borrow().task_id();
+        let idx = if matches!(msg.borrow(), Message::Assign(_)) {
             let n = self.closed.len();
             // Everyone may be gone; then the send below is skipped.
             let idx = (0..n)
@@ -112,7 +115,7 @@ impl Routes {
         // A link that queues its sends accepts mail for a peer already
         // known to be gone, so the closed mark decides first.
         if !self.closed[idx] {
-            match send(idx) {
+            match send(idx, msg) {
                 Ok(()) => return Ok(Vec::new()),
                 Err(GridError::Disconnected) => {}
                 Err(e) => return Err(e),
@@ -243,7 +246,7 @@ impl<L: GridLink> Broker<L> {
         let participants = &self.participants;
         let nacked = self
             .routes
-            .route(&msg, |idx| participants[idx].send(&msg))?;
+            .route(&msg, |idx, msg| participants[idx].send(msg))?;
         if nacked.is_empty() {
             self.stats.outward += 1;
         }

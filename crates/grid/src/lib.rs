@@ -65,4 +65,6 @@ pub use ledger::{CostLedger, CostReport, Throughput};
 pub use message::{Assignment, Message, Opening};
 pub use runtime::{FaultEvent, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll};
 pub use tcp::{ControlHandle, TcpLink};
-pub use transport::{duplex, Doorbell, Endpoint, GridLink, LinkStats, FRAME_HEADER_BYTES};
+pub use transport::{
+    duplex, fan_in, Doorbell, Endpoint, FanIn, GridLink, LinkStats, FRAME_HEADER_BYTES,
+};

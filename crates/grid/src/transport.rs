@@ -1,19 +1,30 @@
-//! In-memory message transport.
+//! In-process message transport.
 //!
-//! A link carries encoded frames between two endpoints and keeps no
-//! books: what a message costs is [`Message::charged`], and whoever
-//! sends or receives it does the counting.
+//! A link in this process carries [`Message`] values, never encoded
+//! frames: the codec runs only where bytes cross the process boundary (a
+//! [`TcpLink`](crate::TcpLink), the journal, the CLI's parameter blob).
+//! A link keeps no books either: what a message costs is
+//! [`Message::charged`], and whoever sends or receives it does the
+//! counting.
 //!
-//! A multiplexer that owns many links does not sweep them for mail: it
-//! subscribes each link's inbound direction to one [`Doorbell`] and
-//! sleeps on that. Every frame queued for a subscribed endpoint, and its
-//! peer's hang-up, rings the bell with the key the endpoint subscribed
-//! under, so the cost of learning about one message does not grow with
-//! the number of idle links.
+//! Each direction of a link is one lock over its queue, its subscriber
+//! and its hang-up flag. A multiplexer that owns many links does not
+//! sweep them for mail: it subscribes each link's inbound direction to
+//! one [`Doorbell`] and sleeps on that. Every message queued for a
+//! subscribed endpoint, and its peer's hang-up, rings the bell with the
+//! key the endpoint subscribed under, so the cost of learning about one
+//! message does not grow with the number of idle links.
+//!
+//! The session engine needs no bell: [`fan_in`] hands out one
+//! [`Endpoint`] per participant slot whose sends all land in one inbox,
+//! the engine's [`FanIn`], in arrival order and tagged with the slot. The
+//! engine drains it a burst at a time under one lock and sleeps on it
+//! when it is empty.
 
 use crate::{GridError, Message};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// One session's traffic as its supervisor sent and received it, each
@@ -37,10 +48,10 @@ pub const FRAME_HEADER_BYTES: u64 = 4;
 /// waits for mail on any of its links.
 ///
 /// Subscribe links with [`GridLink::subscribe`]; each then rings its
-/// key once per frame queued for it and once more when its peer hangs
-/// up. A ring says "look at this link", not "a frame is there": the
+/// key once per message queued for it and once more when its peer hangs
+/// up. A ring says "look at this link", not "a message is there": the
 /// consumer answers it with a `try_recv` on that link, and finding
-/// nothing ([`GridError::Empty`]) is normal — a frame that was queued
+/// nothing ([`GridError::Empty`]) is normal — a message that was queued
 /// while the subscription was being made is announced twice.
 ///
 /// # Examples
@@ -111,22 +122,22 @@ impl Doorbell {
     }
 }
 
-/// Where one direction of a link announces its mail: the receiving
-/// endpoint writes the subscription, the sending endpoint reads it on
-/// every send and marks its own hang-up.
+/// Where one direction of a [`TcpLink`](crate::TcpLink) announces its
+/// frames: the link writes the subscription, its reader thread reads it
+/// on every frame and marks the stream's end.
 ///
-/// A mutex rather than atomics on purpose. Subscribing and sending race
+/// A mutex rather than atomics on purpose. Subscribing and queueing race
 /// in the store-then-load pattern (subscriber: publish the subscription,
-/// then look at the queue; sender: queue the frame, then look for a
+/// then look at the queue; reader: queue the frame, then look for a
 /// subscription), which acquire/release ordering alone does not close.
-/// Under the lock one of the two always sees the other: a sender that
+/// Under the lock one of the two always sees the other: a reader that
 /// read "no subscription" had queued its frame before the subscriber
 /// counted the backlog.
 #[derive(Debug, Default)]
 pub(crate) struct Subscription {
     /// The subscriber's bell and the key this link rings on it.
     bell: Option<(Sender<usize>, usize)>,
-    /// The sending endpoint is gone (its channel already reports closure).
+    /// The sending side is gone (its queue already reports closure).
     hung_up: bool,
 }
 
@@ -138,12 +149,20 @@ impl Subscription {
         }
     }
 
-    /// Points `subscription` at `bell` and announces what is already
-    /// there: one ring per frame `queued` counts, one more if the sending
-    /// side has already hung up. `queued` runs under the lock: a sender
-    /// that found no subscription queued its frame before the count was
-    /// taken, so it is in it; one that queues later finds the
-    /// subscription and rings for itself.
+    /// Points this subscription at `bell` and announces what is already
+    /// there: one ring per `queued` message, one more if the sending
+    /// side has already hung up.
+    fn point_at(&mut self, bell: &Doorbell, key: usize, queued: usize) {
+        self.bell = Some((bell.tx.clone(), key));
+        for _ in 0..queued + usize::from(self.hung_up) {
+            self.ring();
+        }
+    }
+
+    /// [`point_at`](Self::point_at) under `subscription`'s lock. `queued`
+    /// runs under it too: a sender that found no subscription queued its
+    /// frame before the count was taken, so it is in it; one that queues
+    /// later finds the subscription and rings for itself.
     pub(crate) fn subscribe(
         subscription: &Mutex<Subscription>,
         bell: &Doorbell,
@@ -151,21 +170,17 @@ impl Subscription {
         queued: impl FnOnce() -> usize,
     ) {
         let mut subscription = subscription.lock().expect("subscription lock poisoned");
-        subscription.bell = Some((bell.tx.clone(), key));
-        let backlog = queued() + usize::from(subscription.hung_up);
-        for _ in 0..backlog {
-            subscription.ring();
-        }
+        let queued = queued();
+        subscription.point_at(bell, key, queued);
     }
 }
 
 /// The sending side's hold on its peer's [`Subscription`]: rings it per
-/// frame, and announces the hang-up when dropped. [`Endpoint`] declares
-/// it *after* its sender, and fields drop in declaration order, so the
-/// ring goes out only once the channel really reports
-/// [`GridError::Disconnected`]. Ringing from `Drop for Endpoint` would
-/// run before the sender field drops: the consumer would answer the
-/// ring, read `Empty`, and never hear of the hang-up again.
+/// frame, and announces the hang-up when dropped. A `TcpLink`'s reader
+/// drops it *after* its queue senders, so the ring goes out only once the
+/// queues really report [`GridError::Disconnected`]: a consumer that
+/// answered an earlier hang-up ring would read `Empty` and never hear of
+/// the closure again.
 #[derive(Debug)]
 pub(crate) struct HangUp(pub(crate) Arc<Mutex<Subscription>>);
 
@@ -186,21 +201,131 @@ impl Drop for HangUp {
     }
 }
 
+/// One direction of an in-process link: its queue, its subscriber and
+/// whether either end has gone, under one lock, so a send is one lock,
+/// one push and — only if someone listens — one ring or one wake.
+#[derive(Debug, Default)]
+struct Lane {
+    state: Mutex<LaneState>,
+    /// Wakes receivers blocked in [`GridLink::recv`].
+    ready: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct LaneState {
+    queue: VecDeque<Message>,
+    /// The receiving end's bell, and whether the sending end hung up.
+    heard: Subscription,
+    /// The receiving end is gone: sends fail.
+    receiver_gone: bool,
+    /// Receivers blocked in `recv`, the only ones a send must wake.
+    sleepers: usize,
+}
+
+impl Lane {
+    fn lock(&self) -> MutexGuard<'_, LaneState> {
+        self.state.lock().expect("link lock poisoned")
+    }
+
+    /// Rings the subscriber and wakes any blocked receiver.
+    fn announce(&self, state: &LaneState) {
+        state.heard.ring();
+        if state.sleepers > 0 {
+            self.ready.notify_all();
+        }
+    }
+
+    /// Queues `msg` for the receiving end.
+    fn push(&self, msg: Message) -> Result<(), GridError> {
+        let mut state = self.lock();
+        if state.receiver_gone {
+            return Err(GridError::Disconnected);
+        }
+        state.queue.push_back(msg);
+        self.announce(&state);
+        Ok(())
+    }
+
+    /// The next queued message; once none is queued, `Disconnected` if
+    /// the sending end has hung up, else `Empty` — or, with `block`, the
+    /// wait for either.
+    fn pop(&self, block: bool) -> Result<Message, GridError> {
+        let mut state = self.lock();
+        loop {
+            if let Some(msg) = state.queue.pop_front() {
+                return Ok(msg);
+            }
+            if state.heard.hung_up {
+                return Err(GridError::Disconnected);
+            }
+            if !block {
+                return Err(GridError::Empty);
+            }
+            state.sleepers += 1;
+            state = self.ready.wait(state).expect("link lock poisoned");
+            state.sleepers -= 1;
+        }
+    }
+
+    fn subscribe(&self, bell: &Doorbell, key: usize) {
+        let mut state = self.lock();
+        let queued = state.queue.len();
+        state.heard.point_at(bell, key, queued);
+    }
+
+    /// The sending end hangs up: announced after everything it queued.
+    fn hang_up(&self) {
+        // A poisoned lock is skipped: this runs in `drop`.
+        if let Ok(mut state) = self.state.lock() {
+            state.heard.hung_up = true;
+            self.announce(&state);
+        }
+    }
+
+    /// The receiving end is gone: what is queued is dropped, and sends
+    /// fail from now on.
+    fn close(&self) {
+        if let Ok(mut state) = self.state.lock() {
+            state.receiver_gone = true;
+            state.queue.clear();
+        }
+    }
+}
+
 /// One side of a bidirectional link.
 ///
-/// Create pairs with [`duplex`]. Endpoints are `Send`, so the two sides can
-/// live on different threads; channels are unbounded, so single-threaded
-/// request/response protocols cannot deadlock.
+/// Create pairs with [`duplex`], or a participant slot's end of the
+/// engine's inbox with [`fan_in`]. Endpoints are `Send`, so the two sides
+/// can live on different threads; queues are unbounded, so
+/// single-threaded request/response protocols cannot deadlock. Dropping
+/// an endpoint hangs it up: its peer reads what was already queued, then
+/// [`GridError::Disconnected`].
 #[derive(Debug)]
 pub struct Endpoint {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-    /// The peer's subscription, rung after every send and — because this
-    /// field is declared after `tx` — after the hang-up.
-    announce: HangUp,
-    /// This endpoint's own subscription (what the peer's `announce`
-    /// points at).
-    subscription: Arc<Mutex<Subscription>>,
+    inbound: Arc<Lane>,
+    outbound: Outbound,
+}
+
+/// Where an [`Endpoint`]'s sends go.
+#[derive(Debug)]
+enum Outbound {
+    /// The peer endpoint's inbound lane.
+    Peer(Arc<Lane>),
+    /// The engine's inbox, tagged with this endpoint's slot.
+    FanIn(Arc<Inbox>, usize),
+}
+
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        self.inbound.close();
+        match &self.outbound {
+            Outbound::Peer(lane) => lane.hang_up(),
+            Outbound::FanIn(inbox, slot) => {
+                // The engine may be gone already; nobody left to tell.
+                let _ = inbox.push(*slot, None);
+            }
+        }
+    }
 }
 
 /// Creates a connected pair of endpoints.
@@ -217,23 +342,180 @@ pub struct Endpoint {
 /// ```
 #[must_use]
 pub fn duplex() -> (Endpoint, Endpoint) {
-    let (tx_ab, rx_ab) = unbounded();
-    let (tx_ba, rx_ba) = unbounded();
-    let heard_by_a = Arc::new(Mutex::new(Subscription::default()));
-    let heard_by_b = Arc::new(Mutex::new(Subscription::default()));
+    let (heard_by_a, heard_by_b) = (Arc::new(Lane::default()), Arc::new(Lane::default()));
     let a = Endpoint {
-        tx: tx_ab,
-        rx: rx_ba,
-        announce: HangUp(Arc::clone(&heard_by_b)),
-        subscription: Arc::clone(&heard_by_a),
+        inbound: Arc::clone(&heard_by_a),
+        outbound: Outbound::Peer(Arc::clone(&heard_by_b)),
     };
     let b = Endpoint {
-        tx: tx_ba,
-        rx: rx_ab,
-        announce: HangUp(heard_by_a),
-        subscription: heard_by_b,
+        inbound: heard_by_b,
+        outbound: Outbound::Peer(heard_by_a),
     };
     (a, b)
+}
+
+/// Mail from a [`fan_in`]'s participant slots, one entry per message and
+/// one per hang-up, in the order they were made.
+#[derive(Debug, Default)]
+struct Inbox {
+    state: Mutex<InboxState>,
+    /// Wakes the engine when it sleeps on an empty inbox.
+    ready: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct InboxState {
+    /// `(slot, Some(msg))` per message, `(slot, None)` for the slot's
+    /// hang-up, queued after its last message.
+    mail: VecDeque<(usize, Option<Message>)>,
+    /// The engine's end is gone: sends fail.
+    closed: bool,
+    /// The engine sleeps on `ready`.
+    waiting: bool,
+}
+
+impl Inbox {
+    /// Queues one slot's message, or with `None` its hang-up; never
+    /// panics, because a hang-up is queued from `drop`.
+    fn push(&self, slot: usize, mail: Option<Message>) -> Result<(), GridError> {
+        let mut state = self.state.lock().map_err(|_| GridError::Disconnected)?;
+        if state.closed {
+            return Err(GridError::Disconnected);
+        }
+        state.mail.push_back((slot, mail));
+        if state.waiting {
+            self.ready.notify_one();
+        }
+        Ok(())
+    }
+}
+
+/// The engine's end of a [`fan_in`]: one inbox every participant slot
+/// sends into, and one downward queue per slot.
+///
+/// Dropping it hangs up on every slot: each reads what was already
+/// queued for it, then [`GridError::Disconnected`], and its sends fail.
+#[derive(Debug)]
+pub struct FanIn {
+    inbox: Arc<Inbox>,
+    slots: Vec<Arc<Lane>>,
+}
+
+/// Creates the engine's [`FanIn`] and one [`Endpoint`] per participant
+/// slot, endpoint `k` being slot `k`. What an endpoint sends lands in the
+/// inbox tagged with its slot; what [`FanIn::send`] queues for slot `k`
+/// reaches endpoint `k` and rings its subscription like any link's.
+///
+/// # Examples
+///
+/// ```
+/// use std::collections::VecDeque;
+/// use ugc_grid::{fan_in, GridLink, Message};
+///
+/// let (engine, mut slots) = fan_in(2);
+/// engine.send(1, Message::Verdict { task_id: 7, accepted: true })?;
+/// assert_eq!(slots[1].recv()?.task_id(), 7);
+/// slots[1].send(&Message::Verdict { task_id: 7, accepted: false })?;
+/// drop(slots.remove(0));
+/// let mut burst = VecDeque::new();
+/// assert!(engine.drain(&mut burst, None));
+/// assert!(matches!(burst.pop_front(), Some((1, Some(Message::Verdict { .. })))));
+/// assert!(matches!(burst.pop_front(), Some((0, None)))); // slot 0 hung up
+/// # Ok::<(), ugc_grid::GridError>(())
+/// ```
+#[must_use]
+pub fn fan_in(slots: usize) -> (FanIn, Vec<Endpoint>) {
+    let inbox = Arc::new(Inbox::default());
+    // A slot is sent one message at a time and drains it before the next
+    // (assignment, challenge, verdict): room for one spares each lane the
+    // four-message queue a first push would allocate.
+    let lanes: Vec<Arc<Lane>> = (0..slots)
+        .map(|_| {
+            let state = LaneState {
+                queue: VecDeque::with_capacity(1),
+                ..LaneState::default()
+            };
+            Arc::new(Lane {
+                state: Mutex::new(state),
+                ready: Condvar::new(),
+            })
+        })
+        .collect();
+    let endpoints = (0..)
+        .zip(&lanes)
+        .map(|(slot, lane)| Endpoint {
+            inbound: Arc::clone(lane),
+            outbound: Outbound::FanIn(Arc::clone(&inbox), slot),
+        })
+        .collect();
+    (
+        FanIn {
+            inbox,
+            slots: lanes,
+        },
+        endpoints,
+    )
+}
+
+impl FanIn {
+    /// Queues `msg` for slot `slot`'s endpoint, taking it by value: no
+    /// copy and no codec on the way down.
+    ///
+    /// # Errors
+    ///
+    /// [`GridError::Disconnected`] if that endpoint is gone.
+    ///
+    /// # Panics
+    ///
+    /// If `slot` is not one of this fan-in's slots.
+    pub fn send(&self, slot: usize, msg: Message) -> Result<(), GridError> {
+        self.slots[slot].push(msg)
+    }
+
+    /// Moves everything the inbox holds into `burst`, which must be
+    /// empty, in arrival order, under one lock. While the inbox holds
+    /// nothing, waits for mail — at most `timeout`, or without limit given
+    /// `None`. Returns whether `burst` holds anything: `false` means the
+    /// wait ran out.
+    ///
+    /// `burst` trades buffers with the inbox rather than copying into it,
+    /// so a caller that keeps one buffer across bursts keeps both queues'
+    /// capacity.
+    pub fn drain(
+        &self,
+        burst: &mut VecDeque<(usize, Option<Message>)>,
+        timeout: Option<Duration>,
+    ) -> bool {
+        debug_assert!(burst.is_empty(), "drain is for a spent burst");
+        let mut state = self.inbox.state.lock().expect("inbox lock poisoned");
+        if state.mail.is_empty() {
+            state.waiting = true;
+            let ready = &self.inbox.ready;
+            let empty = |state: &mut InboxState| state.mail.is_empty();
+            state = match timeout {
+                None => ready.wait_while(state, empty).expect("inbox lock poisoned"),
+                Some(timeout) => {
+                    let waited = ready.wait_timeout_while(state, timeout, empty);
+                    waited.expect("inbox lock poisoned").0
+                }
+            };
+            state.waiting = false;
+        }
+        std::mem::swap(&mut state.mail, burst);
+        !burst.is_empty()
+    }
+}
+
+impl Drop for FanIn {
+    fn drop(&mut self) {
+        if let Ok(mut state) = self.inbox.state.lock() {
+            state.closed = true;
+            state.mail.clear();
+        }
+        for lane in &self.slots {
+            lane.hang_up();
+        }
+    }
 }
 
 /// One side of a bidirectional message link, abstracted so protocol
@@ -277,28 +559,22 @@ pub trait GridLink: Send {
 
 impl GridLink for Endpoint {
     fn send(&self, msg: &Message) -> Result<(), GridError> {
-        self.tx
-            .send(msg.encode())
-            .map_err(|_| GridError::Disconnected)?;
-        self.announce.ring();
-        Ok(())
-    }
-
-    fn recv(&self) -> Result<Message, GridError> {
-        let frame = self.rx.recv().map_err(|_| GridError::Disconnected)?;
-        Message::decode(&frame)
-    }
-
-    fn try_recv(&self) -> Result<Message, GridError> {
-        match self.rx.try_recv() {
-            Ok(frame) => Message::decode(&frame),
-            Err(TryRecvError::Empty) => Err(GridError::Empty),
-            Err(TryRecvError::Disconnected) => Err(GridError::Disconnected),
+        match &self.outbound {
+            Outbound::Peer(lane) => lane.push(msg.clone()),
+            Outbound::FanIn(inbox, slot) => inbox.push(*slot, Some(msg.clone())),
         }
     }
 
+    fn recv(&self) -> Result<Message, GridError> {
+        self.inbound.pop(true)
+    }
+
+    fn try_recv(&self) -> Result<Message, GridError> {
+        self.inbound.pop(false)
+    }
+
     fn subscribe(&self, bell: &Doorbell, key: usize) {
-        Subscription::subscribe(&self.subscription, bell, key, || self.rx.len());
+        self.inbound.subscribe(bell, key);
     }
 }
 
@@ -393,6 +669,84 @@ mod tests {
         }
         drop(sup);
         assert_eq!(handle.join().unwrap(), 5);
+    }
+
+    fn verdict(task_id: u64) -> Message {
+        Message::Verdict {
+            task_id,
+            accepted: true,
+        }
+    }
+
+    #[test]
+    fn fan_in_tags_mail_by_slot_in_arrival_order_and_hang_ups_come_last() {
+        let (engine, mut slots) = fan_in(3);
+        let mut burst = VecDeque::new();
+        // Nothing queued: a bounded wait runs out empty-handed.
+        assert!(!engine.drain(&mut burst, Some(Duration::ZERO)));
+        slots[2].send(&verdict(20)).unwrap();
+        slots[0].send(&verdict(0)).unwrap();
+        slots[2].send(&verdict(21)).unwrap();
+        let dying = slots.remove(1);
+        dying.send(&verdict(10)).unwrap();
+        drop(dying);
+        assert!(engine.drain(&mut burst, None));
+        let seen: Vec<(usize, Option<u64>)> = burst
+            .drain(..)
+            .map(|(slot, mail)| (slot, mail.map(|msg| msg.task_id())))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (2, Some(20)),
+                (0, Some(0)),
+                (2, Some(21)),
+                (1, Some(10)),
+                (1, None)
+            ]
+        );
+        // Down: each slot hears only its own mail; a gone slot refuses it.
+        engine.send(2, verdict(7)).unwrap();
+        assert_eq!(slots[1].try_recv().unwrap().task_id(), 7);
+        assert_eq!(slots[0].try_recv().unwrap_err(), GridError::Empty);
+        assert_eq!(
+            engine.send(1, verdict(8)).unwrap_err(),
+            GridError::Disconnected
+        );
+    }
+
+    #[test]
+    fn fan_in_wakes_a_sleeping_engine_and_its_drop_hangs_up_every_slot() {
+        let (engine, slots) = fan_in(2);
+        let bell = Doorbell::new();
+        slots[1].subscribe(&bell, 9);
+        std::thread::scope(|scope| {
+            let sender = &slots[0];
+            scope.spawn(move || sender.send(&verdict(3)).unwrap());
+            let mut burst = VecDeque::new();
+            assert!(engine.drain(&mut burst, None));
+            assert_eq!(burst.pop_front().map(|(slot, _)| slot), Some(0));
+        });
+        drop(engine);
+        // The subscribed slot hears the hang-up ring, and both read it.
+        assert_eq!(bell.wait(), 9);
+        for slot in &slots {
+            assert_eq!(slot.recv().unwrap_err(), GridError::Disconnected);
+            assert_eq!(slot.send(&verdict(4)).unwrap_err(), GridError::Disconnected);
+        }
+    }
+
+    #[test]
+    fn a_blocked_receive_is_woken_by_a_send_and_by_the_hang_up() {
+        let (a, b) = duplex();
+        std::thread::scope(|scope| {
+            let receiver = scope.spawn(|| (b.recv(), b.recv()));
+            a.send(&verdict(1)).unwrap();
+            drop(a);
+            let (first, second) = receiver.join().unwrap();
+            assert_eq!(first.unwrap().task_id(), 1);
+            assert_eq!(second.unwrap_err(), GridError::Disconnected);
+        });
     }
 
     #[test]

@@ -16,8 +16,8 @@ use uncheatable_grid::core::scheme::ni_cbs::{
 };
 use uncheatable_grid::core::session::drive_participant;
 use uncheatable_grid::core::{
-    LaneWidth, Parallelism, ParticipantContext, ParticipantStorage, SchemeError, Verdict,
-    VerificationScheme,
+    LaneWidth, Parallelism, ParticipantContext, ParticipantStorage, SchemeError, SupervisorContext,
+    Verdict, VerificationScheme,
 };
 use uncheatable_grid::grid::{
     duplex, Assignment, Broker, CheatSelection, CostLedger, Doorbell, Endpoint, GridLink,
@@ -73,16 +73,14 @@ fn collect_tasks(
                 // The opening carries no indices: it is read as the answer
                 // to the samples the commitment derives (Eq. 4), and to no
                 // others.
-                let verdict = verify_ni_round::<Sha256>(
-                    &SCHEME,
+                let ctx = SupervisorContext {
                     task,
                     screener,
-                    shares[share],
-                    &root,
-                    &proofs,
-                    &reports,
-                    ledger,
-                )?;
+                    domain: shares[share],
+                    task_ids: vec![task_id],
+                    ledger: ledger.clone(),
+                };
+                let verdict = verify_ni_round::<Sha256>(&SCHEME, &ctx, &root, &proofs, &reports)?;
                 let answer = Message::Verdict {
                     task_id,
                     accepted: verdict.is_accepted(),

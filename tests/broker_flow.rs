@@ -4,7 +4,8 @@
 use uncheatable_grid::core::scheme::ni_cbs::{verify_ni_round, NiCbsScheme};
 use uncheatable_grid::core::session::drive_participant;
 use uncheatable_grid::core::{
-    LaneWidth, Parallelism, ParticipantContext, ParticipantStorage, VerificationScheme,
+    LaneWidth, Parallelism, ParticipantContext, ParticipantStorage, SupervisorContext,
+    VerificationScheme,
 };
 use uncheatable_grid::grid::{
     duplex, Assignment, Broker, CheatSelection, CostLedger, Doorbell, Endpoint, GridLink,
@@ -79,10 +80,15 @@ fn brokered_ni_cbs_accepts_honest_rejects_cheater() {
                 Message::CommitAndProofs { root, proofs, .. } => bundles[k] = Some((root, proofs)),
                 Message::Reports { task_id, reports } => {
                     let (root, proofs) = bundles[k].take().expect("bundle before reports");
-                    let verdict = verify_ni_round::<Sha256>(
-                        &scheme, &task, &screener, domains[k], &root, &proofs, &reports, &ledger,
-                    )
-                    .unwrap();
+                    let ctx = SupervisorContext {
+                        task: &task,
+                        screener: &screener,
+                        domain: domains[k],
+                        task_ids: vec![task_id],
+                        ledger: ledger.clone(),
+                    };
+                    let verdict =
+                        verify_ni_round::<Sha256>(&scheme, &ctx, &root, &proofs, &reports).unwrap();
                     sup_ep
                         .send(&Message::Verdict {
                             task_id,
