@@ -141,7 +141,8 @@ impl<L: GridLink> EngineTransport for SharedLink<L> {
 /// slot's mail in arrival order (no chatty participant can starve
 /// another): it drains a whole burst under one lock and sleeps on the
 /// inbox only when the burst is spent, at a cost that does not grow with
-/// the number of silent slots.
+/// the number of silent slots. A slot's hang-up un-routes only the tasks
+/// dealt to it, so neither does what a round's teardown costs per slot.
 pub(crate) struct InProcessTransport {
     fan_in: FanIn,
     routes: Routes,

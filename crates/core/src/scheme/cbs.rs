@@ -196,7 +196,7 @@ enum Awaiting<H: HashFunction> {
     Reports {
         root: H::Digest,
         samples: Vec<u64>,
-        proofs: Opening,
+        proofs: Box<Opening>,
     },
 }
 
@@ -328,7 +328,10 @@ impl<H: HashFunction> ParticipantMiddle for Cbs<H> {
         check_task(task_id, tid)?;
         let proofs = open_samples(ctx, &state.tree, &samples, state.domain)?;
         let out = vec![
-            Message::Proofs { task_id, proofs },
+            Message::Proofs {
+                task_id,
+                proofs: Box::new(proofs),
+            },
             Message::Reports {
                 task_id,
                 reports: state.reports,

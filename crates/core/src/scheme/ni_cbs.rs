@@ -77,7 +77,7 @@ struct NiCbs<H>(NiCbsScheme, PhantomData<H>);
 /// What the supervisor awaits next, and what it keeps meanwhile.
 enum Awaiting {
     CommitAndProofs,
-    Reports { root: Vec<u8>, proofs: Opening },
+    Reports { root: Vec<u8>, proofs: Box<Opening> },
 }
 
 impl<H: HashFunction> SupervisorMiddle for NiCbs<H> {
@@ -196,7 +196,7 @@ impl<H: HashFunction> ParticipantMiddle for NiCbs<H> {
             Message::CommitAndProofs {
                 task_id,
                 root: root.as_ref().to_vec(),
-                proofs,
+                proofs: Box::new(proofs),
             },
             Message::Reports { task_id, reports },
         ];
@@ -501,7 +501,7 @@ mod tests {
                 .send(&Message::CommitAndProofs {
                     task_id: a.task_id,
                     root: tree.root().to_vec(),
-                    proofs,
+                    proofs: Box::new(proofs),
                 })
                 .unwrap();
             part_ep

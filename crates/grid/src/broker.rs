@@ -18,11 +18,15 @@
 //! that sent it, and a participant's [`Message::Gone`] never is — that
 //! NACK is the broker's own, so no participant can fail or impersonate a
 //! slot another one holds. The map is a `BTreeMap` rather than a
-//! `HashMap` deliberately: when a participant dies, every task still
-//! routed to it is NACKed, and an ordered map makes that NACK order
-//! ascending by construction — one less place where unspecified
-//! iteration order could leak into the supervisor-visible message
-//! sequence.
+//! `HashMap` deliberately: no unspecified iteration order can leak into
+//! the supervisor-visible message sequence.
+//!
+//! When a participant dies, every task still routed to it is NACKed, in
+//! ascending task order. Each participant keeps the list of tasks dealt
+//! to it, so a hang-up looks at those tasks alone: for a participant that
+//! holds `k` of `n` routed tasks it costs `O(k log n)`, whatever the size
+//! of the pool, and a pool whose every slot hangs up at the end of a round
+//! pays for its own tasks once, not for every slot's tasks once per slot.
 //!
 //! The engine's in-process transport (Direct and Brokered alike) routes
 //! by [`Routes`] at send time, on the engine's thread, so a message
@@ -61,21 +65,31 @@ pub struct RelayStats {
 /// time, with no relay in between.
 #[derive(Debug, Default)]
 pub struct Routes {
-    /// task id → participant index; ordered so the orphan sweep is
-    /// ascending by construction.
+    /// task id → participant index.
     routes: BTreeMap<u64, usize>,
     /// Next participant to be dealt a fresh assignment (round-robin).
     next: usize,
-    /// Participants known to be gone.
-    closed: Vec<bool>,
+    /// Every participant, by index.
+    participants: Vec<Dealt>,
+}
+
+/// One participant's side of the routes.
+#[derive(Debug, Default)]
+struct Dealt {
+    /// Known to be gone.
+    gone: bool,
+    /// The tasks dealt to it while alive, in the order dealt. A task
+    /// since dealt again to someone else, or unrouted, stays listed until
+    /// the participant's hang-up skips it.
+    tasks: Vec<u64>,
 }
 
 impl Routes {
     /// Adds a participant as a round-robin target for future assignments
     /// and returns its index.
     pub fn add_participant(&mut self) -> usize {
-        self.closed.push(false);
-        self.closed.len() - 1
+        self.participants.push(Dealt::default());
+        self.participants.len() - 1
     }
 
     /// Routes one supervisor message to the participant whose index `send`
@@ -100,21 +114,25 @@ impl Routes {
     ) -> Result<Vec<u64>, GridError> {
         let task_id = msg.borrow().task_id();
         let idx = if matches!(msg.borrow(), Message::Assign(_)) {
-            let n = self.closed.len();
+            let n = self.participants.len();
             // Everyone may be gone; then the send below is skipped.
             let idx = (0..n)
                 .map(|k| (self.next + k) % n)
-                .find(|&i| !self.closed[i])
+                .find(|&i| !self.participants[i].gone)
                 .unwrap_or(self.next);
             self.next = (idx + 1) % n;
             self.routes.insert(task_id, idx);
+            let dealt = &mut self.participants[idx];
+            if !dealt.gone {
+                dealt.tasks.push(task_id);
+            }
             idx
         } else {
             *self.routes.get(&task_id).ok_or(GridError::Empty)?
         };
         // A link that queues its sends accepts mail for a peer already
-        // known to be gone, so the closed mark decides first.
-        if !self.closed[idx] {
+        // known to be gone, so the gone mark decides first.
+        if !self.participants[idx].gone {
             match send(idx, msg) {
                 Ok(()) => return Ok(Vec::new()),
                 Err(GridError::Disconnected) => {}
@@ -142,16 +160,22 @@ impl Routes {
     /// [`Message::Gone`] so the supervisor fails those sessions instead of
     /// waiting forever; none once `idx` has been reported.
     pub fn mark_gone(&mut self, idx: usize) -> Vec<u64> {
-        let mut orphaned = Vec::new();
-        if !std::mem::replace(&mut self.closed[idx], true) {
-            // `retain` visits keys in ascending order.
-            self.routes.retain(|&task_id, &mut i| {
-                if i == idx {
-                    orphaned.push(task_id);
-                }
-                i != idx
-            });
+        let dealt = &mut self.participants[idx];
+        if std::mem::replace(&mut dealt.gone, true) {
+            return Vec::new();
         }
+        let mut orphaned = std::mem::take(&mut dealt.tasks);
+        // Only tasks still routed here are orphans. Unrouting each as it
+        // is found drops a task dealt here twice the second time.
+        let routes = &mut self.routes;
+        orphaned.retain(|task_id| {
+            let held = routes.get(task_id) == Some(&idx);
+            if held {
+                routes.remove(task_id);
+            }
+            held
+        });
+        orphaned.sort_unstable();
         orphaned
     }
 }
@@ -192,7 +216,7 @@ impl<L: GridLink> Broker<L> {
         Broker {
             supervisor,
             routes: Routes {
-                closed: vec![false; participants.len()],
+                participants: participants.iter().map(|_| Dealt::default()).collect(),
                 ..Routes::default()
             },
             participants,

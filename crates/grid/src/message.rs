@@ -69,6 +69,12 @@ pub struct Assignment {
 /// The rows are raw bytes so the wire format is independent of the hash
 /// algorithm in use, and the codec does not judge them: whether each has
 /// the length the challenge dictates is the supervisor's first check.
+///
+/// A message carries its opening boxed. Inline, its 80 bytes would set
+/// the size of every [`Message`], a one-word `Verdict` included, and every
+/// queued lane slot and inbox entry holds one message; boxed, the two
+/// variants that carry an opening pay one allocation each, and the wire
+/// bytes are the same.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Opening {
     /// Width in bytes of one leaf value.
@@ -151,7 +157,7 @@ pub enum Message {
         /// Task being proven.
         task_id: u64,
         /// One opening over all the sampled indices.
-        proofs: Opening,
+        proofs: Box<Opening>,
     },
     /// Participant → supervisor: NI-CBS single-shot commitment plus the
     /// self-derived sample proofs (Section 4.1).
@@ -161,7 +167,7 @@ pub enum Message {
         /// The root digest `Φ(R)`.
         root: Vec<u8>,
         /// One opening over the samples derived from `Φ(R)` via Eq. (4).
-        proofs: Opening,
+        proofs: Box<Opening>,
     },
     /// Participant → supervisor: every result, flattened — the naive
     /// schemes' `O(n)` upload.
@@ -407,12 +413,12 @@ impl Message {
             },
             TAG_PROOFS => Message::Proofs {
                 task_id: get_var(&mut buf, "proofs.task_id")?,
-                proofs: Opening::decode(&mut buf)?,
+                proofs: Box::new(Opening::decode(&mut buf)?),
             },
             TAG_COMMIT_AND_PROOFS => Message::CommitAndProofs {
                 task_id: get_var(&mut buf, "cap.task_id")?,
                 root: get_bytes(&mut buf, "cap.root")?,
-                proofs: Opening::decode(&mut buf)?,
+                proofs: Box::new(Opening::decode(&mut buf)?),
             },
             TAG_ALL_RESULTS => Message::AllResults {
                 task_id: get_var(&mut buf, "all.task_id")?,
@@ -534,12 +540,12 @@ mod tests {
             },
             Message::Proofs {
                 task_id: 4,
-                proofs: opening(),
+                proofs: Box::new(opening()),
             },
             Message::CommitAndProofs {
                 task_id: 5,
                 root: vec![8; 16],
-                proofs: opening(),
+                proofs: Box::new(opening()),
             },
             Message::AllResults {
                 task_id: 6,
@@ -737,6 +743,19 @@ mod tests {
     }
 
     #[test]
+    fn a_message_stays_small() {
+        // Every queued lane slot, inbox entry and burst slot is one
+        // `Message`, so the largest variant sets the size of every queue
+        // entry: a payload held inline, rather than behind a `Vec` or a
+        // `Box`, fails here instead of inflating every queue.
+        assert!(
+            std::mem::size_of::<Message>() <= 48,
+            "a Message is {} bytes",
+            std::mem::size_of::<Message>()
+        );
+    }
+
+    #[test]
     fn opening_counts_whole_leaves() {
         assert_eq!(opening().len(), 2);
         assert!(!opening().is_empty());
@@ -751,12 +770,12 @@ mod tests {
         // a width and three lengths, each integer one byte when small.
         let empty = Message::Proofs {
             task_id: 1,
-            proofs: Opening::default(),
+            proofs: Box::new(Opening::default()),
         };
         assert_eq!(empty.charged(), 4 + 1 + 1 + 1 + 3);
         let full = Message::Proofs {
             task_id: 1,
-            proofs: opening(),
+            proofs: Box::new(opening()),
         };
         assert_eq!(full.charged() - empty.charged(), 8 + 4 + 64);
     }
@@ -871,12 +890,12 @@ mod tests {
         let messages = [
             Message::Proofs {
                 task_id: 4,
-                proofs: proofs.clone(),
+                proofs: Box::new(proofs.clone()),
             },
             Message::CommitAndProofs {
                 task_id: 5,
                 root: vec![8; 32],
-                proofs,
+                proofs: Box::new(proofs),
             },
         ];
         for msg in messages {

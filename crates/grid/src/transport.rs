@@ -273,21 +273,25 @@ impl Lane {
         state.heard.point_at(bell, key, queued);
     }
 
-    /// The sending end hangs up: announced after everything it queued.
+    /// The sending end hangs up: announced after everything it queued,
+    /// unless the receiving end is gone and nobody is left to hear it.
     fn hang_up(&self) {
         // A poisoned lock is skipped: this runs in `drop`.
         if let Ok(mut state) = self.state.lock() {
             state.heard.hung_up = true;
-            self.announce(&state);
+            if !state.receiver_gone {
+                self.announce(&state);
+            }
         }
     }
 
-    /// The receiving end is gone: what is queued is dropped, and sends
-    /// fail from now on.
+    /// The receiving end is gone: what is queued is dropped, its bell is
+    /// let go, and sends fail from now on.
     fn close(&self) {
         if let Ok(mut state) = self.state.lock() {
             state.receiver_gone = true;
             state.queue.clear();
+            state.heard.bell = None;
         }
     }
 }
@@ -734,6 +738,20 @@ mod tests {
             assert_eq!(slot.recv().unwrap_err(), GridError::Disconnected);
             assert_eq!(slot.send(&verdict(4)).unwrap_err(), GridError::Disconnected);
         }
+    }
+
+    #[test]
+    fn a_hang_up_after_the_receiver_dropped_rings_nothing() {
+        let bell = Doorbell::new();
+        let (a, b) = duplex();
+        b.subscribe(&bell, 5);
+        drop(b);
+        drop(a);
+        let (engine, slots) = fan_in(2);
+        slots[1].subscribe(&bell, 6);
+        drop(slots);
+        drop(engine);
+        assert_eq!(bell.try_next(), None);
     }
 
     #[test]

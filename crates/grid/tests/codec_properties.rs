@@ -37,13 +37,15 @@ fn arb_bare_message() -> impl Strategy<Value = Message> {
         (any::<u64>(), arb_bytes(64)).prop_map(|(task_id, root)| Message::Commit { task_id, root }),
         (any::<u64>(), proptest::collection::vec(any::<u64>(), 0..64))
             .prop_map(|(task_id, samples)| Message::Challenge { task_id, samples }),
-        (any::<u64>(), arb_opening())
-            .prop_map(|(task_id, proofs)| Message::Proofs { task_id, proofs }),
+        (any::<u64>(), arb_opening()).prop_map(|(task_id, proofs)| Message::Proofs {
+            task_id,
+            proofs: Box::new(proofs),
+        }),
         (any::<u64>(), arb_bytes(32), arb_opening()).prop_map(|(task_id, root, proofs)| {
             Message::CommitAndProofs {
                 task_id,
                 root,
-                proofs,
+                proofs: Box::new(proofs),
             }
         }),
         (any::<u64>(), any::<u32>(), arb_bytes(256)).prop_map(|(task_id, leaf_width, data)| {

@@ -189,10 +189,10 @@ fn supervisor_rejects_short_proof_list() {
                     task_id: 1,
                     // Challenged three, opened none: leaves of the right
                     // width, just no leaves.
-                    proofs: Opening {
+                    proofs: Box::new(Opening {
                         leaf_width: 16,
                         ..Opening::default()
-                    },
+                    }),
                 })
                 .unwrap();
             part_ep

@@ -154,15 +154,17 @@ fn a_session_allocates_within_its_bound() {
     );
 }
 
-/// Measured at 39.0–39.4 per session (debug and release, two cores or
-/// one), bounded with 12 % headroom. Links that encoded every message in
-/// process made 50.3–50.5.
+/// Measured at 40.6–40.7 per session (debug and release, two cores or
+/// one, with or without the harness's output capture), bounded with 8 %
+/// headroom. The boxed opening of a CBS or NI-CBS session and each slot's
+/// list of dealt tasks cost one allocation each; links that encoded every
+/// message in process made 50.3–50.5.
 const SWARM_BOUND: f64 = 44.0;
 
-/// Measured at 160.8–161.5 per session (debug and release, two cores or
+/// Measured at 163.2–163.5 per session (debug and release, two cores or
 /// one) with the tree build pinned at two threads, so the count does not
 /// follow the host's core count, and under the test harness's output
-/// capture, which costs every spawned thread an allocation; bounded with
-/// 3 % headroom. Links that encoded every message in process made
-/// 170.3–171.0 here.
+/// capture, which costs every spawned thread an allocation (156.0–156.5
+/// without it); bounded with 1.5 % headroom. Links that encoded every
+/// message in process made 170.3–171.0 here.
 const HEAVY_BOUND: f64 = 166.0;

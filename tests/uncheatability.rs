@@ -106,7 +106,7 @@ fn post_challenge_recomputation_detected() {
             part_ep
                 .send(&Message::Proofs {
                     task_id: a.task_id,
-                    proofs,
+                    proofs: Box::new(proofs),
                 })
                 .unwrap();
             part_ep
