@@ -1,8 +1,8 @@
 //! How a round reaches its participant slots: one contract for
 //! in-process and cross-process grids, with three rules.
 //!
-//! * Global slot `k` of a round has task id `k` (the orchestrator numbers
-//!   a round's slots with one counter across its roster).
+//! * Global slot `k` of a round has task id `k`: the [`SessionEngine`]
+//!   deals the ids as sessions register, and knows how many there are.
 //! * That task id is the slot's only address, on every transport.
 //! * The backend alone decides where slot `k` runs.
 //!
@@ -19,11 +19,10 @@
 //!   slot's mail goes into the engine's one inbox, and the engine's goes
 //!   onto that slot's own queue, as [`Message`] values — the codec runs
 //!   only where bytes leave the process. Under
-//!   [`TransportKind::Direct`] and [`TransportKind::Brokered`] alike the
-//!   engine routes every send by the GRACE broker's
-//!   [`Routes`](ugc_grid::Routes) on its own thread — no relay thread, no
-//!   second queue. Each participant link carries the round's seeded fault
-//!   plan.
+//!   [`TransportKind::Direct`] and [`TransportKind::Brokered`] alike slot
+//!   `k` is endpoint `k` and holds task `k`, so the engine addresses it
+//!   directly — no routing table, no relay thread, no second queue. Each
+//!   participant link carries the round's seeded fault plan.
 //! * [`RemoteGridBackend`] — a [`TcpLink`] into a `ugc broker serve`
 //!   process that relays to participants in *other* OS processes
 //!   ([`TransportKind::Remote`]), each running [`serve_remote_slots`]. The
@@ -66,17 +65,16 @@ use ugc_grid::{
 /// campaign, so a journal resumes over any of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TransportKind {
-    /// One in-process link per participant, all sending into one inbox
-    /// the engine drains and sleeps on. In process this is one transport with
-    /// [`Brokered`](Self::Brokered): the broker's routing on the engine's
-    /// thread; both names stay because campaigns and the CLI name them.
+    /// One in-process link per participant slot, all sending into one
+    /// inbox the engine drains and sleeps on; slot `k` holds task `k`. In
+    /// process this is one transport with [`Brokered`](Self::Brokered);
+    /// both names stay because campaigns and the CLI name them.
     #[default]
     Direct,
-    /// A GRACE-style broker in front of in-process participants
-    /// (Section 4's deployment): the engine never addresses a participant,
-    /// the broker's [`Routes`](ugc_grid::Routes) deal each task and hear
-    /// only the participant holding it. It routes at send time on the
-    /// engine's own thread.
+    /// The in-process twin of [`Remote`](Self::Remote), Section 4's
+    /// brokered deployment: the same transport as [`Direct`](Self::Direct),
+    /// because hiding participants from the supervisor is the relay's
+    /// property between processes, not something to re-enact in one.
     Brokered,
     /// One [`TcpLink`] into a `ugc broker serve` process whose
     /// participants joined from other OS processes: the relay of
@@ -155,8 +153,6 @@ pub struct RoundSpec {
     /// The reassignment round number (0 = the initial attempt); feeds
     /// [`chaos_link_id`] so retry rounds draw fresh fault schedules.
     pub round: u32,
-    /// How many participant slots the round has; slot `k` is task `k`.
-    pub slots: usize,
     /// Seeded fault injection for every participant link (`None`
     /// decorates with the quiet plan). Remote backends refuse chaos:
     /// fault schedules are keyed by link id, and which process hosts
@@ -191,9 +187,9 @@ pub trait TransportBackend {
     /// Which transport this backend implements.
     fn kind(&self) -> TransportKind;
 
-    /// Runs one round of `spec.slots` participant slots: `engine`, whose
-    /// sessions are registered under task ids `0..spec.slots`, against
-    /// one participant session per slot. A slot that runs in this process
+    /// Runs one round: `engine`, whose sessions' slots it dealt task ids
+    /// `0..engine.slots()`, against one participant session per slot —
+    /// slot `k` serving task `k`. A slot that runs in this process
     /// is built by `slot(k, ledger)`, charging `ledger`; a slot hosted
     /// elsewhere is built there.
     ///
@@ -254,17 +250,16 @@ impl TransportBackend for InProcessBackend {
 }
 
 /// Runs `engine` on the calling thread over an [`InProcessTransport`]
-/// whose participant ends are the `spec.slots` endpoints of one fan-in,
-/// while slot `k` runs on endpoint `k`, behind the round's fault plan, as
-/// a [`SlotTask`] on a [`GridScheduler`] pool. Every session sends its assignments from its
-/// start, in task order, before the engine's first receive, so the
-/// broker's round-robin deals task `k` to endpoint `k`.
+/// whose participant ends are the endpoints of one fan-in, one per slot
+/// the engine dealt, while slot `k` runs on endpoint `k` — the one that
+/// holds task `k` — behind the round's fault plan, as a [`SlotTask`] on a
+/// [`GridScheduler`] pool.
 fn run_local<'a>(
     spec: &RoundSpec,
     engine: SessionEngine<'a>,
     slot: &dyn Fn(u64, CostLedger) -> Box<dyn ParticipantSession + 'a>,
 ) -> RoundResult {
-    let (mut transport, links) = InProcessTransport::new(spec.slots);
+    let (mut transport, links) = InProcessTransport::new(engine.slots());
     // Chaos-free rounds use the quiet plan rather than a separate
     // undecorated code path: the decorator's transparency at zero rates
     // is property-tested (grid/tests/fault_properties.rs), and one code
@@ -427,9 +422,8 @@ impl<'a> Slot<'a> {
 
 /// A [`Slot`] on the grid scheduler's run-queue, with its fault-decorated
 /// link. Completion drops the link immediately, so the engine's
-/// transport — and a supervisor session waiting on the verdict
-/// acknowledgement — observe the hang-up without waiting for the whole
-/// pool to drain.
+/// transport observes the hang-up — the `Gone` of a slot that ended
+/// before its verdict — without waiting for the whole pool to drain.
 struct SlotTask<'a> {
     slot: Slot<'a>,
     link: Option<FaultyEndpoint>,
@@ -545,11 +539,12 @@ impl TransportBackend for RemoteGridBackend {
         let link = self.link.take().ok_or(SchemeError::InvalidConfig {
             reason: "the remote backend serves a single round per connection".into(),
         })?;
+        let slots = engine.slots();
         let mut transport = SharedLink::new(link);
         let sessions = engine.run(&mut transport);
         // The slots' reports come over the same connection, so it stays
         // open until they are in.
-        let reports = self.collect_reports(spec.slots)?;
+        let reports = self.collect_reports(slots)?;
         Ok(RoundResult {
             sessions,
             reports,
@@ -653,10 +648,9 @@ mod tests {
         unreachable!("this round runs no slot in this process")
     }
 
-    fn spec(round: u32, slots: usize, chaos: Option<FaultPlan>) -> RoundSpec {
+    fn spec(round: u32, chaos: Option<FaultPlan>) -> RoundSpec {
         RoundSpec {
             round,
-            slots,
             chaos,
             workers: None,
             steal_seed: 0,
@@ -667,7 +661,7 @@ mod tests {
     fn in_process_backend_refuses_remote() {
         let mut backend = InProcessBackend::new(TransportKind::Remote);
         let err = backend
-            .run_round(&spec(0, 1, None), SessionEngine::new(), &no_slot)
+            .run_round(&spec(0, None), SessionEngine::new(), &no_slot)
             .expect_err("backend must refuse this round");
         assert!(matches!(err, SchemeError::InvalidConfig { .. }));
     }
@@ -683,12 +677,12 @@ mod tests {
         let mut backend = RemoteGridBackend::new(TcpLink::from_stream(stream));
         let mut run = |spec| backend.run_round(&spec, SessionEngine::new(), &no_slot);
         let err =
-            run(spec(0, 0, Some(FaultPlan::chaos(1)))).expect_err("backend must refuse this round");
+            run(spec(0, Some(FaultPlan::chaos(1)))).expect_err("backend must refuse this round");
         assert!(matches!(err, SchemeError::InvalidConfig { .. }));
         // An empty round runs: no session to drive, no report to wait for.
-        let round = run(spec(0, 0, None)).unwrap();
+        let round = run(spec(0, None)).unwrap();
         assert!(round.sessions.is_empty() && round.reports.is_empty());
-        let err = run(spec(1, 0, None)).expect_err("backend must refuse this round");
+        let err = run(spec(1, None)).expect_err("backend must refuse this round");
         assert!(matches!(err, SchemeError::InvalidConfig { .. }));
     }
 }

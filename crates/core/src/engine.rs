@@ -2,10 +2,10 @@
 //! verification sessions over a grid transport.
 //!
 //! The engine owns a set of supervisor-side
-//! [`SupervisorSession`] state machines
-//! and a routing table from task ids to `(session, slot)`: a participant
-//! slot's task id is its only address, on every transport. Its event loop
-//! is transport-agnostic:
+//! [`SupervisorSession`] state machines and numbers their participant
+//! slots: global slot `k` of a round is task `k`, dealt densely in
+//! registration order, and a slot's task id is its only address, on every
+//! transport. Its event loop is transport-agnostic:
 //!
 //! ```text
 //!            ┌────────────── SessionEngine ──────────────┐
@@ -14,19 +14,20 @@
 //!            │    │ ▼      route by task id              │
 //!            └────┼─┼───────────────┼─┼─────────────────-┘
 //!                 │ ▼               │ ▼
-//!        one fan-in: every participant's mail in one inbox, dealt by the
-//!        broker's Routes — or — one TcpLink into `ugc broker serve`
+//!        one fan-in: every slot's mail in one inbox, slot k holding
+//!        task k — or — one TcpLink into `ugc broker serve`
 //! ```
 //!
-//! What reaches the engine is trusted to be addressed honestly: a broker,
-//! in process or between processes, relays only what the participant
-//! holding the task sent. A [`Message::Gone`] therefore always comes from
-//! the relay itself, and it is the only way a dead participant reaches the
-//! engine: each of its tasks is NACKed once.
+//! What reaches the engine is trusted to be addressed honestly: in
+//! process, slot `k` is heard only for task `k`; between processes, the
+//! [`Broker`](ugc_grid::Broker) relays only what the participant holding
+//! the task sent. A [`Message::Gone`] therefore always comes from the
+//! transport itself, and it is the only way a dead participant reaches the
+//! engine: each task whose verdict had not gone down is NACKed once.
 //!
 //! The same loop therefore drives in-memory fleets, the brokered
-//! deployment of Section 4 (in process, or through a
-//! [`Broker`](ugc_grid::Broker) relay), mixed-scheme campaigns
+//! deployment of Section 4 (through a [`Broker`](ugc_grid::Broker) relay
+//! between processes), mixed-scheme campaigns
 //! and single stand-alone rounds — [`run_mixed_fleet`](crate::run_mixed_fleet)
 //! and [`run_round`](crate::scheme::run_round) are wrappers over this engine,
 //! which a [`TransportBackend`](crate::TransportBackend) runs beside the
@@ -45,11 +46,9 @@
 
 use crate::session::{SessionOutcome, SupervisorSession};
 use crate::SchemeError;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
-use ugc_grid::{
-    fan_in, Doorbell, Endpoint, FanIn, GridError, GridLink, LinkStats, Message, Routes,
-};
+use ugc_grid::{fan_in, Doorbell, Endpoint, FanIn, GridError, GridLink, LinkStats, Message};
 
 /// A transport the engine can multiplex sessions over.
 pub trait EngineTransport {
@@ -133,21 +132,22 @@ impl<L: GridLink> EngineTransport for SharedLink<L> {
     }
 }
 
-/// The in-process GRACE broker, routing on the engine's own thread: the
-/// engine's end of a [`fan_in`](ugc_grid::fan_in), its participant slots
-/// dealt tasks and heard by the broker's [`Routes`]. A send moves the
-/// message onto its slot's queue, so it crosses one queue and is never
-/// copied or encoded. A receive serves the inbox, which holds every
+/// The engine's end of a [`fan_in`](ugc_grid::fan_in) whose slot `k`
+/// holds task `k`: a send moves the message onto its task's slot queue, so
+/// it crosses one queue and is never copied or encoded, and slot `k` is
+/// heard only for task `k`. A receive serves the inbox, which holds every
 /// slot's mail in arrival order (no chatty participant can starve
 /// another): it drains a whole burst under one lock and sleeps on the
 /// inbox only when the burst is spent, at a cost that does not grow with
-/// the number of silent slots. A slot's hang-up un-routes only the tasks
-/// dealt to it, so neither does what a round's teardown costs per slot.
+/// the number of silent slots.
+///
+/// A slot is owed its verdict until the engine sends it one. A slot that
+/// hangs up still owed is passed up as the [`Message::Gone`] of its task,
+/// once; one whose verdict has gone down leaves quietly.
 pub(crate) struct InProcessTransport {
     fan_in: FanIn,
-    routes: Routes,
-    /// Tasks NACKed and not yet reported, in the order to report them.
-    nacked: VecDeque<u64>,
+    /// Per slot: its verdict has not gone down, and it has not hung up.
+    owed: Vec<bool>,
     /// Mail drained from the inbox and not yet served; one buffer for
     /// every burst.
     burst: VecDeque<(usize, Option<Message>)>,
@@ -157,17 +157,12 @@ pub(crate) struct InProcessTransport {
 
 impl InProcessTransport {
     /// A transport over `slots` participant slots, and their endpoints:
-    /// endpoint `k` is participant `k`.
+    /// endpoint `k` is slot `k`, holding task `k`.
     pub(crate) fn new(slots: usize) -> (Self, Vec<Endpoint>) {
         let (fan_in, endpoints) = fan_in(slots);
-        let mut routes = Routes::default();
-        for _ in 0..slots {
-            routes.add_participant();
-        }
         let transport = InProcessTransport {
             fan_in,
-            routes,
-            nacked: VecDeque::new(),
+            owed: vec![true; slots],
             burst: VecDeque::new(),
             open: slots,
         };
@@ -176,24 +171,27 @@ impl InProcessTransport {
 }
 
 impl EngineTransport for InProcessTransport {
+    /// Queues `msg` on its task's slot. A slot that has hung up drops it:
+    /// its hang-up, queued behind its last message, NACKs the task.
     fn send(&mut self, msg: Message) -> Result<(), GridError> {
-        let fan_in = &self.fan_in;
-        match self.routes.route(msg, |idx, msg| fan_in.send(idx, msg)) {
-            Ok(nacked) => self.nacked.extend(nacked),
-            Err(GridError::Empty) => {} // no route: dropped
-            Err(e) => return Err(e),
+        let slot =
+            usize::try_from(msg.task_id()).expect("the engine sends only for the slots it dealt");
+        if matches!(msg, Message::Verdict { .. }) {
+            self.owed[slot] = false;
         }
-        Ok(())
+        match self.fan_in.send(slot, msg) {
+            Err(GridError::Disconnected) => Ok(()),
+            sent => sent,
+        }
     }
 
-    /// Serves the burst in arrival order, passing up only what each
-    /// slot's participant [speaks for](Routes::speaks_for); a hang-up,
-    /// which a slot queues after its last message, NACKs the
-    /// participant's tasks, each passed up in turn as the
-    /// [`Message::Gone`] a relay would send.
+    /// Serves the burst in arrival order, passing up only slot `k`'s mail
+    /// for task `k`, never a `Gone`; a hang-up, which a slot queues after
+    /// its last message, is passed up as the [`Message::Gone`] a relay
+    /// would send if the slot was still owed its verdict.
     fn recv(&mut self, until: Option<Instant>) -> Result<Option<Message>, GridError> {
-        while self.nacked.is_empty() {
-            let Some((idx, mail)) = self.burst.pop_front() else {
+        loop {
+            let Some((slot, mail)) = self.burst.pop_front() else {
                 if self.open == 0 {
                     return Err(GridError::Disconnected);
                 }
@@ -202,18 +200,20 @@ impl EngineTransport for InProcessTransport {
                 }
                 continue;
             };
+            let task_id = slot as u64;
             match mail {
-                Some(msg) if self.routes.speaks_for(idx, &msg) => return Ok(Some(msg)),
+                Some(msg) if msg.task_id() == task_id && !matches!(msg, Message::Gone { .. }) => {
+                    return Ok(Some(msg))
+                }
                 Some(_) => {}
                 None => {
                     self.open -= 1;
-                    self.nacked.extend(self.routes.mark_gone(idx));
+                    if std::mem::replace(&mut self.owed[slot], false) {
+                        return Ok(Some(Message::Gone { task_id }));
+                    }
                 }
             }
         }
-        Ok(Some(Message::Gone {
-            task_id: self.nacked.pop_front().expect("checked non-empty"),
-        }))
     }
 }
 
@@ -223,8 +223,11 @@ enum SessionState {
     Failed(SchemeError),
 }
 
-struct EngineSlot<'a> {
+struct EngineSession<'a> {
     session: Box<dyn SupervisorSession + 'a>,
+    /// The task id of the session's first participant slot: its slot
+    /// `peer` is task `first + peer`.
+    first: u64,
     /// How many participant slots the session has.
     peers: usize,
     link: LinkStats,
@@ -244,14 +247,15 @@ pub struct SessionResult {
 
 /// An event loop multiplexing many supervisor sessions over one transport.
 ///
-/// Sessions are registered with [`add_session`](Self::add_session) and run
-/// to completion by [`run`](Self::run). Routing uses each slot's task id,
-/// which must be unique across the engine's sessions.
+/// Sessions are registered with [`add_session`](Self::add_session), which
+/// deals their participant slots task ids, and run to completion by
+/// [`run`](Self::run). Routing uses each slot's task id.
 pub struct SessionEngine<'a> {
-    slots: Vec<EngineSlot<'a>>,
-    /// How many slots are still [`SessionState::Active`].
+    sessions: Vec<EngineSession<'a>>,
+    /// How many sessions are still [`SessionState::Active`].
     active: usize,
-    routes: BTreeMap<u64, (usize, usize)>,
+    /// Task id → (session, slot within it), indexed by task id.
+    routes: Vec<(usize, usize)>,
     deadline: Option<Duration>,
 }
 
@@ -266,9 +270,9 @@ impl<'a> SessionEngine<'a> {
     #[must_use]
     pub fn new() -> Self {
         SessionEngine {
-            slots: Vec::new(),
+            sessions: Vec::new(),
             active: 0,
-            routes: BTreeMap::new(),
+            routes: Vec::new(),
             deadline: None,
         }
     }
@@ -289,48 +293,51 @@ impl<'a> SessionEngine<'a> {
         self
     }
 
-    /// Registers a session whose participant slots answer to `task_ids`.
-    ///
-    /// # Errors
-    ///
-    /// [`SchemeError::InvalidConfig`] if a task id repeats, within the
-    /// list or against an already-registered session.
+    /// Registers a session of `slots` participant slots, built by `build`
+    /// from the task ids the engine deals them: the next `slots` ids,
+    /// counting from 0 in registration order, so global slot `k` of the
+    /// round is task `k`.
     pub fn add_session(
         &mut self,
-        session: Box<dyn SupervisorSession + 'a>,
-        task_ids: Vec<u64>,
-    ) -> Result<(), SchemeError> {
-        let index = self.slots.len();
-        // Validate before mutating: a rejected registration must leave the
-        // routing table exactly as it was.
-        for (slot, id) in task_ids.iter().enumerate() {
-            if self.routes.contains_key(id) || task_ids[..slot].contains(id) {
-                return Err(SchemeError::InvalidConfig {
-                    reason: "task id already registered with the engine".into(),
-                });
-            }
-        }
-        for (slot, &id) in task_ids.iter().enumerate() {
-            self.routes.insert(id, (index, slot));
-        }
-        self.slots.push(EngineSlot {
-            session,
-            peers: task_ids.len(),
+        slots: usize,
+        build: impl FnOnce(Vec<u64>) -> Box<dyn SupervisorSession + 'a>,
+    ) {
+        let index = self.sessions.len();
+        let first = self.routes.len();
+        self.routes.extend((0..slots).map(|peer| (index, peer)));
+        let task_ids = (first..self.routes.len()).map(|id| id as u64).collect();
+        self.sessions.push(EngineSession {
+            session: build(task_ids),
+            first: first as u64,
+            peers: slots,
             link: LinkStats::default(),
             state: SessionState::Active,
         });
         self.active += 1;
-        Ok(())
     }
 
-    /// Books the result of one step of an active slot's session: a
+    /// How many participant slots the registered sessions have, together:
+    /// the round's task ids are `0..slots()`.
+    #[must_use]
+    pub fn slots(&self) -> usize {
+        self.routes.len()
+    }
+
+    /// The session and slot within it that task `task_id` is, if the
+    /// engine dealt it.
+    fn route(&self, task_id: u64) -> Option<(usize, usize)> {
+        let id = usize::try_from(task_id).ok()?;
+        self.routes.get(id).copied()
+    }
+
+    /// Books the result of one step of an active session: a
     /// session that has produced its outcome is done, one that raised an
     /// error has failed, anything else stays active. The only place a
-    /// slot leaves [`SessionState::Active`], so the live count stays in
+    /// session leaves [`SessionState::Active`], so the live count stays in
     /// step.
-    fn settle(slot: &mut EngineSlot<'a>, active: &mut usize, step: Result<(), SchemeError>) {
-        slot.state = match step {
-            Ok(()) => match slot.session.take_outcome() {
+    fn settle(entry: &mut EngineSession<'a>, active: &mut usize, step: Result<(), SchemeError>) {
+        entry.state = match step {
+            Ok(()) => match entry.session.take_outcome() {
                 Some(outcome) => SessionState::Done(outcome),
                 None => return,
             },
@@ -347,11 +354,11 @@ impl<'a> SessionEngine<'a> {
     /// is the session's, never the race between the death notice and
     /// another slot's mail.
     fn fail_route(&mut self, id: u64) {
-        if let Some(&(index, peer)) = self.routes.get(&id) {
-            let slot = &mut self.slots[index];
-            if matches!(slot.state, SessionState::Active) {
-                let step = slot.session.on_peer_gone(peer);
-                Self::settle(slot, &mut self.active, step);
+        if let Some((index, peer)) = self.route(id) {
+            let entry = &mut self.sessions[index];
+            if matches!(entry.state, SessionState::Active) {
+                let step = entry.session.on_peer_gone(peer);
+                Self::settle(entry, &mut self.active, step);
             }
         }
     }
@@ -364,37 +371,39 @@ impl<'a> SessionEngine<'a> {
     fn expire(&mut self, last_activity: &[Instant]) -> Option<Instant> {
         let deadline = self.deadline?;
         let now = clock();
-        for (slot, &last) in self.slots.iter_mut().zip(last_activity) {
-            if matches!(slot.state, SessionState::Active) && last + deadline <= now {
-                Self::settle(slot, &mut self.active, Err(SchemeError::TimedOut));
+        for (entry, &last) in self.sessions.iter_mut().zip(last_activity) {
+            if matches!(entry.state, SessionState::Active) && last + deadline <= now {
+                Self::settle(entry, &mut self.active, Err(SchemeError::TimedOut));
             }
         }
-        self.slots
+        self.sessions
             .iter()
             .zip(last_activity)
-            .filter(|(slot, _)| matches!(slot.state, SessionState::Active))
+            .filter(|(entry, _)| matches!(entry.state, SessionState::Active))
             .map(|(_, &last)| last + deadline)
             .min()
     }
 
     /// Sends one session's outbound batch, charging its link stats: a
     /// message handed to the transport is charged whatever became of it,
-    /// as the frame handed to a relay would be.
+    /// as the frame handed to a relay would be. A message for a task that
+    /// is not the addressed slot's own — another session's, or one outside
+    /// the round — fails the session instead.
     fn send_outbound<T: EngineTransport>(
         transport: &mut T,
-        slot: &mut EngineSlot<'a>,
+        entry: &mut EngineSession<'a>,
         outs: Vec<(usize, Message)>,
     ) -> Result<(), SchemeError> {
         for (peer, msg) in outs {
-            if peer >= slot.peers {
+            if peer >= entry.peers || msg.task_id() != entry.first + peer as u64 {
                 return Err(SchemeError::InvalidConfig {
-                    reason: "session addressed a slot it does not own".into(),
+                    reason: "session addressed a task it does not hold".into(),
                 });
             }
             let charged = msg.charged();
             transport.send(msg)?;
-            slot.link.bytes_sent += charged;
-            slot.link.messages_sent += 1;
+            entry.link.bytes_sent += charged;
+            entry.link.messages_sent += 1;
         }
         Ok(())
     }
@@ -412,18 +421,17 @@ impl<'a> SessionEngine<'a> {
     /// when a session panics the underlying invariants (not expected).
     pub fn run<T: EngineTransport>(mut self, transport: &mut T) -> Vec<SessionResult> {
         // Open every session: emit its starting messages.
-        for index in 0..self.slots.len() {
-            let slot = &mut self.slots[index];
-            let step = slot
+        for entry in &mut self.sessions {
+            let step = entry
                 .session
                 .start()
-                .and_then(|outs| Self::send_outbound(transport, slot, outs));
+                .and_then(|outs| Self::send_outbound(transport, entry, outs));
             // A fire-and-forget session may already be complete.
-            Self::settle(slot, &mut self.active, step);
+            Self::settle(entry, &mut self.active, step);
         }
 
         let started = clock();
-        let mut last_activity = vec![started; self.slots.len()];
+        let mut last_activity = vec![started; self.sessions.len()];
         let mut until = self.deadline.map(|deadline| started + deadline);
         while self.active > 0 {
             let msg = match transport.recv(until) {
@@ -438,9 +446,13 @@ impl<'a> SessionEngine<'a> {
                 Err(e) => {
                     // Nothing can arrive any more: every session still
                     // waiting is dead.
-                    for slot in &mut self.slots {
-                        if matches!(slot.state, SessionState::Active) {
-                            Self::settle(slot, &mut self.active, Err(SchemeError::Grid(e.clone())));
+                    for entry in &mut self.sessions {
+                        if matches!(entry.state, SessionState::Active) {
+                            Self::settle(
+                                entry,
+                                &mut self.active,
+                                Err(SchemeError::Grid(e.clone())),
+                            );
                         }
                     }
                     break;
@@ -451,16 +463,16 @@ impl<'a> SessionEngine<'a> {
                 self.fail_route(task_id);
                 continue;
             }
-            let Some(&(index, peer)) = self.routes.get(&msg.task_id()) else {
+            let Some((index, peer)) = self.route(msg.task_id()) else {
                 // Mail for a session this engine never registered: drop it,
                 // as a broker would drop mail for an unknown host.
                 continue;
             };
-            let slot = &mut self.slots[index];
-            if !matches!(slot.state, SessionState::Active) {
+            let entry = &mut self.sessions[index];
+            if !matches!(entry.state, SessionState::Active) {
                 continue; // late mail for a finished/failed session
             }
-            if slot.session.is_stale(peer, &msg) {
+            if entry.session.is_stale(peer, &msg) {
                 // A redundant redelivery (e.g. a fault-injected duplicate
                 // of an upload already in hand): dropped uncharged, so
                 // the session's byte accounting cannot depend on whether
@@ -468,24 +480,24 @@ impl<'a> SessionEngine<'a> {
                 continue;
             }
             last_activity[index] = clock();
-            slot.link.bytes_received += msg.charged();
-            slot.link.messages_received += 1;
-            let step = slot
+            entry.link.bytes_received += msg.charged();
+            entry.link.messages_received += 1;
+            let step = entry
                 .session
                 .on_message(peer, msg)
-                .and_then(|outs| Self::send_outbound(transport, slot, outs));
-            Self::settle(slot, &mut self.active, step);
+                .and_then(|outs| Self::send_outbound(transport, entry, outs));
+            Self::settle(entry, &mut self.active, step);
         }
 
-        self.slots
+        self.sessions
             .into_iter()
-            .map(|slot| SessionResult {
-                outcome: match slot.state {
+            .map(|entry| SessionResult {
+                outcome: match entry.state {
                     SessionState::Done(outcome) => Ok(outcome),
                     SessionState::Failed(e) => Err(e),
                     SessionState::Active => Err(SchemeError::Grid(GridError::Disconnected)),
                 },
-                link: slot.link,
+                link: entry.link,
             })
             .collect()
     }
@@ -515,22 +527,19 @@ mod tests {
             report_audit: 0,
         };
         let mut engine = SessionEngine::new();
-        for task_id in 0..2u64 {
-            engine
-                .add_session(
-                    VerificationScheme::<Sha256>::supervisor_session(
-                        &scheme,
-                        SupervisorContext {
-                            task: &task,
-                            screener: &screener,
-                            domain: Domain::new(task_id * 32, 32),
-                            task_ids: vec![task_id],
-                            ledger: CostLedger::new(),
-                        },
-                    ),
-                    vec![task_id],
+        for start in [0, 32] {
+            engine.add_session(1, |task_ids| {
+                VerificationScheme::<Sha256>::supervisor_session(
+                    &scheme,
+                    SupervisorContext {
+                        task: &task,
+                        screener: &screener,
+                        domain: Domain::new(start, 32),
+                        task_ids,
+                        ledger: CostLedger::new(),
+                    },
                 )
-                .unwrap();
+            });
         }
         let (mut transport, part_eps) = InProcessTransport::new(2);
         let results = std::thread::scope(|scope| {
@@ -612,8 +621,20 @@ mod tests {
             Some(Message::Gone { task_id: 42 })
         ));
         assert!(nothing_now(&mut transport));
-        // Everyone else hangs up: one NACK per routed task, then nothing
-        // can ever arrive again.
+        // A slot is heard only for its own task, and never as a `Gone`.
+        peers[7].send(&verdict(8)).unwrap();
+        peers[7].send(&Message::Gone { task_id: 7 }).unwrap();
+        assert!(nothing_now(&mut transport));
+        // Every third slot is sent its verdict. Slot 30 has hung up
+        // already, so its verdict is dropped and its hang-up, queued
+        // before the verdict went down, NACKs nothing.
+        let judged = |id: u64| id % 3 == 0;
+        drop(peers.remove(30));
+        for id in (0..1000u64).filter(|&id| judged(id)) {
+            transport.send(verdict(id)).unwrap();
+        }
+        // Everyone else hangs up: one NACK per slot still owed its
+        // verdict, then nothing can ever arrive again.
         peers.clear();
         let mut gone = Vec::new();
         loop {
@@ -628,7 +649,7 @@ mod tests {
             }
         }
         gone.sort_unstable();
-        let expected: Vec<u64> = (0..1000).filter(|&id| id != 42).collect();
+        let expected: Vec<u64> = (0..1000).filter(|&id| id != 42 && !judged(id)).collect();
         assert_eq!(gone, expected);
     }
 
@@ -646,18 +667,19 @@ mod tests {
             report_audit: 0,
         };
         let mut engine = SessionEngine::new();
-        for task_id in 0..2u64 {
-            let session = VerificationScheme::<Sha256>::supervisor_session(
-                &scheme,
-                SupervisorContext {
-                    task: &task,
-                    screener: &screener,
-                    domain: Domain::new(task_id * 32, 32),
-                    task_ids: vec![task_id],
-                    ledger: CostLedger::new(),
-                },
-            );
-            engine.add_session(session, vec![task_id]).unwrap();
+        for start in [0, 32] {
+            engine.add_session(1, |task_ids| {
+                VerificationScheme::<Sha256>::supervisor_session(
+                    &scheme,
+                    SupervisorContext {
+                        task: &task,
+                        screener: &screener,
+                        domain: Domain::new(start, 32),
+                        task_ids,
+                        ledger: CostLedger::new(),
+                    },
+                )
+            });
         }
         let (mut sup_transport, parts) = InProcessTransport::new(2);
         let [dying_part, healthy_part]: [Endpoint; 2] =
@@ -698,66 +720,27 @@ mod tests {
         assert_eq!(healthy.verdict, Verdict::Accepted);
     }
 
-    #[test]
-    fn a_task_id_registers_once_and_a_refusal_leaves_the_engine_usable() {
-        // A task id is a participant slot's only address: registering one
-        // twice is refused, and the refusal leaves the engine usable.
-        let task = PasswordSearch::with_hidden_password(2, 5);
-        let screener = task.match_screener();
-        let scheme = CbsScheme {
-            samples: 4,
-            seed: 3,
-            report_audit: 0,
-        };
-        let make_session = || {
-            VerificationScheme::<Sha256>::supervisor_session(
-                &scheme,
-                SupervisorContext {
-                    task: &task,
-                    screener: &screener,
-                    domain: Domain::new(0, 16),
-                    task_ids: vec![1],
-                    ledger: CostLedger::new(),
-                },
-            )
-        };
-        let mut plain = SessionEngine::new();
-        plain.add_session(make_session(), vec![1]).unwrap();
-        assert!(matches!(
-            plain.add_session(make_session(), vec![1]),
-            Err(SchemeError::InvalidConfig { .. })
-        ));
-        assert!(matches!(
-            plain.add_session(make_session(), vec![2, 2]),
-            Err(SchemeError::InvalidConfig { .. })
-        ));
+    /// A session that sends what it is given from its start and is then
+    /// complete: it expects no inbound traffic.
+    struct FireAndForget(Vec<crate::session::Outbound>);
 
-        // A rejected registration must leave the engine fully usable: the
-        // surviving session still routes (pre-fix this panicked — the
-        // collision had overwritten session 0's route with a dangling
-        // slot index before erroring).
-        let (mut transport, part_eps) = InProcessTransport::new(1);
-        let part_ep = &part_eps[0];
-        let results = std::thread::scope(|scope| {
-            let (task, screener, scheme) = (&task, &screener, &scheme);
-            scope.spawn(move || {
-                let mut session = VerificationScheme::<Sha256>::participant_session(
-                    scheme,
-                    ParticipantContext {
-                        task,
-                        screener,
-                        behaviour: &HonestWorker,
-                        storage: ParticipantStorage::Full,
-                        parallelism: Parallelism::serial(),
-                        lanes: LaneWidth::default(),
-                        ledger: CostLedger::new(),
-                    },
-                );
-                drive_participant(part_ep, session.as_mut()).unwrap();
-            });
-            plain.run(&mut transport)
-        });
-        assert!(results[0].outcome.as_ref().unwrap().verdict.is_accepted());
+    impl SupervisorSession for FireAndForget {
+        fn start(&mut self) -> Result<Vec<crate::session::Outbound>, SchemeError> {
+            Ok(std::mem::take(&mut self.0))
+        }
+        fn on_message(
+            &mut self,
+            _slot: usize,
+            _msg: Message,
+        ) -> Result<Vec<crate::session::Outbound>, SchemeError> {
+            unreachable!("never fed");
+        }
+        fn take_outcome(&mut self) -> Option<SessionOutcome> {
+            Some(SessionOutcome {
+                verdict: Verdict::Accepted,
+                reports: Vec::new(),
+            })
+        }
     }
 
     #[test]
@@ -765,39 +748,39 @@ mod tests {
         // A fire-and-forget supervisor session (complete after start, no
         // inbound traffic expected) must be collected immediately instead
         // of leaving the engine waiting for a reply that never comes.
-        struct FireAndForget {
-            outcome: Option<SessionOutcome>,
-        }
-        impl crate::session::SupervisorSession for FireAndForget {
-            fn start(&mut self) -> Result<Vec<crate::session::Outbound>, SchemeError> {
-                Ok(Vec::new())
-            }
-            fn on_message(
-                &mut self,
-                _slot: usize,
-                _msg: Message,
-            ) -> Result<Vec<crate::session::Outbound>, SchemeError> {
-                unreachable!("never fed");
-            }
-            fn take_outcome(&mut self) -> Option<SessionOutcome> {
-                self.outcome.take()
-            }
-        }
         let mut engine = SessionEngine::new();
-        engine
-            .add_session(
-                Box::new(FireAndForget {
-                    outcome: Some(SessionOutcome {
-                        verdict: Verdict::Accepted,
-                        reports: Vec::new(),
-                    }),
-                }),
-                vec![9],
-            )
-            .unwrap();
+        engine.add_session(1, |_| Box::new(FireAndForget(Vec::new())));
         // The participant's end stays open: a receive would block.
         let (mut transport, _part_eps) = InProcessTransport::new(1);
         let results = engine.run(&mut transport);
         assert!(results[0].outcome.as_ref().unwrap().verdict.is_accepted());
+    }
+
+    #[test]
+    fn a_send_for_a_task_the_session_does_not_hold_fails_only_that_session() {
+        // Three one-slot sessions, dealt tasks 0, 1 and 2, each sending a
+        // verdict from its start: for another session's task, for a task
+        // outside the round, and for its own.
+        let mut engine = SessionEngine::new();
+        for task_id in [1, 3, 2] {
+            let verdict = Message::Verdict {
+                task_id,
+                accepted: true,
+            };
+            engine.add_session(1, |_| Box::new(FireAndForget(vec![(0, verdict)])));
+        }
+        assert_eq!(engine.slots(), 3);
+        let (mut transport, part_eps) = InProcessTransport::new(engine.slots());
+        let results = engine.run(&mut transport);
+        for result in &results[..2] {
+            assert!(matches!(
+                result.outcome,
+                Err(SchemeError::InvalidConfig { .. })
+            ));
+            assert_eq!(result.link.messages_sent, 0);
+        }
+        assert!(results[2].outcome.as_ref().unwrap().verdict.is_accepted());
+        assert_eq!(part_eps[2].try_recv().unwrap().task_id(), 2);
+        assert!(part_eps[..2].iter().all(|ep| ep.try_recv().is_err()));
     }
 }

@@ -642,7 +642,8 @@ pub(crate) struct MemberBooks {
 
 /// Runs round `round` for `roster` (a subset of the fleet, on
 /// reassignment rounds): registers one supervisor session per entry —
-/// global slot `k` of the round is task `k` — and has the backend run
+/// the engine deals the round's task ids, so global slot `k` is task
+/// `k` — and has the backend run
 /// the engine against the round's participant slots, wherever it puts
 /// them.
 ///
@@ -667,31 +668,25 @@ fn run_fleet_round<H: HashFunction>(
     if let Some(deadline) = config.deadline {
         engine = engine.with_deadline(deadline);
     }
-    // Global slot order (the broker hands assignment k to participant k,
-    // so order is load-bearing for the relayed transports): each global
-    // slot's roster index and its slot within the member. Task ids count
-    // the same slots, so single-slot member `i` of a full-fleet round
-    // keeps task id `i`.
+    // Each global slot's roster index and its slot within the member, in
+    // the order the engine deals task ids: single-slot member `i` of a
+    // full-fleet round is task `i`.
     let slot_table: Vec<(usize, usize)> = roster
         .iter()
         .enumerate()
         .flat_map(|(r, &i)| (0..members[i].behaviours.len()).map(move |s| (r, s)))
         .collect();
     let sup_ledgers: Vec<CostLedger> = roster.iter().map(|_| CostLedger::new()).collect();
-    let mut task_ids = 0u64..;
     for (&i, ledger) in roster.iter().zip(&sup_ledgers) {
-        let member_task_ids: Vec<u64> = task_ids
-            .by_ref()
-            .take(members[i].behaviours.len())
-            .collect();
-        let session = members[i].scheme.supervisor_session(SupervisorContext {
-            task,
-            screener,
-            domain: shares[i],
-            task_ids: member_task_ids.clone(),
-            ledger: ledger.clone(),
+        engine.add_session(members[i].behaviours.len(), |task_ids| {
+            members[i].scheme.supervisor_session(SupervisorContext {
+                task,
+                screener,
+                domain: shares[i],
+                task_ids,
+                ledger: ledger.clone(),
+            })
         });
-        engine.add_session(session, member_task_ids)?;
     }
 
     // The participant half of global slot `k`, for a backend that runs
@@ -717,7 +712,6 @@ fn run_fleet_round<H: HashFunction>(
     } = backend.run_round(
         &RoundSpec {
             round,
-            slots: slot_table.len(),
             chaos: config.chaos,
             workers: config.workers,
             steal_seed: config.steal_seed,

@@ -21,17 +21,18 @@
 //! `HashMap` deliberately: no unspecified iteration order can leak into
 //! the supervisor-visible message sequence.
 //!
-//! When a participant dies, every task still routed to it is NACKed, in
-//! ascending task order. Each participant keeps the list of tasks dealt
-//! to it, so a hang-up looks at those tasks alone: for a participant that
-//! holds `k` of `n` routed tasks it costs `O(k log n)`, whatever the size
-//! of the pool, and a pool whose every slot hangs up at the end of a round
-//! pays for its own tasks once, not for every slot's tasks once per slot.
+//! A route lasts from a task's assignment to its verdict: the relayed
+//! [`Message::Verdict`] releases it, so a participant holds exactly the
+//! tasks still waiting on one. When a participant dies, each of those is
+//! NACKed, in ascending task order. Each participant keeps its held tasks
+//! in a set of its own, so a hang-up looks at those tasks alone: for a
+//! participant that holds `k` of `n` routed tasks it costs `O(k log n)`,
+//! whatever the size of the pool, and a participant whose every task was
+//! judged leaves without a NACK.
 //!
-//! The engine's in-process transport (Direct and Brokered alike) routes
-//! by [`Routes`] at send time, on the engine's thread, so a message
-//! crosses one queue. A [`Broker`] is those rules with links attached,
-//! for a relay between processes.
+//! A [`Broker`] is those rules with links attached, for the relay between
+//! processes behind `ugc broker serve`; in process, the engine's slot `k`
+//! holds task `k` and needs no routing table.
 //! [`pump`](Broker::pump) subscribes the supervisor and every participant
 //! to one [`Doorbell`] ([`GridLink::subscribe`]) and relays one frame per
 //! ring: its cost per message does not depend on how many participants
@@ -46,8 +47,7 @@
 //! for callers that drive a broker by hand on one thread.
 
 use crate::{Doorbell, Endpoint, GridError, GridLink, Message};
-use std::borrow::Borrow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Relay statistics for a broker run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,8 +61,7 @@ pub struct RelayStats {
 /// The broker's routing rules, with no link attached: which participant
 /// (an index, in the order added) holds which task, who is dealt the next
 /// assignment, and who is gone. [`Broker`] relays by them over links of
-/// any kind; an in-process transport routes by the same rules at send
-/// time, with no relay in between.
+/// any kind.
 #[derive(Debug, Default)]
 pub struct Routes {
     /// task id → participant index.
@@ -78,10 +77,9 @@ pub struct Routes {
 struct Dealt {
     /// Known to be gone.
     gone: bool,
-    /// The tasks dealt to it while alive, in the order dealt. A task
-    /// since dealt again to someone else, or unrouted, stays listed until
-    /// the participant's hang-up skips it.
-    tasks: Vec<u64>,
+    /// The tasks routed to it and not yet judged: a task leaves when it
+    /// is dealt to someone else, its verdict is relayed, or it is NACKed.
+    tasks: BTreeSet<u64>,
 }
 
 impl Routes {
@@ -93,27 +91,26 @@ impl Routes {
     }
 
     /// Routes one supervisor message to the participant whose index `send`
-    /// is handed, with the message — a reference or the message itself,
-    /// whichever the caller routes: an assignment pins its task to the
-    /// next one round-robin,
-    /// skipping those known to be gone; any other message follows its
-    /// task's route. Mail for a gone participant is dropped, as a
-    /// store-and-forward broker drops mail for a dead host (a `send` failing
-    /// with [`GridError::Disconnected`] is how an unreported death is
-    /// found), and the tasks to NACK with [`Message::Gone`] are returned:
-    /// the message's own, then the participant's other orphans.
+    /// is handed, with the message: an assignment pins its task to the
+    /// next one round-robin, skipping those known to be gone; any other
+    /// message follows its task's route, and a relayed verdict releases
+    /// it. Mail for a gone participant is dropped, as a store-and-forward
+    /// broker drops mail for a dead host (a `send` failing with
+    /// [`GridError::Disconnected`] is how an unreported death is found),
+    /// and the tasks to NACK with [`Message::Gone`] are returned: the
+    /// message's own, then the participant's other orphans.
     ///
     /// # Errors
     ///
     /// [`GridError::Empty`] for a message whose task no participant holds
     /// (it is dropped), or whatever else `send` fails with.
-    pub fn route<M: Borrow<Message>>(
+    pub fn route(
         &mut self,
-        msg: M,
-        send: impl FnOnce(usize, M) -> Result<(), GridError>,
+        msg: &Message,
+        send: impl FnOnce(usize, &Message) -> Result<(), GridError>,
     ) -> Result<Vec<u64>, GridError> {
-        let task_id = msg.borrow().task_id();
-        let idx = if matches!(msg.borrow(), Message::Assign(_)) {
+        let task_id = msg.task_id();
+        let idx = if matches!(msg, Message::Assign(_)) {
             let n = self.participants.len();
             // Everyone may be gone; then the send below is skipped.
             let idx = (0..n)
@@ -121,11 +118,11 @@ impl Routes {
                 .find(|&i| !self.participants[i].gone)
                 .unwrap_or(self.next);
             self.next = (idx + 1) % n;
-            self.routes.insert(task_id, idx);
-            let dealt = &mut self.participants[idx];
-            if !dealt.gone {
-                dealt.tasks.push(task_id);
+            // A task dealt again leaves its old holder.
+            if let Some(old) = self.routes.insert(task_id, idx) {
+                self.participants[old].tasks.remove(&task_id);
             }
+            self.participants[idx].tasks.insert(task_id);
             idx
         } else {
             *self.routes.get(&task_id).ok_or(GridError::Empty)?
@@ -134,18 +131,28 @@ impl Routes {
         // known to be gone, so the gone mark decides first.
         if !self.participants[idx].gone {
             match send(idx, msg) {
+                Ok(()) if matches!(msg, Message::Verdict { .. }) => {
+                    self.release(task_id, idx);
+                    return Ok(Vec::new());
+                }
                 Ok(()) => return Ok(Vec::new()),
                 Err(GridError::Disconnected) => {}
                 Err(e) => return Err(e),
             }
         }
-        // NACK this task first: the sweep finds nothing on a participant
-        // already reported gone, but this route may be brand new (an
-        // Assign that raced the death).
-        self.routes.remove(&task_id);
+        // NACK this task first: the participant may have been reported
+        // gone already, but this route may be brand new (an Assign that
+        // raced the death).
+        self.release(task_id, idx);
         let mut nacked = vec![task_id];
         nacked.extend(self.mark_gone(idx));
         Ok(nacked)
+    }
+
+    /// Unroutes `task_id`, which participant `idx` holds.
+    fn release(&mut self, task_id: u64, idx: usize) {
+        self.routes.remove(&task_id);
+        self.participants[idx].tasks.remove(&task_id);
     }
 
     /// Whether participant `idx` may send `msg` up: only for a task routed
@@ -155,8 +162,8 @@ impl Routes {
         !matches!(msg, Message::Gone { .. }) && self.routes.get(&msg.task_id()) == Some(&idx)
     }
 
-    /// Marks participant `idx` gone and unroutes the tasks still routed to
-    /// it, returning them in ascending order, each to NACK with a
+    /// Marks participant `idx` gone and unroutes the tasks it holds,
+    /// returning them in ascending order, each to NACK with a
     /// [`Message::Gone`] so the supervisor fails those sessions instead of
     /// waiting forever; none once `idx` has been reported.
     pub fn mark_gone(&mut self, idx: usize) -> Vec<u64> {
@@ -164,19 +171,11 @@ impl Routes {
         if std::mem::replace(&mut dealt.gone, true) {
             return Vec::new();
         }
-        let mut orphaned = std::mem::take(&mut dealt.tasks);
-        // Only tasks still routed here are orphans. Unrouting each as it
-        // is found drops a task dealt here twice the second time.
-        let routes = &mut self.routes;
-        orphaned.retain(|task_id| {
-            let held = routes.get(task_id) == Some(&idx);
-            if held {
-                routes.remove(task_id);
-            }
-            held
-        });
-        orphaned.sort_unstable();
-        orphaned
+        let orphaned = std::mem::take(&mut dealt.tasks);
+        for task_id in &orphaned {
+            self.routes.remove(task_id);
+        }
+        orphaned.into_iter().collect()
     }
 }
 
@@ -671,6 +670,27 @@ mod tests {
         assert!(broker.try_relay_outward().unwrap());
         assert_eq!(alive.recv().unwrap().task_id(), 7);
         assert_eq!(alive.recv().unwrap().task_id(), 8);
+    }
+
+    #[test]
+    fn a_hang_up_after_the_verdict_is_not_nacked() {
+        // Participant 0's task is judged and the verdict relayed before it
+        // hangs up; participant 1 hangs up still waiting on its verdict.
+        // Only task 1 is NACKed, and nobody speaks for task 0 any more.
+        let (sup, mut broker, parts) = rig(2);
+        let verdict = Message::Verdict {
+            task_id: 0,
+            accepted: true,
+        };
+        for msg in [assign(0), assign(1), verdict.clone()] {
+            sup.send(&msg).unwrap();
+        }
+        relay_out(&mut broker, 3);
+        assert!(!broker.routes.speaks_for(0, &verdict));
+        drop(parts);
+        assert!(broker.try_relay_inward().unwrap().is_none());
+        assert_eq!(sup.recv().unwrap(), Message::Gone { task_id: 1 });
+        assert_eq!(sup.try_recv(), Err(GridError::Empty));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `Routes` against a reference model: the same rules, written the
 //! plainest way, with a hang-up that sweeps every route instead of
 //! looking at the participant's own tasks. The same operations must give
-//! the same answers, step by step.
+//! the same answers, step by step, and a relayed verdict ends its task's
+//! route in both.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -44,7 +45,12 @@ impl Model {
         };
         if !self.closed[idx] {
             match send(idx) {
-                Ok(()) => return Ok(Vec::new()),
+                Ok(()) => {
+                    if matches!(msg, Message::Verdict { .. }) {
+                        self.routes.remove(&task_id);
+                    }
+                    return Ok(Vec::new());
+                }
                 Err(GridError::Disconnected) => {}
                 Err(e) => return Err(e),
             }
@@ -167,6 +173,13 @@ proptest! {
                         if let Some((&first, orphans)) = nacked.split_first() {
                             prop_assert_eq!(first, task);
                             assert_well_formed(orphans, Some(task));
+                        }
+                        // A relayed verdict, like a NACK, ends the route:
+                        // nobody speaks for the task any more.
+                        if matches!(op, Op::Follow { .. }) || !nacked.is_empty() {
+                            for idx in 0..participants {
+                                prop_assert!(!routes.speaks_for(idx, &verdict(task)));
+                            }
                         }
                     }
                     prop_assert_eq!(got, want);

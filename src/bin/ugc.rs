@@ -59,8 +59,8 @@ commands:
 The fleet runs every member as a concurrent session of one multiplexing
 engine. --transport names how its messages move: direct (the default)
 or brokered. In this process both are one transport — one in-memory
-link per participant, routed by a GRACE-style grid broker on the
-supervisor's thread — so verdicts and digests are identical either way.
+link per participant slot, slot k holding task k; the GRACE broker is
+the relay between processes — so verdicts and digests are identical.
 
 --connect <host:port> runs the same campaign over a real grid: a
 `ugc broker serve` process relays between this supervisor and

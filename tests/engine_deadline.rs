@@ -113,15 +113,14 @@ fn run(
     let (done, finished) = mpsc::channel();
     std::thread::spawn(move || {
         let mut engine = SessionEngine::new().with_deadline(DEADLINE);
-        for (task_id, peer) in (0u64..).zip(&peers) {
-            let session = Counting {
-                task_id,
-                wanted: peer.replies.max(1),
-                heard: 0,
-            };
-            engine
-                .add_session(Box::new(session), vec![task_id])
-                .unwrap();
+        for peer in &peers {
+            engine.add_session(1, |task_ids| {
+                Box::new(Counting {
+                    task_id: task_ids[0],
+                    wanted: peer.replies.max(1),
+                    heard: 0,
+                })
+            });
         }
         let slot = |k: u64, _: CostLedger| -> Box<dyn ParticipantSession> {
             let peer = peers[usize::try_from(k).unwrap()];
@@ -130,7 +129,6 @@ fn run(
         // One worker per peer, so a sleeping peer never holds up another.
         let spec = RoundSpec {
             round: 0,
-            slots: peers.len(),
             chaos: None,
             workers: Some(peers.len()),
             steal_seed: 0,

@@ -2,10 +2,11 @@
 //! them once.
 //!
 //! A slot's task id is its only address, so a peer that names another
-//! slot's task id must not be heard as that slot: a broker, in process or
-//! between processes, relays a participant's message only for a task
-//! routed to it, and never relays a participant's `Gone`, the broker's own
-//! NACK. And a remote
+//! slot's task id must not be heard as that slot: in process the engine
+//! hears slot `k` only for task `k`, and between processes the broker
+//! relays a participant's message only for a task routed to it. Neither
+//! passes up a participant's `Gone`, which is the transport's own NACK.
+//! And a remote
 //! peer's slot reports are booked one per slot: a duplicate is a typed
 //! error, not a member's costs counted twice and another's not at all.
 
@@ -21,11 +22,14 @@ use uncheatable_grid::core::{
     SupervisorContext, TransportBackend, TransportKind, VerificationScheme,
 };
 use uncheatable_grid::grid::tcp::{handshake_participant, handshake_supervisor};
-use uncheatable_grid::grid::{ControlHandle, CostLedger, GridLink, HonestWorker, Message, TcpLink};
+use uncheatable_grid::grid::{
+    CheatSelection, ControlHandle, CostLedger, GridLink, HonestWorker, Message, SemiHonestCheater,
+    TcpLink, WorkerBehaviour,
+};
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::netgrid::{self, GridServer};
 use uncheatable_grid::task::workloads::PasswordSearch;
-use uncheatable_grid::task::Domain;
+use uncheatable_grid::task::{Domain, ZeroGuesser};
 
 /// Far longer than any scenario takes; only a wedged campaign reaches it.
 const WATCHDOG: Duration = Duration::from_secs(60);
@@ -100,24 +104,24 @@ fn impostor_round(kind: TransportKind) {
     };
     let spec = RoundSpec {
         round: 0,
-        slots: 2,
         chaos: None,
         workers: Some(2),
         steal_seed: 0,
     };
     let mut engine = SessionEngine::new();
-    for task_id in 0..2u64 {
-        let session = VerificationScheme::<Sha256>::supervisor_session(
-            &scheme,
-            SupervisorContext {
-                task: &task,
-                screener: &screener,
-                domain: Domain::new(task_id * 32, 32),
-                task_ids: vec![task_id],
-                ledger: CostLedger::new(),
-            },
-        );
-        engine.add_session(session, vec![task_id]).unwrap();
+    for start in [0, 32] {
+        engine.add_session(1, |task_ids| {
+            VerificationScheme::<Sha256>::supervisor_session(
+                &scheme,
+                SupervisorContext {
+                    task: &task,
+                    screener: &screener,
+                    domain: Domain::new(start, 32),
+                    task_ids,
+                    ledger: CostLedger::new(),
+                },
+            )
+        });
     }
     let round = InProcessBackend::new(kind)
         .run_round(&spec, engine, &slot)
@@ -132,6 +136,71 @@ fn impostor_round(kind: TransportKind) {
             result.outcome
         );
     }
+}
+
+#[test]
+fn slot_k_serves_task_k_when_an_earlier_session_fails_at_start() {
+    // Session 0 fails in its start (no samples) and assigns nothing; its
+    // slot cheats on everything. Session 1's task is still served by slot
+    // 1, which is honest, not dealt to the idle slot 0.
+    let task = PasswordSearch::with_hidden_password(2, 5);
+    let screener = task.match_screener();
+    let schemes = [0, 8].map(|samples| CbsScheme {
+        samples,
+        seed: 3,
+        report_audit: 0,
+    });
+    let cheater = SemiHonestCheater::new(0.0, CheatSelection::Scattered, ZeroGuesser::new(1), 3);
+    let behaviours: [&dyn WorkerBehaviour; 2] = [&cheater, &HonestWorker];
+    let slot = |k: u64, ledger| {
+        let k = usize::try_from(k).unwrap();
+        VerificationScheme::<Sha256>::participant_session(
+            &schemes[k],
+            ParticipantContext {
+                task: &task,
+                screener: &screener,
+                behaviour: behaviours[k],
+                storage: ParticipantStorage::Full,
+                parallelism: Parallelism::serial(),
+                lanes: LaneWidth::default(),
+                ledger,
+            },
+        )
+    };
+    let mut engine = SessionEngine::new();
+    for (scheme, start) in schemes.iter().zip([0, 32]) {
+        engine.add_session(1, |task_ids| {
+            VerificationScheme::<Sha256>::supervisor_session(
+                scheme,
+                SupervisorContext {
+                    task: &task,
+                    screener: &screener,
+                    domain: Domain::new(start, 32),
+                    task_ids,
+                    ledger: CostLedger::new(),
+                },
+            )
+        });
+    }
+    let spec = RoundSpec {
+        round: 0,
+        chaos: None,
+        workers: Some(2),
+        steal_seed: 0,
+    };
+    let round = InProcessBackend::new(TransportKind::Direct)
+        .run_round(&spec, engine, &slot)
+        .unwrap();
+    assert!(matches!(
+        round.sessions[0].outcome,
+        Err(SchemeError::InvalidConfig { .. })
+    ));
+    let judged = round.sessions[1].outcome.as_ref().unwrap();
+    assert!(judged.verdict.is_accepted(), "{:?}", judged.verdict);
+    // Slot 1 ended on its verdict; slot 0, never assigned, on the round's
+    // hang-up.
+    assert!(round.reports[1].outcome.is_ok());
+    assert!(round.reports[0].outcome.is_err());
 }
 
 /// Three honest CBS members over a remote grid.
