@@ -13,16 +13,22 @@
 //! the round's fault events — whether the slots ran in this process or in
 //! another is never its concern. Two backends ship:
 //!
-//! * [`InProcessBackend`] — every slot runs in this process as a
-//!   poll-driven [`SlotTask`] on a [`GridScheduler`] pool beside the
-//!   engine, on one endpoint of a [`fan_in`](ugc_grid::fan_in): each
-//!   slot's mail goes into the engine's one inbox, and the engine's goes
-//!   onto that slot's own queue, as [`Message`] values — the codec runs
-//!   only where bytes leave the process. Under
-//!   [`TransportKind::Direct`] and [`TransportKind::Brokered`] alike slot
-//!   `k` is endpoint `k` and holds task `k`, so the engine addresses it
-//!   directly — no routing table, no relay thread, no second queue. Each
-//!   participant link carries the round's seeded fault plan.
+//! * [`InProcessBackend`] — every slot runs in this process, and the
+//!   round runs as shards: the engine is split into one engine per
+//!   [`GridScheduler`] worker, each holding whole sessions and the slots
+//!   that serve them, and each shard is one task on the pool. A shard's
+//!   engine runs over an [`InProcessTransport`] that owns its slots and
+//!   steps them on the same thread whenever the engine has no mail, so
+//!   no in-process message crosses a thread, and nothing sleeps but a
+//!   shard that can only wait for a deadline. A slot sits on one
+//!   endpoint of its shard's [`fan_in`](ugc_grid::fan_in): its mail goes
+//!   into the engine's one inbox, and the engine's onto that slot's own
+//!   queue, as [`Message`] values — the codec runs only where bytes
+//!   leave the process. Under [`TransportKind::Direct`] and
+//!   [`TransportKind::Brokered`] alike slot `k` holds task `k`, so the
+//!   engine addresses it directly — no routing table, no relay thread,
+//!   no second queue. Each participant link carries the round's seeded
+//!   fault plan.
 //! * [`RemoteGridBackend`] — a [`TcpLink`] into a `ugc broker serve`
 //!   process that relays to participants in *other* OS processes
 //!   ([`TransportKind::Remote`]), each running [`serve_remote_slots`]. The
@@ -32,7 +38,7 @@
 //!   parameters (proven in `tests/wire_equivalence.rs` and in CI's
 //!   `cross-process` job).
 //!
-//! Every participant slot, pooled or joined, is one [`Slot`]: fed one
+//! Every participant slot, in a shard or joined, is one [`Slot`]: fed one
 //! message at a time by the one participant [`step`], charging a ledger
 //! of its own, and ended by the one [`SlotReport`] it hands back — so both
 //! ends of the slot-report control frame live in this module.
@@ -51,12 +57,8 @@ use crate::SchemeError;
 use std::collections::BTreeMap;
 use std::time::Duration;
 use ugc_grid::codec::put_var;
-use ugc_grid::runtime::{
-    FaultEvent, FaultLog, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll,
-};
-use ugc_grid::{
-    ControlHandle, CostLedger, CostReport, Doorbell, GridError, GridLink, Message, TcpLink,
-};
+use ugc_grid::runtime::{FaultEvent, FaultPlan, GridScheduler, GridTask, TaskPoll};
+use ugc_grid::{ControlHandle, CostLedger, CostReport, GridError, GridLink, Message, TcpLink};
 
 /// How a fleet round moves its messages — the one transport-selection
 /// knob, threaded from the CLI through [`MixedFleetConfig`](crate::MixedFleetConfig)
@@ -65,8 +67,9 @@ use ugc_grid::{
 /// campaign, so a journal resumes over any of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TransportKind {
-    /// One in-process link per participant slot, all sending into one
-    /// inbox the engine drains and sleeps on; slot `k` holds task `k`. In
+    /// One in-process link per participant slot, all sending into their
+    /// shard's one inbox, which the shard's engine drains between its
+    /// slots' steps; slot `k` holds task `k`. In
     /// process this is one transport with [`Brokered`](Self::Brokered);
     /// both names stay because campaigns and the CLI name them.
     #[default]
@@ -86,8 +89,8 @@ pub enum TransportKind {
 /// supervisor needs from the slot to finish its books — the costs the
 /// slot's own ledger accumulated and the participant-side outcome.
 ///
-/// Every slot ends in exactly one, built in one place: returned from the
-/// scheduler pool in this process, or sent as a control frame by a
+/// Every slot ends in exactly one, built in one place: returned from its
+/// shard in this process, or sent as a control frame by a
 /// joined one ([`serve_remote_slots`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotReport {
@@ -159,15 +162,17 @@ pub struct RoundSpec {
     /// which link is execution layout — exactly what digests must not
     /// depend on.
     pub chaos: Option<FaultPlan>,
-    /// Size of the scheduler pool that runs slots hosted in this process
-    /// (`None`: one per available core). Execution-only.
+    /// Size of the scheduler pool that runs the round's shards in this
+    /// process, one shard per worker (`None`: one per available core).
+    /// Execution-only.
     pub workers: Option<usize>,
-    /// Seed for that pool's work-stealing victim order. Scheduling-only.
+    /// Seed for that pool's work-stealing victim order. Scheduling-only,
+    /// and with one shard per worker there is nothing left to steal.
     pub steal_seed: u64,
 }
 
 /// What one round produced, wherever its slots ran.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RoundResult {
     /// One result per registered supervisor session, in registration
     /// order.
@@ -208,10 +213,10 @@ pub trait TransportBackend {
     ) -> Result<RoundResult, SchemeError>;
 }
 
-/// The in-process backend: participants on a scheduler pool in this
-/// process, links in memory. Serves [`TransportKind::Direct`] and
-/// [`TransportKind::Brokered`], one transport under two names; any number
-/// of rounds.
+/// The in-process backend: the round in shards on a scheduler pool in
+/// this process, each engine stepping its own slots, links in memory.
+/// Serves [`TransportKind::Direct`] and [`TransportKind::Brokered`], one
+/// transport under two names; any number of rounds.
 #[derive(Debug, Clone, Copy)]
 pub struct InProcessBackend {
     kind: TransportKind,
@@ -249,66 +254,87 @@ impl TransportBackend for InProcessBackend {
     }
 }
 
-/// Runs `engine` on the calling thread over an [`InProcessTransport`]
-/// whose participant ends are the endpoints of one fan-in, one per slot
-/// the engine dealt, while slot `k` runs on endpoint `k` — the one that
-/// holds task `k` — behind the round's fault plan, as a [`SlotTask`] on a
-/// [`GridScheduler`] pool.
+/// Runs the round as shards: `engine` split into one [`SessionEngine`]
+/// per scheduler worker (or per session, when sessions are fewer), each
+/// holding whole sessions and the slots that serve them — slot `k`
+/// running task `k` behind the round's fault plan — over its own
+/// [`InProcessTransport`], and each one [`Shard`] task on a
+/// [`GridScheduler`] pool whose worker 0 is the calling thread. Results
+/// come back in registration order and reports in slot order, as the
+/// shards hold contiguous runs of both.
 fn run_local<'a>(
     spec: &RoundSpec,
     engine: SessionEngine<'a>,
     slot: &dyn Fn(u64, CostLedger) -> Box<dyn ParticipantSession + 'a>,
 ) -> RoundResult {
-    let (mut transport, links) = InProcessTransport::new(engine.slots());
+    let scheduler = spec
+        .workers
+        .map_or_else(GridScheduler::available, GridScheduler::new)
+        .with_steal_seed(spec.steal_seed);
     // Chaos-free rounds use the quiet plan rather than a separate
     // undecorated code path: the decorator's transparency at zero rates
     // is property-tested (grid/tests/fault_properties.rs), and one code
     // path means the soak exercises what production runs.
     let plan = spec.chaos.unwrap_or(FaultPlan::quiet(0));
-    let mut logs = Vec::with_capacity(links.len());
-    let tasks: Vec<SlotTask<'a>> = (0u64..)
-        .zip(links)
-        .enumerate()
-        .map(|(k, (task_id, link))| {
-            let link = FaultyEndpoint::new(link, plan.link(chaos_link_id(spec.round, k)));
-            logs.push(link.log());
-            let ledger = CostLedger::new();
-            SlotTask {
-                slot: Slot::new(task_id, slot(task_id, ledger.clone()), ledger),
-                link: Some(link),
-            }
+    let (sessions, slots) = (engine.session_count(), engine.slots());
+    let shards: Vec<Shard<'a>> = engine
+        .split(scheduler.workers())
+        .into_iter()
+        .map(|engine| {
+            let slots = engine
+                .tasks()
+                .map(|task_id| {
+                    let ledger = CostLedger::new();
+                    Slot::new(task_id, slot(task_id, ledger.clone()), ledger)
+                })
+                .collect();
+            let transport = InProcessTransport::new(slots, |task_id| {
+                plan.link(chaos_link_id(spec.round, task_id as usize))
+            });
+            Shard::Ready(engine, transport)
         })
         .collect();
-    let scheduler = spec
-        .workers
-        .map_or_else(GridScheduler::available, GridScheduler::new)
-        .with_steal_seed(spec.steal_seed);
-    let (sessions, tasks) = std::thread::scope(|scope| {
-        let pool = scope.spawn(move || scheduler.run(tasks));
-        let sessions = engine.run(&mut transport);
-        // Close the supervisor side so chaos-stalled participants observe
-        // the hang-up instead of parking forever.
-        drop(transport);
-        (sessions, pool.join().expect("scheduler pool panicked"))
-    });
-    let mut events: Vec<FaultEvent> = logs.iter().flat_map(FaultLog::snapshot).collect();
-    events.sort_unstable();
-    RoundResult {
-        sessions,
-        reports: tasks.into_iter().map(|task| task.slot.report()).collect(),
-        events,
+    let mut round = RoundResult {
+        sessions: Vec::with_capacity(sessions),
+        reports: Vec::with_capacity(slots),
+        events: Vec::new(),
+    };
+    for shard in scheduler.run(shards) {
+        if let Shard::Ran(part) = shard {
+            round.sessions.extend(part.sessions);
+            round.reports.extend(part.reports);
+            round.events.extend(part.events);
+        }
+    }
+    round.events.sort_unstable();
+    round
+}
+
+/// One shard of an in-process round, as one task on the scheduler pool:
+/// its one poll runs the shard's engine over the transport that owns its
+/// slots, then ends every slot.
+enum Shard<'a> {
+    Ready(SessionEngine<'a>, InProcessTransport<'a>),
+    Ran(RoundResult),
+}
+
+impl GridTask for Shard<'_> {
+    fn poll(&mut self) -> TaskPoll {
+        let ran = Shard::Ran(RoundResult::default());
+        if let Shard::Ready(engine, mut transport) = std::mem::replace(self, ran) {
+            let sessions = engine.run(&mut transport);
+            let (reports, events) = transport.finish();
+            *self = Shard::Ran(RoundResult {
+                sessions,
+                reports,
+                events,
+            });
+        }
+        TaskPoll::Complete
     }
 }
 
-/// How many inbound messages one scheduler poll may drain from a slot's
-/// queue before handing the worker back. Batching amortises the
-/// run-queue round trip over a burst of queued mail; the value is purely
-/// a latency/fairness trade-off — digests are identical at any budget
-/// ([`Slot::drain`] feeds messages through [`step`] one at a time, in
-/// order).
-const STEP_BATCH_BUDGET: usize = 8;
-
-/// The one participant step — a pooled slot, a joined one and the blocking
+/// The one participant step — a slot in a shard, a joined one and the blocking
 /// [`drive_participant`](crate::session::drive_participant) all take it:
 /// feeds `msg` to `session`, sends the replies, and returns how the
 /// session ended (a protocol error, a reply the link refuses, or its
@@ -353,8 +379,9 @@ pub(crate) fn step<L: GridLink + ?Sized>(
 }
 
 /// One participant slot — its task id, its session and a ledger only it
-/// charges — wherever the backend runs it: on the scheduler pool as a
-/// [`SlotTask`], or in a joined process's [`serve_remote_slots`] loop.
+/// charges — wherever the backend runs it: stepped by its shard's
+/// [`InProcessTransport`], or in a joined process's [`serve_remote_slots`]
+/// loop.
 /// Both feed it through [`step`] and end it the same way, with
 /// [`report`](Self::report).
 pub(crate) struct Slot<'a> {
@@ -378,6 +405,11 @@ impl<'a> Slot<'a> {
             ledger,
             outcome: None,
         }
+    }
+
+    /// The task id this slot holds.
+    pub(crate) fn task_id(&self) -> u64 {
+        self.task_id
     }
 
     /// Feeds up to `budget` queued messages from `link` through [`step`],
@@ -409,7 +441,7 @@ impl<'a> Slot<'a> {
     }
 
     /// The ended slot's report: what its ledger charged and how it ended —
-    /// returned from the pool in this process, sent as a control frame
+    /// returned from its shard in this process, sent as a control frame
     /// from a joined one.
     pub(crate) fn report(self) -> SlotReport {
         SlotReport {
@@ -417,38 +449,6 @@ impl<'a> Slot<'a> {
             costs: self.ledger.report(),
             outcome: self.outcome.expect("only an ended slot reports"),
         }
-    }
-}
-
-/// A [`Slot`] on the grid scheduler's run-queue, with its fault-decorated
-/// link. Completion drops the link immediately, so the engine's
-/// transport observes the hang-up — the `Gone` of a slot that ended
-/// before its verdict — without waiting for the whole pool to drain.
-struct SlotTask<'a> {
-    slot: Slot<'a>,
-    link: Option<FaultyEndpoint>,
-}
-
-impl GridTask for SlotTask<'_> {
-    fn poll(&mut self) -> TaskPoll {
-        let Some(link) = &self.link else {
-            return TaskPoll::Complete;
-        };
-        let poll = self.slot.drain(link, STEP_BATCH_BUDGET);
-        if poll == TaskPoll::Complete {
-            self.link = None; // hang up so the peer sees the closure
-        }
-        poll
-    }
-
-    /// The slot only ever waits for its link: inbound mail, or the hang-up
-    /// that fails the session. Both ring. (A slot already hung up never
-    /// answers `Idle`: its next poll completes.)
-    fn wake_on(&mut self, bell: &Doorbell, key: usize) -> bool {
-        if let Some(link) = &self.link {
-            link.subscribe(bell, key);
-        }
-        true
     }
 }
 
@@ -604,6 +604,9 @@ pub fn serve_remote_slots<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Outbound, SessionOutcome, SupervisorSession};
+    use crate::Verdict;
+    use ugc_grid::Assignment;
 
     #[test]
     fn slot_report_roundtrip() {
@@ -654,6 +657,153 @@ mod tests {
             chaos,
             workers: None,
             steal_seed: 0,
+        }
+    }
+
+    /// Assigns its slots, and once every one has answered, sends each its
+    /// verdict and rejects with its own index as the sample, so a result
+    /// names the session it came from.
+    struct Tally {
+        index: u64,
+        task_ids: Vec<u64>,
+        heard: usize,
+    }
+
+    impl SupervisorSession for Tally {
+        fn start(&mut self) -> Result<Vec<Outbound>, SchemeError> {
+            Ok((0..)
+                .zip(&self.task_ids)
+                .map(|(peer, &task_id)| {
+                    let domain = ugc_task::Domain::new(task_id, 1);
+                    (peer, Message::Assign(Assignment { task_id, domain }))
+                })
+                .collect())
+        }
+
+        fn on_message(
+            &mut self,
+            _slot: usize,
+            _msg: Message,
+        ) -> Result<Vec<Outbound>, SchemeError> {
+            self.heard += 1;
+            if self.heard < self.task_ids.len() {
+                return Ok(Vec::new());
+            }
+            Ok((0..)
+                .zip(&self.task_ids)
+                .map(|(peer, &task_id)| {
+                    let accepted = true;
+                    (peer, Message::Verdict { task_id, accepted })
+                })
+                .collect())
+        }
+
+        fn take_outcome(&mut self) -> Option<SessionOutcome> {
+            (self.heard == self.task_ids.len()).then(|| SessionOutcome {
+                verdict: Verdict::WrongResult { sample: self.index },
+                reports: Vec::new(),
+            })
+        }
+    }
+
+    /// Answers its assignment with a commitment and ends on its verdict.
+    struct Answer(Option<bool>);
+
+    impl ParticipantSession for Answer {
+        fn on_message(&mut self, msg: Message) -> Result<Vec<Message>, SchemeError> {
+            if let Message::Verdict { accepted, .. } = msg {
+                self.0 = Some(accepted);
+                return Ok(Vec::new());
+            }
+            let root = Vec::new();
+            Ok(vec![Message::Commit {
+                task_id: msg.task_id(),
+                root,
+            }])
+        }
+
+        fn finished(&self) -> Option<bool> {
+            self.0
+        }
+    }
+
+    #[test]
+    fn a_round_runs_as_shards_of_whole_sessions_in_registration_order() {
+        let widths = [1, 2, 1, 1, 2, 2, 1, 2];
+        let engine = || {
+            let mut engine = SessionEngine::new();
+            for (index, &width) in (0..).zip(&widths) {
+                engine.add_session(width, |task_ids| {
+                    Box::new(Tally {
+                        index,
+                        task_ids,
+                        heard: 0,
+                    })
+                });
+            }
+            engine
+        };
+        let total = widths.iter().sum::<usize>() as u64;
+        // Where each session's slots start, and the round's end.
+        let bounds: Vec<u64> = std::iter::once(0)
+            .chain(widths.iter().scan(0, |end, &width| {
+                *end += width as u64;
+                Some(*end)
+            }))
+            .collect();
+        for workers in [1, 2, 3, widths.len() + 3] {
+            let shards = engine().split(workers);
+            assert_eq!(shards.len(), workers.min(widths.len()), "{workers} workers");
+            // Consecutive, non-empty runs of task ids covering the round,
+            // each cut on a session boundary, about as large as the rest.
+            let mut next = 0;
+            for shard in &shards {
+                let tasks = shard.tasks();
+                assert_eq!(tasks.start, next, "{workers} workers");
+                assert!(tasks.start < tasks.end, "{workers} workers");
+                assert!(
+                    bounds.contains(&tasks.end),
+                    "{workers} workers split a session"
+                );
+                next = tasks.end;
+            }
+            assert_eq!(next, total, "{workers} workers");
+            let sizes = shards
+                .iter()
+                .map(|shard| shard.tasks().end - shard.tasks().start);
+            let (least, most) = (sizes.clone().min().unwrap(), sizes.max().unwrap());
+            assert!(
+                most - least <= 2,
+                "{workers} workers: shards of {least} to {most} slots"
+            );
+
+            let spec = RoundSpec {
+                workers: Some(workers),
+                ..spec(0, None)
+            };
+            let answer =
+                |_: u64, _: CostLedger| -> Box<dyn ParticipantSession> { Box::new(Answer(None)) };
+            let round = InProcessBackend::new(TransportKind::Direct)
+                .run_round(&spec, engine(), &answer)
+                .unwrap();
+            let named: Vec<u64> = round
+                .sessions
+                .iter()
+                .map(|result| match result.outcome {
+                    Ok(SessionOutcome {
+                        verdict: Verdict::WrongResult { sample },
+                        ..
+                    }) => sample,
+                    ref other => panic!("{workers} workers: {other:?}"),
+                })
+                .collect();
+            assert_eq!(named, (0..widths.len() as u64).collect::<Vec<_>>());
+            let slots: Vec<u64> = round.reports.iter().map(|report| report.slot).collect();
+            assert_eq!(slots, (0..total).collect::<Vec<_>>());
+            assert!(round
+                .reports
+                .iter()
+                .all(|report| report.outcome == Ok(true)));
         }
     }
 

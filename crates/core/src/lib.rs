@@ -25,7 +25,7 @@
 //! implements both interactive sample selection and the Eq. (4) hash-chain
 //! derivation. A fleet of any mix of them is one campaign loop
 //! ([`run_fleet_on`]) over any [`TransportBackend`], and every participant
-//! slot, pooled or in a joined process, ends in one [`SlotReport`].
+//! slot, in this process or in a joined one, ends in one [`SlotReport`].
 //!
 //! # Examples
 //!

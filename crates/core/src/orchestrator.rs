@@ -13,9 +13,9 @@
 //! session per member with a [`SessionEngine`]. It hands the engine, and a
 //! constructor for the participant half of any slot, to the
 //! [`TransportBackend`], which alone decides where each slot runs: in
-//! this process beside the engine, over per-participant links
-//! ([`TransportKind::Direct`]) or dealt by the GRACE broker's routing
-//! rules ([`TransportKind::Brokered`]), or in
+//! this process, the round split into shards of whole sessions whose
+//! engines step their own slots ([`TransportKind::Direct`] and its twin
+//! [`TransportKind::Brokered`]), or in
 //! other processes behind a TCP relay ([`TransportKind::Remote`]).
 //! Verdicts, byte counts, cost ledgers and the fault log are a function
 //! of the campaign's seeds alone: identical over every transport,
@@ -218,23 +218,27 @@ pub struct MixedFleetConfig {
     /// verdicts — replays bit-identically from the plan's seed.
     pub chaos: Option<FaultPlan>,
     /// Per-session inactivity deadline: a session whose peer goes silent
-    /// this long fails with [`SchemeError::TimedOut`] instead of hanging
-    /// the engine. Required when the chaos plan drops messages.
+    /// this long fails with [`SchemeError::TimedOut`]. Without one, a
+    /// session stalled by a dropped message waits until nothing else in
+    /// its shard can move, then fails as disconnected: nothing can ever
+    /// arrive for it.
     pub deadline: Option<Duration>,
     /// How many times a *failed* (errored, not rejected) session is
     /// reassigned to a fresh participant before its error propagates.
     /// Cheating verdicts are never retried.
     pub retries: u32,
-    /// Size of the scheduler pool that runs the participant slots hosted
-    /// in this process: `Some(w)` is `w` OS threads, `None` one per
-    /// available core. Execution-only — verdicts, ledgers and the fault
-    /// log are bit-identical at any setting
-    /// (`tests/scheduler_equivalence.rs`).
+    /// Size of the scheduler pool that runs an in-process round: `Some(w)`
+    /// is `w` OS threads, the calling thread among them, and the round is
+    /// split into `w` shards (one per session when sessions are fewer),
+    /// each an engine stepping its own slots; `None` is one per available
+    /// core. Execution-only — verdicts, ledgers and the fault log are
+    /// bit-identical at any setting (`tests/scheduler_equivalence.rs`).
     pub workers: Option<usize>,
     /// Seed for the scheduler's work-stealing victim order.
     /// Scheduling-only: any seed produces identical verdicts, fault logs
     /// and byte counts — the knob exists so tests can *prove* that
-    /// invariant, not to tune throughput.
+    /// invariant, not to tune throughput. With one shard per worker there
+    /// is nothing to steal, so in process it changes nothing at all.
     pub steal_seed: u64,
 }
 
@@ -318,8 +322,9 @@ pub fn run_durable_fleet<H: HashFunction>(
 /// ledgers and summary digest are the same code and the same bits
 /// whatever the backend.
 ///
-/// Participant slots the backend hosts in this process run on a
-/// scheduler pool sized by [`MixedFleetConfig::workers`]. With
+/// Participant slots the backend hosts in this process run in shards,
+/// one per worker of a scheduler pool sized by
+/// [`MixedFleetConfig::workers`]. With
 /// [`MixedFleetConfig::chaos`] set, each link is decorated with the
 /// seeded fault plan; sessions that fail under chaos (crashes, timeouts,
 /// scrambled protocol) are *reassigned* — rerun on fresh participants

@@ -30,7 +30,7 @@
 //! sessions over in-memory links or a [`Broker`](ugc_grid::Broker); every
 //! participant session runs as one participant slot of a
 //! [`TransportBackend`](crate::TransportBackend) round, fed one message at
-//! a time by the backend's one participant step — on the scheduler pool in
+//! a time by the backend's one participant step — by its shard's engine in
 //! this process or in a `ugc participant join` process. [`drive_participant`]
 //! and [`drive_supervisor`] are thin blocking loops that run a single
 //! session to completion over one endpoint — the blocking reference the

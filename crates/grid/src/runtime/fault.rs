@@ -7,8 +7,11 @@
 //! sequence number)`: two runs with the same seed make exactly the same
 //! per-link decisions, no matter how the OS schedules the threads. The
 //! plan decorates a link as a [`FaultyEndpoint`], which applies the
-//! decisions on whichever thread is driving that participant (an injected
-//! delay stalls that caller, never the engine or a relay).
+//! decisions on whichever thread is driving that participant: an injected
+//! delay stalls that thread. Between processes that is the participant's
+//! alone, never the engine or a relay; in process, a participant slot is
+//! stepped on its shard's thread, so a delay stalls the whole shard, its
+//! engine included.
 //!
 //! Fault decisions are keyed per link rather than per run because a
 //! participant link carries exactly one session's protocol sequence:
@@ -309,7 +312,7 @@ struct FaultState {
 /// A [`GridLink`] decorator that applies a [`LinkFaults`] schedule.
 ///
 /// All fault decisions run on the caller's thread, so an injected delay
-/// stalls only that caller. A seeded crash makes every subsequent operation
+/// stalls that caller — in process, the participant's whole shard. A seeded crash makes every subsequent operation
 /// fail with [`GridError::Disconnected`] and loses any held messages —
 /// from the peer's perspective the participant simply died. An outbound
 /// reorder hold is released by the next send (the swap), the next receive
@@ -405,8 +408,8 @@ impl FaultyEndpoint {
                     seq,
                     micros,
                 });
-                // Stalls only the thread polling this participant: the
-                // engine and the other workers' links keep flowing.
+                // Stalls the thread stepping this participant — in
+                // process, its shard's; the other shards keep flowing.
                 std::thread::sleep(std::time::Duration::from_micros(u64::from(micros)));
             }
             FaultDecision::Deliver | FaultDecision::Reorder => {}

@@ -9,7 +9,7 @@
 //!   replays bit-identically under any thread interleaving.
 //! * [`GridScheduler`] — many poll-driven [`GridTask`]s over a fixed
 //!   pool of OS threads, woken by their links' mail (see
-//!   [`scheduler`]).
+//!   [`scheduler`]); in process, a round's shards, one per worker.
 //!
 //! The scheme-aware wiring (which session runs on which link, behind
 //! which broker) lives in `ugc-core`'s orchestrator and transport

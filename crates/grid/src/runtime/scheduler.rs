@@ -9,7 +9,14 @@
 //! are non-blocking state machines ([`GridTask`]s whose
 //! [`poll`](GridTask::poll) never blocks), and a [`GridScheduler`]
 //! multiplexes thousands of them over `workers` OS threads (default: one
-//! per available core).
+//! per available core), the calling thread being worker 0.
+//!
+//! The in-process backend of `ugc-core` goes one step further: its tasks
+//! are not single participants but *shards* of a round, one per worker,
+//! each a supervisor engine that steps its own participant slots inline.
+//! A shard's one poll runs it to the end, so such a pool neither seats
+//! nor steals; the wake-by-mail machinery below serves tasks that wait
+//! on links of their own.
 //!
 //! Run-queue state is sharded per worker (one shared queue has the
 //! workers fighting over a single mutex at scale), and a task that is
@@ -296,8 +303,9 @@ impl GridScheduler {
     /// Runs every task to [`TaskPoll::Complete`], returning the tasks in
     /// their original order so callers can harvest per-task results.
     ///
-    /// The pool spawns `min(workers, tasks.len())` scoped threads; the
-    /// calling thread only coordinates. Tasks are dealt round-robin
+    /// The pool is `min(workers, tasks.len())` workers: worker 0 is the
+    /// calling thread, the rest are scoped threads spawned for the run,
+    /// so a one-worker pool spawns nothing. Tasks are dealt round-robin
     /// across the workers' ready queues up front; imbalance is repaired
     /// by stealing. Panics in a task's `poll` propagate as a panic here
     /// (the run cannot meaningfully continue).
@@ -313,15 +321,11 @@ impl GridScheduler {
         let workers = self.workers.min(tasks.len());
         let pool = Pool::deal(tasks, workers);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|me| {
-                    let pool = &pool;
-                    scope.spawn(move || worker_loop(pool, me, self.steal_seed))
-                })
-                .collect();
-            for handle in handles {
-                handle.join().expect("scheduler worker panicked");
+            let pool = &pool;
+            for me in 1..workers {
+                scope.spawn(move || worker_loop(pool, me, self.steal_seed));
             }
+            worker_loop(pool, 0, self.steal_seed);
         });
         let finished = pool.finished.into_inner().expect("finished list poisoned");
         finished
@@ -582,6 +586,46 @@ mod tests {
         let finished = GridScheduler::new(8).run(tasks);
         assert_eq!(finished.len(), 24);
         assert_eq!(done.load(Ordering::SeqCst), 24);
+    }
+
+    #[test]
+    fn worker_zero_is_the_calling_thread() {
+        use std::cell::Cell;
+        use std::sync::{Barrier, Mutex};
+        thread_local! {
+            static CALLER: Cell<bool> = const { Cell::new(false) };
+        }
+        /// Records whether it was polled on the caller's thread, once as
+        /// many tasks as the barrier counts are being polled at once.
+        struct Where<'a> {
+            met: &'a Barrier,
+            seen: &'a Mutex<Vec<bool>>,
+        }
+        impl GridTask for Where<'_> {
+            fn poll(&mut self) -> TaskPoll {
+                self.met.wait();
+                self.seen.lock().unwrap().push(CALLER.with(Cell::get));
+                TaskPoll::Complete
+            }
+        }
+        CALLER.with(|caller| caller.set(true));
+        // One worker: every poll runs on the caller, nothing is spawned.
+        // Two: the two tasks meet at the barrier, so they are polled at
+        // once by two threads, the caller and the one spawned worker.
+        for (workers, expected) in [(1, vec![true, true]), (2, vec![false, true])] {
+            let met = Barrier::new(workers);
+            let seen = Mutex::new(Vec::new());
+            let tasks = (0..2)
+                .map(|_| Where {
+                    met: &met,
+                    seen: &seen,
+                })
+                .collect();
+            let _ = GridScheduler::new(workers).run::<Where<'_>>(tasks);
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            assert_eq!(seen, expected, "{workers} worker(s)");
+        }
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! The session engine needs no bell: [`fan_in`] hands out one
 //! [`Endpoint`] per participant slot whose sends all land in one inbox,
 //! the engine's [`FanIn`], in arrival order and tagged with the slot. The
-//! engine drains it a burst at a time under one lock and sleeps on it
-//! when it is empty.
+//! engine and its slots take turns on one thread, so the engine never
+//! waits on the inbox: it drains it a burst at a time, under one lock,
+//! right after a slot's step.
 
 use crate::{GridError, Message};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -361,11 +362,7 @@ pub fn duplex() -> (Endpoint, Endpoint) {
 /// Mail from a [`fan_in`]'s participant slots, one entry per message and
 /// one per hang-up, in the order they were made.
 #[derive(Debug, Default)]
-struct Inbox {
-    state: Mutex<InboxState>,
-    /// Wakes the engine when it sleeps on an empty inbox.
-    ready: Condvar,
-}
+struct Inbox(Mutex<InboxState>);
 
 #[derive(Debug, Default)]
 struct InboxState {
@@ -374,22 +371,17 @@ struct InboxState {
     mail: VecDeque<(usize, Option<Message>)>,
     /// The engine's end is gone: sends fail.
     closed: bool,
-    /// The engine sleeps on `ready`.
-    waiting: bool,
 }
 
 impl Inbox {
     /// Queues one slot's message, or with `None` its hang-up; never
     /// panics, because a hang-up is queued from `drop`.
     fn push(&self, slot: usize, mail: Option<Message>) -> Result<(), GridError> {
-        let mut state = self.state.lock().map_err(|_| GridError::Disconnected)?;
+        let mut state = self.0.lock().map_err(|_| GridError::Disconnected)?;
         if state.closed {
             return Err(GridError::Disconnected);
         }
         state.mail.push_back((slot, mail));
-        if state.waiting {
-            self.ready.notify_one();
-        }
         Ok(())
     }
 }
@@ -422,7 +414,7 @@ pub struct FanIn {
 /// slots[1].send(&Message::Verdict { task_id: 7, accepted: false })?;
 /// drop(slots.remove(0));
 /// let mut burst = VecDeque::new();
-/// assert!(engine.drain(&mut burst, None));
+/// assert!(engine.drain(&mut burst));
 /// assert!(matches!(burst.pop_front(), Some((1, Some(Message::Verdict { .. })))));
 /// assert!(matches!(burst.pop_front(), Some((0, None)))); // slot 0 hung up
 /// # Ok::<(), ugc_grid::GridError>(())
@@ -477,34 +469,15 @@ impl FanIn {
     }
 
     /// Moves everything the inbox holds into `burst`, which must be
-    /// empty, in arrival order, under one lock. While the inbox holds
-    /// nothing, waits for mail — at most `timeout`, or without limit given
-    /// `None`. Returns whether `burst` holds anything: `false` means the
-    /// wait ran out.
+    /// empty, in arrival order, under one lock, without waiting. Returns
+    /// whether `burst` holds anything.
     ///
     /// `burst` trades buffers with the inbox rather than copying into it,
     /// so a caller that keeps one buffer across bursts keeps both queues'
     /// capacity.
-    pub fn drain(
-        &self,
-        burst: &mut VecDeque<(usize, Option<Message>)>,
-        timeout: Option<Duration>,
-    ) -> bool {
+    pub fn drain(&self, burst: &mut VecDeque<(usize, Option<Message>)>) -> bool {
         debug_assert!(burst.is_empty(), "drain is for a spent burst");
-        let mut state = self.inbox.state.lock().expect("inbox lock poisoned");
-        if state.mail.is_empty() {
-            state.waiting = true;
-            let ready = &self.inbox.ready;
-            let empty = |state: &mut InboxState| state.mail.is_empty();
-            state = match timeout {
-                None => ready.wait_while(state, empty).expect("inbox lock poisoned"),
-                Some(timeout) => {
-                    let waited = ready.wait_timeout_while(state, timeout, empty);
-                    waited.expect("inbox lock poisoned").0
-                }
-            };
-            state.waiting = false;
-        }
+        let mut state = self.inbox.0.lock().expect("inbox lock poisoned");
         std::mem::swap(&mut state.mail, burst);
         !burst.is_empty()
     }
@@ -512,7 +485,7 @@ impl FanIn {
 
 impl Drop for FanIn {
     fn drop(&mut self) {
-        if let Ok(mut state) = self.inbox.state.lock() {
+        if let Ok(mut state) = self.inbox.0.lock() {
             state.closed = true;
             state.mail.clear();
         }
@@ -686,15 +659,15 @@ mod tests {
     fn fan_in_tags_mail_by_slot_in_arrival_order_and_hang_ups_come_last() {
         let (engine, mut slots) = fan_in(3);
         let mut burst = VecDeque::new();
-        // Nothing queued: a bounded wait runs out empty-handed.
-        assert!(!engine.drain(&mut burst, Some(Duration::ZERO)));
+        // Nothing queued: the drain comes back empty-handed.
+        assert!(!engine.drain(&mut burst));
         slots[2].send(&verdict(20)).unwrap();
         slots[0].send(&verdict(0)).unwrap();
         slots[2].send(&verdict(21)).unwrap();
         let dying = slots.remove(1);
         dying.send(&verdict(10)).unwrap();
         drop(dying);
-        assert!(engine.drain(&mut burst, None));
+        assert!(engine.drain(&mut burst));
         let seen: Vec<(usize, Option<u64>)> = burst
             .drain(..)
             .map(|(slot, mail)| (slot, mail.map(|msg| msg.task_id())))
@@ -720,17 +693,17 @@ mod tests {
     }
 
     #[test]
-    fn fan_in_wakes_a_sleeping_engine_and_its_drop_hangs_up_every_slot() {
+    fn fan_in_hears_a_slot_on_another_thread_and_its_drop_hangs_up_every_slot() {
         let (engine, slots) = fan_in(2);
         let bell = Doorbell::new();
         slots[1].subscribe(&bell, 9);
         std::thread::scope(|scope| {
             let sender = &slots[0];
             scope.spawn(move || sender.send(&verdict(3)).unwrap());
-            let mut burst = VecDeque::new();
-            assert!(engine.drain(&mut burst, None));
-            assert_eq!(burst.pop_front().map(|(slot, _)| slot), Some(0));
         });
+        let mut burst = VecDeque::new();
+        assert!(engine.drain(&mut burst));
+        assert_eq!(burst.pop_front().map(|(slot, _)| slot), Some(0));
         drop(engine);
         // The subscribed slot hears the hang-up ring, and both read it.
         assert_eq!(bell.wait(), 9);

@@ -124,6 +124,12 @@ impl ComputeTask for PasswordSearch {
         Ok(())
     }
 
+    /// Compares `claimed` with the digest on the stack: the supervisor
+    /// verifies one sample at a time, so this allocates nothing.
+    fn verify(&self, x: u64, claimed: &[u8]) -> bool {
+        claimed == Self::digest(self.salt, x, self.work_factor).as_slice()
+    }
+
     fn unit_cost(&self) -> u64 {
         u64::from(self.work_factor)
     }
@@ -206,5 +212,11 @@ mod tests {
         let fx = task.compute(10);
         assert!(task.verify(10, &fx));
         assert!(!task.verify(11, &fx));
+        // A miss: one flipped bit, or a claim of the wrong width.
+        let mut flipped = fx.clone();
+        flipped[15] ^= 1;
+        assert!(!task.verify(10, &flipped));
+        assert!(!task.verify(10, &fx[..15]));
+        assert!(!task.verify(10, &[]));
     }
 }

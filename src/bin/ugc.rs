@@ -72,11 +72,12 @@ fault schedules are keyed by in-process link identity), cannot journal
 participant slot in this process, so it refuses the pool flags
 (--workers/--steal-seed/--lanes).
 
-All participants run as poll-driven state machines multiplexed over a
-fixed pool of scheduler threads: --workers <w> sets its size (absent or
-0: one per available core). --steal-seed <s> seeds the pool's
-work-stealing victim order — scheduling-only, any seed reproduces the
-identical campaign. --lanes picks whether participant tree builds batch
+A round runs as shards on a fixed pool of scheduler threads, one shard
+per worker, each holding whole sessions and their participants on one
+thread: --workers <w> sets its size (absent or 0: one per available
+core). --steal-seed <s> seeds the pool's work-stealing victim order —
+scheduling-only (one shard per worker leaves nothing to steal), any
+seed reproduces the identical campaign. --lanes picks whether participant tree builds batch
 their hashes through the message-parallel digest kernels (x8, the
 default) or hash one message at a time (scalar) — digests are
 bit-identical either way, so this is purely a speed knob. --chaos <seed>

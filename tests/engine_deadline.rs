@@ -8,6 +8,8 @@
 //!   that answers five times, each a little under half a deadline after
 //!   the last, is never timed out although the whole dialogue takes two.
 //! * One silent session fails alone; its neighbours finish.
+//! * Without a deadline, a campaign that can never finish fails with a
+//!   typed error instead of hanging.
 //!
 //! Sessions and peers are hand-written, so nothing here depends on a
 //! scheme's timing — only on when the engine looks at its clocks.
@@ -17,10 +19,16 @@ use std::time::{Duration, Instant};
 use uncheatable_grid::core::engine::SessionEngine;
 use uncheatable_grid::core::session::Outbound;
 use uncheatable_grid::core::{
-    InProcessBackend, ParticipantSession, RoundSpec, SchemeError, SessionOutcome,
-    SupervisorSession, TransportBackend, TransportKind, Verdict,
+    run_mixed_fleet, FleetScheme, InProcessBackend, MemberSpec, MixedFleetConfig,
+    ParticipantSession, RoundSpec, SchemeError, SessionOutcome, SupervisorSession,
+    TransportBackend, TransportKind, Verdict,
 };
-use uncheatable_grid::grid::{Assignment, CostLedger, Message};
+use uncheatable_grid::grid::runtime::FaultPlan;
+use uncheatable_grid::grid::{
+    Assignment, CostLedger, GridError, HonestWorker, Message, WorkerBehaviour,
+};
+use uncheatable_grid::hash::Sha256;
+use uncheatable_grid::task::workloads::PasswordSearch;
 use uncheatable_grid::task::Domain;
 
 const DEADLINE: Duration = Duration::from_millis(500);
@@ -194,5 +202,55 @@ fn one_silent_session_does_not_fail_its_neighbours() {
                 outcomes[neighbour]
             );
         }
+    }
+}
+
+#[test]
+fn a_campaign_that_loses_every_message_fails_without_a_deadline() {
+    // Every link drops every message, no deadline is set and nothing is
+    // retried: no session can ever hear from its peer, and the campaign
+    // must say so rather than wait forever.
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let task = PasswordSearch::with_hidden_password(4, 9);
+        let screener = task.match_screener();
+        let kinds = [
+            FleetScheme::Cbs {
+                samples: 4,
+                report_audit: 0,
+            },
+            FleetScheme::DoubleCheck,
+            FleetScheme::Naive { samples: 4 },
+        ];
+        let schemes: Vec<_> = (0u64..)
+            .zip(&kinds)
+            .map(|(seed, kind)| (kind.slots(), kind.instantiate::<Sha256>(seed)))
+            .collect();
+        let honest: &dyn WorkerBehaviour = &HonestWorker;
+        let members: Vec<MemberSpec<'_, Sha256>> = schemes
+            .iter()
+            .map(|(slots, scheme)| MemberSpec {
+                scheme: scheme.as_ref(),
+                behaviours: vec![honest; *slots],
+            })
+            .collect();
+        for transport in [TransportKind::Direct, TransportKind::Brokered] {
+            let config = MixedFleetConfig {
+                transport,
+                chaos: Some(FaultPlan::quiet(5).with_drops(1024)),
+                deadline: None,
+                retries: 0,
+                workers: Some(2),
+                ..MixedFleetConfig::default()
+            };
+            let result = run_mixed_fleet(&task, &screener, Domain::new(0, 96), &members, &config);
+            let _ = done.send(result.map(|summary| summary.members.len()));
+        }
+    });
+    for _ in 0..2 {
+        let result = finished
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the campaign panicked or hangs");
+        assert_eq!(result, Err(SchemeError::Grid(GridError::Disconnected)));
     }
 }
