@@ -19,6 +19,7 @@ pub fn violations() {
     let _: Option<rand::rngs::ThreadRng> = None; // fires: clippy::disallowed_types
     let _ = std::thread::current(); // fires: clippy::disallowed_methods
     let _: Option<std::thread::ThreadId> = None; // fires: clippy::disallowed_types
+    let _ = std::thread::available_parallelism(); // fires: clippy::disallowed_methods
 }
 
 pub fn read(x: &u8) -> u8 {
@@ -52,6 +53,7 @@ pub fn excused() {
     let _: Option<rand::rngs::ThreadRng> = None;
     let _ = std::thread::current();
     let _: Option<std::thread::ThreadId> = None;
+    let _ = std::thread::available_parallelism();
 }
 
 #[expect(unsafe_code, reason = "the compliant twin: an excused unsafe block")]

@@ -29,11 +29,14 @@
 //!   engine addresses it directly — no routing table, no relay thread,
 //!   no second queue. Each participant link carries the round's seeded
 //!   fault plan.
-//! * [`RemoteGridBackend`] — a [`TcpLink`] into a `ugc broker serve`
+//! * [`RemoteGridBackend`] — a [`DialLink`] into a `ugc broker serve`
 //!   process that relays to participants in *other* OS processes
 //!   ([`TransportKind::Remote`]), each running [`serve_remote_slots`]. The
-//!   engine runs over that link, and the slots' [`SlotReport`]s come back
-//!   as control frames, so a cross-process campaign produces a summary
+//!   engine runs over that link, reading and writing the socket on its
+//!   own thread, as each joined process does on its one link; the slots'
+//!   [`SlotReport`]s come back as control frames on the same link, so no
+//!   end of a remote round starts a thread, and a cross-process campaign
+//!   produces a summary
 //!   digest bit-identical to the in-process brokered run of the same
 //!   parameters (proven in `tests/wire_equivalence.rs` and in CI's
 //!   `cross-process` job).
@@ -50,7 +53,7 @@
 //! [`run_fleet_on`](crate::run_fleet_on) accepts any backend the embedder
 //! connected.
 
-use crate::engine::{InProcessTransport, SessionEngine, SessionResult, SharedLink};
+use crate::engine::{InProcessTransport, SessionEngine, SessionResult};
 use crate::journal::{get_part_result, get_report, get_var, put_part_result, put_report};
 use crate::session::ParticipantSession;
 use crate::SchemeError;
@@ -58,7 +61,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 use ugc_grid::codec::put_var;
 use ugc_grid::runtime::{FaultEvent, FaultPlan, GridScheduler, GridTask, TaskPoll};
-use ugc_grid::{ControlHandle, CostLedger, CostReport, GridError, GridLink, Message, TcpLink};
+use ugc_grid::{CostLedger, CostReport, DialLink, GridError, GridLink, Message};
 
 /// How a fleet round moves its messages — the one transport-selection
 /// knob, threaded from the CLI through [`MixedFleetConfig`](crate::MixedFleetConfig)
@@ -79,7 +82,7 @@ pub enum TransportKind {
     /// because hiding participants from the supervisor is the relay's
     /// property between processes, not something to re-enact in one.
     Brokered,
-    /// One [`TcpLink`] into a `ugc broker serve` process whose
+    /// One [`DialLink`] into a `ugc broker serve` process whose
     /// participants joined from other OS processes: the relay of
     /// [`Brokered`](Self::Brokered), over sockets.
     Remote,
@@ -336,11 +339,11 @@ impl GridTask for Shard<'_> {
 
 /// The one participant step — a slot in a shard, a joined one and the blocking
 /// [`drive_participant`](crate::session::drive_participant) all take it:
-/// feeds `msg` to `session`, sends the replies, and returns how the
-/// session ended (a protocol error, a reply the link refuses, or its
-/// verdict), or `None` while it runs on.
-pub(crate) fn step<L: GridLink + ?Sized>(
-    link: &L,
+/// feeds `msg` to `session`, sends the replies through `send`, and
+/// returns how the session ended (a protocol error, a reply the link
+/// refuses, or its verdict), or `None` while it runs on.
+pub(crate) fn step(
+    mut send: impl FnMut(&Message) -> Result<(), GridError>,
     session: &mut (dyn ParticipantSession + '_),
     msg: Message,
 ) -> Option<Result<bool, SchemeError>> {
@@ -356,7 +359,7 @@ pub(crate) fn step<L: GridLink + ?Sized>(
         // not depend on *when* the peer disappeared — that is a
         // wall-clock race against the round's teardown, and it would
         // otherwise make the fault log vary with worker count.
-        match link.send(&out) {
+        match send(&out) {
             Ok(()) => {}
             // The peer hung up. What it sent before leaving (a verdict
             // reached on the first copy of a duplicated upload, say) is
@@ -428,7 +431,7 @@ impl<'a> Slot<'a> {
         assert!(budget > 0, "batched step needs a non-zero message budget");
         for consumed in 0..budget {
             self.outcome = match link.try_recv() {
-                Ok(msg) => step(link, self.session.as_mut(), msg),
+                Ok(msg) => step(|out| link.send(out), self.session.as_mut(), msg),
                 Err(GridError::Empty) if consumed > 0 => return TaskPoll::Progress,
                 Err(GridError::Empty) => return TaskPoll::Idle,
                 Err(e) => Some(Err(e.into())),
@@ -452,16 +455,17 @@ impl<'a> Slot<'a> {
     }
 }
 
-/// The cross-process backend: one [`TcpLink`] into a `ugc broker serve`
-/// relay whose participants are `ugc participant join` processes.
+/// The cross-process backend: the supervisor's [`DialLink`] into a
+/// `ugc broker serve` relay whose participants are `ugc participant join`
+/// processes. The engine reads and writes that link on its own thread,
+/// and the slots' reports come up the same link as control frames.
 ///
 /// Single-round by construction — the connection's task routes belong to
 /// the round that made them — and chaos-free: the CLI runs `--connect`
 /// campaigns with `retries = 0` and no fault plan, so one round is also
 /// all a digest-equivalent campaign needs.
 pub struct RemoteGridBackend {
-    link: Option<TcpLink>,
-    control: ControlHandle,
+    link: Option<DialLink>,
     patience: Duration,
 }
 
@@ -469,11 +473,9 @@ impl RemoteGridBackend {
     /// Wraps a handshaken supervisor link (from
     /// [`handshake_supervisor`](ugc_grid::tcp::handshake_supervisor)).
     #[must_use]
-    pub fn new(link: TcpLink) -> Self {
-        let control = link.control_handle();
+    pub fn new(link: DialLink) -> Self {
         RemoteGridBackend {
             link: Some(link),
-            control,
             patience: Duration::from_secs(30),
         }
     }
@@ -487,18 +489,21 @@ impl RemoteGridBackend {
         self
     }
 
-    /// Collects exactly one [`SlotReport`] for each of `slots` slots over
-    /// the control plane, returned in slot order.
-    fn collect_reports(&self, slots: usize) -> Result<Vec<SlotReport>, SchemeError> {
+    /// Collects exactly one [`SlotReport`] for each of `slots` slots from
+    /// `link`'s control frames, returned in slot order.
+    fn collect_reports(
+        &self,
+        link: &mut DialLink,
+        slots: usize,
+    ) -> Result<Vec<SlotReport>, SchemeError> {
         let mut reports: Vec<Option<SlotReport>> = vec![None; slots];
         for _ in 0..slots {
             // The patience window is a hang guard for a participant
             // process that died without reporting (its sessions already
             // failed with `Gone`); it is never an input to verdicts or
             // digests — a report either arrives or the round errors.
-            let frame = self
-                .control
-                .recv_timeout(self.patience)?
+            let frame = link
+                .recv_control(Some(self.patience))?
                 .ok_or(SchemeError::TimedOut)?;
             let report = SlotReport::decode(&frame)?;
             let entry = usize::try_from(report.slot)
@@ -536,15 +541,14 @@ impl TransportBackend for RemoteGridBackend {
                     .into(),
             });
         }
-        let link = self.link.take().ok_or(SchemeError::InvalidConfig {
+        let mut link = self.link.take().ok_or(SchemeError::InvalidConfig {
             reason: "the remote backend serves a single round per connection".into(),
         })?;
         let slots = engine.slots();
-        let mut transport = SharedLink::new(link);
-        let sessions = engine.run(&mut transport);
+        let sessions = engine.run(&mut link);
         // The slots' reports come over the same connection, so it stays
         // open until they are in.
-        let reports = self.collect_reports(slots)?;
+        let reports = self.collect_reports(&mut link, slots)?;
         Ok(RoundResult {
             sessions,
             reports,
@@ -555,22 +559,22 @@ impl TransportBackend for RemoteGridBackend {
 
 /// The other end of a [`RemoteGridBackend`] round, and the body of a
 /// `ugc participant join` process: serves the slots the relay routes to
-/// `link` until the relay hangs up, the normal end of a campaign. A task
+/// `link` until the relay hangs up, the normal end of a campaign. It runs
+/// on the caller's thread, which reads and writes `link` itself. A task
 /// id is its slot's only address, so the first message for a task opens
 /// that slot with `slot(task_id, ledger)`; each is fed by the same step as
-/// a pooled one — a reply the link refuses fails that slot alone — and,
-/// once ended, sends its [`SlotReport`] up as a control frame, outside
-/// the charged data plane. Returns how many slots ended.
+/// a slot in a shard — a reply the link refuses fails that slot alone —
+/// and, once ended, sends its [`SlotReport`] up the link as a control
+/// frame, outside the charged data plane. Returns how many slots ended.
 ///
 /// # Errors
 ///
 /// A receive error other than the relay's hang-up, or whatever `slot`
 /// returns for a task id it cannot open.
 pub fn serve_remote_slots<'a>(
-    link: &TcpLink,
+    link: &mut DialLink,
     slot: &dyn Fn(u64, CostLedger) -> Result<Box<dyn ParticipantSession + 'a>, SchemeError>,
 ) -> Result<u64, SchemeError> {
-    let control = link.control_handle();
     // BTreeMap, not HashMap: slot teardown order must never depend on
     // unspecified iteration order.
     let mut live: BTreeMap<u64, Slot<'a>> = BTreeMap::new();
@@ -589,14 +593,14 @@ pub fn serve_remote_slots<'a>(
                 Slot::new(task_id, slot(task_id, ledger.clone())?, ledger)
             }
         };
-        open.outcome = step(link, open.session.as_mut(), msg);
+        open.outcome = step(|out| link.send(out), open.session.as_mut(), msg);
         if open.outcome.is_none() {
             live.insert(task_id, open);
             continue;
         }
         // A refused report means the campaign tore down first; the relay's
         // hang-up ends the loop.
-        let _ = control.send(open.report().encode());
+        let _ = link.send_control(&open.report().encode());
         served += 1;
     }
 }
@@ -824,7 +828,7 @@ mod tests {
         let accept = std::thread::spawn(move || listener.accept().unwrap().0);
         let stream = TcpStream::connect(addr).unwrap();
         let _peer = accept.join().unwrap();
-        let mut backend = RemoteGridBackend::new(TcpLink::from_stream(stream));
+        let mut backend = RemoteGridBackend::new(DialLink::from_stream(stream));
         let mut run = |spec| backend.run_round(&spec, SessionEngine::new(), &no_slot);
         let err =
             run(spec(0, Some(FaultPlan::chaos(1)))).expect_err("backend must refuse this round");

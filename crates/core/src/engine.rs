@@ -16,7 +16,8 @@
 //!                 │ ▼               │ ▼
 //!        in process: the shard's slots, stepped on the engine's thread,
 //!        their mail in one inbox, slot k holding task k
-//!        — or — one TcpLink into `ugc broker serve`
+//!        — or — one DialLink into `ugc broker serve`,
+//!        read and written on the engine's thread
 //! ```
 //!
 //! What reaches the engine is trusted to be addressed honestly: in
@@ -35,7 +36,9 @@
 //! round's participant slots. In process, the round is split into
 //! shards of whole sessions, each
 //! engine driving its own slots on one thread; between processes, one
-//! engine drives every session over one link.
+//! engine drives every session over one link, which it reads and writes
+//! itself, so no message waits for another thread on its way out of or
+//! into the supervisor's process.
 //!
 //! Per-session traffic is counted by the engine itself: every message a
 //! session sends or receives is charged [`Message::charged`], the one
@@ -55,7 +58,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 use ugc_grid::runtime::{FaultEvent, FaultLog, FaultyEndpoint, LinkFaults, TaskPoll};
-use ugc_grid::{fan_in, Doorbell, FanIn, GridError, GridLink, LinkStats, Message};
+use ugc_grid::{fan_in, DialLink, FanIn, GridError, LinkStats, Message};
 
 /// A transport the engine can multiplex sessions over.
 pub trait EngineTransport {
@@ -70,10 +73,10 @@ pub trait EngineTransport {
     /// Blocks until the next inbound message, or — given an `until` — no
     /// longer than that instant: `Ok(None)` means it passed with nothing
     /// to report. A task whose peer is gone arrives as the relay's
-    /// [`Message::Gone`]. The wait never polls: it sleeps on something
-    /// that wakes it when mail arrives, or — in process — makes the mail
-    /// itself by stepping a participant slot, and sleeps only when no
-    /// slot can move.
+    /// [`Message::Gone`]. The wait never polls: between processes it is a
+    /// blocking read of the socket, whose timeout is what is left until
+    /// `until`; in process it makes the mail itself by stepping a
+    /// participant slot, and sleeps only when no slot can move.
     ///
     /// # Errors
     ///
@@ -90,54 +93,20 @@ fn clock() -> Instant {
     Instant::now()
 }
 
-/// How long a wait that must end by `until` may last (`None`: no limit).
-fn patience(until: Option<Instant>) -> Option<Duration> {
-    until.map(|until| until.saturating_duration_since(clock()))
-}
-
-/// Waits for the next ring on `bell`, giving up once `until` passes.
-fn next_ring(bell: &Doorbell, until: Option<Instant>) -> Option<usize> {
-    match patience(until) {
-        None => Some(bell.wait()),
-        Some(patience) => bell.wait_timeout(patience),
-    }
-}
-
-/// One shared [`GridLink`] whose far side routes: a
-/// [`TcpLink`](ugc_grid::TcpLink) into `ugc broker serve`. The relay
-/// routes by task id and NACKs tasks whose participant hung up with
-/// [`Message::Gone`], so a send is one frame on the link and the relay's
-/// NACK is passed up as mail. The link is subscribed to a bell of its own,
-/// and a receive answers each ring with one look at the link.
-pub(crate) struct SharedLink<L> {
-    link: L,
-    bell: Doorbell,
-}
-
-impl<L: GridLink> SharedLink<L> {
-    pub(crate) fn new(link: L) -> Self {
-        let bell = Doorbell::new();
-        link.subscribe(&bell, 0);
-        SharedLink { link, bell }
-    }
-}
-
-impl<L: GridLink> EngineTransport for SharedLink<L> {
+/// The engine's transport between processes: the supervisor's
+/// [`DialLink`] into `ugc broker serve`. The relay routes by task id and
+/// NACKs tasks whose participant hung up with [`Message::Gone`], so a send
+/// is one frame queued on the link and the relay's NACK is passed up as
+/// mail. A receive is the link's own blocking read on the engine's thread,
+/// bounded by `until` read through the engine's one `clock()`; waiting is
+/// also when the link writes what the engine queued.
+impl EngineTransport for DialLink {
     fn send(&mut self, msg: Message) -> Result<(), GridError> {
-        self.link.send(&msg)
+        DialLink::send(self, &msg)
     }
 
     fn recv(&mut self, until: Option<Instant>) -> Result<Option<Message>, GridError> {
-        // The link rings once per frame (a `TcpLink` also per control
-        // frame) and once more at its end, so every wait ends.
-        while next_ring(&self.bell, until).is_some() {
-            match self.link.try_recv() {
-                Ok(mail) => return Ok(Some(mail)),
-                Err(GridError::Empty) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(None)
+        self.recv_timeout(until.map(|until| until.saturating_duration_since(clock())))
     }
 }
 

@@ -278,7 +278,7 @@ pub fn drive_participant<L: GridLink + ?Sized>(
     session: &mut (dyn ParticipantSession + '_),
 ) -> Result<bool, SchemeError> {
     loop {
-        if let Some(outcome) = step(endpoint, session, endpoint.recv()?) {
+        if let Some(outcome) = step(|out| endpoint.send(out), session, endpoint.recv()?) {
             return outcome;
         }
     }

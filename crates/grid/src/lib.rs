@@ -64,7 +64,7 @@ pub use error::GridError;
 pub use ledger::{CostLedger, CostReport, Throughput};
 pub use message::{Assignment, Message, Opening};
 pub use runtime::{FaultEvent, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll};
-pub use tcp::{ControlHandle, TcpLink};
+pub use tcp::{ControlHandle, DialLink, TcpLink};
 pub use transport::{
     duplex, fan_in, Doorbell, Endpoint, FanIn, GridLink, LinkStats, FRAME_HEADER_BYTES,
 };

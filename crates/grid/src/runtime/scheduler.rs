@@ -283,9 +283,21 @@ impl GridScheduler {
 
     /// One worker per available core — the default for campaigns whose
     /// tasks are genuinely non-blocking.
+    ///
+    /// The host is read once per process: on Linux each read re-parses
+    /// cgroup files, and a round without a configured pool size asks
+    /// again.
     #[must_use]
     pub fn available() -> Self {
-        Self::new(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one read of the host's core count in ugc-grid, memoised: execution layout, never a digest input"
+        )]
+        let cores = *CORES.get_or_init(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        });
+        Self::new(cores)
     }
 
     /// The configured pool size.
@@ -651,7 +663,7 @@ mod tests {
     fn default_uses_available_cores() {
         assert_eq!(
             GridScheduler::default().workers(),
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            GridScheduler::available().workers()
         );
     }
 

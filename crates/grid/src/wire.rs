@@ -159,22 +159,159 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), GridError> 
     w.flush().map_err(|_| GridError::Disconnected)
 }
 
-/// Reads from `r` until `buf` is full or the stream ends; returns how
-/// many bytes were filled.
-fn read_into<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, GridError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
+/// The payload length a frame's header declares, and whether the frame
+/// is a control frame: the one check every reader makes before it trusts
+/// a length.
+fn read_header(header: [u8; 4]) -> Result<(bool, usize), GridError> {
+    let word = u32::from_le_bytes(header);
+    let len = u64::from(word & !CONTROL_BIT);
+    if len > MAX_FRAME_LEN {
+        return Err(GridError::LengthOverflow { declared: len });
+    }
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bounded above by MAX_FRAME_LEN (1<<30), well inside usize on every supported platform"
+    )]
+    Ok((word & CONTROL_BIT != 0, len as usize))
+}
+
+/// Bytes read off a stream and not yet taken as frames: the one frame
+/// parser, behind [`read_frame`] and behind a
+/// [`DialLink`](crate::DialLink)'s receive.
+///
+/// A reader asks it for [`room`](Self::room), reads into that, reports
+/// how much arrived with [`filled`](Self::filled) and takes every whole
+/// frame with [`next_frame`](Self::next_frame). The buffer grows as
+/// bytes arrive, by at most [`READ_STEP`] past them for the frame in
+/// hand, so a header alone never buys its sender more than one step of
+/// the reader's memory, and a header declaring more than
+/// [`MAX_FRAME_LEN`] is refused before anything grows. Bytes of a frame
+/// not yet whole stay put, however many reads it takes; where the stream
+/// ends, [`at_end`](Self::at_end) classifies what is left.
+#[derive(Debug, Default)]
+pub(crate) struct FrameBuffer {
+    /// Initialised storage; `start..end` holds the bytes not yet taken.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl FrameBuffer {
+    /// A buffer whose first growth stays within `capacity` bytes.
+    fn with_capacity(capacity: usize) -> Self {
+        FrameBuffer {
+            buf: Vec::with_capacity(capacity),
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The frame at the head of the buffer: `Ok((control, len))` when it
+    /// is whole, `Err(missing)` with the bytes it still lacks otherwise.
+    fn head(&self) -> Result<Result<(bool, usize), usize>, GridError> {
+        let held = &self.buf[self.start..self.end];
+        let Some((&header, payload)) = held.split_first_chunk::<4>() else {
+            return Ok(Err(4 - held.len()));
+        };
+        let (control, len) = read_header(header)?;
+        Ok(match len.checked_sub(payload.len()) {
+            Some(missing @ 1..) => Err(missing),
+            _ => Ok((control, len)),
+        })
+    }
+
+    /// Takes the next whole frame, if the buffer holds one: whether it is
+    /// a control frame, and its payload.
+    ///
+    /// # Errors
+    ///
+    /// [`GridError::LengthOverflow`] if the next header declares more
+    /// than [`MAX_FRAME_LEN`] bytes.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<(bool, &[u8])>, GridError> {
+        let Ok((control, len)) = self.head()? else {
+            return Ok(None);
+        };
+        let at = self.start + 4;
+        self.start = at + len;
+        Ok(Some((control, &self.buf[at..at + len])))
+    }
+
+    /// Where the next read goes: room for what the frame in hand still
+    /// lacks, [`READ_STEP`] of it at most, and for at least `ahead` bytes
+    /// in all. With `ahead` zero a read never takes a byte past the frame
+    /// in hand. A buffer left empty after growing past a step for one
+    /// large frame is released first.
+    ///
+    /// # Errors
+    ///
+    /// As [`next_frame`](Self::next_frame).
+    pub(crate) fn room(&mut self, ahead: usize) -> Result<&mut [u8], GridError> {
+        let lacking = self.head()?.err().unwrap_or(0);
+        let want = lacking.min(READ_STEP).max(ahead);
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+            if self.buf.len() > READ_STEP {
+                self.buf = Vec::new();
+            }
+        }
+        if self.buf.len() - self.end < want {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= std::mem::take(&mut self.start);
+            if self.buf.len() - self.end < want {
+                self.buf.resize(self.end + want, 0);
+            }
+        }
+        Ok(&mut self.buf[self.end..self.end + want])
+    }
+
+    /// The bytes the buffer holds storage for.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Records that a read put `n` bytes at the start of the last
+    /// [`room`](Self::room).
+    pub(crate) fn filled(&mut self, n: usize) {
+        self.end += n;
+        debug_assert!(self.end <= self.buf.len(), "filled past the room");
+    }
+
+    /// What the stream ending here means: `Ok` on a frame boundary (a
+    /// clean close), a [`GridError::TornFrame`] naming what the last
+    /// frame declared and got otherwise.
+    ///
+    /// # Errors
+    ///
+    /// The torn frame, or the length overflow its header declared.
+    pub(crate) fn at_end(&self) -> Result<(), GridError> {
+        let held = &self.buf[self.start..self.end];
+        let (expected, got) = match held.split_first_chunk::<4>() {
+            None if held.is_empty() => return Ok(()),
+            None => (4, held.len()),
+            Some((&header, payload)) => (read_header(header)?.1, payload.len()),
+        };
+        Err(GridError::TornFrame {
+            expected: expected as u64,
+            got: got as u64,
+        })
+    }
+}
+
+/// Reads once from `r` into `buf`, retrying an interrupted read; 0 means
+/// the stream ended.
+fn read_some<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, GridError> {
+    loop {
+        match r.read(buf) {
+            Ok(n) => return Ok(n),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return Err(GridError::Disconnected),
         }
     }
-    Ok(filled)
 }
 
-/// Reads one frame from `r`.
+/// Reads one frame from `r`, never a byte past it: what a handshake
+/// reads before a link takes the stream over.
 ///
 /// Returns `Ok(None)` on a clean close (EOF exactly on a frame
 /// boundary).
@@ -186,50 +323,25 @@ fn read_into<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, GridError> {
 /// [`MAX_FRAME_LEN`] bytes, [`GridError::Disconnected`] on stream
 /// failure.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, GridError> {
-    let mut header = [0u8; 4];
-    let got = read_into(r, &mut header)?;
-    if got == 0 {
-        return Ok(None);
-    }
-    if got < header.len() {
-        return Err(GridError::TornFrame {
-            expected: header.len() as u64,
-            got: got as u64,
-        });
-    }
-    let word = u32::from_le_bytes(header);
-    let control = word & CONTROL_BIT != 0;
-    let len = u64::from(word & !CONTROL_BIT);
-    if len > MAX_FRAME_LEN {
-        return Err(GridError::LengthOverflow { declared: len });
-    }
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "bounded above by MAX_FRAME_LEN (1<<30), well inside usize on every supported platform"
-    )]
-    let declared = len as usize;
-    // The buffer grows as bytes arrive, so a header alone never buys its
-    // sender more than one step of the reader's memory.
-    let mut payload = vec![0u8; declared.min(READ_STEP)];
-    let mut filled = 0;
+    // Room for a protocol frame of the common size in one allocation,
+    // which becomes the payload's.
+    let mut frames = FrameBuffer::with_capacity(256);
     loop {
-        filled += read_into(r, &mut payload[filled..])?;
-        if filled < payload.len() {
-            return Err(GridError::TornFrame {
-                expected: len,
-                got: filled as u64,
-            });
+        if let Ok((control, len)) = frames.head()? {
+            let mut payload = frames.buf;
+            payload.truncate(4 + len);
+            payload.drain(..4);
+            return Ok(Some(if control {
+                Frame::Control(payload)
+            } else {
+                Frame::Data(payload)
+            }));
         }
-        if filled == declared {
-            break;
+        match read_some(r, frames.room(0)?)? {
+            0 => return frames.at_end().map(|()| None),
+            n => frames.filled(n),
         }
-        payload.resize(declared.min(filled + READ_STEP), 0);
     }
-    Ok(Some(if control {
-        Frame::Control(payload)
-    } else {
-        Frame::Data(payload)
-    }))
 }
 
 /// First handshake frame, sent by whoever dialed in.

@@ -48,10 +48,20 @@ impl Parallelism {
         Self::threads(1)
     }
 
-    /// One worker per available hardware core (the default).
+    /// One worker per available hardware core (the default), read from
+    /// the host once per process: on Linux each read re-parses cgroup
+    /// files, and a joined participant opens a slot per task.
     #[must_use]
     pub fn available() -> Self {
-        Self::threads(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one read of the host's core count in ugc-merkle, memoised: execution layout, never a digest input"
+        )]
+        let cores = *CORES.get_or_init(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        });
+        Self::threads(cores)
     }
 
     /// The configured worker count (≥ 1).

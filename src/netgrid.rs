@@ -16,7 +16,7 @@
 //!   [`CampaignPlan`] the supervisor runs, and serves every slot the
 //!   broker round-robins to it through `ugc-core`'s
 //!   [`serve_remote_slots`] — the same participant slot, fed by the same
-//!   step, as the in-process scheduler pool runs.
+//!   step, as an in-process shard runs.
 //! * [`supervise`] (`ugc fleet --connect`) dials in as the supervisor and
 //!   runs the campaign over a [`RemoteGridBackend`].
 //! * [`run_remote_campaign`] wires all three together over loopback in
@@ -24,6 +24,14 @@
 //!   repository benchmark's `wire_loopback` workload use to prove a
 //!   cross-process campaign's digest is bit-identical to the in-process
 //!   run.
+//!
+//! Threads: the broker has one per socket it relays for, a reader and a
+//! writer per [`TcpLink`], plus its relay and its acceptor, because one
+//! thread must wait on N sockets and `std` has no portable readiness
+//! wait. A dial-in end has one socket and one thread that consumes it, so
+//! its [`DialLink`](ugc_grid::DialLink) is read and written on that
+//! thread and starts none: the supervisor's engine, and each joiner's
+//! slot loop, write what they queued when they are about to wait.
 //!
 //! Reconnect semantics: the server keeps accepting after the roster is
 //! complete; a late joiner becomes a fresh round-robin target. Tasks
@@ -422,10 +430,10 @@ fn serve(
 /// end-of-campaign disconnect.
 pub fn join(addr: &str) -> Result<JoinOutcome, String> {
     let stream = connect(addr)?;
-    let (link, welcome) =
+    let (mut link, welcome) =
         handshake_participant(stream).map_err(|e| format!("handshake with {addr} failed: {e}"))?;
     let plan = CampaignPlan::new(FleetParams::decode(&welcome.params)?)?;
-    let slots_served = serve_remote_slots(&link, &|slot, ledger| {
+    let slots_served = serve_remote_slots(&mut link, &|slot, ledger| {
         plan.participant_session(slot, ledger)
     })
     .map_err(|e| e.to_string())?;
@@ -491,7 +499,9 @@ fn refuse_chaos(params: &FleetParams) -> Result<(), String> {
 /// process: a [`GridServer`] on port 0, `joiners` participant threads
 /// running [`join`], and the supervisor inline on the calling thread
 /// ([`supervise`]) — returning its [`FleetSummary`], whose digest must be
-/// bit-identical to the in-process brokered run of the same params.
+/// bit-identical to the in-process brokered run of the same params. Each
+/// joiner thread and the calling thread read and write their own sockets;
+/// the only other threads are the server's.
 ///
 /// # Errors
 ///

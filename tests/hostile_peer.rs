@@ -23,8 +23,7 @@ use uncheatable_grid::core::{
 };
 use uncheatable_grid::grid::tcp::{handshake_participant, handshake_supervisor};
 use uncheatable_grid::grid::{
-    CheatSelection, ControlHandle, CostLedger, GridLink, HonestWorker, Message, SemiHonestCheater,
-    TcpLink, WorkerBehaviour,
+    CheatSelection, CostLedger, DialLink, HonestWorker, Message, SemiHonestCheater, WorkerBehaviour,
 };
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::netgrid::{self, GridServer};
@@ -250,17 +249,16 @@ fn supervise(addr: String) -> Result<FleetSummary, SchemeError> {
 /// report to `report` to send.
 fn hand_rolled_join(
     addr: &str,
-    mut inject: impl FnMut(&TcpLink, u32, &Message),
-    mut report: impl FnMut(&ControlHandle, SlotReport),
+    mut inject: impl FnMut(&mut DialLink, u32, &Message),
+    mut report: impl FnMut(&mut DialLink, SlotReport),
 ) {
     let stream = netgrid::connect(addr).expect("joiner connect");
-    let (link, welcome) = handshake_participant(stream).expect("joiner handshake");
+    let (mut link, welcome) = handshake_participant(stream).expect("joiner handshake");
     let params = FleetParams::decode(&welcome.params).expect("params");
     let plan = CampaignPlan::new(params).expect("plan");
-    let control = link.control_handle();
     let mut live: BTreeMap<u64, (Box<dyn ParticipantSession + '_>, CostLedger)> = BTreeMap::new();
     while let Ok(msg) = link.recv() {
-        inject(&link, welcome.peer_index, &msg);
+        inject(&mut link, welcome.peer_index, &msg);
         let slot = msg.task_id();
         let (session, ledger) = live.entry(slot).or_insert_with(|| {
             let ledger = CostLedger::new();
@@ -284,7 +282,7 @@ fn hand_rolled_join(
         let costs = ledger.report();
         live.remove(&slot);
         report(
-            &control,
+            &mut link,
             SlotReport {
                 slot,
                 costs,
@@ -294,8 +292,8 @@ fn hand_rolled_join(
     }
 }
 
-fn send(control: &ControlHandle, report: &SlotReport) {
-    let _ = control.send(report.encode());
+fn send(link: &mut DialLink, report: &SlotReport) {
+    let _ = link.send_control(&report.encode());
 }
 
 #[test]
@@ -329,7 +327,7 @@ fn a_joiner_cannot_speak_for_a_slot_another_joiner_holds() {
                         injected += 1;
                     }
                 },
-                |control, report| send(control, &report),
+                |link, report| send(link, &report),
             );
             injected
         })
@@ -360,13 +358,13 @@ fn a_slot_reported_twice_is_a_typed_error() {
             hand_rolled_join(
                 &addr,
                 |_, _, _| {},
-                |control, report| {
+                |link, report| {
                     held.push(report);
                     if held.len() == 3 {
                         held.sort_by_key(|r| r.slot);
-                        send(control, &held[0]);
+                        send(link, &held[0]);
                         for report in &held {
-                            send(control, report);
+                            send(link, report);
                         }
                     }
                 },

@@ -1,8 +1,11 @@
-//! The cross-process relay under the two things that used to hurt it:
+//! The cross-process relay under the things that used to hurt it:
 //! dialers that connect mid-campaign and never finish their hello (the
-//! relay thread once waited out their patience itself), and being run
+//! relay thread once waited out their patience itself), being run
 //! hundreds of times in one process (every campaign must take all of
-//! its threads, sockets and its listener with it).
+//! its threads, sockets and its listener with it), and volume — thousands
+//! of sessions through one joiner, and uploads far larger than a read —
+//! where a dial-in link that queued a frame and never wrote it would
+//! hang the campaign instead of failing it.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -170,4 +173,52 @@ fn hundreds_of_remote_campaigns_leave_no_thread_or_descriptor_behind() {
         before,
         "(threads, descriptors) after 200 campaigns: something outlived run_remote_campaign"
     );
+}
+
+/// Runs `p` over loopback with `joiners` join threads and returns its
+/// digest, failing instead of hanging once `watchdog` passes: a frame
+/// that a dial-in link queued and never wrote stalls the campaign, and
+/// the watchdog turns that into a failure.
+fn remote_digest_within(p: &FleetParams, joiners: usize, watchdog: Duration) -> String {
+    let (tx, rx) = mpsc::channel();
+    let params = p.clone();
+    std::thread::spawn(move || {
+        let result = netgrid::run_remote_campaign(&params, joiners);
+        tx.send(result.map(|summary| summary_digest(&summary))).ok();
+    });
+    rx.recv_timeout(watchdog)
+        .expect("the remote campaign stalled: a queued frame was never written")
+        .expect("remote campaign")
+}
+
+#[test]
+fn thousands_of_cbs_sessions_through_one_joiner_match_the_in_process_run() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // 8192 members in a debug build; a release build (CI's TCP stress
+    // step) runs 65 536, the size that once took seconds per campaign.
+    let members: u64 = if cfg!(debug_assertions) { 8192 } else { 65_536 };
+    let p = |transport| FleetParams {
+        m: 6,
+        ..params(members, 8 * members, transport)
+    };
+    let reference = brokered_digest(&p(TransportKind::Brokered));
+    let digest = remote_digest_within(&p(TransportKind::Remote), 1, Duration::from_secs(120));
+    assert_eq!(digest, reference);
+}
+
+#[test]
+fn naive_uploads_of_a_quarter_mebibyte_match_the_in_process_run() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // Two members of 16 384 inputs each: every upload carries 16 384
+    // results of 16 bytes, 256 KiB in one frame, many reads long.
+    let p = |transport| FleetParams {
+        scheme: "naive".into(),
+        ..params(2, 2 * 16_384, transport)
+    };
+    let reference = brokered_digest(&p(TransportKind::Brokered));
+    for joiners in [1, 2] {
+        let digest =
+            remote_digest_within(&p(TransportKind::Remote), joiners, Duration::from_secs(120));
+        assert_eq!(digest, reference, "{joiners} joiner(s)");
+    }
 }

@@ -4,17 +4,21 @@
 //! messages, not verifying them, so this is where a per-message copy or
 //! an encode on an in-process link shows. This binary counts every
 //! allocation the process makes (a `realloc` counts as one) and bounds
-//! the average per session of two fixed rosters. The bounds are ceilings,
+//! the average per session of two fixed rosters, and what a joined
+//! participant process pays to open one slot. The bounds are ceilings,
 //! not exact counts: how far a queue grows before it is drained depends on
 //! how the threads interleave.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use uncheatable_grid::campaign::{CampaignPlan, FleetParams};
 use uncheatable_grid::core::{
     run_mixed_fleet, FleetScheme, MemberSpec, MixedFleetConfig, Parallelism, TransportKind,
     VerificationScheme,
 };
-use uncheatable_grid::grid::{CheatSelection, HonestWorker, SemiHonestCheater, WorkerBehaviour};
+use uncheatable_grid::grid::{
+    CheatSelection, CostLedger, HonestWorker, SemiHonestCheater, WorkerBehaviour,
+};
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;
 use uncheatable_grid::task::{Domain, ZeroGuesser};
@@ -112,7 +116,43 @@ fn allocations_per_session(
     made as f64 / sessions as f64
 }
 
-/// One test for both rosters: the counter is process-wide, and a second
+/// Opens every participant slot of the benchmark's `wire_loopback` plan
+/// (512 CBS members over 8192 inputs, four of them cheaters) as a joined
+/// participant process does — a fresh ledger and
+/// `CampaignPlan::participant_session` per slot — and returns the
+/// allocations per open, averaged over `passes` passes after one warm-up.
+fn allocations_per_slot_open(passes: u64) -> f64 {
+    let plan = CampaignPlan::new(FleetParams {
+        participants: 512,
+        cheaters: 4,
+        n: 8192,
+        m: 6,
+        seed: 11,
+        scheme: "cbs".into(),
+        transport: TransportKind::Remote,
+        churn: false,
+        chaos_seed: None,
+    })
+    .expect("the plan expands");
+    let slots = plan.total_slots() as u64;
+    let open_all = || {
+        for slot in 0..slots {
+            let session = plan
+                .participant_session(slot, CostLedger::new())
+                .expect("every slot of the plan opens");
+            drop(session);
+        }
+    };
+    open_all();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..passes {
+        open_all();
+    }
+    let made = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    made as f64 / (passes * slots) as f64
+}
+
+/// One test for every roster: the counter is process-wide, and a second
 /// test would have the harness allocate for it while this one counts.
 #[test]
 fn a_session_allocates_within_its_bound() {
@@ -152,6 +192,11 @@ fn a_session_allocates_within_its_bound() {
         per_session <= HEAVY_BOUND,
         "a commit-heavy session allocates {per_session:.1} times, above its bound of {HEAVY_BOUND}"
     );
+    let per_open = allocations_per_slot_open(3);
+    assert!(
+        per_open <= SLOT_OPEN_BOUND,
+        "opening a joined slot allocates {per_open:.1} times, above its bound of {SLOT_OPEN_BOUND}"
+    );
 }
 
 /// Measured at 35.05–35.08 per session (debug and release, two cores or
@@ -173,3 +218,10 @@ const SWARM_BOUND: f64 = 37.9;
 /// in-process routing table made 163.2–163.5 here, and links that
 /// encoded every message in process 170.3–171.0.
 const HEAVY_BOUND: f64 = 100.5;
+
+/// Measured at 3.0 per open (debug and release), the fresh ledger
+/// included. The host's core count, read for each open's tree-build
+/// threads, used to cost 4 more (7.0), because every read re-parsed
+/// cgroup files; it is read once per process now. Bounded with 8 %
+/// headroom.
+const SLOT_OPEN_BOUND: f64 = 3.2;
