@@ -615,7 +615,10 @@ impl DialLink {
 
     /// Receives the next control frame, waiting at most `timeout` for
     /// bytes; data frames that arrive meanwhile queue for
-    /// [`recv`](Self::recv).
+    /// [`recv`](Self::recv). Once more than [`INBOUND_HIGH_WATER`] of them
+    /// are queued the wait ends as if it had timed out, so a peer cannot
+    /// grow the queue without bound, or hold the wait open, by sending
+    /// data where control is awaited.
     ///
     /// # Errors
     ///
@@ -629,7 +632,7 @@ impl DialLink {
             if let Some(payload) = self.control.pop_front() {
                 return Ok(Some(payload));
             }
-            if !self.wait(timeout)? {
+            if self.data.len() > INBOUND_HIGH_WATER || !self.wait(timeout)? {
                 return Ok(None);
             }
         }
@@ -1022,6 +1025,25 @@ mod tests {
         );
         assert!(link.inbound.capacity() <= READ_BUFFER_BYTES);
         assert_eq!(link.recv().unwrap_err(), GridError::Disconnected);
+    }
+
+    #[test]
+    fn dial_link_stops_waiting_for_control_behind_a_flood_of_data() {
+        let (mut link, mut dialed) = dial_link_and_raw_peer();
+        let mut flood = Vec::new();
+        for task_id in 0..=INBOUND_HIGH_WATER as u64 {
+            let msg = Message::Verdict {
+                task_id,
+                accepted: true,
+            };
+            write_frame(&mut flood, &Frame::Data(msg.encode())).unwrap();
+        }
+        dialed.write_all(&flood).unwrap();
+        // The peer stays connected and silent: without the mark the wait
+        // would read the flood and then sit out its whole patience.
+        assert_eq!(link.recv_control(Some(Duration::from_secs(60))), Ok(None));
+        assert_eq!(link.data.len(), INBOUND_HIGH_WATER + 1);
+        assert_eq!(link.recv().unwrap().task_id(), 0);
     }
 
     #[test]

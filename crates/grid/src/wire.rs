@@ -310,8 +310,8 @@ fn read_some<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, GridError> {
     }
 }
 
-/// Reads one frame from `r`, never a byte past it: what a handshake
-/// reads before a link takes the stream over.
+/// Reads one frame from `r`, never a byte past it, so a handshake can
+/// read its frame before a link takes the stream over.
 ///
 /// Returns `Ok(None)` on a clean close (EOF exactly on a frame
 /// boundary).
