@@ -33,21 +33,46 @@
 //! A [`Broker`] is those rules with links attached, for the relay between
 //! processes behind `ugc broker serve`; in process, the engine's slot `k`
 //! holds task `k` and needs no routing table.
-//! [`pump`](Broker::pump) subscribes the supervisor and every participant
-//! to one [`Doorbell`] ([`GridLink::subscribe`]) and relays one frame per
-//! ring: its cost per message does not depend on how many participants
-//! sit idle, and mail is served in arrival order, so no chatty
-//! participant can starve another.
-//! `ugc broker serve` runs it over [`TcpLink`](crate::TcpLink)s, handing
-//! it a hook for what only a cross-process relay has — control frames to
-//! forward and late joiners to admit. The step-at-a-time calls
+//!
+//! # The relay: one thread per link
+//!
+//! [`Broker::relay`] (or [`Broker::into_relay`], for a relay that admits
+//! late participants through an [`Admission`]) serves every link on a
+//! thread of its own, the supervisor's on the caller's. Each thread blocks
+//! on its own link's [`RelayLink::recv_burst`], routes every message of
+//! the burst through the shared [`Routes`] under one lock, and queues it
+//! straight onto the link it is for: a supervisor message onto the
+//! participant its task is routed to, a participant's message — and its
+//! control frames, the slot reports — onto the supervisor's, in arrival
+//! order. Before it blocks again it writes each link it queued onto
+//! ([`RelayLink::flush`]). A frame thus crosses the broker on the thread
+//! that read it: there is no relay thread between the links and no writer
+//! thread behind them. `ugc broker serve` runs the relay over
+//! [`RelaySocket`](crate::RelaySocket)s; tests and examples run the same
+//! relay over [`Endpoint`]s, whose sends deliver at once.
+//!
+//! The supervisor's link ending ends the relay: its thread has relayed
+//! everything that came before the end, so the relay shuts every
+//! participant link down, which is how the participants learn the
+//! campaign is over, and joins their threads. A participant's link ending
+//! NACKs the tasks it held, in ascending order ([`Routes::mark_gone`]).
+//! Mail that does not decode, that no route exists for, or that its
+//! sender may not send ([`Routes::speaks_for`]) is dropped.
+//!
+//! Why a thread blocked in a write cannot hang the grid where the
+//! threaded relay would not have is argued for sockets, the only links
+//! whose writes block, in the [`tcp`](crate::tcp) module docs.
+//!
+//! The step-at-a-time calls
 //! ([`try_relay_outward`](Broker::try_relay_outward),
 //! [`try_relay_inward`](Broker::try_relay_inward), which sweeps the
-//! participants from a rotating cursor) relay exactly as the pump does,
+//! participants from a rotating cursor) route exactly as the relay does,
 //! for callers that drive a broker by hand on one thread.
 
-use crate::{Doorbell, Endpoint, GridError, GridLink, Message};
+use crate::{Endpoint, GridError, GridLink, Message};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::thread::JoinHandle;
 
 /// Relay statistics for a broker run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -186,7 +211,7 @@ impl Routes {
 /// learns which participant served which task (the paper's "GRB hides the
 /// participants" property).
 #[derive(Debug)]
-pub struct Broker<L: GridLink = Endpoint> {
+pub struct Broker<L = Endpoint> {
     supervisor: L,
     participants: Vec<L>,
     routes: Routes,
@@ -196,12 +221,12 @@ pub struct Broker<L: GridLink = Endpoint> {
     stats: RelayStats,
 }
 
-impl<L: GridLink> Broker<L> {
+impl<L> Broker<L> {
     /// Creates a broker with its supervisor-side link and participant links.
     ///
     /// The broker is generic over the link type: `ugc broker serve` relays
-    /// between [`TcpLink`](crate::TcpLink)s, tests and examples between
-    /// [`Endpoint`]s.
+    /// between [`RelaySocket`](crate::RelaySocket)s, tests and examples
+    /// between [`Endpoint`]s.
     ///
     /// # Panics
     ///
@@ -224,22 +249,14 @@ impl<L: GridLink> Broker<L> {
         }
     }
 
-    /// Adds a freshly connected participant (a late joiner or a
-    /// reconnect) as a round-robin target for future assignments, and
-    /// returns its index. Tasks NACKed when a predecessor died are *not*
-    /// replayed — the supervisor's retry round reassigns them, which is
-    /// how reconnect-with-NACK composes with [`Message::Gone`].
-    pub fn add_participant(&mut self, link: L) -> usize {
-        self.participants.push(link);
-        self.routes.add_participant()
-    }
-
     /// Relay statistics so far.
     #[must_use]
     pub fn stats(&self) -> RelayStats {
         self.stats
     }
+}
 
+impl<L: GridLink> Broker<L> {
     /// Tells the supervisor that `tasks` can never be answered. Errors
     /// sending the NACK (supervisor also gone) are ignored — there is
     /// nobody left to tell.
@@ -322,90 +339,379 @@ impl<L: GridLink> Broker<L> {
         }
         Ok(None)
     }
+}
 
-    /// The key the supervisor's link rings while the broker is pumped;
-    /// participant `i` rings `i`. Any other key on the bell is the
-    /// caller's own.
-    pub const SUPERVISOR_KEY: usize = usize::MAX;
+impl<L: RelayLink> Broker<L> {
+    /// Relays on one thread per link until the supervisor's link ends,
+    /// then ends every participant link and returns what was relayed. Each
+    /// thread reads its own link, routes what arrived under one lock and
+    /// queues it onto the link it is for, then writes every link it
+    /// queued onto before it reads again.
+    #[must_use]
+    pub fn relay(self) -> RelayStats {
+        self.into_relay().run()
+    }
 
-    /// Drives the broker until the supervisor has hung up and all queued
-    /// traffic is drained, sleeping on `bell` between messages.
-    /// Messages addressed to an already-disconnected peer are dropped
-    /// (the task NACKed), as a real store-and-forward broker would drop
-    /// mail for a dead host; once the supervisor is gone, undeliverable
-    /// inward mail is likewise dropped — and once the outward queue is
-    /// drained too, the pump returns, which closes the participant links
-    /// and lets blocked participants observe the disconnect.
+    /// Starts the participant links' threads and hands back the
+    /// [`Relay`], whose [`admission`](Relay::admission) admits late
+    /// participants and whose [`run`](Relay::run) serves the supervisor's
+    /// link.
+    #[must_use]
+    pub fn into_relay(self) -> Relay<L> {
+        let Broker {
+            supervisor,
+            participants,
+            routes,
+            stats,
+            ..
+        } = self;
+        let shared = Arc::new(Shared {
+            supervisor,
+            state: Mutex::new(RelayState {
+                routes,
+                participants: Vec::new(),
+                stats,
+                threads: Vec::new(),
+                ended: false,
+            }),
+            admitting: Mutex::new(()),
+        });
+        {
+            let mut state = shared.lock();
+            for link in participants {
+                state.start(&shared, link);
+            }
+        }
+        Relay { shared }
+    }
+}
+
+/// One piece of mail a relayed link received, or that the relay queues
+/// on one.
+#[derive(Debug, Clone, Copy)]
+pub enum Mail<'a> {
+    /// A data frame's message, with the frame's payload when the link
+    /// received one: the codec accepts only its own canonical encoding,
+    /// so those bytes are the message's one encoding, and a socket
+    /// forwards them rather than encoding the message again.
+    Data(&'a Message, Option<&'a [u8]>),
+    /// A control frame's payload (a participant's slot report), relayed
+    /// up as it came.
+    Control(&'a [u8]),
+}
+
+/// A link the relay serves on a thread of its own ([`Broker::relay`]).
+///
+/// Only that thread receives from the link; any relay thread may queue
+/// onto it, and whoever queued flushes before it next blocks.
+pub trait RelayLink: Send + Sync + 'static {
+    /// Blocks until mail arrives or the link ends, then hands `relay`
+    /// everything that has arrived, in arrival order. A data frame that
+    /// does not decode is dropped here.
     ///
-    /// Every ring is also shown to `on_ring`, after the broker has served
-    /// it: a relay whose links carry more than messages looks at the rest
-    /// there (participant `i`'s control plane on key `i`), and rings keys
-    /// of its own on `bell` for events the broker knows nothing of. A
-    /// link `on_ring` returns joins as a fresh round-robin target
-    /// ([`add_participant`](Self::add_participant)), subscribed like the
-    /// others.
-    pub fn pump(
-        mut self,
-        bell: &Doorbell,
-        mut on_ring: impl FnMut(usize) -> Option<L>,
-    ) -> RelayStats {
-        // Each ring is answered with one `try_recv` on that link, so mail
-        // is relayed in arrival order; a ring that finds its link empty
-        // announced a frame an earlier ring already served, and is
-        // ignored.
-        self.supervisor.subscribe(bell, Self::SUPERVISOR_KEY);
-        for (key, link) in self.participants.iter().enumerate() {
-            link.subscribe(bell, key);
-        }
-        // The supervisor hanging up is observed separately per direction,
-        // and the two sightings mean different things. Outward:
-        // `try_relay_outward` reports `Disconnected` only once the
-        // supervisor's queue is fully drained (a channel reports closure
-        // only when empty), so nothing can still need relaying down, and
-        // nothing the broker could still relay up is deliverable:
-        // returning drops the participant links, which is what unblocks
-        // any participant still waiting on an orphaned session. Inward: a
-        // failed supervisor send says replies have nowhere to go — but
-        // verdicts the engine queued *before* hanging up may still be
-        // waiting on the outward side, and abandoning them would make each
-        // participant's final inbound message (and with it the fault log)
-        // a race between the engine's last sends and the round's
-        // teardown. So the inward sighting silences only the inward
-        // direction; the pump keeps draining outward until that side
-        // reports closure itself.
-        let mut inward_dead = false;
+    /// # Errors
+    ///
+    /// Once the link has ended and everything before its end was handed
+    /// over: what killed it, or [`GridError::Disconnected`].
+    fn recv_burst(&self, relay: &mut dyn FnMut(Mail<'_>)) -> Result<(), GridError>;
+
+    /// Queues `mail` for the link's peer without blocking; it leaves at
+    /// the next [`flush`](Self::flush).
+    ///
+    /// # Errors
+    ///
+    /// [`GridError::Disconnected`] once the link is known dead; the mail
+    /// is dropped.
+    fn queue(&self, mail: Mail<'_>) -> Result<(), GridError>;
+
+    /// Writes what is queued. A link whose `queue` delivers has nothing
+    /// to write, and this default does nothing.
+    fn flush(&self) {}
+
+    /// Ends the link: a [`recv_burst`](Self::recv_burst) blocked on it
+    /// returns, and the peer sees the end after what was written.
+    fn shut_down(&self);
+}
+
+/// An in-process link delivers as it queues, and carries no control
+/// plane: control mail queued on one is dropped.
+impl RelayLink for Endpoint {
+    fn recv_burst(&self, relay: &mut dyn FnMut(Mail<'_>)) -> Result<(), GridError> {
+        let mut msg = self.recv()?;
         loop {
-            let key = bell.wait();
-            let served = if key == Self::SUPERVISOR_KEY {
-                self.try_relay_outward().map(|_| ())
-            } else if key < self.participants.len() && !inward_dead {
-                self.try_relay_inward_from(key).map(|_| ())
-            } else {
-                Ok(())
-            };
-            match served {
-                Ok(()) => {}
-                Err(GridError::Disconnected) if key == Self::SUPERVISOR_KEY => return self.stats,
-                // Supervisor gone: inward mail has nowhere to go.
-                Err(GridError::Disconnected) => inward_dead = true,
-                // Unroutable or malformed mail is dropped, not fatal. But
-                // the ring is spent and the error may have been the
-                // link's last word (a socket reports what killed it once,
-                // where a frame would have been), so look again.
-                Err(_) => bell.ring(key),
-            }
-            if let Some(link) = on_ring(key) {
-                link.subscribe(bell, self.participants.len());
-                self.add_participant(link);
+            relay(Mail::Data(&msg, None));
+            match self.try_recv() {
+                Ok(next) => msg = next,
+                // The end, if that is what stopped the burst, is the next
+                // burst's news.
+                Err(_) => return Ok(()),
             }
         }
+    }
+
+    fn queue(&self, mail: Mail<'_>) -> Result<(), GridError> {
+        match mail {
+            Mail::Data(msg, _) => self.send(msg),
+            Mail::Control(_) => Ok(()),
+        }
+    }
+
+    fn shut_down(&self) {
+        Endpoint::shut_down(self);
+    }
+}
+
+/// A running relay: the participant links' threads are serving, and
+/// [`run`](Self::run) serves the supervisor's link on the caller's thread.
+/// Dropping it without running it ends the relay as `run` would.
+pub struct Relay<L: RelayLink> {
+    shared: Arc<Shared<L>>,
+}
+
+/// A running relay's door for participants that join late; it holds the
+/// relay only weakly, and admits nobody once the relay has ended.
+pub struct Admission<L: RelayLink> {
+    shared: Weak<Shared<L>>,
+}
+
+impl<L: RelayLink> Clone for Admission<L> {
+    fn clone(&self) -> Self {
+        Admission {
+            shared: Weak::clone(&self.shared),
+        }
+    }
+}
+
+/// What the relay's threads share.
+struct Shared<L> {
+    supervisor: L,
+    state: Mutex<RelayState<L>>,
+    /// Held across an admission, so the index a late participant is told
+    /// is the one it gets.
+    admitting: Mutex<()>,
+}
+
+/// Everything a relay thread routes by, under one lock.
+struct RelayState<L> {
+    routes: Routes,
+    /// Participant `i`'s link.
+    participants: Vec<Arc<L>>,
+    stats: RelayStats,
+    /// The participant links' threads, joined when the relay ends.
+    threads: Vec<JoinHandle<()>>,
+    /// The supervisor's link has ended: nothing more is admitted.
+    ended: bool,
+}
+
+impl<L: RelayLink> Shared<L> {
+    fn lock(&self) -> MutexGuard<'_, RelayState<L>> {
+        self.state.lock().expect("relay state poisoned")
+    }
+
+    /// NACKs `tasks` to the supervisor; a supervisor already gone has
+    /// nobody left to tell.
+    fn nack(&self, tasks: Vec<u64>) {
+        for task_id in tasks {
+            let _ = self
+                .supervisor
+                .queue(Mail::Data(&Message::Gone { task_id }, None));
+        }
+    }
+
+    /// The supervisor's link, on the caller's thread, until it ends.
+    fn serve_supervisor(&self) {
+        // The participant links this thread has seen, and those it queued
+        // onto in the current burst, each once (`pending` marks them).
+        let mut links: Vec<Arc<L>> = Vec::new();
+        let mut pending: Vec<bool> = Vec::new();
+        let mut queued_on = Vec::new();
+        let mut nacked = false;
+        loop {
+            let mut guard = None;
+            let burst = self.supervisor.recv_burst(&mut |mail| {
+                // The supervisor has no control plane upward.
+                let Mail::Data(msg, _) = mail else { return };
+                let state: &mut RelayState<L> = guard.get_or_insert_with(|| self.lock());
+                let RelayState {
+                    routes,
+                    participants,
+                    stats,
+                    ..
+                } = state;
+                let mut target = None;
+                let routed = routes.route(msg, |idx, _| {
+                    participants[idx].queue(mail)?;
+                    target = Some(idx);
+                    Ok(())
+                });
+                match routed {
+                    Ok(orphans) if orphans.is_empty() => stats.outward += 1,
+                    Ok(orphans) => {
+                        self.nack(orphans);
+                        nacked = true;
+                    }
+                    // Unroutable mail is dropped.
+                    Err(_) => {}
+                }
+                if let Some(idx) = target {
+                    if links.len() <= idx {
+                        links.extend(participants[links.len()..].iter().cloned());
+                        pending.resize(links.len(), false);
+                    }
+                    if !std::mem::replace(&mut pending[idx], true) {
+                        queued_on.push(idx);
+                    }
+                }
+            });
+            drop(guard);
+            for idx in queued_on.drain(..) {
+                pending[idx] = false;
+                links[idx].flush();
+            }
+            if std::mem::take(&mut nacked) {
+                self.supervisor.flush();
+            }
+            if burst.is_err() {
+                return;
+            }
+        }
+    }
+
+    /// Participant `idx`'s link, on its own thread, until it ends.
+    fn serve_participant(&self, idx: usize, link: &L) {
+        loop {
+            let mut guard = None;
+            let mut queued = false;
+            let burst = link.recv_burst(&mut |mail| {
+                if let Mail::Data(msg, _) = mail {
+                    let state: &mut RelayState<L> = guard.get_or_insert_with(|| self.lock());
+                    if !state.routes.speaks_for(idx, msg) {
+                        return;
+                    }
+                    if self.supervisor.queue(mail).is_ok() {
+                        state.stats.inward += 1;
+                    }
+                } else {
+                    let _ = self.supervisor.queue(mail);
+                }
+                queued = true;
+            });
+            if burst.is_err() {
+                let orphans = guard
+                    .get_or_insert_with(|| self.lock())
+                    .routes
+                    .mark_gone(idx);
+                queued |= !orphans.is_empty();
+                self.nack(orphans);
+            }
+            drop(guard);
+            if queued {
+                self.supervisor.flush();
+            }
+            if burst.is_err() {
+                return;
+            }
+        }
+    }
+
+    /// Ends the relay, once: every link is shut down and every
+    /// participant thread joined. Returns what was relayed.
+    fn end(&self) -> RelayStats {
+        let (participants, threads) = {
+            let mut state = self.lock();
+            state.ended = true;
+            (
+                std::mem::take(&mut state.participants),
+                std::mem::take(&mut state.threads),
+            )
+        };
+        self.supervisor.shut_down();
+        for link in &participants {
+            link.shut_down();
+        }
+        for thread in threads {
+            let _ = thread.join();
+        }
+        self.lock().stats
+    }
+}
+
+impl<L: RelayLink> RelayState<L> {
+    /// Adds `link` as the next participant and starts its thread. A link
+    /// the [`Broker`] brought already has its routes; a late one is given
+    /// them here.
+    fn start(&mut self, shared: &Arc<Shared<L>>, link: L) {
+        let idx = self.participants.len();
+        if idx == self.routes.participants.len() {
+            self.routes.add_participant();
+        }
+        let link = Arc::new(link);
+        self.participants.push(Arc::clone(&link));
+        let shared = Arc::clone(shared);
+        self.threads.push(std::thread::spawn(move || {
+            shared.serve_participant(idx, &link);
+        }));
+    }
+}
+
+impl<L: RelayLink> Relay<L> {
+    /// A door for participants that join while the relay runs.
+    #[must_use]
+    pub fn admission(&self) -> Admission<L> {
+        Admission {
+            shared: Arc::downgrade(&self.shared),
+        }
+    }
+
+    /// Serves the supervisor's link on this thread until it ends, then
+    /// ends the relay: every link is shut down and every participant
+    /// thread joined. Returns what was relayed.
+    #[must_use]
+    pub fn run(self) -> RelayStats {
+        self.shared.serve_supervisor();
+        self.shared.end()
+    }
+}
+
+impl<L: RelayLink> Drop for Relay<L> {
+    fn drop(&mut self) {
+        // A poisoned state means a relay thread panicked; `drop` must not.
+        if self.shared.state.lock().is_ok_and(|state| !state.ended) {
+            let _ = self.shared.end();
+        }
+    }
+}
+
+impl<L: RelayLink> Admission<L> {
+    /// Admits a late participant (a late joiner or a reconnect) as a
+    /// fresh round-robin target: `link` is handed the index it will have
+    /// and returns its link, or `None` to admit nobody. Tasks NACKed when
+    /// a predecessor died are *not* replayed — the supervisor's retry
+    /// round reassigns them, which is how reconnect-with-NACK composes
+    /// with [`Message::Gone`]. Returns whether the participant joined;
+    /// once the relay has ended nobody does, and the link is dropped.
+    pub fn admit(&self, link: impl FnOnce(usize) -> Option<L>) -> bool {
+        let Some(shared) = self.shared.upgrade() else {
+            return false;
+        };
+        let _turn = shared.admitting.lock().expect("relay admission poisoned");
+        let index = shared.lock().routes.participants.len();
+        let Some(link) = link(index) else {
+            return false;
+        };
+        let mut state = shared.lock();
+        if state.ended {
+            return false;
+        }
+        state.start(&shared, link);
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{duplex, Assignment};
+    use crate::{duplex, Assignment, Doorbell};
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
@@ -591,11 +897,11 @@ mod tests {
     }
 
     #[test]
-    fn pump_drains_both_directions_then_exits() {
+    fn relay_drains_both_directions_then_exits() {
         let (sup, broker, parts) = rig(2);
         sup.send(&assign(0)).unwrap();
         sup.send(&assign(1)).unwrap();
-        let pump = std::thread::spawn(move || broker.pump(&Doorbell::new(), |_| None));
+        let relay = std::thread::spawn(move || broker.relay());
         // Participants answer and hang up.
         for p in parts {
             let Message::Assign(a) = p.recv().unwrap() else {
@@ -618,7 +924,7 @@ mod tests {
             }
         }
         drop(sup);
-        let stats = pump.join().unwrap();
+        let stats = relay.join().unwrap();
         assert_eq!(stats.outward, 2);
         assert_eq!(stats.inward, 2);
     }

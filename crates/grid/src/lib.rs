@@ -59,12 +59,12 @@ pub mod wire;
 pub use behaviour::{
     CheatSelection, HonestWorker, MaliciousWorker, SemiHonestCheater, WorkerBehaviour,
 };
-pub use broker::{Broker, RelayStats, Routes};
+pub use broker::{Admission, Broker, Mail, Relay, RelayLink, RelayStats, Routes};
 pub use error::GridError;
 pub use ledger::{CostLedger, CostReport, Throughput};
 pub use message::{Assignment, Message, Opening};
 pub use runtime::{FaultEvent, FaultPlan, FaultyEndpoint, GridScheduler, GridTask, TaskPoll};
-pub use tcp::{ControlHandle, DialLink, TcpLink};
+pub use tcp::{ControlHandle, DialLink, RelaySocket, TcpLink};
 pub use transport::{
     duplex, fan_in, Doorbell, Endpoint, FanIn, GridLink, LinkStats, FRAME_HEADER_BYTES,
 };

@@ -135,7 +135,7 @@ pub enum TaskPoll {
 }
 
 /// A non-blocking unit of scheduled work: one participant session, one
-/// relay pump — anything that advances in short, poll-sized steps.
+/// shard — anything that advances in short, poll-sized steps.
 ///
 /// `poll` must not block indefinitely: a task waiting on its peer
 /// returns [`TaskPoll::Idle`] and waits for its ring instead of pinning

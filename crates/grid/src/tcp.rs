@@ -1,5 +1,5 @@
 //! TCP transport: the length-framed protocol from [`wire`](crate::wire)
-//! over real sockets, as two kinds of link.
+//! over real sockets, as three kinds of link.
 //!
 //! Which kind a socket gets follows from who holds it:
 //!
@@ -8,24 +8,27 @@
 //!   ([`handshake_participant`]). Such a process has one link and one
 //!   thread that consumes it, so that thread reads and writes the socket
 //!   itself and the link spawns nothing.
-//! * **[`TcpLink`]** — one of the broker's N sockets, a [`GridLink`] with
-//!   a reader and a writer thread of its own, so one relay thread can wait
-//!   on all of them at once through a [`Doorbell`]: `std` has no portable
-//!   readiness wait.
+//! * **[`RelaySocket`]** — one of the broker's N sockets, a
+//!   [`RelayLink`]. The relay ([`Broker::relay`](crate::Broker::relay))
+//!   reads each on a thread of its own, because `std` has no portable
+//!   readiness wait, and writes onto it from whichever relay thread read
+//!   the frame; it spawns nothing either.
+//! * **[`TcpLink`]** — a [`GridLink`] with a reader and a writer thread of
+//!   its own, so that one thread can wait on many of them through a
+//!   [`Doorbell`]. The broker no longer uses it.
 //!
-//! Both mirror [`Endpoint`](crate::Endpoint)'s semantics: receives drain
-//! what arrived before reporting the peer gone, and a mid-frame stream
-//! death surfaces as the typed [`GridError::TornFrame`] once, where a
-//! frame would have been, then as [`GridError::Disconnected`] for receives
-//! and sends alike. Control frames (handshakes, slot reports) queue apart
-//! from data. Neither keeps byte counters: a data frame on the socket is
-//! exactly [`Message::charged`] bytes (see the wire module), and whoever
-//! sends or receives the message counts it. Both batch: a send encodes
-//! its frame — header and payload — straight into the link's one
-//! outbound buffer, data and control in FIFO order, and a burst (512
-//! assignments from an engine, a relay catching up) leaves in one
-//! `write_all` as a handful of segments. Neither writes per frame, and
-//! neither polls.
+//! All three mirror [`Endpoint`](crate::Endpoint)'s semantics: receives
+//! drain what arrived before reporting the peer gone, and a mid-frame
+//! stream death surfaces as the typed [`GridError::TornFrame`] once, where
+//! a frame would have been, then as [`GridError::Disconnected`]. Control
+//! frames (handshakes, slot reports) travel apart from data. None keeps
+//! byte counters: a data frame on the socket is exactly
+//! [`Message::charged`] bytes (see the wire module), and whoever sends or
+//! receives the message counts it. All batch: a send encodes its frame —
+//! header and payload — straight into the link's one outbound buffer,
+//! data and control in FIFO order, and a burst (512 assignments from an
+//! engine, a relay catching up) leaves in one `write_all` as a handful of
+//! segments. None writes per frame, and none polls.
 //!
 //! # The dial-in link: one thread
 //!
@@ -38,18 +41,56 @@
 //!   every whole frame in it. A deadline is the socket's read timeout,
 //!   set only when the wanted timeout changes; a frame that is not whole
 //!   when a wait times out stays buffered for the next one.
-//! * **Liveness.** The owner blocks in a write only while the kernel
-//!   refuses bytes, that is while the broker's socket buffer is full. The
-//!   broker reads every socket on a thread of its own, so an owner never
-//!   waits on a peer that waits on it. The one exception is a cycle
-//!   through the broker's [`INBOUND_HIGH_WATER`] pause, and the threaded
-//!   link has it too: a broker reader pausing because its relay is stuck
-//!   writing to a peer that is itself stuck writing.
 //! * **Ending.** Dropping the link writes what is queued, under a write
 //!   timeout of `DRAIN_PATIENCE` (5 s) so a peer that stopped reading cannot
 //!   hang it, then shuts the socket down.
 //!
-//! # The broker's link: two threads
+//! # The broker's socket: read by one thread, written by any
+//!
+//! * **Inbound.** The socket's own relay thread reads once, up to 8 KiB
+//!   or a step of a large frame, and routes every whole frame in its
+//!   buffer: decoded, so malformed or unroutable mail is dropped, and
+//!   forwarded as the bytes it came as, which the canonical codec makes
+//!   the message's one encoding.
+//! * **Outbound.** A routed frame is appended to the destination socket's
+//!   buffer under that socket's lock. Before it reads again, the thread
+//!   writes every socket it appended to. Writes combine: a thread that
+//!   finds another already writing leaves its bytes, and the writer takes
+//!   them in its next batch — unless `RELAY_HIGH_WATER` (64 KiB) or more
+//!   are waiting, when it waits for the writer first. So a peer that
+//!   reads slowly stops the threads that feed it, with a bounded amount
+//!   queued, and the kernel's TCP window throttles their own peers
+//!   meanwhile. No frame is written on its own, and no writer thread
+//!   wakes per batch.
+//! * **Ending.** The relay shuts a socket down when the supervisor's
+//!   socket ends; the participant sockets have by then been written in
+//!   full, since only the supervisor's thread writes them. A socket whose
+//!   read meets the end, or whose write fails, takes no more mail.
+//!
+//! # Liveness
+//!
+//! A dial-in owner blocks in a write only while the kernel refuses bytes,
+//! that is while the broker's thread for its socket is not reading. That
+//! thread does not read only while it writes another socket, or waits at
+//! the high-water mark on the thread that does, and that write blocks only
+//! while *that* socket's process does not read: because it is itself
+//! blocked writing its 64 KiB batch to the broker. A wait cycle therefore
+//! alternates broker threads and dial-in processes, every one of them
+//! stuck in a write, with the socket buffers full both ways on every hop.
+//! The threaded relay had each such cycle too. Its reader paused at
+//! [`INBOUND_HIGH_WATER`] queued frames when the relay thread could not
+//! drain them, and the relay thread could not drain them while it was
+//! blocked at a writer's [`OUTBOUND_HIGH_WATER`], behind a write its peer
+//! refused: the same edge, "this socket is not read because a write to
+//! that one is stuck", reached after 4096 queued frames rather than after
+//! one burst. A thread blocked in a combined write adds no edge the pause
+//! lacked; and where one stuck write stopped the single relay thread, and
+//! so every link at once, here it stops only the threads that feed that
+//! socket. In practice a cycle needs the engine's assignments and a
+//! joiner's uploads to fill both directions of a socket each at once;
+//! `tests/netgrid_stress.rs` runs that campaign to its digest.
+//!
+//! # The threaded link
 //!
 //! * **Outbound.** [`send`](GridLink::send) and [`ControlHandle::send`]
 //!   append to the outbound buffer and return. The link's *writer* thread
@@ -60,8 +101,7 @@
 //! * **Inbound.** The *reader* thread reads through a small buffer, so
 //!   one `read` drains every frame the kernel already holds, and routes
 //!   data frames to the message queue and control frames to a separate
-//!   queue exposed through [`ControlHandle`], so grid plumbing can flow
-//!   while a broker pump owns the link itself. Each frame it queues rings
+//!   queue exposed through [`ControlHandle`]. Each frame it queues rings
 //!   the link's [`Doorbell`] subscription ([`GridLink::subscribe`]), and
 //!   so does the stream's end.
 //! * **Backpressure, both directions.** Outbound: once
@@ -90,7 +130,7 @@
 use crate::transport::{HangUp, Subscription};
 use crate::wire::{append_frame, read_frame, recv_welcome, send_hello, Frame, FrameBuffer};
 use crate::wire::{Hello, Welcome, ROLE_PARTICIPANT, ROLE_SUPERVISOR};
-use crate::{Doorbell, GridError, GridLink, Message};
+use crate::{Doorbell, GridError, GridLink, Mail, Message, RelayLink};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::collections::VecDeque;
 use std::io::{BufReader, ErrorKind, Read, Write};
@@ -282,7 +322,7 @@ fn reader_loop(
 /// Cloneable handle for a link's control-frame plane.
 ///
 /// Obtained from [`TcpLink::control_handle`]; stays usable while the
-/// link itself is owned elsewhere (e.g. inside a broker pump).
+/// link itself is owned by another thread.
 #[derive(Debug, Clone)]
 pub struct ControlHandle {
     rx: Receiver<Vec<u8>>,
@@ -709,6 +749,194 @@ impl Drop for DialLink {
             let _ = self.stream.set_write_timeout(Some(DRAIN_PATIENCE));
             self.flush();
         }
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// The outbound side of a [`RelaySocket`], which any relay thread may
+/// queue onto.
+#[derive(Debug, Default)]
+struct RelayOutbound {
+    /// Framed bytes queued and not yet taken by a writer, in queue order.
+    buf: Vec<u8>,
+    /// The batch last written, emptied, for the next one.
+    spare: Vec<u8>,
+    /// A thread is writing: whatever is queued meanwhile is its to take.
+    writing: bool,
+    /// Threads waiting at [`RELAY_HIGH_WATER`].
+    waiting: usize,
+    /// The stream is known dead, or the link was shut down: nothing queued
+    /// can be delivered.
+    dead: bool,
+}
+
+/// Queued bytes at which a thread that queued onto a socket another
+/// thread is writing waits for that writer to take them, rather than go
+/// back to reading its own socket. What keeps a relayed socket's memory
+/// flat while its peer reads slowly.
+const RELAY_HIGH_WATER: usize = BATCH_KEEP_BYTES;
+
+/// One of the broker's sockets, a [`RelayLink`] that the relay
+/// ([`Broker::relay`](crate::Broker::relay)) serves on a thread of its
+/// own, and that any relay thread may queue onto. It spawns no thread; see
+/// the [module docs](self) for when its bytes move and why a relay thread
+/// that blocks in a write cannot hang the grid.
+///
+/// A receive takes one read and hands over every whole frame in it; the
+/// stream's end comes, after what arrived before it, as what killed it (a
+/// torn frame, a length overflow) or as [`GridError::Disconnected`], and
+/// from then on nothing queued onto the socket is delivered. Data frames
+/// that do not decode are dropped.
+#[derive(Debug)]
+pub struct RelaySocket {
+    stream: TcpStream,
+    /// Received bytes not yet cut into frames. Only the socket's own
+    /// thread receives, so this lock is never contended.
+    inbound: Mutex<FrameBuffer>,
+    out: Mutex<RelayOutbound>,
+    /// Threads at the high-water mark wait here for the writer to take
+    /// what is queued.
+    room: Condvar,
+}
+
+impl RelaySocket {
+    /// Wraps a connected stream whose handshake, if any, is complete.
+    #[must_use]
+    pub fn from_stream(stream: TcpStream) -> Self {
+        // The relay batches by itself; Nagle would only add delay.
+        let _ = stream.set_nodelay(true);
+        RelaySocket {
+            stream,
+            inbound: Mutex::default(),
+            out: Mutex::default(),
+            room: Condvar::new(),
+        }
+    }
+
+    fn out(&self) -> MutexGuard<'_, RelayOutbound> {
+        self.out.lock().expect("relay outbound poisoned")
+    }
+
+    /// Nothing more can be delivered: marks the socket dead, releases the
+    /// threads waiting on a writer, and returns what ended it.
+    fn end(&self, terminal: Option<GridError>) -> GridError {
+        let mut out = self.out();
+        out.dead = true;
+        if out.waiting > 0 {
+            self.room.notify_all();
+        }
+        terminal.unwrap_or(GridError::Disconnected)
+    }
+
+    /// Writes what is queued, batch after batch, until nothing is left:
+    /// bytes other threads queue while a batch is in the kernel leave in
+    /// the next one. Called by the thread that just set `writing`.
+    fn write_out<'a>(&'a self, mut out: MutexGuard<'a, RelayOutbound>) {
+        loop {
+            let mut batch = std::mem::take(&mut out.spare);
+            std::mem::swap(&mut batch, &mut out.buf);
+            if out.waiting > 0 {
+                self.room.notify_all();
+            }
+            drop(out);
+            let written = (&self.stream).write_all(&batch).is_ok();
+            batch.clear();
+            out = self.out();
+            if batch.capacity() <= BATCH_KEEP_BYTES {
+                out.spare = batch;
+            }
+            if !written {
+                out.dead = true;
+                out.buf.clear();
+            }
+            if out.dead || out.buf.is_empty() {
+                out.writing = false;
+                if out.waiting > 0 {
+                    self.room.notify_all();
+                }
+                return;
+            }
+        }
+    }
+}
+
+impl RelayLink for RelaySocket {
+    /// One read, up to 8 KiB (`READ_BUFFER_BYTES`) or a step of a large
+    /// frame, and every whole frame in the socket's buffer, decoded.
+    fn recv_burst(&self, relay: &mut dyn FnMut(Mail<'_>)) -> Result<(), GridError> {
+        let mut inbound = self.inbound.lock().expect("relay inbound poisoned");
+        let read = loop {
+            let room = match inbound.room(READ_BUFFER_BYTES) {
+                Ok(room) => room,
+                Err(e) => return Err(self.end(Some(e))),
+            };
+            match (&self.stream).read(room) {
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                read => break read,
+            }
+        };
+        match read {
+            Ok(0) => {
+                let torn = inbound.at_end().err();
+                return Err(self.end(torn));
+            }
+            Ok(n) => inbound.filled(n),
+            Err(_) => return Err(self.end(None)),
+        }
+        loop {
+            match inbound.next_frame() {
+                Ok(Some((false, frame))) => {
+                    if let Ok(msg) = Message::decode(frame) {
+                        relay(Mail::Data(&msg, Some(frame)));
+                    }
+                }
+                Ok(Some((true, payload))) => relay(Mail::Control(payload)),
+                Ok(None) => return Ok(()),
+                Err(e) => return Err(self.end(Some(e))),
+            }
+        }
+    }
+
+    fn queue(&self, mail: Mail<'_>) -> Result<(), GridError> {
+        let mut out = self.out();
+        if out.dead {
+            return Err(GridError::Disconnected);
+        }
+        match mail {
+            Mail::Data(_, Some(frame)) => {
+                append_frame(&mut out.buf, false, |buf| buf.extend_from_slice(frame))
+            }
+            Mail::Data(msg, None) => append_frame(&mut out.buf, false, |buf| msg.encode_into(buf)),
+            Mail::Control(payload) => {
+                append_frame(&mut out.buf, true, |buf| buf.extend_from_slice(payload))
+            }
+        }
+    }
+
+    /// Writes what is queued, unless another thread is writing: that
+    /// writer takes it in its next batch, and this thread waits only while
+    /// `RELAY_HIGH_WATER` (64 KiB) or more wait for it.
+    fn flush(&self) {
+        let mut out = self.out();
+        loop {
+            if out.dead || out.buf.is_empty() {
+                return;
+            }
+            if !out.writing {
+                out.writing = true;
+                return self.write_out(out);
+            }
+            if out.buf.len() < RELAY_HIGH_WATER {
+                return;
+            }
+            out.waiting += 1;
+            out = self.room.wait(out).expect("relay outbound poisoned");
+            out.waiting -= 1;
+        }
+    }
+
+    fn shut_down(&self) {
+        let _ = self.end(None);
         let _ = self.stream.shutdown(Shutdown::Both);
     }
 }

@@ -276,12 +276,26 @@ impl Lane {
 
     /// The sending end hangs up: announced after everything it queued,
     /// unless the receiving end is gone and nobody is left to hear it.
+    /// Announced once, however often it is called.
     fn hang_up(&self) {
         // A poisoned lock is skipped: this runs in `drop`.
         if let Ok(mut state) = self.state.lock() {
-            state.heard.hung_up = true;
-            if !state.receiver_gone {
+            if !std::mem::replace(&mut state.heard.hung_up, true) && !state.receiver_gone {
                 self.announce(&state);
+            }
+        }
+    }
+
+    /// Both ends go at once, from the receiving one: what is queued is
+    /// dropped, sends fail from now on, and a receive, one blocked now
+    /// included, reads the end.
+    fn shut(&self) {
+        if let Ok(mut state) = self.state.lock() {
+            state.receiver_gone = true;
+            state.heard.hung_up = true;
+            state.queue.clear();
+            if state.sleepers > 0 {
+                self.ready.notify_all();
             }
         }
     }
@@ -329,6 +343,19 @@ impl Drop for Endpoint {
                 // The engine may be gone already; nobody left to tell.
                 let _ = inbox.push(*slot, None);
             }
+        }
+    }
+}
+
+impl Endpoint {
+    /// Ends the link from this side while another thread may be blocked
+    /// receiving on it, as a relay ends its links: that receive reads the
+    /// end, and the peer reads what was already queued for it, then the
+    /// end. A [`fan_in`] slot's hang-up is still its drop.
+    pub(crate) fn shut_down(&self) {
+        self.inbound.shut();
+        if let Outbound::Peer(lane) = &self.outbound {
+            lane.hang_up();
         }
     }
 }

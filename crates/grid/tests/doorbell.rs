@@ -1,7 +1,7 @@
-//! The doorbell and the two consumers of it that live in this crate: the
-//! broker pump and the scheduler. Every multiplexer here sleeps until a
-//! link rings, so the failure these tests look for is a ring that never
-//! comes — a wait that never ends. Each scenario therefore runs under a
+//! The doorbell and the consumer of it that lives in this crate: the
+//! scheduler. Every multiplexer here sleeps until a link rings, so the
+//! failure these tests look for is a ring that never comes — a wait that
+//! never ends. Each scenario therefore runs under a
 //! watchdog and fails, rather than hangs, when it does not finish.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -9,10 +9,8 @@ use std::sync::mpsc;
 use std::time::Duration;
 use ugc_grid::runtime::{FaultEvent, FaultPlan, FaultyEndpoint, LinkDirection};
 use ugc_grid::{
-    duplex, Assignment, Broker, Doorbell, Endpoint, GridError, GridLink, GridScheduler, GridTask,
-    Message, TaskPoll,
+    duplex, Doorbell, Endpoint, GridError, GridLink, GridScheduler, GridTask, Message, TaskPoll,
 };
-use ugc_task::Domain;
 
 /// Far longer than any scenario takes; only a lost wake-up reaches it.
 const PATIENCE: Duration = Duration::from_secs(60);
@@ -34,13 +32,6 @@ fn msg(i: u64) -> Message {
         task_id: i,
         accepted: true,
     }
-}
-
-fn assign(task_id: u64) -> Message {
-    Message::Assign(Assignment {
-        task_id,
-        domain: Domain::new(0, 8),
-    })
 }
 
 #[test]
@@ -135,67 +126,6 @@ fn hang_up_rings_only_once_the_channel_reports_closure() {
         }
         drop(hand_over);
         sender.join().unwrap();
-    });
-}
-
-#[test]
-fn pump_serves_a_late_talker_and_a_death_among_a_thousand_idle_links() {
-    const LINKS: usize = 1000;
-    const LATE: u64 = 700;
-    const DYING: u64 = 300;
-    must_finish(|| {
-        let (sup, broker_up) = duplex();
-        let (broker_down, mut parts): (Vec<_>, Vec<_>) = (0..LINKS)
-            .map(|_| {
-                let (b, p) = duplex();
-                (b, Some(p))
-            })
-            .unzip();
-        // Three tasks per participant, queued before the pump even starts:
-        // participant `i` is dealt tasks `i`, `i + 1000` and `i + 2000`.
-        for task_id in 0..3 * LINKS as u64 {
-            sup.send(&assign(task_id)).unwrap();
-        }
-        let broker = Broker::new(broker_up, broker_down);
-        let pump = std::thread::spawn(move || broker.pump(&Doorbell::new(), |_| None));
-
-        // Everyone sits on their assignments; one link answers late.
-        let late = parts[LATE as usize].take().unwrap();
-        for _ in 0..3 {
-            let Message::Assign(a) = late.recv().unwrap() else {
-                panic!("expected an assignment");
-            };
-            late.send(&Message::Commit {
-                task_id: a.task_id,
-                root: vec![0xAB; 16],
-            })
-            .unwrap();
-        }
-        for lap in 0..3 {
-            assert_eq!(sup.recv().unwrap().task_id(), LATE + lap * LINKS as u64);
-        }
-        // One link dies mid-round with its assignments unread: its tasks
-        // are NACKed in ascending order.
-        drop(parts[DYING as usize].take());
-        for lap in 0..3 {
-            assert_eq!(
-                sup.recv().unwrap(),
-                Message::Gone {
-                    task_id: DYING + lap * LINKS as u64
-                }
-            );
-        }
-        assert_eq!(sup.try_recv().unwrap_err(), GridError::Empty);
-        drop(sup);
-        let stats = pump.join().unwrap();
-        assert_eq!(stats.outward, 3 * LINKS as u64);
-        assert_eq!(stats.inward, 3);
-        // The pump's exit hangs up on everyone still waiting.
-        let waiting = parts[0].take().unwrap();
-        for _ in 0..3 {
-            assert!(matches!(waiting.recv().unwrap(), Message::Assign(_)));
-        }
-        assert_eq!(waiting.recv().unwrap_err(), GridError::Disconnected);
     });
 }
 

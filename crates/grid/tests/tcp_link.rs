@@ -4,15 +4,12 @@
 //! is never released, a ring that never comes. Each scenario runs under a
 //! watchdog and fails, rather than hangs, when it does not finish.
 
-use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use ugc_grid::tcp::{INBOUND_HIGH_WATER, OUTBOUND_HIGH_WATER};
-use ugc_grid::wire::{write_frame, Frame};
-use ugc_grid::{Assignment, Broker, Doorbell, GridError, GridLink, Message, TcpLink};
-use ugc_task::Domain;
+use ugc_grid::{Doorbell, GridError, GridLink, Message, TcpLink};
 
 /// Far longer than any scenario takes; only a lost wake-up reaches it.
 const PATIENCE: Duration = Duration::from_secs(60);
@@ -352,51 +349,5 @@ fn the_hang_up_rings_only_once_try_recv_reports_the_end() {
         }
         drop(hand_over);
         sender.join().unwrap();
-    });
-}
-
-fn assign(task_id: u64) -> Message {
-    Message::Assign(Assignment {
-        task_id,
-        domain: Domain::new(0, 8),
-    })
-}
-
-/// A frame header promising 100 bytes, three of them, and the end.
-fn tear(mut stream: TcpStream) {
-    stream.write_all(&100u32.to_le_bytes()).unwrap();
-    stream.write_all(&[1, 2, 3]).unwrap();
-}
-
-#[test]
-fn a_pumped_relay_treats_a_torn_stream_as_the_death_it_is() {
-    // A socket reports what killed it once, as an error where a frame
-    // would have been. A pump that slept on after that error would never
-    // hear of the closure behind it.
-    must_finish(|| {
-        // A participant process dies mid-frame: its task is NACKed.
-        let (supervisor, broker_up) = loopback_pair();
-        let (dying, broker_down) = loopback_streams();
-        let broker = Broker::new(broker_up, vec![TcpLink::from_stream(broker_down)]);
-        let pump = std::thread::spawn(move || broker.pump(&Doorbell::new(), |_| None));
-        supervisor.send(&assign(7)).unwrap();
-        tear(dying);
-        // (Whether the assignment was relayed before the death was seen
-        // or refused after it is a race; the NACK is owed either way.)
-        assert_eq!(supervisor.recv().unwrap(), Message::Gone { task_id: 7 });
-        drop(supervisor);
-        pump.join().unwrap();
-
-        // The supervisor process dies mid-frame: what it had sent is
-        // relayed, then the pump winds down and the participant is let go.
-        let (mut dying, broker_up) = loopback_streams();
-        let (participant, broker_down) = loopback_pair();
-        let broker = Broker::new(TcpLink::from_stream(broker_up), vec![broker_down]);
-        let pump = std::thread::spawn(move || broker.pump(&Doorbell::new(), |_| None));
-        write_frame(&mut dying, &Frame::Data(assign(8).encode())).unwrap();
-        tear(dying);
-        assert_eq!(participant.recv().unwrap(), assign(8));
-        assert_eq!(participant.recv().unwrap_err(), GridError::Disconnected);
-        assert_eq!(pump.join().unwrap().outward, 1);
     });
 }

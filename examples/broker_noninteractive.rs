@@ -20,8 +20,8 @@ use uncheatable_grid::core::{
     Verdict, VerificationScheme,
 };
 use uncheatable_grid::grid::{
-    duplex, Assignment, Broker, CheatSelection, CostLedger, Doorbell, Endpoint, GridLink,
-    HonestWorker, LinkStats, Message, SemiHonestCheater, WorkerBehaviour,
+    duplex, Assignment, Broker, CheatSelection, CostLedger, Endpoint, GridLink, HonestWorker,
+    LinkStats, Message, SemiHonestCheater, WorkerBehaviour,
 };
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PrimalitySearch;
@@ -122,9 +122,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sup_ledger = CostLedger::new();
 
     let (verdicts, relay, traffic) = std::thread::scope(|scope| -> Result<_, SchemeError> {
-        // The broker relays on its own thread until the supervisor hangs
-        // up.
-        let pump = scope.spawn(move || broker.pump(&Doorbell::new(), |_| None));
+        // The broker relays, one thread per link, until the supervisor
+        // hangs up.
+        let relay = scope.spawn(move || broker.relay());
         // Participants: blind NI-CBS workers behind the broker.
         for (ep, behaviour) in part_eps.iter().zip(behaviours) {
             let task = &task;
@@ -161,10 +161,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &sup_ledger,
             &mut traffic,
         )?;
-        drop(sup_ep); // hang up: the pump drains and returns
+        drop(sup_ep); // hang up: the relay ends and returns
         Ok((
             verdicts,
-            pump.join().expect("broker pump panicked"),
+            relay.join().expect("broker relay panicked"),
             traffic,
         ))
     })?;

@@ -7,7 +7,7 @@
 //!
 //! * [`GridServer`] (`ugc broker serve`) accepts one supervisor and N
 //!   participant connections, completes the versioned handshake, then
-//!   pumps a [`Broker`] over [`TcpLink`]s — the same routing rules the
+//!   relays a [`Broker`] over [`RelaySocket`]s — the same routing rules the
 //!   in-process transport applies at send time — forwarding
 //!   participant [`SlotReport`](ugc_core::SlotReport)s up the control
 //!   plane as they arrive.
@@ -25,13 +25,16 @@
 //!   cross-process campaign's digest is bit-identical to the in-process
 //!   run.
 //!
-//! Threads: the broker has one per socket it relays for, a reader and a
-//! writer per [`TcpLink`], plus its relay and its acceptor, because one
-//! thread must wait on N sockets and `std` has no portable readiness
-//! wait. A dial-in end has one socket and one thread that consumes it, so
-//! its [`DialLink`](ugc_grid::DialLink) is read and written on that
-//! thread and starts none: the supervisor's engine, and each joiner's
-//! slot loop, write what they queued when they are about to wait.
+//! Threads: the broker has one per socket it relays for — the
+//! supervisor's is the one that called [`GridServer::run`] — plus its
+//! acceptor, so a grid of two joiners runs four. Each reads its own
+//! socket, routes what arrived and writes it straight onto the socket it
+//! is for (see [`Broker::relay`]); `std` has no portable readiness wait,
+//! so one thread cannot wait on N sockets. A dial-in end has one socket
+//! and one thread that consumes it, so its [`DialLink`](ugc_grid::DialLink)
+//! is read and written on that thread and starts none: the supervisor's
+//! engine, and each joiner's slot loop, write what they queued when they
+//! are about to wait.
 //!
 //! Reconnect semantics: the server keeps accepting after the roster is
 //! complete; a late joiner becomes a fresh round-robin target. Tasks
@@ -51,20 +54,38 @@ use ugc_core::{
 };
 use ugc_grid::tcp::{handshake_participant, handshake_supervisor};
 use ugc_grid::wire::{recv_hello, send_welcome, Hello, Welcome, ROLE_PARTICIPANT, ROLE_SUPERVISOR};
-use ugc_grid::{Broker, ControlHandle, Doorbell, GridError, RelayStats, TcpLink};
+use ugc_grid::{Broker, GridError, Relay, RelaySocket, RelayStats};
 
-/// How many times [`connect`] retries a refused dial before giving up.
-/// With [`CONNECT_PAUSE`] between attempts this tolerates ~10 s of the
-/// server not being up yet — `ugc participant join` is routinely started
-/// before `ugc broker serve` finishes binding.
-const CONNECT_ATTEMPTS: u32 = 40;
-/// Pause between dial attempts (a fixed schedule, not wall-clock-read
-/// based: retry behaviour is execution-only and never enters a digest).
-const CONNECT_PAUSE: Duration = Duration::from_millis(250);
+/// The first pause after a refused dial; each next one doubles, up to
+/// [`CONNECT_PAUSE_CAP`]. `ugc participant join` is routinely started
+/// before `ugc broker serve` finishes binding, so the first retries come
+/// fast (a fixed schedule, not wall-clock-read based: retry behaviour is
+/// execution-only and never enters a digest).
+const CONNECT_FIRST_PAUSE: Duration = Duration::from_millis(5);
+/// The longest pause between dial attempts.
+const CONNECT_PAUSE_CAP: Duration = Duration::from_millis(250);
+/// How long [`connect`] keeps retrying a refused dial in all: the pauses
+/// add up to at least this.
+const CONNECT_PATIENCE: Duration = Duration::from_secs(10);
 /// How long the server waits for a connection's [`Hello`] before
 /// dropping it (a liveness guard against port scanners and half-open
 /// dials wedging the roster phase).
 const HELLO_PATIENCE: Duration = Duration::from_secs(10);
+
+/// The pauses [`connect`] takes between refused dials: doubling from
+/// [`CONNECT_FIRST_PAUSE`] to [`CONNECT_PAUSE_CAP`], until they add up to
+/// [`CONNECT_PATIENCE`].
+fn connect_pauses() -> impl Iterator<Item = Duration> {
+    std::iter::successors(Some(CONNECT_FIRST_PAUSE), |pause| {
+        Some((*pause * 2).min(CONNECT_PAUSE_CAP))
+    })
+    .scan(Duration::ZERO, |waited, pause| {
+        (*waited < CONNECT_PATIENCE).then(|| {
+            *waited += pause;
+            pause
+        })
+    })
+}
 
 /// Dials `addr`, retrying while the server is still coming up.
 ///
@@ -72,20 +93,16 @@ const HELLO_PATIENCE: Duration = Duration::from_secs(10);
 ///
 /// The last I/O error once the retry schedule is exhausted.
 pub fn connect(addr: &str) -> Result<TcpStream, String> {
-    let mut last: Option<io::Error> = None;
-    for _ in 0..CONNECT_ATTEMPTS {
+    let mut pauses = connect_pauses();
+    loop {
         match TcpStream::connect(addr) {
             Ok(stream) => return Ok(stream),
-            Err(e) => {
-                last = Some(e);
-                std::thread::sleep(CONNECT_PAUSE);
-            }
+            Err(e) => match pauses.next() {
+                Some(pause) => std::thread::sleep(pause),
+                None => return Err(format!("could not connect to {addr}: {e}")),
+            },
         }
     }
-    Err(match last {
-        Some(e) => format!("could not connect to {addr}: {e}"),
-        None => format!("could not connect to {addr}"),
-    })
 }
 
 /// What a completed [`GridServer::run`] relayed.
@@ -93,8 +110,8 @@ pub fn connect(addr: &str) -> Result<TcpStream, String> {
 pub struct ServeOutcome {
     /// Message counts the broker relayed in each direction.
     pub relay: RelayStats,
-    /// Participant processes welcomed over the server's lifetime
-    /// (roster plus late joiners/reconnects).
+    /// Participant processes the relay took in over the server's
+    /// lifetime (roster plus late joiners/reconnects).
     pub joined: usize,
 }
 
@@ -108,12 +125,11 @@ pub struct JoinOutcome {
     pub slots_served: u64,
 }
 
-/// The bell key the [`Acceptor`] rings for every dial-in that has said
-/// hello (participant links ring their index, the supervisor
-/// [`Broker::SUPERVISOR_KEY`]).
-const DIAL_KEY: usize = usize::MAX - 1;
 /// How long [`Acceptor::stop`] waits for its own wake-up dial to land.
 const WAKE_PATIENCE: Duration = Duration::from_secs(1);
+/// How long the acceptor pauses after `accept` fails, so whatever broke
+/// it (out of descriptors, say) does not make it spin.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(250);
 
 /// What the acceptor thread has in hand, for [`Acceptor::stop`].
 #[derive(Default)]
@@ -122,12 +138,16 @@ struct Dialing {
     stopping: bool,
     /// The connection whose [`Hello`] is being awaited.
     in_flight: Option<TcpStream>,
+    /// Participant processes the relay has taken in so far.
+    joined: usize,
 }
 
 /// The listener's own thread: `accept`, then the connection's [`Hello`]
-/// under [`HELLO_PATIENCE`], one dial-in at a time. A dialer that says
-/// nothing holds up only the dialers behind it — never the relay, which
-/// hears of a completed hello by [`DIAL_KEY`] ringing.
+/// under [`HELLO_PATIENCE`], one dial-in at a time. It assembles the
+/// roster, welcomes it and hands the server the relay; from then on it
+/// welcomes each late participant and admits it to the relay itself. A
+/// dialer that says nothing holds up only the dialers behind it, never
+/// the relay.
 struct Acceptor {
     dialing: Arc<Mutex<Dialing>>,
     wake_addr: Option<SocketAddr>,
@@ -138,8 +158,15 @@ struct Acceptor {
 /// listener stopped producing them.
 type Dial = Result<(TcpStream, Hello), io::Error>;
 
+/// The relay the acceptor hands the server once the roster is welcomed.
+type Assembled = Result<Relay<RelaySocket>, String>;
+
 impl Acceptor {
-    fn spawn(listener: TcpListener, bell: Arc<Doorbell>, dials: mpsc::Sender<Dial>) -> Self {
+    fn spawn(
+        listener: TcpListener,
+        participants: usize,
+        assembled: mpsc::Sender<Assembled>,
+    ) -> Self {
         let dialing = Arc::new(Mutex::new(Dialing::default()));
         // `stop` unblocks `accept` by dialing the listener itself.
         let wake_addr = listener.local_addr().ok().map(|mut addr| {
@@ -153,7 +180,10 @@ impl Acceptor {
         });
         let thread = {
             let dialing = Arc::clone(&dialing);
-            std::thread::spawn(move || accept_loop(&listener, &dialing, &bell, &dials))
+            std::thread::spawn(move || {
+                let mut dials = || next_dial(&listener, &dialing);
+                accept_loop(&mut dials, &dialing, participants, &assembled);
+            })
         };
         Acceptor {
             dialing,
@@ -163,8 +193,9 @@ impl Acceptor {
     }
 
     /// Ends the thread — whether it sits in `accept` or in a silent
-    /// dialer's hello — and with it the listener.
-    fn stop(self) {
+    /// dialer's hello — and with it the listener. Returns how many
+    /// participant processes joined the relay.
+    fn stop(self) -> usize {
         {
             let mut dialing = self.dialing.lock().expect("acceptor state poisoned");
             dialing.stopping = true;
@@ -180,54 +211,149 @@ impl Acceptor {
         if woken {
             let _ = self.thread.join();
         }
+        self.dialing.lock().expect("acceptor state poisoned").joined
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    dialing: &Mutex<Dialing>,
-    bell: &Doorbell,
-    dials: &mpsc::Sender<Dial>,
-) {
+/// The next dial-in that says hello; `None` once the server is stopping.
+/// A dialer that is not a grid peer, or too slow, is dropped.
+fn next_dial(listener: &TcpListener, dialing: &Mutex<Dialing>) -> Option<Dial> {
     loop {
         let accepted = listener.accept();
-        let dial = {
+        let mut stream = {
             let mut state = dialing.lock().expect("acceptor state poisoned");
             if state.stopping {
-                return;
+                return None;
             }
-            accepted.map(|(stream, _)| {
-                state.in_flight = stream.try_clone().ok();
-                stream
-            })
-        };
-        let dial = match dial {
-            Ok(mut stream) => {
-                let hello = accept_hello(&mut stream);
-                dialing.lock().expect("acceptor state poisoned").in_flight = None;
-                match hello {
-                    Ok(hello) => Ok((stream, hello)),
-                    // Not a grid peer, or too slow: dropped, next.
-                    Err(_) => continue,
+            match accepted {
+                Ok((stream, _)) => {
+                    state.in_flight = stream.try_clone().ok();
+                    stream
                 }
+                Err(e) => return Some(Err(e)),
             }
-            Err(e) => Err(e),
         };
-        let failed = dial.is_err();
-        if dials.send(dial).is_err() {
-            return;
-        }
-        bell.ring(DIAL_KEY);
-        if failed {
-            // Whatever broke `accept` (out of descriptors, say) may
-            // still be true: do not spin on it.
-            std::thread::sleep(CONNECT_PAUSE);
+        let hello = accept_hello(&mut stream);
+        dialing.lock().expect("acceptor state poisoned").in_flight = None;
+        if let Ok(hello) = hello {
+            return Some(Ok((stream, hello)));
         }
     }
+}
+
+/// The acceptor thread's body: the roster, then late participants, until
+/// the server stops.
+fn accept_loop(
+    dials: &mut impl FnMut() -> Option<Dial>,
+    dialing: &Mutex<Dialing>,
+    participants: usize,
+    assembled: &mpsc::Sender<Assembled>,
+) {
+    let joined = |count: usize| dialing.lock().expect("acceptor state poisoned").joined += count;
+    let (relay, params) = match assemble(dials, participants) {
+        Ok(assembly) => assembly,
+        Err(e) => {
+            let _ = assembled.send(Err(e));
+            return;
+        }
+    };
+    joined(participants);
+    let admission = relay.admission();
+    if assembled.send(Ok(relay)).is_err() {
+        return;
+    }
+    while let Some(dial) = dials() {
+        let (mut stream, hello) = match dial {
+            Ok(dial) => dial,
+            // Accept errors mid-campaign are not the relay's problem.
+            Err(_) => {
+                std::thread::sleep(ACCEPT_ERROR_PAUSE);
+                continue;
+            }
+        };
+        // A mid-campaign supervisor dial is dropped: the campaign has one.
+        if hello.role == ROLE_PARTICIPANT
+            && admission.admit(|index| {
+                send_welcome(&mut stream, &params.participant(index)).ok()?;
+                Some(RelaySocket::from_stream(stream))
+            })
+        {
+            joined(1);
+        }
+    }
+}
+
+/// What every participant's [`Welcome`] carries.
+struct RosterParams {
+    peer_count: u32,
+    /// The supervisor's campaign blob.
+    params: Vec<u8>,
+}
+
+impl RosterParams {
+    /// Participant `index`'s welcome.
+    fn participant(&self, index: usize) -> Welcome {
+        Welcome {
+            peer_index: u32::try_from(index).unwrap_or(u32::MAX),
+            peer_count: self.peer_count,
+            params: self.params.clone(),
+        }
+    }
+}
+
+/// Accepts until one supervisor and `participants` participant processes
+/// have said hello, welcomes them — participants first, each learning the
+/// campaign params, so the grid assembling is also the campaign reaching
+/// every process; the supervisor last, its welcome doubling as "the grid
+/// is assembled, start assigning" — and makes the relay between them.
+fn assemble(
+    dials: &mut impl FnMut() -> Option<Dial>,
+    participants: usize,
+) -> Result<(Relay<RelaySocket>, RosterParams), String> {
+    let mut part_streams: Vec<TcpStream> = Vec::new();
+    let mut supervisor: Option<(TcpStream, Vec<u8>)> = None;
+    while part_streams.len() < participants || supervisor.is_none() {
+        let dial = dials().ok_or("the server stopped before the grid assembled")?;
+        let (stream, hello) = dial.map_err(|e| format!("accept failed: {e}"))?;
+        if hello.role == ROLE_PARTICIPANT {
+            // A surplus participant is dropped; it may redial and join
+            // late, once the campaign runs.
+            if part_streams.len() < participants {
+                part_streams.push(stream);
+            }
+        } else if hello.role == ROLE_SUPERVISOR && supervisor.is_none() {
+            supervisor = Some((stream, hello.params));
+        }
+        // A second supervisor or an unknown role: dropped, keep
+        // assembling.
+    }
+    let (mut sup_stream, params) = supervisor.expect("roster loop exits only with a supervisor");
+    let roster = RosterParams {
+        peer_count: u32::try_from(participants)
+            .map_err(|_| "participant count exceeds the wire's u32".to_string())?,
+        params,
+    };
+    let mut part_links = Vec::new();
+    for (i, mut stream) in part_streams.into_iter().enumerate() {
+        send_welcome(&mut stream, &roster.participant(i))
+            .map_err(|e| format!("participant {i} welcome failed: {e}"))?;
+        part_links.push(RelaySocket::from_stream(stream));
+    }
+    send_welcome(
+        &mut sup_stream,
+        &Welcome {
+            peer_index: 0,
+            peer_count: roster.peer_count,
+            params: Vec::new(),
+        },
+    )
+    .map_err(|e| format!("supervisor welcome failed: {e}"))?;
+    let relay = Broker::new(RelaySocket::from_stream(sup_stream), part_links).into_relay();
+    Ok((relay, roster))
 }
 
 /// Receives a connection's [`Hello`] under [`HELLO_PATIENCE`], leaving
-/// the stream in blocking mode afterwards (the [`TcpLink`] reader thread
+/// the stream in blocking mode afterwards (a [`RelaySocket`]'s thread
 /// needs plain blocking reads).
 fn accept_hello(stream: &mut TcpStream) -> Result<Hello, GridError> {
     stream
@@ -290,132 +416,38 @@ impl GridServer {
     /// accepts until the roster (N participants + 1 supervisor) is
     /// complete, welcomes everyone — participants receive the
     /// supervisor's campaign params, so the grid assembling is also the
-    /// campaign reaching every process — then pumps the broker until
-    /// the supervisor hangs up and all queued traffic is drained.
-    /// Late connections during the campaign are handshaken and added as
-    /// fresh round-robin targets (reconnect-with-NACK). The listener has
-    /// a thread of its own for as long as the server runs, so a dialer
-    /// that never finishes its hello delays other dialers, not the
-    /// campaign; that thread, the listener and every link the server
-    /// made are gone before this returns.
+    /// campaign reaching every process — then relays, on one thread per
+    /// socket (the supervisor's is this one), until the supervisor hangs
+    /// up; that ends every participant socket, which is what tells the
+    /// join processes the campaign is over. Late connections during the
+    /// campaign are handshaken and added as fresh round-robin targets
+    /// (reconnect-with-NACK). The listener has a thread of its own for as
+    /// long as the server runs, so a dialer that never finishes its hello
+    /// delays other dialers, not the campaign; that thread, the listener
+    /// and every socket and thread the server made are gone before this
+    /// returns.
     ///
     /// # Errors
     ///
-    /// Accept/handshake failures during roster assembly (the pump phase
+    /// Accept/handshake failures during roster assembly (the relay phase
     /// instead drops misbehaving connections, as a relay must).
     pub fn run(self) -> Result<ServeOutcome, String> {
         let GridServer {
             listener,
             participants,
         } = self;
-        // One bell for everything the relay thread waits on: dial-ins
-        // from the acceptor thread now, the links' mail once they exist.
-        let bell = Arc::new(Doorbell::new());
-        let (dial_tx, dials) = mpsc::channel();
-        let acceptor = Acceptor::spawn(listener, Arc::clone(&bell), dial_tx);
-        let outcome = serve(&bell, &dials, participants);
-        acceptor.stop();
-        outcome
+        let (assembled_tx, assembled) = mpsc::channel();
+        let acceptor = Acceptor::spawn(listener, participants, assembled_tx);
+        let relay = assembled
+            .recv()
+            .unwrap_or_else(|_| Err("the acceptor stopped before the grid assembled".into()))
+            .map(Relay::run);
+        let joined = acceptor.stop();
+        Ok(ServeOutcome {
+            relay: relay?,
+            joined,
+        })
     }
-}
-
-/// [`GridServer::run`] between starting the acceptor and stopping it.
-fn serve(
-    bell: &Doorbell,
-    dials: &mpsc::Receiver<Dial>,
-    participants: usize,
-) -> Result<ServeOutcome, String> {
-    // Roster phase: until one supervisor and `participants` participant
-    // processes have said hello, dial-ins are all that can ring.
-    let mut part_streams: Vec<TcpStream> = Vec::new();
-    let mut supervisor: Option<(TcpStream, Vec<u8>)> = None;
-    while part_streams.len() < participants || supervisor.is_none() {
-        let _ = bell.wait();
-        let Ok(dial) = dials.try_recv() else {
-            continue;
-        };
-        let (stream, hello) = dial.map_err(|e| format!("accept failed: {e}"))?;
-        if hello.role == ROLE_PARTICIPANT {
-            // A surplus participant is dropped; it may redial and join
-            // late, once the campaign runs.
-            if part_streams.len() < participants {
-                part_streams.push(stream);
-            }
-        } else if hello.role == ROLE_SUPERVISOR && supervisor.is_none() {
-            supervisor = Some((stream, hello.params));
-        }
-        // A second supervisor or an unknown role: dropped, keep
-        // assembling.
-    }
-    let (mut sup_stream, sup_params) =
-        supervisor.expect("roster loop exits only with a supervisor");
-    let peer_count = u32::try_from(participants)
-        .map_err(|_| "participant count exceeds the wire's u32".to_string())?;
-    let welcome_participant = |index: usize| Welcome {
-        peer_index: u32::try_from(index).unwrap_or(u32::MAX),
-        peer_count,
-        params: sup_params.clone(),
-    };
-
-    // Welcome phase: participants first (each learns the campaign
-    // params), supervisor last — its welcome doubles as "the grid is
-    // assembled, start assigning".
-    let mut part_links: Vec<TcpLink> = Vec::new();
-    let mut part_controls: Vec<ControlHandle> = Vec::new();
-    for (i, mut stream) in part_streams.into_iter().enumerate() {
-        send_welcome(&mut stream, &welcome_participant(i))
-            .map_err(|e| format!("participant {i} welcome failed: {e}"))?;
-        let link = TcpLink::from_stream(stream);
-        part_controls.push(link.control_handle());
-        part_links.push(link);
-    }
-    send_welcome(
-        &mut sup_stream,
-        &Welcome {
-            peer_index: 0,
-            peer_count,
-            params: Vec::new(),
-        },
-    )
-    .map_err(|e| format!("supervisor welcome failed: {e}"))?;
-    let sup_link = TcpLink::from_stream(sup_stream);
-    let sup_control = sup_link.control_handle();
-
-    // Pump phase: the broker's own pump (see `Broker::pump` for the exit
-    // protocol), which sleeps on the bell and serves the link that rang.
-    // This hook adds the two things only a cross-process relay has. A
-    // participant's ring may have announced a control frame: its slot
-    // reports ride the uncharged control plane up to the supervisor,
-    // exactly like the in-process ledger clones ride outside the message
-    // flow. And `DIAL_KEY` announces a late joiner or a reconnect, which
-    // becomes a fresh round-robin target. The pump returning drops every
-    // participant link, which is what tells the join processes the
-    // campaign is over.
-    let relay = Broker::new(sup_link, part_links).pump(bell, |key| {
-        if let Some(control) = part_controls.get(key) {
-            if let Ok(Some(report)) = control.try_recv() {
-                let _ = sup_control.send(report);
-            }
-            return None;
-        }
-        if key != DIAL_KEY {
-            return None;
-        }
-        // Accept errors mid-campaign are not the relay's problem, and a
-        // mid-campaign supervisor dial is dropped: the campaign has one.
-        let (mut stream, hello) = dials.try_recv().ok()?.ok()?;
-        if hello.role != ROLE_PARTICIPANT {
-            return None;
-        }
-        send_welcome(&mut stream, &welcome_participant(part_controls.len())).ok()?;
-        let link = TcpLink::from_stream(stream);
-        part_controls.push(link.control_handle());
-        Some(link)
-    });
-    Ok(ServeOutcome {
-        relay,
-        joined: part_controls.len(),
-    })
 }
 
 /// The `ugc participant join` process body: dials the broker, expands
@@ -521,9 +553,9 @@ pub fn run_remote_campaign(params: &FleetParams, joiners: usize) -> Result<Fleet
 
     let summary = supervise(&addr, &CampaignPlan::new(params.clone())?, |_| {})?;
 
-    // The supervisor link died with the backend's round; the serve pump
-    // observes the hang-up, drains, and drops the participant links,
-    // which ends every joiner.
+    // The supervisor link died with the backend's round; the relay sees
+    // the hang-up and shuts every participant socket down, which ends
+    // every joiner.
     for (i, handle) in join_handles.into_iter().enumerate() {
         handle
             .join()
@@ -532,4 +564,25 @@ pub fn run_remote_campaign(params: &FleetParams, joiners: usize) -> Result<Fleet
     }
     serve.join().map_err(|_| "server panicked".to_string())??;
     Ok(summary)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_refused_dial_is_retried_soon_then_patiently() {
+        let pauses: Vec<Duration> = connect_pauses().collect();
+        assert!(pauses[0] <= Duration::from_millis(5), "{pauses:?}");
+        assert!(
+            pauses
+                .iter()
+                .all(|&pause| pause <= Duration::from_millis(250)),
+            "{pauses:?}"
+        );
+        assert!(
+            pauses.iter().sum::<Duration>() >= Duration::from_secs(10),
+            "{pauses:?}"
+        );
+    }
 }

@@ -8,8 +8,8 @@ use uncheatable_grid::core::{
     VerificationScheme,
 };
 use uncheatable_grid::grid::{
-    duplex, Assignment, Broker, CheatSelection, CostLedger, Doorbell, Endpoint, GridLink,
-    HonestWorker, Message, SemiHonestCheater, WorkerBehaviour,
+    duplex, Assignment, Broker, CheatSelection, CostLedger, Endpoint, GridLink, HonestWorker,
+    Message, SemiHonestCheater, WorkerBehaviour,
 };
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;
@@ -58,7 +58,7 @@ fn brokered_ni_cbs_accepts_honest_rejects_cheater() {
     let (verdicts, stats) = std::thread::scope(|scope| {
         scope.spawn(|| participate(part_a, &honest));
         scope.spawn(|| participate(part_b, &cheater));
-        let pump = scope.spawn(move || broker.pump(&Doorbell::new(), |_| None));
+        let relay = scope.spawn(move || broker.relay());
 
         // Supervisor side, by hand, through the broker.
         let ledger = CostLedger::new();
@@ -104,7 +104,7 @@ fn brokered_ni_cbs_accepts_honest_rejects_cheater() {
             }
         }
         drop(sup_ep);
-        (verdicts.map(Option::unwrap), pump.join().unwrap())
+        (verdicts.map(Option::unwrap), relay.join().unwrap())
     });
 
     assert!(verdicts[0].is_accepted(), "honest participant rejected");

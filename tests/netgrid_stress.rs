@@ -3,9 +3,10 @@
 //! relay thread once waited out their patience itself), being run
 //! hundreds of times in one process (every campaign must take all of
 //! its threads, sockets and its listener with it), and volume — thousands
-//! of sessions through one joiner, and uploads far larger than a read —
-//! where a dial-in link that queued a frame and never wrote it would
-//! hang the campaign instead of failing it.
+//! of sessions through one joiner, uploads far larger than a read, and
+//! both directions saturated at once — where a dial-in link that queued a
+//! frame and never wrote it, or a relay thread stuck writing, would hang
+//! the campaign instead of failing it.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -74,7 +75,7 @@ fn dialers_that_never_finish_their_hello_do_not_stall_a_running_campaign() {
     let plan = CampaignPlan::new(p.clone()).expect("plan");
     let stream = netgrid::connect(&addr).expect("supervisor connect");
     // The welcome says the roster is complete: every dial from here on
-    // lands in the relay's pump phase.
+    // comes while the relay runs.
     let (link, _welcome) = handshake_supervisor(stream, &p.encode()).expect("handshake");
 
     // One dialer that says nothing, and one that stops mid-hello: a
@@ -221,4 +222,23 @@ fn naive_uploads_of_a_quarter_mebibyte_match_the_in_process_run() {
             remote_digest_within(&p(TransportKind::Remote), joiners, Duration::from_secs(120));
         assert_eq!(digest, reference, "{joiners} joiner(s)");
     }
+}
+
+#[test]
+fn both_directions_saturated_at_once_through_one_joiner_do_not_deadlock() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // 12 288 naive members of 64 inputs each: the engine's burst of
+    // assignments is past the 64 KiB a dial-in end writes at once, and
+    // the joiner's uploads (1 KiB of results each, 12 MiB in all) fill
+    // the other direction while the burst is still arriving. Each relay
+    // thread writes what it read before it reads again, so this is where
+    // a wait cycle through the relay would show.
+    let members = 12_288;
+    let p = |transport| FleetParams {
+        scheme: "naive".into(),
+        ..params(members, 64 * members, transport)
+    };
+    let reference = brokered_digest(&p(TransportKind::Brokered));
+    let digest = remote_digest_within(&p(TransportKind::Remote), 1, Duration::from_secs(120));
+    assert_eq!(digest, reference);
 }
