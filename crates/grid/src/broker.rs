@@ -59,9 +59,10 @@
 //! Mail that does not decode, that no route exists for, or that its
 //! sender may not send ([`Routes::speaks_for`]) is dropped.
 //!
-//! Why a thread blocked in a write cannot hang the grid where the
-//! threaded relay would not have is argued for sockets, the only links
-//! whose writes block, in the [`tcp`](crate::tcp) module docs.
+//! Why a relay thread blocked in a write closes no wait cycle that a
+//! relay with a reader and a writer thread per socket would not also have
+//! is argued for sockets, the only links whose writes block, in the
+//! [`tcp`](crate::tcp) module docs.
 //!
 //! The step-at-a-time calls
 //! ([`try_relay_outward`](Broker::try_relay_outward),

@@ -77,14 +77,15 @@
 //! blocked writing its 64 KiB batch to the broker. A wait cycle therefore
 //! alternates broker threads and dial-in processes, every one of them
 //! stuck in a write, with the socket buffers full both ways on every hop.
-//! The threaded relay had each such cycle too. Its reader paused at
-//! [`INBOUND_HIGH_WATER`] queued frames when the relay thread could not
-//! drain them, and the relay thread could not drain them while it was
+//! A relay over [`TcpLink`]s, one relay thread between their reader and
+//! writer threads, has each such cycle too. A reader pauses at
+//! [`INBOUND_HIGH_WATER`] queued frames when the relay thread cannot
+//! drain them, and the relay thread cannot drain them while it is
 //! blocked at a writer's [`OUTBOUND_HIGH_WATER`], behind a write its peer
-//! refused: the same edge, "this socket is not read because a write to
+//! refuses: the same edge, "this socket is not read because a write to
 //! that one is stuck", reached after 4096 queued frames rather than after
 //! one burst. A thread blocked in a combined write adds no edge the pause
-//! lacked; and where one stuck write stopped the single relay thread, and
+//! lacks; and where one stuck write stops the single relay thread, and
 //! so every link at once, here it stops only the threads that feed that
 //! socket. In practice a cycle needs the engine's assignments and a
 //! joiner's uploads to fill both directions of a socket each at once;
